@@ -215,6 +215,13 @@ type LinkStat struct {
 	bytesRecv int64
 	msgsRecv  int64
 	rtt       Histogram
+
+	// Flow control and batching of a network link (zero in-process).
+	replayHighWater int64
+	sendBlocked     int64
+	sendBlockedNs   int64
+	acksStandalone  int64
+	flushes         int64
 }
 
 // AddSent records one sent message of the given payload size.
@@ -230,6 +237,40 @@ func (l *LinkStat) AddRecv(bytes int) {
 	l.mu.Lock()
 	l.bytesRecv += int64(bytes)
 	l.msgsRecv++
+	l.mu.Unlock()
+}
+
+// ObserveReplay records the depth of the unacknowledged-send window
+// after a send; the high-water mark is kept.
+func (l *LinkStat) ObserveReplay(depth int) {
+	l.mu.Lock()
+	if int64(depth) > l.replayHighWater {
+		l.replayHighWater = int64(depth)
+	}
+	l.mu.Unlock()
+}
+
+// AddSendBlocked records one send that found the window full and
+// waited d for an acknowledgement to free a slot.
+func (l *LinkStat) AddSendBlocked(d time.Duration) {
+	l.mu.Lock()
+	l.sendBlocked++
+	l.sendBlockedNs += int64(d)
+	l.mu.Unlock()
+}
+
+// AddStandaloneAck records an acknowledgement sent as its own frame
+// because no outbound message was there to carry it.
+func (l *LinkStat) AddStandaloneAck() {
+	l.mu.Lock()
+	l.acksStandalone++
+	l.mu.Unlock()
+}
+
+// AddFlush records one write of buffered frames to the connection.
+func (l *LinkStat) AddFlush() {
+	l.mu.Lock()
+	l.flushes++
 	l.mu.Unlock()
 }
 
@@ -252,6 +293,12 @@ func (l *LinkStat) Snapshot() CommLinkStat {
 		BytesRecv: l.bytesRecv,
 		MsgsRecv:  l.msgsRecv,
 		RTT:       l.rtt.Snapshot(),
+
+		ReplayHighWater:  l.replayHighWater,
+		SendBlockedCount: l.sendBlocked,
+		SendBlockedNs:    l.sendBlockedNs,
+		AcksStandalone:   l.acksStandalone,
+		Flushes:          l.flushes,
 	}
 }
 
@@ -265,25 +312,35 @@ type CommLinkStat struct {
 	BytesRecv int64        `json:"bytes_recv"`
 	MsgsRecv  int64        `json:"msgs_recv"`
 	RTT       HistSnapshot `json:"rtt"`
+
+	// Network links only (DESIGN §9.5 names each field's reader).
+	ReplayHighWater  int64 `json:"replay_high_water"`  // deepest unacknowledged-send window seen
+	SendBlockedCount int64 `json:"send_blocked_count"` // sends that found the window full; 0 on a healthy halo exchange
+	SendBlockedNs    int64 `json:"send_blocked_ns"`    // total time those sends waited
+	AcksStandalone   int64 `json:"acks_standalone"`    // acks that travelled as their own frame
+	Flushes          int64 `json:"flushes"`            // connection writes; msgs_sent/flushes = frames per syscall
 }
 
 // Label returns the link's "src->peer" form used as a metrics label.
 func (s CommLinkStat) Label() string { return fmt.Sprintf("%d->%d", s.Src, s.Peer) }
 
 // CommReport formats per-link counters as aligned text rows, one per
-// link, with RTT columns when the link has latency samples.
+// link, with RTT columns when the link has latency samples. The last
+// two columns are a network link's health at a glance: sends that
+// waited on a full window (0 when healthy) and connection writes.
 func CommReport(links []CommLinkStat) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s\n",
-		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99")
+	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s %8s %8s\n",
+		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99", "blocked", "flushes")
 	for _, l := range links {
 		p50, p99 := "", ""
 		if l.RTT.Count > 0 {
 			p50 = fmt.Sprintf("%.0fµs", l.RTT.P50Micros)
 			p99 = fmt.Sprintf("%.0fµs", l.RTT.P99Micros)
 		}
-		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s\n",
-			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99)
+		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s %8d %8d\n",
+			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99,
+			l.SendBlockedCount, l.Flushes)
 	}
 	return sb.String()
 }

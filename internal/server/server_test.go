@@ -222,6 +222,14 @@ func TestBackpressureAndCancel(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(reqB); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel queued: %v HTTP %d", err, resp.StatusCode)
 	}
+	// A cancel that lands before the first step completes is honoured
+	// with nothing to report, so wait for the progress the test asserts.
+	for deadline := time.Now().Add(60 * time.Second); getStatus(t, ts, srA.Jobs[0].ID).Progress.Step == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("running job never completed a step")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	reqA, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+srA.Jobs[0].ID, nil)
 	if resp, err := http.DefaultClient.Do(reqA); err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel running: %v HTTP %d", err, resp.StatusCode)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire framing: every frame is [u32 length][u8 kind][body], length
@@ -11,11 +12,11 @@ import (
 // messages; the rest are link control (handshake, heartbeat, acks,
 // goodbye) and rendezvous bootstrap.
 const (
-	frData  byte = iota + 1 // u64 seq | i64 tag | payload
+	frData  byte = iota + 1 // u64 seq | u64 ack | i64 tag | payload — ack is the sender's cumulative recvSeq
 	frHello                 // u32 rank | u64 lastRecvSeq — link handshake / resume point
 	frPing                  // i64 sender stamp (ns) — heartbeat
 	frPong                  // i64 echoed stamp
-	frAck                   // u64 lastRecvSeq — prunes the sender's replay buffer
+	frAck                   // u64 lastRecvSeq — standalone ack, when no data frame is there to carry it
 	frBye                   // graceful close; peer stops expecting heartbeats
 	frJoin                  // u32 rank | u16 len | addr — rendezvous announce
 	frTable                 // u32 n | n × (u16 len | addr) — rank→address table
@@ -25,6 +26,16 @@ const (
 // large tile is a few MB; 1 GiB leaves room for huge migration bursts
 // while rejecting corrupt lengths).
 const defaultMaxFrame = 1 << 30
+
+// readChunk bounds how far a frame's declared length is trusted ahead
+// of the bytes that have actually arrived: the read buffer grows by at
+// most this much per read, so a corrupt length cannot allocate a
+// gigabyte. It is also the largest buffer a frameReader keeps between
+// frames.
+const readChunk = 1 << 20
+
+// dataHeaderLen is the fixed part of a data frame's body.
+const dataHeaderLen = 24
 
 // writeFrame writes one complete frame.
 func writeFrame(w io.Writer, kind byte, body []byte) error {
@@ -42,39 +53,66 @@ func writeFrame(w io.Writer, kind byte, body []byte) error {
 	return nil
 }
 
-// readFrame reads one complete frame, rejecting lengths beyond max.
-func readFrame(r io.Reader, max uint32) (kind byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames from r into one reused buffer: a returned
+// body is valid only until the next read.
+type frameReader struct {
+	r   io.Reader
+	max uint32
+	hdr [4]byte
+	buf []byte
+}
+
+// read reads one complete frame, rejecting lengths beyond max.
+func (fr *frameReader) read() (kind byte, body []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 1 || n > max {
-		return 0, nil, fmt.Errorf("transport: frame length %d outside (0, %d]", n, max)
+	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
+	if n < 1 || uint32(n) > fr.max {
+		return 0, nil, fmt.Errorf("transport: frame length %d outside (0, %d]", n, fr.max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	if cap(fr.buf) > readChunk {
+		fr.buf = nil // a past burst's buffer is not worth keeping
 	}
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(fr.r, buf[len(buf)-step:]); err != nil {
+			return 0, nil, err
+		}
+	}
+	fr.buf = buf
 	return buf[0], buf[1:], nil
 }
 
-// Data-frame body helpers.
-
-func encodeDataBody(seq uint64, tag int, payload []byte) []byte {
-	body := make([]byte, 0, 16+len(payload))
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint64(body, uint64(int64(tag)))
-	return append(body, payload...)
+// readFrame reads one frame into a fresh buffer (handshake and
+// rendezvous; the link's reader keeps a frameReader).
+func readFrame(r io.Reader, max uint32) (kind byte, body []byte, err error) {
+	return (&frameReader{r: r, max: max}).read()
 }
 
-func decodeDataBody(body []byte) (seq uint64, tag int, payload []byte, err error) {
-	if len(body) < 16 {
-		return 0, 0, nil, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
+// Data-frame helpers.
+
+// appendDataHeader appends a data frame's length, kind and fixed body
+// fields for a payload of the given size; the payload follows on the
+// wire.
+func appendDataHeader(b []byte, seq, ack uint64, tag, payloadLen int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(1+dataHeaderLen+payloadLen))
+	b = append(b, frData)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint64(b, ack)
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(tag)))
+}
+
+func decodeDataBody(body []byte) (seq, ack uint64, tag int, payload []byte, err error) {
+	if len(body) < dataHeaderLen {
+		return 0, 0, 0, nil, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
 	}
 	seq = binary.LittleEndian.Uint64(body)
-	tag = int(int64(binary.LittleEndian.Uint64(body[8:])))
-	return seq, tag, body[16:], nil
+	ack = binary.LittleEndian.Uint64(body[8:])
+	tag = int(int64(binary.LittleEndian.Uint64(body[16:])))
+	return seq, ack, tag, body[dataHeaderLen:], nil
 }
 
 // Hello-frame body helpers (also used by rendezvous join).

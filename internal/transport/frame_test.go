@@ -1,0 +1,176 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
+	"testing"
+
+	"govpic/internal/push"
+)
+
+// seedBodies returns one well-formed body per frame kind, the data kind
+// once per payload type.
+func seedBodies(t testing.TB) map[byte][][]byte {
+	t.Helper()
+	bodies := map[byte][][]byte{
+		frHello: {encodeHelloBody(3, 77)},
+		frPing:  {encodeU64Body(1 << 60)},
+		frPong:  {encodeU64Body(1 << 60)},
+		frAck:   {encodeU64Body(255)},
+		frBye:   {nil},
+		frJoin:  {encodeJoinBody(2, "127.0.0.1:4040")},
+		frTable: {encodeTableBody([]string{"a:1", "b:2", ""})},
+	}
+	for i, data := range []any{
+		float64(1.5), int64(-9), []float32{1, 2, 3}, []float64{4, 5},
+		make(push.OutgoingBatch, 2), []byte("report"),
+	} {
+		payload, err := EncodePayload(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := appendDataHeader(nil, uint64(i+1), uint64(i), -100-i, len(payload))
+		bodies[frData] = append(bodies[frData], append(hdr[5:], payload...))
+	}
+	return bodies
+}
+
+func frameBytes(kind byte, body []byte) []byte {
+	var buf bytes.Buffer
+	writeFrame(&buf, kind, body)
+	return buf.Bytes()
+}
+
+func TestDataHeaderRoundTrip(t *testing.T) {
+	payload := []byte{ptBytes, 1, 0, 0, 0, 'x'}
+	frame := append(appendDataHeader(nil, 1<<40, 1<<41, tagGather, len(payload)), payload...)
+	kind, body, err := readFrame(bytes.NewReader(frame), defaultMaxFrame)
+	if err != nil || kind != frData {
+		t.Fatalf("readFrame: kind %d, %v", kind, err)
+	}
+	seq, ack, tag, got, err := decodeDataBody(body)
+	if err != nil || seq != 1<<40 || ack != 1<<41 || tag != tagGather || !bytes.Equal(got, payload) {
+		t.Fatalf("decoded (%d, %d, %d, %x, %v)", seq, ack, tag, got, err)
+	}
+	if _, _, _, _, err := decodeDataBody(body[:dataHeaderLen-1]); err == nil {
+		t.Fatal("short data body accepted")
+	}
+}
+
+// TestFrameReaderReusesBuffer pins the reader's two properties the link
+// relies on: small frames share one buffer, and a body is only valid
+// until the next read.
+func TestFrameReaderReusesBuffer(t *testing.T) {
+	stream := append(frameBytes(frAck, encodeU64Body(1)), frameBytes(frAck, encodeU64Body(2))...)
+	fr := frameReader{r: bytes.NewReader(stream), max: defaultMaxFrame}
+	_, first, err := fr.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, err := fr.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("second frame did not reuse the first frame's buffer")
+	}
+	if v, _ := decodeU64Body(second); v != 2 {
+		t.Fatalf("second frame decoded %d", v)
+	}
+}
+
+// TestReadFrameCorruptLengthBoundedAlloc: a header declaring a gigabyte
+// followed by a few bytes must fail after allocating about one chunk,
+// and a frame spanning several chunks must still arrive whole.
+func TestReadFrameCorruptLengthBoundedAlloc(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], defaultMaxFrame)
+	stream := append(hdr[:], make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(stream), defaultMaxFrame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated gigabyte frame: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*readChunk {
+		t.Fatalf("corrupt length allocated %d bytes", got)
+	}
+
+	big := make([]byte, 2*readChunk+readChunk/2)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	kind, body, err := readFrame(bytes.NewReader(frameBytes(frTable, big)), defaultMaxFrame)
+	if err != nil || kind != frTable || !bytes.Equal(body, big) {
+		t.Fatalf("multi-chunk frame: kind %d, %d bytes, %v", kind, len(body), err)
+	}
+	if _, _, err := readFrame(bytes.NewReader(frameBytes(frTable, big)), readChunk); err == nil {
+		t.Fatal("frame beyond max accepted")
+	}
+}
+
+// FuzzReadFrame feeds arbitrary byte streams to the frame reader: it
+// must never panic, never return more than arrived, and never hold a
+// buffer out of proportion to the bytes it was given.
+func FuzzReadFrame(f *testing.F) {
+	for kind, bodies := range seedBodies(f) {
+		for _, body := range bodies {
+			f.Add(frameBytes(kind, body))
+		}
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0x3f, frData, 1, 2, 3}) // gigabyte length, 4 bytes
+	f.Add([]byte{0, 0, 0, 0})                              // zero length
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fr := frameReader{r: bytes.NewReader(stream), max: defaultMaxFrame}
+		for {
+			kind, body, err := fr.read()
+			if err != nil {
+				break
+			}
+			if len(body) > len(stream) {
+				t.Fatalf("frame of %d bytes from a %d-byte stream", len(body), len(stream))
+			}
+			if kind == frData {
+				if _, _, _, payload, err := decodeDataBody(body); err == nil {
+					DecodePayload(payload)
+				}
+			}
+		}
+		if c := cap(fr.buf); c > 2*(len(stream)+readChunk) {
+			t.Fatalf("reader holds %d bytes after a %d-byte stream", c, len(stream))
+		}
+	})
+}
+
+// FuzzDecodeDataBody: any body either fails to decode or re-encodes to
+// the same header bytes, and its payload never panics the codec.
+func FuzzDecodeDataBody(f *testing.F) {
+	for _, bodies := range seedBodies(f) {
+		for _, body := range bodies {
+			f.Add(body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		seq, ack, tag, payload, err := decodeDataBody(body)
+		if err != nil {
+			if len(body) >= dataHeaderLen {
+				t.Fatalf("body of %d bytes rejected: %v", len(body), err)
+			}
+			return
+		}
+		hdr := appendDataHeader(nil, seq, ack, tag, len(payload))
+		if !bytes.Equal(hdr[5:], body[:dataHeaderLen]) || len(payload) != len(body)-dataHeaderLen {
+			t.Fatalf("header (%d, %d, %d) does not re-encode to %x", seq, ack, tag, body[:dataHeaderLen])
+		}
+		if data, err := DecodePayload(payload); err == nil {
+			again, err := EncodePayload(nil, data)
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("payload %x re-encoded to %x (%v)", payload, again, err)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +18,10 @@ var errClosed = errors.New("transport: closed")
 
 // errPeerClosed reports a peer that announced a graceful goodbye.
 var errPeerClosed = errors.New("transport: peer closed")
+
+// errStopped ends a connection's writer or reader after its sibling
+// failed first.
+var errStopped = errors.New("transport: connection stopped")
 
 // dataFrame is one queued application message.
 type dataFrame struct {
@@ -38,21 +43,21 @@ type acceptedConn struct {
 	peerRecv uint64
 }
 
-// link is one bidirectional peer connection: bounded send and receive
-// queues, a supervisor that owns the connection lifecycle (handshake,
-// heartbeats, bounded reconnect with backoff), and a sequence-numbered
-// replay buffer so messages in flight when a connection drops are
-// redelivered exactly once after a reconnect.
+// link is one bidirectional peer connection: a bounded receive queue, a
+// supervisor that owns the connection lifecycle (handshake, heartbeats,
+// bounded reconnect with backoff), and a sequence-numbered replay
+// buffer that doubles as the send queue, so messages in flight when a
+// connection drops are redelivered exactly once after a reconnect.
 type link struct {
 	t      *TCP
 	peer   int
 	dialer bool   // this side (the higher rank) re-establishes the connection
 	addr   string // peer's advertised listen address (dialer side)
 
-	out   chan dataFrame    // queued sends, bounded at mp.LinkDepth
 	in    chan inMsg        // decoded in-order arrivals, bounded
 	conns chan acceptedConn // handshaken conns routed by the acceptor side
-	pongs chan int64        // heartbeat stamps awaiting echo
+	wake  chan struct{}     // signal: the writer has something to send
+	room  chan struct{}     // signal: the replay window shrank from full
 
 	established chan struct{}
 	estOnce     sync.Once
@@ -60,12 +65,15 @@ type link struct {
 	dead     chan struct{}
 	deadErr  error
 	deadOnce sync.Once
-	sawBye   bool // peer said goodbye: do not attempt reconnect
 
 	mu      sync.Mutex
+	sawBye  bool        // peer said goodbye: do not attempt reconnect
 	sendSeq uint64      // last assigned outbound sequence number
 	recvSeq uint64      // last inbound sequence delivered to `in`
-	replay  []dataFrame // sent frames the peer has not yet acknowledged
+	ackSent uint64      // highest recvSeq the peer has been told
+	replay  []dataFrame // frames the peer has not yet acknowledged, in seq order
+	wrSeq   uint64      // last seq written on the live connection; later replay frames are unsent
+	pong    int64       // ping stamp awaiting its echo (0: none)
 	curConn net.Conn    // live connection, while serve is running
 
 	stat *perf.LinkStat
@@ -75,18 +83,37 @@ type link struct {
 // applies backpressure and eventually fails with LinkOverflowError.
 const replayCap = 4 * mp.LinkDepth
 
+// ackEvery is how many arrivals may go unacknowledged before an ack
+// travels alone. Every outbound data frame carries the cumulative ack,
+// so only one-way traffic (gathers) gets this far; a quarter of the
+// window keeps the sender three quarters ahead of its backpressure.
+const ackEvery = replayCap / 4
+
+// ioBuf sizes the per-connection read and write buffers: a step's burst
+// of halo frames (a few kB) fits many times over.
+const ioBuf = 64 << 10
+
 func newLink(t *TCP, peer int, dialer bool) *link {
 	return &link{
 		t:           t,
 		peer:        peer,
 		dialer:      dialer,
-		out:         make(chan dataFrame, mp.LinkDepth),
 		in:          make(chan inMsg, mp.LinkDepth),
 		conns:       make(chan acceptedConn, 1),
-		pongs:       make(chan int64, 4),
+		wake:        make(chan struct{}, 1),
+		room:        make(chan struct{}, 1),
 		established: make(chan struct{}),
 		dead:        make(chan struct{}),
 		stat:        t.stats.Link(peer),
+	}
+}
+
+// signal posts to a 1-buffered notification channel without blocking:
+// a token already there wakes the same waiter.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
 }
 
@@ -220,186 +247,273 @@ func (l *link) dialHandshake(c net.Conn) (uint64, error) {
 	return peerRecv, nil
 }
 
-// serve drives one live connection: first replays every unacknowledged
-// frame past the peer's resume point, then runs the writer (data,
-// heartbeats, acks, pong echoes) and reader until either fails.
+// serve drives one live connection: everything in the replay buffer
+// past the peer's resume point counts as unsent again, then the writer
+// and reader run until either fails.
 func (l *link) serve(conn net.Conn, peerRecv uint64) {
-	opts := &l.t.opts
 	l.mu.Lock()
 	l.curConn = conn
+	l.pruneLocked(peerRecv)
+	l.wrSeq = min(peerRecv, l.sendSeq)
 	l.mu.Unlock()
 	defer func() {
 		l.mu.Lock()
 		l.curConn = nil
 		l.mu.Unlock()
 	}()
-	l.pruneReplay(peerRecv)
-	l.mu.Lock()
-	pending := append([]dataFrame(nil), l.replay...)
-	l.mu.Unlock()
-	for _, f := range pending {
-		conn.SetWriteDeadline(time.Now().Add(opts.PeerTimeout))
-		if err := writeFrame(conn, frData, encodeDataBody(f.seq, f.tag, f.payload)); err != nil {
-			return
-		}
-	}
+	lc := linkConn{Conn: conn, timeout: l.t.opts.PeerTimeout, stat: l.stat}
 	errc := make(chan error, 2)
 	stop := make(chan struct{})
-	go l.writer(conn, errc, stop)
-	go l.reader(conn, errc, stop)
+	go func() { errc <- l.writer(lc, stop) }()
+	go func() { errc <- l.reader(lc, stop) }()
 	<-errc
 	close(stop)
-	conn.SetDeadline(time.Now()) // unblock the sibling's pending I/O
+	conn.Close() // unblock the sibling's pending I/O
 	<-errc
 }
 
-// writer owns all writes on one connection.
-func (l *link) writer(conn net.Conn, errc chan<- error, stop <-chan struct{}) {
-	opts := &l.t.opts
-	hb := time.NewTicker(opts.HeartbeatInterval)
-	defer hb.Stop()
-	write := func(kind byte, body []byte) error {
-		conn.SetWriteDeadline(time.Now().Add(opts.PeerTimeout))
-		return writeFrame(conn, kind, body)
+// linkConn arms the connection's deadline on every real read and write
+// — behind buffered I/O that is once per syscall, not once per frame —
+// and counts the writes. The read deadline is the heartbeat-based
+// failure detector: a healthy peer's writer never lets the line go
+// silent for PeerTimeout.
+type linkConn struct {
+	net.Conn
+	timeout time.Duration
+	stat    *perf.LinkStat
+}
+
+func (c linkConn) Read(p []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Read(p)
+}
+
+func (c linkConn) Write(p []byte) (int, error) {
+	c.SetWriteDeadline(time.Now().Add(c.timeout))
+	c.stat.AddFlush()
+	return c.Conn.Write(p)
+}
+
+// unsentLocked returns the replay index of the first frame not yet
+// written on the live connection.
+func (l *link) unsentLocked() int {
+	if len(l.replay) == 0 || l.wrSeq < l.replay[0].seq {
+		return 0
 	}
+	return int(l.wrSeq - l.replay[0].seq + 1)
+}
+
+// writer owns all writes on one connection. It drains everything that
+// is queued — data frames, each carrying the cumulative ack; a
+// standalone ack once ackEvery arrivals found no data frame to ride; a
+// pong; the heartbeat's ping — into one buffer and flushes when the
+// queue runs dry, so a burst costs one syscall.
+func (l *link) writer(conn linkConn, stop <-chan struct{}) error {
+	hb := time.NewTicker(l.t.opts.HeartbeatInterval)
+	defer hb.Stop()
+	bw := bufio.NewWriterSize(conn, ioBuf)
+	var hdr [5 + dataHeaderLen]byte
+	tick, closing := false, false
 	for {
-		select {
-		case f := <-l.out:
-			if err := write(frData, encodeDataBody(f.seq, f.tag, f.payload)); err != nil {
-				errc <- err
-				return
+		l.mu.Lock()
+		var f dataFrame
+		i := l.unsentLocked()
+		have := i < len(l.replay)
+		if have {
+			f = l.replay[i]
+			l.wrSeq = f.seq
+		}
+		ack := l.recvSeq
+		// The heartbeat also acks a tail too short to reach ackEvery, so
+		// the peer's replay buffer does not hold payloads indefinitely.
+		ackDue := !have && (ack-l.ackSent >= ackEvery || tick && ack != l.ackSent)
+		if have || ackDue {
+			l.ackSent = ack
+		}
+		pong := l.pong
+		l.pong = 0
+		l.mu.Unlock()
+
+		var err error
+		if have {
+			if _, err = bw.Write(appendDataHeader(hdr[:0], f.seq, ack, f.tag, len(f.payload))); err == nil {
+				_, err = bw.Write(f.payload)
 			}
-		case stamp := <-l.pongs:
-			if err := write(frPong, encodeU64Body(uint64(stamp))); err != nil {
-				errc <- err
-				return
-			}
-		case <-hb.C:
-			if err := write(frPing, encodeU64Body(uint64(time.Now().UnixNano()))); err != nil {
-				errc <- err
-				return
-			}
-			l.mu.Lock()
-			recv := l.recvSeq
-			l.mu.Unlock()
-			if err := write(frAck, encodeU64Body(recv)); err != nil {
-				errc <- err
-				return
-			}
-		case <-l.t.closed:
+		} else if ackDue {
+			l.stat.AddStandaloneAck()
+			err = writeFrame(bw, frAck, encodeU64Body(ack))
+		}
+		if err == nil && pong != 0 {
+			err = writeFrame(bw, frPong, encodeU64Body(uint64(pong)))
+		}
+		if err == nil && tick {
+			tick = false
+			err = writeFrame(bw, frPing, encodeU64Body(uint64(time.Now().UnixNano())))
+		}
+		if err != nil {
+			return err
+		}
+		if have {
+			continue
+		}
+		if closing {
 			if !l.t.noBye.Load() {
-				write(frBye, nil) // best-effort goodbye
+				writeFrame(bw, frBye, nil) // best-effort goodbye
+				bw.Flush()
 			}
-			errc <- errClosed
-			return
+			return errClosed
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		select {
+		case <-l.wake:
+		case <-hb.C:
+			tick = true
+		case <-l.t.closed:
+			// One more pass: what Send queued before Close goes out
+			// ahead of the goodbye.
+			closing = true
 		case <-stop:
-			errc <- nil
-			return
+			return errStopped
 		}
 	}
 }
 
-// reader owns all reads on one connection: data frames are deduplicated
-// by sequence number and delivered in order; control frames feed the
-// failure detector, the RTT histogram and the replay pruner. The read
-// deadline is the heartbeat-based failure detector — a healthy peer's
-// writer never lets the line go silent for PeerTimeout.
-func (l *link) reader(conn net.Conn, errc chan<- error, stop <-chan struct{}) {
-	opts := &l.t.opts
+// reader owns all reads on one connection until it breaks, the peer
+// says goodbye, or serve stops it.
+func (l *link) reader(conn linkConn, stop <-chan struct{}) error {
+	fr := frameReader{r: bufio.NewReaderSize(conn, ioBuf), max: l.t.opts.MaxFrame}
 	for {
-		conn.SetReadDeadline(time.Now().Add(opts.PeerTimeout))
-		kind, body, err := readFrame(conn, opts.MaxFrame)
+		kind, body, err := fr.read()
 		if err != nil {
-			errc <- err
-			return
+			return err
 		}
 		switch kind {
 		case frData:
-			seq, tag, payload, err := decodeDataBody(body)
+			if err := l.deliver(body, stop); err != nil {
+				return err
+			}
+		case frPing, frPong, frAck:
+			v, err := decodeU64Body(body)
 			if err != nil {
-				errc <- err
-				return
+				return err
 			}
-			l.mu.Lock()
-			dup := seq <= l.recvSeq
-			l.mu.Unlock()
-			if dup { // already delivered before the reconnect
-				continue
-			}
-			data, err := DecodePayload(payload)
-			if err != nil {
-				errc <- err
-				return
-			}
-			select {
-			case l.in <- inMsg{tag: tag, data: data}:
-				l.mu.Lock()
-				l.recvSeq = seq
-				l.mu.Unlock()
-				l.stat.AddRecv(len(payload))
-			case <-stop:
-				errc <- nil
-				return
-			}
-		case frPing:
-			stamp, err := decodeU64Body(body)
-			if err != nil {
-				errc <- err
-				return
-			}
-			select {
-			case l.pongs <- int64(stamp):
-			default: // writer busy; the next ping will measure
-			}
-		case frPong:
-			stamp, err := decodeU64Body(body)
-			if err != nil {
-				errc <- err
-				return
-			}
-			l.stat.ObserveRTT(time.Duration(time.Now().UnixNano() - int64(stamp)))
-		case frAck:
-			n, err := decodeU64Body(body)
-			if err != nil {
-				errc <- err
-				return
-			}
-			l.pruneReplay(n)
+			l.control(kind, v)
 		case frBye:
 			l.mu.Lock()
 			l.sawBye = true
 			l.mu.Unlock()
-			errc <- errPeerClosed
-			return
+			return errPeerClosed
 		default:
-			errc <- fmt.Errorf("transport: unexpected frame kind %d from peer %d", kind, l.peer)
-			return
+			return fmt.Errorf("transport: unexpected frame kind %d from peer %d", kind, l.peer)
 		}
 	}
 }
 
-// pruneReplay drops every replay frame the peer has acknowledged.
-func (l *link) pruneReplay(acked uint64) {
+// deliver handles one data frame: the ack it carries prunes the replay
+// buffer, then the message is deduplicated by sequence number and
+// queued for Recv in order. A frame still undelivered when serve gives
+// up on the connection will be replayed on the next one.
+func (l *link) deliver(body []byte, stop <-chan struct{}) error {
+	seq, ack, tag, payload, err := decodeDataBody(body)
+	if err != nil {
+		return err
+	}
 	l.mu.Lock()
+	l.pruneLocked(ack)
+	dup := seq <= l.recvSeq
+	l.mu.Unlock()
+	if dup { // already delivered before the reconnect
+		return nil
+	}
+	data, err := DecodePayload(payload)
+	if err != nil {
+		return err
+	}
+	select {
+	case l.in <- inMsg{tag: tag, data: data}:
+	case <-stop:
+		return errStopped
+	}
+	l.mu.Lock()
+	l.recvSeq = seq
+	ackDue := seq-l.ackSent >= ackEvery
+	l.mu.Unlock()
+	l.stat.AddRecv(len(payload))
+	if ackDue {
+		signal(l.wake)
+	}
+	return nil
+}
+
+// control handles the link's u64 control frames: a ping is queued for
+// echo, a pong feeds the RTT histogram, a standalone ack prunes.
+func (l *link) control(kind byte, v uint64) {
+	switch kind {
+	case frPing:
+		l.mu.Lock()
+		l.pong = int64(v) // the latest ping wins; an unechoed one is not measured
+		l.mu.Unlock()
+		signal(l.wake)
+	case frPong:
+		l.stat.ObserveRTT(time.Duration(time.Now().UnixNano() - int64(v)))
+	case frAck:
+		l.mu.Lock()
+		l.pruneLocked(v)
+		l.mu.Unlock()
+	}
+}
+
+// pruneLocked drops every replay frame the peer has acknowledged and
+// wakes a Send parked on the full window.
+func (l *link) pruneLocked(acked uint64) {
 	i := 0
 	for i < len(l.replay) && l.replay[i].seq <= acked {
 		i++
 	}
-	if i > 0 {
-		l.replay = append(l.replay[:0], l.replay[i:]...)
+	if i == 0 {
+		return
 	}
-	l.mu.Unlock()
+	if len(l.replay) >= replayCap {
+		signal(l.room)
+	}
+	n := copy(l.replay, l.replay[i:])
+	clear(l.replay[n:]) // release the acknowledged payloads
+	l.replay = l.replay[:n]
 }
 
-// dropFromReplay removes one frame that was never handed to the writer
-// (a Send that timed out), so it cannot be replayed later.
-func (l *link) dropFromReplay(seq uint64) {
+// enqueue appends one message to the send queue and wakes the writer.
+// With room in the window it never blocks; on a full window it parks
+// until an ack frees a slot, the peer dies, or SendTimeout passes.
+func (l *link) enqueue(tag int, payload []byte) error {
 	l.mu.Lock()
-	for i := range l.replay {
-		if l.replay[i].seq == seq {
-			l.replay = append(l.replay[:i], l.replay[i+1:]...)
-			break
+	if len(l.replay) >= replayCap {
+		start := time.Now()
+		defer func() { l.stat.AddSendBlocked(time.Since(start)) }()
+		timeout := time.NewTimer(l.t.opts.SendTimeout)
+		defer timeout.Stop()
+		for len(l.replay) >= replayCap {
+			l.mu.Unlock()
+			select {
+			case <-l.room:
+			case <-l.dead:
+				return l.deadErr
+			case <-timeout.C:
+				return &mp.LinkOverflowError{Src: l.t.rank, Dst: l.peer, Depth: replayCap}
+			}
+			l.mu.Lock()
+		}
+		if len(l.replay)+1 < replayCap {
+			signal(l.room) // pass the wake-up on: another Send may be parked
 		}
 	}
+	l.sendSeq++
+	l.replay = append(l.replay, dataFrame{seq: l.sendSeq, tag: tag, payload: payload})
+	depth := len(l.replay)
 	l.mu.Unlock()
+	signal(l.wake)
+	l.stat.AddSent(len(payload))
+	l.stat.ObserveReplay(depth)
+	return nil
 }

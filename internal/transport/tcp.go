@@ -16,7 +16,7 @@ import (
 // defaults"; tests shrink the timeouts to keep failure-detection cases
 // fast.
 type Options struct {
-	// HeartbeatInterval is the writer's ping/ack cadence (default 250ms).
+	// HeartbeatInterval is the writer's ping cadence (default 250ms).
 	HeartbeatInterval time.Duration
 	// PeerTimeout is the silence window after which one connection is
 	// considered broken and reconnection starts (default 2s). It must
@@ -413,14 +413,15 @@ func (t *TCP) Size() int { return t.size }
 func (t *TCP) Stats() *perf.CommStats { return t.stats }
 
 // Send encodes data and queues it on the link to dst. It blocks only
-// while the link is congested or reconnecting, up to SendTimeout, then
-// fails with *mp.LinkOverflowError; a dead peer fails immediately with
-// the link's *mp.PeerDeadError.
+// while the link's replay window is full (the peer is not draining, or
+// the link is reconnecting), up to SendTimeout, then fails with
+// *mp.LinkOverflowError; a dead peer fails immediately with the link's
+// *mp.PeerDeadError.
 func (t *TCP) Send(dst, tag int, data any) error {
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("transport: send to rank %d outside world of size %d", dst, t.size)
 	}
-	payload, err := EncodePayload(nil, data)
+	payload, err := EncodePayload(make([]byte, 0, max(PayloadWireSize(data), 0)), data)
 	if err != nil {
 		return err
 	}
@@ -440,35 +441,7 @@ func (t *TCP) Send(dst, tag int, data any) error {
 	if l.isDead() {
 		return l.deadErr
 	}
-	deadline := time.Now().Add(t.opts.SendTimeout)
-	l.mu.Lock()
-	for len(l.replay) >= replayCap {
-		l.mu.Unlock()
-		if time.Now().After(deadline) {
-			return &mp.LinkOverflowError{Src: t.rank, Dst: dst, Depth: replayCap}
-		}
-		select {
-		case <-l.dead:
-			return l.deadErr
-		case <-time.After(2 * time.Millisecond):
-		}
-		l.mu.Lock()
-	}
-	l.sendSeq++
-	f := dataFrame{seq: l.sendSeq, tag: tag, payload: payload}
-	l.replay = append(l.replay, f)
-	l.mu.Unlock()
-	select {
-	case l.out <- f:
-		l.stat.AddSent(len(payload))
-		return nil
-	case <-l.dead:
-		l.dropFromReplay(f.seq)
-		return l.deadErr
-	case <-time.After(time.Until(deadline)):
-		l.dropFromReplay(f.seq)
-		return &mp.LinkOverflowError{Src: t.rank, Dst: dst, Depth: cap(l.out)}
-	}
+	return l.enqueue(tag, payload)
 }
 
 // Recv blocks for the next in-order message from src. Messages already

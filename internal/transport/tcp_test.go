@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,47 +209,161 @@ func TestTCPTagMismatchTypedError(t *testing.T) {
 	}
 }
 
-// TestTCPReconnectReplay severs the live connection mid-stream and
-// checks that sequence-numbered replay delivers every message exactly
-// once, in order, after the automatic reconnect.
+// TestTCPReconnectReplay severs the live connection every hundred
+// frames, from alternating ends, while sequence-stamped messages flow
+// in both directions, and checks that replay delivers every message
+// exactly once, in order, on both sides — with acks riding the data
+// frames and the replay buffer never outgrowing its window.
 func TestTCPReconnectReplay(t *testing.T) {
 	ts := connectWorld(t, 2, fastOpts())
-	const n = 40
-	recvDone := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			got, err := ts[1].Recv(0, 9)
+	const n = 5000
+	errs := make(chan error, 4)
+	var severed atomic.Int64
+	for r := 0; r < 2; r++ {
+		go func(rank int) { // receiver
+			for i := 0; i < n; i++ {
+				got, err := ts[rank].Recv(1-rank, 9)
+				if err != nil {
+					errs <- fmt.Errorf("rank %d recv %d: %w", rank, i, err)
+					return
+				}
+				if got.(int64) != int64(i) {
+					errs <- fmt.Errorf("rank %d recv %d: got %v", rank, i, got)
+					return
+				}
+			}
+			errs <- nil
+		}(r)
+		go func(rank int) { // sender; yanks the wire as it goes
+			l := ts[rank].links[1-rank]
+			for i := 0; i < n; i++ {
+				if i%200 == 100*rank+50 {
+					l.mu.Lock()
+					if l.curConn != nil {
+						l.curConn.Close()
+						severed.Add(1)
+					}
+					l.mu.Unlock()
+				}
+				if err := ts[rank].Send(1-rank, 9, int64(i)); err != nil {
+					errs <- fmt.Errorf("rank %d send %d: %w", rank, i, err)
+					return
+				}
+				l.mu.Lock()
+				depth := len(l.replay)
+				l.mu.Unlock()
+				if depth > replayCap {
+					errs <- fmt.Errorf("rank %d: replay buffer holds %d frames, window is %d", rank, depth, replayCap)
+					return
+				}
+			}
+			errs <- nil
+		}(r)
+	}
+	for i := 0; i < 4; i++ {
+		select {
+		case err := <-errs:
 			if err != nil {
-				recvDone <- fmt.Errorf("recv %d: %w", i, err)
-				return
+				t.Fatal(err)
 			}
-			if got.(int64) != int64(i) {
-				recvDone <- fmt.Errorf("recv %d: got %v", i, got)
-				return
-			}
-		}
-		recvDone <- nil
-	}()
-	l := ts[0].links[1]
-	for i := 0; i < n; i++ {
-		if i == n/2 { // yank the wire mid-stream
-			l.mu.Lock()
-			if l.curConn != nil {
-				l.curConn.Close()
-			}
-			l.mu.Unlock()
-		}
-		if err := ts[0].Send(1, 9, int64(i)); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+		case <-time.After(60 * time.Second):
+			t.Fatal("exchange hung across reconnects")
 		}
 	}
-	select {
-	case err := <-recvDone:
-		if err != nil {
-			t.Fatal(err)
+	if severed.Load() < 10 {
+		t.Fatalf("only %d of %d severs found a live connection", severed.Load(), n/100)
+	}
+	for r, tr := range ts {
+		st := tr.Stats().Snapshot()[0]
+		if st.MsgsSent != n || st.MsgsRecv != n || st.ReplayHighWater > replayCap {
+			t.Fatalf("rank %d link stats: %+v", r, st)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver hung after reconnect")
+	}
+}
+
+// TestTCPWindowNeverWaitsForHeartbeat is the regression test for the
+// replay-window stall: with acks riding the data (and a standalone ack
+// every quarter window of one-way traffic), ten windows' worth of
+// messages must flow without ever waiting for the heartbeat — here 5 s
+// away, so a single such wait fails the 2 s budget.
+func TestTCPWindowNeverWaitsForHeartbeat(t *testing.T) {
+	const n = 10 * replayCap
+	opts := Options{HeartbeatInterval: 5 * time.Second, PeerTimeout: 20 * time.Second}
+	run := func(t *testing.T, rank func(c *mp.Comm)) []*TCP {
+		ts := connectWorld(t, 2, opts)
+		start := time.Now()
+		var wg sync.WaitGroup
+		for r := range ts {
+			wg.Add(1)
+			go func(c *mp.Comm) {
+				defer wg.Done()
+				rank(c)
+			}(mp.NewComm(ts[r]))
+		}
+		wg.Wait()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%d messages took %v", n, d)
+		}
+		return ts
+	}
+	t.Run("ping-pong", func(t *testing.T) {
+		ts := run(t, func(c *mp.Comm) {
+			other := 1 - c.Rank()
+			for i := 0; i < n; i++ {
+				if got := c.SendRecv(other, i, int64(i), other, i).(int64); got != int64(i) {
+					t.Errorf("rank %d round %d: got %d", c.Rank(), i, got)
+					return
+				}
+			}
+		})
+		for r, tr := range ts {
+			// Every ack had a data frame to ride, and no send ever saw a
+			// full window: what a healthy halo exchange reports.
+			st := tr.Stats().Snapshot()[0]
+			if st.SendBlockedCount != 0 || st.AcksStandalone != 0 || st.ReplayHighWater > ackEvery {
+				t.Errorf("rank %d link stats: %+v", r, st)
+			}
+		}
+	})
+	t.Run("one-way", func(t *testing.T) {
+		ts := run(t, func(c *mp.Comm) {
+			for i := 0; i < n; i++ {
+				if c.Rank() == 0 {
+					c.Send(1, 4, int64(i))
+				} else if got := c.Recv(0, 4).(int64); got != int64(i) {
+					t.Errorf("message %d: got %d", i, got)
+					return
+				}
+			}
+		})
+		// Nothing flows back to carry acks, so they travel alone: at
+		// most one per quarter window.
+		if st := ts[1].Stats().Snapshot()[0]; st.AcksStandalone == 0 || st.AcksStandalone > n/ackEvery {
+			t.Errorf("receiver sent %d standalone acks for %d messages", st.AcksStandalone, n)
+		}
+	})
+}
+
+// TestTCPCloseFlushesQueuedSends: Send returns once a message is queued,
+// so a rank that sends its last message and closes at once (the final
+// barrier release of a run) must still deliver it ahead of the goodbye.
+func TestTCPCloseFlushesQueuedSends(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		ts := connectWorld(t, 2, fastOpts())
+		const n = 5
+		for i := 0; i < n; i++ {
+			if err := ts[0].Send(1, 3, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts[0].Close()
+		for i := 0; i < n; i++ {
+			got, err := ts[1].Recv(0, 3)
+			if err != nil || got.(int64) != int64(i) {
+				t.Fatalf("round %d message %d: got %v, %v", round, i, got, err)
+			}
+		}
+		ts[1].Close()
 	}
 }
 
