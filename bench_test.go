@@ -166,17 +166,6 @@ func BenchmarkPipelinePush(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationPusher(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationPusher(24, 64, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, r)
-		b.ReportMetric(r.Rows[0][2], "speedup")
-	}
-}
-
 func BenchmarkAblationSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationSort(24, 64, 30)
@@ -185,18 +174,6 @@ func BenchmarkAblationSort(b *testing.B) {
 		}
 		report(b, r)
 		b.ReportMetric(r.Rows[0][2], "speedup")
-	}
-}
-
-func BenchmarkAblationFusion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationFusion(24, 64, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, r)
-		b.ReportMetric(r.Rows[0][2], "speedup")
-		b.ReportMetric(r.Rows[0][3], "fused-B/part")
 	}
 }
 

@@ -1,11 +1,15 @@
 // Command scaling runs the performance experiments: the inner-loop rate
 // (E2), the kernel breakdown (E3), the weak and strong scaling curves
-// (E4, E5) and the design ablations (A1–A2).
+// (E4, E5), the sort ablation (A2), and the machine model — the campaign
+// tier table (E1) and the calibrated Roadrunner extrapolation (E6),
+// which reproduces the abstract's 0.488 / 0.374 Pflop/s headline at the
+// full 3060-triblade machine.
 //
 // Usage:
 //
 //	scaling                       # everything at default sizes
 //	scaling -experiment weak -ranks 1,2,4,8 -steps 50
+//	scaling -experiment model     # E1 + E6 only (no simulation runs)
 package main
 
 import (
@@ -20,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("experiment", "all", "inner | breakdown | weak | strong | ablations | all")
+		exp   = flag.String("experiment", "all", "inner | breakdown | weak | strong | ablations | model | all")
 		ranks = flag.String("ranks", "1,2,4,8", "rank counts for the scaling curves")
 		cells = flag.Int("cells", 24, "x-cells (per rank for weak scaling)")
 		ppc   = flag.Int("ppc", 64, "particles per cell")
@@ -63,15 +67,13 @@ func main() {
 		})
 	}
 	if want("ablations") {
-		run("pusher ablation", func() (experiments.Result, error) {
-			return experiments.AblationPusher(*cells, *ppc, *steps)
-		})
 		run("sort ablation", func() (experiments.Result, error) {
 			return experiments.AblationSort(*cells, *ppc, *steps)
 		})
-		run("fusion ablation", func() (experiments.Result, error) {
-			return experiments.AblationFusion(*cells, *ppc, *steps)
-		})
+	}
+	if want("model") {
+		run("campaign", func() (experiments.Result, error) { return experiments.E1Campaign(100), nil })
+		run("roadrunner model", func() (experiments.Result, error) { return experiments.E6RoadrunnerModel(), nil })
 	}
 }
 

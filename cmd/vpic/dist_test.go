@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -171,5 +172,17 @@ func TestOverlapMatrixCRCIdentical(t *testing.T) {
 			t.Errorf("state CRC differs between %s and %s:\n%s\nvs\n%s",
 				variants[0].name, variants[i].name, artifacts[0], artifacts[i])
 		}
+	}
+}
+
+// TestRemovedLanesFlagRejected: -lanes selected a push sweep until there
+// was only one; a script that still passes it must fail at flag parsing
+// with the flag named, not run with the knob ignored.
+func TestRemovedLanesFlagRejected(t *testing.T) {
+	out, err := vpicCmd("-deck", "thermal", "-steps", "1", "-lanes", "1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -lanes") {
+		t.Fatalf("vpic -lanes 1: err = %v, want exit 2 with flag's usage error\n%s", err, out)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"govpic/internal/grid"
 	"govpic/internal/laser"
 	"govpic/internal/loader"
-	"govpic/internal/particle"
 	"govpic/internal/pipe"
 	"govpic/internal/push"
 )
@@ -102,24 +101,12 @@ type Config struct {
 	// ρ_mobile − ρ_initial. Use for electron-only decks (immobile ions).
 	NeutralizingBackground bool
 
-	// UseReferencePusher switches every species to the unoptimized
-	// baseline kernel (for the ablation benchmarks).
-	UseReferencePusher bool
-
-	// Lanes selects the push sweep shape: particle.Lanes (8) runs the
-	// wide-lane AoSoA kernel, 1 the scalar fused oracle. 0 resolves to
-	// particle.Lanes. The two shapes are bit-identical (see
-	// internal/push), so this is a speed knob, not a physics knob.
-	Lanes int
-
-	// Kernel selects the wide-lane sweep's implementation: "asm" (the
-	// AVX2 assembly kernel), "go" (the portable lane kernel), or
-	// ""/"auto" — asm whenever the CPU supports it, overridable via the
-	// GOVPIC_KERNEL environment variable. Validate resolves it to the
-	// concrete "asm" or "go" that will run, so reports and bench
-	// records always name the kernel that produced them. Like Lanes,
-	// a speed knob only: the kernels are bitwise identical. Ignored
-	// when Lanes is 1.
+	// Kernel selects the routine that pushes wide voxel spans (see
+	// internal/push): "asm" (AVX2 assembly), "go" (portable), or
+	// ""/"auto" — asm whenever the CPU supports it. Validate resolves
+	// it to the concrete "asm" or "go" that will run, so reports and
+	// bench records always name the kernel that produced them. A speed
+	// knob only: the two are bitwise identical.
 	Kernel string
 
 	// CutsX optionally pins a non-uniform x-plane layout: len(CutsX)-1
@@ -157,12 +144,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers > pipe.NumBlocks {
 		c.Workers = pipe.NumBlocks
-	}
-	if c.Lanes == 0 {
-		c.Lanes = particle.Lanes
-	}
-	if c.Lanes != 1 && c.Lanes != particle.Lanes {
-		return fmt.Errorf("core: Lanes %d must be 1 or %d", c.Lanes, particle.Lanes)
 	}
 	kernel, err := push.ResolveKernel(c.Kernel)
 	if err != nil {

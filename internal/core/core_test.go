@@ -271,27 +271,6 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestReferencePusherEquivalence(t *testing.T) {
-	mk := func(ref bool) []float64 {
-		cfg := periodicPlasma(16, 0.2, 0.05, 16, 1)
-		cfg.UseReferencePusher = ref
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run(20)
-		e := s.Energy()
-		return []float64{e.EField, e.Kinetic[0]}
-	}
-	opt := mk(false)
-	ref := mk(true)
-	for i := range opt {
-		if math.Abs(opt[i]-ref[i])/math.Max(opt[i], 1e-12) > 1e-3 {
-			t.Fatalf("pushers disagree: %v vs %v", opt, ref)
-		}
-	}
-}
-
 func TestFlopsAccounting(t *testing.T) {
 	cfg := periodicPlasma(16, 0.2, 0.01, 8, 1)
 	s, err := New(cfg)

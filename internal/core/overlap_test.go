@@ -48,25 +48,6 @@ func TestOverlapDeterminism(t *testing.T) {
 	}
 }
 
-// TestOverlapDeterminismReferencePusher: the reference pusher skips the
-// boundary/interior split but still runs the nonblocking exchanges;
-// both modes must agree there too.
-func TestOverlapDeterminismReferencePusher(t *testing.T) {
-	const steps = 8
-	run := func(noOverlap bool) *Simulation {
-		cfg := twoSpeciesDeck(2, 1)
-		cfg.UseReferencePusher = true
-		cfg.NoOverlap = noOverlap
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run(steps)
-		return s
-	}
-	compareSims(t, run(false), run(true), "reference pusher overlap on vs off")
-}
-
 // TestOverlapCheckpointRoundTrip: a checkpoint taken mid-run under the
 // overlap pipeline must restore into a simulation that continues
 // bit-identically (the split push keeps no cross-step state).

@@ -239,13 +239,8 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	rk.scratch = make([]float32, gNew.NV())
 	rk.rho0 = rho0New
 	for i, sp := range rk.Species {
-		k := push.NewKernel(gNew, rk.IP, rk.Acc, sp.Q, sp.M, cfg.DT)
-		k.Lanes = cfg.Lanes
-		k.Asm = cfg.Kernel == push.KernelAsm
-		k.Bound = dNew.ParticleActions()
+		k := rk.newKernel(cfg, sp)
 		k.AdoptFrom(rk.Kernels[i])
-		n := sp.Buf.N()
-		k.Prealloc(n/16+64, n/64+16)
 		rk.Kernels[i] = k
 	}
 	if rk.splitPush {

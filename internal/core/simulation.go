@@ -176,13 +176,11 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	rk.scratch = make([]float32, d.G.NV())
 	rk.pool = pipe.New(cfg.Workers)
 	rk.sortWS.SetPool(rk.pool)
-	if !cfg.UseReferencePusher {
-		rk.pipeAcc = make([]*accum.Array, pipe.NumBlocks)
-		rk.blockSt = make([]*push.BlockState, pipe.NumBlocks)
-		for b := range rk.pipeAcc {
-			rk.pipeAcc[b] = accum.New(d.G)
-			rk.blockSt[b] = new(push.BlockState)
-		}
+	rk.pipeAcc = make([]*accum.Array, pipe.NumBlocks)
+	rk.blockSt = make([]*push.BlockState, pipe.NumBlocks)
+	for b := range rk.pipeAcc {
+		rk.pipeAcc[b] = accum.New(d.G)
+		rk.blockSt[b] = new(push.BlockState)
 	}
 
 	for i, sc := range cfg.Species {
@@ -209,12 +207,8 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 				return nil, err
 			}
 		}
-		k := push.NewKernel(d.G, rk.IP, rk.Acc, sp.Q, sp.M, cfg.DT)
-		k.Lanes = cfg.Lanes
-		k.Asm = cfg.Kernel == push.KernelAsm
-		k.Bound = d.ParticleActions()
 		rk.Species = append(rk.Species, sp)
-		rk.Kernels = append(rk.Kernels, k)
+		rk.Kernels = append(rk.Kernels, rk.newKernel(cfg, sp))
 		var op *collision.Operator
 		if sc.Collision != nil {
 			uthRef := 0.01
@@ -232,20 +226,15 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	for i, sp := range rk.Species {
 		rk.bufs[i] = sp.Buf
 	}
-	// Pre-size hot-path scratch (movers, outgoing faces, per-block
-	// mover lists) so steady-state steps allocate nothing.
-	for i, sp := range rk.Species {
-		n := sp.Buf.N()
-		rk.Kernels[i].Prealloc(n/16+64, n/64+16)
-	}
+	// Pre-size the per-block mover lists so steady-state steps allocate
+	// nothing.
 	for _, bs := range rk.blockSt {
 		bs.Movers = make([]particle.Mover, 0, 1024)
 	}
 	// Boundary-first push applies whenever a neighbor exists (every
 	// multi-rank decomposition gives each rank at least one remote
-	// face); the single-rank and reference paths keep the original
-	// unsplit sweep.
-	if cfg.NRanks > 1 && !cfg.UseReferencePusher {
+	// face); a single rank keeps the unsplit sweep.
+	if cfg.NRanks > 1 {
 		rk.splitPush = true
 		rk.shell = shellMask(d)
 		rk.partNI = make([]int, len(rk.Species))
@@ -257,6 +246,19 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 		}
 	}
 	return rk, nil
+}
+
+// newKernel builds species sp's push kernel on the rank's current
+// domain, interpolators and accumulator, with the mover and outgoing
+// buffers pre-sized for sp's current population so steady-state steps
+// allocate nothing.
+func (rk *Rank) newKernel(cfg *Config, sp *species.Species) *push.Kernel {
+	k := push.NewKernel(rk.D.G, rk.IP, rk.Acc, sp.Q, sp.M, cfg.DT)
+	k.Asm = cfg.Kernel == push.KernelAsm
+	k.Bound = rk.D.ParticleActions()
+	n := sp.Buf.N()
+	k.Prealloc(n/16+64, n/64+16)
+	return k
 }
 
 // shellMask marks every interior voxel adjacent to a remote face. Under
@@ -438,14 +440,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.Perf.Start(perf.Push)
 	var pushBytes int64
 	var px *domain.ParticleExchange
-	switch {
-	case cfg.UseReferencePusher:
-		pushBytes += int64(rk.Acc.WindowLen()) * accum.CellBytes
-		rk.Acc.Clear()
-		for i, sp := range rk.Species {
-			rk.Kernels[i].AdvancePRef(sp.Buf, f)
-		}
-	case !rk.splitPush:
+	if !rk.splitPush {
 		// Windowed clears/reduce touch only occupied accumulator spans;
 		// charge their actual window sizes to the traffic model.
 		for _, a := range rk.pipeAcc {
@@ -460,8 +455,8 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 				bs := rk.blockSt[b]
 				bs.Reset()
 				// Lane-aligned cuts: each pipeline sweeps whole AoSoA
-				// blocks, so the wide-lane kernel runs full spans and no
-				// two pipelines write lanes of the same storage block.
+				// blocks, so the sweep sees full spans and no two
+				// pipelines write lanes of the same storage block.
 				lo, hi := pipe.AlignedRange(0, n, pipe.NumBlocks, b, particle.Lanes)
 				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
 			})
@@ -471,7 +466,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 		// finishing their move deposit on top during the exchange.
 		union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
 		pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
-	default:
+	} else {
 		// Boundary-first push: partition each species so the shell
 		// particles form a tail block, push the tail, post the particle
 		// exchange (only shell particles can migrate under the CFL
@@ -528,7 +523,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.stopPar(perf.Push)
 	rk.Perf.AddBytes(perf.Push, pushBytes)
 
-	// Complete the migration (or, on the unsplit paths, run it whole).
+	// Complete the migration (or, on the unsplit path, run it whole).
 	rk.Perf.Start(perf.Comm)
 	if px != nil {
 		px.Complete()

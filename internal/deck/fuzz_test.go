@@ -1,0 +1,96 @@
+package deck
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// FuzzFromJSON feeds arbitrary bytes through the two entry points a
+// config reaches the program by — FromJSON (cmd/vpic -config) and
+// strict decode + Expand + Build (vpicd's submit handler) — and requires
+// that neither panics and that whatever they accept is a deck whose
+// Cfg.Validate() passes. Only parsing and validation run: no simulation
+// is constructed, sizes are capped, and at most maxBuilt members of a
+// sweep are built. `go test` runs the seed corpus;
+// `go test -fuzz=FromJSON ./internal/deck` explores.
+func FuzzFromJSON(f *testing.F) {
+	// One config per deck kind (the shapes internal/valid's cases and
+	// cmd/bench's sweep build), a removed key, two knobs only
+	// core.Config.Validate judges, and two sweeps.
+	for _, cfg := range []string{
+		`{"deck":"thermal","steps":400,"nx":32,"ppc":64,"ranks":2,"workers":1,"n0":0.2,"uth":0.05,"kernel":"go","overlap":false}`,
+		`{"deck":"spike","steps":40,"nx":32,"ppc":8,"ranks":4,"balance":"online","balance_interval":2,"balance_threshold":1.15}`,
+		`{"deck":"oscillation","steps":100,"nx":64,"ppc":32,"n0":0.25}`,
+		`{"deck":"twostream","steps":1400,"nx":128,"ppc":64,"n0":0.2,"drift":0.1}`,
+		`{"deck":"weibel","steps":1300,"nx":64,"ppc":256,"n0":0.2,"uth":0.1}`,
+		`{"deck":"landau","steps":1200,"nx":64,"ppc":1024,"mode":8,"n0":0.2,"uth":0.1,"amp":0.01}`,
+		`{"deck":"lpi","steps":1000,"ppc":64,"a0":0.05,"plateau_length":40,"mobile_ions":true,"ion_z":2,"ion_m":7344,"reflux_walls":true}`,
+		`{"deck":"lpi","steps":10,"intensity_wcm2":1e15,"wavelength_nm":351,"te_ev":2600,"transverse_cells":4,"collision_nu0":0.01,"collision_interval":5}`,
+		`{"deck":"tnsa","steps":2200,"a0":3,"target_thickness":2,"contam_thickness":0.2}`,
+		`{"deck":"thermal","steps":10,"lanes":1}`,
+		`{"deck":"thermal","steps":10,"kernel":"avx512","balance_interval":-1}`,
+		`{"deck":"lpi","steps":10,"a0":0.05,"balance":"online"}`,
+	} {
+		f.Add(cfg, `{}`)
+	}
+	f.Add(`{"deck":"thermal","steps":200,"nx":32,"ppc":64}`, `{"uth":[0.03,0.05],"nx":[16,32]}`)
+	f.Add(`{"deck":"lpi","steps":10}`, `{"a0":[0.02,0.05,0.07]}`)
+
+	// Sizes are capped before anything is built: cell counts derived
+	// from astronomically large lengths overflow int in the builders'
+	// own arithmetic, which is a bounds question for the config layer,
+	// not what this target explores.
+	const maxBuilt, maxCount, maxLength = 8, 1 << 16, 1e4
+	capSizes := func(c *JSONConfig) {
+		for _, n := range []*int{&c.NX, &c.PPC, &c.Ranks, &c.TransverseCells, &c.Mode} {
+			*n = min(*n, maxCount)
+		}
+		for _, l := range []*float64{&c.PlateauLength, &c.TargetThickness, &c.ContamThickness} {
+			*l = min(*l, maxLength)
+		}
+	}
+	accepted := func(t *testing.T, d Deck) {
+		if err := d.Cfg.Validate(); err != nil {
+			t.Fatalf("accepted deck %q fails Validate: %v", d.Name, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, cfg, sweep string) {
+		dec := json.NewDecoder(strings.NewReader(cfg))
+		dec.DisallowUnknownFields()
+		var c JSONConfig
+		if dec.Decode(&c) != nil {
+			if _, _, err := FromJSON(strings.NewReader(cfg)); err == nil {
+				t.Fatalf("FromJSON accepted what a strict decode rejects: %q", cfg)
+			}
+			return
+		}
+		capSizes(&c)
+		capped, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, steps, err := FromJSON(bytes.NewReader(capped)); err == nil {
+			if steps <= 0 {
+				t.Fatalf("accepted steps = %d", steps)
+			}
+			accepted(t, d)
+		}
+
+		var sw map[string][]float64
+		if json.Unmarshal([]byte(sweep), &sw) != nil {
+			return
+		}
+		specs, err := c.Expand(sw)
+		if err != nil {
+			return
+		}
+		for _, spec := range specs[:min(len(specs), maxBuilt)] {
+			capSizes(&spec) // a sweep can set sizes too
+			if d, err := spec.Build(); err == nil {
+				accepted(t, d)
+			}
+		}
+	})
+}

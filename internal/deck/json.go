@@ -26,10 +26,7 @@ type JSONConfig struct {
 	// Workers is the intra-rank pipeline worker count (0 = one per
 	// available CPU per rank, capped at the pipeline block count).
 	Workers int `json:"workers,omitempty"`
-	// Lanes is the push kernel width: 8 (or absent) runs the wide-lane
-	// AoSoA kernel, 1 the scalar fused oracle. Bit-identical either way.
-	Lanes int `json:"lanes,omitempty"`
-	// Kernel selects the wide-lane sweep implementation: "asm" (AVX2
+	// Kernel selects the push kernel's wide-span routine: "asm" (AVX2
 	// assembly), "go" (portable), or ""/"auto" (asm when the CPU
 	// supports it). Bit-identical either way; "asm" errors on hardware
 	// without AVX2 rather than silently measuring the wrong kernel.
@@ -236,8 +233,7 @@ func (c JSONConfig) Build() (Deck, error) {
 		return Deck{}, fmt.Errorf("deck: negative workers %d", c.Workers)
 	}
 	d.Cfg.Workers = c.Workers
-	d.Cfg.Lanes = c.Lanes   // validated by core.Config.Validate
-	d.Cfg.Kernel = c.Kernel // resolved/validated by core.Config.Validate
+	d.Cfg.Kernel = c.Kernel
 	if c.Overlap != nil {
 		d.Cfg.NoOverlap = !*c.Overlap
 	}
@@ -253,5 +249,12 @@ func (c JSONConfig) Build() (Deck, error) {
 	if err := validateSpecies(d); err != nil {
 		return Deck{}, err
 	}
-	return d, err
+	// What Build accepts, core.New must accept: vpicd admits a sweep
+	// all-or-nothing on this call. Validate resolves defaults in place,
+	// so it judges a copy and the deck keeps the config as written.
+	cfg := d.Cfg
+	if err := cfg.Validate(); err != nil {
+		return Deck{}, err
+	}
+	return d, nil
 }

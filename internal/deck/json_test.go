@@ -19,8 +19,17 @@ func TestFromJSONMalformed(t *testing.T) {
 }
 
 func TestFromJSONUnknownField(t *testing.T) {
-	if _, _, err := FromJSON(strings.NewReader(`{"deck":"thermal","steps":10,"typo_knob":3}`)); err == nil {
-		t.Error("accepted unknown field")
+	// "lanes" selected a push sweep until there was only one; a deck
+	// that still sets it must be refused with the field named, not run
+	// with the knob silently ignored.
+	for field, cfg := range map[string]string{
+		"typo_knob": `{"deck":"thermal","steps":10,"typo_knob":3}`,
+		"lanes":     `{"deck":"thermal","steps":10,"lanes":1}`,
+	} {
+		_, _, err := FromJSON(strings.NewReader(cfg))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("FromJSON(%s): err = %v, want unknown field %q", cfg, err, field)
+		}
 	}
 }
 

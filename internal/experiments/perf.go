@@ -10,7 +10,6 @@ import (
 	"govpic/internal/perf"
 	"govpic/internal/push"
 	"govpic/internal/rng"
-	psort "govpic/internal/sort"
 )
 
 // E2InnerLoop measures the particle inner loop in isolation on a
@@ -50,54 +49,6 @@ func E2InnerLoop(cells, ppc, steps int) (Result, error) {
 		Text: fmt.Sprintf("arithmetic intensity %.2f flops/byte measured, %.2f unfused model (paper's data-motion argument: O(1), vs O(10²) for DGEMM)\n",
 			float64(push.FlopsPerPush)/bPerPart,
 			float64(push.FlopsPerPush)/float64(push.BytesPerPush)),
-	}, nil
-}
-
-// AblationFusion compares the fused sorted-run sweep against the
-// unfused per-particle sweep on the same freshly sorted buffer — what
-// run fusion buys on top of sorting (A2 measures sorting itself). Both
-// sweeps produce bitwise-identical state, so the measured gap is pure
-// data motion. Also reports each sweep's modeled bytes per particle
-// from the kernel traffic counters.
-func AblationFusion(cellsX, ppc, steps int) (Result, error) {
-	d := deck.Thermal(cellsX, 8, 8, ppc, 1, 0.2, 0.05)
-	s, err := d.New()
-	if err != nil {
-		return Result{}, err
-	}
-	s.Run(2) // loads interpolators, settles movers
-	rk := s.Ranks[0]
-	k := rk.Kernels[0]
-	buf := rk.Species[0].Buf
-	ws := psort.NewWorkspace(rk.D.G.NV())
-
-	measure := func(fused bool) (float64, float64) {
-		ws.ByVoxel(buf, rk.D.G.NV())
-		k.ResetStats()
-		k.TakeTrafficBytes()
-		start := time.Now()
-		for i := 0; i < steps; i++ {
-			rk.Acc.Clear()
-			if fused {
-				k.AdvanceP(buf)
-			} else {
-				k.AdvancePUnfused(buf)
-			}
-		}
-		elapsed := time.Since(start)
-		rate := perf.Rate(int64(steps)*int64(buf.N()), elapsed)
-		bPerPart := float64(k.TakeTrafficBytes()) / float64(int64(steps)*int64(buf.N()))
-		return rate, bPerPart
-	}
-	// Interleave would be fairer under thermal drift, but each pass
-	// re-sorts first, so both see the same run-length distribution.
-	fusedRate, fusedB := measure(true)
-	unfusedRate, unfusedB := measure(false)
-
-	return Result{
-		Name:    "A4 fusion ablation (sorted-run fused vs per-particle sweep, serial)",
-		Headers: []string{"fused Mp/s", "unfused Mp/s", "speedup", "fused B/part", "unfused B/part"},
-		Rows:    [][]float64{{fusedRate / 1e6, unfusedRate / 1e6, fusedRate / unfusedRate, fusedB, unfusedB}},
 	}, nil
 }
 
@@ -205,40 +156,6 @@ func E5StrongScaling(ranks []int, cellsX, ppc, steps int) (Result, error) {
 		Name:    "E5 strong scaling (fixed global problem)",
 		Headers: []string{"ranks", "Mpart/s", "efficiency", "kB comm/step"},
 		Rows:    rows,
-	}, nil
-}
-
-// AblationPusher compares the optimized kernel (precomputed
-// interpolators, float32 arithmetic) with the reference kernel (direct
-// field gather, float64): A1 and A3 of DESIGN.md.
-func AblationPusher(cells, ppc, steps int) (Result, error) {
-	run := func(ref bool) (float64, error) {
-		d := deck.Thermal(cells, 4, 4, ppc, 1, 0.2, 0.05)
-		d.Cfg.UseReferencePusher = ref
-		s, err := d.New()
-		if err != nil {
-			return 0, err
-		}
-		s.Run(2)
-		p0 := s.PushedParticles()
-		pb := s.PerfBreakdown()
-		e0 := pb.Elapsed(perf.Push)
-		s.Run(steps)
-		pb = s.PerfBreakdown()
-		return perf.Rate(s.PushedParticles()-p0, pb.Elapsed(perf.Push)-e0), nil
-	}
-	opt, err := run(false)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := run(true)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Name:    "A1/A3 pusher ablation (optimized vs reference gather)",
-		Headers: []string{"optimized Mp/s", "reference Mp/s", "speedup"},
-		Rows:    [][]float64{{opt / 1e6, ref / 1e6, opt / ref}},
 	}, nil
 }
 

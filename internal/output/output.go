@@ -85,7 +85,7 @@ type BenchRecord struct {
 	Particles int    `json:"particles"`
 	Ranks     int    `json:"ranks"`
 	Workers   int    `json:"workers"`
-	// Kernel names the wide-lane push implementation that produced the
+	// Kernel names the push kernel's span routine that produced the
 	// record ("asm" or "go"); absent on records predating the switch.
 	Kernel      string  `json:"kernel,omitempty"`
 	Overlap     bool    `json:"overlap"`

@@ -16,7 +16,7 @@ import (
 type SeriesEntry struct {
 	Commit string `json:"commit"`
 	Date   string `json:"date"` // YYYY-MM-DD
-	// Kernel is the wide-lane push implementation ("asm" or "go");
+	// Kernel is the push kernel's span routine ("asm" or "go");
 	// empty on entries backfilled from records predating the switch.
 	Kernel    string `json:"kernel,omitempty"`
 	Deck      string `json:"deck"`

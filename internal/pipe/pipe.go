@@ -55,8 +55,8 @@ func BlockBounds(n, nb, b int) (lo, hi int) {
 // [lo0,hi0) are split into nb near-equal contiguous blocks whose
 // interior cut points are rounded up to multiples of align — used to
 // hand each pipeline whole AoSoA lane blocks, so concurrent sweeps
-// share no storage block at the seams and the wide-lane kernel runs
-// full spans. The cuts depend only on (lo0, hi0, nb, align), never on
+// share no storage block at the seams and the push sweep sees full
+// spans. The cuts depend only on (lo0, hi0, nb, align), never on
 // the worker count, preserving the package's determinism rule. The end
 // cuts stay exactly lo0 and hi0, so the union of the nb ranges covers
 // the input for any alignment; small ranges may leave trailing blocks

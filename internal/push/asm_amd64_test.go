@@ -7,7 +7,7 @@ import (
 	"govpic/internal/particle"
 )
 
-// TestAsmSpanMaskAllRanges runs both lane kernels over every sub-range
+// TestAsmSpanMaskAllRanges runs both span routines over every sub-range
 // [lo, hi) of a single 8-lane block — all 36 span-mask combinations —
 // and requires bitwise-identical particles and accumulators. Lanes
 // outside the range must be untouched by the masked stores, including
@@ -16,10 +16,9 @@ func TestAsmSpanMaskAllRanges(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
 	}
-	// Pin the short-span fallback off: every range, including 1-lane
-	// spans, must go through the assembly here.
-	defer func(m int) { asmSpanMin = m }(asmSpanMin)
-	asmSpanMin = 1
+	// Pin the scalar step off: every range, including 1-lane spans,
+	// must go through the span routines here.
+	pinSpanMin(t, 1)
 	for _, n := range []int{particle.Lanes, 5} {
 		for lo := 0; lo < n; lo++ {
 			for hi := lo + 1; hi <= n; hi++ {
@@ -33,8 +32,8 @@ func TestAsmSpanMaskAllRanges(t *testing.T) {
 				rg, kg := mk()
 				ka.Asm = true
 				var bsA, bsG BlockState
-				ka.advance(ra.buf, lo, hi, ra.acc, &bsA)
-				kg.advance(rg.buf, lo, hi, rg.acc, &bsG)
+				ka.advanceRange(ra.buf, lo, hi, ra.acc, &bsA)
+				kg.advanceRange(rg.buf, lo, hi, rg.acc, &bsG)
 				label := fmt.Sprintf("n=%d range [%d,%d)", n, lo, hi)
 				for i := 0; i < n; i++ {
 					if !bitEqParticle(ra.buf.At(i), rg.buf.At(i)) {

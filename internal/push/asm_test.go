@@ -10,13 +10,13 @@ import (
 	"govpic/internal/rng"
 )
 
-// The asm↔go parity suite. The AVX2 span kernel claims bitwise
-// identity with the Go lane kernel — not tolerance, identity — so
-// every comparison here is on bit patterns (plain float comparison
-// would wrongly flag identical NaNs as diverged; the populations
+// The asm↔go parity suite. The AVX2 span routine claims bitwise
+// identity with the Go one — not tolerance, identity — so every
+// comparison here is on bit patterns (plain float comparison would
+// wrongly flag identical NaNs as diverged; the populations
 // deliberately include NaN-position and NaN-momentum particles, which
 // the crosser mask must flag and moveP's backstop must handle the
-// same way on both kernels).
+// same way on every path).
 
 func bitEq32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
@@ -66,61 +66,66 @@ func asmParityRig(n int, seed uint64, sorted bool) (*rig, *Kernel) {
 	return r, r.kernel(-1, 1, 0.24)
 }
 
-// checkAsmGoState requires bitwise-identical particles, accumulators,
-// outgoing batches and counters between the asm and go kernels.
-func checkAsmGoState(t *testing.T, label string, ra *rig, ka *Kernel, rg *rig, kg *Kernel) {
+// checkSameState requires bitwise-identical particles, accumulators,
+// outgoing batches and counters between two kernels that pushed the
+// same population. sameRuns also holds NRuns equal — true between
+// shapes of the sweep, false against the oracle, which counts one run
+// per particle.
+func checkSameState(t *testing.T, label string, ra *rig, ka *Kernel, rb *rig, kb *Kernel, sameRuns bool) {
 	t.Helper()
-	if ra.buf.N() != rg.buf.N() {
-		t.Fatalf("%s: particle counts diverged: asm %d go %d", label, ra.buf.N(), rg.buf.N())
+	if ra.buf.N() != rb.buf.N() {
+		t.Fatalf("%s: particle counts diverged: %d vs %d", label, ra.buf.N(), rb.buf.N())
 	}
 	for i := 0; i < ra.buf.N(); i++ {
-		if !bitEqParticle(ra.buf.At(i), rg.buf.At(i)) {
-			t.Fatalf("%s: particle %d diverged:\nasm %+v\ngo  %+v", label, i, ra.buf.At(i), rg.buf.At(i))
+		if !bitEqParticle(ra.buf.At(i), rb.buf.At(i)) {
+			t.Fatalf("%s: particle %d diverged:\n%+v\n%+v", label, i, ra.buf.At(i), rb.buf.At(i))
 		}
 	}
 	for v := range ra.acc.A {
-		a, g := &ra.acc.A[v], &rg.acc.A[v]
+		a, b := &ra.acc.A[v], &rb.acc.A[v]
 		for j := 0; j < 4; j++ {
-			if !bitEq32(a.JX[j], g.JX[j]) || !bitEq32(a.JY[j], g.JY[j]) || !bitEq32(a.JZ[j], g.JZ[j]) {
-				t.Fatalf("%s: accumulator voxel %d diverged:\nasm %+v\ngo  %+v", label, v, *a, *g)
+			if !bitEq32(a.JX[j], b.JX[j]) || !bitEq32(a.JY[j], b.JY[j]) || !bitEq32(a.JZ[j], b.JZ[j]) {
+				t.Fatalf("%s: accumulator voxel %d diverged:\n%+v\n%+v", label, v, *a, *b)
 			}
 		}
 	}
 	for f := range ka.Out {
-		if len(ka.Out[f]) != len(kg.Out[f]) {
-			t.Fatalf("%s: face %d outgoing count diverged: asm %d go %d",
-				label, f, len(ka.Out[f]), len(kg.Out[f]))
+		if len(ka.Out[f]) != len(kb.Out[f]) {
+			t.Fatalf("%s: face %d outgoing count diverged: %d vs %d",
+				label, f, len(ka.Out[f]), len(kb.Out[f]))
 		}
 		for i := range ka.Out[f] {
-			if !bitEqOutgoing(ka.Out[f][i], kg.Out[f][i]) {
+			if !bitEqOutgoing(ka.Out[f][i], kb.Out[f][i]) {
 				t.Fatalf("%s: face %d outgoing %d diverged", label, f, i)
 			}
 		}
 	}
-	if ka.NPushed != kg.NPushed || ka.NMoved != kg.NMoved || ka.NSeg != kg.NSeg ||
-		ka.NLost != kg.NLost || ka.NRuns != kg.NRuns ||
-		math.Float64bits(ka.ELost) != math.Float64bits(kg.ELost) {
-		t.Fatalf("%s: counters diverged:\nasm {p %d m %d s %d l %d r %d e %g}\ngo  {p %d m %d s %d l %d r %d e %g}",
+	if ka.NPushed != kb.NPushed || ka.NMoved != kb.NMoved || ka.NSeg != kb.NSeg ||
+		ka.NLost != kb.NLost || (sameRuns && ka.NRuns != kb.NRuns) ||
+		math.Float64bits(ka.ELost) != math.Float64bits(kb.ELost) {
+		t.Fatalf("%s: counters diverged:\n{p %d m %d s %d l %d r %d e %g}\n{p %d m %d s %d l %d r %d e %g}",
 			label, ka.NPushed, ka.NMoved, ka.NSeg, ka.NLost, ka.NRuns, ka.ELost,
-			kg.NPushed, kg.NMoved, kg.NSeg, kg.NLost, kg.NRuns, kg.ELost)
+			kb.NPushed, kb.NMoved, kb.NSeg, kb.NLost, kb.NRuns, kb.ELost)
 	}
 }
 
-// TestAsmKernelMatchesGoMatrix is the headline parity gate: the asm
-// and go lane kernels must produce bitwise-identical state through
-// multiple steps across the serial path and the pipelined path with
-// W ∈ {1, 3, 8}, sorted and adversarially shuffled, over populations
-// with a partial trailing block, an all-lanes-crossing block and NaN
-// particles.
+// TestAsmKernelMatchesGoMatrix is the asm↔go gate: the two span
+// routines must produce bitwise-identical state — accumulators
+// included, which the oracle matrix can hold only to rounding on the
+// pipelined path — through multiple steps across the serial path and
+// the pipelined path with W ∈ {1, 3, 8}, sorted and adversarially
+// shuffled, over populations with a partial trailing block, an
+// all-lanes-crossing block and NaN particles.
 func TestAsmKernelMatchesGoMatrix(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
 	}
 	const steps = 4
-	for _, spanMin := range []int{1, asmSpanMin} {
-		defer func(m int) { asmSpanMin = m }(asmSpanMin)
-		asmSpanMin = spanMin
-		t.Run(fmt.Sprintf("spanMin=%d", spanMin), func(t *testing.T) { asmGoMatrix(t, steps) })
+	for _, m := range []int{1, productionSpanMin} {
+		t.Run(fmt.Sprintf("spanMin=%d", m), func(t *testing.T) {
+			pinSpanMin(t, m)
+			asmGoMatrix(t, steps)
+		})
 	}
 }
 
@@ -136,7 +141,7 @@ func asmGoMatrix(t *testing.T, steps int) {
 			rg.acc.Clear()
 			ka.AdvanceP(ra.buf)
 			kg.AdvanceP(rg.buf)
-			checkAsmGoState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg)
+			checkSameState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg, true)
 		}
 		if ka.NMoved < int64(steps*particle.Lanes) {
 			t.Fatalf("%s: only %d crossings; the crosser mask path was not exercised", label, ka.NMoved)
@@ -154,7 +159,7 @@ func asmGoMatrix(t *testing.T, steps int) {
 			for s := 0; s < steps; s++ {
 				runBlockedStep(ka, ra, pool, accsA, blocksA)
 				runBlockedStep(kg, rg, pool, accsG, blocksG)
-				checkAsmGoState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg)
+				checkSameState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg, true)
 			}
 		}
 	}
@@ -195,8 +200,9 @@ func TestAsmKernelMoverParity(t *testing.T) {
 
 // FuzzAsmGoParity drives randomized small populations (size, seed,
 // thermal spread and sortedness all fuzzed) through one serial step of
-// each kernel and requires bitwise-identical state. `go test` runs the
-// seed corpus; `go test -fuzz=AsmGoParity ./internal/push` explores.
+// the go kernel, the asm kernel (where available) and the per-particle
+// oracle and requires bitwise-identical state. `go test` runs the seed
+// corpus; `go test -fuzz=AsmGoParity ./internal/push` explores.
 func FuzzAsmGoParity(f *testing.F) {
 	f.Add(uint16(0), uint64(1), float64(0.3), true)
 	f.Add(uint16(1), uint64(2), float64(0.1), false)
@@ -204,9 +210,6 @@ func FuzzAsmGoParity(f *testing.F) {
 	f.Add(uint16(333), uint64(4), float64(0.7), false)
 	f.Add(uint16(2048), uint64(5), float64(2.0), true)
 	f.Fuzz(func(t *testing.T, n uint16, seed uint64, uth float64, sorted bool) {
-		if !AsmAvailable() {
-			t.Skip("assembly kernel unavailable on this build/CPU")
-		}
 		if math.IsNaN(uth) || math.IsInf(uth, 0) {
 			uth = 0.5
 		}
@@ -218,15 +221,20 @@ func FuzzAsmGoParity(f *testing.F) {
 			if sorted {
 				sortByVoxel(r.buf)
 			}
+			r.acc.Clear()
 			return r, r.kernel(-1, 1, 0.24)
 		}
-		ra, ka := mk()
+		label := fmt.Sprintf("n=%d seed=%d uth=%g sorted=%v", n, seed, uth, sorted)
+		ro, ko := mk()
+		ko.AdvancePUnfused(ro.buf)
 		rg, kg := mk()
-		ka.Asm = true
-		ra.acc.Clear()
-		rg.acc.Clear()
-		ka.AdvanceP(ra.buf)
 		kg.AdvanceP(rg.buf)
-		checkAsmGoState(t, fmt.Sprintf("n=%d seed=%d uth=%g sorted=%v", n, seed, uth, sorted), ra, ka, rg, kg)
+		checkSameState(t, label+" go vs oracle", rg, kg, ro, ko, false)
+		if AsmAvailable() {
+			ra, ka := mk()
+			ka.Asm = true
+			ka.AdvanceP(ra.buf)
+			checkSameState(t, label+" asm vs go", ra, ka, rg, kg, true)
+		}
 	})
 }

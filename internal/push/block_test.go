@@ -66,44 +66,50 @@ func TestBlockedPushMatchesSerial(t *testing.T) {
 			runBlockedStep(kb, rb, pool, accs, blocks)
 		}
 
-		if rs.buf.N() != rb.buf.N() {
-			t.Fatalf("W=%d: particle counts diverged: %d vs %d", w, rs.buf.N(), rb.buf.N())
-		}
-		for i := 0; i < rs.buf.N(); i++ {
-			if rs.buf.At(i) != rb.buf.At(i) {
-				t.Fatalf("W=%d: particle %d differs:\nserial  %+v\nblocked %+v",
-					w, i, rs.buf.At(i), rb.buf.At(i))
-			}
-		}
-		// Integer counters are exact; ELost is a float64 sum whose
-		// association differs between the serial chain and the per-block
-		// partial sums, so it only matches to rounding.
-		if ks.NPushed != kb.NPushed || ks.NMoved != kb.NMoved ||
-			ks.NSeg != kb.NSeg || ks.NLost != kb.NLost ||
-			math.Abs(ks.ELost-kb.ELost) > 1e-12*math.Abs(ks.ELost) {
-			t.Fatalf("W=%d: counters diverged: serial {%d %d %d %d %g} blocked {%d %d %d %d %g}",
-				w, ks.NPushed, ks.NMoved, ks.NSeg, ks.NLost, ks.ELost,
-				kb.NPushed, kb.NMoved, kb.NSeg, kb.NLost, kb.ELost)
-		}
+		checkBlockedMatchesSerial(t, fmt.Sprintf("W=%d", w), rs, ks, rb, kb)
+	}
+}
 
-		// Currents: same deposits, possibly different association.
-		var maxDiff, scale float64
-		for v := range rs.acc.A {
-			a, b := &rs.acc.A[v], &rb.acc.A[v]
-			for j := 0; j < 4; j++ {
-				for _, pair := range [][2]float32{{a.JX[j], b.JX[j]}, {a.JY[j], b.JY[j]}, {a.JZ[j], b.JZ[j]}} {
-					if d := math.Abs(float64(pair[0] - pair[1])); d > maxDiff {
-						maxDiff = d
-					}
-					if s := math.Abs(float64(pair[0])); s > scale {
-						scale = s
-					}
+// checkBlockedMatchesSerial compares a block-pipelined run (rb, kb)
+// with a serial run (rs, ks) of the same population: particle state
+// must match bitwise and the integer counters exactly; ELost is a
+// float64 sum whose association differs between the serial chain and
+// the per-block partial sums, and the reduced currents associate
+// differently across block boundaries, so those match to rounding.
+func checkBlockedMatchesSerial(t *testing.T, label string, rs *rig, ks *Kernel, rb *rig, kb *Kernel) {
+	t.Helper()
+	if rs.buf.N() != rb.buf.N() {
+		t.Fatalf("%s: particle counts diverged: %d vs %d", label, rs.buf.N(), rb.buf.N())
+	}
+	for i := 0; i < rs.buf.N(); i++ {
+		if !bitEqParticle(rs.buf.At(i), rb.buf.At(i)) {
+			t.Fatalf("%s: particle %d differs:\nserial  %+v\nblocked %+v",
+				label, i, rs.buf.At(i), rb.buf.At(i))
+		}
+	}
+	if ks.NPushed != kb.NPushed || ks.NMoved != kb.NMoved ||
+		ks.NSeg != kb.NSeg || ks.NLost != kb.NLost ||
+		math.Abs(ks.ELost-kb.ELost) > 1e-12*math.Abs(ks.ELost) {
+		t.Fatalf("%s: counters diverged: serial {%d %d %d %d %g} blocked {%d %d %d %d %g}",
+			label, ks.NPushed, ks.NMoved, ks.NSeg, ks.NLost, ks.ELost,
+			kb.NPushed, kb.NMoved, kb.NSeg, kb.NLost, kb.ELost)
+	}
+	var maxDiff, scale float64
+	for v := range rs.acc.A {
+		a, b := &rs.acc.A[v], &rb.acc.A[v]
+		for j := 0; j < 4; j++ {
+			for _, pair := range [][2]float32{{a.JX[j], b.JX[j]}, {a.JY[j], b.JY[j]}, {a.JZ[j], b.JZ[j]}} {
+				if d := math.Abs(float64(pair[0] - pair[1])); d > maxDiff {
+					maxDiff = d
+				}
+				if s := math.Abs(float64(pair[0])); s > scale {
+					scale = s
 				}
 			}
 		}
-		if maxDiff > 1e-5*(scale+1) {
-			t.Fatalf("W=%d: reduced current differs from serial by %g (scale %g)", w, maxDiff, scale)
-		}
+	}
+	if maxDiff > 1e-5*(scale+1) {
+		t.Fatalf("%s: reduced current differs from serial by %g (scale %g)", label, maxDiff, scale)
 	}
 }
 
@@ -135,18 +141,21 @@ func BenchmarkAdvanceSerial(b *testing.B) {
 }
 
 // BenchmarkAdvanceBlocked measures the pipelined path (block advance +
-// serial finish + reduction) for each worker count and both kernel
-// shapes; the lanes8-vs-lanes1 gap at fixed W is what the AoSoA lane
-// shape buys, and W1 vs the serial benchmark above isolates the
-// overhead of the block machinery itself. Every iteration restores the
+// serial finish + reduction) for each worker count and both span
+// routines; the asm-vs-go gap at fixed W is what the AVX2 routine
+// buys, and W1 vs the serial benchmark above isolates the overhead of
+// the block machinery itself. Every iteration restores the
 // pristine sorted buffer (outside the timer) so each measured step sees
 // the identical run-length distribution.
 func BenchmarkAdvanceBlocked(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
-		for _, lanes := range []int{particle.Lanes, 1} {
-			b.Run(fmt.Sprintf("W%d/lanes%d", w, lanes), func(b *testing.B) {
+		for _, kernel := range []string{KernelAsm, KernelGo} {
+			b.Run(fmt.Sprintf("W%d/%s", w, kernel), func(b *testing.B) {
+				if kernel == KernelAsm && !AsmAvailable() {
+					b.Skip("assembly kernel unavailable on this build/CPU")
+				}
 				r, k := benchRig()
-				k.Lanes = lanes
+				k.Asm = kernel == KernelAsm
 				k.Prealloc(r.buf.N()/8, 64)
 				pool := pipe.New(w)
 				accs, blocks := blockFixture(r)

@@ -1,6 +1,7 @@
 package push
 
 import (
+	"fmt"
 	stdsort "sort"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // fusedPair builds two identical rigs + kernels over the same field
-// pattern and particle population, so one can run the fused sweep and
-// the other the unfused oracle.
+// pattern and particle population, so one can run the sweep and the
+// other the per-particle oracle.
 func fusedPair(t testing.TB, n int, seed uint64, sorted bool) (*rig, *Kernel, *rig, *Kernel) {
 	mk := func() (*rig, *Kernel) {
 		r := newRig(8, 6, 4, 0.5)
@@ -50,8 +51,8 @@ func sortByVoxel(b *particle.Buffer) {
 	}
 }
 
-// checkFusedIdentical runs several steps of fused vs unfused on the
-// pair and requires bitwise-equal particles, accumulators, outgoing
+// checkFusedIdentical runs several steps of the sweep vs the oracle on
+// the pair and requires bitwise-equal particles, accumulators, outgoing
 // buffers and counters after every step.
 func checkFusedIdentical(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel, steps int) {
 	t.Helper()
@@ -60,58 +61,41 @@ func checkFusedIdentical(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel,
 		rb.acc.Clear()
 		ka.AdvanceP(ra.buf)
 		kb.AdvancePUnfused(rb.buf)
+		checkSameState(t, fmt.Sprintf("step %d", s), ra, ka, rb, kb, false)
+	}
+}
 
-		if ra.buf.N() != rb.buf.N() {
-			t.Fatalf("step %d: particle counts diverged: %d vs %d", s, ra.buf.N(), rb.buf.N())
-		}
-		for i := 0; i < ra.buf.N(); i++ {
-			if ra.buf.At(i) != rb.buf.At(i) {
-				t.Fatalf("step %d: particle %d diverged:\nfused   %+v\nunfused %+v",
-					s, i, ra.buf.At(i), rb.buf.At(i))
-			}
-		}
-		for v := range ra.acc.A {
-			if ra.acc.A[v] != rb.acc.A[v] {
-				t.Fatalf("step %d: accumulator voxel %d diverged:\nfused   %+v\nunfused %+v",
-					s, v, ra.acc.A[v], rb.acc.A[v])
-			}
-		}
-		for f := range ka.Out {
-			if len(ka.Out[f]) != len(kb.Out[f]) {
-				t.Fatalf("step %d: face %d outgoing count diverged", s, f)
-			}
-			for i := range ka.Out[f] {
-				if ka.Out[f][i] != kb.Out[f][i] {
-					t.Fatalf("step %d: face %d outgoing %d diverged", s, f, i)
-				}
-			}
-		}
-		if ka.NPushed != kb.NPushed || ka.NMoved != kb.NMoved ||
-			ka.NSeg != kb.NSeg || ka.NLost != kb.NLost || ka.ELost != kb.ELost {
-			t.Fatalf("step %d: counters diverged: fused {p %d m %d s %d l %d} unfused {p %d m %d s %d l %d}",
-				s, ka.NPushed, ka.NMoved, ka.NSeg, ka.NLost,
-				kb.NPushed, kb.NMoved, kb.NSeg, kb.NLost)
-		}
+// forEachShape runs f as one subtest per sweep shape, handing it a
+// fresh sweep/oracle pair with the shape applied to the sweep's kernel.
+func forEachShape(t *testing.T, n int, seed uint64, sorted bool, f func(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel)) {
+	for _, sh := range sweepShapes() {
+		t.Run(fmt.Sprintf("n=%d/sorted=%v/%v", n, sorted, sh), func(t *testing.T) {
+			ra, ka, rb, kb := fusedPair(t, n, seed, sorted)
+			sh.apply(t, ka)
+			f(t, ra, ka, rb, kb)
+		})
 	}
 }
 
 func TestFusedMatchesUnfusedSorted(t *testing.T) {
-	ra, ka, rb, kb := fusedPair(t, 4000, 7, true)
-	checkFusedIdentical(t, ra, ka, rb, kb, 1)
-	// Freshly sorted, runs average ~ppc particles: far fewer runs than
-	// pushes (later steps decay as particles drift, hence 1 step here).
-	if ka.NRuns >= ka.NPushed/4 {
-		t.Fatalf("sorted sweep found only short runs: %d runs for %d pushes", ka.NRuns, ka.NPushed)
-	}
-	checkFusedIdentical(t, ra, ka, rb, kb, 4)
+	forEachShape(t, 4000, 7, true, func(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel) {
+		checkFusedIdentical(t, ra, ka, rb, kb, 1)
+		// Freshly sorted, runs average ~ppc particles: far fewer runs than
+		// pushes (later steps decay as particles drift, hence 1 step here).
+		if ka.NRuns >= ka.NPushed/4 {
+			t.Fatalf("sorted sweep found only short runs: %d runs for %d pushes", ka.NRuns, ka.NPushed)
+		}
+		checkFusedIdentical(t, ra, ka, rb, kb, 4)
+	})
 }
 
 func TestFusedMatchesUnfusedUnsorted(t *testing.T) {
 	// The adversarial case for fusion: the same voxel split across many
 	// runs, so flush-time accumulator sums interleave with earlier runs'
 	// deposits. The load-modify-store design must keep this bitwise.
-	ra, ka, rb, kb := fusedPair(t, 4000, 11, false)
-	checkFusedIdentical(t, ra, ka, rb, kb, 5)
+	forEachShape(t, 4000, 11, false, func(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel) {
+		checkFusedIdentical(t, ra, ka, rb, kb, 5)
+	})
 }
 
 func TestFusedMatchesUnfusedProperty(t *testing.T) {
@@ -119,21 +103,22 @@ func TestFusedMatchesUnfusedProperty(t *testing.T) {
 	// sizes 0 and 1 (empty sweep, single-run sweep).
 	for _, n := range []int{0, 1, 2, 17, 333} {
 		for _, sorted := range []bool{true, false} {
-			ra, ka, rb, kb := fusedPair(t, n, uint64(n)*31+5, sorted)
-			checkFusedIdentical(t, ra, ka, rb, kb, 3)
+			forEachShape(t, n, uint64(n)*31+5, sorted, func(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel) {
+				checkFusedIdentical(t, ra, ka, rb, kb, 3)
+			})
 		}
 	}
 }
 
 // TestAdvanceZeroAllocSteadyState: once Prealloc has sized the mover and
-// outgoing buffers, a serial AdvanceP step allocates nothing — for both
-// sweep shapes.
+// outgoing buffers, a serial AdvanceP step allocates nothing — with
+// either span routine.
 func TestAdvanceZeroAllocSteadyState(t *testing.T) {
-	for _, lanes := range []int{1, particle.Lanes} {
+	for _, asm := range []bool{false, AsmAvailable()} {
 		r := newRig(8, 6, 4, 0.5)
 		r.smoothFields(0.4)
 		k := r.kernel(-1, 1, 0.15)
-		k.Lanes = lanes
+		k.Asm = asm
 		r.loadRandom(5000, 0.3, 3)
 		sortByVoxel(r.buf)
 		k.Prealloc(r.buf.N(), 64)
@@ -147,7 +132,7 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 			k.AdvanceP(r.buf)
 		})
 		if allocs != 0 {
-			t.Fatalf("lanes=%d: steady-state AdvanceP allocates %.1f objects/step, want 0", lanes, allocs)
+			t.Fatalf("asm=%v: steady-state AdvanceP allocates %.1f objects/step, want 0", asm, allocs)
 		}
 	}
 }
@@ -168,62 +153,51 @@ func benchSortedRig(b *testing.B, n int, sorted bool) (*rig, *Kernel) {
 	return r, k
 }
 
-// BenchmarkPushSortedRuns measures the wide-lane and scalar fused
-// kernels against the unfused baseline on the same sorted buffer, and
-// the lane kernel's worst case (unsorted buffer, one run per particle).
-// The lanes=8 vs lanes=1 gap is what the AoSoA lane shape buys; the
-// lanes=1 vs unfused gap is what run fusion buys. Allocations must
-// be 0.
+// BenchmarkPushSortedRuns measures the sweep with each span routine
+// against the per-particle oracle on the same sorted buffer, and on an
+// unsorted one (one run per particle, every span 1–3 lanes wide, so
+// the scalar step does the work). The asm/go vs oracle gap on sorted
+// input is what run fusion and the span routines buy. Allocations must
+// be 0. MB/s is the modelled traffic (Kernel.TrafficBytes) per second.
 func BenchmarkPushSortedRuns(b *testing.B) {
 	const n = 100000
-	cases := []struct {
-		name   string
-		sorted bool
-		lanes  int // 0 = unfused baseline
-		asm    bool
-	}{
-		{"asm/sorted", true, particle.Lanes, true},
-		{"lanes8/sorted", true, particle.Lanes, false},
-		{"lanes1/sorted", true, 1, false},
-		{"unfused/sorted", true, 0, false},
-		{"asm/unsorted", false, particle.Lanes, true},
-		{"lanes8/unsorted", false, particle.Lanes, false},
-		{"lanes1/unsorted", false, 1, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			if c.asm && !AsmAvailable() {
-				b.Skip("assembly kernel unavailable on this build/CPU")
-			}
-			r, k := benchSortedRig(b, n, c.sorted)
-			if c.lanes > 0 {
-				k.Lanes = c.lanes
-			}
-			k.Asm = c.asm
-			// Advancing decays the voxel order, so every iteration restores
-			// the pristine buffer (outside the timer): each measured sweep
-			// sees the exact same run-length distribution.
-			pristine := particle.NewBuffer(0)
-			pristine.CopyFrom(r.buf)
-			k.ResetStats() // drop warm-up counts so rates cover timed sweeps only
-			b.ReportAllocs()
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				r.buf.CopyFrom(pristine)
-				r.acc.ClearFull()
-				b.StartTimer()
-				if c.lanes > 0 {
-					k.AdvanceP(r.buf)
-				} else {
-					k.AdvancePUnfused(r.buf)
+	for _, sorted := range []bool{true, false} {
+		order := "sorted"
+		if !sorted {
+			order = "unsorted"
+		}
+		for _, kernel := range []string{KernelAsm, KernelGo, "oracle"} {
+			b.Run(kernel+"/"+order, func(b *testing.B) {
+				if kernel == KernelAsm && !AsmAvailable() {
+					b.Skip("assembly kernel unavailable on this build/CPU")
 				}
-			}
-			b.StopTimer()
-			px := float64(k.NPushed) / b.Elapsed().Seconds()
-			b.ReportMetric(px/1e6, "Mpart/s")
-			b.ReportMetric(float64(k.TrafficBytes())/float64(k.NPushed), "B/part")
-		})
+				r, k := benchSortedRig(b, n, sorted)
+				k.Asm = kernel == KernelAsm
+				// Advancing decays the voxel order, so every iteration restores
+				// the pristine buffer (outside the timer): each measured sweep
+				// sees the exact same run-length distribution.
+				pristine := particle.NewBuffer(0)
+				pristine.CopyFrom(r.buf)
+				k.ResetStats() // drop warm-up counts so rates cover timed sweeps only
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					r.buf.CopyFrom(pristine)
+					r.acc.ClearFull()
+					b.StartTimer()
+					if kernel == "oracle" {
+						k.AdvancePUnfused(r.buf)
+					} else {
+						k.AdvanceP(r.buf)
+					}
+				}
+				b.StopTimer()
+				b.SetBytes(k.TrafficBytes() / int64(b.N))
+				px := float64(k.NPushed) / b.Elapsed().Seconds()
+				b.ReportMetric(px/1e6, "Mpart/s")
+				b.ReportMetric(float64(k.TrafficBytes())/float64(k.NPushed), "B/part")
+			})
+		}
 	}
 }

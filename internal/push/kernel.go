@@ -1,49 +1,31 @@
 package push
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
-// Kernel shape names, as accepted by cmd/vpic -kernel, the deck
-// "kernel" knob and the GOVPIC_KERNEL environment variable. "asm" is
-// the hand-written AVX2 kernel over the AoSoA blocks, "go" the
-// portable pure-Go lane kernel; both are bitwise identical (see the
-// parity property tests), so the choice is pure performance — the
-// resolved name is recorded in reports and bench records to keep
-// measurements attributable.
+// Kernel names, as accepted by cmd/vpic -kernel and the deck "kernel"
+// knob: which routine pushes wide voxel spans. "asm" is the
+// hand-written AVX2 routine, "go" the portable one; both are bitwise
+// identical (see the parity property tests), so the choice is pure
+// performance — the resolved name is recorded in reports and bench
+// records to keep measurements attributable.
 const (
 	KernelAuto = "auto"
 	KernelAsm  = "asm"
 	KernelGo   = "go"
 )
 
-// KernelEnv is the environment variable consulted when the requested
-// kernel is empty or "auto" — it lets CI force the portable fallback
-// (GOVPIC_KERNEL=go) across an entire test run without threading a
-// flag through every harness.
-const KernelEnv = "GOVPIC_KERNEL"
-
 // AsmAvailable reports whether the assembly kernel can run on this
 // build and CPU (amd64 with AVX2 and OS-enabled YMM state).
 func AsmAvailable() bool { return asmAvailable }
 
-// ResolveKernel canonicalizes a kernel request to the concrete shape
+// ResolveKernel canonicalizes a kernel request to the concrete name
 // that will run: "asm" or "go". Empty and "auto" pick the assembly
-// kernel whenever the CPU supports it (after honoring KernelEnv);
-// an explicit "asm" on unsupported hardware is an error rather than a
-// silent fallback, so ablation runs cannot quietly measure the wrong
-// kernel.
+// whenever the CPU supports it; an explicit "asm" on unsupported
+// hardware is an error rather than a silent fallback, so ablation runs
+// cannot quietly measure the wrong kernel.
 func ResolveKernel(name string) (string, error) {
 	switch name {
 	case "", KernelAuto:
-		if env := os.Getenv(KernelEnv); env != "" && env != KernelAuto {
-			k, err := ResolveKernel(env)
-			if err != nil {
-				return "", fmt.Errorf("%s: %w", KernelEnv, err)
-			}
-			return k, nil
-		}
 		if AsmAvailable() {
 			return KernelAsm, nil
 		}

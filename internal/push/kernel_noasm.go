@@ -2,15 +2,16 @@
 
 package push
 
-import "govpic/internal/accum"
-import "govpic/internal/particle"
+import (
+	"govpic/internal/interp"
+	"govpic/internal/particle"
+)
 
-// Non-amd64 builds have no assembly kernel; ResolveKernel never
-// returns "asm" here, and a Kernel with Asm set by hand degrades to
-// the pure-Go lane sweep (which the asm kernel is bit-identical to
-// anyway).
+// Builds without the assembly: ResolveKernel never returns "asm" here,
+// and a Kernel with Asm set by hand gets the portable routine (which
+// the assembly is bit-identical to anyway).
 const asmAvailable = false
 
-func (k *Kernel) advanceRangeLanesAsm(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
-	k.advanceRangeLanes(buf, lo, hi, a, bs)
+func advanceSpanAVX2(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32 {
+	return advanceSpanGo(b, cc, con, out, s0, s1)
 }

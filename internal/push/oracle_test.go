@@ -1,19 +1,67 @@
 package push
 
 import (
+	"fmt"
+	"testing"
+
 	"govpic/internal/accum"
 	"govpic/internal/particle"
 )
 
-// AdvancePUnfused is the pre-fusion particle sweep kept as the
-// bit-identity oracle and benchmark baseline for the sorted-run fused
-// path: every particle individually loads its voxel's interpolator and
-// read-modify-writes its accumulator cell, exactly as advanceRange did
-// before runs were introduced. The arithmetic is identical to AdvanceP
-// term by term, so for any buffer — sorted or not — the two must agree
-// bitwise on particles, movers, accumulators and counters, whichever
-// lane shape AdvanceP runs (see the fused- and lane-equivalence
-// property tests).
+// sweepShape is one way the single sweep can push a buffer: which span
+// widths reach a span routine (spanMin) and which routine that is.
+type sweepShape struct {
+	spanMin int
+	asm     bool
+}
+
+func (s sweepShape) String() string {
+	kernel := KernelGo
+	if s.asm {
+		kernel = KernelAsm
+	}
+	return fmt.Sprintf("spanMin=%d/%s", s.spanMin, kernel)
+}
+
+// productionSpanMin is spanMin as shipped, read before any test pins it.
+var productionSpanMin = spanMin
+
+// sweepShapes is the parity axis every bit-identity test runs over:
+// spanMin 1 (every span through a routine), the production value, and
+// Lanes+1 (every particle through the scalar step) × {go, asm}.
+func sweepShapes() []sweepShape {
+	var shapes []sweepShape
+	for _, m := range []int{1, productionSpanMin, particle.Lanes + 1} {
+		shapes = append(shapes, sweepShape{m, false})
+		if AsmAvailable() {
+			shapes = append(shapes, sweepShape{m, true})
+		}
+	}
+	return shapes
+}
+
+// pinSpanMin sets the package's span-width threshold for the rest of
+// the test.
+func pinSpanMin(t testing.TB, m int) {
+	old := spanMin
+	spanMin = m
+	t.Cleanup(func() { spanMin = old })
+}
+
+// apply selects the shape on k (and, package-wide, for the test).
+func (s sweepShape) apply(t testing.TB, k *Kernel) {
+	pinSpanMin(t, s.spanMin)
+	k.Asm = s.asm
+}
+
+// AdvancePUnfused is the bit-identity oracle of the sweep: every
+// particle individually loads its voxel's interpolator and
+// read-modify-writes its accumulator cell — no blocks, spans, runs or
+// span routines. The arithmetic is that of advanceRange's scalar step
+// term by term, so for any buffer — sorted or not — AdvanceP must agree
+// with it bitwise on particles, movers, accumulators and counters,
+// whatever spanMin and Kernel.Asm are. It is also the "oracle" row of
+// BenchmarkPushSortedRuns: what run fusion and the span routines buy.
 func (k *Kernel) AdvancePUnfused(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
@@ -26,10 +74,9 @@ func (k *Kernel) AdvancePUnfused(buf *particle.Buffer) {
 	k.MergeStats(bs)
 }
 
-// advanceRangeUnfused is advanceRange without run fusion: per-particle
-// interpolator load and per-particle accumulator read-modify-write. It
-// counts one "run" per particle, matching its actual data motion under
-// the package traffic model.
+// advanceRangeUnfused is the oracle's range sweep. It counts one "run"
+// per particle, matching its actual data motion under the package
+// traffic model.
 func (k *Kernel) advanceRangeUnfused(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
 	blk := buf.Blk
 	ip := k.IP.C

@@ -42,88 +42,47 @@ func TestScatterWeightClosure(t *testing.T) {
 	}
 }
 
-// TestLaneKernelMatchesUnfusedMatrix cross-checks the wide-lane kernel
-// against the unfused oracle across the full shape matrix: worker
-// counts W ∈ {1, 3, 8} × lanes ∈ {1, 8}, over a population that
-// includes a partially-filled trailing block (N ≢ 0 mod 8) and one
-// hand-built block in which every lane crosses a face on the first
-// step. Particle state must match bitwise and the integer counters
-// exactly; ELost and the reduced currents match to rounding (per-block
-// partial sums associate differently than the serial chain).
-func TestLaneKernelMatchesUnfusedMatrix(t *testing.T) {
+// TestSweepMatchesOracleMatrix holds every shape of the one sweep —
+// spanMin ∈ {1 (all spans through a routine), production, Lanes+1 (all
+// particles through the scalar step)} × routine ∈ {go, asm} — to the
+// per-particle oracle, on sorted and shuffled buffers, over a population
+// with a partially-filled trailing block (N ≢ 0 mod 8), one hand-built
+// block in which every lane crosses a face on the first step, and NaN
+// particles. The serial path must match bitwise in everything, after
+// every step. The pipelined path, W ∈ {1, 3, 8}, must match bitwise in
+// particle state and exactly in the integer counters; ELost and the
+// reduced currents match to rounding (per-block partial sums associate
+// differently than the serial chain).
+func TestSweepMatchesOracleMatrix(t *testing.T) {
 	const steps = 4
-	mk := func() (*rig, *Kernel) {
-		r := newRig(6, 5, 4, 0.5)
-		r.smoothFields(0.3)
-		// 4013 ≡ 5 (mod 8) even after the extra block below: the final
-		// AoSoA block stays partially filled through every re-sort.
-		r.loadRandom(4013, 0.5, 41)
-		// One all-lanes-crossing block: eight particles parked at the
-		// high-x cell edge moving fast enough in +x that the whole lane
-		// mask fires at once (ddx ≈ 0.9 offset units ≫ the 0.02 gap).
-		v := int32(r.g.Voxel(3, 2, 2))
-		for l := 0; l < particle.Lanes; l++ {
-			r.buf.Append(particle.Particle{
-				Voxel: v, Dx: 0.98, Dy: float32(l) * 0.01, Ux: 3, W: 1,
-			})
-		}
-		sortByVoxel(r.buf)
-		return r, r.kernel(-1, 1, 0.24)
-	}
-
-	ro, ko := mk()
-	for s := 0; s < steps; s++ {
-		ro.acc.Clear()
-		ko.AdvancePUnfused(ro.buf)
-	}
-
-	for _, w := range []int{1, 3, 8} {
-		for _, lanes := range []int{1, particle.Lanes} {
-			label := fmt.Sprintf("W=%d lanes=%d", w, lanes)
-			rb, kb := mk()
-			kb.Lanes = lanes
-			pool := pipe.New(w)
-			accs, blocks := blockFixture(rb)
+	mk := func(sorted bool) (*rig, *Kernel) { return asmParityRig(4013, 41, sorted) }
+	for _, sorted := range []bool{true, false} {
+		for _, sh := range sweepShapes() {
+			ro, ko := mk(sorted)
+			rs, ks := mk(sorted)
+			sh.apply(t, ks)
 			for s := 0; s < steps; s++ {
-				runBlockedStep(kb, rb, pool, accs, blocks)
+				ro.acc.Clear()
+				rs.acc.Clear()
+				ko.AdvancePUnfused(ro.buf)
+				ks.AdvanceP(rs.buf)
+				checkSameState(t, fmt.Sprintf("serial sorted=%v %v step %d", sorted, sh, s), rs, ks, ro, ko, false)
+			}
+			if ks.NMoved < int64(steps*particle.Lanes) {
+				t.Fatalf("sorted=%v %v: only %d crossings; the crosser paths were not exercised", sorted, sh, ks.NMoved)
 			}
 
-			if ro.buf.N() != rb.buf.N() {
-				t.Fatalf("%s: particle counts diverged: %d vs %d", label, ro.buf.N(), rb.buf.N())
-			}
-			for i := 0; i < ro.buf.N(); i++ {
-				if ro.buf.At(i) != rb.buf.At(i) {
-					t.Fatalf("%s: particle %d differs:\nunfused %+v\nlane    %+v",
-						label, i, ro.buf.At(i), rb.buf.At(i))
+			for _, w := range []int{1, 3, 8} {
+				label := fmt.Sprintf("W=%d sorted=%v %v", w, sorted, sh)
+				rb, kb := mk(sorted)
+				sh.apply(t, kb)
+				pool := pipe.New(w)
+				accs, blocks := blockFixture(rb)
+				for s := 0; s < steps; s++ {
+					runBlockedStep(kb, rb, pool, accs, blocks)
 				}
-			}
-			if ko.NPushed != kb.NPushed || ko.NMoved != kb.NMoved ||
-				ko.NSeg != kb.NSeg || ko.NLost != kb.NLost ||
-				math.Abs(ko.ELost-kb.ELost) > 1e-12*math.Abs(ko.ELost) {
-				t.Fatalf("%s: counters diverged: unfused {%d %d %d %d %g} lane {%d %d %d %d %g}",
-					label, ko.NPushed, ko.NMoved, ko.NSeg, ko.NLost, ko.ELost,
-					kb.NPushed, kb.NMoved, kb.NSeg, kb.NLost, kb.ELost)
-			}
-			if kb.NMoved < int64(steps*particle.Lanes) {
-				t.Fatalf("%s: only %d crossings; the lane-mask path was not exercised", label, kb.NMoved)
-			}
 
-			var maxDiff, scale float64
-			for v := range ro.acc.A {
-				a, b := &ro.acc.A[v], &rb.acc.A[v]
-				for j := 0; j < 4; j++ {
-					for _, pair := range [][2]float32{{a.JX[j], b.JX[j]}, {a.JY[j], b.JY[j]}, {a.JZ[j], b.JZ[j]}} {
-						if d := math.Abs(float64(pair[0] - pair[1])); d > maxDiff {
-							maxDiff = d
-						}
-						if s := math.Abs(float64(pair[0])); s > scale {
-							scale = s
-						}
-					}
-				}
-			}
-			if maxDiff > 1e-5*(scale+1) {
-				t.Fatalf("%s: reduced current differs from unfused by %g (scale %g)", label, maxDiff, scale)
+				checkBlockedMatchesSerial(t, label, ro, ko, rb, kb)
 			}
 		}
 	}

@@ -13,41 +13,32 @@
 // convention of the paper's community — so measured particles/s convert
 // directly into a flop rate.
 //
-// The loop is bandwidth-bound, not flop-bound, so the sweep exploits the
-// voxel order the periodic sort maintains: consecutive particles sharing
-// a voxel form a "run", and the run's 72-byte interpolator is loaded
-// once and its in-cell current accumulated in a register-resident
-// accum.Cell that is loaded at run start and stored at run end.
+// There is one sweep, advanceRange (this file). It walks the AoSoA
+// storage one 8-lane particle.Block at a time and cuts each block into
+// voxel spans — maximal groups of consecutive lanes sharing a voxel.
+// Consecutive spans of one voxel form a run: the loop is bandwidth-
+// bound, so the run's 72-byte interpolator is loaded once and its
+// in-cell current accumulates in twelve register-resident scalars that
+// are loaded from the accumulator cell at run start and stored at run
+// end. What pushes a span depends only on its width, which the driver
+// has just measured:
 //
-// Since the AoSoA layout change, the sweep comes in two selectable
-// shapes over the same particle.Block storage:
+//   - narrow spans (width < spanMin — the disordered stretches of a
+//     buffer) take the scalar step inlined in the driver: one particle
+//     at a time, adding straight into the run's registers;
+//   - wide spans go through one of two routines with one contract
+//     (span.go): advanceSpanAVX2 when Kernel.Asm is set
+//     (push_avx2_amd64.s), else the portable advanceSpanGo. Both push
+//     every lane of the span, return a crosser bitmask and hand back
+//     per-lane current contributions, which the driver adds to the run's
+//     registers in ascending lane order.
 //
-//   - The wide-lane kernel (Kernel.Lanes = particle.Lanes, the default)
-//     processes one 8-lane block per iteration, mirroring the paper's
-//     SPE quadword kernel: a straight-line, branch-free lane loop
-//     computes every lane's momentum update and displacement into
-//     fixed-size stack arrays and derives a per-block crosser bitmask
-//     from the offset magnitudes with integer arithmetic (no compares-
-//     and-branches); a second lane loop then scatters the common
-//     in-cell lanes into the run's register cell in ascending lane
-//     order, and only lanes flagged in the bitmask are deferred to the
-//     moveP machinery.
-//   - The scalar kernel (Kernel.Lanes = 1) is the pre-lane fused sweep,
-//     one particle per iteration, kept as the selectable oracle
-//     (cmd/vpic -lanes=1).
-//
-// Both shapes perform the identical floating-point operations in the
-// identical per-particle order, and the lane kernel's deferred scatter
-// preserves the scalar path's ascending-index accumulation chain into
-// the run cell, so their outputs are bitwise identical — particles,
-// movers, accumulators and counters — for any buffer, sorted or not
-// (see the lane-equivalence property tests). The lane kernel wins by
-// amortizing address generation over 8 lanes, eliminating the
-// per-particle run-detection and crosser branches, and letting the
-// out-of-order core overlap the 8 independent rsqrt/divide chains of a
-// block — worth ~10% over the scalar shape under gc, which emits no
-// SIMD; the layout exists so a vectorizing backend can take the rest
-// (EXPERIMENTS.md P3).
+// All three perform the identical floating-point operations per
+// particle, and every accumulator slot receives its adds in ascending
+// particle order, so the result — particles, movers, accumulators,
+// counters — is bitwise independent of spanMin and of Kernel.Asm, for
+// any buffer, sorted or not. The tests hold every combination to the
+// per-particle oracle in oracle_test.go.
 //
 // The kernel exposes two execution styles. AdvanceP is the serial path:
 // one sweep over the buffer depositing into the kernel's accumulator.
@@ -71,8 +62,8 @@ import (
 	"govpic/internal/particle"
 )
 
-// Flop accounting for the optimized kernel (see advance loop; counts
-// audited against the code — identical for the scalar and lane shapes):
+// Flop accounting for the kernel (counts audited against the code —
+// identical for the scalar step and both span routines):
 //
 //	E interpolation             3 × (3 mul + 3 add + 1 mul)  = 21
 //	cB interpolation            3 × (1 mul + 1 add)          =  6
@@ -198,15 +189,10 @@ type Kernel struct {
 	IP  *interp.Table
 	Acc *accum.Array
 
-	// Lanes selects the sweep shape: particle.Lanes (the default) runs
-	// the wide-lane block kernel, 1 the scalar oracle. Both produce
-	// bitwise-identical results; see the package comment.
-	Lanes int
-
-	// Asm runs the wide-lane sweep through the hand-written AVX2 span
-	// kernel (amd64 only; see ResolveKernel/AsmAvailable). It is
-	// bitwise identical to the Go lane kernel, so flipping it is a
-	// pure performance ablation. Ignored when Lanes == 1.
+	// Asm pushes wide voxel spans through the hand-written AVX2 routine
+	// instead of the portable Go one (amd64 only; see ResolveKernel /
+	// AsmAvailable). The two are bitwise identical, so the choice is
+	// pure performance.
 	Asm bool
 
 	// Per-face boundary actions, indexed like field.Face
@@ -240,12 +226,10 @@ type Kernel struct {
 }
 
 // NewKernel builds a push kernel. q and m are the species charge and
-// mass in units of e and me; dt is the time step in code units. The
-// sweep shape defaults to the wide-lane kernel (Lanes = particle.Lanes).
+// mass in units of e and me; dt is the time step in code units.
 func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float64) *Kernel {
 	return &Kernel{
 		G: g, IP: ip, Acc: acc,
-		Lanes:  particle.Lanes,
 		qdt2mc: float32(q / m * dt / 2),
 		q:      float32(q),
 		mass:   m,
@@ -340,7 +324,7 @@ func (k *Kernel) ClearOutgoing() {
 func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
-	k.advance(buf, 0, buf.N(), k.Acc, bs)
+	k.advanceRange(buf, 0, buf.N(), k.Acc, bs)
 	bs.NMoved += int64(len(bs.Movers))
 
 	// Finish boundary-crossing particles in descending index order so
@@ -361,19 +345,7 @@ func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 // when two ranges share a particle.Block). Call FinishBlocks afterwards
 // to complete the recorded movers.
 func (k *Kernel) AdvanceBlock(buf *particle.Buffer, lo, hi int, acc *accum.Array, bs *BlockState) {
-	k.advance(buf, lo, hi, acc, bs)
-}
-
-// advance dispatches one range sweep to the selected kernel shape.
-func (k *Kernel) advance(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
-	switch {
-	case k.Lanes > 1 && k.Asm:
-		k.advanceRangeLanesAsm(buf, lo, hi, a, bs)
-	case k.Lanes > 1:
-		k.advanceRangeLanes(buf, lo, hi, a, bs)
-	default:
-		k.advanceRange(buf, lo, hi, a, bs)
-	}
+	k.advanceRange(buf, lo, hi, acc, bs)
 }
 
 // FinishBlocks completes the movers recorded by AdvanceBlock: blocks
@@ -399,155 +371,45 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 	}
 }
 
-// advanceRange is the scalar (lanes=1) momentum-update + in-cell-
-// deposition sweep over particles [lo, hi), the oracle for the lane
-// kernel below. Face-crossing particles are appended to bs.Movers (in
-// ascending index order) for the caller to finish.
+// oneBits is math.Float32bits(1.0); for finite floats |x| > 1 exactly
+// when the sign-cleared bit pattern exceeds it, and NaN patterns always
+// do — matching the scalar step's negated in-cell compare, which also
+// sends NaN offsets to moveP (where the absorb backstop removes them).
+const oneBits = 0x3f800000
+
+// advanceRange is the momentum-update + in-cell-deposition sweep over
+// particles [lo, hi) — the only one; see the package comment for the
+// block / span / run decomposition. Face-crossing particles keep their
+// pre-step offsets and are appended to bs.Movers in ascending index
+// order for the caller to finish.
 //
-// The sweep is fused over voxel runs: for each maximal group of
-// consecutive particles sharing a voxel it loads the 72-byte
-// interpolator and the 48-byte accumulator cell once, accumulates the
-// run's in-cell current in the register-resident copy, and stores the
-// cell back at run end. Loading the cell (rather than starting from
-// zero) keeps the per-slot addition chains exactly those of the
-// per-particle read-modify-write kernel, so the result is bitwise
-// identical to AdvancePUnfused for any particle order — sorted buffers
-// merely make the runs long enough to pay off.
+// The run cell is loaded from the accumulator (not started from zero)
+// and stored back when the voxel changes, so each slot's addition chain
+// is exactly that of a per-particle read-modify-write kernel and the
+// result is bitwise identical to the oracle for any particle order —
+// sorted buffers merely make the runs long enough to pay off.
 func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
 	blk := buf.Blk
 	ip := k.IP.C
 	ac := a.A
-	qdt2mc := k.qdt2mc
+	qdt2mc, q := k.qdt2mc, k.q
 	cdx, cdy, cdz := k.cdtdx2, k.cdtdy2, k.cdtdz2
-	bs.NPushed += int64(hi - lo)
-
-	runV := int32(-1)    // voxel of the current run (-1: none yet)
-	var cc interp.Coeffs // hoisted interpolator of the run's cell
-	var rc accum.Cell    // register-resident accumulator of the run's cell
-
-	for i := lo; i < hi; i++ {
-		b := &blk[i>>particle.LaneShift]
-		l := i & particle.LaneMask
-		dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
-		if b.Voxel[l] != runV {
-			if runV >= 0 {
-				ac[runV] = rc
-				a.Touch(int(runV))
-			}
-			runV = b.Voxel[l]
-			cc = ip[runV]
-			rc = ac[runV]
-			bs.NRuns++
-		}
-
-		// Interpolate E (21 flops) and apply the first half kick (3).
-		hax := qdt2mc * (cc.Ex0 + dy*cc.DExDy + dz*(cc.DExDz+dy*cc.D2ExDyDz))
-		hay := qdt2mc * (cc.Ey0 + dz*cc.DEyDz + dx*(cc.DEyDx+dz*cc.D2EyDzDx))
-		haz := qdt2mc * (cc.Ez0 + dx*cc.DEzDx + dy*(cc.DEzDy+dx*cc.D2EzDxDy))
-		ux := b.Ux[l] + hax
-		uy := b.Uy[l] + hay
-		uz := b.Uz[l] + haz
-
-		// Interpolate cB (6 flops).
-		cbx := cc.CBx0 + dx*cc.DCBxDx
-		cby := cc.CBy0 + dy*cc.DCByDy
-		cbz := cc.CBz0 + dz*cc.DCBzDz
-
-		// Boris rotation about cB with the exact angle form (8+4+7+12+15).
-		gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-		f0 := qdt2mc * gi
-		tx, ty, tz := f0*cbx, f0*cby, f0*cbz
-		t2 := tx*tx + ty*ty + tz*tz
-		s := 2 / (1 + t2)
-		wx := ux + (uy*tz - uz*ty)
-		wy := uy + (uz*tx - ux*tz)
-		wz := uz + (ux*ty - uy*tx)
-		ux += s * (wy*tz - wz*ty)
-		uy += s * (wz*tx - wx*tz)
-		uz += s * (wx*ty - wy*tx)
-
-		// Second half kick (3) and final γ (8).
-		ux += hax
-		uy += hay
-		uz += haz
-		b.Ux[l], b.Uy[l], b.Uz[l] = ux, uy, uz
-		gi = rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-
-		// Displacement in offset units (6).
-		ddx := ux * gi * cdx
-		ddy := uy * gi * cdy
-		ddz := uz * gi * cdz
-		nx := dx + ddx
-		ny := dy + ddy
-		nz := dz + ddz
-
-		if nx <= 1 && nx >= -1 && ny <= 1 && ny >= -1 && nz <= 1 && nz >= -1 {
-			// In-cell fast path: scatter the whole-step current (67) into
-			// the run's register cell and store the new offsets (3,
-			// counted in the displacement sum).
-			k.scatterCell(&rc, b.W[l], dx, dy, dz, ddx, ddy, ddz)
-			b.Dx[l], b.Dy[l], b.Dz[l] = nx, ny, nz
-			continue
-		}
-		bs.Movers = append(bs.Movers, particle.Mover{DispX: ddx, DispY: ddy, DispZ: ddz, Idx: int32(i)})
-	}
-	if runV >= 0 {
-		ac[runV] = rc
-		a.Touch(int(runV))
-	}
-}
-
-// oneBits is math.Float32bits(1.0); for finite floats |x| > 1 exactly
-// when the sign-cleared bit pattern exceeds it, and NaN patterns always
-// do — matching the scalar path, which also sends NaN offsets to moveP
-// (where the absorb backstop removes them).
-const oneBits = 0x3f800000
-
-// advanceRangeLanes is the wide-lane sweep over particles [lo, hi): one
-// particle.Block per outer iteration, decomposed into voxel spans
-// (sorted buffers make most blocks a single 8-lane span of one voxel).
-// For each span the momentum update runs as a straight-line lane loop
-// with no branches — the in-cell test is folded into an integer crosser
-// bitmask — and a second lane loop scatters the in-cell lanes into the
-// run's register-resident accumulator cell in ascending lane order,
-// which is exactly the scalar sweep's accumulation chain. Lanes flagged
-// in the bitmask keep their pre-step offsets and are recorded as movers
-// for the caller, again in ascending index order. Every floating-point
-// operation, its operands and its order match advanceRange per particle,
-// so the two sweeps are bitwise identical; see the package comment.
-func (k *Kernel) advanceRangeLanes(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
-	blk := buf.Blk
-	ip := k.IP.C
-	ac := a.A
-	qdt2mc := k.qdt2mc
-	q := k.q
-	cdx, cdy, cdz := k.cdtdx2, k.cdtdy2, k.cdtdz2
+	con := laneConsts{qdt2mc: qdt2mc, q: q, cdx: cdx, cdy: cdy, cdz: cdz}
+	var out laneVecs
+	minWide := spanMin
 	bs.NPushed += int64(hi - lo)
 
 	runV := int32(-1)    // voxel of the current run (-1: none yet)
 	var cc interp.Coeffs // hoisted interpolator of the run's cell
 
 	// The run's accumulator cell, held in twelve named scalars rather
-	// than an accum.Cell so nothing takes their address: the scatter is
-	// hand-inlined below (the scalar path's scatterCell call forces its
-	// register cell back to the stack at every call site), letting the
-	// compiler keep the run's current sums in registers for the whole
-	// run. The adds execute in the identical per-particle, per-slot
-	// order as scatterCell, so the chains — and the results — are still
-	// bitwise those of the scalar sweep.
-	// (A helper closure would capture these by reference and force them
+	// than an accum.Cell so nothing takes their address and the compiler
+	// can keep the run's current sums in registers for the whole run.
+	// (A helper closure would capture them by reference and force them
 	// addressable — so the two flush sites below are spelled out.)
 	var jx0, jx1, jx2, jx3 float32
 	var jy0, jy1, jy2, jy3 float32
 	var jz0, jz1, jz2, jz3 float32
-
-	// Per-block lane state handed between the staged lane loops:
-	// half-kick fields and interpolated cB from the gather stage,
-	// displacements and tentative offsets from the momentum stage.
-	// Fixed-size arrays keep every lane access bounds-check free.
-	var haxA, hayA, hazA [particle.Lanes]float32
-	var cbxA, cbyA, cbzA [particle.Lanes]float32
-	var ddxA, ddyA, ddzA [particle.Lanes]float32
 
 	for i := lo; i < hi; {
 		base := i &^ particle.LaneMask
@@ -588,87 +450,63 @@ func (k *Kernel) advanceRangeLanes(buf *particle.Buffer, lo, hi int, a *accum.Ar
 				bs.NRuns++
 			}
 
-			// Lane loop 1a: field gather — interpolate E and cB at every
-			// lane's offsets. Pure multiply-add work with no divides and
-			// no block writes, so it streams at full FP throughput.
-			for l := s0; l < s1; l++ {
-				dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
-
-				haxA[l] = qdt2mc * (cc.Ex0 + dy*cc.DExDy + dz*(cc.DExDz+dy*cc.D2ExDyDz))
-				hayA[l] = qdt2mc * (cc.Ey0 + dz*cc.DEyDz + dx*(cc.DEyDx+dz*cc.D2EyDzDx))
-				hazA[l] = qdt2mc * (cc.Ez0 + dx*cc.DEzDx + dy*(cc.DEzDy+dx*cc.D2EzDxDy))
-
-				cbxA[l] = cc.CBx0 + dx*cc.DCBxDx
-				cbyA[l] = cc.CBy0 + dy*cc.DCByDy
-				cbzA[l] = cc.CBz0 + dz*cc.DCBzDz
-			}
-
-			// Lane loop 1b: both half kicks and the Boris rotation. This
-			// is the divide/sqrt-heavy stage; its body is kept minimal so
-			// several lanes' rsqrt chains are in flight in the
-			// out-of-order core at once instead of one long per-particle
-			// dependency chain.
-			for l := s0; l < s1; l++ {
-				hax, hay, haz := haxA[l], hayA[l], hazA[l]
-				ux := b.Ux[l] + hax
-				uy := b.Uy[l] + hay
-				uz := b.Uz[l] + haz
-
-				gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-				f0 := qdt2mc * gi
-				tx, ty, tz := f0*cbxA[l], f0*cbyA[l], f0*cbzA[l]
-				t2 := tx*tx + ty*ty + tz*tz
-				s := 2 / (1 + t2)
-				wx := ux + (uy*tz - uz*ty)
-				wy := uy + (uz*tx - ux*tz)
-				wz := uz + (ux*ty - uy*tx)
-				ux += s * (wy*tz - wz*ty)
-				uy += s * (wz*tx - wx*tz)
-				uz += s * (wx*ty - wy*tx)
-
-				b.Ux[l] = ux + hax
-				b.Uy[l] = uy + hay
-				b.Uz[l] = uz + haz
-			}
-
-			// Lane loop 1c: final 1/γ, displacement and the crosser mask.
-			// Reloading the just-stored momenta from the block is an L1
-			// hit; what it buys is a second window of independent rsqrt
-			// chains.
-			var cross uint32
-			for l := s0; l < s1; l++ {
-				ux, uy, uz := b.Ux[l], b.Uy[l], b.Uz[l]
-				gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-
-				ddx := ux * gi * cdx
-				ddy := uy * gi * cdy
-				ddz := uz * gi * cdz
-				nx := b.Dx[l] + ddx
-				ny := b.Dy[l] + ddy
-				nz := b.Dz[l] + ddz
-				ddxA[l], ddyA[l], ddzA[l] = ddx, ddy, ddz
-
-				// Crosser test without compare-and-branch: |x| > 1 iff the
-				// sign-cleared bit pattern exceeds oneBits, detected via
-				// unsigned-subtraction wraparound (NaN included, matching
-				// the scalar path's negated in-cell test).
-				ax := math.Float32bits(nx) &^ (1 << 31)
-				ay := math.Float32bits(ny) &^ (1 << 31)
-				az := math.Float32bits(nz) &^ (1 << 31)
-				out := ((oneBits - ax) | (oneBits - ay) | (oneBits - az)) >> 31
-				cross |= out << uint(l)
-			}
-
-			// Lane loop 2: in-cell scatter in ascending lane order — the
-			// scalar accumulation chain, hand-inlined from scatterCell so
-			// the run sums never leave registers. The no-crosser case is
-			// the hot path and stays branch-free inside the loop; a span
-			// with crossers takes the per-lane masked variant below.
-			if cross == 0 {
+			if s1-s0 < minWide {
+				// Narrow span: the scalar step, one particle at a time. A
+				// span routine costs one sqrt/divide chain and a laneVecs
+				// round trip whether it covers 1 lane or 8, which 1–3
+				// lanes do not amortize.
 				for l := s0; l < s1; l++ {
 					dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
+
+					// Interpolate E (21 flops) and apply the first half kick (3).
+					hax := qdt2mc * (cc.Ex0 + dy*cc.DExDy + dz*(cc.DExDz+dy*cc.D2ExDyDz))
+					hay := qdt2mc * (cc.Ey0 + dz*cc.DEyDz + dx*(cc.DEyDx+dz*cc.D2EyDzDx))
+					haz := qdt2mc * (cc.Ez0 + dx*cc.DEzDx + dy*(cc.DEzDy+dx*cc.D2EzDxDy))
+					ux := b.Ux[l] + hax
+					uy := b.Uy[l] + hay
+					uz := b.Uz[l] + haz
+
+					// Interpolate cB (6 flops).
+					cbx := cc.CBx0 + dx*cc.DCBxDx
+					cby := cc.CBy0 + dy*cc.DCByDy
+					cbz := cc.CBz0 + dz*cc.DCBzDz
+
+					// Boris rotation about cB with the exact angle form (8+4+7+12+15).
+					gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
+					f0 := qdt2mc * gi
+					tx, ty, tz := f0*cbx, f0*cby, f0*cbz
+					t2 := tx*tx + ty*ty + tz*tz
+					s := 2 / (1 + t2)
+					wx := ux + (uy*tz - uz*ty)
+					wy := uy + (uz*tx - ux*tz)
+					wz := uz + (ux*ty - uy*tx)
+					ux += s * (wy*tz - wz*ty)
+					uy += s * (wz*tx - wx*tz)
+					uz += s * (wx*ty - wy*tx)
+
+					// Second half kick (3) and final γ (8).
+					ux += hax
+					uy += hay
+					uz += haz
+					b.Ux[l], b.Uy[l], b.Uz[l] = ux, uy, uz
+					gi = rsqrt(1 + (ux*ux + uy*uy + uz*uz))
+
+					// Displacement in offset units (6) and new offsets (3).
+					ddx := ux * gi * cdx
+					ddy := uy * gi * cdy
+					ddz := uz * gi * cdz
+					nx := dx + ddx
+					ny := dy + ddy
+					nz := dz + ddz
+
+					if !(nx <= 1 && nx >= -1 && ny <= 1 && ny >= -1 && nz <= 1 && nz >= -1) {
+						bs.Movers = append(bs.Movers, particle.Mover{DispX: ddx, DispY: ddy, DispZ: ddz, Idx: int32(base + l)})
+						continue
+					}
+					// In-cell: scatter the whole-step current (67), the
+					// arithmetic of scatterCell on the run's registers.
 					qw := q * b.W[l]
-					hx, hy, hz := 0.5*ddxA[l], 0.5*ddyA[l], 0.5*ddzA[l]
+					hx, hy, hz := 0.5*ddx, 0.5*ddy, 0.5*ddz
 					mx, my, mz := dx+hx, dy+hy, dz+hz
 					v5 := qw * hx * hy * hz * (1.0 / 3.0)
 
@@ -690,7 +528,37 @@ func (k *Kernel) advanceRangeLanes(buf *particle.Buffer, lo, hi int, a *accum.Ar
 					jz2 += qh*(1-mx)*(1+my) - v5
 					jz3 += qh*(1+mx)*(1+my) + v5
 
-					b.Dx[l], b.Dy[l], b.Dz[l] = dx+ddxA[l], dy+ddyA[l], dz+ddzA[l]
+					b.Dx[l], b.Dy[l], b.Dz[l] = nx, ny, nz
+				}
+				s0 = s1
+				continue
+			}
+
+			// Wide span: one routine call pushes every lane and leaves the
+			// per-lane current contributions in out; they join the run's
+			// sums here in ascending lane order — the scalar step's chain.
+			var cross uint32
+			if k.Asm {
+				cross = advanceSpanAVX2(b, &cc, &con, &out, s0, s1)
+				cross &= (uint32(1)<<uint(s1) - 1) &^ (uint32(1)<<uint(s0) - 1)
+			} else {
+				cross = advanceSpanGo(b, &cc, &con, &out, s0, s1)
+			}
+			if cross == 0 {
+				// The hot case, kept free of the per-lane crosser test.
+				for l := s0; l < s1; l++ {
+					jx0 += out.c[0][l]
+					jx1 += out.c[1][l]
+					jx2 += out.c[2][l]
+					jx3 += out.c[3][l]
+					jy0 += out.c[4][l]
+					jy1 += out.c[5][l]
+					jy2 += out.c[6][l]
+					jy3 += out.c[7][l]
+					jz0 += out.c[8][l]
+					jz1 += out.c[9][l]
+					jz2 += out.c[10][l]
+					jz3 += out.c[11][l]
 				}
 				s0 = s1
 				continue
@@ -698,35 +566,22 @@ func (k *Kernel) advanceRangeLanes(buf *particle.Buffer, lo, hi int, a *accum.Ar
 			for l := s0; l < s1; l++ {
 				if cross&(1<<uint(l)) != 0 {
 					bs.Movers = append(bs.Movers, particle.Mover{
-						DispX: ddxA[l], DispY: ddyA[l], DispZ: ddzA[l], Idx: int32(base + l),
+						DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
 					})
 					continue
 				}
-				dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
-				qw := q * b.W[l]
-				hx, hy, hz := 0.5*ddxA[l], 0.5*ddyA[l], 0.5*ddzA[l]
-				mx, my, mz := dx+hx, dy+hy, dz+hz
-				v5 := qw * hx * hy * hz * (1.0 / 3.0)
-
-				qh := qw * hx
-				jx0 += qh*(1-my)*(1-mz) + v5
-				jx1 += qh*(1+my)*(1-mz) - v5
-				jx2 += qh*(1-my)*(1+mz) - v5
-				jx3 += qh*(1+my)*(1+mz) + v5
-
-				qh = qw * hy
-				jy0 += qh*(1-mz)*(1-mx) + v5
-				jy1 += qh*(1+mz)*(1-mx) - v5
-				jy2 += qh*(1-mz)*(1+mx) - v5
-				jy3 += qh*(1+mz)*(1+mx) + v5
-
-				qh = qw * hz
-				jz0 += qh*(1-mx)*(1-my) + v5
-				jz1 += qh*(1+mx)*(1-my) - v5
-				jz2 += qh*(1-mx)*(1+my) - v5
-				jz3 += qh*(1+mx)*(1+my) + v5
-
-				b.Dx[l], b.Dy[l], b.Dz[l] = dx+ddxA[l], dy+ddyA[l], dz+ddzA[l]
+				jx0 += out.c[0][l]
+				jx1 += out.c[1][l]
+				jx2 += out.c[2][l]
+				jx3 += out.c[3][l]
+				jy0 += out.c[4][l]
+				jy1 += out.c[5][l]
+				jy2 += out.c[6][l]
+				jy3 += out.c[7][l]
+				jz0 += out.c[8][l]
+				jz1 += out.c[9][l]
+				jz2 += out.c[10][l]
+				jz3 += out.c[11][l]
 			}
 			s0 = s1
 		}
@@ -945,8 +800,9 @@ func flipU(p *particle.Particle, axis int) {
 // divide: the compiler recognizes float32(math.Sqrt(float64(x))) and
 // emits a single-precision hardware sqrt, so the whole thing is one
 // SQRTSS + DIVSS — roughly half the divider latency and throughput cost
-// of the double-precision pair. Every kernel shape shares this helper,
-// so they stay bitwise identical to each other.
+// of the double-precision pair. The scalar step and advanceSpanGo share
+// this helper (VSQRTPS + VDIVPS in the assembly), so they stay bitwise
+// identical to each other.
 func rsqrt(x float32) float32 {
 	return 1 / float32(math.Sqrt(float64(x)))
 }

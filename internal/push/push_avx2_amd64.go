@@ -5,7 +5,6 @@ package push
 import (
 	"unsafe"
 
-	"govpic/internal/accum"
 	"govpic/internal/interp"
 	"govpic/internal/particle"
 )
@@ -40,131 +39,7 @@ var _ = [1]struct{}{}[unsafe.Sizeof(laneVecs{})-480]
 // per-lane current contributions written to out. The return value has
 // bit l set when lane l crossed a cell face; bits outside the span
 // are garbage the caller must mask off. Bitwise identical per lane to
-// the Go staged lane loops — see push_avx2_amd64.s for the contract.
+// advanceSpanGo — see push_avx2_amd64.s for the contract.
 //
 //go:noescape
 func advanceSpanAVX2(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32
-
-// advanceRangeLanesAsm is the dispatch target when Kernel.Asm is set:
-// the same block/span/run decomposition as advanceRangeLanes, with the
-// three staged lane loops replaced by one advanceSpanAVX2 call and the
-// scatter loop consuming the precomputed per-lane contributions. The
-// run cell lives in the same twelve named scalars, flushed at the same
-// two sites, and contributions are added in ascending lane order, so
-// the results — particles, movers, accumulators, counters — stay
-// bitwise identical to both Go shapes.
-func (k *Kernel) advanceRangeLanesAsm(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
-	blk := buf.Blk
-	ip := k.IP.C
-	ac := a.A
-	con := laneConsts{qdt2mc: k.qdt2mc, q: k.q, cdx: k.cdtdx2, cdy: k.cdtdy2, cdz: k.cdtdz2}
-	var out laneVecs
-	bs.NPushed += int64(hi - lo)
-
-	runV := int32(-1)    // voxel of the current run (-1: none yet)
-	var cc interp.Coeffs // hoisted interpolator of the run's cell
-
-	var jx0, jx1, jx2, jx3 float32
-	var jy0, jy1, jy2, jy3 float32
-	var jz0, jz1, jz2, jz3 float32
-
-	for i := lo; i < hi; {
-		base := i &^ particle.LaneMask
-		l0 := i - base
-		l1 := particle.Lanes
-		if base+l1 > hi {
-			l1 = hi - base
-		}
-		if l1 > particle.Lanes {
-			l1 = particle.Lanes // unreachable; lets the prover bound the lane loops
-		}
-		b := &blk[base>>particle.LaneShift]
-
-		for s0 := l0; s0 < l1; {
-			// Extend the voxel span [s0, s1) within the block.
-			v := b.Voxel[s0]
-			s1 := s0 + 1
-			for s1 < l1 && b.Voxel[s1] == v {
-				s1++
-			}
-			if s1 > particle.Lanes {
-				s1 = particle.Lanes // unreachable; bounds the lane loops for BCE
-			}
-			if v != runV {
-				if runV >= 0 {
-					c := &ac[runV]
-					c.JX[0], c.JX[1], c.JX[2], c.JX[3] = jx0, jx1, jx2, jx3
-					c.JY[0], c.JY[1], c.JY[2], c.JY[3] = jy0, jy1, jy2, jy3
-					c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3] = jz0, jz1, jz2, jz3
-					a.Touch(int(runV))
-				}
-				runV = v
-				cc = ip[v]
-				c := &ac[v]
-				jx0, jx1, jx2, jx3 = c.JX[0], c.JX[1], c.JX[2], c.JX[3]
-				jy0, jy1, jy2, jy3 = c.JY[0], c.JY[1], c.JY[2], c.JY[3]
-				jz0, jz1, jz2, jz3 = c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3]
-				bs.NRuns++
-			}
-
-			// Narrow spans (unsorted stretches of the buffer) go through
-			// the bitwise-interchangeable scalar span helper: one lane's
-			// work does not amortize an 8-wide sqrt/divide chain.
-			var cross uint32
-			if s1-s0 < asmSpanMin {
-				cross = k.advanceSpanGo(b, &cc, &con, &out, s0, s1)
-			} else {
-				cross = advanceSpanAVX2(b, &cc, &con, &out, s0, s1)
-				cross &= (uint32(1)<<uint(s1) - 1) &^ (uint32(1)<<uint(s0) - 1)
-			}
-
-			if cross == 0 {
-				for l := s0; l < s1; l++ {
-					jx0 += out.c[0][l]
-					jx1 += out.c[1][l]
-					jx2 += out.c[2][l]
-					jx3 += out.c[3][l]
-					jy0 += out.c[4][l]
-					jy1 += out.c[5][l]
-					jy2 += out.c[6][l]
-					jy3 += out.c[7][l]
-					jz0 += out.c[8][l]
-					jz1 += out.c[9][l]
-					jz2 += out.c[10][l]
-					jz3 += out.c[11][l]
-				}
-				s0 = s1
-				continue
-			}
-			for l := s0; l < s1; l++ {
-				if cross&(1<<uint(l)) != 0 {
-					bs.Movers = append(bs.Movers, particle.Mover{
-						DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
-					})
-					continue
-				}
-				jx0 += out.c[0][l]
-				jx1 += out.c[1][l]
-				jx2 += out.c[2][l]
-				jx3 += out.c[3][l]
-				jy0 += out.c[4][l]
-				jy1 += out.c[5][l]
-				jy2 += out.c[6][l]
-				jy3 += out.c[7][l]
-				jz0 += out.c[8][l]
-				jz1 += out.c[9][l]
-				jz2 += out.c[10][l]
-				jz3 += out.c[11][l]
-			}
-			s0 = s1
-		}
-		i = base + l1
-	}
-	if runV >= 0 {
-		c := &ac[runV]
-		c.JX[0], c.JX[1], c.JX[2], c.JX[3] = jx0, jx1, jx2, jx3
-		c.JY[0], c.JY[1], c.JY[2], c.JY[3] = jy0, jy1, jy2, jy3
-		c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3] = jz0, jz1, jz2, jz3
-		a.Touch(int(runV))
-	}
-}

@@ -1,13 +1,13 @@
 //go:build !purego
 
-// AVX2 span kernel for the AoSoA particle push: all three staged lane
-// loops of advanceRangeLanes fused into one straight-line vector
-// routine over the lanes [s0, s1) of a single 256-byte particle.Block.
-// The 8 lanes of the block are the 8 float32 lanes of a YMM register,
-// so each "lane loop" of the Go kernel collapses into a handful of
-// vector instructions.
+// AVX2 span routine for the AoSoA particle push: the three staged lane
+// loops and the contribution stage of advanceSpanGo fused into one
+// straight-line vector routine over the lanes [s0, s1) of a single
+// 256-byte particle.Block. The 8 lanes of the block are the 8 float32
+// lanes of a YMM register, so each "lane loop" of the Go routine
+// collapses into a handful of vector instructions.
 //
-// Bit-exactness contract (see DESIGN §15 and the parity tests): every
+// Bit-exactness contract (see DESIGN §8.2 and the parity tests): every
 // lane is arithmetically independent, every instruction used is IEEE
 // correctly rounded per lane (VADDPS/VSUBPS/VMULPS/VDIVPS/VSQRTPS),
 // FMA is deliberately not used (gc emits no FMA contraction for the Go

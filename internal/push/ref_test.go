@@ -7,14 +7,13 @@ import (
 	"govpic/internal/particle"
 )
 
-// AdvancePRef is the deliberately unoptimized reference pusher used as
-// the ablation baseline: it gathers the twelve E edges and six B faces
+// AdvancePRef is the physics reference the production kernel is
+// cross-checked against: it gathers the twelve E edges and six B faces
 // directly from the field arrays for every particle (no precomputed
 // interpolator table), does the arithmetic in double precision, and
-// defers to the same move machinery for deposition. Physics-wise it is
-// the same algorithm, so it doubles as a cross-check of the optimized
-// kernel; performance-wise it shows what the interpolator precompute and
-// single-precision layout buy.
+// defers to the same move machinery for deposition. Same algorithm,
+// independent arithmetic — agreement is to tolerance, not bitwise (see
+// TestOptimizedMatchesReference, TestContinuityRefPusher).
 func (k *Kernel) AdvancePRef(buf *particle.Buffer, f *field.Fields) {
 	g := k.G
 	sx, sy, _ := g.Strides()

@@ -20,7 +20,7 @@ type laneConsts struct {
 // laneVecs is a span routine's per-span output: the lane displacements
 // (for mover records) and the twelve current contributions per lane
 // (accumulated by the driver in ascending lane order, preserving the
-// scalar sweep's addition chains). The assembly writes every 32-byte
+// scalar step's addition chains). The assembly writes every 32-byte
 // slot full width, so lanes outside the span hold garbage; offsets are
 // hardcoded in push_avx2_amd64.s.
 type laneVecs struct {
@@ -28,26 +28,28 @@ type laneVecs struct {
 	c             [12][particle.Lanes]float32 // JX0..3, JY0..3, JZ0..3
 }
 
-// asmSpanMin is the narrowest voxel span the asm driver hands to the
-// vector routine. A span is one VSQRTPS/VDIVPS-chain's worth of work
-// whether it covers 1 lane or 8, so short spans — the adversarial
-// unsorted case degenerates to 1-lane spans — are cheaper through the
-// scalar span helper below, which performs the identical operations in
-// the identical order and is therefore bitwise interchangeable. A var,
-// not a const, so the parity tests can pin it to 1 and force every
-// span through the assembly.
-var asmSpanMin = 4
+// spanMin is the narrowest voxel span the driver hands to a span
+// routine; narrower spans take the driver's scalar step. A routine call
+// costs one sqrt/divide chain and a 480-byte laneVecs round trip whether
+// it covers 1 lane or 8, so on a disordered buffer — mostly 1–3-lane
+// spans — the scalar step is the faster shape, while a sorted buffer's
+// spans are almost all 8 wide; 4 is half a block (EXPERIMENTS.md S25).
+// All three shapes are bitwise interchangeable, so the value only moves
+// speed. A var, not a const, solely so the parity tests can pin it to 1
+// (every span through a routine) and particle.Lanes+1 (none).
+var spanMin = 4
 
-// advanceSpanGo is the pure-Go implementation of the advanceSpanAVX2
-// contract: push lanes [s0, s1) of b against cc, store new momenta and
-// non-crossing offsets in place, fill out.dd and the per-lane current
-// contributions out.c, and return the span's crosser bits (exact, no
-// garbage outside the span). It is the Go lane kernel's staged loops
-// with the scatter's run-cell adds factored out to the caller, so its
-// results are bitwise those of advanceRangeLanes — and of the asm
-// routine. Serves as the short-span fast path and as the oracle the
-// assembly is tested against.
-func (k *Kernel) advanceSpanGo(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32 {
+// advanceSpanGo is the portable implementation of the span contract
+// (advanceSpanAVX2 is the other): push lanes [s0, s1) of b against cc,
+// store new momenta and non-crossing offsets in place, fill out.dd and
+// the in-cell lanes' current contributions out.c, and return the span's
+// crosser bits (exact, no garbage outside the span). The work runs as
+// three staged lane loops — field gather / both kicks and the Boris
+// rotation / final 1/γ, displacement and a branch-free integer crosser
+// mask — so several lanes' rsqrt chains are in flight at once instead of
+// one long per-particle dependency chain; per lane the operations and
+// their order are those of the driver's scalar step.
+func advanceSpanGo(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32 {
 	qdt2mc := con.qdt2mc
 	if s1 > particle.Lanes {
 		s1 = particle.Lanes // unreachable; bounds the lane loops for BCE

@@ -71,9 +71,9 @@ type Job struct {
 	// multi-rank job, balancing enabled or not.
 	PerRankParticles []int   `json:"per_rank_particles,omitempty"`
 	ImbalanceRatio   float64 `json:"imbalance_ratio,omitempty"`
-	// Kernel is the resolved wide-lane push implementation the job runs
-	// on this host ("asm" or "go") — the Spec may say "auto"; this is
-	// what actually executed. Set when execution starts.
+	// Kernel is the resolved push span routine the job runs on this
+	// host ("asm" or "go") — the Spec may say "auto"; this is what
+	// actually executed. Set when execution starts.
 	Kernel string `json:"kernel,omitempty"`
 	// CheckpointStep is the step of the latest durable checkpoint (0 if
 	// none yet). The fleet coordinator watches it to mirror checkpoint

@@ -181,6 +181,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"deck":{"deck":"thermal","steps":10},"sweep":{"bogus":[1]}}`,
 		`{"deck":{"deck":"thermal","steps":10},"unknown_field":1}`,
 		`{"deck":{"deck":"thermal","steps":10,"nx":-4}}`,
+		`{"deck":{"deck":"thermal","steps":10,"lanes":1}}`, // a removed knob is an unknown field
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
