@@ -10,16 +10,14 @@
 //	validate -tier fast                 # CI tier: seconds per case
 //	validate -tier full                 # adds the longer cases
 //	validate -case tnsa-ion-acceleration
-//	validate -tier fast -rank-world 2   # distributed RankSim members
+//	validate -tier fast -rank-world 2   # every case on a 2-rank world
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
-	"govpic/internal/mp"
 	"govpic/internal/valid"
 )
 
@@ -28,7 +26,7 @@ func main() {
 	one := flag.String("case", "", "run a single named case instead of a tier")
 	out := flag.String("out", ".", "directory for the VALID_<date>.json report")
 	list := flag.Bool("list", false, "list registered cases and exit")
-	rankWorld := flag.Int("rank-world", 0, "run setup-free cases as a world of N RankSim members (0 = in-process)")
+	rankWorld := flag.Int("rank-world", 0, "decompose every case into N ranks where its deck allows (0 = each case's own rank count)")
 	flag.Parse()
 
 	reg := valid.Builtin()
@@ -43,26 +41,22 @@ func main() {
 		fatal(fmt.Errorf("unknown tier %q (fast|full)", *tier))
 	}
 
-	var rep valid.Report
-	switch {
-	case *one != "":
+	cases := reg.Cases(t)
+	if *one != "" {
 		c, ok := reg.Lookup(*one)
 		if !ok {
 			fatal(fmt.Errorf("unknown case %q (use -list)", *one))
 		}
-		res := runOne(c, *rankWorld)
-		fmt.Println(valid.FormatCase(res))
-		rep = valid.RunSuite(&valid.Registry{}, t, nil) // empty shell for the report envelope
-		rep.Cases = []valid.CaseResult{res}
-		rep.Pass = res.Pass
-		rep.Seconds = res.Seconds
-	case *rankWorld > 1:
-		rep = runSuiteRanks(reg, t, *rankWorld)
-	default:
-		rep = valid.RunSuite(reg, t, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
+		cases = []valid.Case{c}
 	}
+	if *rankWorld > 1 {
+		for i := range cases {
+			cases[i].Spec.Ranks = *rankWorld
+		}
+	}
+	rep := valid.RunSuite(cases, t, func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	})
 
 	path, err := rep.Write(*out)
 	if err != nil {
@@ -74,58 +68,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("validate: ok")
-}
-
-// runOne executes a single case, distributed when asked and possible.
-func runOne(c valid.Case, rankWorld int) valid.CaseResult {
-	if rankWorld > 1 {
-		if res, ok := tryRanks(c, rankWorld); ok {
-			return res
-		}
-		fmt.Printf("%s: needs an in-process setup hook; running in-process\n", c.Name)
-	}
-	return valid.RunCase(c)
-}
-
-// runSuiteRanks runs each case across an in-process world of RankSim
-// members (one goroutine per rank, real collectives); cases that need
-// an in-process setup hook fall back to the all-ranks path.
-func runSuiteRanks(reg *valid.Registry, t valid.Tier, n int) valid.Report {
-	rep := valid.RunSuite(&valid.Registry{}, t, nil) // envelope (date, tier)
-	rep.Pass = true
-	for _, c := range reg.Cases(t) {
-		res, ok := tryRanks(c, n)
-		if !ok {
-			res = valid.RunCase(c)
-		}
-		fmt.Println(valid.FormatCase(res))
-		if !res.Pass {
-			rep.Pass = false
-		}
-		rep.Seconds += res.Seconds
-		rep.Cases = append(rep.Cases, res)
-	}
-	return rep
-}
-
-// tryRanks runs one case across n RankSim members; ok is false when
-// the case's deck needs an in-process setup hook.
-func tryRanks(c valid.Case, n int) (valid.CaseResult, bool) {
-	if !valid.CanRunRanks(c, n) {
-		return valid.CaseResult{}, false
-	}
-	world := mp.NewWorld(n)
-	results := make([]valid.CaseResult, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r] = valid.RunCaseRanks(c, world.Comm(r))
-		}(r)
-	}
-	wg.Wait()
-	return results[0], true
 }
 
 func fatal(err error) {

@@ -186,3 +186,15 @@ func TestRemovedLanesFlagRejected(t *testing.T) {
 		t.Fatalf("vpic -lanes 1: err = %v, want exit 2 with flag's usage error\n%s", err, out)
 	}
 }
+
+// TestBalanceCheckpointDefaultInterval: -balance checkpoint without
+// -balance-interval used to divide by the unresolved zero interval in
+// the Tier A loop (defaults live only in the validated config). The
+// run must complete and report its rebalances.
+func TestBalanceCheckpointDefaultInterval(t *testing.T) {
+	out, err := vpicCmd("-deck", "spike", "-ranks", "2", "-nx", "32", "-ppc", "8",
+		"-steps", "12", "-balance", "checkpoint").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "balance checkpoint:") {
+		t.Fatalf("vpic -balance checkpoint: err = %v\n%s", err, out)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/dist"
@@ -184,26 +183,6 @@ func printCommTables(links []perf.CommLinkStat, classes []domain.ClassStat) {
 			fmt.Printf("  %-12s %14d %10d\n", c.Class, c.Bytes, c.Msgs)
 		}
 	}
-}
-
-// inProcessReports builds the same per-rank report structure a
-// distributed run exchanges, from an in-process simulation — the two
-// comm-json artifacts are directly comparable.
-func inProcessReports(sim *core.Simulation) []dist.RankReport {
-	reports := make([]dist.RankReport, len(sim.Ranks))
-	for r, rk := range sim.Ranks {
-		reports[r] = dist.RankReport{
-			Rank:               r,
-			CRC:                fmt.Sprintf("%08x", rk.StateCRC()),
-			Classes:            rk.D.ClassTraffic(),
-			CommWaitSeconds:    rk.Perf.CommWait().Seconds(),
-			CommOverlapSeconds: rk.Perf.CommOverlap().Seconds(),
-		}
-		if st := rk.D.Comm.Stats(); st != nil {
-			reports[r].Links = st.Snapshot()
-		}
-	}
-	return reports
 }
 
 // classRecords converts class traffic to bench-record rows.

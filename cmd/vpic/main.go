@@ -10,7 +10,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +25,7 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
+	"govpic/internal/dist"
 	"govpic/internal/output"
 	"govpic/internal/perf"
 	psort "govpic/internal/sort"
@@ -145,9 +145,18 @@ func main() {
 		log.Fatal(err)
 	}
 	if *restore != "" {
-		sim, err = restoreCheckpoint(sim, d, *restore)
+		f, err := os.Open(*restore)
 		if err != nil {
 			log.Fatal(err)
+		}
+		var note string
+		sim, note, err = sim.Resume(f)
+		f.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if note != "" {
+			fmt.Printf("checkpoint layout differs: %s\n", note)
 		}
 		fmt.Printf("restored at step %d (t = %.3f)\n", sim.StepCount(), sim.Time())
 	}
@@ -171,14 +180,15 @@ func main() {
 	// every balance interval the state is checkpointed to memory and
 	// re-binned into a bisection-optimal layout when imbalanced.
 	// Cumulative counters stay with the discarded simulation, so carry
-	// them across swaps.
+	// them across swaps. The interval comes from the validated config:
+	// only there are the defaults resolved.
 	var carry counterCarry
 	rebalances := 0
 	tierA := d.Cfg.Balance.Mode == balance.Checkpoint && d.Cfg.NRanks > 1
 	wallStart := time.Now()
 	for s := 0; s < *steps; s++ {
 		sim.Step()
-		if tierA && sim.StepCount()%d.Cfg.Balance.Interval == 0 {
+		if tierA && sim.StepCount()%sim.Cfg.Balance.Interval == 0 {
 			sim2, did, err := core.Rebalanced(sim)
 			if err != nil {
 				log.Fatal(err)
@@ -238,7 +248,14 @@ func main() {
 		fmt.Printf("wrote %s\n", *stateCRC)
 	}
 	if *commJSON != "" {
-		if err := writeCommJSON(*commJSON, inProcessReports(sim)); err != nil {
+		// The same per-rank report a distributed run exchanges, so the two
+		// comm-json artifacts are directly comparable.
+		reports := make([]dist.RankReport, len(sim.Ranks))
+		core.Collect(sim, func(rs *core.RankSim) bool {
+			reports[rs.Rank.D.Rank] = dist.NewRankReport(rs)
+			return true
+		})
+		if err := writeCommJSON(*commJSON, reports); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *commJSON)
@@ -417,48 +434,6 @@ func (cc *counterCarry) absorb(s *core.Simulation) {
 	cc.sort.Merge(s.SortPasses())
 	cc.pushed += s.PushedParticles()
 	cc.flops += s.Flops()
-}
-
-// restoreCheckpoint loads a checkpoint, accepting a layout other than
-// the simulation's own: when the file records different partition
-// planes (it was written mid-rebalance), the run is rebuilt pinned to
-// the recorded cuts — a bit-exact resume into the geometry the state
-// was written in. If that is not possible (e.g. the recorded
-// decomposition is not x-only under this rank count, or boundaries are
-// not periodic), the state is re-binned into the current geometry
-// instead. Grid or species mismatches stay fatal.
-func restoreCheckpoint(sim *core.Simulation, d deck.Deck, path string) (*core.Simulation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	err = sim.Restore(f)
-	var lme *core.LayoutMismatchError
-	if !errors.As(err, &lme) {
-		return sim, err
-	}
-	if lme.Layout.Dec.PX == d.Cfg.NRanks {
-		cfg2 := d.Cfg
-		cfg2.CutsX = append([]int(nil), lme.Layout.CX...)
-		if s2, err2 := core.New(cfg2); err2 == nil {
-			if _, err2 = f.Seek(0, io.SeekStart); err2 != nil {
-				return nil, err2
-			}
-			if err2 = s2.Restore(f); err2 == nil {
-				fmt.Printf("checkpoint layout differs: resumed into its recorded x-cuts %v\n", cfg2.CutsX)
-				return s2, nil
-			}
-		}
-	}
-	if _, err = f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if err = sim.RestoreRebin(f); err != nil {
-		return nil, fmt.Errorf("re-binned restore: %w", err)
-	}
-	fmt.Printf("checkpoint layout differs: re-binned %v into the current geometry\n", lme.Layout.CX)
-	return sim, nil
 }
 
 func sum(xs []float64) float64 {

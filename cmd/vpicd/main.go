@@ -95,7 +95,7 @@ func main() {
 		// /v1/valid and /metrics when the cases finish (seconds for the
 		// fast tier).
 		go func() {
-			rep := valid.RunSuite(valid.Builtin(), tier, log.Printf)
+			rep := valid.RunSuite(valid.Builtin().Cases(tier), tier, log.Printf)
 			srv.SetValidReport(rep)
 		}()
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"govpic"
+	"govpic/internal/core"
 	"govpic/internal/valid"
 )
 
@@ -45,12 +46,22 @@ func main() {
 	}
 
 	// The three comparison observables, through the validation
-	// subsystem's extractor (identical code path to `validate`).
-	pr := valid.NewSimProbe(sim)
+	// subsystem's extractor (identical code path to `validate`): its
+	// probe methods are collectives, so every member of the simulation
+	// calls them and member 0's answers come back.
 	const elec, ion, proton = 0, 1, 2
-	maxP := pr.MaxKE(proton)
-	maxI := pr.MaxKE(ion)
-	hotTe, hotW := pr.TailKE(elec, thot/4)
+	type observables struct {
+		maxP, maxI, hotTe, hotW float64
+		spec                    []float64
+	}
+	o := core.Collect(sim, func(rs *core.RankSim) (o observables) {
+		pr := valid.NewProbe(rs)
+		o.maxP, o.maxI = pr.MaxKE(proton), pr.MaxKE(ion)
+		o.hotTe, o.hotW = pr.TailKE(elec, thot/4)
+		o.spec = pr.SpectrumKE(proton, 20, 40)
+		return o
+	})
+	maxP, maxI, hotTe, hotW := o.maxP, o.maxI, o.hotTe, o.hotW
 	fmt.Printf("\nmax proton energy:        %.2f MeV\n", maxP*govpic.MeVPerMc2)
 	fmt.Printf("max ion energy:           %.2f MeV (%.2f MeV/nucleon, C6+)\n",
 		maxI*govpic.MeVPerMc2, maxI*govpic.MeVPerMc2/12)
@@ -58,9 +69,8 @@ func main() {
 		hotTe, hotTe*govpic.MeVPerMc2, hotTe/thot, hotW)
 
 	// Ion (proton-layer) energy spectrum, log-binned display.
-	spec := pr.SpectrumKE(proton, 20, 40)
 	fmt.Println("\nproton spectrum dN/dE (me·c² bins):")
-	for b, w := range spec {
+	for b, w := range o.spec {
 		if w == 0 {
 			continue
 		}

@@ -103,7 +103,7 @@ func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 	}
 	// And RestoreRebin refuses it too — no resume path bridges a grid
 	// change.
-	if err := s4.RestoreRebin(bytes.NewReader(buf.Bytes())); !errors.As(err, &gme) {
+	if err := s4.restoreRebin(bytes.NewReader(buf.Bytes())); !errors.As(err, &gme) {
 		t.Fatalf("rebin across grids: err = %v, want *GeometryMismatchError", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestRestoreRebinPreservesDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := s2.restoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.CanonicalDigest(); got != dig {
@@ -160,7 +160,7 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 	if balance.CutsEqual(newCX, before) {
 		t.Fatal("fixture not adversarial enough: bisection agrees with uniform cuts")
 	}
-	s.onAllRanks(func(rk *Rank) { rk.reshapeX(&s.Cfg, newCX) })
+	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, newCX) })
 	if got := s.CutsX(); !balance.CutsEqual(got, newCX) {
 		t.Fatalf("cuts after reshape = %v, want %v", got, newCX)
 	}

@@ -118,20 +118,13 @@ func canonicalHeader(step int, time float64) uint64 {
 
 // CanonicalDigest returns the geometry-canonical state digest of the
 // whole simulation.
-func (s *Simulation) CanonicalDigest() uint64 {
-	sum := canonicalHeader(s.step, s.time)
-	for _, rk := range s.Ranks {
-		sum += rk.canonicalLocal()
-	}
-	return sum
-}
+func (s *Simulation) CanonicalDigest() uint64 { return Collect(s, (*RankSim).CanonicalDigest) }
 
 // CanonicalDigest returns the geometry-canonical state digest of the
-// distributed world — a collective; every rank must call it at the
-// same step and receives the same value. The per-rank sums combine by
-// integer addition in the communicator (two's-complement addition is
-// uint64 addition), so the result is bit-identical to the in-process
-// Simulation's digest of the same state.
+// world — a collective; every rank must call it at the same step and
+// receives the same value. The per-rank sums combine by integer
+// addition in the communicator (two's-complement addition is uint64
+// addition), so neither the layout nor the transport can change it.
 func (rs *RankSim) CanonicalDigest() uint64 {
 	local := int64(rs.Rank.canonicalLocal())
 	total := uint64(rs.comm.AllreduceSumInt(local))

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"govpic/internal/grid"
 	"govpic/internal/particle"
@@ -20,24 +21,18 @@ import (
 // stored; Restore validates that the receiving simulation's geometry
 // matches.
 //
-// Format v2 appends a little-endian CRC32 (IEEE) of every preceding
-// byte (magic included), so Restore can reject truncated or bit-flipped
-// files instead of silently resuming from garbage. v1 files (no
-// checksum) are still read.
-//
-// Format v3 additionally records the rank layout (decomposition shape
-// and partition-plane cuts) after the header, so a checkpoint written
-// by a load-balanced run can be resumed either exactly (rebuilding the
+// The format is: the magic line; a header of little-endian u64s (global
+// grid, rank count, species count, step) and the f64 time; the rank
+// layout (decomposition shape, then the x/y/z partition-plane cuts), so
+// a load-balanced run can be resumed either exactly (rebuilding the
 // recorded geometry via Config.CutsX) or re-binned into a different
-// geometry (RestoreRebin). v1/v2 files are read with their layout
-// reconstructed from the uniform decomposition their rank count
-// implies.
+// geometry; each rank's payload in rank order (writeState); and a
+// trailing little-endian CRC32 (IEEE) of every preceding byte, so a
+// truncated or bit-flipped file is rejected instead of silently resumed
+// from. Files with an older magic carry no checksum or no layout and
+// are refused.
 
-const (
-	checkpointMagic   = "GOVPIC-CKPT-3\n"
-	checkpointMagicV2 = "GOVPIC-CKPT-2\n"
-	checkpointMagicV1 = "GOVPIC-CKPT-1\n"
-)
+const checkpointMagic = "GOVPIC-CKPT-3\n"
 
 // GeometryMismatchError reports a checkpoint whose global grid or
 // species count differs from the receiving simulation's. No resume
@@ -57,8 +52,8 @@ func (e *GeometryMismatchError) Error() string {
 // or partition-plane cuts) differs from the simulation's. It is
 // recoverable two ways: rebuild a simulation pinned to the recorded
 // geometry (Config.CutsX = Layout.CX, NRanks = Layout.Dec.NRanks())
-// and Restore exactly, or re-bin the file into the current geometry
-// with RestoreRebin.
+// and Restore exactly, or re-bin the file into the current geometry —
+// Resume tries both, in that order.
 type LayoutMismatchError struct {
 	// Layout is the partition the checkpoint was written under.
 	Layout grid.Layout
@@ -128,8 +123,18 @@ func (c *cpReader) f32s(a []float32) {
 	}
 }
 
-// Checkpoint writes the full dynamic state to w in format v3 (with the
-// rank layout and the trailing CRC32).
+// particle reads one particle record (writeState's gathered AoS form);
+// the voxel is returned as stored, for the caller's grid to interpret.
+func (c *cpReader) particle() (p particle.Particle) {
+	var v [7]float32
+	c.f32s(v[:3])
+	p.Voxel = int32(uint32(c.u64()))
+	c.f32s(v[3:])
+	p.Dx, p.Dy, p.Dz, p.Ux, p.Uy, p.Uz, p.W = v[0], v[1], v[2], v[3], v[4], v[5], v[6]
+	return p
+}
+
+// Checkpoint writes the full dynamic state to w (see the format above).
 func (s *Simulation) Checkpoint(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	h := crc32.NewIEEE()
@@ -143,8 +148,8 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	c.u64(uint64(s.Cfg.NZ))
 	c.u64(uint64(len(s.Ranks)))
 	c.u64(uint64(len(s.Cfg.Species)))
-	c.u64(uint64(s.step))
-	c.f64(s.time)
+	c.u64(uint64(s.StepCount()))
+	c.f64(s.Time())
 	writeLayout(c, s.Ranks[0].D.Cfg.Layout)
 	for _, rk := range s.Ranks {
 		rk.writeState(c)
@@ -160,7 +165,7 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeLayout serializes the rank layout (v3 header extension).
+// writeLayout serializes the rank layout.
 func writeLayout(c *cpWriter, lay grid.Layout) {
 	c.u64(uint64(lay.Dec.PX))
 	c.u64(uint64(lay.Dec.PY))
@@ -232,85 +237,57 @@ type cpHeader struct {
 
 // readCheckpointHeader consumes the magic and header from br and
 // returns the parsed preamble, the reader positioned at the first
-// rank's payload (checksumming into h when the format carries a CRC;
-// h is nil for v1). v1/v2 files carry no layout, so theirs is
-// reconstructed as the uniform decomposition their rank count implies
-// — exactly the geometry those versions were written under.
+// rank's payload, and the running checksum verifyTrailer finishes.
 func readCheckpointHeader(br *bufio.Reader) (*cpHeader, *cpReader, hash.Hash32, error) {
 	magic := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint truncated: %w", err)
 	}
-	var h hash.Hash32
-	v3 := false
-	switch string(magic) {
-	case checkpointMagic:
-		h = crc32.NewIEEE()
-		h.Write(magic)
-		v3 = true
-	case checkpointMagicV2:
-		h = crc32.NewIEEE()
-		h.Write(magic)
-	case checkpointMagicV1:
-		// Legacy format: no checksum to verify.
-	default:
+	if string(magic) != checkpointMagic {
+		if strings.HasPrefix(string(magic), "GOVPIC-CKPT-") {
+			return nil, nil, nil, fmt.Errorf("core: unsupported checkpoint version %q", magic[:len(magic)-1])
+		}
 		return nil, nil, nil, fmt.Errorf("core: not a checkpoint (bad magic)")
 	}
-	var src io.Reader = br
-	if h != nil {
-		src = io.TeeReader(br, h)
-	}
-	c := &cpReader{r: src}
+	h := crc32.NewIEEE()
+	h.Write(magic)
+	c := &cpReader{r: io.TeeReader(br, h)}
 	hd := &cpHeader{}
 	hd.nx, hd.ny, hd.nz = int(c.u64()), int(c.u64()), int(c.u64())
 	nRanks := int(c.u64())
 	hd.nSpecies = int(c.u64())
 	hd.step = int(c.u64())
 	hd.time = c.f64()
-	if v3 {
-		px, py, pz := int(c.u64()), int(c.u64()), int(c.u64())
-		if c.err == nil && px*py*pz != nRanks {
-			return nil, nil, nil, fmt.Errorf("core: checkpoint layout %dx%dx%d does not cover %d ranks", px, py, pz, nRanks)
-		}
-		readCuts := func(p int) []int {
-			if c.err != nil || p < 1 || p > 1<<20 {
-				c.err = fmt.Errorf("implausible slab count %d", p)
-				return nil
-			}
-			cuts := make([]int, p+1)
-			for i := range cuts {
-				cuts[i] = int(c.u64())
-			}
-			return cuts
-		}
-		cx, cy, cz := readCuts(px), readCuts(py), readCuts(pz)
-		if c.err == nil {
-			dec := grid.Decomp{PX: px, PY: py, PZ: pz, GNX: hd.nx, GNY: hd.ny, GNZ: hd.nz}
-			lay, err := grid.NewLayout(dec, cx, cy, cz)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: checkpoint layout invalid: %w", err)
-			}
-			hd.layout = lay
-		}
-	} else {
-		dec, err := grid.ChooseDecomp(nRanks, hd.nx, hd.ny, hd.nz)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: checkpoint rank count %d does not decompose %dx%dx%d: %w",
-				nRanks, hd.nx, hd.ny, hd.nz, err)
-		}
-		hd.layout = grid.Uniform(dec)
+	px, py, pz := int(c.u64()), int(c.u64()), int(c.u64())
+	if c.err == nil && px*py*pz != nRanks {
+		return nil, nil, nil, fmt.Errorf("core: checkpoint layout %dx%dx%d does not cover %d ranks", px, py, pz, nRanks)
 	}
+	readCuts := func(p int) []int {
+		if c.err != nil || p < 1 || p > 1<<20 {
+			c.err = fmt.Errorf("implausible slab count %d", p)
+			return nil
+		}
+		cuts := make([]int, p+1)
+		for i := range cuts {
+			cuts[i] = int(c.u64())
+		}
+		return cuts
+	}
+	cx, cy, cz := readCuts(px), readCuts(py), readCuts(pz)
 	if c.err != nil {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
 	}
+	dec := grid.Decomp{PX: px, PY: py, PZ: pz, GNX: hd.nx, GNY: hd.ny, GNZ: hd.nz}
+	lay, err := grid.NewLayout(dec, cx, cy, cz)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: checkpoint layout invalid: %w", err)
+	}
+	hd.layout = lay
 	return hd, c, h, nil
 }
 
-// verifyTrailer checks the v2/v3 CRC trailer (h nil skips, for v1).
+// verifyTrailer checks the CRC trailer against the bytes read so far.
 func verifyTrailer(br *bufio.Reader, h hash.Hash32) error {
-	if h == nil {
-		return nil
-	}
 	want := h.Sum32()
 	var tr [4]byte
 	if _, err := io.ReadFull(br, tr[:]); err != nil {
@@ -340,8 +317,8 @@ func checkGeometry(hd *cpHeader, cfg *Config) error {
 // *GeometryMismatchError (unrecoverable); a rank-layout mismatch
 // returns *LayoutMismatchError carrying the recorded layout, which the
 // caller can bridge by rebuilding the recorded geometry or re-binning
-// with RestoreRebin. v2/v3 files are checksum-verified; a truncated or
-// bit-flipped file is rejected with an error, in which case the
+// (Resume does both). Every file is checksum-verified; a truncated or
+// bit-flipped one is rejected with an error, in which case the
 // simulation's dynamic state is undefined and the caller should
 // rebuild or re-restore before stepping.
 func (s *Simulation) Restore(r io.Reader) error {
@@ -375,16 +352,8 @@ func (s *Simulation) Restore(r io.Reader) error {
 				return c.err
 			}
 			sp.Buf.Clear()
-			tmp := make([]float32, 3)
-			tmp2 := make([]float32, 4)
 			for i := 0; i < n; i++ {
-				var p particle.Particle
-				c.f32s(tmp)
-				p.Dx, p.Dy, p.Dz = tmp[0], tmp[1], tmp[2]
-				p.Voxel = int32(uint32(c.u64()))
-				c.f32s(tmp2)
-				p.Ux, p.Uy, p.Uz, p.W = tmp2[0], tmp2[1], tmp2[2], tmp2[3]
-				sp.Buf.Append(p)
+				sp.Buf.Append(c.particle())
 			}
 		}
 	}
@@ -394,11 +363,9 @@ func (s *Simulation) Restore(r io.Reader) error {
 	if err := verifyTrailer(br, h); err != nil {
 		return err
 	}
-	s.step = hd.step
-	s.time = hd.time
-	// Rebuild derived state.
-	s.onAllRanks(func(rk *Rank) {
-		rk.IP.Load(rk.D.F)
+	s.each(func(rs *RankSim) {
+		rs.step, rs.time = hd.step, hd.time
+		rs.Rank.IP.Load(rs.Rank.D.F) // rebuild derived state
 	})
 	return nil
 }

@@ -60,35 +60,31 @@ func TestCheckpointRejectsTruncated(t *testing.T) {
 	}
 }
 
-func TestCheckpointReadsV1(t *testing.T) {
+// TestCheckpointRejectsOldVersions: v1 (no checksum) and v2 (no layout)
+// files are refused by name, so everything Restore accepts is
+// CRC-verified; an unrelated file is still "not a checkpoint".
+func TestCheckpointRejectsOldVersions(t *testing.T) {
 	cfg, ckpt := ckptFixture(t)
-	// A v1 file is the v3 payload under the old magic, without the CRC
-	// trailer and without the v3 layout section (for this 1-rank run:
-	// px,py,pz plus three 2-entry cut arrays, 8 bytes each).
-	magLen := len("GOVPIC-CKPT-3\n")
-	layoutLen := 8 * (3 + 2 + 2 + 2)
-	v1 := append([]byte("GOVPIC-CKPT-1\n"), ckpt[magLen:magLen+56]...)
-	v1 = append(v1, ckpt[magLen+56+layoutLen:len(ckpt)-4]...)
-
-	restore := func(data []byte) EnergySampleTotals {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Restore(bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-		s.Run(5)
-		e := s.Energy()
-		return EnergySampleTotals{e.Total, e.EField, e.BField}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := restore(v1), restore(ckpt); got != want {
-		t.Fatalf("v1 restore diverged from v2: %+v vs %+v", got, want)
+	body := ckpt[len(checkpointMagic):]
+	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
+		old := append([]byte(magic), body...)
+		err := s.Restore(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Fatalf("%q: err = %v, want an unsupported-version rejection", magic, err)
+		}
+		if _, _, err := s.Resume(bytes.NewReader(old)); err == nil {
+			t.Fatalf("%q: Resume accepted an old-version file", magic)
+		}
+	}
+	err = s.Restore(bytes.NewReader(append([]byte("NOT-A-CKPT-AT-ALL\n"), body...)))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("foreign file: err = %v, want bad magic", err)
 	}
 }
-
-// EnergySampleTotals is a comparable digest of an energy sample.
-type EnergySampleTotals struct{ Total, EField, BField float64 }
 
 func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	cfg, ckpt := ckptFixture(t)

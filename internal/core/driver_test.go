@@ -1,0 +1,91 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"govpic/internal/diag"
+	"govpic/internal/loader"
+	"govpic/internal/push"
+)
+
+// thermalBox is a uniform periodic 3-D thermal plasma (the shape of
+// deck.Thermal, rebuilt here because the deck package depends on core).
+func thermalBox(nx, ny, nz, ppc, nRanks int) Config {
+	return Config{
+		NX: nx, NY: ny, NZ: nz,
+		DX: 0.5, DY: 0.5, DZ: 0.5,
+		DT:         0.2,
+		NRanks:     nRanks,
+		Workers:    1,
+		ParticleBC: [6]push.Action{push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap},
+		Species: []SpeciesConfig{{
+			Name: "electron", Q: -1, M: 1, SortInterval: 20,
+			Load: &loader.Params{
+				Profile: loader.Uniform(0.2), PPC: ppc, Nref: 0.2,
+				Uth: [3]float64{0.05, 0.05, 0.05}, Seed: 20080415,
+			},
+		}},
+		NeutralizingBackground: true,
+	}
+}
+
+// TestCollectSameOnEveryMember: the observables a Simulation forwards
+// are the members' collectives, so every member of a 4-rank (2×2×1)
+// world must compute the same value — and Collect must hand back member
+// 0's. Run under -race this is also the proof that Collect's fan-out
+// shares nothing but the communicator.
+func TestCollectSameOnEveryMember(t *testing.T) {
+	s, err := New(thermalBox(8, 8, 4, 8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(6)
+
+	type seen struct {
+		energy    diag.EnergySample
+		particles []int
+		digest    uint64
+	}
+	all := make([]seen, len(s.Ranks))
+	first := Collect(s, func(rs *RankSim) seen {
+		v := seen{rs.Energy(), rs.PerRankParticles(), rs.CanonicalDigest()}
+		all[rs.Comm().Rank()] = v
+		return v
+	})
+	for r, v := range all {
+		if !reflect.DeepEqual(v, first) {
+			t.Errorf("member %d computed %+v, member 0 %+v", r, v, first)
+		}
+	}
+	want := seen{s.Energy(), s.PerRankParticles(), s.CanonicalDigest()}
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("Collect returned %+v, the Simulation's forwards say %+v", first, want)
+	}
+	total := 0
+	for _, n := range first.particles {
+		total += n
+	}
+	if total != s.TotalParticles() || total != 8*8*4*8 || first.energy.Step != 6 || first.energy.Total <= 0 {
+		t.Errorf("degenerate observables: %+v, TotalParticles %d", first, s.TotalParticles())
+	}
+}
+
+// TestSimulationStepAllocs guards the lockstep driver's fixed per-step
+// cost on the latency-bound shape (cmd/bench's exchange.2rank: 4096
+// particles on 2 ranks): one goroutine per rank per step over a
+// WaitGroup that lives in the Simulation. The bound is what the
+// two-driver parent allocated on this deck (188 per step); a WaitGroup
+// declared per step, a closure per member or a second fan-out for the
+// balance check would each show up here.
+func TestSimulationStepAllocs(t *testing.T) {
+	s, err := New(thermalBox(32, 4, 4, 8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(40) // past the first sorts and buffer growth
+	const parentAllocs = 188
+	if got := testing.AllocsPerRun(200, s.Step); got > parentAllocs {
+		t.Errorf("Simulation.Step allocates %.0f objects per step, the parent %d", got, parentAllocs)
+	}
+}

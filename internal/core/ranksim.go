@@ -11,12 +11,13 @@ import (
 	"govpic/internal/perf"
 )
 
-// RankSim is one rank's view of a distributed simulation: the same
-// per-rank state and step path Simulation drives in-process, but owning
-// only this rank's tile and synchronizing with its peers through the
-// Comm's transport (typically transport.Connect's TCP mesh). Because
-// stepOnce, the loaders and the reduction orders are shared verbatim
-// with Simulation, a RankSim world produces bit-identical state.
+// RankSim is the driver: one rank's member of a world, owning that
+// rank's tile, its step and time counters, and every global observable
+// (as a collective over the Comm). The world's transport decides where
+// the peers live — transport.Connect's TCP mesh for one process per
+// rank, or the in-process mp.World that Simulation steps in lockstep —
+// and because the rank-ordered collectives are the same on both, a
+// world produces bit-identical state and observables either way.
 type RankSim struct {
 	Cfg  Config
 	Rank *Rank
@@ -45,18 +46,16 @@ func NewRankSim(cfg Config, comm *mp.Comm) (*RankSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &RankSim{Cfg: cfg, Rank: rk, comm: comm}
-	if err := rk.initDecomposed(&cfg); err != nil {
-		return nil, err
-	}
-	return rs, nil
+	rk.initDecomposed(&cfg)
+	return &RankSim{Cfg: cfg, Rank: rk, comm: comm}, nil
 }
 
 // Comm returns the rank's communicator.
 func (rs *RankSim) Comm() *mp.Comm { return rs.comm }
 
 // Step advances this rank one time step, synchronizing with peers
-// through the domain exchanges exactly as Simulation.Step does.
+// through the domain exchanges, then runs the online balance check
+// (a collective every member reaches at the same step) when it is due.
 func (rs *RankSim) Step() {
 	doClean := rs.Cfg.CleanInterval > 0 && rs.step > 0 && rs.step%rs.Cfg.CleanInterval == 0
 	rs.Rank.stepOnce(&rs.Cfg, rs.time, rs.step, doClean)
@@ -99,10 +98,10 @@ func (rs *RankSim) Time() float64 { return rs.time }
 // StateCRC fingerprints this rank's dynamic state (see Rank.StateCRC).
 func (rs *RankSim) StateCRC() uint32 { return rs.Rank.StateCRC() }
 
-// Energy gathers the global energy sample — a collective; every rank
-// must call it at the same step. The per-component sums reduce in rank
-// order, so the sample is bit-identical to Simulation.Energy on the
-// same deck.
+// Energy gathers the global energy sample (field, per-species kinetic,
+// total, max div-B error) — a collective; every rank must call it at
+// the same step. The per-component sums reduce in rank order, so the
+// sample is bit-identical however the world is hosted.
 func (rs *RankSim) Energy() diag.EnergySample {
 	rk := rs.Rank
 	sample := diag.EnergySample{
@@ -138,14 +137,37 @@ func (rs *RankSim) CommTraffic() []domain.ClassStat { return rs.Rank.D.ClassTraf
 // PerfBreakdown returns this rank's kernel timings.
 func (rs *RankSim) PerfBreakdown() perf.Breakdown { return rs.Rank.Perf }
 
+// particles returns this rank's resident particle count (all species).
+func (rk *Rank) particles() int {
+	n := 0
+	for _, sp := range rk.Species {
+		n += sp.Buf.N()
+	}
+	return n
+}
+
+// TotalParticles returns the global particle count — a collective.
+func (rs *RankSim) TotalParticles() int {
+	return int(rs.comm.AllreduceSumInt(int64(rs.Rank.particles())))
+}
+
+// LostEnergy returns the kinetic energy carried away by particles
+// absorbed at boundaries since the start, summed over the world (a
+// collective) — it closes the energy budget of bounded runs.
+func (rs *RankSim) LostEnergy() float64 {
+	var e float64
+	for _, k := range rs.Rank.Kernels {
+		e += k.ELost
+	}
+	return rs.comm.AllreduceSum(e)
+}
+
 // PerRankParticles returns every rank's particle count in rank order —
 // a collective (one float64 allreduce); all ranks receive the same
 // vector.
 func (rs *RankSim) PerRankParticles() []int {
 	one := make([]float64, rs.comm.Size())
-	for _, sp := range rs.Rank.Species {
-		one[rs.comm.Rank()] += float64(sp.Buf.N())
-	}
+	one[rs.comm.Rank()] = float64(rs.Rank.particles())
 	tot := rs.comm.AllreduceSumF64s(one)
 	out := make([]int, len(tot))
 	for i, v := range tot {
@@ -155,7 +177,10 @@ func (rs *RankSim) PerRankParticles() []int {
 }
 
 // ImbalanceRatio returns the max/mean of per-rank cumulative push
-// seconds — a collective; every rank receives the same value.
+// seconds — the measured critical-path imbalance (1 for a single rank
+// or before any pushing). Balance decisions use particle counts; this
+// is the observable the counts stand in for. A collective; every rank
+// receives the same value.
 func (rs *RankSim) ImbalanceRatio() float64 {
 	one := make([]float64, rs.comm.Size())
 	one[rs.comm.Rank()] = rs.Rank.Perf.Elapsed(perf.Push).Seconds()

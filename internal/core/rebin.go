@@ -3,16 +3,16 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
 	"govpic/internal/balance"
 	"govpic/internal/field"
 	"govpic/internal/grid"
-	"govpic/internal/particle"
 )
 
-// Resume-into-new-geometry: RestoreRebin streams a checkpoint written
+// Resume-into-new-geometry: restoreRebin streams a checkpoint written
 // under any rank layout and scatters its interior cells and particles
 // to whichever rank owns them under the current layout. Only interior
 // state is carried — ghost planes, boundary aliases and interpolators
@@ -23,32 +23,46 @@ import (
 // geometry-canonical digest (CanonicalDigest) is preserved bit-for-bit
 // across the re-bin, even though per-rank byte layouts differ.
 
-// RestoreRebin loads a checkpoint into the simulation regardless of
-// the layout it was written under, re-binning cells and particles into
-// the current decomposition. The global grid and species list must
-// match (else *GeometryMismatchError).
-func (s *Simulation) RestoreRebin(r io.Reader) error {
-	if err := requirePeriodic(&s.Cfg); err != nil {
-		return err
+// restoreRebin reads a whole checkpoint, delivering to each hosted rank
+// (hosted[r] is nil for ranks of the current layout this process does
+// not host) the cells and particles it owns, and returns the header for
+// the caller to take the counters from. The global grid and species
+// list must match (else *GeometryMismatchError). Ghost state is left
+// stale: every rank of the world must run rebinPrime afterward.
+func restoreRebin(r io.Reader, cfg *Config, hosted []*Rank, cur grid.Layout) (*cpHeader, error) {
+	if err := requirePeriodic(cfg); err != nil {
+		return nil, err
 	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	hd, c, h, err := readCheckpointHeader(br)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkGeometry(hd, cfg); err != nil {
+		return nil, err
+	}
+	if err := rebinScatter(c, cfg, hd.layout, cur, hosted); err != nil {
+		return nil, err
+	}
+	return hd, verifyTrailer(br, h)
+}
+
+// restored installs a re-binned checkpoint's counters and rebuilds the
+// member's ghost state (collective).
+func (rs *RankSim) restored(hd *cpHeader) {
+	rs.step, rs.time = hd.step, hd.time
+	rs.Rank.rebinPrime()
+}
+
+// restoreRebin loads a checkpoint into the simulation regardless of
+// the layout it was written under, re-binning cells and particles into
+// the current decomposition.
+func (s *Simulation) restoreRebin(r io.Reader) error {
+	hd, err := restoreRebin(r, &s.Cfg, s.Ranks, s.Ranks[0].D.Cfg.Layout)
+	if err != nil {
 		return err
 	}
-	if err := checkGeometry(hd, &s.Cfg); err != nil {
-		return err
-	}
-	if err := rebinScatter(c, &s.Cfg, hd.layout, s.Ranks[0].D.Cfg.Layout,
-		func(r int) *Rank { return s.Ranks[r] }); err != nil {
-		return err
-	}
-	if err := verifyTrailer(br, h); err != nil {
-		return err
-	}
-	s.step = hd.step
-	s.time = hd.time
-	s.onAllRanks(func(rk *Rank) { rk.rebinPrime() })
+	s.each(func(rs *RankSim) { rs.restored(hd) })
 	return nil
 }
 
@@ -59,34 +73,52 @@ func (s *Simulation) RestoreRebin(r io.Reader) error {
 // concurrently — the ghost reconstruction is collective. Each rank
 // streams the whole file, keeping only what it owns.
 func (rs *RankSim) Restore(r io.Reader) error {
-	if err := requirePeriodic(&rs.Cfg); err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	hd, c, h, err := readCheckpointHeader(br)
+	hosted := make([]*Rank, rs.comm.Size())
+	hosted[rs.comm.Rank()] = rs.Rank
+	hd, err := restoreRebin(r, &rs.Cfg, hosted, rs.Rank.D.Cfg.Layout)
 	if err != nil {
 		return err
 	}
-	if err := checkGeometry(hd, &rs.Cfg); err != nil {
-		return err
-	}
-	me := rs.Rank.D.Rank
-	if err := rebinScatter(c, &rs.Cfg, hd.layout, rs.Rank.D.Cfg.Layout,
-		func(r int) *Rank {
-			if r == me {
-				return rs.Rank
-			}
-			return nil
-		}); err != nil {
-		return err
-	}
-	if err := verifyTrailer(br, h); err != nil {
-		return err
-	}
-	rs.step = hd.step
-	rs.time = hd.time
-	rs.Rank.rebinPrime()
+	rs.restored(hd)
 	return nil
+}
+
+// Resume loads a checkpoint into the simulation, accepting a layout
+// other than its own: when the file records different partition planes
+// (it was written mid-rebalance, or by a host that chose a different
+// initial layout), the run is rebuilt pinned to the recorded cuts — a
+// bit-exact resume into the geometry the state was written in. If that
+// is not possible (e.g. the recorded decomposition is not x-only under
+// this rank count), the state is re-binned into the current geometry
+// instead. It returns the simulation to continue on (s itself unless
+// the geometry was rebuilt) and, when the layout differed, a note
+// saying which path was taken. Grid or species mismatches and corrupt
+// files stay errors.
+func (s *Simulation) Resume(f io.ReadSeeker) (*Simulation, string, error) {
+	err := s.Restore(f)
+	var lme *LayoutMismatchError
+	if !errors.As(err, &lme) {
+		return s, "", err
+	}
+	if lme.Layout.Dec.PX == s.Cfg.NRanks {
+		cfg2 := s.Cfg
+		cfg2.CutsX = append([]int(nil), lme.Layout.CX...)
+		if s2, err2 := New(cfg2); err2 == nil {
+			if _, err2 = f.Seek(0, io.SeekStart); err2 != nil {
+				return s, "", err2
+			}
+			if err2 = s2.Restore(f); err2 == nil {
+				return s2, fmt.Sprintf("resumed into recorded x-cuts %v", cfg2.CutsX), nil
+			}
+		}
+	}
+	if _, err = f.Seek(0, io.SeekStart); err != nil {
+		return s, "", err
+	}
+	if err = s.restoreRebin(f); err != nil {
+		return s, "", fmt.Errorf("re-binned restore: %w", err)
+	}
+	return s, fmt.Sprintf("re-binned checkpoint cuts %v into the current layout", lme.Layout.CX), nil
 }
 
 func requirePeriodic(cfg *Config) error {
@@ -100,16 +132,14 @@ func requirePeriodic(cfg *Config) error {
 
 // rebinScatter streams every recorded rank's payload from c and
 // delivers interior cells and particles to the current owner's Rank
-// (rankAt returns nil for ranks this process does not host — their
+// (a nil entry of hosted is a rank this process does not host — its
 // share of the stream is consumed and dropped). Target particle
 // buffers are cleared first; target field interiors are fully
 // overwritten because the recorded tiles cover the global grid
 // exactly once.
-func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, rankAt func(int) *Rank) error {
-	hosted := make([]*Rank, cur.Dec.NRanks())
-	for r := range hosted {
-		if rk := rankAt(r); rk != nil {
-			hosted[r] = rk
+func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, hosted []*Rank) error {
+	for _, rk := range hosted {
+		if rk != nil {
 			for _, sp := range rk.Species {
 				sp.Buf.Clear()
 			}
@@ -164,24 +194,17 @@ func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, rankAt func(in
 			}
 		}
 		// Scatter particles by their global cell.
-		tmp := make([]float32, 3)
-		tmp2 := make([]float32, 4)
 		for si := 0; si < len(cfg.Species); si++ {
 			n := int(c.u64())
 			if c.err != nil {
 				return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
 			}
 			for i := 0; i < n; i++ {
-				var p particle.Particle
-				c.f32s(tmp)
-				p.Dx, p.Dy, p.Dz = tmp[0], tmp[1], tmp[2]
-				vox := int(uint32(c.u64()))
-				c.f32s(tmp2)
-				p.Ux, p.Uy, p.Uz, p.W = tmp2[0], tmp2[1], tmp2[2], tmp2[3]
+				p := c.particle()
 				if c.err != nil {
 					return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
 				}
-				ix, iy, iz := rg.Unvoxel(vox)
+				ix, iy, iz := rg.Unvoxel(int(uint32(p.Voxel)))
 				gx, gy, gz := gx0+ix-1, gy0+iy-1, gz0+iz-1
 				rk := hosted[cur.RankOfCell(gx, gy, gz)]
 				if rk == nil {
@@ -251,7 +274,7 @@ func Rebalanced(s *Simulation) (*Simulation, bool, error) {
 	if err != nil {
 		return s, false, err
 	}
-	if err := s2.RestoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := s2.restoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
 		return s, false, err
 	}
 	return s2, true, nil

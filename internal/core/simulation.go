@@ -62,17 +62,17 @@ type Rank struct {
 	partTail  []particle.Particle
 }
 
-// Simulation is the top-level driver: it owns all ranks and advances
-// them in lockstep. Between Step calls all rank state is quiescent and
-// may be read by diagnostics.
+// Simulation is an in-process world of RankSims advanced in lockstep:
+// one member per rank over World.Comm(r), with Ranks[r] the member's
+// tile. Between Step calls all rank state is quiescent and may be read
+// by diagnostics; every global observable is computed by the members
+// through their collectives (Collect), never by the Simulation itself.
 type Simulation struct {
 	Cfg   Config
 	World *mp.World
 	Ranks []*Rank
 
-	step int
-	time float64
-
+	sims       []*RankSim
 	sortPasses psort.Passes
 
 	wg sync.WaitGroup
@@ -90,27 +90,20 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	world := mp.NewWorld(cfg.NRanks)
-	s := &Simulation{Cfg: cfg, World: world, Ranks: make([]*Rank, cfg.NRanks)}
-
+	s := &Simulation{Cfg: cfg, World: world,
+		Ranks: make([]*Rank, 0, cfg.NRanks), sims: make([]*RankSim, 0, cfg.NRanks)}
+	// All tiles are built serially before any collective phase runs:
+	// set-up time is sensitive to this allocation order (EXPERIMENTS S25).
 	for r := 0; r < cfg.NRanks; r++ {
-		rk, err := newRank(&cfg, dcfg, world.Comm(r))
+		comm := world.Comm(r)
+		rk, err := newRank(&cfg, dcfg, comm)
 		if err != nil {
 			return nil, err
 		}
-		s.Ranks[r] = rk
+		s.Ranks = append(s.Ranks, rk)
+		s.sims = append(s.sims, &RankSim{Cfg: cfg, Rank: rk, comm: comm})
 	}
-
-	// Background capture and ghost priming involve collectives, so all
-	// ranks must run them concurrently.
-	errs := make([]error, cfg.NRanks)
-	s.onAllRanks(func(rk *Rank) {
-		errs[rk.D.Rank] = rk.initDecomposed(&cfg)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	s.each(func(rs *RankSim) { rs.Rank.initDecomposed(&rs.Cfg) })
 	return s, nil
 }
 
@@ -317,7 +310,7 @@ func (rk *Rank) partitionBoundary(buf *particle.Buffer) int {
 // concurrently. The message order per link is deterministic, so fusing
 // the phases is behavior-identical to running them under separate
 // barriers.
-func (rk *Rank) initDecomposed(cfg *Config) error {
+func (rk *Rank) initDecomposed(cfg *Config) {
 	// Neutralizing background: capture −ρ(t=0) so cleaning targets
 	// ρ_mobile − ρ_initial (consistent with the E=0 start).
 	if cfg.NeutralizingBackground {
@@ -335,7 +328,6 @@ func (rk *Rank) initDecomposed(cfg *Config) error {
 	rk.D.ExchangeGhostE()
 	rk.D.ExchangeGhostB()
 	rk.IP.Load(rk.D.F)
-	return nil
 }
 
 func negate(a []float32) {
@@ -344,33 +336,36 @@ func negate(a []float32) {
 	}
 }
 
-// onAllRanks runs fn concurrently on every rank and waits; fn may use
-// the rank's Comm (collectives included).
-func (s *Simulation) onAllRanks(fn func(rk *Rank)) {
-	s.wg.Add(len(s.Ranks))
-	for _, rk := range s.Ranks {
-		go func(rk *Rank) {
+// each runs fn concurrently on every member and waits; fn may use the
+// member's Comm (collectives included).
+func (s *Simulation) each(fn func(rs *RankSim)) {
+	s.wg.Add(len(s.sims))
+	for _, rs := range s.sims {
+		go func(rs *RankSim) {
 			defer s.wg.Done()
-			fn(rk)
-		}(rk)
+			fn(rs)
+		}(rs)
 	}
 	s.wg.Wait()
 }
 
-// Step advances the whole simulation by one time step.
-func (s *Simulation) Step() {
-	tNow := s.time
-	doClean := s.Cfg.CleanInterval > 0 && s.step > 0 && s.step%s.Cfg.CleanInterval == 0
-	stepNo := s.step
-	s.onAllRanks(func(rk *Rank) {
-		rk.stepOnce(&s.Cfg, tNow, stepNo, doClean)
+// Collect runs fn concurrently on every member of the simulation and
+// returns member 0's answer. It is how a caller holding a Simulation
+// reaches anything the members compute collectively: fn may call the
+// RankSim's collectives, which hand every member the same value.
+func Collect[T any](s *Simulation, fn func(*RankSim) T) T {
+	var out T
+	s.each(func(rs *RankSim) {
+		if v := fn(rs); rs.comm.Rank() == 0 {
+			out = v
+		}
 	})
-	s.step++
-	s.time += s.Cfg.DT
-	if s.Cfg.Balance.Mode == balance.Online && s.step%s.Cfg.Balance.Interval == 0 {
-		s.onAllRanks(func(rk *Rank) { rk.maybeReshapeX(&s.Cfg) })
-	}
+	return out
 }
+
+// Step advances the whole simulation by one time step: every member
+// takes its own RankSim.Step, synchronizing through the exchanges.
+func (s *Simulation) Step() { s.each((*RankSim).Step) }
 
 // Run advances n steps.
 func (s *Simulation) Run(n int) {
@@ -389,23 +384,23 @@ func (s *Simulation) Run(n int) {
 // sampling and periodic checkpoints, and cancellation implements
 // preemption.
 func (s *Simulation) RunContext(ctx context.Context, until int, progress func(step int)) error {
-	for s.step < until {
+	for s.StepCount() < until {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		s.Step()
 		if progress != nil {
-			progress(s.step)
+			progress(s.StepCount())
 		}
 	}
 	return nil
 }
 
 // StepCount returns the number of completed steps.
-func (s *Simulation) StepCount() int { return s.step }
+func (s *Simulation) StepCount() int { return s.sims[0].step }
 
 // Time returns the current simulation time.
-func (s *Simulation) Time() float64 { return s.time }
+func (s *Simulation) Time() float64 { return s.sims[0].time }
 
 // stepOnce is one rank's whole time step; all cross-rank interactions go
 // through the domain exchanges, which synchronize the ranks pairwise.
@@ -657,8 +652,7 @@ func (rk *Rank) clean(cfg *Config) {
 
 // depositAllRho adds every species' charge density into dst.
 func (rk *Rank) depositAllRho(dst []float32) {
-	for i, sp := range rk.Species {
-		_ = i
+	for _, sp := range rk.Species {
 		push.DepositRho(rk.D.G, sp.Buf, sp.Q, dst)
 	}
 }
@@ -668,73 +662,31 @@ func (rk *Rank) depositAllRho(dst []float32) {
 func (rk *Rank) Background() []float32 { return rk.rho0 }
 
 // --- Global diagnostics (call between steps only) ---
+//
+// The observables below are the members' collectives, reached through
+// Collect; see the RankSim methods for what each one computes.
 
 // Energy gathers the global energy sample.
-func (s *Simulation) Energy() diag.EnergySample {
-	sample := diag.EnergySample{
-		Step:    s.step,
-		Time:    s.time,
-		Kinetic: make([]float64, len(s.Cfg.Species)),
-	}
-	for _, rk := range s.Ranks {
-		sample.EField += rk.D.F.EnergyE()
-		sample.BField += rk.D.F.EnergyB()
-		for i, sp := range rk.Species {
-			sample.Kinetic[i] += sp.KineticEnergy()
-		}
-		_, dbe := rk.D.F.DivB(rk.scratch)
-		if dbe > sample.DivBError {
-			sample.DivBError = dbe
-		}
-	}
-	sample.Total = sample.EField + sample.BField
-	for _, k := range sample.Kinetic {
-		sample.Total += k
-	}
-	return sample
-}
+func (s *Simulation) Energy() diag.EnergySample { return Collect(s, (*RankSim).Energy) }
 
 // TotalParticles returns the global particle count.
-func (s *Simulation) TotalParticles() int {
-	n := 0
-	for _, rk := range s.Ranks {
-		for _, sp := range rk.Species {
-			n += sp.Buf.N()
-		}
-	}
-	return n
-}
+func (s *Simulation) TotalParticles() int { return Collect(s, (*RankSim).TotalParticles) }
 
 // PerRankParticles returns each rank's resident particle count (all
 // species), in rank order — the load balancer's observability surface.
-func (s *Simulation) PerRankParticles() []int {
-	out := make([]int, len(s.Ranks))
-	for r, rk := range s.Ranks {
-		for _, sp := range rk.Species {
-			out[r] += sp.Buf.N()
-		}
-	}
-	return out
-}
+func (s *Simulation) PerRankParticles() []int { return Collect(s, (*RankSim).PerRankParticles) }
 
 // ImbalanceRatio returns the max/mean of per-rank cumulative push
-// seconds — the measured critical-path imbalance (1 for a single rank
-// or before any pushing). Decisions use particle counts; this is the
-// observable the counts stand in for.
-func (s *Simulation) ImbalanceRatio() float64 {
-	secs := make([]float64, len(s.Ranks))
-	for r, rk := range s.Ranks {
-		secs[r] = rk.Perf.Elapsed(perf.Push).Seconds()
-	}
-	return balance.MaxOverMean(secs)
-}
+// seconds (1 for a single rank or before any pushing).
+func (s *Simulation) ImbalanceRatio() float64 { return Collect(s, (*RankSim).ImbalanceRatio) }
+
+// LostEnergy returns the kinetic energy absorbed at boundaries so far.
+func (s *Simulation) LostEnergy() float64 { return Collect(s, (*RankSim).LostEnergy) }
 
 // CutsX returns the current x-plane cuts (a copy): feed it back through
 // Config.CutsX to rebuild this exact geometry, e.g. when resuming a
 // rebalanced checkpoint bit-exactly.
-func (s *Simulation) CutsX() []int {
-	return append([]int(nil), s.Ranks[0].D.Cfg.Layout.CX...)
-}
+func (s *Simulation) CutsX() []int { return s.sims[0].CutsX() }
 
 // Flops returns the global inner-loop flop count so far.
 func (s *Simulation) Flops() int64 {
@@ -745,19 +697,6 @@ func (s *Simulation) Flops() int64 {
 		}
 	}
 	return n
-}
-
-// LostEnergy returns the kinetic energy carried away by particles
-// absorbed at boundaries since the start (or the last ResetStats),
-// closing the energy budget of bounded runs.
-func (s *Simulation) LostEnergy() float64 {
-	var e float64
-	for _, rk := range s.Ranks {
-		for _, k := range rk.Kernels {
-			e += k.ELost
-		}
-	}
-	return e
 }
 
 // PushedParticles returns the global count of particle advances so far.

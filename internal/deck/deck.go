@@ -12,33 +12,57 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/loader"
+	"govpic/internal/mp"
 	"govpic/internal/push"
 )
 
 // Deck bundles a configuration with an optional post-initialization
-// setup (perturbations applied to the loaded particles) and derived
-// quantities useful to the caller.
+// setup and derived quantities useful to the caller.
 type Deck struct {
-	Name  string
-	Cfg   core.Config
-	Setup func(*core.Simulation) error
+	Name string
+	Cfg  core.Config
+	// Setup, when set, finishes one rank's tile after it is built and
+	// initialized (a velocity perturbation on the loaded particles, a
+	// wall model on the kernels). It is local — it sees only that rank
+	// and must not communicate — so the deck runs unchanged on any
+	// world: New applies it to every rank, NewRank to the member's own.
+	Setup func(*core.Rank) error
 	// Notes carries derived numbers (ωpe, expected rates, probe
 	// positions...) keyed by short names.
 	Notes map[string]float64
 }
 
-// New builds the deck's simulation and applies its setup.
+// New builds the deck's simulation — all ranks in this process — and
+// applies its setup to every rank.
 func (d *Deck) New() (*core.Simulation, error) {
 	s, err := core.New(d.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	if d.Setup != nil {
-		if err := d.Setup(s); err != nil {
+	for _, rk := range s.Ranks {
+		if err := d.setup(rk); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// NewRank builds this process's member of the deck's world on comm and
+// applies the setup to its rank. Collective: every rank of the world
+// must call it concurrently (core.NewRankSim).
+func (d *Deck) NewRank(comm *mp.Comm) (*core.RankSim, error) {
+	rs, err := core.NewRankSim(d.Cfg, comm)
+	if err != nil {
+		return nil, err
+	}
+	return rs, d.setup(rs.Rank)
+}
+
+func (d *Deck) setup(rk *core.Rank) error {
+	if d.Setup == nil {
+		return nil
+	}
+	return d.Setup(rk)
 }
 
 var allWrap = [6]push.Action{push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap}
@@ -137,8 +161,8 @@ func PlasmaOscillation(nx, ppc int, n0 float64) Deck {
 		Cfg:   cfg,
 		Notes: map[string]float64{"wpe": math.Sqrt(n0)},
 	}
-	d.Setup = func(s *core.Simulation) error {
-		return PerturbVelocity(s, 0, 0.01, 1)
+	d.Setup = func(rk *core.Rank) error {
+		return PerturbVelocity(rk, 0, 0.01, 1)
 	}
 	return d
 }
@@ -247,29 +271,28 @@ func Landau(nx, ppc, mode int, n0, uth, amp float64) Deck {
 			"kLD": k * uth / wpe,
 		},
 	}
-	d.Setup = func(s *core.Simulation) error {
-		return PerturbVelocity(s, 0, amp, mode)
+	d.Setup = func(rk *core.Rank) error {
+		return PerturbVelocity(rk, 0, amp, mode)
 	}
 	return d
 }
 
 // PerturbVelocity adds ux += amp·sin(2π·mode·x/Lx) to every particle of
-// the species (across all ranks) — the standard standing-wave seed.
-func PerturbVelocity(s *core.Simulation, speciesIdx int, amp float64, mode int) error {
-	if speciesIdx < 0 || speciesIdx >= len(s.Cfg.Species) {
+// the species on this rank, x and Lx being global — the standard
+// standing-wave seed, applied rank by rank.
+func PerturbVelocity(rk *core.Rank, speciesIdx int, amp float64, mode int) error {
+	if speciesIdx < 0 || speciesIdx >= len(rk.Species) {
 		return fmt.Errorf("deck: species index %d out of range", speciesIdx)
 	}
-	lx := float64(s.Cfg.NX) * s.Cfg.DX
+	g := rk.D.G
+	lx := float64(rk.D.Cfg.Layout.Dec.GNX) * g.DX
 	k := 2 * math.Pi * float64(mode) / lx
-	for _, rk := range s.Ranks {
-		g := rk.D.G
-		buf := rk.Species[speciesIdx].Buf
-		for i := 0; i < buf.N(); i++ {
-			p := buf.At(i)
-			x, _, _ := g.Position(int(p.Voxel), p.Dx, p.Dy, p.Dz)
-			p.Ux += float32(amp * math.Sin(k*x))
-			buf.Set(i, p)
-		}
+	buf := rk.Species[speciesIdx].Buf
+	for i := 0; i < buf.N(); i++ {
+		p := buf.At(i)
+		x, _, _ := g.Position(int(p.Voxel), p.Dx, p.Dy, p.Dz)
+		p.Ux += float32(amp * math.Sin(k*x))
+		buf.Set(i, p)
 	}
 	return nil
 }

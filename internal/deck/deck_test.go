@@ -186,7 +186,7 @@ func TestPerturbVelocityValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PerturbVelocity(s, 5, 0.01, 1); err == nil {
+	if err := PerturbVelocity(s.Ranks[0], 5, 0.01, 1); err == nil {
 		t.Fatal("accepted bad species index")
 	}
 }

@@ -16,6 +16,30 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("deck: field %q = %g: %s", e.Field, e.Value, e.Reason)
 }
 
+// maxCellsPerLength bounds the cells any one deck length may span. A
+// box is the sum of a handful of lengths, so its cell count stays far
+// inside int and the float → int conversion that sizes the grid cannot
+// overflow (1e300 c/ω0 used to reach grid.MustNew as a negative count).
+const maxCellsPerLength = 1 << 22
+
+// namedLength is one deck length under its config-field name.
+type namedLength struct {
+	field string
+	value float64
+}
+
+// checkLengths rejects, by field name, the first length that is not a
+// number or spans more than maxCellsPerLength cells of size dx.
+func checkLengths(dx float64, lengths ...namedLength) error {
+	for _, l := range lengths {
+		if !(l.value/dx <= maxCellsPerLength) {
+			return &ConfigError{Field: l.field, Value: l.value,
+				Reason: fmt.Sprintf("spans more than %d cells of %g", maxCellsPerLength, dx)}
+		}
+	}
+	return nil
+}
+
 // SpeciesError is a typed rejection of one species parameter in a
 // built deck: a zero or negative mass or particle count, or a zero
 // charge, whichever builder produced it. Every deck a config constructs

@@ -25,6 +25,11 @@ func TestBuildTypedConfigErrors(t *testing.T) {
 		{`{"deck":"tnsa","steps":10,"a0":5,"contam_thickness":-0.5}`, "contam_thickness"},
 		{`{"deck":"lpi","steps":10,"a0":0.02,"ion_m":-1}`, "ion_m"},
 		{`{"deck":"tnsa","steps":10,"a0":5,"n0":0.5}`, "n0"}, // underdense target
+		// Lengths whose cell count overflows int used to panic in
+		// grid.MustNew (through vpicd: a handler panic, not a 400).
+		{`{"deck":"lpi","a0":0.05,"steps":10,"plateau_length":1e300}`, "plateau_length"},
+		{`{"deck":"tnsa","a0":5,"steps":10,"target_thickness":1e300}`, "target_thickness"},
+		{`{"deck":"tnsa","a0":5,"steps":10,"contam_thickness":1e12}`, "contam_thickness"},
 	}
 	for _, tc := range cases {
 		_, _, err := FromJSON(strings.NewReader(tc.json))

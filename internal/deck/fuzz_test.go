@@ -12,7 +12,7 @@ import (
 // strict decode + Expand + Build (vpicd's submit handler) — and requires
 // that neither panics and that whatever they accept is a deck whose
 // Cfg.Validate() passes. Only parsing and validation run: no simulation
-// is constructed, sizes are capped, and at most maxBuilt members of a
+// is constructed, counts are capped, and at most maxBuilt members of a
 // sweep are built. `go test` runs the seed corpus;
 // `go test -fuzz=FromJSON ./internal/deck` explores.
 func FuzzFromJSON(f *testing.F) {
@@ -32,23 +32,20 @@ func FuzzFromJSON(f *testing.F) {
 		`{"deck":"thermal","steps":10,"lanes":1}`,
 		`{"deck":"thermal","steps":10,"kernel":"avx512","balance_interval":-1}`,
 		`{"deck":"lpi","steps":10,"a0":0.05,"balance":"online"}`,
+		`{"deck":"lpi","steps":10,"a0":0.05,"plateau_length":1e300}`,
+		`{"deck":"tnsa","steps":10,"a0":5,"target_thickness":1e300,"contam_thickness":1e18}`,
 	} {
 		f.Add(cfg, `{}`)
 	}
 	f.Add(`{"deck":"thermal","steps":200,"nx":32,"ppc":64}`, `{"uth":[0.03,0.05],"nx":[16,32]}`)
 	f.Add(`{"deck":"lpi","steps":10}`, `{"a0":[0.02,0.05,0.07]}`)
 
-	// Sizes are capped before anything is built: cell counts derived
-	// from astronomically large lengths overflow int in the builders'
-	// own arithmetic, which is a bounds question for the config layer,
-	// not what this target explores.
-	const maxBuilt, maxCount, maxLength = 8, 1 << 16, 1e4
+	// Counts are capped only to bound how long a build takes; lengths
+	// are not, so the builders' own bounds (checkLengths) are explored.
+	const maxBuilt, maxCount = 8, 1 << 16
 	capSizes := func(c *JSONConfig) {
 		for _, n := range []*int{&c.NX, &c.PPC, &c.Ranks, &c.TransverseCells, &c.Mode} {
 			*n = min(*n, maxCount)
-		}
-		for _, l := range []*float64{&c.PlateauLength, &c.TargetThickness, &c.ContamThickness} {
-			*l = min(*l, maxLength)
 		}
 	}
 	accepted := func(t *testing.T, d Deck) {

@@ -93,6 +93,10 @@ func LPI(p LPIParams) (Deck, error) {
 		return Deck{}, err
 	}
 
+	if err := checkLengths(p.DX, namedLength{"plateau_length", p.PlateauLength},
+		namedLength{"ramp_length", p.RampLength}, namedLength{"vacuum_length", p.VacuumLength}); err != nil {
+		return Deck{}, err
+	}
 	total := 2*p.VacuumLength + 2*p.RampLength + p.PlateauLength
 	nx := int(math.Round(total / p.DX))
 	if p.NRanks > 1 {
@@ -186,22 +190,27 @@ func LPI(p LPIParams) (Deck, error) {
 	d.Cfg.Lasers = []*laser.Antenna{pump, seedAnt}
 
 	if p.RefluxWalls {
-		// Switch the x walls from absorption to thermal re-emission once
-		// the simulation is built (the kernels exist only then).
-		uthW := [3]float32{float32(uth), float32(uth), float32(uth)}
-		d.Setup = func(s *core.Simulation) error {
-			for _, rk := range s.Ranks {
-				for _, k := range rk.Kernels {
-					if !rk.D.Remote(field.XLo) {
-						k.EnableReflux(int(field.XLo), push.RefluxParams{Uth: uthW})
-					}
-					if !rk.D.Remote(field.XHi) {
-						k.EnableReflux(int(field.XHi), push.RefluxParams{Uth: uthW})
-					}
-				}
-			}
-			return nil
+		uthW := make([][3]float32, len(cfg.Species))
+		for i := range uthW {
+			uthW[i] = [3]float32{float32(uth), float32(uth), float32(uth)}
 		}
+		d.Setup = refluxXWalls(uthW)
 	}
 	return d, nil
+}
+
+// refluxXWalls returns the Setup hook that switches a rank's local x
+// walls from absorption to thermal re-emission (species si re-emitted
+// at uth[si]) — after the build, because the kernels exist only then.
+func refluxXWalls(uth [][3]float32) func(*core.Rank) error {
+	return func(rk *core.Rank) error {
+		for si, k := range rk.Kernels {
+			for _, face := range []field.Face{field.XLo, field.XHi} {
+				if !rk.D.Remote(face) {
+					k.EnableReflux(int(face), push.RefluxParams{Uth: uth[si]})
+				}
+			}
+		}
+		return nil
+	}
 }

@@ -111,6 +111,11 @@ func TNSA(p TNSAParams) (Deck, error) {
 			Reason: "cell does not resolve the target Debye length " + fmtG(lambdaD)}
 	}
 
+	if err := checkLengths(p.DX, namedLength{"target_thickness", p.TargetThickness},
+		namedLength{"contam_thickness", p.ContamThickness},
+		namedLength{"front_vacuum", p.FrontVacuum}, namedLength{"rear_vacuum", p.RearVacuum}); err != nil {
+		return Deck{}, err
+	}
 	total := p.FrontVacuum + p.TargetThickness + p.ContamThickness + p.RearVacuum
 	nx := int(math.Round(total / p.DX))
 	if p.NRanks > 1 {
@@ -221,19 +226,7 @@ func TNSA(p TNSAParams) (Deck, error) {
 			{float32(uthI), float32(uthI), float32(uthI)},
 			{float32(uthP), float32(uthP), float32(uthP)},
 		}
-		d.Setup = func(s *core.Simulation) error {
-			for _, rk := range s.Ranks {
-				for si, k := range rk.Kernels {
-					if !rk.D.Remote(field.XLo) {
-						k.EnableReflux(int(field.XLo), push.RefluxParams{Uth: uthW[si]})
-					}
-					if !rk.D.Remote(field.XHi) {
-						k.EnableReflux(int(field.XHi), push.RefluxParams{Uth: uthW[si]})
-					}
-				}
-			}
-			return nil
-		}
+		d.Setup = refluxXWalls(uthW)
 	}
 	return d, nil
 }

@@ -7,6 +7,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -62,23 +63,30 @@ type Result struct {
 	Wall    time.Duration
 }
 
+// NewRankReport builds this member's report from its current state.
+func NewRankReport(rs *core.RankSim) RankReport {
+	pb := rs.PerfBreakdown()
+	return RankReport{
+		Rank:               rs.Comm().Rank(),
+		CRC:                fmt.Sprintf("%08x", rs.StateCRC()),
+		Links:              rs.CommLinks(),
+		Classes:            rs.CommTraffic(),
+		CommWaitSeconds:    pb.CommWait().Seconds(),
+		CommOverlapSeconds: pb.CommOverlap().Seconds(),
+	}
+}
+
 // Run executes the deck for the given number of steps as rank c.Rank of
 // a c.Ranks world, sampling the global energy every `every` steps.
-// Decks needing global setup (a *core.Simulation hook) cannot run
-// distributed and are rejected. logf, when non-nil, receives progress
-// lines.
+// logf, when non-nil, receives progress lines.
 func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args ...any)) (res *Result, err error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if dk.Setup != nil {
-		return nil, fmt.Errorf("dist: deck %q needs global setup and cannot run distributed", dk.Name)
-	}
 	if c.Ranks < 1 || c.Rank < 0 || c.Rank >= c.Ranks {
 		return nil, fmt.Errorf("dist: rank %d outside world of size %d", c.Rank, c.Ranks)
 	}
-	cfg := dk.Cfg
-	cfg.NRanks = c.Ranks
+	dk.Cfg.NRanks = c.Ranks
 
 	tr, err := transport.Connect(c.Rank, c.Ranks, c.Join, c.Listen, c.Transport)
 	if err != nil {
@@ -101,7 +109,7 @@ func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args
 	}()
 
 	comm := mp.NewComm(tr)
-	rs, err := core.NewRankSim(cfg, comm)
+	rs, err := dk.NewRank(comm)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d: %w", c.Rank, err)
 	}
@@ -109,27 +117,20 @@ func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args
 	result := &Result{Rank: c.Rank, Ranks: c.Ranks, Steps: steps}
 	result.History.Add(rs.Energy())
 	start := time.Now()
-	for s := 0; s < steps; s++ {
-		rs.Step()
-		if every > 0 && (s+1)%every == 0 {
+	// The signature carries no context; a dead peer ends the run through
+	// the transport's failure detector, not through cancellation.
+	_ = rs.RunContext(context.TODO(), steps, func(step int) {
+		if every > 0 && step%every == 0 {
 			result.History.Add(rs.Energy())
 		}
-	}
+	})
 	result.Wall = time.Since(start)
 	logf("rank %d finished %d steps in %s", c.Rank, steps, result.Wall.Round(time.Millisecond))
 
 	// End-of-run report exchange: gather to rank 0, broadcast the full
 	// set, so every process can verify CRC agreement locally.
 	comm.Barrier()
-	pb := rs.PerfBreakdown()
-	mine := RankReport{
-		Rank:               c.Rank,
-		CRC:                fmt.Sprintf("%08x", rs.StateCRC()),
-		Links:              rs.CommLinks(),
-		Classes:            rs.CommTraffic(),
-		CommWaitSeconds:    pb.CommWait().Seconds(),
-		CommOverlapSeconds: pb.CommOverlap().Seconds(),
-	}
+	mine := NewRankReport(rs)
 	if c.Rank == 0 {
 		reports := make([]RankReport, c.Ranks)
 		reports[0] = mine

@@ -7,9 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/grid"
+	"govpic/internal/mp"
+	"govpic/internal/push"
 	"govpic/internal/transport"
 )
 
@@ -123,13 +124,89 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestRejectsSetupDecks: decks with a global-setup hook cannot run
-// distributed and must be refused up front.
-func TestRejectsSetupDecks(t *testing.T) {
-	dk := deck.Thermal(8, 4, 4, 8, 2, 0.2, 0.05)
-	dk.Setup = func(*core.Simulation) error { return nil }
-	_, err := Run(dk, 1, 1, Config{Rank: 0, Ranks: 2, Join: "127.0.0.1:1"}, nil)
-	if err == nil {
-		t.Fatal("deck with Setup must be rejected")
+// runTCP runs spec as a loopback-TCP world, one Run per rank, and
+// returns rank 0's view of every rank's CRC.
+func runTCP(t *testing.T, spec deck.JSONConfig, ranks int) []uint32 {
+	t.Helper()
+	join := freeAddr(t)
+	results := make([]*Result, ranks)
+	errs := make([]error, ranks)
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			dk, err := spec.Build()
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			results[rank], errs[rank] = Run(dk, spec.Steps, spec.Steps, Config{
+				Rank: rank, Ranks: ranks, Join: join, Listen: "127.0.0.1:0",
+				Transport: transport.Options{RendezvousTimeout: 20 * time.Second},
+			}, nil)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return results[0].CRCs
+}
+
+// TestSetupDecksRunOnEveryWorld: a deck's Setup hook is per-rank and
+// local, so a deck that has one runs on any world. The reflux-walls LPI
+// deck (kernels switched to thermal re-emission) on 2 ranks and the
+// oscillation deck (PerturbVelocity) on 1 must leave identical per-rank
+// CRCs from the lockstep Simulation (Deck.New), from free-running
+// members on an in-process world (Deck.NewRank under mp.Run) and from
+// dist.Run over loopback TCP — on both kernels.
+func TestSetupDecksRunOnEveryWorld(t *testing.T) {
+	kernels := []string{push.KernelGo}
+	if push.AsmAvailable() {
+		kernels = append(kernels, push.KernelAsm)
+	}
+	for _, spec := range []deck.JSONConfig{
+		{Deck: "lpi", A0: 0.05, Ranks: 2, RefluxWalls: true, PPC: 16, Steps: 20},
+		{Deck: "oscillation", NX: 32, PPC: 16, Steps: 20},
+	} {
+		for _, kernel := range kernels {
+			spec.Kernel = kernel
+			dk, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dk.Setup == nil {
+				t.Fatalf("%s deck has no Setup hook: the test would prove nothing", spec.Deck)
+			}
+			ranks := dk.Cfg.NRanks
+
+			sim, err := dk.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Run(spec.Steps)
+			want := sim.StateCRCs()
+
+			free := make([]uint32, ranks)
+			mp.Run(ranks, func(comm *mp.Comm) {
+				rs, err := dk.NewRank(comm)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rs.Run(spec.Steps)
+				free[comm.Rank()] = rs.StateCRC()
+			})
+			tcp := runTCP(t, spec, ranks)
+			for r := range want {
+				if free[r] != want[r] || tcp[r] != want[r] {
+					t.Errorf("%s/%s rank %d: CRC %08x lockstep, %08x free-running, %08x TCP",
+						spec.Deck, kernel, r, want[r], free[r], tcp[r])
+				}
+			}
+		}
 	}
 }

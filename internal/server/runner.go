@@ -101,15 +101,19 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	}
 
 	// Resume from the latest checkpoint if the spool has one. A
-	// checkpoint written under rebalanced partition planes restores via
-	// the layout-aware path (exact geometry when possible, re-binned
-	// otherwise). A corrupt or truncated checkpoint (CRC-rejected) falls
-	// back to a fresh start: determinism makes re-running from step 0
-	// merely slower, not wrong.
+	// checkpoint written under different partition planes (Tier A wrote
+	// it mid-rebalance, or the job relocated from a host that chose
+	// another layout) restores through core's layout-aware Resume. A
+	// corrupt or truncated checkpoint (CRC-rejected) falls back to a
+	// fresh start: determinism makes re-running from step 0 merely
+	// slower, not wrong.
 	if f, oerr := os.Open(s.spool.checkpointPath(j.ID)); oerr == nil {
-		var rerr error
-		sim, rerr = s.restoreLayoutAware(j, d, sim, f)
+		resumed, note, rerr := sim.Resume(f)
 		f.Close()
+		sim = resumed
+		if note != "" {
+			s.cfg.Logf("vpicd: %s %s", j.ID, note)
+		}
 		if rerr != nil {
 			s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, rerr)
 			if sim, err = d.New(); err != nil {
@@ -281,41 +285,6 @@ func attest(d deck.Deck, samples []diag.EnergySample) PhysicsAttestation {
 	att.Pass = att.Finite && att.MaxDivBError <= 1e-7 &&
 		(att.Driven || math.Abs(att.EnergyDrift) <= 0.05)
 	return att
-}
-
-// restoreLayoutAware restores a spooled checkpoint whose partition
-// planes may differ from the fresh simulation's (Tier A wrote it
-// mid-rebalance, or the job relocated to a host that chose a different
-// initial layout). The recorded geometry is preferred — a bit-exact
-// resume — falling back to re-binning into the current layout, then to
-// the caller's fresh-start path for any other error.
-func (s *Server) restoreLayoutAware(j *Job, d deck.Deck, sim *core.Simulation, f *os.File) (*core.Simulation, error) {
-	err := sim.Restore(f)
-	var lme *core.LayoutMismatchError
-	if !errors.As(err, &lme) {
-		return sim, err
-	}
-	if lme.Layout.Dec.PX == d.Cfg.NRanks {
-		cfg2 := d.Cfg
-		cfg2.CutsX = append([]int(nil), lme.Layout.CX...)
-		if s2, err2 := core.New(cfg2); err2 == nil {
-			if _, err2 = f.Seek(0, io.SeekStart); err2 != nil {
-				return sim, err2
-			}
-			if err2 = s2.Restore(f); err2 == nil {
-				s.cfg.Logf("vpicd: %s resumed into recorded x-cuts %v", j.ID, cfg2.CutsX)
-				return s2, nil
-			}
-		}
-	}
-	if _, err = f.Seek(0, io.SeekStart); err != nil {
-		return sim, err
-	}
-	if err = sim.RestoreRebin(f); err != nil {
-		return sim, err
-	}
-	s.cfg.Logf("vpicd: %s re-binned checkpoint cuts %v into the current layout", j.ID, lme.Layout.CX)
-	return sim, nil
 }
 
 // saveCheckpoint writes the history/checkpoint pair atomically, in

@@ -5,42 +5,25 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/diag"
-	"govpic/internal/mp"
 )
 
-// Probe is the observable surface a case measures through. Two
-// implementations exist: simProbe wraps an in-process all-ranks
-// core.Simulation; rankProbe wraps one member of a core.RankSim world
-// and reduces every global observable collectively, so a case runs
-// unchanged whether the ranks live in one process or many.
-type Probe interface {
-	// Step advances one time step (collective under RankSim).
-	Step()
-	StepCount() int
-	Time() float64
-	// Energy returns the global energy sample (field, per-species
-	// kinetic, total, div-B error).
-	Energy() diag.EnergySample
-	// LostEnergy is the kinetic energy absorbed at walls since start.
-	LostEnergy() float64
-	// TotalParticles is the global resident particle count.
-	TotalParticles() float64
-	// ModeProjectEx projects Ex onto sin(2π·mode·x/Lx) over the global
-	// box — the standing Langmuir-wave amplitude of the seeded decks.
-	ModeProjectEx(mode int) float64
-	// SpectrumKE histograms species sp's kinetic energy (me·c² units,
-	// weighted by particle weight) into bins over [0, emax]; overflow
-	// lands in the last bin.
-	SpectrumKE(sp int, emax float64, bins int) []float64
-	// MaxKE is the global maximum kinetic energy of species sp in
-	// me·c² units.
-	MaxKE(sp int) float64
-	// TailKE returns the weighted mean excess energy ⟨KE − cut⟩ and
-	// total weight of species sp particles with KE > cut: for an
-	// exponential (Maxwellian) tail dN/dE ∝ exp(−E/T) the mean excess
-	// IS the tail temperature T.
-	TailKE(sp int, cut float64) (mean, weight float64)
+// Probe is the observable surface a case measures through: one member
+// of a world (core.RankSim) plus the physics extractors the cases need.
+// Step, StepCount, Time, Energy, LostEnergy and TotalParticles are the
+// member's own; the extractors below reduce each rank's share through
+// the member's communicator. Everything global is a collective, so all
+// members must call the same probe methods in the same order (the usual
+// SPMD contract) — which RunCase guarantees by running the case's
+// Observe on every member.
+type Probe struct {
+	*core.RankSim
 }
+
+// NewProbe wraps one member of a world in the observable surface;
+// examples and tests extract spectra and tail temperatures through the
+// same code the validation cases use (core.Collect reaches the members
+// of an in-process Simulation).
+func NewProbe(rs *core.RankSim) Probe { return Probe{rs} }
 
 // kineticEnergy returns m(γ−1) for normalized momentum components.
 func kineticEnergy(m float64, ux, uy, uz float32) float64 {
@@ -50,114 +33,37 @@ func kineticEnergy(m float64, ux, uy, uz float32) float64 {
 	return m * u2 / (gamma + 1)
 }
 
-// NewSimProbe wraps an in-process simulation in the observable surface
-// — examples and tests extract spectra and tail temperatures through
-// the same code paths the validation cases use.
-func NewSimProbe(s *core.Simulation) Probe { return &simProbe{s: s} }
-
-// NewRankProbe wraps one member of a RankSim world; every observable
-// is a collective over comm.
-func NewRankProbe(rs *core.RankSim, comm *mp.Comm) Probe {
-	return &rankProbe{rs: rs, comm: comm}
+// ModeProjectEx projects Ex onto sin(2π·mode·x/Lx) over the global box
+// — the standing Langmuir-wave amplitude of the seeded decks.
+func (p Probe) ModeProjectEx(mode int) float64 {
+	lx := float64(p.Cfg.NX) * p.Cfg.DX
+	re := modeProjectLocal(p.Rank, mode, lx)
+	return p.Comm().AllreduceSum(re) * 2 / float64(p.Cfg.NX)
 }
 
-// simProbe adapts an in-process all-ranks simulation.
-type simProbe struct {
-	s *core.Simulation
-}
-
-func (p *simProbe) Step()                     { p.s.Step() }
-func (p *simProbe) StepCount() int            { return p.s.StepCount() }
-func (p *simProbe) Time() float64             { return p.s.Time() }
-func (p *simProbe) Energy() diag.EnergySample { return p.s.Energy() }
-func (p *simProbe) LostEnergy() float64       { return p.s.LostEnergy() }
-func (p *simProbe) TotalParticles() float64   { return float64(p.s.TotalParticles()) }
-
-func (p *simProbe) ModeProjectEx(mode int) float64 {
-	lx := float64(p.s.Cfg.NX) * p.s.Cfg.DX
-	var re float64
-	for _, rk := range p.s.Ranks {
-		re += modeProjectLocal(rk, mode, lx)
-	}
-	return re * 2 / float64(p.s.Cfg.NX)
-}
-
-func (p *simProbe) SpectrumKE(sp int, emax float64, bins int) []float64 {
+// SpectrumKE histograms species sp's kinetic energy (me·c² units,
+// weighted by particle weight) into bins over [0, emax]; overflow lands
+// in the last bin.
+func (p Probe) SpectrumKE(sp int, emax float64, bins int) []float64 {
 	hist := make([]float64, bins)
-	for _, rk := range p.s.Ranks {
-		spectrumLocal(rk, sp, emax, hist)
-	}
-	return hist
+	spectrumLocal(p.Rank, sp, emax, hist)
+	return p.Comm().AllreduceSumF64s(hist)
 }
 
-func (p *simProbe) MaxKE(sp int) float64 {
-	var m float64
-	for _, rk := range p.s.Ranks {
-		m = math.Max(m, maxKELocal(rk, sp))
-	}
-	return m
+// MaxKE is the global maximum kinetic energy of species sp in me·c²
+// units.
+func (p Probe) MaxKE(sp int) float64 {
+	return p.Comm().AllreduceMax(maxKELocal(p.Rank, sp))
 }
 
-func (p *simProbe) TailKE(sp int, cut float64) (float64, float64) {
+// TailKE returns the weighted mean excess energy ⟨KE − cut⟩ and total
+// weight of species sp particles with KE > cut: for an exponential
+// (Maxwellian) tail dN/dE ∝ exp(−E/T) the mean excess IS the tail
+// temperature T.
+func (p Probe) TailKE(sp int, cut float64) (mean, weight float64) {
 	var sums [2]float64
-	for _, rk := range p.s.Ranks {
-		tailLocal(rk, sp, cut, &sums)
-	}
-	if sums[0] == 0 {
-		return 0, 0
-	}
-	return sums[1] / sums[0], sums[0]
-}
-
-// rankProbe adapts one member of a RankSim world; every observable is
-// a collective over comm, so all members must call the same probe
-// methods in the same order (the usual SPMD contract).
-type rankProbe struct {
-	rs   *core.RankSim
-	comm *mp.Comm
-}
-
-func (p *rankProbe) Step()                     { p.rs.Step() }
-func (p *rankProbe) StepCount() int            { return p.rs.StepCount() }
-func (p *rankProbe) Time() float64             { return p.rs.Time() }
-func (p *rankProbe) Energy() diag.EnergySample { return p.rs.Energy() }
-
-func (p *rankProbe) LostEnergy() float64 {
-	var e float64
-	for _, k := range p.rs.Rank.Kernels {
-		e += k.ELost
-	}
-	return p.comm.AllreduceSum(e)
-}
-
-func (p *rankProbe) TotalParticles() float64 {
-	n := 0
-	for _, sp := range p.rs.Rank.Species {
-		n += sp.Buf.N()
-	}
-	return float64(p.comm.AllreduceSumInt(int64(n)))
-}
-
-func (p *rankProbe) ModeProjectEx(mode int) float64 {
-	lx := float64(p.rs.Cfg.NX) * p.rs.Cfg.DX
-	re := modeProjectLocal(p.rs.Rank, mode, lx)
-	return p.comm.AllreduceSum(re) * 2 / float64(p.rs.Cfg.NX)
-}
-
-func (p *rankProbe) SpectrumKE(sp int, emax float64, bins int) []float64 {
-	hist := make([]float64, bins)
-	spectrumLocal(p.rs.Rank, sp, emax, hist)
-	return p.comm.AllreduceSumF64s(hist)
-}
-
-func (p *rankProbe) MaxKE(sp int) float64 {
-	return p.comm.AllreduceMax(maxKELocal(p.rs.Rank, sp))
-}
-
-func (p *rankProbe) TailKE(sp int, cut float64) (float64, float64) {
-	var sums [2]float64
-	tailLocal(p.rs.Rank, sp, cut, &sums)
-	g := p.comm.AllreduceSumF64s(sums[:])
+	tailLocal(p.Rank, sp, cut, &sums)
+	g := p.Comm().AllreduceSumF64s(sums[:])
 	if g[0] == 0 {
 		return 0, 0
 	}

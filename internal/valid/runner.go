@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/mp"
 )
@@ -38,8 +37,11 @@ type Report struct {
 	Cases   []CaseResult `json:"cases"`
 }
 
-// RunCase executes one case on an in-process all-ranks simulation
-// (Spec.Ranks > 1 decomposes inside the process).
+// RunCase executes one case on an in-process world of as many members
+// as its deck decomposes into (Spec.Ranks, unless the builder pins the
+// rank count): every member builds its rank through Deck.NewRank and
+// runs the case's Observe, whose observables are collectives; member
+// 0's result is the case's.
 func RunCase(c Case) CaseResult {
 	start := time.Now()
 	res := CaseResult{Name: c.Name, About: c.About, Tier: string(c.Tier)}
@@ -47,47 +49,19 @@ func RunCase(c Case) CaseResult {
 	if err != nil {
 		return res.fail(start, fmt.Errorf("build deck: %w", err))
 	}
-	sim, err := d.New()
-	if err != nil {
-		return res.fail(start, fmt.Errorf("new simulation: %w", err))
-	}
-	return res.finish(start, c, d, &simProbe{s: sim})
-}
-
-// RunCaseRanks executes one case as one member of a RankSim world: the
-// caller provides this member's communicator, and every member must
-// call RunCaseRanks with the same case (the probe's observables are
-// collectives). Cases whose decks need an in-process Setup hook are
-// rejected — Setup receives a *core.Simulation, which does not exist on
-// the distributed path.
-func RunCaseRanks(c Case, comm *mp.Comm) CaseResult {
-	start := time.Now()
-	res := CaseResult{Name: c.Name, About: c.About, Tier: string(c.Tier)}
-	spec := c.Spec
-	spec.Ranks = comm.Size()
-	d, err := spec.Build()
-	if err != nil {
-		return res.fail(start, fmt.Errorf("build deck: %w", err))
-	}
-	if d.Setup != nil {
-		return res.fail(start, fmt.Errorf("case %s needs an in-process setup hook; run it with RunCase", c.Name))
-	}
-	rs, err := core.NewRankSim(d.Cfg, comm)
-	if err != nil {
-		return res.fail(start, fmt.Errorf("new rank sim: %w", err))
-	}
-	return res.finish(start, c, d, &rankProbe{rs: rs, comm: comm})
-}
-
-// CanRunRanks reports whether the case can run on the distributed
-// RankSim path with n members: its deck must build, decompose to n
-// ranks (some calibration decks pin NRanks to 1), and must not need an
-// in-process Setup hook.
-func CanRunRanks(c Case, n int) bool {
-	spec := c.Spec
-	spec.Ranks = n
-	d, err := spec.Build()
-	return err == nil && d.Setup == nil && d.Cfg.NRanks == n
+	var out CaseResult
+	mp.Run(d.Cfg.NRanks, func(comm *mp.Comm) {
+		var r CaseResult
+		if rs, err := d.NewRank(comm); err != nil {
+			r = res.fail(start, fmt.Errorf("new rank sim: %w", err))
+		} else {
+			r = res.finish(start, c, d, NewProbe(rs))
+		}
+		if comm.Rank() == 0 {
+			out = r
+		}
+	})
+	return out
 }
 
 func (res CaseResult) fail(start time.Time, err error) CaseResult {
@@ -126,17 +100,17 @@ func (res CaseResult) finish(start time.Time, c Case, d deck.Deck, p Probe) Case
 	return res
 }
 
-// RunSuite executes every case the tier includes, in registration
-// order, and assembles the report. logf (optional) receives one line
-// per case as it completes.
-func RunSuite(r *Registry, tier Tier, logf func(format string, args ...any)) Report {
+// RunSuite executes the cases in order (typically Registry.Cases(tier))
+// and assembles the report under that tier's name. logf (optional)
+// receives one line per case as it completes.
+func RunSuite(cases []Case, tier Tier, logf func(format string, args ...any)) Report {
 	start := time.Now()
 	rep := Report{
 		Date: time.Now().UTC().Format("2006-01-02"),
 		Tier: string(tier),
 		Pass: true,
 	}
-	for _, c := range r.Cases(tier) {
+	for _, c := range cases {
 		res := RunCase(c)
 		if !res.Pass {
 			rep.Pass = false

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"sync"
+	"reflect"
 	"testing"
 
 	"govpic/internal/core"
@@ -17,34 +17,26 @@ func tinySpec(steps int) deck.JSONConfig {
 	return deck.JSONConfig{Deck: "thermal", Steps: steps, NX: 16, PPC: 8, Ranks: 2, Workers: 1}
 }
 
-// TestProbeParitySimVsRanks runs the same deck through both probe
-// implementations — in-process all-ranks Simulation and a 2-member
-// RankSim world — and requires every observable to agree: the
-// collective reductions must reproduce the serial loop bit-for-bit
-// (same summation order), which is what lets a case run unchanged on
-// either path.
-func TestProbeParitySimVsRanks(t *testing.T) {
+// TestDriverParityLockstepVsFreeRunning runs the same deck under the
+// two ways a world of RankSims is driven — the lockstep in-process
+// Simulation, read through core.Collect, and free-running members under
+// mp.Run — and requires every observable to be identical on every
+// member: both sides run the same collectives, so anything short of
+// exact equality is a driver bug.
+func TestDriverParityLockstepVsFreeRunning(t *testing.T) {
 	const steps = 10
-	spec := tinySpec(steps)
-
-	d1, err := spec.Build()
+	d, err := tinySpec(steps).Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sim, err := d1.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := NewSimProbe(sim)
-	for i := 0; i < steps; i++ {
-		sp.Step()
 	}
 
 	type obs struct {
-		total, lost, particles, mode, maxKE, tailM, tailW float64
-		spectrum                                          []float64
+		total, lost, mode, maxKE, tailM, tailW float64
+		particles                              int
+		spectrum                               []float64
 	}
-	measure := func(p Probe) obs {
+	measure := func(rs *core.RankSim) obs {
+		p := NewProbe(rs)
 		e := p.Energy()
 		m, w := p.TailKE(0, 0.001)
 		return obs{
@@ -53,54 +45,31 @@ func TestProbeParitySimVsRanks(t *testing.T) {
 			spectrum: p.SpectrumKE(0, 0.02, 16),
 		}
 	}
-	want := measure(sp)
 
-	world := mp.NewWorld(2)
-	got := make([]obs, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			d, err := spec.Build()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rs, err := core.NewRankSim(d.Cfg, world.Comm(r))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			p := NewRankProbe(rs, world.Comm(r))
-			for i := 0; i < steps; i++ {
-				p.Step()
-			}
-			got[r] = measure(p)
-		}(r)
+	sim, err := d.New()
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	sim.Run(steps)
+	want := core.Collect(sim, measure)
 
-	for r := 0; r < 2; r++ {
-		g := got[r]
-		close := func(name string, a, b float64) {
-			if math.Abs(a-b) > 1e-12*math.Max(1, math.Abs(b)) {
-				t.Errorf("rank %d: %s = %g, sim probe says %g", r, name, a, b)
-			}
+	got := make([]obs, d.Cfg.NRanks)
+	mp.Run(d.Cfg.NRanks, func(comm *mp.Comm) {
+		rs, err := d.NewRank(comm)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		close("total energy", g.total, want.total)
-		close("lost energy", g.lost, want.lost)
-		close("particles", g.particles, want.particles)
-		close("mode projection", g.mode, want.mode)
-		close("max KE", g.maxKE, want.maxKE)
-		close("tail mean", g.tailM, want.tailM)
-		close("tail weight", g.tailW, want.tailW)
-		if len(g.spectrum) != len(want.spectrum) {
-			t.Fatalf("rank %d: spectrum bins %d vs %d", r, len(g.spectrum), len(want.spectrum))
+		rs.Run(steps)
+		got[comm.Rank()] = measure(rs)
+	})
+	for r, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Errorf("member %d: free-running %+v\nlockstep %+v", r, g, want)
 		}
-		for b := range g.spectrum {
-			close("spectrum bin", g.spectrum[b], want.spectrum[b])
-		}
+	}
+	if want.particles == 0 || want.total <= 0 || want.maxKE <= 0 {
+		t.Errorf("degenerate observables, the comparison proves nothing: %+v", want)
 	}
 }
 
@@ -112,7 +81,7 @@ func TestRunCaseEvaluatesChecks(t *testing.T) {
 				p.Step()
 			}
 			return Obs{Scalars: map[string]float64{
-				"particles": p.TotalParticles(),
+				"particles": float64(p.TotalParticles()),
 				"broken":    math.NaN(),
 			}}, nil
 		},
@@ -142,19 +111,28 @@ func TestRunCaseEvaluatesChecks(t *testing.T) {
 	}
 }
 
-func TestCanRunRanks(t *testing.T) {
-	free := Case{Name: "free", Tier: TierFast, Spec: tinySpec(2),
-		Observe: func(p Probe, d deck.Deck, steps int) (Obs, error) { return Obs{}, nil },
-		Checks:  func(d deck.Deck) ([]Check, error) { return nil, nil }}
-	if !CanRunRanks(free, 2) {
-		t.Error("thermal case rejected for a 2-rank world")
-	}
-	// twostream's builder pins NRanks to 1, so a 2-rank world must be
-	// rejected (it would build but not decompose).
-	pinned := free
-	pinned.Spec = deck.JSONConfig{Deck: "twostream", Steps: 2, NX: 32, PPC: 8}
-	if CanRunRanks(pinned, 2) {
-		t.Error("rank-pinned deck accepted for a 2-rank world")
+// TestRunCaseHonoursRanks: Spec.Ranks decomposes the case where its
+// deck allows, and a deck whose builder pins one rank (twostream) still
+// runs — on a 1-member world — instead of being refused or rerouted.
+func TestRunCaseHonoursRanks(t *testing.T) {
+	c := Case{Name: "ranks", Tier: TierFast, Spec: tinySpec(2),
+		Observe: func(p Probe, d deck.Deck, steps int) (Obs, error) {
+			return Obs{Scalars: map[string]float64{"members": float64(p.Comm().Size())}}, nil
+		},
+		Checks: func(d deck.Deck) ([]Check, error) { return nil, nil }}
+	for _, tc := range []struct {
+		spec deck.JSONConfig
+		want float64
+	}{
+		{tinySpec(2), 2},
+		{deck.JSONConfig{Deck: "twostream", Steps: 2, NX: 32, PPC: 8, Ranks: 2}, 1},
+	} {
+		c.Spec = tc.spec
+		res := RunCase(c)
+		if res.Error != "" || res.Observables["members"] != tc.want {
+			t.Errorf("%s: ran on %g members (error %q), want %g",
+				tc.spec.Deck, res.Observables["members"], res.Error, tc.want)
+		}
 	}
 }
 
