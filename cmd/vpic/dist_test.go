@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -187,14 +188,47 @@ func TestRemovedLanesFlagRejected(t *testing.T) {
 	}
 }
 
-// TestBalanceCheckpointDefaultInterval: -balance checkpoint without
-// -balance-interval used to divide by the unresolved zero interval in
-// the Tier A loop (defaults live only in the validated config). The
-// run must complete and report its rebalances.
-func TestBalanceCheckpointDefaultInterval(t *testing.T) {
+// TestBalanceCheckpointRejected: "checkpoint" selected the swap-and-
+// rebuild balancer until the online reshape learned to jump straight to
+// the bisection cuts; a script that still passes it must fail loudly
+// with the value and the accepted modes named, not run unbalanced.
+func TestBalanceCheckpointRejected(t *testing.T) {
 	out, err := vpicCmd("-deck", "spike", "-ranks", "2", "-nx", "32", "-ppc", "8",
 		"-steps", "12", "-balance", "checkpoint").CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "balance checkpoint:") {
-		t.Fatalf("vpic -balance checkpoint: err = %v\n%s", err, out)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), `"checkpoint"`) ||
+		!strings.Contains(string(out), "off|online") {
+		t.Fatalf("vpic -balance checkpoint: err = %v, want a non-zero exit naming the value and off|online\n%s", err, out)
+	}
+}
+
+// TestOnlineBalanceCRCMatchesTCP: the CI balance smoke's online spike
+// run — whose first check jumps the cuts off uniform — must write a
+// byte-identical state-CRC artifact in-process and as four TCP rank
+// processes, so the slab transfer is as transport-transparent as the
+// per-step exchanges.
+func TestOnlineBalanceCRCMatchesTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e")
+	}
+	dir := t.TempDir()
+	deckArgs := []string{"-deck", "spike", "-nx", "32", "-ppc", "8", "-steps", "40",
+		"-ranks", "4", "-balance=online", "-balance-interval", "2", "-balance-threshold", "1.15"}
+	var artifacts [2][]byte
+	for i, extra := range [][]string{nil, {"-local-ranks", "4"}} {
+		crc := filepath.Join(dir, fmt.Sprintf("crc-%d.json", i))
+		out, err := vpicCmd(append(append(append([]string{}, deckArgs...), extra...), "-state-crc", crc)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("run %v: %v\n%s", extra, err, out)
+		}
+		if i == 0 && strings.Contains(string(out), "x-cuts [0 8 16 24 32]") {
+			t.Fatalf("the online run never moved a cut:\n%s", out)
+		}
+		if artifacts[i], err = os.ReadFile(crc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(artifacts[0], artifacts[1]) {
+		t.Errorf("state CRC differs in-process vs TCP:\n%s\nvs\n%s", artifacts[0], artifacts[1])
 	}
 }

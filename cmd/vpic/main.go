@@ -28,7 +28,6 @@ import (
 	"govpic/internal/dist"
 	"govpic/internal/output"
 	"govpic/internal/perf"
-	psort "govpic/internal/sort"
 )
 
 func main() {
@@ -53,7 +52,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile here at the end")
 		benchJS = flag.String("bench-json", "", "write a machine-readable benchmark record: a .json path, or a directory for BENCH_<date>.json")
 
-		balMode = flag.String("balance", "", "dynamic load balancing: off | checkpoint | online (default: deck/config setting)")
+		balMode = flag.String("balance", "", "dynamic load balancing: off | online (default: deck/config setting)")
 		balInt  = flag.Int("balance-interval", 0, "steps between balance checks (0 = default 10)")
 		balThr  = flag.Float64("balance-threshold", 0, "max/mean particle imbalance that triggers a repartition (0 = default 1.25)")
 
@@ -176,29 +175,9 @@ func main() {
 		}
 		defer func() { pprof.StopCPUProfile(); f.Close() }()
 	}
-	// Tier A (checkpoint-boundary rebalancing) runs in the driver: at
-	// every balance interval the state is checkpointed to memory and
-	// re-binned into a bisection-optimal layout when imbalanced.
-	// Cumulative counters stay with the discarded simulation, so carry
-	// them across swaps. The interval comes from the validated config:
-	// only there are the defaults resolved.
-	var carry counterCarry
-	rebalances := 0
-	tierA := d.Cfg.Balance.Mode == balance.Checkpoint && d.Cfg.NRanks > 1
 	wallStart := time.Now()
 	for s := 0; s < *steps; s++ {
 		sim.Step()
-		if tierA && sim.StepCount()%sim.Cfg.Balance.Interval == 0 {
-			sim2, did, err := core.Rebalanced(sim)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if did {
-				carry.absorb(sim)
-				sim = sim2
-				rebalances++
-			}
-		}
 		if (s+1)%*every == 0 {
 			hist.Add(sim.Energy())
 		}
@@ -224,10 +203,8 @@ func main() {
 		last.Time, last.EField, last.BField, sum(last.Kinetic), last.Total)
 	fmt.Printf("relative energy drift: %.3g\n", hist.RelativeDrift())
 	b := sim.PerfBreakdown()
-	b.Merge(&carry.perf)
 	fmt.Print(b.Report())
 	sp := sim.SortPasses()
-	sp.Merge(carry.sort)
 	if tot := sp.CountSeconds + sp.MergeSeconds + sp.ScatterSeconds; tot > 0 {
 		fmt.Printf("sort passes: count %4.1f%%  merge %4.1f%%  scatter %4.1f%%  (%d sorts, %.3fs)\n",
 			100*sp.CountSeconds/tot, 100*sp.MergeSeconds/tot, 100*sp.ScatterSeconds/tot, sp.Sorts, tot)
@@ -238,8 +215,7 @@ func main() {
 			sim.PerRankParticles(), sim.ImbalanceRatio())
 	}
 	if d.Cfg.Balance.Mode != balance.Off {
-		fmt.Printf("balance %s: %d checkpoint rebalances, x-cuts %v\n",
-			d.Cfg.Balance.Mode, rebalances, sim.CutsX())
+		fmt.Printf("balance %s: x-cuts %v\n", d.Cfg.Balance.Mode, sim.CutsX())
 	}
 	if *stateCRC != "" {
 		if err := writeStateCRCFile(*stateCRC, d.Name, sim.StepCount(), d.Cfg.NRanks, sim.StateCRCs()); err != nil {
@@ -303,7 +279,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pushRate := perf.Rate(carry.pushed+sim.PushedParticles(), wall)
+		pushRate := perf.Rate(sim.PushedParticles(), wall)
 		err = output.WriteSummary(f, output.Summary{
 			Deck:      d.Name,
 			Steps:     sim.StepCount(),
@@ -313,7 +289,7 @@ func main() {
 			WallClock: wall.Seconds(),
 			Rates: map[string]float64{
 				"Mpart_per_s": pushRate / 1e6,
-				"Gflop_per_s": float64(carry.flops+sim.Flops()) / wall.Seconds() / 1e9,
+				"Gflop_per_s": float64(sim.Flops()) / wall.Seconds() / 1e9,
 			},
 			Energy: map[string]float64{
 				"total": last.Total, "field": last.EField + last.BField,
@@ -333,7 +309,6 @@ func main() {
 			path = filepath.Join(path, fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02")))
 		}
 		pb := sim.PerfBreakdown()
-		pb.Merge(&carry.perf)
 		stats := pb.Snapshot()
 		secs := make([]output.BenchSection, len(stats))
 		for i, st := range stats {
@@ -354,8 +329,8 @@ func main() {
 			CommWaitSeconds:    pb.CommWait().Seconds(),
 			CommOverlapSeconds: pb.CommOverlap().Seconds(),
 			WallSeconds:        wall.Seconds(),
-			MPartPerS:          perf.Rate(carry.pushed+sim.PushedParticles(), wall) / 1e6,
-			GFlopPerS:          float64(carry.flops+sim.Flops()) / wall.Seconds() / 1e9,
+			MPartPerS:          perf.Rate(sim.PushedParticles(), wall) / 1e6,
+			GFlopPerS:          float64(sim.Flops()) / wall.Seconds() / 1e9,
 			PushEffGBs:         pb.EffectiveGBs(perf.Push),
 			Sections:           secs,
 			CommTraffic:        classRecords(sim.CommTraffic(), sim.StepCount()),
@@ -367,7 +342,6 @@ func main() {
 			rec.Balance = d.Cfg.Balance.Mode.String()
 		}
 		bsp := sim.SortPasses()
-		bsp.Merge(carry.sort)
 		if bsp.Sorts > 0 {
 			rec.SortPasses = &output.BenchSortPasses{
 				CountSeconds:   bsp.CountSeconds,
@@ -416,24 +390,6 @@ func buildDeck(name string, nx, ppc, ranks int, a0 float64) (deck.Deck, error) {
 	default:
 		return deck.Deck{}, fmt.Errorf("unknown deck %q", name)
 	}
-}
-
-// counterCarry accumulates the cumulative counters of simulations
-// discarded by Tier A rebalancing swaps, so end-of-run reports cover
-// the whole run.
-type counterCarry struct {
-	perf   perf.Breakdown
-	sort   psort.Passes
-	pushed int64
-	flops  int64
-}
-
-func (cc *counterCarry) absorb(s *core.Simulation) {
-	pb := s.PerfBreakdown()
-	cc.perf.Merge(&pb)
-	cc.sort.Merge(s.SortPasses())
-	cc.pushed += s.PushedParticles()
-	cc.flops += s.Flops()
 }
 
 func sum(xs []float64) float64 {

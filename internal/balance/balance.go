@@ -1,28 +1,22 @@
-// Package balance implements the dynamic load balancer: imbalance
-// detection over the per-rank perf stream and the plane-layout
-// arithmetic that turns a particle distribution into a new domain
-// partition. Everything here is pure computation — the package has no
-// knowledge of ranks, transports or grids, so core can drive it both
-// from the in-process Simulation and from a distributed RankSim with
-// identical results on every rank.
+// Package balance implements the dynamic load balancer's arithmetic:
+// the imbalance measure and the plane-layout computation that turns a
+// particle distribution into a new domain partition. Everything here is
+// pure computation — the package has no knowledge of ranks, transports
+// or grids, so every rank of a world computing it from the same
+// allreduced counts gets the same answer.
 package balance
 
 import "fmt"
 
-// Mode selects how (and whether) the balancer is allowed to act.
+// Mode selects whether the balancer is allowed to act.
 type Mode int
 
 const (
 	// Off disables rebalancing entirely: the static decomposition of
 	// the deck is kept for the whole run.
 	Off Mode = iota
-	// Checkpoint allows Tier A only: at checkpoint boundaries the run
-	// may be re-decomposed wholesale and resumed into the new
-	// geometry.
-	Checkpoint
-	// Online enables Tier B: between steps, domain planes shift by at
-	// most one cell toward the weighted-ideal layout (Tier A remains
-	// available at checkpoint boundaries too).
+	// Online repartitions between steps: when the particle imbalance
+	// crosses the threshold, the x-cuts jump to the bisection layout.
 	Online
 )
 
@@ -30,8 +24,6 @@ func (m Mode) String() string {
 	switch m {
 	case Off:
 		return "off"
-	case Checkpoint:
-		return "checkpoint"
 	case Online:
 		return "online"
 	}
@@ -43,58 +35,10 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "off":
 		return Off, nil
-	case "checkpoint":
-		return Checkpoint, nil
 	case "online":
 		return Online, nil
 	}
-	return Off, fmt.Errorf("balance: unknown mode %q (want off|checkpoint|online)", s)
-}
-
-// Detector keeps a sliding window of per-rank cost samples (seconds of
-// particle-weighted push time per step) and reports the max/mean
-// imbalance ratio over the window. It is observability-only: the
-// rebalancing *decisions* are taken from particle counts, which every
-// rank computes identically, while measured seconds differ run to run.
-type Detector struct {
-	window  int
-	samples [][]float64
-}
-
-// NewDetector returns a detector averaging over the last window
-// samples (window < 1 is treated as 1).
-func NewDetector(window int) *Detector {
-	if window < 1 {
-		window = 1
-	}
-	return &Detector{window: window}
-}
-
-// Add records one per-rank cost sample.
-func (d *Detector) Add(perRank []float64) {
-	s := append([]float64(nil), perRank...)
-	d.samples = append(d.samples, s)
-	if len(d.samples) > d.window {
-		d.samples = d.samples[len(d.samples)-d.window:]
-	}
-}
-
-// Ratio returns the max/mean per-rank cost over the window, or 1 when
-// no signal has accumulated yet (empty window, zero cost).
-func (d *Detector) Ratio() float64 {
-	if len(d.samples) == 0 {
-		return 1
-	}
-	nr := len(d.samples[0])
-	sums := make([]float64, nr)
-	for _, s := range d.samples {
-		for i, v := range s {
-			if i < nr {
-				sums[i] += v
-			}
-		}
-	}
-	return MaxOverMean(sums)
+	return Off, fmt.Errorf("balance: unknown mode %q (want off|online)", s)
 }
 
 // MaxOverMean returns max(w)/mean(w), or 1 for an empty or all-zero

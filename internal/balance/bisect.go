@@ -52,39 +52,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// StepToward moves each interior cut of cur at most one cell toward
-// target, preserving validity (strictly increasing, every slab keeps
-// at least one cell). This is the Tier B primitive: one call shifts
-// every plane by at most one cell, so the per-step migration volume is
-// bounded by one plane of particles per cut.
-func StepToward(cur, target []int) []int {
-	out := make([]int, len(cur))
-	copy(out, cur)
-	for i := 1; i < len(out)-1; i++ {
-		switch {
-		case target[i] > cur[i]:
-			out[i] = cur[i] + 1
-		case target[i] < cur[i]:
-			out[i] = cur[i] - 1
-		}
-	}
-	// Moving adjacent cuts toward each other can pinch a slab to zero
-	// width; restore validity without ever exceeding the one-cell move
-	// (pushing a cut back toward cur is always a legal position, since
-	// cur itself was valid).
-	for i := 1; i < len(out); i++ {
-		if out[i] < out[i-1]+1 {
-			out[i] = out[i-1] + 1
-		}
-	}
-	for i := len(out) - 2; i >= 0; i-- {
-		if out[i] > out[i+1]-1 {
-			out[i] = out[i+1] - 1
-		}
-	}
-	return out
-}
-
 // Imbalance returns the max/mean slab weight of cuts over the given
 // per-cell weights (1 for empty input or zero total weight).
 func Imbalance(weights []float64, cuts []int) float64 {

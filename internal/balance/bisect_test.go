@@ -3,6 +3,7 @@ package balance
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -158,49 +159,7 @@ func TestBisectCutsDegenerate(t *testing.T) {
 	checkValid(t, cuts, 4, 8)
 }
 
-func TestStepToward(t *testing.T) {
-	cases := []struct {
-		cur, target, want []int
-	}{
-		{[]int{0, 16, 32, 48, 64}, []int{0, 16, 32, 48, 64}, []int{0, 16, 32, 48, 64}},
-		{[]int{0, 16, 32, 48, 64}, []int{0, 30, 34, 38, 64}, []int{0, 17, 33, 47, 64}},
-		{[]int{0, 16, 32, 48, 64}, []int{0, 2, 4, 6, 64}, []int{0, 15, 31, 47, 64}},
-		// Adjacent cuts converging must not pinch a slab: the trailing
-		// cut is carried along one cell instead.
-		{[]int{0, 2, 3, 64}, []int{0, 3, 3, 64}, []int{0, 3, 4, 64}},
-		{[]int{0, 3, 4, 64}, []int{0, 4, 4, 64}, []int{0, 4, 5, 64}},
-	}
-	for _, tc := range cases {
-		got := StepToward(tc.cur, tc.target)
-		if !CutsEqual(got, tc.want) {
-			t.Errorf("StepToward(%v, %v) = %v, want %v", tc.cur, tc.target, got, tc.want)
-		}
-	}
-	// Property: result always valid, always within one cell of cur.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		p := 2 + rng.Intn(6)
-		n := p + rng.Intn(60)
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = rng.Float64()
-		}
-		cur := BisectCuts(w, p)
-		for i := range w {
-			w[i] = rng.Float64()
-		}
-		target := BisectCuts(w, p)
-		got := StepToward(cur, target)
-		checkValid(t, got, p, n)
-		for i := range got {
-			if d := got[i] - cur[i]; d < -1 || d > 1 {
-				t.Fatalf("StepToward(%v, %v) = %v: cut %d moved %d", cur, target, got, i, d)
-			}
-		}
-	}
-}
-
-func TestImbalanceAndDetector(t *testing.T) {
+func TestImbalanceAndParseMode(t *testing.T) {
 	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	if r := Imbalance(w, []int{0, 2, 4, 6, 8}); r != 1 {
 		t.Fatalf("uniform imbalance = %v, want 1", r)
@@ -208,23 +167,13 @@ func TestImbalanceAndDetector(t *testing.T) {
 	if r := Imbalance(w, []int{0, 4, 5, 6, 8}); r != 2 {
 		t.Fatalf("skewed imbalance = %v, want 2 (max 4 / mean 2)", r)
 	}
-	d := NewDetector(3)
-	if r := d.Ratio(); r != 1 {
-		t.Fatalf("empty detector ratio = %v, want 1", r)
-	}
-	d.Add([]float64{1, 1})
-	d.Add([]float64{1, 3})
-	if r := d.Ratio(); r != (4.0*2)/6.0 {
-		t.Fatalf("detector ratio = %v, want %v", r, (4.0*2)/6.0)
-	}
-	// Window slides: old samples fall off.
-	d.Add([]float64{1, 1})
-	d.Add([]float64{1, 1})
-	d.Add([]float64{1, 1})
-	if r := d.Ratio(); r != 1 {
-		t.Fatalf("post-window ratio = %v, want 1", r)
-	}
-	if ParseMustFail(t, "bogus") {
+	// "checkpoint" named the removed swap-and-rebuild mode: it must fail
+	// like any unknown value, naming the value and the accepted set.
+	for _, s := range []string{"bogus", "checkpoint"} {
+		_, err := ParseMode(s)
+		if err == nil || !strings.Contains(err.Error(), `"`+s+`"`) || !strings.Contains(err.Error(), "off|online") {
+			t.Fatalf("ParseMode(%q) err = %v, want the value and off|online named", s, err)
+		}
 	}
 	if m, err := ParseMode("online"); err != nil || m != Online {
 		t.Fatalf("ParseMode(online) = %v, %v", m, err)
@@ -232,15 +181,7 @@ func TestImbalanceAndDetector(t *testing.T) {
 	if m, err := ParseMode(""); err != nil || m != Off {
 		t.Fatalf("ParseMode(\"\") = %v, %v", m, err)
 	}
-	if Online.String() != "online" || Off.String() != "off" || Checkpoint.String() != "checkpoint" {
+	if Online.String() != "online" || Off.String() != "off" {
 		t.Fatal("Mode.String mismatch")
 	}
-}
-
-func ParseMustFail(t *testing.T, s string) bool {
-	t.Helper()
-	if _, err := ParseMode(s); err == nil {
-		t.Fatalf("ParseMode(%q): want error", s)
-	}
-	return true
 }

@@ -154,9 +154,8 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 	s.Run(2)
 	dig := s.CanonicalDigest()
 	before := s.CutsX()
-	counts := s.planeCountsX()
-	target := balance.BisectCuts(counts, 4)
-	newCX := balance.StepToward(before, target)
+	counts := planeCountsX(s)
+	newCX := balance.BisectCuts(counts, 4)
 	if balance.CutsEqual(newCX, before) {
 		t.Fatal("fixture not adversarial enough: bisection agrees with uniform cuts")
 	}
@@ -177,34 +176,42 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 	}
 }
 
-func TestRebalancedPreservesDigest(t *testing.T) {
+// TestReshapeXJumpPreservesDigest drives the general slab transfer with
+// a hand-picked jump from the uniform cuts [0 8 16 24 32]: rank 0's new
+// extent [0,17) draws on three old owners, rank 1's new [17,19) is
+// disjoint from its old [8,16) and receives the spike's particles from
+// rank 2, and rank 3 gains planes from rank 2 while keeping its own.
+func TestReshapeXJumpPreservesDigest(t *testing.T) {
 	cfg := spikePlasma(32, 4, 4, 8, 4)
-	cfg.Balance.Mode = balance.Checkpoint
-	cfg.Balance.Threshold = 1.2
+	cfg.Balance.Mode = balance.Online // gates validation; steps driven manually
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(3)
-	dig := s.CanonicalDigest()
-	before := s.CutsX()
-	s2, did, err := Rebalanced(s)
-	if err != nil {
-		t.Fatal(err)
+	s.Run(2)
+	if got, want := s.CutsX(), []int{0, 8, 16, 24, 32}; !balance.CutsEqual(got, want) {
+		t.Fatalf("fixture cuts = %v, want uniform %v", got, want)
 	}
-	if !did {
-		t.Fatal("Rebalanced declined on an adversarial load")
+	dig, n := s.CanonicalDigest(), s.TotalParticles()
+	target := []int{0, 17, 19, 21, 32}
+	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, target) })
+	if got := s.CutsX(); !balance.CutsEqual(got, target) {
+		t.Fatalf("cuts after jump = %v, want %v", got, target)
 	}
-	if got := s2.CanonicalDigest(); got != dig {
-		t.Fatalf("Tier A swap changed the digest: %016x != %016x", got, dig)
+	if got := s.CanonicalDigest(); got != dig {
+		t.Fatalf("jump changed the digest: %016x != %016x", got, dig)
 	}
-	counts := s.planeCountsX()
-	if got, want := balance.Imbalance(counts, s2.CutsX()), balance.Imbalance(counts, before); got >= want {
-		t.Fatalf("Tier A did not reduce imbalance: %.3f → %.3f", want, got)
+	if got := s.TotalParticles(); got != n {
+		t.Fatalf("jump changed the particle count: %d != %d", got, n)
 	}
-	s2.Run(2)
-	if e := s2.Energy(); math.IsNaN(e.Total) || e.Total <= 0 {
-		t.Fatalf("energy after Tier A continuation: %+v", e)
+	if s.PerRankParticles()[1] == 0 {
+		t.Fatal("the disjoint rank received no particles: fixture does not exercise the transfer")
+	}
+	for i := 0; i < 3; i++ {
+		s.Step()
+		if e := s.Energy(); math.IsNaN(e.Total) || math.IsInf(e.Total, 0) || e.Total <= 0 {
+			t.Fatalf("step %d after jump: energy %+v", i+1, e)
+		}
 	}
 }
 
@@ -246,7 +253,7 @@ func TestOnlineBalanceMatchesStatic(t *testing.T) {
 		}
 	}
 	// The balanced layout really is better for this load.
-	counts := sOn.planeCountsX()
+	counts := planeCountsX(sOn)
 	if got, want := balance.Imbalance(counts, sOn.CutsX()), balance.Imbalance(counts, sOff.CutsX()); got >= want {
 		t.Fatalf("online balancing did not reduce imbalance: %.3f → %.3f", want, got)
 	}
@@ -262,6 +269,16 @@ func TestOnlineBalanceMatchesStatic(t *testing.T) {
 			t.Fatalf("step %d: never-triggered energy %g != static %g", i+1, histIdle[i], histOff[i])
 		}
 	}
+}
+
+// planeCountsX returns the global per-x-plane particle counts (the
+// balance weights), summed over all ranks and species.
+func planeCountsX(s *Simulation) []float64 {
+	counts := make([]float64, s.Cfg.NX)
+	for _, rk := range s.Ranks {
+		rk.addPlaneCountsX(counts)
+	}
+	return counts
 }
 
 func equalCRCs(a, b []uint32) bool {

@@ -15,7 +15,7 @@ import (
 // cells and the same particle bits in the same global cells (ghost
 // planes and buffer order excluded — those are derived data). This is
 // the CRC canonicalization the load balancer's proofs rest on: a
-// re-binned resume or an online plane shift must preserve the digest
+// re-binned resume or an online reshape must preserve the digest
 // bit-for-bit, even though every per-rank serialization changed.
 
 const (

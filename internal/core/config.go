@@ -20,7 +20,7 @@ import (
 // BalanceConfig tunes the dynamic load balancer (see internal/balance
 // and DESIGN §13). The zero value disables it.
 type BalanceConfig struct {
-	// Mode selects off / checkpoint-boundary / online rebalancing.
+	// Mode selects off / online rebalancing.
 	Mode balance.Mode
 	// Interval is the number of steps between online imbalance checks
 	// (0 resolves to 10). The check itself is one small collective.
@@ -28,11 +28,6 @@ type BalanceConfig struct {
 	// Threshold is the max/mean particle imbalance that triggers a
 	// repartition (0 resolves to 1.25; must be ≥ 1).
 	Threshold float64
-	// Window is the sliding-window length of the observability
-	// detector that reports the measured push-seconds imbalance (0
-	// resolves to 5). Decisions use particle counts, not seconds, so
-	// every rank decides identically.
-	Window int
 }
 
 // SpeciesConfig declares one kinetic species.
@@ -211,12 +206,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Balance.Threshold < 1 {
 		return fmt.Errorf("core: Balance.Threshold %g must be ≥ 1", c.Balance.Threshold)
-	}
-	if c.Balance.Window == 0 {
-		c.Balance.Window = 5
-	}
-	if c.Balance.Window < 1 {
-		return fmt.Errorf("core: Balance.Window %d must be ≥ 1", c.Balance.Window)
 	}
 	if c.Balance.Mode != balance.Off {
 		for axis := 0; axis < 3; axis++ {

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 
-	"govpic/internal/balance"
 	"govpic/internal/field"
 	"govpic/internal/grid"
 )
@@ -236,71 +234,4 @@ func (rk *Rank) rebinPrime() {
 		rk.D.ExchangeScalarGhost(rk.rho0)
 	}
 	rk.IP.Load(f)
-}
-
-// Rebalanced implements Tier A (checkpoint-boundary rebalancing) for
-// an in-process simulation: when the particle-count imbalance of the
-// current layout exceeds the configured threshold and the
-// bisection-optimal layout differs, the state is checkpointed to
-// memory, a simulation pinned to the new layout is built, and the
-// state is re-binned into it. Returns the (possibly new) simulation
-// and whether a rebalance happened. The caller must drop the old
-// simulation and continue on the returned one; cumulative counters
-// (perf, pushed particles, comm bytes) stay with the old simulation,
-// so drivers accumulate them across swaps.
-func Rebalanced(s *Simulation) (*Simulation, bool, error) {
-	if s.Cfg.Balance.Mode == balance.Off {
-		return s, false, nil
-	}
-	lay := s.Ranks[0].D.Cfg.Layout
-	if lay.Dec.PX < 2 {
-		return s, false, nil
-	}
-	counts := s.planeCountsX()
-	if balance.Imbalance(counts, lay.CX) < s.Cfg.Balance.Threshold {
-		return s, false, nil
-	}
-	target := balance.BisectCuts(counts, lay.Dec.PX)
-	if balance.CutsEqual(target, lay.CX) {
-		return s, false, nil
-	}
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		return s, false, err
-	}
-	cfg2 := s.Cfg
-	cfg2.CutsX = target
-	s2, err := New(cfg2)
-	if err != nil {
-		return s, false, err
-	}
-	if err := s2.restoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
-		return s, false, err
-	}
-	return s2, true, nil
-}
-
-// planeCountsX returns the global per-x-plane particle counts (the
-// balance weights), summed over all ranks and species.
-func (s *Simulation) planeCountsX() []float64 {
-	counts := make([]float64, s.Cfg.NX)
-	for _, rk := range s.Ranks {
-		rk.addPlaneCountsX(counts)
-	}
-	return counts
-}
-
-// addPlaneCountsX accumulates this rank's particles into the global
-// per-x-plane histogram.
-func (rk *Rank) addPlaneCountsX(counts []float64) {
-	gx0, _, _ := rk.D.Cfg.Layout.Origin(rk.D.Rank)
-	g := rk.D.G
-	for _, sp := range rk.Species {
-		buf := sp.Buf
-		n := buf.N()
-		for i := 0; i < n; i++ {
-			ix, _, _ := g.Unvoxel(int(buf.Voxel(i)))
-			counts[gx0+ix-1]++
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"govpic/internal/accum"
 	"govpic/internal/balance"
 	"govpic/internal/domain"
-	"govpic/internal/field"
 	"govpic/internal/grid"
 	"govpic/internal/interp"
 	"govpic/internal/mp"
@@ -14,23 +13,21 @@ import (
 	psort "govpic/internal/sort"
 )
 
-// Online plane shifting (Tier B): between steps, every rank runs the
-// same collective imbalance check — one small float64 allreduce of the
-// global per-x-plane particle histogram — and, when the particle-count
-// imbalance exceeds the threshold, moves each partition plane at most
-// one cell toward the bisection-optimal layout. The moved planes'
-// fields and resident particles travel point-to-point between the two
-// adjacent ranks (the "rebalance" traffic class); every rank then
-// rebuilds its tile on the new layout and the world collectively
-// re-primes ghost state. Because the trigger and the target cuts are
-// pure functions of allreduced counts, every rank takes the same branch
-// with no extra coordination, and because only interior state moves,
-// the geometry-canonical digest is preserved bit-for-bit across a
-// shift.
+// Online rebalancing: between steps, every rank runs the same collective
+// imbalance check — one small float64 allreduce of the global per-x-plane
+// particle histogram — and, when the particle-count imbalance exceeds
+// the threshold, jumps the x-cuts straight to the bisection layout. Each
+// rank's new x-extent is assembled from slabs of the old owners' extents
+// (the "rebalance" traffic class); every rank then rebuilds its tile on
+// the new layout and the world collectively re-primes ghost state.
+// Because the trigger and the target cuts are pure functions of
+// allreduced counts, every rank takes the same branch with no extra
+// coordination, and because only interior state moves, the
+// geometry-canonical digest is preserved bit-for-bit across a reshape.
 
 // maybeReshapeX runs one online balance check. Collective: every rank
-// of the world must call it at the same step. Returns whether a plane
-// shift happened (the same answer on every rank).
+// of the world must call it at the same step. Returns whether the cuts
+// moved (the same answer on every rank).
 func (rk *Rank) maybeReshapeX(cfg *Config) bool {
 	lay := rk.D.Cfg.Layout
 	if lay.Dec.PX < 2 {
@@ -43,86 +40,49 @@ func (rk *Rank) maybeReshapeX(cfg *Config) bool {
 		return false
 	}
 	target := balance.BisectCuts(tot, lay.Dec.PX)
-	newCX := balance.StepToward(lay.CX, target)
-	if balance.CutsEqual(newCX, lay.CX) {
+	if balance.CutsEqual(target, lay.CX) {
 		return false
 	}
-	rk.reshapeX(cfg, newCX)
+	rk.reshapeX(cfg, target)
 	return true
 }
 
-// reshapeX rebuilds this rank's tile under the new x-cuts, exchanging
-// the moved planes with the x-neighbors. newCX must differ from the
-// current cuts by at most one cell per plane (StepToward's contract:
-// each interior cut moves ±1 or stays), and every rank must call
-// reshapeX with the same newCX concurrently — the ghost re-prime at the
-// end is collective even for ranks whose extent did not change.
+// addPlaneCountsX accumulates this rank's particles into the global
+// per-x-plane histogram.
+func (rk *Rank) addPlaneCountsX(counts []float64) {
+	gx0, _, _ := rk.D.Cfg.Layout.Origin(rk.D.Rank)
+	g := rk.D.G
+	for _, sp := range rk.Species {
+		buf := sp.Buf
+		n := buf.N()
+		for i := 0; i < n; i++ {
+			ix, _, _ := g.Unvoxel(int(buf.Voxel(i)))
+			counts[gx0+ix-1]++
+		}
+	}
+}
+
+// reshapeX rebuilds this rank's tile under the new x-cuts. Only x-cuts
+// move and the outer cuts are fixed, so for every ordered pair (old
+// owner p, new owner q) the overlap of p's old extent with q's new
+// extent is a single slab of global planes [a, b): p copies it locally
+// when p == q and otherwise sends it — its field planes, then one
+// particle batch per species. Every rank sends all its slabs before
+// receiving any, and receives from peers in rank order, so the in-order
+// links need no sequence scheme. Every rank must call reshapeX with the
+// same newCX concurrently — the ghost re-prime at the end is collective
+// even for ranks whose extent did not change.
 func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	dOld := rk.D
 	gOld := dOld.G
 	layOld := dOld.Cfg.Layout
-	cx, _, _ := layOld.Dec.Coord(dOld.Rank)
+	dec := layOld.Dec
+	cx, cy, cz := dec.Coord(dOld.Rank)
 	oldX0, oldX1 := layOld.CX[cx], layOld.CX[cx+1]
 	newX0, newX1 := newCX[cx], newCX[cx+1]
-	dLo := newX0 - oldX0 // my low cut: +1 = moved up (I lose plane 1)
-	dHi := newX1 - oldX1 // my high cut: -1 = moved down (I lose plane NX)
-	nbrLo := dOld.Neighbor(field.XLo)
-	nbrHi := dOld.Neighbor(field.XHi)
 
-	arrsOld := rk.stripArrays(dOld.F.Ex, dOld.F.Ey, dOld.F.Ez,
-		dOld.F.Bx, dOld.F.By, dOld.F.Bz, dOld.F.Jx, dOld.F.Jy, dOld.F.Jz)
-
-	// 1. Extract the particles resident in planes this rank gives up,
-	// wire-encoding their voxels (transverse index on the crossing
-	// plane) so the receiver can rebuild them against its own strides.
-	nSpec := len(rk.Species)
-	outLo := make([]push.OutgoingBatch, nSpec)
-	outHi := make([]push.OutgoingBatch, nSpec)
-	if dLo == +1 || dHi == -1 {
-		for si, sp := range rk.Species {
-			buf := sp.Buf
-			for i := 0; i < buf.N(); {
-				p := buf.At(i)
-				ix, _, _ := gOld.Unvoxel(int(p.Voxel))
-				switch {
-				case dLo == +1 && ix == 1:
-					p.Voxel = domain.WireVoxel(gOld, 0, int(p.Voxel))
-					outLo[si] = append(outLo[si], push.Outgoing{P: p})
-					buf.RemoveSwap(i)
-				case dHi == -1 && ix == gOld.NX:
-					p.Voxel = domain.WireVoxel(gOld, 0, int(p.Voxel))
-					outHi[si] = append(outHi[si], push.Outgoing{P: p})
-					buf.RemoveSwap(i)
-				default:
-					i++
-				}
-			}
-		}
-	}
-
-	// 2. Post the sends. Sequence scheme per destination: 0 = field
-	// strip crossing my low cut, 1 = crossing my high cut, 16+2s /
-	// 17+2s = species s particles crossing low / high. A receiver
-	// therefore expects its high-side sequences (1, 17+2s) from the low
-	// neighbor and the low-side ones (0, 16+2s) from the high neighbor,
-	// which keeps tags distinct even when PX = 2 and both neighbors are
-	// the same rank.
-	var reqs []*mp.Request
-	if dLo == +1 {
-		reqs = append(reqs, dOld.ISendRebalPlane(nbrLo, 0, arrsOld, 1))
-		for si := range rk.Species {
-			reqs = append(reqs, dOld.ISendRebalParticles(nbrLo, 16+2*si, outLo[si]))
-		}
-	}
-	if dHi == -1 {
-		reqs = append(reqs, dOld.ISendRebalPlane(nbrHi, 1, arrsOld, gOld.NX))
-		for si := range rk.Species {
-			reqs = append(reqs, dOld.ISendRebalParticles(nbrHi, 17+2*si, outHi[si]))
-		}
-	}
-
-	// 3. Build the new domain on the stepped layout.
-	newLay, err := grid.NewLayout(layOld.Dec, newCX, layOld.CY, layOld.CZ)
+	// 1. Build the new domain.
+	newLay, err := grid.NewLayout(dec, newCX, layOld.CY, layOld.CZ)
 	if err != nil {
 		panic(fmt.Sprintf("core: reshape produced invalid layout: %v", err))
 	}
@@ -138,83 +98,61 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	if rk.rho0 != nil {
 		rho0New = make([]float32, gNew.NV())
 	}
-	arrsNew := rk.reshapeNewArrays(dNew, rho0New)
+	arrsOld := reshapeArrays(dOld, rk.rho0)
+	arrsNew := reshapeArrays(dNew, rho0New)
 
-	// 4. Copy the surviving planes old → new (strides differ in x).
-	sxOld, syOld, _ := gOld.Strides()
-	sxNew, _, _ := gNew.Strides()
-	szT := gOld.NZ + 2
-	lo := oldX0
-	if newX0 > lo {
-		lo = newX0
+	// 2. Bin the particles by new x-slab: this rank's own stay, remapped
+	// onto the new grid; the rest go to per-destination batches that
+	// keep their old local voxels (ISendRebalSlab wire-encodes them).
+	dest := make([]int, gOld.NX+1) // old local x-plane → new x-slab
+	for ix := 1; ix <= gOld.NX; ix++ {
+		dest[ix] = newLay.SlabX(oldX0 + ix - 1)
 	}
-	hi := oldX1
-	if newX1 < hi {
-		hi = newX1
+	out := make([][]push.OutgoingBatch, dec.PX)
+	for j := range out {
+		out[j] = make([]push.OutgoingBatch, len(rk.Species))
 	}
-	for gp := lo; gp < hi; gp++ {
-		ixO := gp - oldX0 + 1
-		ixN := gp - newX0 + 1
-		for iz := 0; iz < szT; iz++ {
-			for iy := 0; iy < syOld; iy++ {
-				vO := ixO + sxOld*(iy+syOld*iz)
-				vN := ixN + sxNew*(iy+syOld*iz)
-				for ai := range arrsOld {
-					arrsNew[ai][vN] = arrsOld[ai][vO]
-				}
+	for si, sp := range rk.Species {
+		buf := sp.Buf
+		for i := 0; i < buf.N(); {
+			p := buf.At(i)
+			ix, iy, iz := gOld.Unvoxel(int(p.Voxel))
+			if j := dest[ix]; j != cx {
+				out[j][si] = append(out[j][si], push.Outgoing{P: p})
+				buf.RemoveSwap(i) // swaps in an unvisited particle
+				continue
 			}
+			p.Voxel = int32(gNew.Voxel(oldX0+ix-newX0, iy, iz))
+			buf.Set(i, p)
+			i++
 		}
 	}
 
-	// 5. Receive the gained field strips into the new planes.
-	if dLo == -1 { // gained the low neighbor's top plane → my new plane 1
-		dNew.RecvRebalPlane(nbrLo, 1, arrsNew, 1)
-	}
-	if dHi == +1 { // gained the high neighbor's bottom plane → my new plane NX
-		dNew.RecvRebalPlane(nbrHi, 0, arrsNew, gNew.NX)
+	// 3. Post every slab leaving this rank; copy the one that stays.
+	var reqs []*mp.Request
+	for j := 0; j < dec.PX; j++ {
+		a, b := max(oldX0, newCX[j]), min(oldX1, newCX[j+1])
+		if a >= b {
+			continue
+		}
+		if j == cx {
+			copySlabX(gOld, gNew, arrsOld, arrsNew, a-oldX0+1, a-newX0+1, b-a)
+			continue
+		}
+		q := dec.Rank(j, cy, cz)
+		reqs = append(reqs, dOld.ISendRebalSlab(q, arrsOld, a-oldX0+1, b-oldX0+1, out[j])...)
 	}
 
-	// 6. Remap surviving particle voxels to the new grid, then land the
-	// arrivals (direct appends — unlike migration these particles are
-	// mid-plane residents, not boundary crossers, so there is no
-	// remaining displacement to finish and no current to deposit).
-	shift := oldX0 - newX0
-	if shift != 0 || sxNew != sxOld {
-		for _, sp := range rk.Species {
-			buf := sp.Buf
-			n := buf.N()
-			for i := 0; i < n; i++ {
-				p := buf.At(i)
-				ix, iy, iz := gOld.Unvoxel(int(p.Voxel))
-				p.Voxel = int32(gNew.Voxel(ix+shift, iy, iz))
-				buf.Set(i, p)
-			}
+	// 4. Receive the gained slabs, peers in rank order.
+	for j := 0; j < dec.PX; j++ {
+		a, b := max(layOld.CX[j], newX0), min(layOld.CX[j+1], newX1)
+		if j == cx || a >= b {
+			continue
 		}
-	}
-	if dLo == -1 {
-		for si := range rk.Species {
-			in := dNew.RecvRebalParticles(nbrLo, 17+2*si)
-			buf := rk.Species[si].Buf
-			for _, o := range in {
-				p := o.P
-				p.Voxel = domain.LandVoxel(gNew, 0, 1, p.Voxel)
-				buf.Append(p)
-			}
-		}
-	}
-	if dHi == +1 {
-		for si := range rk.Species {
-			in := dNew.RecvRebalParticles(nbrHi, 16+2*si)
-			buf := rk.Species[si].Buf
-			for _, o := range in {
-				p := o.P
-				p.Voxel = domain.LandVoxel(gNew, 0, gNew.NX, p.Voxel)
-				buf.Append(p)
-			}
-		}
+		dNew.RecvRebalSlab(dec.Rank(j, cy, cz), arrsNew, a-newX0+1, b-newX0+1, rk.bufs)
 	}
 
-	// 7. Drain the sends, then carry the traffic counters (the strip
+	// 5. Drain the sends, then carry the traffic counters (the slab
 	// sends were counted on the old domain).
 	for _, r := range reqs {
 		if _, err := r.Wait(); err != nil {
@@ -225,7 +163,7 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	dNew.ClassBytes = dOld.ClassBytes
 	dNew.ClassMsgs = dOld.ClassMsgs
 
-	// 8. Rebuild the grid-sized plumbing; per-species counters carry
+	// 6. Rebuild the grid-sized plumbing; per-species counters carry
 	// over via AdoptFrom so cumulative diagnostics survive the swap.
 	rk.D = dNew
 	rk.IP = interp.NewTable(gNew)
@@ -247,28 +185,36 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		rk.shell = shellMask(dNew)
 	}
 
-	// 9. Collective ghost re-prime (E/B exchanges, background aliases,
+	// 7. Collective ghost re-prime (E/B exchanges, background aliases,
 	// interpolator reload). J's ghost planes are left stale — the next
 	// step clears and re-deposits J before any read.
 	rk.rebinPrime()
 }
 
-// stripArrays assembles the rebalance strip payload: the nine field
-// components plus, when present, the neutralizing background (the
-// receiver's set must match, which it does because NeutralizingBackground
-// is global config).
-func (rk *Rank) stripArrays(arrs ...[]float32) [][]float32 {
-	if rk.rho0 != nil {
-		arrs = append(arrs, rk.rho0)
-	}
-	return arrs
-}
-
-func (rk *Rank) reshapeNewArrays(d *domain.Domain, rho0 []float32) [][]float32 {
+// reshapeArrays lists the state a reshape carries: the nine field
+// components plus, when present, the neutralizing background (every
+// rank's set matches because NeutralizingBackground is global config).
+func reshapeArrays(d *domain.Domain, rho0 []float32) [][]float32 {
 	f := d.F
 	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz}
 	if rho0 != nil {
 		arrs = append(arrs, rho0)
 	}
 	return arrs
+}
+
+// copySlabX copies n x-planes (full ghost-inclusive transverse extent)
+// starting at local plane ixOld of the old grid to local plane ixNew of
+// the new one; the grids differ only in their x extent.
+func copySlabX(gOld, gNew *grid.Grid, arrsOld, arrsNew [][]float32, ixOld, ixNew, n int) {
+	sxOld, sy, sz := gOld.Strides()
+	sxNew, _, _ := gNew.Strides()
+	for k := 0; k < n; k++ {
+		for t := 0; t < sy*sz; t++ {
+			vO, vN := ixOld+k+sxOld*t, ixNew+k+sxNew*t
+			for ai := range arrsOld {
+				arrsNew[ai][vN] = arrsOld[ai][vO]
+			}
+		}
+	}
 }

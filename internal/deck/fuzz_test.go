@@ -18,7 +18,7 @@ import (
 func FuzzFromJSON(f *testing.F) {
 	// One config per deck kind (the shapes internal/valid's cases and
 	// cmd/bench's sweep build), a removed key, two knobs only
-	// core.Config.Validate judges, and two sweeps.
+	// core.Config.Validate judges, two sweeps and a removed mode value.
 	for _, cfg := range []string{
 		`{"deck":"thermal","steps":400,"nx":32,"ppc":64,"ranks":2,"workers":1,"n0":0.2,"uth":0.05,"kernel":"go","overlap":false}`,
 		`{"deck":"spike","steps":40,"nx":32,"ppc":8,"ranks":4,"balance":"online","balance_interval":2,"balance_threshold":1.15}`,
@@ -39,6 +39,7 @@ func FuzzFromJSON(f *testing.F) {
 	}
 	f.Add(`{"deck":"thermal","steps":200,"nx":32,"ppc":64}`, `{"uth":[0.03,0.05],"nx":[16,32]}`)
 	f.Add(`{"deck":"lpi","steps":10}`, `{"a0":[0.02,0.05,0.07]}`)
+	f.Add(`{"deck":"spike","steps":10,"ranks":2,"balance":"checkpoint"}`, `{}`)
 
 	// Counts are capped only to bound how long a build takes; lengths
 	// are not, so the builders' own bounds (checkLengths) are explored.

@@ -67,7 +67,7 @@ type JSONConfig struct {
 	CollisionNu0      float64 `json:"collision_nu0,omitempty"`
 	CollisionInterval int     `json:"collision_interval,omitempty"`
 
-	// Dynamic load balancing (DESIGN §13): off | checkpoint | online.
+	// Dynamic load balancing (DESIGN §13): off | online.
 	Balance          string  `json:"balance,omitempty"`
 	BalanceInterval  int     `json:"balance_interval,omitempty"`
 	BalanceThreshold float64 `json:"balance_threshold,omitempty"`

@@ -647,34 +647,63 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 	}
 }
 
-// Rebalance transfers: when the load balancer moves an x-partition
-// plane by one cell, the donating rank ships the plane's field state
-// and resident particles to the receiving neighbor under the tagRebal
-// window. Sequence numbers inside the window disambiguate the two
-// directions when both neighbors are the same rank (PX=2 on a periodic
-// axis): seq identifies which cut the payload crosses and what it
-// carries, so both ends post matching tags on the shared in-order link.
+// Rebalance transfers: when the load balancer moves the x-cuts, each
+// old owner ships every slab of global planes that changes hands to its
+// new owner under the tagRebal window — the slab's field planes, then
+// one particle batch per species. Each (sender, receiver) link carries
+// at most one slab per reshape, and links deliver in order, so one tag
+// serves every message.
 
-// ISendRebalPlane packs x-plane idx of arrs (full ghost-inclusive
-// transverse extent, the exchangeGhost plane format) and posts it to
-// dst under rebalance sequence seq.
-func (d *Domain) ISendRebalPlane(dst, seq int, arrs [][]float32, idx int) *mp.Request {
-	return d.isend(dst, tagRebal+seq, arrs, 0, idx)
+// ISendRebalSlab posts local x-planes [lo, hi) of arrs (full
+// ghost-inclusive transverse extent, the exchangeGhost plane format) to
+// dst, then one batch per species of the particles resident in those
+// planes. The batches hold local voxels of this domain; they are
+// rewritten in place to the wire form, plane offset from lo times the
+// plane size plus the transverse WireVoxel.
+func (d *Domain) ISendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) []*mp.Request {
+	n := planeCount(d.G, 0)
+	buf := make([]float32, 0, n*(hi-lo)*len(arrs))
+	for ix := lo; ix < hi; ix++ {
+		forPlane(d.G, 0, ix, func(v int) {
+			for _, a := range arrs {
+				buf = append(buf, a[v])
+			}
+		})
+	}
+	d.countSend(tagRebal, 4*len(buf))
+	reqs := []*mp.Request{d.Comm.ISend(dst, tagRebal, buf)}
+	for _, out := range parts {
+		for i := range out {
+			ix, _, _ := d.G.Unvoxel(int(out[i].P.Voxel))
+			out[i].P.Voxel = int32((ix-lo)*n) + WireVoxel(d.G, 0, int(out[i].P.Voxel))
+		}
+		d.countSend(tagRebal, len(out)*push.OutgoingWireBytes)
+		reqs = append(reqs, d.Comm.ISend(dst, tagRebal, out))
+	}
+	return reqs
 }
 
-// RecvRebalPlane receives a rebalance plane into x-plane idx of arrs.
-func (d *Domain) RecvRebalPlane(src, seq int, arrs [][]float32, idx int) {
-	d.recvInto(src, tagRebal+seq, arrs, 0, idx)
-}
-
-// ISendRebalParticles posts a batch of plane residents to dst. The
-// batch voxels must already be wire-encoded (WireVoxel, axis 0).
-func (d *Domain) ISendRebalParticles(dst, seq int, out push.OutgoingBatch) *mp.Request {
-	d.countSend(tagRebal, len(out)*push.OutgoingWireBytes)
-	return d.Comm.ISend(dst, tagRebal+seq, out)
-}
-
-// RecvRebalParticles receives one plane-resident batch.
-func (d *Domain) RecvRebalParticles(src, seq int) push.OutgoingBatch {
-	return d.Comm.Recv(src, tagRebal+seq).(push.OutgoingBatch)
+// RecvRebalSlab receives a slab posted by ISendRebalSlab into local
+// x-planes [lo, hi) of arrs and appends its particles, landed on those
+// planes, to bufs (one per species, in species order). The particles
+// are relocated, not moved: no current is deposited.
+func (d *Domain) RecvRebalSlab(src int, arrs [][]float32, lo, hi int, bufs []*particle.Buffer) {
+	buf := d.Comm.Recv(src, tagRebal).([]float32)
+	i := 0
+	for ix := lo; ix < hi; ix++ {
+		forPlane(d.G, 0, ix, func(v int) {
+			for _, a := range arrs {
+				a[v] = buf[i]
+				i++
+			}
+		})
+	}
+	n := int32(planeCount(d.G, 0))
+	for _, b := range bufs {
+		for _, o := range d.Comm.Recv(src, tagRebal).(push.OutgoingBatch) {
+			p := o.P
+			p.Voxel = LandVoxel(d.G, 0, lo+int(p.Voxel/n), p.Voxel%n)
+			b.Append(p)
+		}
+	}
 }

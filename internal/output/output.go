@@ -107,7 +107,7 @@ type BenchRecord struct {
 	CommLinks   []CommLinkRecord  `json:"comm_links,omitempty"`   // per rank-pair link counters
 	// Multi-rank load-balance observability: max/mean per-rank push
 	// seconds, the final per-rank particle counts, and the balance mode
-	// the run used (off | checkpoint | online).
+	// the run used (off | online).
 	ImbalanceRatio   float64   `json:"imbalance_ratio,omitempty"`
 	PerRankParticles []int     `json:"per_rank_particles,omitempty"`
 	Balance          string    `json:"balance,omitempty"`

@@ -10,7 +10,6 @@ import (
 	"os"
 	"time"
 
-	"govpic/internal/balance"
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
@@ -101,8 +100,8 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	}
 
 	// Resume from the latest checkpoint if the spool has one. A
-	// checkpoint written under different partition planes (Tier A wrote
-	// it mid-rebalance, or the job relocated from a host that chose
+	// checkpoint written under different partition planes (an online
+	// rebalance moved them, or the job relocated from a host that chose
 	// another layout) restores through core's layout-aware Resume. A
 	// corrupt or truncated checkpoint (CRC-rejected) falls back to a
 	// fresh start: determinism makes re-running from step 0 merely
@@ -149,9 +148,6 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	ckptEvery := s.cfg.CheckpointEvery
 	wallStart := time.Now()
 	basePushed := sim.PushedParticles()
-	// Tier A swaps discard the old simulation's cumulative counters;
-	// carry them so rates and totals stay monotonic across swaps.
-	var carryPushed int64
 	var ckptErr error
 
 	progress := func(step int) {
@@ -160,7 +156,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		if step%every == 0 || step == steps {
 			sample()
 		}
-		pushed := carryPushed + sim.PushedParticles()
+		pushed := sim.PushedParticles()
 		rate := perf.Rate(pushed-basePushed, time.Since(wallStart))
 		pb := sim.PerfBreakdown()
 		snap := pb.Snapshot()
@@ -187,39 +183,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		}
 	}
 
-	// Tier A (checkpoint-boundary rebalancing): pause at every
-	// checkpoint interval, re-bin into a bisection-optimal layout when
-	// the particle imbalance crossed the threshold, and continue on the
-	// rebalanced simulation.
-	runSegments := func() error {
-		if d.Cfg.Balance.Mode != balance.Checkpoint || d.Cfg.NRanks < 2 {
-			return sim.RunContext(ctx, steps, progress)
-		}
-		for sim.StepCount() < steps {
-			next := sim.StepCount() + ckptEvery - sim.StepCount()%ckptEvery
-			if next > steps {
-				next = steps
-			}
-			if err := sim.RunContext(ctx, next, progress); err != nil {
-				return err
-			}
-			if sim.StepCount() >= steps {
-				return nil
-			}
-			sim2, did, err := core.Rebalanced(sim)
-			if err != nil {
-				return err
-			}
-			if did {
-				carryPushed += sim.PushedParticles()
-				sim = sim2
-				s.cfg.Logf("vpicd: %s rebalanced at step %d (cuts %v)", j.ID, sim.StepCount(), sim.CutsX())
-			}
-		}
-		return nil
-	}
-	runErr := runSegments()
-	if runErr != nil {
+	if runErr := sim.RunContext(ctx, steps, progress); runErr != nil {
 		// Preemption or cancel: persist the exact stopping point first.
 		if err := s.saveCheckpoint(j, sim, hist); err != nil {
 			s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
@@ -245,7 +209,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			Ranks:     d.Cfg.NRanks,
 			WallClock: wall.Seconds(), // this process's segment for resumed jobs
 			Rates: map[string]float64{
-				"Mpart_per_s": perf.Rate(carryPushed+sim.PushedParticles()-basePushed, wall) / 1e6,
+				"Mpart_per_s": perf.Rate(sim.PushedParticles()-basePushed, wall) / 1e6,
 			},
 			Energy: map[string]float64{
 				"total": last.Total,
