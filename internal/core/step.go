@@ -1,0 +1,266 @@
+package core
+
+import (
+	"govpic/internal/accum"
+	"govpic/internal/domain"
+	"govpic/internal/particle"
+	"govpic/internal/perf"
+	"govpic/internal/pipe"
+	"govpic/internal/push"
+	psort "govpic/internal/sort"
+)
+
+// stepOnce is one rank's whole time step; all cross-rank interactions go
+// through the domain exchanges, which synchronize the ranks pairwise.
+func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
+	d := rk.D
+	f := d.F
+
+	// Periodic particle sort (VPIC: keeps the gather/scatter streaming)
+	// and collisions, which require voxel order and so run right after.
+	rk.Perf.Start(perf.Sort)
+	var sortBytes int64
+	for i, sp := range rk.Species {
+		op := rk.Colliders[i]
+		collide := op != nil && op.Due(step)
+		if sp.ShouldSort(step) || collide {
+			rk.sortWS.ByVoxel(sp.Buf, d.G.NV())
+			sortBytes += psort.TrafficBytes(sp.Buf.N())
+		}
+		if collide {
+			op.Apply(d.G, sp.Buf, cfg.DT)
+		}
+	}
+	rk.stopPar(perf.Sort)
+	rk.Perf.AddBytes(perf.Sort, sortBytes)
+
+	// Particle advance and current deposition (the inner loop). The
+	// pipelined path pushes pipe.NumBlocks contiguous blocks per species
+	// concurrently, each into its private accumulator, finishes the
+	// face-crossers serially, then reduces the block accumulators into
+	// the rank accumulator in fixed order — bit-identical for any
+	// worker count (see internal/pipe).
+	rk.Perf.Start(perf.Push)
+	var pushBytes int64
+	var px *domain.ParticleExchange
+	if !rk.splitPush {
+		// Windowed clears/reduce touch only occupied accumulator spans;
+		// charge their actual window sizes to the traffic model.
+		for _, a := range rk.pipeAcc {
+			pushBytes += int64(a.WindowLen()) * accum.CellBytes
+		}
+		accum.ClearAll(rk.pool, rk.pipeAcc)
+		for i, sp := range rk.Species {
+			k := rk.Kernels[i]
+			buf := sp.Buf
+			n := buf.N()
+			rk.pool.Run(pipe.NumBlocks, func(b int) {
+				bs := rk.blockSt[b]
+				bs.Reset()
+				// Lane-aligned cuts: each pipeline sweeps whole AoSoA
+				// blocks, so the sweep sees full spans and no two
+				// pipelines write lanes of the same storage block.
+				lo, hi := pipe.AlignedRange(0, n, pipe.NumBlocks, b, particle.Lanes)
+				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
+			})
+			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+		}
+		// Zeroes rk.Acc's stale window before summing, so immigrants
+		// finishing their move deposit on top during the exchange.
+		union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
+		pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
+	} else {
+		// Boundary-first push: partition each species so the shell
+		// particles form a tail block, push the tail, post the particle
+		// exchange (only shell particles can migrate under the CFL
+		// bound, so the outgoing lists are final), then push the
+		// interior while the migrants fly. The partition and phase
+		// order are fixed, so results are bit-identical for any worker
+		// count and for overlap on/off — only the exchange scheduling
+		// differs.
+		for _, a := range rk.pipeAcc {
+			pushBytes += int64(a.WindowLen()) * accum.CellBytes
+		}
+		for i, sp := range rk.Species {
+			rk.partNI[i] = rk.partitionBoundary(sp.Buf)
+		}
+		accum.ClearAll(rk.pool, rk.pipeAcc)
+		for i, sp := range rk.Species {
+			k := rk.Kernels[i]
+			buf := sp.Buf
+			ni := rk.partNI[i]
+			nb := buf.N() - ni
+			rk.pool.Run(pipe.NumBlocks, func(b int) {
+				bs := rk.blockSt[b]
+				bs.Reset()
+				lo, hi := pipe.AlignedRange(ni, ni+nb, pipe.NumBlocks, b, particle.Lanes)
+				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
+			})
+			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+		}
+		rk.Perf.Stop(perf.Push)
+		rk.Perf.Start(perf.Comm)
+		px = d.BeginParticleExchange(rk.Kernels, rk.bufs)
+		rk.Perf.Stop(perf.Comm)
+		rk.Perf.Start(perf.Push)
+		for i, sp := range rk.Species {
+			k := rk.Kernels[i]
+			buf := sp.Buf
+			ni := rk.partNI[i]
+			rk.pool.Run(pipe.NumBlocks, func(b int) {
+				bs := rk.blockSt[b]
+				bs.Reset()
+				lo, hi := pipe.AlignedRange(0, ni, pipe.NumBlocks, b, particle.Lanes)
+				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
+			})
+			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+		}
+		// Zeroes rk.Acc's stale window before summing, so immigrants
+		// finishing their move deposit on top during the exchange.
+		union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
+		pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
+	}
+	for _, k := range rk.Kernels {
+		pushBytes += k.TakeTrafficBytes()
+	}
+	rk.stopPar(perf.Push)
+	rk.Perf.AddBytes(perf.Push, pushBytes)
+
+	// Complete the migration (or, on the unsplit path, run it whole).
+	rk.Perf.Start(perf.Comm)
+	if px != nil {
+		px.Complete()
+	} else {
+		d.ExchangeParticles(rk.Kernels, rk.bufs)
+	}
+	rk.Perf.Stop(perf.Comm)
+
+	// Reduce currents onto the mesh (plus the antenna drive).
+	rk.Perf.Start(perf.Field)
+	f.ClearJ()
+	for _, a := range cfg.Lasers {
+		a.Inject(f, tNow, cfg.DT)
+	}
+	rk.Acc.UnloadPar(rk.pool, f, cfg.DT)
+	f.FoldGhostJ()
+	rk.stopPar(perf.Field)
+
+	// Field advance: B half, E full, B half. With overlap on, the
+	// current reduction rides behind the first B half-advance —
+	// ExchangeJ touches only J while AdvanceB reads B/E, so running
+	// them concurrently is bit-identical. The exchange goroutine's
+	// panic (a typed CommError from a sick peer) is captured and
+	// re-raised on the rank's own goroutine so supervising drivers can
+	// still recover and attribute it.
+	if cfg.NoOverlap {
+		rk.Perf.Start(perf.Comm)
+		d.ExchangeJ()
+		rk.Perf.Stop(perf.Comm)
+		rk.Perf.Start(perf.Field)
+		f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
+		rk.stopPar(perf.Field)
+	} else {
+		var jerr any
+		jdone := make(chan struct{})
+		go func() {
+			defer close(jdone)
+			defer func() { jerr = recover() }()
+			d.ExchangeJ()
+		}()
+		rk.Perf.Start(perf.Field)
+		f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
+		rk.stopPar(perf.Field)
+		rk.Perf.Start(perf.Comm)
+		<-jdone
+		if jerr != nil {
+			panic(jerr)
+		}
+		rk.Perf.Stop(perf.Comm)
+	}
+	rk.Perf.Start(perf.Comm)
+	d.ExchangeGhostB()
+	rk.Perf.Stop(perf.Comm)
+
+	rk.Perf.Start(perf.Field)
+	f.AdvanceEPar(rk.pool, cfg.DT)
+	rk.stopPar(perf.Field)
+	rk.Perf.Start(perf.Comm)
+	d.ExchangeGhostE()
+	rk.Perf.Stop(perf.Comm)
+
+	rk.Perf.Start(perf.Field)
+	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
+	rk.stopPar(perf.Field)
+	rk.Perf.Start(perf.Comm)
+	d.ExchangeGhostB()
+	rk.Perf.Stop(perf.Comm)
+
+	// Divergence cleaning.
+	if doClean {
+		rk.Perf.Start(perf.Field)
+		rk.clean(cfg)
+		rk.Perf.Stop(perf.Field)
+	}
+
+	// Refresh interpolators for the next step (and for any field
+	// diagnostics run between steps).
+	rk.Perf.Start(perf.Field)
+	rk.IP.LoadPar(rk.pool, f)
+	rk.stopPar(perf.Field)
+
+	// Fold the step's request wait/overlap deltas into the breakdown.
+	if st := d.Comm.Stats(); st != nil {
+		w, o := st.TakeOverlap()
+		rk.Perf.AddCommWait(w)
+		rk.Perf.AddCommOverlap(o)
+	}
+}
+
+// stopPar stops a section's timer and folds the worker-pool busy/wall
+// stats of the parallel regions that ran inside it into the breakdown.
+func (rk *Rank) stopPar(s perf.Section) {
+	rk.Perf.Stop(s)
+	busy, wall := rk.pool.TakeStats()
+	rk.Perf.AddParallel(s, busy, wall)
+}
+
+// clean runs the multi-rank-safe Marder passes.
+func (rk *Rank) clean(cfg *Config) {
+	d := rk.D
+	f := d.F
+	// Assemble the target charge density.
+	clear(rk.rho)
+	rk.depositAllRho(rk.rho)
+	f.FoldNodeScalar(rk.rho)
+	d.ExchangeNodeScalar(rk.rho)
+	if rk.rho0 != nil {
+		for i, v := range rk.rho0 {
+			rk.rho[i] += v
+		}
+	}
+	for p := 0; p < cfg.CleanPasses; p++ {
+		errF, _ := f.DivEError(rk.rho, rk.scratch)
+		rk.scratch = errF
+		f.FillNodeGhost(errF)
+		d.ExchangeScalarGhost(errF)
+		f.MarderPassE(errF)
+		f.UpdateGhostE()
+		d.ExchangeGhostE()
+	}
+	for p := 0; p < cfg.CleanPasses; p++ {
+		div, _ := f.DivB(rk.scratch)
+		rk.scratch = div
+		f.FillCellGhost(div)
+		d.ExchangeScalarGhost(div)
+		f.MarderPassB(div)
+		f.UpdateGhostB()
+		d.ExchangeGhostB()
+	}
+}
+
+// depositAllRho adds every species' charge density into dst.
+func (rk *Rank) depositAllRho(dst []float32) {
+	for _, sp := range rk.Species {
+		push.DepositRho(rk.D.G, sp.Buf, sp.Q, dst)
+	}
+}
