@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +72,110 @@ func TestDistributedCRCMatchesInProcess(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "comm links:") {
 		t.Errorf("distributed run did not print the comm report:\n%s", out)
+	}
+}
+
+// TestEndOfRunBlockSameOnBothPaths: rank 0 of a -local-ranks run prints
+// the same end-of-run block as the in-process run (section table, sort
+// passes, advances, comm tables, per-rank particles and imbalance), so
+// the two outputs carry the same set of report line labels; only the
+// timings differ. The two -comm-json artifacts carry the keys of the
+// report golden file internal/dist tests the report JSON against.
+func TestEndOfRunBlockSameOnBothPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e")
+	}
+	dir := t.TempDir()
+	deckArgs := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8",
+		"-steps", "25", "-every", "25", "-ranks", "2", "-workers", "1"}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "dist", "testdata", "reports.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := commJSONKeys(t, golden)
+	var blocks [2]map[string]bool
+	for i, extra := range [][]string{nil, {"-local-ranks", "2"}} {
+		comm := filepath.Join(dir, fmt.Sprintf("comm-%d.json", i))
+		out, err := vpicCmd(append(append(append([]string{}, deckArgs...), extra...), "-comm-json", comm)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("run %v: %v\n%s", extra, err, out)
+		}
+		blocks[i] = reportLabels(string(out))
+		js, err := os.ReadFile(comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := commJSONKeys(t, js); !reflect.DeepEqual(got, wantKeys) {
+			t.Errorf("run %v: -comm-json keys %v, the report golden file's %v", extra, got, wantKeys)
+		}
+	}
+	for _, want := range []string{"section", "push", "total", "comm i/o", "sort passes", "advances",
+		"comm links", "0->1", "comm traffic by class", "ghostE", "particles", "per-rank particles"} {
+		if !blocks[0][want] {
+			t.Errorf("in-process block has no %q line: %v", want, blocks[0])
+		}
+	}
+	if !reflect.DeepEqual(blocks[0], blocks[1]) {
+		t.Errorf("report line labels differ:\nin-process: %v\nTCP:        %v", blocks[0], blocks[1])
+	}
+}
+
+// reportLabels returns the labels of the end-of-run block's lines (from
+// the perf table header on, rank 0's lines only for a multi-process
+// run): a line's text up to its first colon or double space.
+func reportLabels(out string) map[string]bool {
+	labels := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "[rank ") {
+			var ok bool
+			if line, ok = strings.CutPrefix(line, "[rank 0] "); !ok {
+				continue
+			}
+		}
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "section ") {
+			in = true
+		}
+		if !in || line == "" || strings.HasPrefix(line, "wrote ") {
+			continue
+		}
+		if i := strings.Index(line, "  "); i >= 0 {
+			line = line[:i]
+		}
+		label, _, _ := strings.Cut(line, ":")
+		labels[label] = true
+	}
+	return labels
+}
+
+// commJSONKeys returns the key sets of a -comm-json document: each
+// record's top-level keys and those of its class and link entries.
+func commJSONKeys(t *testing.T, js []byte) map[string][]string {
+	t.Helper()
+	var recs []map[string]json.RawMessage
+	if err := json.Unmarshal(js, &recs); err != nil || len(recs) == 0 {
+		t.Fatalf("-comm-json: %v (%d records)", err, len(recs))
+	}
+	keys := func(m map[string]json.RawMessage) []string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	first := func(name string) map[string]json.RawMessage {
+		var items []map[string]json.RawMessage
+		if err := json.Unmarshal(recs[0][name], &items); err != nil || len(items) == 0 {
+			t.Fatalf("-comm-json %q: %v (%d entries)", name, err, len(items))
+		}
+		return items[0]
+	}
+	return map[string][]string{
+		"record": keys(recs[0]),
+		"class":  keys(first("classes")),
+		"link":   keys(first("links")),
 	}
 }
 

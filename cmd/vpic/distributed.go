@@ -13,6 +13,8 @@ import (
 	"sync"
 	"time"
 
+	"govpic/internal/balance"
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/dist"
@@ -74,7 +76,7 @@ func runDistributed(d deck.Deck, fl distFlags) error {
 		fmt.Printf(" %08x", c)
 	}
 	fmt.Println()
-	printCommTables(allReportLinks(res.Reports), allReportClasses(res.Reports))
+	printReport(res.Reports)
 	if fl.stateCRC != "" {
 		if err := writeStateCRCFile(fl.stateCRC, d.Name, res.Steps, res.Ranks, res.CRCs); err != nil {
 			return err
@@ -82,7 +84,7 @@ func runDistributed(d deck.Deck, fl distFlags) error {
 		fmt.Printf("wrote %s\n", fl.stateCRC)
 	}
 	if fl.commJSON != "" {
-		if err := writeCommJSON(fl.commJSON, res.Reports); err != nil {
+		if err := writeCommJSON(fl.commJSON, res.Reports, res.CRCs); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", fl.commJSON)
@@ -118,11 +120,24 @@ func writeStateCRCFile(path, deckName string, steps, ranks int, crcs []uint32) e
 	})
 }
 
-func writeCommJSON(path string, reports []dist.RankReport) error {
+// commRecord is one rank's -comm-json entry: its report and state CRC,
+// the shape of the end-of-run message a distributed run exchanges.
+type commRecord struct {
+	core.RankReport
+	CRC string `json:"crc"`
+}
+
+// writeCommJSON writes the per-rank reports with their state CRCs; both
+// run paths write it from the same reports, so the artifacts compare.
+func writeCommJSON(path string, reps []core.RankReport, crcs []uint32) error {
+	recs := make([]commRecord, len(reps))
+	for i, r := range reps {
+		recs[i] = commRecord{r, fmt.Sprintf("%08x", crcs[i])}
+	}
 	return output.WriteFileAtomic(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(reports)
+		return enc.Encode(recs)
 	})
 }
 
@@ -139,50 +154,46 @@ func writeEnergyCSV(path string, hist *diag.History) error {
 	return diag.WriteCSV(f, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows)
 }
 
-func allReportLinks(reports []dist.RankReport) []perf.CommLinkStat {
-	var out []perf.CommLinkStat
-	for _, r := range reports {
-		out = append(out, r.Links...)
+// printReport writes the end-of-run perf block the in-process and
+// distributed paths share, from the per-rank reports alone: section
+// table, sort passes, particle advances and, for a decomposed run, the
+// comm tables and the per-rank load.
+func printReport(reps []core.RankReport) {
+	tot := core.SumReports(reps)
+	fmt.Print(tot.Breakdown.Report())
+	sp := tot.SortPasses
+	if t := sp.CountSeconds + sp.MergeSeconds + sp.ScatterSeconds; t > 0 {
+		fmt.Printf("sort passes: count %4.1f%%  merge %4.1f%%  scatter %4.1f%%  (%d sorts, %.3fs)\n",
+			100*sp.CountSeconds/t, 100*sp.MergeSeconds/t, 100*sp.ScatterSeconds/t, sp.Sorts, t)
 	}
-	return out
-}
-
-// allReportClasses sums the per-rank class traffic.
-func allReportClasses(reports []dist.RankReport) []domain.ClassStat {
-	order := []string{}
-	totals := map[string]*domain.ClassStat{}
-	for _, r := range reports {
-		for _, c := range r.Classes {
-			t := totals[c.Class]
-			if t == nil {
-				t = &domain.ClassStat{Class: c.Class}
-				totals[c.Class] = t
-				order = append(order, c.Class)
-			}
-			t.Bytes += c.Bytes
-			t.Msgs += c.Msgs
-		}
+	fmt.Printf("advances: %d pushed  %d moved  %d flops\n", tot.Pushed, tot.Moved, tot.Flops)
+	if len(reps) < 2 {
+		return
 	}
-	out := make([]domain.ClassStat, 0, len(order))
-	for _, name := range order {
-		out = append(out, *totals[name])
+	if len(tot.Links) > 0 {
+		fmt.Print("comm links:\n", perf.CommReport(tot.Links))
 	}
-	return out
-}
-
-// printCommTables writes the per-link and per-class traffic tables of
-// the run report.
-func printCommTables(links []perf.CommLinkStat, classes []domain.ClassStat) {
-	if len(links) > 0 {
-		fmt.Print("comm links:\n", perf.CommReport(links))
-	}
-	if len(classes) > 0 {
+	if len(tot.Classes) > 0 {
 		fmt.Println("comm traffic by class:")
 		fmt.Printf("  %-12s %14s %10s\n", "class", "bytes", "msgs")
-		for _, c := range classes {
+		for _, c := range tot.Classes {
 			fmt.Printf("  %-12s %14d %10d\n", c.Class, c.Bytes, c.Msgs)
 		}
 	}
+	particles, imbalance := rankLoad(reps)
+	fmt.Printf("per-rank particles: %v  push imbalance (max/mean): %.3f\n", particles, imbalance)
+}
+
+// rankLoad returns each rank's resident particle count and the max/mean
+// of the ranks' cumulative push seconds.
+func rankLoad(reps []core.RankReport) ([]int, float64) {
+	particles := make([]int, len(reps))
+	push := make([]float64, len(reps))
+	for i := range reps {
+		particles[i] = reps[i].Particles
+		push[i] = reps[i].Elapsed(perf.Push).Seconds()
+	}
+	return particles, balance.MaxOverMean(push)
 }
 
 // classRecords converts class traffic to bench-record rows.

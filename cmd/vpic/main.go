@@ -25,7 +25,6 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/dist"
 	"govpic/internal/output"
 	"govpic/internal/perf"
 )
@@ -202,18 +201,9 @@ func main() {
 	fmt.Printf("t = %.3f  field E = %.4g  field B = %.4g  kinetic = %.4g  total = %.4g\n",
 		last.Time, last.EField, last.BField, sum(last.Kinetic), last.Total)
 	fmt.Printf("relative energy drift: %.3g\n", hist.RelativeDrift())
-	b := sim.PerfBreakdown()
-	fmt.Print(b.Report())
-	sp := sim.SortPasses()
-	if tot := sp.CountSeconds + sp.MergeSeconds + sp.ScatterSeconds; tot > 0 {
-		fmt.Printf("sort passes: count %4.1f%%  merge %4.1f%%  scatter %4.1f%%  (%d sorts, %.3fs)\n",
-			100*sp.CountSeconds/tot, 100*sp.MergeSeconds/tot, 100*sp.ScatterSeconds/tot, sp.Sorts, tot)
-	}
-	if d.Cfg.NRanks > 1 {
-		printCommTables(sim.CommLinks(), sim.CommTraffic())
-		fmt.Printf("per-rank particles: %v  push imbalance (max/mean): %.3f\n",
-			sim.PerRankParticles(), sim.ImbalanceRatio())
-	}
+	reps := sim.Reports()
+	tot := core.SumReports(reps)
+	printReport(reps)
 	if d.Cfg.Balance.Mode != balance.Off {
 		fmt.Printf("balance %s: x-cuts %v\n", d.Cfg.Balance.Mode, sim.CutsX())
 	}
@@ -224,14 +214,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *stateCRC)
 	}
 	if *commJSON != "" {
-		// The same per-rank report a distributed run exchanges, so the two
-		// comm-json artifacts are directly comparable.
-		reports := make([]dist.RankReport, len(sim.Ranks))
-		core.Collect(sim, func(rs *core.RankSim) bool {
-			reports[rs.Rank.D.Rank] = dist.NewRankReport(rs)
-			return true
-		})
-		if err := writeCommJSON(*commJSON, reports); err != nil {
+		if err := writeCommJSON(*commJSON, reps, sim.StateCRCs()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *commJSON)
@@ -279,17 +262,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pushRate := perf.Rate(sim.PushedParticles(), wall)
 		err = output.WriteSummary(f, output.Summary{
 			Deck:      d.Name,
 			Steps:     sim.StepCount(),
 			Time:      sim.Time(),
-			Particles: sim.TotalParticles(),
+			Particles: tot.Particles,
 			Ranks:     d.Cfg.NRanks,
 			WallClock: wall.Seconds(),
 			Rates: map[string]float64{
-				"Mpart_per_s": pushRate / 1e6,
-				"Gflop_per_s": float64(sim.Flops()) / wall.Seconds() / 1e9,
+				"Mpart_per_s": perf.Rate(tot.Pushed, wall) / 1e6,
+				"Gflop_per_s": float64(tot.Flops) / wall.Seconds() / 1e9,
 			},
 			Energy: map[string]float64{
 				"total": last.Total, "field": last.EField + last.BField,
@@ -308,8 +290,7 @@ func main() {
 		if !strings.HasSuffix(path, ".json") {
 			path = filepath.Join(path, fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02")))
 		}
-		pb := sim.PerfBreakdown()
-		stats := pb.Snapshot()
+		stats := tot.Snapshot()
 		secs := make([]output.BenchSection, len(stats))
 		for i, st := range stats {
 			secs[i] = output.BenchSection{
@@ -321,33 +302,31 @@ func main() {
 			Date:               time.Now().UTC().Format("2006-01-02"),
 			Deck:               d.Name,
 			Steps:              sim.StepCount(),
-			Particles:          sim.TotalParticles(),
+			Particles:          tot.Particles,
 			Ranks:              d.Cfg.NRanks,
 			Workers:            sim.Cfg.Workers,
 			Kernel:             sim.Cfg.Kernel,
 			Overlap:            !d.Cfg.NoOverlap,
-			CommWaitSeconds:    pb.CommWait().Seconds(),
-			CommOverlapSeconds: pb.CommOverlap().Seconds(),
+			CommWaitSeconds:    tot.CommWaitSeconds,
+			CommOverlapSeconds: tot.CommOverlapSeconds,
 			WallSeconds:        wall.Seconds(),
-			MPartPerS:          perf.Rate(sim.PushedParticles(), wall) / 1e6,
-			GFlopPerS:          float64(sim.Flops()) / wall.Seconds() / 1e9,
-			PushEffGBs:         pb.EffectiveGBs(perf.Push),
+			MPartPerS:          perf.Rate(tot.Pushed, wall) / 1e6,
+			GFlopPerS:          float64(tot.Flops) / wall.Seconds() / 1e9,
+			PushEffGBs:         tot.EffectiveGBs(perf.Push),
 			Sections:           secs,
-			CommTraffic:        classRecords(sim.CommTraffic(), sim.StepCount()),
-			CommLinks:          linkRecords(sim.CommLinks()),
+			CommTraffic:        classRecords(tot.Classes, sim.StepCount()),
+			CommLinks:          linkRecords(tot.Links),
 		}
 		if d.Cfg.NRanks > 1 {
-			rec.ImbalanceRatio = sim.ImbalanceRatio()
-			rec.PerRankParticles = sim.PerRankParticles()
+			rec.PerRankParticles, rec.ImbalanceRatio = rankLoad(reps)
 			rec.Balance = d.Cfg.Balance.Mode.String()
 		}
-		bsp := sim.SortPasses()
-		if bsp.Sorts > 0 {
+		if sp := tot.SortPasses; sp.Sorts > 0 {
 			rec.SortPasses = &output.BenchSortPasses{
-				CountSeconds:   bsp.CountSeconds,
-				MergeSeconds:   bsp.MergeSeconds,
-				ScatterSeconds: bsp.ScatterSeconds,
-				Sorts:          bsp.Sorts,
+				CountSeconds:   sp.CountSeconds,
+				MergeSeconds:   sp.MergeSeconds,
+				ScatterSeconds: sp.ScatterSeconds,
+				Sorts:          sp.Sorts,
 			}
 		}
 		err := output.WriteFileAtomic(path, func(w io.Writer) error {

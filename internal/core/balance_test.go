@@ -204,7 +204,7 @@ func TestReshapeXJumpPreservesDigest(t *testing.T) {
 	if got := s.TotalParticles(); got != n {
 		t.Fatalf("jump changed the particle count: %d != %d", got, n)
 	}
-	if s.PerRankParticles()[1] == 0 {
+	if s.Reports()[1].Particles == 0 {
 		t.Fatal("the disjoint rank received no particles: fixture does not exercise the transfer")
 	}
 	for i := 0; i < 3; i++ {
@@ -212,6 +212,35 @@ func TestReshapeXJumpPreservesDigest(t *testing.T) {
 		if e := s.Energy(); math.IsNaN(e.Total) || math.IsInf(e.Total, 0) || e.Total <= 0 {
 			t.Fatalf("step %d after jump: energy %+v", i+1, e)
 		}
+	}
+}
+
+// TestReshapeKeepsSortPasses: a reshape rebuilds each rank's sort
+// workspace, and the passes the old workspace counted must survive in
+// the report. On `vpic -deck spike -ranks 2 -nx 64 -ppc 16 -steps 60
+// -balance-interval 30`'s shape the step-30 reshape falls between the
+// step-20 and step-40 sorts, so balancing off and online must both
+// report 2 ranks × 2 sorts.
+func TestReshapeKeepsSortPasses(t *testing.T) {
+	run := func(mode balance.Mode) (int64, []int) {
+		cfg := spikePlasma(64, 8, 8, 16, 2)
+		cfg.Species[0].SortInterval = 20
+		cfg.Balance.Mode = mode
+		cfg.Balance.Interval = 30
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(60)
+		return SumReports(s.Reports()).SortPasses.Sorts, s.CutsX()
+	}
+	off, cutsOff := run(balance.Off)
+	on, cutsOn := run(balance.Online)
+	if balance.CutsEqual(cutsOn, cutsOff) {
+		t.Fatalf("the online run never reshaped: cuts %v", cutsOn)
+	}
+	if off != 4 || on != off {
+		t.Fatalf("sorts: %d with balancing off, %d online (cuts %v); want 4 both", off, on, cutsOn)
 	}
 }
 

@@ -279,10 +279,11 @@ func TestFlopsAccounting(t *testing.T) {
 	}
 	s.Run(5)
 	wantPushes := int64(5 * 16 * 8)
-	if got := s.PushedParticles(); got != wantPushes {
-		t.Fatalf("pushed %d, want %d", got, wantPushes)
+	tot := SumReports(s.Reports())
+	if tot.Pushed != wantPushes {
+		t.Fatalf("pushed %d, want %d", tot.Pushed, wantPushes)
 	}
-	if s.Flops() < wantPushes*push.FlopsPerPush {
+	if tot.Flops < wantPushes*push.FlopsPerPush {
 		t.Fatal("flop count below minimum")
 	}
 }
@@ -293,11 +294,15 @@ func TestPerfBreakdownPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(10)
-	b := s.PerfBreakdown()
-	if b.Total() == 0 {
+	tot := SumReports(s.Reports())
+	if tot.Total() == 0 {
 		t.Fatal("no time recorded")
 	}
-	if s.CommBytes() == 0 {
+	var sent int64
+	for _, c := range tot.Classes {
+		sent += c.Bytes
+	}
+	if sent == 0 {
 		t.Fatal("no communication recorded on 2 ranks")
 	}
 }

@@ -34,7 +34,8 @@ func thermalBox(nx, ny, nz, ppc, nRanks int) Config {
 // are the members' collectives, so every member of a 4-rank (2×2×1)
 // world must compute the same value — and Collect must hand back member
 // 0's. Run under -race this is also the proof that Collect's fan-out
-// shares nothing but the communicator.
+// shares nothing but the communicator. The per-rank reports, which need
+// no collective, must add up to the collective particle count.
 func TestCollectSameOnEveryMember(t *testing.T) {
 	s, err := New(thermalBox(8, 8, 4, 8, 4))
 	if err != nil {
@@ -44,12 +45,12 @@ func TestCollectSameOnEveryMember(t *testing.T) {
 
 	type seen struct {
 		energy    diag.EnergySample
-		particles []int
+		particles int
 		digest    uint64
 	}
 	all := make([]seen, len(s.Ranks))
 	first := Collect(s, func(rs *RankSim) seen {
-		v := seen{rs.Energy(), rs.PerRankParticles(), rs.CanonicalDigest()}
+		v := seen{rs.Energy(), rs.TotalParticles(), rs.CanonicalDigest()}
 		all[rs.Comm().Rank()] = v
 		return v
 	})
@@ -58,16 +59,16 @@ func TestCollectSameOnEveryMember(t *testing.T) {
 			t.Errorf("member %d computed %+v, member 0 %+v", r, v, first)
 		}
 	}
-	want := seen{s.Energy(), s.PerRankParticles(), s.CanonicalDigest()}
+	want := seen{s.Energy(), s.TotalParticles(), s.CanonicalDigest()}
 	if !reflect.DeepEqual(first, want) {
 		t.Errorf("Collect returned %+v, the Simulation's forwards say %+v", first, want)
 	}
 	total := 0
-	for _, n := range first.particles {
-		total += n
+	for _, r := range s.Reports() {
+		total += r.Particles
 	}
-	if total != s.TotalParticles() || total != 8*8*4*8 || first.energy.Step != 6 || first.energy.Total <= 0 {
-		t.Errorf("degenerate observables: %+v, TotalParticles %d", first, s.TotalParticles())
+	if total != first.particles || total != 8*8*4*8 || first.energy.Step != 6 || first.energy.Total <= 0 {
+		t.Errorf("degenerate observables: %+v, reports sum to %d particles", first, total)
 	}
 }
 

@@ -36,13 +36,13 @@ func TestOverlapDeterminism(t *testing.T) {
 		compareSims(t, a, b, fmt.Sprintf("W=%d overlap on vs off", workers))
 
 		// The overlapped run must actually account request time.
-		pb := a.PerfBreakdown()
+		pb := SumReports(a.Reports())
 		if pb.CommWait() <= 0 && pb.CommOverlap() <= 0 {
 			t.Errorf("W=%d: overlap run recorded no comm wait/overlap time", workers)
 		}
 		// The oracle path never posts requests from the step loop, so its
 		// breakdown must stay clean of engine accounting.
-		if ob := b.PerfBreakdown(); ob.CommOverlap() < 0 {
+		if ob := SumReports(b.Reports()); ob.CommOverlap() < 0 {
 			t.Errorf("W=%d: negative overlap %v", workers, ob.CommOverlap())
 		}
 	}

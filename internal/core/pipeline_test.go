@@ -163,7 +163,7 @@ func TestPushTrafficModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(20)
-	b := s.PerfBreakdown()
+	b := SumReports(s.Reports())
 	pushB := b.BytesMoved(perf.Push)
 	if pushB <= 0 {
 		t.Fatal("push section recorded no bytes moved")
@@ -171,8 +171,7 @@ func TestPushTrafficModel(t *testing.T) {
 	if b.BytesMoved(perf.Sort) <= 0 {
 		t.Fatal("sort section recorded no bytes moved")
 	}
-	pushed := s.PushedParticles()
-	perPart := float64(pushB) / float64(pushed)
+	perPart := float64(pushB) / float64(b.Pushed)
 	if perPart >= push.BytesPerPush {
 		t.Fatalf("modeled %.1f B/particle, want < %d (unfused model)", perPart, push.BytesPerPush)
 	}
@@ -198,7 +197,7 @@ func TestPipelineRace(t *testing.T) {
 		t.Fatalf("periodic run lost particles: %d -> %d", n0, s.TotalParticles())
 	}
 	// The push section must have recorded pipeline-parallel regions.
-	b := s.PerfBreakdown()
+	b := SumReports(s.Reports())
 	if b.Concurrency(perf.Push) <= 0 {
 		t.Fatal("no pipeline stats recorded for the push section")
 	}

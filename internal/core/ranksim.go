@@ -6,9 +6,7 @@ import (
 
 	"govpic/internal/balance"
 	"govpic/internal/diag"
-	"govpic/internal/domain"
 	"govpic/internal/mp"
-	"govpic/internal/perf"
 )
 
 // RankSim is the driver: one rank's member of a world, owning that
@@ -123,20 +121,6 @@ func (rs *RankSim) Energy() diag.EnergySample {
 	return sample
 }
 
-// CommLinks returns this rank's per-link transport counters.
-func (rs *RankSim) CommLinks() []perf.CommLinkStat {
-	if st := rs.comm.Stats(); st != nil {
-		return st.Snapshot()
-	}
-	return nil
-}
-
-// CommTraffic returns this rank's sent traffic by exchange class.
-func (rs *RankSim) CommTraffic() []domain.ClassStat { return rs.Rank.D.ClassTraffic() }
-
-// PerfBreakdown returns this rank's kernel timings.
-func (rs *RankSim) PerfBreakdown() perf.Breakdown { return rs.Rank.Perf }
-
 // particles returns this rank's resident particle count (all species).
 func (rk *Rank) particles() int {
 	n := 0
@@ -160,31 +144,6 @@ func (rs *RankSim) LostEnergy() float64 {
 		e += k.ELost
 	}
 	return rs.comm.AllreduceSum(e)
-}
-
-// PerRankParticles returns every rank's particle count in rank order —
-// a collective (one float64 allreduce); all ranks receive the same
-// vector.
-func (rs *RankSim) PerRankParticles() []int {
-	one := make([]float64, rs.comm.Size())
-	one[rs.comm.Rank()] = float64(rs.Rank.particles())
-	tot := rs.comm.AllreduceSumF64s(one)
-	out := make([]int, len(tot))
-	for i, v := range tot {
-		out[i] = int(v)
-	}
-	return out
-}
-
-// ImbalanceRatio returns the max/mean of per-rank cumulative push
-// seconds — the measured critical-path imbalance (1 for a single rank
-// or before any pushing). Balance decisions use particle counts; this
-// is the observable the counts stand in for. A collective; every rank
-// receives the same value.
-func (rs *RankSim) ImbalanceRatio() float64 {
-	one := make([]float64, rs.comm.Size())
-	one[rs.comm.Rank()] = rs.Rank.Perf.Elapsed(perf.Push).Seconds()
-	return balance.MaxOverMean(rs.comm.AllreduceSumF64s(one))
 }
 
 // CutsX returns the current x-plane cuts (a copy).

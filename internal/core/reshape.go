@@ -159,18 +159,19 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 			panic(fmt.Sprintf("core: reshape send failed: %v", err))
 		}
 	}
-	dNew.CommBytes = dOld.CommBytes
 	dNew.ClassBytes = dOld.ClassBytes
 	dNew.ClassMsgs = dOld.ClassMsgs
 
 	// 6. Rebuild the grid-sized plumbing; per-species counters carry
-	// over via AdoptFrom so cumulative diagnostics survive the swap.
+	// over via AdoptFrom and the sort passes via sortPasses, so
+	// cumulative diagnostics survive the swap.
 	rk.D = dNew
 	rk.IP = interp.NewTable(gNew)
 	rk.Acc = accum.New(gNew)
 	for b := range rk.pipeAcc {
 		rk.pipeAcc[b] = accum.New(gNew)
 	}
+	rk.sortPasses.Merge(rk.sortWS.Passes())
 	rk.sortWS = psort.NewWorkspace(gNew.NV())
 	rk.sortWS.SetPool(rk.pool)
 	rk.rho = make([]float32, gNew.NV())

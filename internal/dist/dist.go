@@ -1,7 +1,7 @@
 // Package dist runs one rank of a network-distributed simulation: it
 // joins the TCP rendezvous, builds this rank's tile (core.RankSim) and
-// drives the shared step path, then exchanges end-of-run reports so
-// every process knows all ranks' state CRCs and communication totals.
+// drives the shared step path, then exchanges end-of-run messages so
+// every process holds all ranks' state CRCs and core.RankReports.
 // Transport failures surface as attributed errors, never hangs: a comm
 // panic raised anywhere in the step is recovered and returned.
 package dist
@@ -15,9 +15,7 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/domain"
 	"govpic/internal/mp"
-	"govpic/internal/perf"
 	"govpic/internal/transport"
 )
 
@@ -40,40 +38,22 @@ type Config struct {
 	Transport transport.Options
 }
 
-// RankReport is one rank's end-of-run fingerprint and comm totals.
-type RankReport struct {
-	Rank    int                 `json:"rank"`
-	CRC     string              `json:"crc"` // %08x of core's StateCRC
-	Links   []perf.CommLinkStat `json:"links,omitempty"`
-	Classes []domain.ClassStat  `json:"classes,omitempty"`
-	// CommWaitSeconds/CommOverlapSeconds split this rank's exchange
-	// time into blocked waits and compute-hidden flight.
-	CommWaitSeconds    float64 `json:"comm_wait_seconds,omitempty"`
-	CommOverlapSeconds float64 `json:"comm_overlap_seconds,omitempty"`
-}
-
 // Result is what a completed distributed run leaves on every rank.
 type Result struct {
 	Rank    int
 	Ranks   int
 	Steps   int
-	CRCs    []uint32     // every rank's state CRC, rank order
-	Reports []RankReport // every rank's report, rank order
-	History diag.History // global energy history (identical on every rank)
+	CRCs    []uint32          // every rank's state CRC, rank order
+	Reports []core.RankReport // every rank's report, rank order
+	History diag.History      // global energy history (identical on every rank)
 	Wall    time.Duration
 }
 
-// NewRankReport builds this member's report from its current state.
-func NewRankReport(rs *core.RankSim) RankReport {
-	pb := rs.PerfBreakdown()
-	return RankReport{
-		Rank:               rs.Comm().Rank(),
-		CRC:                fmt.Sprintf("%08x", rs.StateCRC()),
-		Links:              rs.CommLinks(),
-		Classes:            rs.CommTraffic(),
-		CommWaitSeconds:    pb.CommWait().Seconds(),
-		CommOverlapSeconds: pb.CommOverlap().Seconds(),
-	}
+// endOfRun is the message each rank sends at the end of the run: its
+// report and its state CRC (%08x of core's StateCRC).
+type endOfRun struct {
+	core.RankReport
+	CRC string `json:"crc"`
 }
 
 // Run executes the deck for the given number of steps as rank c.Rank of
@@ -130,34 +110,35 @@ func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args
 	// End-of-run report exchange: gather to rank 0, broadcast the full
 	// set, so every process can verify CRC agreement locally.
 	comm.Barrier()
-	mine := NewRankReport(rs)
+	mine := endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())}
+	all := make([]endOfRun, c.Ranks)
 	if c.Rank == 0 {
-		reports := make([]RankReport, c.Ranks)
-		reports[0] = mine
+		all[0] = mine
 		for r := 1; r < c.Ranks; r++ {
 			blob := comm.Recv(r, tagReport).([]byte)
-			if jerr := json.Unmarshal(blob, &reports[r]); jerr != nil {
+			if jerr := json.Unmarshal(blob, &all[r]); jerr != nil {
 				return nil, fmt.Errorf("dist: rank %d report: %w", r, jerr)
 			}
 		}
-		all, _ := json.Marshal(reports)
+		blob, _ := json.Marshal(all)
 		for r := 1; r < c.Ranks; r++ {
-			comm.Send(r, tagReportAll, all)
+			comm.Send(r, tagReportAll, blob)
 		}
-		result.Reports = reports
 	} else {
 		blob, _ := json.Marshal(mine)
 		comm.Send(0, tagReport, blob)
-		all := comm.Recv(0, tagReportAll).([]byte)
-		if jerr := json.Unmarshal(all, &result.Reports); jerr != nil {
+		blob = comm.Recv(0, tagReportAll).([]byte)
+		if jerr := json.Unmarshal(blob, &all); jerr != nil {
 			return nil, fmt.Errorf("dist: report broadcast: %w", jerr)
 		}
 	}
 	result.CRCs = make([]uint32, c.Ranks)
-	for r, rep := range result.Reports {
-		if _, serr := fmt.Sscanf(rep.CRC, "%08x", &result.CRCs[r]); serr != nil {
-			return nil, fmt.Errorf("dist: rank %d sent CRC %q: %w", r, rep.CRC, serr)
+	result.Reports = make([]core.RankReport, c.Ranks)
+	for r, m := range all {
+		if _, serr := fmt.Sscanf(m.CRC, "%08x", &result.CRCs[r]); serr != nil {
+			return nil, fmt.Errorf("dist: rank %d sent CRC %q: %w", r, m.CRC, serr)
 		}
+		result.Reports[r] = m.RankReport
 	}
 	comm.Barrier() // everyone has the reports before anyone says goodbye
 	return result, nil

@@ -128,6 +128,12 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 // returns rank 0's view of every rank's CRC.
 func runTCP(t *testing.T, spec deck.JSONConfig, ranks int) []uint32 {
 	t.Helper()
+	return runTCPResult(t, spec, ranks).CRCs
+}
+
+// runTCPResult is runTCP returning rank 0's whole Result.
+func runTCPResult(t *testing.T, spec deck.JSONConfig, ranks int) *Result {
+	t.Helper()
 	join := freeAddr(t)
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
@@ -153,7 +159,7 @@ func runTCP(t *testing.T, spec deck.JSONConfig, ranks int) []uint32 {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return results[0].CRCs
+	return results[0]
 }
 
 // TestSetupDecksRunOnEveryWorld: a deck's Setup hook is per-rank and

@@ -65,10 +65,9 @@ type Domain struct {
 	remote [field.NumFaces]bool
 	nbr    [field.NumFaces]int
 
-	// CommBytes counts payload bytes sent by this rank (perf model input).
-	CommBytes int64
-	// ClassBytes/ClassMsgs break the sent traffic down by CommClass —
-	// the comm baseline reports read these.
+	// ClassBytes/ClassMsgs count the payload bytes and messages this rank
+	// sent, by CommClass — the only traffic counters; totals are sums
+	// over classes.
 	ClassBytes [NumCommClasses]int64
 	ClassMsgs  [NumCommClasses]int64
 }

@@ -301,8 +301,12 @@ func TestCommBytesCounted(t *testing.T) {
 			return
 		}
 		d.ExchangeGhostE()
-		if d.CommBytes == 0 {
-			t.Error("CommBytes not accumulated")
+		var sent int64
+		for _, b := range d.ClassBytes {
+			sent += b
+		}
+		if sent == 0 || d.ClassBytes[ClassGhostE] != sent {
+			t.Errorf("sent bytes %d, ghostE class %d: the exchange was not counted under its class", sent, d.ClassBytes[ClassGhostE])
 		}
 	})
 }

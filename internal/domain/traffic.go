@@ -52,10 +52,8 @@ func (d *Domain) ClassTraffic() []ClassStat {
 	return out
 }
 
-// countSend records one outgoing message in the aggregate and per-class
-// counters.
+// countSend records one outgoing message in its class's counters.
 func (d *Domain) countSend(tag int, bytes int) {
-	d.CommBytes += int64(bytes)
 	c := classOf(tag)
 	if c >= 0 && c < NumCommClasses {
 		d.ClassBytes[c] += int64(bytes)

@@ -23,17 +23,13 @@ func E2InnerLoop(cells, ppc, steps int) (Result, error) {
 		return Result{}, err
 	}
 	s.Run(2) // warm caches, settle movers
-	flops0 := s.Flops()
-	pushed0 := s.PushedParticles()
-	pb := s.PerfBreakdown()
-	b0 := pb.Elapsed(perf.Push)
-	bytes0 := pb.BytesMoved(perf.Push)
+	t0 := core.SumReports(s.Reports())
 	s.Run(steps)
-	pb = s.PerfBreakdown()
-	elapsed := pb.Elapsed(perf.Push) - b0
-	pushed := s.PushedParticles() - pushed0
-	flops := s.Flops() - flops0
-	bytesMoved := pb.BytesMoved(perf.Push) - bytes0
+	t := core.SumReports(s.Reports())
+	elapsed := t.Elapsed(perf.Push) - t0.Elapsed(perf.Push)
+	pushed := t.Pushed - t0.Pushed
+	flops := t.Flops - t0.Flops
+	bytesMoved := t.BytesMoved(perf.Push) - t0.BytesMoved(perf.Push)
 
 	rate := perf.Rate(pushed, elapsed)
 	gf := perf.GFlops(flops, elapsed)
@@ -43,7 +39,7 @@ func E2InnerLoop(cells, ppc, steps int) (Result, error) {
 		Name:    "E2 inner loop (thermal plasma, 1 rank)",
 		Headers: []string{"particles", "steps", "Mpart/s", "ns/part", "Gflop/s", "GB/s moved", "B/part"},
 		Rows: [][]float64{{
-			float64(s.TotalParticles()), float64(steps),
+			float64(t.Particles), float64(steps),
 			rate / 1e6, 1e9 / rate, gf, bytesRate, bPerPart,
 		}},
 		Text: fmt.Sprintf("arithmetic intensity %.2f flops/byte measured, %.2f unfused model (paper's data-motion argument: O(1), vs O(10²) for DGEMM)\n",
@@ -64,11 +60,10 @@ func E3KernelBreakdown(cells, ppc, steps, nRanks int) (Result, error) {
 	}
 	s.Run(2)
 	start := time.Now()
-	flops0 := s.Flops()
-	b0 := s.PerfBreakdown()
+	b0 := core.SumReports(s.Reports())
 	s.Run(steps)
 	wall := time.Since(start)
-	b := s.PerfBreakdown()
+	b := core.SumReports(s.Reports())
 	var deltas [perf.NumSections]time.Duration
 	var total time.Duration
 	for sec := perf.Section(0); sec < perf.NumSections; sec++ {
@@ -76,7 +71,7 @@ func E3KernelBreakdown(cells, ppc, steps, nRanks int) (Result, error) {
 		total += deltas[sec]
 	}
 	innerFrac := float64(deltas[perf.Push]) / float64(total)
-	sustainedGF := perf.GFlops(s.Flops()-flops0, wall)
+	sustainedGF := perf.GFlops(b.Flops-b0.Flops, wall)
 	rows := make([][]float64, 0, int(perf.NumSections)+1)
 	for sec := perf.Section(0); sec < perf.NumSections; sec++ {
 		rows = append(rows, []float64{float64(sec), float64(deltas[sec]) / float64(total)})
@@ -99,14 +94,23 @@ func throughput(cellsX, ppc, steps, nRanks int) (float64, float64, error) {
 		return 0, 0, err
 	}
 	s.Run(2)
-	pushed0 := s.PushedParticles()
-	comm0 := s.CommBytes()
+	t0 := core.SumReports(s.Reports())
 	start := time.Now()
 	s.Run(steps)
 	wall := time.Since(start)
-	rate := perf.Rate(s.PushedParticles()-pushed0, wall)
-	commPerStep := float64(s.CommBytes()-comm0) / float64(steps)
+	t := core.SumReports(s.Reports())
+	rate := perf.Rate(t.Pushed-t0.Pushed, wall)
+	commPerStep := float64(sentBytes(t)-sentBytes(t0)) / float64(steps)
 	return rate, commPerStep, nil
+}
+
+// sentBytes returns the payload bytes a report's exchange classes sent.
+func sentBytes(r core.RankReport) int64 {
+	var n int64
+	for _, c := range r.Classes {
+		n += c.Bytes
+	}
+	return n
 }
 
 // E4WeakScaling keeps the per-rank workload fixed and grows the rank
@@ -173,12 +177,10 @@ func AblationSort(cellsX, ppc, steps int) (Result, error) {
 	}
 	measure := func(s *core.Simulation) float64 {
 		s.Run(2)
-		p0 := s.PushedParticles()
-		pb := s.PerfBreakdown()
-		e0 := pb.Elapsed(perf.Push)
+		t0 := core.SumReports(s.Reports())
 		s.Run(steps)
-		pb = s.PerfBreakdown()
-		return perf.Rate(s.PushedParticles()-p0, pb.Elapsed(perf.Push)-e0)
+		t := core.SumReports(s.Reports())
+		return perf.Rate(t.Pushed-t0.Pushed, t.Elapsed(perf.Push)-t0.Elapsed(perf.Push))
 	}
 
 	sortedSim, err := build()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/perf"
 )
@@ -28,20 +29,17 @@ func PipelineSweep(cells, ppc, steps int, workers []int) (Result, error) {
 			return Result{}, err
 		}
 		s.Run(2) // warm caches, settle movers
-		p0 := s.PushedParticles()
-		f0 := s.Flops()
-		pb := s.PerfBreakdown()
-		e0 := pb.Elapsed(perf.Push)
+		t0 := core.SumReports(s.Reports())
 		s.Run(steps)
-		pb = s.PerfBreakdown()
-		elapsed := pb.Elapsed(perf.Push) - e0
-		rate := perf.Rate(s.PushedParticles()-p0, elapsed)
-		mflops := perf.GFlops(s.Flops()-f0, elapsed) * 1e3
+		t := core.SumReports(s.Reports())
+		elapsed := t.Elapsed(perf.Push) - t0.Elapsed(perf.Push)
+		rate := perf.Rate(t.Pushed-t0.Pushed, elapsed)
+		mflops := perf.GFlops(t.Flops-t0.Flops, elapsed) * 1e3
 		if base == 0 {
 			base = rate
 		}
 		rows = append(rows, []float64{
-			float64(w), rate / 1e6, mflops, rate / base, pb.Concurrency(perf.Push),
+			float64(w), rate / 1e6, mflops, rate / base, t.Concurrency(perf.Push),
 		})
 	}
 	return Result{

@@ -7,6 +7,7 @@ package perf
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -40,33 +41,37 @@ func (s Section) String() string {
 }
 
 // Breakdown accumulates wall time per section. It is not safe for
-// concurrent use; each rank owns one.
+// concurrent use; each rank owns one. The cumulative counters are
+// exported so a breakdown is a plain value: it serializes as JSON (the
+// per-rank report carries one between processes) and Merge sums it
+// across ranks.
 type Breakdown struct {
-	accum   [NumSections]time.Duration
-	started [NumSections]time.Time
-	running [NumSections]bool
+	Sections [NumSections]time.Duration `json:"section_ns"`
 
 	// Pipeline (intra-rank worker) accounting: summed worker-busy time
 	// and parallel-region wall time per section, fed by the pipe pool
 	// via AddParallel.
-	pbusy [NumSections]time.Duration
-	pwall [NumSections]time.Duration
+	Busy [NumSections]time.Duration `json:"busy_ns"`
+	Wall [NumSections]time.Duration `json:"wall_ns"`
 
 	// Estimated data motion per section (bytes), fed by the kernels'
 	// traffic models (push run/segment counts, sort passes, accumulator
 	// window sizes). Divided by the section's wall time this yields the
 	// effective bandwidth the bandwidth-bound sections sustain.
-	bytes [NumSections]int64
+	Bytes [NumSections]int64 `json:"section_bytes"`
 
 	// Nonblocking-exchange accounting, kept OUTSIDE the section array:
-	// commWait is the blocked part of Comm (already inside accum[Comm],
-	// recorded here to show how much of it was unhidable), and
-	// commOverlap is exchange flight time hidden behind compute — time
-	// that belongs to whatever compute section was running, so counting
-	// it in accum would double-book wall time and push section shares
-	// past 1.0.
-	commWait    time.Duration
-	commOverlap time.Duration
+	// the wait is the blocked part of Comm (already inside Sections[Comm],
+	// recorded here to show how much of it was unhidable), and the
+	// overlap is exchange flight time hidden behind compute — time that
+	// belongs to whatever compute section was running, so counting it in
+	// Sections would double-book wall time and push section shares past
+	// 1.0.
+	CommWaitSeconds    float64 `json:"comm_wait_seconds"`
+	CommOverlapSeconds float64 `json:"comm_overlap_seconds"`
+
+	started [NumSections]time.Time
+	running [NumSections]bool
 }
 
 // Start begins timing a section.
@@ -80,7 +85,7 @@ func (b *Breakdown) Stop(s Section) {
 	if !b.running[s] {
 		return
 	}
-	b.accum[s] += time.Since(b.started[s])
+	b.Sections[s] += time.Since(b.started[s])
 	b.running[s] = false
 }
 
@@ -92,12 +97,12 @@ func (b *Breakdown) Time(s Section, fn func()) {
 }
 
 // Elapsed returns the accumulated time of a section.
-func (b *Breakdown) Elapsed(s Section) time.Duration { return b.accum[s] }
+func (b *Breakdown) Elapsed(s Section) time.Duration { return b.Sections[s] }
 
 // Total returns the sum over all sections.
 func (b *Breakdown) Total() time.Duration {
 	var t time.Duration
-	for _, d := range b.accum {
+	for _, d := range b.Sections {
 		t += d
 	}
 	return t
@@ -110,47 +115,51 @@ func (b *Breakdown) Fraction(s Section) float64 {
 	if tot == 0 {
 		return 0
 	}
-	return float64(b.accum[s]) / float64(tot)
+	return float64(b.Sections[s]) / float64(tot)
 }
 
 // AddCommWait records time spent blocked waiting on exchange requests.
-func (b *Breakdown) AddCommWait(d time.Duration) { b.commWait += d }
+func (b *Breakdown) AddCommWait(d time.Duration) { b.CommWaitSeconds += d.Seconds() }
 
 // AddCommOverlap records exchange flight time that ran hidden behind
 // compute. It deliberately does not feed any section accumulator: the
 // wall time it spans is already booked to the overlapping compute
 // section, so Total() and the section shares stay an exact partition of
 // measured wall time.
-func (b *Breakdown) AddCommOverlap(d time.Duration) { b.commOverlap += d }
+func (b *Breakdown) AddCommOverlap(d time.Duration) { b.CommOverlapSeconds += d.Seconds() }
 
 // CommWait returns the accumulated blocked exchange-wait time.
-func (b *Breakdown) CommWait() time.Duration { return b.commWait }
+func (b *Breakdown) CommWait() time.Duration { return seconds(b.CommWaitSeconds) }
 
 // CommOverlap returns the accumulated compute-hidden exchange time.
-func (b *Breakdown) CommOverlap() time.Duration { return b.commOverlap }
+func (b *Breakdown) CommOverlap() time.Duration { return seconds(b.CommOverlapSeconds) }
+
+// seconds converts a float seconds count back to a duration, rounding to
+// the nearest nanosecond.
+func seconds(s float64) time.Duration { return time.Duration(math.Round(s * 1e9)) }
 
 // AddParallel records one or more pipeline-parallel regions inside a
 // section: busy is the summed worker-busy time, wall the regions'
 // elapsed wall time (as returned by pipe.Pool.TakeStats).
 func (b *Breakdown) AddParallel(s Section, busy, wall time.Duration) {
-	b.pbusy[s] += busy
-	b.pwall[s] += wall
+	b.Busy[s] += busy
+	b.Wall[s] += wall
 }
 
 // AddBytes records estimated data motion inside a section.
-func (b *Breakdown) AddBytes(s Section, n int64) { b.bytes[s] += n }
+func (b *Breakdown) AddBytes(s Section, n int64) { b.Bytes[s] += n }
 
 // BytesMoved returns the section's accumulated data-motion estimate.
-func (b *Breakdown) BytesMoved(s Section) int64 { return b.bytes[s] }
+func (b *Breakdown) BytesMoved(s Section) int64 { return b.Bytes[s] }
 
 // EffectiveGBs returns the section's effective bandwidth in GB/s —
 // estimated bytes moved over accumulated wall time — or 0 when nothing
 // was recorded.
 func (b *Breakdown) EffectiveGBs(s Section) float64 {
-	if b.accum[s] <= 0 || b.bytes[s] == 0 {
+	if b.Sections[s] <= 0 || b.Bytes[s] == 0 {
 		return 0
 	}
-	return float64(b.bytes[s]) / b.accum[s].Seconds() / 1e9
+	return float64(b.Bytes[s]) / b.Sections[s].Seconds() / 1e9
 }
 
 // Concurrency returns the average number of busy workers over the
@@ -158,20 +167,20 @@ func (b *Breakdown) EffectiveGBs(s Section) float64 {
 // section ran no parallel regions. Divide by the configured worker
 // count for a [0,1] utilization.
 func (b *Breakdown) Concurrency(s Section) float64 {
-	if b.pwall[s] == 0 {
+	if b.Wall[s] == 0 {
 		return 0
 	}
-	return float64(b.pbusy[s]) / float64(b.pwall[s])
+	return float64(b.Busy[s]) / float64(b.Wall[s])
 }
 
 // ParallelShare returns the fraction of the section's wall time spent
 // inside pipeline-parallel regions — how much of the section the worker
 // pool could actually attack.
 func (b *Breakdown) ParallelShare(s Section) float64 {
-	if b.accum[s] == 0 {
+	if b.Sections[s] == 0 {
 		return 0
 	}
-	return float64(b.pwall[s]) / float64(b.accum[s])
+	return float64(b.Wall[s]) / float64(b.Sections[s])
 }
 
 // SectionStat is one section's counters in value form — a stable,
@@ -194,10 +203,10 @@ func (b *Breakdown) Snapshot() []SectionStat {
 	for s := Section(0); s < NumSections; s++ {
 		stats[s] = SectionStat{
 			Name:        s.String(),
-			Seconds:     b.accum[s].Seconds(),
+			Seconds:     b.Sections[s].Seconds(),
 			Share:       b.Fraction(s),
 			Concurrency: b.Concurrency(s),
-			BytesMoved:  b.bytes[s],
+			BytesMoved:  b.Bytes[s],
 			EffGBs:      b.EffectiveGBs(s),
 		}
 	}
@@ -211,13 +220,13 @@ func (b *Breakdown) Reset() { *b = Breakdown{} }
 // cross-rank aggregation).
 func (b *Breakdown) Merge(o *Breakdown) {
 	for s := Section(0); s < NumSections; s++ {
-		b.accum[s] += o.accum[s]
-		b.pbusy[s] += o.pbusy[s]
-		b.pwall[s] += o.pwall[s]
-		b.bytes[s] += o.bytes[s]
+		b.Sections[s] += o.Sections[s]
+		b.Busy[s] += o.Busy[s]
+		b.Wall[s] += o.Wall[s]
+		b.Bytes[s] += o.Bytes[s]
 	}
-	b.commWait += o.commWait
-	b.commOverlap += o.commOverlap
+	b.CommWaitSeconds += o.CommWaitSeconds
+	b.CommOverlapSeconds += o.CommOverlapSeconds
 }
 
 // Report formats the breakdown as aligned text rows. The workers column
@@ -236,12 +245,12 @@ func (b *Breakdown) Report() string {
 		if r := b.EffectiveGBs(s); r > 0 {
 			gbs = fmt.Sprintf("%.2f", r)
 		}
-		fmt.Fprintf(&sb, "%-8s %12v %7.1f%% %8s %9s\n", s, b.accum[s].Round(time.Microsecond), 100*b.Fraction(s), w, gbs)
+		fmt.Fprintf(&sb, "%-8s %12v %7.1f%% %8s %9s\n", s, b.Sections[s].Round(time.Microsecond), 100*b.Fraction(s), w, gbs)
 	}
 	fmt.Fprintf(&sb, "%-8s %12v\n", "total", tot.Round(time.Microsecond))
-	if b.commWait > 0 || b.commOverlap > 0 {
+	if b.CommWaitSeconds > 0 || b.CommOverlapSeconds > 0 {
 		fmt.Fprintf(&sb, "%-8s %12v   (overlapped with compute: %v)\n",
-			"comm i/o", b.commWait.Round(time.Microsecond), b.commOverlap.Round(time.Microsecond))
+			"comm i/o", b.CommWait().Round(time.Microsecond), b.CommOverlap().Round(time.Microsecond))
 	}
 	return sb.String()
 }

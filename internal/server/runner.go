@@ -10,6 +10,7 @@ import (
 	"os"
 	"time"
 
+	"govpic/internal/balance"
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
@@ -147,7 +148,8 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	every := s.cfg.EnergyEvery
 	ckptEvery := s.cfg.CheckpointEvery
 	wallStart := time.Now()
-	basePushed := sim.PushedParticles()
+	basePushed := core.SumReports(sim.Reports()).Pushed
+	pushed := basePushed
 	var ckptErr error
 
 	progress := func(step int) {
@@ -156,25 +158,31 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		if step%every == 0 || step == steps {
 			sample()
 		}
-		pushed := sim.PushedParticles()
+		reps := sim.Reports()
+		tot := core.SumReports(reps)
+		pushed = tot.Pushed
 		rate := perf.Rate(pushed-basePushed, time.Since(wallStart))
-		pb := sim.PerfBreakdown()
-		snap := pb.Snapshot()
+		snap := tot.Snapshot()
 		s.mu.Lock()
 		j.Progress = Progress{
 			Step:       step,
 			Steps:      steps,
-			Particles:  sim.TotalParticles(),
+			Particles:  tot.Particles,
 			RateMPartS: rate / 1e6,
 		}
 		j.Perf = snap
-		j.CommLinks = sim.CommLinks()
-		j.CommTraffic = sim.CommTraffic()
-		j.CommWaitSeconds = pb.CommWait().Seconds()
-		j.CommOverlapSeconds = pb.CommOverlap().Seconds()
-		if d.Cfg.NRanks > 1 {
-			j.PerRankParticles = sim.PerRankParticles()
-			j.ImbalanceRatio = sim.ImbalanceRatio()
+		j.CommLinks = tot.Links
+		j.CommTraffic = tot.Classes
+		j.CommWaitSeconds = tot.CommWaitSeconds
+		j.CommOverlapSeconds = tot.CommOverlapSeconds
+		if len(reps) > 1 {
+			j.PerRankParticles = make([]int, len(reps))
+			push := make([]float64, len(reps))
+			for i, r := range reps {
+				j.PerRankParticles[i] = r.Particles
+				push[i] = r.Elapsed(perf.Push).Seconds()
+			}
+			j.ImbalanceRatio = balance.MaxOverMean(push)
 		}
 		j.pushed = pushed
 		s.mu.Unlock()
@@ -209,7 +217,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			Ranks:     d.Cfg.NRanks,
 			WallClock: wall.Seconds(), // this process's segment for resumed jobs
 			Rates: map[string]float64{
-				"Mpart_per_s": perf.Rate(sim.PushedParticles()-basePushed, wall) / 1e6,
+				"Mpart_per_s": perf.Rate(pushed-basePushed, wall) / 1e6,
 			},
 			Energy: map[string]float64{
 				"total": last.Total,

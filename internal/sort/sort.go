@@ -42,16 +42,16 @@ type Workspace struct {
 
 // Passes is the per-pass wall-time breakdown of the sort section —
 // the histogram (count), prefix merge, and scatter phases — summed
-// over every ByVoxel call since the last TakePasses. With the count,
+// over every ByVoxel call of a workspace. With the count,
 // merge and scatter passes all parallelized, any residual serial
 // fraction shows up here; this is the Amdahl observability the
 // post-SIMD perf picture needs (once the push is fast, the sort's
 // serial remainder is what bounds the step).
 type Passes struct {
-	CountSeconds   float64
-	MergeSeconds   float64
-	ScatterSeconds float64
-	Sorts          int64 // ByVoxel calls that actually sorted
+	CountSeconds   float64 `json:"count_seconds"`
+	MergeSeconds   float64 `json:"merge_seconds"`
+	ScatterSeconds float64 `json:"scatter_seconds"`
+	Sorts          int64   `json:"sorts"` // ByVoxel calls that actually sorted
 }
 
 // Merge accumulates other into p.
@@ -62,12 +62,9 @@ func (p *Passes) Merge(other Passes) {
 	p.Sorts += other.Sorts
 }
 
-// TakePasses returns the accumulated pass breakdown and resets it.
-func (w *Workspace) TakePasses() Passes {
-	p := w.passes
-	w.passes = Passes{}
-	return p
-}
+// Passes returns the pass breakdown accumulated since the workspace was
+// made. Reading does not reset it, so any number of readers agree.
+func (w *Workspace) Passes() Passes { return w.passes }
 
 // NewWorkspace sizes a workspace for grids up to nv voxels.
 func NewWorkspace(nv int) *Workspace {

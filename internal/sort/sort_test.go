@@ -266,24 +266,27 @@ func TestBlockedSortTinyVoxelRange(t *testing.T) {
 	}
 }
 
-func TestTakePasses(t *testing.T) {
+func TestPasses(t *testing.T) {
 	check := func(label string, w *Workspace, sorts int64) {
 		t.Helper()
-		p := w.TakePasses()
+		p := w.Passes()
 		if p.Sorts != sorts {
 			t.Fatalf("%s: %d sorts recorded, want %d", label, p.Sorts, sorts)
 		}
 		if p.CountSeconds < 0 || p.MergeSeconds < 0 || p.ScatterSeconds < 0 {
 			t.Fatalf("%s: negative pass time %+v", label, p)
 		}
-		if zero := w.TakePasses(); zero != (Passes{}) {
-			t.Fatalf("%s: TakePasses did not reset: %+v", label, zero)
+		if again := w.Passes(); again != p {
+			t.Fatalf("%s: a second read changed the passes: %+v then %+v", label, p, again)
 		}
 	}
 	ws := NewWorkspace(64)
 	ws.ByVoxel(randomBuffer(1000, 64, 5), 64)
 	ws.ByVoxel(randomBuffer(1000, 64, 6), 64)
 	check("serial", ws, 2)
+	// Cumulative: a later sort adds to what earlier reads saw.
+	ws.ByVoxel(randomBuffer(1000, 64, 8), 64)
+	check("serial, after a third sort", ws, 3)
 
 	wb := NewWorkspace(64)
 	wb.SetPool(pipe.New(4))
