@@ -295,6 +295,35 @@ func TestRemovedLanesFlagRejected(t *testing.T) {
 	}
 }
 
+// TestDistributedRejectsInProcessFlags: the artifact and profiling flags
+// only the in-process path implements fail a -local-ranks or -rank run
+// before any rank starts, naming every one given, instead of being
+// dropped with exit 0.
+func TestDistributedRejectsInProcessFlags(t *testing.T) {
+	deckArgs := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8", "-steps", "6", "-ranks", "2"}
+	for _, tc := range []struct {
+		args, want []string
+	}{
+		{[]string{"-local-ranks", "2", "-restore", "x"}, []string{"-restore"}},
+		{[]string{"-local-ranks", "2", "-checkpoint", "x", "-summary", "s", "-dump", "d"},
+			[]string{"-checkpoint", "-dump", "-summary"}},
+		{[]string{"-rank", "1", "-join", "127.0.0.1:1", "-cpuprofile", "c", "-memprofile", "m"},
+			[]string{"-cpuprofile", "-memprofile"}},
+	} {
+		out, err := vpicCmd(append(append([]string{}, deckArgs...), tc.args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || strings.Contains(string(out), "connected") {
+			t.Errorf("vpic %v: err = %v, want a non-zero exit before the run starts\n%s", tc.args, err, out)
+			continue
+		}
+		for _, name := range tc.want {
+			if !strings.Contains(string(out), name) {
+				t.Errorf("vpic %v: error does not name %s\n%s", tc.args, name, out)
+			}
+		}
+	}
+}
+
 // TestBalanceCheckpointRejected: "checkpoint" selected the swap-and-
 // rebuild balancer until the online reshape learned to jump straight to
 // the bisection cuts; a script that still passes it must fail loudly

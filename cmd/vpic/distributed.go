@@ -18,7 +18,6 @@ import (
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/dist"
-	"govpic/internal/domain"
 	"govpic/internal/output"
 	"govpic/internal/perf"
 	"govpic/internal/transport"
@@ -194,33 +193,6 @@ func rankLoad(reps []core.RankReport) ([]int, float64) {
 		push[i] = reps[i].Elapsed(perf.Push).Seconds()
 	}
 	return particles, balance.MaxOverMean(push)
-}
-
-// classRecords converts class traffic to bench-record rows.
-func classRecords(classes []domain.ClassStat, steps int) []output.CommClassRecord {
-	out := make([]output.CommClassRecord, 0, len(classes))
-	for _, c := range classes {
-		rec := output.CommClassRecord{Class: c.Class, Bytes: c.Bytes, Msgs: c.Msgs}
-		if steps > 0 {
-			rec.BytesPerStep = float64(c.Bytes) / float64(steps)
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// linkRecords converts link counters to bench-record rows.
-func linkRecords(links []perf.CommLinkStat) []output.CommLinkRecord {
-	out := make([]output.CommLinkRecord, 0, len(links))
-	for _, l := range links {
-		out = append(out, output.CommLinkRecord{
-			Link:      l.Label(),
-			BytesSent: l.BytesSent, MsgsSent: l.MsgsSent,
-			BytesRecv: l.BytesRecv, MsgsRecv: l.MsgsRecv,
-			RTTP50Micros: l.RTT.P50Micros, RTTP99Micros: l.RTT.P99Micros,
-		})
-	}
-	return out
 }
 
 // launchLocal forks n child processes of this binary, one per rank, on

@@ -12,10 +12,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -49,7 +47,6 @@ func main() {
 		config  = flag.String("config", "", "JSON deck config (overrides -deck and sizing flags)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the step loop here")
 		memProf = flag.String("memprofile", "", "write a heap profile here at the end")
-		benchJS = flag.String("bench-json", "", "write a machine-readable benchmark record: a .json path, or a directory for BENCH_<date>.json")
 
 		balMode = flag.String("balance", "", "dynamic load balancing: off | online (default: deck/config setting)")
 		balInt  = flag.Int("balance-interval", 0, "steps between balance checks (0 = default 10)")
@@ -68,6 +65,22 @@ func main() {
 		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout (0 = default)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	// These flags act only on the in-process path: a distributed run
+	// refuses them, naming each, instead of dropping them.
+	if *localRanks > 1 || *rank >= 0 {
+		var bad []string
+		for _, name := range []string{"restore", "checkpoint", "dump", "summary", "cpuprofile", "memprofile"} {
+			if set[name] {
+				bad = append(bad, "-"+name)
+			}
+		}
+		if len(bad) > 0 {
+			log.Fatalf("%s: not supported by a distributed run (-rank, -local-ranks)", strings.Join(bad, ", "))
+		}
+	}
 
 	if *localRanks > 1 {
 		os.Exit(launchLocal(*localRanks, os.Args[1:]))
@@ -101,13 +114,7 @@ func main() {
 	}
 	// An explicit -overlap wins; otherwise a config file's setting
 	// stands and the flag default applies only to flag-driven runs.
-	overlapSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "overlap" {
-			overlapSet = true
-		}
-	})
-	if overlapSet || *config == "" {
+	if set["overlap"] || *config == "" {
 		d.Cfg.NoOverlap = !*overlap
 	}
 	if *balMode != "" {
@@ -284,58 +291,6 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("wrote %s\n", *summary)
-	}
-	if *benchJS != "" {
-		path := *benchJS
-		if !strings.HasSuffix(path, ".json") {
-			path = filepath.Join(path, fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02")))
-		}
-		stats := tot.Snapshot()
-		secs := make([]output.BenchSection, len(stats))
-		for i, st := range stats {
-			secs[i] = output.BenchSection{
-				Name: st.Name, Seconds: st.Seconds, Share: st.Share,
-				BytesMoved: st.BytesMoved, EffGBs: st.EffGBs,
-			}
-		}
-		rec := output.BenchRecord{
-			Date:               time.Now().UTC().Format("2006-01-02"),
-			Deck:               d.Name,
-			Steps:              sim.StepCount(),
-			Particles:          tot.Particles,
-			Ranks:              d.Cfg.NRanks,
-			Workers:            sim.Cfg.Workers,
-			Kernel:             sim.Cfg.Kernel,
-			Overlap:            !d.Cfg.NoOverlap,
-			CommWaitSeconds:    tot.CommWaitSeconds,
-			CommOverlapSeconds: tot.CommOverlapSeconds,
-			WallSeconds:        wall.Seconds(),
-			MPartPerS:          perf.Rate(tot.Pushed, wall) / 1e6,
-			GFlopPerS:          float64(tot.Flops) / wall.Seconds() / 1e9,
-			PushEffGBs:         tot.EffectiveGBs(perf.Push),
-			Sections:           secs,
-			CommTraffic:        classRecords(tot.Classes, sim.StepCount()),
-			CommLinks:          linkRecords(tot.Links),
-		}
-		if d.Cfg.NRanks > 1 {
-			rec.PerRankParticles, rec.ImbalanceRatio = rankLoad(reps)
-			rec.Balance = d.Cfg.Balance.Mode.String()
-		}
-		if sp := tot.SortPasses; sp.Sorts > 0 {
-			rec.SortPasses = &output.BenchSortPasses{
-				CountSeconds:   sp.CountSeconds,
-				MergeSeconds:   sp.MergeSeconds,
-				ScatterSeconds: sp.ScatterSeconds,
-				Sorts:          sp.Sorts,
-			}
-		}
-		err := output.WriteFileAtomic(path, func(w io.Writer) error {
-			return output.WriteBench(w, rec)
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
 	}
 	if *ckpt != "" {
 		// Atomic (temp + fsync + rename): a crash mid-write can never

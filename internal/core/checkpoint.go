@@ -348,12 +348,13 @@ func (s *Simulation) Restore(r io.Reader) error {
 		}
 		for _, sp := range rk.Species {
 			n := int(c.u64())
-			if c.err != nil {
-				return c.err
-			}
 			sp.Buf.Clear()
-			for i := 0; i < n; i++ {
-				sp.Buf.Append(c.particle())
+			// A read error ends the loop (and is reported below): a corrupt
+			// count must not append the particles it promises first.
+			for i := 0; i < n && c.err == nil; i++ {
+				if p := c.particle(); c.err == nil {
+					sp.Buf.Append(p)
+				}
 			}
 		}
 	}

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // ckptFixture runs a small plasma a few steps and returns its v3
 // checkpoint bytes together with the config that produced them.
-func ckptFixture(t *testing.T) (Config, []byte) {
+func ckptFixture(t testing.TB) (Config, []byte) {
 	t.Helper()
 	cfg := periodicPlasma(16, 0.2, 0.05, 8, 1)
 	s, err := New(cfg)
@@ -57,6 +59,44 @@ func TestCheckpointRejectsTruncated(t *testing.T) {
 		if !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("truncation at %d: err = %v, want mention of truncation", cut, err)
 		}
+	}
+}
+
+// corruptCount returns the fixture with bit 24 of its one species'
+// particle count flipped (128 → 16 777 344 particles): structurally a
+// checkpoint, promising far more particles than the file holds.
+func corruptCount(t testing.TB, ckpt []byte, n int) []byte {
+	t.Helper()
+	// The count is the u64 before the n 36-byte particle records and
+	// the 4-byte CRC trailer.
+	off := len(ckpt) - 4 - 36*n - 8
+	if got := binary.LittleEndian.Uint64(ckpt[off:]); got != uint64(n) {
+		t.Fatalf("count at offset %d reads %d, want %d", off, got, n)
+	}
+	bad := append([]byte(nil), ckpt...)
+	bad[off+3] ^= 0x01
+	return bad
+}
+
+// TestCheckpointRejectsCorruptCount: a flipped high bit in a particle
+// count is reported as the truncation it is, without first allocating
+// the particles the count promises.
+func TestCheckpointRejectsCorruptCount(t *testing.T) {
+	cfg, ckpt := ckptFixture(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := corruptCount(t, ckpt, s.TotalParticles())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.Restore(bytes.NewReader(bad))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint truncated or unreadable") {
+		t.Fatalf("err = %v, want a truncation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("Restore allocated %d MB before rejecting the count", grew>>20)
 	}
 }
 
@@ -114,4 +154,34 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("rank mismatch: err = %v", err)
 	}
+}
+
+// FuzzCheckpointRestore: Restore and Resume never panic on arbitrary
+// bytes, and accept a file only if it begins with the fixture's
+// unmodified bytes — the CRC trailer covers everything they read, and a
+// suffix past the trailer is never read. One simulation serves every
+// input: a restore overwrites all the state a checkpoint carries.
+func FuzzCheckpointRestore(f *testing.F) {
+	cfg, ckpt := ckptFixture(f)
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
+		f.Add(ckpt[:cut])
+	}
+	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
+		f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
+	}
+	f.Add(corruptCount(f, ckpt, s.TotalParticles()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		unmodified := bytes.HasPrefix(data, ckpt)
+		if err := s.Restore(bytes.NewReader(data)); (err == nil) != unmodified {
+			t.Fatalf("Restore: err = %v on %d bytes (fixture prefix: %v)", err, len(data), unmodified)
+		}
+		if _, _, err := s.Resume(bytes.NewReader(data)); (err == nil) != unmodified {
+			t.Fatalf("Resume: err = %v on %d bytes (fixture prefix: %v)", err, len(data), unmodified)
+		}
+	})
 }

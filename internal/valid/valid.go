@@ -3,7 +3,7 @@
 // front end), an observable extractor riding the diagnostics, and
 // verdict rules comparing measured observables against internal/theory
 // analytic values or committed reference bands with explicit
-// tolerances. The perf gate (benchgate) keeps the code fast; this keeps
+// tolerances. The perf gate (cmd/bench) keeps the code fast; this keeps
 // it *right* — every optimization (AoSoA lanes, overlap, dynamic
 // balance) re-proves Landau damping, two-stream growth, Weibel,
 // energy conservation, and TNSA ion acceleration on every CI push.
