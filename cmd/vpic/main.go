@@ -34,7 +34,7 @@ func main() {
 		every   = flag.Int("every", 10, "energy sample interval (steps)")
 		ranks   = flag.Int("ranks", 1, "domain-decomposed rank count")
 		workers = flag.Int("workers", 0, "pipeline workers per rank (0 = CPUs/rank, capped at 8)")
-		kernel  = flag.String("kernel", "", "push kernel's wide-span routine: asm | go | auto (default auto; bit-identical either way)")
+		kernel  = flag.String("kernel", "", "push kernel's block routine: asm | go | auto (default auto; bit-identical either way)")
 		overlap = flag.Bool("overlap", true, "overlap communication with computation (bit-identical either way)")
 		ppc     = flag.Int("ppc", 64, "particles per cell")
 		nx      = flag.Int("nx", 64, "cells along x (non-LPI decks)")

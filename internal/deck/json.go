@@ -26,7 +26,7 @@ type JSONConfig struct {
 	// Workers is the intra-rank pipeline worker count (0 = one per
 	// available CPU per rank, capped at the pipeline block count).
 	Workers int `json:"workers,omitempty"`
-	// Kernel selects the push kernel's wide-span routine: "asm" (AVX2
+	// Kernel selects the push kernel's block routine: "asm" (AVX2
 	// assembly), "go" (portable), or ""/"auto" (asm when the CPU
 	// supports it). Bit-identical either way; "asm" errors on hardware
 	// without AVX2 rather than silently measuring the wrong kernel.

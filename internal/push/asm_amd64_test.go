@@ -7,8 +7,8 @@ import (
 	"govpic/internal/particle"
 )
 
-// TestAsmSpanMaskAllRanges runs both span routines over every sub-range
-// [lo, hi) of a single 8-lane block — all 36 span-mask combinations —
+// TestAsmSpanMaskAllRanges runs both block routines over every sub-range
+// [lo, hi) of a single 8-lane block — all 36 lane-mask combinations —
 // and requires bitwise-identical particles and accumulators. Lanes
 // outside the range must be untouched by the masked stores, including
 // the garbage lanes beyond a 5-particle partial block.
@@ -16,9 +16,6 @@ func TestAsmSpanMaskAllRanges(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
 	}
-	// Pin the scalar step off: every range, including 1-lane spans,
-	// must go through the span routines here.
-	pinSpanMin(t, 1)
 	for _, n := range []int{particle.Lanes, 5} {
 		for lo := 0; lo < n; lo++ {
 			for hi := lo + 1; hi <= n; hi++ {

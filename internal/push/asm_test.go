@@ -10,7 +10,7 @@ import (
 	"govpic/internal/rng"
 )
 
-// The asm↔go parity suite. The AVX2 span routine claims bitwise
+// The asm↔go parity suite. The AVX2 block routine claims bitwise
 // identity with the Go one — not tolerance, identity — so every
 // comparison here is on bit patterns (plain float comparison would
 // wrongly flag identical NaNs as diverged; the populations
@@ -109,31 +109,37 @@ func checkSameState(t *testing.T, label string, ra *rig, ka *Kernel, rb *rig, kb
 	}
 }
 
-// TestAsmKernelMatchesGoMatrix is the asm↔go gate: the two span
+// TestAsmKernelMatchesGoMatrix is the asm↔go gate: the two block
 // routines must produce bitwise-identical state — accumulators
 // included, which the oracle matrix can hold only to rounding on the
 // pipelined path — through multiple steps across the serial path and
 // the pipelined path with W ∈ {1, 3, 8}, sorted and adversarially
-// shuffled, over populations with a partial trailing block, an
-// all-lanes-crossing block and NaN particles.
+// shuffled, each regrouped to every minimum span width (minSpans), over
+// populations with a partial trailing block, an all-lanes-crossing
+// block and NaN particles.
 func TestAsmKernelMatchesGoMatrix(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
 	}
-	const steps = 4
-	for _, m := range []int{1, productionSpanMin} {
+	for _, m := range minSpans {
 		t.Run(fmt.Sprintf("spanMin=%d", m), func(t *testing.T) {
-			pinSpanMin(t, m)
-			asmGoMatrix(t, steps)
+			asmGoMatrix(t, m)
 		})
 	}
 }
 
-func asmGoMatrix(t *testing.T, steps int) {
+// asmGoMatrix is one minimum-span-width pass of the asm↔go gate.
+func asmGoMatrix(t *testing.T, m int) {
+	const steps = 4
+	mk := func(sorted bool) (*rig, *Kernel) {
+		r, k := asmParityRig(4013, 41, sorted)
+		groupSpans(r.buf, m)
+		return r, k
+	}
 	for _, sorted := range []bool{true, false} {
 		// Serial path.
-		ra, ka := asmParityRig(4013, 41, sorted)
-		rg, kg := asmParityRig(4013, 41, sorted)
+		ra, ka := mk(sorted)
+		rg, kg := mk(sorted)
 		ka.Asm = true
 		label := fmt.Sprintf("serial sorted=%v", sorted)
 		for s := 0; s < steps; s++ {
@@ -149,8 +155,8 @@ func asmGoMatrix(t *testing.T, steps int) {
 
 		// Pipelined path across worker counts.
 		for _, w := range []int{1, 3, 8} {
-			ra, ka := asmParityRig(4013, 41, sorted)
-			rg, kg := asmParityRig(4013, 41, sorted)
+			ra, ka := mk(sorted)
+			rg, kg := mk(sorted)
 			ka.Asm = true
 			pool := pipe.New(w)
 			accsA, blocksA := blockFixture(ra)
@@ -199,32 +205,49 @@ func TestAsmKernelMoverParity(t *testing.T) {
 }
 
 // FuzzAsmGoParity drives randomized small populations (size, seed,
-// thermal spread and sortedness all fuzzed) through one serial step of
-// the go kernel, the asm kernel (where available) and the per-particle
-// oracle and requires bitwise-identical state. `go test` runs the seed
-// corpus; `go test -fuzz=AsmGoParity ./internal/push` explores.
+// thermal spread and order all fuzzed) through one serial step of the
+// go kernel, the asm kernel (where available) and the per-particle
+// oracle and requires bitwise-identical state. order 0 keeps the loaded
+// (random) order, nearly all one-lane runs; 1 sorts by voxel, nearly
+// all single-voxel blocks; k ≥ 2 is "decayed": sorted, then advanced
+// 1 + (k−2) mod 20 steps by the oracle before the compared step, the
+// mixed-voxel blocks a production buffer holds between sorts. `go test`
+// runs the seed corpus; `go test -fuzz=AsmGoParity ./internal/push`
+// explores.
 func FuzzAsmGoParity(f *testing.F) {
-	f.Add(uint16(0), uint64(1), float64(0.3), true)
-	f.Add(uint16(1), uint64(2), float64(0.1), false)
-	f.Add(uint16(17), uint64(3), float64(1.5), true)
-	f.Add(uint16(333), uint64(4), float64(0.7), false)
-	f.Add(uint16(2048), uint64(5), float64(2.0), true)
-	f.Fuzz(func(t *testing.T, n uint16, seed uint64, uth float64, sorted bool) {
+	f.Add(uint16(0), uint64(1), float64(0.3), uint8(1))
+	f.Add(uint16(1), uint64(2), float64(0.1), uint8(0))
+	f.Add(uint16(17), uint64(3), float64(1.5), uint8(1))
+	f.Add(uint16(333), uint64(4), float64(0.7), uint8(0))
+	f.Add(uint16(2048), uint64(5), float64(2.0), uint8(1))
+	f.Add(uint16(2048), uint64(6), float64(0.2), uint8(11))
+	f.Add(uint16(700), uint64(7), float64(1.0), uint8(21))
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64, uth float64, order uint8) {
 		if math.IsNaN(uth) || math.IsInf(uth, 0) {
 			uth = 0.5
 		}
 		uth = math.Mod(math.Abs(uth), 4)
+		decay := 0
+		if order >= 2 {
+			decay = 1 + int(order-2)%20
+		}
 		mk := func() (*rig, *Kernel) {
 			r := newRig(6, 5, 4, 0.5)
 			r.smoothFields(0.3)
 			r.loadRandom(int(n%4096), uth, seed)
-			if sorted {
+			if order >= 1 {
 				sortByVoxel(r.buf)
 			}
+			k := r.kernel(-1, 1, 0.24)
+			for s := 0; s < decay; s++ {
+				r.acc.Clear()
+				k.AdvancePUnfused(r.buf)
+			}
+			k.ResetStats()
 			r.acc.Clear()
-			return r, r.kernel(-1, 1, 0.24)
+			return r, k
 		}
-		label := fmt.Sprintf("n=%d seed=%d uth=%g sorted=%v", n, seed, uth, sorted)
+		label := fmt.Sprintf("n=%d seed=%d uth=%g order=%d", n, seed, uth, order)
 		ro, ko := mk()
 		ko.AdvancePUnfused(ro.buf)
 		rg, kg := mk()

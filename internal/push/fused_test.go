@@ -65,15 +65,20 @@ func checkFusedIdentical(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel,
 	}
 }
 
-// forEachShape runs f as one subtest per sweep shape, handing it a
-// fresh sweep/oracle pair with the shape applied to the sweep's kernel.
+// forEachShape runs f as one subtest per minimum span width × sweep
+// shape, handing it a fresh sweep/oracle pair regrouped by groupSpans,
+// with the shape applied to the sweep's kernel.
 func forEachShape(t *testing.T, n int, seed uint64, sorted bool, f func(t *testing.T, ra *rig, ka *Kernel, rb *rig, kb *Kernel)) {
-	for _, sh := range sweepShapes() {
-		t.Run(fmt.Sprintf("n=%d/sorted=%v/%v", n, sorted, sh), func(t *testing.T) {
-			ra, ka, rb, kb := fusedPair(t, n, seed, sorted)
-			sh.apply(t, ka)
-			f(t, ra, ka, rb, kb)
-		})
+	for _, m := range minSpans {
+		for _, sh := range sweepShapes() {
+			t.Run(fmt.Sprintf("n=%d/sorted=%v/spanMin=%d/%v", n, sorted, m, sh), func(t *testing.T) {
+				ra, ka, rb, kb := fusedPair(t, n, seed, sorted)
+				groupSpans(ra.buf, m)
+				groupSpans(rb.buf, m)
+				ka.Asm = sh == KernelAsm
+				f(t, ra, ka, rb, kb)
+			})
+		}
 	}
 }
 
@@ -112,7 +117,7 @@ func TestFusedMatchesUnfusedProperty(t *testing.T) {
 
 // TestAdvanceZeroAllocSteadyState: once Prealloc has sized the mover and
 // outgoing buffers, a serial AdvanceP step allocates nothing — with
-// either span routine.
+// either block routine.
 func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 	for _, asm := range []bool{false, AsmAvailable()} {
 		r := newRig(8, 6, 4, 0.5)
@@ -137,41 +142,47 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// benchSortedRig builds the benchmark population: benchN particles on a
-// production-ish grid, voxel-sorted so runs average ~ppc particles.
-func benchSortedRig(b *testing.B, n int, sorted bool) (*rig, *Kernel) {
+// benchSortedRig builds the benchmark population: n particles on a
+// production-ish grid, advanced one warm-up step (which also sizes the
+// mover and outgoing buffers) from one of three orders — "sorted" (runs
+// average ~ppc particles, blocks mostly one voxel), "unsorted" (one run
+// per particle) or "decayed": sorted, then advanced 10 steps in all,
+// half the thermal decks' sort interval, so most blocks hold several
+// voxels, as in a production buffer between sorts.
+func benchSortedRig(n int, order string) (*rig, *Kernel) {
 	r := newRig(16, 8, 8, 0.5)
 	r.smoothFields(0.3)
 	k := r.kernel(-1, 1, 0.1)
 	r.loadRandom(n, 0.2, 17)
-	if sorted {
+	if order != "unsorted" {
 		sortByVoxel(r.buf)
 	}
 	k.Prealloc(n/8, 64)
-	r.acc.Clear()
-	k.AdvanceP(r.buf) // warm-up allocates movers/outgoing
+	steps := 1
+	if order == "decayed" {
+		steps = 10
+	}
+	for s := 0; s < steps; s++ {
+		r.acc.Clear()
+		k.AdvanceP(r.buf)
+	}
 	return r, k
 }
 
-// BenchmarkPushSortedRuns measures the sweep with each span routine
-// against the per-particle oracle on the same sorted buffer, and on an
-// unsorted one (one run per particle, every span 1–3 lanes wide, so
-// the scalar step does the work). The asm/go vs oracle gap on sorted
-// input is what run fusion and the span routines buy. Allocations must
-// be 0. MB/s is the modelled traffic (Kernel.TrafficBytes) per second.
+// BenchmarkPushSortedRuns measures the sweep with each block routine
+// against the per-particle oracle on a sorted, a decayed and an
+// unsorted buffer (see benchSortedRig). The asm/go vs oracle gap is
+// what run fusion and the block routines buy. Allocations must be 0.
+// MB/s is the modelled traffic (Kernel.TrafficBytes) per second.
 func BenchmarkPushSortedRuns(b *testing.B) {
 	const n = 100000
-	for _, sorted := range []bool{true, false} {
-		order := "sorted"
-		if !sorted {
-			order = "unsorted"
-		}
+	for _, order := range []string{"sorted", "decayed", "unsorted"} {
 		for _, kernel := range []string{KernelAsm, KernelGo, "oracle"} {
 			b.Run(kernel+"/"+order, func(b *testing.B) {
 				if kernel == KernelAsm && !AsmAvailable() {
 					b.Skip("assembly kernel unavailable on this build/CPU")
 				}
-				r, k := benchSortedRig(b, n, sorted)
+				r, k := benchSortedRig(n, order)
 				k.Asm = kernel == KernelAsm
 				// Advancing decays the voxel order, so every iteration restores
 				// the pristine buffer (outside the timer): each measured sweep

@@ -3,7 +3,7 @@ package push
 import "fmt"
 
 // Kernel names, as accepted by cmd/vpic -kernel and the deck "kernel"
-// knob: which routine pushes wide voxel spans. "asm" is the
+// knob: which routine pushes the particle blocks. "asm" is the
 // hand-written AVX2 routine, "go" the portable one; both are bitwise
 // identical (see the parity property tests), so the choice is pure
 // performance — the resolved name is recorded in reports and bench

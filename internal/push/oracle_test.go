@@ -1,67 +1,46 @@
 package push
 
 import (
-	"fmt"
-	"testing"
-
 	"govpic/internal/accum"
 	"govpic/internal/particle"
 )
 
-// sweepShape is one way the single sweep can push a buffer: which span
-// widths reach a span routine (spanMin) and which routine that is.
-type sweepShape struct {
-	spanMin int
-	asm     bool
-}
-
-func (s sweepShape) String() string {
-	kernel := KernelGo
-	if s.asm {
-		kernel = KernelAsm
+// sweepShapes is the parity axis every bit-identity test runs over: the
+// block routine, by kernel name — asm where the build and CPU have it.
+// A test selects one on its kernel with k.Asm = shape == KernelAsm.
+func sweepShapes() []string {
+	if AsmAvailable() {
+		return []string{KernelGo, KernelAsm}
 	}
-	return fmt.Sprintf("spanMin=%d/%s", s.spanMin, kernel)
+	return []string{KernelGo}
 }
 
-// productionSpanMin is spanMin as shipped, read before any test pins it.
-var productionSpanMin = spanMin
+// minSpans is the population axis of the sweep-pair tests, labelled
+// spanMin=m: groupSpans regroups the buffer so every same-voxel span is
+// at least m particles long before the first push. 1 keeps the buffer
+// as loaded; 4 splits each shuffled block into two voxels at lane 4;
+// Lanes+1 makes every span outlast a block, so each block continues
+// the previous block's run and its voxel split walks every lane offset.
+var minSpans = []int{1, 4, particle.Lanes + 1}
 
-// sweepShapes is the parity axis every bit-identity test runs over:
-// spanMin 1 (every span through a routine), the production value, and
-// Lanes+1 (every particle through the scalar step) × {go, asm}.
-func sweepShapes() []sweepShape {
-	var shapes []sweepShape
-	for _, m := range []int{1, productionSpanMin, particle.Lanes + 1} {
-		shapes = append(shapes, sweepShape{m, false})
-		if AsmAvailable() {
-			shapes = append(shapes, sweepShape{m, true})
-		}
+// groupSpans gives particle i the voxel of particle i − i mod m. Offsets
+// are cell-relative, so any voxel the population already holds is valid.
+func groupSpans(b *particle.Buffer, m int) {
+	for i := 0; i < b.N(); i++ {
+		p := b.At(i)
+		p.Voxel = b.At(i - i%m).Voxel
+		b.Set(i, p)
 	}
-	return shapes
-}
-
-// pinSpanMin sets the package's span-width threshold for the rest of
-// the test.
-func pinSpanMin(t testing.TB, m int) {
-	old := spanMin
-	spanMin = m
-	t.Cleanup(func() { spanMin = old })
-}
-
-// apply selects the shape on k (and, package-wide, for the test).
-func (s sweepShape) apply(t testing.TB, k *Kernel) {
-	pinSpanMin(t, s.spanMin)
-	k.Asm = s.asm
 }
 
 // AdvancePUnfused is the bit-identity oracle of the sweep: every
 // particle individually loads its voxel's interpolator and
-// read-modify-writes its accumulator cell — no blocks, spans, runs or
-// span routines. The arithmetic is that of advanceRange's scalar step
-// term by term, so for any buffer — sorted or not — AdvanceP must agree
-// with it bitwise on particles, movers, accumulators and counters,
-// whatever spanMin and Kernel.Asm are. It is also the "oracle" row of
-// BenchmarkPushSortedRuns: what run fusion and the span routines buy.
+// read-modify-writes its accumulator cell — no blocks, runs or block
+// routines. The arithmetic is that of advanceBlockGo lane by lane, term
+// by term, so for any buffer — sorted or not — AdvanceP must agree with
+// it bitwise on particles, movers, accumulators and counters, whatever
+// Kernel.Asm is. It is also the "oracle" row of BenchmarkPushSortedRuns:
+// what run fusion and the block routines buy.
 func (k *Kernel) AdvancePUnfused(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()

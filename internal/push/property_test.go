@@ -42,13 +42,11 @@ func TestScatterWeightClosure(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesOracleMatrix holds every shape of the one sweep —
-// spanMin ∈ {1 (all spans through a routine), production, Lanes+1 (all
-// particles through the scalar step)} × routine ∈ {go, asm} — to the
-// per-particle oracle, on sorted and shuffled buffers, over a population
-// with a partially-filled trailing block (N ≢ 0 mod 8), one hand-built
-// block in which every lane crosses a face on the first step, and NaN
-// particles. The serial path must match bitwise in everything, after
+// TestSweepMatchesOracleMatrix holds both block routines of the one
+// sweep — go and asm — to the per-particle oracle, on sorted and
+// shuffled buffers, over a population with a partially-filled trailing
+// block (N ≢ 0 mod 8), one hand-built block in which every lane crosses
+// a face on the first step, and NaN particles. The serial path must match bitwise in everything, after
 // every step. The pipelined path, W ∈ {1, 3, 8}, must match bitwise in
 // particle state and exactly in the integer counters; ELost and the
 // reduced currents match to rounding (per-block partial sums associate
@@ -60,7 +58,7 @@ func TestSweepMatchesOracleMatrix(t *testing.T) {
 		for _, sh := range sweepShapes() {
 			ro, ko := mk(sorted)
 			rs, ks := mk(sorted)
-			sh.apply(t, ks)
+			ks.Asm = sh == KernelAsm
 			for s := 0; s < steps; s++ {
 				ro.acc.Clear()
 				rs.acc.Clear()
@@ -75,7 +73,7 @@ func TestSweepMatchesOracleMatrix(t *testing.T) {
 			for _, w := range []int{1, 3, 8} {
 				label := fmt.Sprintf("W=%d sorted=%v %v", w, sorted, sh)
 				rb, kb := mk(sorted)
-				sh.apply(t, kb)
+				kb.Asm = sh == KernelAsm
 				pool := pipe.New(w)
 				accs, blocks := blockFixture(rb)
 				for s := 0; s < steps; s++ {

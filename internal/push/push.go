@@ -14,31 +14,25 @@
 // directly into a flop rate.
 //
 // There is one sweep, advanceRange (this file). It walks the AoSoA
-// storage one 8-lane particle.Block at a time and cuts each block into
-// voxel spans — maximal groups of consecutive lanes sharing a voxel.
-// Consecutive spans of one voxel form a run: the loop is bandwidth-
-// bound, so the run's 72-byte interpolator is loaded once and its
-// in-cell current accumulates in twelve register-resident scalars that
-// are loaded from the accumulator cell at run start and stored at run
-// end. What pushes a span depends only on its width, which the driver
-// has just measured:
+// storage one 8-lane particle.Block at a time and pushes each block
+// with one routine call, every lane against its own voxel's
+// interpolator — VPIC's shape, a vector of consecutive particles
+// whatever cells they sit in. The routine is advanceBlockAVX2 when
+// Kernel.Asm is set (push_avx2_amd64.s), else the portable
+// advanceBlockGo (span.go); both push every lane of the block, return a
+// crosser bitmask and hand back per-lane current contributions. The
+// driver then walks the lanes in ascending order. Consecutive lanes of
+// one voxel form a run, across blocks: the loop is bandwidth-bound, so
+// the run's in-cell current accumulates in twelve register-resident
+// scalars that are loaded from the accumulator cell at run start and
+// stored at run end.
 //
-//   - narrow spans (width < spanMin — the disordered stretches of a
-//     buffer) take the scalar step inlined in the driver: one particle
-//     at a time, adding straight into the run's registers;
-//   - wide spans go through one of two routines with one contract
-//     (span.go): advanceSpanAVX2 when Kernel.Asm is set
-//     (push_avx2_amd64.s), else the portable advanceSpanGo. Both push
-//     every lane of the span, return a crosser bitmask and hand back
-//     per-lane current contributions, which the driver adds to the run's
-//     registers in ascending lane order.
-//
-// All three perform the identical floating-point operations per
+// Both routines perform the identical floating-point operations per
 // particle, and every accumulator slot receives its adds in ascending
 // particle order, so the result — particles, movers, accumulators,
-// counters — is bitwise independent of spanMin and of Kernel.Asm, for
-// any buffer, sorted or not. The tests hold every combination to the
-// per-particle oracle in oracle_test.go.
+// counters — is bitwise independent of Kernel.Asm, for any buffer,
+// sorted or not. The tests hold both routines to the per-particle
+// oracle in oracle_test.go.
 //
 // The kernel exposes two execution styles. AdvanceP is the serial path:
 // one sweep over the buffer depositing into the kernel's accumulator.
@@ -63,7 +57,7 @@ import (
 )
 
 // Flop accounting for the kernel (counts audited against the code —
-// identical for the scalar step and both span routines):
+// identical for both block routines and the oracle):
 //
 //	E interpolation             3 × (3 mul + 3 add + 1 mul)  = 21
 //	cB interpolation            3 × (1 mul + 1 add)          =  6
@@ -189,7 +183,7 @@ type Kernel struct {
 	IP  *interp.Table
 	Acc *accum.Array
 
-	// Asm pushes wide voxel spans through the hand-written AVX2 routine
+	// Asm pushes every block through the hand-written AVX2 routine
 	// instead of the portable Go one (amd64 only; see ResolveKernel /
 	// AsmAvailable). The two are bitwise identical, so the choice is
 	// pure performance.
@@ -373,13 +367,13 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 
 // oneBits is math.Float32bits(1.0); for finite floats |x| > 1 exactly
 // when the sign-cleared bit pattern exceeds it, and NaN patterns always
-// do — matching the scalar step's negated in-cell compare, which also
-// sends NaN offsets to moveP (where the absorb backstop removes them).
+// do — matching the oracle's negated in-cell compare, which also sends
+// NaN offsets to moveP (where the absorb backstop removes them).
 const oneBits = 0x3f800000
 
 // advanceRange is the momentum-update + in-cell-deposition sweep over
 // particles [lo, hi) — the only one; see the package comment for the
-// block / span / run decomposition. Face-crossing particles keep their
+// block / run decomposition. Face-crossing particles keep their
 // pre-step offsets and are appended to bs.Movers in ascending index
 // order for the caller to finish.
 //
@@ -392,15 +386,12 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 	blk := buf.Blk
 	ip := k.IP.C
 	ac := a.A
-	qdt2mc, q := k.qdt2mc, k.q
-	cdx, cdy, cdz := k.cdtdx2, k.cdtdy2, k.cdtdz2
-	con := laneConsts{qdt2mc: qdt2mc, q: q, cdx: cdx, cdy: cdy, cdz: cdz}
+	con := laneConsts{qdt2mc: k.qdt2mc, q: k.q, cdx: k.cdtdx2, cdy: k.cdtdy2, cdz: k.cdtdz2}
+	var lc laneCoeffs
 	var out laneVecs
-	minWide := spanMin
 	bs.NPushed += int64(hi - lo)
 
-	runV := int32(-1)    // voxel of the current run (-1: none yet)
-	var cc interp.Coeffs // hoisted interpolator of the run's cell
+	runV := int32(-1) // voxel of the current run (-1: none yet)
 
 	// The run's accumulator cell, held in twelve named scalars rather
 	// than an accum.Cell so nothing takes their address and the compiler
@@ -423,17 +414,23 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 		}
 		b := &blk[base>>particle.LaneShift]
 
-		for s0 := l0; s0 < l1; {
-			// Extend the voxel span [s0, s1) within the block.
-			v := b.Voxel[s0]
-			s1 := s0 + 1
-			for s1 < l1 && b.Voxel[s1] == v {
-				s1++
-			}
-			if s1 > particle.Lanes {
-				s1 = particle.Lanes // unreachable; bounds the lane loops for BCE
-			}
-			if v != runV {
+		// One routine call pushes lanes [l0, l1), each against its own
+		// voxel's interpolator, and leaves their current contributions
+		// in out.
+		for l := l0; l < l1; l++ {
+			lc.set(l, &ip[b.Voxel[l]])
+		}
+		var cross uint32
+		if k.Asm {
+			cross = advanceBlockAVX2(b, &lc, &con, &out, l0, l1)
+		} else {
+			cross = advanceBlockGo(b, &lc, &con, &out, l0, l1)
+		}
+
+		// The contributions join the run's sums in ascending lane order —
+		// the oracle's chain — switching runs wherever the voxel changes.
+		for l := l0; l < l1; l++ {
+			if v := b.Voxel[l]; v != runV {
 				if runV >= 0 {
 					c := &ac[runV]
 					c.JX[0], c.JX[1], c.JX[2], c.JX[3] = jx0, jx1, jx2, jx3
@@ -442,148 +439,30 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 					a.Touch(int(runV))
 				}
 				runV = v
-				cc = ip[v]
 				c := &ac[v]
 				jx0, jx1, jx2, jx3 = c.JX[0], c.JX[1], c.JX[2], c.JX[3]
 				jy0, jy1, jy2, jy3 = c.JY[0], c.JY[1], c.JY[2], c.JY[3]
 				jz0, jz1, jz2, jz3 = c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3]
 				bs.NRuns++
 			}
-
-			if s1-s0 < minWide {
-				// Narrow span: the scalar step, one particle at a time. A
-				// span routine costs one sqrt/divide chain and a laneVecs
-				// round trip whether it covers 1 lane or 8, which 1–3
-				// lanes do not amortize.
-				for l := s0; l < s1; l++ {
-					dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
-
-					// Interpolate E (21 flops) and apply the first half kick (3).
-					hax := qdt2mc * (cc.Ex0 + dy*cc.DExDy + dz*(cc.DExDz+dy*cc.D2ExDyDz))
-					hay := qdt2mc * (cc.Ey0 + dz*cc.DEyDz + dx*(cc.DEyDx+dz*cc.D2EyDzDx))
-					haz := qdt2mc * (cc.Ez0 + dx*cc.DEzDx + dy*(cc.DEzDy+dx*cc.D2EzDxDy))
-					ux := b.Ux[l] + hax
-					uy := b.Uy[l] + hay
-					uz := b.Uz[l] + haz
-
-					// Interpolate cB (6 flops).
-					cbx := cc.CBx0 + dx*cc.DCBxDx
-					cby := cc.CBy0 + dy*cc.DCByDy
-					cbz := cc.CBz0 + dz*cc.DCBzDz
-
-					// Boris rotation about cB with the exact angle form (8+4+7+12+15).
-					gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-					f0 := qdt2mc * gi
-					tx, ty, tz := f0*cbx, f0*cby, f0*cbz
-					t2 := tx*tx + ty*ty + tz*tz
-					s := 2 / (1 + t2)
-					wx := ux + (uy*tz - uz*ty)
-					wy := uy + (uz*tx - ux*tz)
-					wz := uz + (ux*ty - uy*tx)
-					ux += s * (wy*tz - wz*ty)
-					uy += s * (wz*tx - wx*tz)
-					uz += s * (wx*ty - wy*tx)
-
-					// Second half kick (3) and final γ (8).
-					ux += hax
-					uy += hay
-					uz += haz
-					b.Ux[l], b.Uy[l], b.Uz[l] = ux, uy, uz
-					gi = rsqrt(1 + (ux*ux + uy*uy + uz*uz))
-
-					// Displacement in offset units (6) and new offsets (3).
-					ddx := ux * gi * cdx
-					ddy := uy * gi * cdy
-					ddz := uz * gi * cdz
-					nx := dx + ddx
-					ny := dy + ddy
-					nz := dz + ddz
-
-					if !(nx <= 1 && nx >= -1 && ny <= 1 && ny >= -1 && nz <= 1 && nz >= -1) {
-						bs.Movers = append(bs.Movers, particle.Mover{DispX: ddx, DispY: ddy, DispZ: ddz, Idx: int32(base + l)})
-						continue
-					}
-					// In-cell: scatter the whole-step current (67), the
-					// arithmetic of scatterCell on the run's registers.
-					qw := q * b.W[l]
-					hx, hy, hz := 0.5*ddx, 0.5*ddy, 0.5*ddz
-					mx, my, mz := dx+hx, dy+hy, dz+hz
-					v5 := qw * hx * hy * hz * (1.0 / 3.0)
-
-					qh := qw * hx
-					jx0 += qh*(1-my)*(1-mz) + v5
-					jx1 += qh*(1+my)*(1-mz) - v5
-					jx2 += qh*(1-my)*(1+mz) - v5
-					jx3 += qh*(1+my)*(1+mz) + v5
-
-					qh = qw * hy
-					jy0 += qh*(1-mz)*(1-mx) + v5
-					jy1 += qh*(1+mz)*(1-mx) - v5
-					jy2 += qh*(1-mz)*(1+mx) - v5
-					jy3 += qh*(1+mz)*(1+mx) + v5
-
-					qh = qw * hz
-					jz0 += qh*(1-mx)*(1-my) + v5
-					jz1 += qh*(1+mx)*(1-my) - v5
-					jz2 += qh*(1-mx)*(1+my) - v5
-					jz3 += qh*(1+mx)*(1+my) + v5
-
-					b.Dx[l], b.Dy[l], b.Dz[l] = nx, ny, nz
-				}
-				s0 = s1
+			if cross&(1<<uint(l)) != 0 {
+				bs.Movers = append(bs.Movers, particle.Mover{
+					DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
+				})
 				continue
 			}
-
-			// Wide span: one routine call pushes every lane and leaves the
-			// per-lane current contributions in out; they join the run's
-			// sums here in ascending lane order — the scalar step's chain.
-			var cross uint32
-			if k.Asm {
-				cross = advanceSpanAVX2(b, &cc, &con, &out, s0, s1)
-				cross &= (uint32(1)<<uint(s1) - 1) &^ (uint32(1)<<uint(s0) - 1)
-			} else {
-				cross = advanceSpanGo(b, &cc, &con, &out, s0, s1)
-			}
-			if cross == 0 {
-				// The hot case, kept free of the per-lane crosser test.
-				for l := s0; l < s1; l++ {
-					jx0 += out.c[0][l]
-					jx1 += out.c[1][l]
-					jx2 += out.c[2][l]
-					jx3 += out.c[3][l]
-					jy0 += out.c[4][l]
-					jy1 += out.c[5][l]
-					jy2 += out.c[6][l]
-					jy3 += out.c[7][l]
-					jz0 += out.c[8][l]
-					jz1 += out.c[9][l]
-					jz2 += out.c[10][l]
-					jz3 += out.c[11][l]
-				}
-				s0 = s1
-				continue
-			}
-			for l := s0; l < s1; l++ {
-				if cross&(1<<uint(l)) != 0 {
-					bs.Movers = append(bs.Movers, particle.Mover{
-						DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
-					})
-					continue
-				}
-				jx0 += out.c[0][l]
-				jx1 += out.c[1][l]
-				jx2 += out.c[2][l]
-				jx3 += out.c[3][l]
-				jy0 += out.c[4][l]
-				jy1 += out.c[5][l]
-				jy2 += out.c[6][l]
-				jy3 += out.c[7][l]
-				jz0 += out.c[8][l]
-				jz1 += out.c[9][l]
-				jz2 += out.c[10][l]
-				jz3 += out.c[11][l]
-			}
-			s0 = s1
+			jx0 += out.c[0][l]
+			jx1 += out.c[1][l]
+			jx2 += out.c[2][l]
+			jx3 += out.c[3][l]
+			jy0 += out.c[4][l]
+			jy1 += out.c[5][l]
+			jy2 += out.c[6][l]
+			jy3 += out.c[7][l]
+			jz0 += out.c[8][l]
+			jz1 += out.c[9][l]
+			jz2 += out.c[10][l]
+			jz3 += out.c[11][l]
 		}
 		i = base + l1
 	}
@@ -800,8 +679,8 @@ func flipU(p *particle.Particle, axis int) {
 // divide: the compiler recognizes float32(math.Sqrt(float64(x))) and
 // emits a single-precision hardware sqrt, so the whole thing is one
 // SQRTSS + DIVSS — roughly half the divider latency and throughput cost
-// of the double-precision pair. The scalar step and advanceSpanGo share
-// this helper (VSQRTPS + VDIVPS in the assembly), so they stay bitwise
+// of the double-precision pair. advanceBlockGo and the oracle share this
+// helper (VSQRTPS + VDIVPS in the assembly), so they stay bitwise
 // identical to each other.
 func rsqrt(x float32) float32 {
 	return 1 / float32(math.Sqrt(float64(x)))

@@ -1,11 +1,13 @@
 //go:build !purego
 
-// AVX2 span routine for the AoSoA particle push: the three staged lane
-// loops and the contribution stage of advanceSpanGo fused into one
-// straight-line vector routine over the lanes [s0, s1) of a single
+// AVX2 block routine for the AoSoA particle push: the three staged lane
+// loops and the contribution stage of advanceBlockGo fused into one
+// straight-line vector routine over the lanes [l0, l1) of a single
 // 256-byte particle.Block. The 8 lanes of the block are the 8 float32
 // lanes of a YMM register, so each "lane loop" of the Go routine
-// collapses into a handful of vector instructions.
+// collapses into a handful of vector instructions, and each lane's own
+// interpolator arrives as one row of the transposed laneCoeffs, so
+// whichever voxels the lanes sit in every coefficient is one VMOVUPS.
 //
 // Bit-exactness contract (see DESIGN §8.2 and the parity tests): every
 // lane is arithmetically independent, every instruction used is IEEE
@@ -15,11 +17,12 @@
 // association of every expression mirrors the Go source exactly.
 // Go's rsqrt — float32 SQRTSS then DIVSS — becomes VSQRTPS + VDIVPS,
 // the same two correctly-rounded operations lane-wise. Loads are full
-// 32-byte vectors (garbage lanes compute garbage harmlessly); stores
-// are masked so lanes outside the span, and the pre-step offsets of
-// crossing lanes, are never written. The caller performs the ordered
-// scalar accumulation of the per-lane current contributions, so the
-// run cell's addition chains stay exactly the scalar sweep's.
+// 32-byte vectors (lanes outside [l0, l1) compute from stale finite
+// coefficients harmlessly); stores are masked so lanes outside the
+// range, and the pre-step offsets of crossing lanes, are never written.
+// The caller performs the ordered scalar accumulation of the per-lane
+// current contributions, so every accumulator slot's addition chain
+// stays exactly the per-particle oracle's.
 //
 // Register plan (stages; Y12 = broadcast qdt2mc through stage B):
 //   A gather:  Y0-2 dx,dy,dz   -> Y3-5 hax,hay,haz  Y6-8 cbx,cby,cbz
@@ -61,59 +64,59 @@ GLOBL third<>(SB), RODATA, $4
 DATA absmask<>+0(SB)/4, $0x7fffffff
 GLOBL absmask<>(SB), RODATA, $4
 
-// spanmask<> row k (k = 0..8) has the first k dword lanes set; the
-// span [s0, s1) mask is row[s1] &^ row[s0].
-DATA spanmask<>+0(SB)/8, $0x0000000000000000
-DATA spanmask<>+8(SB)/8, $0x0000000000000000
-DATA spanmask<>+16(SB)/8, $0x0000000000000000
-DATA spanmask<>+24(SB)/8, $0x0000000000000000
-DATA spanmask<>+32(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+40(SB)/8, $0x0000000000000000
-DATA spanmask<>+48(SB)/8, $0x0000000000000000
-DATA spanmask<>+56(SB)/8, $0x0000000000000000
-DATA spanmask<>+64(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+72(SB)/8, $0x0000000000000000
-DATA spanmask<>+80(SB)/8, $0x0000000000000000
-DATA spanmask<>+88(SB)/8, $0x0000000000000000
-DATA spanmask<>+96(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+104(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+112(SB)/8, $0x0000000000000000
-DATA spanmask<>+120(SB)/8, $0x0000000000000000
-DATA spanmask<>+128(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+136(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+144(SB)/8, $0x0000000000000000
-DATA spanmask<>+152(SB)/8, $0x0000000000000000
-DATA spanmask<>+160(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+168(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+176(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+184(SB)/8, $0x0000000000000000
-DATA spanmask<>+192(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+200(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+208(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+216(SB)/8, $0x0000000000000000
-DATA spanmask<>+224(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+232(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+240(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+248(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+256(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+264(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+272(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+280(SB)/8, $0xffffffffffffffff
-GLOBL spanmask<>(SB), RODATA, $288
+// lanemask<> row k (k = 0..8) has the first k dword lanes set; the
+// lane range [l0, l1) mask is row[l1] &^ row[l0].
+DATA lanemask<>+0(SB)/8, $0x0000000000000000
+DATA lanemask<>+8(SB)/8, $0x0000000000000000
+DATA lanemask<>+16(SB)/8, $0x0000000000000000
+DATA lanemask<>+24(SB)/8, $0x0000000000000000
+DATA lanemask<>+32(SB)/8, $0x00000000ffffffff
+DATA lanemask<>+40(SB)/8, $0x0000000000000000
+DATA lanemask<>+48(SB)/8, $0x0000000000000000
+DATA lanemask<>+56(SB)/8, $0x0000000000000000
+DATA lanemask<>+64(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+72(SB)/8, $0x0000000000000000
+DATA lanemask<>+80(SB)/8, $0x0000000000000000
+DATA lanemask<>+88(SB)/8, $0x0000000000000000
+DATA lanemask<>+96(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+104(SB)/8, $0x00000000ffffffff
+DATA lanemask<>+112(SB)/8, $0x0000000000000000
+DATA lanemask<>+120(SB)/8, $0x0000000000000000
+DATA lanemask<>+128(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+136(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+144(SB)/8, $0x0000000000000000
+DATA lanemask<>+152(SB)/8, $0x0000000000000000
+DATA lanemask<>+160(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+168(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+176(SB)/8, $0x00000000ffffffff
+DATA lanemask<>+184(SB)/8, $0x0000000000000000
+DATA lanemask<>+192(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+200(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+208(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+216(SB)/8, $0x0000000000000000
+DATA lanemask<>+224(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+232(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+240(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+248(SB)/8, $0x00000000ffffffff
+DATA lanemask<>+256(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+264(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+272(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+280(SB)/8, $0xffffffffffffffff
+GLOBL lanemask<>(SB), RODATA, $288
 
-// func advanceSpanAVX2(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32
-TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
+// func advanceBlockAVX2(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32
+TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-52
 	MOVQ b+0(FP), DI
-	MOVQ cc+8(FP), SI
+	MOVQ lc+8(FP), SI
 	MOVQ con+16(FP), R8
 	MOVQ out+24(FP), R9
-	MOVQ $spanmask<>(SB), R10
-	MOVQ s0+32(FP), R11
+	MOVQ $lanemask<>(SB), R10
+	MOVQ l0+32(FP), R11
 	SHLQ $5, R11
-	ADDQ R10, R11 // R11 = &spanmask[s0]
-	MOVQ s1+40(FP), CX
+	ADDQ R10, R11 // R11 = &lanemask[l0]
+	MOVQ l1+40(FP), CX
 	SHLQ $5, CX
-	ADDQ R10, CX  // CX = &spanmask[s1]
+	ADDQ R10, CX  // CX = &lanemask[l1]
 
 	VBROADCASTSS 0(R8), Y12 // qdt2mc
 
@@ -123,56 +126,56 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VMOVUPS BDZ(DI), Y2
 
 	// hax = qdt2mc * ((Ex0 + dy*DExDy) + dz*(DExDz + dy*D2ExDyDz))
-	VBROADCASTSS 4(SI), Y13  // DExDy
+	VMOVUPS      32(SI), Y13      // DExDy
 	VMULPS       Y1, Y13, Y13
-	VBROADCASTSS 0(SI), Y14  // Ex0
+	VMOVUPS      0(SI), Y14       // Ex0
 	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 12(SI), Y14 // D2ExDyDz
+	VMOVUPS      96(SI), Y14      // D2ExDyDz
 	VMULPS       Y1, Y14, Y14
-	VBROADCASTSS 8(SI), Y15  // DExDz
+	VMOVUPS      64(SI), Y15      // DExDz
 	VADDPS       Y14, Y15, Y14
 	VMULPS       Y2, Y14, Y14
 	VADDPS       Y14, Y13, Y13
 	VMULPS       Y13, Y12, Y3
 
 	// hay = qdt2mc * ((Ey0 + dz*DEyDz) + dx*(DEyDx + dz*D2EyDzDx))
-	VBROADCASTSS 20(SI), Y13 // DEyDz
+	VMOVUPS      160(SI), Y13     // DEyDz
 	VMULPS       Y2, Y13, Y13
-	VBROADCASTSS 16(SI), Y14 // Ey0
+	VMOVUPS      128(SI), Y14     // Ey0
 	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 28(SI), Y14 // D2EyDzDx
+	VMOVUPS      224(SI), Y14     // D2EyDzDx
 	VMULPS       Y2, Y14, Y14
-	VBROADCASTSS 24(SI), Y15 // DEyDx
+	VMOVUPS      192(SI), Y15     // DEyDx
 	VADDPS       Y14, Y15, Y14
 	VMULPS       Y0, Y14, Y14
 	VADDPS       Y14, Y13, Y13
 	VMULPS       Y13, Y12, Y4
 
 	// haz = qdt2mc * ((Ez0 + dx*DEzDx) + dy*(DEzDy + dx*D2EzDxDy))
-	VBROADCASTSS 36(SI), Y13 // DEzDx
+	VMOVUPS      288(SI), Y13     // DEzDx
 	VMULPS       Y0, Y13, Y13
-	VBROADCASTSS 32(SI), Y14 // Ez0
+	VMOVUPS      256(SI), Y14     // Ez0
 	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 44(SI), Y14 // D2EzDxDy
+	VMOVUPS      352(SI), Y14     // D2EzDxDy
 	VMULPS       Y0, Y14, Y14
-	VBROADCASTSS 40(SI), Y15 // DEzDy
+	VMOVUPS      320(SI), Y15     // DEzDy
 	VADDPS       Y14, Y15, Y14
 	VMULPS       Y1, Y14, Y14
 	VADDPS       Y14, Y13, Y13
 	VMULPS       Y13, Y12, Y5
 
 	// cb = CB0 + d*DCBdD
-	VBROADCASTSS 52(SI), Y13 // DCBxDx
+	VMOVUPS      416(SI), Y13     // DCBxDx
 	VMULPS       Y0, Y13, Y13
-	VBROADCASTSS 48(SI), Y14 // CBx0
+	VMOVUPS      384(SI), Y14     // CBx0
 	VADDPS       Y13, Y14, Y6
-	VBROADCASTSS 60(SI), Y13 // DCByDy
+	VMOVUPS      480(SI), Y13     // DCByDy
 	VMULPS       Y1, Y13, Y13
-	VBROADCASTSS 56(SI), Y14 // CBy0
+	VMOVUPS      448(SI), Y14     // CBy0
 	VADDPS       Y13, Y14, Y7
-	VBROADCASTSS 68(SI), Y13 // DCBzDz
+	VMOVUPS      544(SI), Y13     // DCBzDz
 	VMULPS       Y2, Y13, Y13
-	VBROADCASTSS 64(SI), Y14 // CBz0
+	VMOVUPS      512(SI), Y14     // CBz0
 	VADDPS       Y13, Y14, Y8
 
 	// ---- Stage B: both half kicks and the Boris rotation.
@@ -244,13 +247,13 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VMULPS Y14, Y0, Y14
 	VADDPS Y14, Y11, Y11
 
-	// Second half kick; store the new momenta to span lanes only.
+	// Second half kick; store the new momenta to lanes [l0, l1) only.
 	VADDPS  Y3, Y9, Y9
 	VADDPS  Y4, Y10, Y10
 	VADDPS  Y5, Y11, Y11
 	VMOVDQU (R11), Y14
 	VMOVDQU (CX), Y15
-	VPANDN  Y15, Y14, Y14 // span mask = row[s1] &^ row[s0]
+	VPANDN  Y15, Y14, Y14 // lane mask = row[l1] &^ row[l0]
 	VMASKMOVPS Y9, Y14, BUX(DI)
 	VMASKMOVPS Y10, Y14, BUY(DI)
 	VMASKMOVPS Y11, Y14, BUZ(DI)
@@ -301,16 +304,16 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VPAND        Y8, Y13, Y10
 	VPSUBD       Y10, Y14, Y10
 	VPOR         Y10, Y9, Y9
-	VMOVMSKPS    Y9, AX // raw crosser bits (caller masks to the span)
+	VMOVMSKPS    Y9, AX // raw crosser bits (caller reads [l0, l1) only)
 
-	// Offset store mask: span lanes that did not cross.
+	// Offset store mask: lanes in [l0, l1) that did not cross.
 	VMOVDQU (R11), Y14
 	VMOVDQU (CX), Y15
 	VPANDN  Y15, Y14, Y14
 	VPANDN  Y14, Y9, Y10
 
 	// ---- Stage D: in-cell current contributions, full width; the
-	// caller accumulates span lanes in ascending order and discards
+	// caller accumulates lanes [l0, l1) in ascending order and skips
 	// crossers. mx,my,mz overwrite dx,dy,dz; hx,hy,hz overwrite dd.
 	VBROADCASTSS half<>(SB), Y13
 	VMULPS       Y13, Y3, Y3
@@ -407,7 +410,7 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VADDPS  Y12, Y9, Y9
 	VMOVUPS Y9, OC+352(R9)
 
-	// Commit the new offsets of the in-span, non-crossing lanes.
+	// Commit the new offsets of the in-range, non-crossing lanes.
 	VMASKMOVPS Y6, Y10, BDX(DI)
 	VMASKMOVPS Y7, Y10, BDY(DI)
 	VMASKMOVPS Y8, Y10, BDZ(DI)

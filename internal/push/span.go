@@ -7,7 +7,7 @@ import (
 	"govpic/internal/particle"
 )
 
-// laneConsts hands the kernel's per-species scalars to a span routine.
+// laneConsts hands the kernel's per-species scalars to a block routine.
 // Field offsets are hardcoded in push_avx2_amd64.s.
 type laneConsts struct {
 	qdt2mc float32 // +0
@@ -17,60 +17,74 @@ type laneConsts struct {
 	cdz    float32 // +16
 }
 
-// laneVecs is a span routine's per-span output: the lane displacements
+// laneCoeffs is interp.Coeffs transposed to one interpolator per lane:
+// field k of Coeffs (byte offset 4k) becomes the 8-lane row at byte
+// offset 32k, so the assembly loads each coefficient as one vector. The
+// driver fills only the lanes it pushes; the others keep an earlier
+// block's (finite) coefficients, whose results are never stored.
+type laneCoeffs struct {
+	Ex0, DExDy, DExDz, D2ExDyDz [particle.Lanes]float32
+	Ey0, DEyDz, DEyDx, D2EyDzDx [particle.Lanes]float32
+	Ez0, DEzDx, DEzDy, D2EzDxDy [particle.Lanes]float32
+	CBx0, DCBxDx                [particle.Lanes]float32
+	CBy0, DCByDy                [particle.Lanes]float32
+	CBz0, DCBzDz                [particle.Lanes]float32
+}
+
+// set loads c into lane l.
+func (lc *laneCoeffs) set(l int, c *interp.Coeffs) {
+	lc.Ex0[l], lc.DExDy[l], lc.DExDz[l], lc.D2ExDyDz[l] = c.Ex0, c.DExDy, c.DExDz, c.D2ExDyDz
+	lc.Ey0[l], lc.DEyDz[l], lc.DEyDx[l], lc.D2EyDzDx[l] = c.Ey0, c.DEyDz, c.DEyDx, c.D2EyDzDx
+	lc.Ez0[l], lc.DEzDx[l], lc.DEzDy[l], lc.D2EzDxDy[l] = c.Ez0, c.DEzDx, c.DEzDy, c.D2EzDxDy
+	lc.CBx0[l], lc.DCBxDx[l] = c.CBx0, c.DCBxDx
+	lc.CBy0[l], lc.DCByDy[l] = c.CBy0, c.DCByDy
+	lc.CBz0[l], lc.DCBzDz[l] = c.CBz0, c.DCBzDz
+}
+
+// laneVecs is a block routine's per-block output: the lane displacements
 // (for mover records) and the twelve current contributions per lane
 // (accumulated by the driver in ascending lane order, preserving the
-// scalar step's addition chains). The assembly writes every 32-byte
-// slot full width, so lanes outside the span hold garbage; offsets are
+// oracle's addition chains). The assembly writes every 32-byte slot
+// full width, so lanes outside [l0, l1) hold garbage; offsets are
 // hardcoded in push_avx2_amd64.s.
 type laneVecs struct {
 	ddx, ddy, ddz [particle.Lanes]float32
 	c             [12][particle.Lanes]float32 // JX0..3, JY0..3, JZ0..3
 }
 
-// spanMin is the narrowest voxel span the driver hands to a span
-// routine; narrower spans take the driver's scalar step. A routine call
-// costs one sqrt/divide chain and a 480-byte laneVecs round trip whether
-// it covers 1 lane or 8, so on a disordered buffer — mostly 1–3-lane
-// spans — the scalar step is the faster shape, while a sorted buffer's
-// spans are almost all 8 wide; 4 is half a block (EXPERIMENTS.md S25).
-// All three shapes are bitwise interchangeable, so the value only moves
-// speed. A var, not a const, solely so the parity tests can pin it to 1
-// (every span through a routine) and particle.Lanes+1 (none).
-var spanMin = 4
-
-// advanceSpanGo is the portable implementation of the span contract
-// (advanceSpanAVX2 is the other): push lanes [s0, s1) of b against cc,
-// store new momenta and non-crossing offsets in place, fill out.dd and
-// the in-cell lanes' current contributions out.c, and return the span's
-// crosser bits (exact, no garbage outside the span). The work runs as
-// three staged lane loops — field gather / both kicks and the Boris
-// rotation / final 1/γ, displacement and a branch-free integer crosser
-// mask — so several lanes' rsqrt chains are in flight at once instead of
-// one long per-particle dependency chain; per lane the operations and
-// their order are those of the driver's scalar step.
-func advanceSpanGo(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32 {
+// advanceBlockGo is the portable implementation of the block contract
+// (advanceBlockAVX2 is the other): push lanes [l0, l1) of b, lane l
+// against its own interpolator in lc, store new momenta and
+// non-crossing offsets in place, fill out.dd and the in-cell lanes'
+// current contributions out.c, and return the crosser bits (exact, no
+// garbage outside the range). The work runs as three staged lane loops
+// — field gather / both kicks and the Boris rotation / final 1/γ,
+// displacement and a branch-free integer crosser mask — so several
+// lanes' rsqrt chains are in flight at once instead of one long
+// per-particle dependency chain; per lane the operations and their
+// order are those of the per-particle oracle.
+func advanceBlockGo(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
 	qdt2mc := con.qdt2mc
-	if s1 > particle.Lanes {
-		s1 = particle.Lanes // unreachable; bounds the lane loops for BCE
+	if l1 > particle.Lanes {
+		l1 = particle.Lanes // unreachable; bounds the lane loops for BCE
 	}
 
 	var haxA, hayA, hazA [particle.Lanes]float32
 	var cbxA, cbyA, cbzA [particle.Lanes]float32
 
-	for l := s0; l < s1; l++ {
+	for l := l0; l < l1; l++ {
 		dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
 
-		haxA[l] = qdt2mc * (cc.Ex0 + dy*cc.DExDy + dz*(cc.DExDz+dy*cc.D2ExDyDz))
-		hayA[l] = qdt2mc * (cc.Ey0 + dz*cc.DEyDz + dx*(cc.DEyDx+dz*cc.D2EyDzDx))
-		hazA[l] = qdt2mc * (cc.Ez0 + dx*cc.DEzDx + dy*(cc.DEzDy+dx*cc.D2EzDxDy))
+		haxA[l] = qdt2mc * (lc.Ex0[l] + dy*lc.DExDy[l] + dz*(lc.DExDz[l]+dy*lc.D2ExDyDz[l]))
+		hayA[l] = qdt2mc * (lc.Ey0[l] + dz*lc.DEyDz[l] + dx*(lc.DEyDx[l]+dz*lc.D2EyDzDx[l]))
+		hazA[l] = qdt2mc * (lc.Ez0[l] + dx*lc.DEzDx[l] + dy*(lc.DEzDy[l]+dx*lc.D2EzDxDy[l]))
 
-		cbxA[l] = cc.CBx0 + dx*cc.DCBxDx
-		cbyA[l] = cc.CBy0 + dy*cc.DCByDy
-		cbzA[l] = cc.CBz0 + dz*cc.DCBzDz
+		cbxA[l] = lc.CBx0[l] + dx*lc.DCBxDx[l]
+		cbyA[l] = lc.CBy0[l] + dy*lc.DCByDy[l]
+		cbzA[l] = lc.CBz0[l] + dz*lc.DCBzDz[l]
 	}
 
-	for l := s0; l < s1; l++ {
+	for l := l0; l < l1; l++ {
 		hax, hay, haz := haxA[l], hayA[l], hazA[l]
 		ux := b.Ux[l] + hax
 		uy := b.Uy[l] + hay
@@ -94,7 +108,7 @@ func advanceSpanGo(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *l
 	}
 
 	var cross uint32
-	for l := s0; l < s1; l++ {
+	for l := l0; l < l1; l++ {
 		ux, uy, uz := b.Ux[l], b.Uy[l], b.Uz[l]
 		gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
 
@@ -113,7 +127,7 @@ func advanceSpanGo(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *l
 		cross |= o << uint(l)
 	}
 
-	for l := s0; l < s1; l++ {
+	for l := l0; l < l1; l++ {
 		if cross&(1<<uint(l)) != 0 {
 			continue
 		}

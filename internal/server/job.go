@@ -71,7 +71,7 @@ type Job struct {
 	// multi-rank job, balancing enabled or not.
 	PerRankParticles []int   `json:"per_rank_particles,omitempty"`
 	ImbalanceRatio   float64 `json:"imbalance_ratio,omitempty"`
-	// Kernel is the resolved push span routine the job runs on this
+	// Kernel is the resolved push block routine the job runs on this
 	// host ("asm" or "go") — the Spec may say "auto"; this is what
 	// actually executed. Set when execution starts.
 	Kernel string `json:"kernel,omitempty"`
