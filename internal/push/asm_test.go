@@ -3,6 +3,9 @@ package push
 import (
 	"fmt"
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"govpic/internal/particle"
@@ -66,16 +69,29 @@ func asmParityRig(n int, seed uint64, sorted bool) (*rig, *Kernel) {
 	return r, r.kernel(-1, 1, 0.24)
 }
 
+// checkSameWindow requires equal touched accumulator windows. The
+// sweep's window is the min/max of its run voxels, reported once per
+// range; the oracle's grows deposit by deposit.
+func checkSameWindow(t *testing.T, label string, ra, rb *rig) {
+	t.Helper()
+	alo, ahi := ra.acc.Window()
+	blo, bhi := rb.acc.Window()
+	if alo != blo || ahi != bhi {
+		t.Fatalf("%s: accumulator windows diverged: [%d,%d) vs [%d,%d)", label, alo, ahi, blo, bhi)
+	}
+}
+
 // checkSameState requires bitwise-identical particles, accumulators,
-// outgoing batches and counters between two kernels that pushed the
-// same population. sameRuns also holds NRuns equal — true between
-// shapes of the sweep, false against the oracle, which counts one run
-// per particle.
+// outgoing batches and counters, and equal accumulator windows, between
+// two kernels that pushed the same population. sameRuns also holds
+// NRuns equal — true between shapes of the sweep, false against the
+// oracle, which counts one run per particle.
 func checkSameState(t *testing.T, label string, ra *rig, ka *Kernel, rb *rig, kb *Kernel, sameRuns bool) {
 	t.Helper()
 	if ra.buf.N() != rb.buf.N() {
 		t.Fatalf("%s: particle counts diverged: %d vs %d", label, ra.buf.N(), rb.buf.N())
 	}
+	checkSameWindow(t, label, ra, rb)
 	for i := 0; i < ra.buf.N(); i++ {
 		if !bitEqParticle(ra.buf.At(i), rb.buf.At(i)) {
 			t.Fatalf("%s: particle %d diverged:\n%+v\n%+v", label, i, ra.buf.At(i), rb.buf.At(i))
@@ -201,6 +217,41 @@ func TestAsmKernelMoverParity(t *testing.T) {
 		if a.Idx != g.Idx || !bitEq32(a.DispX, g.DispX) || !bitEq32(a.DispY, g.DispY) || !bitEq32(a.DispZ, g.DispZ) {
 			t.Fatalf("mover %d diverged:\nasm %+v\ngo  %+v", i, a, g)
 		}
+	}
+}
+
+// TestAsmIsVEXOnly fails on any instruction of push_avx2_amd64.s that
+// names an X or Y register with a mnemonic not starting with V, i.e. a
+// legacy-SSE encoding. One such instruction executed while the upper
+// YMM state is dirty costs a state transition on every call: a single
+// MOVQ AX, X1 in place of the prologue's VMOVD took thermal.1rank from
+// 46 to 25 Mpart/s (EXPERIMENTS P35). Macro bodies are checked
+// instruction by instruction.
+func TestAsmIsVEXOnly(t *testing.T) {
+	src, err := os.ReadFile("push_avx2_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecReg := regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+	n := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue // #define heads, #include
+		}
+		for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), `\`), ";") {
+			f := strings.Fields(ins)
+			if len(f) == 0 || strings.HasSuffix(f[0], ":") || strings.Contains(f[0], "(") || !vecReg.MatchString(ins) {
+				continue // blank, label, macro use, or no vector register
+			}
+			n++
+			if !strings.HasPrefix(f[0], "V") {
+				t.Errorf("push_avx2_amd64.s:%d: %q is not VEX-encoded", i+1, strings.TrimSpace(ins))
+			}
+		}
+	}
+	if n < 100 {
+		t.Fatalf("only %d vector instructions found; the scan is not reading the routine", n)
 	}
 }
 

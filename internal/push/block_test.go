@@ -72,7 +72,8 @@ func TestBlockedPushMatchesSerial(t *testing.T) {
 
 // checkBlockedMatchesSerial compares a block-pipelined run (rb, kb)
 // with a serial run (rs, ks) of the same population: particle state
-// must match bitwise and the integer counters exactly; ELost is a
+// must match bitwise, the integer counters and the reduced accumulator
+// window (the union of the blocks' windows) exactly; ELost is a
 // float64 sum whose association differs between the serial chain and
 // the per-block partial sums, and the reduced currents associate
 // differently across block boundaries, so those match to rounding.
@@ -81,6 +82,7 @@ func checkBlockedMatchesSerial(t *testing.T, label string, rs *rig, ks *Kernel, 
 	if rs.buf.N() != rb.buf.N() {
 		t.Fatalf("%s: particle counts diverged: %d vs %d", label, rs.buf.N(), rb.buf.N())
 	}
+	checkSameWindow(t, label, rs, rb)
 	for i := 0; i < rs.buf.N(); i++ {
 		if !bitEqParticle(rs.buf.At(i), rb.buf.At(i)) {
 			t.Fatalf("%s: particle %d differs:\nserial  %+v\nblocked %+v",

@@ -2,13 +2,17 @@
 
 package push
 
-import "govpic/internal/particle"
+import (
+	"govpic/internal/accum"
+	"govpic/internal/interp"
+	"govpic/internal/particle"
+)
 
 // Builds without the assembly: ResolveKernel never returns "asm" here,
 // and a Kernel with Asm set by hand gets the portable routine (which
 // the assembly is bit-identical to anyway).
 const asmAvailable = false
 
-func advanceBlockAVX2(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
-	return advanceBlockGo(b, lc, con, out, l0, l1)
+func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
+	return advanceBlockGo(b, ip, ac, run, con, out, l0, l1)
 }

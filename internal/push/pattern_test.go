@@ -3,6 +3,8 @@ package push
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"govpic/internal/accum"
@@ -18,7 +20,9 @@ type voxelPattern struct {
 	// fromPrev starts the pushed range in block 0, whose lanes all sit
 	// in palette voxel 0, so the pattern's lane 0 continues that run.
 	fromPrev bool
-	// nan gives lane 2 a NaN offset and lane 5 a NaN momentum.
+	// nan gives lane 2 a NaN offset, lane 5 a NaN momentum, and lanes 6
+	// and 7, at rest mid-cell, NaN weights of different payloads: their
+	// run's slots add NaN to NaN, which keeps the first addend's payload.
 	nan bool
 }
 
@@ -68,6 +72,11 @@ func patternRig(p voxelPattern, seed uint64) (*rig, *Kernel) {
 	if p.nan {
 		b1.Dx[2] = float32(math.NaN())
 		b1.Uz[5] = float32(math.NaN())
+		for l, payload := range map[int]uint32{6: 0x7fc00001, 7: 0x7fc00002} {
+			b1.Dx[l], b1.Dy[l], b1.Dz[l] = 0, 0, 0
+			b1.Ux[l], b1.Uy[l], b1.Uz[l] = 0, 0, 0
+			b1.W[l] = math.Float32frombits(payload)
+		}
 	}
 	k := r.kernel(-1, 1, 0.24)
 	k.Bound[1] = Migrate
@@ -138,8 +147,8 @@ func wantRuns(buf *particle.Buffer, lo, hi int, pipelined bool) int64 {
 // block 0), and NaN lanes. Each case runs on {go, asm} × {serial,
 // W ∈ {1, 3}}; the oracle runs the same range in the same pipeline
 // decomposition. Particles, accumulators and Out order match bitwise,
-// the integer counters exactly, and NRuns equals the runs the pattern
-// holds.
+// the integer counters and the accumulator window exactly, and NRuns
+// equals the runs the pattern holds.
 func TestBlockVoxelPatterns(t *testing.T) {
 	paths := []struct {
 		name string
@@ -181,5 +190,136 @@ func TestBlockVoxelPatterns(t *testing.T) {
 	}
 	if moved == 0 || lost == 0 || out == 0 {
 		t.Fatalf("crossers not exercised: %d moved, %d lost, %d migrated", moved, lost, out)
+	}
+}
+
+// tailLanes is the particle count of badVoxelRig's last block.
+const tailLanes = 3
+
+// badVoxelRig is a hot three-block population on all-Wrap faces, so no
+// particle is removed and every lane keeps its slot.
+func badVoxelRig(seed uint64) (*rig, *Kernel) {
+	r := newRig(6, 5, 4, 0.5)
+	r.smoothFields(0.3)
+	r.loadRandom(2*particle.Lanes+tailLanes, 0.6, seed)
+	return r, r.kernel(-1, 1, 0.24)
+}
+
+// blockPanic runs f and returns what it panicked with, "" if nothing.
+func blockPanic(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// sameLanes reports whether lanes [l0, l1) of blocks a and b are
+// bitwise equal in every field.
+func sameLanes(a, b *particle.Block, l0, l1 int) bool {
+	for l := l0; l < l1; l++ {
+		if !bitEq32(a.Dx[l], b.Dx[l]) || !bitEq32(a.Dy[l], b.Dy[l]) || !bitEq32(a.Dz[l], b.Dz[l]) ||
+			a.Voxel[l] != b.Voxel[l] ||
+			!bitEq32(a.Ux[l], b.Ux[l]) || !bitEq32(a.Uy[l], b.Uy[l]) || !bitEq32(a.Uz[l], b.Uz[l]) ||
+			!bitEq32(a.W[l], b.W[l]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockRejectsBadVoxel holds both block routines to the bounds
+// contract. A voxel of −1, len(ip) or MaxInt32 in any pushed lane —
+// lane l0, l1−1 or inside the range — must panic with the routine's
+// bounds report (Go's index check; the driver's badVoxel panic for the
+// assembly), never with a fault from a read outside the tables, and
+// leave every particle and accumulator cell as it was. The same voxels
+// in lanes outside [l0, l1) — the tail past N, the lanes below a
+// pipeline range's l0 and above its l1 — must neither panic nor change
+// one bit of particles, accumulators or counters against a run without
+// them.
+func TestBlockRejectsBadVoxel(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	wantPanic := map[string]string{KernelGo: "index out of range", KernelAsm: "push: a voxel of particles"}
+	probe, _ := badVoxelRig(0)
+	bads := []int32{-1, int32(len(probe.ip.C)), math.MaxInt32}
+
+	for _, sh := range sweepShapes() {
+		// A bad voxel in a pushed lane of block 1.
+		for _, bad := range bads {
+			for l := 0; l < particle.Lanes; l++ {
+				for _, rg := range [][2]int{{0, particle.Lanes}, {l, particle.Lanes}, {0, l + 1}} {
+					r, k := badVoxelRig(uint64(l))
+					k.Asm = sh == KernelAsm
+					r.buf.Blk[1].Voxel[l] = bad
+					pre := particle.NewBuffer(0)
+					pre.CopyFrom(r.buf)
+					lo, hi := particle.Lanes+rg[0], particle.Lanes+rg[1]
+					label := fmt.Sprintf("%s voxel %d in lane %d of [%d,%d)", sh, bad, l, lo, hi)
+					msg := blockPanic(func() { k.advanceRange(r.buf, lo, hi, r.acc, new(BlockState)) })
+					if !strings.Contains(msg, wantPanic[sh]) {
+						t.Fatalf("%s: panicked with %q, want %q", label, msg, wantPanic[sh])
+					}
+					for b := range r.buf.Blk {
+						if !sameLanes(&r.buf.Blk[b], &pre.Blk[b], 0, particle.Lanes) {
+							t.Fatalf("%s: block %d written before the panic", label, b)
+						}
+					}
+					if lo, hi := r.acc.Window(); hi > lo {
+						t.Fatalf("%s: accumulator window [%d,%d) touched before the panic", label, lo, hi)
+					}
+					for v := range r.acc.A {
+						if r.acc.A[v] != (accum.Cell{}) {
+							t.Fatalf("%s: accumulator voxel %d written before the panic", label, v)
+						}
+					}
+				}
+			}
+		}
+
+		// Bad voxels in lanes outside the pushed range: the tail block's
+		// lanes past N when the whole buffer is pushed, and block 1's lanes
+		// below l0 and from l1 on for the range [Lanes+l0, Lanes+l1).
+		type outside struct {
+			lo, hi int // pushed range
+			blk    int // block holding the bad lanes
+			l0, l1 int // the bad lanes
+		}
+		cases := []outside{{0, 2*particle.Lanes + tailLanes, 2, tailLanes, particle.Lanes}}
+		for l0 := 0; l0 < particle.Lanes; l0++ {
+			for l1 := l0 + 1; l1 <= particle.Lanes; l1++ {
+				lo, hi := particle.Lanes+l0, particle.Lanes+l1
+				if l0 > 0 {
+					cases = append(cases, outside{lo, hi, 1, 0, l0})
+				}
+				if l1 < particle.Lanes {
+					cases = append(cases, outside{lo, hi, 1, l1, particle.Lanes})
+				}
+			}
+		}
+		for ci, c := range cases {
+			for _, bad := range bads {
+				rs, ks := badVoxelRig(uint64(100 + ci))
+				rc, kc := badVoxelRig(uint64(100 + ci))
+				ks.Asm, kc.Asm = sh == KernelAsm, sh == KernelAsm
+				b := &rs.buf.Blk[c.blk]
+				for l := c.l0; l < c.l1; l++ {
+					b.Voxel[l] = bad
+				}
+				pre := *b
+				label := fmt.Sprintf("%s voxel %d in lanes [%d,%d) of block %d, range [%d,%d)", sh, bad, c.l0, c.l1, c.blk, c.lo, c.hi)
+				if msg := blockPanic(func() { stepRange(ks, rs, (*Kernel).advanceRange, c.lo, c.hi, nil) }); msg != "" {
+					t.Fatalf("%s: panicked: %s", label, msg)
+				}
+				stepRange(kc, rc, (*Kernel).advanceRange, c.lo, c.hi, nil)
+				if !sameLanes(b, &pre, c.l0, c.l1) {
+					t.Fatalf("%s: a lane outside the range was written", label)
+				}
+				copy(b.Voxel[c.l0:c.l1], rc.buf.Blk[c.blk].Voxel[c.l0:c.l1])
+				checkSameState(t, label, rs, ks, rc, kc, true)
+			}
+		}
 	}
 }

@@ -46,11 +46,12 @@ func TestScatterWeightClosure(t *testing.T) {
 // sweep — go and asm — to the per-particle oracle, on sorted and
 // shuffled buffers, over a population with a partially-filled trailing
 // block (N ≢ 0 mod 8), one hand-built block in which every lane crosses
-// a face on the first step, and NaN particles. The serial path must match bitwise in everything, after
-// every step. The pipelined path, W ∈ {1, 3, 8}, must match bitwise in
-// particle state and exactly in the integer counters; ELost and the
-// reduced currents match to rounding (per-block partial sums associate
-// differently than the serial chain).
+// a face on the first step, and NaN particles. The serial path must match
+// bitwise in everything, the accumulator window included, after every
+// step. The pipelined path, W ∈ {1, 3, 8}, must match bitwise in
+// particle state and exactly in the integer counters and the reduced
+// window; ELost and the reduced currents match to rounding (per-block
+// partial sums associate differently than the serial chain).
 func TestSweepMatchesOracleMatrix(t *testing.T) {
 	const steps = 4
 	mk := func(sorted bool) (*rig, *Kernel) { return asmParityRig(4013, 41, sorted) }

@@ -19,13 +19,15 @@
 // interpolator — VPIC's shape, a vector of consecutive particles
 // whatever cells they sit in. The routine is advanceBlockAVX2 when
 // Kernel.Asm is set (push_avx2_amd64.s), else the portable
-// advanceBlockGo (span.go); both push every lane of the block, return a
-// crosser bitmask and hand back per-lane current contributions. The
-// driver then walks the lanes in ascending order. Consecutive lanes of
-// one voxel form a run, across blocks: the loop is bandwidth-bound, so
-// the run's in-cell current accumulates in twelve register-resident
-// scalars that are loaded from the accumulator cell at run start and
-// stored at run end.
+// advanceBlockGo (span.go). The routine owns the whole block: it loads
+// and bounds-checks each lane's interpolator from the table, pushes the
+// lanes, and folds their in-cell current into the accumulator in
+// ascending lane order. Consecutive lanes of one voxel form a run,
+// carried across blocks in a laneRun: the loop is bandwidth-bound, so
+// the assembly holds the run's cell in registers, loading it when the
+// run or block starts and storing it when the run or block ends. The
+// driver keeps the block loop and turns the returned crosser bits into
+// mover records.
 //
 // Both routines perform the identical floating-point operations per
 // particle, and every accumulator slot receives its adds in ascending
@@ -48,7 +50,9 @@
 package push
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"govpic/internal/accum"
 	"govpic/internal/grid"
@@ -106,6 +110,8 @@ const (
 	BytesPerParticle = particle.ParticleBytes + particle.ParticleBytes
 	// BytesPerRun is the per-voxel-run traffic of the fused sweep: one
 	// 72-byte interpolator load plus one accumulator cell load and store.
+	// The block routines read the interpolator once per lane, but a run's
+	// lanes read the same 72 bytes, so the model counts distinct lines.
 	// A sorted buffer with ppc particles per cell pays this once per ppc
 	// particles; an adversarially unsorted buffer degenerates to one run
 	// per particle, i.e. exactly BytesPerPush.
@@ -375,103 +381,53 @@ const oneBits = 0x3f800000
 // particles [lo, hi) — the only one; see the package comment for the
 // block / run decomposition. Face-crossing particles keep their
 // pre-step offsets and are appended to bs.Movers in ascending index
-// order for the caller to finish.
+// order for the caller to finish. The accumulator window grows once per
+// range, to the least and greatest run voxel the routine saw.
 //
-// The run cell is loaded from the accumulator (not started from zero)
-// and stored back when the voxel changes, so each slot's addition chain
-// is exactly that of a per-particle read-modify-write kernel and the
-// result is bitwise identical to the oracle for any particle order —
-// sorted buffers merely make the runs long enough to pay off.
+// A run adds into its voxel's accumulator cell as loaded (not from
+// zero), and the cell is back in memory whenever the voxel changes and
+// at the end of every block, so each slot's addition chain is exactly
+// that of a per-particle read-modify-write kernel and the result is
+// bitwise identical to the oracle for any particle order — sorted
+// buffers merely make the runs long enough to pay off.
 func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
 	blk := buf.Blk
 	ip := k.IP.C
 	ac := a.A
 	con := laneConsts{qdt2mc: k.qdt2mc, q: k.q, cdx: k.cdtdx2, cdy: k.cdtdy2, cdz: k.cdtdz2}
-	var lc laneCoeffs
+	run := laneRun{v: -1, lo: math.MaxInt32, hi: -1}
 	var out laneVecs
 	bs.NPushed += int64(hi - lo)
 
-	runV := int32(-1) // voxel of the current run (-1: none yet)
-
-	// The run's accumulator cell, held in twelve named scalars rather
-	// than an accum.Cell so nothing takes their address and the compiler
-	// can keep the run's current sums in registers for the whole run.
-	// (A helper closure would capture them by reference and force them
-	// addressable — so the two flush sites below are spelled out.)
-	var jx0, jx1, jx2, jx3 float32
-	var jy0, jy1, jy2, jy3 float32
-	var jz0, jz1, jz2, jz3 float32
-
 	for i := lo; i < hi; {
 		base := i &^ particle.LaneMask
-		l0 := i - base
-		l1 := particle.Lanes
-		if base+l1 > hi {
-			l1 = hi - base
-		}
-		if l1 > particle.Lanes {
-			l1 = particle.Lanes // unreachable; lets the prover bound the lane loops
-		}
+		l1 := min(particle.Lanes, hi-base)
 		b := &blk[base>>particle.LaneShift]
 
-		// One routine call pushes lanes [l0, l1), each against its own
-		// voxel's interpolator, and leaves their current contributions
-		// in out.
-		for l := l0; l < l1; l++ {
-			lc.set(l, &ip[b.Voxel[l]])
-		}
+		// One routine call pushes lanes [i-base, l1), each against its own
+		// voxel's interpolator, and folds their in-cell current into the
+		// run; the crossers come back as bits.
 		var cross uint32
 		if k.Asm {
-			cross = advanceBlockAVX2(b, &lc, &con, &out, l0, l1)
+			cross = advanceBlockAVX2(b, ip, ac, &run, &con, &out, i-base, l1)
 		} else {
-			cross = advanceBlockGo(b, &lc, &con, &out, l0, l1)
+			cross = advanceBlockGo(b, ip, ac, &run, &con, &out, i-base, l1)
 		}
-
-		// The contributions join the run's sums in ascending lane order —
-		// the oracle's chain — switching runs wherever the voxel changes.
-		for l := l0; l < l1; l++ {
-			if v := b.Voxel[l]; v != runV {
-				if runV >= 0 {
-					c := &ac[runV]
-					c.JX[0], c.JX[1], c.JX[2], c.JX[3] = jx0, jx1, jx2, jx3
-					c.JY[0], c.JY[1], c.JY[2], c.JY[3] = jy0, jy1, jy2, jy3
-					c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3] = jz0, jz1, jz2, jz3
-					a.Touch(int(runV))
-				}
-				runV = v
-				c := &ac[v]
-				jx0, jx1, jx2, jx3 = c.JX[0], c.JX[1], c.JX[2], c.JX[3]
-				jy0, jy1, jy2, jy3 = c.JY[0], c.JY[1], c.JY[2], c.JY[3]
-				jz0, jz1, jz2, jz3 = c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3]
-				bs.NRuns++
-			}
-			if cross&(1<<uint(l)) != 0 {
-				bs.Movers = append(bs.Movers, particle.Mover{
-					DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
-				})
-				continue
-			}
-			jx0 += out.c[0][l]
-			jx1 += out.c[1][l]
-			jx2 += out.c[2][l]
-			jx3 += out.c[3][l]
-			jy0 += out.c[4][l]
-			jy1 += out.c[5][l]
-			jy2 += out.c[6][l]
-			jy3 += out.c[7][l]
-			jz0 += out.c[8][l]
-			jz1 += out.c[9][l]
-			jz2 += out.c[10][l]
-			jz3 += out.c[11][l]
+		if cross == badVoxel {
+			panic(fmt.Sprintf("push: a voxel of particles [%d, %d) is outside the %d-voxel tables", i, base+l1, min(len(ip), len(ac))))
+		}
+		for ; cross != 0; cross &= cross - 1 {
+			l := bits.TrailingZeros32(cross) & particle.LaneMask
+			bs.Movers = append(bs.Movers, particle.Mover{
+				DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
+			})
 		}
 		i = base + l1
 	}
-	if runV >= 0 {
-		c := &ac[runV]
-		c.JX[0], c.JX[1], c.JX[2], c.JX[3] = jx0, jx1, jx2, jx3
-		c.JY[0], c.JY[1], c.JY[2], c.JY[3] = jy0, jy1, jy2, jy3
-		c.JZ[0], c.JZ[1], c.JZ[2], c.JZ[3] = jz0, jz1, jz2, jz3
-		a.Touch(int(runV))
+	bs.NRuns += run.n
+	if run.v >= 0 {
+		a.Touch(int(run.lo))
+		a.Touch(int(run.hi))
 	}
 }
 

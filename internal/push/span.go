@@ -3,6 +3,7 @@ package push
 import (
 	"math"
 
+	"govpic/internal/accum"
 	"govpic/internal/interp"
 	"govpic/internal/particle"
 )
@@ -17,53 +18,46 @@ type laneConsts struct {
 	cdz    float32 // +16
 }
 
-// laneCoeffs is interp.Coeffs transposed to one interpolator per lane:
-// field k of Coeffs (byte offset 4k) becomes the 8-lane row at byte
-// offset 32k, so the assembly loads each coefficient as one vector. The
-// driver fills only the lanes it pushes; the others keep an earlier
-// block's (finite) coefficients, whose results are never stored.
-type laneCoeffs struct {
-	Ex0, DExDy, DExDz, D2ExDyDz [particle.Lanes]float32
-	Ey0, DEyDz, DEyDx, D2EyDzDx [particle.Lanes]float32
-	Ez0, DEzDx, DEzDy, D2EzDxDy [particle.Lanes]float32
-	CBx0, DCBxDx                [particle.Lanes]float32
-	CBy0, DCByDy                [particle.Lanes]float32
-	CBz0, DCBzDz                [particle.Lanes]float32
-}
-
-// set loads c into lane l.
-func (lc *laneCoeffs) set(l int, c *interp.Coeffs) {
-	lc.Ex0[l], lc.DExDy[l], lc.DExDz[l], lc.D2ExDyDz[l] = c.Ex0, c.DExDy, c.DExDz, c.D2ExDyDz
-	lc.Ey0[l], lc.DEyDz[l], lc.DEyDx[l], lc.D2EyDzDx[l] = c.Ey0, c.DEyDz, c.DEyDx, c.D2EyDzDx
-	lc.Ez0[l], lc.DEzDx[l], lc.DEzDy[l], lc.D2EzDxDy[l] = c.Ez0, c.DEzDx, c.DEzDy, c.D2EzDxDy
-	lc.CBx0[l], lc.DCBxDx[l] = c.CBx0, c.DCBxDx
-	lc.CBy0[l], lc.DCByDy[l] = c.CBy0, c.DCByDy
-	lc.CBz0[l], lc.DCBzDz[l] = c.CBz0, c.DCBzDz
+// laneRun is the voxel run a block routine carries from one block to the
+// next within a range: the run's voxel (-1 before the first lane), the
+// runs started so far, and the least and greatest run voxel — the
+// touched window the driver reports to the accumulator. The run's cell
+// itself lives in the accumulator between blocks. Offsets are hardcoded
+// in push_avx2_amd64.s.
+type laneRun struct {
+	n      int64 // +0
+	v      int32 // +8
+	lo, hi int32 // +12, +16
 }
 
 // laneVecs is a block routine's per-block output: the lane displacements
-// (for mover records) and the twelve current contributions per lane
-// (accumulated by the driver in ascending lane order, preserving the
-// oracle's addition chains). The assembly writes every 32-byte slot
-// full width, so lanes outside [l0, l1) hold garbage; offsets are
-// hardcoded in push_avx2_amd64.s.
+// the driver copies into mover records. The assembly writes every
+// 32-byte slot full width, so lanes outside [l0, l1) hold garbage;
+// offsets are hardcoded in push_avx2_amd64.s.
 type laneVecs struct {
 	ddx, ddy, ddz [particle.Lanes]float32
-	c             [12][particle.Lanes]float32 // JX0..3, JY0..3, JZ0..3
 }
+
+// badVoxel is what advanceBlockAVX2 returns instead of crosser bits when
+// a pushed lane's voxel lies outside the interpolator or accumulator
+// table (advanceBlockGo panics on its index check instead).
+const badVoxel = ^uint32(0)
 
 // advanceBlockGo is the portable implementation of the block contract
 // (advanceBlockAVX2 is the other): push lanes [l0, l1) of b, lane l
-// against its own interpolator in lc, store new momenta and
-// non-crossing offsets in place, fill out.dd and the in-cell lanes'
-// current contributions out.c, and return the crosser bits (exact, no
-// garbage outside the range). The work runs as three staged lane loops
-// — field gather / both kicks and the Boris rotation / final 1/γ,
-// displacement and a branch-free integer crosser mask — so several
-// lanes' rsqrt chains are in flight at once instead of one long
-// per-particle dependency chain; per lane the operations and their
-// order are those of the per-particle oracle.
-func advanceBlockGo(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
+// against its own interpolator ip[b.Voxel[l]], store new momenta and
+// non-crossing offsets in place, fill out with the displacements, fold
+// the in-cell lanes' current into the accumulator run by run in
+// ascending lane order (counting runs and the touched window in run),
+// and return the crosser bits (exact, no garbage outside the range). A
+// voxel outside ip or ac panics on Go's index check; ip's is taken
+// before any particle is written. The push runs as three staged lane loops — field gather /
+// both kicks and the Boris rotation / final 1/γ, displacement and a
+// branch-free integer crosser mask — so several lanes' rsqrt chains are
+// in flight at once instead of one long per-particle dependency chain;
+// per lane the operations and their order are those of the per-particle
+// oracle.
+func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
 	qdt2mc := con.qdt2mc
 	if l1 > particle.Lanes {
 		l1 = particle.Lanes // unreachable; bounds the lane loops for BCE
@@ -74,14 +68,15 @@ func advanceBlockGo(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *lan
 
 	for l := l0; l < l1; l++ {
 		dx, dy, dz := b.Dx[l], b.Dy[l], b.Dz[l]
+		c := &ip[b.Voxel[l]]
 
-		haxA[l] = qdt2mc * (lc.Ex0[l] + dy*lc.DExDy[l] + dz*(lc.DExDz[l]+dy*lc.D2ExDyDz[l]))
-		hayA[l] = qdt2mc * (lc.Ey0[l] + dz*lc.DEyDz[l] + dx*(lc.DEyDx[l]+dz*lc.D2EyDzDx[l]))
-		hazA[l] = qdt2mc * (lc.Ez0[l] + dx*lc.DEzDx[l] + dy*(lc.DEzDy[l]+dx*lc.D2EzDxDy[l]))
+		haxA[l] = qdt2mc * (c.Ex0 + dy*c.DExDy + dz*(c.DExDz+dy*c.D2ExDyDz))
+		hayA[l] = qdt2mc * (c.Ey0 + dz*c.DEyDz + dx*(c.DEyDx+dz*c.D2EyDzDx))
+		hazA[l] = qdt2mc * (c.Ez0 + dx*c.DEzDx + dy*(c.DEzDy+dx*c.D2EzDxDy))
 
-		cbxA[l] = lc.CBx0[l] + dx*lc.DCBxDx[l]
-		cbyA[l] = lc.CBy0[l] + dy*lc.DCByDy[l]
-		cbzA[l] = lc.CBz0[l] + dz*lc.DCBzDz[l]
+		cbxA[l] = c.CBx0 + dx*c.DCBxDx
+		cbyA[l] = c.CBy0 + dy*c.DCByDy
+		cbzA[l] = c.CBz0 + dz*c.DCBzDz
 	}
 
 	for l := l0; l < l1; l++ {
@@ -127,7 +122,18 @@ func advanceBlockGo(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *lan
 		cross |= o << uint(l)
 	}
 
+	// The run: consecutive lanes of one voxel, continued across blocks.
+	// Each in-cell lane's current joins its voxel's cell in ascending lane
+	// order — the oracle's addition chain for every slot.
+	rv, rn, rlo, rhi := run.v, run.n, run.lo, run.hi
 	for l := l0; l < l1; l++ {
+		v := b.Voxel[l]
+		if v != rv {
+			rv = v
+			rn++
+			rlo = min(rlo, v)
+			rhi = max(rhi, v)
+		}
 		if cross&(1<<uint(l)) != 0 {
 			continue
 		}
@@ -136,26 +142,28 @@ func advanceBlockGo(b *particle.Block, lc *laneCoeffs, con *laneConsts, out *lan
 		hx, hy, hz := 0.5*out.ddx[l], 0.5*out.ddy[l], 0.5*out.ddz[l]
 		mx, my, mz := dx+hx, dy+hy, dz+hz
 		v5 := qw * hx * hy * hz * (1.0 / 3.0)
+		c := &ac[v]
 
 		qh := qw * hx
-		out.c[0][l] = qh*(1-my)*(1-mz) + v5
-		out.c[1][l] = qh*(1+my)*(1-mz) - v5
-		out.c[2][l] = qh*(1-my)*(1+mz) - v5
-		out.c[3][l] = qh*(1+my)*(1+mz) + v5
+		c.JX[0] += qh*(1-my)*(1-mz) + v5
+		c.JX[1] += qh*(1+my)*(1-mz) - v5
+		c.JX[2] += qh*(1-my)*(1+mz) - v5
+		c.JX[3] += qh*(1+my)*(1+mz) + v5
 
 		qh = qw * hy
-		out.c[4][l] = qh*(1-mz)*(1-mx) + v5
-		out.c[5][l] = qh*(1+mz)*(1-mx) - v5
-		out.c[6][l] = qh*(1-mz)*(1+mx) - v5
-		out.c[7][l] = qh*(1+mz)*(1+mx) + v5
+		c.JY[0] += qh*(1-mz)*(1-mx) + v5
+		c.JY[1] += qh*(1+mz)*(1-mx) - v5
+		c.JY[2] += qh*(1-mz)*(1+mx) - v5
+		c.JY[3] += qh*(1+mz)*(1+mx) + v5
 
 		qh = qw * hz
-		out.c[8][l] = qh*(1-mx)*(1-my) + v5
-		out.c[9][l] = qh*(1+mx)*(1-my) - v5
-		out.c[10][l] = qh*(1-mx)*(1+my) - v5
-		out.c[11][l] = qh*(1+mx)*(1+my) + v5
+		c.JZ[0] += qh*(1-mx)*(1-my) + v5
+		c.JZ[1] += qh*(1+mx)*(1-my) - v5
+		c.JZ[2] += qh*(1-mx)*(1+my) - v5
+		c.JZ[3] += qh*(1+mx)*(1+my) + v5
 
 		b.Dx[l], b.Dy[l], b.Dz[l] = dx+out.ddx[l], dy+out.ddy[l], dz+out.ddz[l]
 	}
+	run.v, run.n, run.lo, run.hi = rv, rn, rlo, rhi
 	return cross
 }
