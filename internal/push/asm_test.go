@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -220,38 +221,47 @@ func TestAsmKernelMoverParity(t *testing.T) {
 	}
 }
 
-// TestAsmIsVEXOnly fails on any instruction of push_avx2_amd64.s that
-// names an X or Y register with a mnemonic not starting with V, i.e. a
-// legacy-SSE encoding. One such instruction executed while the upper
-// YMM state is dirty costs a state transition on every call: a single
-// MOVQ AX, X1 in place of the prologue's VMOVD took thermal.1rank from
-// 46 to 25 Mpart/s (EXPERIMENTS P35). Macro bodies are checked
-// instruction by instruction.
+// TestAsmIsVEXOnly fails on any instruction of the package's assembly
+// (every .s file) that names an X or Y register with a mnemonic not
+// starting with V, i.e. a legacy-SSE encoding. One such instruction
+// executed while the upper YMM state is dirty costs a state transition
+// on every call: a single MOVQ AX, X1 in place of the prologue's VMOVD
+// took thermal.1rank from 46 to 25 Mpart/s (EXPERIMENTS P35). Macro
+// bodies are checked instruction by instruction, an instruction whose
+// only vector operands are macro parameters included.
 func TestAsmIsVEXOnly(t *testing.T) {
-	src, err := os.ReadFile("push_avx2_amd64.s")
+	files, err := filepath.Glob("*.s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecReg := regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+	// x0…x7 are the register parameters of moveBatchAVX2's gather macros.
+	vecReg := regexp.MustCompile(`\b[XYxy](1[0-5]|[0-9])\b`)
 	n := 0
-	for i, line := range strings.Split(string(src), "\n") {
-		line, _, _ = strings.Cut(line, "//")
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue // #define heads, #include
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), `\`), ";") {
-			f := strings.Fields(ins)
-			if len(f) == 0 || strings.HasSuffix(f[0], ":") || strings.Contains(f[0], "(") || !vecReg.MatchString(ins) {
-				continue // blank, label, macro use, or no vector register
+		for i, line := range strings.Split(string(src), "\n") {
+			line, _, _ = strings.Cut(line, "//")
+			if strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue // #define heads, #include
 			}
-			n++
-			if !strings.HasPrefix(f[0], "V") {
-				t.Errorf("push_avx2_amd64.s:%d: %q is not VEX-encoded", i+1, strings.TrimSpace(ins))
+			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), `\`), ";") {
+				f := strings.Fields(ins)
+				if len(f) == 0 || strings.HasSuffix(f[0], ":") || strings.Contains(f[0], "(") || !vecReg.MatchString(ins) {
+					continue // blank, label, macro use, or no vector register
+				}
+				n++
+				if !strings.HasPrefix(f[0], "V") {
+					t.Errorf("%s:%d: %q is not VEX-encoded", file, i+1, strings.TrimSpace(ins))
+				}
 			}
 		}
 	}
-	if n < 100 {
-		t.Fatalf("only %d vector instructions found; the scan is not reading the routine", n)
+	// The text of advanceBlockAVX2 and moveBatchAVX2 holds over 400.
+	if n < 400 {
+		t.Fatalf("only %d vector instructions found in %v; the scan is not reading the routines", n, files)
 	}
 }
 

@@ -144,17 +144,24 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 
 // benchSortedRig builds the benchmark population: n particles on a
 // production-ish grid, advanced one warm-up step (which also sizes the
-// mover and outgoing buffers) from one of three orders — "sorted" (runs
+// mover and outgoing buffers) from one of four orders — "sorted" (runs
 // average ~ppc particles, blocks mostly one voxel), "unsorted" (one run
-// per particle) or "decayed": sorted, then advanced 10 steps in all,
+// per particle), "decayed": sorted, then advanced 10 steps in all,
 // half the thermal decks' sort interval, so most blocks hold several
-// voxels, as in a production buffer between sorts.
+// voxels, as in a production buffer between sorts — or "hot": unsorted
+// at thermal spread 0.5 and the thermal decks' time step (0.7 of the
+// Courant limit), thermal.hot-unsorted's population, so about a third
+// of the particles cross a face every step and the mover finish shows.
 func benchSortedRig(n int, order string) (*rig, *Kernel) {
 	r := newRig(16, 8, 8, 0.5)
 	r.smoothFields(0.3)
-	k := r.kernel(-1, 1, 0.1)
-	r.loadRandom(n, 0.2, 17)
-	if order != "unsorted" {
+	uth, dt := 0.2, 0.1
+	if order == "hot" {
+		uth, dt = 0.5, 0.2
+	}
+	k := r.kernel(-1, 1, dt)
+	r.loadRandom(n, uth, 17)
+	if order == "sorted" || order == "decayed" {
 		sortByVoxel(r.buf)
 	}
 	k.Prealloc(n/8, 64)
@@ -170,13 +177,14 @@ func benchSortedRig(n int, order string) (*rig, *Kernel) {
 }
 
 // BenchmarkPushSortedRuns measures the sweep with each block routine
-// against the per-particle oracle on a sorted, a decayed and an
-// unsorted buffer (see benchSortedRig). The asm/go vs oracle gap is
-// what run fusion and the block routines buy. Allocations must be 0.
-// MB/s is the modelled traffic (Kernel.TrafficBytes) per second.
+// against the per-particle oracle on a sorted, a decayed, an unsorted
+// and a hot buffer (see benchSortedRig). The asm/go vs oracle gap is
+// what run fusion, the block routines and the batched mover finish buy.
+// Allocations must be 0. MB/s is the modelled traffic
+// (Kernel.TrafficBytes) per second; movers/kpart the face-crossers.
 func BenchmarkPushSortedRuns(b *testing.B) {
 	const n = 100000
-	for _, order := range []string{"sorted", "decayed", "unsorted"} {
+	for _, order := range []string{"sorted", "decayed", "unsorted", "hot"} {
 		for _, kernel := range []string{KernelAsm, KernelGo, "oracle"} {
 			b.Run(kernel+"/"+order, func(b *testing.B) {
 				if kernel == KernelAsm && !AsmAvailable() {
@@ -208,6 +216,7 @@ func BenchmarkPushSortedRuns(b *testing.B) {
 				px := float64(k.NPushed) / b.Elapsed().Seconds()
 				b.ReportMetric(px/1e6, "Mpart/s")
 				b.ReportMetric(float64(k.TrafficBytes())/float64(k.NPushed), "B/part")
+				b.ReportMetric(1000*float64(k.NMoved)/float64(k.NPushed), "movers/kpart")
 			})
 		}
 	}

@@ -16,3 +16,7 @@ const asmAvailable = false
 func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
 	return advanceBlockGo(b, ip, ac, run, con, out, l0, l1)
 }
+
+func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32 {
+	return moveBatchGo(blk, mv, faces, con, out)
+}

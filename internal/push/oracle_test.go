@@ -45,12 +45,24 @@ func (k *Kernel) AdvancePUnfused(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
 	k.advanceRangeUnfused(buf, 0, buf.N(), k.Acc, bs)
-	bs.NMoved += int64(len(bs.Movers))
-	for m := len(bs.Movers) - 1; m >= 0; m-- {
-		mv := bs.Movers[m]
-		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, k.Acc, bs)
+	k.finishOracle(buf, []*BlockState{bs}, []*accum.Array{k.Acc})
+}
+
+// finishOracle is the mover oracle, FinishBlocks without batches: every
+// block's movers, last block first and each last to first, through
+// scalar moveP, then the counters merged into the kernel totals.
+func (k *Kernel) finishOracle(buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array) {
+	for b := len(blocks) - 1; b >= 0; b-- {
+		bs := blocks[b]
+		bs.NMoved += int64(len(bs.Movers))
+		for m := len(bs.Movers) - 1; m >= 0; m-- {
+			mv := bs.Movers[m]
+			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, accs[b], bs)
+		}
 	}
-	k.MergeStats(bs)
+	for _, bs := range blocks {
+		k.MergeStats(bs)
+	}
 }
 
 // advanceRangeUnfused is the oracle's range sweep. It counts one "run"

@@ -84,8 +84,18 @@ func patternRig(p voxelPattern, seed uint64) (*rig, *Kernel) {
 	return r, k
 }
 
-// rangeSweep is advanceRange or the oracle's advanceRangeUnfused.
-type rangeSweep func(k *Kernel, buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState)
+// rangeStep is a range sweep and the mover finish that goes with it:
+// advanceRange and FinishBlocks, or the oracle's advanceRangeUnfused
+// and finishOracle.
+type rangeStep struct {
+	sweep  func(k *Kernel, buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState)
+	finish func(k *Kernel, buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array)
+}
+
+var (
+	sweepStep  = rangeStep{(*Kernel).advanceRange, (*Kernel).FinishBlocks}
+	oracleStep = rangeStep{(*Kernel).advanceRangeUnfused, (*Kernel).finishOracle}
+)
 
 // pipelinedRanges is how stepRange splits [lo, hi) over the pipeline:
 // one range when serial, else pipe.NumBlocks near-equal ones, cut at
@@ -102,25 +112,25 @@ func pipelinedRanges(lo, hi int, pipelined bool) [][2]int {
 	return rs
 }
 
-// stepRange pushes particles [lo, hi) one step with sweep and finishes
+// stepRange pushes particles [lo, hi) one step with st and finishes
 // the movers in descending index order. With a nil pool it is
 // AdvanceP's sequence restricted to the range (AdvancePUnfused's, for
-// the oracle sweep); otherwise the pipelined one: the ranges of
-// pipelinedRanges pushed on pool into private accumulators, then
-// FinishBlocks and the reduction into k.Acc.
-func stepRange(k *Kernel, r *rig, sweep rangeSweep, lo, hi int, pool *pipe.Pool) {
+// oracleStep); otherwise the pipelined one: the ranges of
+// pipelinedRanges pushed on pool into private accumulators, then the
+// finish and the reduction into k.Acc.
+func stepRange(k *Kernel, r *rig, st rangeStep, lo, hi int, pool *pipe.Pool) {
 	if pool == nil {
 		bs := new(BlockState)
-		sweep(k, r.buf, lo, hi, k.Acc, bs)
-		k.FinishBlocks(r.buf, []*BlockState{bs}, []*accum.Array{k.Acc})
+		st.sweep(k, r.buf, lo, hi, k.Acc, bs)
+		st.finish(k, r.buf, []*BlockState{bs}, []*accum.Array{k.Acc})
 		return
 	}
 	accs, blocks := blockFixture(r)
 	rs := pipelinedRanges(lo, hi, true)
 	pool.Run(pipe.NumBlocks, func(b int) {
-		sweep(k, r.buf, rs[b][0], rs[b][1], accs[b], blocks[b])
+		st.sweep(k, r.buf, rs[b][0], rs[b][1], accs[b], blocks[b])
 	})
-	k.FinishBlocks(r.buf, blocks, accs)
+	st.finish(k, r.buf, blocks, accs)
 	accum.Reduce(pool, k.Acc, accs)
 }
 
@@ -171,8 +181,8 @@ func TestBlockVoxelPatterns(t *testing.T) {
 							ro, ko := patternRig(p, seed)
 							ks.Asm = sh == KernelAsm
 							runs := wantRuns(rs.buf, lo, hi, path.pool != nil)
-							stepRange(ks, rs, (*Kernel).advanceRange, lo, hi, path.pool)
-							stepRange(ko, ro, (*Kernel).advanceRangeUnfused, lo, hi, path.pool)
+							stepRange(ks, rs, sweepStep, lo, hi, path.pool)
+							stepRange(ko, ro, oracleStep, lo, hi, path.pool)
 							checkSameState(t, label, rs, ks, ro, ko, false)
 							if ks.NRuns != runs {
 								t.Fatalf("%s: %d runs, want %d", label, ks.NRuns, runs)
@@ -310,10 +320,10 @@ func TestBlockRejectsBadVoxel(t *testing.T) {
 				}
 				pre := *b
 				label := fmt.Sprintf("%s voxel %d in lanes [%d,%d) of block %d, range [%d,%d)", sh, bad, c.l0, c.l1, c.blk, c.lo, c.hi)
-				if msg := blockPanic(func() { stepRange(ks, rs, (*Kernel).advanceRange, c.lo, c.hi, nil) }); msg != "" {
+				if msg := blockPanic(func() { stepRange(ks, rs, sweepStep, c.lo, c.hi, nil) }); msg != "" {
 					t.Fatalf("%s: panicked: %s", label, msg)
 				}
-				stepRange(kc, rc, (*Kernel).advanceRange, c.lo, c.hi, nil)
+				stepRange(kc, rc, sweepStep, c.lo, c.hi, nil)
 				if !sameLanes(b, &pre, c.l0, c.l1) {
 					t.Fatalf("%s: a lane outside the range was written", label)
 				}

@@ -29,12 +29,23 @@
 // driver keeps the block loop and turns the returned crosser bits into
 // mover records.
 //
-// Both routines perform the identical floating-point operations per
-// particle, and every accumulator slot receives its adds in ascending
-// particle order, so the result — particles, movers, accumulators,
-// counters — is bitwise independent of Kernel.Asm, for any buffer,
-// sorted or not. The tests hold both routines to the per-particle
-// oracle in oracle_test.go.
+// The movers are finished the same way, eight at a time (finishMovers).
+// One batch routine call — moveBatchAVX2 or the portable moveBatchGo —
+// finds each mover's first face, classifies it through a per-voxel face
+// table, and returns the fast lanes: those that reach no face or one
+// interior or Wrap face, with both segments' current terms, final
+// offsets and voxel. The driver applies the lanes in descending index
+// order, adding a fast lane's one or two cells and storing its state,
+// and hands the rest — boundary faces with any other action, second
+// faces, NaN terms — to moveP, VPIC's scalar move_p.
+//
+// Both routines of each pair perform the identical floating-point
+// operations per particle, and every accumulator slot receives its adds
+// in the per-particle order, so the result — particles, movers,
+// accumulators, counters — is bitwise independent of Kernel.Asm, for
+// any buffer, sorted or not. The tests hold the routines to the
+// per-particle oracle in oracle_test.go, whose movers all go through
+// moveP.
 //
 // The kernel exposes two execution styles. AdvanceP is the serial path:
 // one sweep over the buffer depositing into the kernel's accumulator.
@@ -206,6 +217,11 @@ type Kernel struct {
 	// reflux holds per-face re-emission parameters when EnableReflux has
 	// switched a face to a thermally refluxing wall.
 	reflux [6]*RefluxParams
+	// faces has bit f of entry v set when face f of voxel v is a local
+	// domain face (moveP's "next cell outside [1, n]"), so the batch
+	// routines classify a crossing without Unvoxel.
+	faces   []uint8
+	moveCon moveConsts // q and the per-face voxel deltas; wrap is set per finish
 
 	qdt2mc  float32 // (Q/M)·dt/2
 	q       float32 // species charge (e units), for deposition
@@ -228,16 +244,41 @@ type Kernel struct {
 // NewKernel builds a push kernel. q and m are the species charge and
 // mass in units of e and me; dt is the time step in code units.
 func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float64) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		G: g, IP: ip, Acc: acc,
-		qdt2mc: float32(q / m * dt / 2),
-		q:      float32(q),
-		mass:   m,
-		cdtdx2: float32(2 * dt / g.DX),
-		cdtdy2: float32(2 * dt / g.DY),
-		cdtdz2: float32(2 * dt / g.DZ),
-		maxSeg: 16,
+		qdt2mc:  float32(q / m * dt / 2),
+		q:       float32(q),
+		mass:    m,
+		cdtdx2:  float32(2 * dt / g.DX),
+		cdtdy2:  float32(2 * dt / g.DY),
+		cdtdz2:  float32(2 * dt / g.DZ),
+		maxSeg:  16,
+		faces:   make([]uint8, g.NV()),
+		moveCon: moveConsts{q: float32(q)},
 	}
+	// moveP's face arithmetic, precomputed for the batch routines: the
+	// voxel deltas through each face, and which faces of each voxel lead
+	// outside the local interior.
+	sx, sy, _ := g.Strides()
+	stride := [3]int{1, sx, sx * sy}
+	n := [3]int{g.NX, g.NY, g.NZ}
+	for a := range 3 {
+		for _, dir := range []int{-1, 1} {
+			f := 2*a + (dir+1)/2
+			k.moveCon.step[f] = int32(dir * stride[a])
+			k.moveCon.wrapd[f] = int32(-dir * (n[a] - 1) * stride[a])
+		}
+	}
+	for v := range k.faces {
+		ix, iy, iz := g.Unvoxel(v)
+		c := [3]int{ix, iy, iz}
+		for f := range 6 {
+			if next := c[f/2] + 2*(f%2) - 1; next < 1 || next > n[f/2] {
+				k.faces[v] |= 1 << f
+			}
+		}
+	}
+	return k
 }
 
 // Prealloc pre-sizes the kernel's reusable hot-path buffers — the serial
@@ -325,14 +366,7 @@ func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
 	k.advanceRange(buf, 0, buf.N(), k.Acc, bs)
-	bs.NMoved += int64(len(bs.Movers))
-
-	// Finish boundary-crossing particles in descending index order so
-	// that swap-removals never disturb an unprocessed mover.
-	for m := len(bs.Movers) - 1; m >= 0; m-- {
-		mv := bs.Movers[m]
-		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, k.Acc, bs)
-	}
+	k.finishMovers(buf, bs, k.Acc)
 	k.MergeStats(bs)
 }
 
@@ -350,24 +384,90 @@ func (k *Kernel) AdvanceBlock(buf *particle.Buffer, lo, hi int, acc *accum.Array
 
 // FinishBlocks completes the movers recorded by AdvanceBlock: blocks
 // are processed last to first and each block's movers last to first,
-// i.e. globally descending particle index — the same sequence of moveP
-// calls the serial AdvanceP makes, so swap-removals stay safe and the
-// resulting particle state is bitwise identical to the serial path.
-// Each block's segment currents deposit into its own accumulator
+// i.e. globally descending particle index — the order the serial
+// AdvanceP finishes them in (finishMovers), so swap-removals stay safe
+// and the resulting particle state is bitwise identical to the serial
+// path. Each block's segment currents deposit into its own accumulator
 // (accs[b]) and its counters land in blocks[b] before being merged into
 // the kernel totals.
 func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array) {
 	for b := len(blocks) - 1; b >= 0; b-- {
-		bs := blocks[b]
-		bs.NMoved += int64(len(bs.Movers))
-		a := accs[b]
-		for m := len(bs.Movers) - 1; m >= 0; m-- {
-			mv := bs.Movers[m]
-			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
-		}
+		k.finishMovers(buf, blocks[b], accs[b])
 	}
 	for _, bs := range blocks {
 		k.MergeStats(bs)
+	}
+}
+
+// finishMovers completes bs's movers in descending index order,
+// depositing into a. It takes them from the top down, eight at a time:
+// one batch routine call (moveBatchAVX2 when Kernel.Asm, else
+// moveBatchGo) returns each lane's fate, then the lanes are applied in
+// descending order — a fast lane adds its one or two segment cells and
+// stores its final offsets and voxel, a slow lane runs moveP.
+//
+// Batching inside the serial walk changes nothing: RemoveSwap(i) writes
+// only slot i, and every unapplied mover j of the batch has j < i, so
+// the batch read before any removal holds each mover's own pre-step
+// lanes. A fast lane's cells are exactly the terms moveP's scatters
+// would add, none of them NaN, added in moveP's order — segment 1 then
+// 2, mover by descending index — so every accumulator slot's addition
+// chain is moveP's and the state is bitwise identical.
+func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Array) {
+	bs.NMoved += int64(len(bs.Movers))
+	con := k.batchConsts()
+	var out moveLanes
+	ac := a.A
+	for top := len(bs.Movers); top > 0; {
+		lo := max(top-particle.Lanes, 0)
+		batch := bs.Movers[lo:top]
+		var fates uint32
+		if k.Asm {
+			fates = moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, &con, &out)
+		} else {
+			fates = moveBatchGo(buf.Blk, bs.Movers[:top], k.faces, &con, &out)
+		}
+		for l := len(batch) - 1; l >= 0; l-- {
+			mv := &batch[l]
+			if fates&(1<<l) == 0 {
+				k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
+				continue
+			}
+			v := out.v0[l]
+			addCell(&ac[v], &out.c1[l])
+			a.Touch(int(v))
+			bs.NSeg++
+			v = out.v[l]
+			if fates&(1<<(twoSegs+l)) != 0 {
+				addCell(&ac[v], &out.c2[l])
+				a.Touch(int(v))
+				bs.NSeg++
+			}
+			b, ln := &buf.Blk[mv.Idx>>particle.LaneShift], mv.Idx&particle.LaneMask
+			b.Dx[ln], b.Dy[ln], b.Dz[ln], b.Voxel[ln] = out.dx[l], out.dy[l], out.dz[l], v
+		}
+		top = lo
+	}
+}
+
+// batchConsts returns the batch routines' constants under the current
+// Bound, which callers may change at any time.
+func (k *Kernel) batchConsts() moveConsts {
+	con := k.moveCon
+	for f, act := range k.Bound {
+		if act == Wrap {
+			con.wrap |= 1 << f
+		}
+	}
+	return con
+}
+
+// addCell adds a segment's twelve terms t into accumulator cell c.
+func addCell(c, t *accum.Cell) {
+	for j := range 4 {
+		c.JX[j] += t.JX[j]
+		c.JY[j] += t.JY[j]
+		c.JZ[j] += t.JZ[j]
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"govpic/internal/particle"
 )
 
-// The assembly hardcodes the particle.Block, interp.Coeffs, accum.Cell,
-// laneConsts, laneRun and laneVecs layouts; fail the build if any of
-// them moves. (The kernel uses unaligned vector loads and stores
-// throughout, so no allocation alignment beyond Go's natural 8-byte heap
-// alignment is required — that is the whole alignment contract.)
+// The assembly hardcodes the particle.Block, particle.Mover,
+// interp.Coeffs, accum.Cell, laneConsts, laneRun, laneVecs, moveConsts
+// and moveLanes layouts; fail the build if any of them moves. (The
+// kernels use unaligned vector loads and stores throughout, so no
+// allocation alignment beyond Go's natural 8-byte heap alignment is
+// required — that is the whole alignment contract.)
 var _ = [1]struct{}{}[unsafe.Offsetof(particle.Block{}.Dy)-32]
 var _ = [1]struct{}{}[unsafe.Offsetof(particle.Block{}.Dz)-64]
 var _ = [1]struct{}{}[unsafe.Offsetof(particle.Block{}.Voxel)-96]
@@ -36,6 +37,17 @@ var _ = [1]struct{}{}[unsafe.Offsetof(laneConsts{}.cdz)-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.v)-8]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.hi)-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-64]
+var _ = [1]struct{}{}[unsafe.Offsetof(particle.Mover{}.Idx)-12]
+var _ = [1]struct{}{}[unsafe.Sizeof(particle.Mover{})-16]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrap)-4]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.step)-8]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrapd)-40]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.c2)-384]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dx)-768]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dy)-800]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dz)-832]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.v0)-864]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.v)-896]
 
 // advanceBlockAVX2 pushes the lanes [l0, l1) of block b, lane l against
 // its own interpolator ip[b.Voxel[l]]: momentum update and masked
@@ -48,3 +60,15 @@ var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-64]
 //
 //go:noescape
 func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32
+
+// moveBatchAVX2 classifies and plans the top batch of mv — up to eight
+// movers, lane l being mv[len(mv)−n+l] — and prefetches the particles
+// of the next batch: it returns the fast-lane bits and, shifted by
+// twoSegs, the fast lanes with a second segment, and fills out for the
+// fast lanes. It reads blk, mv and faces and writes only out; an index
+// outside blk or a voxel outside faces makes its lane slow without
+// being dereferenced. Bitwise identical to moveBatchGo in fates and in
+// every fast lane's output — see push_avx2_amd64.s.
+//
+//go:noescape
+func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32

@@ -647,3 +647,413 @@ badvoxel:
 	MOVL $0xffffffff, ret+96(FP) // badVoxel
 	VZEROUPPER
 	RET
+
+// ---- moveBatchAVX2: moveBatchGo's lanes as one vector routine over the
+// top batch of up to eight movers (see that function for the contract
+// and the fates), plus prefetches of the next batch's particles.
+//
+// Bit-exactness: the lanes are independent and every float operation is
+// moveBatchGo's (and so moveP's and scatterCell's) in the same
+// association — s·dd, d + seg, dd − seg, the face fraction
+// (sgn − d)/dd with VMAXPS(f, 0) = max32(f, 0) (−0 → +0 included), and
+// stage D's twelve rows. A NaN input gives a NaN term and a slow lane,
+// so every NaN a fast lane can meet is the default NaN and operand
+// order cannot pick a payload. The face is selected in x, y, z order
+// with a strict f < s, so ties keep the earlier axis.
+//
+// Gather: each lane's record (a lane past the batch rereads its first
+// record) and particle are read with scalar VMOVSS/VINSERTPS — no
+// VGATHERDPS. An
+// index outside blk reads badblk<>, whose voxel −1 is outside faces; a
+// voxel outside faces reads faces[0] and records face byte 0x40, which
+// makes the lane slow.
+//
+// Register plan:
+//   gather: AX badblk, BX faces, CX lanes, DX 0, SI batch, DI blk,
+//           R8 record, R9 scratch, R10 particle, R11 len(faces),
+//           R12 0x40, R13 8·len(blk); X0-7 lanes 0-3, X8-15 lanes 4-7
+//   face:   Y15 0, Y14 1, Y13 s, Y12 dir, Y11 face code (6: none),
+//           Y10 −1, Y9 2; Y0-7 temps
+//   seg 1:  Y12 −dir, Y9 a second face reached
+//   fate:   R8 con, R9 out; Y6 slow, Y7 two segments
+//   terms:  stage D's plan, Y10 a NaN row, Y8 temp
+
+// Frame layout:
+#define MFACE 0   // the lanes' face bytes, 8 B
+#define MD 32     // dx, dy, dz
+#define MVOX 128
+#define MW 160
+#define MDD 192   // ddx, ddy, ddz
+#define MSEG 288  // segment 1 = s·dd
+#define MD1 384   // d + seg, the face axis at −dir
+#define MREM 480  // dd − seg
+#define MROWS 576 // one segment's twelve rows, 384 B
+
+// moveLanes offsets:
+#define MOC1 0
+#define MOC2 384
+#define MODX 768
+#define MOV0 864
+#define MOV 896
+
+DATA negone<>+0(SB)/4, $0xbf800000 // float32(-1)
+GLOBL negone<>(SB), RODATA, $4
+
+DATA ints<>+0(SB)/4, $1
+DATA ints<>+4(SB)/4, $2
+DATA ints<>+8(SB)/4, $4
+DATA ints<>+12(SB)/4, $6
+GLOBL ints<>(SB), RODATA, $16
+
+// badblk<> stands in for the particle block of an index outside blk.
+DATA badblk<>+96(SB)/4, $0xffffffff
+GLOBL badblk<>(SB), RODATA, $256
+
+// MLANE points R8 at lane l's mover record and R10 at its particle, and
+// stores its face byte.
+#define MLANE(l) \
+	MOVQ    $(16*l), R8; \
+	CMPQ    CX, $l; \
+	CMOVQLE DX, R8; \
+	ADDQ    SI, R8; \
+	MOVLQSX 12(R8), R9; \
+	MOVQ    R9, R10; \
+	SARQ    $3, R10; \
+	IMUL3Q  $224, R10, R10; \
+	LEAQ    (R10)(R9*4), R10; \
+	ADDQ    DI, R10; \
+	CMPQ    R9, R13; \
+	CMOVQCC AX, R10; \
+	MOVL    96(R10), R9; \
+	CMPQ    R9, R11; \
+	CMOVQCC DX, R9; \
+	MOVBLZX (BX)(R9*1), R9; \
+	CMOVQCC R12, R9; \
+	MOVB    R9, (MFACE+l)(SP)
+
+// PREFETCH prefetches the lines of the particle of the mover record at
+// SI+off that the batch reads (a prefetch never faults, so an index
+// outside blk needs no check).
+#define PREFETCH(off) \
+	MOVLQSX    (off+12)(SI), R9; \
+	MOVQ       R9, R10; \
+	SARQ       $3, R10; \
+	IMUL3Q     $224, R10, R10; \
+	LEAQ       (R10)(R9*4), R10; \
+	PREFETCHT0 (DI)(R10*1); \
+	PREFETCHT0 64(DI)(R10*1); \
+	PREFETCHT0 224(DI)(R10*1)
+
+// MFIRST loads the first lane of a half: dx dy dz voxel w ddx ddy ddz.
+#define MFIRST(x0, x1, x2, x3, x4, x5, x6, x7) \
+	VMOVSS 0(R10), x0; \
+	VMOVSS 32(R10), x1; \
+	VMOVSS 64(R10), x2; \
+	VMOVSS 96(R10), x3; \
+	VMOVSS 224(R10), x4; \
+	VMOVSS 0(R8), x5; \
+	VMOVSS 4(R8), x6; \
+	VMOVSS 8(R8), x7
+
+// MNEXT inserts the next lane at element imm>>4.
+#define MNEXT(imm, x0, x1, x2, x3, x4, x5, x6, x7) \
+	VINSERTPS $imm, 0(R10), x0, x0; \
+	VINSERTPS $imm, 32(R10), x1, x1; \
+	VINSERTPS $imm, 64(R10), x2, x2; \
+	VINSERTPS $imm, 96(R10), x3, x3; \
+	VINSERTPS $imm, 224(R10), x4, x4; \
+	VINSERTPS $imm, 0(R8), x5, x5; \
+	VINSERTPS $imm, 4(R8), x6, x6; \
+	VINSERTPS $imm, 8(R8), x7, x7
+
+// FIRSTFACE is faceFraction on one axis and the strict-less selection:
+// eff = ok ? max32(f, 0) : 2, where f = (sgn − d)/dd and ok = dd ≠ 0
+// and f < 1; a lane whose eff < s takes s, dir = sgn and the face code
+// 2·axis + (dd > 0), given as code = 2·axis.
+#define FIRSTFACE(off, code) \
+	VMOVUPS   (MDD+off)(SP), Y0; \
+	VMOVUPS   (MD+off)(SP), Y1; \
+	VCMPPS    $0x1e, Y15, Y0, Y2; \
+	VCMPPS    $0x11, Y15, Y0, Y3; \
+	VBLENDVPS Y2, Y14, Y10, Y4; \
+	VSUBPS    Y1, Y4, Y5; \
+	VDIVPS    Y0, Y5, Y5; \
+	VCMPPS    $0x11, Y14, Y5, Y6; \
+	VORPS     Y3, Y2, Y3; \
+	VANDPS    Y6, Y3, Y3; \
+	VMAXPS    Y15, Y5, Y5; \
+	VBLENDVPS Y3, Y5, Y9, Y5; \
+	VCMPPS    $0x11, Y13, Y5, Y6; \
+	VBLENDVPS Y6, Y5, Y13, Y13; \
+	VBLENDVPS Y6, Y4, Y12, Y12; \
+	VPSRLD    $31, Y2, Y7; \
+	VPOR      code, Y7, Y7; \
+	VBLENDVPS Y6, Y7, Y11, Y11
+
+// SEGMENT1 splits one axis at s: seg = s·dd, rem = dd − seg, d' = d +
+// seg or, on the face axis (code>>1 == axis), −dir; it accumulates
+// whether (d', rem) reaches a further face.
+#define SEGMENT1(off, axis) \
+	VMOVUPS   (MDD+off)(SP), Y0; \
+	VMULPS    Y0, Y13, Y1; \
+	VMOVUPS   Y1, (MSEG+off)(SP); \
+	VMOVUPS   (MD+off)(SP), Y2; \
+	VADDPS    Y1, Y2, Y2; \
+	VSUBPS    Y1, Y0, Y0; \
+	VMOVUPS   Y0, (MREM+off)(SP); \
+	VPSRLD    $1, Y11, Y3; \
+	VPCMPEQD  axis, Y3, Y3; \
+	VBLENDVPS Y3, Y12, Y2, Y2; \
+	VMOVUPS   Y2, (MD1+off)(SP); \
+	VCMPPS    $0x1e, Y15, Y0, Y3; \
+	VCMPPS    $0x11, Y15, Y0, Y4; \
+	VBLENDVPS Y3, Y14, Y10, Y5; \
+	VSUBPS    Y2, Y5, Y5; \
+	VDIVPS    Y0, Y5, Y5; \
+	VCMPPS    $0x11, Y14, Y5, Y5; \
+	VORPS     Y4, Y3, Y3; \
+	VANDPS    Y5, Y3, Y3; \
+	VORPS     Y3, Y9, Y9
+
+// JROWS is one component's four rows of stage D — qh = qw·h over the
+// pair (a, b) — stored to the frame at MROWS+r, flagging NaN rows in
+// Y10.
+#define JROWS(h, a, b, r) \
+	VMULPS  h, Y11, Y14; \
+	VSUBPS  a, Y13, Y9; \
+	VMULPS  Y9, Y14, Y9; \
+	VSUBPS  b, Y13, Y15; \
+	VMULPS  Y15, Y9, Y9; \
+	VADDPS  Y12, Y9, Y9; \
+	VCMPPS  $3, Y9, Y9, Y8; \
+	VORPS   Y8, Y10, Y10; \
+	VMOVUPS Y9, (MROWS+r)(SP); \
+	VADDPS  a, Y13, Y9; \
+	VMULPS  Y9, Y14, Y9; \
+	VMULPS  Y15, Y9, Y9; \
+	VSUBPS  Y12, Y9, Y9; \
+	VCMPPS  $3, Y9, Y9, Y8; \
+	VORPS   Y8, Y10, Y10; \
+	VMOVUPS Y9, (MROWS+r+32)(SP); \
+	VADDPS  b, Y13, Y15; \
+	VSUBPS  a, Y13, Y9; \
+	VMULPS  Y9, Y14, Y9; \
+	VMULPS  Y15, Y9, Y9; \
+	VSUBPS  Y12, Y9, Y9; \
+	VCMPPS  $3, Y9, Y9, Y8; \
+	VORPS   Y8, Y10, Y10; \
+	VMOVUPS Y9, (MROWS+r+64)(SP); \
+	VADDPS  a, Y13, Y9; \
+	VMULPS  Y9, Y14, Y9; \
+	VMULPS  Y15, Y9, Y9; \
+	VADDPS  Y12, Y9, Y9; \
+	VCMPPS  $3, Y9, Y9, Y8; \
+	VORPS   Y8, Y10, Y10; \
+	VMOVUPS Y9, (MROWS+r+96)(SP)
+
+// CELLROWS transposes the four rows at MROWS+r to the eight lanes' cells
+// at slot-group offset c of out.
+#define CELLROWS(r, c) \
+	VMOVUPS      (MROWS+r)(SP), Y0; \
+	VMOVUPS      (MROWS+r+32)(SP), Y1; \
+	VMOVUPS      (MROWS+r+64)(SP), Y2; \
+	VMOVUPS      (MROWS+r+96)(SP), Y3; \
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5); \
+	VMOVUPS      X0, (c+0*48)(R9); \
+	VEXTRACTF128 $1, Y0, (c+4*48)(R9); \
+	VMOVUPS      X1, (c+1*48)(R9); \
+	VEXTRACTF128 $1, Y1, (c+5*48)(R9); \
+	VMOVUPS      X2, (c+2*48)(R9); \
+	VEXTRACTF128 $1, Y2, (c+6*48)(R9); \
+	VMOVUPS      X3, (c+3*48)(R9); \
+	VEXTRACTF128 $1, Y3, (c+7*48)(R9)
+
+// TERMS is cellTerms for the segment at frame offset seg from offsets at
+// frame offset d, written as per-lane cells at out offset oc.
+#define TERMS(d, seg, oc) \
+	VBROADCASTSS half<>(SB), Y13; \
+	VMULPS       (seg+0)(SP), Y13, Y3; \
+	VMULPS       (seg+32)(SP), Y13, Y4; \
+	VMULPS       (seg+64)(SP), Y13, Y5; \
+	VBROADCASTSS 0(R8), Y11; \
+	VMULPS       MW(SP), Y11, Y11; \
+	VMOVUPS      (d+0)(SP), Y0; \
+	VADDPS       Y3, Y0, Y0; \
+	VMOVUPS      (d+32)(SP), Y1; \
+	VADDPS       Y4, Y1, Y1; \
+	VMOVUPS      (d+64)(SP), Y2; \
+	VADDPS       Y5, Y2, Y2; \
+	VMULPS       Y3, Y11, Y12; \
+	VMULPS       Y4, Y12, Y12; \
+	VMULPS       Y5, Y12, Y12; \
+	VBROADCASTSS third<>(SB), Y13; \
+	VMULPS       Y13, Y12, Y12; \
+	VBROADCASTSS one<>(SB), Y13; \
+	JROWS(Y3, Y1, Y2, 0); \
+	JROWS(Y4, Y2, Y0, 128); \
+	JROWS(Y5, Y0, Y1, 256); \
+	CELLROWS(0, oc+0); \
+	CELLROWS(128, oc+16); \
+	CELLROWS(256, oc+32)
+
+// func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32
+TEXT ·moveBatchAVX2(SB), 0, $960-92
+	MOVQ  blk_base+0(FP), DI
+	MOVQ  blk_len+8(FP), R13
+	MOVQ  mv_base+24(FP), SI
+	MOVQ  mv_len+32(FP), CX
+	MOVQ  faces_base+48(FP), BX
+	MOVQ  faces_len+56(FP), R11
+	TESTQ R13, R13
+	JEQ   allslow
+	TESTQ CX, CX
+	JEQ   allslow
+	TESTQ R11, R11
+	JEQ   allslow
+	// The batch is mv's top min(len, 8) movers; prefetch the particles
+	// of the eight below it, the next batch, when there are eight.
+	MOVL    $8, R8
+	MOVQ    CX, R9
+	CMPQ    CX, R8
+	CMOVQGT R8, CX     // lanes
+	SUBQ    CX, R9     // the batch's first mover
+	SHLQ    $4, R9
+	ADDQ    R9, SI
+	CMPQ    R9, $128
+	JLT     gather
+	PREFETCH(-128)
+	PREFETCH(-112)
+	PREFETCH(-96)
+	PREFETCH(-80)
+	PREFETCH(-64)
+	PREFETCH(-48)
+	PREFETCH(-32)
+	PREFETCH(-16)
+
+gather:
+	SHLQ    $3, R13    // indices blk addresses
+	XORL    DX, DX
+	MOVL    $0x40, R12
+	MOVQ    $badblk<>(SB), AX
+
+	// ---- Gather the lanes.
+	MLANE(0)
+	MFIRST(X0, X1, X2, X3, X4, X5, X6, X7)
+	MLANE(1)
+	MNEXT(0x10, X0, X1, X2, X3, X4, X5, X6, X7)
+	MLANE(2)
+	MNEXT(0x20, X0, X1, X2, X3, X4, X5, X6, X7)
+	MLANE(3)
+	MNEXT(0x30, X0, X1, X2, X3, X4, X5, X6, X7)
+	MLANE(4)
+	MFIRST(X8, X9, X10, X11, X12, X13, X14, X15)
+	MLANE(5)
+	MNEXT(0x10, X8, X9, X10, X11, X12, X13, X14, X15)
+	MLANE(6)
+	MNEXT(0x20, X8, X9, X10, X11, X12, X13, X14, X15)
+	MLANE(7)
+	MNEXT(0x30, X8, X9, X10, X11, X12, X13, X14, X15)
+	VINSERTF128 $1, X8, Y0, Y0
+	VINSERTF128 $1, X9, Y1, Y1
+	VINSERTF128 $1, X10, Y2, Y2
+	VINSERTF128 $1, X11, Y3, Y3
+	VINSERTF128 $1, X12, Y4, Y4
+	VINSERTF128 $1, X13, Y5, Y5
+	VINSERTF128 $1, X14, Y6, Y6
+	VINSERTF128 $1, X15, Y7, Y7
+	VMOVUPS     Y0, (MD+0)(SP)
+	VMOVUPS     Y1, (MD+32)(SP)
+	VMOVUPS     Y2, (MD+64)(SP)
+	VMOVUPS     Y3, MVOX(SP)
+	VMOVUPS     Y4, MW(SP)
+	VMOVUPS     Y5, (MDD+0)(SP)
+	VMOVUPS     Y6, (MDD+32)(SP)
+	VMOVUPS     Y7, (MDD+64)(SP)
+
+	// ---- The first face.
+	VXORPS       Y15, Y15, Y15
+	VBROADCASTSS one<>(SB), Y14
+	VMOVUPS      Y14, Y13
+	VXORPS       Y12, Y12, Y12
+	VPBROADCASTD ints<>+12(SB), Y11
+	VBROADCASTSS negone<>(SB), Y10
+	VBROADCASTSS two<>(SB), Y9
+	FIRSTFACE(0, Y15)
+	VPBROADCASTD ints<>+4(SB), Y8
+	FIRSTFACE(32, Y8)
+	VPBROADCASTD ints<>+8(SB), Y8
+	FIRSTFACE(64, Y8)
+
+	// ---- Segment 1, the crossing, and whether a second face follows.
+	VSUBPS       Y12, Y15, Y12
+	VXORPS       Y9, Y9, Y9
+	VPBROADCASTD ints<>+0(SB), Y6
+	VPBROADCASTD ints<>+4(SB), Y7
+	SEGMENT1(0, Y15)
+	SEGMENT1(32, Y6)
+	SEGMENT1(64, Y7)
+
+	// ---- Fates, final offsets and voxels.
+	MOVQ      con+72(FP), R8
+	MOVQ      out+80(FP), R9
+	VCMPPS    $0x11, Y14, Y13, Y0 // a face, and so two segments: s < 1
+	VMOVUPS   Y0, Y7
+	VMOVUPS   (MD1+0)(SP), Y2
+	VADDPS    (MREM+0)(SP), Y2, Y3
+	VBLENDVPS Y7, Y3, Y2, Y2
+	VMOVUPS   Y2, (MODX+0)(R9)
+	VMOVUPS   (MD1+32)(SP), Y2
+	VADDPS    (MREM+32)(SP), Y2, Y3
+	VBLENDVPS Y7, Y3, Y2, Y2
+	VMOVUPS   Y2, (MODX+32)(R9)
+	VMOVUPS   (MD1+64)(SP), Y2
+	VADDPS    (MREM+64)(SP), Y2, Y3
+	VBLENDVPS Y7, Y3, Y2, Y2
+	VMOVUPS   Y2, (MODX+64)(R9)
+
+	// Face bit and Wrap bit of the face code, moved to the sign; the
+	// voxel delta through the face (zero for code 6).
+	VPMOVZXBD    MFACE(SP), Y2
+	VPSRLVD      Y11, Y2, Y3
+	VPSLLD       $31, Y3, Y3
+	VPBROADCASTD 4(R8), Y4
+	VPSRLVD      Y11, Y4, Y4
+	VPSLLD       $31, Y4, Y4
+	VPERMD       8(R8), Y11, Y5
+	VPERMD       40(R8), Y11, Y1
+	VBLENDVPS    Y3, Y1, Y5, Y5
+	VMOVDQU      MVOX(SP), Y1
+	VMOVDQU      Y1, MOV0(R9)
+	VPADDD       Y5, Y1, Y1
+	VMOVDQU      Y1, MOV(R9)
+
+	// Slow: a boundary face that is not Wrap or a second face (on a face
+	// lane), a bad index or voxel.
+	VANDNPS Y3, Y4, Y4
+	VORPS   Y9, Y4, Y4
+	VANDPS  Y0, Y4, Y4
+	VPSLLD  $25, Y2, Y5
+	VORPS   Y5, Y4, Y6
+
+	// ---- Both segments' terms; a NaN term makes the lane slow.
+	VXORPS Y10, Y10, Y10
+	TERMS(MD, MSEG, MOC1)
+	TERMS(MD1, MREM, MOC2)
+	VORPS  Y10, Y6, Y6
+
+	MOVQ      $lanemask<>(SB), R10
+	SHLQ      $5, CX
+	VMOVDQU   (R10)(CX*1), Y0
+	VANDNPS   Y0, Y6, Y0
+	VMOVMSKPS Y0, AX
+	VANDPS    Y7, Y0, Y1
+	VMOVMSKPS Y1, DX
+	SHLL      $8, DX
+	ORL       DX, AX
+	MOVL      AX, ret+88(FP)
+	VZEROUPPER
+	RET
+
+allslow:
+	MOVL $0, ret+88(FP)
+	RET

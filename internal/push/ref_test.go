@@ -3,6 +3,7 @@ package push
 import (
 	"math"
 
+	"govpic/internal/accum"
 	"govpic/internal/field"
 	"govpic/internal/particle"
 )
@@ -72,12 +73,7 @@ func (k *Kernel) AdvancePRef(buf *particle.Buffer, f *field.Fields) {
 		buf.Set(i, pt) // momentum is updated even for crossers
 		bs.Movers = append(bs.Movers, particle.Mover{DispX: ddx, DispY: ddy, DispZ: ddz, Idx: int32(i)})
 	}
-	bs.NMoved += int64(len(bs.Movers))
-	for m := len(bs.Movers) - 1; m >= 0; m-- {
-		mv := bs.Movers[m]
-		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, k.Acc, bs)
-	}
-	k.MergeStats(bs)
+	k.finishOracle(buf, []*BlockState{bs}, []*accum.Array{k.Acc})
 }
 
 // trilinearE interpolates an E component from its four edges: w00 at

@@ -167,3 +167,159 @@ func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run 
 	run.v, run.n, run.lo, run.hi = rv, rn, rlo, rhi
 	return cross
 }
+
+// moveConsts hands the kernel's mover scalars to a batch routine. step
+// and wrapd are indexed by face (field.Face order; entries 6 and 7 are
+// zero, the "no face" code). Offsets are hardcoded in
+// push_avx2_amd64.s.
+type moveConsts struct {
+	q     float32               // +0: species charge
+	wrap  uint32                // +4: bit f set when Bound[f] is Wrap
+	step  [particle.Lanes]int32 // +8: voxel delta through interior face f
+	wrapd [particle.Lanes]int32 // +40: voxel delta through face f when it wraps
+}
+
+// moveLanes is a batch routine's per-lane output, meaningful for the
+// fast lanes only: the current terms of the first and second segment,
+// the final offsets, and the start and final voxels. Offsets are
+// hardcoded in push_avx2_amd64.s.
+type moveLanes struct {
+	c1, c2     [particle.Lanes]accum.Cell // +0, +384
+	dx, dy, dz [particle.Lanes]float32    // +768, +800, +832
+	v0, v      [particle.Lanes]int32      // +864, +896
+}
+
+// Batch fates: a batch routine returns bit l set for a fast lane l and
+// bit twoSegs+l set when that lane crosses into a second segment.
+const twoSegs = 8
+
+// moveBatchGo is the portable implementation of the batch contract
+// (moveBatchAVX2 is the other) and its readable specification. The
+// batch is the top of mv: lane l is mover mv[lo+l], lo = len(mv) −
+// min(len(mv), Lanes); the assembly also prefetches the particles of
+// the Lanes movers below it, the next batch. A lane is fast when finishing
+// it needs no moveP: its index and voxel address blk and faces, it
+// reaches no face within rounding or exactly one face that is interior
+// or Wrap, and none of its current terms is NaN. For a fast lane the
+// routine writes what moveP would deposit and store — one or two
+// segments' terms (scatterCell's expressions) and the final offsets and
+// voxel. Every other lane — a boundary face with any other action, a
+// second face, a NaN term — is slow and left to moveP. The routine
+// reads the buffer and writes only out.
+//
+// The NaN test is what makes the fast lane's result moveP's bit for
+// bit. A NaN input always yields a NaN term (w enters every term, each
+// offset eight, each displacement v5), so a fast lane's inputs are
+// finite or ±Inf, and every NaN it can meet is the default NaN: which
+// operand an operation or the driver's add takes first cannot pick a
+// payload.
+func moveBatchGo(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32 {
+	var fates uint32
+	mv = mv[max(len(mv)-particle.Lanes, 0):]
+	for l := range mv {
+		m := &mv[l]
+		if uint(m.Idx) >= uint(len(blk))<<particle.LaneShift {
+			continue
+		}
+		b, ln := &blk[m.Idx>>particle.LaneShift], m.Idx&particle.LaneMask
+		v := b.Voxel[ln]
+		if uint(uint32(v)) >= uint(len(faces)) {
+			continue
+		}
+		dx, dy, dz := b.Dx[ln], b.Dy[ln], b.Dz[ln]
+		ddx, ddy, ddz := m.DispX, m.DispY, m.DispZ
+		qw := con.q * b.W[ln]
+
+		// The first face: the least fraction, ties to the earlier axis.
+		s, face, dir := float32(1), -1, float32(0)
+		if f, fd := faceFraction(dx, ddx); f < s {
+			s, face, dir = f, (fd+1)/2, float32(fd)
+		}
+		if f, fd := faceFraction(dy, ddy); f < s {
+			s, face, dir = f, 2+(fd+1)/2, float32(fd)
+		}
+		if f, fd := faceFraction(dz, ddz); f < s {
+			s, face, dir = f, 4+(fd+1)/2, float32(fd)
+		}
+		sx, sy, sz := s*ddx, s*ddy, s*ddz // segment 1
+		ex, ey, ez := dx+sx, dy+sy, dz+sz // the offsets after it
+		rx, ry, rz := ddx-sx, ddy-sy, ddz-sz
+		v1 := v
+		if face >= 0 {
+			delta := con.step[face]
+			if faces[v]>>face&1 != 0 {
+				if con.wrap>>face&1 == 0 {
+					continue // Reflect, Absorb, Migrate or reflux
+				}
+				delta = con.wrapd[face]
+			}
+			v1 += delta
+			switch face / 2 {
+			case 0:
+				ex = -dir
+			case 1:
+				ey = -dir
+			default:
+				ez = -dir
+			}
+			if f, _ := faceFraction(ex, rx); f < 1 {
+				continue // a second face
+			}
+			if f, _ := faceFraction(ey, ry); f < 1 {
+				continue
+			}
+			if f, _ := faceFraction(ez, rz); f < 1 {
+				continue
+			}
+		}
+		if !cellTerms(&out.c1[l], qw, dx, dy, dz, sx, sy, sz) ||
+			!cellTerms(&out.c2[l], qw, ex, ey, ez, rx, ry, rz) {
+			continue
+		}
+		// A face leaves a second segment: on the face axis s·dd rounds
+		// below |dd| for s < 1, and dd − s·dd is exact (Sterbenz), so the
+		// remainder moveP tests for zero never is.
+		if face >= 0 {
+			ex, ey, ez = ex+rx, ey+ry, ez+rz
+			fates |= 1 << (twoSegs + l)
+		}
+		out.dx[l], out.dy[l], out.dz[l] = ex, ey, ez
+		out.v0[l], out.v[l] = v, v1
+		fates |= 1 << l
+	}
+	return fates
+}
+
+// cellTerms writes into c the twelve terms scatterCell adds for the
+// segment (ddx, ddy, ddz) from offsets (dx, dy, dz), given qw = q·w —
+// the same expressions — and reports whether none of them is NaN.
+func cellTerms(c *accum.Cell, qw, dx, dy, dz, ddx, ddy, ddz float32) bool {
+	hx, hy, hz := 0.5*ddx, 0.5*ddy, 0.5*ddz
+	mx, my, mz := dx+hx, dy+hy, dz+hz
+	v5 := qw * hx * hy * hz * (1.0 / 3.0)
+
+	qh := qw * hx
+	x0 := qh*(1-my)*(1-mz) + v5
+	x1 := qh*(1+my)*(1-mz) - v5
+	x2 := qh*(1-my)*(1+mz) - v5
+	x3 := qh*(1+my)*(1+mz) + v5
+
+	qh = qw * hy
+	y0 := qh*(1-mz)*(1-mx) + v5
+	y1 := qh*(1+mz)*(1-mx) - v5
+	y2 := qh*(1-mz)*(1+mx) - v5
+	y3 := qh*(1+mz)*(1+mx) + v5
+
+	qh = qw * hz
+	z0 := qh*(1-mx)*(1-my) + v5
+	z1 := qh*(1+mx)*(1-my) - v5
+	z2 := qh*(1-mx)*(1+my) - v5
+	z3 := qh*(1+mx)*(1+my) + v5
+
+	c.JX = [4]float32{x0, x1, x2, x3}
+	c.JY = [4]float32{y0, y1, y2, y3}
+	c.JZ = [4]float32{z0, z1, z2, z3}
+	return x0 == x0 && x1 == x1 && x2 == x2 && x3 == x3 &&
+		y0 == y0 && y1 == y1 && y2 == y2 && y3 == y3 &&
+		z0 == z0 && z1 == z1 && z2 == z2 && z3 == z3
+}
