@@ -232,36 +232,31 @@ func TestDistributedPeerKillDetected(t *testing.T) {
 	}
 }
 
-// TestOverlapMatrixCRCIdentical is the end-to-end acceptance matrix of
-// the overlap engine: the same 4-rank deck (a 2×1×2 decomposition, so
+// TestRankMatrixCRCIdentical is the end-to-end acceptance matrix of the
+// exchange schedule: the same 4-rank deck (a 2×1×2 decomposition, so
 // the exchange crosses two axes) run {in-process, TCP multi-process} ×
-// {-overlap=true, -overlap=false} must write four byte-identical
-// state-CRC artifacts.
-func TestOverlapMatrixCRCIdentical(t *testing.T) {
+// {-kernel=go, -kernel=asm} must write byte-identical state-CRC
+// artifacts. The asm column runs where the build and CPU have it.
+func TestRankMatrixCRCIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
 	dir := t.TempDir()
 	deckArgs := []string{"-deck", "thermal", "-nx", "8", "-ppc", "8",
 		"-steps", "4", "-every", "4", "-ranks", "4", "-workers", "1"}
+	kernels := []string{push.KernelGo}
+	if push.AsmAvailable() {
+		kernels = append(kernels, push.KernelAsm)
+	}
 	type variant struct {
 		name string
 		args []string
 	}
-	variants := []variant{
-		{"local-overlap", []string{"-overlap=true"}},
-		{"local-sync", []string{"-overlap=false"}},
-		{"tcp-overlap", []string{"-local-ranks", "4", "-overlap=true"}},
-		{"tcp-sync", []string{"-local-ranks", "4", "-overlap=false"}},
-		// The kernel axis: asm and go claim bitwise identity, so every
-		// variant must land on the same CRC as the overlap/transport ones.
-		{"local-kernel-go", []string{"-overlap=true", "-kernel=go"}},
-	}
-	if push.AsmAvailable() {
+	var variants []variant
+	for _, k := range kernels {
 		variants = append(variants,
-			variant{"local-kernel-asm", []string{"-overlap=true", "-kernel=asm"}},
-			variant{"tcp-kernel-asm", []string{"-local-ranks", "4", "-overlap=true", "-kernel=asm"}},
-		)
+			variant{"local-kernel-" + k, []string{"-kernel=" + k}},
+			variant{"tcp-kernel-" + k, []string{"-local-ranks", "4", "-kernel=" + k}})
 	}
 	artifacts := make([][]byte, len(variants))
 	for i, v := range variants {
@@ -284,14 +279,18 @@ func TestOverlapMatrixCRCIdentical(t *testing.T) {
 }
 
 // TestRemovedLanesFlagRejected: -lanes selected a push sweep until there
-// was only one; a script that still passes it must fail at flag parsing
-// with the flag named, not run with the knob ignored.
+// was only one, and -overlap=false the blocking exchange schedule until
+// there was only one; a script that still passes either must fail at
+// flag parsing with the flag named, not run with the knob ignored.
 func TestRemovedLanesFlagRejected(t *testing.T) {
-	out, err := vpicCmd("-deck", "thermal", "-steps", "1", "-lanes", "1").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-		!strings.Contains(string(out), "flag provided but not defined: -lanes") {
-		t.Fatalf("vpic -lanes 1: err = %v, want exit 2 with flag's usage error\n%s", err, out)
+	for _, removed := range [][]string{{"-lanes", "1"}, {"-overlap=false"}} {
+		name, _, _ := strings.Cut(removed[0], "=")
+		out, err := vpicCmd(append([]string{"-deck", "thermal", "-steps", "1"}, removed...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+name) {
+			t.Errorf("vpic %v: err = %v, want exit 2 with flag's usage error\n%s", removed, err, out)
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ func main() {
 		ranks   = flag.Int("ranks", 1, "domain-decomposed rank count")
 		workers = flag.Int("workers", 0, "pipeline workers per rank (0 = CPUs/rank, capped at 8)")
 		kernel  = flag.String("kernel", "", "push kernel's block routine: asm | go | auto (default auto; bit-identical either way)")
-		overlap = flag.Bool("overlap", true, "overlap communication with computation (bit-identical either way)")
 		ppc     = flag.Int("ppc", 64, "particles per cell")
 		nx      = flag.Int("nx", 64, "cells along x (non-LPI decks)")
 		a0      = flag.Float64("a0", 0.02, "laser strength (lpi deck)")
@@ -111,11 +110,6 @@ func main() {
 	}
 	if *kernel != "" {
 		d.Cfg.Kernel = *kernel
-	}
-	// An explicit -overlap wins; otherwise a config file's setting
-	// stands and the flag default applies only to flag-driven runs.
-	if set["overlap"] || *config == "" {
-		d.Cfg.NoOverlap = !*overlap
 	}
 	if *balMode != "" {
 		mode, err := balance.ParseMode(*balMode)

@@ -116,14 +116,6 @@ type Config struct {
 	// re-binned resume reconstruct ghost state collectively, which the
 	// absorbing-wall state machine does not support).
 	Balance BalanceConfig
-
-	// NoOverlap disables communication/computation overlap: every
-	// exchange runs on the synchronous blocking paths and the time step
-	// performs no concurrent communication. The zero value (overlap on)
-	// posts exchanges as nonblocking requests and hides them behind the
-	// interior push and field advance; results are bit-identical either
-	// way — the synchronous path is the determinism oracle.
-	NoOverlap bool
 }
 
 // Validate checks the configuration and returns a descriptive error.

@@ -288,6 +288,9 @@ func TestFlopsAccounting(t *testing.T) {
 	}
 }
 
+// TestPerfBreakdownPopulated: a multi-rank run records section time,
+// its traffic by class, and the request engine's wait/overlap time of
+// its posted exchanges.
 func TestPerfBreakdownPopulated(t *testing.T) {
 	s, err := New(periodicPlasma(16, 0.2, 0.01, 8, 2))
 	if err != nil {
@@ -304,6 +307,9 @@ func TestPerfBreakdownPopulated(t *testing.T) {
 	}
 	if sent == 0 {
 		t.Fatal("no communication recorded on 2 ranks")
+	}
+	if tot.CommWait() <= 0 && tot.CommOverlap() <= 0 {
+		t.Error("no comm wait/overlap time recorded on 2 ranks")
 	}
 }
 

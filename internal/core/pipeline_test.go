@@ -64,18 +64,21 @@ func TestWorkerCountDeterminism(t *testing.T) {
 
 // TestWorkerDeterminismMultiRank repeats the check across the rank
 // decomposition: worker count must not leak into the particle exchange
-// or ghost updates either.
+// or ghost updates either. The 4-rank deck decomposes 2×2×1, so corner
+// migrations cross the split exchange and its settle rounds too.
 func TestWorkerDeterminismMultiRank(t *testing.T) {
 	const steps = 12
-	run := func(workers int) *Simulation {
-		s, err := New(twoSpeciesDeck(2, workers))
-		if err != nil {
-			t.Fatal(err)
+	for _, ranks := range []int{2, 4} {
+		run := func(workers int) *Simulation {
+			s, err := New(twoSpeciesDeck(ranks, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(steps)
+			return s
 		}
-		s.Run(steps)
-		return s
+		compareSims(t, run(1), run(4), fmt.Sprintf("%d ranks, W=1 vs W=4", ranks))
 	}
-	compareSims(t, run(1), run(4), "2 ranks, W=1 vs W=4")
 }
 
 // compareSims requires bitwise-equal particle buffers and field arrays.

@@ -46,16 +46,16 @@ type Rank struct {
 	blockSt []*push.BlockState
 	bufs    []*particle.Buffer
 
-	// Boundary-first push state (multi-rank pipelined path): shell
-	// marks the voxels adjacent to a remote face — the only voxels
-	// whose particles can migrate this step under the CFL bound — so
-	// the step can push them first, post the particle exchange, and
-	// push the interior while migrants fly. partNI holds each species'
-	// interior count after partitioning; partTail is partition scratch.
-	splitPush bool
-	shell     []bool
-	partNI    []int
-	partTail  []particle.Particle
+	// Boundary-first push state: shell marks the voxels adjacent to a
+	// remote face — the only voxels whose particles can migrate this
+	// step under the CFL bound — so the step can push them first, post
+	// the particle exchange, and push the interior while migrants fly
+	// (nil when the rank has no remote face: the shell is empty).
+	// partNI holds each species' interior count after partitioning;
+	// partTail is partition scratch.
+	shell    []bool
+	partNI   []int
+	partTail []particle.Particle
 }
 
 // DomainConfig derives the decomposed-domain configuration (including
@@ -107,7 +107,6 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Overlap = !cfg.NoOverlap
 	gl := loader.Global{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ, X0: cfg.X0, Y0: cfg.Y0, Z0: cfg.Z0}
 	r := comm.Rank()
 	rk := &Rank{
@@ -175,14 +174,8 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	for _, bs := range rk.blockSt {
 		bs.Movers = make([]particle.Mover, 0, 1024)
 	}
-	// Boundary-first push applies whenever a neighbor exists (every
-	// multi-rank decomposition gives each rank at least one remote
-	// face); a single rank keeps the unsplit sweep.
-	if cfg.NRanks > 1 {
-		rk.splitPush = true
-		rk.shell = shellMask(d)
-		rk.partNI = make([]int, len(rk.Species))
-	}
+	rk.shell = shellMask(d)
+	rk.partNI = make([]int, len(rk.Species))
 	// Initial sort for locality.
 	for _, sp := range rk.Species {
 		if sp.SortInterval > 0 {
@@ -208,14 +201,18 @@ func (rk *Rank) newKernel(cfg *Config, sp *species.Species) *push.Kernel {
 // shellMask marks every interior voxel adjacent to a remote face. Under
 // the Courant bound (Validate rejects DT at or above the cell's limit) a
 // particle's per-axis displacement is below one cell per step, so only
-// particles in these voxels can cross a remote face and migrate.
+// particles in these voxels can cross a remote face and migrate. A rank
+// with no remote face (every single-rank run) has an empty shell: nil.
 func shellMask(d *domain.Domain) []bool {
 	g := d.G
-	shell := make([]bool, g.NV())
 	var rem [field.NumFaces]bool
 	for f := field.Face(0); f < field.NumFaces; f++ {
 		rem[f] = d.Remote(f)
 	}
+	if rem == [field.NumFaces]bool{} {
+		return nil
+	}
+	shell := make([]bool, g.NV())
 	for iz := 1; iz <= g.NZ; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {
 			for ix := 1; ix <= g.NX; ix++ {
@@ -234,9 +231,13 @@ func shellMask(d *domain.Domain) []bool {
 // particles come first and boundary-shell particles form a tail block,
 // returning the interior count. The partition is a fixed reordering of
 // the buffer (independent of worker count), so the split push remains
-// bit-identical for any number of workers.
+// bit-identical for any number of workers. With an empty shell the
+// buffer is all interior and is left untouched.
 func (rk *Rank) partitionBoundary(buf *particle.Buffer) int {
 	n := buf.N()
+	if rk.shell == nil {
+		return n
+	}
 	tail := rk.partTail[:0]
 	w := 0
 	for i := 0; i < n; i++ {

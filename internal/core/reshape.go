@@ -92,7 +92,6 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	if err != nil {
 		panic(fmt.Sprintf("core: reshape domain rebuild failed: %v", err))
 	}
-	dNew.Overlap = dOld.Overlap
 	gNew := dNew.G
 	var rho0New []float32
 	if rk.rho0 != nil {
@@ -182,9 +181,7 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		k.AdoptFrom(rk.Kernels[i])
 		rk.Kernels[i] = k
 	}
-	if rk.splitPush {
-		rk.shell = shellMask(dNew)
-	}
+	rk.shell = shellMask(dNew)
 
 	// 7. Collective ghost re-prime (E/B exchanges, background aliases,
 	// interpolator reload). J's ghost planes are left stale — the next

@@ -2,7 +2,6 @@ package core
 
 import (
 	"govpic/internal/accum"
-	"govpic/internal/domain"
 	"govpic/internal/particle"
 	"govpic/internal/perf"
 	"govpic/internal/pipe"
@@ -34,105 +33,46 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.stopPar(perf.Sort)
 	rk.Perf.AddBytes(perf.Sort, sortBytes)
 
-	// Particle advance and current deposition (the inner loop). The
-	// pipelined path pushes pipe.NumBlocks contiguous blocks per species
-	// concurrently, each into its private accumulator, finishes the
-	// face-crossers serially, then reduces the block accumulators into
-	// the rank accumulator in fixed order — bit-identical for any
-	// worker count (see internal/pipe).
+	// Particle advance and current deposition (the inner loop),
+	// boundary first: partition each species so the shell particles form
+	// a tail block, push the tail, post the particle exchange (only
+	// shell particles can migrate under the CFL bound, so the outgoing
+	// lists are final), then push the interior while the migrants fly.
+	// A rank with no remote face has an empty shell: the interior is the
+	// whole buffer, cut into the same blocks an unsplit sweep would use,
+	// and the exchange posts nothing. The partition and phase order are
+	// fixed, so results are bit-identical for any worker count.
 	rk.Perf.Start(perf.Push)
+	// Windowed clears/reduce touch only occupied accumulator spans;
+	// charge their actual window sizes to the traffic model.
 	var pushBytes int64
-	var px *domain.ParticleExchange
-	if !rk.splitPush {
-		// Windowed clears/reduce touch only occupied accumulator spans;
-		// charge their actual window sizes to the traffic model.
-		for _, a := range rk.pipeAcc {
-			pushBytes += int64(a.WindowLen()) * accum.CellBytes
-		}
-		accum.ClearAll(rk.pool, rk.pipeAcc)
-		for i, sp := range rk.Species {
-			k := rk.Kernels[i]
-			buf := sp.Buf
-			n := buf.N()
-			rk.pool.Run(pipe.NumBlocks, func(b int) {
-				bs := rk.blockSt[b]
-				bs.Reset()
-				// Lane-aligned cuts: each pipeline sweeps whole AoSoA
-				// blocks, so the sweep sees full spans and no two
-				// pipelines write lanes of the same storage block.
-				lo, hi := pipe.AlignedRange(0, n, pipe.NumBlocks, b, particle.Lanes)
-				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
-			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
-		}
-		// Zeroes rk.Acc's stale window before summing, so immigrants
-		// finishing their move deposit on top during the exchange.
-		union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
-		pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
-	} else {
-		// Boundary-first push: partition each species so the shell
-		// particles form a tail block, push the tail, post the particle
-		// exchange (only shell particles can migrate under the CFL
-		// bound, so the outgoing lists are final), then push the
-		// interior while the migrants fly. The partition and phase
-		// order are fixed, so results are bit-identical for any worker
-		// count and for overlap on/off — only the exchange scheduling
-		// differs.
-		for _, a := range rk.pipeAcc {
-			pushBytes += int64(a.WindowLen()) * accum.CellBytes
-		}
-		for i, sp := range rk.Species {
-			rk.partNI[i] = rk.partitionBoundary(sp.Buf)
-		}
-		accum.ClearAll(rk.pool, rk.pipeAcc)
-		for i, sp := range rk.Species {
-			k := rk.Kernels[i]
-			buf := sp.Buf
-			ni := rk.partNI[i]
-			nb := buf.N() - ni
-			rk.pool.Run(pipe.NumBlocks, func(b int) {
-				bs := rk.blockSt[b]
-				bs.Reset()
-				lo, hi := pipe.AlignedRange(ni, ni+nb, pipe.NumBlocks, b, particle.Lanes)
-				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
-			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
-		}
-		rk.Perf.Stop(perf.Push)
-		rk.Perf.Start(perf.Comm)
-		px = d.BeginParticleExchange(rk.Kernels, rk.bufs)
-		rk.Perf.Stop(perf.Comm)
-		rk.Perf.Start(perf.Push)
-		for i, sp := range rk.Species {
-			k := rk.Kernels[i]
-			buf := sp.Buf
-			ni := rk.partNI[i]
-			rk.pool.Run(pipe.NumBlocks, func(b int) {
-				bs := rk.blockSt[b]
-				bs.Reset()
-				lo, hi := pipe.AlignedRange(0, ni, pipe.NumBlocks, b, particle.Lanes)
-				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
-			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
-		}
-		// Zeroes rk.Acc's stale window before summing, so immigrants
-		// finishing their move deposit on top during the exchange.
-		union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
-		pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
+	for _, a := range rk.pipeAcc {
+		pushBytes += int64(a.WindowLen()) * accum.CellBytes
 	}
+	for i, sp := range rk.Species {
+		rk.partNI[i] = rk.partitionBoundary(sp.Buf)
+	}
+	accum.ClearAll(rk.pool, rk.pipeAcc)
+	rk.pushRanges(true) // the shell tail
+	rk.Perf.Stop(perf.Push)
+	rk.Perf.Start(perf.Comm)
+	px := d.BeginParticleExchange(rk.Kernels, rk.bufs)
+	rk.Perf.Stop(perf.Comm)
+	rk.Perf.Start(perf.Push)
+	rk.pushRanges(false) // the interior
+	// Zeroes rk.Acc's stale window before summing, so immigrants
+	// finishing their move deposit on top during the exchange.
+	union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
+	pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
 	for _, k := range rk.Kernels {
 		pushBytes += k.TakeTrafficBytes()
 	}
 	rk.stopPar(perf.Push)
 	rk.Perf.AddBytes(perf.Push, pushBytes)
 
-	// Complete the migration (or, on the unsplit path, run it whole).
+	// Complete the migration.
 	rk.Perf.Start(perf.Comm)
-	if px != nil {
-		px.Complete()
-	} else {
-		d.ExchangeParticles(rk.Kernels, rk.bufs)
-	}
+	px.Complete()
 	rk.Perf.Stop(perf.Comm)
 
 	// Reduce currents onto the mesh (plus the antenna drive).
@@ -145,39 +85,28 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	f.FoldGhostJ()
 	rk.stopPar(perf.Field)
 
-	// Field advance: B half, E full, B half. With overlap on, the
-	// current reduction rides behind the first B half-advance —
-	// ExchangeJ touches only J while AdvanceB reads B/E, so running
-	// them concurrently is bit-identical. The exchange goroutine's
-	// panic (a typed CommError from a sick peer) is captured and
-	// re-raised on the rank's own goroutine so supervising drivers can
-	// still recover and attribute it.
-	if cfg.NoOverlap {
-		rk.Perf.Start(perf.Comm)
+	// Field advance: B half, E full, B half. The current reduction
+	// rides behind the first B half-advance — ExchangeJ touches only J
+	// while AdvanceB reads B/E, so running them concurrently is
+	// bit-identical. The exchange goroutine's panic (a typed CommError
+	// from a sick peer) is captured and re-raised on the rank's own
+	// goroutine so supervising drivers can still recover and attribute
+	// it.
+	var jerr any
+	jdone := make(chan struct{})
+	go func() {
+		defer close(jdone)
+		defer func() { jerr = recover() }()
 		d.ExchangeJ()
-		rk.Perf.Stop(perf.Comm)
-		rk.Perf.Start(perf.Field)
-		f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
-		rk.stopPar(perf.Field)
-	} else {
-		var jerr any
-		jdone := make(chan struct{})
-		go func() {
-			defer close(jdone)
-			defer func() { jerr = recover() }()
-			d.ExchangeJ()
-		}()
-		rk.Perf.Start(perf.Field)
-		f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
-		rk.stopPar(perf.Field)
-		rk.Perf.Start(perf.Comm)
-		<-jdone
-		if jerr != nil {
-			panic(jerr)
-		}
-		rk.Perf.Stop(perf.Comm)
-	}
+	}()
+	rk.Perf.Start(perf.Field)
+	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
+	rk.stopPar(perf.Field)
 	rk.Perf.Start(perf.Comm)
+	<-jdone
+	if jerr != nil {
+		panic(jerr)
+	}
 	d.ExchangeGhostB()
 	rk.Perf.Stop(perf.Comm)
 
@@ -213,6 +142,34 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 		w, o := st.TakeOverlap()
 		rk.Perf.AddCommWait(w)
 		rk.Perf.AddCommOverlap(o)
+	}
+}
+
+// pushRanges pushes one range of every species through the pipeline:
+// the shell tail [partNI, N) when shell is set, else the interior
+// [0, partNI). The range is cut into pipe.NumBlocks lane-aligned blocks,
+// each pushed concurrently into its private accumulator, and the
+// face-crossers are finished serially — bit-identical for any worker
+// count (see internal/pipe). Lane-aligned cuts mean each pipeline sweeps
+// whole AoSoA blocks, so the sweep sees full spans and no two pipelines
+// write lanes of the same storage block. Empty ranges are skipped.
+func (rk *Rank) pushRanges(shell bool) {
+	for i, sp := range rk.Species {
+		k, buf := rk.Kernels[i], sp.Buf
+		lo, hi := 0, rk.partNI[i]
+		if shell {
+			lo, hi = hi, buf.N()
+		}
+		if lo == hi {
+			continue
+		}
+		rk.pool.Run(pipe.NumBlocks, func(b int) {
+			bs := rk.blockSt[b]
+			bs.Reset()
+			blo, bhi := pipe.AlignedRange(lo, hi, pipe.NumBlocks, b, particle.Lanes)
+			k.AdvanceBlock(buf, blo, bhi, rk.pipeAcc[b], bs)
+		})
+		k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
 	}
 }
 

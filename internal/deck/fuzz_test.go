@@ -17,10 +17,10 @@ import (
 // `go test -fuzz=FromJSON ./internal/deck` explores.
 func FuzzFromJSON(f *testing.F) {
 	// One config per deck kind (the shapes internal/valid's cases and
-	// cmd/bench's sweep build), a removed key, two knobs only
+	// cmd/bench's sweep build), two removed keys, two knobs only
 	// core.Config.Validate judges, two sweeps and a removed mode value.
 	for _, cfg := range []string{
-		`{"deck":"thermal","steps":400,"nx":32,"ppc":64,"ranks":2,"workers":1,"n0":0.2,"uth":0.05,"kernel":"go","overlap":false}`,
+		`{"deck":"thermal","steps":400,"nx":32,"ppc":64,"ranks":2,"workers":1,"n0":0.2,"uth":0.05,"kernel":"go"}`,
 		`{"deck":"spike","steps":40,"nx":32,"ppc":8,"ranks":4,"balance":"online","balance_interval":2,"balance_threshold":1.15}`,
 		`{"deck":"oscillation","steps":100,"nx":64,"ppc":32,"n0":0.25}`,
 		`{"deck":"twostream","steps":1400,"nx":128,"ppc":64,"n0":0.2,"drift":0.1}`,
@@ -30,6 +30,7 @@ func FuzzFromJSON(f *testing.F) {
 		`{"deck":"lpi","steps":10,"intensity_wcm2":1e15,"wavelength_nm":351,"te_ev":2600,"transverse_cells":4,"collision_nu0":0.01,"collision_interval":5}`,
 		`{"deck":"tnsa","steps":2200,"a0":3,"target_thickness":2,"contam_thickness":0.2}`,
 		`{"deck":"thermal","steps":10,"lanes":1}`,
+		`{"deck":"thermal","steps":10,"overlap":false}`,
 		`{"deck":"thermal","steps":10,"kernel":"avx512","balance_interval":-1}`,
 		`{"deck":"lpi","steps":10,"a0":0.05,"balance":"online"}`,
 		`{"deck":"lpi","steps":10,"a0":0.05,"plateau_length":1e300}`,

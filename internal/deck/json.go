@@ -30,14 +30,10 @@ type JSONConfig struct {
 	// assembly), "go" (portable), or ""/"auto" (asm when the CPU
 	// supports it). Bit-identical either way; "asm" errors on hardware
 	// without AVX2 rather than silently measuring the wrong kernel.
-	Kernel string `json:"kernel,omitempty"`
-	// Overlap toggles communication/computation overlap (nonblocking
-	// exchanges hidden behind the interior push and field advance).
-	// Absent means on; results are bit-identical either way.
-	Overlap *bool   `json:"overlap,omitempty"`
-	PPC     int     `json:"ppc,omitempty"`
-	NX      int     `json:"nx,omitempty"`
-	N0      float64 `json:"n0,omitempty"` // density, ncr units
+	Kernel string  `json:"kernel,omitempty"`
+	PPC    int     `json:"ppc,omitempty"`
+	NX     int     `json:"nx,omitempty"`
+	N0     float64 `json:"n0,omitempty"` // density, ncr units
 
 	// Generic plasma knobs.
 	Uth   float64 `json:"uth,omitempty"`   // thermal momentum spread
@@ -234,9 +230,6 @@ func (c JSONConfig) Build() (Deck, error) {
 	}
 	d.Cfg.Workers = c.Workers
 	d.Cfg.Kernel = c.Kernel
-	if c.Overlap != nil {
-		d.Cfg.NoOverlap = !*c.Overlap
-	}
 	if c.Balance != "" {
 		mode, err := balance.ParseMode(c.Balance)
 		if err != nil {

@@ -19,12 +19,14 @@ func TestFromJSONMalformed(t *testing.T) {
 }
 
 func TestFromJSONUnknownField(t *testing.T) {
-	// "lanes" selected a push sweep until there was only one; a deck
-	// that still sets it must be refused with the field named, not run
-	// with the knob silently ignored.
+	// "lanes" selected a push sweep until there was only one, and
+	// "overlap" the blocking exchange schedule until there was only one;
+	// a deck that still sets either must be refused with the field
+	// named, not run with the knob silently ignored.
 	for field, cfg := range map[string]string{
 		"typo_knob": `{"deck":"thermal","steps":10,"typo_knob":3}`,
 		"lanes":     `{"deck":"thermal","steps":10,"lanes":1}`,
+		"overlap":   `{"deck":"thermal","steps":10,"overlap":false}`,
 	} {
 		_, _, err := FromJSON(strings.NewReader(cfg))
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {

@@ -54,14 +54,6 @@ type Domain struct {
 	G    *grid.Grid
 	F    *field.Fields
 
-	// Overlap selects the nonblocking exchange paths: sends and
-	// receives are posted as mp requests and completed in a fixed
-	// deterministic order, so fold/ghost applications happen in exactly
-	// the same sequence as the blocking paths and results stay
-	// bit-identical. Off, every exchange is the synchronous original —
-	// the determinism oracle.
-	Overlap bool
-
 	remote [field.NumFaces]bool
 	nbr    [field.NumFaces]int
 
@@ -151,58 +143,32 @@ func (d *Domain) ParticleActions() [6]push.Action {
 }
 
 // exchangeGhost refreshes boundary/ghost planes of the given arrays on
-// every remote face. The axes stay sequential in both modes: forPlane
-// spans the full ghost-inclusive extent of the other two axes, so
-// corner values propagate through two successive axis hops and the hops
-// cannot be flattened.
+// every remote face. Per axis, both faces' sends and receives are posted
+// up front and the receives completed in a fixed order — lo-tagged
+// first: when both neighbors are the same rank (two ranks on a periodic
+// axis) both messages share one in-order link, and the sender posted lo
+// before hi. The axes stay sequential: forPlane spans the full
+// ghost-inclusive extent of the other two axes, so corner values
+// propagate through two successive axis hops and the hops cannot be
+// flattened. Send completions are deferred to the end — each payload is
+// packed into a fresh buffer at posting time, so later-axis packing
+// never races an in-flight send.
 func (d *Domain) exchangeGhost(arrs [][]float32, tagBase int) {
-	if d.Overlap {
-		d.exchangeGhostAsync(arrs, tagBase)
-		return
-	}
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
-	for axis := 0; axis < 3; axis++ {
-		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
-		// Post sends first: the interior planes neighbors need.
-		if d.remote[lo] {
-			d.send(d.nbr[lo], tagBase+int(lo), arrs, axis, 1)
-		}
-		if d.remote[hi] {
-			d.send(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis])
-		}
-		// Receive into boundary/ghost planes. The low neighbor sent its
-		// plane N tagged with its *hi* face id, and vice versa. Receive
-		// the lo-tagged message first: when both neighbors are the same
-		// rank (two ranks on a periodic axis) both messages share one
-		// in-order link, and the sender posted lo before hi.
-		if d.remote[hi] {
-			d.recvInto(d.nbr[hi], tagBase+int(lo), arrs, axis, n[axis]+1)
-		}
-		if d.remote[lo] {
-			d.recvInto(d.nbr[lo], tagBase+int(hi), arrs, axis, 0)
-		}
-	}
-}
-
-// exchangeGhostAsync is the nonblocking form of exchangeGhost: per axis,
-// both faces' sends and receives are posted up front and the receives
-// completed in the same fixed order the blocking path uses (lo-tagged
-// first), so the plane applications are identical. Send completions are
-// deferred to the end — each payload is packed into a fresh buffer at
-// posting time, so later-axis packing never races an in-flight send.
-func (d *Domain) exchangeGhostAsync(arrs [][]float32, tagBase int) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
 	var sends []*mp.Request
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
+		// The interior planes neighbors need: plane 1 to the low side,
+		// plane N to the high side.
 		if d.remote[lo] {
 			sends = append(sends, d.isend(d.nbr[lo], tagBase+int(lo), arrs, axis, 1))
 		}
 		if d.remote[hi] {
 			sends = append(sends, d.isend(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]))
 		}
+		// Into boundary/ghost planes: the low neighbor sent its plane N
+		// tagged with its *hi* face id, and vice versa.
 		var rHi, rLo *mp.Request
 		if d.remote[hi] {
 			rHi = d.Comm.IRecv(d.nbr[hi], tagBase+int(lo))
@@ -238,29 +204,17 @@ func (d *Domain) ExchangeGhostB() {
 func (d *Domain) foldUp(arrs [][]float32, tagBase int) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
-	if d.Overlap {
-		var sends []*mp.Request
-		for axis := 0; axis < 3; axis++ {
-			lo, hi := field.Face(2*axis), field.Face(2*axis+1)
-			if d.remote[hi] {
-				sends = append(sends, d.isend(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]+1))
-			}
-			if d.remote[lo] {
-				d.applyPlane(d.Comm.IRecv(d.nbr[lo], tagBase+int(hi)), arrs, axis, 1, true)
-			}
-		}
-		waitAll(sends)
-		return
-	}
+	var sends []*mp.Request
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		if d.remote[hi] {
-			d.send(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]+1)
+			sends = append(sends, d.isend(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]+1))
 		}
 		if d.remote[lo] {
-			d.addFrom(d.nbr[lo], tagBase+int(hi), arrs, axis, 1)
+			d.applyPlane(d.Comm.IRecv(d.nbr[lo], tagBase+int(hi)), arrs, axis, 1, true)
 		}
 	}
+	waitAll(sends)
 }
 
 // ExchangeJ reduces and refreshes the deposited current across remote
@@ -287,23 +241,9 @@ func (d *Domain) ExchangeScalarGhost(a []float32) {
 	d.exchangeGhost([][]float32{a}, tagGhostS)
 }
 
-// send extracts the given plane of each array into one packed payload
-// and sends it.
-func (d *Domain) send(dst, tag int, arrs [][]float32, axis, idx int) {
-	n := planeCount(d.G, axis)
-	buf := make([]float32, 0, n*len(arrs))
-	forPlane(d.G, axis, idx, func(v int) {
-		for _, a := range arrs {
-			buf = append(buf, a[v])
-		}
-	})
-	d.countSend(tag, 4*len(buf))
-	d.Comm.Send(dst, tag, buf)
-}
-
-// isend packs the given plane like send but posts the payload as a
-// nonblocking request; the returned handle must be waited before the
-// exchange completes.
+// isend packs the given plane of each array into one payload and posts
+// it as a nonblocking request; the returned handle must be waited before
+// the exchange completes.
 func (d *Domain) isend(dst, tag int, arrs [][]float32, axis, idx int) *mp.Request {
 	n := planeCount(d.G, axis)
 	buf := make([]float32, 0, n*len(arrs))
@@ -338,37 +278,13 @@ func (d *Domain) applyPlane(r *mp.Request, arrs [][]float32, axis, idx int, add 
 }
 
 // waitAll completes a batch of posted sends, re-raising the transport's
-// typed error like the blocking Send path.
+// typed error.
 func waitAll(reqs []*mp.Request) {
 	for _, r := range reqs {
 		if _, err := r.Wait(); err != nil {
 			panic(err)
 		}
 	}
-}
-
-// recvInto overwrites the given plane from a packed payload.
-func (d *Domain) recvInto(src, tag int, arrs [][]float32, axis, idx int) {
-	buf := d.Comm.Recv(src, tag).([]float32)
-	i := 0
-	forPlane(d.G, axis, idx, func(v int) {
-		for _, a := range arrs {
-			a[v] = buf[i]
-			i++
-		}
-	})
-}
-
-// addFrom accumulates a packed payload into the given plane.
-func (d *Domain) addFrom(src, tag int, arrs [][]float32, axis, idx int) {
-	buf := d.Comm.Recv(src, tag).([]float32)
-	i := 0
-	forPlane(d.G, axis, idx, func(v int) {
-		for _, a := range arrs {
-			a[v] += buf[i]
-			i++
-		}
-	})
 }
 
 func planeCount(g *grid.Grid, axis int) int {
@@ -410,52 +326,36 @@ func forPlane(g *grid.Grid, axis, idx int, fn func(v int)) {
 	}
 }
 
-// ExchangeParticles migrates every species' outgoing particles to the
-// neighbor ranks and settles stragglers (a migrant may, while finishing
-// its move on the receiving rank, still cross a face on another axis —
-// exactly the multi-pass settling VPIC's boundary handler performs).
-// kernels and bufs are parallel slices, one per species.
-func (d *Domain) ExchangeParticles(kernels []*push.Kernel, bufs []*particle.Buffer) {
-	d.BeginParticleExchange(kernels, bufs).Complete()
-}
-
-// partSend is one snapshotted outgoing batch awaiting transmission.
-type partSend struct {
-	dst, tag int
-	out      push.OutgoingBatch
-}
-
-// partRecv is one expected arrival: its link coordinates, the species
-// it lands into, and the entry plane on the crossing axis.
+// partRecv is one posted arrival: the species it lands into and the
+// entry plane on the crossing axis.
 type partRecv struct {
-	src, tag    int
+	req         *mp.Request
 	species     int
 	axis, entry int
-	req         *mp.Request // overlap mode: the posted receive
 }
 
 // ParticleExchange is one particle migration in flight, split so the
-// caller can compute between posting and completion. Begin snapshots
-// every remote face's outgoing list in a fixed (axis, species, lo, hi)
-// order — the per-link wire order is therefore identical in both modes
-// — and in overlap mode posts all sends and receives immediately, so
-// migrants travel while the interior push runs. Complete finishes the
-// transfers, landing arrivals in the same fixed order, then settles
-// residual crossers.
+// caller can compute while migrants travel. Begin snapshots every remote
+// face's outgoing list in a fixed (axis, species, lo, hi) order and
+// posts the sends and receives; Complete lands the arrivals in that
+// order, then settles stragglers — a migrant that, while finishing its
+// move on the receiving rank, crosses a face on another axis (the
+// multi-pass settling VPIC's boundary handler performs). kernels and
+// bufs are parallel slices, one per species.
 type ParticleExchange struct {
 	d       *Domain
 	kernels []*push.Kernel
 	bufs    []*particle.Buffer
-	sends   []partSend
+	sends   []*mp.Request
 	recvs   []partRecv
-	sreqs   []*mp.Request
 }
 
-// BeginParticleExchange snapshots (and in overlap mode posts) every
-// species' outgoing migrants. The outgoing lists must be final for the
-// faces being exchanged: under the CFL bound a particle crosses at most
-// one face per axis per step, so only boundary-shell particles can
-// migrate and the snapshot may be taken as soon as the shell is pushed.
+// BeginParticleExchange snapshots and posts every species' outgoing
+// migrants. The outgoing lists must be final for the faces being
+// exchanged: under the CFL bound a particle crosses at most one face per
+// axis per step, so only boundary-shell particles can migrate and the
+// snapshot may be taken as soon as the shell is pushed. A rank with no
+// remote face posts nothing.
 func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.Buffer) *ParticleExchange {
 	x := &ParticleExchange{d: d, kernels: kernels, bufs: bufs}
 	g := d.G
@@ -463,39 +363,23 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		for s, k := range kernels {
-			// Always exchange on remote faces, even empty lists: the
+			// Always send on remote faces, even empty lists: the
 			// protocol is deterministic.
 			if d.remote[lo] {
-				out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[lo]...))
-				k.Out[lo] = k.Out[lo][:0]
-				d.encodeWire(out, axis)
-				d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
-				x.sends = append(x.sends, partSend{dst: d.nbr[lo], tag: tagPart + 16*s + int(lo), out: out})
+				x.sends = append(x.sends, d.Comm.ISend(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(k, lo)))
 			}
 			if d.remote[hi] {
-				out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[hi]...))
-				k.Out[hi] = k.Out[hi][:0]
-				d.encodeWire(out, axis)
-				d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
-				x.sends = append(x.sends, partSend{dst: d.nbr[hi], tag: tagPart + 16*s + int(hi), out: out})
+				x.sends = append(x.sends, d.Comm.ISend(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(k, hi)))
 			}
 			// Arrivals, lo-tagged first per (axis, species): when both
 			// neighbors are the same rank the two messages share one
 			// in-order link, and the sender posted lo before hi.
 			if d.remote[hi] {
-				x.recvs = append(x.recvs, partRecv{src: d.nbr[hi], tag: tagPart + 16*s + int(lo), species: s, axis: axis, entry: n[axis]})
+				x.recvs = append(x.recvs, partRecv{req: d.Comm.IRecv(d.nbr[hi], tagPart+16*s+int(lo)), species: s, axis: axis, entry: n[axis]})
 			}
 			if d.remote[lo] {
-				x.recvs = append(x.recvs, partRecv{src: d.nbr[lo], tag: tagPart + 16*s + int(hi), species: s, axis: axis, entry: 1})
+				x.recvs = append(x.recvs, partRecv{req: d.Comm.IRecv(d.nbr[lo], tagPart+16*s+int(hi)), species: s, axis: axis, entry: 1})
 			}
-		}
-	}
-	if d.Overlap {
-		for _, ps := range x.sends {
-			x.sreqs = append(x.sreqs, d.Comm.ISend(ps.dst, ps.tag, ps.out))
-		}
-		for i := range x.recvs {
-			x.recvs[i].req = d.Comm.IRecv(x.recvs[i].src, x.recvs[i].tag)
 		}
 	}
 	return x
@@ -506,24 +390,14 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 // later axis while landing) are settled with synchronous sweeps.
 func (x *ParticleExchange) Complete() {
 	d := x.d
-	if d.Overlap {
-		for _, pr := range x.recvs {
-			data, err := pr.req.Wait()
-			if err != nil {
-				panic(err)
-			}
-			d.landParticles(x.kernels[pr.species], x.bufs[pr.species], data.(push.OutgoingBatch), pr.axis, pr.entry)
+	for _, pr := range x.recvs {
+		data, err := pr.req.Wait()
+		if err != nil {
+			panic(err)
 		}
-		waitAll(x.sreqs)
-	} else {
-		for _, ps := range x.sends {
-			d.Comm.Send(ps.dst, ps.tag, ps.out)
-		}
-		for _, pr := range x.recvs {
-			in := d.Comm.Recv(pr.src, pr.tag).(push.OutgoingBatch)
-			d.landParticles(x.kernels[pr.species], x.bufs[pr.species], in, pr.axis, pr.entry)
-		}
+		d.landParticles(x.kernels[pr.species], x.bufs[pr.species], data.(push.OutgoingBatch), pr.axis, pr.entry)
 	}
+	waitAll(x.sends)
 	x.settleResidual()
 }
 
@@ -554,6 +428,10 @@ func (x *ParticleExchange) settleResidual() {
 	}
 }
 
+// exchangeParticlesSweep is one settle round: per (axis, species), send
+// both faces' outgoing lists, then receive and land — so a migrant that
+// re-crosses on a later axis while landing is forwarded in the same
+// sweep.
 func (d *Domain) exchangeParticlesSweep(kernels []*push.Kernel, bufs []*particle.Buffer) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
@@ -563,18 +441,10 @@ func (d *Domain) exchangeParticlesSweep(kernels []*push.Kernel, bufs []*particle
 			// Always exchange on remote faces, even empty lists: the
 			// protocol is deterministic.
 			if d.remote[lo] {
-				out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[lo]...))
-				k.Out[lo] = k.Out[lo][:0]
-				d.encodeWire(out, axis)
-				d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
-				d.Comm.Send(d.nbr[lo], tagPart+16*s+int(lo), out)
+				d.Comm.Send(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(k, lo))
 			}
 			if d.remote[hi] {
-				out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[hi]...))
-				k.Out[hi] = k.Out[hi][:0]
-				d.encodeWire(out, axis)
-				d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
-				d.Comm.Send(d.nbr[hi], tagPart+16*s+int(hi), out)
+				d.Comm.Send(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(k, hi))
 			}
 			// Receive lo-tagged first (same-neighbor link ordering; see
 			// exchangeGhost). The low neighbor sent through its hi face.
@@ -627,12 +497,19 @@ func LandVoxel(g *grid.Grid, axis, entry int, wire int32) int32 {
 	return int32(g.Voxel(ix, iy, iz))
 }
 
-// encodeWire rewrites a snapshotted outgoing batch's voxels to the
-// transverse wire encoding for the given crossing axis.
-func (d *Domain) encodeWire(out []push.Outgoing, axis int) {
+// takeOutgoing snapshots kernel k's outgoing list on face f into a
+// fresh batch and clears the list, rewrites the batch's voxels to the
+// transverse wire encoding of f's axis, and counts the message the batch
+// becomes.
+func (d *Domain) takeOutgoing(k *push.Kernel, f field.Face) push.OutgoingBatch {
+	out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[f]...))
+	k.Out[f] = k.Out[f][:0]
+	axis := f.Axis()
 	for i := range out {
 		out[i].P.Voxel = WireVoxel(d.G, axis, int(out[i].P.Voxel))
 	}
+	d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
+	return out
 }
 
 // landParticles remaps arrivals onto this rank's entry cells on the

@@ -204,7 +204,7 @@ func TestParticleMigration(t *testing.T) {
 		}
 		acc.Clear()
 		k.AdvanceP(buf)
-		d.ExchangeParticles([]*push.Kernel{k}, []*particle.Buffer{buf})
+		d.BeginParticleExchange([]*push.Kernel{k}, []*particle.Buffer{buf}).Complete()
 		switch c.Rank() {
 		case 0:
 			if buf.N() != 0 {
@@ -244,7 +244,7 @@ func TestParticleMigrationWrapsPeriodically(t *testing.T) {
 		}
 		acc.Clear()
 		k.AdvanceP(buf)
-		d.ExchangeParticles([]*push.Kernel{k}, []*particle.Buffer{buf})
+		d.BeginParticleExchange([]*push.Kernel{k}, []*particle.Buffer{buf}).Complete()
 		if c.Rank() == 0 && buf.N() != 1 {
 			t.Errorf("rank 0 holds %d particles after wrap, want 1", buf.N())
 		}
@@ -280,7 +280,7 @@ func TestCornerMigrationSettles(t *testing.T) {
 		}
 		acc.Clear()
 		k.AdvanceP(buf)
-		d.ExchangeParticles([]*push.Kernel{k}, []*particle.Buffer{buf})
+		d.BeginParticleExchange([]*push.Kernel{k}, []*particle.Buffer{buf}).Complete()
 		total := c.AllreduceSumInt(int64(buf.N()))
 		if total != 1 {
 			t.Errorf("rank %d: global particle count %d, want 1", c.Rank(), total)

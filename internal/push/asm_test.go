@@ -24,6 +24,10 @@ import (
 
 func bitEq32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
+// sameSlot reports whether two accumulator slots hold the same value:
+// the same bits, or, in a race build, both NaN (see raceBuild).
+func sameSlot(a, b float32) bool { return bitEq32(a, b) || raceBuild && a != a && b != b }
+
 func bitEqParticle(a, b particle.Particle) bool {
 	return bitEq32(a.Dx, b.Dx) && bitEq32(a.Dy, b.Dy) && bitEq32(a.Dz, b.Dz) &&
 		a.Voxel == b.Voxel &&
@@ -101,7 +105,7 @@ func checkSameState(t *testing.T, label string, ra *rig, ka *Kernel, rb *rig, kb
 	for v := range ra.acc.A {
 		a, b := &ra.acc.A[v], &rb.acc.A[v]
 		for j := 0; j < 4; j++ {
-			if !bitEq32(a.JX[j], b.JX[j]) || !bitEq32(a.JY[j], b.JY[j]) || !bitEq32(a.JZ[j], b.JZ[j]) {
+			if !sameSlot(a.JX[j], b.JX[j]) || !sameSlot(a.JY[j], b.JY[j]) || !sameSlot(a.JZ[j], b.JZ[j]) {
 				t.Fatalf("%s: accumulator voxel %d diverged:\n%+v\n%+v", label, v, *a, *b)
 			}
 		}

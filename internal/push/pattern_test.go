@@ -22,7 +22,8 @@ type voxelPattern struct {
 	fromPrev bool
 	// nan gives lane 2 a NaN offset, lane 5 a NaN momentum, and lanes 6
 	// and 7, at rest mid-cell, NaN weights of different payloads: their
-	// run's slots add NaN to NaN, which keeps the first addend's payload.
+	// run's slots add NaN to NaN, and the payload the sum keeps is the
+	// one the add's operand order picks (see raceBuild).
 	nan bool
 }
 

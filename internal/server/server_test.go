@@ -181,7 +181,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"deck":{"deck":"thermal","steps":10},"sweep":{"bogus":[1]}}`,
 		`{"deck":{"deck":"thermal","steps":10},"unknown_field":1}`,
 		`{"deck":{"deck":"thermal","steps":10,"nx":-4}}`,
-		`{"deck":{"deck":"thermal","steps":10,"lanes":1}}`, // a removed knob is an unknown field
+		// A removed knob is an unknown field.
+		`{"deck":{"deck":"thermal","steps":10,"lanes":1}}`,
+		`{"deck":{"deck":"thermal","steps":10,"overlap":false}}`,
 		// A removed mode value is rejected like any unknown one.
 		`{"deck":{"deck":"spike","steps":10,"ranks":2,"balance":"checkpoint"}}`,
 		// A length whose cell count overflows int was a handler panic.
