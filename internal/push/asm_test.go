@@ -274,33 +274,40 @@ func TestAsmIsVEXOnly(t *testing.T) {
 // go kernel, the asm kernel (where available) and the per-particle
 // oracle and requires bitwise-identical state. order 0 keeps the loaded
 // (random) order, nearly all one-lane runs; 1 sorts by voxel, nearly
-// all single-voxel blocks; k ≥ 2 is "decayed": sorted, then advanced
-// 1 + (k−2) mod 20 steps by the oracle before the compared step, the
-// mixed-voxel blocks a production buffer holds between sorts. `go test`
-// runs the seed corpus; `go test -fuzz=AsmGoParity ./internal/push`
-// explores.
+// all single-voxel blocks; 2 is "hot": the loaded order at uth 0.5
+// whatever the fuzzed spread, thermal.hot-unsorted's temperature, so
+// about one mover in seven crosses two faces; k ≥ 3 is "decayed":
+// sorted, then advanced 1 + (k−3) mod 20 steps by the oracle before the
+// compared step, the mixed-voxel blocks a production buffer holds
+// between sorts. `go test` runs the seed corpus; `go test
+// -fuzz=AsmGoParity ./internal/push` explores.
 func FuzzAsmGoParity(f *testing.F) {
 	f.Add(uint16(0), uint64(1), float64(0.3), uint8(1))
 	f.Add(uint16(1), uint64(2), float64(0.1), uint8(0))
 	f.Add(uint16(17), uint64(3), float64(1.5), uint8(1))
 	f.Add(uint16(333), uint64(4), float64(0.7), uint8(0))
 	f.Add(uint16(2048), uint64(5), float64(2.0), uint8(1))
-	f.Add(uint16(2048), uint64(6), float64(0.2), uint8(11))
-	f.Add(uint16(700), uint64(7), float64(1.0), uint8(21))
+	f.Add(uint16(2048), uint64(6), float64(0.2), uint8(12))
+	f.Add(uint16(700), uint64(7), float64(1.0), uint8(22))
+	f.Add(uint16(4095), uint64(8), float64(0), uint8(2))
+	f.Add(uint16(9), uint64(9), float64(0), uint8(2))
 	f.Fuzz(func(t *testing.T, n uint16, seed uint64, uth float64, order uint8) {
 		if math.IsNaN(uth) || math.IsInf(uth, 0) {
 			uth = 0.5
 		}
 		uth = math.Mod(math.Abs(uth), 4)
 		decay := 0
-		if order >= 2 {
-			decay = 1 + int(order-2)%20
+		switch {
+		case order == 2:
+			uth = 0.5
+		case order >= 3:
+			decay = 1 + int(order-3)%20
 		}
 		mk := func() (*rig, *Kernel) {
 			r := newRig(6, 5, 4, 0.5)
 			r.smoothFields(0.3)
 			r.loadRandom(int(n%4096), uth, seed)
-			if order >= 1 {
+			if order == 1 || order >= 3 {
 				sortByVoxel(r.buf)
 			}
 			k := r.kernel(-1, 1, 0.24)

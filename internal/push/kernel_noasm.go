@@ -17,6 +17,6 @@ func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, ru
 	return advanceBlockGo(b, ip, ac, run, con, out, l0, l1)
 }
 
-func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32 {
-	return moveBatchGo(blk, mv, faces, con, out)
+func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
+	return moveBatchGo(blk, mv, faces, ac, con, tally)
 }

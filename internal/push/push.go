@@ -31,13 +31,14 @@
 //
 // The movers are finished the same way, eight at a time (finishMovers).
 // One batch routine call — moveBatchAVX2 or the portable moveBatchGo —
-// finds each mover's first face, classifies it through a per-voxel face
-// table, and returns the fast lanes: those that reach no face or one
-// interior or Wrap face, with both segments' current terms, final
-// offsets and voxel. The driver applies the lanes in descending index
-// order, adding a fast lane's one or two cells and storing its state,
-// and hands the rest — boundary faces with any other action, second
-// faces, NaN terms — to moveP, VPIC's scalar move_p.
+// plans every lane's faces through a per-voxel face table, and then
+// finishes the fast lanes itself, from the top mover down: those that
+// reach at most two faces, each interior or Wrap, and none of whose
+// current terms is NaN. It adds their one to three segments' terms into
+// the accumulator and stores their final offsets and voxel, and stops
+// at the first slow mover — a boundary face with any other action, a
+// third face, a NaN term — which the driver hands to moveP, VPIC's
+// scalar move_p; the next call starts below it.
 //
 // Both routines of each pair perform the identical floating-point
 // operations per particle, and every accumulator slot receives its adds
@@ -402,51 +403,39 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 // finishMovers completes bs's movers in descending index order,
 // depositing into a. It takes them from the top down, eight at a time:
 // one batch routine call (moveBatchAVX2 when Kernel.Asm, else
-// moveBatchGo) returns each lane's fate, then the lanes are applied in
-// descending order — a fast lane adds its one or two segment cells and
-// stores its final offsets and voxel, a slow lane runs moveP.
+// moveBatchGo) finishes the batch's fast movers from the top down and
+// stops at the first slow one, which runs moveP; the next call starts
+// below it.
 //
-// Batching inside the serial walk changes nothing: RemoveSwap(i) writes
-// only slot i, and every unapplied mover j of the batch has j < i, so
-// the batch read before any removal holds each mover's own pre-step
-// lanes. A fast lane's cells are exactly the terms moveP's scatters
-// would add, none of them NaN, added in moveP's order — segment 1 then
-// 2, mover by descending index — so every accumulator slot's addition
-// chain is moveP's and the state is bitwise identical.
+// Batching inside the serial walk changes nothing: a call reads its
+// batch before it writes, RemoveSwap(i) writes only slot i, and every
+// mover j below a slow mover i has j < i, so each call sees every
+// mover's own pre-step lanes. A fast mover's adds are exactly the terms
+// moveP's scatters would add, none of them NaN, in moveP's order —
+// segment by segment, mover by descending index — so every accumulator
+// slot's addition chain is moveP's and the state is bitwise identical.
 func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Array) {
 	bs.NMoved += int64(len(bs.Movers))
 	con := k.batchConsts()
-	var out moveLanes
-	ac := a.A
+	tally := moveTally{lo: math.MaxInt32, hi: -1}
 	for top := len(bs.Movers); top > 0; {
-		lo := max(top-particle.Lanes, 0)
-		batch := bs.Movers[lo:top]
-		var fates uint32
+		var n int
 		if k.Asm {
-			fates = moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, &con, &out)
+			n = moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
 		} else {
-			fates = moveBatchGo(buf.Blk, bs.Movers[:top], k.faces, &con, &out)
+			n = moveBatchGo(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
 		}
-		for l := len(batch) - 1; l >= 0; l-- {
-			mv := &batch[l]
-			if fates&(1<<l) == 0 {
-				k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
-				continue
-			}
-			v := out.v0[l]
-			addCell(&ac[v], &out.c1[l])
-			a.Touch(int(v))
-			bs.NSeg++
-			v = out.v[l]
-			if fates&(1<<(twoSegs+l)) != 0 {
-				addCell(&ac[v], &out.c2[l])
-				a.Touch(int(v))
-				bs.NSeg++
-			}
-			b, ln := &buf.Blk[mv.Idx>>particle.LaneShift], mv.Idx&particle.LaneMask
-			b.Dx[ln], b.Dy[ln], b.Dz[ln], b.Voxel[ln] = out.dx[l], out.dy[l], out.dz[l], v
+		top -= n
+		if n < particle.Lanes && top > 0 {
+			top--
+			mv := &bs.Movers[top]
+			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
 		}
-		top = lo
+	}
+	bs.NSeg += tally.nseg
+	if tally.hi >= 0 {
+		a.Touch(int(tally.lo))
+		a.Touch(int(tally.hi))
 	}
 }
 
@@ -460,15 +449,6 @@ func (k *Kernel) batchConsts() moveConsts {
 		}
 	}
 	return con
-}
-
-// addCell adds a segment's twelve terms t into accumulator cell c.
-func addCell(c, t *accum.Cell) {
-	for j := range 4 {
-		c.JX[j] += t.JX[j]
-		c.JY[j] += t.JY[j]
-		c.JZ[j] += t.JZ[j]
-	}
 }
 
 // oneBits is math.Float32bits(1.0); for finite floats |x| > 1 exactly

@@ -12,7 +12,7 @@ import (
 
 // The assembly hardcodes the particle.Block, particle.Mover,
 // interp.Coeffs, accum.Cell, laneConsts, laneRun, laneVecs, moveConsts
-// and moveLanes layouts; fail the build if any of them moves. (The
+// and moveTally layouts; fail the build if any of them moves. (The
 // kernels use unaligned vector loads and stores throughout, so no
 // allocation alignment beyond Go's natural 8-byte heap alignment is
 // required — that is the whole alignment contract.)
@@ -42,12 +42,8 @@ var _ = [1]struct{}{}[unsafe.Sizeof(particle.Mover{})-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrap)-4]
 var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.step)-8]
 var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrapd)-40]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.c2)-384]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dx)-768]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dy)-800]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.dz)-832]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.v0)-864]
-var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.v)-896]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveTally{}.lo)-8]
+var _ = [1]struct{}{}[unsafe.Offsetof(moveTally{}.hi)-12]
 
 // advanceBlockAVX2 pushes the lanes [l0, l1) of block b, lane l against
 // its own interpolator ip[b.Voxel[l]]: momentum update and masked
@@ -61,14 +57,14 @@ var _ = [1]struct{}{}[unsafe.Offsetof(moveLanes{}.v)-896]
 //go:noescape
 func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32
 
-// moveBatchAVX2 classifies and plans the top batch of mv — up to eight
-// movers, lane l being mv[len(mv)−n+l] — and prefetches the particles
-// of the next batch: it returns the fast-lane bits and, shifted by
-// twoSegs, the fast lanes with a second segment, and fills out for the
-// fast lanes. It reads blk, mv and faces and writes only out; an index
-// outside blk or a voxel outside faces makes its lane slow without
-// being dereferenced. Bitwise identical to moveBatchGo in fates and in
-// every fast lane's output — see push_avx2_amd64.s.
+// moveBatchAVX2 plans the top batch of mv — up to eight movers, lane l
+// being mv[len(mv)−n+l] — in one vector pass, finishes its fast movers
+// from the top lane down until the first slow one, and prefetches the
+// particles of the next batch. It returns how many movers it finished;
+// their segments land in ac and their counts in tally. An index outside
+// blk or a voxel outside faces or ac makes its lane slow without being
+// dereferenced. Bitwise identical to moveBatchGo in the count and in
+// everything written — see push_avx2_amd64.s.
 //
 //go:noescape
-func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32
+func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int

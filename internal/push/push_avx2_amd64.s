@@ -649,52 +649,74 @@ badvoxel:
 	RET
 
 // ---- moveBatchAVX2: moveBatchGo's lanes as one vector routine over the
-// top batch of up to eight movers (see that function for the contract
-// and the fates), plus prefetches of the next batch's particles.
+// top batch of up to eight movers (see that function for the contract),
+// plus prefetches of the next batch's particles. The routine plans all
+// lanes at once — up to two faces, segments 1 and 2 always, segment 3
+// only when some lane crosses a second face — and then finishes the
+// fast lanes one by one from the top lane down, stopping at the first
+// slow one.
 //
 // Bit-exactness: the lanes are independent and every float operation is
 // moveBatchGo's (and so moveP's and scatterCell's) in the same
-// association — s·dd, d + seg, dd − seg, the face fraction
-// (sgn − d)/dd with VMAXPS(f, 0) = max32(f, 0) (−0 → +0 included), and
-// stage D's twelve rows. A NaN input gives a NaN term and a slow lane,
-// so every NaN a fast lane can meet is the default NaN and operand
-// order cannot pick a payload. The face is selected in x, y, z order
-// with a strict f < s, so ties keep the earlier axis.
+// association — s·r, d + seg, r − seg, the face fraction (sgn − d)/r
+// with VMAXPS(f, 0) = max32(f, 0) (−0 → +0 included), and stage D's
+// twelve rows. A NaN input gives a NaN term and a slow lane, so every
+// NaN a fast lane can meet is the default NaN and operand order cannot
+// pick a payload; the adds take the cell first, as moveBatchGo's do.
+// The face is selected in x, y, z order with a strict f < s, so ties
+// keep the earlier axis. Every lane runs the second face search: with
+// no face behind it the remainder is 0, so no face is found, the step's
+// fraction is 1 and its voxel delta 0. A segment the lane does not use
+// is masked out of the NaN test and never added, and the final offsets
+// are selected by the face count (d + 0 would turn a −0 offset into
+// +0).
 //
 // Gather: each lane's record (a lane past the batch rereads its first
 // record) and particle are read with scalar VMOVSS/VINSERTPS — no
-// VGATHERDPS. An
-// index outside blk reads badblk<>, whose voxel −1 is outside faces; a
-// voxel outside faces reads faces[0] and records face byte 0x40, which
-// makes the lane slow.
+// VGATHERDPS. An index outside blk reads badblk<>, whose voxel −1 is
+// outside faces; a voxel outside faces reads faces[0] and records face
+// byte 0x40, which makes the lane slow, and so does the second face's
+// voxel. Every voxel a lane deposits into is checked against
+// min(len(faces), len(ac)) before the apply.
 //
 // Register plan:
 //   gather: AX badblk, BX faces, CX lanes, DX 0, SI batch, DI blk,
 //           R8 record, R9 scratch, R10 particle, R11 len(faces),
 //           R12 0x40, R13 8·len(blk); X0-7 lanes 0-3, X8-15 lanes 4-7
-//   face:   Y15 0, Y14 1, Y13 s, Y12 dir, Y11 face code (6: none),
-//           Y10 −1, Y9 2; Y0-7 temps
-//   seg 1:  Y12 −dir, Y9 a second face reached
-//   fate:   R8 con, R9 out; Y6 slow, Y7 two segments
+//   faces:  Y15 0, Y14 1, Y13 s, Y12 dir, Y11 face code (6: none),
+//           Y10 −1, Y9 2; Y0-8 temps; R8 con
+//   fate:   Y6 slow, Y7 n − 1, then the segment's row mask
 //   terms:  stage D's plan, Y10 a NaN row, Y8 temp
+//   apply:  CX lane, BX the stop lane, SI ac, DX voxel, R9 48·lane,
+//           R10 cell or particle, R11 segments, R12/R13 window lo/hi
 
 // Frame layout:
-#define MFACE 0   // the lanes' face bytes, 8 B
-#define MD 32     // dx, dy, dz
-#define MVOX 128
-#define MW 160
-#define MDD 192   // ddx, ddy, ddz
-#define MSEG 288  // segment 1 = s·dd
-#define MD1 384   // d + seg, the face axis at −dir
-#define MREM 480  // dd − seg
-#define MROWS 576 // one segment's twelve rows, 384 B
-
-// moveLanes offsets:
-#define MOC1 0
-#define MOC2 384
-#define MODX 768
-#define MOV0 864
-#define MOV 896
+#define MFACE 0      // the lanes' face bytes at the start voxel, 8 B
+#define MFACE2 8     // ... at the voxel after the first face, 8 B
+#define MPTR 16      // the lanes' particle addresses, 64 B
+#define MN 80        // the lane count
+#define MD 96        // dx, dy, dz
+#define MVOX 192     // start voxel
+#define MW 224
+#define MDD 256      // ddx, ddy, ddz
+#define MSEG 352     // segment 1 = s·dd
+#define MD1 448      // d + seg, the face axis at −dir
+#define MREM 544     // dd − seg
+#define MSEG2 640    // segment 2, offsets and remainder after it
+#define MD2 736
+#define MREM2 832    // segment 3
+#define MV1 928      // voxel after the first face
+#define MV2 960      // ... and after the second, the final voxel
+#define MFD 992      // final offsets
+#define MNSEG 1088   // segments
+#define MLO 1120     // least and greatest voxel
+#define MHI 1152
+#define MTWO 1184    // a first face: segment 2 is used
+#define MTHREE 1216  // a second face: segment 3 is used
+#define MROWS 1248   // one segment's twelve rows, 384 B
+#define MC1 1632     // the segments' terms as per-lane cells, 384 B each
+#define MC2 2016
+#define MC3 2400
 
 DATA negone<>+0(SB)/4, $0xbf800000 // float32(-1)
 GLOBL negone<>(SB), RODATA, $4
@@ -709,8 +731,8 @@ GLOBL ints<>(SB), RODATA, $16
 DATA badblk<>+96(SB)/4, $0xffffffff
 GLOBL badblk<>(SB), RODATA, $256
 
-// MLANE points R8 at lane l's mover record and R10 at its particle, and
-// stores its face byte.
+// MLANE points R8 at lane l's mover record and R10 at its particle,
+// stores the particle's address and its face byte.
 #define MLANE(l) \
 	MOVQ    $(16*l), R8; \
 	CMPQ    CX, $l; \
@@ -724,12 +746,23 @@ GLOBL badblk<>(SB), RODATA, $256
 	ADDQ    DI, R10; \
 	CMPQ    R9, R13; \
 	CMOVQCC AX, R10; \
+	MOVQ    R10, (MPTR+8*l)(SP); \
 	MOVL    96(R10), R9; \
 	CMPQ    R9, R11; \
 	CMOVQCC DX, R9; \
 	MOVBLZX (BX)(R9*1), R9; \
 	CMOVQCC R12, R9; \
 	MOVB    R9, (MFACE+l)(SP)
+
+// FACE2 stores lane l's face byte at its voxel after the first face,
+// 0x40 when that voxel is outside faces.
+#define FACE2(l) \
+	MOVL    (MV1+4*l)(SP), R9; \
+	CMPQ    R9, R11; \
+	CMOVQCC DX, R9; \
+	MOVBLZX (BX)(R9*1), R9; \
+	CMOVQCC R12, R9; \
+	MOVB    R9, (MFACE2+l)(SP)
 
 // PREFETCH prefetches the lines of the particle of the mover record at
 // SI+off that the batch reads (a prefetch never faults, so an index
@@ -766,13 +799,14 @@ GLOBL badblk<>(SB), RODATA, $256
 	VINSERTPS $imm, 4(R8), x6, x6; \
 	VINSERTPS $imm, 8(R8), x7, x7
 
-// FIRSTFACE is faceFraction on one axis and the strict-less selection:
-// eff = ok ? max32(f, 0) : 2, where f = (sgn − d)/dd and ok = dd ≠ 0
-// and f < 1; a lane whose eff < s takes s, dir = sgn and the face code
-// 2·axis + (dd > 0), given as code = 2·axis.
-#define FIRSTFACE(off, code) \
-	VMOVUPS   (MDD+off)(SP), Y0; \
-	VMOVUPS   (MD+off)(SP), Y1; \
+// FIRSTFACE is faceFraction on one axis of the displacement at frame
+// offset r from the offsets at d, and the strict-less selection: eff =
+// ok ? max32(f, 0) : 2, where f = (sgn − d)/r and ok = r ≠ 0 and f < 1;
+// a lane whose eff < s takes s, dir = sgn and the face code 2·axis +
+// (r > 0), given as code = 2·axis.
+#define FIRSTFACE(r, d, off, code) \
+	VMOVUPS   (r+off)(SP), Y0; \
+	VMOVUPS   (d+off)(SP), Y1; \
 	VCMPPS    $0x1e, Y15, Y0, Y2; \
 	VCMPPS    $0x11, Y15, Y0, Y3; \
 	VBLENDVPS Y2, Y14, Y10, Y4; \
@@ -790,21 +824,27 @@ GLOBL badblk<>(SB), RODATA, $256
 	VPOR      code, Y7, Y7; \
 	VBLENDVPS Y6, Y7, Y11, Y11
 
-// SEGMENT1 splits one axis at s: seg = s·dd, rem = dd − seg, d' = d +
-// seg or, on the face axis (code>>1 == axis), −dir; it accumulates
-// whether (d', rem) reaches a further face.
-#define SEGMENT1(off, axis) \
-	VMOVUPS   (MDD+off)(SP), Y0; \
+// SPLIT splits one axis of the displacement at r at s: seg = s·r, rem =
+// r − seg, and d' = d + seg or, on the face axis (code>>1 == axis),
+// −dir (Y12).
+#define SPLIT(r, d, seg, d1, rem, off, axis) \
+	VMOVUPS   (r+off)(SP), Y0; \
 	VMULPS    Y0, Y13, Y1; \
-	VMOVUPS   Y1, (MSEG+off)(SP); \
-	VMOVUPS   (MD+off)(SP), Y2; \
+	VMOVUPS   Y1, (seg+off)(SP); \
+	VMOVUPS   (d+off)(SP), Y2; \
 	VADDPS    Y1, Y2, Y2; \
 	VSUBPS    Y1, Y0, Y0; \
-	VMOVUPS   Y0, (MREM+off)(SP); \
+	VMOVUPS   Y0, (rem+off)(SP); \
 	VPSRLD    $1, Y11, Y3; \
 	VPCMPEQD  axis, Y3, Y3; \
 	VBLENDVPS Y3, Y12, Y2, Y2; \
-	VMOVUPS   Y2, (MD1+off)(SP); \
+	VMOVUPS   Y2, (d1+off)(SP)
+
+// REACH ORs into Y6 whether the displacement at r reaches a face on one
+// axis from the offsets at d: a third face.
+#define REACH(r, d, off) \
+	VMOVUPS   (r+off)(SP), Y0; \
+	VMOVUPS   (d+off)(SP), Y2; \
 	VCMPPS    $0x1e, Y15, Y0, Y3; \
 	VCMPPS    $0x11, Y15, Y0, Y4; \
 	VBLENDVPS Y3, Y14, Y10, Y5; \
@@ -813,11 +853,38 @@ GLOBL badblk<>(SB), RODATA, $256
 	VCMPPS    $0x11, Y14, Y5, Y5; \
 	VORPS     Y4, Y3, Y3; \
 	VANDPS    Y5, Y3, Y3; \
-	VORPS     Y3, Y9, Y9
+	VORPS     Y3, Y6, Y6
+
+// CROSS moves the voxels v through the faces with codes Y11, given the
+// face bytes f of v: the step, or the wrap delta where the face is a
+// grid face (zero for code 6). It ORs into Y6 a grid face that is not
+// Wrap and a face byte 0x40.
+#define CROSS(f, v) \
+	VPSRLVD      Y11, f, Y3; \
+	VPSLLD       $31, Y3, Y3; \
+	VPBROADCASTD 4(R8), Y4; \
+	VPSRLVD      Y11, Y4, Y4; \
+	VPSLLD       $31, Y4, Y4; \
+	VPERMD       8(R8), Y11, Y5; \
+	VPERMD       40(R8), Y11, Y0; \
+	VBLENDVPS    Y3, Y0, Y5, Y5; \
+	VPADDD       Y5, v, v; \
+	VANDNPS      Y3, Y4, Y4; \
+	VPSLLD       $25, f, Y5; \
+	VORPS        Y5, Y4, Y4; \
+	VORPS        Y4, Y6, Y6
+
+// VOXBAD ORs into Y6 the lanes whose voxel at frame offset v is outside
+// [0, n), Y7 = n − 1.
+#define VOXBAD(v) \
+	VMOVDQU  v(SP), Y0; \
+	VPCMPGTD Y7, Y0, Y1; \
+	VPOR     Y0, Y1, Y1; \
+	VPOR     Y1, Y6, Y6
 
 // JROWS is one component's four rows of stage D — qh = qw·h over the
-// pair (a, b) — stored to the frame at MROWS+r, flagging NaN rows in
-// Y10.
+// pair (a, b) — masked by Y7 and stored to the frame at MROWS+r,
+// flagging NaN rows in Y10.
 #define JROWS(h, a, b, r) \
 	VMULPS  h, Y11, Y14; \
 	VSUBPS  a, Y13, Y9; \
@@ -825,6 +892,7 @@ GLOBL badblk<>(SB), RODATA, $256
 	VSUBPS  b, Y13, Y15; \
 	VMULPS  Y15, Y9, Y9; \
 	VADDPS  Y12, Y9, Y9; \
+	VANDPS  Y7, Y9, Y9; \
 	VCMPPS  $3, Y9, Y9, Y8; \
 	VORPS   Y8, Y10, Y10; \
 	VMOVUPS Y9, (MROWS+r)(SP); \
@@ -832,6 +900,7 @@ GLOBL badblk<>(SB), RODATA, $256
 	VMULPS  Y9, Y14, Y9; \
 	VMULPS  Y15, Y9, Y9; \
 	VSUBPS  Y12, Y9, Y9; \
+	VANDPS  Y7, Y9, Y9; \
 	VCMPPS  $3, Y9, Y9, Y8; \
 	VORPS   Y8, Y10, Y10; \
 	VMOVUPS Y9, (MROWS+r+32)(SP); \
@@ -840,6 +909,7 @@ GLOBL badblk<>(SB), RODATA, $256
 	VMULPS  Y9, Y14, Y9; \
 	VMULPS  Y15, Y9, Y9; \
 	VSUBPS  Y12, Y9, Y9; \
+	VANDPS  Y7, Y9, Y9; \
 	VCMPPS  $3, Y9, Y9, Y8; \
 	VORPS   Y8, Y10, Y10; \
 	VMOVUPS Y9, (MROWS+r+64)(SP); \
@@ -847,30 +917,32 @@ GLOBL badblk<>(SB), RODATA, $256
 	VMULPS  Y9, Y14, Y9; \
 	VMULPS  Y15, Y9, Y9; \
 	VADDPS  Y12, Y9, Y9; \
+	VANDPS  Y7, Y9, Y9; \
 	VCMPPS  $3, Y9, Y9, Y8; \
 	VORPS   Y8, Y10, Y10; \
 	VMOVUPS Y9, (MROWS+r+96)(SP)
 
 // CELLROWS transposes the four rows at MROWS+r to the eight lanes' cells
-// at slot-group offset c of out.
+// at frame offset c.
 #define CELLROWS(r, c) \
 	VMOVUPS      (MROWS+r)(SP), Y0; \
 	VMOVUPS      (MROWS+r+32)(SP), Y1; \
 	VMOVUPS      (MROWS+r+64)(SP), Y2; \
 	VMOVUPS      (MROWS+r+96)(SP), Y3; \
 	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5); \
-	VMOVUPS      X0, (c+0*48)(R9); \
-	VEXTRACTF128 $1, Y0, (c+4*48)(R9); \
-	VMOVUPS      X1, (c+1*48)(R9); \
-	VEXTRACTF128 $1, Y1, (c+5*48)(R9); \
-	VMOVUPS      X2, (c+2*48)(R9); \
-	VEXTRACTF128 $1, Y2, (c+6*48)(R9); \
-	VMOVUPS      X3, (c+3*48)(R9); \
-	VEXTRACTF128 $1, Y3, (c+7*48)(R9)
+	VMOVUPS      X0, (c+0*48)(SP); \
+	VEXTRACTF128 $1, Y0, (c+4*48)(SP); \
+	VMOVUPS      X1, (c+1*48)(SP); \
+	VEXTRACTF128 $1, Y1, (c+5*48)(SP); \
+	VMOVUPS      X2, (c+2*48)(SP); \
+	VEXTRACTF128 $1, Y2, (c+6*48)(SP); \
+	VMOVUPS      X3, (c+3*48)(SP); \
+	VEXTRACTF128 $1, Y3, (c+7*48)(SP)
 
 // TERMS is cellTerms for the segment at frame offset seg from offsets at
-// frame offset d, written as per-lane cells at out offset oc.
-#define TERMS(d, seg, oc) \
+// frame offset d, masked by Y7 and written as per-lane cells at frame
+// offset c.
+#define TERMS(d, seg, c) \
 	VBROADCASTSS half<>(SB), Y13; \
 	VMULPS       (seg+0)(SP), Y13, Y3; \
 	VMULPS       (seg+32)(SP), Y13, Y4; \
@@ -892,12 +964,38 @@ GLOBL badblk<>(SB), RODATA, $256
 	JROWS(Y3, Y1, Y2, 0); \
 	JROWS(Y4, Y2, Y0, 128); \
 	JROWS(Y5, Y0, Y1, 256); \
-	CELLROWS(0, oc+0); \
-	CELLROWS(128, oc+16); \
-	CELLROWS(256, oc+32)
+	CELLROWS(0, c+0); \
+	CELLROWS(128, c+16); \
+	CELLROWS(256, c+32)
 
-// func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32
-TEXT ·moveBatchAVX2(SB), 0, $960-92
+// FINAL selects one axis's final offset: d2 + rem2 after two faces, d2
+// after one, d1 after none (Y4 two, Y5 three).
+#define FINAL(off) \
+	VMOVUPS   (MD2+off)(SP), Y0; \
+	VADDPS    (MREM2+off)(SP), Y0, Y1; \
+	VBLENDVPS Y5, Y1, Y0, Y0; \
+	VMOVUPS   (MD1+off)(SP), Y2; \
+	VBLENDVPS Y4, Y0, Y2, Y2; \
+	VMOVUPS   Y2, (MFD+off)(SP)
+
+// ADDCELL adds lane R9/48's cell at frame offset c into ac[DX], the
+// cell first.
+#define ADDCELL(c) \
+	LEAQ    (DX)(DX*2), R10; \
+	SHLQ    $4, R10; \
+	ADDQ    SI, R10; \
+	VMOVUPS 0(R10), X0; \
+	VADDPS  (c+0)(SP)(R9*1), X0, X0; \
+	VMOVUPS X0, 0(R10); \
+	VMOVUPS 16(R10), X1; \
+	VADDPS  (c+16)(SP)(R9*1), X1, X1; \
+	VMOVUPS X1, 16(R10); \
+	VMOVUPS 32(R10), X2; \
+	VADDPS  (c+32)(SP)(R9*1), X2, X2; \
+	VMOVUPS X2, 32(R10)
+
+// func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int
+TEXT ·moveBatchAVX2(SB), 0, $2784-120
 	MOVQ  blk_base+0(FP), DI
 	MOVQ  blk_len+8(FP), R13
 	MOVQ  mv_base+24(FP), SI
@@ -905,17 +1003,18 @@ TEXT ·moveBatchAVX2(SB), 0, $960-92
 	MOVQ  faces_base+48(FP), BX
 	MOVQ  faces_len+56(FP), R11
 	TESTQ R13, R13
-	JEQ   allslow
+	JEQ   none
 	TESTQ CX, CX
-	JEQ   allslow
+	JEQ   none
 	TESTQ R11, R11
-	JEQ   allslow
+	JEQ   none
 	// The batch is mv's top min(len, 8) movers; prefetch the particles
 	// of the eight below it, the next batch, when there are eight.
 	MOVL    $8, R8
 	MOVQ    CX, R9
 	CMPQ    CX, R8
 	CMOVQGT R8, CX     // lanes
+	MOVQ    CX, MN(SP)
 	SUBQ    CX, R9     // the batch's first mover
 	SHLQ    $4, R9
 	ADDQ    R9, SI
@@ -970,7 +1069,7 @@ gather:
 	VMOVUPS     Y6, (MDD+32)(SP)
 	VMOVUPS     Y7, (MDD+64)(SP)
 
-	// ---- The first face.
+	// ---- The first face, segment 1, and the voxel after the face.
 	VXORPS       Y15, Y15, Y15
 	VBROADCASTSS one<>(SB), Y14
 	VMOVUPS      Y14, Y13
@@ -978,82 +1077,188 @@ gather:
 	VPBROADCASTD ints<>+12(SB), Y11
 	VBROADCASTSS negone<>(SB), Y10
 	VBROADCASTSS two<>(SB), Y9
-	FIRSTFACE(0, Y15)
+	FIRSTFACE(MDD, MD, 0, Y15)
 	VPBROADCASTD ints<>+4(SB), Y8
-	FIRSTFACE(32, Y8)
+	FIRSTFACE(MDD, MD, 32, Y8)
 	VPBROADCASTD ints<>+8(SB), Y8
-	FIRSTFACE(64, Y8)
+	FIRSTFACE(MDD, MD, 64, Y8)
+	VCMPPS       $0x11, Y14, Y13, Y0 // s < 1
+	VMOVUPS      Y0, MTWO(SP)
 
-	// ---- Segment 1, the crossing, and whether a second face follows.
 	VSUBPS       Y12, Y15, Y12
-	VXORPS       Y9, Y9, Y9
 	VPBROADCASTD ints<>+0(SB), Y6
 	VPBROADCASTD ints<>+4(SB), Y7
-	SEGMENT1(0, Y15)
-	SEGMENT1(32, Y6)
-	SEGMENT1(64, Y7)
+	SPLIT(MDD, MD, MSEG, MD1, MREM, 0, Y15)
+	SPLIT(MDD, MD, MSEG, MD1, MREM, 32, Y6)
+	SPLIT(MDD, MD, MSEG, MD1, MREM, 64, Y7)
 
-	// ---- Fates, final offsets and voxels.
-	MOVQ      con+72(FP), R8
-	MOVQ      out+80(FP), R9
-	VCMPPS    $0x11, Y14, Y13, Y0 // a face, and so two segments: s < 1
-	VMOVUPS   Y0, Y7
-	VMOVUPS   (MD1+0)(SP), Y2
-	VADDPS    (MREM+0)(SP), Y2, Y3
-	VBLENDVPS Y7, Y3, Y2, Y2
-	VMOVUPS   Y2, (MODX+0)(R9)
-	VMOVUPS   (MD1+32)(SP), Y2
-	VADDPS    (MREM+32)(SP), Y2, Y3
-	VBLENDVPS Y7, Y3, Y2, Y2
-	VMOVUPS   Y2, (MODX+32)(R9)
-	VMOVUPS   (MD1+64)(SP), Y2
-	VADDPS    (MREM+64)(SP), Y2, Y3
-	VBLENDVPS Y7, Y3, Y2, Y2
-	VMOVUPS   Y2, (MODX+64)(R9)
+	MOVQ      con+96(FP), R8
+	VXORPS    Y6, Y6, Y6
+	VPMOVZXBD MFACE(SP), Y2
+	VMOVDQU   MVOX(SP), Y1
+	CROSS(Y2, Y1)
+	VMOVDQU   Y1, MV1(SP)
+	VMOVDQU   Y1, MV2(SP)
 
-	// Face bit and Wrap bit of the face code, moved to the sign; the
-	// voxel delta through the face (zero for code 6).
-	VPMOVZXBD    MFACE(SP), Y2
-	VPSRLVD      Y11, Y2, Y3
-	VPSLLD       $31, Y3, Y3
-	VPBROADCASTD 4(R8), Y4
-	VPSRLVD      Y11, Y4, Y4
-	VPSLLD       $31, Y4, Y4
-	VPERMD       8(R8), Y11, Y5
-	VPERMD       40(R8), Y11, Y1
-	VBLENDVPS    Y3, Y1, Y5, Y5
-	VMOVDQU      MVOX(SP), Y1
-	VMOVDQU      Y1, MOV0(R9)
-	VPADDD       Y5, Y1, Y1
-	VMOVDQU      Y1, MOV(R9)
+	// ---- The second face and segment 2.
+	VMOVUPS      Y6, MROWS(SP)
+	VMOVUPS      Y14, Y13
+	VXORPS       Y12, Y12, Y12
+	VPBROADCASTD ints<>+12(SB), Y11
+	FIRSTFACE(MREM, MD1, 0, Y15)
+	VPBROADCASTD ints<>+4(SB), Y8
+	FIRSTFACE(MREM, MD1, 32, Y8)
+	VPBROADCASTD ints<>+8(SB), Y8
+	FIRSTFACE(MREM, MD1, 64, Y8)
+	VCMPPS       $0x11, Y14, Y13, Y0
+	VANDPS       MTWO(SP), Y0, Y0
+	VMOVUPS      Y0, MTHREE(SP)
+	VMOVMSKPS    Y0, AX
 
-	// Slow: a boundary face that is not Wrap or a second face (on a face
-	// lane), a bad index or voxel.
-	VANDNPS Y3, Y4, Y4
-	VORPS   Y9, Y4, Y4
-	VANDPS  Y0, Y4, Y4
-	VPSLLD  $25, Y2, Y5
-	VORPS   Y5, Y4, Y6
+	VSUBPS       Y12, Y15, Y12
+	VPBROADCASTD ints<>+0(SB), Y6
+	VPBROADCASTD ints<>+4(SB), Y7
+	SPLIT(MREM, MD1, MSEG2, MD2, MREM2, 0, Y15)
+	SPLIT(MREM, MD1, MSEG2, MD2, MREM2, 32, Y6)
+	SPLIT(MREM, MD1, MSEG2, MD2, MREM2, 64, Y7)
+	VMOVUPS      MROWS(SP), Y6
 
-	// ---- Both segments' terms; a NaN term makes the lane slow.
-	VXORPS Y10, Y10, Y10
-	TERMS(MD, MSEG, MOC1)
-	TERMS(MD1, MREM, MOC2)
-	VORPS  Y10, Y6, Y6
+	// ---- Only when a lane crosses a second face: the voxel after it,
+	// whether a third face follows, and segment 3's terms.
+	TESTL AX, AX
+	JEQ   planned
+	FACE2(0)
+	FACE2(1)
+	FACE2(2)
+	FACE2(3)
+	FACE2(4)
+	FACE2(5)
+	FACE2(6)
+	FACE2(7)
+	VPMOVZXBD MFACE2(SP), Y2
+	VMOVDQU   MV1(SP), Y1
+	CROSS(Y2, Y1)
+	VMOVDQU   Y1, MV2(SP)
+	REACH(MREM2, MD2, 0)
+	REACH(MREM2, MD2, 32)
+	REACH(MREM2, MD2, 64)
+	VXORPS    Y10, Y10, Y10
+	VMOVUPS   MTHREE(SP), Y7
+	TERMS(MD2, MREM2, MC3)
+	VORPS     Y10, Y6, Y6
 
+planned:
+	// ---- Every voxel inside min(len(faces), len(ac)); final offsets,
+	// segment counts and voxel windows.
+	MOVQ         faces_len+56(FP), AX
+	MOVQ         ac_len+80(FP), DX
+	CMPQ         DX, AX
+	CMOVQLT      DX, AX
+	MOVL         $0x7fffffff, DX
+	CMPQ         AX, DX
+	CMOVQGT      DX, AX
+	DECQ         AX
+	VMOVD        AX, X7
+	VPBROADCASTD X7, Y7
+	VOXBAD(MVOX)
+	VOXBAD(MV1)
+	VOXBAD(MV2)
+
+	VMOVUPS MTWO(SP), Y4
+	VMOVUPS MTHREE(SP), Y5
+	FINAL(0)
+	FINAL(32)
+	FINAL(64)
+
+	VPBROADCASTD ints<>+0(SB), Y0
+	VPSUBD       Y4, Y0, Y0
+	VPSUBD       Y5, Y0, Y0
+	VMOVDQU      Y0, MNSEG(SP)
+	VMOVDQU      MVOX(SP), Y0
+	VMOVDQU      MV1(SP), Y1
+	VMOVDQU      MV2(SP), Y2
+	VPMINSD      Y1, Y0, Y3
+	VPMINSD      Y2, Y3, Y3
+	VMOVDQU      Y3, MLO(SP)
+	VPMAXSD      Y1, Y0, Y3
+	VPMAXSD      Y2, Y3, Y3
+	VMOVDQU      Y3, MHI(SP)
+
+	// ---- Segments 1 and 2's terms; a NaN term makes the lane slow.
+	VXORPS   Y10, Y10, Y10
+	VPCMPEQD Y7, Y7, Y7
+	TERMS(MD, MSEG, MC1)
+	VMOVUPS  MTWO(SP), Y7
+	TERMS(MD1, MSEG2, MC2)
+	VORPS    Y10, Y6, Y6
+
+	// ---- Finish lanes n−1 down to the first slow lane, BX (−1: none).
+	MOVQ      MN(SP), CX
 	MOVQ      $lanemask<>(SB), R10
-	SHLQ      $5, CX
-	VMOVDQU   (R10)(CX*1), Y0
-	VANDNPS   Y0, Y6, Y0
+	MOVQ      CX, AX
+	SHLQ      $5, AX
+	VMOVDQU   (R10)(AX*1), Y0
+	VANDPS    Y0, Y6, Y0
 	VMOVMSKPS Y0, AX
-	VANDPS    Y7, Y0, Y1
-	VMOVMSKPS Y1, DX
-	SHLL      $8, DX
-	ORL       DX, AX
-	MOVL      AX, ret+88(FP)
+	MOVQ      $-1, BX
+	BSRQ      AX, R9
+	CMOVQNE   R9, BX
+	MOVQ      CX, AX
+	SUBQ      BX, AX
+	DECQ      AX
+	MOVQ      AX, ret+112(FP)
+
+	MOVQ    ac_base+72(FP), SI
+	MOVQ    tally+104(FP), R8
+	MOVQ    0(R8), R11
+	MOVLQSX 8(R8), R12
+	MOVLQSX 12(R8), R13
+
+	// Each lane adds its segments' cells in order and stores its final
+	// offsets and voxel (DX: the last segment's).
+apply:
+	DECQ    CX
+	CMPQ    CX, BX
+	JLE     applied
+	LEAQ    (CX)(CX*2), R9
+	SHLQ    $4, R9           // R9 = 48·lane
+	MOVLQSX MVOX(SP)(CX*4), DX
+	ADDCELL(MC1)
+	MOVL    MNSEG(SP)(CX*4), AX
+	MOVLQSX MV1(SP)(CX*4), DX
+	CMPL    AX, $2
+	JLT     store
+	ADDCELL(MC2)
+	CMPL    AX, $3
+	JLT     store
+	MOVLQSX MV2(SP)(CX*4), DX
+	ADDCELL(MC3)
+
+store:
+	ADDQ    AX, R11
+	MOVQ    MPTR(SP)(CX*8), R10
+	MOVL    (MFD+0)(SP)(CX*4), AX
+	MOVL    AX, 0(R10)
+	MOVL    (MFD+32)(SP)(CX*4), AX
+	MOVL    AX, 32(R10)
+	MOVL    (MFD+64)(SP)(CX*4), AX
+	MOVL    AX, 64(R10)
+	MOVL    DX, 96(R10)
+	MOVLQSX MLO(SP)(CX*4), AX
+	CMPQ    AX, R12
+	CMOVQLT AX, R12
+	MOVLQSX MHI(SP)(CX*4), AX
+	CMPQ    AX, R13
+	CMOVQGT AX, R13
+	JMP     apply
+
+applied:
+	MOVQ R11, 0(R8)
+	MOVL R12, 8(R8)
+	MOVL R13, 12(R8)
 	VZEROUPPER
 	RET
 
-allslow:
-	MOVL $0, ret+88(FP)
+none:
+	MOVQ $0, ret+112(FP)
 	RET

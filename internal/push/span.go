@@ -179,115 +179,133 @@ type moveConsts struct {
 	wrapd [particle.Lanes]int32 // +40: voxel delta through face f when it wraps
 }
 
-// moveLanes is a batch routine's per-lane output, meaningful for the
-// fast lanes only: the current terms of the first and second segment,
-// the final offsets, and the start and final voxels. Offsets are
-// hardcoded in push_avx2_amd64.s.
-type moveLanes struct {
-	c1, c2     [particle.Lanes]accum.Cell // +0, +384
-	dx, dy, dz [particle.Lanes]float32    // +768, +800, +832
-	v0, v      [particle.Lanes]int32      // +864, +896
+// moveTally is what a batch routine reports besides its count: the
+// segments its finished movers deposited and the least and greatest
+// voxel they deposited into, the window the driver touches once per
+// finish. Offsets are hardcoded in push_avx2_amd64.s.
+type moveTally struct {
+	nseg   int64 // +0
+	lo, hi int32 // +8, +12
 }
-
-// Batch fates: a batch routine returns bit l set for a fast lane l and
-// bit twoSegs+l set when that lane crosses into a second segment.
-const twoSegs = 8
 
 // moveBatchGo is the portable implementation of the batch contract
 // (moveBatchAVX2 is the other) and its readable specification. The
 // batch is the top of mv: lane l is mover mv[lo+l], lo = len(mv) −
 // min(len(mv), Lanes); the assembly also prefetches the particles of
-// the Lanes movers below it, the next batch. A lane is fast when finishing
-// it needs no moveP: its index and voxel address blk and faces, it
-// reaches no face within rounding or exactly one face that is interior
-// or Wrap, and none of its current terms is NaN. For a fast lane the
-// routine writes what moveP would deposit and store — one or two
-// segments' terms (scatterCell's expressions) and the final offsets and
-// voxel. Every other lane — a boundary face with any other action, a
-// second face, a NaN term — is slow and left to moveP. The routine
-// reads the buffer and writes only out.
+// the Lanes movers below it, the next batch. The routine finishes the
+// batch's movers from the top lane down and stops at the first slow
+// one, returning how many it finished; the driver runs moveP on the
+// slow mover, and the lanes below it are planned again by the next
+// call.
 //
-// The NaN test is what makes the fast lane's result moveP's bit for
-// bit. A NaN input always yields a NaN term (w enters every term, each
+// A lane is fast when finishing it needs no moveP: its index addresses
+// blk, every voxel it passes through lies in faces and ac, it reaches
+// at most two faces, each interior or Wrap, and none of its current
+// terms is NaN. A fast lane gets exactly what moveP would do: its one,
+// two or three segments' terms (scatterCell's expressions) added into
+// ac, segment by segment, and its final offsets and voxel stored; tally
+// counts the segments and the voxels. A slow lane — a boundary face
+// with any other action, a third face, a NaN term, a bad index or voxel
+// — is left untouched.
+//
+// The NaN test is what makes the fast lane's adds moveP's bit for bit.
+// A NaN input always yields a NaN term (w enters every term, each
 // offset eight, each displacement v5), so a fast lane's inputs are
 // finite or ±Inf, and every NaN it can meet is the default NaN: which
-// operand an operation or the driver's add takes first cannot pick a
-// payload.
-func moveBatchGo(blk []particle.Block, mv []particle.Mover, faces []uint8, con *moveConsts, out *moveLanes) uint32 {
-	var fates uint32
+// operand an operation or an add takes first cannot pick a payload.
+func moveBatchGo(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
 	mv = mv[max(len(mv)-particle.Lanes, 0):]
-	for l := range mv {
-		m := &mv[l]
-		if uint(m.Idx) >= uint(len(blk))<<particle.LaneShift {
-			continue
+	for l := len(mv) - 1; l >= 0; l-- {
+		if !moveLane(blk, &mv[l], faces, ac, con, tally) {
+			return len(mv) - 1 - l
 		}
-		b, ln := &blk[m.Idx>>particle.LaneShift], m.Idx&particle.LaneMask
-		v := b.Voxel[ln]
-		if uint(uint32(v)) >= uint(len(faces)) {
-			continue
-		}
-		dx, dy, dz := b.Dx[ln], b.Dy[ln], b.Dz[ln]
-		ddx, ddy, ddz := m.DispX, m.DispY, m.DispZ
-		qw := con.q * b.W[ln]
+	}
+	return len(mv)
+}
 
-		// The first face: the least fraction, ties to the earlier axis.
+// moveLane finishes mover m as moveBatchGo's lane and reports true, or
+// reports false, having written nothing, when the mover is slow.
+func moveLane(blk []particle.Block, m *particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) bool {
+	if uint(m.Idx) >= uint(len(blk))<<particle.LaneShift {
+		return false
+	}
+	b, ln := &blk[m.Idx>>particle.LaneShift], m.Idx&particle.LaneMask
+	nv := uint(min(len(faces), len(ac)))
+	v := b.Voxel[ln]
+	if uint(uint32(v)) >= nv {
+		return false
+	}
+	dx, dy, dz := b.Dx[ln], b.Dy[ln], b.Dz[ln]
+	rx, ry, rz := m.DispX, m.DispY, m.DispZ
+	qw := con.q * b.W[ln]
+
+	// moveP's segment walk, with every term checked before any is added.
+	var terms [3]accum.Cell
+	var vox [3]int32
+	n := 0
+	for {
+		// The next face: the least fraction, ties to the earlier axis.
 		s, face, dir := float32(1), -1, float32(0)
-		if f, fd := faceFraction(dx, ddx); f < s {
+		if f, fd := faceFraction(dx, rx); f < s {
 			s, face, dir = f, (fd+1)/2, float32(fd)
 		}
-		if f, fd := faceFraction(dy, ddy); f < s {
+		if f, fd := faceFraction(dy, ry); f < s {
 			s, face, dir = f, 2+(fd+1)/2, float32(fd)
 		}
-		if f, fd := faceFraction(dz, ddz); f < s {
+		if f, fd := faceFraction(dz, rz); f < s {
 			s, face, dir = f, 4+(fd+1)/2, float32(fd)
 		}
-		sx, sy, sz := s*ddx, s*ddy, s*ddz // segment 1
-		ex, ey, ez := dx+sx, dy+sy, dz+sz // the offsets after it
-		rx, ry, rz := ddx-sx, ddy-sy, ddz-sz
-		v1 := v
-		if face >= 0 {
-			delta := con.step[face]
-			if faces[v]>>face&1 != 0 {
-				if con.wrap>>face&1 == 0 {
-					continue // Reflect, Absorb, Migrate or reflux
-				}
-				delta = con.wrapd[face]
-			}
-			v1 += delta
-			switch face / 2 {
-			case 0:
-				ex = -dir
-			case 1:
-				ey = -dir
-			default:
-				ez = -dir
-			}
-			if f, _ := faceFraction(ex, rx); f < 1 {
-				continue // a second face
-			}
-			if f, _ := faceFraction(ey, ry); f < 1 {
-				continue
-			}
-			if f, _ := faceFraction(ez, rz); f < 1 {
-				continue
-			}
+		if face >= 0 && n == len(terms)-1 {
+			return false // a third face
 		}
-		if !cellTerms(&out.c1[l], qw, dx, dy, dz, sx, sy, sz) ||
-			!cellTerms(&out.c2[l], qw, ex, ey, ez, rx, ry, rz) {
-			continue
+		sx, sy, sz := s*rx, s*ry, s*rz
+		if !cellTerms(&terms[n], qw, dx, dy, dz, sx, sy, sz) {
+			return false
 		}
-		// A face leaves a second segment: on the face axis s·dd rounds
-		// below |dd| for s < 1, and dd − s·dd is exact (Sterbenz), so the
-		// remainder moveP tests for zero never is.
-		if face >= 0 {
-			ex, ey, ez = ex+rx, ey+ry, ez+rz
-			fates |= 1 << (twoSegs + l)
+		vox[n] = v
+		n++
+		dx, dy, dz = dx+sx, dy+sy, dz+sz
+		if face < 0 {
+			break
 		}
-		out.dx[l], out.dy[l], out.dz[l] = ex, ey, ez
-		out.v0[l], out.v[l] = v, v1
-		fates |= 1 << l
+		// A face always leaves a further segment: on the face axis s·r
+		// rounds below |r| for s < 1, and r − s·r is exact (Sterbenz), so
+		// the remainder moveP tests for zero never is.
+		rx, ry, rz = rx-sx, ry-sy, rz-sz
+		delta := con.step[face]
+		if faces[v]>>face&1 != 0 {
+			if con.wrap>>face&1 == 0 {
+				return false // Reflect, Absorb, Migrate or reflux
+			}
+			delta = con.wrapd[face]
+		}
+		v += delta
+		if uint(uint32(v)) >= nv {
+			return false
+		}
+		switch face / 2 {
+		case 0:
+			dx = -dir
+		case 1:
+			dy = -dir
+		default:
+			dz = -dir
+		}
 	}
-	return fates
+
+	for j := range n {
+		c, t := &ac[vox[j]], &terms[j]
+		for i := range 4 {
+			c.JX[i] += t.JX[i]
+			c.JY[i] += t.JY[i]
+			c.JZ[i] += t.JZ[i]
+		}
+		tally.lo = min(tally.lo, vox[j])
+		tally.hi = max(tally.hi, vox[j])
+	}
+	tally.nseg += int64(n)
+	b.Dx[ln], b.Dy[ln], b.Dz[ln], b.Voxel[ln] = dx, dy, dz, v
+	return true
 }
 
 // cellTerms writes into c the twelve terms scatterCell adds for the
