@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"fmt"
@@ -9,12 +9,12 @@ import (
 	"govpic/internal/theory"
 )
 
-// DispersionDiagram lets a thermal plasma's own noise populate its wave
+// dispersionDiagram lets a thermal plasma's own noise populate its wave
 // branches and reads the Langmuir-branch frequency off the k–ω
 // spectrogram at several wavenumbers, comparing with the kinetic
 // dispersion solver — a first-principles consistency check between the
 // discrete plasma and the theory used throughout the LPI analysis.
-func DispersionDiagram(ppc, steps int) (Result, error) {
+func dispersionDiagram(ppc, steps int) (result, error) {
 	const (
 		nx  = 64
 		n0  = 0.2
@@ -24,19 +24,19 @@ func DispersionDiagram(ppc, steps int) (Result, error) {
 	d.Cfg.NY, d.Cfg.NZ = 1, 1
 	s, err := d.New()
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
 	sg := diag.NewSpectrogram(nx, d.Cfg.DX, d.Cfg.DT)
 	rk := s.Ranks[0]
 	for i := 0; i < steps; i++ {
 		s.Step()
 		if err := sg.Add(diag.LineOutEx(rk.D.F, 1, 1)); err != nil {
-			return Result{}, err
+			return result{}, err
 		}
 	}
 	power, dk, dw, err := sg.Compute()
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
 
 	var rows [][]float64
@@ -45,7 +45,7 @@ func DispersionDiagram(ppc, steps int) (Result, error) {
 		wMeas := sg.RidgeFrequency(power, dw, mode)
 		root, err := theory.EPWDispersion(k, n0, uth*uth)
 		if err != nil {
-			return Result{}, err
+			return result{}, err
 		}
 		wKin := real(root)
 		rows = append(rows, []float64{
@@ -53,7 +53,7 @@ func DispersionDiagram(ppc, steps int) (Result, error) {
 			100 * math.Abs(wMeas-wKin) / wKin,
 		})
 	}
-	return Result{
+	return result{
 		Name:    "EV dispersion diagram (Langmuir branch from thermal noise)",
 		Headers: []string{"k", "kλD", "ω_ridge", "ω_kinetic", "err %"},
 		Rows:    rows,

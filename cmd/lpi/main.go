@@ -1,6 +1,8 @@
 // Command lpi runs the paper's parameter study: laser reflectivity as a
 // function of laser intensity in a hohlraum-like plasma (E7), plus the
-// trapping (E8) and time-history burstiness (E9) diagnostics.
+// trapping (E8) and time-history burstiness (E9) diagnostics and the
+// thermal-noise dispersion diagram. It prints tables; it checks no band
+// (the gated physics is cmd/validate's).
 //
 // Usage:
 //
@@ -18,7 +20,6 @@ import (
 	"strings"
 
 	"govpic/internal/diag"
-	"govpic/internal/experiments"
 )
 
 func main() {
@@ -31,66 +32,51 @@ func main() {
 		csv    = flag.String("csv", "", "also write the table as CSV")
 	)
 	flag.Parse()
+	tier := "scaled-" + *scale
 
-	sc, err := parseScale(*scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var r experiments.Result
+	var (
+		r   result
+		err error
+	)
 	switch *exp {
 	case "reflectivity":
-		a0s, err := parseFloats(*a0list)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err = experiments.E7Reflectivity(a0s, sc)
-		if err != nil {
-			log.Fatal(err)
+		var a0s []float64
+		if a0s, err = parseFloats(*a0list); err == nil {
+			r, err = e7Reflectivity(a0s, tier)
 		}
 	case "trapping":
-		r, err = experiments.E8Trapping(*a0max, sc)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r, err = e8Trapping(*a0max, tier)
 	case "history":
-		r, err = experiments.E9TimeHistory(*a0min, *a0max, sc)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r, err = e9TimeHistory(*a0min, *a0max, tier)
 	case "dispersion":
-		r, err = experiments.DispersionDiagram(512, 1024)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r, err = dispersionDiagram(512, 1024)
 	default:
-		log.Fatalf("unknown experiment %q", *exp)
+		err = fmt.Errorf("unknown experiment %q", *exp)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Print(r.Format())
 
 	if *csv != "" {
-		f, err := os.Create(*csv)
-		if err != nil {
+		if err := writeCSV(*csv, r); err != nil {
 			log.Fatal(err)
 		}
-		if err := diag.WriteCSV(f, r.Headers, r.Rows); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		fmt.Printf("wrote %s\n", *csv)
 	}
 }
 
-func parseScale(s string) (experiments.Scale, error) {
-	switch s {
-	case "small":
-		return experiments.Small, nil
-	case "medium":
-		return experiments.Medium, nil
-	case "large":
-		return experiments.Large, nil
+// writeCSV writes r's table to path; a failed close is a failed write.
+func writeCSV(path string, r result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return 0, fmt.Errorf("unknown scale %q", s)
+	if err := diag.WriteCSV(f, r.Headers, r.Rows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func parseFloats(s string) ([]float64, error) {
@@ -104,4 +90,44 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// result is one experiment's output table.
+type result struct {
+	Name    string
+	Headers []string
+	Rows    [][]float64
+	// Text is preformatted content printed after the table.
+	Text string
+}
+
+// Format renders the result's table with its name and any extra text.
+func (r result) Format() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "== %s ==\n", r.Name)
+	if len(r.Headers) > 0 {
+		for i, h := range r.Headers {
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			fmt.Fprintf(&sb, "%14s", h)
+		}
+		sb.WriteString("\n")
+		for _, row := range r.Rows {
+			for i, v := range row {
+				if i > 0 {
+					sb.WriteString("  ")
+				}
+				fmt.Fprintf(&sb, "%14.5g", v)
+			}
+			sb.WriteString("\n")
+		}
+	}
+	if r.Text != "" {
+		sb.WriteString(r.Text)
+		if !strings.HasSuffix(r.Text, "\n") {
+			sb.WriteString("\n")
+		}
+	}
+	return sb.String()
 }

@@ -1,6 +1,8 @@
 // Quickstart: build a cold plasma, ring it, and watch it oscillate at
-// the plasma frequency — the "hello world" of particle-in-cell codes,
-// using only the public govpic API.
+// the plasma frequency — the "hello world" of particle-in-cell codes.
+// The module has no importable API (it is a set of commands); a program
+// inside it builds a deck from internal/deck and steps the simulation
+// the deck returns.
 package main
 
 import (
@@ -8,12 +10,12 @@ import (
 	"log"
 	"math"
 
-	"govpic"
+	"govpic/internal/deck"
 )
 
 func main() {
 	// A quasi-1D periodic plasma at n = 0.25·ncr, so ωpe = 0.5·ωref.
-	d := govpic.PlasmaOscillationDeck(64 /*cells*/, 64 /*particles per cell*/, 0.25)
+	d := deck.PlasmaOscillation(64 /*cells*/, 64 /*particles per cell*/, 0.25)
 	sim, err := d.New()
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,6 @@ package deck
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -143,25 +142,6 @@ func TestLPIMobileIons(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(5)
-}
-
-func TestCampaignTable(t *testing.T) {
-	entries := Campaign()
-	if entries[0].Particles != 1e12 || entries[0].Voxels != 1.36e8 {
-		t.Fatal("full-scale entry does not match the abstract")
-	}
-	// PPC of the paper run ≈ 7353.
-	if math.Abs(entries[0].PPC-7352.9) > 1 {
-		t.Fatalf("paper PPC = %g", entries[0].PPC)
-	}
-	// Linear cost model.
-	if entries[0].ParticleSteps(100) != 1e14 {
-		t.Fatal("particle-steps wrong")
-	}
-	txt := FormatCampaign(entries)
-	if !strings.Contains(txt, "paper-full") || !strings.Contains(txt, "scaled-small") {
-		t.Fatalf("table:\n%s", txt)
-	}
 }
 
 func TestScaledLPITiers(t *testing.T) {

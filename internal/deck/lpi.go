@@ -76,6 +76,23 @@ func DefaultLPI(a0 float64) LPIParams {
 	}
 }
 
+// ScaledLPI returns a runnable LPI deck for a scaled tier by name
+// ("scaled-small", "scaled-medium", "scaled-large") at pump strength a0.
+func ScaledLPI(tier string, a0 float64) (Deck, error) {
+	p := DefaultLPI(a0)
+	switch tier {
+	case "scaled-small":
+		p.PlateauLength, p.PPC = 40, 128
+	case "scaled-medium":
+		p.PlateauLength, p.PPC = 80, 256
+	case "scaled-large":
+		p.PlateauLength, p.PPC = 160, 512
+	default:
+		return Deck{}, fmt.Errorf("deck: unknown LPI tier %q", tier)
+	}
+	return LPI(p)
+}
+
 // LPI builds the laser-plasma deck. Notes include the SRS matching
 // solution ("ws", "ke", "kld", "nuL", "gamma0"), the linear-theory
 // reflectivity ("Rlinear"), the seed floor ("Rfloor"), and the probe

@@ -2,7 +2,7 @@
 // reproduction: energy accounting, Poynting-flux reflectometry (the
 // laser reflectivity diagnostic of the parameter study), particle
 // distribution functions (the trapping diagnostic), field line-outs and
-// spectra, and CSV emission for the benchmark harnesses.
+// spectra, and CSV emission.
 package diag
 
 import (

@@ -262,8 +262,3 @@ func Rate(ops int64, d time.Duration) float64 {
 	}
 	return float64(ops) / d.Seconds()
 }
-
-// GFlops converts a flop count over a duration into Gflop/s.
-func GFlops(flops int64, d time.Duration) float64 {
-	return Rate(flops, d) / 1e9
-}

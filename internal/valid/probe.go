@@ -19,10 +19,10 @@ type Probe struct {
 	*core.RankSim
 }
 
-// NewProbe wraps one member of a world in the observable surface;
-// examples and tests extract spectra and tail temperatures through the
-// same code the validation cases use (core.Collect reaches the members
-// of an in-process Simulation).
+// NewProbe wraps one member of a world in the observable surface; tests
+// extract spectra and tail temperatures through the same code the
+// validation cases use (core.Collect reaches the members of an
+// in-process Simulation).
 func NewProbe(rs *core.RankSim) Probe { return Probe{rs} }
 
 // kineticEnergy returns m(γ−1) for normalized momentum components.
