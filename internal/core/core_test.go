@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"govpic/internal/diag"
 	"govpic/internal/field"
 	"govpic/internal/laser"
 	"govpic/internal/loader"
@@ -341,12 +342,10 @@ func TestLaserVacuumRun(t *testing.T) {
 	s.Run(int(40 / cfg.DT))
 	var fw, bw float64
 	cycleSteps := int(2 * math.Pi / cfg.DT)
+	probe := 1 + int(24/cfg.DX) // the x-node plane at x = 24
 	for i := 0; i < cycleSteps; i++ {
 		s.Step()
-		f, b, err := s.PoyntingSplit(24)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, b, _, _ := diag.PoyntingSplit(s.Ranks[0].D.F, probe)
 		fw += f
 		bw += b
 	}

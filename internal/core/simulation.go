@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"govpic/internal/diag"
@@ -146,42 +145,4 @@ func (s *Simulation) Reports() []RankReport {
 		out[i] = rs.Report()
 	}
 	return out
-}
-
-// RankAt returns the rank whose tile contains global x (quasi-1D
-// helper) together with the local x-node index of that plane.
-func (s *Simulation) RankAt(xGlobal float64) (*Rank, int, error) {
-	for _, rk := range s.Ranks {
-		g := rk.D.G
-		lx := float64(g.NX) * g.DX
-		if xGlobal >= g.X0 && xGlobal < g.X0+lx {
-			ix := 1 + int((xGlobal-g.X0)/g.DX)
-			return rk, ix, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("core: x=%g outside the global domain", xGlobal)
-}
-
-// PoyntingSplit measures forward/backward flux through the global
-// x-plane (between steps).
-func (s *Simulation) PoyntingSplit(xGlobal float64) (fw, bw float64, err error) {
-	rk, ix, err := s.RankAt(xGlobal)
-	if err != nil {
-		return 0, 0, err
-	}
-	fw, bw = diag.PoyntingSplit(rk.D.F, ix)
-	return fw, bw, nil
-}
-
-// DistUx accumulates the global x-momentum distribution of one species
-// over a global x window.
-func (s *Simulation) DistUx(speciesIdx int, xmin, xmax, umin, umax float64, bins int) []float64 {
-	total := make([]float64, bins)
-	for _, rk := range s.Ranks {
-		h := diag.DistUx(rk.D.G, rk.Species[speciesIdx].Buf, xmin, xmax, umin, umax, bins)
-		for i, v := range h {
-			total[i] += v
-		}
-	}
-	return total
 }

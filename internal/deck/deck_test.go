@@ -144,22 +144,6 @@ func TestLPIMobileIons(t *testing.T) {
 	s.Run(5)
 }
 
-func TestScaledLPITiers(t *testing.T) {
-	for _, tier := range []string{"scaled-small", "scaled-medium", "scaled-large"} {
-		d, err := ScaledLPI(tier, 0.02)
-		if err != nil {
-			t.Fatalf("%s: %v", tier, err)
-		}
-		cfg := d.Cfg
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s invalid: %v", tier, err)
-		}
-	}
-	if _, err := ScaledLPI("nope", 0.02); err == nil {
-		t.Fatal("accepted unknown tier")
-	}
-}
-
 func TestPerturbVelocityValidation(t *testing.T) {
 	d := Thermal(8, 1, 1, 4, 1, 0.2, 0.01)
 	s, err := d.New()

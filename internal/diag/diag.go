@@ -51,19 +51,21 @@ func (h *History) RelativeDrift() float64 {
 	return math.Abs(last-first) / den
 }
 
-// PoyntingSplit decomposes the x-directed Poynting flux through the
-// local plane of x-nodes ix into forward (+x) and backward (−x) going
-// components, averaged over the plane:
+// PoyntingSplit sums the x-directed Poynting flux through this tile's
+// cells of the local x-node plane ix, split into forward (+x) and
+// backward (−x) going parts,
 //
-//	S± = ¼·[(Ey ± cBz)² + (Ez ∓ cBy)²]
+//	S± = ¼·[(Ey ± cBz)² + (Ez ∓ cBy)²],
 //
-// For a pure vacuum plane wave moving in +x, S− vanishes and S+ equals
-// the wave's intensity. B is averaged onto the E nodes to respect the
-// Yee staggering.
-func PoyntingSplit(f *field.Fields, ix int) (forward, backward float64) {
+// together with the signed backward-going field (Ey − cBz)/2, whose time
+// series carries the backscattered light's frequency, and the number of
+// cells summed. Sums rather than averages, so a plane shared by several
+// ranks reduces to its average in one collective (valid.Probe.PlaneFlux).
+// For a pure vacuum plane wave moving in +x, S− vanishes and S+/n equals
+// the wave's intensity. B is averaged onto the E nodes to respect the Yee
+// staggering.
+func PoyntingSplit(f *field.Fields, ix int) (forward, backward, backField float64, n int) {
 	g := f.G
-	var fp, fm float64
-	n := 0
 	for iz := 1; iz <= g.NZ; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {
 			v := g.Voxel(ix, iy, iz)
@@ -75,74 +77,38 @@ func PoyntingSplit(f *field.Fields, ix int) (forward, backward float64) {
 			bz := 0.5 * float64(f.Bz[v]+f.Bz[v-1])
 			by := 0.5 * float64(f.By[v]+f.By[v-1])
 			// Forward wave: Ey = +cBz, Ez = −cBy.
-			fp += 0.25 * ((ey+bz)*(ey+bz) + (ez-by)*(ez-by))
-			fm += 0.25 * ((ey-bz)*(ey-bz) + (ez+by)*(ez+by))
+			forward += 0.25 * ((ey+bz)*(ey+bz) + (ez-by)*(ez-by))
+			backward += 0.25 * ((ey-bz)*(ey-bz) + (ez+by)*(ez+by))
+			backField += 0.5 * (ey - bz)
 			n++
 		}
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return fp / float64(n), fm / float64(n)
+	return forward, backward, backField, n
 }
 
-// Reflectometer time-averages forward and backward flux at a probe
-// plane to measure laser reflectivity, the paper's headline physics
-// observable.
+// Reflectometer records the forward flux, backward flux and signed
+// backward field at a probe plane over time to measure laser
+// reflectivity, the paper's headline physics observable. It takes values
+// already averaged over the plane (valid.Probe.PlaneFlux), so it works on
+// any world.
 type Reflectometer struct {
-	IX int // local x-node index of the probe plane
-
-	SumForward  float64
-	SumBackward float64
-	NSamples    int
-
-	// Series optionally records the instantaneous values; BackField is
-	// the signed backward-going field used for spectral analysis.
 	Times     []float64
 	Forward   []float64
 	Backward  []float64
 	BackField []float64
-	Record    bool
 }
 
-// Sample accumulates one measurement at time t.
-func (r *Reflectometer) Sample(f *field.Fields, t float64) {
-	fw, bw := PoyntingSplit(f, r.IX)
-	r.SumForward += fw
-	r.SumBackward += bw
-	r.NSamples++
-	if r.Record {
-		r.Times = append(r.Times, t)
-		r.Forward = append(r.Forward, fw)
-		r.Backward = append(r.Backward, bw)
-		r.BackField = append(r.BackField, backwardField(f, r.IX))
-	}
-}
-
-// backwardField returns the signed backward-going field component
-// (Ey − cBz)/2 averaged over the probe plane: its time series carries
-// the backscattered light's frequency.
-func backwardField(f *field.Fields, ix int) float64 {
-	g := f.G
-	var s float64
-	n := 0
-	for iz := 1; iz <= g.NZ; iz++ {
-		for iy := 1; iy <= g.NY; iy++ {
-			v := g.Voxel(ix, iy, iz)
-			bz := 0.5 * float64(f.Bz[v]+f.Bz[v-1])
-			s += 0.5 * (float64(f.Ey[v]) - bz)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+// Add records one sample at time t.
+func (r *Reflectometer) Add(t, forward, backward, backField float64) {
+	r.Times = append(r.Times, t)
+	r.Forward = append(r.Forward, forward)
+	r.Backward = append(r.Backward, backward)
+	r.BackField = append(r.BackField, backField)
 }
 
 // DominantFrequency returns the angular frequency of the strongest
 // non-DC component of the recorded backward field, from the recorded
-// sample spacing. Requires Record and ≥16 samples; returns 0 otherwise.
+// sample spacing. Requires ≥16 samples; returns 0 otherwise.
 func (r *Reflectometer) DominantFrequency() float64 {
 	n := len(r.BackField)
 	if n < 16 {
@@ -160,16 +126,15 @@ func (r *Reflectometer) DominantFrequency() float64 {
 
 // Reflectivity returns the time-averaged backward/forward flux ratio.
 func (r *Reflectometer) Reflectivity() float64 {
-	if r.SumForward <= 0 {
+	var fw, bw float64
+	for i := range r.Forward {
+		fw += r.Forward[i]
+		bw += r.Backward[i]
+	}
+	if fw <= 0 {
 		return 0
 	}
-	return r.SumBackward / r.SumForward
-}
-
-// Reset clears the accumulators but keeps the probe location.
-func (r *Reflectometer) Reset() {
-	r.SumForward, r.SumBackward, r.NSamples = 0, 0, 0
-	r.Times, r.Forward, r.Backward, r.BackField = nil, nil, nil, nil
+	return bw / fw
 }
 
 // Burstiness returns the coefficient of variation (σ/µ) of the recorded
@@ -199,7 +164,7 @@ func (r *Reflectometer) Burstiness() float64 {
 // MaxWindowed returns the largest reflectivity seen over any sliding
 // time window of the given length in the recorded series — the burst
 // peak, which is what a bursty reflectivity history is characterized by.
-// Requires Record; returns 0 with fewer than 2 samples.
+// Returns 0 with fewer than 2 samples.
 func (r *Reflectometer) MaxWindowed(window float64) float64 {
 	n := len(r.Times)
 	if n < 2 {
@@ -278,21 +243,13 @@ func PlateauMetric(hist []float64, umin, umax, uth, uphi float64) float64 {
 	return hist[b] / model
 }
 
-// LineOutEy extracts Ey along x at transverse indices (iy,iz).
-func LineOutEy(f *field.Fields, iy, iz int) []float64 {
-	return lineOut(f.G, f.Ey, iy, iz)
-}
-
 // LineOutEx extracts Ex along x at transverse indices (iy,iz) — the
 // electrostatic (Langmuir) field of quasi-1D runs.
 func LineOutEx(f *field.Fields, iy, iz int) []float64 {
-	return lineOut(f.G, f.Ex, iy, iz)
-}
-
-func lineOut(g *grid.Grid, a []float32, iy, iz int) []float64 {
+	g := f.G
 	out := make([]float64, g.NX)
 	for ix := 1; ix <= g.NX; ix++ {
-		out[ix-1] = float64(a[g.Voxel(ix, iy, iz)])
+		out[ix-1] = float64(f.Ex[g.Voxel(ix, iy, iz)])
 	}
 	return out
 }

@@ -3,9 +3,6 @@ package diag
 import (
 	"math"
 	"testing"
-
-	"govpic/internal/grid"
-	"govpic/internal/particle"
 )
 
 func TestSpectrogramFindsTravelingWave(t *testing.T) {
@@ -51,53 +48,5 @@ func TestSpectrogramValidation(t *testing.T) {
 	}
 	if s.NSamples() != 0 {
 		t.Fatal("bad sample count")
-	}
-}
-
-func TestPhaseSpaceAccumulate(t *testing.T) {
-	g := grid.MustNew(10, 1, 1, 1, 1, 1)
-	buf := particle.NewBuffer(0)
-	buf.Append(particle.Particle{Voxel: int32(g.Voxel(3, 1, 1)), Ux: 0.5, W: 2})
-	buf.Append(particle.Particle{Voxel: int32(g.Voxel(3, 1, 1)), Ux: 5, W: 1}) // out of u range
-	ps := NewPhaseSpace(0, 10, 10, -1, 1, 8)
-	ps.Accumulate(g, buf)
-	// x ≈ 2.5 → bin 2; u = 0.5 → bin 6.
-	if got := ps.At(2, 6); got != 2 {
-		t.Fatalf("bin (2,6) = %g, want 2", got)
-	}
-	var total float64
-	for _, v := range ps.H {
-		total += v
-	}
-	if total != 2 {
-		t.Fatalf("total weight %g (out-of-range particle binned?)", total)
-	}
-	prof := ps.UProfile()
-	if prof[6] != 2 {
-		t.Fatalf("u-profile %v", prof)
-	}
-	ps.Clear()
-	if ps.At(2, 6) != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestVortexContrast(t *testing.T) {
-	ps := NewPhaseSpace(0, 8, 8, 0, 1, 4)
-	// Homogeneous band: zero contrast.
-	for ix := 0; ix < 8; ix++ {
-		ps.H[2*8+ix] = 3
-	}
-	if c := ps.VortexContrast(0.5, 0.75); c > 1e-12 {
-		t.Fatalf("homogeneous contrast = %g", c)
-	}
-	// Bunched band: high contrast.
-	ps.Clear()
-	ps.H[2*8+1] = 24
-	if c := ps.VortexContrast(0.5, 0.75); c < 1 {
-		t.Fatalf("bunched contrast = %g", c)
-	}
-	if ps.VortexContrast(0.9, 0.5) != 0 {
-		t.Fatal("inverted band must give 0")
 	}
 }

@@ -206,17 +206,3 @@ func (b *Buffer) KineticEnergy(mass float64) float64 {
 	}
 	return mass * s
 }
-
-// Momentum returns Σ w·m·u (code units) accumulated in double precision.
-func (b *Buffer) Momentum(mass float64) (px, py, pz float64) {
-	for bi := range b.Blk {
-		blk := &b.Blk[bi]
-		for l := 0; l < b.LaneCount(bi); l++ {
-			w := float64(blk.W[l])
-			px += w * float64(blk.Ux[l])
-			py += w * float64(blk.Uy[l])
-			pz += w * float64(blk.Uz[l])
-		}
-	}
-	return px * mass, py * mass, pz * mass
-}

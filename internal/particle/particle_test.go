@@ -192,22 +192,6 @@ func TestKineticEnergyNoCancellation(t *testing.T) {
 	}
 }
 
-func TestMomentum(t *testing.T) {
-	b := NewBuffer(2)
-	b.Append(Particle{Ux: 1, Uy: -2, Uz: 0.5, W: 2})
-	b.Append(Particle{Ux: -1, Uy: 2, Uz: -0.5, W: 2})
-	px, py, pz := b.Momentum(1)
-	if px != 0 || py != 0 || pz != 0 {
-		t.Fatalf("net momentum (%g,%g,%g), want 0", px, py, pz)
-	}
-	b2 := NewBuffer(1)
-	b2.Append(Particle{Ux: 0.5, W: 4})
-	px, _, _ = b2.Momentum(2)
-	if math.Abs(px-4) > 1e-9 {
-		t.Fatalf("px = %g, want 4", px)
-	}
-}
-
 func TestKineticEnergyAdditive(t *testing.T) {
 	f := func(u1, u2 float64) bool {
 		u1 = math.Mod(math.Abs(u1), 3)

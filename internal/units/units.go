@@ -42,41 +42,6 @@ const (
 	MeVPerMc2 = ElectronM * C * C * EVPerJoule / 1e6
 )
 
-// System describes a normalized unit system anchored at a reference
-// angular frequency OmegaRef (rad/s). The zero value is not useful; use
-// NewSystem or NewSystemFromWavelength.
-type System struct {
-	OmegaRef float64 // reference angular frequency, rad/s
-}
-
-// NewSystem returns a unit system anchored at the given reference
-// angular frequency in rad/s.
-func NewSystem(omegaRef float64) System { return System{OmegaRef: omegaRef} }
-
-// NewSystemFromWavelength returns a unit system anchored at the angular
-// frequency of light with the given vacuum wavelength in meters (e.g.
-// 351e-9 for the frequency-tripled NIF laser the paper models).
-func NewSystemFromWavelength(lambda float64) System {
-	return System{OmegaRef: 2 * math.Pi * C / lambda}
-}
-
-// TimeUnit returns the duration of one code time unit in seconds.
-func (s System) TimeUnit() float64 { return 1 / s.OmegaRef }
-
-// LengthUnit returns the length of one code length unit (c/ω) in meters.
-func (s System) LengthUnit() float64 { return C / s.OmegaRef }
-
-// EFieldUnit returns one code E-field unit (me·c·ω/e) in V/m.
-func (s System) EFieldUnit() float64 {
-	return ElectronM * C * s.OmegaRef / ElectronQ
-}
-
-// CriticalDensity returns the critical density ncr = ε0·me·ω²/e² in m⁻³.
-func (s System) CriticalDensity() float64 {
-	w := s.OmegaRef
-	return Epsilon0 * ElectronM * w * w / (ElectronQ * ElectronQ)
-}
-
 // A0FromIntensity converts a laser intensity in W/cm² and a vacuum
 // wavelength in meters to the dimensionless strength parameter a0 for
 // linear polarization, using a0 = 0.855·sqrt(I[10^18 W/cm²])·λ[µm].
@@ -85,15 +50,8 @@ func A0FromIntensity(iWcm2, lambdaM float64) float64 {
 	return 0.855 * math.Sqrt(iWcm2/1e18) * lambdaUm
 }
 
-// IntensityFromA0 inverts A0FromIntensity, returning W/cm².
-func IntensityFromA0(a0, lambdaM float64) float64 {
-	lambdaUm := lambdaM * 1e6
-	r := a0 / (0.855 * lambdaUm)
-	return r * r * 1e18
-}
-
-// Plasma parameter helpers. All inputs and outputs are in code units of
-// the enclosing System unless stated otherwise.
+// Plasma parameter helpers. All inputs and outputs are in code units
+// unless stated otherwise.
 
 // Wpe returns the electron plasma frequency (in units of the reference
 // frequency) of a plasma with electron density n in critical-density

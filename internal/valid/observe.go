@@ -58,9 +58,10 @@ func fitGrowth(hist []sample) (gamma, amplification float64, err error) {
 // fitWave extracts a standing wave's frequency and damping rate from a
 // mode-projection history: frequency from zero crossings, damping from
 // the first two window maxima of the squared projection (one wave
-// period per window; power damps at 2γ). fitWindows is the number of
-// envelope windows required.
-func fitWave(series []sample, wTheory float64) (omega, gamma float64, err error) {
+// period per window; power damps at 2γ). It also returns O'Neil's
+// plateau: the mean window maximum after 0.6 of the record over the
+// first one — the power trapped particles keep once damping shuts off.
+func fitWave(series []sample, wTheory float64) (omega, gamma, plateau float64, err error) {
 	var crossings []float64
 	for i := 1; i < len(series); i++ {
 		a, b := series[i-1], series[i]
@@ -69,7 +70,7 @@ func fitWave(series []sample, wTheory float64) (omega, gamma float64, err error)
 		}
 	}
 	if len(crossings) < 10 {
-		return 0, 0, fmt.Errorf("valid: too few zero crossings (%d) for a frequency", len(crossings))
+		return 0, 0, 0, fmt.Errorf("valid: too few zero crossings (%d) for a frequency", len(crossings))
 	}
 	nc := len(crossings) - 1
 	omega = math.Pi * float64(nc) / (crossings[nc] - crossings[0])
@@ -87,10 +88,21 @@ func fitWave(series []sample, wTheory float64) (omega, gamma float64, err error)
 		}
 	}
 	if len(peaks) < 3 {
-		return 0, 0, fmt.Errorf("valid: too few envelope windows (%d) for a damping rate", len(peaks))
+		return 0, 0, 0, fmt.Errorf("valid: too few envelope windows (%d) for a damping rate", len(peaks))
 	}
 	gamma = math.Log(peaks[0].v/peaks[1].v) / (peaks[1].t - peaks[0].t) / 2
-	return omega, gamma, nil
+	late := 0.6 * series[len(series)-1].t
+	var sum, n float64
+	for _, pk := range peaks {
+		if pk.t > late {
+			sum += pk.v
+			n++
+		}
+	}
+	if n > 0 {
+		plateau = sum / n / peaks[0].v
+	}
+	return omega, gamma, plateau, nil
 }
 
 // finite01 maps "every value is finite" onto a gateable scalar: 1 when

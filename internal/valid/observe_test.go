@@ -57,7 +57,7 @@ func TestFitWaveRecoversOmegaGamma(t *testing.T) {
 		ti := float64(i) * 0.01
 		series = append(series, sample{ti, math.Cos(omega*ti) * math.Exp(-gamma*ti)})
 	}
-	w, g, err := fitWave(series, omega)
+	w, g, plateau, err := fitWave(series, omega)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,27 @@ func TestFitWaveRecoversOmegaGamma(t *testing.T) {
 	if math.Abs(g-gamma) > 0.3*gamma {
 		t.Errorf("gamma = %g, want %g within 30%%", g, gamma)
 	}
+	if plateau <= 0 || plateau >= 1 {
+		t.Errorf("damped wave's plateau = %g, want in (0, 1)", plateau)
+	}
+
+	// O'Neil's shape: damping stops once the amplitude is down to 0.6, so
+	// every late window keeps 0.6² of the first one's power.
+	for i := range series {
+		ti := series[i].t
+		series[i].v = math.Cos(omega*ti) * math.Max(math.Exp(-0.1*ti), 0.6)
+	}
+	if _, _, plateau, err = fitWave(series, omega); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(plateau-0.36) > 0.01*0.36 {
+		t.Errorf("plateau = %g, want 0.36 within 1%%", plateau)
+	}
 }
 
 func TestFitWaveRejectsShortSeries(t *testing.T) {
 	series := []sample{{0, 1}, {1, -1}, {2, 1}}
-	if _, _, err := fitWave(series, 1); err == nil {
+	if _, _, _, err := fitWave(series, 1); err == nil {
 		t.Error("accepted series with too few crossings")
 	}
 }

@@ -70,6 +70,56 @@ func (p Probe) TailKE(sp int, cut float64) (mean, weight float64) {
 	return g[1] / g[0], g[0]
 }
 
+// PlaneFlux returns the forward flux, backward flux and signed backward
+// field averaged over the global x-node plane at x (diag.PoyntingSplit):
+// the ranks holding a share of the plane contribute its sums, and one
+// reduction of sums plus cell count averages them. All zero when x is
+// outside the box.
+func (p Probe) PlaneFlux(x float64) (forward, backward, backField float64) {
+	var sums [4]float64
+	if d := p.Rank.D; x >= d.G.X0 && x < d.G.X0+float64(d.G.NX)*d.G.DX {
+		fw, bw, back, n := diag.PoyntingSplit(d.F, 1+int((x-d.G.X0)/d.G.DX))
+		sums = [4]float64{fw, bw, back, float64(n)}
+	}
+	g := p.Comm().AllreduceSumF64s(sums[:])
+	if g[3] == 0 {
+		return 0, 0, 0
+	}
+	return g[0] / g[3], g[1] / g[3], g[2] / g[3]
+}
+
+// DistUx histograms species sp's x-momentum over the global x window
+// [xmin, xmax), weighted, in bins over [umin, umax) (diag.DistUx summed
+// over the world).
+func (p Probe) DistUx(sp int, xmin, xmax, umin, umax float64, bins int) []float64 {
+	rk := p.Rank
+	h := diag.DistUx(rk.D.G, rk.Species[sp].Buf, xmin, xmax, umin, umax, bins)
+	return p.Comm().AllreduceSumF64s(h)
+}
+
+// LineOutEx returns Ex along the global x axis, each value the average
+// over its x-plane's transverse cells — the Langmuir field of a
+// quasi-1D plasma with the transverse noise averaged out.
+func (p Probe) LineOutEx() []float64 {
+	d := p.Rank.D
+	g := d.G
+	gx0, _, _ := d.Cfg.Layout.Origin(d.Rank)
+	line := make([]float64, p.Cfg.NX)
+	for iz := 1; iz <= g.NZ; iz++ {
+		for iy := 1; iy <= g.NY; iy++ {
+			for ix := 1; ix <= g.NX; ix++ {
+				line[gx0+ix-1] += float64(d.F.Ex[g.Voxel(ix, iy, iz)])
+			}
+		}
+	}
+	line = p.Comm().AllreduceSumF64s(line)
+	cells := float64(p.Cfg.NY * p.Cfg.NZ)
+	for i := range line {
+		line[i] /= cells
+	}
+	return line
+}
+
 // modeProjectLocal accumulates this rank's share of the global Ex mode
 // projection; the local grid's X0 places its line-out in global x.
 func modeProjectLocal(rk *core.Rank, mode int, lx float64) float64 {

@@ -9,6 +9,7 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
+	"govpic/internal/diag"
 	"govpic/internal/mp"
 )
 
@@ -155,4 +156,126 @@ func TestReportWrite(t *testing.T) {
 	if back.Date != "2026-01-02" || len(back.Cases) != 1 || !back.Pass {
 		t.Errorf("round-trip = %+v", back)
 	}
+}
+
+// TestProbeCollectives runs each new probe collective on a 2-member
+// mp.Run world: every member must get the same value, and the value must
+// equal what the members' local pieces give — the owning rank's plane
+// sums, the sum of per-rank histograms, the 1-rank world's line-out.
+func TestProbeCollectives(t *testing.T) {
+	lpi := deck.JSONConfig{Deck: "lpi", A0: 0.05, Ranks: 2, PPC: 16, PlateauLength: 40, Steps: 30, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		spec deck.JSONConfig
+		// probe is the collective under test; local is this member's
+		// piece of it (nil when it holds none).
+		probe, local func(p Probe, d deck.Deck) []float64
+		// want combines the members' pieces into the expected value;
+		// tol is the allowed relative difference (0: bit-identical).
+		want func(t *testing.T, pieces [][]float64) []float64
+		tol  float64
+	}{
+		{
+			name: "PlaneFlux", spec: lpi,
+			probe: func(p Probe, d deck.Deck) []float64 {
+				fw, bw, back := p.PlaneFlux(d.Notes["probeX"])
+				return []float64{fw, bw, back}
+			},
+			local: func(p Probe, d deck.Deck) []float64 {
+				g, x := p.Rank.D.G, d.Notes["probeX"]
+				if x < g.X0 || x >= g.X0+float64(g.NX)*g.DX {
+					return nil
+				}
+				fw, bw, back, n := diag.PoyntingSplit(p.Rank.D.F, 1+int((x-g.X0)/g.DX))
+				return []float64{fw / float64(n), bw / float64(n), back / float64(n)}
+			},
+			want: func(t *testing.T, pieces [][]float64) []float64 {
+				var owner []float64
+				for _, pc := range pieces {
+					if pc != nil {
+						if owner != nil {
+							t.Fatal("two ranks own the probe plane of an x-decomposed deck")
+						}
+						owner = pc
+					}
+				}
+				return owner
+			},
+		},
+		{
+			name: "DistUx", spec: lpi,
+			probe: func(p Probe, d deck.Deck) []float64 { return p.DistUx(0, 10, 70, -0.5, 0.5, 32) },
+			local: func(p Probe, d deck.Deck) []float64 {
+				return diag.DistUx(p.Rank.D.G, p.Rank.Species[0].Buf, 10, 70, -0.5, 0.5, 32)
+			},
+			want: func(t *testing.T, pieces [][]float64) []float64 {
+				sum := make([]float64, len(pieces[0]))
+				for _, pc := range pieces {
+					for i, v := range pc {
+						sum[i] += v
+					}
+				}
+				return sum
+			},
+		},
+		{
+			name: "LineOutEx", spec: tinySpec(10),
+			probe: func(p Probe, d deck.Deck) []float64 { return p.LineOutEx() },
+			local: func(p Probe, d deck.Deck) []float64 { return nil },
+			want: func(t *testing.T, _ [][]float64) []float64 {
+				one := tinySpec(10)
+				one.Ranks = 1
+				return runProbe(t, one, func(p Probe, d deck.Deck) []float64 { return p.LineOutEx() })[0]
+			},
+			tol: 1e-4, // decompositions agree to float32 accumulation order
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runProbe(t, tc.spec, tc.probe)
+			pieces := runProbe(t, tc.spec, tc.local)
+			if len(got) != 2 {
+				t.Fatalf("ran on %d members, want 2", len(got))
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Fatalf("members disagree:\n%v\n%v", got[0], got[1])
+			}
+			want := tc.want(t, pieces)
+			if len(want) != len(got[0]) {
+				t.Fatalf("collective %v, want %v", got[0], want)
+			}
+			var scale float64
+			for _, v := range want {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			if scale == 0 {
+				t.Fatal("reference is all zero: the comparison proves nothing")
+			}
+			for i := range want {
+				if math.Abs(got[0][i]-want[i]) > tc.tol*scale {
+					t.Fatalf("element %d: collective %g, want %g", i, got[0][i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// runProbe builds spec on its own world, runs its steps, and returns
+// what fn measures on each member.
+func runProbe(t *testing.T, spec deck.JSONConfig, fn func(p Probe, d deck.Deck) []float64) [][]float64 {
+	t.Helper()
+	d, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, d.Cfg.NRanks)
+	mp.Run(d.Cfg.NRanks, func(comm *mp.Comm) {
+		rs, err := d.NewRank(comm)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rs.Run(spec.Steps)
+		out[comm.Rank()] = fn(NewProbe(rs), d)
+	})
+	return out
 }

@@ -5,8 +5,9 @@
 // analytic values or committed reference bands with explicit
 // tolerances. The perf gate (cmd/bench) keeps the code fast; this keeps
 // it *right* — every optimization (AoSoA lanes, overlap, dynamic
-// balance) re-proves Landau damping, two-stream growth, Weibel,
-// energy conservation, and TNSA ion acceleration on every CI push.
+// balance) re-proves Landau damping, two-stream growth, Weibel, the
+// Langmuir branch, energy conservation, TNSA ion acceleration and the
+// paper's SRS reflectivity and trapping on every CI push.
 //
 // Verdict model: a Check either pins an observable to a reference value
 // with a relative tolerance (RelTol > 0: |obs − Ref| ≤ RelTol·|Ref|,

@@ -87,13 +87,14 @@ func TestRegistry(t *testing.T) {
 func TestBuiltinRegistry(t *testing.T) {
 	r := Builtin()
 	fast := r.Cases(TierFast)
-	if len(fast) < 5 {
-		t.Fatalf("fast tier has %d cases, want >= 5", len(fast))
+	if len(fast) < 9 {
+		t.Fatalf("fast tier has %d cases, want >= 9", len(fast))
 	}
 	if _, ok := r.Lookup("tnsa-ion-acceleration"); !ok {
 		t.Fatal("flagship TNSA case not registered")
 	}
-	for _, must := range []string{"landau-damping", "twostream-growth", "weibel-growth", "thermal-conservation"} {
+	for _, must := range []string{"landau-damping", "twostream-growth", "weibel-growth", "thermal-conservation",
+		"langmuir-dispersion", "srs-seed-floor", "srs-inflation", "srs-trapping"} {
 		if _, ok := r.Lookup(must); !ok {
 			t.Errorf("case %q not registered", must)
 		}
