@@ -39,36 +39,42 @@ func vpicCmd(args ...string) *exec.Cmd {
 // TestDistributedCRCMatchesInProcess is the end-to-end form of the
 // transport-transparency proof: the same deck run in one process and as
 // two forked rank processes over TCP must write byte-identical
-// state-CRC artifacts. This is exactly what the CI smoke step diffs.
+// state-CRC artifacts (exactly what the CI smoke step diffs) and
+// byte-identical energy CSVs, since energies are bit-identical across
+// transports.
 func TestDistributedCRCMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
 	dir := t.TempDir()
-	local := filepath.Join(dir, "crc-local.json")
-	dist := filepath.Join(dir, "crc-tcp.json")
 	deckArgs := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8",
-		"-steps", "4", "-every", "4", "-ranks", "2", "-workers", "1"}
-
-	out, err := vpicCmd(append(deckArgs, "-state-crc", local)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("in-process run: %v\n%s", err, out)
+		"-steps", "4", "-every", "2", "-ranks", "2", "-workers", "1"}
+	artifacts := func(name string, extra ...string) (crc, csv []byte, out []byte) {
+		crcPath := filepath.Join(dir, "crc-"+name+".json")
+		csvPath := filepath.Join(dir, "energy-"+name+".csv")
+		args := append(append(append([]string{}, deckArgs...), extra...), "-state-crc", crcPath, "-out", csvPath)
+		out, err := vpicCmd(args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s run: %v\n%s", name, err, out)
+		}
+		if crc, err = os.ReadFile(crcPath); err != nil {
+			t.Fatal(err)
+		}
+		if csv, err = os.ReadFile(csvPath); err != nil {
+			t.Fatal(err)
+		}
+		return crc, csv, out
 	}
-	out, err = vpicCmd(append(deckArgs, "-local-ranks", "2", "-state-crc", dist)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("distributed run: %v\n%s", err, out)
-	}
-
-	a, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, csvA, _ := artifacts("local")
+	b, csvB, out := artifacts("tcp", "-local-ranks", "2")
 	if !bytes.Equal(a, b) {
 		t.Errorf("state CRC artifacts differ:\nin-process: %s\nTCP:        %s", a, b)
+	}
+	if !bytes.Equal(csvA, csvB) {
+		t.Errorf("energy CSVs differ:\nin-process:\n%s\nTCP:\n%s", csvA, csvB)
+	}
+	if n := bytes.Count(csvA, []byte("\n")); n != 4 {
+		t.Errorf("energy CSV has %d lines, want a header and 3 samples:\n%s", n, csvA)
 	}
 	if !strings.Contains(string(out), "comm links:") {
 		t.Errorf("distributed run did not print the comm report:\n%s", out)
@@ -279,17 +285,54 @@ func TestRankMatrixCRCIdentical(t *testing.T) {
 }
 
 // TestRemovedLanesFlagRejected: -lanes selected a push sweep until there
-// was only one, and -overlap=false the blocking exchange schedule until
-// there was only one; a script that still passes either must fail at
-// flag parsing with the flag named, not run with the knob ignored.
+// was only one, -overlap=false the blocking exchange schedule until there
+// was only one, and -dump and -summary wrote artifacts nothing read; a
+// script that still passes any of them must fail at flag parsing with
+// the flag named, not run with the knob ignored.
 func TestRemovedLanesFlagRejected(t *testing.T) {
-	for _, removed := range [][]string{{"-lanes", "1"}, {"-overlap=false"}} {
+	for _, removed := range [][]string{{"-lanes", "1"}, {"-overlap=false"}, {"-dump", "d"}, {"-summary", "s"}} {
 		name, _, _ := strings.Cut(removed[0], "=")
 		out, err := vpicCmd(append([]string{"-deck", "thermal", "-steps", "1"}, removed...)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
 			!strings.Contains(string(out), "flag provided but not defined: "+name) {
 			t.Errorf("vpic %v: err = %v, want exit 2 with flag's usage error\n%s", removed, err, out)
+		}
+	}
+}
+
+// TestDeckFlagsMatchConfig: the deck and sizing flags fill the same
+// deck.JSONConfig a -config file decodes into, so one deck spelled
+// either way writes byte-identical state-CRC artifacts — landau (whose
+// flag path once had defaults of its own), lpi through -a0, and tnsa
+// (which the flag path once refused).
+func TestDeckFlagsMatchConfig(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flags  []string
+		config string
+	}{
+		{[]string{"-deck", "landau", "-nx", "64", "-ppc", "32", "-steps", "20"}, `{"deck":"landau","nx":64,"ppc":32,"steps":20}`},
+		{[]string{"-deck", "lpi", "-a0", "0.05", "-ppc", "16", "-steps", "20"}, `{"deck":"lpi","a0":0.05,"ppc":16,"steps":20}`},
+		{[]string{"-deck", "tnsa", "-a0", "3", "-ppc", "8", "-steps", "5"}, `{"deck":"tnsa","a0":3,"ppc":8,"steps":5}`},
+	} {
+		cfg := filepath.Join(dir, tc.flags[1]+".json")
+		if err := os.WriteFile(cfg, []byte(tc.config), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var crcs [2][]byte
+		for i, args := range [][]string{tc.flags, {"-config", cfg}} {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.json", tc.flags[1], i))
+			out, err := vpicCmd(append(append([]string{}, args...), "-state-crc", path)...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("vpic %v: %v\n%s", args, err, out)
+			}
+			if crcs[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(crcs[0], crcs[1]) {
+			t.Errorf("%v and -config %s differ:\n%s\nvs\n%s", tc.flags, tc.config, crcs[0], crcs[1])
 		}
 	}
 }
@@ -304,8 +347,7 @@ func TestDistributedRejectsInProcessFlags(t *testing.T) {
 		args, want []string
 	}{
 		{[]string{"-local-ranks", "2", "-restore", "x"}, []string{"-restore"}},
-		{[]string{"-local-ranks", "2", "-checkpoint", "x", "-summary", "s", "-dump", "d"},
-			[]string{"-checkpoint", "-dump", "-summary"}},
+		{[]string{"-local-ranks", "2", "-checkpoint", "x"}, []string{"-checkpoint"}},
 		{[]string{"-rank", "1", "-join", "127.0.0.1:1", "-cpuprofile", "c", "-memprofile", "m"},
 			[]string{"-cpuprofile", "-memprofile"}},
 	} {

@@ -140,17 +140,17 @@ func writeCommJSON(path string, reps []core.RankReport, crcs []uint32) error {
 	})
 }
 
+// writeEnergyCSV writes the energy history both run paths print from;
+// like every other artifact it is written atomically, so a failed write
+// or close is an error and never leaves a truncated file.
 func writeEnergyCSV(path string, hist *diag.History) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	rows := make([][]float64, len(hist.Samples))
 	for i, smp := range hist.Samples {
 		rows[i] = []float64{float64(smp.Step), smp.Time, smp.EField, smp.BField, sum(smp.Kinetic), smp.Total}
 	}
-	return diag.WriteCSV(f, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows)
+	return output.WriteFileAtomic(path, func(w io.Writer) error {
+		return diag.WriteCSV(w, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows)
+	})
 }
 
 // printReport writes the end-of-run perf block the in-process and

@@ -17,33 +17,28 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"govpic/internal/balance"
-	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/output"
-	"govpic/internal/perf"
 )
 
 func main() {
 	var (
-		name    = flag.String("deck", "thermal", "deck: thermal | spike | oscillation | twostream | weibel | landau | lpi")
+		name    = flag.String("deck", "thermal", "deck: thermal | spike | oscillation | twostream | weibel | landau | lpi | tnsa")
 		steps   = flag.Int("steps", 500, "number of time steps")
 		every   = flag.Int("every", 10, "energy sample interval (steps)")
 		ranks   = flag.Int("ranks", 1, "domain-decomposed rank count")
 		workers = flag.Int("workers", 0, "pipeline workers per rank (0 = CPUs/rank, capped at 8)")
 		kernel  = flag.String("kernel", "", "push kernel's block routine: asm | go | auto (default auto; bit-identical either way)")
 		ppc     = flag.Int("ppc", 64, "particles per cell")
-		nx      = flag.Int("nx", 64, "cells along x (non-LPI decks)")
-		a0      = flag.Float64("a0", 0.02, "laser strength (lpi deck)")
+		nx      = flag.Int("nx", 64, "cells along x (decks other than lpi and tnsa)")
+		a0      = flag.Float64("a0", 0.02, "laser strength (lpi and tnsa decks)")
 		out     = flag.String("out", "", "energy history CSV path (default stdout summary only)")
 		ckpt    = flag.String("checkpoint", "", "write a checkpoint here at the end")
 		restore = flag.String("restore", "", "restore state from this checkpoint before running")
-		dump    = flag.String("dump", "", "write a binary field snapshot here at the end")
-		summary = flag.String("summary", "", "write a JSON run summary here at the end")
-		config  = flag.String("config", "", "JSON deck config (overrides -deck and sizing flags)")
+		config  = flag.String("config", "", "JSON deck config (replaces -deck, -steps, -nx, -ppc, -ranks and -a0)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the step loop here")
 		memProf = flag.String("memprofile", "", "write a heap profile here at the end")
 
@@ -71,7 +66,7 @@ func main() {
 	// refuses them, naming each, instead of dropping them.
 	if *localRanks > 1 || *rank >= 0 {
 		var bad []string
-		for _, name := range []string{"restore", "checkpoint", "dump", "summary", "cpuprofile", "memprofile"} {
+		for _, name := range []string{"restore", "checkpoint", "cpuprofile", "memprofile"} {
 			if set[name] {
 				bad = append(bad, "-"+name)
 			}
@@ -85,44 +80,40 @@ func main() {
 		os.Exit(launchLocal(*localRanks, os.Args[1:]))
 	}
 
-	var d deck.Deck
-	var err error
+	// The deck flags and a -config file fill one deck.JSONConfig, whose
+	// Build makes the deck: a file replaces the deck flags, and the
+	// speed and balance flags override either when given.
+	spec := deck.JSONConfig{Deck: *name, Steps: *steps, Ranks: *ranks, PPC: *ppc, NX: *nx, A0: *a0}
 	if *config != "" {
-		f, ferr := os.Open(*config)
-		if ferr != nil {
-			log.Fatal(ferr)
+		f, err := os.Open(*config)
+		if err != nil {
+			log.Fatal(err)
 		}
-		var cfgSteps int
-		d, cfgSteps, err = deck.FromJSON(f)
+		spec, err = deck.FromJSON(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		*steps = cfgSteps
-	} else {
-		d, err = buildDeck(*name, *nx, *ppc, *ranks, *a0)
-	}
-	if err != nil {
-		log.Fatal(err)
+		*steps = spec.Steps
 	}
 	if *workers != 0 {
-		d.Cfg.Workers = *workers
+		spec.Workers = *workers
 	}
 	if *kernel != "" {
-		d.Cfg.Kernel = *kernel
+		spec.Kernel = *kernel
 	}
 	if *balMode != "" {
-		mode, err := balance.ParseMode(*balMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d.Cfg.Balance.Mode = mode
+		spec.Balance = *balMode
 	}
 	if *balInt != 0 {
-		d.Cfg.Balance.Interval = *balInt
+		spec.BalanceInterval = *balInt
 	}
 	if *balThr != 0 {
-		d.Cfg.Balance.Threshold = *balThr
+		spec.BalanceThreshold = *balThr
+	}
+	d, err := spec.Build()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *rank >= 0 {
 		if *join == "" {
@@ -175,14 +166,12 @@ func main() {
 		}
 		defer func() { pprof.StopCPUProfile(); f.Close() }()
 	}
-	wallStart := time.Now()
 	for s := 0; s < *steps; s++ {
 		sim.Step()
 		if (s+1)%*every == 0 {
 			hist.Add(sim.Energy())
 		}
 	}
-	wall := time.Since(wallStart)
 	if *cpuProf != "" {
 		fmt.Printf("cpu profile covers the %d-step loop: %s\n", *steps, *cpuProf)
 	}
@@ -203,7 +192,6 @@ func main() {
 		last.Time, last.EField, last.BField, sum(last.Kinetic), last.Total)
 	fmt.Printf("relative energy drift: %.3g\n", hist.RelativeDrift())
 	reps := sim.Reports()
-	tot := core.SumReports(reps)
 	printReport(reps)
 	if d.Cfg.Balance.Mode != balance.Off {
 		fmt.Printf("balance %s: x-cuts %v\n", d.Cfg.Balance.Mode, sim.CutsX())
@@ -222,69 +210,10 @@ func main() {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if err := writeEnergyCSV(*out, &hist); err != nil {
 			log.Fatal(err)
 		}
-		rows := make([][]float64, len(hist.Samples))
-		for i, smp := range hist.Samples {
-			rows[i] = []float64{float64(smp.Step), smp.Time, smp.EField, smp.BField, sum(smp.Kinetic), smp.Total}
-		}
-		if err := diag.WriteCSV(f, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		fmt.Printf("wrote %s\n", *out)
-	}
-	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rk := sim.Ranks[0]
-		g := rk.D.G
-		sx, sy, sz := g.Strides()
-		snaps := []output.Snapshot{
-			{Name: "ex", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.Ex},
-			{Name: "ey", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.Ey},
-			{Name: "ez", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.Ez},
-			{Name: "cbx", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.Bx},
-			{Name: "cby", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.By},
-			{Name: "cbz", NX: sx, NY: sy, NZ: sz, Data: rk.D.F.Bz},
-		}
-		if err := output.WriteSnapshots(f, snaps); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (rank 0 fields)\n", *dump)
-	}
-	if *summary != "" {
-		f, err := os.Create(*summary)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = output.WriteSummary(f, output.Summary{
-			Deck:      d.Name,
-			Steps:     sim.StepCount(),
-			Time:      sim.Time(),
-			Particles: tot.Particles,
-			Ranks:     d.Cfg.NRanks,
-			WallClock: wall.Seconds(),
-			Rates: map[string]float64{
-				"Mpart_per_s": perf.Rate(tot.Pushed, wall) / 1e6,
-				"Gflop_per_s": float64(tot.Flops) / wall.Seconds() / 1e9,
-			},
-			Energy: map[string]float64{
-				"total": last.Total, "field": last.EField + last.BField,
-				"absorbed": sim.LostEnergy(),
-			},
-			Notes: d.Notes,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *summary)
 	}
 	if *ckpt != "" {
 		// Atomic (temp + fsync + rename): a crash mid-write can never
@@ -293,30 +222,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("checkpoint written to %s\n", *ckpt)
-	}
-}
-
-func buildDeck(name string, nx, ppc, ranks int, a0 float64) (deck.Deck, error) {
-	switch name {
-	case "thermal":
-		return deck.Thermal(nx, 4, 4, ppc, ranks, 0.2, 0.05), nil
-	case "spike":
-		return deck.Spike(nx, 8, 8, ppc, ranks, 0.2, 0.05), nil
-	case "oscillation":
-		return deck.PlasmaOscillation(nx, ppc, 0.25), nil
-	case "twostream":
-		return deck.TwoStream(nx, ppc, 0.2, 0.1), nil
-	case "weibel":
-		return deck.Weibel(nx, ppc, 0.2, 0.1, 0.01), nil
-	case "landau":
-		return deck.Landau(nx, ppc, 2, 0.2, 0.04, 0.005), nil
-	case "lpi":
-		p := deck.DefaultLPI(a0)
-		p.NRanks = ranks
-		p.PPC = ppc
-		return deck.LPI(p)
-	default:
-		return deck.Deck{}, fmt.Errorf("unknown deck %q", name)
 	}
 }
 

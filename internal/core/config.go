@@ -43,19 +43,6 @@ type SpeciesConfig struct {
 	// declared species' particles (ignoring Load), producing an exactly
 	// neutral start. Q must be positive and is used as the charge state.
 	NeutralizePrevious bool
-	// Collision optionally enables intra-species Takizuka-Abe binary
-	// collisions (extension feature; the paper's SRS runs are
-	// collisionless on their timescales).
-	Collision *CollisionConfig
-}
-
-// CollisionConfig configures a species' collision operator.
-type CollisionConfig struct {
-	// Nu0 is the reference collision frequency in code units.
-	Nu0 float64
-	// Interval is the number of steps between applications (≥1); the
-	// operator scales its scattering variance accordingly.
-	Interval int
 }
 
 // Config describes a complete simulation.
@@ -63,8 +50,6 @@ type Config struct {
 	// Global interior cell counts and cell sizes (code units).
 	NX, NY, NZ int
 	DX, DY, DZ float64
-	// Domain origin.
-	X0, Y0, Z0 float64
 	// DT is the time step; it must be positive and below the Courant
 	// limit of the cell.
 	DT float64
@@ -143,7 +128,7 @@ func (c *Config) Validate() error {
 	if c.DX <= 0 || c.DY <= 0 || c.DZ <= 0 {
 		return fmt.Errorf("core: cell sizes must be positive")
 	}
-	g, err := grid.New(c.NX, c.NY, c.NZ, c.DX, c.DY, c.DZ, c.X0, c.Y0, c.Z0)
+	g, err := grid.New(c.NX, c.NY, c.NZ, c.DX, c.DY, c.DZ, 0, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -168,11 +153,6 @@ func (c *Config) Validate() error {
 			}
 			if s.Q <= 0 {
 				return fmt.Errorf("core: neutralizing species %q needs positive charge", s.Name)
-			}
-		}
-		if s.Collision != nil {
-			if s.Collision.Nu0 < 0 || s.Collision.Interval < 1 {
-				return fmt.Errorf("core: species %q has invalid collision config %+v", s.Name, *s.Collision)
 			}
 		}
 	}

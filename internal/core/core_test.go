@@ -361,32 +361,6 @@ func TestLaserVacuumRun(t *testing.T) {
 	}
 }
 
-func TestCollisionalRunConserves(t *testing.T) {
-	cfg := periodicPlasma(8, 0.2, 0.05, 32, 1)
-	cfg.Species[0].Collision = &CollisionConfig{Nu0: 0.5, Interval: 2}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0 := s.Energy()
-	s.Run(60)
-	e1 := s.Energy()
-	if math.Abs(e1.Total-e0.Total)/e0.Total > 0.01 {
-		t.Fatalf("collisional run energy drift: %g → %g", e0.Total, e1.Total)
-	}
-	if s.TotalParticles() != 8*32 {
-		t.Fatal("collisional run lost particles")
-	}
-}
-
-func TestCollisionConfigValidation(t *testing.T) {
-	cfg := periodicPlasma(8, 0.2, 0.05, 8, 1)
-	cfg.Species[0].Collision = &CollisionConfig{Nu0: 1, Interval: 0}
-	if cfg.Validate() == nil {
-		t.Fatal("accepted interval 0")
-	}
-}
-
 // TestLPIDecompositionEquivalence checks the bounded (Mur-absorbing)
 // geometry across decompositions: rank 0 owns a local Mur wall plus a
 // remote face, the hardest mixed case.

@@ -3,7 +3,6 @@ package core
 import (
 	"govpic/internal/accum"
 	"govpic/internal/balance"
-	"govpic/internal/collision"
 	"govpic/internal/domain"
 	"govpic/internal/field"
 	"govpic/internal/grid"
@@ -27,9 +26,6 @@ type Rank struct {
 	Species []*species.Species
 	Kernels []*push.Kernel
 	Perf    perf.Breakdown
-	// Colliders holds per-species collision operators (nil when the
-	// species is collisionless).
-	Colliders []*collision.Operator
 
 	sortWS     *psort.Workspace
 	sortPasses psort.Passes // passes of the workspaces a reshape replaced
@@ -85,7 +81,6 @@ func DomainConfig(cfg *Config) (domain.Config, error) {
 	}
 	dcfg := domain.Config{
 		Dec: dec, DX: cfg.DX, DY: cfg.DY, DZ: cfg.DZ,
-		X0: cfg.X0, Y0: cfg.Y0, Z0: cfg.Z0,
 		FieldBC: cfg.FieldBC, ParticleBC: cfg.ParticleBC,
 	}
 	if cfg.CutsX != nil {
@@ -107,8 +102,7 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	if err != nil {
 		return nil, err
 	}
-	gl := loader.Global{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ, X0: cfg.X0, Y0: cfg.Y0, Z0: cfg.Z0}
-	r := comm.Rank()
+	gl := loader.Global{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ}
 	rk := &Rank{
 		D:   d,
 		IP:  interp.NewTable(d.G),
@@ -152,18 +146,6 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 		}
 		rk.Species = append(rk.Species, sp)
 		rk.Kernels = append(rk.Kernels, rk.newKernel(cfg, sp))
-		var op *collision.Operator
-		if sc.Collision != nil {
-			uthRef := 0.01
-			if sc.Load != nil && sc.Load.Uth[0] > 0 {
-				uthRef = sc.Load.Uth[0]
-			}
-			op, err = collision.New(sc.Collision.Nu0, uthRef, sc.Collision.Interval, 0xc0111de, r*len(cfg.Species)+i)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rk.Colliders = append(rk.Colliders, op)
 	}
 	rk.bufs = make([]*particle.Buffer, len(rk.Species))
 	for i, sp := range rk.Species {

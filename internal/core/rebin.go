@@ -145,7 +145,7 @@ func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, hosted []*Rank
 		}
 	}
 	for rr := 0; rr < rec.Dec.NRanks(); rr++ {
-		rg, err := rec.Local(rr, cfg.DX, cfg.DY, cfg.DZ, cfg.X0, cfg.Y0, cfg.Z0)
+		rg, err := rec.Local(rr, cfg.DX, cfg.DY, cfg.DZ)
 		if err != nil {
 			return fmt.Errorf("core: checkpoint rank %d tile invalid: %w", rr, err)
 		}

@@ -15,19 +15,13 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	d := rk.D
 	f := d.F
 
-	// Periodic particle sort (VPIC: keeps the gather/scatter streaming)
-	// and collisions, which require voxel order and so run right after.
+	// Periodic particle sort (VPIC: keeps the gather/scatter streaming).
 	rk.Perf.Start(perf.Sort)
 	var sortBytes int64
-	for i, sp := range rk.Species {
-		op := rk.Colliders[i]
-		collide := op != nil && op.Due(step)
-		if sp.ShouldSort(step) || collide {
+	for _, sp := range rk.Species {
+		if sp.ShouldSort(step) {
 			rk.sortWS.ByVoxel(sp.Buf, d.G.NV())
 			sortBytes += psort.TrafficBytes(sp.Buf.N())
-		}
-		if collide {
-			op.Apply(d.G, sp.Buf, cfg.DT)
 		}
 	}
 	rk.stopPar(perf.Sort)

@@ -32,14 +32,14 @@ func TestBuildTypedConfigErrors(t *testing.T) {
 		{`{"deck":"tnsa","a0":5,"steps":10,"contam_thickness":1e12}`, "contam_thickness"},
 	}
 	for _, tc := range cases {
-		_, _, err := FromJSON(strings.NewReader(tc.json))
+		_, _, err := build(tc.json)
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Errorf("FromJSON(%s): err = %v, want *ConfigError", tc.json, err)
+			t.Errorf("build(%s): err = %v, want *ConfigError", tc.json, err)
 			continue
 		}
 		if ce.Field != tc.field {
-			t.Errorf("FromJSON(%s): field %q, want %q", tc.json, ce.Field, tc.field)
+			t.Errorf("build(%s): field %q, want %q", tc.json, ce.Field, tc.field)
 		}
 		if !strings.Contains(ce.Error(), tc.field) {
 			t.Errorf("error text %q does not name the field", ce.Error())

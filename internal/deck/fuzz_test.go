@@ -1,24 +1,24 @@
 package deck
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // FuzzFromJSON feeds arbitrary bytes through the two entry points a
-// config reaches the program by — FromJSON (cmd/vpic -config) and
-// strict decode + Expand + Build (vpicd's submit handler) — and requires
-// that neither panics and that whatever they accept is a deck whose
-// Cfg.Validate() passes. Only parsing and validation run: no simulation
-// is constructed, counts are capped, and at most maxBuilt members of a
-// sweep are built. `go test` runs the seed corpus;
-// `go test -fuzz=FromJSON ./internal/deck` explores.
+// config reaches the program by — FromJSON + Build (cmd/vpic -config,
+// vpicd's restore) and a strict decode + Expand + Build (vpicd's submit
+// handler) — and requires that neither panics and that whatever they
+// accept is a deck whose Cfg.Validate() passes. Only parsing and
+// validation run: no simulation is constructed, counts are capped, and
+// at most maxBuilt members of a sweep are built. `go test` runs the
+// seed corpus; `go test -fuzz=FromJSON ./internal/deck` explores.
 func FuzzFromJSON(f *testing.F) {
 	// One config per deck kind (the shapes internal/valid's cases and
-	// cmd/bench's sweep build), two removed keys, two knobs only
-	// core.Config.Validate judges, two sweeps and a removed mode value.
+	// cmd/bench's sweep build), the deck physics inputs, two removed
+	// keys, two knobs only core.Config.Validate judges, two sweeps and a
+	// removed mode value.
 	for _, cfg := range []string{
 		`{"deck":"thermal","steps":400,"nx":32,"ppc":64,"ranks":2,"workers":1,"n0":0.2,"uth":0.05,"kernel":"go"}`,
 		`{"deck":"spike","steps":40,"nx":32,"ppc":8,"ranks":4,"balance":"online","balance_interval":2,"balance_threshold":1.15}`,
@@ -27,7 +27,7 @@ func FuzzFromJSON(f *testing.F) {
 		`{"deck":"weibel","steps":1300,"nx":64,"ppc":256,"n0":0.2,"uth":0.1}`,
 		`{"deck":"landau","steps":1200,"nx":64,"ppc":1024,"mode":8,"n0":0.2,"uth":0.1,"amp":0.01}`,
 		`{"deck":"lpi","steps":1000,"ppc":64,"a0":0.05,"plateau_length":40,"mobile_ions":true,"ion_z":2,"ion_m":7344,"reflux_walls":true}`,
-		`{"deck":"lpi","steps":10,"intensity_wcm2":1e15,"wavelength_nm":351,"te_ev":2600,"transverse_cells":4,"collision_nu0":0.01,"collision_interval":5}`,
+		`{"deck":"lpi","steps":10,"a0":0.02,"te_ev":2600,"transverse_cells":4}`,
 		`{"deck":"tnsa","steps":2200,"a0":3,"target_thickness":2,"contam_thickness":0.2}`,
 		`{"deck":"thermal","steps":10,"lanes":1}`,
 		`{"deck":"thermal","steps":10,"overlap":false}`,
@@ -56,23 +56,14 @@ func FuzzFromJSON(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, cfg, sweep string) {
-		dec := json.NewDecoder(strings.NewReader(cfg))
-		dec.DisallowUnknownFields()
-		var c JSONConfig
-		if dec.Decode(&c) != nil {
-			if _, _, err := FromJSON(strings.NewReader(cfg)); err == nil {
-				t.Fatalf("FromJSON accepted what a strict decode rejects: %q", cfg)
-			}
+		c, err := FromJSON(strings.NewReader(cfg))
+		if err != nil {
 			return
 		}
 		capSizes(&c)
-		capped, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, steps, err := FromJSON(bytes.NewReader(capped)); err == nil {
-			if steps <= 0 {
-				t.Fatalf("accepted steps = %d", steps)
+		if d, err := c.Build(); err == nil {
+			if c.Steps <= 0 {
+				t.Fatalf("accepted steps = %d", c.Steps)
 			}
 			accepted(t, d)
 		}

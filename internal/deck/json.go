@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"govpic/internal/balance"
-	"govpic/internal/core"
 	"govpic/internal/units"
 )
 
@@ -43,8 +42,6 @@ type JSONConfig struct {
 
 	// LPI knobs.
 	A0              float64 `json:"a0,omitempty"`
-	IntensityWcm2   float64 `json:"intensity_wcm2,omitempty"` // alternative to a0
-	WavelengthNM    float64 `json:"wavelength_nm,omitempty"`  // with intensity_wcm2
 	TeEV            float64 `json:"te_ev,omitempty"`
 	PlateauLength   float64 `json:"plateau_length,omitempty"`
 	MobileIons      bool    `json:"mobile_ions,omitempty"`
@@ -59,27 +56,22 @@ type JSONConfig struct {
 	TargetThickness float64 `json:"target_thickness,omitempty"`
 	ContamThickness float64 `json:"contam_thickness,omitempty"`
 
-	// Collisions (applied to the first species).
-	CollisionNu0      float64 `json:"collision_nu0,omitempty"`
-	CollisionInterval int     `json:"collision_interval,omitempty"`
-
 	// Dynamic load balancing (DESIGN §13): off | online.
 	Balance          string  `json:"balance,omitempty"`
 	BalanceInterval  int     `json:"balance_interval,omitempty"`
 	BalanceThreshold float64 `json:"balance_threshold,omitempty"`
 }
 
-// FromJSON parses a config and builds its deck, returning the requested
-// step count alongside.
-func FromJSON(r io.Reader) (Deck, int, error) {
+// FromJSON strictly decodes a config: an unknown field is an error, so
+// a removed or misspelt knob is refused by name. Build makes the deck.
+func FromJSON(r io.Reader) (JSONConfig, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var c JSONConfig
 	if err := dec.Decode(&c); err != nil {
-		return Deck{}, 0, fmt.Errorf("deck: bad config: %w", err)
+		return JSONConfig{}, fmt.Errorf("deck: bad config: %w", err)
 	}
-	d, err := c.Build()
-	return d, c.Steps, err
+	return c, nil
 }
 
 // Build constructs the deck the config describes.
@@ -147,15 +139,10 @@ func (c JSONConfig) Build() (Deck, error) {
 	case "landau":
 		d = Landau(nx, ppc, def(c.Mode, 4), n0, deff(c.Uth, 0.1), deff(c.Amp, 0.01))
 	case "lpi":
-		a0 := c.A0
-		if a0 == 0 && c.IntensityWcm2 > 0 {
-			lambda := deff(c.WavelengthNM, 351) * 1e-9
-			a0 = units.A0FromIntensity(c.IntensityWcm2, lambda)
+		if c.A0 == 0 {
+			return Deck{}, fmt.Errorf("deck: lpi needs a0")
 		}
-		if a0 == 0 {
-			return Deck{}, fmt.Errorf("deck: lpi needs a0 or intensity_wcm2")
-		}
-		p := DefaultLPI(a0)
+		p := DefaultLPI(c.A0)
 		p.NRanks = ranks
 		p.PPC = def(c.PPC, p.PPC)
 		if c.N0 > 0 {
@@ -181,15 +168,10 @@ func (c JSONConfig) Build() (Deck, error) {
 			return Deck{}, err
 		}
 	case "tnsa":
-		a0 := c.A0
-		if a0 == 0 && c.IntensityWcm2 > 0 {
-			lambda := deff(c.WavelengthNM, 800) * 1e-9
-			a0 = units.A0FromIntensity(c.IntensityWcm2, lambda)
+		if c.A0 == 0 {
+			return Deck{}, fmt.Errorf("deck: tnsa needs a0")
 		}
-		if a0 == 0 {
-			return Deck{}, fmt.Errorf("deck: tnsa needs a0 or intensity_wcm2")
-		}
-		p := DefaultTNSA(a0)
+		p := DefaultTNSA(c.A0)
 		p.NRanks = ranks
 		p.PPC = def(c.PPC, p.PPC)
 		if c.N0 > 0 {
@@ -219,12 +201,6 @@ func (c JSONConfig) Build() (Deck, error) {
 		return Deck{}, fmt.Errorf("deck: unknown deck %q", c.Deck)
 	}
 
-	if c.CollisionNu0 > 0 {
-		d.Cfg.Species[0].Collision = &core.CollisionConfig{
-			Nu0:      c.CollisionNu0,
-			Interval: def(c.CollisionInterval, 10),
-		}
-	}
 	if c.Workers < 0 {
 		return Deck{}, fmt.Errorf("deck: negative workers %d", c.Workers)
 	}

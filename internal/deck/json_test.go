@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// build runs a config through the front end vpic -config uses: the
+// strict decode, then Build.
+func build(cfg string) (Deck, int, error) {
+	c, err := FromJSON(strings.NewReader(cfg))
+	if err != nil {
+		return Deck{}, 0, err
+	}
+	d, err := c.Build()
+	return d, c.Steps, err
+}
+
 func TestFromJSONMalformed(t *testing.T) {
 	for _, bad := range []string{
 		``,
@@ -12,8 +23,8 @@ func TestFromJSONMalformed(t *testing.T) {
 		`{"deck": "thermal", "steps": }`,
 		`not json at all`,
 	} {
-		if _, _, err := FromJSON(strings.NewReader(bad)); err == nil {
-			t.Errorf("FromJSON(%q) accepted malformed input", bad)
+		if _, _, err := build(bad); err == nil {
+			t.Errorf("build(%q) accepted malformed input", bad)
 		}
 	}
 }
@@ -21,22 +32,28 @@ func TestFromJSONMalformed(t *testing.T) {
 func TestFromJSONUnknownField(t *testing.T) {
 	// "lanes" selected a push sweep until there was only one, and
 	// "overlap" the blocking exchange schedule until there was only one;
-	// a deck that still sets either must be refused with the field
-	// named, not run with the knob silently ignored.
+	// the collision keys drove an operator no case gated, and the
+	// intensity/wavelength pair was a second spelling of a0. A deck that
+	// still sets any of them must be refused with the field named, not
+	// run with the knob silently ignored.
 	for field, cfg := range map[string]string{
-		"typo_knob": `{"deck":"thermal","steps":10,"typo_knob":3}`,
-		"lanes":     `{"deck":"thermal","steps":10,"lanes":1}`,
-		"overlap":   `{"deck":"thermal","steps":10,"overlap":false}`,
+		"typo_knob":          `{"deck":"thermal","steps":10,"typo_knob":3}`,
+		"lanes":              `{"deck":"thermal","steps":10,"lanes":1}`,
+		"overlap":            `{"deck":"thermal","steps":10,"overlap":false}`,
+		"collision_nu0":      `{"deck":"thermal","steps":10,"collision_nu0":0.01}`,
+		"collision_interval": `{"deck":"thermal","steps":10,"collision_interval":5}`,
+		"intensity_wcm2":     `{"deck":"lpi","steps":10,"intensity_wcm2":1e15}`,
+		"wavelength_nm":      `{"deck":"lpi","steps":10,"a0":0.02,"wavelength_nm":351}`,
 	} {
-		_, _, err := FromJSON(strings.NewReader(cfg))
+		_, _, err := build(cfg)
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
-			t.Errorf("FromJSON(%s): err = %v, want unknown field %q", cfg, err, field)
+			t.Errorf("build(%s): err = %v, want unknown field %q", cfg, err, field)
 		}
 	}
 }
 
 func TestFromJSONUnknownDeck(t *testing.T) {
-	_, _, err := FromJSON(strings.NewReader(`{"deck":"warp-drive","steps":10}`))
+	_, _, err := build(`{"deck":"warp-drive","steps":10}`)
 	if err == nil || !strings.Contains(err.Error(), "unknown deck") {
 		t.Errorf("err = %v, want unknown deck", err)
 	}
@@ -56,22 +73,22 @@ func TestFromJSONNonPositiveSizes(t *testing.T) {
 		`{"deck":"thermal","steps":10,"uth":-0.05}`,
 		`{"deck":"lpi","steps":10,"a0":0.02,"transverse_cells":-8}`,
 	} {
-		d, _, err := FromJSON(strings.NewReader(bad))
+		d, _, err := build(bad)
 		if err == nil {
-			t.Errorf("FromJSON(%q) = deck %q, want error", bad, d.Name)
+			t.Errorf("build(%q) = deck %q, want error", bad, d.Name)
 		}
 	}
 }
 
 func TestFromJSONLPINeedsDrive(t *testing.T) {
-	_, _, err := FromJSON(strings.NewReader(`{"deck":"lpi","steps":10}`))
+	_, _, err := build(`{"deck":"lpi","steps":10}`)
 	if err == nil || !strings.Contains(err.Error(), "a0") {
 		t.Errorf("err = %v, want missing-a0 error", err)
 	}
 }
 
 func TestFromJSONGoodConfig(t *testing.T) {
-	d, steps, err := FromJSON(strings.NewReader(`{"deck":"thermal","steps":25,"nx":8,"ppc":4}`))
+	d, steps, err := build(`{"deck":"thermal","steps":25,"nx":8,"ppc":4}`)
 	if err != nil {
 		t.Fatal(err)
 	}

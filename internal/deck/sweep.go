@@ -63,10 +63,6 @@ func (c *JSONConfig) setSweep(key string, v float64) error {
 	switch key {
 	case "a0":
 		c.A0 = v
-	case "intensity_wcm2":
-		c.IntensityWcm2 = v
-	case "wavelength_nm":
-		c.WavelengthNM = v
 	case "n0":
 		c.N0 = v
 	case "uth":
@@ -79,8 +75,6 @@ func (c *JSONConfig) setSweep(key string, v float64) error {
 		c.TeEV = v
 	case "plateau_length":
 		c.PlateauLength = v
-	case "collision_nu0":
-		c.CollisionNu0 = v
 	case "nx":
 		return setInt(&c.NX)
 	case "ppc":
@@ -95,8 +89,6 @@ func (c *JSONConfig) setSweep(key string, v float64) error {
 		return setInt(&c.Mode)
 	case "transverse_cells":
 		return setInt(&c.TransverseCells)
-	case "collision_interval":
-		return setInt(&c.CollisionInterval)
 	default:
 		return fmt.Errorf("deck: unknown sweep parameter %q", key)
 	}

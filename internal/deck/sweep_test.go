@@ -1,6 +1,7 @@
 package deck
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -70,6 +71,13 @@ func TestExpandRejectsBadSweeps(t *testing.T) {
 	for _, sweep := range cases {
 		if _, err := base.Expand(sweep); err == nil {
 			t.Errorf("Expand(%v) succeeded, want error", sweep)
+		}
+	}
+	// Removed keys are refused by name, like any unknown parameter.
+	for _, key := range []string{"collision_nu0", "collision_interval", "intensity_wcm2", "wavelength_nm"} {
+		_, err := base.Expand(map[string][]float64{key: {1}})
+		if err == nil || !strings.Contains(err.Error(), `unknown sweep parameter "`+key+`"`) {
+			t.Errorf("Expand(%s): err = %v, want unknown sweep parameter", key, err)
 		}
 	}
 	huge := make([]float64, MaxSweepJobs+1)

@@ -113,46 +113,6 @@ func TestTNSAMultiSpeciesBookkeeping(t *testing.T) {
 	}
 }
 
-// TestTNSACollisionsConserve enables intra-species Takizuka-Abe
-// collisions on the electrons of the undriven slab — the TNSA-regime
-// collisional path (overdense, ~keV) — and requires the collision
-// operator to preserve the conservation bounds.
-func TestTNSACollisionsConserve(t *testing.T) {
-	s := quietTNSA(t, nil)
-	e0 := s.Energy()
-	p0 := totalMomentum(s)
-	scale := momentumScale(s)
-
-	// Rebuild through the JSON path so the collision knob rides the same
-	// config users drive.
-	cfg := JSONConfig{Deck: "tnsa", Steps: 400, A0: 5, PPC: 16,
-		CollisionNu0: 0.05, CollisionInterval: 5}
-	d, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Cfg.Species[0].Collision == nil {
-		t.Fatal("collision knob did not reach the electron species")
-	}
-	d.Cfg.Lasers = nil
-	s, err = d.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(400)
-	e1 := s.Energy()
-	drift := (e1.Total - e0.Total) / e0.Total
-	if math.Abs(drift) > 5e-3 {
-		t.Errorf("collisional TNSA slab energy drift %g over 400 steps", drift)
-	}
-	p1 := totalMomentum(s)
-	for c := 0; c < 3; c++ {
-		if d := math.Abs(p1[c]-p0[c]) / scale; d > 2e-2 {
-			t.Errorf("momentum component %d drifted by %g with collisions on", c, d)
-		}
-	}
-}
-
 // TestTNSARefluxConservesParticles drives the full deck (laser on) with
 // refluxing walls and requires the particle count of every species to
 // stay exactly constant: reflux re-emits each wall crossing instead of

@@ -26,7 +26,6 @@ type Config struct {
 	// uniform division of Dec; when set, its Dec takes precedence.
 	Layout     grid.Layout
 	DX, DY, DZ float64
-	X0, Y0, Z0 float64
 	// FieldBC holds the global field boundary conditions per face.
 	FieldBC [field.NumFaces]field.BC
 	// ParticleBC holds the particle action at each global wall. Faces of
@@ -75,7 +74,7 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 		return nil, fmt.Errorf("domain: decomposition has %d ranks, world has %d", cfg.Dec.NRanks(), comm.Size())
 	}
 	rank := comm.Rank()
-	g, err := cfg.Layout.Local(rank, cfg.DX, cfg.DY, cfg.DZ, cfg.X0, cfg.Y0, cfg.Z0)
+	g, err := cfg.Layout.Local(rank, cfg.DX, cfg.DY, cfg.DZ)
 	if err != nil {
 		return nil, err
 	}

@@ -78,15 +78,15 @@ func wrap(i, n int) int {
 }
 
 // Local returns the local grid of the given rank for a global mesh with
-// cell sizes (dx,dy,dz) and origin (x0,y0,z0). The global mesh must be
+// cell sizes (dx,dy,dz) whose origin is 0. The global mesh must be
 // evenly divisible (guaranteed when the Decomp came from ChooseDecomp).
-func (d Decomp) Local(rank int, dx, dy, dz, x0, y0, z0 float64) (*Grid, error) {
+func (d Decomp) Local(rank int, dx, dy, dz float64) (*Grid, error) {
 	cx, cy, cz := d.Coord(rank)
 	lnx, lny, lnz := d.GNX/d.PX, d.GNY/d.PY, d.GNZ/d.PZ
 	return New(lnx, lny, lnz, dx, dy, dz,
-		x0+float64(cx*lnx)*dx,
-		y0+float64(cy*lny)*dy,
-		z0+float64(cz*lnz)*dz)
+		float64(cx*lnx)*dx,
+		float64(cy*lny)*dy,
+		float64(cz*lnz)*dz)
 }
 
 // Neighbor returns the rank across the given face of rank r, and whether

@@ -205,7 +205,7 @@ func TestDecompLocalTilesDomain(t *testing.T) {
 	}
 	totalCells := 0
 	for r := 0; r < d.NRanks(); r++ {
-		g, err := d.Local(r, 0.5, 0.5, 0.5, 0, 0, 0)
+		g, err := d.Local(r, 0.5, 0.5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

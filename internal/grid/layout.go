@@ -70,15 +70,16 @@ func checkCuts(axis string, c []int, p, gn int) error {
 	return nil
 }
 
-// Local returns rank's tile under the layout.
-func (l Layout) Local(rank int, dx, dy, dz, x0, y0, z0 float64) (*Grid, error) {
+// Local returns rank's tile under the layout, for a global mesh with
+// cell sizes (dx,dy,dz) whose origin is 0.
+func (l Layout) Local(rank int, dx, dy, dz float64) (*Grid, error) {
 	cx, cy, cz := l.Dec.Coord(rank)
 	return New(
 		l.CX[cx+1]-l.CX[cx], l.CY[cy+1]-l.CY[cy], l.CZ[cz+1]-l.CZ[cz],
 		dx, dy, dz,
-		x0+float64(l.CX[cx])*dx,
-		y0+float64(l.CY[cy])*dy,
-		z0+float64(l.CZ[cz])*dz)
+		float64(l.CX[cx])*dx,
+		float64(l.CY[cy])*dy,
+		float64(l.CZ[cz])*dz)
 }
 
 // Origin returns the global cell index of rank's low corner (the global

@@ -42,11 +42,10 @@ func Slab(n0, x0, x1, ramp float64) Profile {
 	}
 }
 
-// Global describes the global mesh so ranks can derive global cell ids
-// and positions from their local tiles.
+// Global describes the global mesh (origin 0) so ranks can derive
+// global cell ids from their local tiles' origins.
 type Global struct {
 	NX, NY, NZ int
-	X0, Y0, Z0 float64
 }
 
 // Params configures one species' load.
@@ -79,9 +78,9 @@ func Load(g *grid.Grid, gl Global, p Params, buf *particle.Buffer) (int, error) 
 	if p.Nref <= 0 {
 		return 0, fmt.Errorf("loader: Nref %g must be >0", p.Nref)
 	}
-	gx0 := int(math.Round((g.X0 - gl.X0) / g.DX))
-	gy0 := int(math.Round((g.Y0 - gl.Y0) / g.DY))
-	gz0 := int(math.Round((g.Z0 - gl.Z0) / g.DZ))
+	gx0 := int(math.Round(g.X0 / g.DX))
+	gy0 := int(math.Round(g.Y0 / g.DY))
+	gz0 := int(math.Round(g.Z0 / g.DZ))
 	wRef := p.Nref * g.Volume() / float64(p.PPC)
 	loaded := 0
 	for iz := 1; iz <= g.NZ; iz++ {

@@ -1,3 +1,5 @@
+// Package output writes durable run artifacts: every checkpoint, spool
+// record and result file goes through WriteFileAtomic.
 package output
 
 import (

@@ -13,7 +13,6 @@ import (
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/domain"
-	"govpic/internal/output"
 	"govpic/internal/perf"
 )
 
@@ -109,12 +108,25 @@ type PhysicsAttestation struct {
 	Pass   bool `json:"pass"`
 }
 
+// Summary is a completed job's run record.
+type Summary struct {
+	Deck      string             `json:"deck"`
+	Steps     int                `json:"steps"`
+	Time      float64            `json:"time"`
+	Particles int                `json:"particles"`
+	Ranks     int                `json:"ranks"`
+	WallClock float64            `json:"wall_clock_s"`
+	Rates     map[string]float64 `json:"rates,omitempty"`
+	Energy    map[string]float64 `json:"energy,omitempty"`
+	Notes     map[string]float64 `json:"notes,omitempty"`
+}
+
 // Result is the completed-job artifact: the run summary plus the full
 // energy history, and a CRC32 of the final serialized dynamic state
 // (fields + particles) so bit-exact reproducibility across preemptions
 // is checkable from the API alone.
 type Result struct {
-	Summary  output.Summary      `json:"summary"`
+	Summary  Summary             `json:"summary"`
 	History  []diag.EnergySample `json:"history"`
 	StateCRC string              `json:"state_crc"`
 	// Physics is the attestation also published on the Job.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,10 +35,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing spec part")
 		return
 	}
-	dec := json.NewDecoder(strings.NewReader(specJSON))
-	dec.DisallowUnknownFields()
-	var spec deck.JSONConfig
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := deck.FromJSON(strings.NewReader(specJSON))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}

@@ -209,7 +209,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	s.mu.Unlock()
 	last := hist.Samples[len(hist.Samples)-1]
 	res := Result{
-		Summary: output.Summary{
+		Summary: Summary{
 			Deck:      d.Name,
 			Steps:     sim.StepCount(),
 			Time:      sim.Time(),

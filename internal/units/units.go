@@ -42,14 +42,6 @@ const (
 	MeVPerMc2 = ElectronM * C * C * EVPerJoule / 1e6
 )
 
-// A0FromIntensity converts a laser intensity in W/cm² and a vacuum
-// wavelength in meters to the dimensionless strength parameter a0 for
-// linear polarization, using a0 = 0.855·sqrt(I[10^18 W/cm²])·λ[µm].
-func A0FromIntensity(iWcm2, lambdaM float64) float64 {
-	lambdaUm := lambdaM * 1e6
-	return 0.855 * math.Sqrt(iWcm2/1e18) * lambdaUm
-}
-
 // Plasma parameter helpers. All inputs and outputs are in code units
 // unless stated otherwise.
 
