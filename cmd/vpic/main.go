@@ -139,16 +139,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var note string
-		sim, note, err = sim.Resume(f)
+		err = sim.Restore(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if note != "" {
-			fmt.Printf("checkpoint layout differs: %s\n", note)
-		}
-		fmt.Printf("restored at step %d (t = %.3f)\n", sim.StepCount(), sim.Time())
+		fmt.Printf("restored at step %d (t = %.3f), x-cuts %v\n", sim.StepCount(), sim.Time(), sim.CutsX())
 	}
 
 	fmt.Printf("deck %q: %d cells, %d particles, %d ranks × %d workers, %s kernel, dt = %.4g\n",

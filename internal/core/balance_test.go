@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"govpic/internal/balance"
@@ -44,103 +45,114 @@ func spikePlasma(nx, ny, nz, ppc, nRanks int) Config {
 	}
 }
 
-func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
-	cfg := periodicPlasma(16, 0.2, 0.05, 8, 2)
-	cfg.CutsX = []int{0, 6, 16}
+// mustNew builds a simulation or fails the test.
+func mustNew(t *testing.T, cfg Config) *Simulation {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(3)
+	return s
+}
+
+// checkpointBytes returns s's checkpoint.
+func checkpointBytes(t *testing.T, s *Simulation) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	// Same grid, uniform layout: recoverable, carrying the recorded cuts.
-	uni := periodicPlasma(16, 0.2, 0.05, 8, 2)
-	s2, err := New(uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s2.Restore(bytes.NewReader(buf.Bytes()))
-	var lme *LayoutMismatchError
-	if !errors.As(err, &lme) {
-		t.Fatalf("restore across layouts: err = %v, want *LayoutMismatchError", err)
-	}
-	if got, want := lme.Layout.CX, []int{0, 6, 16}; !balance.CutsEqual(got, want) {
-		t.Fatalf("recorded cuts = %v, want %v", got, want)
-	}
+// TestRestoreLayoutMismatchIsStructured: a checkpoint written under
+// moved x-cuts restores bit-exactly into a uniform-cut world of the
+// same spec, which adopts the file's cuts; a different rank count or
+// decomposition shape is an error naming the layouts, and a different
+// grid is *GeometryMismatchError.
+func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
+	cfg := periodicPlasma(16, 0.2, 0.05, 8, 2)
+	cfg.Balance.Mode = balance.Online // x-only decomposition; the cuts are moved by hand
+	s := mustNew(t, cfg)
+	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 6, 16}) })
+	s.Run(3)
+	ckpt := checkpointBytes(t, s)
 
-	// Rebuilding the recorded geometry makes the same file restore
-	// exactly.
-	exact := periodicPlasma(16, 0.2, 0.05, 8, 2)
-	exact.CutsX = append([]int(nil), lme.Layout.CX...)
-	s3, err := New(exact)
-	if err != nil {
-		t.Fatal(err)
+	s2 := mustNew(t, cfg)
+	if err := s2.Restore(bytes.NewReader(ckpt)); err != nil {
+		t.Fatalf("restore across x-cuts: %v", err)
 	}
-	if err := s3.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if got, want := s2.CutsX(), []int{0, 6, 16}; !balance.CutsEqual(got, want) {
+		t.Fatalf("cuts after restore = %v, want the file's %v", got, want)
 	}
-	if a, b := s.StateCRCs(), s3.StateCRCs(); !equalCRCs(a, b) {
-		t.Fatalf("exact resume CRCs %08x != source %08x", b, a)
+	s.Run(3)
+	s2.Run(3)
+	if a, b := s.StateCRCs(), s2.StateCRCs(); !equalCRCs(a, b) {
+		t.Fatalf("restored run CRCs %08x != source %08x", b, a)
 	}
 
-	// Different grid: the hard, unrecoverable error.
+	// Different rank count, same grid.
+	four := cfg
+	four.NRanks = 4
+	if err := mustNew(t, four).Restore(bytes.NewReader(ckpt)); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("restore across rank counts: err = %v, want a layout mismatch", err)
+	}
+
+	// Same grid and rank count, different shape: balancing off chooses
+	// 1×2×2 on this box, online pins 4×1×1.
+	yz := spikePlasma(8, 8, 8, 2, 4)
+	xOnly := yz
+	xOnly.Balance.Mode = balance.Online
+	err := mustNew(t, xOnly).Restore(bytes.NewReader(checkpointBytes(t, mustNew(t, yz))))
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("restore across shapes: err = %v, want a layout mismatch", err)
+	}
+
+	// Different grid: the geometry error.
 	wide := periodicPlasma(32, 0.2, 0.05, 8, 2)
-	s4, err := New(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s4.Restore(bytes.NewReader(buf.Bytes()))
 	var gme *GeometryMismatchError
-	if !errors.As(err, &gme) {
+	if err := mustNew(t, wide).Restore(bytes.NewReader(ckpt)); !errors.As(err, &gme) {
 		t.Fatalf("restore across grids: err = %v, want *GeometryMismatchError", err)
-	}
-	if errors.As(err, &lme) && false {
-		t.Fatal("unreachable")
-	}
-	// And RestoreRebin refuses it too — no resume path bridges a grid
-	// change.
-	if err := s4.restoreRebin(bytes.NewReader(buf.Bytes())); !errors.As(err, &gme) {
-		t.Fatalf("rebin across grids: err = %v, want *GeometryMismatchError", err)
 	}
 }
 
-func TestRestoreRebinPreservesDigest(t *testing.T) {
+// TestRestoreAdoptsRecordedCuts is the in-process form of CI's balance
+// smoke resume: on the 4-rank spike deck with online balancing
+// (interval 2, threshold 1.15), a checkpoint written at step 20 under
+// cuts the balancer moved restores into a fresh world, which adopts the
+// file's cuts in place and reaches step 40 bit-identical to the
+// uninterrupted run.
+func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	cfg := spikePlasma(32, 4, 4, 8, 4)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(4)
-	dig := s.CanonicalDigest()
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	cfg.Balance = BalanceConfig{Mode: balance.Online, Interval: 2, Threshold: 1.15}
+	full := mustNew(t, cfg)
+	full.Run(40)
 
-	moved := spikePlasma(32, 4, 4, 8, 4)
-	moved.CutsX = []int{0, 14, 18, 22, 32}
-	s2, err := New(moved)
-	if err != nil {
+	half := mustNew(t, cfg)
+	uniform := half.CutsX()
+	half.Run(20)
+	fileCuts := half.CutsX()
+	if balance.CutsEqual(fileCuts, uniform) {
+		t.Fatalf("the balancer never moved the cuts by step 20: %v", fileCuts)
+	}
+	ckpt := checkpointBytes(t, half)
+
+	resumed := mustNew(t, cfg)
+	ranks := append([]*Rank(nil), resumed.Ranks...)
+	if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.restoreRebin(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if got := resumed.CutsX(); !balance.CutsEqual(got, fileCuts) {
+		t.Fatalf("cuts after restore = %v, want the file's %v", got, fileCuts)
 	}
-	if got := s2.CanonicalDigest(); got != dig {
-		t.Fatalf("re-binned digest %016x != source %016x", got, dig)
+	for r, rk := range ranks {
+		if resumed.Ranks[r] != rk {
+			t.Fatalf("restore replaced rank %d: callers holding Ranks went stale", r)
+		}
 	}
-	if got, want := s2.TotalParticles(), s.TotalParticles(); got != want {
-		t.Fatalf("re-binned particle count %d != %d", got, want)
-	}
-	// The re-binned world keeps stepping sanely.
-	s2.Run(3)
-	e := s2.Energy()
-	if math.IsNaN(e.Total) || e.Total <= 0 {
-		t.Fatalf("energy after re-binned continuation: %+v", e)
+	resumed.Run(20)
+	if a, b := full.StateCRCs(), resumed.StateCRCs(); !equalCRCs(a, b) {
+		t.Fatalf("resumed CRCs %08x != uninterrupted %08x", b, a)
 	}
 }
 

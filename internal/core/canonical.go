@@ -14,9 +14,9 @@ import (
 // equal exactly when they hold the same field bits at the same global
 // cells and the same particle bits in the same global cells (ghost
 // planes and buffer order excluded — those are derived data). This is
-// the CRC canonicalization the load balancer's proofs rest on: a
-// re-binned resume or an online reshape must preserve the digest
-// bit-for-bit, even though every per-rank serialization changed.
+// the CRC canonicalization the load balancer's proofs rest on: an
+// online reshape must preserve the digest bit-for-bit, even though
+// every per-rank serialization changed.
 
 const (
 	fnvOffset = 14695981039346656037

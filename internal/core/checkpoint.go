@@ -10,6 +10,7 @@ import (
 	"math"
 	"strings"
 
+	"govpic/internal/domain"
 	"govpic/internal/grid"
 	"govpic/internal/particle"
 )
@@ -24,19 +25,17 @@ import (
 // The format is: the magic line; a header of little-endian u64s (global
 // grid, rank count, species count, step) and the f64 time; the rank
 // layout (decomposition shape, then the x/y/z partition-plane cuts), so
-// a load-balanced run can be resumed either exactly (rebuilding the
-// recorded geometry via Config.CutsX) or re-binned into a different
-// geometry; each rank's payload in rank order (writeState); and a
-// trailing little-endian CRC32 (IEEE) of every preceding byte, so a
-// truncated or bit-flipped file is rejected instead of silently resumed
-// from. Files with an older magic carry no checksum or no layout and
-// are refused.
+// a load-balanced run resumes on the x-cuts it was written under; each
+// rank's payload in rank order (writeState); and a trailing
+// little-endian CRC32 (IEEE) of every preceding byte, so a truncated or
+// bit-flipped file is rejected instead of silently resumed from. Files
+// with an older magic carry no checksum or no layout and are refused.
 
 const checkpointMagic = "GOVPIC-CKPT-3\n"
 
 // GeometryMismatchError reports a checkpoint whose global grid or
-// species count differs from the receiving simulation's. No resume
-// path can bridge it: the file describes a different physical problem.
+// species count differs from the receiving simulation's: the file
+// describes a different physical problem.
 type GeometryMismatchError struct {
 	FileNX, FileNY, FileNZ, FileSpecies int
 	WantNX, WantNY, WantNZ, WantSpecies int
@@ -45,24 +44,6 @@ type GeometryMismatchError struct {
 func (e *GeometryMismatchError) Error() string {
 	return fmt.Sprintf("core: checkpoint geometry %dx%dx%d/%d species does not match simulation %dx%dx%d/%d species",
 		e.FileNX, e.FileNY, e.FileNZ, e.FileSpecies, e.WantNX, e.WantNY, e.WantNZ, e.WantSpecies)
-}
-
-// LayoutMismatchError reports a checkpoint whose global grid and
-// species match but whose rank layout (rank count, decomposition shape
-// or partition-plane cuts) differs from the simulation's. It is
-// recoverable two ways: rebuild a simulation pinned to the recorded
-// geometry (Config.CutsX = Layout.CX, NRanks = Layout.Dec.NRanks())
-// and Restore exactly, or re-bin the file into the current geometry —
-// Resume tries both, in that order.
-type LayoutMismatchError struct {
-	// Layout is the partition the checkpoint was written under.
-	Layout grid.Layout
-}
-
-func (e *LayoutMismatchError) Error() string {
-	d := e.Layout.Dec
-	return fmt.Sprintf("core: checkpoint layout %dx%dx%d ranks (x cuts %v) does not match simulation (re-bin or rebuild the recorded geometry to resume)",
-		d.PX, d.PY, d.PZ, e.Layout.CX)
 }
 
 type cpWriter struct {
@@ -205,6 +186,36 @@ func (rk *Rank) writeState(c *cpWriter) {
 	}
 }
 
+// readState is writeState's mirror: it replaces this rank's fields,
+// background and particles with the next payload of c, which must have
+// been written on a tile of the same shape. A read error stays in c for
+// the caller to report.
+func (rk *Rank) readState(c *cpReader) {
+	f := rk.D.F
+	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
+		c.f32s(a)
+	}
+	if c.u64() == 1 {
+		if len(rk.rho0) != rk.D.G.NV() {
+			rk.rho0 = make([]float32, rk.D.G.NV())
+		}
+		c.f32s(rk.rho0)
+	} else {
+		rk.rho0 = nil
+	}
+	for _, sp := range rk.Species {
+		n := int(c.u64())
+		sp.Buf.Clear()
+		// A read error ends the loop: a corrupt count must not append
+		// the particles it promises first.
+		for i := 0; i < n && c.err == nil; i++ {
+			if p := c.particle(); c.err == nil {
+				sp.Buf.Append(p)
+			}
+		}
+	}
+}
+
 // StateCRC fingerprints this rank's dynamic state: the CRC32 (IEEE) of
 // its canonical checkpoint serialization. Two ranks computing the same
 // tile — whether hosted in one process or across a network — produce
@@ -312,15 +323,17 @@ func checkGeometry(hd *cpHeader, cfg *Config) error {
 }
 
 // Restore loads a checkpoint written by a simulation with the same
-// geometry, rank layout and species list, replacing all dynamic state
-// bit-exactly. A grid or species mismatch returns
-// *GeometryMismatchError (unrecoverable); a rank-layout mismatch
-// returns *LayoutMismatchError carrying the recorded layout, which the
-// caller can bridge by rebuilding the recorded geometry or re-binning
-// (Resume does both). Every file is checksum-verified; a truncated or
-// bit-flipped one is rejected with an error, in which case the
-// simulation's dynamic state is undefined and the caller should
-// rebuild or re-restore before stepping.
+// geometry and species list, replacing all dynamic state bit-exactly.
+// The run resumes on the decomposition the file was written under: when
+// the file's layout differs from the simulation's only in its x-cuts
+// (an online rebalance moved them), every rank is first rebuilt on the
+// recorded cuts in place, so Ranks and World stay valid. A grid or
+// species mismatch returns *GeometryMismatchError; any other layout
+// difference is an error naming both layouts. Every file is
+// checksum-verified; a truncated or bit-flipped one is rejected with an
+// error, in which case the simulation's dynamic state (and possibly its
+// x-cuts) is undefined and the caller should rebuild or re-restore
+// before stepping.
 func (s *Simulation) Restore(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hd, c, h, err := readCheckpointHeader(br)
@@ -331,32 +344,23 @@ func (s *Simulation) Restore(r io.Reader) error {
 		return err
 	}
 	if cur := s.Ranks[0].D.Cfg.Layout; !hd.layout.Equal(cur) {
-		return &LayoutMismatchError{Layout: hd.layout}
+		onFileCuts := cur
+		onFileCuts.CX = hd.layout.CX
+		if !hd.layout.Equal(onFileCuts) {
+			return fmt.Errorf("core: checkpoint layout %+v does not match simulation layout %+v (only x-cuts may differ)", hd.layout, cur)
+		}
+		for _, rk := range s.Ranks {
+			dcfg := rk.D.Cfg
+			dcfg.Layout = hd.layout
+			d, err := domain.New(dcfg, rk.D.Comm)
+			if err != nil {
+				return err
+			}
+			rk.adoptDomain(&s.Cfg, d)
+		}
 	}
 	for _, rk := range s.Ranks {
-		f := rk.D.F
-		for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
-			c.f32s(a)
-		}
-		if c.u64() == 1 {
-			if rk.rho0 == nil {
-				rk.rho0 = make([]float32, rk.D.G.NV())
-			}
-			c.f32s(rk.rho0)
-		} else {
-			rk.rho0 = nil
-		}
-		for _, sp := range rk.Species {
-			n := int(c.u64())
-			sp.Buf.Clear()
-			// A read error ends the loop (and is reported below): a corrupt
-			// count must not append the particles it promises first.
-			for i := 0; i < n && c.err == nil; i++ {
-				if p := c.particle(); c.err == nil {
-					sp.Buf.Append(p)
-				}
-			}
-		}
+		rk.readState(c)
 	}
 	if c.err != nil {
 		return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)

@@ -116,9 +116,6 @@ func TestCheckpointRejectsOldVersions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
 			t.Fatalf("%q: err = %v, want an unsupported-version rejection", magic, err)
 		}
-		if _, _, err := s.Resume(bytes.NewReader(old)); err == nil {
-			t.Fatalf("%q: Resume accepted an old-version file", magic)
-		}
 	}
 	err = s.Restore(bytes.NewReader(append([]byte("NOT-A-CKPT-AT-ALL\n"), body...)))
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
@@ -156,11 +153,12 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRestore: Restore and Resume never panic on arbitrary
-// bytes, and accept a file only if it begins with the fixture's
-// unmodified bytes — the CRC trailer covers everything they read, and a
-// suffix past the trailer is never read. One simulation serves every
-// input: a restore overwrites all the state a checkpoint carries.
+// FuzzCheckpointRestore: Restore never panics on arbitrary bytes, and
+// accepts a file only if it begins with the fixture's unmodified bytes
+// — the CRC trailer covers everything it reads, and a suffix past the
+// trailer is never read. One simulation serves every input: a restore
+// overwrites all the state a checkpoint carries, and the one-rank
+// fixture has no x-cuts a file could move.
 func FuzzCheckpointRestore(f *testing.F) {
 	cfg, ckpt := ckptFixture(f)
 	s, err := New(cfg)
@@ -179,9 +177,6 @@ func FuzzCheckpointRestore(f *testing.F) {
 		unmodified := bytes.HasPrefix(data, ckpt)
 		if err := s.Restore(bytes.NewReader(data)); (err == nil) != unmodified {
 			t.Fatalf("Restore: err = %v on %d bytes (fixture prefix: %v)", err, len(data), unmodified)
-		}
-		if _, _, err := s.Resume(bytes.NewReader(data)); (err == nil) != unmodified {
-			t.Fatalf("Resume: err = %v on %d bytes (fixture prefix: %v)", err, len(data), unmodified)
 		}
 	})
 }

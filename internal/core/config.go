@@ -89,17 +89,11 @@ type Config struct {
 	// knob only: the two are bitwise identical.
 	Kernel string
 
-	// CutsX optionally pins a non-uniform x-plane layout: len(CutsX)-1
-	// x-slabs owning global cells [CutsX[i], CutsX[i+1]). Nil means
-	// the uniform division. A rebalanced checkpoint records its cuts
-	// here so a resume rebuilds the exact geometry it was written in.
-	CutsX []int
-
 	// Balance configures the dynamic load balancer. Any mode other
 	// than off forces an x-only decomposition (PX = NRanks) and
-	// requires fully periodic field boundaries (plane reshaping and
-	// re-binned resume reconstruct ghost state collectively, which the
-	// absorbing-wall state machine does not support).
+	// requires fully periodic field boundaries (a reshape reconstructs
+	// ghost state collectively, which the absorbing-wall state machine
+	// does not support).
 	Balance BalanceConfig
 }
 
@@ -187,9 +181,6 @@ func (c *Config) Validate() error {
 		}
 		if c.NX < c.NRanks {
 			return fmt.Errorf("core: balance mode %s needs NX ≥ NRanks (%d < %d)", c.Balance.Mode, c.NX, c.NRanks)
-		}
-		if c.CutsX != nil && len(c.CutsX) != c.NRanks+1 {
-			return fmt.Errorf("core: balance mode %s needs %d x-cuts (x-only decomposition), got %d", c.Balance.Mode, c.NRanks+1, len(c.CutsX))
 		}
 	}
 	return nil

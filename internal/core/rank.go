@@ -57,41 +57,27 @@ type Rank struct {
 // DomainConfig derives the decomposed-domain configuration (including
 // the rank decomposition) from a validated simulation config. Every
 // rank of a world — in-process or distributed — must derive the same
-// one, so loading stays decomposition-invariant. A pinned CutsX or an
-// active balance mode switches to an x-slab decomposition whose x
-// extent need not divide evenly (the cuts place the planes); otherwise
-// the classic even-divisibility chooser runs, so existing decks keep
-// their exact decomposition.
+// one, so loading stays decomposition-invariant: the layout is a pure
+// function of cfg. An active balance mode switches to an x-slab
+// decomposition whose x extent need not divide evenly (the cuts place
+// the planes); otherwise the classic even-divisibility chooser runs, so
+// existing decks keep their exact decomposition. Either way the world
+// starts on the uniform cuts.
 func DomainConfig(cfg *Config) (domain.Config, error) {
-	px := 0
-	if cfg.CutsX != nil {
-		px = len(cfg.CutsX) - 1
-	} else if cfg.Balance.Mode != balance.Off {
-		px = cfg.NRanks
-	}
 	var dec grid.Decomp
 	var err error
-	if px > 0 {
-		dec, err = grid.ChooseDecompFixedPX(cfg.NRanks, px, cfg.NX, cfg.NY, cfg.NZ)
+	if cfg.Balance.Mode != balance.Off {
+		dec, err = grid.ChooseDecompFixedPX(cfg.NRanks, cfg.NRanks, cfg.NX, cfg.NY, cfg.NZ)
 	} else {
 		dec, err = grid.ChooseDecomp(cfg.NRanks, cfg.NX, cfg.NY, cfg.NZ)
 	}
 	if err != nil {
 		return domain.Config{}, err
 	}
-	dcfg := domain.Config{
+	return domain.Config{
 		Dec: dec, DX: cfg.DX, DY: cfg.DY, DZ: cfg.DZ,
 		FieldBC: cfg.FieldBC, ParticleBC: cfg.ParticleBC,
-	}
-	if cfg.CutsX != nil {
-		uni := grid.Uniform(dec)
-		lay, err := grid.NewLayout(dec, cfg.CutsX, uni.CY, uni.CZ)
-		if err != nil {
-			return domain.Config{}, err
-		}
-		dcfg.Layout = lay
-	}
-	return dcfg, nil
+	}, nil
 }
 
 // newRank builds one rank's tile: domain, kernels, species loading

@@ -151,42 +151,60 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		dNew.RecvRebalSlab(dec.Rank(j, cy, cz), arrsNew, a-newX0+1, b-newX0+1, rk.bufs)
 	}
 
-	// 5. Drain the sends, then carry the traffic counters (the slab
-	// sends were counted on the old domain).
+	// 5. Drain the sends (counted on the old domain, whose traffic
+	// counters adoptDomain carries over), then move onto the new tile.
 	for _, r := range reqs {
 		if _, err := r.Wait(); err != nil {
 			panic(fmt.Sprintf("core: reshape send failed: %v", err))
 		}
 	}
-	dNew.ClassBytes = dOld.ClassBytes
-	dNew.ClassMsgs = dOld.ClassMsgs
+	rk.adoptDomain(cfg, dNew)
+	rk.rho0 = rho0New
 
-	// 6. Rebuild the grid-sized plumbing; per-species counters carry
-	// over via AdoptFrom and the sort passes via sortPasses, so
-	// cumulative diagnostics survive the swap.
-	rk.D = dNew
-	rk.IP = interp.NewTable(gNew)
-	rk.Acc = accum.New(gNew)
+	// 6. Collective ghost re-prime: E/B boundary and ghost planes (local
+	// wraps, then remote exchange), the background's ghost aliases and
+	// the interpolators. J's ghost planes are left stale — the next step
+	// clears and re-deposits J before any read.
+	f := dNew.F
+	f.UpdateGhostE()
+	f.UpdateGhostB()
+	dNew.ExchangeGhostE()
+	dNew.ExchangeGhostB()
+	if rk.rho0 != nil {
+		f.FillNodeGhost(rk.rho0)
+		dNew.ExchangeScalarGhost(rk.rho0)
+	}
+	rk.IP.Load(f)
+}
+
+// adoptDomain moves this rank onto d, a tile of the same world on
+// another layout, rebuilding the grid-sized plumbing: interpolator,
+// accumulators, sort workspace, scratch, kernels and the boundary shell.
+// Traffic counters carry over to d, per-species kernel counters via
+// AdoptFrom and the sort passes via sortPasses, so cumulative
+// diagnostics survive the swap. Field, background and particle state
+// are the caller's to fill (particle voxels must index d's grid). It
+// communicates nothing.
+func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
+	d.ClassBytes, d.ClassMsgs = rk.D.ClassBytes, rk.D.ClassMsgs
+	g := d.G
+	rk.D = d
+	rk.IP = interp.NewTable(g)
+	rk.Acc = accum.New(g)
 	for b := range rk.pipeAcc {
-		rk.pipeAcc[b] = accum.New(gNew)
+		rk.pipeAcc[b] = accum.New(g)
 	}
 	rk.sortPasses.Merge(rk.sortWS.Passes())
-	rk.sortWS = psort.NewWorkspace(gNew.NV())
+	rk.sortWS = psort.NewWorkspace(g.NV())
 	rk.sortWS.SetPool(rk.pool)
-	rk.rho = make([]float32, gNew.NV())
-	rk.scratch = make([]float32, gNew.NV())
-	rk.rho0 = rho0New
+	rk.rho = make([]float32, g.NV())
+	rk.scratch = make([]float32, g.NV())
 	for i, sp := range rk.Species {
 		k := rk.newKernel(cfg, sp)
 		k.AdoptFrom(rk.Kernels[i])
 		rk.Kernels[i] = k
 	}
-	rk.shell = shellMask(dNew)
-
-	// 7. Collective ghost re-prime (E/B exchanges, background aliases,
-	// interpolator reload). J's ghost planes are left stale — the next
-	// step clears and re-deposits J before any read.
-	rk.rebinPrime()
+	rk.shell = shellMask(d)
 }
 
 // reshapeArrays lists the state a reshape carries: the nine field

@@ -132,9 +132,7 @@ func (s *Simulation) TotalParticles() int { return Collect(s, (*RankSim).TotalPa
 // LostEnergy returns the kinetic energy absorbed at boundaries so far.
 func (s *Simulation) LostEnergy() float64 { return Collect(s, (*RankSim).LostEnergy) }
 
-// CutsX returns the current x-plane cuts (a copy): feed it back through
-// Config.CutsX to rebuild this exact geometry, e.g. when resuming a
-// rebalanced checkpoint bit-exactly.
+// CutsX returns the current x-plane cuts (a copy).
 func (s *Simulation) CutsX() []int { return s.sims[0].CutsX() }
 
 // Reports returns every member's cumulative report in rank order. It

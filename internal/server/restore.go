@@ -16,7 +16,7 @@ import (
 // multipart form carries:
 //
 //	spec       — JSON deck.JSONConfig (including steps)
-//	checkpoint — optional binary checkpoint (format v2, CRC-trailed)
+//	checkpoint — optional binary checkpoint (format v3, CRC-trailed)
 //	history    — energy-history JSON paired with the checkpoint
 //	             (required with it: the resumed run's history is the
 //	             replayed prefix plus freshly computed samples)

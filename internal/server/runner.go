@@ -100,20 +100,15 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		s.hub.Publish(j.ID, hist.Samples[len(hist.Samples)-1])
 	}
 
-	// Resume from the latest checkpoint if the spool has one. A
-	// checkpoint written under different partition planes (an online
-	// rebalance moved them, or the job relocated from a host that chose
-	// another layout) restores through core's layout-aware Resume. A
-	// corrupt or truncated checkpoint (CRC-rejected) falls back to a
-	// fresh start: determinism makes re-running from step 0 merely
-	// slower, not wrong.
+	// Resume from the latest checkpoint if the spool has one. The spec
+	// fixes the layout, so a resumed or relocated job's checkpoint
+	// differs from the fresh build at most in its x-cuts (an online
+	// rebalance moved them), which Restore adopts. A corrupt or
+	// truncated checkpoint (CRC-rejected) falls back to a fresh start:
+	// determinism makes re-running from step 0 merely slower, not wrong.
 	if f, oerr := os.Open(s.spool.checkpointPath(j.ID)); oerr == nil {
-		resumed, note, rerr := sim.Resume(f)
+		rerr := sim.Restore(f)
 		f.Close()
-		sim = resumed
-		if note != "" {
-			s.cfg.Logf("vpicd: %s %s", j.ID, note)
-		}
 		if rerr != nil {
 			s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, rerr)
 			if sim, err = d.New(); err != nil {
@@ -135,7 +130,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 						s.hub.Publish(j.ID, smp)
 					}
 				}
-				s.cfg.Logf("vpicd: %s resuming at step %d/%d", j.ID, sim.StepCount(), j.Spec.Steps)
+				s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, sim.StepCount(), j.Spec.Steps, sim.CutsX())
 			}
 		}
 	}
