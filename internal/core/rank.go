@@ -47,11 +47,9 @@ type Rank struct {
 	// step under the CFL bound — so the step can push them first, post
 	// the particle exchange, and push the interior while migrants fly
 	// (nil when the rank has no remote face: the shell is empty).
-	// partNI holds each species' interior count after partitioning;
-	// partTail is partition scratch.
-	shell    []bool
-	partNI   []int
-	partTail []particle.Particle
+	// partNI holds each species' interior count after partitioning.
+	shell  []bool
+	partNI []int
 }
 
 // DomainConfig derives the decomposed-domain configuration (including
@@ -195,33 +193,34 @@ func shellMask(d *domain.Domain) []bool {
 	return shell
 }
 
-// partitionBoundary stably partitions a species buffer so interior
-// particles come first and boundary-shell particles form a tail block,
-// returning the interior count. The partition is a fixed reordering of
-// the buffer (independent of worker count), so the split push remains
-// bit-identical for any number of workers. With an empty shell the
-// buffer is all interior and is left untouched.
+// partitionBoundary partitions a species buffer in place, interior
+// particles first and boundary-shell particles as the tail, and returns
+// the interior count. Cursors scan in from both ends and swap each shell
+// particle of the prefix with an interior one of the suffix, so only
+// misplaced particles move. The result depends on the buffer alone (not
+// the worker count), so the split push stays bit-identical for any
+// number of workers. An empty shell leaves the buffer untouched.
 func (rk *Rank) partitionBoundary(buf *particle.Buffer) int {
-	n := buf.N()
+	i, j := 0, buf.N()
 	if rk.shell == nil {
-		return n
+		return j
 	}
-	tail := rk.partTail[:0]
-	w := 0
-	for i := 0; i < n; i++ {
-		p := buf.At(i)
-		if rk.shell[p.Voxel] {
-			tail = append(tail, p)
-		} else {
-			buf.Set(w, p)
-			w++
+	for {
+		for i < j && !rk.shell[buf.Voxel(i)] {
+			i++
 		}
+		for i < j && rk.shell[buf.Voxel(j-1)] {
+			j--
+		}
+		if i == j {
+			return i
+		}
+		j--
+		p := buf.At(i)
+		buf.Set(i, buf.At(j))
+		buf.Set(j, p)
+		i++
 	}
-	for j := range tail {
-		buf.Set(w+j, tail[j])
-	}
-	rk.partTail = tail
-	return w
 }
 
 // initDecomposed finishes a rank's initialization with the phases that

@@ -28,14 +28,14 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.Perf.AddBytes(perf.Sort, sortBytes)
 
 	// Particle advance and current deposition (the inner loop),
-	// boundary first: partition each species so the shell particles form
-	// a tail block, push the tail, post the particle exchange (only
-	// shell particles can migrate under the CFL bound, so the outgoing
-	// lists are final), then push the interior while the migrants fly.
-	// A rank with no remote face has an empty shell: the interior is the
-	// whole buffer, cut into the same blocks an unsplit sweep would use,
-	// and the exchange posts nothing. The partition and phase order are
-	// fixed, so results are bit-identical for any worker count.
+	// boundary first: partition each species in place so the shell
+	// particles form the tail, push the tail, post the particle exchange
+	// (only shell particles can migrate under the CFL bound, so the
+	// outgoing lists are final), then push the interior while the migrants
+	// fly. A rank with no remote face has an empty shell: the interior is
+	// the whole buffer, cut as an unsplit sweep would be, and the exchange
+	// posts nothing. The partition is a function of the buffer and the
+	// phase order is fixed, so results match for any worker count.
 	rk.Perf.Start(perf.Push)
 	// Windowed clears/reduce touch only occupied accumulator spans;
 	// charge their actual window sizes to the traffic model.

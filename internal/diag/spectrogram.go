@@ -94,15 +94,18 @@ func (s *Spectrogram) Compute() (power [][]float64, dk, dw float64, err error) {
 	return power, dk, dw, nil
 }
 
-// RidgeFrequency returns the ω of the strongest non-DC bin at spatial
-// mode ik — the measured branch frequency at that k.
-func (s *Spectrogram) RidgeFrequency(power [][]float64, dw float64, ik int) float64 {
+// RidgeFrequency returns the ω of the strongest non-DC bin at or above
+// wMin at spatial mode ik — the measured branch frequency at that k. The
+// floor keeps low-frequency noise leakage from outbidding a branch known
+// to lie above it (the Langmuir branch never dips below ωpe); wMin ≤ 0
+// searches every non-DC bin.
+func (s *Spectrogram) RidgeFrequency(power [][]float64, dw float64, ik int, wMin float64) float64 {
 	if ik < 0 || ik >= len(power) {
 		return 0
 	}
 	best, bw := 0.0, 0
 	for iw := 1; iw < len(power[ik]); iw++ {
-		if power[ik][iw] > best {
+		if float64(iw)*dw >= wMin && power[ik][iw] > best {
 			best = power[ik][iw]
 			bw = iw
 		}

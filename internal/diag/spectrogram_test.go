@@ -27,7 +27,7 @@ func TestSpectrogramFindsTravelingWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.RidgeFrequency(power, dw, mode)
+	got := s.RidgeFrequency(power, dw, mode, 0)
 	if math.Abs(got-omega) > 2*dw {
 		t.Fatalf("ridge at ω = %g, want %g (dω = %g)", got, omega, dw)
 	}
@@ -35,6 +35,28 @@ func TestSpectrogramFindsTravelingWave(t *testing.T) {
 	iw := int(omega / dw)
 	if power[mode][iw] < 50*power[mode+3][iw] {
 		t.Fatalf("ridge not localized in k: %g vs %g", power[mode][iw], power[mode+3][iw])
+	}
+}
+
+func TestRidgeFrequencyFloor(t *testing.T) {
+	// A synthetic spectrum whose leakage peak in bin 1 outbids the branch
+	// ridge in bin 12: the floor keeps the search on the branch.
+	dw := 0.05
+	row := make([]float64, 33)
+	for iw := range row {
+		row[iw] = 1e-3
+	}
+	row[0], row[1], row[12] = 50, 9, 4
+	power := [][]float64{nil, row}
+	s := NewSpectrogram(2, 1, 1)
+	if got := s.RidgeFrequency(power, dw, 1, 0); got != dw {
+		t.Fatalf("unfloored ridge at ω = %g, want the leakage bin %g", got, dw)
+	}
+	if got := s.RidgeFrequency(power, dw, 1, 10*dw); got != 12*dw {
+		t.Fatalf("floored ridge at ω = %g, want the branch bin %g", got, 12*dw)
+	}
+	if got := s.RidgeFrequency(power, dw, 1, 12*dw); got != 12*dw {
+		t.Fatalf("a floor on the ridge's own bin moved it to ω = %g", got)
 	}
 }
 
