@@ -41,14 +41,14 @@ func vpicCmd(args ...string) *exec.Cmd {
 // two forked rank processes over TCP must write byte-identical
 // state-CRC artifacts (exactly what the CI smoke step diffs) and
 // byte-identical energy CSVs, since energies are bit-identical across
-// transports.
+// transports. -every 0 samples the start only, on both paths.
 func TestDistributedCRCMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
 	dir := t.TempDir()
 	deckArgs := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8",
-		"-steps", "4", "-every", "2", "-ranks", "2", "-workers", "1"}
+		"-steps", "4", "-ranks", "2", "-workers", "1"}
 	artifacts := func(name string, extra ...string) (crc, csv []byte, out []byte) {
 		crcPath := filepath.Join(dir, "crc-"+name+".json")
 		csvPath := filepath.Join(dir, "energy-"+name+".csv")
@@ -65,19 +65,24 @@ func TestDistributedCRCMatchesInProcess(t *testing.T) {
 		}
 		return crc, csv, out
 	}
-	a, csvA, _ := artifacts("local")
-	b, csvB, out := artifacts("tcp", "-local-ranks", "2")
-	if !bytes.Equal(a, b) {
-		t.Errorf("state CRC artifacts differ:\nin-process: %s\nTCP:        %s", a, b)
-	}
-	if !bytes.Equal(csvA, csvB) {
-		t.Errorf("energy CSVs differ:\nin-process:\n%s\nTCP:\n%s", csvA, csvB)
-	}
-	if n := bytes.Count(csvA, []byte("\n")); n != 4 {
-		t.Errorf("energy CSV has %d lines, want a header and 3 samples:\n%s", n, csvA)
-	}
-	if !strings.Contains(string(out), "comm links:") {
-		t.Errorf("distributed run did not print the comm report:\n%s", out)
+	for _, tc := range []struct {
+		every   string
+		samples int
+	}{{"2", 3}, {"0", 1}} {
+		a, csvA, _ := artifacts("local-"+tc.every, "-every", tc.every)
+		b, csvB, out := artifacts("tcp-"+tc.every, "-every", tc.every, "-local-ranks", "2")
+		if !bytes.Equal(a, b) {
+			t.Errorf("-every %s: state CRC artifacts differ:\nin-process: %s\nTCP:        %s", tc.every, a, b)
+		}
+		if !bytes.Equal(csvA, csvB) {
+			t.Errorf("-every %s: energy CSVs differ:\nin-process:\n%s\nTCP:\n%s", tc.every, csvA, csvB)
+		}
+		if n := bytes.Count(csvA, []byte("\n")); n != 1+tc.samples {
+			t.Errorf("-every %s: energy CSV has %d lines, want a header and %d samples:\n%s", tc.every, n, tc.samples, csvA)
+		}
+		if !strings.Contains(string(out), "comm links:") {
+			t.Errorf("distributed run did not print the comm report:\n%s", out)
+		}
 	}
 }
 
@@ -337,17 +342,14 @@ func TestDeckFlagsMatchConfig(t *testing.T) {
 	}
 }
 
-// TestDistributedRejectsInProcessFlags: the artifact and profiling flags
-// only the in-process path implements fail a -local-ranks or -rank run
-// before any rank starts, naming every one given, instead of being
-// dropped with exit 0.
+// TestDistributedRejectsInProcessFlags: the profiles, which are of one
+// process, fail a -local-ranks or -rank run before any rank starts,
+// naming every one given, instead of being dropped with exit 0.
 func TestDistributedRejectsInProcessFlags(t *testing.T) {
 	deckArgs := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8", "-steps", "6", "-ranks", "2"}
 	for _, tc := range []struct {
 		args, want []string
 	}{
-		{[]string{"-local-ranks", "2", "-restore", "x"}, []string{"-restore"}},
-		{[]string{"-local-ranks", "2", "-checkpoint", "x"}, []string{"-checkpoint"}},
 		{[]string{"-rank", "1", "-join", "127.0.0.1:1", "-cpuprofile", "c", "-memprofile", "m"},
 			[]string{"-cpuprofile", "-memprofile"}},
 	} {

@@ -23,83 +23,67 @@ import (
 	"govpic/internal/transport"
 )
 
-// distFlags carries the distributed-mode command line.
-type distFlags struct {
-	rank, ranks  int
-	join, listen string
-	heartbeat    time.Duration
-	peerTimeout  time.Duration
-	steps, every int
-	out          string // energy CSV (rank 0)
-	stateCRC     string // state fingerprint JSON (rank 0)
-	commJSON     string // per-rank comm stats JSON (rank 0)
-}
-
-// runDistributed executes this process's rank of a TCP-distributed run
-// and, on rank 0, emits the run summary and requested artifacts.
-func runDistributed(d deck.Deck, fl distFlags) error {
-	logf := func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	}
-	topts := transport.Options{
-		HeartbeatInterval: fl.heartbeat,
-		PeerTimeout:       fl.peerTimeout,
-	}
-	if fl.peerTimeout > 0 {
+// transportOptions tunes the TCP mesh from -heartbeat and -peer-timeout.
+func transportOptions(heartbeat, peerTimeout time.Duration) transport.Options {
+	topts := transport.Options{HeartbeatInterval: heartbeat, PeerTimeout: peerTimeout}
+	if peerTimeout > 0 {
 		// -peer-timeout is the one failure-detection knob: scale the
 		// reconnect budget with it so a tightened timeout bounds the whole
 		// time-to-detection, not just the read deadline.
-		topts.DialTimeout = fl.peerTimeout
-		topts.ReconnectBackoff = fl.peerTimeout / 8
+		topts.DialTimeout = peerTimeout
+		topts.ReconnectBackoff = peerTimeout / 8
 		topts.ConnectAttempts = 4
 	}
-	res, err := dist.Run(d, fl.steps, fl.every, dist.Config{
-		Rank:      fl.rank,
-		Ranks:     fl.ranks,
-		Join:      fl.join,
-		Listen:    fl.listen,
-		Transport: topts,
-	}, logf)
-	if err != nil {
-		return err
-	}
-	if fl.rank != 0 {
-		return nil
-	}
+	return topts
+}
+
+// report prints rank 0's end-of-run block — energies, state CRCs, the
+// perf report and, when balancing, the final x-cuts — and writes the
+// requested artifacts atomically: the state-CRC fingerprint CI diffs
+// between worlds, the per-rank reports with their CRCs (the end-of-run
+// messages) and the energy history CSV.
+func report(d deck.Deck, res *dist.Result, stateCRC, commJSON, out string) error {
 	last := res.History.Samples[len(res.History.Samples)-1]
 	fmt.Printf("t = %.3f  field E = %.4g  field B = %.4g  kinetic = %.4g  total = %.4g\n",
 		last.Time, last.EField, last.BField, sum(last.Kinetic), last.Total)
 	fmt.Printf("relative energy drift: %.3g\n", res.History.RelativeDrift())
-	fmt.Printf("state CRCs:")
-	for _, c := range res.CRCs {
-		fmt.Printf(" %08x", c)
+	crcs := make([]string, len(res.CRCs))
+	recs := make([]commRecord, len(res.CRCs))
+	for i, c := range res.CRCs {
+		crcs[i] = fmt.Sprintf("%08x", c)
+		recs[i] = commRecord{res.Reports[i], crcs[i]}
 	}
-	fmt.Println()
+	fmt.Println("state CRCs:", strings.Join(crcs, " "))
 	printReport(res.Reports)
-	if fl.stateCRC != "" {
-		if err := writeStateCRCFile(fl.stateCRC, d.Name, res.Steps, res.Ranks, res.CRCs); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", fl.stateCRC)
+	if d.Cfg.Balance.Mode != balance.Off {
+		fmt.Printf("balance %s: x-cuts %v\n", d.Cfg.Balance.Mode, res.CutsX)
 	}
-	if fl.commJSON != "" {
-		if err := writeCommJSON(fl.commJSON, res.Reports, res.CRCs); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", fl.commJSON)
+	rows := make([][]float64, len(res.History.Samples))
+	for i, smp := range res.History.Samples {
+		rows[i] = []float64{float64(smp.Step), smp.Time, smp.EField, smp.BField, sum(smp.Kinetic), smp.Total}
 	}
-	if fl.out != "" {
-		if err := writeEnergyCSV(fl.out, &res.History); err != nil {
+	for _, a := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{stateCRC, jsonWriter(stateCRCFile{d.Name, res.Steps, len(crcs), crcs})},
+		{commJSON, jsonWriter(recs)},
+		{out, func(w io.Writer) error {
+			return diag.WriteCSV(w, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows)
+		}},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := output.WriteFileAtomic(a.path, a.write); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", fl.out)
+		fmt.Printf("wrote %s\n", a.path)
 	}
 	return nil
 }
 
-// stateCRCFile is the artifact the CI smoke test diffs between the
-// in-process and TCP runs; both paths must produce identical bytes for
-// identical state.
+// stateCRCFile is the -state-crc artifact.
 type stateCRCFile struct {
 	Deck  string   `json:"deck"`
 	Steps int      `json:"steps"`
@@ -107,56 +91,25 @@ type stateCRCFile struct {
 	CRCs  []string `json:"crcs"`
 }
 
-func writeStateCRCFile(path, deckName string, steps, ranks int, crcs []uint32) error {
-	rec := stateCRCFile{Deck: deckName, Steps: steps, Ranks: ranks}
-	for _, c := range crcs {
-		rec.CRCs = append(rec.CRCs, fmt.Sprintf("%08x", c))
-	}
-	return output.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rec)
-	})
-}
-
 // commRecord is one rank's -comm-json entry: its report and state CRC,
-// the shape of the end-of-run message a distributed run exchanges.
+// the shape of the end-of-run message the members exchange.
 type commRecord struct {
 	core.RankReport
 	CRC string `json:"crc"`
 }
 
-// writeCommJSON writes the per-rank reports with their state CRCs; both
-// run paths write it from the same reports, so the artifacts compare.
-func writeCommJSON(path string, reps []core.RankReport, crcs []uint32) error {
-	recs := make([]commRecord, len(reps))
-	for i, r := range reps {
-		recs[i] = commRecord{r, fmt.Sprintf("%08x", crcs[i])}
-	}
-	return output.WriteFileAtomic(path, func(w io.Writer) error {
+// jsonWriter writes v as indented JSON.
+func jsonWriter(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(recs)
-	})
-}
-
-// writeEnergyCSV writes the energy history both run paths print from;
-// like every other artifact it is written atomically, so a failed write
-// or close is an error and never leaves a truncated file.
-func writeEnergyCSV(path string, hist *diag.History) error {
-	rows := make([][]float64, len(hist.Samples))
-	for i, smp := range hist.Samples {
-		rows[i] = []float64{float64(smp.Step), smp.Time, smp.EField, smp.BField, sum(smp.Kinetic), smp.Total}
+		return enc.Encode(v)
 	}
-	return output.WriteFileAtomic(path, func(w io.Writer) error {
-		return diag.WriteCSV(w, []string{"step", "time", "efield", "bfield", "kinetic", "total"}, rows)
-	})
 }
 
-// printReport writes the end-of-run perf block the in-process and
-// distributed paths share, from the per-rank reports alone: section
-// table, sort passes, particle advances and, for a decomposed run, the
-// comm tables and the per-rank load.
+// printReport writes the end-of-run perf block from the per-rank
+// reports alone: section table, sort passes, particle advances and, for
+// a decomposed run, the comm tables and the per-rank load.
 func printReport(reps []core.RankReport) {
 	tot := core.SumReports(reps)
 	fmt.Print(tot.Breakdown.Report())
@@ -179,20 +132,8 @@ func printReport(reps []core.RankReport) {
 			fmt.Printf("  %-12s %14d %10d\n", c.Class, c.Bytes, c.Msgs)
 		}
 	}
-	particles, imbalance := rankLoad(reps)
+	particles, imbalance := core.RankLoad(reps)
 	fmt.Printf("per-rank particles: %v  push imbalance (max/mean): %.3f\n", particles, imbalance)
-}
-
-// rankLoad returns each rank's resident particle count and the max/mean
-// of the ranks' cumulative push seconds.
-func rankLoad(reps []core.RankReport) ([]int, float64) {
-	particles := make([]int, len(reps))
-	push := make([]float64, len(reps))
-	for i := range reps {
-		particles[i] = reps[i].Particles
-		push[i] = reps[i].Elapsed(perf.Push).Seconds()
-	}
-	return particles, balance.MaxOverMean(push)
 }
 
 // launchLocal forks n child processes of this binary, one per rank, on
@@ -209,11 +150,12 @@ func launchLocal(n int, rawArgs []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	base := stripFlag(rawArgs, "local-ranks")
 	cmds := make([]*exec.Cmd, n)
 	var pipes sync.WaitGroup
 	for i := 0; i < n; i++ {
-		args := append(append([]string{}, base...),
+		// A flag's last occurrence wins, so the child's -local-ranks=0
+		// overrides this process's.
+		args := append(append([]string{}, rawArgs...), "-local-ranks=0",
 			"-ranks", strconv.Itoa(n), "-rank", strconv.Itoa(i), "-join", join)
 		cmd := exec.Command(exe, args...)
 		stdout, err1 := cmd.StdoutPipe()
@@ -282,23 +224,4 @@ func freeLocalAddr() (string, error) {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr, nil
-}
-
-// stripFlag removes every occurrence of -name/--name (with a separate
-// or attached value) from args.
-func stripFlag(args []string, name string) []string {
-	out := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		trimmed := strings.TrimLeft(a, "-")
-		if trimmed == name {
-			i++ // skip the value
-			continue
-		}
-		if strings.HasPrefix(trimmed, name+"=") && strings.HasPrefix(a, "-") {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
 }

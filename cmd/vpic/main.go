@@ -12,16 +12,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"govpic/internal/balance"
 	"govpic/internal/deck"
-	"govpic/internal/diag"
-	"govpic/internal/output"
+	"govpic/internal/dist"
+	"govpic/internal/mp"
 )
 
 func main() {
@@ -59,21 +59,20 @@ func main() {
 		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout (0 = default)")
 	)
 	flag.Parse()
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected arguments %q (every input is a flag)", flag.Args())
+	}
 
-	// These flags act only on the in-process path: a distributed run
-	// refuses them, naming each, instead of dropping them.
-	if *localRanks > 1 || *rank >= 0 {
-		var bad []string
-		for _, name := range []string{"restore", "checkpoint", "cpuprofile", "memprofile"} {
-			if set[name] {
-				bad = append(bad, "-"+name)
-			}
+	// The profiles are of this process: a distributed run refuses them,
+	// naming each, instead of dropping them.
+	var refused []string
+	for _, p := range [][2]string{{"-cpuprofile", *cpuProf}, {"-memprofile", *memProf}} {
+		if p[1] != "" && (*localRanks > 1 || *rank >= 0) {
+			refused = append(refused, p[0])
 		}
-		if len(bad) > 0 {
-			log.Fatalf("%s: not supported by a distributed run (-rank, -local-ranks)", strings.Join(bad, ", "))
-		}
+	}
+	if len(refused) > 0 {
+		log.Fatalf("%s: not supported by a distributed run (-rank, -local-ranks)", strings.Join(refused, ", "))
 	}
 
 	if *localRanks > 1 {
@@ -115,109 +114,82 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Every world runs the one member driver, dist.Member: this
+	// process's rank of a TCP world, or every rank of an in-process one.
+	job := dist.Job{Steps: *steps, Every: *every, Restore: *restore, Checkpoint: *ckpt}
+	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	var res *dist.Result
 	if *rank >= 0 {
 		if *join == "" {
 			log.Fatal("-rank needs -join (the rendezvous address)")
 		}
-		err := runDistributed(d, distFlags{
-			rank: *rank, ranks: *ranks, join: *join, listen: *listen,
-			heartbeat: *heartbeat, peerTimeout: *peerTO,
-			steps: *steps, every: *every,
-			out: *out, stateCRC: *stateCRC, commJSON: *commJSON,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+		res, err = dist.Run(d, job, dist.Config{
+			Rank: *rank, Ranks: *ranks, Join: *join, Listen: *listen,
+			Transport: transportOptions(*heartbeat, *peerTO),
+		}, logf)
+	} else {
+		job.Around = profiled(*cpuProf, *memProf, *steps)
+		res, err = runInProcess(d, job, logf)
 	}
-	sim, err := d.New()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *restore != "" {
-		f, err := os.Open(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = sim.Restore(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("restored at step %d (t = %.3f), x-cuts %v\n", sim.StepCount(), sim.Time(), sim.CutsX())
+	if res.Rank != 0 {
+		return
 	}
+	if err := report(d, res, *stateCRC, *commJSON, *out); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	fmt.Printf("deck %q: %d cells, %d particles, %d ranks × %d workers, %s kernel, dt = %.4g\n",
-		d.Name, d.Cfg.NX*d.Cfg.NY*d.Cfg.NZ, sim.TotalParticles(), d.Cfg.NRanks, sim.Cfg.Workers, sim.Cfg.Kernel, d.Cfg.DT)
+// runInProcess runs every rank of the deck's world in this process, each
+// a dist.Member on its Comm of one mp world, and returns rank 0's
+// result or the lowest rank's error (the members fail together).
+func runInProcess(d deck.Deck, job dist.Job, logf func(string, ...any)) (*dist.Result, error) {
+	n := d.Cfg.NRanks
+	res, errs := make([]*dist.Result, n), make([]error, n)
+	mp.Run(n, func(c *mp.Comm) { res[c.Rank()], errs[c.Rank()] = dist.Member(d, c, job, logf) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res[0], nil
+}
 
-	var hist diag.History
-	hist.Add(sim.Energy())
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+// profiled returns the step-loop wrapper that writes a CPU profile of
+// the loop and a heap profile of the live state after the last step,
+// or nil when neither is asked for.
+func profiled(cpu, mem string, steps int) func(loop func()) {
+	if cpu == "" && mem == "" {
+		return nil
+	}
+	create := func(path string, fn func(io.Writer) error) *os.File {
+		f, err := os.Create(path)
+		if err == nil {
+			err = fn(f)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
+		return f
 	}
-	for s := 0; s < *steps; s++ {
-		sim.Step()
-		if (s+1)%*every == 0 {
-			hist.Add(sim.Energy())
+	return func(loop func()) {
+		if cpu != "" {
+			f := create(cpu, pprof.StartCPUProfile)
+			defer func() {
+				pprof.StopCPUProfile()
+				f.Close()
+				fmt.Printf("cpu profile covers the %d-step loop: %s\n", steps, cpu)
+			}()
 		}
-	}
-	if *cpuProf != "" {
-		fmt.Printf("cpu profile covers the %d-step loop: %s\n", *steps, *cpuProf)
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			log.Fatal(err)
+		loop()
+		if mem != "" {
+			runtime.GC() // report live steady-state allocations, not garbage
+			create(mem, pprof.WriteHeapProfile).Close()
+			fmt.Printf("wrote %s\n", mem)
 		}
-		runtime.GC() // report live steady-state allocations, not garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *memProf)
-	}
-	last := hist.Samples[len(hist.Samples)-1]
-	fmt.Printf("t = %.3f  field E = %.4g  field B = %.4g  kinetic = %.4g  total = %.4g\n",
-		last.Time, last.EField, last.BField, sum(last.Kinetic), last.Total)
-	fmt.Printf("relative energy drift: %.3g\n", hist.RelativeDrift())
-	reps := sim.Reports()
-	printReport(reps)
-	if d.Cfg.Balance.Mode != balance.Off {
-		fmt.Printf("balance %s: x-cuts %v\n", d.Cfg.Balance.Mode, sim.CutsX())
-	}
-	if *stateCRC != "" {
-		if err := writeStateCRCFile(*stateCRC, d.Name, sim.StepCount(), d.Cfg.NRanks, sim.StateCRCs()); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *stateCRC)
-	}
-	if *commJSON != "" {
-		if err := writeCommJSON(*commJSON, reps, sim.StateCRCs()); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *commJSON)
-	}
-
-	if *out != "" {
-		if err := writeEnergyCSV(*out, &hist); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if *ckpt != "" {
-		// Atomic (temp + fsync + rename): a crash mid-write can never
-		// corrupt a previous checkpoint at the same path.
-		if err := output.WriteFileAtomic(*ckpt, sim.Checkpoint); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("checkpoint written to %s\n", *ckpt)
 	}
 }
 

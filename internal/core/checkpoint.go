@@ -2,9 +2,10 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -30,8 +31,22 @@ import (
 // little-endian CRC32 (IEEE) of every preceding byte, so a truncated or
 // bit-flipped file is rejected instead of silently resumed from. Files
 // with an older magic carry no checksum or no layout and are refused.
+// Checkpoint and Restore are RankSim collectives, so a world writes and
+// reads the one file however its members are hosted; rank 0 alone
+// touches the file.
 
 const checkpointMagic = "GOVPIC-CKPT-3\n"
+
+// The collectives' tags sit below the domain layer's tag windows
+// (which start at 1<<10).
+const (
+	tagCheckpoint = 1<<9 + iota // a peer's payload, to rank 0
+	tagRestore                  // rank 0's read status, then the file, to each peer
+)
+
+// particleRecord is the size of one particle in writeState's form:
+// three f32 offsets, the u64 voxel, four f32 (momentum, weight).
+const particleRecord = 3*4 + 8 + 4*4
 
 // GeometryMismatchError reports a checkpoint whose global grid or
 // species count differs from the receiving simulation's: the file
@@ -60,7 +75,11 @@ func (c *cpWriter) u64(v uint64) {
 	_, c.err = c.w.Write(c.buf[:8])
 }
 
-func (c *cpWriter) f64(v float64) { c.u64(math.Float64bits(v)) }
+func (c *cpWriter) raw(b []byte) {
+	if c.err == nil {
+		_, c.err = c.w.Write(b)
+	}
+}
 
 func (c *cpWriter) f32s(a []float32) {
 	if c.err != nil {
@@ -74,88 +93,74 @@ func (c *cpWriter) f32s(a []float32) {
 	}
 }
 
-type cpReader struct {
-	r   io.Reader
-	err error
-	buf [8]byte
+// cursor reads little-endian values off the front of a checkpoint's
+// bytes; a read past the end marks it short and yields zeros.
+type cursor struct {
+	b     []byte
+	short bool
 }
 
-func (c *cpReader) u64() uint64 {
-	if c.err != nil {
-		return 0
+func (c *cursor) next(n uint64) []byte {
+	if c.short || n > uint64(len(c.b)) {
+		c.short = true
+		return make([]byte, 8)
 	}
-	if _, c.err = io.ReadFull(c.r, c.buf[:8]); c.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(c.buf[:8])
-}
-
-func (c *cpReader) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *cpReader) f32s(a []float32) {
-	if c.err != nil {
-		return
-	}
-	for i := range a {
-		if _, c.err = io.ReadFull(c.r, c.buf[:4]); c.err != nil {
-			return
-		}
-		a[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.buf[:4]))
-	}
-}
-
-// particle reads one particle record (writeState's gathered AoS form);
-// the voxel is returned as stored, for the caller's grid to interpret.
-func (c *cpReader) particle() (p particle.Particle) {
-	var v [7]float32
-	c.f32s(v[:3])
-	p.Voxel = int32(uint32(c.u64()))
-	c.f32s(v[3:])
-	p.Dx, p.Dy, p.Dz, p.Ux, p.Uy, p.Uz, p.W = v[0], v[1], v[2], v[3], v[4], v[5], v[6]
+	p := c.b[:n]
+	c.b = c.b[n:]
 	return p
 }
 
-// Checkpoint writes the full dynamic state to w (see the format above).
-func (s *Simulation) Checkpoint(w io.Writer) error {
+func (c *cursor) u64() uint64 { return binary.LittleEndian.Uint64(c.next(8)) }
+
+func (c *cursor) f32s(a []float32) {
+	p := c.next(4 * uint64(len(a)))
+	for i := 0; i < len(a) && !c.short; i++ {
+		a[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+}
+
+// Checkpoint writes the world's full dynamic state to w (see the format
+// above) — a collective every member calls at the same step. Rank 0 is
+// the only member that touches w: peers send it their payload and
+// return, and rank 0 writes the header, every payload in rank order and
+// the trailer. Rank 0 takes every peer's payload whatever happens to w,
+// so a failed write hangs no member; the write's error is rank 0's.
+func (rs *RankSim) Checkpoint(w io.Writer) error {
+	rk := rs.Rank
+	if rs.comm.Rank() != 0 {
+		var payload bytes.Buffer
+		rk.writeState(&cpWriter{w: &payload})
+		rs.comm.Send(0, tagCheckpoint, payload.Bytes())
+		return nil
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	h := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, h)
-	if _, err := io.WriteString(mw, checkpointMagic); err != nil {
-		return err
+	c := &cpWriter{w: io.MultiWriter(bw, h)}
+	c.raw([]byte(checkpointMagic))
+	for _, v := range []int{rs.Cfg.NX, rs.Cfg.NY, rs.Cfg.NZ, rs.comm.Size(), len(rs.Cfg.Species), rs.step} {
+		c.u64(uint64(v))
 	}
-	c := &cpWriter{w: mw}
-	c.u64(uint64(s.Cfg.NX))
-	c.u64(uint64(s.Cfg.NY))
-	c.u64(uint64(s.Cfg.NZ))
-	c.u64(uint64(len(s.Ranks)))
-	c.u64(uint64(len(s.Cfg.Species)))
-	c.u64(uint64(s.StepCount()))
-	c.f64(s.Time())
-	writeLayout(c, s.Ranks[0].D.Cfg.Layout)
-	for _, rk := range s.Ranks {
-		rk.writeState(c)
+	c.u64(math.Float64bits(rs.time))
+	lay := rk.D.Cfg.Layout
+	for _, vs := range [][]int{{lay.Dec.PX, lay.Dec.PY, lay.Dec.PZ}, lay.CX, lay.CY, lay.CZ} {
+		for _, v := range vs {
+			c.u64(uint64(v))
+		}
 	}
+	rk.writeState(c)
+	for p := 1; p < rs.comm.Size(); p++ {
+		c.raw(rs.comm.Recv(p, tagCheckpoint).([]byte))
+	}
+	c.raw(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
 	if c.err != nil {
 		return c.err
-	}
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], h.Sum32())
-	if _, err := bw.Write(tr[:]); err != nil {
-		return err
 	}
 	return bw.Flush()
 }
 
-// writeLayout serializes the rank layout.
-func writeLayout(c *cpWriter, lay grid.Layout) {
-	c.u64(uint64(lay.Dec.PX))
-	c.u64(uint64(lay.Dec.PY))
-	c.u64(uint64(lay.Dec.PZ))
-	for _, cuts := range [][]int{lay.CX, lay.CY, lay.CZ} {
-		for _, v := range cuts {
-			c.u64(uint64(v))
-		}
-	}
+// Checkpoint writes the world's checkpoint to w (RankSim.Checkpoint).
+func (s *Simulation) Checkpoint(w io.Writer) error {
+	return Collect(s, func(rs *RankSim) error { return rs.Checkpoint(w) })
 }
 
 // writeState serializes this rank's dynamic state — fields, background
@@ -187,10 +192,9 @@ func (rk *Rank) writeState(c *cpWriter) {
 }
 
 // readState is writeState's mirror: it replaces this rank's fields,
-// background and particles with the next payload of c, which must have
-// been written on a tile of the same shape. A read error stays in c for
-// the caller to report.
-func (rk *Rank) readState(c *cpReader) {
+// background and particles with the payload c holds, which Restore has
+// verified was written on a tile of the same shape.
+func (rk *Rank) readState(c *cursor) {
 	f := rk.D.F
 	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
 		c.f32s(a)
@@ -206,14 +210,30 @@ func (rk *Rank) readState(c *cpReader) {
 	for _, sp := range rk.Species {
 		n := int(c.u64())
 		sp.Buf.Clear()
-		// A read error ends the loop: a corrupt count must not append
-		// the particles it promises first.
-		for i := 0; i < n && c.err == nil; i++ {
-			if p := c.particle(); c.err == nil {
-				sp.Buf.Append(p)
-			}
+		for i := 0; i < n && !c.short; i++ {
+			var v [7]float32 // writeState's gathered AoS record
+			c.f32s(v[:3])
+			voxel := int32(uint32(c.u64()))
+			c.f32s(v[3:])
+			sp.Buf.Append(particle.Particle{Dx: v[0], Dy: v[1], Dz: v[2], Voxel: voxel, Ux: v[3], Uy: v[4], Uz: v[5], W: v[6]})
 		}
 	}
+}
+
+// skipPayload moves c past one rank's payload on a tile of nv voxels,
+// reading only its sizes (writeState's layout), and reports whether the
+// bytes held all of it.
+func skipPayload(c *cursor, nv, nSpecies int) bool {
+	c.next(9 * 4 * uint64(nv))
+	if c.u64() == 1 {
+		c.next(4 * uint64(nv))
+	}
+	for s := 0; s < nSpecies && !c.short; s++ {
+		n := c.u64()
+		c.short = c.short || n > uint64(len(c.b))/particleRecord
+		c.next(n * particleRecord)
+	}
+	return !c.short
 }
 
 // StateCRC fingerprints this rank's dynamic state: the CRC32 (IEEE) of
@@ -246,36 +266,31 @@ type cpHeader struct {
 	layout     grid.Layout
 }
 
-// readCheckpointHeader consumes the magic and header from br and
-// returns the parsed preamble, the reader positioned at the first
-// rank's payload, and the running checksum verifyTrailer finishes.
-func readCheckpointHeader(br *bufio.Reader) (*cpHeader, *cpReader, hash.Hash32, error) {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint truncated: %w", err)
+// readCheckpointHeader parses the magic and header off the front of c,
+// leaving c at the first rank's payload.
+func readCheckpointHeader(c *cursor) (*cpHeader, error) {
+	if len(c.b) < len(checkpointMagic) {
+		return nil, fmt.Errorf("core: checkpoint truncated: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic) != checkpointMagic {
-		if strings.HasPrefix(string(magic), "GOVPIC-CKPT-") {
-			return nil, nil, nil, fmt.Errorf("core: unsupported checkpoint version %q", magic[:len(magic)-1])
+	if magic := string(c.next(uint64(len(checkpointMagic)))); magic != checkpointMagic {
+		if strings.HasPrefix(magic, "GOVPIC-CKPT-") {
+			return nil, fmt.Errorf("core: unsupported checkpoint version %q", magic[:len(magic)-1])
 		}
-		return nil, nil, nil, fmt.Errorf("core: not a checkpoint (bad magic)")
+		return nil, fmt.Errorf("core: not a checkpoint (bad magic)")
 	}
-	h := crc32.NewIEEE()
-	h.Write(magic)
-	c := &cpReader{r: io.TeeReader(br, h)}
 	hd := &cpHeader{}
 	hd.nx, hd.ny, hd.nz = int(c.u64()), int(c.u64()), int(c.u64())
 	nRanks := int(c.u64())
 	hd.nSpecies = int(c.u64())
 	hd.step = int(c.u64())
-	hd.time = c.f64()
+	hd.time = math.Float64frombits(c.u64())
 	px, py, pz := int(c.u64()), int(c.u64()), int(c.u64())
-	if c.err == nil && px*py*pz != nRanks {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint layout %dx%dx%d does not cover %d ranks", px, py, pz, nRanks)
+	if !c.short && px*py*pz != nRanks {
+		return nil, fmt.Errorf("core: checkpoint layout %dx%dx%d does not cover %d ranks", px, py, pz, nRanks)
 	}
 	readCuts := func(p int) []int {
-		if c.err != nil || p < 1 || p > 1<<20 {
-			c.err = fmt.Errorf("implausible slab count %d", p)
+		if p < 1 || p > 1<<20 {
+			c.short = true
 			return nil
 		}
 		cuts := make([]int, p+1)
@@ -285,92 +300,120 @@ func readCheckpointHeader(br *bufio.Reader) (*cpHeader, *cpReader, hash.Hash32, 
 		return cuts
 	}
 	cx, cy, cz := readCuts(px), readCuts(py), readCuts(pz)
-	if c.err != nil {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
+	if c.short {
+		return nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", io.ErrUnexpectedEOF)
 	}
 	dec := grid.Decomp{PX: px, PY: py, PZ: pz, GNX: hd.nx, GNY: hd.ny, GNZ: hd.nz}
 	lay, err := grid.NewLayout(dec, cx, cy, cz)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint layout invalid: %w", err)
+		return nil, fmt.Errorf("core: checkpoint layout invalid: %w", err)
 	}
 	hd.layout = lay
-	return hd, c, h, nil
+	return hd, nil
 }
 
-// verifyTrailer checks the CRC trailer against the bytes read so far.
-func verifyTrailer(br *bufio.Reader, h hash.Hash32) error {
-	want := h.Sum32()
-	var tr [4]byte
-	if _, err := io.ReadFull(br, tr[:]); err != nil {
-		return fmt.Errorf("core: checkpoint truncated (missing CRC trailer): %w", err)
+// verifyCheckpoint checks data for rank of a world with config cfg on
+// layout cur — header, geometry (*GeometryMismatchError), layout (only
+// x-cuts may differ), every payload's extent and the CRC trailer — and
+// returns the header and a cursor on rank's payload.
+func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpHeader, *cursor, error) {
+	c := &cursor{b: data}
+	hd, err := readCheckpointHeader(c)
+	if err != nil {
+		return nil, nil, err
 	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != want {
-		return fmt.Errorf("core: checkpoint corrupt: CRC %08x in file, %08x computed", got, want)
-	}
-	return nil
-}
-
-// checkGeometry compares a checkpoint's global geometry to the
-// config's, returning the structured hard error on mismatch.
-func checkGeometry(hd *cpHeader, cfg *Config) error {
 	if hd.nx != cfg.NX || hd.ny != cfg.NY || hd.nz != cfg.NZ || hd.nSpecies != len(cfg.Species) {
-		return &GeometryMismatchError{
+		return nil, nil, &GeometryMismatchError{
 			FileNX: hd.nx, FileNY: hd.ny, FileNZ: hd.nz, FileSpecies: hd.nSpecies,
 			WantNX: cfg.NX, WantNY: cfg.NY, WantNZ: cfg.NZ, WantSpecies: len(cfg.Species),
 		}
 	}
-	return nil
+	onFileCuts := cur
+	onFileCuts.CX = hd.layout.CX
+	if !hd.layout.Equal(onFileCuts) {
+		return nil, nil, fmt.Errorf("core: checkpoint layout %+v does not match simulation layout %+v (only x-cuts may differ)", hd.layout, cur)
+	}
+	var mine cursor
+	for r := 0; r < hd.layout.Dec.NRanks(); r++ {
+		g, err := hd.layout.Local(r, cfg.DX, cfg.DY, cfg.DZ)
+		if err != nil {
+			return nil, nil, err
+		}
+		start := c.b
+		if !skipPayload(c, g.NV(), hd.nSpecies) {
+			return nil, nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", io.ErrUnexpectedEOF)
+		}
+		if r == rank {
+			mine.b = start[:len(start)-len(c.b)]
+		}
+	}
+	if len(c.b) < 4 {
+		return nil, nil, fmt.Errorf("core: checkpoint truncated (missing CRC trailer): %w", io.ErrUnexpectedEOF)
+	}
+	if got, want := binary.LittleEndian.Uint32(c.b), crc32.ChecksumIEEE(data[:len(data)-len(c.b)]); got != want {
+		return nil, nil, fmt.Errorf("core: checkpoint corrupt: CRC %08x in file, %08x computed", got, want)
+	}
+	return hd, &mine, nil
 }
 
-// Restore loads a checkpoint written by a simulation with the same
-// geometry and species list, replacing all dynamic state bit-exactly.
-// The run resumes on the decomposition the file was written under: when
-// the file's layout differs from the simulation's only in its x-cuts
-// (an online rebalance moved them), every rank is first rebuilt on the
-// recorded cuts in place, so Ranks and World stay valid. A grid or
-// species mismatch returns *GeometryMismatchError; any other layout
-// difference is an error naming both layouts. Every file is
-// checksum-verified; a truncated or bit-flipped one is rejected with an
-// error, in which case the simulation's dynamic state (and possibly its
-// x-cuts) is undefined and the caller should rebuild or re-restore
-// before stepping.
-func (s *Simulation) Restore(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hd, c, h, err := readCheckpointHeader(br)
+// Restore replaces this member's dynamic state bit-exactly with a
+// checkpoint of a world with the same geometry and species — a
+// collective every member calls at the same step. Rank 0 alone touches
+// r: it reads the file once and hands the bytes (or its read error) to
+// every peer. Each member makes every check on the same bytes, so all
+// return the same error or none does, and a rejected file changes no
+// member. Only then does the member move onto the file's x-cuts in
+// place (adoptDomain) and read its own payload.
+func (rs *RankSim) Restore(r io.Reader) error {
+	data, err := rs.shareFile(r)
 	if err != nil {
 		return err
 	}
-	if err := checkGeometry(hd, &s.Cfg); err != nil {
+	rk := rs.Rank
+	hd, payload, err := verifyCheckpoint(data, &rs.Cfg, rk.D.Cfg.Layout, rs.comm.Rank())
+	if err != nil {
 		return err
 	}
-	if cur := s.Ranks[0].D.Cfg.Layout; !hd.layout.Equal(cur) {
-		onFileCuts := cur
-		onFileCuts.CX = hd.layout.CX
-		if !hd.layout.Equal(onFileCuts) {
-			return fmt.Errorf("core: checkpoint layout %+v does not match simulation layout %+v (only x-cuts may differ)", hd.layout, cur)
+	if !hd.layout.Equal(rk.D.Cfg.Layout) {
+		dcfg := rk.D.Cfg
+		dcfg.Layout = hd.layout
+		d, err := domain.New(dcfg, rk.D.Comm)
+		if err != nil {
+			return err
 		}
-		for _, rk := range s.Ranks {
-			dcfg := rk.D.Cfg
-			dcfg.Layout = hd.layout
-			d, err := domain.New(dcfg, rk.D.Comm)
-			if err != nil {
-				return err
-			}
-			rk.adoptDomain(&s.Cfg, d)
-		}
+		rk.adoptDomain(&rs.Cfg, d)
 	}
-	for _, rk := range s.Ranks {
-		rk.readState(c)
-	}
-	if c.err != nil {
-		return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
-	}
-	if err := verifyTrailer(br, h); err != nil {
-		return err
-	}
-	s.each(func(rs *RankSim) {
-		rs.step, rs.time = hd.step, hd.time
-		rs.Rank.IP.Load(rs.Rank.D.F) // rebuild derived state
-	})
+	rk.readState(payload)
+	rs.step, rs.time = hd.step, hd.time
+	rk.IP.Load(rk.D.F) // rebuild derived state
 	return nil
+}
+
+// shareFile reads r to its end on rank 0 and hands every peer a status
+// (the read error's text, empty on success) and then the bytes.
+func (rs *RankSim) shareFile(r io.Reader) ([]byte, error) {
+	if rs.comm.Rank() != 0 {
+		if status := rs.comm.Recv(0, tagRestore).([]byte); len(status) > 0 {
+			return nil, errors.New(string(status))
+		}
+		return rs.comm.Recv(0, tagRestore).([]byte), nil
+	}
+	data, err := io.ReadAll(r)
+	var status []byte
+	if err != nil {
+		err = fmt.Errorf("core: checkpoint unreadable: %w", err)
+		status = []byte(err.Error())
+	}
+	for p := 1; p < rs.comm.Size(); p++ {
+		rs.comm.Send(p, tagRestore, status)
+		if err == nil {
+			rs.comm.Send(p, tagRestore, data)
+		}
+	}
+	return data, err
+}
+
+// Restore loads a checkpoint into every member (RankSim.Restore).
+func (s *Simulation) Restore(r io.Reader) error {
+	return Collect(s, func(rs *RankSim) error { return rs.Restore(r) })
 }

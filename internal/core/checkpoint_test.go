@@ -3,19 +3,34 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+
+	"govpic/internal/balance"
 )
 
-// ckptFixture runs a small plasma a few steps and returns its v3
-// checkpoint bytes together with the config that produced them.
-func ckptFixture(t testing.TB) (Config, []byte) {
+// ckptFixture runs a small plasma a few steps on 1 or 2 ranks and
+// returns its v3 checkpoint bytes together with the config that
+// produced them. The 2-rank world balances online and has had its
+// x-cuts moved to [0 6 16], so its file's layout differs from a fresh
+// world's.
+func ckptFixture(t testing.TB, ranks int) (Config, []byte) {
 	t.Helper()
-	cfg := periodicPlasma(16, 0.2, 0.05, 8, 1)
+	cfg := periodicPlasma(16, 0.2, 0.05, 8, ranks)
+	if ranks > 1 {
+		cfg.Balance.Mode = balance.Online
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ranks > 1 {
+		s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 6, 16}) })
 	}
 	s.Run(5)
 	var buf bytes.Buffer
@@ -25,8 +40,94 @@ func ckptFixture(t testing.TB) (Config, []byte) {
 	return cfg, buf.Bytes()
 }
 
+// TestCheckpointBytesPinned: the fixtures' files are byte for byte the
+// ones the whole-world writer produced before Checkpoint became a
+// collective — the same length and the same trailer (the CRC32 of every
+// byte before it) — so the v3 format did not move.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		ranks, size int
+		crc         uint32
+	}{{1, 11250, 0x038e2be4}, {2, 11994, 0x7bdff57d}} {
+		_, ckpt := ckptFixture(t, tc.ranks)
+		if got := crc32.ChecksumIEEE(ckpt[:len(ckpt)-4]); len(ckpt) != tc.size || got != tc.crc {
+			t.Errorf("%d-rank checkpoint: %d bytes, CRC %08x; want %d bytes, CRC %08x",
+				tc.ranks, len(ckpt), got, tc.size, tc.crc)
+		}
+	}
+}
+
+// retrail rewrites a checkpoint's CRC trailer to match its edited body.
+func retrail(ckpt []byte) []byte {
+	binary.LittleEndian.PutUint32(ckpt[len(ckpt)-4:], crc32.ChecksumIEEE(ckpt[:len(ckpt)-4]))
+	return ckpt
+}
+
+// TestRestoreRejectedOnEveryMember: on a 2-rank world, a bit-flipped,
+// truncated, other-geometry or other-y-cuts file, or a failing reader,
+// makes every member's Restore return the same error, and leaves every
+// member's state, step count and x-cuts as they were — the bit-flipped
+// file carries moved x-cuts, so adopting them before the checks would
+// show.
+func TestRestoreRejectedOnEveryMember(t *testing.T) {
+	cfg, ckpt := ckptFixture(t, 2)
+	flipped := append([]byte(nil), ckpt...)
+	flipped[len(flipped)/2] ^= 0x10
+	wide := cfg
+	wide.NX = 32
+	wideCkpt := checkpointBytes(t, mustNew(t, wide))
+
+	// A 1×2×1 world, whose file's y-cuts [0 4 8] become [0 3 8] (the
+	// middle cut is the u64 after the header, the shape and two x-cuts).
+	ySplit := spikePlasma(4, 8, 1, 4, 2)
+	yCkpt := checkpointBytes(t, mustNew(t, ySplit))
+	off := len(checkpointMagic) + 8*(7+3+2+1)
+	if got := binary.LittleEndian.Uint64(yCkpt[off:]); got != 4 {
+		t.Fatalf("middle y-cut at offset %d reads %d, want 4", off, got)
+	}
+	binary.LittleEndian.PutUint64(yCkpt[off:], 3)
+	yCkpt = retrail(yCkpt)
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		src  io.Reader
+		want string
+	}{
+		{"bit flip", cfg, bytes.NewReader(flipped), "CRC"},
+		{"truncation", cfg, bytes.NewReader(ckpt[:len(ckpt)*3/4]), "truncated"},
+		{"geometry", cfg, bytes.NewReader(wideCkpt), "does not match"},
+		{"y-cuts", ySplit, bytes.NewReader(yCkpt), "only x-cuts may differ"},
+		{"read error", cfg, iotest.ErrReader(errors.New("disk gone")), "disk gone"},
+	} {
+		s := mustNew(t, tc.cfg)
+		s.Run(2)
+		crcs, cuts := s.StateCRCs(), s.CutsX()
+		errs := make([]error, len(s.Ranks))
+		// One reader for the world: only rank 0 may touch it (the race
+		// detector sees a peer that does).
+		s.each(func(rs *RankSim) { errs[rs.comm.Rank()] = rs.Restore(tc.src) })
+		for r, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: member %d: err = %v, want %q", tc.name, r, err, tc.want)
+			} else if err.Error() != errs[0].Error() {
+				t.Errorf("%s: member %d: err = %v, member 0's %v", tc.name, r, err, errs[0])
+			}
+		}
+		if got := s.StateCRCs(); !equalCRCs(got, crcs) {
+			t.Errorf("%s: CRCs %08x after the rejected restore, %08x before", tc.name, got, crcs)
+		}
+		for r, rs := range s.sims {
+			if rs.StepCount() != 2 || !balance.CutsEqual(rs.CutsX(), cuts) {
+				t.Errorf("%s: member %d at step %d on x-cuts %v, want step 2 on %v",
+					tc.name, r, rs.StepCount(), rs.CutsX(), cuts)
+			}
+		}
+	}
+}
+
 func TestCheckpointCRCDetectsBitFlip(t *testing.T) {
-	cfg, ckpt := ckptFixture(t)
+	cfg, ckpt := ckptFixture(t, 1)
 	// Flip one bit mid-file (inside the state payload, well past the
 	// header) — structurally valid, numerically corrupt.
 	flipped := append([]byte(nil), ckpt...)
@@ -46,7 +147,7 @@ func TestCheckpointCRCDetectsBitFlip(t *testing.T) {
 }
 
 func TestCheckpointRejectsTruncated(t *testing.T) {
-	cfg, ckpt := ckptFixture(t)
+	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +183,7 @@ func corruptCount(t testing.TB, ckpt []byte, n int) []byte {
 // count is reported as the truncation it is, without first allocating
 // the particles the count promises.
 func TestCheckpointRejectsCorruptCount(t *testing.T) {
-	cfg, ckpt := ckptFixture(t)
+	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +205,7 @@ func TestCheckpointRejectsCorruptCount(t *testing.T) {
 // files are refused by name, so everything Restore accepts is
 // CRC-verified; an unrelated file is still "not a checkpoint".
 func TestCheckpointRejectsOldVersions(t *testing.T) {
-	cfg, ckpt := ckptFixture(t)
+	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +225,7 @@ func TestCheckpointRejectsOldVersions(t *testing.T) {
 }
 
 func TestRestoreRejectsGeometryMismatch(t *testing.T) {
-	cfg, ckpt := ckptFixture(t)
+	cfg, ckpt := ckptFixture(t, 1)
 
 	// Different global cell count.
 	wide := cfg
@@ -154,29 +255,41 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 }
 
 // FuzzCheckpointRestore: Restore never panics on arbitrary bytes, and
-// accepts a file only if it begins with the fixture's unmodified bytes
-// — the CRC trailer covers everything it reads, and a suffix past the
-// trailer is never read. One simulation serves every input: a restore
-// overwrites all the state a checkpoint carries, and the one-rank
-// fixture has no x-cuts a file could move.
+// a world accepts a file only if it begins with its own fixture's
+// unmodified bytes — the CRC trailer covers everything it reads, and a
+// suffix past the trailer is never read. Every input goes to a 1-rank
+// and a 2-rank world. One world of each serves every input: a restore
+// overwrites all the state a checkpoint carries, a rejected file
+// changes nothing, and the only x-cuts an accepted file can bring are
+// the 2-rank fixture's.
 func FuzzCheckpointRestore(f *testing.F) {
-	cfg, ckpt := ckptFixture(f)
-	s, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
+	type world struct {
+		s    *Simulation
+		ckpt []byte
 	}
-	f.Add(ckpt)
-	for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
-		f.Add(ckpt[:cut])
+	var worlds []world
+	for _, ranks := range []int{1, 2} {
+		cfg, ckpt := ckptFixture(f, ranks)
+		s, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		worlds = append(worlds, world{s, ckpt})
+		f.Add(ckpt)
+		for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
+			f.Add(ckpt[:cut])
+		}
+		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
+			f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
+		}
 	}
-	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
-		f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
-	}
-	f.Add(corruptCount(f, ckpt, s.TotalParticles()))
+	f.Add(corruptCount(f, worlds[0].ckpt, worlds[0].s.TotalParticles()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		unmodified := bytes.HasPrefix(data, ckpt)
-		if err := s.Restore(bytes.NewReader(data)); (err == nil) != unmodified {
-			t.Fatalf("Restore: err = %v on %d bytes (fixture prefix: %v)", err, len(data), unmodified)
+		for _, w := range worlds {
+			unmodified := bytes.HasPrefix(data, w.ckpt)
+			if err := w.s.Restore(bytes.NewReader(data)); (err == nil) != unmodified {
+				t.Fatalf("%d-rank Restore: err = %v on %d bytes (fixture prefix: %v)", len(w.s.Ranks), err, len(data), unmodified)
+			}
 		}
 	})
 }

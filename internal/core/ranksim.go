@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"govpic/internal/balance"
@@ -69,22 +68,6 @@ func (rs *RankSim) Run(n int) {
 	for i := 0; i < n; i++ {
 		rs.Step()
 	}
-}
-
-// RunContext advances until `until` total steps, stopping early on
-// cancellation; progress (if non-nil) runs after every step while the
-// rank is quiescent.
-func (rs *RankSim) RunContext(ctx context.Context, until int, progress func(step int)) error {
-	for rs.step < until {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rs.Step()
-		if progress != nil {
-			progress(rs.step)
-		}
-	}
-	return nil
 }
 
 // StepCount returns the number of completed steps.

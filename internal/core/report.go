@@ -1,6 +1,7 @@
 package core
 
 import (
+	"govpic/internal/balance"
 	"govpic/internal/domain"
 	"govpic/internal/perf"
 	psort "govpic/internal/sort"
@@ -84,4 +85,16 @@ func SumReports(reps []RankReport) RankReport {
 		}
 	}
 	return t
+}
+
+// RankLoad returns each rank's resident particle count and the max/mean
+// of the ranks' cumulative push seconds.
+func RankLoad(reps []RankReport) ([]int, float64) {
+	particles := make([]int, len(reps))
+	push := make([]float64, len(reps))
+	for i := range reps {
+		particles[i] = reps[i].Particles
+		push[i] = reps[i].Elapsed(perf.Push).Seconds()
+	}
+	return particles, balance.MaxOverMean(push)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 
 	"govpic/internal/diag"
@@ -88,28 +87,6 @@ func (s *Simulation) Run(n int) {
 	for i := 0; i < n; i++ {
 		s.Step()
 	}
-}
-
-// RunContext advances the simulation until it has completed `until`
-// total steps (counting any steps already taken, e.g. before a restore),
-// stopping early when ctx is cancelled. After every step — while the
-// simulation is quiescent and safe to inspect, checkpoint, or sample —
-// the progress callback (if non-nil) is invoked with the completed step
-// count. Returns ctx.Err() on cancellation, nil on completion. This is
-// the service-tier entry point: progress drives job status, energy
-// sampling and periodic checkpoints, and cancellation implements
-// preemption.
-func (s *Simulation) RunContext(ctx context.Context, until int, progress func(step int)) error {
-	for s.StepCount() < until {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.Step()
-		if progress != nil {
-			progress(s.StepCount())
-		}
-	}
-	return nil
 }
 
 // StepCount returns the number of completed steps.

@@ -1,32 +1,37 @@
-// Package dist runs one rank of a network-distributed simulation: it
-// joins the TCP rendezvous, builds this rank's tile (core.RankSim) and
-// drives the shared step path, then exchanges end-of-run messages so
-// every process holds all ranks' state CRCs and core.RankReports.
-// Transport failures surface as attributed errors, never hangs: a comm
-// panic raised anywhere in the step is recovered and returned.
+// Package dist is the one member driver of a run: every world runs
+// Member on each rank — cmd/vpic's in-process world on the Comms of an
+// mp world, Run on the TCP endpoint of one process per rank. A member
+// builds its tile (core.RankSim), restores, steps while sampling the
+// global energy, checkpoints, and exchanges every rank's state CRC and
+// core.RankReport. Failures are errors on every member, never hangs: a
+// comm panic is recovered, and rank 0 hands its file errors to peers.
 package dist
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/mp"
+	"govpic/internal/output"
 	"govpic/internal/transport"
 )
 
-// Report tags live below the domain layer's tag windows (which start at
-// 1<<10) and are only used after the last exchange of the run.
+// The member's tags sit below core's checkpoint tags (1<<9).
 const (
 	tagReport    = 1
 	tagReportAll = 2
+	tagVerdict   = 3
 )
 
-// Config selects this process's place in the world and the transport
+// Config selects this process's place in a TCP world and the transport
 // tuning.
 type Config struct {
 	Rank   int    // this process's rank
@@ -38,15 +43,26 @@ type Config struct {
 	Transport transport.Options
 }
 
-// Result is what a completed distributed run leaves on every rank.
+// Job is what a member runs: Steps more steps, sampling the global
+// energy at the start and at every step count that is a multiple of
+// Every (0: the start only), resuming from the checkpoint at Restore
+// and writing one to Checkpoint when set (rank 0 alone opens either).
+// Around, when set, runs rank 0's step loop (cmd/vpic's profiles).
+type Job struct {
+	Steps, Every        int
+	Restore, Checkpoint string
+	Around              func(loop func())
+}
+
+// Result is what a completed run leaves on every member.
 type Result struct {
 	Rank    int
-	Ranks   int
-	Steps   int
+	Steps   int               // completed steps, counting those before a restore
+	CutsX   []int             // the x-plane cuts at the end
 	CRCs    []uint32          // every rank's state CRC, rank order
 	Reports []core.RankReport // every rank's report, rank order
-	History diag.History      // global energy history (identical on every rank)
-	Wall    time.Duration
+	History diag.History      // global energy history (identical on every member)
+	Wall    time.Duration     // the step loop
 }
 
 // endOfRun is the message each rank sends at the end of the run: its
@@ -56,25 +72,30 @@ type endOfRun struct {
 	CRC string `json:"crc"`
 }
 
-// Run executes the deck for the given number of steps as rank c.Rank of
-// a c.Ranks world, sampling the global energy every `every` steps.
-// logf, when non-nil, receives progress lines.
-func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args ...any)) (res *Result, err error) {
+// Run executes job as rank c.Rank of a c.Ranks TCP world: it joins the
+// rendezvous and runs Member on the mesh endpoint. logf, when non-nil,
+// receives progress lines.
+func Run(dk deck.Deck, job Job, c Config, logf func(format string, args ...any)) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if c.Ranks < 1 || c.Rank < 0 || c.Rank >= c.Ranks {
-		return nil, fmt.Errorf("dist: rank %d outside world of size %d", c.Rank, c.Ranks)
-	}
-	dk.Cfg.NRanks = c.Ranks
-
 	tr, err := transport.Connect(c.Rank, c.Ranks, c.Join, c.Listen, c.Transport)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d: %w", c.Rank, err)
 	}
 	defer tr.Close()
 	logf("rank %d/%d connected (join %s)", c.Rank, c.Ranks, c.Join)
+	return Member(dk, mp.NewComm(tr), job, logf)
+}
 
+// Member runs job as comm's rank of a world of comm.Size() ranks; every
+// rank of the world must call it concurrently. Rank 0 logs its progress
+// lines through logf (nil = quiet); the peers are quiet.
+func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args ...any)) (res *Result, err error) {
+	rank := comm.Rank()
+	if logf == nil || rank != 0 {
+		logf = func(string, ...any) {}
+	}
 	// Everything from here on may panic with an mp.CommError (a peer
 	// died, a link overflowed, a protocol mismatch): convert those to
 	// clean attributed errors; anything else is a real bug.
@@ -84,62 +105,139 @@ func Run(dk deck.Deck, steps, every int, c Config, logf func(format string, args
 			if !ok {
 				panic(p)
 			}
-			res, err = nil, fmt.Errorf("dist: rank %d: %w", c.Rank, ce)
+			res, err = nil, fmt.Errorf("dist: rank %d: %w", rank, ce)
 		}
 	}()
 
-	comm := mp.NewComm(tr)
+	dk.Cfg.NRanks = comm.Size()
 	rs, err := dk.NewRank(comm)
 	if err != nil {
-		return nil, fmt.Errorf("dist: rank %d: %w", c.Rank, err)
+		return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
 	}
-
-	result := &Result{Rank: c.Rank, Ranks: c.Ranks, Steps: steps}
-	result.History.Add(rs.Energy())
-	start := time.Now()
-	// The signature carries no context; a dead peer ends the run through
-	// the transport's failure detector, not through cancellation.
-	_ = rs.RunContext(context.TODO(), steps, func(step int) {
-		if every > 0 && step%every == 0 {
-			result.History.Add(rs.Energy())
+	if job.Restore != "" {
+		if err := restore(rs, job.Restore); err != nil {
+			return nil, err
 		}
-	})
-	result.Wall = time.Since(start)
-	logf("rank %d finished %d steps in %s", c.Rank, steps, result.Wall.Round(time.Millisecond))
+		logf("restored at step %d (t = %.3f), x-cuts %v", rs.StepCount(), rs.Time(), rs.CutsX())
+	}
+	cfg, particles := rs.Cfg, rs.TotalParticles()
+	logf("deck %q: %d cells, %d particles, %d ranks × %d workers, %s kernel, dt = %.4g",
+		dk.Name, cfg.NX*cfg.NY*cfg.NZ, particles, cfg.NRanks, cfg.Workers, cfg.Kernel, cfg.DT)
+
+	res = &Result{Rank: rank}
+	res.History.Add(rs.Energy())
+	loop := func() {
+		start := time.Now()
+		for i := 0; i < job.Steps; i++ {
+			rs.Step()
+			if job.Every > 0 && rs.StepCount()%job.Every == 0 {
+				res.History.Add(rs.Energy())
+			}
+		}
+		res.Wall = time.Since(start)
+	}
+	if job.Around != nil && rank == 0 {
+		job.Around(loop)
+	} else {
+		loop()
+	}
+	logf("finished %d steps in %s", job.Steps, res.Wall.Round(time.Millisecond))
+	res.Steps, res.CutsX = rs.StepCount(), rs.CutsX()
+
+	// The report and CRC describe the run, so they are taken before the
+	// checkpoint's traffic.
+	comm.Barrier()
+	blob, _ := json.Marshal(endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())})
+	if job.Checkpoint != "" {
+		if err := checkpoint(rs, job.Checkpoint); err != nil {
+			return nil, err
+		}
+		logf("checkpoint written to %s", job.Checkpoint)
+	}
 
 	// End-of-run report exchange: gather to rank 0, broadcast the full
 	// set, so every process can verify CRC agreement locally.
-	comm.Barrier()
-	mine := endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())}
-	all := make([]endOfRun, c.Ranks)
-	if c.Rank == 0 {
-		all[0] = mine
-		for r := 1; r < c.Ranks; r++ {
-			blob := comm.Recv(r, tagReport).([]byte)
-			if jerr := json.Unmarshal(blob, &all[r]); jerr != nil {
-				return nil, fmt.Errorf("dist: rank %d report: %w", r, jerr)
-			}
+	if rank == 0 {
+		blobs := [][]byte{blob}
+		for r := 1; r < comm.Size(); r++ {
+			blobs = append(blobs, comm.Recv(r, tagReport).([]byte))
 		}
-		blob, _ := json.Marshal(all)
-		for r := 1; r < c.Ranks; r++ {
-			comm.Send(r, tagReportAll, blob)
-		}
+		blob = append(append([]byte("["), bytes.Join(blobs, []byte(","))...), ']')
 	} else {
-		blob, _ := json.Marshal(mine)
 		comm.Send(0, tagReport, blob)
-		blob = comm.Recv(0, tagReportAll).([]byte)
-		if jerr := json.Unmarshal(blob, &all); jerr != nil {
-			return nil, fmt.Errorf("dist: report broadcast: %w", jerr)
-		}
 	}
-	result.CRCs = make([]uint32, c.Ranks)
-	result.Reports = make([]core.RankReport, c.Ranks)
+	var all []endOfRun
+	if err := json.Unmarshal(fromRank0(comm, tagReportAll, blob), &all); err != nil {
+		return nil, fmt.Errorf("dist: rank %d: end-of-run reports: %w", rank, err)
+	}
+	res.CRCs = make([]uint32, len(all))
 	for r, m := range all {
-		if _, serr := fmt.Sscanf(m.CRC, "%08x", &result.CRCs[r]); serr != nil {
-			return nil, fmt.Errorf("dist: rank %d sent CRC %q: %w", r, m.CRC, serr)
+		if _, err := fmt.Sscanf(m.CRC, "%08x", &res.CRCs[r]); err != nil {
+			return nil, fmt.Errorf("dist: rank %d sent CRC %q: %w", r, m.CRC, err)
 		}
-		result.Reports[r] = m.RankReport
+		res.Reports = append(res.Reports, m.RankReport)
 	}
 	comm.Barrier() // everyone has the reports before anyone says goodbye
-	return result, nil
+	return res, nil
 }
+
+// fromRank0 hands every member rank 0's blob.
+func fromRank0(comm *mp.Comm, tag int, blob []byte) []byte {
+	if comm.Rank() != 0 {
+		return comm.Recv(0, tag).([]byte)
+	}
+	for r := 1; r < comm.Size(); r++ {
+		comm.Send(r, tag, blob)
+	}
+	return blob
+}
+
+// restore loads the checkpoint at path into every member. Rank 0 opens
+// it; an open failure still runs the collective, which hands the error
+// to every peer.
+func restore(rs *core.RankSim, path string) error {
+	var r io.Reader
+	if rs.Comm().Rank() == 0 {
+		f, err := os.Open(path)
+		if err != nil {
+			return rs.Restore(failed{err})
+		}
+		defer f.Close()
+		r = f
+	}
+	return rs.Restore(r)
+}
+
+// checkpoint writes the world's checkpoint to path from rank 0,
+// atomically, and hands every member rank 0's verdict, so all fail or
+// none does. Rank 0 takes its peers' payloads even when the file could
+// not be created.
+func checkpoint(rs *core.RankSim, path string) error {
+	var verdict []byte
+	if rs.Comm().Rank() == 0 {
+		wrote := false
+		err := output.WriteFileAtomic(path, func(w io.Writer) error {
+			wrote = true
+			return rs.Checkpoint(w)
+		})
+		if !wrote {
+			_ = rs.Checkpoint(failed{err}) // takes the peers' payloads; its error is err
+		}
+		if err != nil {
+			verdict = []byte(err.Error())
+		}
+	} else {
+		_ = rs.Checkpoint(nil) // a peer only sends, which fails by panicking
+	}
+	if verdict = fromRank0(rs.Comm(), tagVerdict, verdict); len(verdict) > 0 {
+		return errors.New(string(verdict))
+	}
+	return nil
+}
+
+// failed stands in for a file rank 0 could not open, so the collective
+// still runs and ends in err.
+type failed struct{ err error }
+
+func (f failed) Read([]byte) (int, error)  { return 0, f.err }
+func (f failed) Write([]byte) (int, error) { return 0, f.err }

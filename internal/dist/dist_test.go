@@ -68,7 +68,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			results[rank], errs[rank] = Run(mk(), steps, steps, Config{
+			results[rank], errs[rank] = Run(mk(), Job{Steps: steps, Every: steps}, Config{
 				Rank: rank, Ranks: ranks, Join: join, Listen: "127.0.0.1:0",
 				Transport: opts,
 			}, nil)
@@ -134,6 +134,20 @@ func runTCP(t *testing.T, spec deck.JSONConfig, ranks int) []uint32 {
 // runTCPResult is runTCP returning rank 0's whole Result.
 func runTCPResult(t *testing.T, spec deck.JSONConfig, ranks int) *Result {
 	t.Helper()
+	results, errs := runTCPJob(t, spec, ranks, Job{Steps: spec.Steps, Every: spec.Steps})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return results[0]
+}
+
+// runTCPJob runs job on spec's deck as a loopback-TCP world, one Run
+// per rank, and returns every rank's result and error. A world still
+// running after a minute fails the test as hung.
+func runTCPJob(t *testing.T, spec deck.JSONConfig, ranks int, job Job) ([]*Result, []error) {
+	t.Helper()
 	join := freeAddr(t)
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
@@ -147,19 +161,27 @@ func runTCPResult(t *testing.T, spec deck.JSONConfig, ranks int) *Result {
 				errs[rank] = err
 				return
 			}
-			results[rank], errs[rank] = Run(dk, spec.Steps, spec.Steps, Config{
+			results[rank], errs[rank] = Run(dk, job, Config{
 				Rank: rank, Ranks: ranks, Join: join, Listen: "127.0.0.1:0",
 				Transport: transport.Options{RendezvousTimeout: 20 * time.Second},
 			}, nil)
 		}(r)
 	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+	waitOrHang(t, wg.Wait)
+	return results, errs
+}
+
+// waitOrHang runs wait, failing the test if it has not returned
+// within a minute.
+func waitOrHang(t *testing.T, wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the world hung")
 	}
-	return results[0]
 }
 
 // TestSetupDecksRunOnEveryWorld: a deck's Setup hook is per-rank and

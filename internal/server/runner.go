@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"time"
 
-	"govpic/internal/balance"
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
@@ -100,39 +98,31 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		s.hub.Publish(j.ID, hist.Samples[len(hist.Samples)-1])
 	}
 
-	// Resume from the latest checkpoint if the spool has one. The spec
-	// fixes the layout, so a resumed or relocated job's checkpoint
-	// differs from the fresh build at most in its x-cuts (an online
-	// rebalance moved them), which Restore adopts. A corrupt or
-	// truncated checkpoint (CRC-rejected) falls back to a fresh start:
-	// determinism makes re-running from step 0 merely slower, not wrong.
+	// Resume from the latest checkpoint if the spool has one and its
+	// history reads. The spec fixes the layout, so a resumed or relocated
+	// job's checkpoint differs from the fresh build at most in its x-cuts
+	// (an online rebalance moved them), which Restore adopts. A rejected
+	// checkpoint (corrupt, truncated, another problem's) leaves sim
+	// untouched, so the job starts fresh: determinism makes re-running
+	// from step 0 merely slower, not wrong.
 	if f, oerr := os.Open(s.spool.checkpointPath(j.ID)); oerr == nil {
-		rerr := sim.Restore(f)
-		f.Close()
-		if rerr != nil {
+		samples, herr := s.spool.readHistory(j.ID)
+		if herr != nil {
+			s.cfg.Logf("vpicd: %s history unreadable (%v); restarting from step 0", j.ID, herr)
+		} else if rerr := sim.Restore(f); rerr != nil {
 			s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, rerr)
-			if sim, err = d.New(); err != nil {
-				return err
-			}
 		} else {
-			samples, herr := s.spool.readHistory(j.ID)
-			if herr != nil {
-				s.cfg.Logf("vpicd: %s history unreadable (%v); restarting from step 0", j.ID, herr)
-				if sim, err = d.New(); err != nil {
-					return err
+			for _, smp := range samples {
+				if smp.Step <= sim.StepCount() {
+					hist.Samples = append(hist.Samples, smp)
+					// Replay the recovered prefix to the hub; its monotonic
+					// dedup drops steps subscribers already saw.
+					s.hub.Publish(j.ID, smp)
 				}
-			} else {
-				for _, smp := range samples {
-					if smp.Step <= sim.StepCount() {
-						hist.Samples = append(hist.Samples, smp)
-						// Replay the recovered prefix to the hub; its monotonic
-						// dedup drops steps subscribers already saw.
-						s.hub.Publish(j.ID, smp)
-					}
-				}
-				s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, sim.StepCount(), j.Spec.Steps, sim.CutsX())
 			}
+			s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, sim.StepCount(), j.Spec.Steps, sim.CutsX())
 		}
+		f.Close()
 	}
 	if sim.StepCount() == 0 {
 		hist.Samples = hist.Samples[:0]
@@ -171,13 +161,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		j.CommWaitSeconds = tot.CommWaitSeconds
 		j.CommOverlapSeconds = tot.CommOverlapSeconds
 		if len(reps) > 1 {
-			j.PerRankParticles = make([]int, len(reps))
-			push := make([]float64, len(reps))
-			for i, r := range reps {
-				j.PerRankParticles[i] = r.Particles
-				push[i] = r.Elapsed(perf.Push).Seconds()
-			}
-			j.ImbalanceRatio = balance.MaxOverMean(push)
+			j.PerRankParticles, j.ImbalanceRatio = core.RankLoad(reps)
 		}
 		j.pushed = pushed
 		s.mu.Unlock()
@@ -186,12 +170,19 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		}
 	}
 
-	if runErr := sim.RunContext(ctx, steps, progress); runErr != nil {
-		// Preemption or cancel: persist the exact stopping point first.
-		if err := s.saveCheckpoint(j, sim, hist); err != nil {
-			s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
+	// Step-granular: between steps the simulation is quiescent, so
+	// progress may sample and checkpoint it, and a cancellation (preempt
+	// or cancel) stops at an exact step.
+	for sim.StepCount() < steps {
+		if runErr := ctx.Err(); runErr != nil {
+			// Preemption or cancel: persist the exact stopping point first.
+			if err := s.saveCheckpoint(j, sim, hist); err != nil {
+				s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
+			}
+			return runErr
 		}
-		return runErr
+		sim.Step()
+		progress(sim.StepCount())
 	}
 	if ckptErr != nil {
 		return fmt.Errorf("checkpoint failed: %w", ckptErr)
@@ -267,9 +258,7 @@ func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation, hist *diag.History
 	if err := s.spool.writeHistory(j.ID, hist.Samples); err != nil {
 		return err
 	}
-	if err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), func(w io.Writer) error {
-		return sim.Checkpoint(w)
-	}); err != nil {
+	if err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), sim.Checkpoint); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -393,4 +393,20 @@ func TestArtifactsAndRestore(t *testing.T) {
 	if got.StateCRC != want.StateCRC {
 		t.Fatalf("fresh-start fallback CRC %q != reference %q", got.StateCRC, want.StateCRC)
 	}
+
+	// A valid checkpoint whose history is corrupt is never restored: the
+	// job runs from step 0 and recomputes the whole history.
+	resp, rsub = restoreMultipart(t, dstTS.URL, spec, ckpt, []byte(`[{"step":`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("corrupt-history restore: HTTP %d", resp.StatusCode)
+	}
+	waitState(t, dstTS, rsub.Jobs[0].ID, StateCompleted)
+	if !lc.contains(rsub.Jobs[0].ID + " history unreadable") {
+		t.Fatalf("corrupt history was not reported; log: %v", lc.lines)
+	}
+	got = getResult(t, dstTS, rsub.Jobs[0].ID)
+	if got.StateCRC != want.StateCRC || !reflect.DeepEqual(got.History, want.History) {
+		t.Fatalf("corrupt-history job: CRC %q, %d samples; reference %q, %d samples",
+			got.StateCRC, len(got.History), want.StateCRC, len(want.History))
+	}
 }
