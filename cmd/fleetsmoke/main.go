@@ -304,6 +304,11 @@ func run() error {
 			return fmt.Errorf("shard %s: state CRC %q != clean run %q", sub.Jobs[i].ID, got.StateCRC, want.StateCRC)
 		}
 	}
+	// The two shards run different uth, so equal CRCs mean the CRC
+	// fingerprints nothing.
+	if a, b := results[sub.Jobs[0].ID].StateCRC, results[sub.Jobs[1].ID].StateCRC; a == b {
+		return fmt.Errorf("shards %s and %s report the same state CRC %q", sub.Jobs[0].ID, sub.Jobs[1].ID, a)
+	}
 	log.Print("relocated shard is bit-identical to the clean run (history + state CRC)")
 
 	// The relocation must be visible in fleet metrics.

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
+	"govpic/internal/valid"
 )
 
 // TestInventory holds DESIGN.md's two inventories to the code, both
@@ -53,8 +57,157 @@ func TestInventory(t *testing.T) {
 	}
 }
 
+// Document budgets: DESIGN.md and EXPERIMENTS.md hold decisions and
+// findings, and git holds their history.
+const (
+	designBudget      = 35000 // bytes
+	experimentsBudget = 60000 // bytes
+	entryLines        = 40    // per EXPERIMENTS S/P entry
+	entryBytes        = 3000  // per EXPERIMENTS S/P entry
+)
+
+var (
+	// repoPath matches a path under one of the module's source trees.
+	repoPath = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
+	// commitSpan matches an abbreviated or full commit hash in a code span.
+	commitSpan = regexp.MustCompile("`[0-9a-f]{7,40}`")
+	// testName matches a test, benchmark or fuzz target named as pkg.Name.
+	testName = regexp.MustCompile(`^(\w+)\.((?:Test|Benchmark|Fuzz)\w*)$`)
+)
+
+// TestDocBudget holds DESIGN.md and EXPERIMENTS.md to their byte
+// budgets, every EXPERIMENTS S/P entry to 40 lines and 3 000 bytes
+// with the commit it describes, and the paths and runnable names the
+// documents cite to the tree. A repo path in DESIGN.md or README.md
+// must exist, every top-level DESIGN section must name one that does,
+// and every code span in a DESIGN §4 "Runs in" cell must be a
+// registered validate case, a BENCHMARK.json workload or a pkg.Test,
+// pkg.Benchmark or pkg.Fuzz its package declares.
+func TestDocBudget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	design, experiments, readme := read("DESIGN.md"), read("EXPERIMENTS.md"), read("README.md")
+
+	if len(design) > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, budget %d", len(design), designBudget)
+	}
+	if len(experiments) > experimentsBudget {
+		t.Errorf("EXPERIMENTS.md is %d bytes, budget %d", len(experiments), experimentsBudget)
+	}
+	for _, e := range entries(experiments) {
+		head, _, _ := strings.Cut(e, "\n")
+		if n := strings.Count(e, "\n") + 1; n > entryLines {
+			t.Errorf("EXPERIMENTS %q runs %d lines, budget %d", head, n, entryLines)
+		}
+		if len(e) > entryBytes {
+			t.Errorf("EXPERIMENTS %q is %d bytes, budget %d", head, len(e), entryBytes)
+		}
+		if !commitSpan.MatchString(e) {
+			t.Errorf("EXPERIMENTS %q names no commit hash", head)
+		}
+	}
+
+	exists := func(path string) bool {
+		_, err := os.Stat(filepath.Join(root, path))
+		return err == nil
+	}
+	for name, doc := range map[string]string{"DESIGN.md": design, "README.md": readme} {
+		for _, p := range repoPath.FindAllString(doc, -1) {
+			if !exists(p) {
+				t.Errorf("%s names %s, which does not exist", name, p)
+			}
+		}
+	}
+	for _, sec := range strings.Split(design, "\n## ")[1:] {
+		head, _, _ := strings.Cut(sec, "\n")
+		named := false
+		for _, p := range repoPath.FindAllString(sec, -1) {
+			named = named || exists(p)
+		}
+		if !named {
+			t.Errorf("DESIGN section %q names no package or file that exists", head)
+		}
+	}
+
+	runnable := runnableNames(t, root)
+	for _, tb := range tables(t, section(t, design, "## 4. ")) {
+		for _, r := range tb.rows {
+			runsIn := r.cells[len(r.cells)-1]
+			spans := strings.Split(runsIn, "`")
+			for i := 1; i < len(spans); i += 2 {
+				if err := runnable(spans[i]); err != nil {
+					t.Errorf("DESIGN §4 %s \"Runs in\": %v", r.cells[0], err)
+				}
+			}
+		}
+	}
+}
+
+// entries returns the EXPERIMENTS entries headed "## S<n>" or "## P<n>",
+// each up to the next level-2 heading, without trailing blank lines.
+func entries(doc string) []string {
+	var out []string
+	for _, sec := range strings.Split(doc, "\n## ")[1:] {
+		if len(sec) > 1 && (sec[0] == 'S' || sec[0] == 'P') && sec[1] >= '0' && sec[1] <= '9' {
+			out = append(out, "## "+strings.TrimRight(sec, "\n"))
+		}
+	}
+	return out
+}
+
+// runnableNames returns a check that a name is a registered validate
+// case, a BENCHMARK.json workload, or a test, benchmark or fuzz target
+// declared in the _test.go files of the package directory named pkg.
+func runnableNames(t *testing.T, root string) func(string) error {
+	t.Helper()
+	cases := valid.Builtin()
+	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	pkgDir := map[string]string{}
+	for dir := range packageDirs(t, root) {
+		pkgDir[filepath.Base(dir)] = dir
+	}
+	return func(name string) error {
+		if _, ok := cases.Lookup(name); ok || workloads[name] {
+			return nil
+		}
+		m := testName.FindStringSubmatch(name)
+		if m == nil {
+			return fmt.Errorf("%q is no validate case, bench workload or pkg.Test", name)
+		}
+		dir, ok := pkgDir[m[1]]
+		if !ok {
+			return fmt.Errorf("%q: no package %s", name, m[1])
+		}
+		files, _ := filepath.Glob(filepath.Join(root, dir, "*_test.go"))
+		decl := regexp.MustCompile(`(?m)^func ` + m[2] + `\(`)
+		for _, f := range files {
+			if src, err := os.ReadFile(f); err == nil && decl.Match(src) {
+				return nil
+			}
+		}
+		return fmt.Errorf("%q: package %s declares no %s", name, dir, m[2])
+	}
+}
+
 // table is one Markdown table: its header's first cell and, per row,
-// the names in the first cell's code spans with the second cell.
+// the names in the first cell's code spans with every cell.
 type table struct {
 	header string
 	rows   []row
@@ -62,7 +215,7 @@ type table struct {
 
 type row struct {
 	names []string
-	cell  string
+	cells []string // trimmed
 }
 
 // section returns the text of the DESIGN section whose heading starts
@@ -95,7 +248,10 @@ func tables(t *testing.T, sec string) []table {
 		if len(cells) < 2 {
 			t.Fatalf("table line with one cell: %q", line)
 		}
-		first, second := strings.TrimSpace(cells[0]), strings.TrimSpace(cells[1])
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		first := cells[0]
 		switch {
 		case cur == nil:
 			out = append(out, table{header: first})
@@ -107,7 +263,7 @@ func tables(t *testing.T, sec string) []table {
 			for i := 1; i < len(spans); i += 2 {
 				names = append(names, strings.Fields(spans[i])...)
 			}
-			cur.rows = append(cur.rows, row{names: names, cell: second})
+			cur.rows = append(cur.rows, row{names: names, cells: cells})
 		}
 	}
 	return out
@@ -120,7 +276,7 @@ func compare(t *testing.T, what string, tb table, want map[string]bool) {
 	seen := map[string]bool{}
 	for _, r := range tb.rows {
 		if len(r.names) == 0 {
-			t.Errorf("%s: a row names nothing in code spans (second cell %q)", what, r.cell)
+			t.Errorf("%s: a row names nothing in code spans (second cell %q)", what, r.cells[1])
 		}
 		for _, n := range r.names {
 			if !want[n] {
@@ -128,8 +284,8 @@ func compare(t *testing.T, what string, tb table, want map[string]bool) {
 			}
 			seen[n] = true
 		}
-		if r.cell == "" || strings.Contains(strings.ToLower(r.cell), "user only") {
-			t.Errorf("%s: row %v has no caller: %q", what, r.names, r.cell)
+		if cell := r.cells[1]; cell == "" || strings.Contains(strings.ToLower(cell), "user only") {
+			t.Errorf("%s: row %v has no caller: %q", what, r.names, cell)
 		}
 	}
 	var missing []string

@@ -142,9 +142,6 @@ func NewPeriodic(g *grid.Grid) *Fields {
 	return MustNew(g, [NumFaces]BC{})
 }
 
-// BCAt returns the boundary condition on the given face.
-func (f *Fields) BCAt(face Face) BC { return f.bc[face] }
-
 // ClearJ zeroes the free-current arrays; called once per step before
 // particle deposition.
 func (f *Fields) ClearJ() {

@@ -109,9 +109,6 @@ func cutsEqual(a, b []int) bool {
 	return true
 }
 
-// IsUniform reports whether the layout is the even division.
-func (l Layout) IsUniform() bool { return l.Equal(Uniform(l.Dec)) }
-
 // SlabX returns the x-slab index owning global cell gx (0-based).
 func (l Layout) SlabX(gx int) int {
 	for i := 0; i < l.Dec.PX; i++ {
@@ -120,26 +117,6 @@ func (l Layout) SlabX(gx int) int {
 		}
 	}
 	return l.Dec.PX - 1
-}
-
-// RankOfCell returns the rank owning the (0-based) global cell.
-func (l Layout) RankOfCell(gx, gy, gz int) int {
-	sx := l.SlabX(gx)
-	sy := 0
-	for i := 0; i < l.Dec.PY; i++ {
-		if gy < l.CY[i+1] {
-			sy = i
-			break
-		}
-	}
-	sz := 0
-	for i := 0; i < l.Dec.PZ; i++ {
-		if gz < l.CZ[i+1] {
-			sz = i
-			break
-		}
-	}
-	return l.Dec.Rank(sx, sy, sz)
 }
 
 // ChooseDecompFixedPX is ChooseDecomp with the x-slab count pinned (the

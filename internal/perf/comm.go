@@ -152,9 +152,6 @@ func (s *CommStats) AddOverlap(d time.Duration) {
 	}
 }
 
-// WaitTotal returns the cumulative blocked-wait time.
-func (s *CommStats) WaitTotal() time.Duration { return time.Duration(s.waitNs.Load()) }
-
 // OverlapTotal returns the cumulative overlapped flight time.
 func (s *CommStats) OverlapTotal() time.Duration { return time.Duration(s.overlapNs.Load()) }
 

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"time"
@@ -267,12 +267,24 @@ func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation, hist *diag.History
 	return nil
 }
 
-// stateCRC fingerprints the full dynamic state (fields + particles) via
-// the checkpoint serialization — two runs agree iff they are bit-exact.
+// stateCRC fingerprints the full dynamic state (fields + particles):
+// the CRC trailer of its checkpoint, the CRC32 of every byte before it,
+// so two runs agree iff they are bit-exact.
 func stateCRC(sim *core.Simulation) string {
-	h := crc32.NewIEEE()
-	if err := sim.Checkpoint(h); err != nil {
+	var t tail
+	if err := sim.Checkpoint(&t); err != nil {
 		return ""
 	}
-	return fmt.Sprintf("%08x", h.Sum32())
+	return fmt.Sprintf("%08x", binary.LittleEndian.Uint32(t[:]))
+}
+
+// tail keeps the last four bytes written to it.
+type tail [4]byte
+
+func (t *tail) Write(p []byte) (int, error) {
+	for _, b := range p[max(len(p)-len(t), 0):] {
+		copy(t[:], t[1:])
+		t[3] = b
+	}
+	return len(p), nil
 }

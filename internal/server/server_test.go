@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -167,6 +168,50 @@ func TestSubmitRunResult(t *testing.T) {
 	// Unknown job and premature-result errors.
 	if r, _ := http.Get(ts.URL + "/v1/jobs/job-999999"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: HTTP %d", r.StatusCode)
+	}
+}
+
+// TestStateCRCIsCheckpointTrailer holds a result's state_crc to the
+// state it fingerprints: jobs of the same deck that end in different
+// states report different values, and each equals the CRC trailer of
+// the checkpoint an in-process run of the same spec writes after the
+// same steps.
+func TestStateCRCIsCheckpointTrailer(t *testing.T) {
+	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 20, EnergyEvery: 10})
+	defer ts.Close()
+	defer srv.Close()
+	req := SubmitRequest{Deck: smallThermal(30), Sweep: map[string][]float64{"uth": {0.03, 0.05}}}
+	_, sub := submit(t, ts, req)
+	specs, err := req.Deck.Expand(req.Sweep)
+	if err != nil || len(sub.Jobs) != len(specs) {
+		t.Fatalf("sweep: %d jobs, %d specs (%v)", len(sub.Jobs), len(specs), err)
+	}
+	seen := map[string]bool{}
+	for i, jr := range sub.Jobs {
+		waitState(t, ts, jr.ID, StateCompleted)
+		got := getResult(t, ts, jr.ID).StateCRC
+		if seen[got] {
+			t.Errorf("%s: state_crc %s repeats another job's", jr.ID, got)
+		}
+		seen[got] = true
+
+		d, err := specs[i].Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := d.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(specs[i].Steps)
+		var ckpt bytes.Buffer
+		if err := sim.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		b := ckpt.Bytes()
+		if want := fmt.Sprintf("%08x", binary.LittleEndian.Uint32(b[len(b)-4:])); got != want {
+			t.Errorf("%s: state_crc %s, want checkpoint trailer %s", jr.ID, got, want)
+		}
 	}
 }
 

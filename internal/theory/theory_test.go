@@ -209,81 +209,3 @@ func TestLinearReflectivityMonotoneAndClamped(t *testing.T) {
 		t.Fatalf("huge gain not clamped: %g", r)
 	}
 }
-
-func TestThreeWaveLinearGrowth(t *testing.T) {
-	tw := ThreeWave{Gamma0: 0.01, A0: 1, SeedS: 1e-6, SeedE: 1e-6}
-	tr, err := tw.Integrate(0.1, 300, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In the undepleted linear phase the symmetric seeds grow at γ0.
-	var t1, t2 State
-	for _, s := range tr {
-		if s.T >= 100 && t1.T == 0 {
-			t1 = s
-		}
-		if s.T >= 200 && t2.T == 0 {
-			t2 = s
-		}
-	}
-	rate := math.Log(t2.As/t1.As) / (t2.T - t1.T)
-	if math.Abs(rate-0.01)/0.01 > 0.05 {
-		t.Fatalf("three-wave linear growth rate %g, want 0.01", rate)
-	}
-}
-
-func TestThreeWaveDampedBelowThreshold(t *testing.T) {
-	// With damping exceeding growth, the daughters decay.
-	tw := ThreeWave{Gamma0: 0.005, NuS: 0.001, NuE: 0.05, A0: 1, SeedS: 1e-4, SeedE: 1e-4}
-	tr, err := tw.Integrate(0.1, 500, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := tr[len(tr)-1]
-	if last.As > 1e-4 {
-		t.Fatalf("below-threshold daughters grew: as = %g", last.As)
-	}
-}
-
-func TestThreeWavePumpDepletionSaturates(t *testing.T) {
-	tw := ThreeWave{Gamma0: 0.02, A0: 1, SeedS: 1e-5, SeedE: 1e-5}
-	tr, err := tw.Integrate(0.05, 2000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxAs := 0.0
-	for _, s := range tr {
-		if s.As > maxAs {
-			maxAs = s.As
-		}
-		if s.A0 > tw.A0*1.001 {
-			t.Fatalf("pump grew beyond initial: %g", s.A0)
-		}
-	}
-	if maxAs > 1.2*tw.A0 {
-		t.Fatalf("daughter exceeded pump amplitude unphysically: %g", maxAs)
-	}
-	if maxAs < 0.3 {
-		t.Fatalf("no saturation reached: max as = %g", maxAs)
-	}
-}
-
-func TestSaturatedReflectivity(t *testing.T) {
-	tw := ThreeWave{Gamma0: 0.02, A0: 1, SeedS: 1e-5, SeedE: 1e-5}
-	r, err := tw.SaturatedReflectivity(0.05, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r <= 0 || r > 1 {
-		t.Fatalf("reflectivity proxy %g outside (0,1]", r)
-	}
-}
-
-func TestThreeWaveValidation(t *testing.T) {
-	if _, err := (ThreeWave{Gamma0: 1, A0: 0}).Integrate(0.1, 1, 1); err == nil {
-		t.Error("accepted zero pump")
-	}
-	if _, err := (ThreeWave{Gamma0: 1, A0: 1}).Integrate(0, 1, 1); err == nil {
-		t.Error("accepted dt=0")
-	}
-}
