@@ -11,14 +11,20 @@
 // particles without scattering to remote field memory; here it also
 // keeps the hot loop free of cross-cell indexing.
 //
-// Because the step is bandwidth-bound, the accumulator tracks the voxel
-// window [Lo, Hi) its deposits actually touched: Clear zeroes and Reduce
-// sums only occupied windows instead of full grids. A pipeline block
-// whose (sorted) particles span a sliver of the grid then pays
-// O(window) instead of O(grid) accumulator traffic per step. The
-// invariant every fast path relies on is that cells outside the window
-// are exactly zero; all writes must therefore go through Touch (or the
-// push kernel, which touches on every deposit).
+// The accumulator tracks the voxel window [Lo, Hi) its deposits touched,
+// and Reduce visits only the union of the pipeline accumulators'
+// windows, summing and zeroing them in one pass (so the step needs no
+// separate clear). The windows rarely make that pass small: a 4-cell-
+// thick deck wraps in y and z, which puts a far voxel into nearly every
+// block within a few steps of a sort, so the eight windows of a thermal
+// deck sum to 4.5–4.9 grids and their union is 0.61 of one (on the
+// lpi.srs slab they sum to 0.11 grids). The pass reads and zeroes every
+// accumulator over that union — about 5 grids each way per step on a
+// thermal deck, the price of the 8 private copies that keep the push
+// free of write conflicts. The invariant every fast path relies on is
+// that cells outside the window are exactly zero; all writes must
+// therefore go through Touch (or the push kernel, which touches on
+// every deposit).
 package accum
 
 import (
@@ -69,16 +75,8 @@ func (a *Array) Touch(v int) {
 }
 
 // Window returns the touched voxel window [lo, hi); lo >= hi means no
-// deposit has landed since the last Clear.
+// deposit has landed since the array was last cleared or reduced.
 func (a *Array) Window() (lo, hi int) { return a.lo, a.hi }
-
-// WindowLen returns the number of voxels in the touched window.
-func (a *Array) WindowLen() int {
-	if a.hi <= a.lo {
-		return 0
-	}
-	return a.hi - a.lo
-}
 
 // resetWindow marks the window empty.
 func (a *Array) resetWindow() { a.lo, a.hi = len(a.A), 0 }
@@ -101,23 +99,27 @@ func (a *Array) ClearFull() {
 	a.resetWindow()
 }
 
-// ClearAll zeroes every array in as, one pool task per array.
+// ClearAll zeroes every array in as, one pool task per array. The step
+// does not need it: Reduce leaves its sources cleared.
 func ClearAll(p *pipe.Pool, as []*Array) {
 	p.Run(len(as), func(i int) { as[i].Clear() })
 }
 
 // Reduce overwrites dst's slots with the slot-wise sum of srcs — the
-// pipeline accumulators — taken in slice order, and returns the size of
-// the union window it reduced. Each voxel's sum is a fixed
-// left-associated chain over srcs, and the pool only partitions the
-// voxel range, so the result is bit-identical for any worker count.
+// pipeline accumulators — taken in slice order, zeroes every src and
+// resets its window, and returns the size of the union window it
+// reduced. Each slot's sum is the left-associated chain
+// ((s0+s1)+…)+s7 with the running sum as the first operand of every
+// addition, and the pool only partitions the voxel range, so the result
+// is bit-identical for any worker count and for the vector and Go
+// kernels alike. Leaving the sources zero makes the reduce also the
+// clear: the next step deposits into them as they are.
 //
 // Only the union of the srcs' touched windows is visited: a src whose
-// window excludes a voxel holds exact zeros there, and adding +0.0
-// leaves every partial sum bit-identical (deposited cells are never
-// −0.0: they start at +0.0 and IEEE addition preserves that). dst's
-// stale window is cleared first, so cells outside the union end the
-// call exactly zero — the same value the full-grid reduction produced.
+// window excludes a voxel holds exact zeros there, which the pass reads
+// and rewrites like any other value. dst's stale window is cleared
+// first, so cells outside the union end the call exactly zero — the
+// same value the full-grid reduction produced.
 func Reduce(p *pipe.Pool, dst *Array, srcs []*Array) int {
 	lo, hi := len(dst.A), 0
 	for _, s := range srcs {
@@ -132,23 +134,41 @@ func Reduce(p *pipe.Pool, dst *Array, srcs []*Array) int {
 	if hi <= lo {
 		return 0
 	}
-	d := dst.A
 	p.Range(hi-lo, func(rlo, rhi int) {
-		for v := lo + rlo; v < lo+rhi; v++ {
-			c := srcs[0].A[v]
-			for _, s := range srcs[1:] {
-				o := &s.A[v]
-				for j := 0; j < 4; j++ {
-					c.JX[j] += o.JX[j]
-					c.JY[j] += o.JY[j]
-					c.JZ[j] += o.JZ[j]
-				}
-			}
-			d[v] = c
+		var buf [pipe.NumBlocks][]Cell
+		rows := buf[:0]
+		for _, s := range srcs {
+			rows = append(rows, s.A[lo+rlo:lo+rhi])
 		}
+		sumClear(dst.A[lo+rlo:lo+rhi], rows)
 	})
+	for _, s := range srcs {
+		s.resetWindow()
+	}
 	dst.lo, dst.hi = lo, hi
 	return hi - lo
+}
+
+// sumClearGo writes into each dst cell the slot-wise sum of the same
+// cell of every srcs row, left-associated in slice order with the
+// running sum as the first operand, and zeroes the source cells; every
+// row must be at least len(dst) long. It is the portable form of the
+// vector sumClear.
+func sumClearGo(dst []Cell, srcs [][]Cell) {
+	for i := range dst {
+		c := srcs[0][i]
+		srcs[0][i] = Cell{}
+		for _, s := range srcs[1:] {
+			o := &s[i]
+			for j := 0; j < 4; j++ {
+				c.JX[j] += o.JX[j]
+				c.JY[j] += o.JY[j]
+				c.JZ[j] += o.JZ[j]
+			}
+			*o = Cell{}
+		}
+		dst[i] = c
+	}
 }
 
 // Unload scatters the accumulated currents into the field J arrays

@@ -10,11 +10,14 @@ import (
 	"govpic/internal/rng"
 )
 
+// windowLen is the number of voxels in a's touched window.
+func windowLen(a *Array) int { return max(a.hi-a.lo, 0) }
+
 func TestClearWindowed(t *testing.T) {
 	g := grid.MustNew(3, 3, 3, 1, 1, 1)
 	a := New(g)
-	if a.WindowLen() != 0 {
-		t.Fatalf("fresh array reports window %d", a.WindowLen())
+	if windowLen(a) != 0 {
+		t.Fatalf("fresh array reports window %d", windowLen(a))
 	}
 	a.A[5].JX[2] = 7
 	a.Touch(5)
@@ -29,7 +32,7 @@ func TestClearWindowed(t *testing.T) {
 			t.Fatalf("voxel %d not cleared", i)
 		}
 	}
-	if a.WindowLen() != 0 {
+	if windowLen(a) != 0 {
 		t.Fatal("Clear did not reset the window")
 	}
 }
@@ -44,15 +47,76 @@ func TestClearFullCatchesUntrackedWrites(t *testing.T) {
 			t.Fatalf("voxel %d not cleared", i)
 		}
 	}
-	if a.WindowLen() != 0 {
+	if windowLen(a) != 0 {
 		t.Fatal("ClearFull did not reset the window")
 	}
 }
 
+// reduceOracle is the per-voxel reduction Reduce replaced: for every
+// voxel, a copy of srcs[0]'s cell plus each later src in slice order —
+// over the whole grid, sources left untouched.
+func reduceOracle(srcs []*Array) []Cell {
+	want := make([]Cell, len(srcs[0].A))
+	for v := range want {
+		c := srcs[0].A[v]
+		for _, s := range srcs[1:] {
+			o := &s.A[v]
+			for j := 0; j < 4; j++ {
+				c.JX[j] += o.JX[j]
+				c.JY[j] += o.JY[j]
+				c.JZ[j] += o.JZ[j]
+			}
+		}
+		want[v] = c
+	}
+	return want
+}
+
+// cloneArrays deep-copies accumulators, windows included.
+func cloneArrays(as []*Array) []*Array {
+	out := make([]*Array, len(as))
+	for i, a := range as {
+		c := *a
+		c.A = append([]Cell(nil), a.A...)
+		out[i] = &c
+	}
+	return out
+}
+
+// sameBits compares two cells slot by slot as bit patterns, so NaN
+// payloads and signed zeros count.
+func sameBits(a, b Cell) bool {
+	for j := 0; j < 4; j++ {
+		if math.Float32bits(a.JX[j]) != math.Float32bits(b.JX[j]) ||
+			math.Float32bits(a.JY[j]) != math.Float32bits(b.JY[j]) ||
+			math.Float32bits(a.JZ[j]) != math.Float32bits(b.JZ[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkConsumed fails unless every src is all +0.0 with an empty window.
+func checkConsumed(t *testing.T, srcs []*Array) {
+	t.Helper()
+	for b, s := range srcs {
+		if windowLen(s) != 0 {
+			t.Fatalf("src %d: window %d voxels after Reduce, want empty", b, windowLen(s))
+		}
+		for v := range s.A {
+			if !sameBits(s.A[v], Cell{}) {
+				t.Fatalf("src %d: voxel %d = %+v after Reduce, want +0", b, v, s.A[v])
+			}
+		}
+	}
+}
+
 // TestReduceWindowedMatchesFull deposits random currents into sparse
-// disjoint-ish windows of 8 block accumulators and checks the windowed
-// Reduce reproduces the full-grid left-associated reduction bit for bit,
-// including zeroing dst cells left over from a previous wider reduction.
+// disjoint-ish windows of 8 block accumulators and checks, for 1, 3 and
+// 8 workers on fresh copies of the same sources, that the windowed
+// Reduce reproduces the full-grid left-associated reduction bit for
+// bit, zeroes dst cells left over from a previous wider reduction, and
+// leaves every source cleared.
 func TestReduceWindowedMatchesFull(t *testing.T) {
 	g := grid.MustNew(8, 8, 8, 1, 1, 1)
 	src := rng.New(42, 0)
@@ -71,28 +135,15 @@ func TestReduceWindowedMatchesFull(t *testing.T) {
 			srcs[b].Touch(v)
 		}
 	}
-
-	// Full-grid reference: the pre-window reduction.
-	want := make([]Cell, g.NV())
-	for v := range want {
-		c := srcs[0].A[v]
-		for _, s := range srcs[1:] {
-			o := &s.A[v]
-			for j := 0; j < 4; j++ {
-				c.JX[j] += o.JX[j]
-				c.JY[j] += o.JY[j]
-				c.JZ[j] += o.JZ[j]
-			}
-		}
-		want[v] = c
-	}
+	want := reduceOracle(srcs)
 
 	for _, w := range []int{1, 3, 8} {
+		in := cloneArrays(srcs)
 		dst := New(g)
 		// Stale deposit outside this step's union: Reduce must zero it.
 		dst.A[g.NV()-1].JY[1] = 99
 		dst.Touch(g.NV() - 1)
-		n := Reduce(pipe.New(w), dst, srcs)
+		n := Reduce(pipe.New(w), dst, in)
 		if n <= 0 || n >= g.NV() {
 			t.Fatalf("W=%d: union window %d voxels, want sparse nonzero", w, n)
 		}
@@ -104,7 +155,84 @@ func TestReduceWindowedMatchesFull(t *testing.T) {
 		if lo, hi := dst.Window(); hi-lo != n {
 			t.Fatalf("W=%d: dst window [%d,%d) inconsistent with returned %d", w, lo, hi, n)
 		}
+		checkConsumed(t, in)
 	}
+}
+
+// FuzzReduceParity checks Reduce (the vector kernel on amd64) and the
+// portable sumClearGo loop against the per-voxel oracle, bit for bit,
+// on random windows: overlapping, empty, single-source, odd-length,
+// with NaN payloads, ±Inf and −0 mixed in by the special byte's bits.
+// After Reduce every source is +0.0 with an empty window.
+func FuzzReduceParity(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(0), uint8(2))
+	f.Add(uint64(2), uint8(1), uint8(0), uint8(1))
+	f.Add(uint64(3), uint8(8), uint8(7), uint8(3))
+	f.Add(uint64(4), uint8(3), uint8(1), uint8(1))
+	f.Add(uint64(5), uint8(8), uint8(6), uint8(2))
+	f.Add(uint64(9), uint8(30), uint8(7), uint8(46)) // NaN meets NaN
+	f.Fuzz(func(t *testing.T, seed uint64, nsrc, special, workers uint8) {
+		r := rng.New(seed, 0)
+		g := grid.MustNew(1+r.Intn(7), 1+r.Intn(5), 1+r.Intn(5), 1, 1, 1)
+		nv := g.NV()
+		value := func() float32 {
+			switch k := r.Intn(16); {
+			case k == 0 && special&1 != 0: // NaN with a random payload and sign
+				return math.Float32frombits(uint32(r.Uint64())&0x807fffff | 0x7f800001)
+			case k == 1 && special&2 != 0:
+				return float32(math.Inf(1 - 2*r.Intn(2)))
+			case k == 2 && special&4 != 0:
+				return float32(math.Copysign(0, -1))
+			default:
+				return float32(r.Uniform(-1, 1))
+			}
+		}
+		srcs := make([]*Array, 1+int(nsrc)%pipe.NumBlocks)
+		for b := range srcs {
+			srcs[b] = New(g)
+			if r.Intn(4) == 0 {
+				continue // empty window
+			}
+			lo := r.Intn(nv)
+			hi := lo + 1 + r.Intn(nv-lo)
+			for _, v := range []int{lo, hi - 1, lo + r.Intn(hi-lo)} {
+				c := &srcs[b].A[v]
+				for j := 0; j < 4; j++ {
+					c.JX[j], c.JY[j], c.JZ[j] = value(), value(), value()
+				}
+				srcs[b].Touch(v)
+			}
+		}
+		want := reduceOracle(srcs)
+
+		// The portable loop over the whole grid.
+		goSrcs := cloneArrays(srcs)
+		rows := make([][]Cell, len(goSrcs))
+		for b, s := range goSrcs {
+			rows[b] = s.A
+		}
+		goSum := make([]Cell, nv)
+		sumClearGo(goSum, rows)
+		for v := range want {
+			if !sameBits(goSum[v], want[v]) {
+				t.Fatalf("Go loop: voxel %d = %+v, oracle %+v (bitwise)", v, goSum[v], want[v])
+			}
+		}
+
+		dst := New(g)
+		dst.A[nv-1].JZ[3] = 7 // stale
+		dst.Touch(nv - 1)
+		n := Reduce(pipe.New(1+int(workers)%4), dst, srcs)
+		for v := range want {
+			if !sameBits(dst.A[v], want[v]) {
+				t.Fatalf("Reduce: voxel %d = %+v, oracle %+v (bitwise)", v, dst.A[v], want[v])
+			}
+		}
+		if lo, hi := dst.Window(); n != 0 && hi-lo != n {
+			t.Fatalf("dst window [%d,%d) inconsistent with returned %d", lo, hi, n)
+		}
+		checkConsumed(t, srcs)
+	})
 }
 
 func TestReduceEmptyWindows(t *testing.T) {
@@ -271,26 +399,32 @@ func BenchmarkClearFull(b *testing.B) {
 func BenchmarkReduceWindowed(b *testing.B) {
 	for _, name := range []string{"sliver", "full"} {
 		b.Run(name, func(b *testing.B) {
-			_, dst, srcs := benchArrays(name == "sliver")
+			g, dst, srcs := benchArrays(false)
+			// Every block spans the grid, or the same narrow band
+			// (union ≈ grid/8). Reduce consumes its sources, so each
+			// iteration re-marks the band's ends with the timer stopped.
+			v0, v1 := 0, g.NV()-1
 			if name == "sliver" {
-				// Shrink every block to the same narrow band: union ≈ grid/8.
+				v0, v1 = 100, 1500
+			}
+			mark := func() {
 				for _, a := range srcs {
 					a.ClearFull()
-					a.A[100].JX[0] = 1
-					a.Touch(100)
-					a.A[1500].JX[0] = 1
-					a.Touch(1500)
+					for _, v := range []int{v0, v1} {
+						a.A[v].JX[0] = 1
+						a.Touch(v)
+					}
 				}
 			}
 			b.ResetTimer()
 			var vox int
 			for i := 0; i < b.N; i++ {
-				n := Reduce(nil, dst, srcs)
-				vox += n
-				// Restore src windows consumed by nothing (Reduce reads only).
-				_ = n
+				b.StopTimer()
+				mark()
+				b.StartTimer()
+				vox += Reduce(nil, dst, srcs)
 			}
-			b.ReportMetric(float64(vox)/float64(b.N)*CellBytes*(pipe.NumBlocks+1)/1e6, "MB-moved/op")
+			b.ReportMetric(float64(vox)/float64(b.N)*CellBytes*(2*pipe.NumBlocks+1)/1e6, "MB-moved/op")
 		})
 	}
 }

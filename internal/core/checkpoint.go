@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -61,36 +60,53 @@ func (e *GeometryMismatchError) Error() string {
 		e.FileNX, e.FileNY, e.FileNZ, e.FileSpecies, e.WantNX, e.WantNY, e.WantNZ, e.WantSpecies)
 }
 
+// cpWriter encodes the checkpoint format into one reusable chunk and
+// hands w whole chunks, so a file or CRC behind it sees 64 KiB writes
+// rather than one per value. Bytes written so far reach w only at a
+// flush: raw flushes before it writes, and the caller flushes last.
 type cpWriter struct {
 	w   io.Writer
 	err error
-	buf [8]byte
+	buf []byte
+}
+
+// cpChunk is the size at which cpWriter hands its chunk to w.
+const cpChunk = 64 << 10
+
+func newCPWriter(w io.Writer) *cpWriter {
+	return &cpWriter{w: w, buf: make([]byte, 0, cpChunk+8)}
 }
 
 func (c *cpWriter) u64(v uint64) {
-	if c.err != nil {
-		return
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+	if len(c.buf) >= cpChunk {
+		c.flush()
 	}
-	binary.LittleEndian.PutUint64(c.buf[:], v)
-	_, c.err = c.w.Write(c.buf[:8])
 }
 
+func (c *cpWriter) f32s(a []float32) {
+	for _, v := range a {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, math.Float32bits(v))
+		if len(c.buf) >= cpChunk {
+			c.flush()
+		}
+	}
+}
+
+// raw writes b straight to w after the pending chunk.
 func (c *cpWriter) raw(b []byte) {
+	c.flush()
 	if c.err == nil {
 		_, c.err = c.w.Write(b)
 	}
 }
 
-func (c *cpWriter) f32s(a []float32) {
-	if c.err != nil {
-		return
+// flush hands the pending chunk to w.
+func (c *cpWriter) flush() {
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
 	}
-	for _, v := range a {
-		binary.LittleEndian.PutUint32(c.buf[:4], math.Float32bits(v))
-		if _, c.err = c.w.Write(c.buf[:4]); c.err != nil {
-			return
-		}
-	}
+	c.buf = c.buf[:0]
 }
 
 // cursor reads little-endian values off the front of a checkpoint's
@@ -129,13 +145,14 @@ func (rs *RankSim) Checkpoint(w io.Writer) error {
 	rk := rs.Rank
 	if rs.comm.Rank() != 0 {
 		var payload bytes.Buffer
-		rk.writeState(&cpWriter{w: &payload})
+		c := newCPWriter(&payload)
+		rk.writeState(c)
+		c.flush()
 		rs.comm.Send(0, tagCheckpoint, payload.Bytes())
 		return nil
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
 	h := crc32.NewIEEE()
-	c := &cpWriter{w: io.MultiWriter(bw, h)}
+	c := newCPWriter(io.MultiWriter(w, h))
 	c.raw([]byte(checkpointMagic))
 	for _, v := range []int{rs.Cfg.NX, rs.Cfg.NY, rs.Cfg.NZ, rs.comm.Size(), len(rs.Cfg.Species), rs.step} {
 		c.u64(uint64(v))
@@ -151,11 +168,9 @@ func (rs *RankSim) Checkpoint(w io.Writer) error {
 	for p := 1; p < rs.comm.Size(); p++ {
 		c.raw(rs.comm.Recv(p, tagCheckpoint).([]byte))
 	}
+	c.flush()
 	c.raw(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
-	if c.err != nil {
-		return c.err
-	}
-	return bw.Flush()
+	return c.err
 }
 
 // Checkpoint writes the world's checkpoint to w (RankSim.Checkpoint).
@@ -243,7 +258,9 @@ func skipPayload(c *cursor, nv, nSpecies int) bool {
 // how the distributed smoke tests prove transport transparency.
 func (rk *Rank) StateCRC() uint32 {
 	h := crc32.NewIEEE()
-	rk.writeState(&cpWriter{w: h})
+	c := newCPWriter(h)
+	rk.writeState(c)
+	c.flush()
 	return h.Sum32()
 }
 

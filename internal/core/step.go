@@ -37,16 +37,11 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	// posts nothing. The partition is a function of the buffer and the
 	// phase order is fixed, so results match for any worker count.
 	rk.Perf.Start(perf.Push)
-	// Windowed clears/reduce touch only occupied accumulator spans;
-	// charge their actual window sizes to the traffic model.
-	var pushBytes int64
-	for _, a := range rk.pipeAcc {
-		pushBytes += int64(a.WindowLen()) * accum.CellBytes
-	}
+	// The pipeline accumulators are zero here: the previous step's
+	// Reduce (or accum.New) left them so.
 	for i, sp := range rk.Species {
 		rk.partNI[i] = rk.partitionBoundary(sp.Buf)
 	}
-	accum.ClearAll(rk.pool, rk.pipeAcc)
 	rk.pushRanges(true) // the shell tail
 	rk.Perf.Stop(perf.Push)
 	rk.Perf.Start(perf.Comm)
@@ -55,9 +50,11 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.Perf.Start(perf.Push)
 	rk.pushRanges(false) // the interior
 	// Zeroes rk.Acc's stale window before summing, so immigrants
-	// finishing their move deposit on top during the exchange.
+	// finishing their move deposit on top during the exchange. Over the
+	// union window the reduce reads every pipeline accumulator, writes
+	// the sum and writes the zeros that clear the accumulators.
 	union := accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc)
-	pushBytes += int64(union) * accum.CellBytes * int64(len(rk.pipeAcc)+1)
+	pushBytes := int64(union) * accum.CellBytes * int64(2*len(rk.pipeAcc)+1)
 	for _, k := range rk.Kernels {
 		pushBytes += k.TakeTrafficBytes()
 	}

@@ -146,7 +146,7 @@ func (d *Domain) ParticleActions() [6]push.Action {
 // up front and the receives completed in a fixed order — lo-tagged
 // first: when both neighbors are the same rank (two ranks on a periodic
 // axis) both messages share one in-order link, and the sender posted lo
-// before hi. The axes stay sequential: forPlane spans the full
+// before hi. The axes stay sequential: a plane spans the full
 // ghost-inclusive extent of the other two axes, so corner values
 // propagate through two successive axis hops and the hops cannot be
 // flattened. Send completions are deferred to the end — each payload is
@@ -244,13 +244,8 @@ func (d *Domain) ExchangeScalarGhost(a []float32) {
 // it as a nonblocking request; the returned handle must be waited before
 // the exchange completes.
 func (d *Domain) isend(dst, tag int, arrs [][]float32, axis, idx int) *mp.Request {
-	n := planeCount(d.G, axis)
-	buf := make([]float32, 0, n*len(arrs))
-	forPlane(d.G, axis, idx, func(v int) {
-		for _, a := range arrs {
-			buf = append(buf, a[v])
-		}
-	})
+	buf := make([]float32, planeCount(d.G, axis)*len(arrs))
+	packPlane(buf, d.G, arrs, axis, idx)
 	d.countSend(tag, 4*len(buf))
 	return d.Comm.ISend(dst, tag, buf)
 }
@@ -262,18 +257,67 @@ func (d *Domain) applyPlane(r *mp.Request, arrs [][]float32, axis, idx int, add 
 	if err != nil {
 		panic(err)
 	}
-	buf := data.([]float32)
-	i := 0
-	forPlane(d.G, axis, idx, func(v int) {
-		for _, a := range arrs {
-			if add {
-				a[v] += buf[i]
-			} else {
-				a[v] = buf[i]
+	unpackPlane(data.([]float32), d.G, arrs, axis, idx, add)
+}
+
+// packPlane writes the plane idx normal to axis of every array into buf
+// in the wire order — the plane's voxels in ascending order, the arrays
+// interleaved within each voxel — walking each array's rows
+// (grid.Plane) in turn, or one strided loop for an x-normal plane. buf
+// holds exactly the plane's values.
+func packPlane(buf []float32, g *grid.Grid, arrs [][]float32, axis, idx int) {
+	first, run, stride, n := g.Plane(axis, idx)
+	end, m := first+n*stride, len(arrs)
+	for j, a := range arrs {
+		i := j
+		if run == 1 {
+			for k := first; k < end; k += stride {
+				buf[i] = a[k]
+				i += m
 			}
-			i++
+			continue
 		}
-	})
+		for k := first; k < end; k += stride {
+			for _, x := range a[k : k+run] {
+				buf[i] = x
+				i += m
+			}
+		}
+	}
+}
+
+// unpackPlane is packPlane's inverse: it overwrites (add=false) or
+// accumulates into (add=true) the plane from buf.
+func unpackPlane(buf []float32, g *grid.Grid, arrs [][]float32, axis, idx int, add bool) {
+	first, run, stride, n := g.Plane(axis, idx)
+	end, m := first+n*stride, len(arrs)
+	for j, a := range arrs {
+		i := j
+		switch {
+		case run == 1 && add:
+			for k := first; k < end; k += stride {
+				a[k] += buf[i]
+				i += m
+			}
+		case run == 1:
+			for k := first; k < end; k += stride {
+				a[k] = buf[i]
+				i += m
+			}
+		default:
+			for k := first; k < end; k += stride {
+				row := a[k : k+run]
+				for r := range row {
+					if add {
+						row[r] += buf[i]
+					} else {
+						row[r] = buf[i]
+					}
+					i += m
+				}
+			}
+		}
+	}
 }
 
 // waitAll completes a batch of posted sends, re-raising the transport's
@@ -287,42 +331,8 @@ func waitAll(reqs []*mp.Request) {
 }
 
 func planeCount(g *grid.Grid, axis int) int {
-	sx, sy, sz := g.Strides()
-	switch axis {
-	case 0:
-		return sy * sz
-	case 1:
-		return sx * sz
-	default:
-		return sx * sy
-	}
-}
-
-// forPlane visits every voxel of the constant-index plane normal to
-// axis, covering the full ghost-inclusive extent of the other two axes,
-// in a deterministic order shared by sender and receiver.
-func forPlane(g *grid.Grid, axis, idx int, fn func(v int)) {
-	sx, sy, sz := g.Strides()
-	switch axis {
-	case 0:
-		for iz := 0; iz < sz; iz++ {
-			for iy := 0; iy < sy; iy++ {
-				fn(idx + sx*(iy+sy*iz))
-			}
-		}
-	case 1:
-		for iz := 0; iz < sz; iz++ {
-			for ix := 0; ix < sx; ix++ {
-				fn(ix + sx*(idx+sy*iz))
-			}
-		}
-	default:
-		for iy := 0; iy < sy; iy++ {
-			for ix := 0; ix < sx; ix++ {
-				fn(ix + sx*(iy+sy*idx))
-			}
-		}
-	}
+	_, run, _, n := g.Plane(axis, 0)
+	return run * n
 }
 
 // partRecv is one posted arrival: the species it lands into and the
@@ -537,13 +547,10 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 // plane size plus the transverse WireVoxel.
 func (d *Domain) ISendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) []*mp.Request {
 	n := planeCount(d.G, 0)
-	buf := make([]float32, 0, n*(hi-lo)*len(arrs))
+	plane := n * len(arrs)
+	buf := make([]float32, plane*(hi-lo))
 	for ix := lo; ix < hi; ix++ {
-		forPlane(d.G, 0, ix, func(v int) {
-			for _, a := range arrs {
-				buf = append(buf, a[v])
-			}
-		})
+		packPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix)
 	}
 	d.countSend(tagRebal, 4*len(buf))
 	reqs := []*mp.Request{d.Comm.ISend(dst, tagRebal, buf)}
@@ -564,14 +571,9 @@ func (d *Domain) ISendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []p
 // are relocated, not moved: no current is deposited.
 func (d *Domain) RecvRebalSlab(src int, arrs [][]float32, lo, hi int, bufs []*particle.Buffer) {
 	buf := d.Comm.Recv(src, tagRebal).([]float32)
-	i := 0
+	plane := planeCount(d.G, 0) * len(arrs)
 	for ix := lo; ix < hi; ix++ {
-		forPlane(d.G, 0, ix, func(v int) {
-			for _, a := range arrs {
-				a[v] = buf[i]
-				i++
-			}
-		})
+		unpackPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix, false)
 	}
 	n := int32(planeCount(d.G, 0))
 	for _, b := range bufs {

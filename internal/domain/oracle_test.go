@@ -8,6 +8,7 @@ import (
 
 	"govpic/internal/accum"
 	"govpic/internal/field"
+	"govpic/internal/grid"
 	"govpic/internal/interp"
 	"govpic/internal/mp"
 	"govpic/internal/particle"
@@ -55,6 +56,33 @@ func (d *Domain) addFrom(src, tag int, arrs [][]float32, axis, idx int) {
 			i++
 		}
 	})
+}
+
+// forPlane visits every voxel of the constant-index plane normal to
+// axis, covering the full ghost-inclusive extent of the other two axes,
+// in the wire order: the per-element form of packPlane's row walk.
+func forPlane(g *grid.Grid, axis, idx int, fn func(v int)) {
+	sx, sy, sz := g.Strides()
+	switch axis {
+	case 0:
+		for iz := 0; iz < sz; iz++ {
+			for iy := 0; iy < sy; iy++ {
+				fn(idx + sx*(iy+sy*iz))
+			}
+		}
+	case 1:
+		for iz := 0; iz < sz; iz++ {
+			for ix := 0; ix < sx; ix++ {
+				fn(ix + sx*(idx+sy*iz))
+			}
+		}
+	default:
+		for iy := 0; iy < sy; iy++ {
+			for ix := 0; ix < sx; ix++ {
+				fn(ix + sx*(iy+sy*idx))
+			}
+		}
+	}
 }
 
 // blockingExchangeGhost is exchangeGhost's oracle.

@@ -156,24 +156,47 @@ func (f *Fields) bArrays() [3][]float32 { return [3][]float32{f.Bx, f.By, f.Bz} 
 func (f *Fields) jArrays() [3][]float32 { return [3][]float32{f.Jx, f.Jy, f.Jz} }
 
 // copyPlane copies the source plane (axis index src) onto the
-// destination plane (axis index dst) for every array in arrs.
+// destination plane (axis index dst) for every array in arrs, row by
+// row (grid.Plane).
 func (f *Fields) copyPlane(arrs [][]float32, axis, dst, src int) {
-	forEachInPlane(f.G, axis, dst, src, func(di, si int) {
-		for _, a := range arrs {
-			a[di] = a[si]
+	d, run, stride, n := f.G.Plane(axis, dst)
+	s, _, _, _ := f.G.Plane(axis, src)
+	end := n * stride
+	for _, a := range arrs {
+		if run == 1 {
+			for k := 0; k < end; k += stride {
+				a[d+k] = a[s+k]
+			}
+			continue
 		}
-	})
+		for k := 0; k < end; k += stride {
+			copy(a[d+k:d+k+run], a[s+k:s+k+run])
+		}
+	}
 }
 
 // addPlane adds the source plane into the destination plane and zeroes
 // the source, used to fold periodic ghost currents.
 func (f *Fields) addPlane(arrs [][]float32, axis, dst, src int) {
-	forEachInPlane(f.G, axis, dst, src, func(di, si int) {
-		for _, a := range arrs {
-			a[di] += a[si]
-			a[si] = 0
+	d, run, stride, n := f.G.Plane(axis, dst)
+	s, _, _, _ := f.G.Plane(axis, src)
+	end := n * stride
+	for _, a := range arrs {
+		if run == 1 {
+			for k := 0; k < end; k += stride {
+				a[d+k] += a[s+k]
+				a[s+k] = 0
+			}
+			continue
 		}
-	})
+		for k := 0; k < end; k += stride {
+			dr, sr := a[d+k:d+k+run], a[s+k:s+k+run]
+			for i := range dr {
+				dr[i] += sr[i]
+				sr[i] = 0
+			}
+		}
+	}
 }
 
 // forEachInPlane visits every (dst,src) voxel index pair of two
@@ -295,11 +318,16 @@ func (f *Fields) FoldNodeScalar(a []float32) {
 }
 
 func (f *Fields) zeroPlane(arrs [][]float32, axis, idx int) {
-	forEachInPlane(f.G, axis, idx, idx, func(di, _ int) {
-		for _, a := range arrs {
-			a[di] = 0
+	d, run, stride, n := f.G.Plane(axis, idx)
+	for _, a := range arrs {
+		for k := d; k < d+n*stride; k += stride {
+			if run == 1 {
+				a[k] = 0
+			} else {
+				clear(a[k : k+run])
+			}
 		}
-	})
+	}
 }
 
 func axisN(g *grid.Grid, axis int) int {

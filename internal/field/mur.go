@@ -86,15 +86,8 @@ func extractPlane(g *grid.Grid, arr []float32, axis, idx int, dst []float32) []f
 }
 
 func planeSize(g *grid.Grid, axis int) int {
-	sx, sy, sz := g.Strides()
-	switch axis {
-	case 0:
-		return sy * sz
-	case 1:
-		return sx * sz
-	default:
-		return sx * sy
-	}
+	_, run, _, n := g.Plane(axis, 0)
+	return run * n
 }
 
 func axisD(g *grid.Grid, axis int) float64 {

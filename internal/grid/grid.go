@@ -71,6 +71,24 @@ func (g *Grid) NCells() int { return g.NX * g.NY * g.NZ }
 // in z by SX·SY.
 func (g *Grid) Strides() (sx, sy, sz int) { return g.sx, g.sy, g.sz }
 
+// Plane returns the constant-index plane idx normal to axis, over the
+// full ghost-inclusive extent of the other two axes, as n rows of run
+// contiguous voxels, row k starting at voxel first+k·stride. Rows and
+// the voxels within them come in ascending voxel order. A z-normal
+// plane is one row and a y-normal plane one row per z layer; an
+// x-normal plane is n rows of one voxel each, stride SX apart.
+func (g *Grid) Plane(axis, idx int) (first, run, stride, n int) {
+	switch axis {
+	case 0:
+		return idx, 1, g.sx, g.sy * g.sz
+	case 1:
+		return g.sx * idx, g.sx, g.sx * g.sy, g.sz
+	case 2:
+		return g.sx * g.sy * idx, g.sx * g.sy, g.sx * g.sy, 1
+	}
+	panic("grid: bad axis")
+}
+
 // Voxel returns the flat index of cell (ix,iy,iz); ghost layers are
 // ix=0 and ix=NX+1 (and likewise for y, z).
 func (g *Grid) Voxel(ix, iy, iz int) int {
