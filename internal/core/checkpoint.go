@@ -208,8 +208,10 @@ func (rk *Rank) writeState(c *cpWriter) {
 
 // readState is writeState's mirror: it replaces this rank's fields,
 // background and particles with the payload c holds, which Restore has
-// verified was written on a tile of the same shape.
+// verified was written on a tile of the same shape. The new particles
+// make every species' partition stale.
 func (rk *Rank) readState(c *cursor) {
+	rk.markStale()
 	f := rk.D.F
 	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
 		c.f32s(a)

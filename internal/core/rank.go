@@ -47,9 +47,35 @@ type Rank struct {
 	// step under the CFL bound — so the step can push them first, post
 	// the particle exchange, and push the interior while migrants fly
 	// (nil when the rank has no remote face: the shell is empty).
-	// partNI holds each species' interior count after partitioning.
-	shell  []bool
-	partNI []int
+	// part holds each species' partition memory (partState).
+	shell []bool
+	part  []partState
+}
+
+// partState is one species' boundary partition between steps. After a
+// partition, [0, cut) holds interior particles and [cut, N) shell ones.
+// The step then changes a slot only where a mover finishes (its own
+// slot, or a RemoveSwap into it, which also drops the last slot) and by
+// appending arrivals, so the next partition needs to look only at:
+//   - outer: the shell phase's mover slots that now hold an interior
+//     particle, ascending (collect);
+//   - inner: the interior phase's mover slots that now hold a shell
+//     particle, ascending;
+//   - the arrival tail [tail, N), tail being N after the interior push;
+//   - the band between the old cut and the new one.
+//
+// Every other slot below tail is on its side of the old cut, and so, off
+// the band, on its side of the new one. The two-ended walk over that
+// ascending slot list therefore makes exactly partitionBoundary's swaps
+// (the k-th leftmost misplaced shell particle with the k-th rightmost
+// misplaced interior one), and the buffer is byte-identical to a full
+// scan's. stale forces the full scan; it is set whenever the buffer
+// changes wholesale: the load, every sort, readState and adoptDomain.
+type partState struct {
+	cut, tail    int
+	stale        bool
+	inner, outer []int32
+	scan         []int32 // the merged slot list, reused
 }
 
 // DomainConfig derives the decomposed-domain configuration (including
@@ -141,7 +167,8 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 		bs.Movers = make([]particle.Mover, 0, 1024)
 	}
 	rk.shell = shellMask(d)
-	rk.partNI = make([]int, len(rk.Species))
+	rk.part = make([]partState, len(rk.Species))
+	rk.markStale()
 	// Initial sort for locality.
 	for _, sp := range rk.Species {
 		if sp.SortInterval > 0 {
@@ -193,23 +220,124 @@ func shellMask(d *domain.Domain) []bool {
 	return shell
 }
 
+// markStale makes every species' next partition a full scan.
+func (rk *Rank) markStale() {
+	for i := range rk.part {
+		rk.part[i].stale = true
+	}
+}
+
+// partition puts buf's interior particles first and its shell particles
+// last: by the full scan when p is stale, else from p's candidates.
+func (p *partState) partition(shell []bool, buf *particle.Buffer) {
+	if p.stale || shell == nil {
+		p.cut = partitionBoundary(shell, buf)
+		p.stale = false
+		return
+	}
+	n, t := buf.N(), p.tail
+	outer := p.outer
+	for len(outer) > 0 && int(outer[len(outer)-1]) >= t {
+		outer = outer[:len(outer)-1] // dropped by an interior RemoveSwap
+	}
+	// The new cut counts the interior particles: the unlisted slots below
+	// min(cut, tail), the outer list and the tail's.
+	cut := min(p.cut, t) - len(p.inner) + len(outer)
+	for s := t; s < n; s++ {
+		if !shell[buf.Voxel(s)] {
+			cut++
+		}
+	}
+	// The slot list, ascending: the candidates below the band [lo, hi)
+	// between the old and the new cut, the band (short of the tail), the
+	// candidates above it, then the tail.
+	lo, hi := min(p.cut, cut, t), min(max(p.cut, cut), t)
+	scan := p.scan[:0]
+	for _, list := range [2][]int32{p.inner, outer} {
+		for _, s := range list {
+			if int(s) < lo {
+				scan = append(scan, s)
+			}
+		}
+	}
+	for s := lo; s < hi; s++ {
+		scan = append(scan, int32(s))
+	}
+	for _, list := range [2][]int32{p.inner, outer} {
+		for _, s := range list {
+			if int(s) >= hi {
+				scan = append(scan, s)
+			}
+		}
+	}
+	for s := t; s < n; s++ {
+		scan = append(scan, int32(s))
+	}
+	p.scan = scan
+	// partitionBoundary's walk, over the list's slots.
+	a, b := 0, len(scan)
+	for {
+		for a < b && !shell[buf.Voxel(int(scan[a]))] {
+			a++
+		}
+		for a < b && shell[buf.Voxel(int(scan[b-1]))] {
+			b--
+		}
+		if a == b {
+			break
+		}
+		b--
+		x, y := int(scan[a]), int(scan[b])
+		pt := buf.At(x)
+		buf.Set(x, buf.At(y))
+		buf.Set(y, pt)
+		a++
+	}
+	p.cut = cut
+}
+
+// collect records p's candidates after one push phase of the
+// boundary-first step: the mover slots of blocks (nil when the phase
+// pushed nothing) still below N whose particle's class now differs from
+// its slot's side of the cut. The interior phase also records the tail.
+func (p *partState) collect(shell []bool, buf *particle.Buffer, blocks []*push.BlockState, shellPhase bool) {
+	n := buf.N()
+	list := p.inner[:0]
+	if shellPhase {
+		list = p.outer[:0]
+	}
+	for _, bs := range blocks {
+		for _, mv := range bs.Movers {
+			if s := int(mv.Idx); s < n && shell[buf.Voxel(s)] != shellPhase {
+				list = append(list, mv.Idx)
+			}
+		}
+	}
+	if shellPhase {
+		p.outer = list
+	} else {
+		p.inner, p.tail = list, n
+	}
+}
+
 // partitionBoundary partitions a species buffer in place, interior
 // particles first and boundary-shell particles as the tail, and returns
 // the interior count. Cursors scan in from both ends and swap each shell
 // particle of the prefix with an interior one of the suffix, so only
 // misplaced particles move. The result depends on the buffer alone (not
 // the worker count), so the split push stays bit-identical for any
-// number of workers. An empty shell leaves the buffer untouched.
-func (rk *Rank) partitionBoundary(buf *particle.Buffer) int {
+// number of workers. An empty shell leaves the buffer untouched. It is
+// the full scan behind partState.partition and that path's test oracle.
+func partitionBoundary(shell []bool, buf *particle.Buffer) int {
 	i, j := 0, buf.N()
-	if rk.shell == nil {
+	if shell == nil {
 		return j
 	}
 	for {
-		for i < j && !rk.shell[buf.Voxel(i)] {
+		for i < j && !shell[buf.Voxel(i)] {
 			i++
 		}
-		for i < j && rk.shell[buf.Voxel(j-1)] {
+		for i < j && shell[buf.Voxel(j-1)] {
 			j--
 		}
 		if i == j {

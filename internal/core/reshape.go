@@ -179,7 +179,8 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 
 // adoptDomain moves this rank onto d, a tile of the same world on
 // another layout, rebuilding the grid-sized plumbing: interpolator,
-// accumulators, sort workspace, scratch, kernels and the boundary shell.
+// accumulators, sort workspace, scratch, kernels and the boundary shell,
+// and marks every species' partition stale.
 // Traffic counters carry over to d, per-species kernel counters via
 // AdoptFrom and the sort passes via sortPasses, so cumulative
 // diagnostics survive the swap. Field, background and particle state
@@ -205,6 +206,7 @@ func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 		rk.Kernels[i] = k
 	}
 	rk.shell = shellMask(d)
+	rk.markStale()
 }
 
 // reshapeArrays lists the state a reshape carries: the nine field

@@ -18,10 +18,11 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	// Periodic particle sort (VPIC: keeps the gather/scatter streaming).
 	rk.Perf.Start(perf.Sort)
 	var sortBytes int64
-	for _, sp := range rk.Species {
+	for i, sp := range rk.Species {
 		if sp.ShouldSort(step) {
 			rk.sortWS.ByVoxel(sp.Buf, d.G.NV())
 			sortBytes += psort.TrafficBytes(sp.Buf.N())
+			rk.part[i].stale = true
 		}
 	}
 	rk.stopPar(perf.Sort)
@@ -36,11 +37,20 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	// the whole buffer, cut as an unsplit sweep would be, and the exchange
 	// posts nothing. The partition is a function of the buffer and the
 	// phase order is fixed, so results match for any worker count.
+	//
+	// The partition remembers: after one full scan only the slots the
+	// last step's movers and arrivals wrote can be misplaced, so each
+	// push phase collects its mover slots whose class changed, the
+	// interior phase records where arrivals start, and the next step
+	// swaps within those slots and the band between the old and the new
+	// cut — exactly the full scan's swaps, so the buffer is byte-identical
+	// to it (partState). A sort, load, restore or reshape marks the
+	// species stale and the full scan runs instead.
 	rk.Perf.Start(perf.Push)
 	// The pipeline accumulators are zero here: the previous step's
 	// Reduce (or accum.New) left them so.
 	for i, sp := range rk.Species {
-		rk.partNI[i] = rk.partitionBoundary(sp.Buf)
+		rk.part[i].partition(rk.shell, sp.Buf)
 	}
 	rk.pushRanges(true) // the shell tail
 	rk.Perf.Stop(perf.Push)
@@ -137,30 +147,36 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 }
 
 // pushRanges pushes one range of every species through the pipeline:
-// the shell tail [partNI, N) when shell is set, else the interior
-// [0, partNI). The range is cut into pipe.NumBlocks lane-aligned blocks,
+// the shell tail [cut, N) when shell is set, else the interior
+// [0, cut). The range is cut into pipe.NumBlocks lane-aligned blocks,
 // each pushed concurrently into its private accumulator, and the
 // face-crossers are finished serially — bit-identical for any worker
 // count (see internal/pipe). Lane-aligned cuts mean each pipeline sweeps
 // whole AoSoA blocks, so the sweep sees full spans and no two pipelines
-// write lanes of the same storage block. Empty ranges are skipped.
+// write lanes of the same storage block. Empty ranges are skipped. With
+// a shell, each species' partition candidates are collected while the
+// finished movers are still in cache.
 func (rk *Rank) pushRanges(shell bool) {
 	for i, sp := range rk.Species {
 		k, buf := rk.Kernels[i], sp.Buf
-		lo, hi := 0, rk.partNI[i]
+		lo, hi := 0, rk.part[i].cut
 		if shell {
 			lo, hi = hi, buf.N()
 		}
-		if lo == hi {
-			continue
+		var blocks []*push.BlockState
+		if lo < hi {
+			rk.pool.Run(pipe.NumBlocks, func(b int) {
+				bs := rk.blockSt[b]
+				bs.Reset()
+				blo, bhi := pipe.AlignedRange(lo, hi, pipe.NumBlocks, b, particle.Lanes)
+				k.AdvanceBlock(buf, blo, bhi, rk.pipeAcc[b], bs)
+			})
+			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+			blocks = rk.blockSt
 		}
-		rk.pool.Run(pipe.NumBlocks, func(b int) {
-			bs := rk.blockSt[b]
-			bs.Reset()
-			blo, bhi := pipe.AlignedRange(lo, hi, pipe.NumBlocks, b, particle.Lanes)
-			k.AdvanceBlock(buf, blo, bhi, rk.pipeAcc[b], bs)
-		})
-		k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+		if rk.shell != nil {
+			rk.part[i].collect(rk.shell, buf, blocks, shell)
+		}
 	}
 }
 
