@@ -10,31 +10,35 @@ import (
 	"math"
 	"strings"
 
+	"govpic/internal/diag"
 	"govpic/internal/domain"
 	"govpic/internal/grid"
 	"govpic/internal/particle"
 )
 
 // Checkpointing serializes the complete dynamic state — fields and
-// particles of every rank plus the step/time counters — so a run can be
-// stopped and resumed bit-exactly (the evolution is deterministic and
-// the RNG is only used at load time). The configuration itself is not
-// stored; Restore validates that the receiving simulation's geometry
-// matches.
+// particles of every rank plus the step/time counters and the energy
+// history — so a run can be stopped and resumed bit-exactly (the
+// evolution is deterministic and the RNG is only used at load time).
+// The configuration itself is not stored; Restore validates that the
+// receiving simulation's geometry matches.
 //
 // The format is: the magic line; a header of little-endian u64s (global
 // grid, rank count, species count, step) and the f64 time; the rank
 // layout (decomposition shape, then the x/y/z partition-plane cuts), so
-// a load-balanced run resumes on the x-cuts it was written under; each
-// rank's payload in rank order (writeState); and a trailing
-// little-endian CRC32 (IEEE) of every preceding byte, so a truncated or
-// bit-flipped file is rejected instead of silently resumed from. Files
-// with an older magic carry no checksum or no layout and are refused.
-// Checkpoint and Restore are RankSim collectives, so a world writes and
-// reads the one file however its members are hosted; rank 0 alone
-// touches the file.
+// a load-balanced run resumes on the x-cuts it was written under; the
+// run's energy history (a u64 sample count, then per sample the u64
+// step and the f64s time, E, B, total, div-B error and one kinetic
+// energy per species), so a resumed run carries the uninterrupted
+// run's whole history; each rank's payload in rank order (writeState);
+// and a trailing little-endian CRC32 (IEEE) of every preceding byte, so
+// a truncated or bit-flipped file is rejected instead of silently
+// resumed from. Files with an older magic carry no checksum, no layout
+// or no history and are refused. Checkpoint and Restore are RankSim
+// collectives, so a world writes and reads the one file however its
+// members are hosted; rank 0 alone touches the file.
 
-const checkpointMagic = "GOVPIC-CKPT-3\n"
+const checkpointMagic = "GOVPIC-CKPT-4\n"
 
 // The collectives' tags sit below the domain layer's tag windows
 // (which start at 1<<10).
@@ -128,6 +132,8 @@ func (c *cursor) next(n uint64) []byte {
 
 func (c *cursor) u64() uint64 { return binary.LittleEndian.Uint64(c.next(8)) }
 
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+
 func (c *cursor) f32s(a []float32) {
 	p := c.next(4 * uint64(len(a)))
 	for i := 0; i < len(a) && !c.short; i++ {
@@ -138,9 +144,10 @@ func (c *cursor) f32s(a []float32) {
 // Checkpoint writes the world's full dynamic state to w (see the format
 // above) — a collective every member calls at the same step. Rank 0 is
 // the only member that touches w: peers send it their payload and
-// return, and rank 0 writes the header, every payload in rank order and
-// the trailer. Rank 0 takes every peer's payload whatever happens to w,
-// so a failed write hangs no member; the write's error is rank 0's.
+// return, and rank 0 writes the header, its History, every payload in
+// rank order and the trailer. Rank 0 takes every peer's payload
+// whatever happens to w, so a failed write hangs no member; the write's
+// error is rank 0's.
 func (rs *RankSim) Checkpoint(w io.Writer) error {
 	rk := rs.Rank
 	if rs.comm.Rank() != 0 {
@@ -162,6 +169,13 @@ func (rs *RankSim) Checkpoint(w io.Writer) error {
 	for _, vs := range [][]int{{lay.Dec.PX, lay.Dec.PY, lay.Dec.PZ}, lay.CX, lay.CY, lay.CZ} {
 		for _, v := range vs {
 			c.u64(uint64(v))
+		}
+	}
+	c.u64(uint64(len(rs.History.Samples)))
+	for _, s := range rs.History.Samples {
+		c.u64(uint64(s.Step))
+		for _, v := range append([]float64{s.Time, s.EField, s.BField, s.Total, s.DivBError}, s.Kinetic...) {
+			c.u64(math.Float64bits(v))
 		}
 	}
 	rk.writeState(c)
@@ -276,17 +290,21 @@ func (s *Simulation) StateCRCs() []uint32 {
 }
 
 // cpHeader is a checkpoint's parsed preamble: global geometry, time
-// counters and the rank layout the per-rank payload is laid out in.
+// counters, the rank layout the per-rank payload is laid out in and the
+// energy history.
 type cpHeader struct {
 	nx, ny, nz int
 	nSpecies   int
 	step       int
 	time       float64
 	layout     grid.Layout
+	history    []diag.EnergySample
 }
 
-// readCheckpointHeader parses the magic and header off the front of c,
-// leaving c at the first rank's payload.
+// readCheckpointHeader parses the magic, header, layout and history off
+// the front of c, leaving c at the first rank's payload. A count is
+// bounded by the bytes left before anything is sized by it, so a
+// corrupt one reads as the truncation it is.
 func readCheckpointHeader(c *cursor) (*cpHeader, error) {
 	if len(c.b) < len(checkpointMagic) {
 		return nil, fmt.Errorf("core: checkpoint truncated: %w", io.ErrUnexpectedEOF)
@@ -300,9 +318,14 @@ func readCheckpointHeader(c *cursor) (*cpHeader, error) {
 	hd := &cpHeader{}
 	hd.nx, hd.ny, hd.nz = int(c.u64()), int(c.u64()), int(c.u64())
 	nRanks := int(c.u64())
-	hd.nSpecies = int(c.u64())
+	// Every rank's payload holds a u64 count per species.
+	if n := c.u64(); n <= uint64(len(c.b))/8 {
+		hd.nSpecies = int(n)
+	} else {
+		c.short = true
+	}
 	hd.step = int(c.u64())
-	hd.time = math.Float64frombits(c.u64())
+	hd.time = c.f64()
 	px, py, pz := int(c.u64()), int(c.u64()), int(c.u64())
 	if !c.short && px*py*pz != nRanks {
 		return nil, fmt.Errorf("core: checkpoint layout %dx%dx%d does not cover %d ranks", px, py, pz, nRanks)
@@ -319,6 +342,20 @@ func readCheckpointHeader(c *cursor) (*cpHeader, error) {
 		return cuts
 	}
 	cx, cy, cz := readCuts(px), readCuts(py), readCuts(pz)
+	n := c.u64()
+	if per := 8 * uint64(6+hd.nSpecies); n > uint64(len(c.b))/per {
+		c.short, n = true, 0
+	}
+	hd.history = make([]diag.EnergySample, n)
+	for i := range hd.history {
+		s := &hd.history[i]
+		s.Step = int(c.u64())
+		s.Time, s.EField, s.BField, s.Total, s.DivBError = c.f64(), c.f64(), c.f64(), c.f64(), c.f64()
+		s.Kinetic = make([]float64, hd.nSpecies)
+		for k := range s.Kinetic {
+			s.Kinetic[k] = c.f64()
+		}
+	}
 	if c.short {
 		return nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", io.ErrUnexpectedEOF)
 	}
@@ -404,8 +441,29 @@ func (rs *RankSim) Restore(r io.Reader) error {
 	}
 	rk.readState(payload)
 	rs.step, rs.time = hd.step, hd.time
+	rs.History = diag.History{Samples: hd.history}
 	rk.IP.Load(rk.D.F) // rebuild derived state
 	return nil
+}
+
+// CheckpointHistory returns the energy history of the checkpoint r
+// holds, after checking its magic, header and CRC trailer (the last
+// four bytes). It needs no simulation: vpicd replays a stopped job's
+// samples from the job's checkpoint.
+func CheckpointHistory(r io.Reader) (diag.History, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return diag.History{}, fmt.Errorf("core: checkpoint unreadable: %w", err)
+	}
+	hd, err := readCheckpointHeader(&cursor{b: data})
+	if err != nil {
+		return diag.History{}, err
+	}
+	body := data[:len(data)-4] // the header parsed, so data is longer
+	if got, want := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); got != want {
+		return diag.History{}, fmt.Errorf("core: checkpoint corrupt: CRC %08x in file, %08x computed", got, want)
+	}
+	return diag.History{Samples: hd.history}, nil
 }
 
 // shareFile reads r to its end on rank 0 and hands every peer a status

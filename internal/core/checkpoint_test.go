@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,11 +15,11 @@ import (
 	"govpic/internal/balance"
 )
 
-// ckptFixture runs a small plasma a few steps on 1 or 2 ranks and
-// returns its v3 checkpoint bytes together with the config that
-// produced them. The 2-rank world balances online and has had its
-// x-cuts moved to [0 6 16], so its file's layout differs from a fresh
-// world's.
+// ckptFixture runs a small plasma five steps on 1 or 2 ranks, sampling
+// the energy at the start and after every step, and returns its
+// checkpoint bytes together with the config that produced them. The
+// 2-rank world balances online and has had its x-cuts moved to
+// [0 6 16], so its file's layout differs from a fresh world's.
 func ckptFixture(t testing.TB, ranks int) (Config, []byte) {
 	t.Helper()
 	cfg := periodicPlasma(16, 0.2, 0.05, 8, ranks)
@@ -32,7 +33,11 @@ func ckptFixture(t testing.TB, ranks int) (Config, []byte) {
 	if ranks > 1 {
 		s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 6, 16}) })
 	}
-	s.Run(5)
+	s.Sample()
+	for i := 0; i < 5; i++ {
+		s.Step()
+		s.Sample()
+	}
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -40,19 +45,39 @@ func ckptFixture(t testing.TB, ranks int) (Config, []byte) {
 	return cfg, buf.Bytes()
 }
 
-// TestCheckpointBytesPinned: the fixtures' files are byte for byte the
-// ones the whole-world writer produced before Checkpoint became a
-// collective — the same length and the same trailer (the CRC32 of every
-// byte before it) — so the v3 format did not move.
+// historySpan returns where a checkpoint's history section (its sample
+// count, then the samples) starts and ends.
+func historySpan(t testing.TB, ckpt []byte) (start, end int) {
+	t.Helper()
+	c := &cursor{b: ckpt}
+	hd, err := readCheckpointHeader(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end = len(ckpt) - len(c.b)
+	return end - 8 - 8*len(hd.history)*(6+hd.nSpecies), end
+}
+
+// TestCheckpointBytesPinned: with their six-sample history section cut
+// out and the v3 magic put back, the fixtures' files are byte for byte
+// the v3 files the whole-world writer produced before Checkpoint became
+// a collective — the same length and the same trailer (the CRC32 of
+// every byte before it) — so v4 is v3 plus the history and nothing else.
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		ranks, size int
 		crc         uint32
 	}{{1, 11250, 0x038e2be4}, {2, 11994, 0x7bdff57d}} {
 		_, ckpt := ckptFixture(t, tc.ranks)
-		if got := crc32.ChecksumIEEE(ckpt[:len(ckpt)-4]); len(ckpt) != tc.size || got != tc.crc {
-			t.Errorf("%d-rank checkpoint: %d bytes, CRC %08x; want %d bytes, CRC %08x",
-				tc.ranks, len(ckpt), got, tc.size, tc.crc)
+		start, end := historySpan(t, ckpt)
+		if n := binary.LittleEndian.Uint64(ckpt[start:]); n != 6 {
+			t.Fatalf("%d-rank checkpoint holds %d samples, want 6", tc.ranks, n)
+		}
+		v3 := append([]byte("GOVPIC-CKPT-3\n"), ckpt[len(checkpointMagic):start]...)
+		v3 = append(v3, ckpt[end:]...)
+		if got := crc32.ChecksumIEEE(v3[:len(v3)-4]); len(v3) != tc.size || got != tc.crc {
+			t.Errorf("%d-rank checkpoint as v3: %d bytes, CRC %08x; want %d bytes, CRC %08x",
+				tc.ranks, len(v3), got, tc.size, tc.crc)
 		}
 	}
 }
@@ -102,7 +127,8 @@ func TestRestoreRejectedOnEveryMember(t *testing.T) {
 	} {
 		s := mustNew(t, tc.cfg)
 		s.Run(2)
-		crcs, cuts := s.StateCRCs(), s.CutsX()
+		s.Sample()
+		crcs, cuts, hist := s.StateCRCs(), s.CutsX(), s.History()
 		errs := make([]error, len(s.Ranks))
 		// One reader for the world: only rank 0 may touch it (the race
 		// detector sees a peer that does).
@@ -121,6 +147,9 @@ func TestRestoreRejectedOnEveryMember(t *testing.T) {
 			if rs.StepCount() != 2 || !balance.CutsEqual(rs.CutsX(), cuts) {
 				t.Errorf("%s: member %d at step %d on x-cuts %v, want step 2 on %v",
 					tc.name, r, rs.StepCount(), rs.CutsX(), cuts)
+			}
+			if !reflect.DeepEqual(rs.History, hist) {
+				t.Errorf("%s: member %d history %+v after the rejected restore, %+v before", tc.name, r, rs.History, hist)
 			}
 		}
 	}
@@ -179,31 +208,74 @@ func corruptCount(t testing.TB, ckpt []byte, n int) []byte {
 	return bad
 }
 
-// TestCheckpointRejectsCorruptCount: a flipped high bit in a particle
-// count is reported as the truncation it is, without first allocating
-// the particles the count promises.
+// withU64 returns a copy of ckpt with the u64 at off set to v and the
+// CRC trailer recomputed, so only the parse can reject it.
+func withU64(ckpt []byte, off int, v uint64) []byte {
+	bad := append([]byte(nil), ckpt...)
+	binary.LittleEndian.PutUint64(bad[off:], v)
+	return retrail(bad)
+}
+
+// corruptHistoryCount returns the fixture promising 2^20 samples, far
+// more than the bytes after its count hold (and, sized first, ~90 MB).
+func corruptHistoryCount(t testing.TB, ckpt []byte) []byte {
+	t.Helper()
+	start, _ := historySpan(t, ckpt)
+	return withU64(ckpt, start, 1<<20)
+}
+
+// TestCheckpointRejectsCorruptCount: a count no file of this size could
+// hold — a particle count with a flipped high bit, a negative or huge
+// species count (which would divide by zero or size a negative
+// allocation), a sample count past the end of the file — is reported as
+// the truncation it is, by Restore and (for the counts it reads) by
+// CheckpointHistory, without first allocating what the count promises.
 func TestCheckpointRejectsCorruptCount(t *testing.T) {
 	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := corruptCount(t, ckpt, s.TotalParticles())
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = s.Restore(bytes.NewReader(bad))
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint truncated or unreadable") {
-		t.Fatalf("err = %v, want a truncation error", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
-		t.Fatalf("Restore allocated %d MB before rejecting the count", grew>>20)
+	species := len(checkpointMagic) + 8*4 // after the grid and rank count
+	for _, tc := range []struct {
+		name    string
+		bad     []byte
+		history bool // CheckpointHistory reads the count too
+	}{
+		{"particle count", corruptCount(t, ckpt, s.TotalParticles()), false},
+		{"species count -6", withU64(ckpt, species, uint64(1<<64-6)), true},
+		{"species count -5", withU64(ckpt, species, uint64(1<<64-5)), true},
+		{"species count 2^40", withU64(ckpt, species, 1<<40), true},
+		{"sample count", corruptHistoryCount(t, ckpt), true},
+	} {
+		readers := map[string]func() error{
+			"Restore": func() error { return s.Restore(bytes.NewReader(tc.bad)) },
+		}
+		if tc.history {
+			readers["CheckpointHistory"] = func() error {
+				_, err := CheckpointHistory(bytes.NewReader(tc.bad))
+				return err
+			}
+		}
+		for name, read := range readers {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "checkpoint truncated or unreadable") {
+				t.Errorf("%s, %s: err = %v, want a truncation error", tc.name, name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+				t.Errorf("%s, %s: allocated %d MB before rejecting the count", tc.name, name, grew>>20)
+			}
+		}
 	}
 }
 
-// TestCheckpointRejectsOldVersions: v1 (no checksum) and v2 (no layout)
-// files are refused by name, so everything Restore accepts is
-// CRC-verified; an unrelated file is still "not a checkpoint".
+// TestCheckpointRejectsOldVersions: v1 (no checksum), v2 (no layout)
+// and v3 (no history) files are refused by name, so everything Restore
+// accepts is CRC-verified and carries its history; an unrelated file is
+// still "not a checkpoint".
 func TestCheckpointRejectsOldVersions(t *testing.T) {
 	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
@@ -211,7 +283,7 @@ func TestCheckpointRejectsOldVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := ckpt[len(checkpointMagic):]
-	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
+	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n"} {
 		old := append([]byte(magic), body...)
 		err := s.Restore(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
@@ -254,9 +326,9 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRestore: Restore never panics on arbitrary bytes, and
-// a world accepts a file only if it begins with its own fixture's
-// unmodified bytes — the CRC trailer covers everything it reads, and a
+// FuzzCheckpointRestore: Restore and CheckpointHistory never panic on
+// arbitrary bytes, and a world accepts a file only if it begins with its
+// own fixture's unmodified bytes — the CRC trailer covers everything it reads, and a
 // suffix past the trailer is never read. Every input goes to a 1-rank
 // and a 2-rank world. One world of each serves every input: a restore
 // overwrites all the state a checkpoint carries, a rejected file
@@ -279,11 +351,12 @@ func FuzzCheckpointRestore(f *testing.F) {
 		for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
 			f.Add(ckpt[:cut])
 		}
-		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n"} {
+		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n"} {
 			f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
 		}
 	}
 	f.Add(corruptCount(f, worlds[0].ckpt, worlds[0].s.TotalParticles()))
+	f.Add(corruptHistoryCount(f, worlds[1].ckpt))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, w := range worlds {
 			unmodified := bytes.HasPrefix(data, w.ckpt)
@@ -291,5 +364,6 @@ func FuzzCheckpointRestore(f *testing.F) {
 				t.Fatalf("%d-rank Restore: err = %v on %d bytes (fixture prefix: %v)", len(w.s.Ranks), err, len(data), unmodified)
 			}
 		}
+		CheckpointHistory(bytes.NewReader(data))
 	})
 }

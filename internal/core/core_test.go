@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"govpic/internal/diag"
@@ -457,18 +458,33 @@ func TestAbsorbedEnergyBudget(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTripMultiRank: a 2-rank world's checkpoint carries
+// its history (CheckpointHistory and Restore both return it), and the
+// resumed world reaches the uninterrupted one's energy and history.
 func TestCheckpointRoundTripMultiRank(t *testing.T) {
 	cfg := periodicPlasma(16, 0.2, 0.05, 16, 2)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(8)
+	// run steps n times, sampling after each step.
+	run := func(s *Simulation, n int) {
+		for i := 0; i < n; i++ {
+			s.Step()
+			s.Sample()
+		}
+	}
+	s.Sample()
+	run(s, 8)
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(8)
+	atCheckpoint := s.History()
+	if h, err := CheckpointHistory(bytes.NewReader(buf.Bytes())); err != nil || !reflect.DeepEqual(h, atCheckpoint) {
+		t.Fatalf("CheckpointHistory: %d samples, err %v; want the %d written", len(h.Samples), err, len(atCheckpoint.Samples))
+	}
+	run(s, 8)
 	want := s.Energy()
 
 	s2, err := New(cfg)
@@ -478,9 +494,15 @@ func TestCheckpointRoundTripMultiRank(t *testing.T) {
 	if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	s2.Run(8)
+	if !reflect.DeepEqual(s2.History(), atCheckpoint) {
+		t.Fatal("restored history differs from the one checkpointed")
+	}
+	run(s2, 8)
 	got := s2.Energy()
 	if got.Total != want.Total {
 		t.Fatalf("multi-rank restore diverged: %g vs %g", got.Total, want.Total)
+	}
+	if !reflect.DeepEqual(s2.History(), s.History()) {
+		t.Fatal("resumed history differs from the uninterrupted one")
 	}
 }

@@ -9,15 +9,19 @@ import (
 )
 
 // RankSim is the driver: one rank's member of a world, owning that
-// rank's tile, its step and time counters, and every global observable
-// (as a collective over the Comm). The world's transport decides where
-// the peers live — transport.Connect's TCP mesh for one process per
-// rank, or the in-process mp.World that Simulation steps in lockstep —
-// and because the rank-ordered collectives are the same on both, a
-// world produces bit-identical state and observables either way.
+// rank's tile, its step and time counters, the run's energy history,
+// and every global observable (as a collective over the Comm). The
+// world's transport decides where the peers live — transport.Connect's
+// TCP mesh for one process per rank, or the in-process mp.World that
+// Simulation steps in lockstep — and because the rank-ordered
+// collectives are the same on both, a world produces bit-identical
+// state and observables either way.
 type RankSim struct {
 	Cfg  Config
 	Rank *Rank
+	// History holds the samples Sample took, from step 0 on: Restore
+	// replaces it with the checkpoint's, and Checkpoint writes it.
+	History diag.History
 
 	comm *mp.Comm
 	step int
@@ -102,6 +106,14 @@ func (rs *RankSim) Energy() diag.EnergySample {
 		sample.Total += k
 	}
 	return sample
+}
+
+// Sample appends the global energy sample (Energy) to History and
+// returns it — a collective.
+func (rs *RankSim) Sample() diag.EnergySample {
+	s := rs.Energy()
+	rs.History.Samples = append(rs.History.Samples, s)
+	return s
 }
 
 // particles returns this rank's resident particle count (all species).

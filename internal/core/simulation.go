@@ -103,6 +103,13 @@ func (s *Simulation) Time() float64 { return s.sims[0].time }
 // Energy gathers the global energy sample.
 func (s *Simulation) Energy() diag.EnergySample { return Collect(s, (*RankSim).Energy) }
 
+// Sample appends the global energy sample to every member's History
+// and returns it.
+func (s *Simulation) Sample() diag.EnergySample { return Collect(s, (*RankSim).Sample) }
+
+// History returns the samples Sample took (member 0's History).
+func (s *Simulation) History() diag.History { return s.sims[0].History }
+
 // TotalParticles returns the global particle count.
 func (s *Simulation) TotalParticles() int { return Collect(s, (*RankSim).TotalParticles) }
 

@@ -1,13 +1,16 @@
 package dist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"govpic/internal/balance"
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/mp"
 	"govpic/internal/output"
@@ -18,11 +21,44 @@ import (
 var spikeSpec = deck.JSONConfig{Deck: "spike", NX: 32, PPC: 8, Ranks: 2, Workers: 1, Steps: 40,
 	Balance: "online", BalanceInterval: 2, BalanceThreshold: 1.15}
 
+// runSampled steps sim n times under Member's sampling rule: at the
+// start when the history is empty, then at every multiple of every.
+func runSampled(sim *core.Simulation, n, every int) {
+	if len(sim.History().Samples) == 0 {
+		sim.Sample()
+	}
+	for i := 0; i < n; i++ {
+		sim.Step()
+		if sim.StepCount()%every == 0 {
+			sim.Sample()
+		}
+	}
+}
+
+// runMembers runs job as an in-process world of Members and returns
+// rank 0's result.
+func runMembers(t *testing.T, dk deck.Deck, job Job) *Result {
+	t.Helper()
+	res := make([]*Result, dk.Cfg.NRanks)
+	errs := make([]error, dk.Cfg.NRanks)
+	waitOrHang(t, func() {
+		mp.Run(dk.Cfg.NRanks, func(c *mp.Comm) { res[c.Rank()], errs[c.Rank()] = Member(dk, c, job, nil) })
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return res[0]
+}
+
 // TestCheckpointCrossesWorlds: a checkpoint is the world's, not its
-// host's. On the balanced spike deck, a file written at step 20 by a
-// 2-rank loopback-TCP world resumes in an in-process Simulation, and a
-// file the Simulation wrote resumes on a TCP world; both reach the
-// uninterrupted run's CRCs at step 40.
+// host's, and it carries the run's history. On the balanced spike deck,
+// a file written at step 20 by a 2-rank loopback-TCP world resumes in an
+// in-process Simulation, and a file the Simulation wrote resumes on a
+// TCP world; both reach the uninterrupted run's CRCs and energy history
+// at step 40. So do a checkpoint at step 0 and one at step 25, off the
+// sampling cadence: a resume takes no extra or duplicate sample.
 func TestCheckpointCrossesWorlds(t *testing.T) {
 	dk, err := spikeSpec.Build()
 	if err != nil {
@@ -33,8 +69,8 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	uniform := full.CutsX()
-	full.Run(40)
-	want := full.StateCRCs()
+	runSampled(full, 40, 10)
+	want, wantHist := full.StateCRCs(), full.History()
 	dir := t.TempDir()
 
 	fromTCP := filepath.Join(dir, "tcp.ckpt")
@@ -60,16 +96,19 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-process restore of the TCP world's file: %v", err)
 	}
-	sim.Run(20)
+	runSampled(sim, 20, 10)
 	if got := sim.StateCRCs(); !slices.Equal(got, want) {
 		t.Errorf("TCP → in-process: CRCs %08x, uninterrupted %08x", got, want)
+	}
+	if !reflect.DeepEqual(sim.History(), wantHist) {
+		t.Errorf("TCP → in-process: history %+v, uninterrupted %+v", sim.History(), wantHist)
 	}
 
 	half, err := dk.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	half.Run(20)
+	runSampled(half, 20, 10)
 	fromSim := filepath.Join(dir, "sim.ckpt")
 	if err := output.WriteFileAtomic(fromSim, half.Checkpoint); err != nil {
 		t.Fatal(err)
@@ -82,6 +121,19 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	}
 	if got := results[0].CRCs; results[0].Steps != 40 || !slices.Equal(got, want) {
 		t.Errorf("in-process → TCP: step %d, CRCs %08x; uninterrupted step 40, %08x", results[0].Steps, got, want)
+	}
+	if !reflect.DeepEqual(results[0].History, wantHist) {
+		t.Errorf("in-process → TCP: history %+v, uninterrupted %+v", results[0].History, wantHist)
+	}
+
+	for _, at := range []int{0, 25} {
+		path := filepath.Join(dir, fmt.Sprintf("at%d.ckpt", at))
+		runMembers(t, dk, Job{Steps: at, Every: 10, Checkpoint: path})
+		res := runMembers(t, dk, Job{Steps: 40 - at, Every: 10, Restore: path})
+		if !slices.Equal(res.CRCs, want) || !reflect.DeepEqual(res.History, wantHist) {
+			t.Errorf("resumed at step %d: CRCs %08x, %d samples; uninterrupted %08x, %d samples",
+				at, res.CRCs, len(res.History.Samples), want, len(wantHist.Samples))
+		}
 	}
 }
 

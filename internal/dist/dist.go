@@ -44,9 +44,10 @@ type Config struct {
 }
 
 // Job is what a member runs: Steps more steps, sampling the global
-// energy at the start and at every step count that is a multiple of
-// Every (0: the start only), resuming from the checkpoint at Restore
-// and writing one to Checkpoint when set (rank 0 alone opens either).
+// energy at the start when the history is empty and at every step count
+// that is a multiple of Every (0: the start only), resuming from the
+// checkpoint at Restore — and the history it carries — and writing one
+// to Checkpoint when set (rank 0 alone opens either).
 // Around, when set, runs rank 0's step loop (cmd/vpic's profiles).
 type Job struct {
 	Steps, Every        int
@@ -61,7 +62,7 @@ type Result struct {
 	CutsX   []int             // the x-plane cuts at the end
 	CRCs    []uint32          // every rank's state CRC, rank order
 	Reports []core.RankReport // every rank's report, rank order
-	History diag.History      // global energy history (identical on every member)
+	History diag.History      // global energy history from step 0, restored samples included (identical on every member)
 	Wall    time.Duration     // the step loop
 }
 
@@ -125,13 +126,15 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 		dk.Name, cfg.NX*cfg.NY*cfg.NZ, particles, cfg.NRanks, cfg.Workers, cfg.Kernel, cfg.DT)
 
 	res = &Result{Rank: rank}
-	res.History.Add(rs.Energy())
+	if len(rs.History.Samples) == 0 {
+		rs.Sample()
+	}
 	loop := func() {
 		start := time.Now()
 		for i := 0; i < job.Steps; i++ {
 			rs.Step()
 			if job.Every > 0 && rs.StepCount()%job.Every == 0 {
-				res.History.Add(rs.Energy())
+				rs.Sample()
 			}
 		}
 		res.Wall = time.Since(start)
@@ -142,7 +145,7 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 		loop()
 	}
 	logf("finished %d steps in %s", job.Steps, res.Wall.Round(time.Millisecond))
-	res.Steps, res.CutsX = rs.StepCount(), rs.CutsX()
+	res.Steps, res.CutsX, res.History = rs.StepCount(), rs.CutsX(), rs.History
 
 	// The report and CRC describe the run, so they are taken before the
 	// checkpoint's traffic.

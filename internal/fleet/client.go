@@ -121,9 +121,9 @@ func (cl *client) submit(baseURL string, spec deck.JSONConfig) (server.JobRef, e
 	return decodeSubmitResponse(resp)
 }
 
-// restore places one spec seeded with mirrored checkpoint artifacts —
-// the relocation path. The worker resumes it bit-identically.
-func (cl *client) restore(baseURL string, spec deck.JSONConfig, ckptPath, histPath string) (server.JobRef, error) {
+// restore places one spec seeded with its mirrored checkpoint — the
+// relocation path. The worker resumes it bit-identically.
+func (cl *client) restore(baseURL string, spec deck.JSONConfig, ckptPath string) (server.JobRef, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return server.JobRef{}, err
@@ -133,22 +133,17 @@ func (cl *client) restore(baseURL string, spec deck.JSONConfig, ckptPath, histPa
 	if err := mw.WriteField("spec", string(specJSON)); err != nil {
 		return server.JobRef{}, err
 	}
-	for _, part := range []struct{ field, path string }{
-		{"checkpoint", ckptPath},
-		{"history", histPath},
-	} {
-		f, err := os.Open(part.path)
-		if err != nil {
-			return server.JobRef{}, fmt.Errorf("mirror %s: %w", part.field, err)
-		}
-		pw, err := mw.CreateFormFile(part.field, part.field)
-		if err == nil {
-			_, err = io.Copy(pw, f)
-		}
-		f.Close()
-		if err != nil {
-			return server.JobRef{}, err
-		}
+	f, err := os.Open(ckptPath)
+	if err != nil {
+		return server.JobRef{}, fmt.Errorf("mirror checkpoint: %w", err)
+	}
+	pw, err := mw.CreateFormFile("checkpoint", "checkpoint")
+	if err == nil {
+		_, err = io.Copy(pw, f)
+	}
+	f.Close()
+	if err != nil {
+		return server.JobRef{}, err
 	}
 	if err := mw.Close(); err != nil {
 		return server.JobRef{}, err
@@ -190,16 +185,16 @@ func (cl *client) resultBytes(baseURL, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// artifact downloads one spool artifact (checkpoint|history) to dst,
+// artifact downloads a worker job's spooled checkpoint to dst,
 // atomically — a torn mirror must never replace a good one.
-func (cl *client) artifact(baseURL, id, kind, dst string) error {
-	resp, err := cl.unary.Get(baseURL + "/v1/jobs/" + id + "/artifacts/" + kind)
+func (cl *client) artifact(baseURL, id, dst string) error {
+	resp, err := cl.unary.Get(baseURL + "/v1/jobs/" + id + "/artifacts/checkpoint")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("artifact %s/%s: HTTP %d", id, kind, resp.StatusCode)
+		return fmt.Errorf("checkpoint %s: HTTP %d", id, resp.StatusCode)
 	}
 	return output.WriteFileAtomic(dst, func(w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)

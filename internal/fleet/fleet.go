@@ -11,8 +11,8 @@
 // placed with fair-share per-tenant scheduling onto the worker with
 // the most free queue slots, honouring worker 429/Retry-After
 // backpressure. While a shard runs, the coordinator mirrors its CRC'd
-// checkpoint + energy-history artifacts; when the owning worker dies,
-// the shard is relocated by resubmitting those artifacts to a healthy
+// checkpoint, which carries the energy history; when the owning worker
+// dies, the shard is relocated by resubmitting that file to a healthy
 // worker via vpicd's restore endpoint — bit-identical by construction,
 // because resume-from-checkpoint is. Clients get a federated API:
 // sweep fan-out on submit, proxied status/results, step-granular SSE
@@ -37,8 +37,8 @@ import (
 
 // Config sizes the coordinator. Zero values select the defaults.
 type Config struct {
-	// MirrorDir stores mirrored checkpoint/history/result artifacts,
-	// one trio per fleet job (created if missing).
+	// MirrorDir stores mirrored checkpoint and result artifacts, one
+	// pair per fleet job (created if missing).
 	MirrorDir string
 	// ProbeEvery is the worker health-check interval (default 2s).
 	ProbeEvery time.Duration

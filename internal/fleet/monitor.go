@@ -14,9 +14,6 @@ import (
 func (c *Coordinator) mirrorCheckpointPath(fleetID string) string {
 	return filepath.Join(c.cfg.MirrorDir, fleetID+".ckpt")
 }
-func (c *Coordinator) mirrorHistoryPath(fleetID string) string {
-	return filepath.Join(c.cfg.MirrorDir, fleetID+".history.json")
-}
 func (c *Coordinator) mirrorResultPath(fleetID string) string {
 	return filepath.Join(c.cfg.MirrorDir, fleetID+".result.json")
 }
@@ -85,29 +82,12 @@ func (c *Coordinator) watchShard(ctx context.Context, fleetID, workerURL, worker
 	}
 }
 
-// mirrorShard pulls the checkpoint/history pair for one shard into the
-// mirror dir. Fetch order matters: checkpoint first, then history —
-// the worker commits each pair history-before-checkpoint, so a history
-// fetched after a checkpoint is always a superset of that checkpoint's
-// sample prefix (histories only grow), and the restore-side "Step ≤
-// restored step" filter reconstructs the exact pair. Both downloads
-// stage to .part files and only a complete pair is renamed into place
-// (history first, mirroring the worker's commit order): if the worker
-// dies between the two fetches, the previous self-consistent pair —
-// not a new checkpoint beside an old history — remains the relocation
+// mirrorShard pulls one shard's checkpoint — its energy history rides
+// inside — into the mirror dir. The download is atomic, so if the
+// worker dies mid-fetch the previous checkpoint remains the relocation
 // source.
 func (c *Coordinator) mirrorShard(fleetID, workerURL, workerJobID string, step int) {
-	ckpt, hist := c.mirrorCheckpointPath(fleetID), c.mirrorHistoryPath(fleetID)
-	if err := c.client.artifact(workerURL, workerJobID, "checkpoint", ckpt+".part"); err != nil {
-		return
-	}
-	if err := c.client.artifact(workerURL, workerJobID, "history", hist+".part"); err != nil {
-		return
-	}
-	if err := os.Rename(hist+".part", hist); err != nil {
-		return
-	}
-	if err := os.Rename(ckpt+".part", ckpt); err != nil {
+	if err := c.client.artifact(workerURL, workerJobID, c.mirrorCheckpointPath(fleetID)); err != nil {
 		return
 	}
 	c.mu.Lock()
@@ -153,7 +133,6 @@ func (c *Coordinator) finalizeShard(fleetID, workerURL, workerJobID string, wj s
 	c.mu.Unlock()
 	// Retired checkpoint mirrors are dead weight; results stay.
 	os.Remove(c.mirrorCheckpointPath(fleetID))
-	os.Remove(c.mirrorHistoryPath(fleetID))
 	c.hub.PublishState(fleetID, wj.State, wj.Error)
 	c.cfg.Logf("vpicfleet: %s %s (worker job %s)", fleetID, state, workerJobID)
 	c.kickSchedule() // a slot freed; a quota may have room now

@@ -45,7 +45,7 @@ type Job struct {
 	WorkerState server.State    `json:"worker_state,omitempty"`
 	Progress    server.Progress `json:"progress"`
 
-	// MirrorStep is the step of the last checkpoint pair mirrored into
+	// MirrorStep is the step of the last checkpoint mirrored into
 	// MirrorDir — what a relocation resumes from (0: none yet, a
 	// relocation restarts deterministically from step 0).
 	MirrorStep int `json:"mirror_step"`
@@ -147,7 +147,7 @@ func (c *Coordinator) placeAll() {
 		var ref server.JobRef
 		var err error
 		if mirrorStep > 0 {
-			ref, err = c.client.restore(workerURL, spec, c.mirrorCheckpointPath(jobID), c.mirrorHistoryPath(jobID))
+			ref, err = c.client.restore(workerURL, spec, c.mirrorCheckpointPath(jobID))
 			if err != nil && !isBackpressure(err) {
 				// Unreadable/rejected mirror: a fresh run is merely slower,
 				// determinism keeps it bit-identical.

@@ -11,17 +11,15 @@ import (
 	"govpic/internal/output"
 )
 
-// handleRestore admits one job seeded with externally supplied
-// checkpoint artifacts — the receiving half of a fleet relocation. The
-// multipart form carries:
+// handleRestore admits one job seeded with an externally supplied
+// checkpoint — the receiving half of a fleet relocation. The multipart
+// form carries:
 //
 //	spec       — JSON deck.JSONConfig (including steps)
-//	checkpoint — optional binary checkpoint (format v3, CRC-trailed)
-//	history    — energy-history JSON paired with the checkpoint
-//	             (required with it: the resumed run's history is the
-//	             replayed prefix plus freshly computed samples)
+//	checkpoint — optional binary checkpoint (format v4, CRC-trailed,
+//	             energy history included)
 //
-// The artifacts land in the spool before the job becomes visible to a
+// The checkpoint lands in the spool before the job becomes visible to a
 // runner, so the runner's ordinary resume path takes over: a CRC-valid
 // checkpoint resumes bit-identically, a corrupted one falls back to a
 // deterministic step-0 restart.
@@ -47,10 +45,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	ckpt, _, ckptErr := r.FormFile("checkpoint")
 	if ckptErr == nil {
 		defer ckpt.Close()
-		if _, _, err := r.FormFile("history"); err != nil {
-			writeError(w, http.StatusBadRequest, "checkpoint without history: the resumed run could not reconstruct its sample prefix")
-			return
-		}
 	}
 
 	s.mu.Lock()
@@ -77,24 +71,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "spool write failed: %v", err)
 		return
 	}
-	// Artifacts must be durable before a runner can pop the job.
+	// The checkpoint must be durable before a runner can pop the job.
 	if ckptErr == nil {
-		hist, _, _ := r.FormFile("history")
-		defer hist.Close()
-		for _, part := range []struct {
-			src  io.Reader
-			path string
-		}{
-			{ckpt, s.spool.checkpointPath(j.ID)},
-			{hist, s.spool.historyPath(j.ID)},
-		} {
-			if err := output.WriteFileAtomic(part.path, func(w io.Writer) error {
-				_, err := io.Copy(w, part.src)
-				return err
-			}); err != nil {
-				writeError(w, http.StatusInternalServerError, "artifact write failed: %v", err)
-				return
-			}
+		if err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), func(w io.Writer) error {
+			_, err := io.Copy(w, ckpt)
+			return err
+		}); err != nil {
+			writeError(w, http.StatusInternalServerError, "checkpoint write failed: %v", err)
+			return
 		}
 	}
 	s.jobs[j.ID] = j

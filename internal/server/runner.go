@@ -90,42 +90,31 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	s.mu.Lock()
 	j.Kernel = sim.Cfg.Kernel
 	s.mu.Unlock()
-	hist := &diag.History{}
-	// sample appends the current energies to the history and streams the
-	// stored copy (Total filled in by Add) to SSE subscribers.
-	sample := func() {
-		hist.Add(sim.Energy())
-		s.hub.Publish(j.ID, hist.Samples[len(hist.Samples)-1])
-	}
+	// sample appends the current energies to the history and streams
+	// them to SSE subscribers.
+	sample := func() { s.hub.Publish(j.ID, sim.Sample()) }
 
-	// Resume from the latest checkpoint if the spool has one and its
-	// history reads. The spec fixes the layout, so a resumed or relocated
-	// job's checkpoint differs from the fresh build at most in its x-cuts
-	// (an online rebalance moved them), which Restore adopts. A rejected
-	// checkpoint (corrupt, truncated, another problem's) leaves sim
-	// untouched, so the job starts fresh: determinism makes re-running
-	// from step 0 merely slower, not wrong.
+	// Resume from the latest checkpoint if the spool has one. The spec
+	// fixes the layout, so a resumed or relocated job's checkpoint
+	// differs from the fresh build at most in its x-cuts (an online
+	// rebalance moved them), which Restore adopts. A rejected checkpoint
+	// (corrupt, truncated, another problem's) leaves sim untouched, so
+	// the job starts fresh: determinism makes re-running from step 0
+	// merely slower, not wrong.
 	if f, oerr := os.Open(s.spool.checkpointPath(j.ID)); oerr == nil {
-		samples, herr := s.spool.readHistory(j.ID)
-		if herr != nil {
-			s.cfg.Logf("vpicd: %s history unreadable (%v); restarting from step 0", j.ID, herr)
-		} else if rerr := sim.Restore(f); rerr != nil {
+		if rerr := sim.Restore(f); rerr != nil {
 			s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, rerr)
 		} else {
-			for _, smp := range samples {
-				if smp.Step <= sim.StepCount() {
-					hist.Samples = append(hist.Samples, smp)
-					// Replay the recovered prefix to the hub; its monotonic
-					// dedup drops steps subscribers already saw.
-					s.hub.Publish(j.ID, smp)
-				}
+			// Replay the restored history to the hub; its monotonic dedup
+			// drops steps subscribers already saw.
+			for _, smp := range sim.History().Samples {
+				s.hub.Publish(j.ID, smp)
 			}
 			s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, sim.StepCount(), j.Spec.Steps, sim.CutsX())
 		}
 		f.Close()
 	}
-	if sim.StepCount() == 0 {
-		hist.Samples = hist.Samples[:0]
+	if len(sim.History().Samples) == 0 {
 		sample()
 	}
 
@@ -166,7 +155,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		j.pushed = pushed
 		s.mu.Unlock()
 		if step%ckptEvery == 0 && step < steps && ckptErr == nil {
-			ckptErr = s.saveCheckpoint(j, sim, hist)
+			ckptErr = s.saveCheckpoint(j, sim)
 		}
 	}
 
@@ -176,7 +165,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	for sim.StepCount() < steps {
 		if runErr := ctx.Err(); runErr != nil {
 			// Preemption or cancel: persist the exact stopping point first.
-			if err := s.saveCheckpoint(j, sim, hist); err != nil {
+			if err := s.saveCheckpoint(j, sim); err != nil {
 				s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
 			}
 			return runErr
@@ -189,6 +178,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	}
 
 	wall := time.Since(wallStart)
+	hist := sim.History()
 	att := attest(d, hist.Samples)
 	s.mu.Lock()
 	j.Physics = &att
@@ -245,19 +235,9 @@ func attest(d deck.Deck, samples []diag.EnergySample) PhysicsAttestation {
 	return att
 }
 
-// saveCheckpoint writes the history/checkpoint pair atomically, in
-// that order. Committing the history first keeps the invariant that
-// the on-disk history is always a superset of the on-disk checkpoint's
-// sample prefix — whether the writes are interrupted by a crash or
-// observed mid-pair by the fleet coordinator's artifact mirror — so
-// the restore-side "Step ≤ restored step" filter always reconstructs
-// an exact pair with no sample lost. (Checkpoint-first would open a
-// window where the checkpoint is newer than the history; a resume in
-// that window starts past samples the history never recorded.)
-func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation, hist *diag.History) error {
-	if err := s.spool.writeHistory(j.ID, hist.Samples); err != nil {
-		return err
-	}
+// saveCheckpoint writes the job's checkpoint, energy history included,
+// atomically.
+func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation) error {
 	if err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), sim.Checkpoint); err != nil {
 		return err
 	}
@@ -267,9 +247,9 @@ func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation, hist *diag.History
 	return nil
 }
 
-// stateCRC fingerprints the full dynamic state (fields + particles):
-// the CRC trailer of its checkpoint, the CRC32 of every byte before it,
-// so two runs agree iff they are bit-exact.
+// stateCRC fingerprints the run: the CRC trailer of its checkpoint,
+// the CRC32 of every byte before it — fields, particles and the energy
+// history — so two runs agree iff they are bit-exact.
 func stateCRC(sim *core.Simulation) string {
 	var t tail
 	if err := sim.Checkpoint(&t); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
 	"govpic/internal/valid"
@@ -483,7 +484,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // seedTerminalStream loads a terminal job's energy history from the
-// spool into the hub so SSE replay works across process restarts.
+// spool — a completed job's result, or a stopped job's checkpoint —
+// into the hub so SSE replay works across process restarts.
 func (s *Server) seedTerminalStream(id string, state State, errMsg string) {
 	var samples []diag.EnergySample
 	if state == StateCompleted {
@@ -494,8 +496,11 @@ func (s *Server) seedTerminalStream(id string, state State, errMsg string) {
 			}
 			f.Close()
 		}
-	} else {
-		samples, _ = s.spool.readHistory(id)
+	} else if f, err := os.Open(s.spool.checkpointPath(id)); err == nil {
+		if h, err := core.CheckpointHistory(f); err == nil {
+			samples = h.Samples
+		}
+		f.Close()
 	}
 	for _, smp := range samples {
 		s.hub.Publish(id, smp)
@@ -503,10 +508,9 @@ func (s *Server) seedTerminalStream(id string, state State, errMsg string) {
 	s.hub.PublishState(id, state, errMsg)
 }
 
-// handleArtifact serves a job's spooled checkpoint or energy-history
-// file — the coordinator's relocation source. 404 when the artifact
-// does not (or no longer) exist(s), e.g. after completion retires the
-// checkpoint pair.
+// handleArtifact serves a job's spooled checkpoint — the coordinator's
+// relocation source, energy history included. 404 when it does not (or
+// no longer) exist, e.g. after completion retires it.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -516,22 +520,16 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	var path, ctype string
-	switch kind := r.PathValue("kind"); kind {
-	case "checkpoint":
-		path, ctype = s.spool.checkpointPath(id), "application/octet-stream"
-	case "history":
-		path, ctype = s.spool.historyPath(id), "application/json"
-	default:
+	if kind := r.PathValue("kind"); kind != "checkpoint" {
 		writeError(w, http.StatusNotFound, "unknown artifact %q", kind)
 		return
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(s.spool.checkpointPath(id))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no %s artifact for %s", r.PathValue("kind"), id)
+		writeError(w, http.StatusNotFound, "no checkpoint artifact for %s", id)
 		return
 	}
 	defer f.Close()
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", "application/octet-stream")
 	io.Copy(w, f)
 }

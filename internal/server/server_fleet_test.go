@@ -267,8 +267,8 @@ func TestEventsSSE(t *testing.T) {
 	}
 }
 
-// restoreMultipart posts spec+artifacts to /v1/jobs/restore.
-func restoreMultipart(t *testing.T, url string, spec deck.JSONConfig, ckpt, hist []byte) (*http.Response, SubmitResponse) {
+// restoreMultipart posts spec+checkpoint to /v1/jobs/restore.
+func restoreMultipart(t *testing.T, url string, spec deck.JSONConfig, ckpt []byte) (*http.Response, SubmitResponse) {
 	t.Helper()
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
@@ -277,10 +277,6 @@ func restoreMultipart(t *testing.T, url string, spec deck.JSONConfig, ckpt, hist
 	if ckpt != nil {
 		pw, _ := mw.CreateFormFile("checkpoint", "checkpoint")
 		pw.Write(ckpt)
-	}
-	if hist != nil {
-		pw, _ := mw.CreateFormFile("history", "history")
-		pw.Write(hist)
 	}
 	mw.Close()
 	resp, err := http.Post(url+"/v1/jobs/restore", mw.FormDataContentType(), &buf)
@@ -294,9 +290,9 @@ func restoreMultipart(t *testing.T, url string, spec deck.JSONConfig, ckpt, hist
 }
 
 // TestArtifactsAndRestore is the worker half of a fleet relocation: a
-// checkpointed job's artifacts download from one server and restore
-// onto another, which completes the run bit-identically to an
-// uninterrupted reference.
+// checkpointed job's one artifact — the checkpoint, history inside —
+// downloads from one server and restores onto another, which completes
+// the run bit-identically to an uninterrupted reference.
 func TestArtifactsAndRestore(t *testing.T) {
 	cfg := Config{Runners: 1, CheckpointEvery: 20, EnergyEvery: 20}
 	spec := smallThermal(120)
@@ -344,9 +340,10 @@ func TestArtifactsAndRestore(t *testing.T) {
 		return b
 	}
 	ckpt := fetch("checkpoint")
-	hist := fetch("history")
-	if resp, _ := http.Get(srcTS.URL + "/v1/jobs/" + id + "/artifacts/bogus"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("bogus artifact: HTTP %d, want 404", resp.StatusCode)
+	for _, kind := range []string{"history", "bogus"} {
+		if resp, _ := http.Get(srcTS.URL + "/v1/jobs/" + id + "/artifacts/" + kind); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s artifact: HTTP %d, want 404", kind, resp.StatusCode)
+		}
 	}
 
 	// Destination worker: restore and complete.
@@ -356,7 +353,7 @@ func TestArtifactsAndRestore(t *testing.T) {
 	dstSrv, dstTS := startServer(t, t.TempDir(), dstCfg)
 	defer dstTS.Close()
 	defer dstSrv.Close()
-	resp, rsub := restoreMultipart(t, dstTS.URL, spec, ckpt, hist)
+	resp, rsub := restoreMultipart(t, dstTS.URL, spec, ckpt)
 	if resp.StatusCode != http.StatusAccepted || len(rsub.Jobs) != 1 {
 		t.Fatalf("restore: HTTP %d %+v", resp.StatusCode, rsub)
 	}
@@ -372,11 +369,8 @@ func TestArtifactsAndRestore(t *testing.T) {
 		t.Fatalf("restored state CRC %q != reference %q", got.StateCRC, want.StateCRC)
 	}
 
-	// Validation errors: checkpoint without history, and a missing spec.
-	if resp, _ := restoreMultipart(t, dstTS.URL, spec, ckpt, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("checkpoint-without-history: HTTP %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := restoreMultipart(t, dstTS.URL, deck.JSONConfig{}, nil, nil); resp.StatusCode != http.StatusBadRequest {
+	// Validation error: a missing spec.
+	if resp, _ := restoreMultipart(t, dstTS.URL, deck.JSONConfig{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec: HTTP %d, want 400", resp.StatusCode)
 	}
 
@@ -384,29 +378,14 @@ func TestArtifactsAndRestore(t *testing.T) {
 	// still bit-identical, merely slower.
 	bad := append([]byte{}, ckpt...)
 	bad[len(bad)/2] ^= 0xff
-	resp, rsub = restoreMultipart(t, dstTS.URL, spec, bad, hist)
+	resp, rsub = restoreMultipart(t, dstTS.URL, spec, bad)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("corrupt-checkpoint restore: HTTP %d", resp.StatusCode)
 	}
 	waitState(t, dstTS, rsub.Jobs[0].ID, StateCompleted)
 	got = getResult(t, dstTS, rsub.Jobs[0].ID)
-	if got.StateCRC != want.StateCRC {
-		t.Fatalf("fresh-start fallback CRC %q != reference %q", got.StateCRC, want.StateCRC)
-	}
-
-	// A valid checkpoint whose history is corrupt is never restored: the
-	// job runs from step 0 and recomputes the whole history.
-	resp, rsub = restoreMultipart(t, dstTS.URL, spec, ckpt, []byte(`[{"step":`))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("corrupt-history restore: HTTP %d", resp.StatusCode)
-	}
-	waitState(t, dstTS, rsub.Jobs[0].ID, StateCompleted)
-	if !lc.contains(rsub.Jobs[0].ID + " history unreadable") {
-		t.Fatalf("corrupt history was not reported; log: %v", lc.lines)
-	}
-	got = getResult(t, dstTS, rsub.Jobs[0].ID)
 	if got.StateCRC != want.StateCRC || !reflect.DeepEqual(got.History, want.History) {
-		t.Fatalf("corrupt-history job: CRC %q, %d samples; reference %q, %d samples",
+		t.Fatalf("fresh-start fallback: CRC %q, %d samples; reference %q, %d samples",
 			got.StateCRC, len(got.History), want.StateCRC, len(want.History))
 	}
 }

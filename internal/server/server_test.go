@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -175,7 +176,7 @@ func TestSubmitRunResult(t *testing.T) {
 // state it fingerprints: jobs of the same deck that end in different
 // states report different values, and each equals the CRC trailer of
 // the checkpoint an in-process run of the same spec writes after the
-// same steps.
+// same steps, sampling its energy on the server's cadence.
 func TestStateCRCIsCheckpointTrailer(t *testing.T) {
 	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 20, EnergyEvery: 10})
 	defer ts.Close()
@@ -203,7 +204,13 @@ func TestStateCRCIsCheckpointTrailer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.Run(specs[i].Steps)
+		sim.Sample()
+		for sim.StepCount() < specs[i].Steps {
+			sim.Step()
+			if sim.StepCount()%10 == 0 || sim.StepCount() == specs[i].Steps {
+				sim.Sample()
+			}
+		}
 		var ckpt bytes.Buffer
 		if err := sim.Checkpoint(&ckpt); err != nil {
 			t.Fatal(err)
@@ -276,17 +283,7 @@ func TestBackpressureAndCancel(t *testing.T) {
 	}
 	// A cancel that lands before the first step completes is honoured
 	// with nothing to report, so wait for the progress the test asserts.
-	for deadline := time.Now().Add(60 * time.Second); getStatus(t, ts, srA.Jobs[0].ID).Progress.Step == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("running job never completed a step")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	reqA, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+srA.Jobs[0].ID, nil)
-	if resp, err := http.DefaultClient.Do(reqA); err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel running: %v HTTP %d", err, resp.StatusCode)
-	}
-	j := waitState(t, ts, srA.Jobs[0].ID, StateCancelled)
+	j := cancelRunning(t, ts, srA.Jobs[0].ID, 1)
 	if j.Progress.Step == 0 {
 		t.Fatal("cancelled job reports no progress")
 	}
@@ -294,6 +291,7 @@ func TestBackpressureAndCancel(t *testing.T) {
 		t.Fatalf("cancelled job has no checkpoint: %v", err)
 	}
 	// Cancelling a terminal job conflicts.
+	reqA, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+srA.Jobs[0].ID, nil)
 	if resp, _ := http.DefaultClient.Do(reqA); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("re-cancel: HTTP %d, want 409", resp.StatusCode)
 	}
@@ -427,4 +425,83 @@ func TestMetricsCommCounters(t *testing.T) {
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_class_bytes_total{class="particles"}`)
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_link_bytes_sent_total{link="0->1"}`)
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_link_msgs_sent_total{link="1->0"}`)
+}
+
+// cancelRunning cancels a running job once it has completed min steps
+// and waits for the runner to report it cancelled (after its
+// checkpoint).
+func cancelRunning(t *testing.T, ts *httptest.Server, id string, min int) Job {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); getStatus(t, ts, id).Progress.Step < min; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached step %d", id, min)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("cancel %s: %v", id, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel running %s: HTTP %d", id, resp.StatusCode)
+	}
+	return waitState(t, ts, id, StateCancelled)
+}
+
+// TestCancelledStreamReplaysFromCheckpoint: a successor process serves
+// a cancelled job's SSE stream from the history inside its checkpoint —
+// the same samples the live stream carried, then the cancelled state.
+func TestCancelledStreamReplaysFromCheckpoint(t *testing.T) {
+	spoolDir := t.TempDir()
+	cfg := Config{CheckpointEvery: 20, EnergyEvery: 5}
+	srv, ts := startServer(t, spoolDir, cfg)
+	_, sub := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
+	id := sub.Jobs[0].ID
+	j := cancelRunning(t, ts, id, 12)
+	live := readSSE(t, ts.URL+"/v1/jobs/"+id+"/events", -1)
+	ts.Close()
+	srv.Close()
+	if n := len(live.samples); n < 3 || live.samples[n-1].Step != j.Progress.Step/5*5 {
+		t.Fatalf("live stream: %d samples for a job cancelled at step %d", n, j.Progress.Step)
+	}
+
+	srv2, ts2 := startServer(t, spoolDir, cfg)
+	defer ts2.Close()
+	defer srv2.Close()
+	recovered := readSSE(t, ts2.URL+"/v1/jobs/"+id+"/events", -1)
+	if !reflect.DeepEqual(recovered.samples, live.samples) || recovered.state != string(StateCancelled) {
+		t.Fatalf("successor replay: state %q, %d samples; live stream %d samples",
+			recovered.state, len(recovered.samples), len(live.samples))
+	}
+}
+
+// TestCloseLeavesNoGoroutines: once Close returns, nothing the server
+// started for a completed job or a cancelled one — runners, the
+// stepping world, SSE streams — outlives it: the goroutine count falls
+// back to its value before New within a bounded wait.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections()
+	base := runtime.NumGoroutine()
+	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 20, EnergyEvery: 5})
+	_, done := submit(t, ts, SubmitRequest{Deck: smallThermal(40)})
+	if got := readSSE(t, ts.URL+"/v1/jobs/"+done.Jobs[0].ID+"/events", -1); got.state != string(StateCompleted) {
+		t.Fatalf("first job ended %q", got.state)
+	}
+	_, long := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
+	cancelRunning(t, ts, long.Jobs[0].ID, 1)
+	readSSE(t, ts.URL+"/v1/jobs/"+long.Jobs[0].ID+"/events", -1)
+	ts.Close()
+	srv.Close()
+	http.DefaultClient.CloseIdleConnections()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -9,19 +9,18 @@ import (
 	"sort"
 	"strings"
 
-	"govpic/internal/diag"
 	"govpic/internal/output"
 )
 
 // spool is the on-disk job store: one directory per job holding the job
-// record, the latest checkpoint + energy history pair, and (once
-// completed) the result. Every write is atomic (temp + fsync + rename,
-// via output.WriteFileAtomic), so a crash at any instant leaves either
-// the previous or the new version of each file — never a torn one.
+// record, the latest checkpoint (which carries the energy history up to
+// its step) and, once completed, the result. Every write is atomic
+// (temp + fsync + rename, via output.WriteFileAtomic), so a crash at any
+// instant leaves either the previous or the new version of each file —
+// never a torn one.
 //
 //	<dir>/job-000001/job.json      — spec + state (rewritten on transitions)
-//	<dir>/job-000001/state.ckpt    — latest checkpoint (v2, CRC-trailed)
-//	<dir>/job-000001/history.json  — energy samples up to the checkpoint
+//	<dir>/job-000001/state.ckpt    — latest checkpoint (v4, CRC-trailed)
 //	<dir>/job-000001/result.json   — final Result (completed jobs only)
 type spool struct {
 	dir string
@@ -37,7 +36,6 @@ func newSpool(dir string) (spool, error) {
 func (sp spool) jobDir(id string) string         { return filepath.Join(sp.dir, id) }
 func (sp spool) jobPath(id string) string        { return filepath.Join(sp.dir, id, "job.json") }
 func (sp spool) checkpointPath(id string) string { return filepath.Join(sp.dir, id, "state.ckpt") }
-func (sp spool) historyPath(id string) string    { return filepath.Join(sp.dir, id, "history.json") }
 func (sp spool) resultPath(id string) string     { return filepath.Join(sp.dir, id, "result.json") }
 
 // writeJob persists the job record.
@@ -52,32 +50,8 @@ func (sp spool) writeJob(j *Job) error {
 	})
 }
 
-// writeHistory persists the energy samples accompanying a checkpoint.
-func (sp spool) writeHistory(id string, samples []diag.EnergySample) error {
-	return output.WriteFileAtomic(sp.historyPath(id), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(samples)
-	})
-}
-
-// readHistory loads the persisted energy samples (empty when absent).
-func (sp spool) readHistory(id string) ([]diag.EnergySample, error) {
-	f, err := os.Open(sp.historyPath(id))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var samples []diag.EnergySample
-	if err := json.NewDecoder(f).Decode(&samples); err != nil {
-		return nil, fmt.Errorf("server: history %s: %w", id, err)
-	}
-	return samples, nil
-}
-
 // writeResult persists the final artifact and retires the now-redundant
-// checkpoint pair.
+// checkpoint.
 func (sp spool) writeResult(id string, res Result) error {
 	err := output.WriteFileAtomic(sp.resultPath(id), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -88,7 +62,6 @@ func (sp spool) writeResult(id string, res Result) error {
 		return err
 	}
 	os.Remove(sp.checkpointPath(id))
-	os.Remove(sp.historyPath(id))
 	return nil
 }
 
