@@ -21,7 +21,6 @@ import (
 
 	"govpic/internal/deck"
 	"govpic/internal/dist"
-	"govpic/internal/mp"
 )
 
 func main() {
@@ -130,7 +129,7 @@ func main() {
 		}, logf)
 	} else {
 		job.Around = profiled(*cpuProf, *memProf, *steps)
-		res, err = runInProcess(d, job, logf)
+		res, err = dist.Local(d, job, logf)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -141,21 +140,6 @@ func main() {
 	if err := report(d, res, *stateCRC, *commJSON, *out); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runInProcess runs every rank of the deck's world in this process, each
-// a dist.Member on its Comm of one mp world, and returns rank 0's
-// result or the lowest rank's error (the members fail together).
-func runInProcess(d deck.Deck, job dist.Job, logf func(string, ...any)) (*dist.Result, error) {
-	n := d.Cfg.NRanks
-	res, errs := make([]*dist.Result, n), make([]error, n)
-	mp.Run(n, func(c *mp.Comm) { res[c.Rank()], errs[c.Rank()] = dist.Member(d, c, job, logf) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res[0], nil
 }
 
 // profiled returns the step-loop wrapper that writes a CPU profile of

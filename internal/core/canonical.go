@@ -117,10 +117,6 @@ func canonicalHeader(step int, time float64) uint64 {
 }
 
 // CanonicalDigest returns the geometry-canonical state digest of the
-// whole simulation.
-func (s *Simulation) CanonicalDigest() uint64 { return Collect(s, (*RankSim).CanonicalDigest) }
-
-// CanonicalDigest returns the geometry-canonical state digest of the
 // world — a collective; every rank must call it at the same step and
 // receives the same value. The per-rank sums combine by integer
 // addition in the communicator (two's-complement addition is uint64

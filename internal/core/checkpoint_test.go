@@ -33,10 +33,10 @@ func ckptFixture(t testing.TB, ranks int) (Config, []byte) {
 	if ranks > 1 {
 		s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 6, 16}) })
 	}
-	s.Sample()
+	Collect(s, (*RankSim).Sample)
 	for i := 0; i < 5; i++ {
 		s.Step()
-		s.Sample()
+		Collect(s, (*RankSim).Sample)
 	}
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
@@ -127,7 +127,7 @@ func TestRestoreRejectedOnEveryMember(t *testing.T) {
 	} {
 		s := mustNew(t, tc.cfg)
 		s.Run(2)
-		s.Sample()
+		Collect(s, (*RankSim).Sample)
 		crcs, cuts, hist := s.StateCRCs(), s.CutsX(), s.History()
 		errs := make([]error, len(s.Ranks))
 		// One reader for the world: only rank 0 may touch it (the race

@@ -471,10 +471,10 @@ func TestCheckpointRoundTripMultiRank(t *testing.T) {
 	run := func(s *Simulation, n int) {
 		for i := 0; i < n; i++ {
 			s.Step()
-			s.Sample()
+			Collect(s, (*RankSim).Sample)
 		}
 	}
-	s.Sample()
+	Collect(s, (*RankSim).Sample)
 	run(s, 8)
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"govpic/internal/diag"
 	"govpic/internal/loader"
+	"govpic/internal/mp"
 	"govpic/internal/push"
 )
 
@@ -91,4 +93,74 @@ func TestSimulationStepAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, s.Step); got > maxAllocs {
 		t.Errorf("Simulation.Step allocates %.0f objects per step, the bound %d", got, maxAllocs)
 	}
+}
+
+// TestMemberStepAllocs is the allocation ratchet on the loop every
+// production driver runs (dist.Member): free-running members on an
+// mp.Run world, each stepping its own RankSim, on TestSimulationStepAllocs'
+// shape. It counts heap objects (runtime.MemStats.Mallocs) per world
+// step — every member's allocations, the world's goroutines and links
+// included. The bounds are what this test measures on the tree that set
+// them (21.0–21.03 on 1 rank, 177.2–177.4 on 2, before flooring), so a
+// new per-step allocation in the step, its exchanges or the balance
+// check fails it.
+func TestMemberStepAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		ranks     int
+		maxAllocs uint64
+	}{{1, 21}, {2, 178}} {
+		const warm, steps = 40, 200 // warm: past the first sorts and buffer growth
+		var before, after runtime.MemStats
+		mp.Run(tc.ranks, func(c *mp.Comm) {
+			rs, err := NewRankSim(thermalBox(32, 4, 4, 8, tc.ranks), c)
+			if err != nil {
+				t.Error(err) // the config is every member's, so every member fails here
+				return
+			}
+			rs.Run(warm)
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			rs.Run(steps)
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+		})
+		// Floored, as testing.AllocsPerRun does: the runtime's own few
+		// objects over the window must not tip a bound.
+		got := (after.Mallocs - before.Mallocs) / steps
+		if got > tc.maxAllocs {
+			t.Errorf("%d ranks: members allocate %d objects per world step, the bound %d", tc.ranks, got, tc.maxAllocs)
+		}
+	}
+}
+
+// The lockstep world's read-outs that only this package's tests use;
+// other packages reach the members through Collect.
+
+// Time returns the current simulation time.
+func (s *Simulation) Time() float64 { return s.sims[0].time }
+
+// History returns the samples the members took (member 0's History).
+func (s *Simulation) History() diag.History { return s.sims[0].History }
+
+// TotalParticles returns the global particle count.
+func (s *Simulation) TotalParticles() int { return Collect(s, (*RankSim).TotalParticles) }
+
+// CutsX returns the current x-plane cuts (a copy).
+func (s *Simulation) CutsX() []int { return s.sims[0].CutsX() }
+
+// CanonicalDigest returns the world's geometry-canonical state digest.
+func (s *Simulation) CanonicalDigest() uint64 { return Collect(s, (*RankSim).CanonicalDigest) }
+
+// Reports returns every member's cumulative report in rank order.
+func (s *Simulation) Reports() []RankReport {
+	out := make([]RankReport, len(s.sims))
+	for i, rs := range s.sims {
+		out[i] = rs.Report()
+	}
+	return out
 }

@@ -92,9 +92,6 @@ func (s *Simulation) Run(n int) {
 // StepCount returns the number of completed steps.
 func (s *Simulation) StepCount() int { return s.sims[0].step }
 
-// Time returns the current simulation time.
-func (s *Simulation) Time() float64 { return s.sims[0].time }
-
 // --- Global diagnostics (call between steps only) ---
 //
 // The observables below are the members' collectives, reached through
@@ -103,28 +100,5 @@ func (s *Simulation) Time() float64 { return s.sims[0].time }
 // Energy gathers the global energy sample.
 func (s *Simulation) Energy() diag.EnergySample { return Collect(s, (*RankSim).Energy) }
 
-// Sample appends the global energy sample to every member's History
-// and returns it.
-func (s *Simulation) Sample() diag.EnergySample { return Collect(s, (*RankSim).Sample) }
-
-// History returns the samples Sample took (member 0's History).
-func (s *Simulation) History() diag.History { return s.sims[0].History }
-
-// TotalParticles returns the global particle count.
-func (s *Simulation) TotalParticles() int { return Collect(s, (*RankSim).TotalParticles) }
-
 // LostEnergy returns the kinetic energy absorbed at boundaries so far.
 func (s *Simulation) LostEnergy() float64 { return Collect(s, (*RankSim).LostEnergy) }
-
-// CutsX returns the current x-plane cuts (a copy).
-func (s *Simulation) CutsX() []int { return s.sims[0].CutsX() }
-
-// Reports returns every member's cumulative report in rank order. It
-// communicates nothing; SumReports turns it into the world's totals.
-func (s *Simulation) Reports() []RankReport {
-	out := make([]RankReport, len(s.sims))
-	for i, rs := range s.sims {
-		out[i] = rs.Report()
-	}
-	return out
-}

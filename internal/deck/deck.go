@@ -32,8 +32,9 @@ type Deck struct {
 	Notes map[string]float64
 }
 
-// New builds the deck's simulation — all ranks in this process — and
-// applies its setup to every rank.
+// New builds the deck's lockstep simulation — all ranks in this
+// process, the world cmd/bench and the tests step — and applies its
+// setup to every rank. Programs run a deck's members (dist).
 func (d *Deck) New() (*core.Simulation, error) {
 	s, err := core.New(d.Cfg)
 	if err != nil {

@@ -3,7 +3,12 @@ package deck
 import (
 	"math"
 	"testing"
+
+	"govpic/internal/core"
 )
+
+// particles is a lockstep world's global particle count.
+func particles(s *core.Simulation) int { return core.Collect(s, (*core.RankSim).TotalParticles) }
 
 func TestAllDecksValidate(t *testing.T) {
 	decks := []Deck{
@@ -28,8 +33,8 @@ func TestThermalDeckRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(5)
-	if s.TotalParticles() != 8*4*4*8 {
-		t.Fatalf("particles = %d", s.TotalParticles())
+	if particles(s) != 8*4*4*8 {
+		t.Fatalf("particles = %d", particles(s))
 	}
 }
 
@@ -119,7 +124,7 @@ func TestLPIDeckBuildsAndSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n0 := s.TotalParticles()
+	n0 := particles(s)
 	if n0 == 0 {
 		t.Fatal("no plasma loaded")
 	}
@@ -177,7 +182,7 @@ func TestLPI3DDeck(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(5) // full 3-D smoke: push, exchange, field advance
-	if s.TotalParticles() == 0 {
+	if particles(s) == 0 {
 		t.Fatal("no plasma in 3-D deck")
 	}
 }
@@ -195,9 +200,9 @@ func TestLPIRefluxWalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n0 := s.TotalParticles()
+	n0 := particles(s)
 	s.Run(40)
-	if s.TotalParticles() != n0 {
-		t.Fatalf("reflux walls lost particles: %d → %d", n0, s.TotalParticles())
+	if particles(s) != n0 {
+		t.Fatalf("reflux walls lost particles: %d → %d", n0, particles(s))
 	}
 }

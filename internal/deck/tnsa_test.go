@@ -106,7 +106,7 @@ func TestTNSARefluxSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(3)
-	if s.TotalParticles() == 0 {
+	if particles(s) == 0 {
 		t.Fatal("no particles loaded")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"govpic/internal/balance"
 	"govpic/internal/core"
 	"govpic/internal/deck"
+	"govpic/internal/diag"
 	"govpic/internal/mp"
 	"govpic/internal/output"
 )
@@ -21,16 +22,22 @@ import (
 var spikeSpec = deck.JSONConfig{Deck: "spike", NX: 32, PPC: 8, Ranks: 2, Workers: 1, Steps: 40,
 	Balance: "online", BalanceInterval: 2, BalanceThreshold: 1.15}
 
+// history is a lockstep world's energy history (every member's is the
+// same).
+func history(sim *core.Simulation) diag.History {
+	return core.Collect(sim, func(rs *core.RankSim) diag.History { return rs.History })
+}
+
 // runSampled steps sim n times under Member's sampling rule: at the
 // start when the history is empty, then at every multiple of every.
 func runSampled(sim *core.Simulation, n, every int) {
-	if len(sim.History().Samples) == 0 {
-		sim.Sample()
+	if len(history(sim).Samples) == 0 {
+		core.Collect(sim, (*core.RankSim).Sample)
 	}
 	for i := 0; i < n; i++ {
 		sim.Step()
 		if sim.StepCount()%every == 0 {
-			sim.Sample()
+			core.Collect(sim, (*core.RankSim).Sample)
 		}
 	}
 }
@@ -68,9 +75,9 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform := full.CutsX()
+	uniform := core.Collect(full, (*core.RankSim).CutsX)
 	runSampled(full, 40, 10)
-	want, wantHist := full.StateCRCs(), full.History()
+	want, wantHist := full.StateCRCs(), history(full)
 	dir := t.TempDir()
 
 	fromTCP := filepath.Join(dir, "tcp.ckpt")
@@ -100,8 +107,8 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	if got := sim.StateCRCs(); !slices.Equal(got, want) {
 		t.Errorf("TCP → in-process: CRCs %08x, uninterrupted %08x", got, want)
 	}
-	if !reflect.DeepEqual(sim.History(), wantHist) {
-		t.Errorf("TCP → in-process: history %+v, uninterrupted %+v", sim.History(), wantHist)
+	if !reflect.DeepEqual(history(sim), wantHist) {
+		t.Errorf("TCP → in-process: history %+v, uninterrupted %+v", history(sim), wantHist)
 	}
 
 	half, err := dk.New()

@@ -1,10 +1,11 @@
 // Package dist is the one member driver of a run: every world runs
-// Member on each rank — cmd/vpic's in-process world on the Comms of an
-// mp world, Run on the TCP endpoint of one process per rank. A member
-// builds its tile (core.RankSim), restores, steps while sampling the
-// global energy, checkpoints, and exchanges every rank's state CRC and
-// core.RankReport. Failures are errors on every member, never hangs: a
-// comm panic is recovered, and rank 0 hands its file errors to peers.
+// Member on each rank — Local on the Comms of an in-process mp world,
+// Run on the TCP endpoint of one process per rank. A member builds its
+// tile (core.RankSim), restores, steps while sampling the global energy
+// and calling the job's AfterStep hook, checkpoints, and exchanges every
+// rank's state CRC and core.RankReport. Failures are errors on every
+// member, never hangs: a comm panic is recovered, and rank 0 hands its
+// file errors to peers.
 package dist
 
 import (
@@ -49,11 +50,20 @@ type Config struct {
 // checkpoint at Restore — and the history it carries — and writing one
 // to Checkpoint when set (rank 0 alone opens either).
 // Around, when set, runs rank 0's step loop (cmd/vpic's profiles).
+// AfterStep, when set, runs on every member after each step and its
+// sample and may call collectives; stop ends the loop, so it must be
+// the same on every member (the step number's or a collective's).
 type Job struct {
 	Steps, Every        int
 	Restore, Checkpoint string
 	Around              func(loop func())
+	AfterStep           func(rs *core.RankSim) (stop bool)
 }
+
+// ErrRestore marks a checkpoint the members rejected — unreadable,
+// corrupt or another problem's. A rejected file changes no member, so
+// a caller may rerun the job fresh.
+var ErrRestore = errors.New("checkpoint rejected")
 
 // Result is what a completed run leaves on every member.
 type Result struct {
@@ -89,6 +99,21 @@ func Run(dk deck.Deck, job Job, c Config, logf func(format string, args ...any))
 	return Member(dk, mp.NewComm(tr), job, logf)
 }
 
+// Local runs every rank of the deck's world in this process, each a
+// Member on its Comm of one mp world, and returns rank 0's result or
+// the lowest rank's error (the members fail together).
+func Local(dk deck.Deck, job Job, logf func(format string, args ...any)) (*Result, error) {
+	n := dk.Cfg.NRanks
+	res, errs := make([]*Result, n), make([]error, n)
+	mp.Run(n, func(c *mp.Comm) { res[c.Rank()], errs[c.Rank()] = Member(dk, c, job, logf) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res[0], nil
+}
+
 // Member runs job as comm's rank of a world of comm.Size() ranks; every
 // rank of the world must call it concurrently. Rank 0 logs its progress
 // lines through logf (nil = quiet); the peers are quiet.
@@ -117,7 +142,7 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	}
 	if job.Restore != "" {
 		if err := restore(rs, job.Restore); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dist: rank %d: %w: %w", rank, ErrRestore, err)
 		}
 		logf("restored at step %d (t = %.3f), x-cuts %v", rs.StepCount(), rs.Time(), rs.CutsX())
 	}
@@ -129,12 +154,16 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	if len(rs.History.Samples) == 0 {
 		rs.Sample()
 	}
+	first := rs.StepCount()
 	loop := func() {
 		start := time.Now()
 		for i := 0; i < job.Steps; i++ {
 			rs.Step()
 			if job.Every > 0 && rs.StepCount()%job.Every == 0 {
 				rs.Sample()
+			}
+			if job.AfterStep != nil && job.AfterStep(rs) {
+				break
 			}
 		}
 		res.Wall = time.Since(start)
@@ -144,33 +173,24 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	} else {
 		loop()
 	}
-	logf("finished %d steps in %s", job.Steps, res.Wall.Round(time.Millisecond))
+	logf("finished %d steps in %s", rs.StepCount()-first, res.Wall.Round(time.Millisecond))
 	res.Steps, res.CutsX, res.History = rs.StepCount(), rs.CutsX(), rs.History
 
 	// The report and CRC describe the run, so they are taken before the
 	// checkpoint's traffic.
 	comm.Barrier()
-	blob, _ := json.Marshal(endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())})
+	mine := endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())}
 	if job.Checkpoint != "" {
-		if err := checkpoint(rs, job.Checkpoint); err != nil {
+		if err := Checkpoint(rs, job.Checkpoint); err != nil {
 			return nil, err
 		}
 		logf("checkpoint written to %s", job.Checkpoint)
 	}
 
-	// End-of-run report exchange: gather to rank 0, broadcast the full
-	// set, so every process can verify CRC agreement locally.
-	if rank == 0 {
-		blobs := [][]byte{blob}
-		for r := 1; r < comm.Size(); r++ {
-			blobs = append(blobs, comm.Recv(r, tagReport).([]byte))
-		}
-		blob = append(append([]byte("["), bytes.Join(blobs, []byte(","))...), ']')
-	} else {
-		comm.Send(0, tagReport, blob)
-	}
-	var all []endOfRun
-	if err := json.Unmarshal(fromRank0(comm, tagReportAll, blob), &all); err != nil {
+	// End-of-run report exchange: every process gets the full set, so
+	// each can verify CRC agreement locally.
+	all, err := gather(comm, mine)
+	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d: end-of-run reports: %w", rank, err)
 	}
 	res.CRCs = make([]uint32, len(all))
@@ -182,6 +202,30 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	}
 	comm.Barrier() // everyone has the reports before anyone says goodbye
 	return res, nil
+}
+
+// Reports hands every member every member's cumulative report, in rank
+// order — a collective every member calls at the same step.
+func Reports(rs *core.RankSim) ([]core.RankReport, error) {
+	return gather(rs.Comm(), rs.Report())
+}
+
+// gather hands every member every member's v, in rank order: each sends
+// its JSON to rank 0, which broadcasts the joined array.
+func gather[T any](comm *mp.Comm, v T) ([]T, error) {
+	blob, _ := json.Marshal(v) // reports and CRCs always marshal
+	if comm.Rank() == 0 {
+		blobs := [][]byte{blob}
+		for r := 1; r < comm.Size(); r++ {
+			blobs = append(blobs, comm.Recv(r, tagReport).([]byte))
+		}
+		blob = append(append([]byte("["), bytes.Join(blobs, []byte(","))...), ']')
+	} else {
+		comm.Send(0, tagReport, blob)
+	}
+	var all []T
+	err := json.Unmarshal(fromRank0(comm, tagReportAll, blob), &all)
+	return all, err
 }
 
 // fromRank0 hands every member rank 0's blob.
@@ -211,11 +255,11 @@ func restore(rs *core.RankSim, path string) error {
 	return rs.Restore(r)
 }
 
-// checkpoint writes the world's checkpoint to path from rank 0,
+// Checkpoint writes the world's checkpoint to path from rank 0,
 // atomically, and hands every member rank 0's verdict, so all fail or
-// none does. Rank 0 takes its peers' payloads even when the file could
-// not be created.
-func checkpoint(rs *core.RankSim, path string) error {
+// none does — a collective every member calls at the same step. Rank 0
+// takes its peers' payloads even when the file could not be created.
+func Checkpoint(rs *core.RankSim, path string) error {
 	var verdict []byte
 	if rs.Comm().Rank() == 0 {
 		wrote := false

@@ -1,12 +1,18 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/grid"
 	"govpic/internal/mp"
@@ -235,6 +241,129 @@ func TestSetupDecksRunOnEveryWorld(t *testing.T) {
 						spec.Deck, kernel, r, want[r], free[r], tcp[r])
 				}
 			}
+		}
+	}
+}
+
+// TestAfterStepStopsEveryMember: an AfterStep that answers stop at step
+// k — calling a collective (Reports) every step on the way — ends every
+// member of a 2-rank world at k, in-process and over loopback TCP, with
+// every member's CRCs equal to a plain k-step run's.
+func TestAfterStepStopsEveryMember(t *testing.T) {
+	const k = 7
+	spec := deck.JSONConfig{Deck: "thermal", NX: 16, PPC: 8, Ranks: 2, Workers: 1, Steps: 20}
+	dk, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runMembers(t, dk, Job{Steps: k}).CRCs
+	calls := make([]int, 2) // hook calls, one slot per member
+	job := Job{Steps: spec.Steps, Every: 5, AfterStep: func(rs *core.RankSim) bool {
+		calls[rs.Comm().Rank()]++
+		if reps, err := Reports(rs); err != nil || len(reps) != 2 || reps[1].Rank != 1 {
+			t.Errorf("rank %d, step %d: Reports gave %d reports, %v", rs.Comm().Rank(), rs.StepCount(), len(reps), err)
+		}
+		return rs.StepCount() == k
+	}}
+
+	worlds := map[string]func() ([]*Result, []error){
+		"in-process": func() ([]*Result, []error) {
+			res, errs := make([]*Result, 2), make([]error, 2)
+			waitOrHang(t, func() {
+				mp.Run(2, func(c *mp.Comm) { res[c.Rank()], errs[c.Rank()] = Member(dk, c, job, nil) })
+			})
+			return res, errs
+		},
+		"TCP": func() ([]*Result, []error) { return runTCPJob(t, spec, 2, job) },
+	}
+	for world, run := range worlds {
+		calls[0], calls[1] = 0, 0
+		results, errs := run()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("%s rank %d: %v", world, r, err)
+			}
+			if res := results[r]; res.Steps != k || calls[r] != k || !slices.Equal(res.CRCs, want) {
+				t.Errorf("%s rank %d: ended at step %d after %d hook calls, CRCs %08x; want step %d, CRCs %08x",
+					world, r, res.Steps, calls[r], res.CRCs, k, want)
+			}
+		}
+	}
+}
+
+// dying is a TCP endpoint that dies on receiving a checkpoint's bytes:
+// the peer lost while rank 0 hands the file out.
+type dying struct{ mp.Transport }
+
+func (d dying) Recv(src, tag int) (any, error) {
+	v, err := d.Transport.Recv(src, tag)
+	if b, ok := v.([]byte); ok && len(b) > 1<<10 {
+		d.Transport.Close()
+		return nil, &mp.PeerDeadError{Rank: d.Rank(), Peer: src, Cause: errors.New("died mid-restore")}
+	}
+	return v, err
+}
+
+// TestRejectedRestoreIsErrRestore: a corrupt checkpoint fails every
+// member, in-process and over TCP, with an error that is ErrRestore, so
+// a caller knows it may rerun fresh; a peer that dies while the file is
+// handed out fails the members with errors that are not.
+func TestRejectedRestoreIsErrRestore(t *testing.T) {
+	spec := deck.JSONConfig{Deck: "thermal", NX: 16, PPC: 8, Ranks: 2, Workers: 1, Steps: 2}
+	dk, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.ckpt"), filepath.Join(dir, "bad.ckpt")
+	runMembers(t, dk, Job{Steps: 2, Checkpoint: good})
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	job := Job{Steps: 2, Restore: bad}
+	inProcess := make([]error, 2)
+	waitOrHang(t, func() {
+		mp.Run(2, func(c *mp.Comm) { _, inProcess[c.Rank()] = Member(dk, c, job, nil) })
+	})
+	_, tcp := runTCPJob(t, spec, 2, job)
+	for world, errs := range map[string][]error{"in-process": inProcess, "TCP": tcp} {
+		for r, err := range errs {
+			if !errors.Is(err, ErrRestore) || !strings.Contains(err.Error(), "CRC") {
+				t.Errorf("corrupt file, %s rank %d: err = %v, want ErrRestore naming the CRC", world, r, err)
+			}
+		}
+	}
+
+	join := freeAddr(t)
+	opts := transport.Options{RendezvousTimeout: 20 * time.Second, HeartbeatInterval: 20 * time.Millisecond, PeerTimeout: 2 * time.Second}
+	job = Job{Steps: 2, Restore: good}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = Run(dk, job, Config{Rank: 0, Ranks: 2, Join: join, Listen: "127.0.0.1:0", Transport: opts}, nil)
+	}()
+	go func() {
+		defer wg.Done()
+		tr, err := transport.Connect(1, 2, join, "127.0.0.1:0", opts)
+		if err != nil {
+			errs[1] = err
+			return
+		}
+		defer tr.Close()
+		_, errs[1] = Member(dk, mp.NewComm(dying{tr}), job, nil)
+	}()
+	waitOrHang(t, wg.Wait)
+	for r, err := range errs {
+		if err == nil || errors.Is(err, ErrRestore) {
+			t.Errorf("dead peer, rank %d: err = %v, want a comm error that is not ErrRestore", r, err)
 		}
 	}
 }

@@ -49,9 +49,10 @@ func zeroTimes(r core.RankReport) core.RankReport {
 
 // TestReportsAgreeAcrossWorlds: the per-rank report is one record
 // whichever way the world is hosted. Thermal on 2 ranks as a lockstep
-// Simulation, as free-running members under mp.Run and over loopback
-// TCP through Run must give identical particles, advances, crossings,
-// flops, section bytes, class bytes/msgs and sorts on every rank. The
+// Simulation (its reports gathered by the Reports collective), as
+// free-running members under mp.Run and over loopback TCP through Run
+// must give identical particles, advances, crossings, flops, section
+// bytes, class bytes/msgs and sorts on every rank. The
 // end-of-run message JSON (the -comm-json record) of the lockstep world,
 // time-valued fields zeroed, must match testdata/reports.golden.json,
 // so dropping or renaming a key fails here; `go test -run
@@ -70,7 +71,13 @@ func TestReportsAgreeAcrossWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(spec.Steps)
-	lockstep := sim.Reports()
+	lockstep := core.Collect(sim, func(rs *core.RankSim) []core.RankReport {
+		reps, err := Reports(rs)
+		if err != nil {
+			t.Error(err)
+		}
+		return reps
+	})
 
 	free := make([]core.RankReport, ranks)
 	mp.Run(ranks, func(comm *mp.Comm) {

@@ -309,8 +309,12 @@ func collectSSE(t *testing.T, base, id string, samples *[]diag.EnergySample, sta
 // stream stays gapless through the move.
 func TestFleetKillWorkerRelocate(t *testing.T) {
 	wcfg := server.Config{Runners: 1, CheckpointEvery: 20, EnergyEvery: 20}
+	// Long enough that the kill lands before the victim finishes: the
+	// step-20 mirror (a fsynced download) lands up to ~300 steps late on
+	// a loaded 2-core host, and at 300 steps one kill in ten came after
+	// the end, with nothing left to relocate.
 	req := server.SubmitRequest{
-		Deck:  deck.JSONConfig{Deck: "thermal", Steps: 300, NX: 32, PPC: 64, Workers: 1},
+		Deck:  deck.JSONConfig{Deck: "thermal", Steps: 1500, NX: 32, PPC: 64, Workers: 1},
 		Sweep: map[string][]float64{"uth": {0.03, 0.05}},
 	}
 

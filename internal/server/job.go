@@ -1,10 +1,11 @@
 // Package server implements vpicd's service tier: a bounded FIFO job
-// queue with explicit backpressure, a runner pool that drives
-// core.Simulation, a crash-safe spool of checkpoints and results, and
-// the HTTP API (submit/status/result/cancel plus health and metrics).
-// It turns the repository's one-shot CLIs into the parameter-study
-// service the paper's reflectivity campaign implies: submit a deck (or
-// a sweep over deck parameters), watch progress, survive restarts.
+// queue with explicit backpressure, a runner pool that runs each job as
+// dist.Members (the member loop vpic runs) through one after-step hook,
+// a crash-safe spool of checkpoints and results, and the HTTP API
+// (submit/status/result/cancel plus health and metrics). It turns the
+// repository's one-shot CLIs into the parameter-study service the
+// paper's reflectivity campaign implies: submit a deck (or a sweep over
+// deck parameters), watch progress, survive restarts.
 package server
 
 import (
@@ -32,7 +33,10 @@ func (s State) Terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCancelled
 }
 
-// Progress is the live view of a running job, updated after every step.
+// Progress is the live view of a running job: Step is set after every
+// step, the totals (here and the Job's perf and comm fields) at every
+// sampling step (Config.EnergyEvery) and the last. A cancel or preempt
+// stops the run at the next sampling step, within EnergyEvery steps.
 type Progress struct {
 	Step      int `json:"step"`
 	Steps     int `json:"steps"`
@@ -72,7 +76,7 @@ type Job struct {
 	ImbalanceRatio   float64 `json:"imbalance_ratio,omitempty"`
 	// Kernel is the resolved push block routine the job runs on this
 	// host ("asm" or "go") — the Spec may say "auto"; this is what
-	// actually executed. Set when execution starts.
+	// actually executed. Set at the first step.
 	Kernel string `json:"kernel,omitempty"`
 	// CheckpointStep is the step of the latest durable checkpoint (0 if
 	// none yet). The fleet coordinator watches it to mirror checkpoint

@@ -12,7 +12,7 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/output"
+	"govpic/internal/dist"
 	"govpic/internal/perf"
 	"govpic/internal/push"
 )
@@ -74,126 +74,132 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// execute builds the job's simulation (resuming from the spooled
-// checkpoint when one exists), runs it to completion with periodic
-// checkpoints and energy samples, and writes the result artifact. A
-// cancellation checkpoints before returning so no progress is lost.
+// execute runs the job's world as dist.Members in this process
+// (dist.Local), resuming from the spooled checkpoint when one exists,
+// and writes the result artifact. One hook, run by every member after
+// each step, publishes progress and samples, checkpoints on the cadence
+// and, at a sampling step, stops the run on a cancellation (preempt or
+// cancel) after checkpointing that step.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	d, err := j.Spec.Build()
 	if err != nil {
 		return err
 	}
-	sim, err := d.New()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.Kernel = sim.Cfg.Kernel
-	s.mu.Unlock()
-	// sample appends the current energies to the history and streams
-	// them to SSE subscribers.
-	sample := func() { s.hub.Publish(j.ID, sim.Sample()) }
-
-	// Resume from the latest checkpoint if the spool has one. The spec
-	// fixes the layout, so a resumed or relocated job's checkpoint
-	// differs from the fresh build at most in its x-cuts (an online
-	// rebalance moved them), which Restore adopts. A rejected checkpoint
-	// (corrupt, truncated, another problem's) leaves sim untouched, so
-	// the job starts fresh: determinism makes re-running from step 0
-	// merely slower, not wrong.
-	if f, oerr := os.Open(s.spool.checkpointPath(j.ID)); oerr == nil {
-		if rerr := sim.Restore(f); rerr != nil {
-			s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, rerr)
-		} else {
-			// Replay the restored history to the hub; its monotonic dedup
-			// drops steps subscribers already saw.
-			for _, smp := range sim.History().Samples {
+	steps, every, ckptEvery := j.Spec.Steps, s.cfg.EnergyEvery, s.cfg.CheckpointEvery
+	ckptPath := s.spool.checkpointPath(j.ID)
+	start := time.Now()
+	// Rank 0 alone writes these, and execute reads them once every
+	// member has returned. What ends or checkpoints the loop is the step
+	// number or a collective's result, so every member agrees on it.
+	var (
+		published int    // history samples handed to the hub
+		failure   error  // a report gather or periodic checkpoint failed
+		crc       string // the final state's checkpoint trailer
+	)
+	afterStep := func(rs *core.RankSim) bool {
+		step, rank0 := rs.StepCount(), rs.Comm().Rank() == 0
+		last, sampling := step >= steps, step%every == 0
+		if last && !sampling {
+			// The sampling rule depends only on the step number, so an
+			// interrupted run reproduces the reference history exactly.
+			rs.Sample()
+		}
+		if rank0 {
+			if published == 0 && step > 1 {
+				// The first step after a restore: the x-cuts are the
+				// checkpoint's unless this step balanced.
+				s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, step-1, steps, rs.CutsX())
+			}
+			// The hub's monotonic dedup drops restored steps subscribers
+			// already saw.
+			for _, smp := range rs.History.Samples[published:] {
 				s.hub.Publish(j.ID, smp)
 			}
-			s.cfg.Logf("vpicd: %s resuming at step %d/%d, x-cuts %v", j.ID, sim.StepCount(), j.Spec.Steps, sim.CutsX())
+			published = len(rs.History.Samples)
+			s.mu.Lock()
+			j.Progress.Step, j.Kernel = step, rs.Cfg.Kernel
+			s.mu.Unlock()
 		}
-		f.Close()
-	}
-	if len(sim.History().Samples) == 0 {
-		sample()
-	}
-
-	steps := j.Spec.Steps
-	every := s.cfg.EnergyEvery
-	ckptEvery := s.cfg.CheckpointEvery
-	wallStart := time.Now()
-	basePushed := core.SumReports(sim.Reports()).Pushed
-	pushed := basePushed
-	var ckptErr error
-
-	progress := func(step int) {
-		// The sampling rule depends only on the step number, so an
-		// interrupted run reproduces the reference history exactly.
-		if step%every == 0 || step == steps {
-			sample()
-		}
-		reps := sim.Reports()
-		tot := core.SumReports(reps)
-		pushed = tot.Pushed
-		rate := perf.Rate(pushed-basePushed, time.Since(wallStart))
-		snap := tot.Snapshot()
-		s.mu.Lock()
-		j.Progress = Progress{
-			Step:       step,
-			Steps:      steps,
-			Particles:  tot.Particles,
-			RateMPartS: rate / 1e6,
-		}
-		j.Perf = snap
-		j.CommLinks = tot.Links
-		j.CommTraffic = tot.Classes
-		j.CommWaitSeconds = tot.CommWaitSeconds
-		j.CommOverlapSeconds = tot.CommOverlapSeconds
-		if len(reps) > 1 {
-			j.PerRankParticles, j.ImbalanceRatio = core.RankLoad(reps)
-		}
-		j.pushed = pushed
-		s.mu.Unlock()
-		if step%ckptEvery == 0 && step < steps && ckptErr == nil {
-			ckptErr = s.saveCheckpoint(j, sim)
-		}
-	}
-
-	// Step-granular: between steps the simulation is quiescent, so
-	// progress may sample and checkpoint it, and a cancellation (preempt
-	// or cancel) stops at an exact step.
-	for sim.StepCount() < steps {
-		if runErr := ctx.Err(); runErr != nil {
-			// Preemption or cancel: persist the exact stopping point first.
-			if err := s.saveCheckpoint(j, sim); err != nil {
-				s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
+		stop := last
+		if sampling || last {
+			reps, err := dist.Reports(rs) // every member decodes the same bytes
+			flag := 0.0                   // rank 0's view of the cancellation decides
+			if rank0 {
+				if err != nil {
+					failure = err
+				} else {
+					s.publishTotals(j, reps, start)
+				}
+				if ctx.Err() != nil {
+					flag = 1
+				}
 			}
-			return runErr
+			stop = last || err != nil || rs.Comm().AllreduceMax(flag) > 0
 		}
-		sim.Step()
-		progress(sim.StepCount())
-	}
-	if ckptErr != nil {
-		return fmt.Errorf("checkpoint failed: %w", ckptErr)
+		switch {
+		case last:
+			var t tail
+			if rs.Checkpoint(&t) == nil && rank0 {
+				crc = fmt.Sprintf("%08x", binary.LittleEndian.Uint32(t[:]))
+			}
+		case stop || step%ckptEvery == 0:
+			err := dist.Checkpoint(rs, ckptPath) // rank 0's verdict is every member's
+			switch {
+			case !rank0:
+			case err == nil:
+				s.mu.Lock()
+				j.CheckpointStep = step
+				s.mu.Unlock()
+			case stop:
+				s.cfg.Logf("vpicd: %s checkpoint on cancel failed: %v", j.ID, err)
+			default:
+				failure = fmt.Errorf("checkpoint failed: %w", err)
+			}
+			stop = stop || err != nil
+		}
+		return stop
 	}
 
-	wall := time.Since(wallStart)
-	hist := sim.History()
-	att := attest(d, hist.Samples)
+	// Steps only bounds the loop: the hook ends it at step steps, which
+	// a resumed run reaches sooner.
+	job := dist.Job{Steps: steps, Every: every, AfterStep: afterStep}
+	if _, err := os.Stat(ckptPath); err == nil {
+		job.Restore = ckptPath
+	}
+	res, err := dist.Local(d, job, nil)
+	if errors.Is(err, dist.ErrRestore) {
+		// A rejected checkpoint (corrupt, truncated, another problem's)
+		// changed no member, and determinism makes re-running from step 0
+		// merely slower, not wrong.
+		s.cfg.Logf("vpicd: %s checkpoint unusable (%v); restarting from step 0", j.ID, err)
+		job.Restore = ""
+		res, err = dist.Local(d, job, nil)
+	}
+	switch {
+	case err != nil:
+		return err
+	case failure != nil:
+		return failure
+	case res.Steps < steps: // stopped by the cancellation rank 0 saw
+		return ctx.Err()
+	}
+
+	hist := res.History.Samples
+	att := attest(d, hist)
 	s.mu.Lock()
 	j.Physics = &att
 	s.mu.Unlock()
-	last := hist.Samples[len(hist.Samples)-1]
-	res := Result{
+	last, tot := hist[len(hist)-1], core.SumReports(res.Reports)
+	return s.spool.writeResult(j.ID, Result{
 		Summary: Summary{
 			Deck:      d.Name,
-			Steps:     sim.StepCount(),
-			Time:      sim.Time(),
-			Particles: sim.TotalParticles(),
+			Steps:     res.Steps,
+			Time:      last.Time, // the last step is always sampled
+			Particles: tot.Particles,
 			Ranks:     d.Cfg.NRanks,
-			WallClock: wall.Seconds(), // this process's segment for resumed jobs
+			WallClock: res.Wall.Seconds(), // this process's segment for resumed jobs
 			Rates: map[string]float64{
-				"Mpart_per_s": perf.Rate(pushed-basePushed, wall) / 1e6,
+				"Mpart_per_s": perf.Rate(tot.Pushed, res.Wall) / 1e6,
 			},
 			Energy: map[string]float64{
 				"total": last.Total,
@@ -201,11 +207,26 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			},
 			Notes: d.Notes,
 		},
-		History:  hist.Samples,
-		StateCRC: stateCRC(sim),
+		History:  hist,
+		StateCRC: crc,
 		Physics:  &att,
+	})
+}
+
+// publishTotals sets the job's world totals from every rank's report.
+func (s *Server) publishTotals(j *Job, reps []core.RankReport, start time.Time) {
+	tot := core.SumReports(reps)
+	snap := tot.Snapshot()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.Progress.Particles = tot.Particles
+	j.Progress.RateMPartS = perf.Rate(tot.Pushed, time.Since(start)) / 1e6
+	j.Perf, j.CommLinks, j.CommTraffic = snap, tot.Links, tot.Classes
+	j.CommWaitSeconds, j.CommOverlapSeconds = tot.CommWaitSeconds, tot.CommOverlapSeconds
+	if len(reps) > 1 {
+		j.PerRankParticles, j.ImbalanceRatio = core.RankLoad(reps)
 	}
-	return s.spool.writeResult(j.ID, res)
+	j.pushed = tot.Pushed
 }
 
 // attest computes a completed job's physics attestation from its
@@ -233,29 +254,6 @@ func attest(d deck.Deck, samples []diag.EnergySample) PhysicsAttestation {
 	att.Pass = att.Finite && att.MaxDivBError <= 1e-7 &&
 		(att.Driven || math.Abs(att.EnergyDrift) <= 0.05)
 	return att
-}
-
-// saveCheckpoint writes the job's checkpoint, energy history included,
-// atomically.
-func (s *Server) saveCheckpoint(j *Job, sim *core.Simulation) error {
-	if err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), sim.Checkpoint); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.CheckpointStep = sim.StepCount()
-	s.mu.Unlock()
-	return nil
-}
-
-// stateCRC fingerprints the run: the CRC trailer of its checkpoint,
-// the CRC32 of every byte before it — fields, particles and the energy
-// history — so two runs agree iff they are bit-exact.
-func stateCRC(sim *core.Simulation) string {
-	var t tail
-	if err := sim.Checkpoint(&t); err != nil {
-		return ""
-	}
-	return fmt.Sprintf("%08x", binary.LittleEndian.Uint32(t[:]))
 }
 
 // tail keeps the last four bytes written to it.

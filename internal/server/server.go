@@ -441,13 +441,6 @@ func (s *Server) Drain() {
 	close(s.drainCh)
 }
 
-// Draining reports whether admissions have been stopped.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // DrainRequested is closed when a drain has been requested (via Drain
 // or POST /v1/drain).
 func (s *Server) DrainRequested() <-chan struct{} { return s.drainCh }

@@ -383,6 +383,9 @@ func TestArtifactsAndRestore(t *testing.T) {
 		t.Fatalf("corrupt-checkpoint restore: HTTP %d", resp.StatusCode)
 	}
 	waitState(t, dstTS, rsub.Jobs[0].ID, StateCompleted)
+	if !lc.contains(rsub.Jobs[0].ID + " checkpoint unusable") {
+		t.Fatalf("corrupt checkpoint was not rejected; log: %v", lc.lines)
+	}
 	got = getResult(t, dstTS, rsub.Jobs[0].ID)
 	if got.StateCRC != want.StateCRC || !reflect.DeepEqual(got.History, want.History) {
 		t.Fatalf("fresh-start fallback: CRC %q, %d samples; reference %q, %d samples",

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"govpic/internal/core"
 	"govpic/internal/deck"
 )
 
@@ -204,11 +205,12 @@ func TestStateCRCIsCheckpointTrailer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.Sample()
+		sample := func() { core.Collect(sim, (*core.RankSim).Sample) }
+		sample()
 		for sim.StepCount() < specs[i].Steps {
 			sim.Step()
 			if sim.StepCount()%10 == 0 || sim.StepCount() == specs[i].Steps {
-				sim.Sample()
+				sample()
 			}
 		}
 		var ckpt bytes.Buffer
@@ -301,10 +303,20 @@ func TestBackpressureAndCancel(t *testing.T) {
 // a sweep is submitted, the daemon is killed mid-run, a successor on
 // the same spool resumes from the checkpoints, and every job's energy
 // history and final dynamic state are bit-identical to an uninterrupted
-// reference run. Health and metrics endpoints respond throughout.
+// reference run. Health and metrics endpoints respond throughout. On 2
+// ranks the stop is collective: every member stops at one sampling
+// step, which is the step the preempted job checkpointed.
 func TestSweepPreemptResumeBitIdentical(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) { sweepPreemptResume(t, ranks) })
+	}
+}
+
+func sweepPreemptResume(t *testing.T, ranks int) {
+	spec := smallThermal(120)
+	spec.Ranks = ranks
 	req := SubmitRequest{
-		Deck:  smallThermal(120),
+		Deck:  spec,
 		Sweep: map[string][]float64{"uth": {0.03, 0.05}},
 	}
 	cfg := Config{Runners: 1, CheckpointEvery: 20, EnergyEvery: 20}
@@ -360,6 +372,9 @@ func TestSweepPreemptResumeBitIdentical(t *testing.T) {
 	}
 	if onDisk.State != StateRunning {
 		t.Fatalf("preempted job persisted as %s, want running", onDisk.State)
+	}
+	if step := onDisk.Progress.Step; onDisk.CheckpointStep != step || step%cfg.EnergyEvery != 0 {
+		t.Fatalf("preempted at step %d, checkpointed step %d: want one sampling step", step, onDisk.CheckpointStep)
 	}
 	if _, err := os.Stat(srvA.spool.checkpointPath(first)); err != nil {
 		t.Fatalf("preempted job has no checkpoint: %v", err)
@@ -463,8 +478,11 @@ func TestCancelledStreamReplaysFromCheckpoint(t *testing.T) {
 	live := readSSE(t, ts.URL+"/v1/jobs/"+id+"/events", -1)
 	ts.Close()
 	srv.Close()
-	if n := len(live.samples); n < 3 || live.samples[n-1].Step != j.Progress.Step/5*5 {
-		t.Fatalf("live stream: %d samples for a job cancelled at step %d", n, j.Progress.Step)
+	// The cancel stopped the run at a sampling step and checkpointed it.
+	if n := len(live.samples); n < 3 || live.samples[n-1].Step != j.Progress.Step ||
+		j.Progress.Step%5 != 0 || j.CheckpointStep != j.Progress.Step {
+		t.Fatalf("live stream: %d samples for a job cancelled at step %d, checkpointed at %d",
+			n, j.Progress.Step, j.CheckpointStep)
 	}
 
 	srv2, ts2 := startServer(t, spoolDir, cfg)
@@ -478,20 +496,31 @@ func TestCancelledStreamReplaysFromCheckpoint(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: once Close returns, nothing the server
-// started for a completed job or a cancelled one — runners, the
-// stepping world, SSE streams — outlives it: the goroutine count falls
-// back to its value before New within a bounded wait.
+// started for a completed job or a cancelled one — runners, every
+// member of the stepping world, SSE streams — outlives it: the
+// goroutine count falls back to its value before New within a bounded
+// wait. The cancelled 2-rank job stopped every member at one sampling
+// step and checkpointed that step.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	base := runtime.NumGoroutine()
-	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 20, EnergyEvery: 5})
+	cfg := Config{CheckpointEvery: 20, EnergyEvery: 5}
+	srv, ts := startServer(t, t.TempDir(), cfg)
 	_, done := submit(t, ts, SubmitRequest{Deck: smallThermal(40)})
 	if got := readSSE(t, ts.URL+"/v1/jobs/"+done.Jobs[0].ID+"/events", -1); got.state != string(StateCompleted) {
 		t.Fatalf("first job ended %q", got.state)
 	}
-	_, long := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
-	cancelRunning(t, ts, long.Jobs[0].ID, 1)
-	readSSE(t, ts.URL+"/v1/jobs/"+long.Jobs[0].ID+"/events", -1)
+	for _, ranks := range []int{1, 2} {
+		spec := smallThermal(100000)
+		spec.Ranks = ranks
+		_, long := submit(t, ts, SubmitRequest{Deck: spec})
+		j := cancelRunning(t, ts, long.Jobs[0].ID, 1)
+		if j.CheckpointStep != j.Progress.Step || j.Progress.Step%cfg.EnergyEvery != 0 {
+			t.Errorf("%d ranks: cancelled at step %d, checkpointed step %d: want one sampling step",
+				ranks, j.Progress.Step, j.CheckpointStep)
+		}
+		readSSE(t, ts.URL+"/v1/jobs/"+long.Jobs[0].ID+"/events", -1)
+	}
 	ts.Close()
 	srv.Close()
 	http.DefaultClient.CloseIdleConnections()
