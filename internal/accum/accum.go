@@ -54,6 +54,32 @@ type Array struct {
 	A []Cell
 
 	lo, hi int // touched window; lo >= hi means empty
+
+	// The pooled passes whose destination is this array, bound once so
+	// they allocate nothing per call.
+	tasks *tasks
+}
+
+// tasks holds Reduce's and UnloadPar's per-call operands and their
+// range sweeps, bound as method values when first used.
+type tasks struct {
+	a          *Array
+	srcs       []*Array
+	lo         int
+	f          *field.Fields
+	cx, cy, cz float32
+	reduce     func(lo, hi int)
+	jx, jy, jz func(lo, hi int)
+}
+
+// task returns a's pass operands, binding them on first use.
+func (a *Array) task() *tasks {
+	if a.tasks == nil {
+		t := &tasks{a: a}
+		t.reduce, t.jx, t.jy, t.jz = t.reduceRange, t.unloadJx, t.unloadJy, t.unloadJz
+		a.tasks = t
+	}
+	return a.tasks
 }
 
 // New allocates a cleared accumulator array for g with an empty window.
@@ -134,19 +160,26 @@ func Reduce(p *pipe.Pool, dst *Array, srcs []*Array) int {
 	if hi <= lo {
 		return 0
 	}
-	p.Range(hi-lo, func(rlo, rhi int) {
-		var buf [pipe.NumBlocks][]Cell
-		rows := buf[:0]
-		for _, s := range srcs {
-			rows = append(rows, s.A[lo+rlo:lo+rhi])
-		}
-		sumClear(dst.A[lo+rlo:lo+rhi], rows)
-	})
+	t := dst.task()
+	t.srcs, t.lo = srcs, lo
+	p.Range(hi-lo, t.reduce)
+	t.srcs = nil
 	for _, s := range srcs {
 		s.resetWindow()
 	}
 	dst.lo, dst.hi = lo, hi
 	return hi - lo
+}
+
+// reduceRange is Reduce's pass over cells [lo, hi) of its window.
+func (t *tasks) reduceRange(lo, hi int) {
+	lo, hi = t.lo+lo, t.lo+hi
+	var buf [pipe.NumBlocks][]Cell
+	rows := buf[:0]
+	for _, s := range t.srcs {
+		rows = append(rows, s.A[lo:hi])
+	}
+	sumClear(t.a.A[lo:hi], rows)
 }
 
 // sumClearGo writes into each dst cell the slot-wise sum of the same
@@ -189,48 +222,64 @@ func (a *Array) Unload(f *field.Fields, dt float64) {
 // nothing numerically.
 func (a *Array) UnloadPar(p *pipe.Pool, f *field.Fields, dt float64) {
 	g := a.G
+	t := a.task()
+	t.f = f
+	t.cx = float32(1 / (4 * dt * g.DY * g.DZ))
+	t.cy = float32(1 / (4 * dt * g.DZ * g.DX))
+	t.cz = float32(1 / (4 * dt * g.DX * g.DY))
+	p.Range(g.NZ+1, t.jx)
+	p.Range(g.NZ+1, t.jy)
+	p.Range(g.NZ, t.jz)
+	t.f = nil
+}
+
+// unloadJx gathers the Jx edges of z planes (lo, hi]: i ∈ [1,NX],
+// j,k ∈ [1,N+1], each from the four cells sharing the edge,
+// (i, j−1..j, k−1..k); ghost cells hold zero.
+func (t *tasks) unloadJx(lo, hi int) {
+	g, A, jx, cx := t.a.G, t.a.A, t.f.Jx, t.cx
 	sx, sy, _ := g.Strides()
 	sxy := sx * sy
-	cx := float32(1 / (4 * dt * g.DY * g.DZ))
-	cy := float32(1 / (4 * dt * g.DZ * g.DX))
-	cz := float32(1 / (4 * dt * g.DX * g.DY))
-	A := a.A
+	for iz := lo + 1; iz <= hi; iz++ {
+		for iy := 1; iy <= g.NY+1; iy++ {
+			v := g.Voxel(1, iy, iz)
+			for ix := 1; ix <= g.NX; ix++ {
+				jx[v] += cx * (A[v].JX[0] + A[v-sx].JX[1] + A[v-sxy].JX[2] + A[v-sx-sxy].JX[3])
+				v++
+			}
+		}
+	}
+}
 
-	// Jx edges span i ∈ [1,NX], j,k ∈ [1,N+1]: each gathers from the four
-	// cells sharing the edge, (i, j−1..j, k−1..k); ghost cells hold zero.
-	p.Range(g.NZ+1, func(lo, hi int) {
-		for iz := lo + 1; iz <= hi; iz++ {
-			for iy := 1; iy <= g.NY+1; iy++ {
-				v := g.Voxel(1, iy, iz)
-				for ix := 1; ix <= g.NX; ix++ {
-					f.Jx[v] += cx * (A[v].JX[0] + A[v-sx].JX[1] + A[v-sxy].JX[2] + A[v-sx-sxy].JX[3])
-					v++
-				}
+// unloadJy gathers the Jy edges: j ∈ [1,NY], k,i ∈ [1,N+1]; cells
+// (k−1..k, i−1..i).
+func (t *tasks) unloadJy(lo, hi int) {
+	g, A, jy, cy := t.a.G, t.a.A, t.f.Jy, t.cy
+	sx, sy, _ := g.Strides()
+	sxy := sx * sy
+	for iz := lo + 1; iz <= hi; iz++ {
+		for iy := 1; iy <= g.NY; iy++ {
+			v := g.Voxel(1, iy, iz)
+			for ix := 1; ix <= g.NX+1; ix++ {
+				jy[v] += cy * (A[v].JY[0] + A[v-sxy].JY[1] + A[v-1].JY[2] + A[v-sxy-1].JY[3])
+				v++
 			}
 		}
-	})
-	// Jy edges: j ∈ [1,NY], k,i ∈ [1,N+1]; cells (k−1..k, i−1..i).
-	p.Range(g.NZ+1, func(lo, hi int) {
-		for iz := lo + 1; iz <= hi; iz++ {
-			for iy := 1; iy <= g.NY; iy++ {
-				v := g.Voxel(1, iy, iz)
-				for ix := 1; ix <= g.NX+1; ix++ {
-					f.Jy[v] += cy * (A[v].JY[0] + A[v-sxy].JY[1] + A[v-1].JY[2] + A[v-sxy-1].JY[3])
-					v++
-				}
+	}
+}
+
+// unloadJz gathers the Jz edges: k ∈ [1,NZ], i,j ∈ [1,N+1]; cells
+// (i−1..i, j−1..j).
+func (t *tasks) unloadJz(lo, hi int) {
+	g, A, jz, cz := t.a.G, t.a.A, t.f.Jz, t.cz
+	sx, _, _ := g.Strides()
+	for iz := lo + 1; iz <= hi; iz++ {
+		for iy := 1; iy <= g.NY+1; iy++ {
+			v := g.Voxel(1, iy, iz)
+			for ix := 1; ix <= g.NX+1; ix++ {
+				jz[v] += cz * (A[v].JZ[0] + A[v-1].JZ[1] + A[v-sx].JZ[2] + A[v-1-sx].JZ[3])
+				v++
 			}
 		}
-	})
-	// Jz edges: k ∈ [1,NZ], i,j ∈ [1,N+1]; cells (i−1..i, j−1..j).
-	p.Range(g.NZ, func(lo, hi int) {
-		for iz := lo + 1; iz <= hi; iz++ {
-			for iy := 1; iy <= g.NY+1; iy++ {
-				v := g.Voxel(1, iy, iz)
-				for ix := 1; ix <= g.NX+1; ix++ {
-					f.Jz[v] += cz * (A[v].JZ[0] + A[v-1].JZ[1] + A[v-sx].JZ[2] + A[v-1-sx].JZ[3])
-					v++
-				}
-			}
-		}
-	})
+	}
 }

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"net"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"govpic/internal/accum"
 	"govpic/internal/diag"
 	"govpic/internal/loader"
 	"govpic/internal/mp"
 	"govpic/internal/push"
+	"govpic/internal/transport"
 )
 
 // thermalBox is a uniform periodic 3-D thermal plasma (the shape of
@@ -77,42 +82,39 @@ func TestCollectSameOnEveryMember(t *testing.T) {
 // TestSimulationStepAllocs guards the lockstep driver's fixed per-step
 // cost on the latency-bound shape (cmd/bench's exchange.2rank: 4096
 // particles on 2 ranks): one goroutine per rank per step over a
-// WaitGroup that lives in the Simulation. The bound is what this test
-// measures on the tree that set it (181 per step; the one-schedule
-// exchange step had taken it from the two-driver parent's 188 to 183),
-// so any new per-step allocation — a WaitGroup declared per step, a
-// closure per member, a second fan-out for the balance check, a
-// partition candidate list that is not reused — fails it.
+// WaitGroup that lives in the Simulation. The members' steps allocate
+// nothing (TestMemberStepAllocs), so what is left is the fan-out: the
+// bound is what this test measures on the tree that set it (4 per
+// step, down from 181 before the persistent exchange plans), so any
+// new per-step allocation — a WaitGroup declared per step, a closure
+// per member, a second fan-out for the balance check — fails it.
 func TestSimulationStepAllocs(t *testing.T) {
 	s, err := New(thermalBox(32, 4, 4, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run(40) // past the first sorts and buffer growth
-	const maxAllocs = 181
+	const maxAllocs = 4
 	if got := testing.AllocsPerRun(200, s.Step); got > maxAllocs {
 		t.Errorf("Simulation.Step allocates %.0f objects per step, the bound %d", got, maxAllocs)
 	}
 }
 
-// TestMemberStepAllocs is the allocation ratchet on the loop every
-// production driver runs (dist.Member): free-running members on an
-// mp.Run world, each stepping its own RankSim, on TestSimulationStepAllocs'
-// shape. It counts heap objects (runtime.MemStats.Mallocs) per world
-// step — every member's allocations, the world's goroutines and links
-// included. The bounds are what this test measures on the tree that set
-// them (21.0–21.03 on 1 rank, 177.2–177.4 on 2, before flooring), so a
-// new per-step allocation in the step, its exchanges or the balance
-// check fails it.
-func TestMemberStepAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		ranks     int
-		maxAllocs uint64
-	}{{1, 21}, {2, 178}} {
-		const warm, steps = 40, 200 // warm: past the first sorts and buffer growth
-		var before, after runtime.MemStats
-		mp.Run(tc.ranks, func(c *mp.Comm) {
-			rs, err := NewRankSim(thermalBox(32, 4, 4, 8, tc.ranks), c)
+// memberStepAllocs runs one RankSim per communicator of comms (a whole
+// world, each member on its own goroutine) on TestSimulationStepAllocs'
+// shape and returns the heap objects allocated per world step
+// (runtime.MemStats.Mallocs, every goroutine included) over steps steps
+// after warm ones, floored as testing.AllocsPerRun does: the runtime's
+// own few objects over the window must not tip a budget.
+func memberStepAllocs(t *testing.T, comms []*mp.Comm, warm, steps int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	var wg sync.WaitGroup
+	for _, c := range comms {
+		wg.Add(1)
+		go func(c *mp.Comm) {
+			defer wg.Done()
+			rs, err := NewRankSim(thermalBox(32, 4, 4, 8, len(comms)), c)
 			if err != nil {
 				t.Error(err) // the config is every member's, so every member fails here
 				return
@@ -128,13 +130,105 @@ func TestMemberStepAllocs(t *testing.T) {
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&after)
 			}
-		})
-		// Floored, as testing.AllocsPerRun does: the runtime's own few
-		// objects over the window must not tip a bound.
-		got := (after.Mallocs - before.Mallocs) / steps
-		if got > tc.maxAllocs {
-			t.Errorf("%d ranks: members allocate %d objects per world step, the bound %d", tc.ranks, got, tc.maxAllocs)
+		}(c)
+	}
+	wg.Wait()
+	return (after.Mallocs - before.Mallocs) / uint64(steps)
+}
+
+// TestMemberStepAllocs is the allocation budget of the loop every
+// production driver runs (dist.Member): free-running members on an
+// in-process world, each stepping its own RankSim. The persistent
+// exchange plans, the pre-built pool tasks and the inline ExchangeJ
+// make a steady-state step allocate nothing, on one rank and on two:
+// the budget is 0 (it was a ratchet at 21 and 178). TestExchangeAllocs
+// and TestStepRegionAllocs name the exchange or pool region that broke
+// it.
+func TestMemberStepAllocs(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		w := mp.NewWorld(ranks)
+		comms := make([]*mp.Comm, ranks)
+		for r := range comms {
+			comms[r] = w.Comm(r)
 		}
+		if got := memberStepAllocs(t, comms, 40, 200); got != 0 {
+			t.Errorf("%d ranks: members allocate %d objects per world step, the budget 0", ranks, got)
+		}
+	}
+}
+
+// TestMemberStepAllocsTCP is the ratchet of the same loop on two
+// members over loopback TCP. The transport allocates per message (Send
+// encodes into a fresh frame, the reader decodes a fresh payload, and a
+// queued send may start a drainer goroutine), so it is counted apart
+// from the in-process budget. The bound is what this test measures on
+// the tree that set it: 83 per step (84 under -race), down from 302
+// before the persistent exchange plans.
+func TestMemberStepAllocsTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP world")
+	}
+	const maxAllocs = 84
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := ln.Addr().String()
+	ln.Close()
+	opts := transport.Options{RendezvousTimeout: 20 * time.Second}
+	ts := make([]*transport.TCP, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", opts)
+		}(r)
+	}
+	wg.Wait()
+	comms := make([]*mp.Comm, 2)
+	for r := range ts {
+		if errs[r] != nil {
+			t.Fatal(errs[r])
+		}
+		defer ts[r].Close()
+		comms[r] = mp.NewComm(ts[r])
+	}
+	if got := memberStepAllocs(t, comms, 40, 200); got > maxAllocs {
+		t.Errorf("2 TCP ranks: members allocate %d objects per world step, the bound %d", got, maxAllocs)
+	}
+}
+
+// TestStepRegionAllocs is the allocation budget of every pool region
+// the step runs, one subtest each, on a one-worker pool (the shape of
+// the budgeted step): each region's task is bound once, so a call
+// allocates nothing. A multi-worker region spawns its helpers per call
+// and is not budgeted.
+func TestStepRegionAllocs(t *testing.T) {
+	s, err := New(thermalBox(32, 4, 4, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3)
+	rk := s.sims[0].Rank
+	f, dt := rk.D.F, s.sims[0].Cfg.DT
+	for _, r := range []struct {
+		name string
+		run  func()
+	}{
+		{"push", func() { rk.pushRanges(false) }},
+		{"reduce", func() { accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc) }},
+		{"unload", func() { rk.Acc.UnloadPar(rk.pool, f, dt) }},
+		{"advanceB", func() { f.AdvanceBPar(rk.pool, dt, 0.5) }},
+		{"advanceE", func() { f.AdvanceEPar(rk.pool, dt) }},
+		{"load", func() { rk.IP.LoadPar(rk.pool, f) }},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(50, r.run); got != 0 {
+				t.Errorf("the %s region allocates %.2f objects per call, the budget 0", r.name, got)
+			}
+		})
 	}
 }
 

@@ -41,6 +41,7 @@ type Rank struct {
 	pipeAcc []*accum.Array
 	blockSt []*push.BlockState
 	bufs    []*particle.Buffer
+	pushT   pushBlocks
 
 	// Boundary-first push state: shell marks the voxels adjacent to a
 	// remote face — the only voxels whose particles can migrate this

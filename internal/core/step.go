@@ -25,8 +25,8 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 			rk.part[i].stale = true
 		}
 	}
-	rk.stopPar(perf.Sort)
 	rk.Perf.AddBytes(perf.Sort, sortBytes)
+	rk.switchPar(perf.Sort, perf.Push)
 
 	// Particle advance and current deposition (the inner loop),
 	// boundary first: partition each species in place so the shell
@@ -46,18 +46,16 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	// cut — exactly the full scan's swaps, so the buffer is byte-identical
 	// to it (partState). A sort, load, restore or reshape marks the
 	// species stale and the full scan runs instead.
-	rk.Perf.Start(perf.Push)
+	//
 	// The pipeline accumulators are zero here: the previous step's
 	// Reduce (or accum.New) left them so.
 	for i, sp := range rk.Species {
 		rk.part[i].partition(rk.shell, sp.Buf)
 	}
 	rk.pushRanges(true) // the shell tail
-	rk.Perf.Stop(perf.Push)
-	rk.Perf.Start(perf.Comm)
+	rk.switchPar(perf.Push, perf.Comm)
 	px := d.BeginParticleExchange(rk.Kernels, rk.bufs)
-	rk.Perf.Stop(perf.Comm)
-	rk.Perf.Start(perf.Push)
+	rk.switchPar(perf.Comm, perf.Push)
 	rk.pushRanges(false) // the interior
 	// Zeroes rk.Acc's stale window before summing, so immigrants
 	// finishing their move deposit on top during the exchange. Over the
@@ -68,73 +66,44 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	for _, k := range rk.Kernels {
 		pushBytes += k.TakeTrafficBytes()
 	}
-	rk.stopPar(perf.Push)
 	rk.Perf.AddBytes(perf.Push, pushBytes)
+	rk.switchPar(perf.Push, perf.Comm)
 
 	// Complete the migration.
-	rk.Perf.Start(perf.Comm)
 	px.Complete()
-	rk.Perf.Stop(perf.Comm)
+	rk.switchPar(perf.Comm, perf.Field)
 
-	// Reduce currents onto the mesh (plus the antenna drive).
-	rk.Perf.Start(perf.Field)
+	// Reduce currents onto the mesh (plus the antenna drive), then the
+	// field advance — B half, E full, B half — each part followed by its
+	// exchanges. ExchangeJ touches only J, so it rides with the first
+	// half's ghost B.
 	f.ClearJ()
 	for _, a := range cfg.Lasers {
 		a.Inject(f, tNow, cfg.DT)
 	}
 	rk.Acc.UnloadPar(rk.pool, f, cfg.DT)
 	f.FoldGhostJ()
-	rk.stopPar(perf.Field)
-
-	// Field advance: B half, E full, B half. The current reduction
-	// rides behind the first B half-advance — ExchangeJ touches only J
-	// while AdvanceB reads B/E, so running them concurrently is
-	// bit-identical. The exchange goroutine's panic (a typed CommError
-	// from a sick peer) is captured and re-raised on the rank's own
-	// goroutine so supervising drivers can still recover and attribute
-	// it.
-	var jerr any
-	jdone := make(chan struct{})
-	go func() {
-		defer close(jdone)
-		defer func() { jerr = recover() }()
-		d.ExchangeJ()
-	}()
-	rk.Perf.Start(perf.Field)
 	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
-	rk.stopPar(perf.Field)
-	rk.Perf.Start(perf.Comm)
-	<-jdone
-	if jerr != nil {
-		panic(jerr)
-	}
+	rk.switchPar(perf.Field, perf.Comm)
+	d.ExchangeJ()
 	d.ExchangeGhostB()
-	rk.Perf.Stop(perf.Comm)
-
-	rk.Perf.Start(perf.Field)
+	rk.switchPar(perf.Comm, perf.Field)
 	f.AdvanceEPar(rk.pool, cfg.DT)
-	rk.stopPar(perf.Field)
-	rk.Perf.Start(perf.Comm)
+	rk.switchPar(perf.Field, perf.Comm)
 	d.ExchangeGhostE()
-	rk.Perf.Stop(perf.Comm)
-
-	rk.Perf.Start(perf.Field)
+	rk.switchPar(perf.Comm, perf.Field)
 	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
-	rk.stopPar(perf.Field)
-	rk.Perf.Start(perf.Comm)
+	rk.switchPar(perf.Field, perf.Comm)
 	d.ExchangeGhostB()
-	rk.Perf.Stop(perf.Comm)
+	rk.switchPar(perf.Comm, perf.Field)
 
 	// Divergence cleaning.
 	if doClean {
-		rk.Perf.Start(perf.Field)
 		rk.clean(cfg)
-		rk.Perf.Stop(perf.Field)
 	}
 
 	// Refresh interpolators for the next step (and for any field
 	// diagnostics run between steps).
-	rk.Perf.Start(perf.Field)
 	rk.IP.LoadPar(rk.pool, f)
 	rk.stopPar(perf.Field)
 
@@ -165,12 +134,9 @@ func (rk *Rank) pushRanges(shell bool) {
 		}
 		var blocks []*push.BlockState
 		if lo < hi {
-			rk.pool.Run(pipe.NumBlocks, func(b int) {
-				bs := rk.blockSt[b]
-				bs.Reset()
-				blo, bhi := pipe.AlignedRange(lo, hi, pipe.NumBlocks, b, particle.Lanes)
-				k.AdvanceBlock(buf, blo, bhi, rk.pipeAcc[b], bs)
-			})
+			t := rk.pushTask()
+			t.k, t.buf, t.lo, t.hi = k, buf, lo, hi
+			rk.pool.Run(pipe.NumBlocks, t.run)
 			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
 			blocks = rk.blockSt
 		}
@@ -180,11 +146,46 @@ func (rk *Rank) pushRanges(shell bool) {
 	}
 }
 
-// stopPar stops a section's timer and folds the worker-pool busy/wall
-// stats of the parallel regions that ran inside it into the breakdown.
+// pushBlocks is one push phase's operands and its per-block task,
+// bound once so the pooled push allocates nothing.
+type pushBlocks struct {
+	rk     *Rank
+	k      *push.Kernel
+	buf    *particle.Buffer
+	lo, hi int
+	run    func(b int)
+}
+
+// pushTask returns the rank's push task, binding it on first use.
+func (rk *Rank) pushTask() *pushBlocks {
+	t := &rk.pushT
+	if t.rk == nil {
+		t.rk = rk
+		t.run = t.block
+	}
+	return t
+}
+
+// block pushes pipeline block b of [lo, hi) into its private
+// accumulator.
+func (t *pushBlocks) block(b int) {
+	bs := t.rk.blockSt[b]
+	bs.Reset()
+	blo, bhi := pipe.AlignedRange(t.lo, t.hi, pipe.NumBlocks, b, particle.Lanes)
+	t.k.AdvanceBlock(t.buf, blo, bhi, t.rk.pipeAcc[b], bs)
+}
+
+// switchPar ends section from and begins section to at one clock read,
+// folding the worker-pool stats of the parallel regions that ran inside
+// from into the breakdown (a one-worker pool books from's time).
+func (rk *Rank) switchPar(from, to perf.Section) {
+	busy, wall := rk.pool.TakeStats(rk.Perf.Switch(from, to))
+	rk.Perf.AddParallel(from, busy, wall)
+}
+
+// stopPar is switchPar for the step's last section.
 func (rk *Rank) stopPar(s perf.Section) {
-	rk.Perf.Stop(s)
-	busy, wall := rk.pool.TakeStats()
+	busy, wall := rk.pool.TakeStats(rk.Perf.Stop(s))
 	rk.Perf.AddParallel(s, busy, wall)
 }
 

@@ -6,6 +6,21 @@
 // pattern (what is sent, to whom, and when in the step) mirrors VPIC's,
 // so the surface-to-volume scaling the paper measures on Roadrunner is
 // reproduced structurally.
+//
+// Every exchange class runs on a persistent plan (plan.go) that New
+// builds once: per remote face, two packed send slots bound to
+// restartable mp requests and used alternately, and one restartable
+// receive, so a steady-state exchange allocates nothing. Two slots are
+// enough. In-process, payloads pass by reference and the receiver
+// unpacks straight from the sender's slot, after the sender's Wait has
+// returned. A slot is rewritten two uses later, and between those uses
+// the sender has received a message its peer posted after finishing
+// that unpack: exchanges are sequential on each rank, a ghost or
+// particle exchange receives from every peer it sends to, and every
+// fold (one-way) is followed by the two-way ghost exchange of the same
+// array. Over TCP, Send encodes into a fresh frame before it returns,
+// so there a slot is free as soon as Wait returns. The rebalance slabs
+// and the settle sweeps are rare and keep one-shot messages.
 package domain
 
 import (
@@ -61,6 +76,13 @@ type Domain struct {
 	// over classes.
 	ClassBytes [NumCommClasses]int64
 	ClassMsgs  [NumCommClasses]int64
+
+	// The persistent exchange plans, one per class (plan.go). parts has
+	// one particle plan per species, built by the first exchange; px is
+	// the particle exchange in flight.
+	ghostE, ghostB, foldJ, ghostJ, foldS, ghostS plan
+	parts                                        []partPlan
+	px                                           ParticleExchange
 }
 
 // New builds rank comm.Rank()'s tile of the global domain.
@@ -105,6 +127,12 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.ghostE = d.newPlan(tagGhostE, 3, false)
+	d.ghostB = d.newPlan(tagGhostB, 3, false)
+	d.foldJ = d.newPlan(tagFoldJ, 3, true)
+	d.ghostJ = d.newPlan(tagGhostJ, 3, false)
+	d.foldS = d.newPlan(tagFoldS, 1, true)
+	d.ghostS = d.newPlan(tagGhostS, 1, false)
 	return d, nil
 }
 
@@ -142,78 +170,78 @@ func (d *Domain) ParticleActions() [6]push.Action {
 }
 
 // exchangeGhost refreshes boundary/ghost planes of the given arrays on
-// every remote face. Per axis, both faces' sends and receives are posted
-// up front and the receives completed in a fixed order — lo-tagged
-// first: when both neighbors are the same rank (two ranks on a periodic
-// axis) both messages share one in-order link, and the sender posted lo
-// before hi. The axes stay sequential: a plane spans the full
-// ghost-inclusive extent of the other two axes, so corner values
-// propagate through two successive axis hops and the hops cannot be
-// flattened. Send completions are deferred to the end — each payload is
-// packed into a fresh buffer at posting time, so later-axis packing
-// never races an in-flight send.
-func (d *Domain) exchangeGhost(arrs [][]float32, tagBase int) {
+// every remote face through plan p. Per axis, both faces' sends and
+// receives are posted up front and the receives completed in a fixed
+// order — lo-tagged first: when both neighbors are the same rank (two
+// ranks on a periodic axis) both messages share one in-order link, and
+// the sender posted lo before hi. The axes stay sequential: a plane
+// spans the full ghost-inclusive extent of the other two axes, so corner
+// values propagate through two successive axis hops and the hops cannot
+// be flattened. Send completions are deferred to the end — each face
+// packs into its own slot, so later-axis packing never touches an
+// in-flight payload.
+func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
-	var sends []*mp.Request
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		// The interior planes neighbors need: plane 1 to the low side,
 		// plane N to the high side.
 		if d.remote[lo] {
-			sends = append(sends, d.isend(d.nbr[lo], tagBase+int(lo), arrs, axis, 1))
+			d.post(p, lo, arrs, 1)
 		}
 		if d.remote[hi] {
-			sends = append(sends, d.isend(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]))
+			d.post(p, hi, arrs, n[axis])
 		}
 		// Into boundary/ghost planes: the low neighbor sent its plane N
 		// tagged with its *hi* face id, and vice versa.
-		var rHi, rLo *mp.Request
+		rHi, rLo := p.faces[hi].recv, p.faces[lo].recv
 		if d.remote[hi] {
-			rHi = d.Comm.IRecv(d.nbr[hi], tagBase+int(lo))
+			rHi.Start()
 		}
 		if d.remote[lo] {
-			rLo = d.Comm.IRecv(d.nbr[lo], tagBase+int(hi))
+			rLo.Start()
 		}
-		if rHi != nil {
+		if d.remote[hi] {
 			d.applyPlane(rHi, arrs, axis, n[axis]+1, false)
 		}
-		if rLo != nil {
+		if d.remote[lo] {
 			d.applyPlane(rLo, arrs, axis, 0, false)
 		}
 	}
-	waitAll(sends)
+	p.waitSends()
 }
 
 // ExchangeGhostE fills remote-face boundary planes of E (plane N+1 from
 // the high neighbor's plane 1; ghost plane 0 from the low neighbor's
 // plane N).
 func (d *Domain) ExchangeGhostE() {
-	d.exchangeGhost([][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, tagGhostE)
+	d.exchangeGhost(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez})
 }
 
 // ExchangeGhostB fills remote-face ghost planes of B.
 func (d *Domain) ExchangeGhostB() {
-	d.exchangeGhost([][]float32{d.F.Bx, d.F.By, d.F.Bz}, tagGhostB)
+	d.exchangeGhost(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz})
 }
 
 // foldUp reduces deposition that landed on the shared high plane N+1
 // onto the owner (the high neighbor's plane 1), for every remote-hi
 // face, and symmetrically receives the low neighbor's contribution.
-func (d *Domain) foldUp(arrs [][]float32, tagBase int) {
+func (d *Domain) foldUp(p *plan, arrs [][]float32) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
-	var sends []*mp.Request
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		if d.remote[hi] {
-			sends = append(sends, d.isend(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis]+1))
+			d.post(p, hi, arrs, n[axis]+1)
 		}
 		if d.remote[lo] {
-			d.applyPlane(d.Comm.IRecv(d.nbr[lo], tagBase+int(hi)), arrs, axis, 1, true)
+			r := p.faces[lo].recv
+			r.Start()
+			d.applyPlane(r, arrs, axis, 1, true)
 		}
 	}
-	waitAll(sends)
+	p.waitSends()
 }
 
 // ExchangeJ reduces and refreshes the deposited current across remote
@@ -221,33 +249,23 @@ func (d *Domain) foldUp(arrs [][]float32, tagBase int) {
 // ghost copies so divergence diagnostics are well defined everywhere.
 func (d *Domain) ExchangeJ() {
 	arrs := [][]float32{d.F.Jx, d.F.Jy, d.F.Jz}
-	d.foldUp(arrs, tagFoldJ)
-	d.exchangeGhost(arrs, tagGhostJ)
+	d.foldUp(&d.foldJ, arrs)
+	d.exchangeGhost(&d.ghostJ, arrs)
 }
 
 // ExchangeNodeScalar reduces and refreshes a node-centered scalar
 // (charge density) across remote faces.
 func (d *Domain) ExchangeNodeScalar(a []float32) {
 	arrs := [][]float32{a}
-	d.foldUp(arrs, tagFoldS)
-	d.exchangeGhost(arrs, tagGhostS)
+	d.foldUp(&d.foldS, arrs)
+	d.exchangeGhost(&d.ghostS, arrs)
 }
 
 // ExchangeScalarGhost refreshes a scalar's remote ghost planes without
 // folding (for fields computable independently on each side, like the
 // Marder error scalar).
 func (d *Domain) ExchangeScalarGhost(a []float32) {
-	d.exchangeGhost([][]float32{a}, tagGhostS)
-}
-
-// isend packs the given plane of each array into one payload and posts
-// it as a nonblocking request; the returned handle must be waited before
-// the exchange completes.
-func (d *Domain) isend(dst, tag int, arrs [][]float32, axis, idx int) *mp.Request {
-	buf := make([]float32, planeCount(d.G, axis)*len(arrs))
-	packPlane(buf, d.G, arrs, axis, idx)
-	d.countSend(tag, 4*len(buf))
-	return d.Comm.ISend(dst, tag, buf)
+	d.exchangeGhost(&d.ghostS, [][]float32{a})
 }
 
 // applyPlane completes a posted receive and unpacks its payload into the
@@ -320,27 +338,9 @@ func unpackPlane(buf []float32, g *grid.Grid, arrs [][]float32, axis, idx int, a
 	}
 }
 
-// waitAll completes a batch of posted sends, re-raising the transport's
-// typed error.
-func waitAll(reqs []*mp.Request) {
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil {
-			panic(err)
-		}
-	}
-}
-
 func planeCount(g *grid.Grid, axis int) int {
 	_, run, _, n := g.Plane(axis, 0)
 	return run * n
-}
-
-// partRecv is one posted arrival: the species it lands into and the
-// entry plane on the crossing axis.
-type partRecv struct {
-	req         *mp.Request
-	species     int
-	axis, entry int
 }
 
 // ParticleExchange is one particle migration in flight, split so the
@@ -355,43 +355,42 @@ type ParticleExchange struct {
 	d       *Domain
 	kernels []*push.Kernel
 	bufs    []*particle.Buffer
-	sends   []*mp.Request
-	recvs   []partRecv
 }
 
 // BeginParticleExchange snapshots and posts every species' outgoing
-// migrants. The outgoing lists must be final for the faces being
-// exchanged: under the CFL bound a particle crosses at most one face per
-// axis per step, so only boundary-shell particles can migrate and the
-// snapshot may be taken as soon as the shell is pushed. A rank with no
-// remote face posts nothing.
+// migrants through the domain's particle plans, and returns the
+// domain's one exchange in flight. The outgoing lists must be final for
+// the faces being exchanged: under the CFL bound a particle crosses at
+// most one face per axis per step, so only boundary-shell particles can
+// migrate and the snapshot may be taken as soon as the shell is pushed.
+// A rank with no remote face posts nothing.
 func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.Buffer) *ParticleExchange {
-	x := &ParticleExchange{d: d, kernels: kernels, bufs: bufs}
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
+	d.px = ParticleExchange{d: d, kernels: kernels, bufs: bufs}
+	d.growParticlePlans(len(kernels))
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		for s, k := range kernels {
+			pp := &d.parts[s]
 			// Always send on remote faces, even empty lists: the
 			// protocol is deterministic.
 			if d.remote[lo] {
-				x.sends = append(x.sends, d.Comm.ISend(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(k, lo)))
+				d.postParticles(&pp[lo], k, lo)
 			}
 			if d.remote[hi] {
-				x.sends = append(x.sends, d.Comm.ISend(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(k, hi)))
+				d.postParticles(&pp[hi], k, hi)
 			}
 			// Arrivals, lo-tagged first per (axis, species): when both
 			// neighbors are the same rank the two messages share one
 			// in-order link, and the sender posted lo before hi.
 			if d.remote[hi] {
-				x.recvs = append(x.recvs, partRecv{req: d.Comm.IRecv(d.nbr[hi], tagPart+16*s+int(lo)), species: s, axis: axis, entry: n[axis]})
+				pp[hi].recv.Start()
 			}
 			if d.remote[lo] {
-				x.recvs = append(x.recvs, partRecv{req: d.Comm.IRecv(d.nbr[lo], tagPart+16*s+int(hi)), species: s, axis: axis, entry: 1})
+				pp[lo].recv.Start()
 			}
 		}
 	}
-	return x
+	return &d.px
 }
 
 // Complete finishes the posted migration: arrivals land in the fixed
@@ -399,15 +398,47 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 // later axis while landing) are settled with synchronous sweeps.
 func (x *ParticleExchange) Complete() {
 	d := x.d
-	for _, pr := range x.recvs {
-		data, err := pr.req.Wait()
-		if err != nil {
-			panic(err)
+	g := d.G
+	n := [3]int{g.NX, g.NY, g.NZ}
+	for axis := 0; axis < 3; axis++ {
+		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
+		for s, k := range x.kernels {
+			pp := &d.parts[s]
+			if d.remote[hi] {
+				d.landFrom(pp[hi].recv, k, x.bufs[s], axis, n[axis])
+			}
+			if d.remote[lo] {
+				d.landFrom(pp[lo].recv, k, x.bufs[s], axis, 1)
+			}
 		}
-		d.landParticles(x.kernels[pr.species], x.bufs[pr.species], data.(push.OutgoingBatch), pr.axis, pr.entry)
 	}
-	waitAll(x.sends)
+	for s := range x.kernels {
+		for f := range d.parts[s] {
+			if pf := &d.parts[s][f]; pf.last != nil {
+				waitSend(pf.last)
+				pf.last = nil
+			}
+		}
+	}
 	x.settleResidual()
+}
+
+// landFrom completes a posted particle receive and lands its batch.
+func (d *Domain) landFrom(r *mp.Request, k *push.Kernel, buf *particle.Buffer, axis, entry int) {
+	data, err := r.Wait()
+	if err != nil {
+		panic(err)
+	}
+	d.landParticles(k, buf, batchOf(data), axis, entry)
+}
+
+// batchOf returns a particle message's batch: a plan slot's pointer
+// in-process, the decoded value over TCP or from a settle sweep.
+func batchOf(data any) push.OutgoingBatch {
+	if p, ok := data.(*push.OutgoingBatch); ok {
+		return *p
+	}
+	return data.(push.OutgoingBatch)
 }
 
 // settleResidual repeats synchronous axis sweeps until no rank holds an
@@ -450,19 +481,19 @@ func (d *Domain) exchangeParticlesSweep(kernels []*push.Kernel, bufs []*particle
 			// Always exchange on remote faces, even empty lists: the
 			// protocol is deterministic.
 			if d.remote[lo] {
-				d.Comm.Send(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(k, lo))
+				d.Comm.Send(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(nil, k, lo))
 			}
 			if d.remote[hi] {
-				d.Comm.Send(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(k, hi))
+				d.Comm.Send(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(nil, k, hi))
 			}
 			// Receive lo-tagged first (same-neighbor link ordering; see
 			// exchangeGhost). The low neighbor sent through its hi face.
 			if d.remote[hi] {
-				in := d.Comm.Recv(d.nbr[hi], tagPart+16*s+int(lo)).(push.OutgoingBatch)
+				in := batchOf(d.Comm.Recv(d.nbr[hi], tagPart+16*s+int(lo)))
 				d.landParticles(k, bufs[s], in, axis, n[axis])
 			}
 			if d.remote[lo] {
-				in := d.Comm.Recv(d.nbr[lo], tagPart+16*s+int(hi)).(push.OutgoingBatch)
+				in := batchOf(d.Comm.Recv(d.nbr[lo], tagPart+16*s+int(hi)))
 				d.landParticles(k, bufs[s], in, axis, 1)
 			}
 		}
@@ -506,12 +537,12 @@ func LandVoxel(g *grid.Grid, axis, entry int, wire int32) int32 {
 	return int32(g.Voxel(ix, iy, iz))
 }
 
-// takeOutgoing snapshots kernel k's outgoing list on face f into a
-// fresh batch and clears the list, rewrites the batch's voxels to the
-// transverse wire encoding of f's axis, and counts the message the batch
-// becomes.
-func (d *Domain) takeOutgoing(k *push.Kernel, f field.Face) push.OutgoingBatch {
-	out := push.OutgoingBatch(append([]push.Outgoing(nil), k.Out[f]...))
+// takeOutgoing snapshots kernel k's outgoing list on face f into dst's
+// storage (nil: a fresh batch) and clears the list, rewrites the
+// batch's voxels to the transverse wire encoding of f's axis, and
+// counts the message the batch becomes.
+func (d *Domain) takeOutgoing(dst push.OutgoingBatch, k *push.Kernel, f field.Face) push.OutgoingBatch {
+	out := append(dst[:0], k.Out[f]...)
 	k.Out[f] = k.Out[f][:0]
 	axis := f.Axis()
 	for i := range out {

@@ -215,11 +215,30 @@ func newOracleRank(t *testing.T, cfg Config, c *mp.Comm) *oracleRank {
 		r.kernels = append(r.kernels, k)
 		r.bufs = append(r.bufs, buf)
 	}
+	r.push()
+	return r
+}
+
+// push moves every species one ballistic step, filling the Out lists.
+func (r *oracleRank) push() {
 	r.acc.Clear()
 	for s, k := range r.kernels {
 		k.AdvanceP(r.bufs[s])
 	}
-	return r
+}
+
+// perturb starts round round of the stage list on fresh inputs: new
+// random values in every array and one more push. A plan slot reused
+// on fresh data shows whether the peer still read the old contents.
+func (r *oracleRank) perturb(round int) {
+	src := rng.New(0x0dac1e+uint64(round), r.d.Rank)
+	f := r.d.F
+	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz, r.rhoS, r.errS} {
+		for v := range a {
+			a[v] = float32(src.Uniform(-1, 1))
+		}
+	}
+	r.push()
 }
 
 // record appends a labelled little-endian image of v — the exact bits of
@@ -294,14 +313,20 @@ var exchangeStages = []exchangeStage{
 		func(r *oracleRank) { r.d.blockingExchangeParticles(r.kernels, r.bufs) }},
 }
 
+// oracleRounds is how many times each world runs the stage list: every
+// plan slot (two per face) is reused at least twice.
+const oracleRounds = 3
+
 // TestExchangesMatchBlockingOracle holds every production exchange to
 // its blocking oracle, bitwise, on random fields and particles: each
-// world runs the stages in order once through the posted bodies and once
-// through the oracles, and after every stage each rank's arrays,
-// particles, accumulator, Out lists and traffic counters must be
-// identical. The worlds cover both neighbors on one link (2 ranks
-// periodic in x), corner crossers that need settle rounds (2×2×1
-// periodic) and walls (2 ranks with absorbing x walls).
+// world runs the stage list oracleRounds times, on fresh random inputs
+// each round, once through the posted bodies and once through the
+// oracles, and after every stage each rank's arrays, particles,
+// accumulator, Out lists and traffic counters must be identical. The
+// worlds cover both neighbors on one link (2 ranks periodic in x), a
+// ring whose low and high neighbors differ (3 ranks periodic in x),
+// corner crossers that need settle rounds (2×2×1 periodic) and walls (2
+// ranks with absorbing x walls).
 func TestExchangesMatchBlockingOracle(t *testing.T) {
 	walls := periodicConfig(2, 8, 3, 2) // the zero field BC is Periodic
 	walls.FieldBC[field.XLo], walls.FieldBC[field.XHi] = field.Absorbing, field.Absorbing
@@ -313,6 +338,7 @@ func TestExchangesMatchBlockingOracle(t *testing.T) {
 		settles bool // the corner crosser needs a settle round
 	}{
 		{"2 ranks periodic x", periodicConfig(2, 8, 3, 2), [3]int{2, 1, 1}, false},
+		{"3 ranks periodic x ring", periodicConfig(3, 12, 3, 2), [3]int{3, 1, 1}, false},
 		{"4 ranks 2x2x1 periodic", periodicConfig(4, 8, 8, 2), [3]int{2, 2, 1}, true},
 		{"2 ranks x walls", walls, [3]int{2, 1, 1}, false},
 	} {
@@ -322,7 +348,7 @@ func TestExchangesMatchBlockingOracle(t *testing.T) {
 			}
 			nr := w.cfg.Dec.NRanks()
 			// partMsgs/mainMsgs: particle messages the production
-			// particle stage sent, and what one main exchange sends.
+			// particle stages sent, and what the main exchanges send.
 			partMsgs, mainMsgs := make([]int64, nr), make([]int64, nr)
 			run := func(production bool) [][]map[string][]byte {
 				states := make([][]map[string][]byte, nr)
@@ -331,42 +357,50 @@ func TestExchangesMatchBlockingOracle(t *testing.T) {
 					if r == nil {
 						return
 					}
-					for _, st := range exchangeStages {
-						before := r.d.ClassMsgs[ClassParticles]
-						if production {
-							st.production(r)
-						} else {
-							st.sync(r)
+					for round := 0; round < oracleRounds; round++ {
+						if round > 0 {
+							r.perturb(round)
 						}
-						states[c.Rank()] = append(states[c.Rank()], r.snapshot())
-						if production {
-							partMsgs[c.Rank()] += r.d.ClassMsgs[ClassParticles] - before
+						for _, st := range exchangeStages {
+							before := r.d.ClassMsgs[ClassParticles]
+							if production {
+								st.production(r)
+							} else {
+								st.sync(r)
+							}
+							states[c.Rank()] = append(states[c.Rank()], r.snapshot())
+							if production {
+								partMsgs[c.Rank()] += r.d.ClassMsgs[ClassParticles] - before
+							}
 						}
-					}
-					for f := field.Face(0); f < field.NumFaces && production; f++ {
-						if r.d.Remote(f) {
-							mainMsgs[c.Rank()] += int64(len(r.kernels))
+						for f := field.Face(0); f < field.NumFaces && production; f++ {
+							if r.d.Remote(f) {
+								mainMsgs[c.Rank()] += int64(len(r.kernels))
+							}
 						}
 					}
 				})
 				return states
 			}
 			got, want := run(true), run(false)
+			stages := oracleRounds * len(exchangeStages)
 			for rank := range got {
-				if len(got[rank]) != len(exchangeStages) || len(want[rank]) != len(exchangeStages) {
-					t.Fatalf("rank %d ran %d/%d of %d stages", rank, len(got[rank]), len(want[rank]), len(exchangeStages))
+				if len(got[rank]) != stages || len(want[rank]) != stages {
+					t.Fatalf("rank %d ran %d/%d of %d stages", rank, len(got[rank]), len(want[rank]), stages)
 				}
-				for i, st := range exchangeStages {
+				for i := range got[rank] {
+					st := exchangeStages[i%len(exchangeStages)]
 					for label, b := range want[rank][i] {
 						if !bytes.Equal(got[rank][i][label], b) {
-							t.Errorf("rank %d after %s: %s differs from the blocking oracle", rank, st.name, label)
+							t.Errorf("rank %d, round %d, after %s: %s differs from the blocking oracle",
+								rank, i/len(exchangeStages), st.name, label)
 						}
 					}
 				}
 				// Settle rounds are collective, so on 2×2×1 every rank
-				// sends more particle messages than one main exchange.
+				// sends more particle messages than the main exchanges.
 				if w.settles && partMsgs[rank] <= mainMsgs[rank] {
-					t.Errorf("rank %d sent %d particle messages, one main exchange's %d: no settle round ran",
+					t.Errorf("rank %d sent %d particle messages, the main exchanges' %d: no settle round ran",
 						rank, partMsgs[rank], mainMsgs[rank])
 				}
 			}

@@ -1,0 +1,124 @@
+package domain
+
+import (
+	"govpic/internal/field"
+	"govpic/internal/mp"
+	"govpic/internal/push"
+)
+
+// plan is one grid exchange class's persistent schedule on this domain,
+// in the spirit of MPI's persistent requests (the package doc says why
+// two slots per face suffice).
+type plan struct {
+	tag   int // the class's tag base
+	faces [field.NumFaces]planFace
+}
+
+// planFace is one face's share of a plan. A ghost plan sends and
+// receives on every remote face; a fold plan sends on the remote high
+// faces and receives on the remote low ones.
+type planFace struct {
+	slot [2][]float32   // packed planes, used alternately
+	send [2]*mp.Request // slot i's restartable send
+	next int            // the slot the next send packs
+	last *mp.Request    // the send the current exchange started, until waited
+	recv *mp.Request    // the restartable receive
+}
+
+// newPlan builds the plan of the class whose messages carry width
+// arrays under tag. A face's send carries tag+face and its receive
+// tag+opposite face: the peer sent through the face that faces this one.
+func (d *Domain) newPlan(tag, width int, fold bool) plan {
+	p := plan{tag: tag}
+	for f := field.Face(0); f < field.NumFaces; f++ {
+		if !d.remote[f] {
+			continue
+		}
+		pf := &p.faces[f]
+		if !fold || f.High() {
+			for i := range pf.slot {
+				pf.slot[i] = make([]float32, planeCount(d.G, f.Axis())*width)
+				pf.send[i] = d.Comm.SendInit(d.nbr[f], tag+int(f), pf.slot[i])
+			}
+		}
+		if !fold || !f.High() {
+			pf.recv = d.Comm.RecvInit(d.nbr[f], tag+int(f^1))
+		}
+	}
+	return p
+}
+
+// post packs plane idx normal to f's axis of every array into face f's
+// next slot, counts the message and starts its send.
+func (d *Domain) post(p *plan, f field.Face, arrs [][]float32, idx int) {
+	pf := &p.faces[f]
+	i := pf.next
+	pf.next ^= 1
+	packPlane(pf.slot[i], d.G, arrs, f.Axis(), idx)
+	d.countSend(p.tag, 4*len(pf.slot[i]))
+	pf.last = pf.send[i]
+	pf.last.Start()
+}
+
+// waitSends completes the sends the current exchange started, in face
+// order (the order they were posted in).
+func (p *plan) waitSends() {
+	for f := range p.faces {
+		if pf := &p.faces[f]; pf.last != nil {
+			waitSend(pf.last)
+			pf.last = nil
+		}
+	}
+}
+
+// waitSend completes a started send, re-raising the transport's typed
+// error.
+func waitSend(r *mp.Request) {
+	if _, err := r.Wait(); err != nil {
+		panic(err)
+	}
+}
+
+// partPlan is one species' particle plan: per remote face, two batch
+// slots whose restartable sends carry a pointer to the slot (the batch
+// length changes every step), and one restartable receive.
+type partPlan [field.NumFaces]partFace
+
+type partFace struct {
+	slot [2]push.OutgoingBatch
+	send [2]*mp.Request
+	next int
+	last *mp.Request
+	recv *mp.Request
+}
+
+// growParticlePlans builds the particle plans of n species unless they
+// exist: the domain learns the species count from the first exchange.
+func (d *Domain) growParticlePlans(n int) {
+	if len(d.parts) == n {
+		return
+	}
+	d.parts = make([]partPlan, n)
+	for s := range d.parts {
+		for f := field.Face(0); f < field.NumFaces; f++ {
+			if !d.remote[f] {
+				continue
+			}
+			pf := &d.parts[s][f]
+			for i := range pf.slot {
+				pf.send[i] = d.Comm.SendInit(d.nbr[f], tagPart+16*s+int(f), &pf.slot[i])
+			}
+			pf.recv = d.Comm.RecvInit(d.nbr[f], tagPart+16*s+int(f^1))
+		}
+	}
+}
+
+// postParticles moves kernel k's outgoing list on face f into the
+// face's next slot and starts its send.
+func (d *Domain) postParticles(pf *partFace, k *push.Kernel, f field.Face) {
+	i := pf.next
+	pf.next ^= 1
+	pf.slot[i] = d.takeOutgoing(pf.slot[i], k, f)
+	pf.last = pf.send[i]
+	pf.last.Start()
+}

@@ -17,27 +17,12 @@ func (f *Fields) AdvanceB(dt, frac float64) {
 // bit-identical to the serial sweep for any worker count.
 func (f *Fields) AdvanceBPar(p *pipe.Pool, dt, frac float64) {
 	g := f.G
-	sx, sy, _ := g.Strides()
-	sxy := sx * sy
 	h := dt * frac
-	py := float32(h / g.DY)
-	pz := float32(h / g.DZ)
-	px := float32(h / g.DX)
-	ex, ey, ez := f.Ex, f.Ey, f.Ez
-	bx, by, bz := f.Bx, f.By, f.Bz
-	p.Range(g.NZ, func(lo, hi int) {
-		for iz := lo + 1; iz <= hi; iz++ {
-			for iy := 1; iy <= g.NY; iy++ {
-				v := g.Voxel(1, iy, iz)
-				for ix := 1; ix <= g.NX; ix++ {
-					bx[v] -= py*(ez[v+sx]-ez[v]) - pz*(ey[v+sxy]-ey[v])
-					by[v] -= pz*(ex[v+sxy]-ex[v]) - px*(ez[v+1]-ez[v])
-					bz[v] -= px*(ey[v+1]-ey[v]) - py*(ex[v+sx]-ex[v])
-					v++
-				}
-			}
-		}
-	})
+	t := f.curlTask()
+	t.py = float32(h / g.DY)
+	t.pz = float32(h / g.DZ)
+	t.px = float32(h / g.DX)
+	p.Range(g.NZ, t.advB)
 	f.UpdateGhostB()
 }
 
@@ -55,31 +40,76 @@ func (f *Fields) AdvanceEPar(p *pipe.Pool, dt float64) {
 		f.mur.snapshot(f)
 	}
 	g := f.G
-	sx, sy, _ := g.Strides()
-	sxy := sx * sy
-	px := float32(dt / g.DX)
-	py := float32(dt / g.DY)
-	pz := float32(dt / g.DZ)
-	cj := float32(dt)
-	ex, ey, ez := f.Ex, f.Ey, f.Ez
-	bx, by, bz := f.Bx, f.By, f.Bz
-	jx, jy, jz := f.Jx, f.Jy, f.Jz
-	p.Range(g.NZ, func(lo, hi int) {
-		for iz := lo + 1; iz <= hi; iz++ {
-			for iy := 1; iy <= g.NY; iy++ {
-				v := g.Voxel(1, iy, iz)
-				for ix := 1; ix <= g.NX; ix++ {
-					ex[v] += py*(bz[v]-bz[v-sx]) - pz*(by[v]-by[v-sxy]) - cj*jx[v]
-					ey[v] += pz*(bx[v]-bx[v-sxy]) - px*(bz[v]-bz[v-1]) - cj*jy[v]
-					ez[v] += px*(by[v]-by[v-1]) - py*(bx[v]-bx[v-sx]) - cj*jz[v]
-					v++
-				}
-			}
-		}
-	})
+	t := f.curlTask()
+	t.px = float32(dt / g.DX)
+	t.py = float32(dt / g.DY)
+	t.pz = float32(dt / g.DZ)
+	t.cj = float32(dt)
+	p.Range(g.NZ, t.advE)
 	f.UpdateGhostE()
 	if f.mur != nil {
 		f.mur.apply(f, dt)
+	}
+}
+
+// curl holds the curl advances' per-call coefficients and their z-range
+// sweeps, bound once so a pooled advance allocates nothing.
+type curl struct {
+	f              *Fields
+	px, py, pz, cj float32
+	advB, advE     func(lo, hi int)
+}
+
+// curlTask returns f's advance task, binding it on first use.
+func (f *Fields) curlTask() *curl {
+	t := &f.curl
+	if t.f == nil {
+		t.f = f
+		t.advB, t.advE = t.sweepB, t.sweepE
+	}
+	return t
+}
+
+// sweepB advances B on z planes (lo, hi].
+func (t *curl) sweepB(lo, hi int) {
+	f, g := t.f, t.f.G
+	sx, sy, _ := g.Strides()
+	sxy := sx * sy
+	px, py, pz := t.px, t.py, t.pz
+	ex, ey, ez := f.Ex, f.Ey, f.Ez
+	bx, by, bz := f.Bx, f.By, f.Bz
+	for iz := lo + 1; iz <= hi; iz++ {
+		for iy := 1; iy <= g.NY; iy++ {
+			v := g.Voxel(1, iy, iz)
+			for ix := 1; ix <= g.NX; ix++ {
+				bx[v] -= py*(ez[v+sx]-ez[v]) - pz*(ey[v+sxy]-ey[v])
+				by[v] -= pz*(ex[v+sxy]-ex[v]) - px*(ez[v+1]-ez[v])
+				bz[v] -= px*(ey[v+1]-ey[v]) - py*(ex[v+sx]-ex[v])
+				v++
+			}
+		}
+	}
+}
+
+// sweepE advances E on z planes (lo, hi].
+func (t *curl) sweepE(lo, hi int) {
+	f, g := t.f, t.f.G
+	sx, sy, _ := g.Strides()
+	sxy := sx * sy
+	px, py, pz, cj := t.px, t.py, t.pz, t.cj
+	ex, ey, ez := f.Ex, f.Ey, f.Ez
+	bx, by, bz := f.Bx, f.By, f.Bz
+	jx, jy, jz := f.Jx, f.Jy, f.Jz
+	for iz := lo + 1; iz <= hi; iz++ {
+		for iy := 1; iy <= g.NY; iy++ {
+			v := g.Voxel(1, iy, iz)
+			for ix := 1; ix <= g.NX; ix++ {
+				ex[v] += py*(bz[v]-bz[v-sx]) - pz*(by[v]-by[v-sxy]) - cj*jx[v]
+				ey[v] += pz*(bx[v]-bx[v-sxy]) - px*(bz[v]-bz[v-1]) - cj*jy[v]
+				ez[v] += px*(by[v]-by[v-1]) - py*(bx[v]-bx[v-sx]) - cj*jz[v]
+				v++
+			}
+		}
 	}
 }
 

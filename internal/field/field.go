@@ -83,7 +83,8 @@ type Fields struct {
 	// application (periodic copy, conductor zero, Mur) skips them.
 	remote [NumFaces]bool
 
-	mur *murState // lazily allocated when any face is Absorbing
+	mur  *murState // lazily allocated when any face is Absorbing
+	curl curl      // the pooled advances' task (advance.go)
 }
 
 // New allocates a zeroed field state on g with the given per-face

@@ -40,6 +40,11 @@ type Coeffs struct {
 type Table struct {
 	G *grid.Grid
 	C []Coeffs
+
+	// LoadPar's source fields and its z-range task, bound once so a
+	// pooled load allocates nothing.
+	src  *field.Fields
+	load func(lo, hi int)
 }
 
 // NewTable allocates an interpolator table for g.
@@ -59,14 +64,19 @@ func (t *Table) Load(f *field.Fields) {
 // voxel's coefficients are computed independently from the (read-only)
 // fields, so the partition is exact for any worker count.
 func (t *Table) LoadPar(p *pipe.Pool, f *field.Fields) {
-	g := t.G
-	sx, sy, _ := g.Strides()
-	sxy := sx * sy
-	ex, ey, ez := f.Ex, f.Ey, f.Ez
-	bx, by, bz := f.Bx, f.By, f.Bz
-	p.Range(g.NZ, func(lo, hi int) {
-		t.loadPlanes(lo+1, hi, sx, sxy, ex, ey, ez, bx, by, bz)
-	})
+	if t.load == nil {
+		t.load = t.loadRange
+	}
+	t.src = f
+	p.Range(t.G.NZ, t.load)
+	t.src = nil
+}
+
+// loadRange fills the interpolators of z planes (lo, hi] from t.src.
+func (t *Table) loadRange(lo, hi int) {
+	f := t.src
+	sx, sy, _ := t.G.Strides()
+	t.loadPlanes(lo+1, hi, sx, sx*sy, f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz)
 }
 
 // loadPlanes fills the interpolators of z planes [izLo, izHi].

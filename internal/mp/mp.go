@@ -10,7 +10,19 @@
 // Recv blocks until a message from the requested source arrives and
 // checks that its tag matches the protocol's expectation. Payloads are
 // passed by reference in-process; the sender must not mutate a payload
-// after sending, exactly like a zero-copy transport. Substrate failures
+// after sending, exactly like a zero-copy transport.
+//
+// Payload ownership for persistent sends (SendInit): the request binds
+// one payload, and the in-process receiver reads it by reference after
+// the sender's Wait has returned, so a slot may be rewritten only once
+// the peer is known to be done with it — in practice, after receiving a
+// message the peer posted after its unpack (see internal/domain's
+// two-slot plans). The TCP transport encodes into a fresh frame before
+// its Send returns, so there the slot is free once Wait returns. The
+// request engine's clock policy (one read per batch boundary, and
+// around a Wait only when it blocks) is described in engine.go.
+//
+// Substrate failures
 // (tag mismatch, link overflow, dead peer) are typed CommErrors: the
 // Transport methods return them, and the blocking Comm wrappers panic
 // with the typed value so SPMD code stays uncluttered while a
@@ -20,6 +32,7 @@ package mp
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"govpic/internal/perf"
 )
@@ -112,13 +125,26 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.n {
 		panic(fmt.Sprintf("mp: rank %d outside world of %d", rank, w.n))
 	}
-	return NewComm(&localTransport{w: w, rank: rank})
+	return NewComm(&localTransport{w: w, rank: rank, links: make([]*perf.LinkStat, w.n)})
 }
 
 // localTransport is one rank's endpoint on a World's channel links.
+// links caches the rank's per-peer counters, so a message costs no map
+// lookup and no lock.
 type localTransport struct {
-	w    *World
-	rank int
+	w     *World
+	rank  int
+	links []*perf.LinkStat
+}
+
+// link returns the counters of the link toward peer.
+func (t *localTransport) link(peer int) *perf.LinkStat {
+	l := t.links[peer]
+	if l == nil {
+		l = t.w.stats[t.rank].Link(peer)
+		t.links[peer] = l
+	}
+	return l
 }
 
 func (t *localTransport) Rank() int { return t.rank }
@@ -130,7 +156,7 @@ func (t *localTransport) Send(dst, tag int, data any) error {
 	default:
 		return &LinkOverflowError{Src: t.rank, Dst: dst, Depth: LinkDepth}
 	}
-	t.w.stats[t.rank].Link(dst).AddSent(PayloadBytes(data))
+	t.link(dst).AddSent(PayloadBytes(data))
 	return nil
 }
 
@@ -139,7 +165,7 @@ func (t *localTransport) Recv(src, tag int) (any, error) {
 	if m.tag != tag {
 		return nil, &TagMismatchError{Rank: t.rank, Src: src, Want: tag, Got: m.tag}
 	}
-	t.w.stats[t.rank].Link(src).AddRecv(PayloadBytes(m.data))
+	t.link(src).AddRecv(PayloadBytes(m.data))
 	return m.data, nil
 }
 
@@ -184,6 +210,10 @@ func (t *localTransport) Allreduce(x any, reduce func([]any) any) (any, error) {
 
 func (t *localTransport) Stats() *perf.CommStats { return t.w.stats[t.rank] }
 
+// Ready reports whether a message from src is queued, so Recv would
+// not block: the request engine's probe before it reads the clock.
+func (t *localTransport) Ready(src int) bool { return len(t.w.links[src][t.rank]) > 0 }
+
 // NonblockingSend: the channel Send above either enqueues immediately
 // or fails fast with LinkOverflowError — it never blocks — so the
 // request engine may execute ISends inline.
@@ -196,38 +226,53 @@ func (t *localTransport) Close() error { return nil }
 // CommError on substrate failure; drivers that must survive a sick peer
 // recover it with AsCommError.
 type Comm struct {
-	t Transport
-
-	// Nonblocking request engine state (engine.go): per-destination
-	// send FIFOs with drainer goroutines, per-source lazy receive
-	// FIFOs, and the transport's comm counters cached for wait/overlap
-	// accounting.
-	mu         sync.Mutex
-	sendQ      map[int]*sendQueue
-	recvQ      map[int][]*Request
+	t          Transport
 	stats      *perf.CommStats
-	inlineSend bool // transport Send cannot block: ISend executes inline
+	inlineSend bool          // transport Send cannot block: sends execute inline
+	ready      readyReceiver // the transport's receive probe, or nil
+
+	// Request engine state (engine.go): per-destination send FIFOs
+	// with drainer goroutines (mu guards them: drainers pop under it),
+	// and per-source lazy receive FIFOs, which only the rank's own
+	// goroutine touches.
+	mu    sync.Mutex
+	sendQ []sendQueue
+	recvQ []fifo
+
+	// The open batch (rank's goroutine only): requests in flight, when
+	// the batch opened, and how long Waits blocked inside it.
+	inFlight   int
+	batchStart time.Time
+	blocked    time.Duration
 }
 
 // nonblockingSender is the optional transport capability behind
 // Comm.inlineSend: a transport whose Send never blocks the caller
-// (it either enqueues or fails fast) lets ISend skip the drainer
+// (it either enqueues or fails fast) lets a send skip the drainer
 // goroutine entirely.
 type nonblockingSender interface {
 	NonblockingSend() bool
+}
+
+// readyReceiver is the optional transport capability behind Wait's
+// probe: Ready reports whether a Recv from src would return without
+// blocking, so a Wait on an arrived message reads no clock.
+type readyReceiver interface {
+	Ready(src int) bool
 }
 
 // NewComm wraps a transport endpoint in the SPMD API.
 func NewComm(t Transport) *Comm {
 	c := &Comm{
 		t:     t,
-		sendQ: make(map[int]*sendQueue),
-		recvQ: make(map[int][]*Request),
 		stats: t.Stats(),
+		sendQ: make([]sendQueue, t.Size()),
+		recvQ: make([]fifo, t.Size()),
 	}
 	if nb, ok := t.(nonblockingSender); ok && nb.NonblockingSend() {
 		c.inlineSend = true
 	}
+	c.ready, _ = t.(readyReceiver)
 	return c
 }
 

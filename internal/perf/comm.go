@@ -119,10 +119,11 @@ type CommStats struct {
 	mu    sync.Mutex
 	links map[int]*LinkStat
 
-	// Nonblocking-engine accounting: total time callers blocked in
-	// Request.Wait and total request flight time that ran concurrently
-	// with compute. The taken* watermarks serve the single consumer
-	// (the step loop) that drains deltas into its Breakdown.
+	// Nonblocking-engine accounting, booked once per request batch
+	// (internal/mp's clock policy): total time callers blocked in
+	// Request.Wait, and total batch flight time not spent blocked. The
+	// taken* watermarks serve the single consumer (the step loop) that
+	// drains deltas into its Breakdown.
 	waitNs         atomic.Int64
 	overlapNs      atomic.Int64
 	takenWaitNs    int64
@@ -145,7 +146,8 @@ func (s *CommStats) AddWait(d time.Duration) {
 }
 
 // AddOverlap records request flight time that ran concurrently with the
-// caller's compute (post-to-completion time not spent blocked in Wait).
+// caller's work: a batch's first-post-to-last-completion span not spent
+// blocked in Wait.
 func (s *CommStats) AddOverlap(d time.Duration) {
 	if d > 0 {
 		s.overlapNs.Add(int64(d))
@@ -206,12 +208,14 @@ func (s *CommStats) Snapshot() []CommLinkStat {
 type LinkStat struct {
 	src, peer int
 
-	mu        sync.Mutex
-	bytesSent int64
-	msgsSent  int64
-	bytesRecv int64
-	msgsRecv  int64
-	rtt       Histogram
+	// Message counters: atomics, so the per-message path takes no lock.
+	bytesSent atomic.Int64
+	msgsSent  atomic.Int64
+	bytesRecv atomic.Int64
+	msgsRecv  atomic.Int64
+
+	mu  sync.Mutex // guards the rest
+	rtt Histogram
 
 	// Flow control and batching of a network link (zero in-process).
 	replayHighWater int64
@@ -223,18 +227,14 @@ type LinkStat struct {
 
 // AddSent records one sent message of the given payload size.
 func (l *LinkStat) AddSent(bytes int) {
-	l.mu.Lock()
-	l.bytesSent += int64(bytes)
-	l.msgsSent++
-	l.mu.Unlock()
+	l.bytesSent.Add(int64(bytes))
+	l.msgsSent.Add(1)
 }
 
 // AddRecv records one received message of the given payload size.
 func (l *LinkStat) AddRecv(bytes int) {
-	l.mu.Lock()
-	l.bytesRecv += int64(bytes)
-	l.msgsRecv++
-	l.mu.Unlock()
+	l.bytesRecv.Add(int64(bytes))
+	l.msgsRecv.Add(1)
 }
 
 // ObserveReplay records the depth of the unacknowledged-send window
@@ -285,10 +285,10 @@ func (l *LinkStat) Snapshot() CommLinkStat {
 	return CommLinkStat{
 		Src:       l.src,
 		Peer:      l.peer,
-		BytesSent: l.bytesSent,
-		MsgsSent:  l.msgsSent,
-		BytesRecv: l.bytesRecv,
-		MsgsRecv:  l.msgsRecv,
+		BytesSent: l.bytesSent.Load(),
+		MsgsSent:  l.msgsSent.Load(),
+		BytesRecv: l.bytesRecv.Load(),
+		MsgsRecv:  l.msgsRecv.Load(),
 		RTT:       l.rtt.Snapshot(),
 
 		ReplayHighWater:  l.replayHighWater,

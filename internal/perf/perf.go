@@ -80,13 +80,31 @@ func (b *Breakdown) Start(s Section) {
 	b.running[s] = true
 }
 
-// Stop ends timing a section, accumulating the elapsed time.
-func (b *Breakdown) Stop(s Section) {
+// Stop ends timing a section, accumulating the elapsed time, and
+// returns it (0 when the section was not running).
+func (b *Breakdown) Stop(s Section) time.Duration {
+	return b.stopAt(s, time.Now())
+}
+
+// Switch ends section from and begins section to with one clock read —
+// the boundary between adjacent sections — and returns from's elapsed
+// time, as Stop does.
+func (b *Breakdown) Switch(from, to Section) time.Duration {
+	now := time.Now()
+	d := b.stopAt(from, now)
+	b.started[to] = now
+	b.running[to] = true
+	return d
+}
+
+func (b *Breakdown) stopAt(s Section, now time.Time) time.Duration {
 	if !b.running[s] {
-		return
+		return 0
 	}
-	b.Sections[s] += time.Since(b.started[s])
+	d := now.Sub(b.started[s])
+	b.Sections[s] += d
 	b.running[s] = false
+	return d
 }
 
 // Time runs fn inside Start/Stop of the section.

@@ -84,6 +84,12 @@ func AlignedRange(lo0, hi0, nb, b, align int) (lo, hi int) {
 // valid and runs everything inline on the caller (with no accounting),
 // so substrate packages can accept an optional pool.
 //
+// A pool of one worker reads no clock: its regions run inline, and
+// TakeStats books the enclosing span the caller passes as both busy and
+// wall. Callers that run a region every step keep its task as a func
+// value built once (a method value stored beside the task's state), so
+// a one-worker region allocates nothing.
+//
 // A Pool is owned by one rank: Run/Range must not be called
 // concurrently with each other or with TakeStats.
 type Pool struct {
@@ -91,9 +97,11 @@ type Pool struct {
 
 	// Accumulated parallel-region accounting since the last TakeStats.
 	// busy is summed across workers (atomically, then read after the
-	// region barrier); wall is the regions' elapsed time.
+	// region barrier); wall is the regions' elapsed time. ran marks a
+	// one-worker pool's untimed regions.
 	busy atomic.Int64
 	wall time.Duration
+	ran  bool
 }
 
 // New returns a pool of w workers (clamped to [1, NumBlocks]).
@@ -124,9 +132,12 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if p == nil {
+	if p == nil || p.w == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
+		}
+		if p != nil {
+			p.ran = true
 		}
 		return
 	}
@@ -177,7 +188,14 @@ func (p *Pool) Range(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := p.Workers()
+	if p == nil || p.w == 1 {
+		fn(0, n)
+		if p != nil {
+			p.ran = true
+		}
+		return
+	}
+	w := p.w
 	if w > n {
 		w = n
 	}
@@ -195,10 +213,19 @@ func (p *Pool) Range(n int, fn func(lo, hi int)) {
 // TakeStats returns the busy and wall time accumulated by parallel
 // regions since the previous call, and resets both. busy/wall is the
 // average number of active workers ("effective concurrency") over the
-// regions. A nil pool reports zeros.
-func (p *Pool) TakeStats() (busy, wall time.Duration) {
+// regions. A one-worker pool that ran a region since the previous call
+// reports span — the caller's time since then, the enclosing section —
+// as both. A nil pool reports zeros.
+func (p *Pool) TakeStats(span time.Duration) (busy, wall time.Duration) {
 	if p == nil {
 		return 0, 0
+	}
+	if p.w == 1 {
+		if !p.ran {
+			return 0, 0
+		}
+		p.ran = false
+		return span, span
 	}
 	busy = time.Duration(p.busy.Swap(0))
 	wall = p.wall

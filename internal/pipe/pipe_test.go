@@ -3,6 +3,7 @@ package pipe
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversEveryIndexOnce(t *testing.T) {
@@ -41,7 +42,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 			t.Fatalf("nil pool Range missed %d", i)
 		}
 	}
-	if b, w := p.TakeStats(); b != 0 || w != 0 {
+	if b, w := p.TakeStats(time.Second); b != 0 || w != 0 {
 		t.Fatal("nil pool reported stats")
 	}
 }
@@ -113,11 +114,28 @@ func TestTakeStatsAccumulatesAndResets(t *testing.T) {
 		}
 		_ = s
 	})
-	busy, wall := p.TakeStats()
+	busy, wall := p.TakeStats(0)
 	if busy <= 0 || wall <= 0 {
 		t.Fatalf("stats empty after Run: busy=%v wall=%v", busy, wall)
 	}
-	if b2, w2 := p.TakeStats(); b2 != 0 || w2 != 0 {
+	if b2, w2 := p.TakeStats(0); b2 != 0 || w2 != 0 {
 		t.Fatal("TakeStats did not reset")
+	}
+}
+
+// TestOneWorkerBooksSpan: a one-worker pool reads no clock, so a span
+// with a region in it is booked whole as busy and wall, and a span
+// without one books nothing.
+func TestOneWorkerBooksSpan(t *testing.T) {
+	p := New(1)
+	if b, w := p.TakeStats(time.Second); b != 0 || w != 0 {
+		t.Fatalf("no region ran, TakeStats = (%v, %v)", b, w)
+	}
+	p.Range(5, func(lo, hi int) {})
+	if b, w := p.TakeStats(time.Second); b != time.Second || w != time.Second {
+		t.Fatalf("after a region, TakeStats = (%v, %v), want the span twice", b, w)
+	}
+	if b, w := p.TakeStats(time.Second); b != 0 || w != 0 {
+		t.Fatalf("TakeStats did not reset: (%v, %v)", b, w)
 	}
 }

@@ -38,7 +38,9 @@ const maxElems = 1 << 28
 // EncodePayload appends data's compact wire form to buf and returns the
 // extended slice. Float bit patterns round-trip exactly (NaNs
 // included); an unsupported payload type is an error — in-process-only
-// payloads must never reach a network transport.
+// payloads must never reach a network transport. A *push.OutgoingBatch
+// (a persistent particle plan's slot) has its batch's wire form, and
+// decodes to the value form.
 func EncodePayload(buf []byte, data any) ([]byte, error) {
 	switch v := data.(type) {
 	case float64:
@@ -59,6 +61,8 @@ func EncodePayload(buf []byte, data any) ([]byte, error) {
 		for _, f := range v {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		}
+	case *push.OutgoingBatch:
+		return EncodePayload(buf, *v)
 	case push.OutgoingBatch:
 		buf = append(buf, ptOutgoing)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
@@ -96,6 +100,8 @@ func PayloadWireSize(data any) int {
 		return 1 + 4 + 8*len(v)
 	case push.OutgoingBatch:
 		return 1 + 4 + push.OutgoingWireBytes*len(v)
+	case *push.OutgoingBatch:
+		return 1 + 4 + push.OutgoingWireBytes*len(*v)
 	case []byte:
 		return 1 + 4 + len(v)
 	}

@@ -476,6 +476,15 @@ func (t *TCP) Recv(src, tag int) (any, error) {
 	}
 }
 
+// Ready reports whether a message from src has arrived, so Recv would
+// not block (the request engine's probe before it reads the clock).
+func (t *TCP) Ready(src int) bool {
+	if src == t.rank {
+		return len(t.self) > 0
+	}
+	return src >= 0 && src < t.size && len(t.links[src].in) > 0
+}
+
 func (t *TCP) checkTag(src, want int, m inMsg) (any, error) {
 	if m.tag != want {
 		return nil, &mp.TagMismatchError{Rank: t.rank, Src: src, Want: want, Got: m.tag}
