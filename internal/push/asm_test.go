@@ -130,14 +130,42 @@ func checkSameState(t *testing.T, label string, ra *rig, ka *Kernel, rb *rig, kb
 	}
 }
 
-// TestAsmKernelMatchesGoMatrix is the asm↔go gate: the two block
-// routines must produce bitwise-identical state — accumulators
-// included, which the oracle matrix can hold only to rounding on the
-// pipelined path — through multiple steps across the serial path and
-// the pipelined path with W ∈ {1, 3, 8}, sorted and adversarially
-// shuffled, each regrouped to every minimum span width (minSpans), over
-// populations with a partial trailing block, an all-lanes-crossing
-// block and NaN particles.
+// checkSameSweep requires bitwise-identical particles, accumulators and
+// recorded movers after two advanceRange calls over the same population.
+func checkSameSweep(t *testing.T, label string, ra *rig, bsA *BlockState, rg *rig, bsG *BlockState) {
+	t.Helper()
+	for i := 0; i < ra.buf.N(); i++ {
+		if !bitEqParticle(ra.buf.At(i), rg.buf.At(i)) {
+			t.Fatalf("%s: particle %d diverged:\nasm %+v\ngo  %+v", label, i, ra.buf.At(i), rg.buf.At(i))
+		}
+	}
+	for v := range ra.acc.A {
+		a, g := &ra.acc.A[v], &rg.acc.A[v]
+		for j := 0; j < 4; j++ {
+			if !bitEq32(a.JX[j], g.JX[j]) || !bitEq32(a.JY[j], g.JY[j]) || !bitEq32(a.JZ[j], g.JZ[j]) {
+				t.Fatalf("%s: accumulator voxel %d diverged", label, v)
+			}
+		}
+	}
+	if len(bsA.Movers) != len(bsG.Movers) {
+		t.Fatalf("%s: mover counts diverged: asm %d go %d", label, len(bsA.Movers), len(bsG.Movers))
+	}
+	for i, a := range bsA.Movers {
+		g := bsG.Movers[i]
+		if a.Idx != g.Idx || !bitEq32(a.DispX, g.DispX) || !bitEq32(a.DispY, g.DispY) || !bitEq32(a.DispZ, g.DispZ) {
+			t.Fatalf("%s: mover %d diverged:\nasm %+v\ngo  %+v", label, i, a, g)
+		}
+	}
+}
+
+// TestAsmKernelMatchesGoMatrix is the asm↔go gate: each assembly block
+// routine (asmShapes) and the Go one must produce bitwise-identical
+// state — accumulators included, which the oracle matrix can hold only
+// to rounding on the pipelined path — through multiple steps across the
+// serial path and the pipelined path with W ∈ {1, 3, 8}, sorted and
+// adversarially shuffled, each regrouped to every minimum span width
+// (minSpans), over populations with a partial trailing block, an
+// all-lanes-crossing block and NaN particles.
 func TestAsmKernelMatchesGoMatrix(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
@@ -149,6 +177,9 @@ func TestAsmKernelMatchesGoMatrix(t *testing.T) {
 	}
 }
 
+// asmShapes is sweepShapes without the Go routine.
+func asmShapes() []string { return sweepShapes()[1:] }
+
 // asmGoMatrix is one minimum-span-width pass of the asm↔go gate.
 func asmGoMatrix(t *testing.T, m int) {
 	const steps = 4
@@ -157,36 +188,38 @@ func asmGoMatrix(t *testing.T, m int) {
 		groupSpans(r.buf, m)
 		return r, k
 	}
-	for _, sorted := range []bool{true, false} {
-		// Serial path.
-		ra, ka := mk(sorted)
-		rg, kg := mk(sorted)
-		ka.Asm = true
-		label := fmt.Sprintf("serial sorted=%v", sorted)
-		for s := 0; s < steps; s++ {
-			ra.acc.Clear()
-			rg.acc.Clear()
-			ka.AdvanceP(ra.buf)
-			kg.AdvanceP(rg.buf)
-			checkSameState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg, true)
-		}
-		if ka.NMoved < int64(steps*particle.Lanes) {
-			t.Fatalf("%s: only %d crossings; the crosser mask path was not exercised", label, ka.NMoved)
-		}
-
-		// Pipelined path across worker counts.
-		for _, w := range []int{1, 3, 8} {
+	for _, sh := range asmShapes() {
+		for _, sorted := range []bool{true, false} {
+			// Serial path.
 			ra, ka := mk(sorted)
 			rg, kg := mk(sorted)
-			ka.Asm = true
-			pool := pipe.New(w)
-			accsA, blocksA := blockFixture(ra)
-			accsG, blocksG := blockFixture(rg)
-			label := fmt.Sprintf("W=%d sorted=%v", w, sorted)
+			useShape(ka, sh)
+			label := fmt.Sprintf("%s serial sorted=%v", sh, sorted)
 			for s := 0; s < steps; s++ {
-				runBlockedStep(ka, ra, pool, accsA, blocksA)
-				runBlockedStep(kg, rg, pool, accsG, blocksG)
+				ra.acc.Clear()
+				rg.acc.Clear()
+				ka.AdvanceP(ra.buf)
+				kg.AdvanceP(rg.buf)
 				checkSameState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg, true)
+			}
+			if ka.NMoved < int64(steps*particle.Lanes) {
+				t.Fatalf("%s: only %d crossings; the crosser mask path was not exercised", label, ka.NMoved)
+			}
+
+			// Pipelined path across worker counts.
+			for _, w := range []int{1, 3, 8} {
+				ra, ka := mk(sorted)
+				rg, kg := mk(sorted)
+				useShape(ka, sh)
+				pool := pipe.New(w)
+				accsA, blocksA := blockFixture(ra)
+				accsG, blocksG := blockFixture(rg)
+				label := fmt.Sprintf("%s W=%d sorted=%v", sh, w, sorted)
+				for s := 0; s < steps; s++ {
+					runBlockedStep(ka, ra, pool, accsA, blocksA)
+					runBlockedStep(kg, rg, pool, accsG, blocksG)
+					checkSameState(t, fmt.Sprintf("%s step %d", label, s), ra, ka, rg, kg, true)
+				}
 			}
 		}
 	}
@@ -200,46 +233,49 @@ func TestAsmKernelMoverParity(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
 	}
-	ra, ka := asmParityRig(2013, 7, true)
-	rg, kg := asmParityRig(2013, 7, true)
-	ka.Asm = true
-	var bsA, bsG BlockState
-	accA, _ := blockFixture(ra)
-	accG, _ := blockFixture(rg)
-	// Deliberately lane-misaligned range bounds: spans clipped at both
-	// ends of the range must mask identically.
-	lo, hi := 3, ra.buf.N()-5
-	ka.AdvanceBlock(ra.buf, lo, hi, accA[0], &bsA)
-	kg.AdvanceBlock(rg.buf, lo, hi, accG[0], &bsG)
-	if len(bsA.Movers) == 0 {
-		t.Fatal("population produced no movers; crosser parity not exercised")
-	}
-	if len(bsA.Movers) != len(bsG.Movers) {
-		t.Fatalf("mover counts diverged: asm %d go %d", len(bsA.Movers), len(bsG.Movers))
-	}
-	for i := range bsA.Movers {
-		a, g := bsA.Movers[i], bsG.Movers[i]
-		if a.Idx != g.Idx || !bitEq32(a.DispX, g.DispX) || !bitEq32(a.DispY, g.DispY) || !bitEq32(a.DispZ, g.DispZ) {
-			t.Fatalf("mover %d diverged:\nasm %+v\ngo  %+v", i, a, g)
+	for _, sh := range asmShapes() {
+		ra, ka := asmParityRig(2013, 7, true)
+		rg, kg := asmParityRig(2013, 7, true)
+		useShape(ka, sh)
+		var bsA, bsG BlockState
+		accA, _ := blockFixture(ra)
+		accG, _ := blockFixture(rg)
+		// Deliberately lane-misaligned range bounds: spans clipped at both
+		// ends of the range must mask identically.
+		lo, hi := 3, ra.buf.N()-5
+		ka.AdvanceBlock(ra.buf, lo, hi, accA[0], &bsA)
+		kg.AdvanceBlock(rg.buf, lo, hi, accG[0], &bsG)
+		if len(bsA.Movers) == 0 {
+			t.Fatal("population produced no movers; crosser parity not exercised")
+		}
+		if len(bsA.Movers) != len(bsG.Movers) {
+			t.Fatalf("%s: mover counts diverged: asm %d go %d", sh, len(bsA.Movers), len(bsG.Movers))
+		}
+		for i := range bsA.Movers {
+			a, g := bsA.Movers[i], bsG.Movers[i]
+			if a.Idx != g.Idx || !bitEq32(a.DispX, g.DispX) || !bitEq32(a.DispY, g.DispY) || !bitEq32(a.DispZ, g.DispZ) {
+				t.Fatalf("%s: mover %d diverged:\nasm %+v\ngo  %+v", sh, i, a, g)
+			}
 		}
 	}
 }
 
-// TestAsmIsVEXOnly fails on any instruction of the package's assembly
-// (every .s file) that names an X or Y register with a mnemonic not
-// starting with V, i.e. a legacy-SSE encoding. One such instruction
-// executed while the upper YMM state is dirty costs a state transition
-// on every call: a single MOVQ AX, X1 in place of the prologue's VMOVD
-// took thermal.1rank from 46 to 25 Mpart/s (EXPERIMENTS P35). Macro
-// bodies are checked instruction by instruction, an instruction whose
-// only vector operands are macro parameters included.
-func TestAsmIsVEXOnly(t *testing.T) {
-	files, err := filepath.Glob("*.s")
+// TestAsmHasNoLegacySSE fails on any instruction of the package's
+// assembly (every .s and .h file) that names an X, Y or Z register — 0 to 31 —
+// with a mnemonic not starting with V, i.e. a legacy-SSE encoding. One
+// such instruction executed while the upper vector state is dirty costs
+// a state transition on every call: a single MOVQ AX, X1 in place of
+// the prologue's VMOVD took thermal.1rank from 46 to 25 Mpart/s
+// (EXPERIMENTS P35). Macro bodies are checked instruction by
+// instruction, an instruction whose only vector operands are macro
+// parameters included.
+func TestAsmHasNoLegacySSE(t *testing.T) {
+	files, err := filepath.Glob("*.[sh]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// x0…x7 are the register parameters of moveBatchAVX2's gather macros.
-	vecReg := regexp.MustCompile(`\b[XYxy](1[0-5]|[0-9])\b`)
+	vecReg := regexp.MustCompile(`\b[XYZxyz](3[01]|[12][0-9]|[0-9])\b`)
 	n := 0
 	for _, file := range files {
 		src, err := os.ReadFile(file)
@@ -258,29 +294,29 @@ func TestAsmIsVEXOnly(t *testing.T) {
 				}
 				n++
 				if !strings.HasPrefix(f[0], "V") {
-					t.Errorf("%s:%d: %q is not VEX-encoded", file, i+1, strings.TrimSpace(ins))
+					t.Errorf("%s:%d: %q is not VEX or EVEX encoded", file, i+1, strings.TrimSpace(ins))
 				}
 			}
 		}
 	}
-	// The text of advanceBlockAVX2 and moveBatchAVX2 holds over 400.
-	if n < 400 {
+	// advanceBlockAVX2, moveBatchAVX2 and advanceBlock16AVX512 hold 770.
+	if n < 750 {
 		t.Fatalf("only %d vector instructions found in %v; the scan is not reading the routines", n, files)
 	}
 }
 
 // FuzzAsmGoParity drives randomized small populations (size, seed,
-// thermal spread and order all fuzzed) through one serial step of the
-// go kernel, the asm kernel (where available) and the per-particle
-// oracle and requires bitwise-identical state. order 0 keeps the loaded
-// (random) order, nearly all one-lane runs; 1 sorts by voxel, nearly
-// all single-voxel blocks; 2 is "hot": the loaded order at uth 0.5
-// whatever the fuzzed spread, thermal.hot-unsorted's temperature, so
-// about one mover in seven crosses two faces; k ≥ 3 is "decayed":
-// sorted, then advanced 1 + (k−3) mod 20 steps by the oracle before the
-// compared step, the mixed-voxel blocks a production buffer holds
-// between sorts. `go test` runs the seed corpus; `go test
-// -fuzz=AsmGoParity ./internal/push` explores.
+// thermal spread and order all fuzzed) through one serial step of the go
+// kernel, each assembly shape (asmShapes: both widths on an AVX-512
+// host) and the per-particle oracle and requires bitwise-identical
+// state. order 0 keeps the loaded (random) order, nearly all one-lane
+// runs; 1 sorts by voxel, nearly all single-voxel blocks; 2 is "hot":
+// the loaded order at uth 0.5 whatever the fuzzed spread,
+// thermal.hot-unsorted's temperature, so about one mover in seven
+// crosses two faces; k ≥ 3 is "decayed": sorted, then advanced 1 + (k−3)
+// mod 20 steps by the oracle before the compared step, the mixed-voxel
+// blocks a production buffer holds between sorts. `go test` runs the
+// seed corpus; `go test -fuzz=AsmGoParity ./internal/push` explores.
 func FuzzAsmGoParity(f *testing.F) {
 	f.Add(uint16(0), uint64(1), float64(0.3), uint8(1))
 	f.Add(uint16(1), uint64(2), float64(0.1), uint8(0))
@@ -325,11 +361,11 @@ func FuzzAsmGoParity(f *testing.F) {
 		rg, kg := mk()
 		kg.AdvanceP(rg.buf)
 		checkSameState(t, label+" go vs oracle", rg, kg, ro, ko, false)
-		if AsmAvailable() {
+		for _, sh := range asmShapes() {
 			ra, ka := mk()
-			ka.Asm = true
+			useShape(ka, sh)
 			ka.AdvanceP(ra.buf)
-			checkSameState(t, label+" asm vs go", ra, ka, rg, kg, true)
+			checkSameState(t, label+" "+sh+" vs go", ra, ka, rg, kg, true)
 		}
 	})
 }

@@ -228,3 +228,41 @@ func TestBlockCountersSumToSerial(t *testing.T) {
 		t.Fatalf("ELost: block sum %g vs serial %g", sum.ELost, ks.ELost)
 	}
 }
+
+// BenchmarkBlockChain is the block routines' roofline in one line per
+// width: ns/particle of one call's blocks pushed over and over — each
+// call waits for the previous one's stores, a fully serial chain — and
+// of 64 independent blocks swept in one range. Equal rates mean
+// out-of-order execution overlaps nothing across calls: the routine is
+// latency-bound with one call in flight, and only a wider call (more
+// independent lanes per chain) goes faster. Crossers are recorded and
+// dropped, never finished.
+func BenchmarkBlockChain(b *testing.B) {
+	const blocks = 64
+	for _, lanes := range []int{particle.Lanes, 2 * particle.Lanes} {
+		for _, mode := range []string{"chain", "independent"} {
+			b.Run(fmt.Sprintf("lanes=%d/%s", lanes, mode), func(b *testing.B) {
+				if !AsmAvailable() || AsmLanes() < lanes {
+					b.Skipf("no %d-lane assembly routine on this build/CPU", lanes)
+				}
+				r := newRig(16, 8, 8, 0.5)
+				r.smoothFields(0.3)
+				r.loadRandom(blocks*particle.Lanes, 0.05, 29)
+				sortByVoxel(r.buf)
+				k := r.kernel(-1, 1, 0.05)
+				k.Asm, k.asmLanes = true, lanes
+				n := lanes
+				if mode == "independent" {
+					n = r.buf.N()
+				}
+				bs := &BlockState{Movers: make([]particle.Mover, 0, r.buf.N())}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bs.Reset()
+					k.advanceRange(r.buf, 0, n, r.acc, bs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/particle")
+			})
+		}
+	}
+}

@@ -2,11 +2,27 @@
 
 package push
 
-// asmAvailable gates the AVX2 kernel: the instruction set must exist
-// (CPUID leaf 7 AVX2) and the OS must have enabled saving the YMM
-// half of the registers across context switches (OSXSAVE + XCR0
-// bits 1..2), otherwise the upper lanes are silently corrupted.
-var asmAvailable = detectAVX2()
+// asmLanes is the width of the widest block routine this CPU runs: 16
+// (advanceBlock16AVX512) with AVX2 and AVX-512 F, DQ and VL, 8
+// (advanceBlockAVX2) with AVX2 alone, 0 without. An instruction set
+// counts only when the OS also saves its registers across context
+// switches (OSXSAVE + the XCR0 bits), otherwise the upper lanes are
+// silently corrupted.
+var asmLanes = detectLanes()
+
+func detectLanes() int {
+	switch {
+	case !detectAVX2():
+		return 0
+	case avx512Missing == "":
+		return 16
+	}
+	return 8
+}
+
+// avx512Missing names what keeps advanceBlock16AVX512 off this CPU, ""
+// when nothing does.
+var avx512Missing = missingAVX512()
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -26,6 +42,29 @@ func detectAVX2() bool {
 	_, b, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return b&avx2 != 0
+}
+
+// missingAVX512 checks for AVX2, then AVX-512 F, DQ and VL (CPUID leaf
+// 7) with the opmask and all 32 ZMM registers' state enabled (XCR0 bits
+// 5..7 on top of 1..2), and names the first that is absent.
+func missingAVX512() string {
+	if !detectAVX2() {
+		return "AVX2 with OS-enabled YMM state" // and XGETBV may not exist
+	}
+	const zmmState = 0xe6
+	if lo, _ := xgetbv0(); lo&zmmState != zmmState {
+		return "OS-enabled opmask and ZMM state (XCR0 bits 5-7)"
+	}
+	_, b, _, _ := cpuid(7, 0)
+	for _, f := range []struct {
+		bit  uint32
+		name string
+	}{{1 << 16, "AVX512F"}, {1 << 17, "AVX512DQ"}, {1 << 31, "AVX512VL"}} {
+		if b&f.bit == 0 {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // cpuid executes CPUID with the given EAX/ECX inputs.

@@ -75,7 +75,7 @@ func forEachShape(t *testing.T, n int, seed uint64, sorted bool, f func(t *testi
 				ra, ka, rb, kb := fusedPair(t, n, seed, sorted)
 				groupSpans(ra.buf, m)
 				groupSpans(rb.buf, m)
-				ka.Asm = sh == KernelAsm
+				useShape(ka, sh)
 				f(t, ra, ka, rb, kb)
 			})
 		}
@@ -117,13 +117,13 @@ func TestFusedMatchesUnfusedProperty(t *testing.T) {
 
 // TestAdvanceZeroAllocSteadyState: once Prealloc has sized the mover and
 // outgoing buffers, a serial AdvanceP step allocates nothing — with
-// either block routine.
+// every block routine.
 func TestAdvanceZeroAllocSteadyState(t *testing.T) {
-	for _, asm := range []bool{false, AsmAvailable()} {
+	for _, sh := range sweepShapes() {
 		r := newRig(8, 6, 4, 0.5)
 		r.smoothFields(0.4)
 		k := r.kernel(-1, 1, 0.15)
-		k.Asm = asm
+		useShape(k, sh)
 		r.loadRandom(5000, 0.3, 3)
 		sortByVoxel(r.buf)
 		k.Prealloc(r.buf.N(), 64)
@@ -137,7 +137,7 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 			k.AdvanceP(r.buf)
 		})
 		if allocs != 0 {
-			t.Fatalf("asm=%v: steady-state AdvanceP allocates %.1f objects/step, want 0", asm, allocs)
+			t.Fatalf("%s: steady-state AdvanceP allocates %.1f objects/step, want 0", sh, allocs)
 		}
 	}
 }
@@ -176,7 +176,8 @@ func benchSortedRig(n int, order string) (*rig, *Kernel) {
 	return r, k
 }
 
-// BenchmarkPushSortedRuns measures the sweep with each block routine
+// BenchmarkPushSortedRuns measures the sweep with each block routine —
+// asm at its widest, asm8 the 8-lane routine where asm is wider, go —
 // against the per-particle oracle on a sorted, a decayed, an unsorted
 // and a hot buffer (see benchSortedRig). The asm/go vs oracle gap is
 // what run fusion, the block routines and the batched mover finish buy.
@@ -185,13 +186,18 @@ func benchSortedRig(n int, order string) (*rig, *Kernel) {
 func BenchmarkPushSortedRuns(b *testing.B) {
 	const n = 100000
 	for _, order := range []string{"sorted", "decayed", "unsorted", "hot"} {
-		for _, kernel := range []string{KernelAsm, KernelGo, "oracle"} {
+		for _, kernel := range []string{KernelAsm, shapeAsm8, KernelGo, "oracle"} {
 			b.Run(kernel+"/"+order, func(b *testing.B) {
 				if kernel == KernelAsm && !AsmAvailable() {
 					b.Skip("assembly kernel unavailable on this build/CPU")
 				}
+				if kernel == shapeAsm8 && AsmLanes() <= particle.Lanes {
+					b.Skip("asm is the 8-lane routine on this build/CPU")
+				}
 				r, k := benchSortedRig(n, order)
-				k.Asm = kernel == KernelAsm
+				if kernel != "oracle" {
+					useShape(k, kernel)
+				}
 				// Advancing decays the voxel order, so every iteration restores
 				// the pristine buffer (outside the timer): each measured sweep
 				// sees the exact same run-length distribution.

@@ -4,10 +4,11 @@ import "fmt"
 
 // Kernel names, as accepted by cmd/vpic -kernel and the deck "kernel"
 // knob: which routine pushes the particle blocks. "asm" is the
-// hand-written AVX2 routine, "go" the portable one; both are bitwise
-// identical (see the parity property tests), so the choice is pure
-// performance — the resolved name is recorded in reports and bench
-// records to keep measurements attributable.
+// hand-written routine of the widest vector unit (AsmLanes), "go" the
+// portable one; both are bitwise identical (see the parity property
+// tests), so the choice is pure performance — the resolved name is
+// recorded in reports and bench records to keep measurements
+// attributable.
 const (
 	KernelAuto = "auto"
 	KernelAsm  = "asm"
@@ -16,7 +17,13 @@ const (
 
 // AsmAvailable reports whether the assembly kernel can run on this
 // build and CPU (amd64 with AVX2 and OS-enabled YMM state).
-func AsmAvailable() bool { return asmAvailable }
+func AsmAvailable() bool { return asmLanes > 0 }
+
+// AsmLanes is the number of lanes the assembly kernel pushes per call on
+// this build and CPU: 16 (two blocks, AVX-512), 8 (one block, AVX2) or
+// 0 (no assembly kernel). "asm" always means the widest routine; the
+// widths are bit-identical, like asm and go.
+func AsmLanes() int { return asmLanes }
 
 // ResolveKernel canonicalizes a kernel request to the concrete name
 // that will run: "asm" or "go". Empty and "auto" pick the assembly

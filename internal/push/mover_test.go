@@ -272,17 +272,17 @@ func moveBatch(k *Kernel, buf *particle.Buffer, mv []particle.Mover, con *moveCo
 func newTally() moveTally { return moveTally{lo: math.MaxInt32, hi: -1} }
 
 // moverFates returns the fate of each mover of one serial sweep of case
-// c under the batch routine asm selects. Each mover runs as a batch of
+// c under the routines of shape sh. Each mover runs as a batch of
 // its own, top down, so the tally gives its segment count. Then a fresh
 // rig runs finishMovers' batches, stepping over each slow mover instead
 // of finishing it: every call must finish exactly the movers the
 // one-mover calls found fast, down to the first slow one, and deposit
 // the same segments.
-func moverFates(t *testing.T, c moverCase, asm bool) []int {
+func moverFates(t *testing.T, c moverCase, sh string) []int {
 	t.Helper()
 	movers := func() (*rig, *Kernel, []particle.Mover) {
 		r, k := moverRig(c)
-		k.Asm = asm
+		useShape(k, sh)
 		bs := new(BlockState)
 		k.advanceRange(r.buf, 0, r.buf.N(), k.Acc, bs)
 		return r, k, bs.Movers
@@ -305,19 +305,19 @@ func moverFates(t *testing.T, c moverCase, asm bool) []int {
 		n := moveBatch(k, r.buf, mv[:top], &con, &tally)
 		for m := top - n; m < top; m++ {
 			if fates[m] == fateSlow {
-				t.Fatalf("asm=%v: batch finished mover %d, which is slow alone", asm, m)
+				t.Fatalf("%s: batch finished mover %d, which is slow alone", sh, m)
 			}
 		}
 		top -= n
 		if n < particle.Lanes && top > 0 {
 			top--
 			if fates[top] != fateSlow {
-				t.Fatalf("asm=%v: batch stopped at mover %d, which is fast alone", asm, top)
+				t.Fatalf("%s: batch stopped at mover %d, which is fast alone", sh, top)
 			}
 		}
 	}
 	if tally.nseg != nseg {
-		t.Fatalf("asm=%v: batches deposited %d segments, one-mover calls %d", asm, tally.nseg, nseg)
+		t.Fatalf("%s: batches deposited %d segments, one-mover calls %d", sh, tally.nseg, nseg)
 	}
 	return fates
 }
@@ -386,7 +386,7 @@ func TestMoveBatchRejectsBadLanes(t *testing.T) {
 	for _, b := range bads {
 		for _, sh := range sweepShapes() {
 			r, k := moverRig(c)
-			k.Asm = sh == KernelAsm
+			useShape(k, sh)
 			bs := new(BlockState)
 			k.advanceRange(r.buf, 0, r.buf.N(), k.Acc, bs)
 			if len(bs.Movers) != 4 {
@@ -428,7 +428,7 @@ func TestMoverHandBuilt(t *testing.T) {
 	for _, sh := range sweepShapes() {
 		rs, ks := moverRig(c)
 		ro, ko := moverRig(c)
-		ks.Asm = sh == KernelAsm
+		useShape(ks, sh)
 		bs := &BlockState{Movers: append([]particle.Mover(nil), movers...)}
 		ks.finishMovers(rs.buf, bs, ks.Acc)
 		ks.MergeStats(bs)
@@ -463,7 +463,7 @@ func TestMoverFates(t *testing.T) {
 	for _, c := range moverCases() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, sh := range sweepShapes() {
-				fates := moverFates(t, c, sh == KernelAsm)
+				fates := moverFates(t, c, sh)
 				if len(fates) != len(c.want) {
 					t.Fatalf("%d movers, want %d", len(fates), len(c.want))
 				}
@@ -481,7 +481,7 @@ func TestMoverFates(t *testing.T) {
 					label := fmt.Sprintf("%s %s", sh, path.name)
 					rs, ks := moverRig(c)
 					ro, ko := moverRig(c)
-					ks.Asm = sh == KernelAsm
+					useShape(ks, sh)
 					stepRange(ks, rs, sweepStep, 0, rs.buf.N(), path.pool)
 					stepRange(ko, ro, oracleStep, 0, ro.buf.N(), path.pool)
 					checkSameState(t, label, rs, ks, ro, ko, false)

@@ -1,18 +1,48 @@
 package push
 
 import (
+	"testing"
+
 	"govpic/internal/accum"
 	"govpic/internal/particle"
 )
 
 // sweepShapes is the parity axis every bit-identity test runs over: the
-// block routine, by kernel name — asm where the build and CPU have it.
-// A test selects one on its kernel with k.Asm = shape == KernelAsm.
+// block routine, by kernel name — asm where the build and CPU have it,
+// at the widest width, and shapeAsm8, the 8-lane routine, where that is
+// narrower. A test selects one on its kernel with useShape.
 func sweepShapes() []string {
+	shapes := []string{KernelGo}
 	if AsmAvailable() {
-		return []string{KernelGo, KernelAsm}
+		shapes = append(shapes, KernelAsm)
 	}
-	return []string{KernelGo}
+	if AsmLanes() > particle.Lanes {
+		shapes = append(shapes, shapeAsm8)
+	}
+	return shapes
+}
+
+// skipNarrower skips t when the assembly routine of the given width
+// cannot run on this build and CPU, naming what is missing.
+func skipNarrower(t *testing.T, lanes int) {
+	t.Helper()
+	switch {
+	case !AsmAvailable():
+		t.Skip("assembly kernel unavailable on this build/CPU (AVX2)")
+	case AsmLanes() < lanes:
+		t.Skipf("no %d-lane routine on this CPU: it lacks %s", lanes, avx512Missing)
+	}
+}
+
+// shapeAsm8 is the AVX2 block routine on a host whose "asm" is wider.
+const shapeAsm8 = "asm8"
+
+// useShape sets k to push with the block routine of shape sh.
+func useShape(k *Kernel, sh string) {
+	k.Asm = sh != KernelGo
+	if sh == shapeAsm8 {
+		k.asmLanes = particle.Lanes
+	}
 }
 
 // minSpans is the population axis of the sweep-pair tests, labelled

@@ -180,7 +180,7 @@ func TestBlockVoxelPatterns(t *testing.T) {
 							label := fmt.Sprintf("[%d,%d) %s %s", l0, l1, sh, path.name)
 							rs, ks := patternRig(p, seed)
 							ro, ko := patternRig(p, seed)
-							ks.Asm = sh == KernelAsm
+							useShape(ks, sh)
 							runs := wantRuns(rs.buf, lo, hi, path.pool != nil)
 							stepRange(ks, rs, sweepStep, lo, hi, path.pool)
 							stepRange(ko, ro, oracleStep, lo, hi, path.pool)
@@ -241,37 +241,49 @@ func sameLanes(a, b *particle.Block, l0, l1 int) bool {
 	return true
 }
 
-// TestBlockRejectsBadVoxel holds both block routines to the bounds
-// contract. A voxel of −1, len(ip) or MaxInt32 in any pushed lane —
-// lane l0, l1−1 or inside the range — must panic with the routine's
-// bounds report (Go's index check; the driver's badVoxel panic for the
-// assembly), never with a fault from a read outside the tables, and
-// leave every particle and accumulator cell as it was. The same voxels
-// in lanes outside [l0, l1) — the tail past N, the lanes below a
-// pipeline range's l0 and above its l1 — must neither panic nor change
-// one bit of particles, accumulators or counters against a run without
-// them.
+// TestBlockRejectsBadVoxel holds every block routine to the bounds
+// contract. A voxel of −1, len(ip) or MaxInt32 in any pushed lane of
+// the range's first call — lane l0, l1−1 or inside the range, in either
+// block of a 16-lane pair — must panic with the routine's bounds report
+// (Go's index check; the driver's badVoxel panic for the assembly),
+// never with a fault from a read outside the tables, and leave every
+// particle and accumulator cell as it was. The same voxels in lanes
+// outside [l0, l1) — the tail past N, the lanes below a pipeline
+// range's l0 and above its l1, in either block of a pair — must neither
+// panic nor change one bit of particles, accumulators or counters
+// against a run without them.
 func TestBlockRejectsBadVoxel(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	wantPanic := map[string]string{KernelGo: "index out of range", KernelAsm: "push: a voxel of particles"}
 	probe, _ := badVoxelRig(0)
 	bads := []int32{-1, int32(len(probe.ip.C)), math.MaxInt32}
+	const n = 2*particle.Lanes + tailLanes
 
 	for _, sh := range sweepShapes() {
-		// A bad voxel in a pushed lane of block 1.
+		want := "push: a voxel of particles"
+		if sh == KernelGo {
+			want = "index out of range"
+		}
+		// A bad voxel in a pushed lane p of block 1: ranges within block 1,
+		// and, where one call pushes a block pair, ranges whose first pair
+		// holds block 1 as its second block or its first.
 		for _, bad := range bads {
 			for l := 0; l < particle.Lanes; l++ {
-				for _, rg := range [][2]int{{0, particle.Lanes}, {l, particle.Lanes}, {0, l + 1}} {
+				p := particle.Lanes + l
+				rgs := [][2]int{{particle.Lanes, 2 * particle.Lanes}, {p, 2 * particle.Lanes}, {particle.Lanes, p + 1}}
+				if sh == KernelAsm && AsmLanes() > particle.Lanes {
+					rgs = append(rgs, [2]int{0, 2 * particle.Lanes}, [2]int{0, p + 1}, [2]int{p, n})
+				}
+				for _, rg := range rgs {
 					r, k := badVoxelRig(uint64(l))
-					k.Asm = sh == KernelAsm
+					useShape(k, sh)
 					r.buf.Blk[1].Voxel[l] = bad
 					pre := particle.NewBuffer(0)
 					pre.CopyFrom(r.buf)
-					lo, hi := particle.Lanes+rg[0], particle.Lanes+rg[1]
+					lo, hi := rg[0], rg[1]
 					label := fmt.Sprintf("%s voxel %d in lane %d of [%d,%d)", sh, bad, l, lo, hi)
 					msg := blockPanic(func() { k.advanceRange(r.buf, lo, hi, r.acc, new(BlockState)) })
-					if !strings.Contains(msg, wantPanic[sh]) {
-						t.Fatalf("%s: panicked with %q, want %q", label, msg, wantPanic[sh])
+					if !strings.Contains(msg, want) {
+						t.Fatalf("%s: panicked with %q, want %q", label, msg, want)
 					}
 					for b := range r.buf.Blk {
 						if !sameLanes(&r.buf.Blk[b], &pre.Blk[b], 0, particle.Lanes) {
@@ -291,14 +303,16 @@ func TestBlockRejectsBadVoxel(t *testing.T) {
 		}
 
 		// Bad voxels in lanes outside the pushed range: the tail block's
-		// lanes past N when the whole buffer is pushed, and block 1's lanes
-		// below l0 and from l1 on for the range [Lanes+l0, Lanes+l1).
+		// lanes past N when the whole buffer is pushed, block 1's lanes
+		// below l0 and from l1 on for the range [Lanes+l0, Lanes+l1), and
+		// the same lanes with the range reaching into block 0 or block 2,
+		// so that a pair holds them in its second block or its first.
 		type outside struct {
 			lo, hi int // pushed range
 			blk    int // block holding the bad lanes
 			l0, l1 int // the bad lanes
 		}
-		cases := []outside{{0, 2*particle.Lanes + tailLanes, 2, tailLanes, particle.Lanes}}
+		cases := []outside{{0, n, 2, tailLanes, particle.Lanes}}
 		for l0 := 0; l0 < particle.Lanes; l0++ {
 			for l1 := l0 + 1; l1 <= particle.Lanes; l1++ {
 				lo, hi := particle.Lanes+l0, particle.Lanes+l1
@@ -310,11 +324,16 @@ func TestBlockRejectsBadVoxel(t *testing.T) {
 				}
 			}
 		}
+		for l := 1; l < particle.Lanes; l++ {
+			p := particle.Lanes + l
+			cases = append(cases, outside{p, n, 1, 0, l}, outside{0, p, 1, l, particle.Lanes})
+		}
 		for ci, c := range cases {
 			for _, bad := range bads {
 				rs, ks := badVoxelRig(uint64(100 + ci))
 				rc, kc := badVoxelRig(uint64(100 + ci))
-				ks.Asm, kc.Asm = sh == KernelAsm, sh == KernelAsm
+				useShape(ks, sh)
+				useShape(kc, sh)
 				b := &rs.buf.Blk[c.blk]
 				for l := c.l0; l < c.l1; l++ {
 					b.Voxel[l] = bad

@@ -59,7 +59,7 @@ func TestSweepMatchesOracleMatrix(t *testing.T) {
 		for _, sh := range sweepShapes() {
 			ro, ko := mk(sorted)
 			rs, ks := mk(sorted)
-			ks.Asm = sh == KernelAsm
+			useShape(ks, sh)
 			for s := 0; s < steps; s++ {
 				ro.acc.Clear()
 				rs.acc.Clear()
@@ -74,7 +74,7 @@ func TestSweepMatchesOracleMatrix(t *testing.T) {
 			for _, w := range []int{1, 3, 8} {
 				label := fmt.Sprintf("W=%d sorted=%v %v", w, sorted, sh)
 				rb, kb := mk(sorted)
-				kb.Asm = sh == KernelAsm
+				useShape(kb, sh)
 				pool := pipe.New(w)
 				accs, blocks := blockFixture(rb)
 				for s := 0; s < steps; s++ {

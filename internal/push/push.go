@@ -19,15 +19,17 @@
 // interpolator — VPIC's shape, a vector of consecutive particles
 // whatever cells they sit in. The routine is advanceBlockAVX2 when
 // Kernel.Asm is set (push_avx2_amd64.s), else the portable
-// advanceBlockGo (span.go). The routine owns the whole block: it loads
-// and bounds-checks each lane's interpolator from the table, pushes the
-// lanes, and folds their in-cell current into the accumulator in
-// ascending lane order. Consecutive lanes of one voxel form a run,
-// carried across blocks in a laneRun: the loop is bandwidth-bound, so
-// the assembly holds the run's cell in registers, loading it when the
-// run or block starts and storing it when the run or block ends. The
-// driver keeps the block loop and turns the returned crosser bits into
-// mover records.
+// advanceBlockGo (span.go); on an AVX-512 host Kernel.Asm pushes two
+// blocks per call instead, as one 16-lane chain (advanceBlock16AVX512,
+// push_avx512_amd64.s): the push is latency-bound with one block in
+// flight, and the second block fills the chain's idle slots. The
+// routine owns its blocks: it loads and bounds-checks each lane's
+// interpolator from the table, pushes the lanes, and folds their
+// in-cell current into the accumulator in ascending lane order.
+// Consecutive lanes of one voxel form a run, carried across calls in a
+// laneRun; the run's cell is stored and reloaded through memory on
+// every lane, without a branch. The driver keeps the block loop and
+// turns the returned crosser bits into mover records.
 //
 // The movers are finished the same way, eight at a time (finishMovers).
 // One batch routine call — moveBatchAVX2 or the portable moveBatchGo —
@@ -40,13 +42,13 @@
 // third face, a NaN term — which the driver hands to moveP, VPIC's
 // scalar move_p; the next call starts below it.
 //
-// Both routines of each pair perform the identical floating-point
-// operations per particle, and every accumulator slot receives its adds
-// in the per-particle order, so the result — particles, movers,
-// accumulators, counters — is bitwise independent of Kernel.Asm, for
-// any buffer, sorted or not. The tests hold the routines to the
-// per-particle oracle in oracle_test.go, whose movers all go through
-// moveP.
+// Every block routine and both batch routines perform the identical
+// floating-point operations per particle, and every accumulator slot
+// receives its adds in the per-particle order, so the result —
+// particles, movers, accumulators, counters — is bitwise independent of
+// Kernel.Asm and of the width, for any buffer, sorted or not. The tests
+// hold the routines to the per-particle oracle in oracle_test.go, whose
+// movers all go through moveP.
 //
 // The kernel exposes two execution styles. AdvanceP is the serial path:
 // one sweep over the buffer depositing into the kernel's accumulator.
@@ -201,11 +203,14 @@ type Kernel struct {
 	IP  *interp.Table
 	Acc *accum.Array
 
-	// Asm pushes every block through the hand-written AVX2 routine
-	// instead of the portable Go one (amd64 only; see ResolveKernel /
+	// Asm pushes every block through the hand-written routine instead
+	// of the portable Go one (amd64 only; see ResolveKernel /
 	// AsmAvailable). The two are bitwise identical, so the choice is
 	// pure performance.
 	Asm bool
+	// asmLanes is the width Asm pushes at: AsmLanes() from NewKernel,
+	// which tests lower to 8 to hold both routines of an AVX-512 host.
+	asmLanes int
 
 	// Per-face boundary actions, indexed like field.Face
 	// (XLo,XHi,YLo,YHi,ZLo,ZHi).
@@ -247,15 +252,16 @@ type Kernel struct {
 func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float64) *Kernel {
 	k := &Kernel{
 		G: g, IP: ip, Acc: acc,
-		qdt2mc:  float32(q / m * dt / 2),
-		q:       float32(q),
-		mass:    m,
-		cdtdx2:  float32(2 * dt / g.DX),
-		cdtdy2:  float32(2 * dt / g.DY),
-		cdtdz2:  float32(2 * dt / g.DZ),
-		maxSeg:  16,
-		faces:   make([]uint8, g.NV()),
-		moveCon: moveConsts{q: float32(q)},
+		qdt2mc:   float32(q / m * dt / 2),
+		q:        float32(q),
+		mass:     m,
+		cdtdx2:   float32(2 * dt / g.DX),
+		cdtdy2:   float32(2 * dt / g.DY),
+		cdtdz2:   float32(2 * dt / g.DZ),
+		maxSeg:   16,
+		asmLanes: AsmLanes(),
+		faces:    make([]uint8, g.NV()),
+		moveCon:  moveConsts{q: float32(q)},
 	}
 	// moveP's face arithmetic, precomputed for the batch routines: the
 	// voxel deltas through each face, and which faces of each voxel lead
@@ -478,26 +484,34 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 	run := laneRun{v: -1, lo: math.MaxInt32, hi: -1}
 	var out laneVecs
 	bs.NPushed += int64(hi - lo)
+	width := particle.Lanes // lanes per routine call
+	if k.Asm {
+		width = max(width, k.asmLanes)
+	}
 
 	for i := lo; i < hi; {
 		base := i &^ particle.LaneMask
-		l1 := min(particle.Lanes, hi-base)
+		l1 := min(width, hi-base)
 		b := &blk[base>>particle.LaneShift]
 
-		// One routine call pushes lanes [i-base, l1), each against its own
-		// voxel's interpolator, and folds their in-cell current into the
-		// run; the crossers come back as bits.
+		// One routine call pushes lanes [i-base, l1) of the block (the
+		// pair from b on, at 16 lanes), each against its own voxel's
+		// interpolator, and folds their in-cell current into the run; the
+		// crossers come back as bits.
 		var cross uint32
-		if k.Asm {
+		switch {
+		case width > particle.Lanes:
+			cross = advanceBlock16AVX512(b, ip, ac, &run, &con, &out, i-base, l1)
+		case k.Asm:
 			cross = advanceBlockAVX2(b, ip, ac, &run, &con, &out, i-base, l1)
-		} else {
+		default:
 			cross = advanceBlockGo(b, ip, ac, &run, &con, &out, i-base, l1)
 		}
 		if cross == badVoxel {
 			panic(fmt.Sprintf("push: a voxel of particles [%d, %d) is outside the %d-voxel tables", i, base+l1, min(len(ip), len(ac))))
 		}
 		for ; cross != 0; cross &= cross - 1 {
-			l := bits.TrailingZeros32(cross) & particle.LaneMask
+			l := bits.TrailingZeros32(cross) & (2*particle.Lanes - 1)
 			bs.Movers = append(bs.Movers, particle.Mover{
 				DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
 			})

@@ -36,7 +36,7 @@ var _ = [1]struct{}{}[unsafe.Sizeof(accum.Cell{})-48]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneConsts{}.cdz)-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.v)-8]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.hi)-16]
-var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-64]
+var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-128]
 var _ = [1]struct{}{}[unsafe.Offsetof(particle.Mover{}.Idx)-12]
 var _ = [1]struct{}{}[unsafe.Sizeof(particle.Mover{})-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrap)-4]

@@ -56,47 +56,13 @@
 
 #include "textflag.h"
 
-// Block field offsets (asserted in push_avx2_amd64.go):
-#define BDX 0
-#define BDY 32
-#define BDZ 64
-#define BVOX 96
-#define BUX 128
-#define BUY 160
-#define BUZ 192
-#define BW 224
-
-// laneVecs offsets:
-#define ODDX 0
-#define ODDY 32
-#define ODDZ 64
-
-// laneRun offsets:
-#define RN 0
-#define RV 8
-#define RLO 12
-#define RHI 16
+#include "push_amd64.h"
 
 // Frame layout:
 #define FMASK 0    // lane range mask [l0, l1), 32 B
 #define FVOX 32    // the checked lane voxels, 32 B
 #define FROWS 64   // stage D's 12 current rows (JX0..3, JY0..3, JZ0..3), 384 B
 #define FCELLS 448 // the rows as 8 per-lane accum.Cells, 384 B
-
-DATA one<>+0(SB)/4, $0x3f800000 // float32(1); also the crosser oneBits
-GLOBL one<>(SB), RODATA, $4
-
-DATA two<>+0(SB)/4, $0x40000000 // float32(2)
-GLOBL two<>(SB), RODATA, $4
-
-DATA half<>+0(SB)/4, $0x3f000000 // float32(0.5)
-GLOBL half<>(SB), RODATA, $4
-
-DATA third<>+0(SB)/4, $0x3eaaaaab // float32(1.0/3.0)
-GLOBL third<>(SB), RODATA, $4
-
-DATA absmask<>+0(SB)/4, $0x7fffffff
-GLOBL absmask<>(SB), RODATA, $4
 
 // lanemask<> row k (k = 0..8) has the first k dword lanes set; the
 // lane range [l0, l1) mask is row[l1] &^ row[l0].
@@ -151,21 +117,6 @@ GLOBL lanemask<>(SB), RODATA, $288
 	VINSERTF128    $1, off(SI)(R12*8), r2, r2; \
 	VBROADCASTF128 off(SI)(DX*8), r3; \
 	VINSERTF128    $1, off(SI)(R13*8), r3, r3
-
-// TRANSPOSE4 transposes the 4×4 float block in each 128-bit half of
-// r0..r3 in place — afterwards rk holds element k of every input row —
-// using t0 and t1 as temporaries. Applied to QUAD's rows, rk is field k
-// of the group for lanes 0-7; applied to four current rows, rk is lane
-// k's (low half) and lane k+4's (high half) four slots.
-#define TRANSPOSE4(r0, r1, r2, r3, t0, t1) \
-	VUNPCKLPS r1, r0, t0; \
-	VUNPCKHPS r1, r0, t1; \
-	VUNPCKLPS r3, r2, r0; \
-	VUNPCKHPS r3, r2, r1; \
-	VSHUFPS   $0x44, r1, t1, r2; \
-	VSHUFPS   $0xEE, r1, t1, r3; \
-	VSHUFPS   $0xEE, r0, t0, r1; \
-	VSHUFPS   $0x44, r0, t0, r0
 
 // CELLS stores TRANSPOSE4's Y0-Y3 (lane k | lane k+4 slots) to the
 // per-lane cells at slot-group offset off (0 JX, 16 JY, 32 JZ).

@@ -30,12 +30,12 @@ type laneRun struct {
 	lo, hi int32 // +12, +16
 }
 
-// laneVecs is a block routine's per-block output: the lane displacements
-// the driver copies into mover records. The assembly writes every
-// 32-byte slot full width, so lanes outside [l0, l1) hold garbage;
-// offsets are hardcoded in push_avx2_amd64.s.
+// laneVecs is a block routine's per-call output: the lane displacements
+// the driver copies into mover records, 16 lanes so the pair routine's
+// fit. The assembly writes each routine's width in full, so lanes
+// outside [l0, l1) hold garbage; offsets are hardcoded in the .s files.
 type laneVecs struct {
-	ddx, ddy, ddz [particle.Lanes]float32
+	ddx, ddy, ddz [2 * particle.Lanes]float32
 }
 
 // badVoxel is what advanceBlockAVX2 returns instead of crosser bits when

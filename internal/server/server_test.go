@@ -17,6 +17,7 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
+	"govpic/internal/push"
 )
 
 // smallThermal is a deck sized so a job takes long enough to observe
@@ -165,6 +166,7 @@ func TestSubmitRunResult(t *testing.T) {
 		t.Fatal("result missing state CRC")
 	}
 	checkEndpoint(t, ts, "/metrics", "vpicd_jobs_completed_total 1")
+	checkEndpoint(t, ts, "/metrics", fmt.Sprintf("vpicd_push_asm_lanes %d\n", push.AsmLanes()))
 	checkEndpoint(t, ts, "/v1/jobs", id)
 
 	// Unknown job and premature-result errors.
