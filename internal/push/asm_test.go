@@ -225,10 +225,10 @@ func asmGoMatrix(t *testing.T, m int) {
 	}
 }
 
-// TestAsmKernelMoverParity compares the recorded (unfinished) movers of
-// AdvanceBlock directly — index order, displacements, bit patterns —
-// before any moveP runs, isolating the crosser mask and displacement
-// stage from the shared mover machinery.
+// TestAsmKernelMoverParity compares the movers advanceRange records —
+// index order, displacements, bit patterns — before any is finished,
+// isolating the crosser mask and displacement stage from the shared
+// mover machinery.
 func TestAsmKernelMoverParity(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")
@@ -243,8 +243,8 @@ func TestAsmKernelMoverParity(t *testing.T) {
 		// Deliberately lane-misaligned range bounds: spans clipped at both
 		// ends of the range must mask identically.
 		lo, hi := 3, ra.buf.N()-5
-		ka.AdvanceBlock(ra.buf, lo, hi, accA[0], &bsA)
-		kg.AdvanceBlock(rg.buf, lo, hi, accG[0], &bsG)
+		ka.advanceRange(ra.buf, lo, hi, accA[0], &bsA)
+		kg.advanceRange(rg.buf, lo, hi, accG[0], &bsG)
 		if len(bsA.Movers) == 0 {
 			t.Fatal("population produced no movers; crosser parity not exercised")
 		}

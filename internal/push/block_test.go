@@ -178,9 +178,76 @@ func BenchmarkAdvanceBlocked(b *testing.B) {
 	}
 }
 
+// TestAdvanceBlockFinishesFastTop holds the pool task's share of the
+// mover finish to its extent, on every shape: AdvanceBlock finishes its
+// movers from the top down and stops at the first slow one, and
+// FinishBlocks finishes the rest, ending in the oracle's state bit for
+// bit. The populations are eleven movers (a full batch and three) in
+// one cell, all fast or with one slow mover k-th from the top — an
+// absorbed wall crosser or a third-face corner — and ranges of no
+// particle and of one lane.
+func TestAdvanceBlockFinishesFastTop(t *testing.T) {
+	g := moverGrid()
+	const m = 11
+	absorbed := crosser(g, edgeCell(g, 0), 0)
+	third := corner3(g, moverCell)
+	// population makes mover j cross face j%6 of moverCell — two
+	// segments — but gives the mover k-th from the top the slow
+	// particle (k = 0: none).
+	population := func(k int, slow particle.Particle) moverCase {
+		c := moverCase{bound: func(k *Kernel) { k.Bound[0] = Absorb }}
+		for j := range m {
+			p := crosser(g, moverCell, j%6)
+			if j == m-k {
+				p = slow
+			}
+			c.ps = append(c.ps, p)
+		}
+		return c
+	}
+	type tc struct {
+		name       string
+		c          moverCase
+		lo, hi     int
+		movers, in int // movers recorded, and finished by the task
+	}
+	none := population(0, particle.Particle{})
+	cases := []tc{{name: "fast", c: none, hi: m, movers: m, in: m}}
+	for _, k := range []int{1, 2, 8, 9, m} {
+		cases = append(cases,
+			tc{name: fmt.Sprintf("absorb/k=%d", k), c: population(k, absorbed), hi: m, movers: m, in: k - 1},
+			tc{name: fmt.Sprintf("third/k=%d", k), c: population(k, third), hi: m, movers: m, in: k - 1})
+	}
+	cases = append(cases,
+		tc{name: "empty", c: none, lo: 3, hi: 3},
+		tc{name: "lane/fast", c: none, lo: 5, hi: 6, movers: 1, in: 1},
+		tc{name: "lane/slow", c: population(6, third), lo: 5, hi: 6, movers: 1})
+	for _, c := range cases {
+		for _, sh := range sweepShapes() {
+			label := fmt.Sprintf("%s %s", c.name, sh)
+			r, k := moverRig(c.c)
+			useShape(k, sh)
+			bs := new(BlockState)
+			k.AdvanceBlock(r.buf, c.lo, c.hi, k.Acc, bs)
+			if len(bs.Movers) != c.movers || bs.done != c.in || bs.NSeg != int64(2*c.in) {
+				t.Fatalf("%s: task finished %d of %d movers, %d segments; want %d of %d, %d",
+					label, bs.done, len(bs.Movers), bs.NSeg, c.in, c.movers, 2*c.in)
+			}
+			k.FinishBlocks(r.buf, []*BlockState{bs}, []*accum.Array{k.Acc})
+			if bs.done != c.movers {
+				t.Fatalf("%s: %d of %d movers finished", label, bs.done, c.movers)
+			}
+			ro, ko := moverRig(c.c)
+			stepRange(ko, ro, oracleStep, c.lo, c.hi, nil)
+			checkSameState(t, label, r, k, ro, ko, false)
+		}
+	}
+}
+
 // TestBlockCountersSumToSerial verifies the per-block statistics of one
 // pipelined step add up to exactly the serial kernel's counters — the
-// invariant that makes the pipelined flop accounting trustworthy.
+// invariant that makes the pipelined flop accounting trustworthy — when
+// the pool tasks finish part of the movers and FinishBlocks the rest.
 func TestBlockCountersSumToSerial(t *testing.T) {
 	mk := func() (*rig, *Kernel) {
 		r := newRig(6, 5, 4, 0.5)
@@ -195,7 +262,25 @@ func TestBlockCountersSumToSerial(t *testing.T) {
 	rs.acc.Clear()
 	ks.AdvanceP(rs.buf)
 	accs, blocks := blockFixture(rb)
-	runBlockedStep(kb, rb, pipe.New(4), accs, blocks)
+	pool := pipe.New(4)
+	pool.Run(pipe.NumBlocks, func(b int) {
+		blocks[b].Reset()
+		lo, hi := pipe.BlockBounds(rb.buf.N(), pipe.NumBlocks, b)
+		kb.AdvanceBlock(rb.buf, lo, hi, accs[b], blocks[b])
+	})
+	// Each half of the finish counts its own segments (the task's batch
+	// tally, then FinishBlocks' batches and moveP), and only the serial
+	// half counts the block's movers; the sums below test both halves
+	// only if neither is empty.
+	inTask, movers := 0, 0
+	for _, bs := range blocks {
+		inTask += bs.done
+		movers += len(bs.Movers)
+	}
+	if inTask == 0 || inTask == movers {
+		t.Fatalf("tasks finished %d of %d movers; both halves of the finish not exercised", inTask, movers)
+	}
+	kb.FinishBlocks(rb.buf, blocks, accs)
 
 	var sum BlockState
 	used := 0

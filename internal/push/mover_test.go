@@ -59,6 +59,12 @@ func corner(g *grid.Grid, c [3]int) particle.Particle {
 	return particle.Particle{Dx: 0.9, Dy: 0.85, Voxel: int32(g.Voxel(c[0], c[1], c[2])), Ux: 0.5, Uy: 0.5, W: 1}
 }
 
+// corner3 is a particle in cell c that reaches its x-high, y-high and
+// z-low faces: a third face, so a slow mover.
+func corner3(g *grid.Grid, c [3]int) particle.Particle {
+	return particle.Particle{Dx: 0.9, Dy: 0.85, Dz: -0.8, Voxel: int32(g.Voxel(c[0], c[1], c[2])), Ux: 0.5, Uy: 0.5, Uz: -0.5, W: 1}
+}
+
 // edgeCell is moverCell moved onto face f of the grid.
 func edgeCell(g *grid.Grid, f int) [3]int {
 	c := moverCell
@@ -138,7 +144,7 @@ func moverCases() []moverCase {
 		moverCase{name: "corner2/xy", ps: []particle.Particle{corner(g, moverCell)}, want: []int{3}},
 		moverCase{name: "corner2/yx", ps: []particle.Particle{{Dx: 0.85, Dy: 0.9, Voxel: v, Ux: 0.5, Uy: 0.5, W: 1}}, want: []int{3}},
 		moverCase{name: "corner2/xz", ps: []particle.Particle{{Dx: -0.9, Dz: 0.85, Voxel: v, Ux: -0.5, Uz: 0.5, W: 1}}, want: []int{3}},
-		moverCase{name: "corner3", ps: []particle.Particle{{Dx: 0.9, Dy: 0.85, Dz: -0.8, Voxel: v, Ux: 0.5, Uy: 0.5, Uz: -0.5, W: 1}}, want: []int{fateSlow}},
+		moverCase{name: "corner3", ps: []particle.Particle{corner3(g, moverCell)}, want: []int{fateSlow}},
 		// Equal x and y fractions: x is first, and y follows at fraction 0.
 		moverCase{name: "tie", ps: []particle.Particle{{Dx: 0.9, Dy: 0.9, Voxel: v, Ux: 0.5, Uy: 0.5, W: 1}}, want: []int{3}},
 		// One ulp outside the cell and barely moving: flagged, but no face
@@ -430,7 +436,7 @@ func TestMoverHandBuilt(t *testing.T) {
 		ro, ko := moverRig(c)
 		useShape(ks, sh)
 		bs := &BlockState{Movers: append([]particle.Mover(nil), movers...)}
-		ks.finishMovers(rs.buf, bs, ks.Acc)
+		ks.finishMovers(rs.buf, bs, ks.Acc, false)
 		ks.MergeStats(bs)
 		ko.finishOracle(ro.buf, []*BlockState{{Movers: append([]particle.Mover(nil), movers...)}}, []*accum.Array{ko.Acc})
 		checkSameState(t, sh, rs, ks, ro, ko, false)

@@ -85,17 +85,18 @@ func patternRig(p voxelPattern, seed uint64) (*rig, *Kernel) {
 	return r, k
 }
 
-// rangeStep is a range sweep and the mover finish that goes with it:
-// advanceRange and FinishBlocks, or the oracle's advanceRangeUnfused
-// and finishOracle.
+// rangeStep is a range sweep, the pipeline task that goes with it, and
+// the mover finish: advanceRange, AdvanceBlock (which also finishes its
+// fast top movers) and FinishBlocks, or the oracle's
+// advanceRangeUnfused, twice, and finishOracle.
 type rangeStep struct {
-	sweep  func(k *Kernel, buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState)
-	finish func(k *Kernel, buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array)
+	sweep, task func(k *Kernel, buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState)
+	finish      func(k *Kernel, buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array)
 }
 
 var (
-	sweepStep  = rangeStep{(*Kernel).advanceRange, (*Kernel).FinishBlocks}
-	oracleStep = rangeStep{(*Kernel).advanceRangeUnfused, (*Kernel).finishOracle}
+	sweepStep  = rangeStep{(*Kernel).advanceRange, (*Kernel).AdvanceBlock, (*Kernel).FinishBlocks}
+	oracleStep = rangeStep{(*Kernel).advanceRangeUnfused, (*Kernel).advanceRangeUnfused, (*Kernel).finishOracle}
 )
 
 // pipelinedRanges is how stepRange splits [lo, hi) over the pipeline:
@@ -117,8 +118,8 @@ func pipelinedRanges(lo, hi int, pipelined bool) [][2]int {
 // the movers in descending index order. With a nil pool it is
 // AdvanceP's sequence restricted to the range (AdvancePUnfused's, for
 // oracleStep); otherwise the pipelined one: the ranges of
-// pipelinedRanges pushed on pool into private accumulators, then the
-// finish and the reduction into k.Acc.
+// pipelinedRanges pushed by st's task on pool into private
+// accumulators, then the finish and the reduction into k.Acc.
 func stepRange(k *Kernel, r *rig, st rangeStep, lo, hi int, pool *pipe.Pool) {
 	if pool == nil {
 		bs := new(BlockState)
@@ -129,7 +130,7 @@ func stepRange(k *Kernel, r *rig, st rangeStep, lo, hi int, pool *pipe.Pool) {
 	accs, blocks := blockFixture(r)
 	rs := pipelinedRanges(lo, hi, true)
 	pool.Run(pipe.NumBlocks, func(b int) {
-		st.sweep(k, r.buf, rs[b][0], rs[b][1], accs[b], blocks[b])
+		st.task(k, r.buf, rs[b][0], rs[b][1], accs[b], blocks[b])
 	})
 	st.finish(k, r.buf, blocks, accs)
 	accum.Reduce(pool, k.Acc, accs)

@@ -40,7 +40,9 @@
 // the accumulator and stores their final offsets and voxel, and stops
 // at the first slow mover — a boundary face with any other action, a
 // third face, a NaN term — which the driver hands to moveP, VPIC's
-// scalar move_p; the next call starts below it.
+// scalar move_p; the next call starts below it. In a pipeline's pool
+// task the driver stops there instead, and leaves the rest to
+// FinishBlocks.
 //
 // Every block routine and both batch routines perform the identical
 // floating-point operations per particle, and every accumulator slot
@@ -54,13 +56,27 @@
 // one sweep over the buffer depositing into the kernel's accumulator.
 // AdvanceBlock/FinishBlocks is the pipelined path mirroring the paper's
 // SPE decomposition: contiguous particle ranges are pushed concurrently,
-// each scattering into a private accumulator and recording (not
-// finishing) its face-crossing particles; FinishBlocks then completes
-// every recorded mover serially in globally descending index order —
-// the exact order the serial path uses — so the particle state it
-// produces is bitwise identical to AdvanceP for any worker count. (The
+// each scattering into a private accumulator, and each task then
+// finishes its own movers from the top down to its first slow one, as
+// VPIC's pipelines run move_p on their own movers. FinishBlocks
+// finishes the rest serially, blocks last to first and each block's
+// movers top down, starting below those its task finished — the
+// globally descending index order of the serial path — so the particle
+// state is bitwise identical to AdvanceP for any worker count. (The
 // ELost energy tally alone is a float64 sum of per-block partial sums,
 // so it matches the serial chain to rounding, not bitwise.)
+//
+// Why finishing in the task changes no bit: a fast mover reads only its
+// own lanes, its record, the face table and the constants, and writes
+// only its own lanes (scalar stores) and its block's private
+// accumulator. The serial finish of a later block touches neither: its
+// moveP writes its own slot, its own block's accumulator, Out and the
+// reflux RNG, and RemoveSwap(i) copies slot N−1 ≥ i into slot i — both
+// inside the finishing block's range, a later one, or the shell tail
+// when the interior range is finished. So block b's fast movers add
+// into its accumulator with the same inputs and in the same order as
+// the all-serial finish did — top down, ahead of its first slow mover —
+// and FinishBlocks resumes at that slow mover as the serial loop would.
 package push
 
 import (
@@ -177,10 +193,10 @@ type OutgoingBatch []Outgoing
 func (b OutgoingBatch) PayloadBytes() int { return OutgoingWireBytes * len(b) }
 
 // BlockState holds one pipeline block's private push state: the movers
-// recorded during the concurrent phase and the statistics counters of
-// everything the block pushed. Kernel totals are the sum over blocks
-// (MergeStats), so per-block counters add up to exactly the serial
-// values.
+// recorded during the concurrent phase, how many of them are finished,
+// and the statistics counters of everything the block pushed. Kernel
+// totals are the sum over blocks (MergeStats), so per-block counters
+// add up to exactly the serial values.
 type BlockState struct {
 	Movers  []particle.Mover
 	NMoved  int64
@@ -189,12 +205,14 @@ type BlockState struct {
 	NPushed int64
 	NRuns   int64 // voxel runs swept (the fused path's traffic unit)
 	ELost   float64
+	done    int // movers finished, the top of Movers
 }
 
 // Reset clears the movers and zeroes the counters, keeping capacity.
 func (b *BlockState) Reset() {
 	b.Movers = b.Movers[:0]
 	b.NMoved, b.NSeg, b.NLost, b.NPushed, b.NRuns, b.ELost = 0, 0, 0, 0, 0, 0
+	b.done = 0
 }
 
 // Kernel advances one species' particles on one rank's domain.
@@ -216,9 +234,10 @@ type Kernel struct {
 	// (XLo,XHi,YLo,YHi,ZLo,ZHi).
 	Bound [6]Action
 	// Out collects migrating particles per face; the domain layer drains
-	// it each step. Movers are always finished serially (AdvanceP and
-	// FinishBlocks both run them in descending index order), so these
-	// buffers fill in the same deterministic order on every path.
+	// it each step. Only moveP appends to it, and moveP always runs
+	// serially (AdvanceP and FinishBlocks both finish movers in
+	// descending index order), so these buffers fill in the same
+	// deterministic order on every path.
 	Out [6][]Outgoing
 	// reflux holds per-face re-emission parameters when EnableReflux has
 	// switched a face to a thermally refluxing wall.
@@ -373,45 +392,51 @@ func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
 	k.advanceRange(buf, 0, buf.N(), k.Acc, bs)
-	k.finishMovers(buf, bs, k.Acc)
+	k.finishMovers(buf, bs, k.Acc, false)
 	k.MergeStats(bs)
 }
 
 // AdvanceBlock pushes particles [lo, hi) of buf — one pipeline block —
-// scattering in-cell current into acc and recording (not finishing)
-// face-crossing particles in bs.Movers. It never reorders the buffer,
-// reads only shared immutable state (interpolators, grid), and writes
+// scattering in-cell current into acc and recording face-crossing
+// particles in bs.Movers, then finishes its fast movers from the top
+// down and stops at the first slow one, recording how many it finished
+// in bs. It never reorders the buffer or calls moveP, reads only shared
+// immutable state (interpolators, grid, face table, Bound), and writes
 // only lanes lo..hi-1, acc and bs, so disjoint ranges with private
 // acc/bs are safe to run concurrently (lanes are distinct words even
 // when two ranges share a particle.Block). Call FinishBlocks afterwards
-// to complete the recorded movers.
+// to complete the remaining movers.
 func (k *Kernel) AdvanceBlock(buf *particle.Buffer, lo, hi int, acc *accum.Array, bs *BlockState) {
 	k.advanceRange(buf, lo, hi, acc, bs)
+	k.finishMovers(buf, bs, acc, true)
 }
 
-// FinishBlocks completes the movers recorded by AdvanceBlock: blocks
-// are processed last to first and each block's movers last to first,
-// i.e. globally descending particle index — the order the serial
-// AdvanceP finishes them in (finishMovers), so swap-removals stay safe
-// and the resulting particle state is bitwise identical to the serial
-// path. Each block's segment currents deposit into its own accumulator
-// (accs[b]) and its counters land in blocks[b] before being merged into
-// the kernel totals.
+// FinishBlocks completes the movers AdvanceBlock left: blocks are
+// processed last to first and each block's movers last to first,
+// starting below those its task finished, i.e. globally descending
+// particle index — the order the serial AdvanceP finishes them in
+// (finishMovers), so swap-removals stay safe and the resulting particle
+// state is bitwise identical to the serial path (see the package
+// comment). Each block's segment currents deposit into its own
+// accumulator (accs[b]) and its counters land in blocks[b] before being
+// merged into the kernel totals.
 func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array) {
 	for b := len(blocks) - 1; b >= 0; b-- {
-		k.finishMovers(buf, blocks[b], accs[b])
+		k.finishMovers(buf, blocks[b], accs[b], false)
 	}
 	for _, bs := range blocks {
 		k.MergeStats(bs)
 	}
 }
 
-// finishMovers completes bs's movers in descending index order,
-// depositing into a. It takes them from the top down, eight at a time:
-// one batch routine call (moveBatchAVX2 when Kernel.Asm, else
-// moveBatchGo) finishes the batch's fast movers from the top down and
-// stops at the first slow one, which runs moveP; the next call starts
-// below it.
+// finishMovers completes bs's movers below the bs.done already
+// finished, in descending index order, depositing into a. It takes them
+// from the top down, eight at a time: one batch routine call
+// (moveBatchAVX2 when Kernel.Asm, else moveBatchGo) finishes the
+// batch's fast movers from the top down and stops at the first slow
+// one, which runs moveP; the next call starts below it. In a pool task
+// (task set) the loop instead ends at the first slow mover, and bs.done
+// records where the serial call resumes; that call counts bs's movers.
 //
 // Batching inside the serial walk changes nothing: a call reads its
 // batch before it writes, RemoveSwap(i) writes only slot i, and every
@@ -420,11 +445,11 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 // moveP's scatters would add, none of them NaN, in moveP's order —
 // segment by segment, mover by descending index — so every accumulator
 // slot's addition chain is moveP's and the state is bitwise identical.
-func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Array) {
-	bs.NMoved += int64(len(bs.Movers))
+func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Array, task bool) {
 	con := k.batchConsts()
 	tally := moveTally{lo: math.MaxInt32, hi: -1}
-	for top := len(bs.Movers); top > 0; {
+	top := len(bs.Movers) - bs.done
+	for top > 0 {
 		var n int
 		if k.Asm {
 			n = moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
@@ -433,10 +458,17 @@ func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Arr
 		}
 		top -= n
 		if n < particle.Lanes && top > 0 {
+			if task {
+				break
+			}
 			top--
 			mv := &bs.Movers[top]
 			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
 		}
+	}
+	bs.done = len(bs.Movers) - top
+	if !task {
+		bs.NMoved += int64(len(bs.Movers))
 	}
 	bs.NSeg += tally.nseg
 	if tally.hi >= 0 {
