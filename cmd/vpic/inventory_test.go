@@ -77,7 +77,9 @@ var (
 
 // TestDocBudget holds DESIGN.md and EXPERIMENTS.md to their byte
 // budgets, every EXPERIMENTS S/P entry to 40 lines and 3 000 bytes
-// with the commit it describes, and the paths and runnable names the
+// with the commit it describes, every row of the EXPERIMENTS ledger of
+// older entries to a commit hash and an id that is no entry, and the
+// paths and runnable names the
 // documents cite to the tree. A repo path in DESIGN.md or README.md
 // must exist, every top-level DESIGN section must name one that does,
 // and every code span in a DESIGN §4 "Runs in" cell must be a
@@ -100,8 +102,11 @@ func TestDocBudget(t *testing.T) {
 	if len(experiments) > experimentsBudget {
 		t.Errorf("EXPERIMENTS.md is %d bytes, budget %d", len(experiments), experimentsBudget)
 	}
+	entryIDs := map[string]bool{}
 	for _, e := range entries(experiments) {
 		head, _, _ := strings.Cut(e, "\n")
+		id, _, _ := strings.Cut(strings.TrimPrefix(head, "## "), " ")
+		entryIDs[id] = true
 		if n := strings.Count(e, "\n") + 1; n > entryLines {
 			t.Errorf("EXPERIMENTS %q runs %d lines, budget %d", head, n, entryLines)
 		}
@@ -110,6 +115,17 @@ func TestDocBudget(t *testing.T) {
 		}
 		if !commitSpan.MatchString(e) {
 			t.Errorf("EXPERIMENTS %q names no commit hash", head)
+		}
+	}
+	for _, tb := range tables(t, section(t, experiments, "## Ledger")) {
+		for _, r := range tb.rows {
+			id := r.cells[0]
+			if !commitSpan.MatchString(r.cells[len(r.cells)-1]) {
+				t.Errorf("EXPERIMENTS ledger row %s names no commit hash", id)
+			}
+			if entryIDs[id] {
+				t.Errorf("EXPERIMENTS %s is both a ledger row and an entry", id)
+			}
 		}
 	}
 
@@ -218,13 +234,13 @@ type row struct {
 	cells []string // trimmed
 }
 
-// section returns the text of the DESIGN section whose heading starts
-// with prefix, up to the next level-2 heading.
+// section returns the text of doc's section whose heading starts with
+// prefix, up to the next level-2 heading.
 func section(t *testing.T, doc, prefix string) string {
 	t.Helper()
 	i := strings.Index(doc, "\n"+prefix)
 	if i < 0 {
-		t.Fatalf("DESIGN.md has no %q section", strings.TrimSpace(prefix))
+		t.Fatalf("no %q section", strings.TrimSpace(prefix))
 	}
 	rest := doc[i+1:]
 	if j := strings.Index(rest, "\n## "); j >= 0 {

@@ -204,22 +204,18 @@ func sumClearGo(dst []Cell, srcs [][]Cell) {
 	}
 }
 
-// Unload scatters the accumulated currents into the field J arrays
+// UnloadPar scatters the accumulated currents into the field J arrays
 // (adding to whatever is there, so antenna currents survive) with the
 // normalization that converts accumulated q·Δoffset weights into edge
 // current densities:
 //
 //	Jx(edge) = Σ_cells jx_slot / (4·dt·dy·dz)   (and cyclic).
 //
-// dt is the time step the displacements were accumulated over.
-func (a *Array) Unload(f *field.Fields, dt float64) {
-	a.UnloadPar(nil, f, dt)
-}
-
-// UnloadPar is Unload with the z-plane sweeps of each edge family split
-// over a worker pool. Every edge value is gathered independently from
-// its (up to four) adjacent cells, so partitioning the z range changes
-// nothing numerically.
+// dt is the time step the displacements were accumulated over. The
+// z-plane sweeps of each edge family are split over the worker pool p
+// (nil runs them inline). Every edge value is gathered independently
+// from its (up to four) adjacent cells, so partitioning the z range
+// changes nothing numerically.
 func (a *Array) UnloadPar(p *pipe.Pool, f *field.Fields, dt float64) {
 	g := a.G
 	t := a.task()

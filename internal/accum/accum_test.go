@@ -261,7 +261,7 @@ func TestUnloadSingleCellJX(t *testing.T) {
 	dt := 0.2
 	v := g.Voxel(2, 2, 2)
 	a.A[v].JX = [4]float32{1, 2, 3, 4}
-	a.Unload(f, dt)
+	a.UnloadPar(nil, f, dt)
 	// cx = 1/(4·dt·dy·dz) = 1/(4·0.2·0.25) = 5.
 	cx := float32(5)
 	cases := []struct {
@@ -288,7 +288,7 @@ func TestUnloadAddsToExisting(t *testing.T) {
 	v := g.Voxel(2, 2, 2)
 	f.Jy[v] = 10 // pre-existing antenna current must survive
 	a.A[v].JY[0] = 4
-	a.Unload(f, 1)
+	a.UnloadPar(nil, f, 1)
 	want := float32(10 + 4.0/4.0)
 	if f.Jy[v] != want {
 		t.Fatalf("Jy = %g, want %g", f.Jy[v], want)
@@ -315,7 +315,7 @@ func TestUnloadConservesTotal(t *testing.T) {
 		}
 	}
 	dt := 0.5
-	a.Unload(f, dt)
+	a.UnloadPar(nil, f, dt)
 	var got float64
 	for iz := 1; iz <= g.NZ+1; iz++ {
 		for iy := 1; iy <= g.NY+1; iy++ {
@@ -336,14 +336,14 @@ func TestUnloadJZOrientation(t *testing.T) {
 	a := New(g)
 	v := g.Voxel(2, 2, 2)
 	a.A[v].JZ = [4]float32{4, 0, 0, 0} // slot 0: edge (i,j)
-	a.Unload(f, 1)
+	a.UnloadPar(nil, f, 1)
 	if f.Jz[v] != 1 {
 		t.Fatalf("Jz slot0 landed wrong: %g", f.Jz[v])
 	}
 	a.ClearFull()
 	f.ClearJ()
 	a.A[v].JZ = [4]float32{0, 4, 0, 0} // slot 1: edge (i+1,j)
-	a.Unload(f, 1)
+	a.UnloadPar(nil, f, 1)
 	if f.Jz[g.Voxel(3, 2, 2)] != 1 {
 		t.Fatalf("Jz slot1 landed wrong")
 	}

@@ -442,7 +442,7 @@ func (rs *RankSim) Restore(r io.Reader) error {
 	rk.readState(payload)
 	rs.step, rs.time = hd.step, hd.time
 	rs.History = diag.History{Samples: hd.history}
-	rk.IP.Load(rk.D.F) // rebuild derived state
+	rk.IP.LoadPar(nil, rk.D.F) // rebuild derived state
 	return nil
 }
 

@@ -162,13 +162,13 @@ func TestMemberStepAllocs(t *testing.T) {
 // encodes into a fresh frame, the reader decodes a fresh payload, and a
 // queued send may start a drainer goroutine), so it is counted apart
 // from the in-process budget. The bound is what this test measures on
-// the tree that set it: 83 per step (84 under -race), down from 302
-// before the persistent exchange plans.
+// the tree that set it, 82 per step with and without -race, plus one
+// object of slack (down from 302 before the persistent exchange plans).
 func TestMemberStepAllocsTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP world")
 	}
-	const maxAllocs = 84
+	const maxAllocs = 83
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -375,7 +375,7 @@ func (rk *Rank) initDecomposed(cfg *Config) {
 	rk.D.F.UpdateGhostB()
 	rk.D.ExchangeGhostE()
 	rk.D.ExchangeGhostB()
-	rk.IP.Load(rk.D.F)
+	rk.IP.LoadPar(nil, rk.D.F)
 }
 
 func negate(a []float32) {

@@ -174,7 +174,7 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		f.FillNodeGhost(rk.rho0)
 		dNew.ExchangeScalarGhost(rk.rho0)
 	}
-	rk.IP.Load(f)
+	rk.IP.LoadPar(nil, f)
 }
 
 // adoptDomain moves this rank onto d, a tile of the same world on

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"govpic/internal/core"
@@ -34,6 +35,15 @@ func deterministicOf(r core.RankReport) deterministic {
 		r.Bytes, string(classes), r.SortPasses.Sorts}
 }
 
+// linkMsgs formats a report's per-link message counts.
+func linkMsgs(r core.RankReport) string {
+	var s []string
+	for _, l := range r.Links {
+		s = append(s, fmt.Sprintf("%s sent %d recv %d", l.Label(), l.MsgsSent, l.MsgsRecv))
+	}
+	return strings.Join(s, "; ")
+}
+
 // zeroTimes clears a report's time-valued fields, leaving the counters
 // that are a function of the deck alone.
 func zeroTimes(r core.RankReport) core.RankReport {
@@ -52,7 +62,9 @@ func zeroTimes(r core.RankReport) core.RankReport {
 // Simulation (its reports gathered by the Reports collective), as
 // free-running members under mp.Run and over loopback TCP through Run
 // must give identical particles, advances, crossings, flops, section
-// bytes, class bytes/msgs and sorts on every rank. The
+// bytes, class bytes/msgs and sorts on every rank, and the same member
+// run in-process and over TCP must send the same messages on every
+// link. The
 // end-of-run message JSON (the -comm-json record) of the lockstep world,
 // time-valued fields zeroed, must match testdata/reports.golden.json,
 // so dropping or renaming a key fails here; `go test -run
@@ -90,6 +102,17 @@ func TestReportsAgreeAcrossWorlds(t *testing.T) {
 		free[comm.Rank()] = rs.Report()
 	})
 	tcp := runTCPResult(t, spec, ranks).Reports
+	local, err := Local(dk, Job{Steps: spec.Steps, Every: spec.Steps}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The collectives run over the links on every world, so the same
+	// member run sends the same messages in-process as over TCP.
+	for r, rep := range local.Reports {
+		if got, want := linkMsgs(tcp[r]), linkMsgs(rep); got != want {
+			t.Errorf("rank %d: link messages %s over TCP, %s in-process", r, got, want)
+		}
+	}
 
 	for _, world := range []struct {
 		name string

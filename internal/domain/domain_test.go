@@ -193,7 +193,7 @@ func TestParticleMigration(t *testing.T) {
 		}
 		g := d.G
 		ip := interp.NewTable(g)
-		ip.Load(d.F) // zero fields
+		ip.LoadPar(nil, d.F) // zero fields
 		acc := accum.New(g)
 		k := push.NewKernel(g, ip, acc, -1, 1, 0.4)
 		k.Bound = d.ParticleActions()
@@ -234,7 +234,7 @@ func TestParticleMigrationWrapsPeriodically(t *testing.T) {
 		}
 		g := d.G
 		ip := interp.NewTable(g)
-		ip.Load(d.F)
+		ip.LoadPar(nil, d.F)
 		acc := accum.New(g)
 		k := push.NewKernel(g, ip, acc, -1, 1, 0.4)
 		k.Bound = d.ParticleActions()
@@ -266,7 +266,7 @@ func TestCornerMigrationSettles(t *testing.T) {
 		}
 		g := d.G
 		ip := interp.NewTable(g)
-		ip.Load(d.F)
+		ip.LoadPar(nil, d.F)
 		acc := accum.New(g)
 		k := push.NewKernel(g, ip, acc, -1, 1, 0.45)
 		k.Bound = d.ParticleActions()

@@ -2,19 +2,14 @@ package field
 
 import "govpic/internal/pipe"
 
-// AdvanceB advances cB by frac·dt using the curl of E:
+// AdvanceBPar advances cB by frac·dt using the curl of E:
 // ∂B/∂t = −∇×E. VPIC calls this twice per step with frac = 0.5 so that
 // B is known at both half-integer and integer times. Boundary-owned E
 // values (index N+1) must be current (call UpdateGhostE after the last
-// E change).
-func (f *Fields) AdvanceB(dt, frac float64) {
-	f.AdvanceBPar(nil, dt, frac)
-}
-
-// AdvanceBPar is AdvanceB with the interior z-plane sweep split over a
-// worker pool. B faces are written per cell from E values that do not
-// change during the sweep, so the z partition is race-free and
-// bit-identical to the serial sweep for any worker count.
+// E change). The interior z-plane sweep is split over the worker pool
+// p (nil runs it inline): B faces are written per cell from E values
+// that do not change during the sweep, so the z partition is race-free
+// and bit-identical to the serial sweep for any worker count.
 func (f *Fields) AdvanceBPar(p *pipe.Pool, dt, frac float64) {
 	g := f.G
 	h := dt * frac
@@ -26,15 +21,11 @@ func (f *Fields) AdvanceBPar(p *pipe.Pool, dt, frac float64) {
 	f.UpdateGhostB()
 }
 
-// AdvanceE advances E by a full dt using the curl of B and the free
+// AdvanceEPar advances E by a full dt using the curl of B and the free
 // current J: ∂E/∂t = ∇×B − J. Mur faces are advanced with their
-// characteristic update; conductor faces keep tangential E = 0.
-func (f *Fields) AdvanceE(dt float64) {
-	f.AdvanceEPar(nil, dt)
-}
-
-// AdvanceEPar is AdvanceE with the interior z-plane sweep split over a
-// worker pool (see AdvanceBPar for why this is exact).
+// characteristic update; conductor faces keep tangential E = 0. The
+// interior z-plane sweep is split over p (nil runs it inline; see
+// AdvanceBPar for why this is exact).
 func (f *Fields) AdvanceEPar(p *pipe.Pool, dt float64) {
 	if f.mur != nil {
 		f.mur.snapshot(f)

@@ -110,9 +110,9 @@ func TestVacuumDispersion(t *testing.T) {
 	wantCross := 20
 	var lastCrossT, firstCrossT float64
 	for steps = 1; steps <= maxSteps && crossings < wantCross; steps++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 		cur := float64(f.Ey[probe])
 		if prev < 0 && cur >= 0 || prev > 0 && cur <= 0 {
 			// linear interpolation of crossing time
@@ -154,9 +154,9 @@ func TestVacuumEnergyConservation(t *testing.T) {
 	e0 := f.Energy()
 	minE, maxE := e0, e0
 	for s := 0; s < 2000; s++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 		e := f.Energy()
 		minE = math.Min(minE, e)
 		maxE = math.Max(maxE, e)
@@ -189,9 +189,9 @@ func TestDivBPreserved(t *testing.T) {
 	f.UpdateGhostE()
 	dt := 0.5 * g.CourantLimit()
 	for s := 0; s < 200; s++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 	}
 	_, err := f.DivB(nil)
 	if err > 1e-5 {
@@ -219,9 +219,9 @@ func TestMurAbsorbsPulse(t *testing.T) {
 	dt := 0.95 * dx
 	steps := int(2.5 * float64(nx) * dx / dt) // plenty of time to leave
 	for s := 0; s < steps; s++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 	}
 	if rem := f.Energy() / e0; rem > 0.01 {
 		t.Fatalf("residual energy fraction %g after pulse exit, want <1%%", rem)
@@ -247,9 +247,9 @@ func TestConductorReflectsPulse(t *testing.T) {
 	dt := 0.95 * dx
 	steps := int(3 * float64(nx) * dx / dt)
 	for s := 0; s < steps; s++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 	}
 	if rel := math.Abs(f.Energy()-e0) / e0; rel > 0.02 {
 		t.Fatalf("PEC box lost/gained %g of pulse energy, want <2%%", rel)
@@ -340,9 +340,9 @@ func TestMurAbsorbsOnYAxis(t *testing.T) {
 	dt := 0.95 * dy
 	steps := int(2.5 * float64(ny) * dy / dt)
 	for s := 0; s < steps; s++ {
-		f.AdvanceB(dt, 0.5)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 	}
 	if rem := f.Energy() / e0; rem > 0.01 {
 		t.Fatalf("y-axis Mur left %g of the pulse energy", rem)

@@ -52,15 +52,11 @@ func NewTable(g *grid.Grid) *Table {
 	return &Table{G: g, C: make([]Coeffs, g.NV())}
 }
 
-// Load fills the table from the fields, which must have current
+// LoadPar fills the table from the fields, which must have current
 // boundary/ghost planes (field.UpdateGhostE / UpdateGhostB). Only
 // interior cells are loaded; ghost-cell interpolators stay zero and must
-// never be consumed (particles live in interior cells).
-func (t *Table) Load(f *field.Fields) {
-	t.LoadPar(nil, f)
-}
-
-// LoadPar is Load with the z-plane sweep split over a worker pool; each
+// never be consumed (particles live in interior cells). The z-plane
+// sweep is split over the worker pool p (nil runs it inline); each
 // voxel's coefficients are computed independently from the (read-only)
 // fields, so the partition is exact for any worker count.
 func (t *Table) LoadPar(p *pipe.Pool, f *field.Fields) {

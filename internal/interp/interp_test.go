@@ -34,7 +34,7 @@ func TestLoadReproducesLinearFields(t *testing.T) {
 	g := grid.MustNew(6, 5, 4, 1, 1, 1)
 	f := linearFields(g)
 	tab := NewTable(g)
-	tab.Load(f)
+	tab.LoadPar(nil, f)
 
 	// Check E at cell corners against the defining edge values: for cell
 	// (i,j,k), Ex at (dy,dz)=(-1,-1) must equal ex(i,j,k).
@@ -66,7 +66,7 @@ func TestInterpolationIsBilinearExact(t *testing.T) {
 	g := grid.MustNew(6, 5, 4, 1, 1, 1)
 	f := linearFields(g)
 	tab := NewTable(g)
-	tab.Load(f)
+	tab.LoadPar(nil, f)
 	v := g.Voxel(3, 2, 2)
 	fcheck := func(dy, dz float64) bool {
 		dy = math.Mod(dy, 1)
@@ -86,7 +86,7 @@ func TestBLinearAlongOwnAxis(t *testing.T) {
 	g := grid.MustNew(6, 5, 4, 1, 1, 1)
 	f := linearFields(g)
 	tab := NewTable(g)
-	tab.Load(f)
+	tab.LoadPar(nil, f)
 	v := g.Voxel(3, 2, 2)
 	// Bx = 5·ix at faces ix=3 and ix=4: at dx=0 must be 17.5.
 	bx, _, _ := tab.B(v, 0, 0.5, -0.5)
@@ -104,7 +104,7 @@ func TestGhostCellsStayZero(t *testing.T) {
 	g := grid.MustNew(4, 4, 4, 1, 1, 1)
 	f := linearFields(g)
 	tab := NewTable(g)
-	tab.Load(f)
+	tab.LoadPar(nil, f)
 	// Ghost voxel interpolators must remain zero (never consumed).
 	z := Coeffs{}
 	if tab.C[g.Voxel(0, 2, 2)] != z || tab.C[g.Voxel(2, 0, 2)] != z {
@@ -118,6 +118,6 @@ func BenchmarkLoad32Cubed(b *testing.B) {
 	tab := NewTable(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Load(f)
+		tab.LoadPar(nil, f)
 	}
 }

@@ -75,7 +75,7 @@ func (a *Antenna) envelope(t float64) float64 {
 }
 
 // Inject adds the antenna current for the step ending at time t+dt into
-// f's current arrays (call between ClearJ/deposition and AdvanceE; the
+// f's current arrays (call between ClearJ/deposition and AdvanceEPar; the
 // current is evaluated at the half step like the particle current). It
 // is a no-op on ranks whose tile does not contain the antenna plane.
 func (a *Antenna) Inject(f *field.Fields, t, dt float64) {

@@ -76,11 +76,11 @@ func TestLaunchedAmplitude(t *testing.T) {
 	steps := int(80 / dt)
 	for s := 0; s < steps; s++ {
 		tNow := float64(s) * dt
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceBPar(nil, dt, 0.5)
 		f.ClearJ()
 		a.Inject(f, tNow, dt)
-		f.AdvanceE(dt)
-		f.AdvanceB(dt, 0.5)
+		f.AdvanceEPar(nil, dt)
+		f.AdvanceBPar(nil, dt, 0.5)
 		if tNow > 50 { // steady state, past ramp + transit
 			if e := math.Abs(float64(f.Ey[probe])); e > maxE {
 				maxE = e

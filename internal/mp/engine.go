@@ -280,9 +280,8 @@ func (c *Comm) sendIdle(dst int) bool {
 func (c *Comm) recvIdle(src int) bool { return c.recvQ[src].len() == 0 }
 
 // flushSends waits for every queued send to reach the transport. The
-// collectives call it first: on network transports they share the data
-// links, so a collective must never overtake a queued point-to-point
-// message.
+// collectives call it first: they share the data links, so a collective
+// must never overtake a queued point-to-point message.
 func (c *Comm) flushSends() {
 	if c.inlineSend {
 		return

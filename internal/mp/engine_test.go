@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -95,25 +96,51 @@ func TestBlockingSendAfterISendKeepsOrder(t *testing.T) {
 
 // TestCollectiveFlushesQueuedSends posts engine sends and immediately
 // enters a barrier: the flush must push every queued message to the
-// transport before the collective, so the peer can receive them all
-// after its own barrier.
+// link before the barrier's own message, so rank 0 receives them all
+// and then the barrier. The transport is wrapped so that it hides its
+// nonblocking-send capability: the sends queue on a drainer goroutine,
+// as they do over TCP. A barrier that overtakes the queue fails rank 0
+// with a tag mismatch and leaves rank 1 waiting for its release, so
+// the world is given a deadline.
 func TestCollectiveFlushesQueuedSends(t *testing.T) {
 	const n = 32
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
+	w := NewWorld(2)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		c := NewComm(struct{ Transport }{w.Comm(r).Transport()})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("rank %d: %v", c.Rank(), p)
+				}
+			}()
+			if c.Rank() == 1 {
+				for i := 0; i < n; i++ {
+					c.ISend(0, i, i)
+				}
+				c.Barrier()
+				return
+			}
 			for i := 0; i < n; i++ {
-				c.ISend(1, i, i)
+				if got := c.Recv(1, i).(int); got != i {
+					t.Errorf("flushed message %d: got %d", i, got)
+				}
 			}
 			c.Barrier()
-			return
-		}
-		c.Barrier()
-		for i := 0; i < n; i++ {
-			if got := c.Recv(0, i).(int); got != i {
-				t.Errorf("flushed message %d: got %d", i, got)
-			}
-		}
-	})
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the world did not finish its barrier")
+	}
 }
 
 // TestWaitAccountsOverlap checks the wait/overlap bookkeeping: a receive
@@ -198,7 +225,7 @@ func TestSendRecvRingViaRequests(t *testing.T) {
 		// Several rounds so request state from one round cannot leak into
 		// the next.
 		for round := 0; round < 20; round++ {
-			got := c.SendRecv(right, round, c.Rank(), left, round).(int)
+			got := sendRecv(c, right, left, round, c.Rank()).(int)
 			if got != left {
 				t.Errorf("round %d: rank %d received %d, want %d", round, c.Rank(), got, left)
 			}

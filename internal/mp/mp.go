@@ -1,10 +1,12 @@
 // Package mp is the message-passing substrate that stands in for MPI
 // (and, on Roadrunner, the DaCS Opteron↔Cell relay). The primitives are
 // the ones VPIC's communication layer uses — point-to-point
-// send/receive, barriers, and reductions — and they run over a
-// pluggable Transport: the in-process World below (ranks are
+// send/receive, barriers, and reductions. A Transport carries only the
+// point-to-point messages: the in-process World below (ranks are
 // goroutines, links are buffered channels) or a network fabric
-// (internal/transport's TCP mesh).
+// (internal/transport's TCP mesh). The collectives are built once, in
+// Comm, over the transport's own links, so every world runs them with
+// the same messages in the same order.
 //
 // Semantics: messages on one (src,dst) link are delivered in order;
 // Recv blocks until a message from the requested source arrives and
@@ -52,12 +54,6 @@ type Transport interface {
 	// returns its payload; a tag mismatch returns *TagMismatchError with
 	// the message consumed.
 	Recv(src, tag int) (any, error)
-	// Barrier blocks until every rank of the world has entered it.
-	Barrier() error
-	// Allreduce gathers one value per rank into a rank-ordered slice,
-	// applies reduce once, and hands every rank the result. All ranks
-	// must pass an equivalent reduce function.
-	Allreduce(x any, reduce func([]any) any) (any, error)
 	// Stats returns the per-link communication counters of this
 	// endpoint, or nil if the transport does not keep them.
 	Stats() *perf.CommStats
@@ -78,18 +74,6 @@ type World struct {
 	n     int
 	links [][]chan message // links[src][dst]
 	stats []*perf.CommStats
-
-	barrierMu  sync.Mutex
-	barrierCnt int
-	barrierGen int
-	barrierCv  *sync.Cond
-
-	reduceMu  sync.Mutex
-	reduceBuf []any
-	reduceCnt int
-	reduceGen int
-	reduceOut any
-	reduceCv  *sync.Cond
 }
 
 // LinkDepth bounds the number of undelivered messages per (src,dst)
@@ -104,7 +88,7 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mp: world size %d", n))
 	}
-	w := &World{n: n, links: make([][]chan message, n), reduceBuf: make([]any, n), stats: make([]*perf.CommStats, n)}
+	w := &World{n: n, links: make([][]chan message, n), stats: make([]*perf.CommStats, n)}
 	for s := range w.links {
 		w.links[s] = make([]chan message, n)
 		for d := range w.links[s] {
@@ -112,8 +96,6 @@ func NewWorld(n int) *World {
 		}
 		w.stats[s] = perf.NewCommStats(s)
 	}
-	w.barrierCv = sync.NewCond(&w.barrierMu)
-	w.reduceCv = sync.NewCond(&w.reduceMu)
 	return w
 }
 
@@ -169,45 +151,6 @@ func (t *localTransport) Recv(src, tag int) (any, error) {
 	return m.data, nil
 }
 
-func (t *localTransport) Barrier() error {
-	w := t.w
-	w.barrierMu.Lock()
-	gen := w.barrierGen
-	w.barrierCnt++
-	if w.barrierCnt == w.n {
-		w.barrierCnt = 0
-		w.barrierGen++
-		w.barrierCv.Broadcast()
-	} else {
-		for gen == w.barrierGen {
-			w.barrierCv.Wait()
-		}
-	}
-	w.barrierMu.Unlock()
-	return nil
-}
-
-func (t *localTransport) Allreduce(x any, reduce func([]any) any) (any, error) {
-	w := t.w
-	w.reduceMu.Lock()
-	gen := w.reduceGen
-	w.reduceBuf[t.rank] = x
-	w.reduceCnt++
-	if w.reduceCnt == w.n {
-		w.reduceOut = reduce(w.reduceBuf)
-		w.reduceCnt = 0
-		w.reduceGen++
-		w.reduceCv.Broadcast()
-	} else {
-		for gen == w.reduceGen {
-			w.reduceCv.Wait()
-		}
-	}
-	out := w.reduceOut
-	w.reduceMu.Unlock()
-	return out, nil
-}
-
 func (t *localTransport) Stats() *perf.CommStats { return t.w.stats[t.rank] }
 
 // Ready reports whether a message from src is queued, so Recv would
@@ -230,6 +173,7 @@ type Comm struct {
 	stats      *perf.CommStats
 	inlineSend bool          // transport Send cannot block: sends execute inline
 	ready      readyReceiver // the transport's receive probe, or nil
+	gather     []any         // rank 0's collective slots, one per rank
 
 	// Request engine state (engine.go): per-destination send FIFOs
 	// with drainer goroutines (mu guards them: drainers pop under it),
@@ -264,10 +208,11 @@ type readyReceiver interface {
 // NewComm wraps a transport endpoint in the SPMD API.
 func NewComm(t Transport) *Comm {
 	c := &Comm{
-		t:     t,
-		stats: t.Stats(),
-		sendQ: make([]sendQueue, t.Size()),
-		recvQ: make([]fifo, t.Size()),
+		t:      t,
+		stats:  t.Stats(),
+		sendQ:  make([]sendQueue, t.Size()),
+		recvQ:  make([]fifo, t.Size()),
+		gather: make([]any, t.Size()),
 	}
 	if nb, ok := t.(nonblockingSender); ok && nb.NonblockingSend() {
 		c.inlineSend = true
@@ -290,85 +235,96 @@ func (c *Comm) Size() int { return c.t.Size() }
 func (c *Comm) Stats() *perf.CommStats { return c.t.Stats() }
 
 // Send delivers data to dst with the given tag, panicking with the
-// typed CommError on substrate failure (link overflow, dead peer).
+// typed CommError on substrate failure (link overflow, dead peer). When
+// engine sends are pending toward dst it queues behind them, so it
+// never overtakes one; otherwise it takes the direct transport path
+// with its synchronous semantics (including the fail-fast link-overflow
+// bound).
 func (c *Comm) Send(dst, tag int, data any) {
-	if err := c.SendE(dst, tag, data); err != nil {
+	var err error
+	if c.sendIdle(dst) {
+		err = c.t.Send(dst, tag, data)
+	} else {
+		_, err = c.ISend(dst, tag, data).Wait()
+	}
+	if err != nil {
 		panic(err)
 	}
 }
 
 // Recv blocks until the next message from src arrives and returns its
 // payload, panicking with the typed CommError on substrate failure (tag
-// mismatch, dead peer).
+// mismatch, dead peer). Receives already posted from src complete
+// first, in posted order.
 func (c *Comm) Recv(src, tag int) any {
-	data, err := c.RecvE(src, tag)
+	var data any
+	var err error
+	if c.recvIdle(src) {
+		data, err = c.t.Recv(src, tag)
+	} else {
+		data, err = c.IRecv(src, tag).Wait()
+	}
 	if err != nil {
 		panic(err)
 	}
 	return data
 }
 
-// SendE and RecvE are the error-returning forms for callers that handle
-// substrate failures inline instead of through a recovering supervisor.
-// When engine operations are pending on the same peer they route through
-// the request queues so ordering is preserved; otherwise they take the
-// direct transport path with its synchronous semantics (including the
-// fail-fast link-overflow bound).
-func (c *Comm) SendE(dst, tag int, data any) error {
-	if c.sendIdle(dst) {
-		return c.t.Send(dst, tag, data)
-	}
-	_, err := c.ISend(dst, tag, data).Wait()
-	return err
-}
+// Reserved negative tags of the collectives; the application tag space
+// is non-negative.
+const (
+	tagBarrier = -100
+	tagGather  = -101
+	tagBcast   = -102
+)
 
-// RecvE is the error-returning form of Recv.
-func (c *Comm) RecvE(src, tag int) (any, error) {
-	if c.recvIdle(src) {
-		return c.t.Recv(src, tag)
-	}
-	return c.IRecv(src, tag).Wait()
-}
-
-// SendRecv posts both sides nonblocking and completes the receive first
-// — the shift-exchange primitive of the ghost and particle exchanges.
-// Because the send drains off-thread, the pattern is deadlock-free even
-// when both directions exceed the transport's send backpressure bound
-// (two ranks head-to-head with large payloads would deadlock a blocking
-// send-then-recv on a network transport).
-func (c *Comm) SendRecv(dst, sendTag int, data any, src, recvTag int) any {
-	s := c.ISend(dst, sendTag, data)
-	r := c.IRecv(src, recvTag)
-	out, err := r.Wait()
-	if err != nil {
-		panic(err)
-	}
-	if _, err := s.Wait(); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// Barrier blocks until every rank of the world has entered it. Queued
-// engine sends are flushed first: on network transports the collectives
-// share the data links, so they must never overtake point-to-point
-// traffic.
-func (c *Comm) Barrier() {
-	c.flushSends()
-	c.assertNoPendingRecvs()
-	if err := c.t.Barrier(); err != nil {
-		panic(err)
-	}
-}
+// Barrier blocks until every rank of the world has entered it.
+func (c *Comm) Barrier() { c.collective(tagBarrier, tagBarrier, int64(0), nil) }
 
 // allreduce gathers one value per rank, applies reduce to the full
 // rank-ordered set once, and hands every rank the result.
 func (c *Comm) allreduce(x any, reduce func([]any) any) any {
+	return c.collective(tagGather, tagBcast, x, reduce)
+}
+
+// collective is the one collective algorithm, run over the transport's
+// own links: every rank sends x to rank 0 with tag up; rank 0 receives
+// them in rank order into its gather slots, applies reduce once (nil
+// returns rank 0's x) and sends every rank the result with tag down.
+// Queued engine sends are flushed first and no receive may be pending,
+// because the collective shares the data links: it must never overtake
+// point-to-point traffic, and a message sent before it must be received
+// before it.
+func (c *Comm) collective(up, down int, x any, reduce func([]any) any) any {
 	c.flushSends()
 	c.assertNoPendingRecvs()
-	out, err := c.t.Allreduce(x, reduce)
-	if err != nil {
-		panic(err)
+	if c.Rank() != 0 {
+		if err := c.t.Send(0, up, x); err != nil {
+			panic(err)
+		}
+		out, err := c.t.Recv(0, down)
+		if err != nil {
+			panic(err)
+		}
+		return out
+	}
+	c.gather[0] = x
+	for r := 1; r < c.Size(); r++ {
+		v, err := c.t.Recv(r, up)
+		if err != nil {
+			panic(err)
+		}
+		c.gather[r] = v
+	}
+	out := x
+	if reduce != nil {
+		out = reduce(c.gather)
+	}
+	clear(c.gather)
+	for r := 1; r < c.Size(); r++ {
+		if err := c.t.Send(r, down, out); err != nil {
+			panic(err)
+		}
 	}
 	return out
 }
@@ -405,7 +361,7 @@ func (c *Comm) AllreduceMax(x float64) float64 {
 // world is laid out. The load balancer uses it to agree on the global
 // per-plane particle weights before a deterministic repartition.
 func (c *Comm) AllreduceSumF64s(x []float64) []float64 {
-	out := c.allreduce(append([]float64(nil), x...), func(xs []any) any {
+	out := c.allreduce(x, func(xs []any) any {
 		s := make([]float64, len(x))
 		for _, v := range xs {
 			for i, f := range v.([]float64) {
@@ -414,8 +370,9 @@ func (c *Comm) AllreduceSumF64s(x []float64) []float64 {
 		}
 		return s
 	}).([]float64)
-	// The in-process transport hands every rank the same reduced
-	// object; copy so callers own their result.
+	// Rank 0 sends every rank the same reduced object, which the
+	// in-process transport passes by reference; copy so callers own
+	// their result.
 	return append([]float64(nil), out...)
 }
 

@@ -50,13 +50,26 @@ func TestTagMismatchPanics(t *testing.T) {
 	})
 }
 
+// sendRecv is the shift exchange: it posts a send of data to dst and a
+// receive from src, both with tag, and waits the receive first.
+func sendRecv(c *Comm, dst, src, tag int, data any) any {
+	s := c.ISend(dst, tag, data)
+	out, err := c.IRecv(src, tag).Wait()
+	if err != nil {
+		panic(err)
+	}
+	if _, err := s.Wait(); err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestRingSendRecv(t *testing.T) {
 	const n = 8
 	Run(n, func(c *Comm) {
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() + n - 1) % n
-		got := c.SendRecv(right, 0, c.Rank(), left, 0).(int)
-		if got != left {
+		if got := sendRecv(c, right, left, 0, c.Rank()).(int); got != left {
 			t.Errorf("rank %d received %d, want %d", c.Rank(), got, left)
 		}
 	})
@@ -84,6 +97,28 @@ func TestBarrierReusable(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			c.Barrier()
 		}
+	})
+}
+
+// TestCollectiveSharesLinks: a collective runs over the point-to-point
+// links, so it cannot overtake a message sent before it. Rank 1 enters
+// the barrier with rank 0's tagged message still unread; the barrier's
+// receive finds that message at the head of the link and fails with
+// the typed mismatch, on this world as over TCP.
+func TestCollectiveSharesLinks(t *testing.T) {
+	Run(2, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, 3, int64(1))
+			c.Barrier()
+			return
+		}
+		defer func() {
+			if _, ok := recover().(*TagMismatchError); !ok {
+				t.Error("a barrier over an unread message did not fail with *TagMismatchError")
+			}
+		}()
+		c.Barrier()
+		c.Recv(0, 3)
 	})
 }
 
@@ -152,8 +187,7 @@ func TestSingleRankWorld(t *testing.T) {
 		if got := c.AllreduceSum(3.5); got != 3.5 {
 			t.Errorf("self allreduce = %g", got)
 		}
-		got := c.SendRecv(0, 0, "x", 0, 0).(string)
-		if got != "x" {
+		if got := sendRecv(c, 0, 0, 0, "x").(string); got != "x" {
 			t.Errorf("self sendrecv = %q", got)
 		}
 	})
@@ -184,7 +218,7 @@ func TestTagMismatchTypedError(t *testing.T) {
 			c.Send(1, 5, nil)
 			return
 		}
-		_, err := c.RecvE(0, 6)
+		_, err := c.Transport().Recv(0, 6)
 		tm, ok := err.(*TagMismatchError)
 		if !ok {
 			t.Fatalf("got %T (%v), want *TagMismatchError", err, err)
@@ -204,11 +238,11 @@ func TestLinkOverflowTypedError(t *testing.T) {
 			return // never drain: force the bound on link 0->1
 		}
 		for i := 0; i < LinkDepth; i++ {
-			if err := c.SendE(1, 0, i); err != nil {
+			if err := c.Transport().Send(1, 0, i); err != nil {
 				t.Fatalf("send %d within depth failed: %v", i, err)
 			}
 		}
-		err := c.SendE(1, 0, LinkDepth)
+		err := c.Transport().Send(1, 0, LinkDepth)
 		lo, ok := err.(*LinkOverflowError)
 		if !ok {
 			t.Fatalf("got %T (%v), want *LinkOverflowError", err, err)

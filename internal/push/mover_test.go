@@ -248,7 +248,7 @@ func slowMidCase(g *grid.Grid) moverCase {
 // moverRig loads case c on moverGrid with zero fields.
 func moverRig(c moverCase) (*rig, *Kernel) {
 	r := newRig(6, 5, 4, 0.5)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	for _, p := range c.ps {
 		r.buf.Append(p)
 	}

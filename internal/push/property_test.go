@@ -92,7 +92,7 @@ func TestSweepMatchesOracleMatrix(t *testing.T) {
 func TestPushZeroFieldIsBallistic(t *testing.T) {
 	f := func(ux, uy, uz float64) bool {
 		r := newRig(8, 8, 8, 1)
-		r.ip.Load(r.f)
+		r.ip.LoadPar(nil, r.f)
 		dt := 0.2
 		k := r.kernel(-1, 1, dt)
 		UX := float32(math.Mod(ux, 2))
@@ -126,7 +126,7 @@ func TestEnergyKickMatchesWork(t *testing.T) {
 	for i := range r.f.Ex {
 		r.f.Ex[i] = float32(e0)
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	dt := 0.1
 	k := r.kernel(-1, 1, dt)
 	r.buf.Append(particle.Particle{Voxel: int32(r.g.Voxel(4, 2, 2)), Ux: 0.3, W: 1})

@@ -58,7 +58,7 @@ func (r *rig) smoothFields(amp float64) {
 	}
 	r.f.UpdateGhostE()
 	r.f.UpdateGhostB()
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 }
 
 // loadRandom fills the buffer with n random particles (thermal spread
@@ -85,7 +85,7 @@ func TestInterpolatorMatchesUniformField(t *testing.T) {
 		r.f.Ey[i] = 3
 		r.f.Bz[i] = -2
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	v := r.g.Voxel(2, 3, 2)
 	ex, ey, ez := r.ip.E(v, 0.3, -0.7, 0.2)
 	if ex != 0 || math.Abs(float64(ey)-3) > 1e-6 || ez != 0 {
@@ -108,7 +108,7 @@ func TestInterpolatorLinearGradient(t *testing.T) {
 			}
 		}
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	v := g.Voxel(2, 2, 2)
 	// Cell (·,2,·) spans nodes y=2..3: at dy=-1 Ex=2, at dy=+1 Ex=3.
 	ex, _, _ := r.ip.E(v, 0, -1, 0.5)
@@ -130,7 +130,7 @@ func TestUniformEAcceleration(t *testing.T) {
 	for i := range r.f.Ex {
 		r.f.Ex[i] = 0.001
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	dt := 0.1
 	k := r.kernel(-1, 1, dt) // electron
 	r.buf.Append(particle.Particle{Voxel: int32(r.g.Voxel(4, 2, 2)), W: 1})
@@ -153,7 +153,7 @@ func TestGyroOrbit(t *testing.T) {
 	for i := range r.f.Bz {
 		r.f.Bz[i] = float32(b0)
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	u0 := 0.1
 	dt := 0.05
 	k := r.kernel(-1, 1, dt)
@@ -195,7 +195,7 @@ func TestEnergyConservedInPureB(t *testing.T) {
 		r.f.By[i] = -0.2
 		r.f.Bz[i] = 0.6
 	}
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	r.loadRandom(500, 0.2, 7)
 	k := r.kernel(-1, 1, 0.2)
 	e0 := r.buf.KineticEnergy(1)
@@ -236,7 +236,7 @@ func TestContinuity(t *testing.T) {
 	if k.NMoved == 0 {
 		t.Fatal("test did not exercise the mover path; increase uth or dt")
 	}
-	r.acc.Unload(r.f, dt)
+	r.acc.UnloadPar(nil, r.f, dt)
 	r.f.FoldGhostJ()
 
 	DepositRho(g, r.buf, -1, rho1)
@@ -288,7 +288,7 @@ func TestContinuityRefPusher(t *testing.T) {
 	r.f.ClearJ()
 	r.acc.Clear()
 	k.AdvancePRef(r.buf, r.f)
-	r.acc.Unload(r.f, dt)
+	r.acc.UnloadPar(nil, r.f, dt)
 	r.f.FoldGhostJ()
 	DepositRho(g, r.buf, -1, rho1)
 	r.f.FoldNodeScalar(rho1)
@@ -352,7 +352,7 @@ func TestOptimizedMatchesReference(t *testing.T) {
 
 func TestWrapCrossing(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f) // zero fields
+	r.ip.LoadPar(nil, r.f) // zero fields
 	dt := 0.4
 	k := r.kernel(-1, 1, dt)
 	// Fast particle moving +x near the high-x boundary of cell 4.
@@ -377,7 +377,7 @@ func TestWrapCrossing(t *testing.T) {
 
 func TestReflectBoundary(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	dt := 0.4
 	k := r.kernel(-1, 1, dt)
 	k.Bound[1] = Reflect // XHi
@@ -399,7 +399,7 @@ func TestReflectBoundary(t *testing.T) {
 
 func TestAbsorbBoundary(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.4)
 	k.Bound[0] = Absorb // XLo
 	r.buf.Append(particle.Particle{Dx: -0.9, Voxel: int32(r.g.Voxel(1, 2, 2)), Ux: -10, W: 1})
@@ -416,7 +416,7 @@ func TestAbsorbBoundary(t *testing.T) {
 
 func TestMigrateBoundary(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	dt := 0.4
 	k := r.kernel(-1, 1, dt)
 	k.Bound[1] = Migrate // XHi
@@ -457,7 +457,7 @@ func TestMigrateBoundary(t *testing.T) {
 func TestCornerCrossing(t *testing.T) {
 	// Diagonal crossing of x and y faces in one step.
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	dt := 0.4
 	k := r.kernel(-1, 1, dt)
 	r.buf.Append(particle.Particle{Dx: 0.95, Dy: 0.95, Voxel: int32(r.g.Voxel(2, 2, 2)), Ux: 10, Uy: 10, W: 1})
@@ -496,7 +496,7 @@ func TestDepositRhoTotalCharge(t *testing.T) {
 
 func TestFlopsCounter(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.05)
 	r.loadRandom(100, 0.01, 3)
 	r.acc.Clear()
@@ -516,7 +516,7 @@ func TestFlopsCounter(t *testing.T) {
 
 func TestClearOutgoing(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.4)
 	k.Bound[1] = Migrate
 	r.buf.Append(particle.Particle{Dx: 0.99, Voxel: int32(r.g.Voxel(4, 2, 2)), Ux: 10, W: 1})

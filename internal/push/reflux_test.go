@@ -10,7 +10,7 @@ import (
 
 func TestRefluxKeepsParticleInBox(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.4)
 	k.EnableReflux(1, RefluxParams{Uth: [3]float32{0.05, 0.05, 0.05}, Src: rng.New(9, 0)}) // XHi
 	r.buf.Append(particle.Particle{Dx: 0.9, Voxel: int32(r.g.Voxel(4, 2, 2)), Ux: 10, W: 1})
@@ -35,7 +35,7 @@ func TestRefluxKeepsParticleInBox(t *testing.T) {
 
 func TestRefluxConservesCount(t *testing.T) {
 	r := newRig(6, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.3)
 	src := rng.New(2, 1)
 	k.EnableReflux(0, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}, Src: src})
@@ -77,7 +77,7 @@ func TestDrawRefluxDistribution(t *testing.T) {
 
 func TestEnableRefluxDefaultsSource(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
-	r.ip.Load(r.f)
+	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.3)
 	k.EnableReflux(2, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}})
 	if k.reflux[2] == nil || k.reflux[2].Src == nil {

@@ -101,18 +101,12 @@ func (w *Workspace) ByVoxel(buf *particle.Buffer, nv int) {
 	w.scratch = buf.Swap(out)
 }
 
-// Data-motion model of one ByVoxel call (bytes per particle; the
-// particle record is 32 B across its AoSoA lanes).
-const (
-	// BytesPerParticleSorted is the zero-copy scheme's traffic: the count
-	// pass reads each particle's voxel lane within a streamed block and
-	// the scatter pass reads the particle once and writes it once (into a
-	// scattered lane of the destination block).
-	BytesPerParticleSorted = 3 * particle.ParticleBytes
-	// BytesPerParticleCopyBack is the pre-change scheme, which appended a
-	// read+write copy-back pass from scratch to the buffer.
-	BytesPerParticleCopyBack = 5 * particle.ParticleBytes
-)
+// BytesPerParticleSorted is the data-motion model of one ByVoxel call,
+// in bytes per particle (the particle record is 32 B across its AoSoA
+// lanes): the count pass reads each particle's voxel lane within a
+// streamed block and the scatter pass reads the particle once and
+// writes it once (into a scattered lane of the destination block).
+const BytesPerParticleSorted = 3 * particle.ParticleBytes
 
 // TrafficBytes returns the estimated data motion of sorting n particles
 // under the zero-copy scheme.

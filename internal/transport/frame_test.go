@@ -46,13 +46,13 @@ func frameBytes(kind byte, body []byte) []byte {
 
 func TestDataHeaderRoundTrip(t *testing.T) {
 	payload := []byte{ptBytes, 1, 0, 0, 0, 'x'}
-	frame := append(appendDataHeader(nil, 1<<40, 1<<41, tagGather, len(payload)), payload...)
+	frame := append(appendDataHeader(nil, 1<<40, 1<<41, -101, len(payload)), payload...)
 	kind, body, err := readFrame(bytes.NewReader(frame), defaultMaxFrame)
 	if err != nil || kind != frData {
 		t.Fatalf("readFrame: kind %d, %v", kind, err)
 	}
 	seq, ack, tag, got, err := decodeDataBody(body)
-	if err != nil || seq != 1<<40 || ack != 1<<41 || tag != tagGather || !bytes.Equal(got, payload) {
+	if err != nil || seq != 1<<40 || ack != 1<<41 || tag != -101 || !bytes.Equal(got, payload) {
 		t.Fatalf("decoded (%d, %d, %d, %x, %v)", seq, ack, tag, got, err)
 	}
 	if _, _, _, _, err := decodeDataBody(body[:dataHeaderLen-1]); err == nil {

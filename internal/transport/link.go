@@ -32,8 +32,9 @@ type dataFrame struct {
 
 // inMsg is one decoded arrival.
 type inMsg struct {
-	tag  int
-	data any
+	tag   int
+	data  any
+	bytes int // the payload's wire size, counted when Recv consumes it
 }
 
 // acceptedConn is a handshaken connection routed from the listener to a
@@ -432,7 +433,7 @@ func (l *link) deliver(body []byte, stop <-chan struct{}) error {
 		return err
 	}
 	select {
-	case l.in <- inMsg{tag: tag, data: data}:
+	case l.in <- inMsg{tag: tag, data: data, bytes: len(payload)}:
 	case <-stop:
 		return errStopped
 	}
@@ -440,7 +441,6 @@ func (l *link) deliver(body []byte, stop <-chan struct{}) error {
 	l.recvSeq = seq
 	ackDue := seq-l.ackSent >= ackEvery
 	l.mu.Unlock()
-	l.stat.AddRecv(len(payload))
 	if ackDue {
 		signal(l.wake)
 	}

@@ -14,9 +14,8 @@ import (
 // starts receiving. A blocking send-then-recv protocol wedges here —
 // each side's Send stalls in backpressure waiting for acks only the
 // other side's (never-reached) Recv loop would free. Routed through the
-// request engine (the same path mp.Comm.SendRecv uses), posting never
-// blocks the rank, so both sides reach their receive loops and the
-// exchange drains.
+// request engine, posting never blocks the rank, so both sides reach
+// their receive loops and the exchange drains.
 func TestTCPPipelinedVolumeNoDeadlock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk TCP exchange")
@@ -48,12 +47,17 @@ func TestTCPPipelinedVolumeNoDeadlock(t *testing.T) {
 						return
 					}
 				}
-				// The shift-exchange primitive must survive while the send
-				// queue still holds backlog (TCP delivers in order, so its
-				// receive necessarily follows the bulk messages).
-				got := c.SendRecv(other, n, int64(rank), other, n).(int64)
-				if got != int64(other) {
-					ch <- fmt.Errorf("rank %d SendRecv under backlog: got %d", rank, got)
+				// A shift exchange must survive while the send queue still
+				// holds backlog (TCP delivers in order, so its receive
+				// necessarily follows the bulk messages).
+				s := c.ISend(other, n, int64(rank))
+				got, err := c.IRecv(other, n).Wait()
+				if err != nil || got.(int64) != int64(other) {
+					ch <- fmt.Errorf("rank %d shift exchange under backlog: got %v, %v", rank, got, err)
+					return
+				}
+				if _, err := s.Wait(); err != nil {
+					ch <- fmt.Errorf("rank %d shift exchange send: %w", rank, err)
 					return
 				}
 				for i, s := range sends {

@@ -84,14 +84,6 @@ func (o *Options) connectWindow() time.Duration {
 	return w
 }
 
-// Reserved negative tags for the transport's own collectives; the
-// application tag space is non-negative.
-const (
-	tagBarrier = -100
-	tagGather  = -101
-	tagBcast   = -102
-)
-
 // TCP is an mp.Transport over a full mesh of TCP connections, one per
 // peer pair (the higher rank dials the lower rank's listener).
 type TCP struct {
@@ -485,69 +477,17 @@ func (t *TCP) Ready(src int) bool {
 	return src >= 0 && src < t.size && len(t.links[src].in) > 0
 }
 
+// checkTag returns m's payload if it carries the wanted tag and counts
+// it on its link: counted by the receiving rank, as in-process, so a
+// report taken after a Recv includes its message.
 func (t *TCP) checkTag(src, want int, m inMsg) (any, error) {
 	if m.tag != want {
 		return nil, &mp.TagMismatchError{Rank: t.rank, Src: src, Want: want, Got: m.tag}
 	}
+	if src != t.rank {
+		t.links[src].stat.AddRecv(m.bytes)
+	}
 	return m.data, nil
-}
-
-// Barrier blocks until every rank has entered it: everyone reports to
-// rank 0, which releases the world.
-func (t *TCP) Barrier() error {
-	if t.size == 1 {
-		return nil
-	}
-	if t.rank == 0 {
-		for r := 1; r < t.size; r++ {
-			if _, err := t.Recv(r, tagBarrier); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < t.size; r++ {
-			if err := t.Send(r, tagBarrier, int64(0)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := t.Send(0, tagBarrier, int64(0)); err != nil {
-		return err
-	}
-	_, err := t.Recv(0, tagBarrier)
-	return err
-}
-
-// Allreduce gathers one value per rank on rank 0 in rank order, applies
-// reduce once, and broadcasts the result — the identical reduction
-// order the in-process world uses, so results are bit-identical across
-// transports.
-func (t *TCP) Allreduce(x any, reduce func([]any) any) (any, error) {
-	if t.size == 1 {
-		return reduce([]any{x}), nil
-	}
-	if t.rank == 0 {
-		xs := make([]any, t.size)
-		xs[0] = x
-		for r := 1; r < t.size; r++ {
-			v, err := t.Recv(r, tagGather)
-			if err != nil {
-				return nil, err
-			}
-			xs[r] = v
-		}
-		out := reduce(xs)
-		for r := 1; r < t.size; r++ {
-			if err := t.Send(r, tagBcast, out); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := t.Send(0, tagGather, x); err != nil {
-		return nil, err
-	}
-	return t.Recv(0, tagBcast)
 }
 
 // Close announces a goodbye on every live link, stops the listener and

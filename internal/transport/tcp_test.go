@@ -140,34 +140,16 @@ func TestTCPParticleBatchAndCollectives(t *testing.T) {
 					return
 				}
 			}
-			if err := tr.Barrier(); err != nil {
-				errs <- err
-				return
-			}
-			s, err := tr.Allreduce(float64(rank)+0.25, func(xs []any) any {
-				var acc float64
-				for _, v := range xs {
-					acc += v.(float64)
+			// The collectives run over these links through mp.Comm.
+			defer func() {
+				if p := recover(); p != nil {
+					errs <- fmt.Errorf("rank %d: %v", rank, p)
 				}
-				return acc
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			sums[rank] = s.(float64)
-			n, err := tr.Allreduce(int64(rank), func(xs []any) any {
-				var acc int64
-				for _, v := range xs {
-					acc += v.(int64)
-				}
-				return acc
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			counts[rank] = n.(int64)
+			}()
+			c := mp.NewComm(tr)
+			c.Barrier()
+			sums[rank] = c.AllreduceSum(float64(rank) + 0.25)
+			counts[rank] = c.AllreduceSumInt(int64(rank))
 		}(r)
 	}
 	wg.Wait()
@@ -310,8 +292,13 @@ func TestTCPWindowNeverWaitsForHeartbeat(t *testing.T) {
 		ts := run(t, func(c *mp.Comm) {
 			other := 1 - c.Rank()
 			for i := 0; i < n; i++ {
-				if got := c.SendRecv(other, i, int64(i), other, i).(int64); got != int64(i) {
-					t.Errorf("rank %d round %d: got %d", c.Rank(), i, got)
+				s := c.ISend(other, i, int64(i))
+				got, err := c.IRecv(other, i).Wait()
+				if _, serr := s.Wait(); err == nil {
+					err = serr
+				}
+				if err != nil || got.(int64) != int64(i) {
+					t.Errorf("rank %d round %d: got %v, %v", c.Rank(), i, got, err)
 					return
 				}
 			}
@@ -415,11 +402,9 @@ func TestTCPSizeOne(t *testing.T) {
 	if v := got.([]float64); len(v) != 2 || v[0] != 1 {
 		t.Fatalf("self round trip got %v", v)
 	}
-	if err := tr.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := tr.Allreduce(int64(5), func(xs []any) any { return xs[0] })
-	if err != nil || out.(int64) != 5 {
-		t.Fatalf("allreduce: %v %v", out, err)
+	c := mp.NewComm(tr)
+	c.Barrier()
+	if out := c.AllreduceSumInt(5); out != 5 {
+		t.Fatalf("allreduce: %d", out)
 	}
 }
