@@ -9,19 +9,20 @@ import (
 
 // TestAsmSpanMaskAllRanges runs each assembly block routine against the
 // Go one over every sub-range [lo, hi) of one call's lanes — the 36 of
-// an 8-lane block, the 136 of a 16-lane block pair — and over a lone
-// trailing block of 5 lanes (and, at 16 lanes, of 8: the pair's second
-// block does not exist and is reached only through masked loads), and
-// requires bitwise-identical particles, accumulators and movers. Lanes
-// outside the range must be untouched by the masked stores, including
-// the garbage lanes beyond a 5-particle partial block.
+// an 8-lane block, the 136 of a 16-lane call and the 528 of a 32-lane
+// call — and over the trailing groups a range can end in: a lone block
+// of 5 lanes and, wider, of 8, two blocks (16) and three (24), whose
+// missing blocks are reached only through masked loads. It requires
+// bitwise-identical particles, accumulators and movers. Lanes outside
+// the range must be untouched by the masked stores, including the
+// garbage lanes beyond a 5-particle partial block.
 func TestAsmSpanMaskAllRanges(t *testing.T) {
-	for _, lanes := range []int{particle.Lanes, 2 * particle.Lanes} {
+	for _, lanes := range []int{particle.Lanes, 2 * particle.Lanes, 4 * particle.Lanes} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			skipNarrower(t, lanes)
 			sizes := []int{lanes, 5}
-			if lanes > particle.Lanes {
-				sizes = append(sizes, particle.Lanes)
+			for n := particle.Lanes; n < lanes; n += particle.Lanes {
+				sizes = append(sizes, n)
 			}
 			for _, n := range sizes {
 				for lo := 0; lo < n; lo++ {

@@ -268,7 +268,8 @@ func TestAsmKernelMoverParity(t *testing.T) {
 // the prologue's VMOVD took thermal.1rank from 46 to 25 Mpart/s
 // (EXPERIMENTS P35). Macro bodies are checked instruction by
 // instruction, an instruction whose only vector operands are macro
-// parameters included.
+// parameters included. Every return of the AVX-512 routine must follow
+// a VZEROUPPER.
 func TestAsmHasNoLegacySSE(t *testing.T) {
 	files, err := filepath.Glob("*.[sh]")
 	if err != nil {
@@ -282,10 +283,17 @@ func TestAsmHasNoLegacySSE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prev := ""
 		for i, line := range strings.Split(string(src), "\n") {
 			line, _, _ = strings.Cut(line, "//")
 			if strings.HasPrefix(strings.TrimSpace(line), "#") {
 				continue // #define heads, #include
+			}
+			if ins := strings.TrimSpace(line); ins != "" {
+				if ins == "RET" && strings.Contains(file, "avx512") && prev != "VZEROUPPER" {
+					t.Errorf("%s:%d: RET not preceded by VZEROUPPER", file, i+1)
+				}
+				prev = ins
 			}
 			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), `\`), ";") {
 				f := strings.Fields(ins)
@@ -299,7 +307,7 @@ func TestAsmHasNoLegacySSE(t *testing.T) {
 			}
 		}
 	}
-	// advanceBlockAVX2, moveBatchAVX2 and advanceBlock16AVX512 hold 770.
+	// advanceBlockAVX2, moveBatchAVX2 and advanceBlock32AVX512 hold 774.
 	if n < 750 {
 		t.Fatalf("only %d vector instructions found in %v; the scan is not reading the routines", n, files)
 	}

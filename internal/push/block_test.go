@@ -314,17 +314,53 @@ func TestBlockCountersSumToSerial(t *testing.T) {
 	}
 }
 
+// TestAllLanesCross pushes one 32-lane call's worth of particles that
+// all leave their cells through every shape: each must record all 32 as
+// movers, bit for bit the Go routine's, and must not take the full set
+// of crosser bits for the assembly's bad-voxel report.
+func TestAllLanesCross(t *testing.T) {
+	const n = 4 * particle.Lanes
+	mk := func() (*rig, *Kernel) {
+		r := newRig(6, 5, 4, 0.5)
+		r.smoothFields(0.3)
+		r.loadRandom(n, 0.1, 43)
+		for i := 0; i < n; i++ {
+			p := r.buf.At(i)
+			p.Dx, p.Ux = 0.999, 10
+			r.buf.Set(i, p)
+		}
+		return r, r.kernel(-1, 1, 0.24)
+	}
+	rg, kg := mk()
+	var bsG BlockState
+	kg.advanceRange(rg.buf, 0, n, rg.acc, &bsG)
+	for _, sh := range sweepShapes() {
+		r, k := mk()
+		useShape(k, sh)
+		var bs BlockState
+		if msg := blockPanic(func() { k.advanceRange(r.buf, 0, n, r.acc, &bs) }); msg != "" {
+			t.Fatalf("%s: panicked: %s", sh, msg)
+		}
+		if len(bs.Movers) != n {
+			t.Fatalf("%s: %d movers, want %d", sh, len(bs.Movers), n)
+		}
+		checkSameSweep(t, sh, r, &bs, rg, &bsG)
+	}
+}
+
 // BenchmarkBlockChain is the block routines' roofline in one line per
 // width: ns/particle of one call's blocks pushed over and over — each
 // call waits for the previous one's stores, a fully serial chain — and
 // of 64 independent blocks swept in one range. Equal rates mean
 // out-of-order execution overlaps nothing across calls: the routine is
-// latency-bound with one call in flight, and only a wider call (more
-// independent lanes per chain) goes faster. Crossers are recorded and
-// dropped, never finished.
+// latency-bound with one call in flight, and only more independent
+// lanes per call go faster — 16 in one ZMM chain at lanes=16, two
+// chains side by side at lanes=32 (lanes=16 runs the 32-lane routine
+// with its second chain masked off). Crossers are recorded and dropped,
+// never finished.
 func BenchmarkBlockChain(b *testing.B) {
 	const blocks = 64
-	for _, lanes := range []int{particle.Lanes, 2 * particle.Lanes} {
+	for _, lanes := range []int{particle.Lanes, 2 * particle.Lanes, 4 * particle.Lanes} {
 		for _, mode := range []string{"chain", "independent"} {
 			b.Run(fmt.Sprintf("lanes=%d/%s", lanes, mode), func(b *testing.B) {
 				if !AsmAvailable() || AsmLanes() < lanes {

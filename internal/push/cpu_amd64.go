@@ -2,8 +2,8 @@
 
 package push
 
-// asmLanes is the width of the widest block routine this CPU runs: 16
-// (advanceBlock16AVX512) with AVX2 and AVX-512 F, DQ and VL, 8
+// asmLanes is the width of the widest block routine this CPU runs: 32
+// (advanceBlock32AVX512) with AVX2 and AVX-512 F, DQ and VL, 8
 // (advanceBlockAVX2) with AVX2 alone, 0 without. An instruction set
 // counts only when the OS also saves its registers across context
 // switches (OSXSAVE + the XCR0 bits), otherwise the upper lanes are
@@ -15,12 +15,12 @@ func detectLanes() int {
 	case !detectAVX2():
 		return 0
 	case avx512Missing == "":
-		return 16
+		return 32
 	}
 	return 8
 }
 
-// avx512Missing names what keeps advanceBlock16AVX512 off this CPU, ""
+// avx512Missing names what keeps advanceBlock32AVX512 off this CPU, ""
 // when nothing does.
 var avx512Missing = missingAVX512()
 

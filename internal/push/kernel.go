@@ -20,7 +20,7 @@ const (
 func AsmAvailable() bool { return asmLanes > 0 }
 
 // AsmLanes is the number of lanes the assembly kernel pushes per call on
-// this build and CPU: 16 (two blocks, AVX-512), 8 (one block, AVX2) or
+// this build and CPU: 32 (four blocks, AVX-512), 8 (one block, AVX2) or
 // 0 (no assembly kernel). "asm" always means the widest routine; the
 // widths are bit-identical, like asm and go.
 func AsmLanes() int { return asmLanes }

@@ -13,15 +13,15 @@ import (
 // the assembly is bit-identical to anyway).
 const asmLanes = 0
 
-// avx512Missing is what keeps the 16-lane routine off this build.
+// avx512Missing is what keeps the 32-lane routine off this build.
 const avx512Missing = "the assembly (a purego or non-amd64 build)"
 
-func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
+func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64 {
 	return advanceBlockGo(b, ip, ac, run, con, out, l0, l1)
 }
 
-// advanceBlock16AVX512 never runs here: asmLanes is 0.
-func advanceBlock16AVX512(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
+// advanceBlock32AVX512 never runs here: asmLanes is 0.
+func advanceBlock32AVX512(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64 {
 	panic("push: no AVX-512 routine in this build")
 }
 

@@ -208,12 +208,12 @@ func TestBlockVoxelPatterns(t *testing.T) {
 // tailLanes is the particle count of badVoxelRig's last block.
 const tailLanes = 3
 
-// badVoxelRig is a hot three-block population on all-Wrap faces, so no
+// badVoxelRig is a hot five-block population on all-Wrap faces, so no
 // particle is removed and every lane keeps its slot.
 func badVoxelRig(seed uint64) (*rig, *Kernel) {
 	r := newRig(6, 5, 4, 0.5)
 	r.smoothFields(0.3)
-	r.loadRandom(2*particle.Lanes+tailLanes, 0.6, seed)
+	r.loadRandom(4*particle.Lanes+tailLanes, 0.6, seed)
 	return r, r.kernel(-1, 1, 0.24)
 }
 
@@ -244,59 +244,63 @@ func sameLanes(a, b *particle.Block, l0, l1 int) bool {
 
 // TestBlockRejectsBadVoxel holds every block routine to the bounds
 // contract. A voxel of −1, len(ip) or MaxInt32 in any pushed lane of
-// the range's first call — lane l0, l1−1 or inside the range, in either
-// block of a 16-lane pair — must panic with the routine's bounds report
-// (Go's index check; the driver's badVoxel panic for the assembly),
-// never with a fault from a read outside the tables, and leave every
-// particle and accumulator cell as it was. The same voxels in lanes
-// outside [l0, l1) — the tail past N, the lanes below a pipeline
-// range's l0 and above its l1, in either block of a pair — must neither
-// panic nor change one bit of particles, accumulators or counters
-// against a run without them.
+// the range's first call — lane l0, l1−1 or inside the range, in any of
+// the four blocks of a 32-lane call — must panic with the routine's
+// bounds report (Go's index check; the driver's badVoxel panic for the
+// assembly), never with a fault from a read outside the tables, and
+// leave every particle and accumulator cell as it was. The same voxels
+// in lanes outside [l0, l1) — the tail past N, the lanes below a
+// pipeline range's l0 and above its l1, in any block of a call — must
+// neither panic nor change one bit of particles, accumulators or
+// counters against a run without them.
 func TestBlockRejectsBadVoxel(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	probe, _ := badVoxelRig(0)
 	bads := []int32{-1, int32(len(probe.ip.C)), math.MaxInt32}
-	const n = 2*particle.Lanes + tailLanes
+	const n = 4*particle.Lanes + tailLanes
 
 	for _, sh := range sweepShapes() {
 		want := "push: a voxel of particles"
 		if sh == KernelGo {
 			want = "index out of range"
 		}
-		// A bad voxel in a pushed lane p of block 1: ranges within block 1,
-		// and, where one call pushes a block pair, ranges whose first pair
-		// holds block 1 as its second block or its first.
+		// A bad voxel in a pushed lane p of block bb: ranges within block
+		// bb, and, where one call pushes several blocks, ranges whose first
+		// call holds block bb as its first block, or (from block 0) as its
+		// block bb.
 		for _, bad := range bads {
-			for l := 0; l < particle.Lanes; l++ {
-				p := particle.Lanes + l
-				rgs := [][2]int{{particle.Lanes, 2 * particle.Lanes}, {p, 2 * particle.Lanes}, {particle.Lanes, p + 1}}
-				if sh == KernelAsm && AsmLanes() > particle.Lanes {
-					rgs = append(rgs, [2]int{0, 2 * particle.Lanes}, [2]int{0, p + 1}, [2]int{p, n})
-				}
-				for _, rg := range rgs {
-					r, k := badVoxelRig(uint64(l))
-					useShape(k, sh)
-					r.buf.Blk[1].Voxel[l] = bad
-					pre := particle.NewBuffer(0)
-					pre.CopyFrom(r.buf)
-					lo, hi := rg[0], rg[1]
-					label := fmt.Sprintf("%s voxel %d in lane %d of [%d,%d)", sh, bad, l, lo, hi)
-					msg := blockPanic(func() { k.advanceRange(r.buf, lo, hi, r.acc, new(BlockState)) })
-					if !strings.Contains(msg, want) {
-						t.Fatalf("%s: panicked with %q, want %q", label, msg, want)
+			for bb := 1; bb < 4; bb++ {
+				for l := 0; l < particle.Lanes; l++ {
+					b0 := bb * particle.Lanes
+					p := b0 + l
+					rgs := [][2]int{{b0, b0 + particle.Lanes}, {p, b0 + particle.Lanes}, {b0, p + 1}}
+					if sh == KernelAsm && AsmLanes() > particle.Lanes {
+						rgs = append(rgs, [2]int{0, b0 + particle.Lanes}, [2]int{0, p + 1}, [2]int{p, n})
 					}
-					for b := range r.buf.Blk {
-						if !sameLanes(&r.buf.Blk[b], &pre.Blk[b], 0, particle.Lanes) {
-							t.Fatalf("%s: block %d written before the panic", label, b)
+					for _, rg := range rgs {
+						r, k := badVoxelRig(uint64(l))
+						useShape(k, sh)
+						r.buf.Blk[bb].Voxel[l] = bad
+						pre := particle.NewBuffer(0)
+						pre.CopyFrom(r.buf)
+						lo, hi := rg[0], rg[1]
+						label := fmt.Sprintf("%s voxel %d in lane %d of block %d, range [%d,%d)", sh, bad, l, bb, lo, hi)
+						msg := blockPanic(func() { k.advanceRange(r.buf, lo, hi, r.acc, new(BlockState)) })
+						if !strings.Contains(msg, want) {
+							t.Fatalf("%s: panicked with %q, want %q", label, msg, want)
 						}
-					}
-					if lo, hi := r.acc.Window(); hi > lo {
-						t.Fatalf("%s: accumulator window [%d,%d) touched before the panic", label, lo, hi)
-					}
-					for v := range r.acc.A {
-						if r.acc.A[v] != (accum.Cell{}) {
-							t.Fatalf("%s: accumulator voxel %d written before the panic", label, v)
+						for b := range r.buf.Blk {
+							if !sameLanes(&r.buf.Blk[b], &pre.Blk[b], 0, particle.Lanes) {
+								t.Fatalf("%s: block %d written before the panic", label, b)
+							}
+						}
+						if lo, hi := r.acc.Window(); hi > lo {
+							t.Fatalf("%s: accumulator window [%d,%d) touched before the panic", label, lo, hi)
+						}
+						for v := range r.acc.A {
+							if r.acc.A[v] != (accum.Cell{}) {
+								t.Fatalf("%s: accumulator voxel %d written before the panic", label, v)
+							}
 						}
 					}
 				}
@@ -306,14 +310,16 @@ func TestBlockRejectsBadVoxel(t *testing.T) {
 		// Bad voxels in lanes outside the pushed range: the tail block's
 		// lanes past N when the whole buffer is pushed, block 1's lanes
 		// below l0 and from l1 on for the range [Lanes+l0, Lanes+l1), and
-		// the same lanes with the range reaching into block 0 or block 2,
-		// so that a pair holds them in its second block or its first.
+		// the lanes below l0 of block 1, 2 or 3 with the range reaching to
+		// the end, so that a call holds them in its first block, and the
+		// lanes from l1 on with the range starting in block 0, so that a
+		// call holds them in its second, third or fourth.
 		type outside struct {
 			lo, hi int // pushed range
 			blk    int // block holding the bad lanes
 			l0, l1 int // the bad lanes
 		}
-		cases := []outside{{0, n, 2, tailLanes, particle.Lanes}}
+		cases := []outside{{0, n, 4, tailLanes, particle.Lanes}}
 		for l0 := 0; l0 < particle.Lanes; l0++ {
 			for l1 := l0 + 1; l1 <= particle.Lanes; l1++ {
 				lo, hi := particle.Lanes+l0, particle.Lanes+l1
@@ -325,9 +331,11 @@ func TestBlockRejectsBadVoxel(t *testing.T) {
 				}
 			}
 		}
-		for l := 1; l < particle.Lanes; l++ {
-			p := particle.Lanes + l
-			cases = append(cases, outside{p, n, 1, 0, l}, outside{0, p, 1, l, particle.Lanes})
+		for blk := 1; blk < 4; blk++ {
+			for l := 1; l < particle.Lanes; l++ {
+				p := blk*particle.Lanes + l
+				cases = append(cases, outside{p, n, blk, 0, l}, outside{0, p, blk, l, particle.Lanes})
+			}
 		}
 		for ci, c := range cases {
 			for _, bad := range bads {

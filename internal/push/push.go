@@ -19,13 +19,14 @@
 // interpolator — VPIC's shape, a vector of consecutive particles
 // whatever cells they sit in. The routine is advanceBlockAVX2 when
 // Kernel.Asm is set (push_avx2_amd64.s), else the portable
-// advanceBlockGo (span.go); on an AVX-512 host Kernel.Asm pushes two
-// blocks per call instead, as one 16-lane chain (advanceBlock16AVX512,
-// push_avx512_amd64.s): the push is latency-bound with one block in
-// flight, and the second block fills the chain's idle slots. The
-// routine owns its blocks: it loads and bounds-checks each lane's
-// interpolator from the table, pushes the lanes, and folds their
-// in-cell current into the accumulator in ascending lane order.
+// advanceBlockGo (span.go); on an AVX-512 host Kernel.Asm pushes four
+// blocks per call instead, as two independent 16-lane chains side by
+// side (advanceBlock32AVX512, push_avx512_amd64.s): the push is
+// latency-bound with one chain in flight, and the second chain fills
+// the first one's idle slots. The routine owns its blocks: it loads
+// and bounds-checks each lane's interpolator from the table, pushes
+// the lanes, and folds their in-cell current into the accumulator in
+// ascending lane order.
 // Consecutive lanes of one voxel form a run, carried across calls in a
 // laneRun; the run's cell is stored and reloaded through memory on
 // every lane, without a branch. The driver keeps the block loop and
@@ -497,14 +498,16 @@ const oneBits = 0x3f800000
 
 // advanceRange is the momentum-update + in-cell-deposition sweep over
 // particles [lo, hi) — the only one; see the package comment for the
-// block / run decomposition. Face-crossing particles keep their
+// block / run decomposition: each call takes the width's worth of
+// lanes — one block, or four at 32 lanes, the last call of a range
+// masking off the lanes past hi. Face-crossing particles keep their
 // pre-step offsets and are appended to bs.Movers in ascending index
 // order for the caller to finish. The accumulator window grows once per
 // range, to the least and greatest run voxel the routine saw.
 //
 // A run adds into its voxel's accumulator cell as loaded (not from
 // zero), and the cell is back in memory whenever the voxel changes and
-// at the end of every block, so each slot's addition chain is exactly
+// at the end of every call, so each slot's addition chain is exactly
 // that of a per-particle read-modify-write kernel and the result is
 // bitwise identical to the oracle for any particle order — sorted
 // buffers merely make the runs long enough to pay off.
@@ -527,13 +530,13 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 		b := &blk[base>>particle.LaneShift]
 
 		// One routine call pushes lanes [i-base, l1) of the block (the
-		// pair from b on, at 16 lanes), each against its own voxel's
+		// four from b on, at 32 lanes), each against its own voxel's
 		// interpolator, and folds their in-cell current into the run; the
 		// crossers come back as bits.
-		var cross uint32
+		var cross uint64
 		switch {
 		case width > particle.Lanes:
-			cross = advanceBlock16AVX512(b, ip, ac, &run, &con, &out, i-base, l1)
+			cross = advanceBlock32AVX512(b, ip, ac, &run, &con, &out, i-base, l1)
 		case k.Asm:
 			cross = advanceBlockAVX2(b, ip, ac, &run, &con, &out, i-base, l1)
 		default:
@@ -543,7 +546,7 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 			panic(fmt.Sprintf("push: a voxel of particles [%d, %d) is outside the %d-voxel tables", i, base+l1, min(len(ip), len(ac))))
 		}
 		for ; cross != 0; cross &= cross - 1 {
-			l := bits.TrailingZeros32(cross) & (2*particle.Lanes - 1)
+			l := bits.TrailingZeros64(cross) & (4*particle.Lanes - 1)
 			bs.Movers = append(bs.Movers, particle.Mover{
 				DispX: out.ddx[l], DispY: out.ddy[l], DispZ: out.ddz[l], Idx: int32(base + l),
 			})

@@ -14,8 +14,8 @@
 
 // laneVecs offsets:
 #define ODDX 0
-#define ODDY 64
-#define ODDZ 128
+#define ODDY 128
+#define ODDZ 256
 
 // laneRun offsets:
 #define RN 0

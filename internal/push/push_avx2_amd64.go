@@ -36,7 +36,7 @@ var _ = [1]struct{}{}[unsafe.Sizeof(accum.Cell{})-48]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneConsts{}.cdz)-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.v)-8]
 var _ = [1]struct{}{}[unsafe.Offsetof(laneRun{}.hi)-16]
-var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-128]
+var _ = [1]struct{}{}[unsafe.Offsetof(laneVecs{}.ddz)-256]
 var _ = [1]struct{}{}[unsafe.Offsetof(particle.Mover{}.Idx)-12]
 var _ = [1]struct{}{}[unsafe.Sizeof(particle.Mover{})-16]
 var _ = [1]struct{}{}[unsafe.Offsetof(moveConsts{}.wrap)-4]
@@ -55,7 +55,7 @@ var _ = [1]struct{}{}[unsafe.Offsetof(moveTally{}.hi)-12]
 // push_avx2_amd64.s for the contract.
 //
 //go:noescape
-func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32
+func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64
 
 // moveBatchAVX2 plans the top batch of mv — up to eight movers, lane l
 // being mv[len(mv)−n+l] — in one vector pass, finishes its fast movers

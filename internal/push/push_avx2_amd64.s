@@ -130,8 +130,8 @@ GLOBL lanemask<>(SB), RODATA, $288
 	VMOVUPS      X3, (FCELLS+3*48+off)(SP); \
 	VEXTRACTF128 $1, Y3, (FCELLS+7*48+off)(SP)
 
-// func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32
-TEXT ·advanceBlockAVX2(SB), 0, $832-100
+// func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64
+TEXT ·advanceBlockAVX2(SB), 0, $832-104
 	MOVQ b+0(FP), DI
 
 	// ---- Prologue: lane mask, voxel check, per-lane interpolator rows.
@@ -525,7 +525,7 @@ TEXT ·advanceBlockAVX2(SB), 0, $832-100
 	// The run continues from the previous block: reload its cell. With
 	// no run yet, the first lane's store of the "finished" run lands in
 	// the dead rows.
-	MOVL    AX, ret+96(FP)
+	MOVQ    AX, ret+96(FP)
 	MOVQ    ac_base+32(FP), SI
 	MOVQ    run+56(FP), R8
 	MOVQ    RN(R8), BX
@@ -595,7 +595,7 @@ lane:
 	RET
 
 badvoxel:
-	MOVL $0xffffffff, ret+96(FP) // badVoxel
+	MOVQ $-1, ret+96(FP) // badVoxel
 	VZEROUPPER
 	RET
 

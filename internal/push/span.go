@@ -31,17 +31,19 @@ type laneRun struct {
 }
 
 // laneVecs is a block routine's per-call output: the lane displacements
-// the driver copies into mover records, 16 lanes so the pair routine's
+// the driver copies into mover records, 32 lanes so the quad routine's
 // fit. The assembly writes each routine's width in full, so lanes
 // outside [l0, l1) hold garbage; offsets are hardcoded in the .s files.
 type laneVecs struct {
-	ddx, ddy, ddz [2 * particle.Lanes]float32
+	ddx, ddy, ddz [4 * particle.Lanes]float32
 }
 
-// badVoxel is what advanceBlockAVX2 returns instead of crosser bits when
-// a pushed lane's voxel lies outside the interpolator or accumulator
-// table (advanceBlockGo panics on its index check instead).
-const badVoxel = ^uint32(0)
+// badVoxel is what the assembly block routines return instead of
+// crosser bits when a pushed lane's voxel lies outside the interpolator
+// or accumulator table (advanceBlockGo panics on its index check
+// instead). Crosser bits fill at most the low 32 bits, so no set of
+// crossers, all 32 lanes included, reads as badVoxel.
+const badVoxel = ^uint64(0)
 
 // advanceBlockGo is the portable implementation of the block contract
 // (advanceBlockAVX2 is the other): push lanes [l0, l1) of b, lane l
@@ -57,7 +59,7 @@ const badVoxel = ^uint32(0)
 // in flight at once instead of one long per-particle dependency chain;
 // per lane the operations and their order are those of the per-particle
 // oracle.
-func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint32 {
+func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64 {
 	qdt2mc := con.qdt2mc
 	if l1 > particle.Lanes {
 		l1 = particle.Lanes // unreachable; bounds the lane loops for BCE
@@ -102,7 +104,7 @@ func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run 
 		b.Uz[l] = uz + haz
 	}
 
-	var cross uint32
+	var cross uint64
 	for l := l0; l < l1; l++ {
 		ux, uy, uz := b.Ux[l], b.Uy[l], b.Uz[l]
 		gi := rsqrt(1 + (ux*ux + uy*uy + uz*uz))
@@ -119,7 +121,7 @@ func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run 
 		ay := math.Float32bits(ny) &^ (1 << 31)
 		az := math.Float32bits(nz) &^ (1 << 31)
 		o := ((oneBits - ax) | (oneBits - ay) | (oneBits - az)) >> 31
-		cross |= o << uint(l)
+		cross |= uint64(o) << uint(l)
 	}
 
 	// The run: consecutive lanes of one voxel, continued across blocks.

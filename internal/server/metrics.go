@@ -105,7 +105,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"# HELP vpicd_comm_overlap_seconds_total Exchange flight not spent blocked: per request batch, first post to last completion less its wait, summed over ranks.",
 		fmt.Sprintf("vpicd_comm_overlap_seconds_total %.6f", commOverlap),
 		fmt.Sprintf("vpicd_push_asm_available %d", b2i(push.AsmAvailable())),
-		"# HELP vpicd_push_asm_lanes Particles the asm kernel pushes per block-routine call on this host: 16 (AVX-512), 8 (AVX2) or 0.",
+		"# HELP vpicd_push_asm_lanes Particles the asm kernel pushes per block-routine call on this host: 32 (AVX-512), 8 (AVX2) or 0.",
 		fmt.Sprintf("vpicd_push_asm_lanes %d", push.AsmLanes()),
 	}
 	// Which resolved push kernel ("asm"/"go") each job actually ran —
