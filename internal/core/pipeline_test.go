@@ -204,7 +204,7 @@ func TestPipelineRace(t *testing.T) {
 	if b.Concurrency(perf.Push) <= 0 {
 		t.Fatal("no pipeline stats recorded for the push section")
 	}
-	if b.ParallelShare(perf.Push) <= 0 {
-		t.Fatal("push section reports zero parallel share")
+	if b.Wall[perf.Push] <= 0 {
+		t.Fatal("push section reports no wall time in parallel regions")
 	}
 }

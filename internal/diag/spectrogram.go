@@ -35,9 +35,6 @@ func (s *Spectrogram) Add(line []float64) error {
 	return nil
 }
 
-// NSamples returns the number of stored time samples.
-func (s *Spectrogram) NSamples() int { return len(s.lines) }
-
 // Compute performs the 2-D transform and returns the power map
 // P[ik][iw] for ik = 0..nk (one-sided in k) and iw = 0..nw (one-sided
 // in ω), together with the axis steps dk and dω. The time series is

@@ -68,7 +68,7 @@ func TestSpectrogramValidation(t *testing.T) {
 	if _, _, _, err := s.Compute(); err == nil {
 		t.Fatal("computed with too few samples")
 	}
-	if s.NSamples() != 0 {
+	if len(s.lines) != 0 {
 		t.Fatal("bad sample count")
 	}
 }

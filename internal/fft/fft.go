@@ -23,27 +23,9 @@ func NextPow2(n int) int {
 }
 
 // Forward computes the in-place forward DFT of x, whose length must be a
-// power of two: X[k] = Σ_n x[n]·exp(−2πi·kn/N).
+// power of two: X[k] = Σ_n x[n]·exp(−2πi·kn/N), by the iterative
+// Cooley-Tukey butterfly.
 func Forward(x []complex128) error {
-	return transform(x, -1)
-}
-
-// Inverse computes the in-place inverse DFT of x (including the 1/N
-// normalization), whose length must be a power of two.
-func Inverse(x []complex128) error {
-	if err := transform(x, +1); err != nil {
-		return err
-	}
-	inv := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-	return nil
-}
-
-// transform runs the iterative Cooley-Tukey butterfly with the given
-// sign convention (−1 forward, +1 inverse).
-func transform(x []complex128, sign float64) error {
 	n := len(x)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -63,7 +45,7 @@ func transform(x []complex128, sign float64) error {
 	// Butterflies.
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := cmplx.Exp(complex(0, sign*2*math.Pi/float64(size)))
+		step := cmplx.Exp(complex(0, -2*math.Pi/float64(size)))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
 			for k := 0; k < half; k++ {

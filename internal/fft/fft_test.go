@@ -75,12 +75,19 @@ func TestRoundTrip(t *testing.T) {
 			im := float64(int32(s>>33)) / (1 << 30)
 			x[i] = complex(re, im)
 		}
+		// The inverse transform is conj(Forward(conj(X)))/N.
 		y := append([]complex128(nil), x...)
-		if Forward(y) != nil || Inverse(y) != nil {
+		if Forward(y) != nil {
+			return false
+		}
+		for i := range y {
+			y[i] = cmplx.Conj(y[i])
+		}
+		if Forward(y) != nil {
 			return false
 		}
 		for i := range x {
-			if cmplx.Abs(y[i]-x[i]) > 1e-10 {
+			if cmplx.Abs(cmplx.Conj(y[i])/complex(float64(n), 0)-x[i]) > 1e-10 {
 				return false
 			}
 		}

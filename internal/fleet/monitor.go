@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govpic/internal/diag"
+	"govpic/internal/output"
 	"govpic/internal/server"
 )
 
@@ -106,9 +107,8 @@ func (c *Coordinator) finalizeShard(fleetID, workerURL, workerJobID string, wj s
 	if wj.State == server.StateCompleted {
 		state = JobCompleted
 		if b, err := c.client.resultBytes(workerURL, workerJobID); err == nil {
-			tmp := c.mirrorResultPath(fleetID) + ".tmp"
-			if os.WriteFile(tmp, b, 0o644) == nil {
-				os.Rename(tmp, c.mirrorResultPath(fleetID))
+			if err := output.WriteFile(c.mirrorResultPath(fleetID), b, 0o644); err != nil {
+				c.cfg.Logf("vpicfleet: %s: result mirror: %v", fleetID, err)
 			}
 			var res server.Result
 			if json.Unmarshal(b, &res) == nil {

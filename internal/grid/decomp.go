@@ -77,18 +77,6 @@ func wrap(i, n int) int {
 	return i
 }
 
-// Local returns the local grid of the given rank for a global mesh with
-// cell sizes (dx,dy,dz) whose origin is 0. The global mesh must be
-// evenly divisible (guaranteed when the Decomp came from ChooseDecomp).
-func (d Decomp) Local(rank int, dx, dy, dz float64) (*Grid, error) {
-	cx, cy, cz := d.Coord(rank)
-	lnx, lny, lnz := d.GNX/d.PX, d.GNY/d.PY, d.GNZ/d.PZ
-	return New(lnx, lny, lnz, dx, dy, dz,
-		float64(cx*lnx)*dx,
-		float64(cy*lny)*dy,
-		float64(cz*lnz)*dz)
-}
-
 // Neighbor returns the rank across the given face of rank r, and whether
 // that crossing wraps around the global domain (relevant for non-periodic
 // boundaries). Face encoding: axis ∈ {0,1,2} for x,y,z; dir ∈ {-1,+1}.

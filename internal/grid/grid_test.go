@@ -198,14 +198,17 @@ func TestDecompRankWraps(t *testing.T) {
 	}
 }
 
+// TestDecompLocalTilesDomain holds the local grids of a decomposition's
+// uniform layout to tiling the global mesh.
 func TestDecompLocalTilesDomain(t *testing.T) {
 	d, err := ChooseDecomp(4, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := Uniform(d)
 	totalCells := 0
 	for r := 0; r < d.NRanks(); r++ {
-		g, err := d.Local(r, 0.5, 0.5, 0.5)
+		g, err := l.Local(r, 0.5, 0.5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

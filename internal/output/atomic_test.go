@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -57,5 +58,33 @@ func TestWriteFileAtomicBadDir(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error for missing directory")
+	}
+}
+
+// WriteFile sets the requested mode, which WriteFileAtomic's private
+// temporary would otherwise keep.
+func TestWriteFileMode(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no POSIX file modes")
+	}
+	dir := t.TempDir()
+	for _, perm := range []os.FileMode{0o644, 0o600} {
+		path := filepath.Join(dir, "report.json")
+		if err := WriteFile(path, []byte("{}\n"), perm); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != perm {
+			t.Errorf("mode = %v, want %v", fi.Mode().Perm(), perm)
+		}
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "ckpt"), func(io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fi, _ := os.Stat(filepath.Join(dir, "ckpt")); fi.Mode().Perm() != 0o600 {
+		t.Errorf("WriteFileAtomic mode = %v, want 0600", fi.Mode().Perm())
 	}
 }

@@ -154,9 +154,6 @@ func (s *CommStats) AddOverlap(d time.Duration) {
 	}
 }
 
-// OverlapTotal returns the cumulative overlapped flight time.
-func (s *CommStats) OverlapTotal() time.Duration { return time.Duration(s.overlapNs.Load()) }
-
 // TakeOverlap returns the wait and overlap accumulated since the
 // previous call — a single-consumer drain used by the step loop to fold
 // per-step deltas into its Breakdown.

@@ -191,16 +191,6 @@ func (b *Breakdown) Concurrency(s Section) float64 {
 	return float64(b.Busy[s]) / float64(b.Wall[s])
 }
 
-// ParallelShare returns the fraction of the section's wall time spent
-// inside pipeline-parallel regions — how much of the section the worker
-// pool could actually attack.
-func (b *Breakdown) ParallelShare(s Section) float64 {
-	if b.Sections[s] == 0 {
-		return 0
-	}
-	return float64(b.Wall[s]) / float64(b.Sections[s])
-}
-
 // SectionStat is one section's counters in value form — a stable,
 // copyable record for metrics exposition and job-status reporting.
 type SectionStat struct {

@@ -3,6 +3,7 @@ package push
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"govpic/internal/accum"
@@ -180,12 +181,14 @@ func BenchmarkAdvanceBlocked(b *testing.B) {
 
 // TestAdvanceBlockFinishesFastTop holds the pool task's share of the
 // mover finish to its extent, on every shape: AdvanceBlock finishes its
-// movers from the top down and stops at the first slow one, and
-// FinishBlocks finishes the rest, ending in the oracle's state bit for
-// bit. The populations are eleven movers (a full batch and three) in
-// one cell, all fast or with one slow mover k-th from the top — an
-// absorbed wall crosser or a third-face corner — and ranges of no
-// particle and of one lane.
+// movers from the top down — through the batch routine or moveP — and
+// stops at the first that does not stay local, and FinishBlocks
+// finishes the rest, ending in the oracle's state bit for bit. The
+// populations are eleven movers (a full batch and three) in one cell,
+// all two-segment crossers or with one other mover k-th from the top:
+// an absorbed wall crosser, where the task stops, or a third-face
+// corner (four segments), which the batch leaves to moveP and the task
+// finishes; and ranges of no particle and of one lane.
 func TestAdvanceBlockFinishesFastTop(t *testing.T) {
 	g := moverGrid()
 	const m = 11
@@ -209,19 +212,21 @@ func TestAdvanceBlockFinishesFastTop(t *testing.T) {
 		name       string
 		c          moverCase
 		lo, hi     int
-		movers, in int // movers recorded, and finished by the task
+		movers, in int   // movers recorded, and finished by the task
+		nseg       int64 // segments the task deposited
 	}
 	none := population(0, particle.Particle{})
-	cases := []tc{{name: "fast", c: none, hi: m, movers: m, in: m}}
+	cases := []tc{{name: "fast", c: none, hi: m, movers: m, in: m, nseg: 2 * m}}
 	for _, k := range []int{1, 2, 8, 9, m} {
 		cases = append(cases,
-			tc{name: fmt.Sprintf("absorb/k=%d", k), c: population(k, absorbed), hi: m, movers: m, in: k - 1},
-			tc{name: fmt.Sprintf("third/k=%d", k), c: population(k, third), hi: m, movers: m, in: k - 1})
+			tc{name: fmt.Sprintf("absorb/k=%d", k), c: population(k, absorbed), hi: m, movers: m, in: k - 1, nseg: int64(2 * (k - 1))},
+			tc{name: fmt.Sprintf("third/k=%d", k), c: population(k, third), hi: m, movers: m, in: m, nseg: 2*m + 2})
 	}
 	cases = append(cases,
 		tc{name: "empty", c: none, lo: 3, hi: 3},
-		tc{name: "lane/fast", c: none, lo: 5, hi: 6, movers: 1, in: 1},
-		tc{name: "lane/slow", c: population(6, third), lo: 5, hi: 6, movers: 1})
+		tc{name: "lane/fast", c: none, lo: 5, hi: 6, movers: 1, in: 1, nseg: 2},
+		tc{name: "lane/absorb", c: population(6, absorbed), lo: 5, hi: 6, movers: 1},
+		tc{name: "lane/third", c: population(6, third), lo: 5, hi: 6, movers: 1, in: 1, nseg: 4})
 	for _, c := range cases {
 		for _, sh := range sweepShapes() {
 			label := fmt.Sprintf("%s %s", c.name, sh)
@@ -229,9 +234,9 @@ func TestAdvanceBlockFinishesFastTop(t *testing.T) {
 			useShape(k, sh)
 			bs := new(BlockState)
 			k.AdvanceBlock(r.buf, c.lo, c.hi, k.Acc, bs)
-			if len(bs.Movers) != c.movers || bs.done != c.in || bs.NSeg != int64(2*c.in) {
+			if len(bs.Movers) != c.movers || bs.done != c.in || bs.NSeg != c.nseg {
 				t.Fatalf("%s: task finished %d of %d movers, %d segments; want %d of %d, %d",
-					label, bs.done, len(bs.Movers), bs.NSeg, c.in, c.movers, 2*c.in)
+					label, bs.done, len(bs.Movers), bs.NSeg, c.in, c.movers, c.nseg)
 			}
 			k.FinishBlocks(r.buf, []*BlockState{bs}, []*accum.Array{k.Acc})
 			if bs.done != c.movers {
@@ -244,10 +249,83 @@ func TestAdvanceBlockFinishesFastTop(t *testing.T) {
 	}
 }
 
+// TestLocalMovers pins which movers a pool task may finish with moveP
+// (Kernel.local): by hand, that each rule — half a cell per axis, the
+// face toward each component's sign, Wrap — is neither looser nor
+// stricter than stated; and over random movers under random face
+// actions, that moveP keeps every mover local admits in the buffer,
+// appends nothing to Out and walks at most four segments.
+func TestLocalMovers(t *testing.T) {
+	g := moverGrid()
+	_, k := moverRig(moverCase{})
+	k.Bound = [6]Action{Absorb, Wrap, Migrate, Reflect, Absorb, Absorb}
+	wrap := k.batchConsts().wrap
+	nan := float32(math.NaN())
+	for _, c := range []struct {
+		name string
+		cell [3]int
+		d    [3]float32
+		want bool
+	}{
+		{"interior", moverCell, [3]float32{0.9, -0.6, 0.4}, true},
+		{"half cell", moverCell, [3]float32{1, -1, 1}, true},
+		{"past half cell", moverCell, [3]float32{-1.01, 0, 0}, false},
+		{"NaN", moverCell, [3]float32{0.1, nan, 0.1}, false},
+		{"toward absorb", [3]int{1, 3, 2}, [3]float32{-0.1, 0.2, 0.2}, false},
+		{"away from absorb", [3]int{1, 3, 2}, [3]float32{0.1, 0.2, 0.2}, true},
+		{"along absorb", [3]int{1, 3, 2}, [3]float32{0, 0.2, 0.2}, true},
+		{"toward wrap", [3]int{g.NX, 3, 2}, [3]float32{0.5, -0.2, 0.2}, true},
+		{"toward migrate", [3]int{3, 1, 2}, [3]float32{0.2, -0.5, 0.2}, false},
+		{"toward reflect", [3]int{3, g.NY, 2}, [3]float32{0.2, 0.5, 0.2}, false},
+		{"wrap then absorb", [3]int{g.NX, 3, 1}, [3]float32{0.5, 0.2, -0.2}, false},
+	} {
+		r, _ := moverRig(moverCase{ps: []particle.Particle{{Voxel: int32(g.Voxel(c.cell[0], c.cell[1], c.cell[2])), W: 1}}})
+		mv := particle.Mover{DispX: c.d[0], DispY: c.d[1], DispZ: c.d[2]}
+		if got := k.local(r.buf, &mv, wrap); got != c.want {
+			t.Errorf("%s: local = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	rnd := rand.New(rand.NewPCG(5, 8))
+	admitted := 0
+	for range 4000 {
+		_, k := moverRig(moverCase{})
+		for f := range k.Bound {
+			k.Bound[f] = []Action{Wrap, Reflect, Absorb, Migrate}[rnd.IntN(4)]
+		}
+		off := func() float32 { return 2*rnd.Float32() - 1 }
+		disp := func() float32 { return 2.4*rnd.Float32() - 1.2 }
+		p := particle.Particle{
+			Dx: off(), Dy: off(), Dz: off(),
+			Voxel: int32(g.Voxel(1+rnd.IntN(g.NX), 1+rnd.IntN(g.NY), 1+rnd.IntN(g.NZ))), W: 1,
+		}
+		r, _ := moverRig(moverCase{ps: []particle.Particle{p}})
+		mv := particle.Mover{DispX: disp(), DispY: disp(), DispZ: disp()}
+		if !k.local(r.buf, &mv, k.batchConsts().wrap) {
+			continue
+		}
+		admitted++
+		var bs BlockState
+		k.moveP(r.buf, 0, mv.DispX, mv.DispY, mv.DispZ, k.Acc, &bs)
+		out := 0
+		for f := range k.Out {
+			out += len(k.Out[f])
+		}
+		if r.buf.N() != 1 || out != 0 || bs.NLost != 0 || bs.NSeg > 4 {
+			t.Fatalf("local mover %+v %+v under %v: %d left, %d out, %d lost, %d segments",
+				p, mv, k.Bound, r.buf.N(), out, bs.NLost, bs.NSeg)
+		}
+	}
+	if admitted < 500 {
+		t.Fatalf("only %d of 4000 random movers were local", admitted)
+	}
+}
+
 // TestBlockCountersSumToSerial verifies the per-block statistics of one
 // pipelined step add up to exactly the serial kernel's counters — the
 // invariant that makes the pipelined flop accounting trustworthy — when
-// the pool tasks finish part of the movers and FinishBlocks the rest.
+// the pool tasks finish part of the movers and FinishBlocks the rest,
+// on every shape: the batch routine's tally and moveP's count.
 func TestBlockCountersSumToSerial(t *testing.T) {
 	mk := func() (*rig, *Kernel) {
 		r := newRig(6, 5, 4, 0.5)
@@ -257,60 +335,65 @@ func TestBlockCountersSumToSerial(t *testing.T) {
 		k.Bound[4] = Absorb // ZLo: some particles are lost
 		return r, k
 	}
-	rs, ks := mk()
-	rb, kb := mk()
-	rs.acc.Clear()
-	ks.AdvanceP(rs.buf)
-	accs, blocks := blockFixture(rb)
-	pool := pipe.New(4)
-	pool.Run(pipe.NumBlocks, func(b int) {
-		blocks[b].Reset()
-		lo, hi := pipe.BlockBounds(rb.buf.N(), pipe.NumBlocks, b)
-		kb.AdvanceBlock(rb.buf, lo, hi, accs[b], blocks[b])
-	})
-	// Each half of the finish counts its own segments (the task's batch
-	// tally, then FinishBlocks' batches and moveP), and only the serial
-	// half counts the block's movers; the sums below test both halves
-	// only if neither is empty.
-	inTask, movers := 0, 0
-	for _, bs := range blocks {
-		inTask += bs.done
-		movers += len(bs.Movers)
-	}
-	if inTask == 0 || inTask == movers {
-		t.Fatalf("tasks finished %d of %d movers; both halves of the finish not exercised", inTask, movers)
-	}
-	kb.FinishBlocks(rb.buf, blocks, accs)
+	for _, sh := range sweepShapes() {
+		t.Run(sh, func(t *testing.T) {
+			rs, ks := mk()
+			rb, kb := mk()
+			useShape(kb, sh)
+			rs.acc.Clear()
+			ks.AdvanceP(rs.buf)
+			accs, blocks := blockFixture(rb)
+			pool := pipe.New(4)
+			pool.Run(pipe.NumBlocks, func(b int) {
+				blocks[b].Reset()
+				lo, hi := pipe.BlockBounds(rb.buf.N(), pipe.NumBlocks, b)
+				kb.AdvanceBlock(rb.buf, lo, hi, accs[b], blocks[b])
+			})
+			// Each half of the finish counts its own segments (the task's batch
+			// tally, then FinishBlocks' batches and moveP), and only the serial
+			// half counts the block's movers; the sums below test both halves
+			// only if neither is empty.
+			inTask, movers := 0, 0
+			for _, bs := range blocks {
+				inTask += bs.done
+				movers += len(bs.Movers)
+			}
+			if inTask == 0 || inTask == movers {
+				t.Fatalf("tasks finished %d of %d movers; both halves of the finish not exercised", inTask, movers)
+			}
+			kb.FinishBlocks(rb.buf, blocks, accs)
 
-	var sum BlockState
-	used := 0
-	for _, bs := range blocks {
-		sum.NPushed += bs.NPushed
-		sum.NMoved += bs.NMoved
-		sum.NSeg += bs.NSeg
-		sum.NLost += bs.NLost
-		sum.ELost += bs.ELost
-		if bs.NPushed > 0 {
-			used++
-		}
-	}
-	if used < 2 {
-		t.Fatalf("only %d blocks pushed particles; partition not exercised", used)
-	}
-	if sum.NPushed != ks.NPushed || sum.NMoved != ks.NMoved || sum.NSeg != ks.NSeg || sum.NLost != ks.NLost {
-		t.Fatalf("block sums {%d %d %d %d} != serial {%d %d %d %d}",
-			sum.NPushed, sum.NMoved, sum.NSeg, sum.NLost,
-			ks.NPushed, ks.NMoved, ks.NSeg, ks.NLost)
-	}
-	if ks.NLost == 0 {
-		t.Fatal("test did not exercise the absorb path")
-	}
-	// The kernel totals are the merged block stats.
-	if kb.NPushed != sum.NPushed || kb.NSeg != sum.NSeg || kb.NLost != sum.NLost || kb.NMoved != sum.NMoved {
-		t.Fatalf("kernel totals disagree with block sums")
-	}
-	if math.Abs(sum.ELost-ks.ELost) > 1e-12*math.Abs(ks.ELost) {
-		t.Fatalf("ELost: block sum %g vs serial %g", sum.ELost, ks.ELost)
+			var sum BlockState
+			used := 0
+			for _, bs := range blocks {
+				sum.NPushed += bs.NPushed
+				sum.NMoved += bs.NMoved
+				sum.NSeg += bs.NSeg
+				sum.NLost += bs.NLost
+				sum.ELost += bs.ELost
+				if bs.NPushed > 0 {
+					used++
+				}
+			}
+			if used < 2 {
+				t.Fatalf("only %d blocks pushed particles; partition not exercised", used)
+			}
+			if sum.NPushed != ks.NPushed || sum.NMoved != ks.NMoved || sum.NSeg != ks.NSeg || sum.NLost != ks.NLost {
+				t.Fatalf("block sums {%d %d %d %d} != serial {%d %d %d %d}",
+					sum.NPushed, sum.NMoved, sum.NSeg, sum.NLost,
+					ks.NPushed, ks.NMoved, ks.NSeg, ks.NLost)
+			}
+			if ks.NLost == 0 {
+				t.Fatal("test did not exercise the absorb path")
+			}
+			// The kernel totals are the merged block stats.
+			if kb.NPushed != sum.NPushed || kb.NSeg != sum.NSeg || kb.NLost != sum.NLost || kb.NMoved != sum.NMoved {
+				t.Fatalf("kernel totals disagree with block sums")
+			}
+			if math.Abs(sum.ELost-ks.ELost) > 1e-12*math.Abs(ks.ELost) {
+				t.Fatalf("ELost: block sum %g vs serial %g", sum.ELost, ks.ELost)
+			}
+		})
 	}
 }
 

@@ -32,34 +32,32 @@
 // every lane, without a branch. The driver keeps the block loop and
 // turns the returned crosser bits into mover records.
 //
-// The movers are finished the same way, eight at a time (finishMovers).
-// One batch routine call — moveBatchAVX2 or the portable moveBatchGo —
-// plans every lane's faces through a per-voxel face table, and then
-// finishes the fast lanes itself, from the top mover down: those that
-// reach at most two faces, each interior or Wrap, and none of whose
-// current terms is NaN. It adds their one to three segments' terms into
-// the accumulator and stores their final offsets and voxel, and stops
-// at the first slow mover — a boundary face with any other action, a
-// third face, a NaN term — which the driver hands to moveP, VPIC's
-// scalar move_p; the next call starts below it. In a pipeline's pool
-// task the driver stops there instead, and leaves the rest to
+// The movers are finished by moveP, VPIC's scalar move_p, except that
+// with Kernel.Asm they go eight at a time (finishMovers): one
+// moveBatchAVX2 call plans every lane's faces through a per-voxel face
+// table and finishes the fast lanes itself, from the top mover down —
+// at most two faces, each interior or Wrap, no NaN term — and stops at
+// the first slow mover, which the driver hands to moveP; the next call
+// starts below it. In a pipeline's pool task the driver runs moveP only
+// on a mover that stays local (Kernel.local: no face but interior or
+// Wrap ones), stops at the first that may not, and leaves the rest to
 // FinishBlocks.
 //
-// Every block routine and both batch routines perform the identical
-// floating-point operations per particle, and every accumulator slot
-// receives its adds in the per-particle order, so the result —
-// particles, movers, accumulators, counters — is bitwise independent of
-// Kernel.Asm and of the width, for any buffer, sorted or not. The tests
-// hold the routines to the per-particle oracle in oracle_test.go, whose
-// movers all go through moveP.
+// Every block routine performs the identical floating-point operations
+// per particle, the batch routine finishes each mover with moveP's, and
+// every accumulator slot receives its adds in the per-particle order, so
+// the result — particles, movers, accumulators, counters — is bitwise
+// independent of Kernel.Asm and of the width, for any buffer, sorted or
+// not. The tests hold the routines to the per-particle oracle in
+// oracle_test.go, whose movers all go through moveP.
 //
 // The kernel exposes two execution styles. AdvanceP is the serial path:
 // one sweep over the buffer depositing into the kernel's accumulator.
 // AdvanceBlock/FinishBlocks is the pipelined path mirroring the paper's
 // SPE decomposition: contiguous particle ranges are pushed concurrently,
 // each scattering into a private accumulator, and each task then
-// finishes its own movers from the top down to its first slow one, as
-// VPIC's pipelines run move_p on their own movers. FinishBlocks
+// finishes its own movers from the top down to its first non-local
+// one, as VPIC's pipelines run move_p on their own movers. FinishBlocks
 // finishes the rest serially, blocks last to first and each block's
 // movers top down, starting below those its task finished — the
 // globally descending index order of the serial path — so the particle
@@ -67,17 +65,18 @@
 // ELost energy tally alone is a float64 sum of per-block partial sums,
 // so it matches the serial chain to rounding, not bitwise.)
 //
-// Why finishing in the task changes no bit: a fast mover reads only its
-// own lanes, its record, the face table and the constants, and writes
-// only its own lanes (scalar stores) and its block's private
-// accumulator. The serial finish of a later block touches neither: its
-// moveP writes its own slot, its own block's accumulator, Out and the
-// reflux RNG, and RemoveSwap(i) copies slot N−1 ≥ i into slot i — both
-// inside the finishing block's range, a later one, or the shell tail
-// when the interior range is finished. So block b's fast movers add
-// into its accumulator with the same inputs and in the same order as
-// the all-serial finish did — top down, ahead of its first slow mover —
-// and FinishBlocks resumes at that slow mover as the serial loop would.
+// Why finishing in the task changes no bit: a fast or local mover
+// reads only its own lanes, its record, the face table, Bound and the
+// constants, and writes only its own lanes (scalar stores), its block's
+// private accumulator and BlockState. The serial finish of a later
+// block touches none of these: its moveP writes its own slot, its own
+// block's accumulator, Out and the reflux RNG, and RemoveSwap(i) copies
+// slot N−1 ≥ i into slot i — both inside the finishing block's range, a
+// later one, or the shell tail when the interior range is finished. So
+// block b's task movers add into its accumulator with the same inputs
+// and in the same order as the all-serial finish did — top down, ahead
+// of its first non-local mover — and FinishBlocks resumes there as the
+// serial loop would.
 package push
 
 import (
@@ -223,9 +222,9 @@ type Kernel struct {
 	Acc *accum.Array
 
 	// Asm pushes every block through the hand-written routine instead
-	// of the portable Go one (amd64 only; see ResolveKernel /
-	// AsmAvailable). The two are bitwise identical, so the choice is
-	// pure performance.
+	// of the portable Go one, and batches the mover finish (amd64 only;
+	// see ResolveKernel / AsmAvailable). The two are bitwise identical,
+	// so the choice is pure performance.
 	Asm bool
 	// asmLanes is the width Asm pushes at: AsmLanes() from NewKernel,
 	// which tests lower to 8 to hold both routines of an AVX-512 host.
@@ -235,17 +234,17 @@ type Kernel struct {
 	// (XLo,XHi,YLo,YHi,ZLo,ZHi).
 	Bound [6]Action
 	// Out collects migrating particles per face; the domain layer drains
-	// it each step. Only moveP appends to it, and moveP always runs
-	// serially (AdvanceP and FinishBlocks both finish movers in
-	// descending index order), so these buffers fill in the same
-	// deterministic order on every path.
+	// it each step. Only moveP appends to it, and only serially (a pool
+	// task runs moveP only on movers that cannot migrate; AdvanceP and
+	// FinishBlocks both finish movers in descending index order), so
+	// these buffers fill in the same deterministic order on every path.
 	Out [6][]Outgoing
 	// reflux holds per-face re-emission parameters when EnableReflux has
 	// switched a face to a thermally refluxing wall.
 	reflux [6]*RefluxParams
 	// faces has bit f of entry v set when face f of voxel v is a local
 	// domain face (moveP's "next cell outside [1, n]"), so the batch
-	// routines classify a crossing without Unvoxel.
+	// routine classifies a crossing without Unvoxel.
 	faces   []uint8
 	moveCon moveConsts // q and the per-face voxel deltas; wrap is set per finish
 
@@ -255,7 +254,6 @@ type Kernel struct {
 	cdtdy2  float32
 	cdtdz2  float32
 	mass    float64    // species mass (me units), for energy accounting
-	maxSeg  int        // safety bound on segments per particle per step
 	serial  BlockState // reusable state for the serial AdvanceP path
 	NMoved  int64      // particles needing move_p (statistics)
 	NSeg    int64      // total segments processed
@@ -278,12 +276,11 @@ func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float6
 		cdtdx2:   float32(2 * dt / g.DX),
 		cdtdy2:   float32(2 * dt / g.DY),
 		cdtdz2:   float32(2 * dt / g.DZ),
-		maxSeg:   16,
 		asmLanes: AsmLanes(),
 		faces:    make([]uint8, g.NV()),
 		moveCon:  moveConsts{q: float32(q)},
 	}
-	// moveP's face arithmetic, precomputed for the batch routines: the
+	// moveP's face arithmetic, precomputed for the batch routine: the
 	// voxel deltas through each face, and which faces of each voxel lead
 	// outside the local interior.
 	sx, sy, _ := g.Strides()
@@ -399,14 +396,15 @@ func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 
 // AdvanceBlock pushes particles [lo, hi) of buf — one pipeline block —
 // scattering in-cell current into acc and recording face-crossing
-// particles in bs.Movers, then finishes its fast movers from the top
-// down and stops at the first slow one, recording how many it finished
-// in bs. It never reorders the buffer or calls moveP, reads only shared
-// immutable state (interpolators, grid, face table, Bound), and writes
-// only lanes lo..hi-1, acc and bs, so disjoint ranges with private
-// acc/bs are safe to run concurrently (lanes are distinct words even
-// when two ranges share a particle.Block). Call FinishBlocks afterwards
-// to complete the remaining movers.
+// particles in bs.Movers, then finishes its movers from the top down
+// and stops at the first that does not stay local, recording how many
+// it finished in bs. It never reorders the buffer or runs a face action
+// other than Wrap, reads only shared immutable state (interpolators,
+// grid, face table, Bound), and writes only lanes lo..hi-1, acc and bs,
+// so disjoint ranges with private acc/bs are safe to run concurrently
+// (lanes are distinct words even when two ranges share a
+// particle.Block). Call FinishBlocks afterwards to complete the
+// remaining movers.
 func (k *Kernel) AdvanceBlock(buf *particle.Buffer, lo, hi int, acc *accum.Array, bs *BlockState) {
 	k.advanceRange(buf, lo, hi, acc, bs)
 	k.finishMovers(buf, bs, acc, true)
@@ -431,13 +429,14 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 }
 
 // finishMovers completes bs's movers below the bs.done already
-// finished, in descending index order, depositing into a. It takes them
-// from the top down, eight at a time: one batch routine call
-// (moveBatchAVX2 when Kernel.Asm, else moveBatchGo) finishes the
-// batch's fast movers from the top down and stops at the first slow
-// one, which runs moveP; the next call starts below it. In a pool task
-// (task set) the loop instead ends at the first slow mover, and bs.done
-// records where the serial call resumes; that call counts bs's movers.
+// finished, in descending index order, depositing into a. With
+// Kernel.Asm it takes them from the top down, eight at a time: one
+// moveBatchAVX2 call finishes the batch's fast movers from the top down
+// and stops at the first slow one, which runs moveP; the next call
+// starts below it. Without, every mover runs moveP. In a pool task
+// (task set) only movers that stay local (see local) run moveP: the
+// loop ends at the first that may not, and bs.done records where the
+// serial call resumes; that call counts bs's movers.
 //
 // Batching inside the serial walk changes nothing: a call reads its
 // batch before it writes, RemoveSwap(i) writes only slot i, and every
@@ -451,21 +450,19 @@ func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Arr
 	tally := moveTally{lo: math.MaxInt32, hi: -1}
 	top := len(bs.Movers) - bs.done
 	for top > 0 {
-		var n int
 		if k.Asm {
-			n = moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
-		} else {
-			n = moveBatchGo(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
-		}
-		top -= n
-		if n < particle.Lanes && top > 0 {
-			if task {
-				break
+			n := moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
+			top -= n
+			if n == particle.Lanes || top == 0 {
+				continue // no slow mover yet
 			}
-			top--
-			mv := &bs.Movers[top]
-			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
 		}
+		mv := &bs.Movers[top-1]
+		if task && !k.local(buf, mv, con.wrap) {
+			break
+		}
+		top--
+		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
 	}
 	bs.done = len(bs.Movers) - top
 	if !task {
@@ -478,7 +475,26 @@ func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Arr
 	}
 }
 
-// batchConsts returns the batch routines' constants under the current
+// local reports whether moveP finishes mv writing only its lane, the
+// accumulator and the BlockState, so a pool task may run it: no
+// displacement component exceeds half a cell (1 in offset units; NaN
+// does), so the walk crosses at most one face per axis, toward that
+// component's sign and at the starting voxel's coordinate on that axis,
+// and each such face is interior or Wrap (wrap is batchConsts' mask).
+// The walk then has at most four segments and never reaches Absorb,
+// Migrate, Reflect, reflux or the maxSeg backstop.
+func (k *Kernel) local(buf *particle.Buffer, mv *particle.Mover, wrap uint32) bool {
+	i := int(mv.Idx)
+	stop := uint32(k.faces[buf.Blk[i>>particle.LaneShift].Voxel[i&particle.LaneMask]]) &^ wrap
+	for a, d := range [3]float32{mv.DispX, mv.DispY, mv.DispZ} {
+		if !(d >= -1 && d <= 1) || d < 0 && stop&(1<<(2*a)) != 0 || d > 0 && stop&(2<<(2*a)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// batchConsts returns the batch routine's constants under the current
 // Bound, which callers may change at any time.
 func (k *Kernel) batchConsts() moveConsts {
 	con := k.moveCon
@@ -595,6 +611,9 @@ func (k *Kernel) scatterCell(c *accum.Cell, w, dx, dy, dz, ddx, ddy, ddz float32
 	c.JZ[3] += qh*(1+mx)*(1+my) + v5
 }
 
+// maxSeg bounds the segments of one particle's move in one step.
+const maxSeg = 16
+
 // moveP finishes a boundary-crossing particle: it splits the remaining
 // displacement at each cell face, deposits per-segment current into a,
 // and applies the face action when the particle leaves the local
@@ -608,7 +627,7 @@ func (k *Kernel) moveP(buf *particle.Buffer, i int, ddx, ddy, ddz float32, a *ac
 	n := [3]int{g.NX, g.NY, g.NZ}
 	pt := buf.At(i)
 
-	for seg := 0; seg < k.maxSeg; seg++ {
+	for seg := 0; seg < maxSeg; seg++ {
 		bs.NSeg++
 		// Fraction of the remaining displacement to the first face.
 		s := float32(1)

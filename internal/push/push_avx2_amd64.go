@@ -57,14 +57,24 @@ var _ = [1]struct{}{}[unsafe.Offsetof(moveTally{}.hi)-12]
 //go:noescape
 func advanceBlockAVX2(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64
 
-// moveBatchAVX2 plans the top batch of mv — up to eight movers, lane l
-// being mv[len(mv)−n+l] — in one vector pass, finishes its fast movers
-// from the top lane down until the first slow one, and prefetches the
-// particles of the next batch. It returns how many movers it finished;
-// their segments land in ac and their counts in tally. An index outside
-// blk or a voxel outside faces or ac makes its lane slow without being
-// dereferenced. Bitwise identical to moveBatchGo in the count and in
-// everything written — see push_avx2_amd64.s.
+// moveBatchAVX2 finishes the fast movers of the top batch of mv — lane
+// l being mv[len(mv)−n+l], n = min(len(mv), 8) — from the top lane
+// down, stops at the first slow one and returns how many it finished;
+// it also prefetches the particles of the next batch. Their segments
+// land in ac and their counts in tally. The driver runs moveP on the
+// slow mover, and the next call plans the lanes below it again.
+//
+// A lane is fast when its index addresses blk, every voxel it passes
+// through lies in faces and ac, it reaches at most two faces, each
+// interior or Wrap, and none of its current terms is NaN; it gets what
+// moveP would do, its one to three segments' terms (scatterCell's)
+// added into ac segment by segment. A slow lane is left untouched, and
+// a bad index or voxel is never dereferenced. A face always leaves a
+// further segment, as in moveP: on the face axis s·r rounds below |r|
+// for s < 1 and r − s·r is exact (Sterbenz). A NaN input always yields
+// a NaN term, so the only NaN a fast lane meets is the default NaN and
+// operand order cannot pick a payload. Bitwise identical to moveP,
+// mover by mover — see push_avx2_amd64.s.
 //
 //go:noescape
 func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int

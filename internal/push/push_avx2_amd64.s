@@ -599,21 +599,21 @@ badvoxel:
 	VZEROUPPER
 	RET
 
-// ---- moveBatchAVX2: moveBatchGo's lanes as one vector routine over the
-// top batch of up to eight movers (see that function for the contract),
-// plus prefetches of the next batch's particles. The routine plans all
-// lanes at once — up to two faces, segments 1 and 2 always, segment 3
-// only when some lane crosses a second face — and then finishes the
-// fast lanes one by one from the top lane down, stopping at the first
-// slow one.
+// ---- moveBatchAVX2: moveP's fast movers as one vector routine over the
+// top batch of up to eight movers (see its declaration for the
+// contract), plus prefetches of the next batch's particles. The routine
+// plans all lanes at once — up to two faces, segments 1 and 2 always,
+// segment 3 only when some lane crosses a second face — and then
+// finishes the fast lanes one by one from the top lane down, stopping at
+// the first slow one.
 //
 // Bit-exactness: the lanes are independent and every float operation is
-// moveBatchGo's (and so moveP's and scatterCell's) in the same
-// association — s·r, d + seg, r − seg, the face fraction (sgn − d)/r
-// with VMAXPS(f, 0) = max32(f, 0) (−0 → +0 included), and stage D's
-// twelve rows. A NaN input gives a NaN term and a slow lane, so every
-// NaN a fast lane can meet is the default NaN and operand order cannot
-// pick a payload; the adds take the cell first, as moveBatchGo's do.
+// moveP's and scatterCell's in the same association — s·r, d + seg,
+// r − seg, the face fraction (sgn − d)/r with VMAXPS(f, 0) = max32(f, 0)
+// (−0 → +0 included), and stage D's twelve rows. A NaN input gives a
+// NaN term and a slow lane, so every NaN a fast lane can meet is the
+// default NaN and operand order cannot pick a payload; the adds take the
+// cell first, as scatterCell's do.
 // The face is selected in x, y, z order with a strict f < s, so ties
 // keep the earlier axis. Every lane runs the second face search: with
 // no face behind it the remainder is 0, so no face is found, the step's
@@ -890,9 +890,9 @@ GLOBL badblk<>(SB), RODATA, $256
 	VMOVUPS      X3, (c+3*48)(SP); \
 	VEXTRACTF128 $1, Y3, (c+7*48)(SP)
 
-// TERMS is cellTerms for the segment at frame offset seg from offsets at
-// frame offset d, masked by Y7 and written as per-lane cells at frame
-// offset c.
+// TERMS is scatterCell's twelve terms for the segment at frame offset
+// seg from offsets at frame offset d, masked by Y7 and written as
+// per-lane cells at frame offset c.
 #define TERMS(d, seg, c) \
 	VBROADCASTSS half<>(SB), Y13; \
 	VMULPS       (seg+0)(SP), Y13, Y3; \

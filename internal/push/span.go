@@ -189,157 +189,3 @@ type moveTally struct {
 	nseg   int64 // +0
 	lo, hi int32 // +8, +12
 }
-
-// moveBatchGo is the portable implementation of the batch contract
-// (moveBatchAVX2 is the other) and its readable specification. The
-// batch is the top of mv: lane l is mover mv[lo+l], lo = len(mv) −
-// min(len(mv), Lanes); the assembly also prefetches the particles of
-// the Lanes movers below it, the next batch. The routine finishes the
-// batch's movers from the top lane down and stops at the first slow
-// one, returning how many it finished; the driver runs moveP on the
-// slow mover, and the lanes below it are planned again by the next
-// call.
-//
-// A lane is fast when finishing it needs no moveP: its index addresses
-// blk, every voxel it passes through lies in faces and ac, it reaches
-// at most two faces, each interior or Wrap, and none of its current
-// terms is NaN. A fast lane gets exactly what moveP would do: its one,
-// two or three segments' terms (scatterCell's expressions) added into
-// ac, segment by segment, and its final offsets and voxel stored; tally
-// counts the segments and the voxels. A slow lane — a boundary face
-// with any other action, a third face, a NaN term, a bad index or voxel
-// — is left untouched.
-//
-// The NaN test is what makes the fast lane's adds moveP's bit for bit.
-// A NaN input always yields a NaN term (w enters every term, each
-// offset eight, each displacement v5), so a fast lane's inputs are
-// finite or ±Inf, and every NaN it can meet is the default NaN: which
-// operand an operation or an add takes first cannot pick a payload.
-func moveBatchGo(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
-	mv = mv[max(len(mv)-particle.Lanes, 0):]
-	for l := len(mv) - 1; l >= 0; l-- {
-		if !moveLane(blk, &mv[l], faces, ac, con, tally) {
-			return len(mv) - 1 - l
-		}
-	}
-	return len(mv)
-}
-
-// moveLane finishes mover m as moveBatchGo's lane and reports true, or
-// reports false, having written nothing, when the mover is slow.
-func moveLane(blk []particle.Block, m *particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) bool {
-	if uint(m.Idx) >= uint(len(blk))<<particle.LaneShift {
-		return false
-	}
-	b, ln := &blk[m.Idx>>particle.LaneShift], m.Idx&particle.LaneMask
-	nv := uint(min(len(faces), len(ac)))
-	v := b.Voxel[ln]
-	if uint(uint32(v)) >= nv {
-		return false
-	}
-	dx, dy, dz := b.Dx[ln], b.Dy[ln], b.Dz[ln]
-	rx, ry, rz := m.DispX, m.DispY, m.DispZ
-	qw := con.q * b.W[ln]
-
-	// moveP's segment walk, with every term checked before any is added.
-	var terms [3]accum.Cell
-	var vox [3]int32
-	n := 0
-	for {
-		// The next face: the least fraction, ties to the earlier axis.
-		s, face, dir := float32(1), -1, float32(0)
-		if f, fd := faceFraction(dx, rx); f < s {
-			s, face, dir = f, (fd+1)/2, float32(fd)
-		}
-		if f, fd := faceFraction(dy, ry); f < s {
-			s, face, dir = f, 2+(fd+1)/2, float32(fd)
-		}
-		if f, fd := faceFraction(dz, rz); f < s {
-			s, face, dir = f, 4+(fd+1)/2, float32(fd)
-		}
-		if face >= 0 && n == len(terms)-1 {
-			return false // a third face
-		}
-		sx, sy, sz := s*rx, s*ry, s*rz
-		if !cellTerms(&terms[n], qw, dx, dy, dz, sx, sy, sz) {
-			return false
-		}
-		vox[n] = v
-		n++
-		dx, dy, dz = dx+sx, dy+sy, dz+sz
-		if face < 0 {
-			break
-		}
-		// A face always leaves a further segment: on the face axis s·r
-		// rounds below |r| for s < 1, and r − s·r is exact (Sterbenz), so
-		// the remainder moveP tests for zero never is.
-		rx, ry, rz = rx-sx, ry-sy, rz-sz
-		delta := con.step[face]
-		if faces[v]>>face&1 != 0 {
-			if con.wrap>>face&1 == 0 {
-				return false // Reflect, Absorb, Migrate or reflux
-			}
-			delta = con.wrapd[face]
-		}
-		v += delta
-		if uint(uint32(v)) >= nv {
-			return false
-		}
-		switch face / 2 {
-		case 0:
-			dx = -dir
-		case 1:
-			dy = -dir
-		default:
-			dz = -dir
-		}
-	}
-
-	for j := range n {
-		c, t := &ac[vox[j]], &terms[j]
-		for i := range 4 {
-			c.JX[i] += t.JX[i]
-			c.JY[i] += t.JY[i]
-			c.JZ[i] += t.JZ[i]
-		}
-		tally.lo = min(tally.lo, vox[j])
-		tally.hi = max(tally.hi, vox[j])
-	}
-	tally.nseg += int64(n)
-	b.Dx[ln], b.Dy[ln], b.Dz[ln], b.Voxel[ln] = dx, dy, dz, v
-	return true
-}
-
-// cellTerms writes into c the twelve terms scatterCell adds for the
-// segment (ddx, ddy, ddz) from offsets (dx, dy, dz), given qw = q·w —
-// the same expressions — and reports whether none of them is NaN.
-func cellTerms(c *accum.Cell, qw, dx, dy, dz, ddx, ddy, ddz float32) bool {
-	hx, hy, hz := 0.5*ddx, 0.5*ddy, 0.5*ddz
-	mx, my, mz := dx+hx, dy+hy, dz+hz
-	v5 := qw * hx * hy * hz * (1.0 / 3.0)
-
-	qh := qw * hx
-	x0 := qh*(1-my)*(1-mz) + v5
-	x1 := qh*(1+my)*(1-mz) - v5
-	x2 := qh*(1-my)*(1+mz) - v5
-	x3 := qh*(1+my)*(1+mz) + v5
-
-	qh = qw * hy
-	y0 := qh*(1-mz)*(1-mx) + v5
-	y1 := qh*(1+mz)*(1-mx) - v5
-	y2 := qh*(1-mz)*(1+mx) - v5
-	y3 := qh*(1+mz)*(1+mx) + v5
-
-	qh = qw * hz
-	z0 := qh*(1-mx)*(1-my) + v5
-	z1 := qh*(1+mx)*(1-my) - v5
-	z2 := qh*(1-mx)*(1+my) - v5
-	z3 := qh*(1+mx)*(1+my) + v5
-
-	c.JX = [4]float32{x0, x1, x2, x3}
-	c.JY = [4]float32{y0, y1, y2, y3}
-	c.JZ = [4]float32{z0, z1, z2, z3}
-	return x0 == x0 && x1 == x1 && x2 == x2 && x3 == x3 &&
-		y0 == y0 && y1 == y1 && y2 == y2 && y3 == y3 &&
-		z0 == z0 && z1 == z1 && z2 == z2 && z3 == z3
-}

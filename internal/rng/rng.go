@@ -126,12 +126,3 @@ func (r *Source) Normal() float64 {
 func (r *Source) Maxwellian(uth float64) float64 {
 	return uth * r.Normal()
 }
-
-// Exponential returns an exponential variate with the given mean.
-func (r *Source) Exponential(mean float64) float64 {
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}

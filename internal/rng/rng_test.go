@@ -151,19 +151,6 @@ func TestMaxwellianVariance(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(23, 0)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2.5)
-	}
-	mean := sum / n
-	if math.Abs(mean-2.5) > 0.05 {
-		t.Fatalf("exponential mean = %g, want 2.5", mean)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct{ a, b, hi, lo uint64 }{
 		{0, 0, 0, 0},

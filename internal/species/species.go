@@ -40,21 +40,6 @@ func New(name string, q, m float64, sortInterval int) (*Species, error) {
 	return &Species{Name: name, Q: q, M: m, SortInterval: sortInterval, Buf: particle.NewBuffer(0)}, nil
 }
 
-// Electron returns a standard electron species.
-func Electron(sortInterval int) *Species {
-	s, err := New("electron", -1, 1, sortInterval)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Ion returns an ion species with charge state z and mass mOverMe in
-// electron masses (e.g. helium: z=2, mOverMe≈7294).
-func Ion(name string, z float64, mOverMe float64, sortInterval int) (*Species, error) {
-	return New(name, z, mOverMe, sortInterval)
-}
-
 // ShouldSort reports whether the species is due for a sort at the given
 // step.
 func (s *Species) ShouldSort(step int) bool {

@@ -17,25 +17,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestElectron(t *testing.T) {
-	e := Electron(20)
-	if e.Q != -1 || e.M != 1 || e.Name != "electron" {
-		t.Fatalf("electron = %+v", e)
-	}
-}
-
-func TestIon(t *testing.T) {
-	he, err := Ion("helium", 2, 7294, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if he.Q != 2 || he.M != 7294 {
-		t.Fatalf("helium = %+v", he)
-	}
-}
-
 func TestShouldSort(t *testing.T) {
-	s := Electron(10)
+	s, _ := New("electron", -1, 1, 10)
 	if s.ShouldSort(0) {
 		t.Error("must not sort at step 0")
 	}
@@ -45,7 +28,7 @@ func TestShouldSort(t *testing.T) {
 	if s.ShouldSort(15) {
 		t.Error("sorted off-interval")
 	}
-	never := Electron(0)
+	never, _ := New("electron", -1, 1, 0)
 	if never.ShouldSort(100) {
 		t.Error("interval 0 must never sort")
 	}

@@ -22,10 +22,10 @@ const (
 	frTable                 // u32 n | n × (u16 len | addr) — rank→address table
 )
 
-// defaultMaxFrame bounds one frame's size (a full ghost plane of a
-// large tile is a few MB; 1 GiB leaves room for huge migration bursts
-// while rejecting corrupt lengths).
-const defaultMaxFrame = 1 << 30
+// maxFrame bounds one frame's size (a full ghost plane of a large tile
+// is a few MB; 1 GiB leaves room for huge migration bursts while
+// rejecting corrupt lengths).
+const maxFrame = 1 << 30
 
 // readChunk bounds how far a frame's declared length is trusted ahead
 // of the bytes that have actually arrived: the read buffer grows by at
@@ -57,19 +57,18 @@ func writeFrame(w io.Writer, kind byte, body []byte) error {
 // body is valid only until the next read.
 type frameReader struct {
 	r   io.Reader
-	max uint32
 	hdr [4]byte
 	buf []byte
 }
 
-// read reads one complete frame, rejecting lengths beyond max.
+// read reads one complete frame, rejecting lengths beyond maxFrame.
 func (fr *frameReader) read() (kind byte, body []byte, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
-	if n < 1 || uint32(n) > fr.max {
-		return 0, nil, fmt.Errorf("transport: frame length %d outside (0, %d]", n, fr.max)
+	if n < 1 || n > maxFrame {
+		return 0, nil, fmt.Errorf("transport: frame length %d outside (0, %d]", n, maxFrame)
 	}
 	if cap(fr.buf) > readChunk {
 		fr.buf = nil // a past burst's buffer is not worth keeping
@@ -88,8 +87,8 @@ func (fr *frameReader) read() (kind byte, body []byte, err error) {
 
 // readFrame reads one frame into a fresh buffer (handshake and
 // rendezvous; the link's reader keeps a frameReader).
-func readFrame(r io.Reader, max uint32) (kind byte, body []byte, err error) {
-	return (&frameReader{r: r, max: max}).read()
+func readFrame(r io.Reader) (kind byte, body []byte, err error) {
+	return (&frameReader{r: r}).read()
 }
 
 // Data-frame helpers.

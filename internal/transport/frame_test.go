@@ -47,7 +47,7 @@ func frameBytes(kind byte, body []byte) []byte {
 func TestDataHeaderRoundTrip(t *testing.T) {
 	payload := []byte{ptBytes, 1, 0, 0, 0, 'x'}
 	frame := append(appendDataHeader(nil, 1<<40, 1<<41, -101, len(payload)), payload...)
-	kind, body, err := readFrame(bytes.NewReader(frame), defaultMaxFrame)
+	kind, body, err := readFrame(bytes.NewReader(frame))
 	if err != nil || kind != frData {
 		t.Fatalf("readFrame: kind %d, %v", kind, err)
 	}
@@ -65,7 +65,7 @@ func TestDataHeaderRoundTrip(t *testing.T) {
 // until the next read.
 func TestFrameReaderReusesBuffer(t *testing.T) {
 	stream := append(frameBytes(frAck, encodeU64Body(1)), frameBytes(frAck, encodeU64Body(2))...)
-	fr := frameReader{r: bytes.NewReader(stream), max: defaultMaxFrame}
+	fr := frameReader{r: bytes.NewReader(stream)}
 	_, first, err := fr.read()
 	if err != nil {
 		t.Fatal(err)
@@ -83,15 +83,16 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 }
 
 // TestReadFrameCorruptLengthBoundedAlloc: a header declaring a gigabyte
-// followed by a few bytes must fail after allocating about one chunk,
-// and a frame spanning several chunks must still arrive whole.
+// followed by a few bytes must fail after allocating about one chunk, a
+// frame spanning several chunks must still arrive whole, and a length
+// past maxFrame must fail before any of its body is read.
 func TestReadFrameCorruptLengthBoundedAlloc(t *testing.T) {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], defaultMaxFrame)
+	binary.LittleEndian.PutUint32(hdr[:], maxFrame)
 	stream := append(hdr[:], make([]byte, 100)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(bytes.NewReader(stream), defaultMaxFrame)
+	_, _, err := readFrame(bytes.NewReader(stream))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated gigabyte frame: %v", err)
@@ -104,12 +105,13 @@ func TestReadFrameCorruptLengthBoundedAlloc(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	kind, body, err := readFrame(bytes.NewReader(frameBytes(frTable, big)), defaultMaxFrame)
+	kind, body, err := readFrame(bytes.NewReader(frameBytes(frTable, big)))
 	if err != nil || kind != frTable || !bytes.Equal(body, big) {
 		t.Fatalf("multi-chunk frame: kind %d, %d bytes, %v", kind, len(body), err)
 	}
-	if _, _, err := readFrame(bytes.NewReader(frameBytes(frTable, big)), readChunk); err == nil {
-		t.Fatal("frame beyond max accepted")
+	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame beyond maxFrame: %v, want a length error before any body read", err)
 	}
 }
 
@@ -125,7 +127,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x3f, frData, 1, 2, 3}) // gigabyte length, 4 bytes
 	f.Add([]byte{0, 0, 0, 0})                              // zero length
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		fr := frameReader{r: bytes.NewReader(stream), max: defaultMaxFrame}
+		fr := frameReader{r: bytes.NewReader(stream)}
 		for {
 			kind, body, err := fr.read()
 			if err != nil {

@@ -231,7 +231,7 @@ func (l *link) dialHandshake(c net.Conn) (uint64, error) {
 	if err := writeFrame(c, frHello, encodeHelloBody(l.t.rank, myRecv)); err != nil {
 		return 0, err
 	}
-	kind, body, err := readFrame(c, opts.MaxFrame)
+	kind, body, err := readFrame(c)
 	if err != nil {
 		return 0, err
 	}
@@ -384,7 +384,7 @@ func (l *link) writer(conn linkConn, stop <-chan struct{}) error {
 // reader owns all reads on one connection until it breaks, the peer
 // says goodbye, or serve stops it.
 func (l *link) reader(conn linkConn, stop <-chan struct{}) error {
-	fr := frameReader{r: bufio.NewReaderSize(conn, ioBuf), max: l.t.opts.MaxFrame}
+	fr := frameReader{r: bufio.NewReaderSize(conn, ioBuf)}
 	for {
 		kind, body, err := fr.read()
 		if err != nil {

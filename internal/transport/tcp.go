@@ -37,8 +37,6 @@ type Options struct {
 	// RendezvousTimeout bounds the whole bootstrap: join-table exchange
 	// plus mesh establishment (default 30s).
 	RendezvousTimeout time.Duration
-	// MaxFrame rejects frames larger than this (default 1 GiB).
-	MaxFrame uint32
 }
 
 func (o Options) withDefaults() Options {
@@ -62,9 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RendezvousTimeout <= 0 {
 		o.RendezvousTimeout = 30 * time.Second
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = defaultMaxFrame
 	}
 	return o
 }
@@ -243,7 +238,7 @@ func (t *TCP) rendezvous0() error {
 			return fmt.Errorf("transport: rendezvous: ranks %v never joined: %w", missing, err)
 		}
 		c.SetDeadline(time.Now().Add(t.opts.DialTimeout))
-		kind, body, err := readFrame(c, t.opts.MaxFrame)
+		kind, body, err := readFrame(c)
 		if err != nil || kind != frJoin {
 			c.Close()
 			continue
@@ -292,7 +287,7 @@ func (t *TCP) join(joinAddr string) ([]string, error) {
 		if err == nil {
 			var kind byte
 			var body []byte
-			kind, body, err = readFrame(c, t.opts.MaxFrame)
+			kind, body, err = readFrame(c)
 			if err == nil && kind != frTable {
 				err = fmt.Errorf("expected table, got frame kind %d", kind)
 			}
@@ -346,7 +341,7 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) handleAccepted(c net.Conn) {
 	defer t.wg.Done()
 	c.SetDeadline(time.Now().Add(t.opts.DialTimeout))
-	kind, body, err := readFrame(c, t.opts.MaxFrame)
+	kind, body, err := readFrame(c)
 	if err != nil || kind != frHello {
 		c.Close()
 		return

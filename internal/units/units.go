@@ -66,8 +66,3 @@ func TeFromEV(teEV float64) float64 {
 func DebyeLength(nOverNcr, teOverMc2 float64) float64 {
 	return VThermal(teOverMc2) / Wpe(nOverNcr)
 }
-
-// KLambdaD returns k·λD for a wavenumber k in code units.
-func KLambdaD(k, nOverNcr, teOverMc2 float64) float64 {
-	return k * DebyeLength(nOverNcr, teOverMc2)
-}

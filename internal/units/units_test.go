@@ -3,7 +3,6 @@ package units
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func close(a, b, rel float64) bool {
@@ -42,19 +41,6 @@ func TestDebyeLength(t *testing.T) {
 	want := math.Sqrt(0.005) / math.Sqrt(0.1)
 	if !close(got, want, 1e-12) {
 		t.Fatalf("DebyeLength = %g, want %g", got, want)
-	}
-}
-
-func TestKLambdaDProperty(t *testing.T) {
-	f := func(k, n, te float64) bool {
-		k = math.Abs(k) + 0.01
-		n = math.Mod(math.Abs(n), 0.9) + 0.01
-		te = math.Mod(math.Abs(te), 0.02) + 1e-4
-		// k λD must scale linearly in k.
-		return close(KLambdaD(2*k, n, te), 2*KLambdaD(k, n, te), 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

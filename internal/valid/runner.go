@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"govpic/internal/deck"
 	"govpic/internal/mp"
+	"govpic/internal/output"
 )
 
 // CaseResult is one executed case: its observables, its evaluated
@@ -154,7 +154,7 @@ func (rep Report) Write(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
+	return path, output.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // sanitize maps NaN/±Inf onto JSON-encodable values (0 / ±MaxFloat64);
