@@ -8,7 +8,6 @@ import (
 	"govpic/internal/domain"
 	"govpic/internal/grid"
 	"govpic/internal/interp"
-	"govpic/internal/mp"
 	"govpic/internal/push"
 	psort "govpic/internal/sort"
 )
@@ -102,7 +101,7 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 
 	// 2. Bin the particles by new x-slab: this rank's own stay, remapped
 	// onto the new grid; the rest go to per-destination batches that
-	// keep their old local voxels (ISendRebalSlab wire-encodes them).
+	// keep their old local voxels (SendRebalSlab wire-encodes them).
 	dest := make([]int, gOld.NX+1) // old local x-plane → new x-slab
 	for ix := 1; ix <= gOld.NX; ix++ {
 		dest[ix] = newLay.SlabX(oldX0 + ix - 1)
@@ -127,8 +126,9 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		}
 	}
 
-	// 3. Post every slab leaving this rank; copy the one that stays.
-	var reqs []*mp.Request
+	// 3. Send every slab leaving this rank (counted on the old domain,
+	// whose traffic counters adoptDomain carries over); copy the one
+	// that stays.
 	for j := 0; j < dec.PX; j++ {
 		a, b := max(oldX0, newCX[j]), min(oldX1, newCX[j+1])
 		if a >= b {
@@ -139,10 +139,11 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 			continue
 		}
 		q := dec.Rank(j, cy, cz)
-		reqs = append(reqs, dOld.ISendRebalSlab(q, arrsOld, a-oldX0+1, b-oldX0+1, out[j])...)
+		dOld.SendRebalSlab(q, arrsOld, a-oldX0+1, b-oldX0+1, out[j])
 	}
 
-	// 4. Receive the gained slabs, peers in rank order.
+	// 4. Receive the gained slabs, peers in rank order, then move onto
+	// the new tile.
 	for j := 0; j < dec.PX; j++ {
 		a, b := max(layOld.CX[j], newX0), min(layOld.CX[j+1], newX1)
 		if j == cx || a >= b {
@@ -151,17 +152,10 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 		dNew.RecvRebalSlab(dec.Rank(j, cy, cz), arrsNew, a-newX0+1, b-newX0+1, rk.bufs)
 	}
 
-	// 5. Drain the sends (counted on the old domain, whose traffic
-	// counters adoptDomain carries over), then move onto the new tile.
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil {
-			panic(fmt.Sprintf("core: reshape send failed: %v", err))
-		}
-	}
 	rk.adoptDomain(cfg, dNew)
 	rk.rho0 = rho0New
 
-	// 6. Collective ghost re-prime: E/B boundary and ghost planes (local
+	// 5. Collective ghost re-prime: E/B boundary and ghost planes (local
 	// wraps, then remote exchange), the background's ghost aliases and
 	// the interpolators. J's ghost planes are left stale — the next step
 	// clears and re-deposits J before any read.

@@ -8,19 +8,18 @@
 // reproduced structurally.
 //
 // Every exchange class runs on a persistent plan (plan.go) that New
-// builds once: per remote face, two packed send slots bound to
-// restartable mp requests and used alternately, and one restartable
-// receive, so a steady-state exchange allocates nothing. Two slots are
-// enough. In-process, payloads pass by reference and the receiver
-// unpacks straight from the sender's slot, after the sender's Wait has
-// returned. A slot is rewritten two uses later, and between those uses
-// the sender has received a message its peer posted after finishing
-// that unpack: exchanges are sequential on each rank, a ghost or
-// particle exchange receives from every peer it sends to, and every
-// fold (one-way) is followed by the two-way ghost exchange of the same
-// array. Over TCP, Send encodes into a fresh frame before it returns,
-// so there a slot is free as soon as Wait returns. The rebalance slabs
-// and the settle sweeps are rare and keep one-shot messages.
+// builds once: per remote face, two packed send slots used alternately
+// and one restartable receive, so a steady-state exchange allocates
+// nothing. Two slots are enough. In-process, payloads pass by reference
+// and the receiver unpacks straight from the sender's slot, after the
+// sender's Send has returned. A slot is rewritten two uses later, and
+// between those uses the sender has received a message its peer posted
+// after finishing that unpack: exchanges are sequential on each rank, a
+// ghost or particle exchange receives from every peer it sends to, and
+// every fold (one-way) is followed by the two-way ghost exchange of the
+// same array. Over TCP, Send encodes into a fresh frame before it
+// returns, so there a slot is free at once. The rebalance slabs and the
+// settle sweeps are rare and keep one-shot messages.
 package domain
 
 import (
@@ -177,9 +176,7 @@ func (d *Domain) ParticleActions() [6]push.Action {
 // the sender posted lo before hi. The axes stay sequential: a plane
 // spans the full ghost-inclusive extent of the other two axes, so corner
 // values propagate through two successive axis hops and the hops cannot
-// be flattened. Send completions are deferred to the end — each face
-// packs into its own slot, so later-axis packing never touches an
-// in-flight payload.
+// be flattened.
 func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
@@ -209,7 +206,6 @@ func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
 			d.applyPlane(rLo, arrs, axis, 0, false)
 		}
 	}
-	p.waitSends()
 }
 
 // ExchangeGhostE fills remote-face boundary planes of E (plane N+1 from
@@ -241,7 +237,6 @@ func (d *Domain) foldUp(p *plan, arrs [][]float32) {
 			d.applyPlane(r, arrs, axis, 1, true)
 		}
 	}
-	p.waitSends()
 }
 
 // ExchangeJ reduces and refreshes the deposited current across remote
@@ -374,10 +369,10 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 			// Always send on remote faces, even empty lists: the
 			// protocol is deterministic.
 			if d.remote[lo] {
-				d.postParticles(&pp[lo], k, lo)
+				d.postParticles(&pp[lo], k, lo, s)
 			}
 			if d.remote[hi] {
-				d.postParticles(&pp[hi], k, hi)
+				d.postParticles(&pp[hi], k, hi, s)
 			}
 			// Arrivals, lo-tagged first per (axis, species): when both
 			// neighbors are the same rank the two messages share one
@@ -409,14 +404,6 @@ func (x *ParticleExchange) Complete() {
 			}
 			if d.remote[lo] {
 				d.landFrom(pp[lo].recv, k, x.bufs[s], axis, 1)
-			}
-		}
-	}
-	for s := range x.kernels {
-		for f := range d.parts[s] {
-			if pf := &d.parts[s][f]; pf.last != nil {
-				waitSend(pf.last)
-				pf.last = nil
 			}
 		}
 	}
@@ -570,13 +557,13 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 // at most one slab per reshape, and links deliver in order, so one tag
 // serves every message.
 
-// ISendRebalSlab posts local x-planes [lo, hi) of arrs (full
+// SendRebalSlab sends local x-planes [lo, hi) of arrs (full
 // ghost-inclusive transverse extent, the exchangeGhost plane format) to
 // dst, then one batch per species of the particles resident in those
 // planes. The batches hold local voxels of this domain; they are
 // rewritten in place to the wire form, plane offset from lo times the
 // plane size plus the transverse WireVoxel.
-func (d *Domain) ISendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) []*mp.Request {
+func (d *Domain) SendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) {
 	n := planeCount(d.G, 0)
 	plane := n * len(arrs)
 	buf := make([]float32, plane*(hi-lo))
@@ -584,19 +571,18 @@ func (d *Domain) ISendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []p
 		packPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix)
 	}
 	d.countSend(tagRebal, 4*len(buf))
-	reqs := []*mp.Request{d.Comm.ISend(dst, tagRebal, buf)}
+	d.Comm.Send(dst, tagRebal, buf)
 	for _, out := range parts {
 		for i := range out {
 			ix, _, _ := d.G.Unvoxel(int(out[i].P.Voxel))
 			out[i].P.Voxel = int32((ix-lo)*n) + WireVoxel(d.G, 0, int(out[i].P.Voxel))
 		}
 		d.countSend(tagRebal, len(out)*push.OutgoingWireBytes)
-		reqs = append(reqs, d.Comm.ISend(dst, tagRebal, out))
+		d.Comm.Send(dst, tagRebal, out)
 	}
-	return reqs
 }
 
-// RecvRebalSlab receives a slab posted by ISendRebalSlab into local
+// RecvRebalSlab receives a slab sent by SendRebalSlab into local
 // x-planes [lo, hi) of arrs and appends its particles, landed on those
 // planes, to bufs (one per species, in species order). The particles
 // are relocated, not moved: no current is deposited.

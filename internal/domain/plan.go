@@ -18,11 +18,10 @@ type plan struct {
 // receives on every remote face; a fold plan sends on the remote high
 // faces and receives on the remote low ones.
 type planFace struct {
-	slot [2][]float32   // packed planes, used alternately
-	send [2]*mp.Request // slot i's restartable send
-	next int            // the slot the next send packs
-	last *mp.Request    // the send the current exchange started, until waited
-	recv *mp.Request    // the restartable receive
+	slot [2][]float32 // packed planes, used alternately
+	msg  [2]any       // slot i boxed once, so a send allocates nothing
+	next int          // the slot the next send packs
+	recv *mp.Request  // the restartable receive
 }
 
 // newPlan builds the plan of the class whose messages carry width
@@ -38,7 +37,7 @@ func (d *Domain) newPlan(tag, width int, fold bool) plan {
 		if !fold || f.High() {
 			for i := range pf.slot {
 				pf.slot[i] = make([]float32, planeCount(d.G, f.Axis())*width)
-				pf.send[i] = d.Comm.SendInit(d.nbr[f], tag+int(f), pf.slot[i])
+				pf.msg[i] = pf.slot[i]
 			}
 		}
 		if !fold || !f.High() {
@@ -49,46 +48,24 @@ func (d *Domain) newPlan(tag, width int, fold bool) plan {
 }
 
 // post packs plane idx normal to f's axis of every array into face f's
-// next slot, counts the message and starts its send.
+// next slot, counts the message and sends it.
 func (d *Domain) post(p *plan, f field.Face, arrs [][]float32, idx int) {
 	pf := &p.faces[f]
 	i := pf.next
 	pf.next ^= 1
 	packPlane(pf.slot[i], d.G, arrs, f.Axis(), idx)
 	d.countSend(p.tag, 4*len(pf.slot[i]))
-	pf.last = pf.send[i]
-	pf.last.Start()
-}
-
-// waitSends completes the sends the current exchange started, in face
-// order (the order they were posted in).
-func (p *plan) waitSends() {
-	for f := range p.faces {
-		if pf := &p.faces[f]; pf.last != nil {
-			waitSend(pf.last)
-			pf.last = nil
-		}
-	}
-}
-
-// waitSend completes a started send, re-raising the transport's typed
-// error.
-func waitSend(r *mp.Request) {
-	if _, err := r.Wait(); err != nil {
-		panic(err)
-	}
+	d.Comm.Send(d.nbr[f], p.tag+int(f), pf.msg[i])
 }
 
 // partPlan is one species' particle plan: per remote face, two batch
-// slots whose restartable sends carry a pointer to the slot (the batch
-// length changes every step), and one restartable receive.
+// slots, sent as a pointer to the slot (the batch length changes every
+// step), and one restartable receive.
 type partPlan [field.NumFaces]partFace
 
 type partFace struct {
 	slot [2]push.OutgoingBatch
-	send [2]*mp.Request
 	next int
-	last *mp.Request
 	recv *mp.Request
 }
 
@@ -104,21 +81,16 @@ func (d *Domain) growParticlePlans(n int) {
 			if !d.remote[f] {
 				continue
 			}
-			pf := &d.parts[s][f]
-			for i := range pf.slot {
-				pf.send[i] = d.Comm.SendInit(d.nbr[f], tagPart+16*s+int(f), &pf.slot[i])
-			}
-			pf.recv = d.Comm.RecvInit(d.nbr[f], tagPart+16*s+int(f^1))
+			d.parts[s][f].recv = d.Comm.RecvInit(d.nbr[f], tagPart+16*s+int(f^1))
 		}
 	}
 }
 
 // postParticles moves kernel k's outgoing list on face f into the
-// face's next slot and starts its send.
-func (d *Domain) postParticles(pf *partFace, k *push.Kernel, f field.Face) {
+// face's next slot and sends it under species s's tag.
+func (d *Domain) postParticles(pf *partFace, k *push.Kernel, f field.Face, s int) {
 	i := pf.next
 	pf.next ^= 1
 	pf.slot[i] = d.takeOutgoing(pf.slot[i], k, f)
-	pf.last = pf.send[i]
-	pf.last.Start()
+	d.Comm.Send(d.nbr[f], tagPart+16*s+int(f), &pf.slot[i])
 }

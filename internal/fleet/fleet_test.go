@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,78 @@ func TestBackpressurePlacement(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestCloseLeavesNoGoroutines: once Close returns, nothing the
+// coordinator started — its loops, a finished shard's watch, a live
+// shard's watch and SSE forwarder — still runs, and once the worker is
+// closed too the goroutine count falls back to its value before New
+// within a bounded wait. A forwarder left running loses a race against
+// the stack scan, so the scenario runs several rounds.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections()
+	base := runtime.NumGoroutine()
+	buf := make([]byte, 1<<20)
+	for round := 0; round < 16; round++ {
+		if stacks := closeWithLiveShard(t, buf); strings.Contains(stacks, "fleet.(*Coordinator).") {
+			t.Fatalf("round %d: coordinator goroutines still running after Close:\n%s", round, stacks)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// closeWithLiveShard runs a coordinator over one worker until one shard
+// has finished through finalizeShard and another is running with its
+// SSE stream open, then closes the coordinator and returns every
+// goroutine's stack as Close left them, read into buf before the
+// worker closes.
+func closeWithLiveShard(t *testing.T, buf []byte) string {
+	t.Helper()
+	srv, ts := startWorker(t, server.Config{Runners: 2, CheckpointEvery: 20, EnergyEvery: 10})
+	defer srv.Close()
+	defer ts.Close()
+	c, err := New(Config{
+		MirrorDir:    t.TempDir(),
+		ProbeEvery:   10 * time.Millisecond,
+		ProbeTimeout: 200 * time.Millisecond,
+		PollEvery:    5 * time.Millisecond,
+		MaxBackoff:   20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Register(ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, steps := range []int{20, 100000} {
+		if _, err := c.Submit("default", server.SubmitRequest{
+			Deck: deck.JSONConfig{Deck: "thermal", Steps: steps, NX: 32, PPC: 8, Workers: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the short shard never completed beside a running long one")
+		}
+		c.mu.Lock()
+		short, long := c.jobs["fj-000001"], c.jobs["fj-000002"]
+		ready := short.State == JobCompleted && long.State == JobPlaced && long.WorkerState == server.StateRunning
+		c.mu.Unlock()
+		if ready {
+			break
+		}
+	}
+	c.Close()
+	return string(buf[:runtime.Stack(buf, true)])
 }
 
 // --- e2e: kill a worker mid-run, assert bit-identical relocation ---

@@ -23,17 +23,23 @@ func (c *Coordinator) mirrorResultPath(fleetID string) string {
 // stream into the fleet hub, polls status to mirror checkpoint
 // artifacts and detect the terminal transition, and finalizes the
 // fleet job. It exits when the shard ends or the placement is revoked
-// (relocation or coordinator shutdown).
+// (relocation or coordinator shutdown), and only after its SSE
+// forwarder has, so Close waits for both.
 func (c *Coordinator) watchShard(ctx context.Context, fleetID, workerURL, workerJobID string) {
 	defer c.wg.Done()
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	fwd := make(chan struct{})
+	defer func() {
+		cancel()
+		<-fwd
+	}()
 
 	// SSE forwarder: resubscribes from the last step the fleet hub has
 	// seen, so a stream re-opened after relocation (or a dropped
 	// connection) replays exactly the gap. The fleet hub's monotonic
 	// dedup makes overlapping replays harmless.
 	go func() {
+		defer close(fwd)
 		for ctx.Err() == nil {
 			from := c.hub.LastStep(fleetID)
 			err := c.client.streamEvents(ctx, workerURL, workerJobID, from,
@@ -128,6 +134,7 @@ func (c *Coordinator) finalizeShard(fleetID, workerURL, workerJobID string, wj s
 	j.WorkerState = wj.State
 	j.Error = wj.Error
 	if j.watch != nil {
+		j.watch()
 		j.watch = nil
 	}
 	c.mu.Unlock()

@@ -1,18 +1,16 @@
 package mp
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestISendIRecvRoundTrip(t *testing.T) {
+func TestSendIRecvRoundTrip(t *testing.T) {
 	const n = 40
 	Run(2, func(c *Comm) {
 		other := 1 - c.Rank()
-		sends := make([]*Request, n)
 		for i := 0; i < n; i++ {
-			sends[i] = c.ISend(other, i, []int{c.Rank(), i})
+			c.Send(other, i, []int{c.Rank(), i})
 		}
 		recvs := make([]*Request, n)
 		for i := 0; i < n; i++ {
@@ -27,11 +25,6 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 			got := data.([]int)
 			if got[0] != other || got[1] != i {
 				t.Errorf("rank %d recv %d: payload %v", c.Rank(), i, got)
-			}
-		}
-		for i, s := range sends {
-			if _, err := s.Wait(); err != nil {
-				t.Errorf("rank %d send %d: %v", c.Rank(), i, err)
 			}
 		}
 	})
@@ -67,74 +60,31 @@ func TestIRecvWaitOutOfOrder(t *testing.T) {
 	})
 }
 
-// TestBlockingSendAfterISendKeepsOrder checks that a blocking Send
-// posted behind queued engine sends cannot overtake them: the receiver
-// must see tags in posted order.
-func TestBlockingSendAfterISendKeepsOrder(t *testing.T) {
-	const n = 10
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			var reqs []*Request
-			for i := 0; i < n; i++ {
-				reqs = append(reqs, c.ISend(1, i, i))
-			}
-			c.Send(1, n, n) // must queue behind the engine sends
-			for _, r := range reqs {
-				if _, err := r.Wait(); err != nil {
-					t.Error(err)
-				}
-			}
-			return
-		}
-		for i := 0; i <= n; i++ {
-			if got := c.Recv(0, i).(int); got != i {
-				t.Errorf("message %d out of order: %d", i, got)
-			}
-		}
-	})
-}
-
-// TestCollectiveFlushesQueuedSends posts engine sends and immediately
-// enters a barrier: the flush must push every queued message to the
-// link before the barrier's own message, so rank 0 receives them all
-// and then the barrier. The transport is wrapped so that it hides its
-// nonblocking-send capability: the sends queue on a drainer goroutine,
-// as they do over TCP. A barrier that overtakes the queue fails rank 0
-// with a tag mismatch and leaves rank 1 waiting for its release, so
-// the world is given a deadline.
+// TestCollectiveFlushesQueuedSends sends messages and immediately
+// enters a barrier: every message must reach the link before the
+// barrier's own, so rank 0 receives them all and then the barrier. A
+// barrier that overtook them would fail rank 0 with a tag mismatch and
+// leave rank 1 waiting for its release, so the world has a deadline.
 func TestCollectiveFlushesQueuedSends(t *testing.T) {
 	const n = 32
-	w := NewWorld(2)
-	var wg sync.WaitGroup
 	done := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		c := NewComm(struct{ Transport }{w.Comm(r).Transport()})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					t.Errorf("rank %d: %v", c.Rank(), p)
-				}
-			}()
+	go func() {
+		defer close(done)
+		Run(2, func(c *Comm) {
 			if c.Rank() == 1 {
 				for i := 0; i < n; i++ {
-					c.ISend(0, i, i)
+					c.Send(0, i, i)
 				}
 				c.Barrier()
 				return
 			}
 			for i := 0; i < n; i++ {
 				if got := c.Recv(1, i).(int); got != i {
-					t.Errorf("flushed message %d: got %d", i, got)
+					t.Errorf("message %d: got %d", i, got)
 				}
 			}
 			c.Barrier()
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(done)
+		})
 	}()
 	select {
 	case <-done:
@@ -184,33 +134,6 @@ func TestUnwaitedRecvBeforeCollectivePanics(t *testing.T) {
 	Run(1, func(c *Comm) {
 		c.IRecv(0, 0)
 		c.Barrier()
-	})
-}
-
-// TestISendErrorSurfacesAtWait: transport failures on the drained send
-// must surface from Wait, not be lost in the drainer goroutine.
-func TestISendErrorSurfacesAtWait(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() != 0 {
-			return // never drain: force the link bound on 0->1
-		}
-		reqs := make([]*Request, LinkDepth+1)
-		for i := range reqs {
-			reqs[i] = c.ISend(1, 0, i)
-		}
-		var firstErr error
-		for _, r := range reqs {
-			if _, err := r.Wait(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		lo, ok := firstErr.(*LinkOverflowError)
-		if !ok {
-			t.Fatalf("got %T (%v), want *LinkOverflowError", firstErr, firstErr)
-		}
-		if lo.Src != 0 || lo.Dst != 1 {
-			t.Errorf("wrong attribution: %+v", lo)
-		}
 	})
 }
 

@@ -14,15 +14,16 @@
 // passed by reference in-process; the sender must not mutate a payload
 // after sending, exactly like a zero-copy transport.
 //
-// Payload ownership for persistent sends (SendInit): the request binds
-// one payload, and the in-process receiver reads it by reference after
-// the sender's Wait has returned, so a slot may be rewritten only once
-// the peer is known to be done with it — in practice, after receiving a
-// message the peer posted after its unpack (see internal/domain's
-// two-slot plans). The TCP transport encodes into a fresh frame before
-// its Send returns, so there the slot is free once Wait returns. The
-// request engine's clock policy (one read per batch boundary, and
-// around a Wait only when it blocks) is described in engine.go.
+// Payload ownership: the in-process receiver reads a sent payload by
+// reference after the sender's Send has returned, so a buffer the
+// sender reuses may be rewritten only once the peer is known to be done
+// with it — in practice, after receiving a message the peer sent after
+// its unpack (see internal/domain's two-slot plans). The TCP transport
+// encodes into a fresh frame before its Send returns, so there the
+// buffer is free at once. Sends run on the caller's goroutine on every
+// transport; receives may be posted ahead and completed later through
+// the request engine, whose clock policy (one read per batch boundary,
+// and around a Wait only when it blocks) is described in engine.go.
 //
 // Substrate failures
 // (tag mismatch, link overflow, dead peer) are typed CommErrors: the
@@ -47,13 +48,18 @@ type Transport interface {
 	Rank() int
 	// Size returns the world size.
 	Size() int
-	// Send delivers data to dst with the given tag. It fails fast with a
-	// *LinkOverflowError when the per-link bound is exceeded.
+	// Send delivers data to dst with the given tag on the caller's
+	// goroutine. It fails with a *LinkOverflowError when the per-link
+	// bound is exceeded.
 	Send(dst, tag int, data any) error
 	// Recv blocks until the next in-order message from src arrives and
 	// returns its payload; a tag mismatch returns *TagMismatchError with
 	// the message consumed.
 	Recv(src, tag int) (any, error)
+	// Ready reports whether a message from src has arrived, so Recv
+	// would not block: the request engine's probe before it reads the
+	// clock.
+	Ready(src int) bool
 	// Stats returns the per-link communication counters of this
 	// endpoint, or nil if the transport does not keep them.
 	Stats() *perf.CommStats
@@ -153,14 +159,7 @@ func (t *localTransport) Recv(src, tag int) (any, error) {
 
 func (t *localTransport) Stats() *perf.CommStats { return t.w.stats[t.rank] }
 
-// Ready reports whether a message from src is queued, so Recv would
-// not block: the request engine's probe before it reads the clock.
 func (t *localTransport) Ready(src int) bool { return len(t.w.links[src][t.rank]) > 0 }
-
-// NonblockingSend: the channel Send above either enqueues immediately
-// or fails fast with LinkOverflowError — it never blocks — so the
-// request engine may execute ISends inline.
-func (t *localTransport) NonblockingSend() bool { return true }
 
 func (t *localTransport) Close() error { return nil }
 
@@ -169,18 +168,12 @@ func (t *localTransport) Close() error { return nil }
 // CommError on substrate failure; drivers that must survive a sick peer
 // recover it with AsCommError.
 type Comm struct {
-	t          Transport
-	stats      *perf.CommStats
-	inlineSend bool          // transport Send cannot block: sends execute inline
-	ready      readyReceiver // the transport's receive probe, or nil
-	gather     []any         // rank 0's collective slots, one per rank
+	t      Transport
+	stats  *perf.CommStats
+	gather []any // rank 0's collective slots, one per rank
 
-	// Request engine state (engine.go): per-destination send FIFOs
-	// with drainer goroutines (mu guards them: drainers pop under it),
-	// and per-source lazy receive FIFOs, which only the rank's own
-	// goroutine touches.
-	mu    sync.Mutex
-	sendQ []sendQueue
+	// Request engine state (engine.go): per-source lazy receive FIFOs,
+	// which only the rank's own goroutine touches.
 	recvQ []fifo
 
 	// The open batch (rank's goroutine only): requests in flight, when
@@ -190,35 +183,14 @@ type Comm struct {
 	blocked    time.Duration
 }
 
-// nonblockingSender is the optional transport capability behind
-// Comm.inlineSend: a transport whose Send never blocks the caller
-// (it either enqueues or fails fast) lets a send skip the drainer
-// goroutine entirely.
-type nonblockingSender interface {
-	NonblockingSend() bool
-}
-
-// readyReceiver is the optional transport capability behind Wait's
-// probe: Ready reports whether a Recv from src would return without
-// blocking, so a Wait on an arrived message reads no clock.
-type readyReceiver interface {
-	Ready(src int) bool
-}
-
 // NewComm wraps a transport endpoint in the SPMD API.
 func NewComm(t Transport) *Comm {
-	c := &Comm{
+	return &Comm{
 		t:      t,
 		stats:  t.Stats(),
-		sendQ:  make([]sendQueue, t.Size()),
 		recvQ:  make([]fifo, t.Size()),
 		gather: make([]any, t.Size()),
 	}
-	if nb, ok := t.(nonblockingSender); ok && nb.NonblockingSend() {
-		c.inlineSend = true
-	}
-	c.ready, _ = t.(readyReceiver)
-	return c
 }
 
 // Transport returns the underlying fabric endpoint.
@@ -234,20 +206,13 @@ func (c *Comm) Size() int { return c.t.Size() }
 // the transport does not keep them).
 func (c *Comm) Stats() *perf.CommStats { return c.t.Stats() }
 
-// Send delivers data to dst with the given tag, panicking with the
-// typed CommError on substrate failure (link overflow, dead peer). When
-// engine sends are pending toward dst it queues behind them, so it
-// never overtakes one; otherwise it takes the direct transport path
-// with its synchronous semantics (including the fail-fast link-overflow
-// bound).
+// Send delivers data to dst with the given tag on the caller's
+// goroutine, panicking with the typed CommError on substrate failure
+// (link overflow, dead peer). The payload must not be mutated until the
+// peer has received it (zero-copy transport semantics; see the package
+// doc).
 func (c *Comm) Send(dst, tag int, data any) {
-	var err error
-	if c.sendIdle(dst) {
-		err = c.t.Send(dst, tag, data)
-	} else {
-		_, err = c.ISend(dst, tag, data).Wait()
-	}
-	if err != nil {
+	if err := c.t.Send(dst, tag, data); err != nil {
 		panic(err)
 	}
 }
@@ -259,7 +224,7 @@ func (c *Comm) Send(dst, tag int, data any) {
 func (c *Comm) Recv(src, tag int) any {
 	var data any
 	var err error
-	if c.recvIdle(src) {
+	if c.recvQ[src].len() == 0 {
 		data, err = c.t.Recv(src, tag)
 	} else {
 		data, err = c.IRecv(src, tag).Wait()
@@ -291,30 +256,17 @@ func (c *Comm) allreduce(x any, reduce func([]any) any) any {
 // own links: every rank sends x to rank 0 with tag up; rank 0 receives
 // them in rank order into its gather slots, applies reduce once (nil
 // returns rank 0's x) and sends every rank the result with tag down.
-// Queued engine sends are flushed first and no receive may be pending,
-// because the collective shares the data links: it must never overtake
-// point-to-point traffic, and a message sent before it must be received
-// before it.
+// No receive may be pending, because the collective shares the data
+// links: a message sent before it must be received before it.
 func (c *Comm) collective(up, down int, x any, reduce func([]any) any) any {
-	c.flushSends()
 	c.assertNoPendingRecvs()
 	if c.Rank() != 0 {
-		if err := c.t.Send(0, up, x); err != nil {
-			panic(err)
-		}
-		out, err := c.t.Recv(0, down)
-		if err != nil {
-			panic(err)
-		}
-		return out
+		c.Send(0, up, x)
+		return c.Recv(0, down)
 	}
 	c.gather[0] = x
 	for r := 1; r < c.Size(); r++ {
-		v, err := c.t.Recv(r, up)
-		if err != nil {
-			panic(err)
-		}
-		c.gather[r] = v
+		c.gather[r] = c.Recv(r, up)
 	}
 	out := x
 	if reduce != nil {
@@ -322,9 +274,7 @@ func (c *Comm) collective(up, down int, x any, reduce func([]any) any) any {
 	}
 	clear(c.gather)
 	for r := 1; r < c.Size(); r++ {
-		if err := c.t.Send(r, down, out); err != nil {
-			panic(err)
-		}
+		c.Send(r, down, out)
 	}
 	return out
 }

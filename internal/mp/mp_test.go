@@ -50,15 +50,12 @@ func TestTagMismatchPanics(t *testing.T) {
 	})
 }
 
-// sendRecv is the shift exchange: it posts a send of data to dst and a
-// receive from src, both with tag, and waits the receive first.
+// sendRecv is the shift exchange: it sends data to dst and receives
+// from src, both with tag, through a posted receive.
 func sendRecv(c *Comm, dst, src, tag int, data any) any {
-	s := c.ISend(dst, tag, data)
+	c.Send(dst, tag, data)
 	out, err := c.IRecv(src, tag).Wait()
 	if err != nil {
-		panic(err)
-	}
-	if _, err := s.Wait(); err != nil {
 		panic(err)
 	}
 	return out

@@ -64,8 +64,7 @@ func checkBlockedWait(t *testing.T, c0, c1 *mp.Comm) {
 	st.TakeOverlap()
 
 	r := c1.IRecv(0, tagQueued)
-	ready := c1.Transport().(interface{ Ready(src int) bool })
-	for !ready.Ready(0) {
+	for !c1.Transport().Ready(0) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	if _, err := r.Wait(); err != nil {

@@ -484,8 +484,9 @@ func (l *link) pruneLocked(acked uint64) {
 }
 
 // enqueue appends one message to the send queue and wakes the writer.
-// With room in the window it never blocks; on a full window it parks
-// until an ack frees a slot, the peer dies, or SendTimeout passes.
+// It runs on the sending rank's goroutine: with room in the window it
+// never blocks; on a full window it parks the rank until an ack frees a
+// slot, the peer dies, or SendTimeout passes.
 func (l *link) enqueue(tag int, payload []byte) error {
 	l.mu.Lock()
 	if len(l.replay) >= replayCap {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -8,80 +9,94 @@ import (
 	"govpic/internal/mp"
 )
 
-// TestTCPPipelinedVolumeNoDeadlock is the regression test for the
-// classic head-to-head send deadlock: both ranks push more messages than
-// the link's unacknowledged-replay window (replayCap) before either
-// starts receiving. A blocking send-then-recv protocol wedges here —
-// each side's Send stalls in backpressure waiting for acks only the
-// other side's (never-reached) Recv loop would free. Routed through the
-// request engine, posting never blocks the rank, so both sides reach
-// their receive loops and the exchange drains.
+// TestTCPPipelinedVolumeNoDeadlock pins the bound that head-to-head
+// sends live within: both ranks send before either receives, and Send
+// runs on the rank's own goroutine. A full replay window (replayCap
+// messages each way) drains, since every send finds room; a rank that
+// keeps sending past the window while its peer does the same parks in
+// Send and fails with a typed *mp.LinkOverflowError once SendTimeout
+// passes, instead of hanging. The in-process world bounds a link at
+// mp.LinkDepth, a quarter of the window, so no protocol that runs there
+// reaches this bound.
 func TestTCPPipelinedVolumeNoDeadlock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk TCP exchange")
 	}
-	const n = replayCap + 50
-	ts := connectWorld(t, 2, fastOpts())
+	t.Run("window", func(t *testing.T) {
+		ts := connectWorld(t, 2, fastOpts())
+		headToHead(t, func(rank int) error {
+			c := mp.NewComm(ts[rank])
+			other := 1 - rank
+			for i := 0; i < replayCap; i++ {
+				c.Send(other, i, []float64{float64(rank), float64(i)})
+			}
+			for i := 0; i < replayCap; i++ {
+				data, err := c.IRecv(other, i).Wait()
+				if err != nil {
+					return fmt.Errorf("rank %d recv %d: %w", rank, i, err)
+				}
+				if v := data.([]float64); int(v[0]) != other || int(v[1]) != i {
+					return fmt.Errorf("rank %d recv %d: payload %v", rank, i, v)
+				}
+			}
+			// A shift exchange after the bulk: the window has drained.
+			c.Send(other, replayCap, int64(rank))
+			if got := c.Recv(other, replayCap); got.(int64) != int64(other) {
+				return fmt.Errorf("rank %d shift exchange: got %v", rank, got)
+			}
+			return nil
+		})
+	})
+	t.Run("past-window", func(t *testing.T) {
+		opts := fastOpts()
+		opts.SendTimeout = 200 * time.Millisecond
+		ts := connectWorld(t, 2, opts)
+		headToHead(t, func(rank int) error {
+			for i := 0; i < 2*replayCap; i++ {
+				err := ts[rank].Send(1-rank, 0, int64(i))
+				if err == nil {
+					continue
+				}
+				var lo *mp.LinkOverflowError
+				if !errors.As(err, &lo) || lo.Src != rank || lo.Dst != 1-rank {
+					return fmt.Errorf("rank %d send %d: %v, want a *mp.LinkOverflowError from %d to %d", rank, i, err, rank, 1-rank)
+				}
+				if i < replayCap {
+					return fmt.Errorf("rank %d send %d overflowed inside the window of %d", rank, i, replayCap)
+				}
+				t.Logf("rank %d: send %d overflowed", rank, i)
+				return nil
+			}
+			return fmt.Errorf("rank %d sent %d messages head-to-head without an overflow", rank, 2*replayCap)
+		})
+	})
+}
+
+// headToHead runs rank on both ranks at once and fails the test on
+// either's error or panic, or if they have not both returned within
+// 60 s.
+func headToHead(t *testing.T, rank func(rank int) error) {
+	t.Helper()
 	errs := make(chan error, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ch := make(chan error, 2)
-		for r := 0; r < 2; r++ {
-			go func(rank int) {
-				c := mp.NewComm(ts[rank])
-				other := 1 - rank
-				sends := make([]*mp.Request, n)
-				for i := 0; i < n; i++ {
-					sends[i] = c.ISend(other, i, []float64{float64(rank), float64(i)})
+	for r := 0; r < 2; r++ {
+		go func(r int) {
+			defer func() {
+				if p := recover(); p != nil {
+					errs <- fmt.Errorf("rank %d: %v", r, p)
 				}
-				for i := 0; i < n; i++ {
-					data, err := c.IRecv(other, i).Wait()
-					if err != nil {
-						ch <- fmt.Errorf("rank %d recv %d: %w", rank, i, err)
-						return
-					}
-					v := data.([]float64)
-					if int(v[0]) != other || int(v[1]) != i {
-						ch <- fmt.Errorf("rank %d recv %d: payload %v", rank, i, v)
-						return
-					}
-				}
-				// A shift exchange must survive while the send queue still
-				// holds backlog (TCP delivers in order, so its receive
-				// necessarily follows the bulk messages).
-				s := c.ISend(other, n, int64(rank))
-				got, err := c.IRecv(other, n).Wait()
-				if err != nil || got.(int64) != int64(other) {
-					ch <- fmt.Errorf("rank %d shift exchange under backlog: got %v, %v", rank, got, err)
-					return
-				}
-				if _, err := s.Wait(); err != nil {
-					ch <- fmt.Errorf("rank %d shift exchange send: %w", rank, err)
-					return
-				}
-				for i, s := range sends {
-					if _, err := s.Wait(); err != nil {
-						ch <- fmt.Errorf("rank %d send %d: %w", rank, i, err)
-						return
-					}
-				}
-				ch <- nil
-			}(r)
-		}
-		for r := 0; r < 2; r++ {
-			errs <- <-ch
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("head-to-head exchange beyond the replay window deadlocked")
+			}()
+			errs <- rank(r)
+		}(r)
 	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	deadline := time.After(60 * time.Second)
+	for r := 0; r < 2; r++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("head-to-head sends deadlocked")
 		}
 	}
 }

@@ -319,11 +319,8 @@ func TestTCPWindowNeverWaitsForHeartbeat(t *testing.T) {
 		ts := run(t, func(c *mp.Comm) {
 			other := 1 - c.Rank()
 			for i := 0; i < n; i++ {
-				s := c.ISend(other, i, int64(i))
+				c.Send(other, i, int64(i))
 				got, err := c.IRecv(other, i).Wait()
-				if _, serr := s.Wait(); err == nil {
-					err = serr
-				}
 				if err != nil || got.(int64) != int64(i) {
 					t.Errorf("rank %d round %d: got %v, %v", c.Rank(), i, got, err)
 					return
