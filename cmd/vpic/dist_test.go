@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"govpic/internal/push"
+	"govpic/internal/testnet"
 )
 
 // TestMain lets the test binary act as the vpic CLI when re-executed
@@ -197,12 +197,7 @@ func TestDistributedPeerKillDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := ln.Addr().String()
-	ln.Close()
+	join := testnet.FreeAddr(t)
 
 	// Enough steps that neither rank can finish before the kill.
 	common := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8",

@@ -291,8 +291,9 @@ func TestFlopsAccounting(t *testing.T) {
 }
 
 // TestPerfBreakdownPopulated: a multi-rank run records section time,
-// its traffic by class, and the request engine's wait/overlap time of
-// its posted exchanges.
+// its traffic by class, and the interior push its migrants flew behind
+// as overlap; a one-rank run posts no migrant and receives nothing, so
+// it books neither overlap nor wait.
 func TestPerfBreakdownPopulated(t *testing.T) {
 	s, err := New(periodicPlasma(16, 0.2, 0.01, 8, 2))
 	if err != nil {
@@ -310,8 +311,20 @@ func TestPerfBreakdownPopulated(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("no communication recorded on 2 ranks")
 	}
-	if tot.CommWait() <= 0 && tot.CommOverlap() <= 0 {
-		t.Error("no comm wait/overlap time recorded on 2 ranks")
+	if tot.CommOverlap() <= 0 {
+		t.Error("no comm overlap recorded on 2 ranks")
+	}
+	if tot.CommWait() < 0 {
+		t.Errorf("negative comm wait %v on 2 ranks", tot.CommWait())
+	}
+
+	one, err := New(periodicPlasma(16, 0.2, 0.01, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Run(10)
+	if tot := SumReports(one.Reports()); tot.CommWait() != 0 || tot.CommOverlap() != 0 {
+		t.Errorf("1 rank booked comm wait %v and overlap %v, want 0 and 0", tot.CommWait(), tot.CommOverlap())
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net"
 	"reflect"
 	"runtime"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"govpic/internal/loader"
 	"govpic/internal/mp"
 	"govpic/internal/push"
+	"govpic/internal/testnet"
 	"govpic/internal/transport"
 )
 
@@ -169,12 +169,7 @@ func TestMemberStepAllocsTCP(t *testing.T) {
 		t.Skip("loopback TCP world")
 	}
 	const maxAllocs = 71
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := ln.Addr().String()
-	ln.Close()
+	join := testnet.FreeAddr(t)
 	opts := transport.Options{RendezvousTimeout: 20 * time.Second}
 	ts := make([]*transport.TCP, 2)
 	errs := make([]error, 2)

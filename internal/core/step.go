@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"govpic/internal/accum"
 	"govpic/internal/particle"
 	"govpic/internal/perf"
@@ -67,7 +69,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 		pushBytes += k.TakeTrafficBytes()
 	}
 	rk.Perf.AddBytes(perf.Push, pushBytes)
-	rk.switchPar(perf.Push, perf.Comm)
+	hidden := rk.switchPar(perf.Push, perf.Comm)
 
 	// Complete the migration.
 	px.Complete()
@@ -107,11 +109,14 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.IP.LoadPar(rk.pool, f)
 	rk.stopPar(perf.Field)
 
-	// Fold the step's request wait/overlap deltas into the breakdown.
+	// Fold the step's comm wait into the breakdown, and the interior
+	// push the migrants flew behind as its overlap: on a rank with a
+	// remote face (a non-nil shell) only, as no other sends a migrant.
 	if st := d.Comm.Stats(); st != nil {
-		w, o := st.TakeOverlap()
-		rk.Perf.AddCommWait(w)
-		rk.Perf.AddCommOverlap(o)
+		rk.Perf.AddCommWait(st.TakeWait())
+	}
+	if rk.shell != nil {
+		rk.Perf.AddCommOverlap(hidden)
 	}
 }
 
@@ -177,10 +182,13 @@ func (t *pushBlocks) block(b int) {
 
 // switchPar ends section from and begins section to at one clock read,
 // folding the worker-pool stats of the parallel regions that ran inside
-// from into the breakdown (a one-worker pool books from's time).
-func (rk *Rank) switchPar(from, to perf.Section) {
-	busy, wall := rk.pool.TakeStats(rk.Perf.Switch(from, to))
+// from into the breakdown (a one-worker pool books from's time), and
+// returns from's elapsed time.
+func (rk *Rank) switchPar(from, to perf.Section) time.Duration {
+	d := rk.Perf.Switch(from, to)
+	busy, wall := rk.pool.TakeStats(d)
 	rk.Perf.AddParallel(from, busy, wall)
+	return d
 }
 
 // stopPar is switchPar for the step's last section.

@@ -2,16 +2,12 @@ package dist
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,44 +16,9 @@ import (
 	"govpic/internal/grid"
 	"govpic/internal/mp"
 	"govpic/internal/push"
+	"govpic/internal/testnet"
 	"govpic/internal/transport"
 )
-
-// freeAddr returns a loopback address for rank 0 to listen on. The port
-// lies below the kernel's ephemeral range (the low bound of
-// /proc/sys/net/ipv4/ip_local_port_range), which no 127.0.0.1:0
-// listener or outgoing dial is ever given, so no other rank, test or
-// package can take it between this probe and rank 0's listen — as one
-// drawn from the ephemeral range could. The probe skips ports another
-// program holds; the pid and a counter spread the picks of concurrent
-// test binaries and tests.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	lo := 32768 // Linux's default low bound; below IANA's 49152 too
-	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
-		if f := strings.Fields(string(b)); len(f) == 2 {
-			if v, err := strconv.Atoi(f[0]); err == nil {
-				lo = v
-			}
-		}
-	}
-	base := max(lo-8192, 1024)
-	for i := 0; i < lo-base; i++ {
-		port := base + (os.Getpid()*131+int(portSeq.Add(1)))%(lo-base)
-		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
-		if err != nil {
-			continue
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr
-	}
-	t.Fatalf("no free loopback port in [%d, %d), below the ephemeral range", base, lo)
-	return ""
-}
-
-// portSeq numbers freeAddr's picks within this test binary.
-var portSeq atomic.Int64
 
 // TestDistributedMatchesInProcess is the transport-transparency proof:
 // a 4-rank (2×2×1-decomposed) thermal deck run over real TCP sockets
@@ -89,7 +50,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	wantE := sim.Energy()
 
 	// Same deck, four processes' worth of ranks over localhost TCP.
-	join := freeAddr(t)
+	join := testnet.FreeAddr(t)
 	opts := transport.Options{
 		HeartbeatInterval: 20 * time.Millisecond,
 		PeerTimeout:       2 * time.Second,
@@ -182,7 +143,7 @@ func runTCPResult(t *testing.T, spec deck.JSONConfig, ranks int) *Result {
 // running after a minute fails the test as hung.
 func runTCPJob(t *testing.T, spec deck.JSONConfig, ranks int, job Job) ([]*Result, []error) {
 	t.Helper()
-	join := freeAddr(t)
+	join := testnet.FreeAddr(t)
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
@@ -368,7 +329,7 @@ func TestRejectedRestoreIsErrRestore(t *testing.T) {
 		}
 	}
 
-	join := freeAddr(t)
+	join := testnet.FreeAddr(t)
 	opts := transport.Options{RendezvousTimeout: 20 * time.Second, HeartbeatInterval: 20 * time.Millisecond, PeerTimeout: 2 * time.Second}
 	job = Job{Steps: 2, Restore: good}
 	errs := make([]error, 2)

@@ -14,39 +14,52 @@ import (
 // link) a warmed-up exchange allocates nothing. The particle exchange
 // carries the same non-empty batches every run, lands them, runs its
 // settle check and trims the buffers back, so its slots are reused at
-// full size. testing.AllocsPerRun counts every goroutine's objects, so
-// the peer rank's allocations count too.
+// full size. The corner subtest runs it on a 2×2 periodic world, where
+// rank 0's corner crosser lands across one axis and re-crosses the
+// other, so every run settles through a sweep on the particle plans.
 func TestExchangeAllocs(t *testing.T) {
-	const runs = 50
-	cfg := periodicConfig(2, 8, 3, 2)
 	for _, st := range exchangeStages {
 		t.Run(st.name, func(t *testing.T) {
-			var got float64
-			mp.Run(2, func(c *mp.Comm) {
-				r := newOracleRank(t, cfg, c)
-				if r == nil {
-					return
-				}
-				exchange := func() { st.production(r) }
-				if st.name == "particle exchange" {
-					exchange = r.steadyParticleExchange()
-				}
-				for i := 0; i < 4; i++ { // past the first slot growth
-					exchange()
-				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					got = testing.AllocsPerRun(runs, exchange)
-					return
-				}
-				for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
-					exchange()
-				}
-			})
-			if got != 0 {
-				t.Errorf("%s allocates %.2f objects per exchange on 2 ranks, the budget 0", st.name, got)
+			exchange := func(r *oracleRank) func() { return func() { st.production(r) } }
+			if st.name == "particle exchange" {
+				exchange = (*oracleRank).steadyParticleExchange
 			}
+			checkNoAllocs(t, st.name, periodicConfig(2, 8, 3, 2), exchange)
 		})
+	}
+	t.Run("corner settle", func(t *testing.T) {
+		checkNoAllocs(t, "the settled corner exchange", periodicConfig(4, 8, 8, 1), (*oracleRank).steadyParticleExchange)
+	})
+}
+
+// checkNoAllocs fails t unless the exchange that mk binds to each rank
+// of cfg's world allocates nothing once warmed up. testing.AllocsPerRun
+// counts every goroutine's objects, so the peer ranks' allocations
+// count too.
+func checkNoAllocs(t *testing.T, name string, cfg Config, mk func(*oracleRank) func()) {
+	const runs = 50
+	ranks := cfg.Dec.NRanks()
+	var got float64
+	mp.Run(ranks, func(c *mp.Comm) {
+		r := newOracleRank(t, cfg, c)
+		if r == nil {
+			return
+		}
+		exchange := mk(r)
+		for i := 0; i < 4; i++ { // past the first slot growth
+			exchange()
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			got = testing.AllocsPerRun(runs, exchange)
+			return
+		}
+		for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+			exchange()
+		}
+	})
+	if got != 0 {
+		t.Errorf("%s allocates %.2f objects per exchange on %d ranks, the budget 0", name, got, ranks)
 	}
 }
 

@@ -8,18 +8,20 @@
 // reproduced structurally.
 //
 // Every exchange class runs on a persistent plan (plan.go) that New
-// builds once: per remote face, two packed send slots used alternately
-// and one restartable receive, so a steady-state exchange allocates
-// nothing. Two slots are enough. In-process, payloads pass by reference
-// and the receiver unpacks straight from the sender's slot, after the
-// sender's Send has returned. A slot is rewritten two uses later, and
-// between those uses the sender has received a message its peer posted
-// after finishing that unpack: exchanges are sequential on each rank, a
-// ghost or particle exchange receives from every peer it sends to, and
-// every fold (one-way) is followed by the two-way ghost exchange of the
-// same array. Over TCP, Send encodes into a fresh frame before it
-// returns, so there a slot is free at once. The rebalance slabs and the
-// settle sweeps are rare and keep one-shot messages.
+// builds once: per remote face, two packed send slots used alternately,
+// so a steady-state exchange allocates nothing. Two slots are enough.
+// In-process, payloads pass by reference and the receiver unpacks
+// straight from the sender's slot, after the sender's Send has
+// returned. A slot is rewritten two uses later, and between those uses
+// the sender has received a message its peer posted after finishing
+// that unpack: exchanges are sequential on each rank, a ghost or
+// particle exchange receives from every peer it sends to, and every
+// fold (one-way) is followed by the two-way ghost exchange of the same
+// array. Over TCP, Send encodes into a fresh frame before it returns,
+// so there a slot is free at once. The settle sweeps use the particle
+// plans too: each sweep is followed by the settle check's collective,
+// which returns only after every peer has unpacked. The rebalance slabs
+// are rare and keep one-shot messages.
 package domain
 
 import (
@@ -169,14 +171,13 @@ func (d *Domain) ParticleActions() [6]push.Action {
 }
 
 // exchangeGhost refreshes boundary/ghost planes of the given arrays on
-// every remote face through plan p. Per axis, both faces' sends and
-// receives are posted up front and the receives completed in a fixed
-// order — lo-tagged first: when both neighbors are the same rank (two
-// ranks on a periodic axis) both messages share one in-order link, and
-// the sender posted lo before hi. The axes stay sequential: a plane
-// spans the full ghost-inclusive extent of the other two axes, so corner
-// values propagate through two successive axis hops and the hops cannot
-// be flattened.
+// every remote face through plan p. Per axis, both faces' sends go out
+// first and the receives run in a fixed order — lo-tagged first: when
+// both neighbors are the same rank (two ranks on a periodic axis) both
+// messages share one in-order link, and the sender sent lo before hi.
+// The axes stay sequential: a plane spans the full ghost-inclusive
+// extent of the other two axes, so corner values propagate through two
+// successive axis hops and the hops cannot be flattened.
 func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
 	g := d.G
 	n := [3]int{g.NX, g.NY, g.NZ}
@@ -192,18 +193,11 @@ func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
 		}
 		// Into boundary/ghost planes: the low neighbor sent its plane N
 		// tagged with its *hi* face id, and vice versa.
-		rHi, rLo := p.faces[hi].recv, p.faces[lo].recv
 		if d.remote[hi] {
-			rHi.Start()
+			d.applyPlane(p, hi, arrs, n[axis]+1, false)
 		}
 		if d.remote[lo] {
-			rLo.Start()
-		}
-		if d.remote[hi] {
-			d.applyPlane(rHi, arrs, axis, n[axis]+1, false)
-		}
-		if d.remote[lo] {
-			d.applyPlane(rLo, arrs, axis, 0, false)
+			d.applyPlane(p, lo, arrs, 0, false)
 		}
 	}
 }
@@ -232,9 +226,7 @@ func (d *Domain) foldUp(p *plan, arrs [][]float32) {
 			d.post(p, hi, arrs, n[axis]+1)
 		}
 		if d.remote[lo] {
-			r := p.faces[lo].recv
-			r.Start()
-			d.applyPlane(r, arrs, axis, 1, true)
+			d.applyPlane(p, lo, arrs, 1, true)
 		}
 	}
 }
@@ -263,14 +255,12 @@ func (d *Domain) ExchangeScalarGhost(a []float32) {
 	d.exchangeGhost(&d.ghostS, [][]float32{a})
 }
 
-// applyPlane completes a posted receive and unpacks its payload into the
-// given plane, overwriting (add=false) or accumulating (add=true).
-func (d *Domain) applyPlane(r *mp.Request, arrs [][]float32, axis, idx int, add bool) {
-	data, err := r.Wait()
-	if err != nil {
-		panic(err)
-	}
-	unpackPlane(data.([]float32), d.G, arrs, axis, idx, add)
+// applyPlane receives plan p's message on face f — the peer sent it
+// through the face that faces this one — and unpacks it into plane idx
+// normal to f's axis, overwriting (add=false) or accumulating (add=true).
+func (d *Domain) applyPlane(p *plan, f field.Face, arrs [][]float32, idx int, add bool) {
+	data := d.Comm.Recv(d.nbr[f], p.tag+int(f^1))
+	unpackPlane(data.([]float32), d.G, arrs, f.Axis(), idx, add)
 }
 
 // packPlane writes the plane idx normal to axis of every array into buf
@@ -341,10 +331,10 @@ func planeCount(g *grid.Grid, axis int) int {
 // ParticleExchange is one particle migration in flight, split so the
 // caller can compute while migrants travel. Begin snapshots every remote
 // face's outgoing list in a fixed (axis, species, lo, hi) order and
-// posts the sends and receives; Complete lands the arrivals in that
-// order, then settles stragglers — a migrant that, while finishing its
-// move on the receiving rank, crosses a face on another axis (the
-// multi-pass settling VPIC's boundary handler performs). kernels and
+// sends it; Complete receives and lands the arrivals in that order,
+// then settles stragglers — a migrant that, while finishing its move on
+// the receiving rank, crosses a face on another axis (the multi-pass
+// settling VPIC's boundary handler performs). kernels and
 // bufs are parallel slices, one per species.
 type ParticleExchange struct {
 	d       *Domain
@@ -352,13 +342,13 @@ type ParticleExchange struct {
 	bufs    []*particle.Buffer
 }
 
-// BeginParticleExchange snapshots and posts every species' outgoing
+// BeginParticleExchange snapshots and sends every species' outgoing
 // migrants through the domain's particle plans, and returns the
 // domain's one exchange in flight. The outgoing lists must be final for
 // the faces being exchanged: under the CFL bound a particle crosses at
 // most one face per axis per step, so only boundary-shell particles can
 // migrate and the snapshot may be taken as soon as the shell is pushed.
-// A rank with no remote face posts nothing.
+// A rank with no remote face sends nothing.
 func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.Buffer) *ParticleExchange {
 	d.px = ParticleExchange{d: d, kernels: kernels, bufs: bufs}
 	d.growParticlePlans(len(kernels))
@@ -374,53 +364,45 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 			if d.remote[hi] {
 				d.postParticles(&pp[hi], k, hi, s)
 			}
-			// Arrivals, lo-tagged first per (axis, species): when both
-			// neighbors are the same rank the two messages share one
-			// in-order link, and the sender posted lo before hi.
-			if d.remote[hi] {
-				pp[hi].recv.Start()
-			}
-			if d.remote[lo] {
-				pp[lo].recv.Start()
-			}
 		}
 	}
 	return &d.px
 }
 
-// Complete finishes the posted migration: arrivals land in the fixed
-// Begin order, then residual crossers (a migrant re-crossing on a
-// later axis while landing) are settled with synchronous sweeps.
+// Complete finishes the migration: arrivals land in the fixed Begin
+// order, lo-tagged first per (axis, species) as in exchangeGhost, then
+// residual crossers (a migrant re-crossing on a later axis while
+// landing) are settled with synchronous sweeps.
 func (x *ParticleExchange) Complete() {
 	d := x.d
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		for s, k := range x.kernels {
-			pp := &d.parts[s]
 			if d.remote[hi] {
-				d.landFrom(pp[hi].recv, k, x.bufs[s], axis, n[axis])
+				d.landFrom(s, hi, k, x.bufs[s])
 			}
 			if d.remote[lo] {
-				d.landFrom(pp[lo].recv, k, x.bufs[s], axis, 1)
+				d.landFrom(s, lo, k, x.bufs[s])
 			}
 		}
 	}
 	x.settleResidual()
 }
 
-// landFrom completes a posted particle receive and lands its batch.
-func (d *Domain) landFrom(r *mp.Request, k *push.Kernel, buf *particle.Buffer, axis, entry int) {
-	data, err := r.Wait()
-	if err != nil {
-		panic(err)
+// landFrom receives species s's batch on face f — the peer sent it
+// through the face that faces this one — and lands it on f's entry
+// plane: N from the high side, 1 from the low side.
+func (d *Domain) landFrom(s int, f field.Face, k *push.Kernel, buf *particle.Buffer) {
+	data := d.Comm.Recv(d.nbr[f], tagPart+16*s+int(f^1))
+	axis, entry := f.Axis(), 1
+	if f.High() {
+		entry = [3]int{d.G.NX, d.G.NY, d.G.NZ}[axis]
 	}
 	d.landParticles(k, buf, batchOf(data), axis, entry)
 }
 
 // batchOf returns a particle message's batch: a plan slot's pointer
-// in-process, the decoded value over TCP or from a settle sweep.
+// in-process, the decoded value over TCP.
 func batchOf(data any) push.OutgoingBatch {
 	if p, ok := data.(*push.OutgoingBatch); ok {
 		return *p
@@ -455,33 +437,29 @@ func (x *ParticleExchange) settleResidual() {
 	}
 }
 
-// exchangeParticlesSweep is one settle round: per (axis, species), send
-// both faces' outgoing lists, then receive and land — so a migrant that
+// exchangeParticlesSweep is one settle round on the particle plans:
+// per (axis, species), send both faces' outgoing lists, then receive
+// and land, lo-tagged first as Complete does — so a migrant that
 // re-crosses on a later axis while landing is forwarded in the same
 // sweep.
 func (d *Domain) exchangeParticlesSweep(kernels []*push.Kernel, bufs []*particle.Buffer) {
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
 		for s, k := range kernels {
 			// Always exchange on remote faces, even empty lists: the
 			// protocol is deterministic.
+			pp := &d.parts[s]
 			if d.remote[lo] {
-				d.Comm.Send(d.nbr[lo], tagPart+16*s+int(lo), d.takeOutgoing(nil, k, lo))
+				d.postParticles(&pp[lo], k, lo, s)
 			}
 			if d.remote[hi] {
-				d.Comm.Send(d.nbr[hi], tagPart+16*s+int(hi), d.takeOutgoing(nil, k, hi))
+				d.postParticles(&pp[hi], k, hi, s)
 			}
-			// Receive lo-tagged first (same-neighbor link ordering; see
-			// exchangeGhost). The low neighbor sent through its hi face.
 			if d.remote[hi] {
-				in := batchOf(d.Comm.Recv(d.nbr[hi], tagPart+16*s+int(lo)))
-				d.landParticles(k, bufs[s], in, axis, n[axis])
+				d.landFrom(s, hi, k, bufs[s])
 			}
 			if d.remote[lo] {
-				in := batchOf(d.Comm.Recv(d.nbr[lo], tagPart+16*s+int(hi)))
-				d.landParticles(k, bufs[s], in, axis, 1)
+				d.landFrom(s, lo, k, bufs[s])
 			}
 		}
 	}
@@ -522,21 +500,6 @@ func LandVoxel(g *grid.Grid, axis, entry int, wire int32) int32 {
 		ix, iy, iz = t%sx, t/sx, entry
 	}
 	return int32(g.Voxel(ix, iy, iz))
-}
-
-// takeOutgoing snapshots kernel k's outgoing list on face f into dst's
-// storage (nil: a fresh batch) and clears the list, rewrites the
-// batch's voxels to the transverse wire encoding of f's axis, and
-// counts the message the batch becomes.
-func (d *Domain) takeOutgoing(dst push.OutgoingBatch, k *push.Kernel, f field.Face) push.OutgoingBatch {
-	out := append(dst[:0], k.Out[f]...)
-	k.Out[f] = k.Out[f][:0]
-	axis := f.Axis()
-	for i := range out {
-		out[i].P.Voxel = WireVoxel(d.G, axis, int(out[i].P.Voxel))
-	}
-	d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
-	return out
 }
 
 // landParticles remaps arrivals onto this rank's entry cells on the

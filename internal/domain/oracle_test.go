@@ -162,6 +162,7 @@ func (d *Domain) blockingExchangeParticles(kernels []*push.Kernel, bufs []*parti
 			}
 		}
 	}
+	d.growParticlePlans(len(kernels)) // the settle sweeps run on the plans
 	(&ParticleExchange{d: d, kernels: kernels, bufs: bufs}).settleResidual()
 }
 

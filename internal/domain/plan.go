@@ -2,7 +2,6 @@ package domain
 
 import (
 	"govpic/internal/field"
-	"govpic/internal/mp"
 	"govpic/internal/push"
 )
 
@@ -14,34 +13,28 @@ type plan struct {
 	faces [field.NumFaces]planFace
 }
 
-// planFace is one face's share of a plan. A ghost plan sends and
-// receives on every remote face; a fold plan sends on the remote high
-// faces and receives on the remote low ones.
+// planFace is one face's share of a plan's sends. A ghost plan sends on
+// every remote face; a fold plan sends on the remote high faces only.
 type planFace struct {
 	slot [2][]float32 // packed planes, used alternately
 	msg  [2]any       // slot i boxed once, so a send allocates nothing
 	next int          // the slot the next send packs
-	recv *mp.Request  // the restartable receive
 }
 
 // newPlan builds the plan of the class whose messages carry width
 // arrays under tag. A face's send carries tag+face and its receive
-// tag+opposite face: the peer sent through the face that faces this one.
+// tag+opposite face (applyPlane): the peer sent through the face that
+// faces this one.
 func (d *Domain) newPlan(tag, width int, fold bool) plan {
 	p := plan{tag: tag}
 	for f := field.Face(0); f < field.NumFaces; f++ {
-		if !d.remote[f] {
+		if !d.remote[f] || (fold && !f.High()) {
 			continue
 		}
 		pf := &p.faces[f]
-		if !fold || f.High() {
-			for i := range pf.slot {
-				pf.slot[i] = make([]float32, planeCount(d.G, f.Axis())*width)
-				pf.msg[i] = pf.slot[i]
-			}
-		}
-		if !fold || !f.High() {
-			pf.recv = d.Comm.RecvInit(d.nbr[f], tag+int(f^1))
+		for i := range pf.slot {
+			pf.slot[i] = make([]float32, planeCount(d.G, f.Axis())*width)
+			pf.msg[i] = pf.slot[i]
 		}
 	}
 	return p
@@ -60,37 +53,35 @@ func (d *Domain) post(p *plan, f field.Face, arrs [][]float32, idx int) {
 
 // partPlan is one species' particle plan: per remote face, two batch
 // slots, sent as a pointer to the slot (the batch length changes every
-// step), and one restartable receive.
+// step).
 type partPlan [field.NumFaces]partFace
 
 type partFace struct {
 	slot [2]push.OutgoingBatch
 	next int
-	recv *mp.Request
 }
 
 // growParticlePlans builds the particle plans of n species unless they
 // exist: the domain learns the species count from the first exchange.
 func (d *Domain) growParticlePlans(n int) {
-	if len(d.parts) == n {
-		return
-	}
-	d.parts = make([]partPlan, n)
-	for s := range d.parts {
-		for f := field.Face(0); f < field.NumFaces; f++ {
-			if !d.remote[f] {
-				continue
-			}
-			d.parts[s][f].recv = d.Comm.RecvInit(d.nbr[f], tagPart+16*s+int(f^1))
-		}
+	if len(d.parts) != n {
+		d.parts = make([]partPlan, n)
 	}
 }
 
 // postParticles moves kernel k's outgoing list on face f into the
-// face's next slot and sends it under species s's tag.
+// face's next slot and clears the list, rewrites the batch's voxels to
+// the transverse wire encoding of f's axis, counts the message and
+// sends it under species s's tag.
 func (d *Domain) postParticles(pf *partFace, k *push.Kernel, f field.Face, s int) {
 	i := pf.next
 	pf.next ^= 1
-	pf.slot[i] = d.takeOutgoing(pf.slot[i], k, f)
+	out := append(pf.slot[i][:0], k.Out[f]...)
+	k.Out[f] = k.Out[f][:0]
+	for j := range out {
+		out[j].P.Voxel = WireVoxel(d.G, f.Axis(), int(out[j].P.Voxel))
+	}
+	pf.slot[i] = out
+	d.countSend(tagPart, len(out)*push.OutgoingWireBytes)
 	d.Comm.Send(d.nbr[f], tagPart+16*s+int(f), &pf.slot[i])
 }

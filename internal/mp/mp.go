@@ -20,15 +20,24 @@
 // with it — in practice, after receiving a message the peer sent after
 // its unpack (see internal/domain's two-slot plans). The TCP transport
 // encodes into a fresh frame before its Send returns, so there the
-// buffer is free at once. Sends run on the caller's goroutine on every
-// transport; receives may be posted ahead and completed later through
-// the request engine, whose clock policy (one read per batch boundary,
-// and around a Wait only when it blocks) is described in engine.go.
+// buffer is free at once.
 //
-// Substrate failures
-// (tag mismatch, link overflow, dead peer) are typed CommErrors: the
-// Transport methods return them, and the blocking Comm wrappers panic
-// with the typed value so SPMD code stays uncluttered while a
+// Send and Recv are calls on the caller's goroutine, on every
+// transport. Overlap comes from the transports: they buffer arrivals
+// (the World's channel links, the TCP links' reader queues) while the
+// rank computes, so a protocol sends early and receives late. Receives
+// run in the order the protocol calls them, so every link's order is
+// fixed by the code, not by scheduling.
+//
+// Clock policy: messages and bytes are always counted (by the
+// transport); the clock is read only around a receive that blocks —
+// Recv probes Transport.Ready first — and the blocked time is the
+// rank's comm wait (CommStats.TakeWait), collectives included. Sends
+// read no clock.
+//
+// Substrate failures (tag mismatch, link overflow, dead peer) are typed
+// CommErrors: the Transport methods return them, and the Comm wrappers
+// panic with the typed value so SPMD code stays uncluttered while a
 // supervising driver can recover and attribute them.
 package mp
 
@@ -57,8 +66,7 @@ type Transport interface {
 	// the message consumed.
 	Recv(src, tag int) (any, error)
 	// Ready reports whether a message from src has arrived, so Recv
-	// would not block: the request engine's probe before it reads the
-	// clock.
+	// would not block: Comm.Recv's probe before it reads the clock.
 	Ready(src int) bool
 	// Stats returns the per-link communication counters of this
 	// endpoint, or nil if the transport does not keep them.
@@ -164,33 +172,18 @@ func (t *localTransport) Ready(src int) bool { return len(t.w.links[src][t.rank]
 func (t *localTransport) Close() error { return nil }
 
 // Comm is one rank's communication endpoint: the SPMD-facing API over a
-// Transport. The blocking methods panic with the transport's typed
-// CommError on substrate failure; drivers that must survive a sick peer
-// recover it with AsCommError.
+// Transport. The methods panic with the transport's typed CommError on
+// substrate failure; drivers that must survive a sick peer recover it
+// with AsCommError.
 type Comm struct {
 	t      Transport
 	stats  *perf.CommStats
 	gather []any // rank 0's collective slots, one per rank
-
-	// Request engine state (engine.go): per-source lazy receive FIFOs,
-	// which only the rank's own goroutine touches.
-	recvQ []fifo
-
-	// The open batch (rank's goroutine only): requests in flight, when
-	// the batch opened, and how long Waits blocked inside it.
-	inFlight   int
-	batchStart time.Time
-	blocked    time.Duration
 }
 
 // NewComm wraps a transport endpoint in the SPMD API.
 func NewComm(t Transport) *Comm {
-	return &Comm{
-		t:      t,
-		stats:  t.Stats(),
-		recvQ:  make([]fifo, t.Size()),
-		gather: make([]any, t.Size()),
-	}
+	return &Comm{t: t, stats: t.Stats(), gather: make([]any, t.Size())}
 }
 
 // Transport returns the underlying fabric endpoint.
@@ -219,15 +212,17 @@ func (c *Comm) Send(dst, tag int, data any) {
 
 // Recv blocks until the next message from src arrives and returns its
 // payload, panicking with the typed CommError on substrate failure (tag
-// mismatch, dead peer). Receives already posted from src complete
-// first, in posted order.
+// mismatch, dead peer). A receive whose message has already arrived
+// reads no clock; one that blocks books its blocked time as comm wait.
 func (c *Comm) Recv(src, tag int) any {
 	var data any
 	var err error
-	if c.recvQ[src].len() == 0 {
+	if c.stats == nil || c.t.Ready(src) {
 		data, err = c.t.Recv(src, tag)
 	} else {
-		data, err = c.IRecv(src, tag).Wait()
+		t0 := time.Now()
+		data, err = c.t.Recv(src, tag)
+		c.stats.AddWait(time.Since(t0))
 	}
 	if err != nil {
 		panic(err)
@@ -256,10 +251,9 @@ func (c *Comm) allreduce(x any, reduce func([]any) any) any {
 // own links: every rank sends x to rank 0 with tag up; rank 0 receives
 // them in rank order into its gather slots, applies reduce once (nil
 // returns rank 0's x) and sends every rank the result with tag down.
-// No receive may be pending, because the collective shares the data
-// links: a message sent before it must be received before it.
+// The collective shares the data links: a message sent before it must
+// be received before it.
 func (c *Comm) collective(up, down int, x any, reduce func([]any) any) any {
-	c.assertNoPendingRecvs()
 	if c.Rank() != 0 {
 		c.Send(0, up, x)
 		return c.Recv(0, down)

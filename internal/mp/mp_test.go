@@ -3,6 +3,7 @@ package mp
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPointToPoint(t *testing.T) {
@@ -51,14 +52,48 @@ func TestTagMismatchPanics(t *testing.T) {
 }
 
 // sendRecv is the shift exchange: it sends data to dst and receives
-// from src, both with tag, through a posted receive.
+// from src, both with tag.
 func sendRecv(c *Comm, dst, src, tag int, data any) any {
 	c.Send(dst, tag, data)
-	out, err := c.IRecv(src, tag).Wait()
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return c.Recv(src, tag)
+}
+
+// TestSendRecvRoundTrip: every send runs before the peer receives
+// anything, and each receive returns its own message.
+func TestSendRecvRoundTrip(t *testing.T) {
+	const n = 40
+	Run(2, func(c *Comm) {
+		other := 1 - c.Rank()
+		for i := 0; i < n; i++ {
+			c.Send(other, i, []int{c.Rank(), i})
+		}
+		for i := 0; i < n; i++ {
+			data, err := c.Transport().Recv(other, i)
+			if err != nil {
+				t.Errorf("rank %d recv %d: %v", c.Rank(), i, err)
+				return
+			}
+			if got := data.([]int); got[0] != other || got[1] != i {
+				t.Errorf("rank %d recv %d: payload %v", c.Rank(), i, got)
+			}
+		}
+	})
+}
+
+func TestSendRecvRingViaRequests(t *testing.T) {
+	const n = 8
+	Run(n, func(c *Comm) {
+		right := (c.Rank() + 1) % n
+		left := (c.Rank() + n - 1) % n
+		// Several rounds over the same links, so a message of one round
+		// cannot be taken for the next.
+		for round := 0; round < 20; round++ {
+			got := sendRecv(c, right, left, round, c.Rank()).(int)
+			if got != left {
+				t.Errorf("round %d: rank %d received %d, want %d", round, c.Rank(), got, left)
+			}
+		}
+	})
 }
 
 func TestRingSendRecv(t *testing.T) {
@@ -117,6 +152,39 @@ func TestCollectiveSharesLinks(t *testing.T) {
 		c.Barrier()
 		c.Recv(0, 3)
 	})
+}
+
+// TestCollectiveFlushesQueuedSends sends messages and immediately
+// enters a barrier: every message must reach the link before the
+// barrier's own, so rank 0 receives them all and then the barrier. A
+// barrier that overtook them would fail rank 0 with a tag mismatch and
+// leave rank 1 waiting for its release, so the world has a deadline.
+func TestCollectiveFlushesQueuedSends(t *testing.T) {
+	const n = 32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Run(2, func(c *Comm) {
+			if c.Rank() == 1 {
+				for i := 0; i < n; i++ {
+					c.Send(0, i, i)
+				}
+				c.Barrier()
+				return
+			}
+			for i := 0; i < n; i++ {
+				if got := c.Recv(1, i).(int); got != i {
+					t.Errorf("message %d: got %d", i, got)
+				}
+			}
+			c.Barrier()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the world did not finish its barrier")
+	}
 }
 
 func TestAllreduceSum(t *testing.T) {

@@ -119,15 +119,12 @@ type CommStats struct {
 	mu    sync.Mutex
 	links map[int]*LinkStat
 
-	// Nonblocking-engine accounting, booked once per request batch
-	// (internal/mp's clock policy): total time callers blocked in
-	// Request.Wait, and total batch flight time not spent blocked. The
-	// taken* watermarks serve the single consumer (the step loop) that
-	// drains deltas into its Breakdown.
-	waitNs         atomic.Int64
-	overlapNs      atomic.Int64
-	takenWaitNs    int64
-	takenOverlapNs int64
+	// Comm wait: total time the rank blocked in mp's Recv (collectives
+	// included; internal/mp's clock policy). takenWaitNs is the
+	// watermark of the single consumer (the step loop) that drains
+	// deltas into its Breakdown.
+	waitNs      atomic.Int64
+	takenWaitNs int64
 }
 
 // NewCommStats returns an empty counter set owned by the given rank.
@@ -138,33 +135,21 @@ func NewCommStats(rank int) *CommStats {
 // Rank returns the owning rank.
 func (s *CommStats) Rank() int { return s.rank }
 
-// AddWait records time a caller spent blocked in Request.Wait.
+// AddWait records time a caller spent blocked in a receive.
 func (s *CommStats) AddWait(d time.Duration) {
 	if d > 0 {
 		s.waitNs.Add(int64(d))
 	}
 }
 
-// AddOverlap records request flight time that ran concurrently with the
-// caller's work: a batch's first-post-to-last-completion span not spent
-// blocked in Wait.
-func (s *CommStats) AddOverlap(d time.Duration) {
-	if d > 0 {
-		s.overlapNs.Add(int64(d))
-	}
-}
-
-// TakeOverlap returns the wait and overlap accumulated since the
-// previous call — a single-consumer drain used by the step loop to fold
-// per-step deltas into its Breakdown.
-func (s *CommStats) TakeOverlap() (wait, overlap time.Duration) {
+// TakeWait returns the wait accumulated since the previous call — a
+// single-consumer drain used by the step loop to fold per-step deltas
+// into its Breakdown.
+func (s *CommStats) TakeWait() time.Duration {
 	w := s.waitNs.Load()
-	o := s.overlapNs.Load()
-	wait = time.Duration(w - s.takenWaitNs)
-	overlap = time.Duration(o - s.takenOverlapNs)
+	d := time.Duration(w - s.takenWaitNs)
 	s.takenWaitNs = w
-	s.takenOverlapNs = o
-	return wait, overlap
+	return d
 }
 
 // Link returns the counter set of the link toward peer, creating it on

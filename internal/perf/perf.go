@@ -60,11 +60,12 @@ type Breakdown struct {
 	// effective bandwidth the bandwidth-bound sections sustain.
 	Bytes [NumSections]int64 `json:"section_bytes"`
 
-	// Nonblocking-exchange accounting, kept OUTSIDE the section array:
-	// the wait is the blocked part of Comm (already inside Sections[Comm],
-	// recorded here to show how much of it was unhidable), and the
-	// overlap is exchange flight time hidden behind compute — time that
-	// belongs to whatever compute section was running, so counting it in
+	// Exchange accounting, kept OUTSIDE the section array: the wait is
+	// the time the rank blocked in receives, collectives included
+	// (already inside the sections that ran them, recorded here to show
+	// how much was unhidable), and the overlap is the interior push the
+	// particle exchange's migrants fly behind, on a rank with a remote
+	// face — time that belongs to the push section, so counting it in
 	// Sections would double-book wall time and push section shares past
 	// 1.0.
 	CommWaitSeconds    float64 `json:"comm_wait_seconds"`
@@ -136,7 +137,7 @@ func (b *Breakdown) Fraction(s Section) float64 {
 	return float64(b.Sections[s]) / float64(tot)
 }
 
-// AddCommWait records time spent blocked waiting on exchange requests.
+// AddCommWait records time spent blocked in receives.
 func (b *Breakdown) AddCommWait(d time.Duration) { b.CommWaitSeconds += d.Seconds() }
 
 // AddCommOverlap records exchange flight time that ran hidden behind

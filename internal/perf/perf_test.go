@@ -123,7 +123,7 @@ func TestSnapshot(t *testing.T) {
 }
 
 // TestSharesWithOverlapNotDoubleCounted is the accounting guarantee of
-// the overlap engine: comm wait/overlap time is tracked outside the
+// the overlap accounting: comm wait/overlap time is tracked outside the
 // section accumulators, so recording a large overlapped-flight figure
 // (which by construction ran concurrently with a timed compute section)
 // must not push the section shares past 1.0.

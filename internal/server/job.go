@@ -63,11 +63,10 @@ type Job struct {
 	// jobs).
 	CommLinks   []perf.CommLinkStat `json:"comm_links,omitempty"`
 	CommTraffic []domain.ClassStat  `json:"comm_traffic,omitempty"`
-	// CommWaitSeconds/CommOverlapSeconds split the job's exchange time
-	// into blocked request waits and flight not spent blocked, booked
-	// per request batch: a batch's overlap is its first post to its last
-	// completion less its wait (summed over ranks; zero for single-rank
-	// jobs).
+	// CommWaitSeconds is the time the job's ranks blocked in receives,
+	// collectives included; CommOverlapSeconds the interior push their
+	// particle migrants flew behind (both summed over ranks; zero for
+	// single-rank jobs).
 	CommWaitSeconds    float64 `json:"comm_wait_seconds,omitempty"`
 	CommOverlapSeconds float64 `json:"comm_overlap_seconds,omitempty"`
 	// PerRankParticles and ImbalanceRatio are the load balancer's

@@ -100,9 +100,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("vpicd_draining %d", b2i(s.draining)),
 		fmt.Sprintf("vpicd_particles_advanced_total %d", pushed),
 		fmt.Sprintf("vpicd_particle_advance_rate_mpart_s %.6g", rate),
-		"# HELP vpicd_comm_wait_seconds_total Time ranks spent blocked in exchange waits, summed over ranks.",
+		"# HELP vpicd_comm_wait_seconds_total Time ranks spent blocked in receives, collectives included, summed over ranks.",
 		fmt.Sprintf("vpicd_comm_wait_seconds_total %.6f", commWait),
-		"# HELP vpicd_comm_overlap_seconds_total Exchange flight not spent blocked: per request batch, first post to last completion less its wait, summed over ranks.",
+		"# HELP vpicd_comm_overlap_seconds_total Interior push the particle migrants flew behind, on ranks with a remote face, summed over ranks.",
 		fmt.Sprintf("vpicd_comm_overlap_seconds_total %.6f", commOverlap),
 		fmt.Sprintf("vpicd_push_asm_available %d", b2i(push.AsmAvailable())),
 		"# HELP vpicd_push_asm_lanes Particles the asm kernel pushes per block-routine call on this host: 32 (AVX-512), 8 (AVX2) or 0.",

@@ -31,7 +31,7 @@ func TestTCPPipelinedVolumeNoDeadlock(t *testing.T) {
 				c.Send(other, i, []float64{float64(rank), float64(i)})
 			}
 			for i := 0; i < replayCap; i++ {
-				data, err := c.IRecv(other, i).Wait()
+				data, err := c.Transport().Recv(other, i)
 				if err != nil {
 					return fmt.Errorf("rank %d recv %d: %w", rank, i, err)
 				}

@@ -464,7 +464,7 @@ func (t *TCP) Recv(src, tag int) (any, error) {
 }
 
 // Ready reports whether a message from src has arrived, so Recv would
-// not block (the request engine's probe before it reads the clock).
+// not block (mp.Comm.Recv's probe before it reads the clock).
 func (t *TCP) Ready(src int) bool {
 	if src == t.rank {
 		return len(t.self) > 0

@@ -3,10 +3,6 @@ package transport
 import (
 	"fmt"
 	"math"
-	"net"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +10,7 @@ import (
 
 	"govpic/internal/mp"
 	"govpic/internal/push"
+	"govpic/internal/testnet"
 )
 
 // fastOpts shrinks every timeout so failure-detection tests finish in
@@ -30,47 +27,11 @@ func fastOpts() Options {
 	}
 }
 
-// freeAddr returns a loopback address for rank 0 to listen on. The port
-// lies below the kernel's ephemeral range (the low bound of
-// /proc/sys/net/ipv4/ip_local_port_range), which no 127.0.0.1:0
-// listener or outgoing dial is ever given, so no other rank, test or
-// package can take it between this probe and rank 0's listen — as one
-// drawn from the ephemeral range could. The probe skips ports another
-// program holds; the pid and a counter spread the picks of concurrent
-// test binaries and tests.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	lo := 32768 // Linux's default low bound; below IANA's 49152 too
-	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
-		if f := strings.Fields(string(b)); len(f) == 2 {
-			if v, err := strconv.Atoi(f[0]); err == nil {
-				lo = v
-			}
-		}
-	}
-	base := max(lo-8192, 1024)
-	for i := 0; i < lo-base; i++ {
-		port := base + (os.Getpid()*131+int(portSeq.Add(1)))%(lo-base)
-		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
-		if err != nil {
-			continue
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr
-	}
-	t.Fatalf("no free loopback port in [%d, %d), below the ephemeral range", base, lo)
-	return ""
-}
-
-// portSeq numbers freeAddr's picks within this test binary.
-var portSeq atomic.Int64
-
 // connectWorld brings up a size-rank TCP world on localhost and returns
 // the transports indexed by rank.
 func connectWorld(t *testing.T, size int, opts Options) []*TCP {
 	t.Helper()
-	join := freeAddr(t)
+	join := testnet.FreeAddr(t)
 	ts := make([]*TCP, size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -320,7 +281,7 @@ func TestTCPWindowNeverWaitsForHeartbeat(t *testing.T) {
 			other := 1 - c.Rank()
 			for i := 0; i < n; i++ {
 				c.Send(other, i, int64(i))
-				got, err := c.IRecv(other, i).Wait()
+				got, err := c.Transport().Recv(other, i)
 				if err != nil || got.(int64) != int64(i) {
 					t.Errorf("rank %d round %d: got %v, %v", c.Rank(), i, got, err)
 					return
