@@ -123,8 +123,7 @@ func run() error {
 	coord, err := start(*vpicfleetBin, fleetBase,
 		"-addr", fmt.Sprintf("127.0.0.1:%d", fleetPort),
 		"-mirror", mirror,
-		"-probe-every", "100ms", "-probe-timeout", "1s", "-dead-after", "3",
-		"-poll-every", "25ms")
+		"-probe-every", "100ms", "-poll-every", "25ms")
 	if err != nil {
 		return err
 	}

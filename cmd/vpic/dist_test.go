@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +27,43 @@ func TestMain(m *testing.M) {
 		main()
 		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if built.dir != "" {
+		os.RemoveAll(built.dir)
+	}
+	os.Exit(code)
+}
+
+// built holds the module's other commands, each built once per test
+// binary by builtCmd.
+var built struct {
+	sync.Mutex
+	dir   string
+	paths map[string]string
+}
+
+// builtCmd builds govpic/cmd/<name> into a temporary directory the
+// first time a test asks for it and returns the executable's path.
+func builtCmd(t *testing.T, name string) string {
+	t.Helper()
+	built.Lock()
+	defer built.Unlock()
+	if p, ok := built.paths[name]; ok {
+		return p
+	}
+	if built.dir == "" {
+		dir, err := os.MkdirTemp("", "govpic-cmds-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		built.dir, built.paths = dir, map[string]string{}
+	}
+	p := filepath.Join(built.dir, name)
+	if out, err := exec.Command("go", "build", "-o", p, "govpic/cmd/"+name).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", name, err, out)
+	}
+	built.paths[name] = p
+	return p
 }
 
 // vpicCmd builds an exec.Cmd that re-runs this test binary as the CLI.
@@ -202,7 +239,7 @@ func TestDistributedPeerKillDetected(t *testing.T) {
 	// Enough steps that neither rank can finish before the kill.
 	common := []string{"-deck", "thermal", "-nx", "16", "-ppc", "8",
 		"-steps", "200000", "-every", "0", "-ranks", "2", "-workers", "1",
-		"-join", join, "-heartbeat", "50ms", "-peer-timeout", "500ms"}
+		"-join", join, "-peer-timeout", "500ms"}
 	r0 := vpicCmd(append(common, "-rank", "0")...)
 	var r0out bytes.Buffer
 	r0.Stdout, r0.Stderr = &r0out, &r0out
@@ -286,17 +323,42 @@ func TestRankMatrixCRCIdentical(t *testing.T) {
 
 // TestRemovedLanesFlagRejected: -lanes selected a push sweep until there
 // was only one, -overlap=false the blocking exchange schedule until there
-// was only one, and -dump and -summary wrote artifacts nothing read; a
-// script that still passes any of them must fail at flag parsing with
-// the flag named, not run with the knob ignored.
+// was only one, -dump and -summary wrote artifacts nothing read, and
+// -heartbeat is PeerTimeout/8; a script that still passes any of them
+// must fail at flag parsing with the flag named, not run with the knob
+// ignored.
 func TestRemovedLanesFlagRejected(t *testing.T) {
-	for _, removed := range [][]string{{"-lanes", "1"}, {"-overlap=false"}, {"-dump", "d"}, {"-summary", "s"}} {
+	for _, removed := range [][]string{{"-lanes", "1"}, {"-overlap=false"}, {"-dump", "d"}, {"-summary", "s"}, {"-heartbeat", "50ms"}} {
 		name, _, _ := strings.Cut(removed[0], "=")
 		out, err := vpicCmd(append([]string{"-deck", "thermal", "-steps", "1"}, removed...)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
 			!strings.Contains(string(out), "flag provided but not defined: "+name) {
 			t.Errorf("vpic %v: err = %v, want exit 2 with flag's usage error\n%s", removed, err, out)
+		}
+	}
+}
+
+// TestRemovedServiceFlagsRejected: vpicd's -queue is the constant
+// queue depth 16 and -validate's report is cmd/validate's; vpicfleet's
+// -tenant-quota had no caller, and -probe-timeout and -dead-after are
+// the constants 1 s and 3. Each must fail at flag parsing, named.
+func TestRemovedServiceFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		cmd     string
+		removed []string
+	}{
+		{"vpicd", []string{"-queue", "4"}},
+		{"vpicd", []string{"-validate", "fast"}},
+		{"vpicfleet", []string{"-tenant-quota", "2"}},
+		{"vpicfleet", []string{"-probe-timeout", "1s"}},
+		{"vpicfleet", []string{"-dead-after", "3"}},
+	} {
+		out, err := exec.Command(builtCmd(t, tc.cmd), tc.removed...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+tc.removed[0]) {
+			t.Errorf("%s %v: err = %v, want exit 2 with flag's usage error\n%s", tc.cmd, tc.removed, err, out)
 		}
 	}
 }

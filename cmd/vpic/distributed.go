@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"govpic/internal/balance"
 	"govpic/internal/core"
@@ -20,22 +19,7 @@ import (
 	"govpic/internal/dist"
 	"govpic/internal/output"
 	"govpic/internal/perf"
-	"govpic/internal/transport"
 )
-
-// transportOptions tunes the TCP mesh from -heartbeat and -peer-timeout.
-func transportOptions(heartbeat, peerTimeout time.Duration) transport.Options {
-	topts := transport.Options{HeartbeatInterval: heartbeat, PeerTimeout: peerTimeout}
-	if peerTimeout > 0 {
-		// -peer-timeout is the one failure-detection knob: scale the
-		// reconnect budget with it so a tightened timeout bounds the whole
-		// time-to-detection, not just the read deadline.
-		topts.DialTimeout = peerTimeout
-		topts.ReconnectBackoff = peerTimeout / 8
-		topts.ConnectAttempts = 4
-	}
-	return topts
-}
 
 // report prints rank 0's end-of-run block — energies, state CRCs, the
 // perf report and, when balancing, the final x-cuts — and writes the

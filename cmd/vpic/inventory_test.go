@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -14,17 +15,22 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
+	"govpic/internal/fleet"
+	"govpic/internal/server"
+	"govpic/internal/transport"
 	"govpic/internal/valid"
 )
 
 // TestInventory holds DESIGN.md's two inventories to the code, both
 // ways. §3 must have a row for every directory holding a package or
-// command, and §15 a row for every core.Config field (with the fields
-// of the core structs nested in it), every deck.JSONConfig key and every
-// vpic flag. A row naming something that no longer exists fails, and so
-// does a row whose second cell is empty or reads "user only": a knob
-// stays only if a deck, bench workload, validation case or CI command
-// sets it, or it is a deployment setting.
+// command, and §15 a row for every settable value: the fields of
+// core.Config (with the fields of the core structs nested in it),
+// transport.Options, server.Config and fleet.Config, every
+// deck.JSONConfig key, and every flag vpic, vpicd and vpicfleet list
+// under -h. A row naming something that no longer exists fails, and so
+// does a row whose second cell names no setter: a knob stays only if a
+// deck, bench workload, validation case or CI command sets it, it is a
+// deployment setting, or the program itself fills it.
 func TestInventory(t *testing.T) {
 	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
@@ -37,22 +43,30 @@ func TestInventory(t *testing.T) {
 	compare(t, "§3 module map", modules[0], packageDirs(t, filepath.Join("..", "..")))
 
 	knobs := map[string]map[string]bool{
-		"core.Config": configFields(),
-		"JSON key":    jsonKeys(),
-		"vpic":        vpicFlags(t),
+		"`core.Config` field":       configFields(),
+		"`transport.Options` field": fieldNames(transport.Options{}),
+		"`server.Config` field":     fieldNames(server.Config{}),
+		"`fleet.Config` field":      fieldNames(fleet.Config{}),
+		"deck JSON key":             jsonKeys(),
+		"`vpic` flag":               vpicFlags(t),
+		"`vpicd` flag":              helpFlags(t, builtCmd(t, "vpicd")),
+		"`vpicfleet` flag":          helpFlags(t, builtCmd(t, "vpicfleet")),
 	}
 	found := map[string]bool{}
 	for _, tb := range tables(t, section(t, string(design), "## 15. ")) {
-		for header, want := range knobs {
-			if strings.Contains(tb.header, header) {
-				compare(t, "§15 "+header+" table", tb, want)
-				found[header] = true
+		if want, ok := knobs[tb.header]; ok {
+			compare(t, "§15 "+tb.header+" table", tb, want)
+			found[tb.header] = true
+			for _, r := range tb.rows {
+				if !setter.MatchString(r.cells[1]) {
+					t.Errorf("§15 %s table: row %v names no setter: %q", tb.header, r.names, r.cells[1])
+				}
 			}
 		}
 	}
 	for header := range knobs {
 		if !found[header] {
-			t.Errorf("DESIGN §15 has no table whose header names %s", header)
+			t.Errorf("DESIGN §15 has no table headed %s", header)
 		}
 	}
 }
@@ -69,6 +83,8 @@ const (
 var (
 	// repoPath matches a path under one of the module's source trees.
 	repoPath = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
+	// setter matches a §15 "set by" cell that names who sets the knob.
+	setter = regexp.MustCompile(`\b(deck|bench|valid|CI|deployment|the program)\b`)
 	// commitSpan matches an abbreviated or full commit hash in a code span.
 	commitSpan = regexp.MustCompile("`[0-9a-f]{7,40}`")
 	// testName matches a test, benchmark or fuzz target named as pkg.Name.
@@ -375,21 +391,47 @@ func jsonKeys() map[string]bool {
 	return names
 }
 
+// fieldNames names the fields of a struct value.
+func fieldNames(v any) map[string]bool {
+	names := map[string]bool{}
+	typ := reflect.TypeOf(v)
+	for i := 0; i < typ.NumField(); i++ {
+		names[typ.Field(i).Name] = true
+	}
+	return names
+}
+
 // vpicFlags names the flags vpic -h lists, each with its leading dash.
-// The re-executed test binary also lists its own -test.* flags, which
-// are not vpic's.
 func vpicFlags(t *testing.T) map[string]bool {
 	t.Helper()
-	out, _ := vpicCmd("-h").CombinedOutput()
+	names := flagNames(vpicCmd("-h"))
+	if !names["-deck"] || !names["-config"] {
+		t.Fatalf("vpic -h lists no -deck or -config flag: %v", names)
+	}
+	return names
+}
+
+// helpFlags names the flags a built command's -h lists.
+func helpFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	names := flagNames(exec.Command(path, "-h"))
+	if !names["-addr"] {
+		t.Fatalf("%s -h lists no -addr flag: %v", path, names)
+	}
+	return names
+}
+
+// flagNames runs a command's -h and names the flags it lists, each with
+// its leading dash. The re-executed test binary also lists its own
+// -test.* flags, which are not vpic's.
+func flagNames(cmd *exec.Cmd) map[string]bool {
+	out, _ := cmd.CombinedOutput()
 	names := map[string]bool{}
 	for _, line := range strings.Split(string(out), "\n") {
 		if rest, ok := strings.CutPrefix(line, "  -"); ok && !strings.HasPrefix(rest, "test.") {
 			name, _, _ := strings.Cut(rest, " ")
 			names["-"+name] = true
 		}
-	}
-	if !names["-deck"] || !names["-config"] {
-		t.Fatalf("vpic -h lists no -deck or -config flag:\n%s", out)
 	}
 	return names
 }

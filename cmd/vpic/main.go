@@ -21,6 +21,7 @@ import (
 
 	"govpic/internal/deck"
 	"govpic/internal/dist"
+	"govpic/internal/transport"
 )
 
 func main() {
@@ -54,8 +55,7 @@ func main() {
 		localRanks = flag.Int("local-ranks", 0, "fork N local processes, one per rank, over TCP")
 		stateCRC   = flag.String("state-crc", "", "write the per-rank state CRC fingerprint JSON here")
 		commJSON   = flag.String("comm-json", "", "write per-rank comm link/class stats JSON here")
-		heartbeat  = flag.Duration("heartbeat", 0, "transport heartbeat interval (0 = default)")
-		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout (0 = default)")
+		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout; the heartbeat, reconnect and send windows derive from it (0 = default 2s)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -125,7 +125,7 @@ func main() {
 		}
 		res, err = dist.Run(d, job, dist.Config{
 			Rank: *rank, Ranks: *ranks, Join: *join, Listen: *listen,
-			Transport: transportOptions(*heartbeat, *peerTO),
+			Transport: transport.Options{PeerTimeout: *peerTO},
 		}, logf)
 	} else {
 		job.Around = profiled(*cpuProf, *memProf, *steps)

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"govpic/internal/server"
-	"govpic/internal/valid"
 )
 
 func main() {
@@ -49,14 +48,12 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "if set, serve net/http/pprof on this address (e.g. localhost:6060)")
 		spool     = flag.String("spool", "vpicd-spool", "durable job spool directory")
 		runners   = flag.Int("runners", 1, "concurrent job executors")
-		queue     = flag.Int("queue", 16, "job queue depth (full queue answers 429)")
 		ckptEvery = flag.Int("checkpoint-every", 50, "steps between crash-safety checkpoints")
 		energy    = flag.Int("energy-every", 10, "steps between energy history samples")
 
 		coordinator = flag.String("coordinator", "", "vpicfleet base URL to register with (e.g. http://host:8990)")
 		advertise   = flag.String("advertise", "", "base URL the coordinator reaches this worker at (default http://127.0.0.1<addr>)")
 		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "coordinator re-registration interval")
-		validate    = flag.String("validate", "", "run the physics-validation suite at startup: fast | full (served at /v1/valid and /metrics)")
 	)
 	flag.Parse()
 
@@ -76,7 +73,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		SpoolDir:        *spool,
 		Runners:         *runners,
-		QueueDepth:      *queue,
 		CheckpointEvery: *ckptEvery,
 		EnergyEvery:     *energy,
 		Logf:            log.Printf,
@@ -85,26 +81,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *validate != "" {
-		tier := valid.Tier(*validate)
-		if tier != valid.TierFast && tier != valid.TierFull {
-			log.Fatalf("vpicd: -validate %q: want fast or full", *validate)
-		}
-		// The suite runs concurrently with service startup — the worker
-		// serves jobs immediately and its physics attestation appears on
-		// /v1/valid and /metrics when the cases finish (seconds for the
-		// fast tier).
-		go func() {
-			rep := valid.RunSuite(valid.Builtin().Cases(tier), tier, log.Printf)
-			srv.SetValidReport(rep)
-		}()
-	}
-
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("vpicd: listening on %s (spool %s, %d runners, queue %d)",
-			*addr, *spool, *runners, *queue)
+		log.Printf("vpicd: listening on %s (spool %s, %d runners)", *addr, *spool, *runners)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

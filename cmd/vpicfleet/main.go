@@ -1,8 +1,8 @@
 // Command vpicfleet is the fleet coordinator: it federates many vpicd
 // workers behind one control plane. Workers register (vpicd
 // -coordinator self-registers) and are health-checked with bounded
-// probes; jobs and sweep shards are scheduled with fair-share
-// per-tenant quotas onto the worker with the most queue headroom,
+// probes; jobs and sweep shards are scheduled fair-share per tenant
+// onto the worker with the most queue headroom,
 // honouring worker 429 backpressure; running shards have their CRC'd
 // checkpoints mirrored so a dead worker's jobs relocate — resuming
 // bit-identically — onto healthy ones; clients stream step-granular
@@ -39,25 +39,19 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8990", "HTTP listen address")
-		mirror       = flag.String("mirror", "vpicfleet-mirror", "checkpoint/result mirror directory")
-		workers      = flag.String("workers", "", "comma-separated worker base URLs to pre-register")
-		probeEvery   = flag.Duration("probe-every", 2*time.Second, "worker health-check interval")
-		probeTimeout = flag.Duration("probe-timeout", time.Second, "bound on one health probe")
-		deadAfter    = flag.Int("dead-after", 3, "consecutive failed probes before a worker is declared dead")
-		pollEvery    = flag.Duration("poll-every", 500*time.Millisecond, "shard status-poll and mirror interval")
-		tenantQuota  = flag.Int("tenant-quota", 0, "max concurrently placed shards per tenant (0 = uncapped)")
+		addr       = flag.String("addr", ":8990", "HTTP listen address")
+		mirror     = flag.String("mirror", "vpicfleet-mirror", "checkpoint/result mirror directory")
+		workers    = flag.String("workers", "", "comma-separated worker base URLs to pre-register")
+		probeEvery = flag.Duration("probe-every", 2*time.Second, "worker health-check interval (3 failed 1 s probes declare a worker dead)")
+		pollEvery  = flag.Duration("poll-every", 500*time.Millisecond, "shard status-poll and mirror interval (10 of them clamp a worker's Retry-After)")
 	)
 	flag.Parse()
 
 	c, err := fleet.New(fleet.Config{
-		MirrorDir:    *mirror,
-		ProbeEvery:   *probeEvery,
-		ProbeTimeout: *probeTimeout,
-		DeadAfter:    *deadAfter,
-		PollEvery:    *pollEvery,
-		TenantQuota:  *tenantQuota,
-		Logf:         log.Printf,
+		MirrorDir:  *mirror,
+		ProbeEvery: *probeEvery,
+		PollEvery:  *pollEvery,
+		Logf:       log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -73,8 +67,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: c.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("vpicfleet: listening on %s (mirror %s, probe %s x%d, poll %s)",
-			*addr, *mirror, *probeEvery, *deadAfter, *pollEvery)
+		log.Printf("vpicfleet: listening on %s (mirror %s, probe %s, poll %s)",
+			*addr, *mirror, *probeEvery, *pollEvery)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

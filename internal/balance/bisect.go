@@ -1,5 +1,7 @@
 package balance
 
+import "math"
+
 // BisectCuts computes a plane layout for parts slabs over a weighted
 // line of cells by recursive bisection: each node splits its cell
 // range at the plane that best approximates the weighted p1/p share
@@ -35,21 +37,14 @@ func bisect(prefix []float64, cuts []int, part, p, lo, hi int) {
 	// The cut must leave at least one cell per slab on each side.
 	cmin, cmax := lo+p1, hi-(p-p1)
 	best := cmin
-	bestErr := abs(prefix[cmin] - target)
+	bestErr := math.Abs(prefix[cmin] - target)
 	for c := cmin + 1; c <= cmax; c++ {
-		if e := abs(prefix[c] - target); e < bestErr {
+		if e := math.Abs(prefix[c] - target); e < bestErr {
 			best, bestErr = c, e
 		}
 	}
 	bisect(prefix, cuts, part, p1, lo, best)
 	bisect(prefix, cuts, part+p1, p-p1, best, hi)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Imbalance returns the max/mean slab weight of cuts over the given
@@ -65,17 +60,4 @@ func Imbalance(weights []float64, cuts []int) float64 {
 		}
 	}
 	return MaxOverMean(slabs)
-}
-
-// CutsEqual reports whether two cut arrays are identical.
-func CutsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 	if err := s2.Restore(bytes.NewReader(ckpt)); err != nil {
 		t.Fatalf("restore across x-cuts: %v", err)
 	}
-	if got, want := s2.CutsX(), []int{0, 6, 16}; !balance.CutsEqual(got, want) {
+	if got, want := s2.CutsX(), []int{0, 6, 16}; !slices.Equal(got, want) {
 		t.Fatalf("cuts after restore = %v, want the file's %v", got, want)
 	}
 	s.Run(3)
@@ -132,7 +133,7 @@ func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	uniform := half.CutsX()
 	half.Run(20)
 	fileCuts := half.CutsX()
-	if balance.CutsEqual(fileCuts, uniform) {
+	if slices.Equal(fileCuts, uniform) {
 		t.Fatalf("the balancer never moved the cuts by step 20: %v", fileCuts)
 	}
 	ckpt := checkpointBytes(t, half)
@@ -142,7 +143,7 @@ func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
 		t.Fatal(err)
 	}
-	if got := resumed.CutsX(); !balance.CutsEqual(got, fileCuts) {
+	if got := resumed.CutsX(); !slices.Equal(got, fileCuts) {
 		t.Fatalf("cuts after restore = %v, want the file's %v", got, fileCuts)
 	}
 	for r, rk := range ranks {
@@ -168,11 +169,11 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 	before := s.CutsX()
 	counts := planeCountsX(s)
 	newCX := balance.BisectCuts(counts, 4)
-	if balance.CutsEqual(newCX, before) {
+	if slices.Equal(newCX, before) {
 		t.Fatal("fixture not adversarial enough: bisection agrees with uniform cuts")
 	}
 	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, newCX) })
-	if got := s.CutsX(); !balance.CutsEqual(got, newCX) {
+	if got := s.CutsX(); !slices.Equal(got, newCX) {
 		t.Fatalf("cuts after reshape = %v, want %v", got, newCX)
 	}
 	if got := s.CanonicalDigest(); got != dig {
@@ -201,13 +202,13 @@ func TestReshapeXJumpPreservesDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(2)
-	if got, want := s.CutsX(), []int{0, 8, 16, 24, 32}; !balance.CutsEqual(got, want) {
+	if got, want := s.CutsX(), []int{0, 8, 16, 24, 32}; !slices.Equal(got, want) {
 		t.Fatalf("fixture cuts = %v, want uniform %v", got, want)
 	}
 	dig, n := s.CanonicalDigest(), s.TotalParticles()
 	target := []int{0, 17, 19, 21, 32}
 	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, target) })
-	if got := s.CutsX(); !balance.CutsEqual(got, target) {
+	if got := s.CutsX(); !slices.Equal(got, target) {
 		t.Fatalf("cuts after jump = %v, want %v", got, target)
 	}
 	if got := s.CanonicalDigest(); got != dig {
@@ -248,7 +249,7 @@ func TestReshapeKeepsSortPasses(t *testing.T) {
 	}
 	off, cutsOff := run(balance.Off)
 	on, cutsOn := run(balance.Online)
-	if balance.CutsEqual(cutsOn, cutsOff) {
+	if slices.Equal(cutsOn, cutsOff) {
 		t.Fatalf("the online run never reshaped: cuts %v", cutsOn)
 	}
 	if off != 4 || on != off {
@@ -284,7 +285,7 @@ func TestOnlineBalanceMatchesStatic(t *testing.T) {
 	sOff, histOff := run(balance.Off, 1.25)
 	sOn, histOn := run(balance.Online, 1.15)
 
-	if balance.CutsEqual(sOn.CutsX(), sOff.CutsX()) {
+	if slices.Equal(sOn.CutsX(), sOff.CutsX()) {
 		t.Fatalf("online run never moved a plane: cuts %v", sOn.CutsX())
 	}
 	for i := range histOff {

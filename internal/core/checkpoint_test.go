@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -144,7 +145,7 @@ func TestRestoreRejectedOnEveryMember(t *testing.T) {
 			t.Errorf("%s: CRCs %08x after the rejected restore, %08x before", tc.name, got, crcs)
 		}
 		for r, rs := range s.sims {
-			if rs.StepCount() != 2 || !balance.CutsEqual(rs.CutsX(), cuts) {
+			if rs.StepCount() != 2 || !slices.Equal(rs.CutsX(), cuts) {
 				t.Errorf("%s: member %d at step %d on x-cuts %v, want step 2 on %v",
 					tc.name, r, rs.StepCount(), rs.CutsX(), cuts)
 			}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"govpic/internal/accum"
 	"govpic/internal/diag"
@@ -170,7 +169,6 @@ func TestMemberStepAllocsTCP(t *testing.T) {
 	}
 	const maxAllocs = 71
 	join := testnet.FreeAddr(t)
-	opts := transport.Options{RendezvousTimeout: 20 * time.Second}
 	ts := make([]*transport.TCP, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -178,7 +176,7 @@ func TestMemberStepAllocsTCP(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", opts)
+			ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", transport.Options{})
 		}(r)
 	}
 	wg.Wait()

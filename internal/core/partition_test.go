@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"govpic/internal/balance"
@@ -320,7 +321,7 @@ func TestCandidatePartitionMatchesFullScan(t *testing.T) {
 			if c.cfg.ParticleBC[field.XLo] == push.Absorb && cand.TotalParticles() == n0 {
 				t.Fatal("vacuous: no particle was absorbed")
 			}
-			if c.cfg.Balance.Mode == balance.Online && balance.CutsEqual(cand.CutsX(), cuts0) {
+			if c.cfg.Balance.Mode == balance.Online && slices.Equal(cand.CutsX(), cuts0) {
 				t.Fatal("vacuous: the balancer never moved a cut")
 			}
 		})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"govpic/internal/accum"
 	"govpic/internal/balance"
@@ -39,7 +40,7 @@ func (rk *Rank) maybeReshapeX(cfg *Config) bool {
 		return false
 	}
 	target := balance.BisectCuts(tot, lay.Dec.PX)
-	if balance.CutsEqual(target, lay.CX) {
+	if slices.Equal(target, lay.CX) {
 		return false
 	}
 	rk.reshapeX(cfg, target)

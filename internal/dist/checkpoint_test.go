@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"govpic/internal/balance"
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
@@ -87,7 +86,7 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 			t.Fatalf("TCP rank %d: %v", r, err)
 		}
 	}
-	if balance.CutsEqual(results[0].CutsX, uniform) {
+	if slices.Equal(results[0].CutsX, uniform) {
 		t.Fatalf("the balancer never moved the cuts by step 20: %v", results[0].CutsX)
 	}
 	sim, err := dk.New()

@@ -39,8 +39,8 @@ type Config struct {
 	Ranks  int    // world size
 	Join   string // rendezvous address (rank 0 listens here)
 	Listen string // this rank's mesh listener ("" = any port)
-	// Transport tunes heartbeats and failure detection; zero values use
-	// the transport defaults.
+	// Transport sets the failure-detection timeout every transport
+	// timer derives from; the zero value is the 2 s default.
 	Transport transport.Options
 }
 

@@ -51,11 +51,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 
 	// Same deck, four processes' worth of ranks over localhost TCP.
 	join := testnet.FreeAddr(t)
-	opts := transport.Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		PeerTimeout:       2 * time.Second,
-		RendezvousTimeout: 20 * time.Second,
-	}
+	opts := transport.Options{PeerTimeout: 2 * time.Second}
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
@@ -158,7 +154,6 @@ func runTCPJob(t *testing.T, spec deck.JSONConfig, ranks int, job Job) ([]*Resul
 			}
 			results[rank], errs[rank] = Run(dk, job, Config{
 				Rank: rank, Ranks: ranks, Join: join, Listen: "127.0.0.1:0",
-				Transport: transport.Options{RendezvousTimeout: 20 * time.Second},
 			}, nil)
 		}(r)
 	}
@@ -330,7 +325,7 @@ func TestRejectedRestoreIsErrRestore(t *testing.T) {
 	}
 
 	join := testnet.FreeAddr(t)
-	opts := transport.Options{RendezvousTimeout: 20 * time.Second, HeartbeatInterval: 20 * time.Millisecond, PeerTimeout: 2 * time.Second}
+	opts := transport.Options{PeerTimeout: 2 * time.Second}
 	job = Job{Steps: 2, Restore: good}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup

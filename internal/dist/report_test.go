@@ -35,11 +35,11 @@ func deterministicOf(r core.RankReport) deterministic {
 		r.Bytes, string(classes), r.SortPasses.Sorts}
 }
 
-// linkMsgs formats a report's per-link message counts.
+// linkMsgs formats a report's per-link message and byte counts.
 func linkMsgs(r core.RankReport) string {
 	var s []string
 	for _, l := range r.Links {
-		s = append(s, fmt.Sprintf("%s sent %d recv %d", l.Label(), l.MsgsSent, l.MsgsRecv))
+		s = append(s, fmt.Sprintf("%s sent %d (%d B) recv %d (%d B)", l.Label(), l.MsgsSent, l.BytesSent, l.MsgsRecv, l.BytesRecv))
 	}
 	return strings.Join(s, "; ")
 }
@@ -63,9 +63,8 @@ func zeroTimes(r core.RankReport) core.RankReport {
 // free-running members under mp.Run and over loopback TCP through Run
 // must give identical particles, advances, crossings, flops, section
 // bytes, class bytes/msgs and sorts on every rank, and the same member
-// run in-process and over TCP must send the same messages on every
-// link. The
-// end-of-run message JSON (the -comm-json record) of the lockstep world,
+// run in-process and over TCP must send the same messages and payload
+// bytes on every link. The end-of-run message JSON (the -comm-json record) of the lockstep world,
 // time-valued fields zeroed, must match testdata/reports.golden.json,
 // so dropping or renaming a key fails here; `go test -run
 // TestReportsAgreeAcrossWorlds -update` rewrites the file after a
@@ -107,7 +106,8 @@ func TestReportsAgreeAcrossWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The collectives run over the links on every world, so the same
-	// member run sends the same messages in-process as over TCP.
+	// member run sends the same messages, counted in the same payload
+	// bytes, in-process as over TCP.
 	for r, rep := range local.Reports {
 		if got, want := linkMsgs(tcp[r]), linkMsgs(rep); got != want {
 			t.Errorf("rank %d: link messages %s over TCP, %s in-process", r, got, want)

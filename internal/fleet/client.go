@@ -39,16 +39,14 @@ func isBackpressure(err error) bool {
 // client is the coordinator's typed view of the vpicd worker API.
 // Unary calls are bounded; event streams live as long as their context.
 type client struct {
-	unary        *http.Client
-	stream       *http.Client
-	probeTimeout time.Duration
+	unary  *http.Client
+	stream *http.Client
 }
 
-func newClient(probeTimeout time.Duration) *client {
+func newClient() *client {
 	return &client{
-		unary:        &http.Client{Timeout: 15 * time.Second},
-		stream:       &http.Client{},
-		probeTimeout: probeTimeout,
+		unary:  &http.Client{Timeout: 15 * time.Second},
+		stream: &http.Client{},
 	}
 }
 
@@ -64,7 +62,7 @@ type healthInfo struct {
 // health probes a worker's /healthz within probeTimeout; any transport
 // error or non-200 is a failed probe.
 func (cl *client) health(baseURL string) (healthInfo, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {

@@ -35,6 +35,15 @@ import (
 	"govpic/internal/server"
 )
 
+const (
+	// probeTimeout bounds one health probe — a wedged worker is
+	// indistinguishable from a dead one, so probes never hang.
+	probeTimeout = time.Second
+	// deadAfter is the consecutive probe failures after which a worker
+	// is declared dead and its shards relocate.
+	deadAfter = 3
+)
+
 // Config sizes the coordinator. Zero values select the defaults.
 type Config struct {
 	// MirrorDir stores mirrored checkpoint and result artifacts, one
@@ -42,21 +51,10 @@ type Config struct {
 	MirrorDir string
 	// ProbeEvery is the worker health-check interval (default 2s).
 	ProbeEvery time.Duration
-	// ProbeTimeout bounds one health probe (default 1s) — a wedged
-	// worker is indistinguishable from a dead one, so probes never hang.
-	ProbeTimeout time.Duration
-	// DeadAfter is the consecutive probe failures after which a worker
-	// is declared dead and its shards relocate (default 3).
-	DeadAfter int
 	// PollEvery is the per-shard status poll and mirror interval
-	// (default 500ms).
+	// (default 500ms); ten of them clamp a worker's Retry-After
+	// backpressure hold.
 	PollEvery time.Duration
-	// TenantQuota caps concurrently placed shards per tenant
-	// (0 = no cap; fair-share ordering applies regardless).
-	TenantQuota int
-	// MaxBackoff clamps worker Retry-After backpressure holds
-	// (default 5s).
-	MaxBackoff time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -65,17 +63,8 @@ func (c *Config) setDefaults() {
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
-	}
 	if c.PollEvery <= 0 {
 		c.PollEvery = 500 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -121,7 +110,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		client:     newClient(cfg.ProbeTimeout),
+		client:     newClient(),
 		hub:        server.NewHub(),
 		workers:    make(map[string]*Worker),
 		byURL:      make(map[string]string),

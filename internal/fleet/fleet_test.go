@@ -24,9 +24,8 @@ import (
 
 // coordState builds a bare Coordinator holding the given registry and
 // job table — no loops, no RPC, just the placement policy under test.
-func coordState(quota int, workers []*Worker, jobs []*Job) *Coordinator {
+func coordState(workers []*Worker, jobs []*Job) *Coordinator {
 	c := &Coordinator{
-		cfg:     Config{TenantQuota: quota},
 		workers: map[string]*Worker{},
 		jobs:    map[string]*Job{},
 	}
@@ -42,7 +41,7 @@ func coordState(quota int, workers []*Worker, jobs []*Job) *Coordinator {
 
 func TestPickLockedWorkerSelection(t *testing.T) {
 	now := time.Now()
-	c := coordState(0, []*Worker{
+	c := coordState([]*Worker{
 		{ID: "w-000001", State: WorkerAlive, QueueFree: 1},
 		{ID: "w-000002", State: WorkerAlive, QueueFree: 3},
 		{ID: "w-000003", State: WorkerAlive, Draining: true, QueueFree: 9},
@@ -68,7 +67,7 @@ func TestPickLockedWorkerSelection(t *testing.T) {
 	}
 }
 
-func TestPickLockedFairShareAndQuota(t *testing.T) {
+func TestPickLockedFairShare(t *testing.T) {
 	now := time.Now()
 	workers := func() []*Worker {
 		return []*Worker{{ID: "w-000001", State: WorkerAlive, QueueFree: 8}}
@@ -83,25 +82,14 @@ func TestPickLockedFairShareAndQuota(t *testing.T) {
 	}
 
 	// Fair share: the lighter tenant goes first despite submit order.
-	c := coordState(0, workers(), jobs())
+	c := coordState(workers(), jobs())
 	j, _ := c.pickLocked(now)
 	if j == nil || j.ID != "fj-000004" {
 		t.Fatalf("picked %v; want fj-000004 (tenant b, load 0 < 2)", j)
 	}
 
-	// Quota: tenant a is at its cap, so only b's job is eligible; once b
-	// is gone, nothing is schedulable even with pending work.
-	c = coordState(2, workers(), jobs())
-	if j, _ := c.pickLocked(now); j == nil || j.ID != "fj-000004" {
-		t.Fatalf("quota run picked %v; want fj-000004", j)
-	}
-	c = coordState(2, workers(), jobs()[:3])
-	if j, _ := c.pickLocked(now); j != nil {
-		t.Fatalf("quota-capped tenant got %s scheduled; want nothing", j.ID)
-	}
-
 	// Within one tenant, submit order; an in-flight placement is load too.
-	c = coordState(0, workers(), []*Job{
+	c = coordState(workers(), []*Job{
 		{ID: "fj-000001", Tenant: "a", State: JobPending, placing: true},
 		{ID: "fj-000002", Tenant: "a", State: JobPending},
 		{ID: "fj-000003", Tenant: "a", State: JobPending},
@@ -142,11 +130,9 @@ func TestBackpressurePlacement(t *testing.T) {
 	defer stub.Close()
 
 	c, err := New(Config{
-		MirrorDir:    t.TempDir(),
-		ProbeEvery:   10 * time.Millisecond,
-		ProbeTimeout: 200 * time.Millisecond,
-		PollEvery:    5 * time.Millisecond,
-		MaxBackoff:   20 * time.Millisecond,
+		MirrorDir:  t.TempDir(),
+		ProbeEvery: 10 * time.Millisecond,
+		PollEvery:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,11 +215,9 @@ func closeWithLiveShard(t *testing.T, buf []byte) string {
 	defer srv.Close()
 	defer ts.Close()
 	c, err := New(Config{
-		MirrorDir:    t.TempDir(),
-		ProbeEvery:   10 * time.Millisecond,
-		ProbeTimeout: 200 * time.Millisecond,
-		PollEvery:    5 * time.Millisecond,
-		MaxBackoff:   20 * time.Millisecond,
+		MirrorDir:  t.TempDir(),
+		ProbeEvery: 10 * time.Millisecond,
+		PollEvery:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,13 +399,10 @@ func TestFleetKillWorkerRelocate(t *testing.T) {
 	// The fleet under test: coordinator + two workers.
 	lg := &fleetLog{}
 	c, err := New(Config{
-		MirrorDir:    t.TempDir(),
-		ProbeEvery:   20 * time.Millisecond,
-		ProbeTimeout: 250 * time.Millisecond,
-		DeadAfter:    3,
-		PollEvery:    5 * time.Millisecond,
-		MaxBackoff:   50 * time.Millisecond,
-		Logf:         lg.logf,
+		MirrorDir:  t.TempDir(),
+		ProbeEvery: 20 * time.Millisecond,
+		PollEvery:  5 * time.Millisecond,
+		Logf:       lg.logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -142,5 +142,5 @@ func (c *Coordinator) finalizeShard(fleetID, workerURL, workerJobID string, wj s
 	os.Remove(c.mirrorCheckpointPath(fleetID))
 	c.hub.PublishState(fleetID, wj.State, wj.Error)
 	c.cfg.Logf("vpicfleet: %s %s (worker job %s)", fleetID, state, workerJobID)
-	c.kickSchedule() // a slot freed; a quota may have room now
+	c.kickSchedule() // a slot freed
 }

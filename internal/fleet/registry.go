@@ -12,7 +12,7 @@ type WorkerState string
 const (
 	// WorkerAlive: the last probe (or registration) succeeded.
 	WorkerAlive WorkerState = "alive"
-	// WorkerDead: DeadAfter consecutive probes failed — attributed
+	// WorkerDead: deadAfter consecutive probes failed — attributed
 	// death, the only way a worker leaves the schedulable pool. A dead
 	// worker keeps being probed and revives on success or
 	// re-registration (rolling restart on the same URL).
@@ -91,7 +91,7 @@ func (c *Coordinator) Workers() []Worker {
 }
 
 // probeLoop health-checks every registered worker (dead ones included,
-// for revival) once per ProbeEvery, each probe bounded by ProbeTimeout
+// for revival) once per ProbeEvery, each probe bounded by probeTimeout
 // and run concurrently so one black-holed worker cannot delay the
 // verdict on the rest.
 func (c *Coordinator) probeLoop() {
@@ -134,7 +134,7 @@ func (c *Coordinator) probe(id, url string) {
 	}
 	if err != nil {
 		wk.failures++
-		if wk.failures >= c.cfg.DeadAfter && wk.State != WorkerDead {
+		if wk.failures >= deadAfter && wk.State != WorkerDead {
 			wk.State = WorkerDead
 			fails := wk.failures
 			orphans := c.placedOnLocked(id)

@@ -78,8 +78,7 @@ func (c *Coordinator) scheduleLoop() {
 //
 // Fair share: among tenants with pending work, the one with the fewest
 // active (placed or in-flight) shards goes first; within a tenant,
-// submit order. TenantQuota, when set, hard-caps a tenant's active
-// shards. Placement is queue-aware: only alive, non-draining workers
+// submit order. Placement is queue-aware: only alive, non-draining workers
 // outside a backpressure hold and with probe-confirmed free queue
 // slots (minus unprobed in-flight placements) are candidates, and the
 // one with the most headroom wins (IDs break ties deterministically).
@@ -94,9 +93,6 @@ func (c *Coordinator) pickLocked(now time.Time) (*Job, *Worker) {
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.State != JobPending || j.placing {
-			continue
-		}
-		if c.cfg.TenantQuota > 0 && load[j.Tenant] >= c.cfg.TenantQuota {
 			continue
 		}
 		if job == nil || load[j.Tenant] < load[job.Tenant] {
@@ -168,11 +164,7 @@ func (c *Coordinator) placeAll() {
 				wk2.reserved--
 				var bp *backpressureError
 				if errors.As(err, &bp) {
-					hold := bp.retryAfter
-					if hold > c.cfg.MaxBackoff {
-						hold = c.cfg.MaxBackoff
-					}
-					wk2.backoffUntil = time.Now().Add(hold)
+					wk2.backoffUntil = time.Now().Add(min(bp.retryAfter, 10*c.cfg.PollEvery))
 					// The probe snapshot overstated headroom; zero it until
 					// the next probe refreshes the truth.
 					wk2.QueueFree = wk2.reserved

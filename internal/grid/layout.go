@@ -1,6 +1,9 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Layout is a plane-based partition of the global mesh: the Decomp fixes
 // the rank topology (PX×PY×PZ, neighbor wiring, rank ordering) while the
@@ -94,19 +97,7 @@ func (l Layout) Equal(o Layout) bool {
 	if l.Dec != o.Dec {
 		return false
 	}
-	return cutsEqual(l.CX, o.CX) && cutsEqual(l.CY, o.CY) && cutsEqual(l.CZ, o.CZ)
-}
-
-func cutsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(l.CX, o.CX) && slices.Equal(l.CY, o.CY) && slices.Equal(l.CZ, o.CZ)
 }
 
 // SlabX returns the x-slab index owning global cell gx (0-based).

@@ -29,7 +29,7 @@ func TestRecvAccountsBlockedTime(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", transport.Options{RendezvousTimeout: 20 * time.Second})
+				ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", transport.Options{})
 			}(r)
 		}
 		wg.Wait()

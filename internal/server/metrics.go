@@ -9,7 +9,6 @@ import (
 	"govpic/internal/domain"
 	"govpic/internal/perf"
 	"govpic/internal/push"
-	"govpic/internal/valid"
 )
 
 // handleMetrics exposes the service counters in the conventional
@@ -85,7 +84,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			kernelJobs[j.Kernel]++
 		}
 	}
-	validRep := s.validRep
 	lines := []string{
 		"vpicd_up 1",
 		fmt.Sprintf("vpicd_uptime_seconds %.3f", time.Since(s.started).Seconds()),
@@ -186,24 +184,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, rc := range rankCounts {
 		lines = append(lines, fmt.Sprintf("vpicd_rank_particles{job=%q,rank=\"%d\"} %d", rc.job, rc.rank, rc.n))
 	}
-	// Physics attestation: the per-job conservation verdict and, when a
-	// validation suite has run, the suite and per-case verdicts — the
-	// physics analogue of the perf gate's counters.
+	// Physics attestation: the per-job conservation verdict.
 	sort.Slice(phys, func(a, b int) bool { return phys[a].job < phys[b].job })
 	for _, p := range phys {
 		lines = append(lines, fmt.Sprintf("vpicd_job_physics_pass{job=%q} %d", p.job, p.pass))
-	}
-	if validRep != nil {
-		lines = append(lines,
-			fmt.Sprintf("vpicd_valid_suite_pass{tier=%q} %d", validRep.Tier, b2i(validRep.Pass)),
-			fmt.Sprintf("vpicd_valid_cases %d", len(validRep.Cases)))
-		cases := append([]valid.CaseResult(nil), validRep.Cases...)
-		sort.Slice(cases, func(a, b int) bool { return cases[a].Name < cases[b].Name })
-		for _, c := range cases {
-			lines = append(lines,
-				fmt.Sprintf("vpicd_valid_case_pass{case=%q} %d", c.Name, b2i(c.Pass)),
-				fmt.Sprintf("vpicd_valid_case_seconds{case=%q} %.3f", c.Name, c.Seconds))
-		}
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -13,8 +13,11 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/valid"
 )
+
+// queueDepth bounds the FIFO of admitted-but-not-running jobs; a full
+// queue answers 429 with Retry-After.
+const queueDepth = 16
 
 // Config sizes the service. Zero values select the defaults.
 type Config struct {
@@ -24,9 +27,6 @@ type Config struct {
 	// Runners is the number of concurrent job executors (default 1 —
 	// each job already parallelizes over its ranks × workers).
 	Runners int
-	// QueueDepth bounds the FIFO of admitted-but-not-running jobs
-	// (default 16); a full queue answers 429 with Retry-After.
-	QueueDepth int
 	// CheckpointEvery is the crash-safety interval in steps (default 50).
 	CheckpointEvery int
 	// EnergyEvery is the energy-history sampling interval in steps
@@ -41,9 +41,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.Runners <= 0 {
 		c.Runners = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
@@ -75,42 +72,8 @@ type Server struct {
 	// lifetime counters (this process; reset on restart)
 	completed, failed, cancelled, rejected int64
 
-	// validRep is the latest physics-validation report (nil until a
-	// suite has run); guarded by mu.
-	validRep *valid.Report
-
 	drainCh chan struct{}
 	wg      sync.WaitGroup
-}
-
-// SetValidReport publishes a physics-validation report: GET /v1/valid
-// serves it and /metrics exposes per-case pass gauges, so a fleet
-// worker's physics attestation is scrapeable next to its perf counters.
-func (s *Server) SetValidReport(rep valid.Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.validRep = &rep
-	s.cfg.Logf("vpicd: validation report published (%s tier, %d cases, pass=%v)",
-		rep.Tier, len(rep.Cases), rep.Pass)
-}
-
-// ValidReport returns the latest published validation report.
-func (s *Server) ValidReport() (valid.Report, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.validRep == nil {
-		return valid.Report{}, false
-	}
-	return *s.validRep, true
-}
-
-func (s *Server) handleValid(w http.ResponseWriter, r *http.Request) {
-	rep, ok := s.ValidReport()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no validation report yet (start vpicd with -validate, or none finished)")
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // New builds a server over a spool directory, recovers unfinished jobs
@@ -146,13 +109,9 @@ func New(cfg Config) (*Server, error) {
 			resume = append(resume, j)
 		}
 	}
-	// The queue must admit every recovered job even when the configured
-	// depth is smaller than the backlog a previous process accepted.
-	depth := cfg.QueueDepth
-	if len(resume) > depth {
-		depth = len(resume)
-	}
-	s.queue = newFifo(depth)
+	// The queue must admit every recovered job, even a backlog deeper
+	// than queueDepth that an older process accepted.
+	s.queue = newFifo(max(queueDepth, len(resume)))
 	for _, j := range resume {
 		s.queue.tryPush(j)
 		s.cfg.Logf("vpicd: recovered %s (%s, step %d/%d)", j.ID, j.State, j.Progress.Step, j.Spec.Steps)
@@ -219,7 +178,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{kind}", s.handleArtifact)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
-	mux.HandleFunc("GET /v1/valid", s.handleValid)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux

@@ -152,13 +152,13 @@ func TestDrain(t *testing.T) {
 // TestRejectedMetric: queue-full 429s are counted for fleet
 // observability.
 func TestRejectedMetric(t *testing.T) {
-	srv, ts := startServer(t, t.TempDir(), Config{Runners: 1, QueueDepth: 1, CheckpointEvery: 1000})
+	srv, ts := startServer(t, t.TempDir(), Config{Runners: 1, CheckpointEvery: 1000})
 	defer ts.Close()
 	defer srv.Close()
 
 	_, srA := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
 	waitState(t, ts, srA.Jobs[0].ID, StateRunning)
-	submit(t, ts, SubmitRequest{Deck: smallThermal(100000)}) // fills the queue
+	fillQueue(t, ts)
 	checkEndpoint(t, ts, "/metrics", "vpicd_jobs_rejected_total 0")
 	if resp, _ := submit(t, ts, SubmitRequest{Deck: smallThermal(10)}); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: HTTP %d, want 429", resp.StatusCode)

@@ -256,30 +256,42 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// fillQueue submits a sweep of queueDepth long jobs, which fills the
+// queue while a runner is busy.
+func fillQueue(t *testing.T, ts *httptest.Server) SubmitResponse {
+	t.Helper()
+	uth := make([]float64, queueDepth)
+	for i := range uth {
+		uth[i] = 0.05 + 0.001*float64(i)
+	}
+	resp, sr := submit(t, ts, SubmitRequest{Deck: smallThermal(100000), Sweep: map[string][]float64{"uth": uth}})
+	if resp.StatusCode != http.StatusAccepted || len(sr.Jobs) != queueDepth {
+		t.Fatalf("filling the queue: HTTP %d, %d jobs", resp.StatusCode, len(sr.Jobs))
+	}
+	return sr
+}
+
 func TestBackpressureAndCancel(t *testing.T) {
-	srv, ts := startServer(t, t.TempDir(), Config{Runners: 1, QueueDepth: 1, CheckpointEvery: 1000})
+	srv, ts := startServer(t, t.TempDir(), Config{Runners: 1, CheckpointEvery: 1000})
 	defer ts.Close()
 	defer srv.Close()
 
 	// A long job occupies the single runner...
 	_, srA := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
 	waitState(t, ts, srA.Jobs[0].ID, StateRunning)
-	// ...a second fills the one queue slot...
-	respB, srB := submit(t, ts, SubmitRequest{Deck: smallThermal(100000)})
-	if respB.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submit: HTTP %d", respB.StatusCode)
-	}
-	// ...and the third must get explicit backpressure.
+	// ...a sweep fills every queue slot...
+	srB := fillQueue(t, ts)
+	// ...and the next submit must get explicit backpressure.
 	respC, _ := submit(t, ts, SubmitRequest{Deck: smallThermal(10)})
 	if respC.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third submit: HTTP %d, want 429", respC.StatusCode)
+		t.Fatalf("overflow submit: HTTP %d, want 429", respC.StatusCode)
 	}
 	if respC.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	checkEndpoint(t, ts, "/metrics", "vpicd_queue_depth 1")
+	checkEndpoint(t, ts, "/metrics", fmt.Sprintf("vpicd_queue_depth %d", queueDepth))
 
-	// Cancel the queued job in place, then the running one (which
+	// Cancel a queued job in place, then the running one (which
 	// checkpoints before it reports cancelled).
 	reqB, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+srB.Jobs[0].ID, nil)
 	if resp, err := http.DefaultClient.Do(reqB); err != nil || resp.StatusCode != http.StatusOK {
@@ -535,4 +547,38 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+func TestJobPhysicsAttestation(t *testing.T) {
+	srv, ts := startServer(t, t.TempDir(), Config{Runners: 1, EnergyEvery: 5})
+	defer ts.Close()
+	defer srv.Close()
+
+	_, sr := submit(t, ts, SubmitRequest{Deck: smallThermal(60)})
+	id := sr.Jobs[0].ID
+	waitState(t, ts, id, StateCompleted)
+
+	j := getStatus(t, ts, id)
+	if j.Physics == nil {
+		t.Fatal("completed job carries no physics attestation")
+	}
+	if !j.Physics.Finite {
+		t.Error("thermal run attested non-finite energies")
+	}
+	if j.Physics.Driven {
+		t.Error("thermal deck attested as driven (no lasers, no absorbing walls)")
+	}
+	if !j.Physics.Pass {
+		t.Errorf("thermal run failed its attestation: %+v", *j.Physics)
+	}
+	if j.Physics.MaxDivBError > 1e-7 {
+		t.Errorf("divB error %g above the float32 rounding bound", j.Physics.MaxDivBError)
+	}
+
+	res := getResult(t, ts, id)
+	if res.Physics == nil || !res.Physics.Pass {
+		t.Fatalf("result attestation = %+v", res.Physics)
+	}
+
+	checkEndpoint(t, ts, "/metrics", `vpicd_job_physics_pass{job="`+id+`"} 1`)
 }

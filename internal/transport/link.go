@@ -32,9 +32,8 @@ type dataFrame struct {
 
 // inMsg is one decoded arrival.
 type inMsg struct {
-	tag   int
-	data  any
-	bytes int // the payload's wire size, counted when Recv consumes it
+	tag  int
+	data any
 }
 
 // acceptedConn is a handshaken connection routed from the listener to a
@@ -173,9 +172,9 @@ func (l *link) sawByeLocked() bool {
 func (l *link) connect() (net.Conn, uint64, error) {
 	opts := &l.t.opts
 	var lastErr error = fmt.Errorf("no connection from peer %d", l.peer)
-	backoff := opts.ReconnectBackoff
+	backoff := opts.backoff()
 	deadline := time.Now().Add(opts.connectWindow())
-	for attempt := 0; attempt < opts.ConnectAttempts; attempt++ {
+	for attempt := 0; attempt < connectAttempts; attempt++ {
 		if l.t.isClosed() {
 			return nil, 0, errClosed
 		}
@@ -185,13 +184,10 @@ func (l *link) connect() (net.Conn, uint64, error) {
 			case <-l.t.closed:
 				return nil, 0, errClosed
 			}
-			backoff *= 2
-			if backoff > 5*time.Second {
-				backoff = 5 * time.Second
-			}
+			backoff = min(2*backoff, maxBackoff)
 		}
 		if l.dialer {
-			c, err := net.DialTimeout("tcp", l.addr, opts.DialTimeout)
+			c, err := net.DialTimeout("tcp", l.addr, opts.PeerTimeout)
 			if err != nil {
 				lastErr = err
 				continue
@@ -204,7 +200,7 @@ func (l *link) connect() (net.Conn, uint64, error) {
 			}
 			return c, peerRecv, nil
 		}
-		wait := time.Until(deadline) / time.Duration(opts.ConnectAttempts-attempt)
+		wait := time.Until(deadline) / time.Duration(connectAttempts-attempt)
 		if wait < backoff {
 			wait = backoff
 		}
@@ -222,8 +218,7 @@ func (l *link) connect() (net.Conn, uint64, error) {
 // dialHandshake sends this side's hello (with its resume point) and
 // validates the peer's.
 func (l *link) dialHandshake(c net.Conn) (uint64, error) {
-	opts := &l.t.opts
-	c.SetDeadline(time.Now().Add(opts.DialTimeout))
+	c.SetDeadline(time.Now().Add(l.t.opts.PeerTimeout))
 	defer c.SetDeadline(time.Time{})
 	l.mu.Lock()
 	myRecv := l.recvSeq
@@ -310,7 +305,7 @@ func (l *link) unsentLocked() int {
 // pong; the heartbeat's ping — into one buffer and flushes when the
 // queue runs dry, so a burst costs one syscall.
 func (l *link) writer(conn linkConn, stop <-chan struct{}) error {
-	hb := time.NewTicker(l.t.opts.HeartbeatInterval)
+	hb := time.NewTicker(l.t.opts.heartbeat())
 	defer hb.Stop()
 	bw := bufio.NewWriterSize(conn, ioBuf)
 	var hdr [5 + dataHeaderLen]byte
@@ -433,7 +428,7 @@ func (l *link) deliver(body []byte, stop <-chan struct{}) error {
 		return err
 	}
 	select {
-	case l.in <- inMsg{tag: tag, data: data, bytes: len(payload)}:
+	case l.in <- inMsg{tag: tag, data: data}:
 	case <-stop:
 		return errStopped
 	}
@@ -483,16 +478,17 @@ func (l *link) pruneLocked(acked uint64) {
 	l.replay = l.replay[:n]
 }
 
-// enqueue appends one message to the send queue and wakes the writer.
-// It runs on the sending rank's goroutine: with room in the window it
-// never blocks; on a full window it parks the rank until an ack frees a
-// slot, the peer dies, or SendTimeout passes.
-func (l *link) enqueue(tag int, payload []byte) error {
+// enqueue appends one message to the send queue and wakes the writer,
+// counting size bytes on the link. It runs on the sending rank's
+// goroutine, the link's one sender: with room in the window it never
+// blocks; on a full window it parks the rank until an ack frees a slot,
+// the peer dies, or the send timeout passes.
+func (l *link) enqueue(tag int, payload []byte, size int) error {
 	l.mu.Lock()
 	if len(l.replay) >= replayCap {
 		start := time.Now()
 		defer func() { l.stat.AddSendBlocked(time.Since(start)) }()
-		timeout := time.NewTimer(l.t.opts.SendTimeout)
+		timeout := time.NewTimer(l.t.opts.sendTimeout())
 		defer timeout.Stop()
 		for len(l.replay) >= replayCap {
 			l.mu.Unlock()
@@ -505,16 +501,13 @@ func (l *link) enqueue(tag int, payload []byte) error {
 			}
 			l.mu.Lock()
 		}
-		if len(l.replay)+1 < replayCap {
-			signal(l.room) // pass the wake-up on: another Send may be parked
-		}
 	}
 	l.sendSeq++
 	l.replay = append(l.replay, dataFrame{seq: l.sendSeq, tag: tag, payload: payload})
 	depth := len(l.replay)
 	l.mu.Unlock()
 	signal(l.wake)
-	l.stat.AddSent(len(payload))
+	l.stat.AddSent(size)
 	l.stat.ObserveReplay(depth)
 	return nil
 }

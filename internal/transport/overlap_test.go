@@ -14,7 +14,8 @@ import (
 // runs on the rank's own goroutine. A full replay window (replayCap
 // messages each way) drains, since every send finds room; a rank that
 // keeps sending past the window while its peer does the same parks in
-// Send and fails with a typed *mp.LinkOverflowError once SendTimeout
+// Send and fails with a typed *mp.LinkOverflowError once the send
+// timeout (a reconnect window plus PeerTimeout, 1.5 s under fastOpts)
 // passes, instead of hanging. The in-process world bounds a link at
 // mp.LinkDepth, a quarter of the window, so no protocol that runs there
 // reaches this bound.
@@ -48,9 +49,7 @@ func TestTCPPipelinedVolumeNoDeadlock(t *testing.T) {
 		})
 	})
 	t.Run("past-window", func(t *testing.T) {
-		opts := fastOpts()
-		opts.SendTimeout = 200 * time.Millisecond
-		ts := connectWorld(t, 2, opts)
+		ts := connectWorld(t, 2, fastOpts())
 		headToHead(t, func(rank int) error {
 			for i := 0; i < 2*replayCap; i++ {
 				err := ts[rank].Send(1-rank, 0, int64(i))

@@ -12,72 +12,63 @@ import (
 	"govpic/internal/perf"
 )
 
-// Options tunes the TCP transport's timing. The zero value means "use
-// defaults"; tests shrink the timeouts to keep failure-detection cases
-// fast.
+// Options tunes the TCP transport's failure detection. The zero value
+// means the defaults.
 type Options struct {
-	// HeartbeatInterval is the writer's ping cadence (default 250ms).
-	HeartbeatInterval time.Duration
 	// PeerTimeout is the silence window after which one connection is
-	// considered broken and reconnection starts (default 2s). It must
-	// comfortably exceed HeartbeatInterval.
+	// considered broken and reconnection starts (default 2s). It also
+	// bounds one dial plus handshake, and every other timer of the
+	// transport derives from it: the heartbeat, the reconnect backoff
+	// and budget, and how long Send may park (see the methods below), so
+	// one setting scales the whole time to detect a dead peer.
 	PeerTimeout time.Duration
-	// DialTimeout bounds one dial plus handshake attempt (default 3s).
-	DialTimeout time.Duration
-	// ConnectAttempts bounds dial/accept tries per (re)connect before
-	// the peer is declared dead (default 8).
-	ConnectAttempts int
-	// ReconnectBackoff is the first retry delay, doubling up to 5s
-	// (default 100ms).
-	ReconnectBackoff time.Duration
-	// SendTimeout bounds how long Send may block on a congested or
-	// reconnecting link before failing (default 30s — longer than a
-	// full reconnect window so transient drops stay invisible).
-	SendTimeout time.Duration
-	// RendezvousTimeout bounds the whole bootstrap: join-table exchange
-	// plus mesh establishment (default 30s).
-	RendezvousTimeout time.Duration
 }
 
+const (
+	// connectAttempts bounds dial/accept tries per (re)connect before
+	// the peer is declared dead.
+	connectAttempts = 4
+	// maxBackoff caps the doubling reconnect backoff.
+	maxBackoff = 5 * time.Second
+	// rendezvousTimeout bounds the whole bootstrap: join-table exchange
+	// plus mesh establishment.
+	rendezvousTimeout = 30 * time.Second
+	// joinRetry paces a joining rank's dials while rank 0 is not yet
+	// listening: start-up order, not failure detection, so it does not
+	// scale with PeerTimeout.
+	joinRetry = 100 * time.Millisecond
+)
+
 func (o Options) withDefaults() Options {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = 2 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.ConnectAttempts <= 0 {
-		o.ConnectAttempts = 8
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 100 * time.Millisecond
-	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = 30 * time.Second
-	}
-	if o.RendezvousTimeout <= 0 {
-		o.RendezvousTimeout = 30 * time.Second
 	}
 	return o
 }
 
+// heartbeat is the writer's ping cadence: eight pings per PeerTimeout
+// (250ms at the default), so a healthy line is never silent that long.
+func (o *Options) heartbeat() time.Duration { return o.PeerTimeout / 8 }
+
+// backoff is the first retry delay, doubling up to maxBackoff.
+func (o *Options) backoff() time.Duration { return o.PeerTimeout / 8 }
+
 // connectWindow is the dialer side's total (re)connect budget; the
 // acceptor side waits the same window for the peer to come back.
 func (o *Options) connectWindow() time.Duration {
-	w := time.Duration(o.ConnectAttempts) * o.DialTimeout
-	b := o.ReconnectBackoff
-	for i := 1; i < o.ConnectAttempts; i++ {
+	w := connectAttempts * o.PeerTimeout
+	b := o.backoff()
+	for i := 1; i < connectAttempts; i++ {
 		w += b
-		b *= 2
-		if b > 5*time.Second {
-			b = 5 * time.Second
-		}
+		b = min(2*b, maxBackoff)
 	}
 	return w
 }
+
+// sendTimeout bounds how long Send may park on a full replay window:
+// a whole reconnect window plus one PeerTimeout, so a transient drop
+// stays invisible to the sender.
+func (o *Options) sendTimeout() time.Duration { return o.connectWindow() + o.PeerTimeout }
 
 // TCP is an mp.Transport over a full mesh of TCP connections, one per
 // peer pair (the higher rank dials the lower rank's listener).
@@ -190,7 +181,7 @@ func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, e
 			go l.run()
 		}
 	}
-	deadline := time.After(opts.RendezvousTimeout)
+	deadline := time.After(rendezvousTimeout)
 	for _, l := range t.links {
 		if l == nil {
 			continue
@@ -204,7 +195,7 @@ func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, e
 		case <-deadline:
 			t.Close()
 			return nil, fmt.Errorf("transport: rank %d: link to rank %d not established within %v",
-				rank, l.peer, opts.RendezvousTimeout)
+				rank, l.peer, rendezvousTimeout)
 		}
 	}
 	return t, nil
@@ -213,7 +204,7 @@ func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, e
 // rendezvous0 is rank 0's side of the bootstrap: collect one join per
 // peer, then broadcast the completed rank→address table.
 func (t *TCP) rendezvous0() error {
-	deadline := time.Now().Add(t.opts.RendezvousTimeout)
+	deadline := time.Now().Add(rendezvousTimeout)
 	if tl, ok := t.ln.(*net.TCPListener); ok {
 		tl.SetDeadline(deadline)
 		defer tl.SetDeadline(time.Time{})
@@ -237,7 +228,7 @@ func (t *TCP) rendezvous0() error {
 			}
 			return fmt.Errorf("transport: rendezvous: ranks %v never joined: %w", missing, err)
 		}
-		c.SetDeadline(time.Now().Add(t.opts.DialTimeout))
+		c.SetDeadline(time.Now().Add(t.opts.PeerTimeout))
 		kind, body, err := readFrame(c)
 		if err != nil || kind != frJoin {
 			c.Close()
@@ -258,7 +249,7 @@ func (t *TCP) rendezvous0() error {
 	}
 	table := encodeTableBody(addrs)
 	for rank, c := range conns {
-		c.SetDeadline(time.Now().Add(t.opts.DialTimeout))
+		c.SetDeadline(time.Now().Add(t.opts.PeerTimeout))
 		if err := writeFrame(c, frTable, table); err != nil {
 			return fmt.Errorf("transport: rendezvous: sending table to rank %d: %w", rank, err)
 		}
@@ -269,14 +260,14 @@ func (t *TCP) rendezvous0() error {
 // join is a nonzero rank's side of the bootstrap: dial rank 0, announce
 // our advertised address, and wait for the table.
 func (t *TCP) join(joinAddr string) ([]string, error) {
-	deadline := time.Now().Add(t.opts.RendezvousTimeout)
+	deadline := time.Now().Add(rendezvousTimeout)
 	lastErr := errors.New("never attempted")
 	for time.Now().Before(deadline) {
-		c, err := net.DialTimeout("tcp", joinAddr, t.opts.DialTimeout)
+		c, err := net.DialTimeout("tcp", joinAddr, t.opts.PeerTimeout)
 		if err != nil {
 			lastErr = err
 			select {
-			case <-time.After(t.opts.ReconnectBackoff):
+			case <-time.After(joinRetry):
 				continue
 			case <-t.closed:
 				return nil, errClosed
@@ -340,7 +331,7 @@ func (t *TCP) acceptLoop() {
 
 func (t *TCP) handleAccepted(c net.Conn) {
 	defer t.wg.Done()
-	c.SetDeadline(time.Now().Add(t.opts.DialTimeout))
+	c.SetDeadline(time.Now().Add(t.opts.PeerTimeout))
 	kind, body, err := readFrame(c)
 	if err != nil || kind != frHello {
 		c.Close()
@@ -399,11 +390,14 @@ func (t *TCP) Size() int { return t.size }
 // Stats returns the per-link communication counters.
 func (t *TCP) Stats() *perf.CommStats { return t.stats }
 
-// Send encodes data and queues it on the link to dst. It blocks only
+// Send encodes data and queues it on the link to dst. It runs on the
+// rank's goroutine, the one sender on each of its links. It blocks only
 // while the link's replay window is full (the peer is not draining, or
-// the link is reconnecting), up to SendTimeout, then fails with
-// *mp.LinkOverflowError; a dead peer fails immediately with the link's
-// *mp.PeerDeadError.
+// the link is reconnecting), for at most a reconnect window plus
+// PeerTimeout, then fails with *mp.LinkOverflowError; a dead peer fails
+// immediately with the link's *mp.PeerDeadError. The link counts
+// mp.PayloadBytes(data), as the in-process world does, not the encoded
+// length.
 func (t *TCP) Send(dst, tag int, data any) error {
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("transport: send to rank %d outside world of size %d", dst, t.size)
@@ -428,7 +422,7 @@ func (t *TCP) Send(dst, tag int, data any) error {
 	if l.isDead() {
 		return l.deadErr
 	}
-	return l.enqueue(tag, payload)
+	return l.enqueue(tag, payload, mp.PayloadBytes(data))
 }
 
 // Recv blocks for the next in-order message from src. Messages already
@@ -473,14 +467,15 @@ func (t *TCP) Ready(src int) bool {
 }
 
 // checkTag returns m's payload if it carries the wanted tag and counts
-// it on its link: counted by the receiving rank, as in-process, so a
-// report taken after a Recv includes its message.
+// it on its link, mp.PayloadBytes as Send counts it: counted by the
+// receiving rank, as in-process, so a report taken after a Recv
+// includes its message.
 func (t *TCP) checkTag(src, want int, m inMsg) (any, error) {
 	if m.tag != want {
 		return nil, &mp.TagMismatchError{Rank: t.rank, Src: src, Want: want, Got: m.tag}
 	}
 	if src != t.rank {
-		t.links[src].stat.AddRecv(m.bytes)
+		t.links[src].stat.AddRecv(mp.PayloadBytes(m.data))
 	}
 	return m.data, nil
 }

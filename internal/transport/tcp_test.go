@@ -13,18 +13,11 @@ import (
 	"govpic/internal/testnet"
 )
 
-// fastOpts shrinks every timeout so failure-detection tests finish in
-// well under a second of detection latency.
+// fastOpts shrinks PeerTimeout, and with it every timer derived from
+// it, so failure-detection tests finish in well under a second of
+// detection latency.
 func fastOpts() Options {
-	return Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		PeerTimeout:       250 * time.Millisecond,
-		DialTimeout:       500 * time.Millisecond,
-		ConnectAttempts:   4,
-		ReconnectBackoff:  20 * time.Millisecond,
-		SendTimeout:       3 * time.Second,
-		RendezvousTimeout: 15 * time.Second,
-	}
+	return Options{PeerTimeout: 250 * time.Millisecond}
 }
 
 // connectWorld brings up a size-rank TCP world on localhost and returns
@@ -258,7 +251,7 @@ func TestTCPReconnectReplay(t *testing.T) {
 // away, so a single such wait fails the 2 s budget.
 func TestTCPWindowNeverWaitsForHeartbeat(t *testing.T) {
 	const n = 10 * replayCap
-	opts := Options{HeartbeatInterval: 5 * time.Second, PeerTimeout: 20 * time.Second}
+	opts := Options{PeerTimeout: 40 * time.Second} // a 5 s heartbeat
 	run := func(t *testing.T, rank func(c *mp.Comm)) []*TCP {
 		ts := connectWorld(t, 2, opts)
 		start := time.Now()
