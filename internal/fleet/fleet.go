@@ -165,11 +165,9 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers", c.handleRegister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
 	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return mux
 }
@@ -186,13 +184,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// RegisterRequest is the POST /v1/workers body.
-type RegisterRequest struct {
-	URL string `json:"url"`
-}
-
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
+	var req struct {
+		URL string `json:"url"`
+	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -227,32 +222,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, server.SubmitResponse{Jobs: refs})
-}
-
-func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	stateQ := JobState(r.URL.Query().Get("state"))
-	switch stateQ {
-	case "", JobPending, JobPlaced, JobCompleted, JobFailed:
-	default:
-		writeError(w, http.StatusBadRequest, "unknown state %q", stateQ)
-		return
-	}
-	tenantQ := r.URL.Query().Get("tenant")
-	c.mu.Lock()
-	list := make([]*Job, 0, len(c.order))
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if stateQ != "" && j.State != stateQ {
-			continue
-		}
-		if tenantQ != "" && j.Tenant != tenantQ {
-			continue
-		}
-		cp := *j
-		list = append(list, &cp)
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
 }
 
 // jobDetail is the GET /v1/jobs/{id} response: the fleet-side record
@@ -330,18 +299,6 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	server.ServeSSE(w, r, c.hub, id)
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	nw, nj := len(c.workers), len(c.jobs)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"uptime_s": time.Since(c.started).Seconds(),
-		"workers":  nw,
-		"jobs":     nj,
-	})
-}
-
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	workersByState := map[WorkerState]int{}
@@ -405,14 +362,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Submit expands a sweep into fleet jobs (all-or-nothing validation,
 // deterministic expansion order) and queues them for placement.
 func (c *Coordinator) Submit(tenant string, req server.SubmitRequest) ([]server.JobRef, error) {
-	specs, err := req.Deck.Expand(req.Sweep)
+	specs, err := req.Specs()
 	if err != nil {
 		return nil, err
-	}
-	for i, spec := range specs {
-		if _, err := spec.Build(); err != nil {
-			return nil, fmt.Errorf("sweep member %d: %v", i, err)
-		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

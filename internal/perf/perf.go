@@ -192,36 +192,6 @@ func (b *Breakdown) Concurrency(s Section) float64 {
 	return float64(b.Busy[s]) / float64(b.Wall[s])
 }
 
-// SectionStat is one section's counters in value form — a stable,
-// copyable record for metrics exposition and job-status reporting.
-type SectionStat struct {
-	Name        string  `json:"name"`
-	Seconds     float64 `json:"seconds"`
-	Share       float64 `json:"share"`       // fraction of the breakdown total
-	Concurrency float64 `json:"concurrency"` // avg busy workers in parallel regions (0 = none)
-	BytesMoved  int64   `json:"bytes_moved"` // estimated data motion (0 = not modeled)
-	EffGBs      float64 `json:"eff_gb_s"`    // BytesMoved over section wall time, GB/s
-}
-
-// Snapshot returns a value copy of every section's accumulated counters,
-// in section order. The caller owns the slice; the breakdown keeps
-// accumulating. Take snapshots only while the owning rank is quiescent
-// (between steps) — Breakdown itself is not synchronized.
-func (b *Breakdown) Snapshot() []SectionStat {
-	stats := make([]SectionStat, NumSections)
-	for s := Section(0); s < NumSections; s++ {
-		stats[s] = SectionStat{
-			Name:        s.String(),
-			Seconds:     b.Sections[s].Seconds(),
-			Share:       b.Fraction(s),
-			Concurrency: b.Concurrency(s),
-			BytesMoved:  b.Bytes[s],
-			EffGBs:      b.EffectiveGBs(s),
-		}
-	}
-	return stats
-}
-
 // Reset zeroes all accumulators.
 func (b *Breakdown) Reset() { *b = Breakdown{} }
 

@@ -17,6 +17,13 @@ func TestBreakdownAccumulates(t *testing.T) {
 	if b.Elapsed(Sort) != 0 {
 		t.Fatal("untouched section nonzero")
 	}
+	if b.Fraction(Push) != 1 {
+		t.Fatalf("push share = %g, want 1 (only timed section)", b.Fraction(Push))
+	}
+	b.AddParallel(Push, 4*time.Millisecond, 2*time.Millisecond)
+	if c := b.Concurrency(Push); c != 2 {
+		t.Fatalf("push concurrency = %g, want 2", c)
+	}
 }
 
 func TestStopWithoutStartIsNoop(t *testing.T) {
@@ -95,30 +102,6 @@ func TestRates(t *testing.T) {
 func TestSectionStrings(t *testing.T) {
 	if Push.String() != "push" || Diag.String() != "diag" {
 		t.Fatal("section names wrong")
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	var b Breakdown
-	b.Time(Push, func() { time.Sleep(2 * time.Millisecond) })
-	b.AddParallel(Push, 4*time.Millisecond, 2*time.Millisecond)
-	snap := b.Snapshot()
-	if len(snap) != int(NumSections) {
-		t.Fatalf("snapshot has %d sections, want %d", len(snap), NumSections)
-	}
-	if snap[Push].Name != "push" || snap[Push].Seconds <= 0 {
-		t.Fatalf("push stat = %+v", snap[Push])
-	}
-	if snap[Push].Concurrency != 2 {
-		t.Fatalf("push concurrency = %g, want 2", snap[Push].Concurrency)
-	}
-	if snap[Push].Share != 1 {
-		t.Fatalf("push share = %g, want 1 (only timed section)", snap[Push].Share)
-	}
-	// Snapshot is a value copy: resetting the breakdown must not zero it.
-	b.Reset()
-	if snap[Push].Seconds == 0 {
-		t.Fatal("snapshot aliased the breakdown")
 	}
 }
 

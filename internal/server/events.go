@@ -11,10 +11,10 @@ import (
 	"govpic/internal/diag"
 )
 
-// Event is one element of a job's server-sent stream: either a
+// event is one element of a job's server-sent stream: either a
 // step-granular energy sample or the terminal state notice that ends
 // the stream.
-type Event struct {
+type event struct {
 	Sample *diag.EnergySample
 	State  string
 	Error  string
@@ -26,7 +26,7 @@ type stream struct {
 	lastStep int    // highest published sample step (-1 before the first)
 	state    string // terminal state name, once ended
 	errMsg   string
-	subs     map[chan Event]struct{}
+	subs     map[chan event]struct{}
 }
 
 // Hub fans job events out to SSE subscribers. It retains every
@@ -49,7 +49,7 @@ func NewHub() *Hub { return &Hub{streams: make(map[string]*stream)} }
 func (h *Hub) getLocked(id string) *stream {
 	st, ok := h.streams[id]
 	if !ok {
-		st = &stream{lastStep: -1, subs: make(map[chan Event]struct{})}
+		st = &stream{lastStep: -1, subs: make(map[chan event]struct{})}
 		h.streams[id] = st
 	}
 	return st
@@ -70,7 +70,7 @@ func (h *Hub) Publish(id string, s diag.EnergySample) {
 	cp := s
 	for ch := range st.subs {
 		select {
-		case ch <- Event{Sample: &cp}:
+		case ch <- event{Sample: &cp}:
 		default:
 			// Slow subscriber: drop it rather than stall the runner; the
 			// client reconnects with Last-Event-ID and replays the gap.
@@ -93,7 +93,7 @@ func (h *Hub) PublishState(id string, state State, errMsg string) {
 	st.errMsg = errMsg
 	for ch := range st.subs {
 		select {
-		case ch <- Event{State: st.state, Error: errMsg}:
+		case ch <- event{State: st.state, Error: errMsg}:
 		default:
 		}
 		close(ch)
@@ -101,9 +101,9 @@ func (h *Hub) PublishState(id string, state State, errMsg string) {
 	}
 }
 
-// Ended reports whether the job's stream has published its terminal
+// ended reports whether the job's stream has published its terminal
 // state.
-func (h *Hub) Ended(id string) bool {
+func (h *Hub) ended(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st, ok := h.streams[id]
@@ -121,11 +121,11 @@ func (h *Hub) LastStep(id string) int {
 	return st.lastStep
 }
 
-// Subscribe returns the replayable samples strictly after fromStep and
+// subscribe returns the replayable samples strictly after fromStep and
 // either the terminal state (ch nil: the stream already ended) or a
 // live event channel. cancel releases the subscription and is safe to
 // call twice.
-func (h *Hub) Subscribe(id string, fromStep int) (replay []diag.EnergySample, state, errMsg string, ch chan Event, cancel func()) {
+func (h *Hub) subscribe(id string, fromStep int) (replay []diag.EnergySample, state, errMsg string, ch chan event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.getLocked(id)
@@ -137,7 +137,7 @@ func (h *Hub) Subscribe(id string, fromStep int) (replay []diag.EnergySample, st
 	if st.state != "" {
 		return replay, st.state, st.errMsg, nil, func() {}
 	}
-	ch = make(chan Event, 256)
+	ch = make(chan event, 256)
 	st.subs[ch] = struct{}{}
 	cancel = func() {
 		h.mu.Lock()
@@ -151,7 +151,7 @@ func (h *Hub) Subscribe(id string, fromStep int) (replay []diag.EnergySample, st
 }
 
 // ServeSSE streams one job's hub stream as text/event-stream: samples
-// after the client's Last-Event-ID (or ?from=) replay first, live
+// after the client's Last-Event-ID replay first, live
 // samples follow, and a terminal state event ends the stream.
 //
 //	id: <step>
@@ -162,22 +162,15 @@ func (h *Hub) Subscribe(id string, fromStep int) (replay []diag.EnergySample, st
 //	data: {"state":"completed"}
 func ServeSSE(w http.ResponseWriter, r *http.Request, h *Hub, id string) {
 	from := -1
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			from = n
-		}
-	}
-	if v := r.URL.Query().Get("from"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			from = n
-		}
+	if n, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil {
+		from = n
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	replay, state, errMsg, ch, cancel := h.Subscribe(id, from)
+	replay, state, errMsg, ch, cancel := h.subscribe(id, from)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -11,10 +11,9 @@ package server
 import (
 	"time"
 
+	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/domain"
-	"govpic/internal/perf"
 )
 
 // State is a job's lifecycle phase.
@@ -34,7 +33,7 @@ func (s State) Terminal() bool {
 }
 
 // Progress is the live view of a running job: Step is set after every
-// step, the totals (here and the Job's perf and comm fields) at every
+// step, the totals (here and the Job's Reports) at every
 // sampling step (Config.EnergyEvery) and the last. A cancel or preempt
 // stops the run at the next sampling step, within EnergyEvery steps.
 type Progress struct {
@@ -48,33 +47,19 @@ type Progress struct {
 }
 
 // Job is one enqueued deck run. The exported fields are the wire and
-// spool representation; runtime-only state (cancel func, counters)
+// spool representation; runtime-only state (cancel func, preempt flag)
 // lives unexported and is guarded by the server mutex.
 type Job struct {
-	ID        string             `json:"id"`
-	Spec      deck.JSONConfig    `json:"spec"`
-	State     State              `json:"state"`
-	Error     string             `json:"error,omitempty"`
-	Submitted time.Time          `json:"submitted"`
-	Progress  Progress           `json:"progress"`
-	Perf      []perf.SectionStat `json:"perf,omitempty"`
-	// CommLinks and CommTraffic snapshot the decomposed run's per-link
-	// counters and per-exchange-class byte totals (empty for single-rank
-	// jobs).
-	CommLinks   []perf.CommLinkStat `json:"comm_links,omitempty"`
-	CommTraffic []domain.ClassStat  `json:"comm_traffic,omitempty"`
-	// CommWaitSeconds is the time the job's ranks blocked in receives,
-	// collectives included; CommOverlapSeconds the interior push their
-	// particle migrants flew behind (both summed over ranks; zero for
-	// single-rank jobs).
-	CommWaitSeconds    float64 `json:"comm_wait_seconds,omitempty"`
-	CommOverlapSeconds float64 `json:"comm_overlap_seconds,omitempty"`
-	// PerRankParticles and ImbalanceRatio are the load balancer's
-	// observability surface for decomposed jobs: each rank's particle
-	// count and the max/mean per-rank push seconds. Published for every
-	// multi-rank job, balancing enabled or not.
-	PerRankParticles []int   `json:"per_rank_particles,omitempty"`
-	ImbalanceRatio   float64 `json:"imbalance_ratio,omitempty"`
+	ID        string          `json:"id"`
+	Spec      deck.JSONConfig `json:"spec"`
+	State     State           `json:"state"`
+	Error     string          `json:"error,omitempty"`
+	Submitted time.Time       `json:"submitted"`
+	Progress  Progress        `json:"progress"`
+	// Reports are every rank's cumulative perf records at the latest
+	// sampling step, the records vpic -comm-json writes. Each gather
+	// replaces the slice; nothing mutates a published one.
+	Reports []core.RankReport `json:"reports,omitempty"`
 	// Kernel is the resolved push block routine the job runs on this
 	// host ("asm" or "go") — the Spec may say "auto"; this is what
 	// actually executed. Set at the first step.
@@ -91,7 +76,6 @@ type Job struct {
 
 	cancel    func() // non-nil while running
 	preempted bool   // cancellation is a shutdown preemption, not a user cancel
-	pushed    int64  // particle advances so far (metrics)
 }
 
 // PhysicsAttestation is a completed job's self-check against the

@@ -213,20 +213,16 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	})
 }
 
-// publishTotals sets the job's world totals from every rank's report.
+// publishTotals publishes every rank's report on the job. It assigns
+// the freshly gathered slice rather than filling the old one, because
+// status readers copy the Job and keep its slice.
 func (s *Server) publishTotals(j *Job, reps []core.RankReport, start time.Time) {
 	tot := core.SumReports(reps)
-	snap := tot.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.Progress.Particles = tot.Particles
 	j.Progress.RateMPartS = perf.Rate(tot.Pushed, time.Since(start)) / 1e6
-	j.Perf, j.CommLinks, j.CommTraffic = snap, tot.Links, tot.Classes
-	j.CommWaitSeconds, j.CommOverlapSeconds = tot.CommWaitSeconds, tot.CommOverlapSeconds
-	if len(reps) > 1 {
-		j.PerRankParticles, j.ImbalanceRatio = core.RankLoad(reps)
-	}
-	j.pushed = tot.Pushed
+	j.Reports = reps
 }
 
 // attest computes a completed job's physics attestation from its

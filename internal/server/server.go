@@ -13,6 +13,7 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
+	"govpic/internal/output"
 )
 
 // queueDepth bounds the FIFO of admitted-but-not-running jobs; a full
@@ -161,6 +162,21 @@ type JobRef struct {
 	URL string `json:"url"`
 }
 
+// Specs expands the sweep and validates every member, so vpicd and the
+// fleet both admit a sweep all-or-nothing: no partial campaigns.
+func (r SubmitRequest) Specs() ([]deck.JSONConfig, error) {
+	specs, err := r.Deck.Expand(r.Sweep)
+	if err != nil {
+		return nil, err
+	}
+	for i, spec := range specs {
+		if _, err := spec.Build(); err != nil {
+			return nil, fmt.Errorf("sweep member %d: %v", i, err)
+		}
+	}
+	return specs, nil
+}
+
 // SubmitResponse lists the admitted jobs in sweep-expansion order.
 type SubmitResponse struct {
 	Jobs []JobRef `json:"jobs"`
@@ -203,32 +219,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	specs, err := req.Deck.Expand(req.Sweep)
+	specs, err := req.Specs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Validate every expanded config up front so a sweep is admitted
-	// all-or-nothing: no partial campaigns.
-	for i, spec := range specs {
-		if _, err := spec.Build(); err != nil {
-			writeError(w, http.StatusBadRequest, "sweep member %d: %v", i, err)
-			return
-		}
-	}
+	s.admit(w, specs, nil)
+}
 
+// admit is the one admission path of submit and restore. It refuses
+// every spec while draining (503) or unless the queue has a slot for
+// each (429 with Retry-After), so a sweep is admitted whole or not at
+// all. Each admitted spec gets an ID and a spooled record; a non-nil
+// ckpt (restore's one spec) becomes the job's spooled checkpoint, and
+// only then is the job queued, so a runner resumes from it.
+func (s *Server) admit(w http.ResponseWriter, specs []deck.JSONConfig, ckpt io.Reader) {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	fail := func(code int, format string, args ...any) {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, code, format, args...)
+	}
+	if s.closed || s.draining {
+		fail(http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if s.queue.free() < len(specs) {
+	if free := s.queue.free(); free < len(specs) {
 		s.rejected++
-		s.mu.Unlock()
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests,
-			"queue full: %d slots free, %d jobs submitted", s.queue.free(), len(specs))
+		fail(http.StatusTooManyRequests, "queue full: %d slots free, %d jobs submitted", free, len(specs))
 		return
 	}
 	resp := SubmitResponse{}
@@ -242,9 +260,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.nextID++
 		if err := s.spool.writeJob(j); err != nil {
-			s.mu.Unlock()
-			writeError(w, http.StatusInternalServerError, "spool write failed: %v", err)
+			fail(http.StatusInternalServerError, "spool write failed: %v", err)
 			return
+		}
+		if ckpt != nil {
+			err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), func(w io.Writer) error {
+				_, err := io.Copy(w, ckpt)
+				return err
+			})
+			if err != nil {
+				fail(http.StatusInternalServerError, "checkpoint write failed: %v", err)
+				return
+			}
+			s.cfg.Logf("vpicd: %s restored from external artifacts (%s)", j.ID, spec.Deck)
 		}
 		s.jobs[j.ID] = j
 		s.queue.tryPush(j) // cannot fail: free() checked under the same lock
@@ -428,7 +456,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	if state.Terminal() && !s.hub.Ended(id) {
+	if state.Terminal() && !s.hub.ended(id) {
 		s.seedTerminalStream(id, state, errMsg)
 	}
 	ServeSSE(w, r, s.hub, id)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -454,6 +455,69 @@ func TestMetricsCommCounters(t *testing.T) {
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_class_bytes_total{class="particles"}`)
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_link_bytes_sent_total{link="0->1"}`)
 	checkEndpoint(t, ts, "/metrics", `vpicd_comm_link_msgs_sent_total{link="1->0"}`)
+}
+
+// TestMetricsSeriesSet pins /metrics' series: after a 1-rank and a
+// 2-rank job complete, the exposition has exactly these series names,
+// each with exactly these label keys. A series added or dropped must
+// change this list (and DESIGN §9.5's reader column) with it.
+func TestMetricsSeriesSet(t *testing.T) {
+	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 50, EnergyEvery: 10})
+	defer ts.Close()
+	defer srv.Close()
+	for _, ranks := range []int{1, 2} {
+		spec := deck.JSONConfig{Deck: "thermal", Steps: 10, NX: 16, PPC: 8, Ranks: ranks, Workers: 1}
+		_, sr := submit(t, ts, SubmitRequest{Deck: spec})
+		if len(sr.Jobs) != 1 {
+			t.Fatalf("%d-rank submit admitted %v", ranks, sr.Jobs)
+		}
+		waitState(t, ts, sr.Jobs[0].ID, StateCompleted)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	got := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(strings.TrimSuffix(series, "}"), "{")
+		var keys []string
+		for _, kv := range strings.Split(labels, ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		got[name+"{"+strings.Join(keys, ",")+"}"] = true
+	}
+	want := []string{
+		"vpicd_up{}", "vpicd_uptime_seconds{}", "vpicd_queue_depth{}", "vpicd_queue_capacity{}",
+		"vpicd_jobs_queued{}", "vpicd_jobs_running{}", "vpicd_jobs_completed_total{}",
+		"vpicd_jobs_failed_total{}", "vpicd_jobs_cancelled_total{}", "vpicd_jobs_rejected_total{}",
+		"vpicd_draining{}", "vpicd_particles_advanced_total{}", "vpicd_particle_advance_rate_mpart_s{}",
+		"vpicd_comm_wait_seconds_total{}", "vpicd_comm_overlap_seconds_total{}", "vpicd_push_asm_lanes{}",
+		"vpicd_jobs_kernel{kernel}", "vpicd_perf_seconds{section}", "vpicd_perf_bytes_moved_total{section}",
+		"vpicd_perf_effective_gb_s{section}", "vpicd_comm_link_bytes_sent_total{link}",
+		"vpicd_comm_link_msgs_sent_total{link}", "vpicd_comm_class_bytes_total{class}",
+		"vpicd_comm_class_msgs_total{class}", "vpic_imbalance_ratio{job}", "vpicd_rank_particles{job,rank}",
+		"vpicd_job_physics_pass{job}",
+	}
+	for _, series := range want {
+		if !got[series] {
+			t.Errorf("/metrics lacks %s", series)
+		}
+		delete(got, series)
+	}
+	for series := range got {
+		t.Errorf("/metrics has unlisted series %s", series)
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", body)
+	}
 }
 
 // cancelRunning cancels a running job once it has completed min steps

@@ -68,3 +68,40 @@ func TestSpoolScanCorruptJobRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestOldSpoolRecovers: a queued job.json written before the job record
+// carried its rank reports (the flattened perf, comm and load keys)
+// still recovers, runs to completion and publishes reports.
+func TestOldSpoolRecovers(t *testing.T) {
+	dir := t.TempDir()
+	old := `{
+  "id": "job-000007",
+  "spec": {"deck": "thermal", "steps": 20, "nx": 16, "ppc": 8, "ranks": 2, "workers": 1},
+  "state": "queued",
+  "submitted": "2026-01-02T03:04:05Z",
+  "progress": {"step": 0, "steps": 20, "particles": 0, "rate_mpart_s": 0},
+  "perf": [{"name": "push", "seconds": 0.5, "share": 1, "concurrency": 0, "bytes_moved": 10, "eff_gb_s": 0}],
+  "comm_links": [{"src": 0, "peer": 1, "bytes_sent": 8, "msgs_sent": 1, "bytes_recv": 8, "msgs_recv": 1}],
+  "comm_traffic": [{"class": "ghostE", "bytes": 8, "msgs": 1}],
+  "comm_wait_seconds": 0.1,
+  "comm_overlap_seconds": 0.05,
+  "per_rank_particles": [10, 12],
+  "imbalance_ratio": 1.1
+}`
+	if err := os.MkdirAll(filepath.Join(dir, "job-000007"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-000007", "job.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := startServer(t, dir, Config{})
+	defer ts.Close()
+	defer srv.Close()
+	j := waitState(t, ts, "job-000007", StateCompleted)
+	if len(j.Reports) != 2 || j.Progress.Step != 20 {
+		t.Fatalf("recovered job finished at step %d with %d reports, want 20 and 2", j.Progress.Step, len(j.Reports))
+	}
+	if _, sr := submit(t, ts, SubmitRequest{Deck: smallThermal(10)}); len(sr.Jobs) != 1 || sr.Jobs[0].ID != "job-000008" {
+		t.Fatalf("next submit admitted %v, want job-000008", sr.Jobs)
+	}
+}

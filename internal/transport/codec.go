@@ -88,26 +88,6 @@ func EncodePayload(buf []byte, data any) ([]byte, error) {
 	return buf, nil
 }
 
-// PayloadWireSize returns EncodePayload's output size for data, or -1
-// for unsupported types.
-func PayloadWireSize(data any) int {
-	switch v := data.(type) {
-	case float64, int64:
-		return 1 + 8
-	case []float32:
-		return 1 + 4 + 4*len(v)
-	case []float64:
-		return 1 + 4 + 8*len(v)
-	case push.OutgoingBatch:
-		return 1 + 4 + push.OutgoingWireBytes*len(v)
-	case *push.OutgoingBatch:
-		return 1 + 4 + push.OutgoingWireBytes*len(*v)
-	case []byte:
-		return 1 + 4 + len(v)
-	}
-	return -1
-}
-
 // DecodePayload parses one payload produced by EncodePayload,
 // validating that the buffer holds exactly the declared content.
 func DecodePayload(b []byte) (any, error) {

@@ -165,19 +165,33 @@ func (l *link) sawByeLocked() bool {
 	return l.sawBye
 }
 
-// connect acquires a handshaken connection: the dialer side dials the
-// peer's listener with exponential backoff over ConnectAttempts tries;
-// the acceptor side waits for its listener to route a fresh handshake,
-// for the same overall window.
+// connect acquires a handshaken connection within the connect window:
+// the dialer side dials the peer's listener (dial); the acceptor side
+// waits for its listener to route a fresh handshake until the window
+// ends.
 func (l *link) connect() (net.Conn, uint64, error) {
-	opts := &l.t.opts
-	var lastErr error = fmt.Errorf("no connection from peer %d", l.peer)
-	backoff := opts.backoff()
-	deadline := time.Now().Add(opts.connectWindow())
+	if l.t.isClosed() {
+		return nil, 0, errClosed
+	}
+	if l.dialer {
+		return l.dial()
+	}
+	select {
+	case ac := <-l.conns:
+		return ac.conn, ac.peerRecv, nil
+	case <-time.After(l.t.opts.connectWindow()):
+		return nil, 0, fmt.Errorf("no connection from peer %d", l.peer)
+	case <-l.t.closed:
+		return nil, 0, errClosed
+	}
+}
+
+// dial tries connectAttempts dials, each bounded by PeerTimeout, with a
+// doubling backoff between them.
+func (l *link) dial() (net.Conn, uint64, error) {
+	var lastErr error
+	backoff := l.t.opts.backoff()
 	for attempt := 0; attempt < connectAttempts; attempt++ {
-		if l.t.isClosed() {
-			return nil, 0, errClosed
-		}
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff):
@@ -186,31 +200,15 @@ func (l *link) connect() (net.Conn, uint64, error) {
 			}
 			backoff = min(2*backoff, maxBackoff)
 		}
-		if l.dialer {
-			c, err := net.DialTimeout("tcp", l.addr, opts.PeerTimeout)
-			if err != nil {
-				lastErr = err
-				continue
+		c, err := net.DialTimeout("tcp", l.addr, l.t.opts.PeerTimeout)
+		if err == nil {
+			var peerRecv uint64
+			if peerRecv, err = l.dialHandshake(c); err == nil {
+				return c, peerRecv, nil
 			}
-			peerRecv, err := l.dialHandshake(c)
-			if err != nil {
-				c.Close()
-				lastErr = err
-				continue
-			}
-			return c, peerRecv, nil
+			c.Close()
 		}
-		wait := time.Until(deadline) / time.Duration(connectAttempts-attempt)
-		if wait < backoff {
-			wait = backoff
-		}
-		select {
-		case ac := <-l.conns:
-			return ac.conn, ac.peerRecv, nil
-		case <-time.After(wait):
-		case <-l.t.closed:
-			return nil, 0, errClosed
-		}
+		lastErr = err
 	}
 	return nil, 0, lastErr
 }

@@ -53,8 +53,9 @@ func (o *Options) heartbeat() time.Duration { return o.PeerTimeout / 8 }
 // backoff is the first retry delay, doubling up to maxBackoff.
 func (o *Options) backoff() time.Duration { return o.PeerTimeout / 8 }
 
-// connectWindow is the dialer side's total (re)connect budget; the
-// acceptor side waits the same window for the peer to come back.
+// connectWindow is the dialer side's total (re)connect budget: every
+// attempt's PeerTimeout and every backoff between them. The acceptor
+// side waits exactly this window for the peer to come back.
 func (o *Options) connectWindow() time.Duration {
 	w := connectAttempts * o.PeerTimeout
 	b := o.backoff()
@@ -402,7 +403,8 @@ func (t *TCP) Send(dst, tag int, data any) error {
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("transport: send to rank %d outside world of size %d", dst, t.size)
 	}
-	payload, err := EncodePayload(make([]byte, 0, max(PayloadWireSize(data), 0)), data)
+	// The buffer holds the codec's type byte and count, then the payload.
+	payload, err := EncodePayload(make([]byte, 0, 5+mp.PayloadBytes(data)), data)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"govpic/internal/mp"
+	"govpic/internal/perf"
 	"govpic/internal/push"
 	"govpic/internal/testnet"
 )
@@ -359,6 +360,33 @@ func TestTCPPeerDeathDetected(t *testing.T) {
 	// Sends must fail the same way, immediately now the link is dead.
 	if err := ts[0].Send(1, 1, int64(0)); err == nil {
 		t.Fatal("send to dead peer should fail")
+	}
+}
+
+// TestLoneAcceptorGivesUpInWindow runs the acceptor side of a link
+// whose peer never connects: the supervisor must declare the peer dead
+// once the connect window ends, not later. At PeerTimeout 800ms the
+// window is 3.9 s and the slack 80 ms; an acceptor that sleeps each
+// backoff and then waits at least one more overshoots by 358 ms.
+func TestLoneAcceptorGivesUpInWindow(t *testing.T) {
+	tr := &TCP{rank: 0, size: 2, opts: Options{PeerTimeout: 800 * time.Millisecond},
+		stats: perf.NewCommStats(0), closed: make(chan struct{})}
+	l := newLink(tr, 1, false)
+	window, slack := tr.opts.connectWindow(), tr.opts.PeerTimeout/10
+	start := time.Now()
+	tr.wg.Add(1)
+	go l.run()
+	select {
+	case <-l.dead:
+	case <-time.After(2 * window):
+		t.Fatalf("acceptor still waiting after %v", 2*window)
+	}
+	took := time.Since(start)
+	if took < window || took > window+slack {
+		t.Fatalf("acceptor gave up after %v, want the %v window (+%v)", took, window, slack)
+	}
+	if pd, ok := l.deadErr.(*mp.PeerDeadError); !ok || pd.Peer != 1 {
+		t.Fatalf("want a *mp.PeerDeadError for peer 1, got %T: %v", l.deadErr, l.deadErr)
 	}
 }
 
