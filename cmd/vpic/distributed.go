@@ -24,8 +24,8 @@ import (
 // report prints rank 0's end-of-run block — energies, state CRCs, the
 // perf report and, when balancing, the final x-cuts — and writes the
 // requested artifacts atomically: the state-CRC fingerprint CI diffs
-// between worlds, the per-rank reports with their CRCs (the end-of-run
-// messages) and the energy history CSV.
+// between worlds, the per-rank reports with their CRCs and the energy
+// history CSV.
 func report(d deck.Deck, res *dist.Result, stateCRC, commJSON, out string) error {
 	last := res.History.Samples[len(res.History.Samples)-1]
 	fmt.Printf("t = %.3f  field E = %.4g  field B = %.4g  kinetic = %.4g  total = %.4g\n",
@@ -75,8 +75,8 @@ type stateCRCFile struct {
 	CRCs  []string `json:"crcs"`
 }
 
-// commRecord is one rank's -comm-json entry: its report and state CRC,
-// the shape of the end-of-run message the members exchange.
+// commRecord is one rank's -comm-json entry: its report and its state
+// CRC in hex.
 type commRecord struct {
 	core.RankReport
 	CRC string `json:"crc"`

@@ -150,12 +150,16 @@ func (c *cursor) f32s(a []float32) {
 // error is rank 0's.
 func (rs *RankSim) Checkpoint(w io.Writer) error {
 	rk := rs.Rank
+	var mine []byte // rank 0 writes its own payload straight to w
 	if rs.comm.Rank() != 0 {
 		var payload bytes.Buffer
 		c := newCPWriter(&payload)
 		rk.writeState(c)
 		c.flush()
-		rs.comm.Send(0, tagCheckpoint, payload.Bytes())
+		mine = payload.Bytes()
+	}
+	payloads := rs.comm.Gather(tagCheckpoint, mine)
+	if payloads == nil {
 		return nil
 	}
 	h := crc32.NewIEEE()
@@ -179,8 +183,8 @@ func (rs *RankSim) Checkpoint(w io.Writer) error {
 		}
 	}
 	rk.writeState(c)
-	for p := 1; p < rs.comm.Size(); p++ {
-		c.raw(rs.comm.Recv(p, tagCheckpoint).([]byte))
+	for _, p := range payloads[1:] {
+		c.raw(p.([]byte))
 	}
 	c.flush()
 	c.raw(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
@@ -421,10 +425,23 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 // member. Only then does the member move onto the file's x-cuts in
 // place (adoptDomain) and read its own payload.
 func (rs *RankSim) Restore(r io.Reader) error {
-	data, err := rs.shareFile(r)
-	if err != nil {
+	var data, status []byte
+	var err error
+	if rs.comm.Rank() == 0 {
+		if data, err = io.ReadAll(r); err != nil {
+			err = fmt.Errorf("core: checkpoint unreadable: %w", err)
+			status = []byte(err.Error())
+		}
+	}
+	// Rank 0 hands every peer its read status (the error's text, empty
+	// on success), then the bytes.
+	if status = rs.comm.Bcast(tagRestore, status).([]byte); len(status) > 0 {
+		if err == nil {
+			err = errors.New(string(status))
+		}
 		return err
 	}
+	data = rs.comm.Bcast(tagRestore, data).([]byte)
 	rk := rs.Rank
 	hd, payload, err := verifyCheckpoint(data, &rs.Cfg, rk.D.Cfg.Layout, rs.comm.Rank())
 	if err != nil {
@@ -464,30 +481,6 @@ func CheckpointHistory(r io.Reader) (diag.History, error) {
 		return diag.History{}, fmt.Errorf("core: checkpoint corrupt: CRC %08x in file, %08x computed", got, want)
 	}
 	return diag.History{Samples: hd.history}, nil
-}
-
-// shareFile reads r to its end on rank 0 and hands every peer a status
-// (the read error's text, empty on success) and then the bytes.
-func (rs *RankSim) shareFile(r io.Reader) ([]byte, error) {
-	if rs.comm.Rank() != 0 {
-		if status := rs.comm.Recv(0, tagRestore).([]byte); len(status) > 0 {
-			return nil, errors.New(string(status))
-		}
-		return rs.comm.Recv(0, tagRestore).([]byte), nil
-	}
-	data, err := io.ReadAll(r)
-	var status []byte
-	if err != nil {
-		err = fmt.Errorf("core: checkpoint unreadable: %w", err)
-		status = []byte(err.Error())
-	}
-	for p := 1; p < rs.comm.Size(); p++ {
-		rs.comm.Send(p, tagRestore, status)
-		if err == nil {
-			rs.comm.Send(p, tagRestore, data)
-		}
-	}
-	return data, err
 }
 
 // Restore loads a checkpoint into every member (RankSim.Restore).

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,7 +65,10 @@ func runMembers(t *testing.T, dk deck.Deck, job Job) *Result {
 // in-process Simulation, and a file the Simulation wrote resumes on a
 // TCP world; both reach the uninterrupted run's CRCs and energy history
 // at step 40. So do a checkpoint at step 0 and one at step 25, off the
-// sampling cadence: a resume takes no extra or duplicate sample.
+// sampling cadence: a resume takes no extra or duplicate sample. On 3
+// ranks, where every handoff to and from rank 0 has two peers, a
+// restore, 10 steps and a checkpoint write the same file, CRCs and
+// per-link traffic in-process as over TCP.
 func TestCheckpointCrossesWorlds(t *testing.T) {
 	dk, err := spikeSpec.Build()
 	if err != nil {
@@ -130,6 +134,38 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0].History, wantHist) {
 		t.Errorf("in-process → TCP: history %+v, uninterrupted %+v", results[0].History, wantHist)
+	}
+
+	spec3 := spikeSpec
+	spec3.Ranks = 3
+	dk3, err := spec3.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at10 := filepath.Join(dir, "three.ckpt")
+	runMembers(t, dk3, Job{Steps: 10, Every: 10, Checkpoint: at10})
+	job := Job{Steps: 10, Every: 10, Restore: at10, Checkpoint: filepath.Join(dir, "three-local.ckpt")}
+	local := runMembers(t, dk3, job)
+	job.Checkpoint = filepath.Join(dir, "three-tcp.ckpt")
+	results, errs = runTCPJob(t, spec3, 3, job)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("3-rank TCP rank %d: %v", r, err)
+		}
+	}
+	tcp := results[0]
+	if !slices.Equal(tcp.CRCs, local.CRCs) {
+		t.Errorf("3 ranks: CRCs %08x over TCP, %08x in-process", tcp.CRCs, local.CRCs)
+	}
+	for r := range local.Reports {
+		if got, want := linkMsgs(tcp.Reports[r]), linkMsgs(local.Reports[r]); got != want {
+			t.Errorf("3 ranks, rank %d: link messages %s over TCP, %s in-process", r, got, want)
+		}
+	}
+	a, errA := os.ReadFile(filepath.Join(dir, "three-local.ckpt"))
+	b, errB := os.ReadFile(job.Checkpoint)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Errorf("3 ranks: the checkpoints differ (%d B in-process, %d B over TCP; %v, %v)", len(a), len(b), errA, errB)
 	}
 
 	for _, at := range []int{0, 25} {

@@ -9,7 +9,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,10 +76,10 @@ type Result struct {
 }
 
 // endOfRun is the message each rank sends at the end of the run: its
-// report and its state CRC (%08x of core's StateCRC).
+// report and its state CRC (core's StateCRC).
 type endOfRun struct {
 	core.RankReport
-	CRC string `json:"crc"`
+	CRC uint32 `json:"crc"`
 }
 
 // Run executes job as rank c.Rank of a c.Ranks TCP world: it joins the
@@ -179,7 +178,7 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	// The report and CRC describe the run, so they are taken before the
 	// checkpoint's traffic.
 	comm.Barrier()
-	mine := endOfRun{rs.Report(), fmt.Sprintf("%08x", rs.StateCRC())}
+	mine := endOfRun{rs.Report(), rs.StateCRC()}
 	if job.Checkpoint != "" {
 		if err := Checkpoint(rs, job.Checkpoint); err != nil {
 			return nil, err
@@ -189,15 +188,12 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 
 	// End-of-run report exchange: every process gets the full set, so
 	// each can verify CRC agreement locally.
-	all, err := gather(comm, mine)
+	all, err := shareJSON(comm, mine)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d: end-of-run reports: %w", rank, err)
 	}
-	res.CRCs = make([]uint32, len(all))
-	for r, m := range all {
-		if _, err := fmt.Sscanf(m.CRC, "%08x", &res.CRCs[r]); err != nil {
-			return nil, fmt.Errorf("dist: rank %d sent CRC %q: %w", r, m.CRC, err)
-		}
+	for _, m := range all {
+		res.CRCs = append(res.CRCs, m.CRC)
 		res.Reports = append(res.Reports, m.RankReport)
 	}
 	comm.Barrier() // everyone has the reports before anyone says goodbye
@@ -207,36 +203,23 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 // Reports hands every member every member's cumulative report, in rank
 // order — a collective every member calls at the same step.
 func Reports(rs *core.RankSim) ([]core.RankReport, error) {
-	return gather(rs.Comm(), rs.Report())
+	return shareJSON(rs.Comm(), rs.Report())
 }
 
-// gather hands every member every member's v, in rank order: each sends
-// its JSON to rank 0, which broadcasts the joined array.
-func gather[T any](comm *mp.Comm, v T) ([]T, error) {
+// shareJSON hands every member every member's v, in rank order: rank 0
+// gathers their JSON and broadcasts it joined into one array.
+func shareJSON[T any](comm *mp.Comm, v T) ([]T, error) {
 	blob, _ := json.Marshal(v) // reports and CRCs always marshal
-	if comm.Rank() == 0 {
-		blobs := [][]byte{blob}
-		for r := 1; r < comm.Size(); r++ {
-			blobs = append(blobs, comm.Recv(r, tagReport).([]byte))
+	if blobs := comm.Gather(tagReport, blob); blobs != nil {
+		raw := make([]json.RawMessage, len(blobs))
+		for r, b := range blobs {
+			raw[r] = b.([]byte)
 		}
-		blob = append(append([]byte("["), bytes.Join(blobs, []byte(","))...), ']')
-	} else {
-		comm.Send(0, tagReport, blob)
+		blob, _ = json.Marshal(raw) // a malformed blob fails every Unmarshal below
 	}
 	var all []T
-	err := json.Unmarshal(fromRank0(comm, tagReportAll, blob), &all)
+	err := json.Unmarshal(comm.Bcast(tagReportAll, blob).([]byte), &all)
 	return all, err
-}
-
-// fromRank0 hands every member rank 0's blob.
-func fromRank0(comm *mp.Comm, tag int, blob []byte) []byte {
-	if comm.Rank() != 0 {
-		return comm.Recv(0, tag).([]byte)
-	}
-	for r := 1; r < comm.Size(); r++ {
-		comm.Send(r, tag, blob)
-	}
-	return blob
 }
 
 // restore loads the checkpoint at path into every member. Rank 0 opens
@@ -276,7 +259,7 @@ func Checkpoint(rs *core.RankSim, path string) error {
 	} else {
 		_ = rs.Checkpoint(nil) // a peer only sends, which fails by panicking
 	}
-	if verdict = fromRank0(rs.Comm(), tagVerdict, verdict); len(verdict) > 0 {
+	if verdict = rs.Comm().Bcast(tagVerdict, verdict).([]byte); len(verdict) > 0 {
 		return errors.New(string(verdict))
 	}
 	return nil

@@ -44,6 +44,13 @@ func linkMsgs(r core.RankReport) string {
 	return strings.Join(s, "; ")
 }
 
+// commRecord is one rank's record in vpic's -comm-json file: its report
+// and its state CRC in hex.
+type commRecord struct {
+	core.RankReport
+	CRC string `json:"crc"`
+}
+
 // zeroTimes clears a report's time-valued fields, leaving the counters
 // that are a function of the deck alone.
 func zeroTimes(r core.RankReport) core.RankReport {
@@ -64,7 +71,7 @@ func zeroTimes(r core.RankReport) core.RankReport {
 // must give identical particles, advances, crossings, flops, section
 // bytes, class bytes/msgs and sorts on every rank, and the same member
 // run in-process and over TCP must send the same messages and payload
-// bytes on every link. The end-of-run message JSON (the -comm-json record) of the lockstep world,
+// bytes on every link. The -comm-json records of the lockstep world,
 // time-valued fields zeroed, must match testdata/reports.golden.json,
 // so dropping or renaming a key fails here; `go test -run
 // TestReportsAgreeAcrossWorlds -update` rewrites the file after a
@@ -131,9 +138,9 @@ func TestReportsAgreeAcrossWorlds(t *testing.T) {
 		t.Fatalf("degenerate run: %d sorts, %d crossings, %d classes", tot.SortPasses.Sorts, tot.Moved, len(tot.Classes))
 	}
 
-	msgs := make([]endOfRun, ranks)
+	msgs := make([]commRecord, ranks)
 	for r, crc := range sim.StateCRCs() {
-		msgs[r] = endOfRun{zeroTimes(lockstep[r]), fmt.Sprintf("%08x", crc)}
+		msgs[r] = commRecord{zeroTimes(lockstep[r]), fmt.Sprintf("%08x", crc)}
 	}
 	got, err := json.MarshalIndent(msgs, "", "  ")
 	if err != nil {

@@ -153,9 +153,6 @@ func validateParticleBC(cfg Config) error {
 // Remote reports whether the face is serviced by a neighbor rank.
 func (d *Domain) Remote(f field.Face) bool { return d.remote[f] }
 
-// Neighbor returns the rank across the face.
-func (d *Domain) Neighbor(f field.Face) int { return d.nbr[f] }
-
 // ParticleActions returns the per-face push actions this rank must use:
 // Migrate on remote faces, the global wall action otherwise.
 func (d *Domain) ParticleActions() [6]push.Action {

@@ -126,9 +126,6 @@ func NewDecomposed(g *grid.Grid, bc [NumFaces]BC, remote [NumFaces]bool) (*Field
 	return f, nil
 }
 
-// Remote reports whether the face is serviced by a neighbor rank.
-func (f *Fields) Remote(face Face) bool { return f.remote[face] }
-
 // MustNew is New but panics on error.
 func MustNew(g *grid.Grid, bc [NumFaces]BC) *Fields {
 	f, err := New(g, bc)

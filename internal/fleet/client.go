@@ -54,7 +54,6 @@ func newClient() *client {
 // about.
 type healthInfo struct {
 	Status     string `json:"status"`
-	Jobs       int    `json:"jobs"`
 	QueueFree  int    `json:"queue_free"`
 	QueueDepth int    `json:"queue_depth"`
 }

@@ -6,11 +6,15 @@
 // goroutines, links are buffered channels) or a network fabric
 // (internal/transport's TCP mesh). The collectives are built once, in
 // Comm, over the transport's own links, so every world runs them with
-// the same messages in the same order.
+// the same messages in the same order. Their two halves, Gather and
+// Bcast, are exported for the handoffs that move payloads to and from
+// rank 0 rather than reduce them.
 //
 // Semantics: messages on one (src,dst) link are delivered in order;
 // Recv blocks until a message from the requested source arrives and
-// checks that its tag matches the protocol's expectation. Payloads are
+// checks that its tag matches the protocol's expectation. A rank never
+// messages itself: there is no (r,r) link, so a send to or a receive
+// from the own rank is an error on every transport. Payloads are
 // passed by reference in-process; the sender must not mutate a payload
 // after sending, exactly like a zero-copy transport.
 //
@@ -86,7 +90,7 @@ type message struct {
 // of an n-rank communicator group whose ranks are goroutines.
 type World struct {
 	n     int
-	links [][]chan message // links[src][dst]
+	links [][]chan message // links[src][dst], nil for src == dst
 	stats []*perf.CommStats
 }
 
@@ -106,7 +110,9 @@ func NewWorld(n int) *World {
 	for s := range w.links {
 		w.links[s] = make([]chan message, n)
 		for d := range w.links[s] {
-			w.links[s][d] = make(chan message, LinkDepth)
+			if d != s { // a rank never messages itself
+				w.links[s][d] = make(chan message, LinkDepth)
+			}
 		}
 		w.stats[s] = perf.NewCommStats(s)
 	}
@@ -147,6 +153,9 @@ func (t *localTransport) Rank() int { return t.rank }
 func (t *localTransport) Size() int { return t.w.n }
 
 func (t *localTransport) Send(dst, tag int, data any) error {
+	if dst == t.rank {
+		return fmt.Errorf("mp: rank %d sends to itself", dst)
+	}
 	select {
 	case t.w.links[t.rank][dst] <- message{tag: tag, data: data}:
 	default:
@@ -157,6 +166,9 @@ func (t *localTransport) Send(dst, tag int, data any) error {
 }
 
 func (t *localTransport) Recv(src, tag int) (any, error) {
+	if src == t.rank {
+		return nil, fmt.Errorf("mp: rank %d receives from itself", src)
+	}
 	m := <-t.w.links[src][t.rank]
 	if m.tag != tag {
 		return nil, &TagMismatchError{Rank: t.rank, Src: src, Want: tag, Got: m.tag}
@@ -176,14 +188,14 @@ func (t *localTransport) Close() error { return nil }
 // substrate failure; drivers that must survive a sick peer recover it
 // with AsCommError.
 type Comm struct {
-	t      Transport
-	stats  *perf.CommStats
-	gather []any // rank 0's collective slots, one per rank
+	t     Transport
+	stats *perf.CommStats
+	slots []any // rank 0's collective slots, one per rank
 }
 
 // NewComm wraps a transport endpoint in the SPMD API.
 func NewComm(t Transport) *Comm {
-	return &Comm{t: t, stats: t.Stats(), gather: make([]any, t.Size())}
+	return &Comm{t: t, stats: t.Stats(), slots: make([]any, t.Size())}
 }
 
 // Transport returns the underlying fabric endpoint.
@@ -238,6 +250,45 @@ const (
 	tagBcast   = -102
 )
 
+// Gather is the collective's first half: every rank sends x to rank 0
+// with tag, and rank 0 receives them in rank order. Rank 0 gets a fresh
+// rank-ordered slice, its own x first, which the Comm does not keep;
+// every other rank gets nil. Like every collective it shares the data
+// links: a message sent before it must be received before it.
+func (c *Comm) Gather(tag int, x any) []any {
+	var slots []any
+	if c.Rank() == 0 {
+		slots = make([]any, c.Size())
+	}
+	return c.gather(slots, tag, x)
+}
+
+// gather is Gather into rank 0's slots.
+func (c *Comm) gather(slots []any, tag int, x any) []any {
+	if c.Rank() != 0 {
+		c.Send(0, tag, x)
+		return nil
+	}
+	slots[0] = x
+	for r := 1; r < c.Size(); r++ {
+		slots[r] = c.Recv(r, tag)
+	}
+	return slots
+}
+
+// Bcast is the collective's second half: rank 0 sends x to every other
+// rank with tag, in rank order, and every rank returns rank 0's x (the
+// other ranks' x is ignored).
+func (c *Comm) Bcast(tag int, x any) any {
+	if c.Rank() != 0 {
+		return c.Recv(0, tag)
+	}
+	for r := 1; r < c.Size(); r++ {
+		c.Send(r, tag, x)
+	}
+	return x
+}
+
 // Barrier blocks until every rank of the world has entered it.
 func (c *Comm) Barrier() { c.collective(tagBarrier, tagBarrier, int64(0), nil) }
 
@@ -247,30 +298,17 @@ func (c *Comm) allreduce(x any, reduce func([]any) any) any {
 	return c.collective(tagGather, tagBcast, x, reduce)
 }
 
-// collective is the one collective algorithm, run over the transport's
-// own links: every rank sends x to rank 0 with tag up; rank 0 receives
-// them in rank order into its gather slots, applies reduce once (nil
-// returns rank 0's x) and sends every rank the result with tag down.
-// The collective shares the data links: a message sent before it must
-// be received before it.
+// collective is Gather with tag up, then on rank 0 reduce over the
+// rank-ordered values (nil keeps rank 0's x), then Bcast of the result
+// with tag down. Rank 0 gathers into the Comm's own slots and clears
+// them before it sends, so a collective allocates no slice and keeps no
+// payload.
 func (c *Comm) collective(up, down int, x any, reduce func([]any) any) any {
-	if c.Rank() != 0 {
-		c.Send(0, up, x)
-		return c.Recv(0, down)
+	if xs := c.gather(c.slots, up, x); xs != nil && reduce != nil {
+		x = reduce(xs)
 	}
-	c.gather[0] = x
-	for r := 1; r < c.Size(); r++ {
-		c.gather[r] = c.Recv(r, up)
-	}
-	out := x
-	if reduce != nil {
-		out = reduce(c.gather)
-	}
-	clear(c.gather)
-	for r := 1; r < c.Size(); r++ {
-		c.Send(r, down, out)
-	}
-	return out
+	clear(c.slots)
+	return c.Bcast(down, x)
 }
 
 // AllreduceSum returns the sum of x over all ranks, on every rank. The

@@ -252,8 +252,33 @@ func TestSingleRankWorld(t *testing.T) {
 		if got := c.AllreduceSum(3.5); got != 3.5 {
 			t.Errorf("self allreduce = %g", got)
 		}
-		if got := sendRecv(c, 0, 0, 0, "x").(string); got != "x" {
-			t.Errorf("self sendrecv = %q", got)
+		// A rank never messages itself.
+		if err := c.Transport().Send(0, 0, "x"); err == nil {
+			t.Error("a send to the own rank succeeded")
+		}
+		if _, err := c.Transport().Recv(0, 0); err == nil {
+			t.Error("a receive from the own rank succeeded")
+		}
+	})
+}
+
+// TestCollectivesKeepNoPayload: rank 0's collective slots hold nothing
+// once a collective returns, and Gather's slice is not one of them, so
+// no gathered payload outlives the call that consumed it.
+func TestCollectivesKeepNoPayload(t *testing.T) {
+	Run(3, func(c *Comm) {
+		got := c.Gather(1, []byte{byte(c.Rank())})
+		c.AllreduceSumF64s([]float64{1})
+		if c.Rank() != 0 {
+			return
+		}
+		for r, v := range c.slots {
+			if v != nil {
+				t.Errorf("slot %d holds %v after the collective", r, v)
+			}
+		}
+		if len(got) != 3 || &got[0] == &c.slots[0] {
+			t.Error("Gather returned rank 0's collective slots")
 		}
 	})
 }

@@ -21,26 +21,36 @@ func TestRecvAccountsBlockedTime(t *testing.T) {
 		checkBlockedWait(t, w.Comm(0), w.Comm(1))
 	})
 	t.Run("TCP", func(t *testing.T) {
-		join := testnet.FreeAddr(t)
-		ts := make([]*transport.TCP, 2)
-		errs := make([]error, 2)
-		var wg sync.WaitGroup
-		for r := range ts {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				ts[r], errs[r] = transport.Connect(r, 2, join, "127.0.0.1:0", transport.Options{})
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ts[r].Close()
-		}
-		checkBlockedWait(t, mp.NewComm(ts[0]), mp.NewComm(ts[1]))
+		cs := tcpComms(t, 2)
+		checkBlockedWait(t, cs[0], cs[1])
 	})
+}
+
+// tcpComms brings up an n-rank loopback TCP world and returns its
+// Comms in rank order; the endpoints close when the test ends.
+func tcpComms(t *testing.T, n int) []*mp.Comm {
+	t.Helper()
+	join := testnet.FreeAddr(t)
+	ts := make([]*transport.TCP, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ts[r], errs[r] = transport.Connect(r, n, join, "127.0.0.1:0", transport.Options{})
+		}(r)
+	}
+	wg.Wait()
+	cs := make([]*mp.Comm, n)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ts[r].Close() })
+		cs[r] = mp.NewComm(ts[r])
+	}
+	return cs
 }
 
 // checkBlockedWait runs the three receives on c1, with c0 as the peer

@@ -42,9 +42,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
 // Mean returns the mean observed latency (0 when empty).
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {
@@ -52,9 +49,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.count)
 }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns an upper bound on the q-th quantile (q in [0,1]):
 // the upper edge of the bucket containing the q·count-th observation.
@@ -131,9 +125,6 @@ type CommStats struct {
 func NewCommStats(rank int) *CommStats {
 	return &CommStats{rank: rank, links: make(map[int]*LinkStat)}
 }
-
-// Rank returns the owning rank.
-func (s *CommStats) Rank() int { return s.rank }
 
 // AddWait records time a caller spent blocked in a receive.
 func (s *CommStats) AddWait(d time.Duration) {

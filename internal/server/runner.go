@@ -76,10 +76,11 @@ func (s *Server) runJob(j *Job) {
 
 // execute runs the job's world as dist.Members in this process
 // (dist.Local), resuming from the spooled checkpoint when one exists,
-// and writes the result artifact. One hook, run by every member after
-// each step, publishes progress and samples, checkpoints on the cadence
-// and, at a sampling step, stops the run on a cancellation (preempt or
-// cancel) after checkpointing that step.
+// publishes the run's end-of-run reports and writes the result
+// artifact. One hook, run by every member after each step, publishes
+// progress and samples, checkpoints on the cadence and, at a sampling
+// step, stops the run on a cancellation (preempt or cancel) after
+// checkpointing that step.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	d, err := j.Spec.Build()
 	if err != nil {
@@ -121,7 +122,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			s.mu.Unlock()
 		}
 		stop := last
-		if sampling || last {
+		if sampling && !last { // the last step's reports are the run's result
 			reps, err := dist.Reports(rs) // every member decodes the same bytes
 			flag := 0.0                   // rank 0's view of the cancellation decides
 			if rank0 {
@@ -134,7 +135,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 					flag = 1
 				}
 			}
-			stop = last || err != nil || rs.Comm().AllreduceMax(flag) > 0
+			stop = err != nil || rs.Comm().AllreduceMax(flag) > 0
 		}
 		switch {
 		case last:
@@ -175,9 +176,11 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		job.Restore = ""
 		res, err = dist.Local(d, job, nil)
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		return err
+	}
+	s.publishTotals(j, res.Reports, start)
+	switch {
 	case failure != nil:
 		return failure
 	case res.Steps < steps: // stopped by the cancellation rank 0 saw

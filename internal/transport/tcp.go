@@ -77,8 +77,7 @@ type TCP struct {
 	rank, size int
 	opts       Options
 	ln         net.Listener
-	links      []*link // links[rank] == nil
-	self       chan inMsg
+	links      []*link // links[rank] == nil: a rank never messages itself
 	stats      *perf.CommStats
 
 	closed    chan struct{}
@@ -128,7 +127,6 @@ func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, e
 		rank:   rank,
 		size:   size,
 		opts:   opts,
-		self:   make(chan inMsg, mp.LinkDepth),
 		stats:  perf.NewCommStats(rank),
 		closed: make(chan struct{}),
 	}
@@ -400,25 +398,13 @@ func (t *TCP) Stats() *perf.CommStats { return t.stats }
 // mp.PayloadBytes(data), as the in-process world does, not the encoded
 // length.
 func (t *TCP) Send(dst, tag int, data any) error {
-	if dst < 0 || dst >= t.size {
-		return fmt.Errorf("transport: send to rank %d outside world of size %d", dst, t.size)
+	if err := t.peer(dst); err != nil {
+		return err
 	}
 	// The buffer holds the codec's type byte and count, then the payload.
 	payload, err := EncodePayload(make([]byte, 0, 5+mp.PayloadBytes(data)), data)
 	if err != nil {
 		return err
-	}
-	if dst == t.rank {
-		v, err := DecodePayload(payload)
-		if err != nil {
-			return err
-		}
-		select {
-		case t.self <- inMsg{tag: tag, data: v}:
-			return nil
-		default:
-			return &mp.LinkOverflowError{Src: t.rank, Dst: dst, Depth: cap(t.self)}
-		}
 	}
 	l := t.links[dst]
 	if l.isDead() {
@@ -433,12 +419,8 @@ func (t *TCP) Send(dst, tag int, data any) error {
 // message and fails with *mp.TagMismatchError, mirroring the in-process
 // world.
 func (t *TCP) Recv(src, tag int) (any, error) {
-	if src < 0 || src >= t.size {
-		return nil, fmt.Errorf("transport: recv from rank %d outside world of size %d", src, t.size)
-	}
-	if src == t.rank {
-		m := <-t.self
-		return t.checkTag(src, tag, m)
+	if err := t.peer(src); err != nil {
+		return nil, err
 	}
 	l := t.links[src]
 	select {
@@ -462,10 +444,16 @@ func (t *TCP) Recv(src, tag int) (any, error) {
 // Ready reports whether a message from src has arrived, so Recv would
 // not block (mp.Comm.Recv's probe before it reads the clock).
 func (t *TCP) Ready(src int) bool {
-	if src == t.rank {
-		return len(t.self) > 0
+	return t.peer(src) == nil && len(t.links[src].in) > 0
+}
+
+// peer checks that r is another rank of the world: a rank has a link to
+// every other rank and none to itself.
+func (t *TCP) peer(r int) error {
+	if r < 0 || r >= t.size || r == t.rank {
+		return fmt.Errorf("transport: rank %d has no link to rank %d in a world of size %d", t.rank, r, t.size)
 	}
-	return src >= 0 && src < t.size && len(t.links[src].in) > 0
+	return nil
 }
 
 // checkTag returns m's payload if it carries the wanted tag and counts
@@ -476,9 +464,7 @@ func (t *TCP) checkTag(src, want int, m inMsg) (any, error) {
 	if m.tag != want {
 		return nil, &mp.TagMismatchError{Rank: t.rank, Src: src, Want: want, Got: m.tag}
 	}
-	if src != t.rank {
-		t.links[src].stat.AddRecv(mp.PayloadBytes(m.data))
-	}
+	t.links[src].stat.AddRecv(mp.PayloadBytes(m.data))
 	return m.data, nil
 }
 

@@ -29,14 +29,11 @@ import "math"
 // in laboratory units into code units; the simulation itself never
 // consumes them.
 const (
-	C           = 299792458.0    // speed of light, m/s
-	ElectronQ   = 1.60217663e-19 // elementary charge, C
-	ElectronM   = 9.1093837e-31  // electron mass, kg
-	Epsilon0    = 8.8541878e-12  // vacuum permittivity, F/m
-	BoltzmannK  = 1.380649e-23   // Boltzmann constant, J/K
-	EVPerJoule  = 1.0 / ElectronQ
-	ProtonM     = 1.67262192e-27 // proton mass, kg
-	MassRatioHP = ProtonM / ElectronM
+	C          = 299792458.0    // speed of light, m/s
+	ElectronQ  = 1.60217663e-19 // elementary charge, C
+	ElectronM  = 9.1093837e-31  // electron mass, kg
+	EVPerJoule = 1.0 / ElectronQ
+	ProtonM    = 1.67262192e-27 // proton mass, kg
 	// MeVPerMc2 converts code-unit energies (me·c²) to MeV — the unit
 	// the ion-acceleration literature reports cutoff energies in.
 	MeVPerMc2 = ElectronM * C * C * EVPerJoule / 1e6
