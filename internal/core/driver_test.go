@@ -216,6 +216,7 @@ func TestStepRegionAllocs(t *testing.T) {
 		{"advanceB", func() { f.AdvanceBPar(rk.pool, dt, 0.5) }},
 		{"advanceE", func() { f.AdvanceEPar(rk.pool, dt) }},
 		{"load", func() { rk.IP.LoadPar(rk.pool, f) }},
+		{"sort", func() { rk.sortWS.ByVoxel(rk.Species[0].Buf, rk.D.G.NV()) }},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(50, r.run); got != 0 {

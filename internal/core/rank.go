@@ -27,11 +27,10 @@ type Rank struct {
 	Kernels []*push.Kernel
 	Perf    perf.Breakdown
 
-	sortWS     *psort.Workspace
-	sortPasses psort.Passes // passes of the workspaces a reshape replaced
-	rho        []float32    // scratch charge density
-	rho0       []float32    // static background (NeutralizingBackground)
-	scratch    []float32
+	sortWS  *psort.Workspace
+	rho     []float32 // scratch charge density
+	rho0    []float32 // static background (NeutralizingBackground)
+	scratch []float32
 
 	// Intra-rank pipeline state: the worker pool, one private
 	// accumulator per pipeline block (allocated once, reused every
@@ -180,15 +179,15 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 }
 
 // newKernel builds species sp's push kernel on the rank's current
-// domain, interpolators and accumulator, with the mover and outgoing
-// buffers pre-sized for sp's current population so steady-state steps
-// allocate nothing.
+// domain, interpolators and accumulator, with the outgoing buffers
+// pre-sized for sp's current population so steady-state steps allocate
+// nothing (newRank sizes the pipeline blocks' mover lists).
 func (rk *Rank) newKernel(cfg *Config, sp *species.Species) *push.Kernel {
 	k := push.NewKernel(rk.D.G, rk.IP, rk.Acc, sp.Q, sp.M, cfg.DT)
 	k.Asm = cfg.Kernel == push.KernelAsm
 	k.Bound = rk.D.ParticleActions()
 	n := sp.Buf.N()
-	k.Prealloc(n/16+64, n/64+16)
+	k.Prealloc(n/64 + 16)
 	return k
 }
 

@@ -38,7 +38,7 @@ func (rs *RankSim) Report() RankReport {
 		Rank:       rs.comm.Rank(),
 		Particles:  rk.particles(),
 		Breakdown:  rk.Perf,
-		SortPasses: rk.sortPasses,
+		SortPasses: rk.sortWS.Passes(),
 		Classes:    rk.D.ClassTraffic(),
 	}
 	for _, k := range rk.Kernels {
@@ -46,7 +46,6 @@ func (rs *RankSim) Report() RankReport {
 		r.Moved += k.NMoved
 		r.Flops += k.Flops()
 	}
-	r.SortPasses.Merge(rk.sortWS.Passes())
 	if st := rs.comm.Stats(); st != nil {
 		r.Links = st.Snapshot()
 	}

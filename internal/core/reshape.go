@@ -10,7 +10,6 @@ import (
 	"govpic/internal/grid"
 	"govpic/internal/interp"
 	"govpic/internal/push"
-	psort "govpic/internal/sort"
 )
 
 // Online rebalancing: between steps, every rank runs the same collective
@@ -174,13 +173,13 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 
 // adoptDomain moves this rank onto d, a tile of the same world on
 // another layout, rebuilding the grid-sized plumbing: interpolator,
-// accumulators, sort workspace, scratch, kernels and the boundary shell,
-// and marks every species' partition stale.
-// Traffic counters carry over to d, per-species kernel counters via
-// AdoptFrom and the sort passes via sortPasses, so cumulative
-// diagnostics survive the swap. Field, background and particle state
-// are the caller's to fill (particle voxels must index d's grid). It
-// communicates nothing.
+// accumulators, scratch, kernels and the boundary shell, and marks
+// every species' partition stale. The sort workspace stays: ByVoxel
+// grows it to d's grid.
+// Traffic counters carry over to d and per-species kernel counters via
+// AdoptFrom, so cumulative diagnostics survive the swap. Field,
+// background and particle state are the caller's to fill (particle
+// voxels must index d's grid). It communicates nothing.
 func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 	d.ClassBytes, d.ClassMsgs = rk.D.ClassBytes, rk.D.ClassMsgs
 	g := d.G
@@ -190,9 +189,6 @@ func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 	for b := range rk.pipeAcc {
 		rk.pipeAcc[b] = accum.New(g)
 	}
-	rk.sortPasses.Merge(rk.sortWS.Passes())
-	rk.sortWS = psort.NewWorkspace(g.NV())
-	rk.sortWS.SetPool(rk.pool)
 	rk.rho = make([]float32, g.NV())
 	rk.scratch = make([]float32, g.NV())
 	for i, sp := range rk.Species {

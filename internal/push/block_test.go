@@ -131,7 +131,7 @@ func benchRig() (*rig, *Kernel) {
 // AdvanceP sweep with a single shared accumulator.
 func BenchmarkAdvanceSerial(b *testing.B) {
 	r, k := benchRig()
-	k.Prealloc(r.buf.N()/8, 64)
+	k.Prealloc(64)
 	r.acc.Clear()
 	k.AdvanceP(r.buf) // warm-up: grow any remaining scratch
 	b.ReportAllocs()  // steady state must be 0 allocs/op
@@ -159,7 +159,7 @@ func BenchmarkAdvanceBlocked(b *testing.B) {
 				}
 				r, k := benchRig()
 				k.Asm = kernel == KernelAsm
-				k.Prealloc(r.buf.N()/8, 64)
+				k.Prealloc(64)
 				pool := pipe.New(w)
 				accs, blocks := blockFixture(r)
 				runBlockedStep(k, r, pool, accs, blocks) // warm-up

@@ -115,9 +115,9 @@ func TestFusedMatchesUnfusedProperty(t *testing.T) {
 	}
 }
 
-// TestAdvanceZeroAllocSteadyState: once Prealloc has sized the mover and
-// outgoing buffers, a serial AdvanceP step allocates nothing — with
-// every block routine.
+// TestAdvanceZeroAllocSteadyState: once Prealloc has sized the outgoing
+// buffers and a warm-up has grown the mover list, a serial AdvanceP
+// step allocates nothing — with every block routine.
 func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 	for _, sh := range sweepShapes() {
 		r := newRig(8, 6, 4, 0.5)
@@ -126,7 +126,7 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 		useShape(k, sh)
 		r.loadRandom(5000, 0.3, 3)
 		sortByVoxel(r.buf)
-		k.Prealloc(r.buf.N(), 64)
+		k.Prealloc(64)
 		// Warm up: grows anything Prealloc under-sized.
 		for s := 0; s < 3; s++ {
 			r.acc.Clear()
@@ -164,7 +164,7 @@ func benchSortedRig(n int, order string) (*rig, *Kernel) {
 	if order == "sorted" || order == "decayed" {
 		sortByVoxel(r.buf)
 	}
-	k.Prealloc(n/8, 64)
+	k.Prealloc(64)
 	steps := 1
 	if order == "decayed" {
 		steps = 10

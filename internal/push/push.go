@@ -305,15 +305,10 @@ func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float6
 	return k
 }
 
-// Prealloc pre-sizes the kernel's reusable hot-path buffers — the serial
-// mover list and the per-face outgoing buffers — so a steady-state step
-// performs no allocations. nMovers bounds the expected face-crossers of
-// one step and nOut the expected emigrants per face; both grow on demand
-// if exceeded.
-func (k *Kernel) Prealloc(nMovers, nOut int) {
-	if cap(k.serial.Movers) < nMovers {
-		k.serial.Movers = make([]particle.Mover, 0, nMovers)
-	}
+// Prealloc pre-sizes the kernel's per-face outgoing buffers so a
+// steady-state step performs no allocations. nOut bounds the expected
+// emigrants per face; the buffers grow on demand if it is exceeded.
+func (k *Kernel) Prealloc(nOut int) {
 	for f := range k.Out {
 		if cap(k.Out[f]) < nOut {
 			k.Out[f] = make([]Outgoing, 0, nOut)

@@ -1,6 +1,6 @@
 // Package sort implements the periodic particle sort VPIC performs to
-// keep particles in voxel order: a single-pass counting sort (O(N+V)),
-// which restores the streaming access pattern of the interpolator and
+// keep particles in voxel order: a counting sort (O(N+V)), which
+// restores the streaming access pattern of the interpolator and
 // accumulator reads that cache (and on Roadrunner, SPE local-store DMA)
 // efficiency depends on. The out-of-place pass is stable, preserving
 // intra-cell ordering. The sort is zero-copy: the scatter pass lands in
@@ -9,12 +9,15 @@
 // the two block slices ping-pong between buffer and workspace across
 // calls.
 //
-// With a worker pool attached (SetPool), the count and scatter passes
-// run per pipeline block: each block counts its contiguous particle
-// range privately, a serial prefix over (voxel, block) assigns disjoint
-// output windows, and the blocks scatter concurrently. Because block
-// order equals input order, the result is the same stable permutation
-// the serial pass produces, bit for bit, for any worker count.
+// There is one routine for every pool, nil or of any worker count: the
+// count and scatter passes run per pipeline block (pipe.NumBlocks
+// contiguous particle ranges), each block counting its range
+// privately, a prefix over (voxel, block) assigning disjoint output
+// windows, and the blocks scattering into them. Because block order
+// equals input order, the result is the one stable permutation by
+// voxel, bit for bit, for any worker count; the workers only share out
+// the blocks. The passes are bound once per workspace, so a sort on a
+// one-worker pool allocates nothing.
 package sort
 
 import (
@@ -24,20 +27,20 @@ import (
 	"govpic/internal/pipe"
 )
 
-// parallelMin is the buffer size below which the blocked sort is not
-// worth the extra prefix pass and the serial path is used instead. The
-// two paths produce identical output, so the threshold only affects
-// speed.
-const parallelMin = 4096
-
-// Workspace holds the reusable buffers of the counting sort.
+// Workspace holds the reusable buffers of the counting sort, and its
+// passes with their per-call operands.
 type Workspace struct {
-	counts  []int32
 	scratch []particle.Block
 	pool    *pipe.Pool
 	bcounts []int32 // NumBlocks × (nv+1) per-block count/offset matrix
-	chunks  [pipe.NumBlocks + 1]int32
+	chunks  [pipe.NumBlocks]int32
 	passes  Passes
+
+	// ByVoxel's operands, stored for its pool tasks, which are bound
+	// as method values at NewWorkspace.
+	buf                               *particle.Buffer
+	nv                                int
+	count, subtotal, offsets, scatter func(i int)
 }
 
 // Passes is the per-pass wall-time breakdown of the sort section —
@@ -66,39 +69,131 @@ func (p *Passes) Merge(other Passes) {
 // made. Reading does not reset it, so any number of readers agree.
 func (w *Workspace) Passes() Passes { return w.passes }
 
-// NewWorkspace sizes a workspace for grids up to nv voxels.
+// NewWorkspace sizes a workspace for grids up to nv voxels; ByVoxel
+// grows it for a larger grid.
 func NewWorkspace(nv int) *Workspace {
-	return &Workspace{counts: make([]int32, nv+1)}
+	w := &Workspace{bcounts: make([]int32, pipe.NumBlocks*(nv+1))}
+	w.count, w.subtotal, w.offsets, w.scatter = w.countBlock, w.chunkTotal, w.chunkOffsets, w.scatterBlock
+	return w
 }
 
-// SetPool attaches a worker pool used to parallelize the count and
-// scatter passes. A nil pool (the default) keeps the sort serial.
+// SetPool attaches the worker pool that runs the per-block passes. A
+// nil pool (the default) runs every block on the caller.
 func (w *Workspace) SetPool(p *pipe.Pool) { w.pool = p }
 
 // ByVoxel sorts buf's particles by ascending voxel index. nv must be at
-// least 1 + the largest voxel index present.
+// least 1 + the largest voxel index present. The clock is read once at
+// each pass boundary.
 func (w *Workspace) ByVoxel(buf *particle.Buffer, nv int) {
-	n := buf.N()
-	if n < 2 {
+	const nb = pipe.NumBlocks
+	if buf.N() < 2 {
 		return
 	}
-	nb := buf.NBlocks()
-	if cap(w.scratch) < nb {
+	if cap(w.scratch) < buf.NBlocks() {
 		// Match the buffer's block capacity so append headroom survives
 		// swaps.
-		w.scratch = make([]particle.Block, nb, cap(buf.Blk))
+		w.scratch = make([]particle.Block, 0, cap(buf.Blk))
 	}
-	out := w.scratch[:nb]
-	if w.pool.Workers() > 1 && n >= parallelMin {
-		w.sortBlocked(buf, out, nv)
-	} else {
-		w.sortSerial(buf, out, nv)
+	w.scratch = w.scratch[:buf.NBlocks()]
+	if len(w.bcounts) < nb*(nv+1) {
+		w.bcounts = make([]int32, nb*(nv+1))
 	}
+	w.buf, w.nv = buf, nv
+	t0 := time.Now()
+	w.pool.Run(nb, w.count)
+	t1 := time.Now()
+
+	// Merge pass: an exclusive prefix over the (voxel, block) count
+	// matrix in voxel-major order — block b's particles of voxel v land
+	// after blocks 0..b−1's, preserving input order (stability). Run in
+	// three phases over fixed voxel chunks so the O(nv·nb) sweep is not
+	// the sort's serial remainder: chunk subtotals in parallel, a serial
+	// exclusive prefix over the nb chunk totals, then each chunk
+	// rewrites its counts to running offsets in parallel. Chunk bounds
+	// depend only on nv and int32 addition is exact and associative, so
+	// the offsets are the same at any worker count.
+	w.pool.Run(nb, w.subtotal)
+	var sum int32
+	for k, t := range w.chunks {
+		w.chunks[k] = sum
+		sum += t
+	}
+	w.pool.Run(nb, w.offsets)
+	t2 := time.Now()
+
+	// Scatter pass: output windows are disjoint by construction. Two
+	// workers may write different lanes of the same destination block;
+	// lanes are distinct memory words, so the writes do not race.
+	w.pool.Run(nb, w.scatter)
+	t3 := time.Now()
+	w.passes.CountSeconds += t1.Sub(t0).Seconds()
+	w.passes.MergeSeconds += t2.Sub(t1).Seconds()
+	w.passes.ScatterSeconds += t3.Sub(t2).Seconds()
+	w.passes.Sorts++
+
 	// Zero-copy completion: the buffer adopts the sorted scratch blocks
 	// and the old storage becomes the next call's scratch. Each slice has
 	// exactly one owner at any time, so a workspace shared across several
 	// buffers (species) never aliases their storage.
-	w.scratch = buf.Swap(out)
+	w.scratch = buf.Swap(w.scratch)
+}
+
+// row returns block b's row of the count matrix.
+func (w *Workspace) row(b int) []int32 {
+	stride := w.nv + 1
+	return w.bcounts[b*stride : (b+1)*stride]
+}
+
+// countBlock histograms block b's contiguous particle range.
+func (w *Workspace) countBlock(b int) {
+	c := w.row(b)
+	clear(c)
+	buf := w.buf
+	lo, hi := pipe.BlockBounds(buf.N(), pipe.NumBlocks, b)
+	for i := lo; i < hi; i++ {
+		c[buf.Voxel(i)]++
+	}
+}
+
+// chunkTotal sums voxel chunk k's counts over every block.
+func (w *Workspace) chunkTotal(k int) {
+	stride, bc := w.nv+1, w.bcounts
+	vlo, vhi := pipe.BlockBounds(w.nv, pipe.NumBlocks, k)
+	var t int32
+	for v := vlo; v < vhi; v++ {
+		for b := 0; b < pipe.NumBlocks; b++ {
+			t += bc[b*stride+v]
+		}
+	}
+	w.chunks[k] = t
+}
+
+// chunkOffsets rewrites voxel chunk k's counts to running offsets,
+// starting at the chunk's exclusive prefix.
+func (w *Workspace) chunkOffsets(k int) {
+	stride, bc := w.nv+1, w.bcounts
+	vlo, vhi := pipe.BlockBounds(w.nv, pipe.NumBlocks, k)
+	run := w.chunks[k]
+	for v := vlo; v < vhi; v++ {
+		for b := 0; b < pipe.NumBlocks; b++ {
+			idx := b*stride + v
+			c := bc[idx]
+			bc[idx] = run
+			run += c
+		}
+	}
+}
+
+// scatterBlock places block b's particles at their offsets.
+func (w *Workspace) scatterBlock(b int) {
+	c := w.row(b)
+	buf, out := w.buf, w.scratch
+	lo, hi := pipe.BlockBounds(buf.N(), pipe.NumBlocks, b)
+	for i := lo; i < hi; i++ {
+		v := buf.Voxel(i)
+		place(buf, out, i, c[v])
+		c[v]++
+	}
 }
 
 // BytesPerParticleSorted is the data-motion model of one ByVoxel call,
@@ -123,125 +218,6 @@ func place(src *particle.Buffer, out []particle.Block, i int, j int32) {
 	db.Voxel[dl] = sb.Voxel[sl]
 	db.Ux[dl], db.Uy[dl], db.Uz[dl] = sb.Ux[sl], sb.Uy[sl], sb.Uz[sl]
 	db.W[dl] = sb.W[sl]
-}
-
-// sortSerial is the classic single-threaded counting sort into out.
-func (w *Workspace) sortSerial(buf *particle.Buffer, out []particle.Block, nv int) {
-	if len(w.counts) < nv+1 {
-		w.counts = make([]int32, nv+1)
-	}
-	counts := w.counts[:nv+1]
-	start := time.Now()
-	for i := range counts {
-		counts[i] = 0
-	}
-	n := buf.N()
-	for bi := range buf.Blk {
-		blk := &buf.Blk[bi]
-		for l := 0; l < buf.LaneCount(bi); l++ {
-			counts[blk.Voxel[l]]++
-		}
-	}
-	w.passes.CountSeconds += time.Since(start).Seconds()
-
-	start = time.Now()
-	var sum int32
-	for v := 0; v < nv; v++ {
-		c := counts[v]
-		counts[v] = sum
-		sum += c
-	}
-	w.passes.MergeSeconds += time.Since(start).Seconds()
-
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		v := buf.Voxel(i)
-		place(buf, out, i, counts[v])
-		counts[v]++
-	}
-	w.passes.ScatterSeconds += time.Since(start).Seconds()
-	w.passes.Sorts++
-}
-
-// sortBlocked runs the count and scatter passes per pipeline block.
-func (w *Workspace) sortBlocked(buf *particle.Buffer, out []particle.Block, nv int) {
-	const nb = pipe.NumBlocks
-	n := buf.N()
-	stride := nv + 1
-	if len(w.bcounts) < nb*stride {
-		w.bcounts = make([]int32, nb*stride)
-	}
-	bc := w.bcounts[: nb*stride : nb*stride]
-
-	// Count pass: each block histograms its contiguous particle range.
-	start := time.Now()
-	w.pool.Run(nb, func(b int) {
-		c := bc[b*stride : (b+1)*stride]
-		for i := range c {
-			c[i] = 0
-		}
-		lo, hi := pipe.BlockBounds(n, nb, b)
-		for i := lo; i < hi; i++ {
-			c[buf.Voxel(i)]++
-		}
-	})
-	w.passes.CountSeconds += time.Since(start).Seconds()
-
-	// Merge pass: an exclusive prefix over the (voxel, block) count
-	// matrix in voxel-major order — block b's particles of voxel v land
-	// after blocks 0..b−1's, preserving input order (stability). Run in
-	// three phases over fixed voxel chunks so the O(nv·nb) sweep is not
-	// the sort's serial remainder: chunk subtotals in parallel, a serial
-	// exclusive prefix over the nb chunk totals, then each chunk
-	// rewrites its counts to running offsets in parallel. Chunk bounds
-	// depend only on nv and int32 addition is exact and associative, so
-	// the offsets match the serial sweep bit for bit at any worker count.
-	start = time.Now()
-	w.pool.Run(nb, func(k int) {
-		vlo, vhi := pipe.BlockBounds(nv, nb, k)
-		var t int32
-		for v := vlo; v < vhi; v++ {
-			for b := 0; b < nb; b++ {
-				t += bc[b*stride+v]
-			}
-		}
-		w.chunks[k] = t
-	})
-	var sum int32
-	for k := 0; k < nb; k++ {
-		t := w.chunks[k]
-		w.chunks[k] = sum
-		sum += t
-	}
-	w.pool.Run(nb, func(k int) {
-		vlo, vhi := pipe.BlockBounds(nv, nb, k)
-		run := w.chunks[k]
-		for v := vlo; v < vhi; v++ {
-			for b := 0; b < nb; b++ {
-				idx := b*stride + v
-				c := bc[idx]
-				bc[idx] = run
-				run += c
-			}
-		}
-	})
-	w.passes.MergeSeconds += time.Since(start).Seconds()
-
-	// Scatter pass: output windows are disjoint by construction. Two
-	// workers may write different lanes of the same destination block;
-	// lanes are distinct memory words, so the writes do not race.
-	start = time.Now()
-	w.pool.Run(nb, func(b int) {
-		c := bc[b*stride : (b+1)*stride]
-		lo, hi := pipe.BlockBounds(n, nb, b)
-		for i := lo; i < hi; i++ {
-			v := buf.Voxel(i)
-			place(buf, out, i, c[v])
-			c[v]++
-		}
-	})
-	w.passes.ScatterSeconds += time.Since(start).Seconds()
-	w.passes.Sorts++
 }
 
 // IsSorted reports whether the buffer's particles are in ascending

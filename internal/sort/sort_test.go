@@ -1,6 +1,7 @@
 package sort
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -11,14 +12,76 @@ import (
 
 func randomBuffer(n, nv int, seed uint64) *particle.Buffer {
 	src := rng.New(seed, 0)
+	u := func() float32 { return float32(src.Uniform(-1, 1)) }
 	b := particle.NewBuffer(n)
 	for i := 0; i < n; i++ {
 		b.Append(particle.Particle{
+			Dx: u(), Dy: u(), Dz: u(),
 			Voxel: int32(src.Intn(nv)),
-			W:     float32(i), // tag to check stability/permutation
+			Ux:    u(), Uy: u(), Uz: u(),
+			W: float32(i), // tag to check stability/permutation
 		})
 	}
 	return b
+}
+
+// sortSerial is the classic single-threaded counting sort into out: the
+// oracle ByVoxel's blocked routine must equal byte for byte.
+func sortSerial(buf *particle.Buffer, out []particle.Block, nv int) {
+	counts := make([]int32, nv+1)
+	n := buf.N()
+	for bi := range buf.Blk {
+		blk := &buf.Blk[bi]
+		for l := 0; l < buf.LaneCount(bi); l++ {
+			counts[blk.Voxel[l]]++
+		}
+	}
+	var sum int32
+	for v := 0; v < nv; v++ {
+		c := counts[v]
+		counts[v] = sum
+		sum += c
+	}
+	for i := 0; i < n; i++ {
+		v := buf.Voxel(i)
+		place(buf, out, i, counts[v])
+		counts[v]++
+	}
+}
+
+// oracleSort sorts buf in place with sortSerial.
+func oracleSort(buf *particle.Buffer, nv int) {
+	out := make([]particle.Block, buf.NBlocks(), cap(buf.Blk))
+	sortSerial(buf, out, nv)
+	buf.Swap(out)
+}
+
+// firstDiff returns the first slot whose bytes differ between want and
+// got, or -1 when every slot (and the count) agrees.
+func firstDiff(want, got *particle.Buffer) int {
+	bits := func(p particle.Particle) [8]uint32 {
+		f := math.Float32bits
+		return [8]uint32{f(p.Dx), f(p.Dy), f(p.Dz), uint32(p.Voxel), f(p.Ux), f(p.Uy), f(p.Uz), f(p.W)}
+	}
+	if want.N() != got.N() {
+		return 0
+	}
+	for i := 0; i < want.N(); i++ {
+		if bits(want.At(i)) != bits(got.At(i)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sortWith sorts buf on a fresh workspace with a pool of workers, or a
+// nil pool when workers is 0.
+func sortWith(buf *particle.Buffer, nv, workers int) {
+	w := NewWorkspace(nv)
+	if workers > 0 {
+		w.SetPool(pipe.New(workers))
+	}
+	w.ByVoxel(buf, nv)
 }
 
 func TestSortsByVoxel(t *testing.T) {
@@ -119,29 +182,6 @@ func TestSortIdempotent(t *testing.T) {
 	}
 }
 
-func TestBlockedSortMatchesSerial(t *testing.T) {
-	// Large enough to clear the parallelMin threshold.
-	const n, nv = 3 * parallelMin, 509
-	for _, workers := range []int{2, 4, 8} {
-		serial := randomBuffer(n, nv, 11)
-		blocked := randomBuffer(n, nv, 11)
-		ws := NewWorkspace(nv)
-		ws.ByVoxel(serial, nv)
-		wb := NewWorkspace(nv)
-		wb.SetPool(pipe.New(workers))
-		wb.ByVoxel(blocked, nv)
-		if !IsSorted(blocked) {
-			t.Fatalf("W=%d: blocked sort output unsorted", workers)
-		}
-		for i := 0; i < n; i++ {
-			if serial.At(i) != blocked.At(i) {
-				t.Fatalf("W=%d: slot %d differs: serial %+v blocked %+v",
-					workers, i, serial.At(i), blocked.At(i))
-			}
-		}
-	}
-}
-
 func TestSortAllOneVoxel(t *testing.T) {
 	// Degenerate histogram: every particle in one cell. The sort must be
 	// the identity permutation (stability) via the zero-copy swap.
@@ -223,47 +263,98 @@ func TestSortWorkspaceSharedAcrossBuffers(t *testing.T) {
 	}
 }
 
-func TestBlockedSortStabilityAroundThreshold(t *testing.T) {
-	// Sizes straddling parallelMin: below it the pooled workspace takes
-	// the serial path, at/above it the blocked path. All must equal the
-	// nil-pool serial permutation bitwise.
-	for _, n := range []int{parallelMin - 1, parallelMin, parallelMin + 777} {
-		for _, workers := range []int{1, 3, 8} {
-			const nv = 127
-			serial := randomBuffer(n, nv, uint64(n))
-			blocked := randomBuffer(n, nv, uint64(n))
-			NewWorkspace(nv).ByVoxel(serial, nv)
-			wb := NewWorkspace(nv)
-			wb.SetPool(pipe.New(workers))
-			wb.ByVoxel(blocked, nv)
-			for i := 0; i < n; i++ {
-				if serial.At(i) != blocked.At(i) {
-					t.Fatalf("n=%d W=%d: slot %d differs", n, workers, i)
-				}
-			}
+// matchOracle sorts a seeded random buffer with ByVoxel on a nil pool
+// (workers 0) or a pool of each worker count, and fails at the first
+// slot whose bytes differ from the serial oracle's.
+func matchOracle(t *testing.T, n, nv int, seed uint64, workers ...int) {
+	t.Helper()
+	want := randomBuffer(n, nv, seed)
+	oracleSort(want, nv)
+	for _, w := range workers {
+		got := randomBuffer(n, nv, seed)
+		sortWith(got, nv, w)
+		if i := firstDiff(want, got); i >= 0 {
+			t.Fatalf("n=%d nv=%d W=%d (0: nil pool): slot %d is %+v, the oracle's %+v",
+				n, nv, w, i, got.At(i), want.At(i))
 		}
+	}
+}
+
+// TestSortMatchesOracle: ByVoxel runs one routine for every pool, and
+// it must equal the serial oracle byte for byte across lane tails (n
+// around 8 and 4096), voxel ranges narrower than the merge chunks
+// (nv < NumBlocks, where most chunks are empty), a nil pool, and
+// worker counts that do and do not divide the pipeline count.
+func TestSortMatchesOracle(t *testing.T) {
+	for _, n := range []int{2, 7, 8, 9, 4095, 4096, 4873, 12288} {
+		for _, nv := range []int{1, 3, 7, 127, 509} {
+			matchOracle(t, n, nv, uint64(n*1000+nv), 0, 1, 2, 3, 8)
+		}
+	}
+}
+
+func TestBlockedSortMatchesSerial(t *testing.T) {
+	matchOracle(t, 12288, 509, 11, 2, 4, 8)
+}
+
+func TestBlockedSortStabilityAroundThreshold(t *testing.T) {
+	// Sizes on either side of a 4096-particle boundary, on a one-worker
+	// pool and on pools that do and do not divide the block count.
+	for _, n := range []int{4095, 4096, 4873} {
+		matchOracle(t, n, 127, uint64(n), 1, 3, 8)
 	}
 }
 
 func TestBlockedSortTinyVoxelRange(t *testing.T) {
 	// nv smaller than the number of merge chunks: most chunks cover an
 	// empty voxel range and must contribute nothing to the prefix.
-	const n = 2 * parallelMin
 	for _, nv := range []int{1, 3, 7} {
-		for _, workers := range []int{2, 8} {
-			serial := randomBuffer(n, nv, uint64(nv))
-			blocked := randomBuffer(n, nv, uint64(nv))
-			NewWorkspace(nv).ByVoxel(serial, nv)
-			wb := NewWorkspace(nv)
-			wb.SetPool(pipe.New(workers))
-			wb.ByVoxel(blocked, nv)
+		matchOracle(t, 8192, nv, uint64(nv), 2, 8)
+	}
+}
+
+// FuzzSortParity checks ByVoxel against the serial oracle at random
+// sizes (every lane tail), random voxel ranges and duplicate-heavy
+// voxels (distinct > 0 draws every voxel from that many values), on
+// pools of 1, 2 and 8 workers.
+func FuzzSortParity(f *testing.F) {
+	for tail := 1; tail < particle.Lanes; tail++ {
+		f.Add(uint16(particle.Lanes+tail), uint16(7), uint8(0), uint64(tail))
+	}
+	f.Add(uint16(4096+3), uint16(509), uint8(0), uint64(11))
+	f.Add(uint16(9288), uint16(9288), uint8(3), uint64(12))
+	f.Add(uint16(2), uint16(1), uint8(1), uint64(13))
+	f.Fuzz(func(t *testing.T, nRaw, nvRaw uint16, distinct uint8, seed uint64) {
+		n := 2 + int(nRaw)%16384
+		nv := 1 + int(nvRaw)%10000
+		src := rng.New(seed, 0)
+		voxels := make([]int32, 1+int(distinct)%8)
+		for i := range voxels {
+			voxels[i] = int32(src.Intn(nv))
+		}
+		fill := func() *particle.Buffer {
+			r := rng.New(seed, 1)
+			b := particle.NewBuffer(n)
 			for i := 0; i < n; i++ {
-				if serial.At(i) != blocked.At(i) {
-					t.Fatalf("nv=%d W=%d: slot %d differs", nv, workers, i)
+				v := int32(r.Intn(nv))
+				if distinct > 0 {
+					v = voxels[r.Intn(len(voxels))]
 				}
+				b.Append(particle.Particle{Dx: float32(r.Float64()), Voxel: v, W: float32(i)})
+			}
+			return b
+		}
+		want := fill()
+		oracleSort(want, nv)
+		for _, workers := range []int{1, 2, 8} {
+			got := fill()
+			sortWith(got, nv, workers)
+			if i := firstDiff(want, got); i >= 0 {
+				t.Fatalf("n=%d nv=%d distinct=%d W=%d: slot %d is %+v, the oracle's %+v",
+					n, nv, distinct, workers, i, got.At(i), want.At(i))
 			}
 		}
-	}
+	})
 }
 
 func TestPasses(t *testing.T) {
@@ -283,15 +374,15 @@ func TestPasses(t *testing.T) {
 	ws := NewWorkspace(64)
 	ws.ByVoxel(randomBuffer(1000, 64, 5), 64)
 	ws.ByVoxel(randomBuffer(1000, 64, 6), 64)
-	check("serial", ws, 2)
+	check("nil pool", ws, 2)
 	// Cumulative: a later sort adds to what earlier reads saw.
 	ws.ByVoxel(randomBuffer(1000, 64, 8), 64)
-	check("serial, after a third sort", ws, 3)
+	check("nil pool, after a third sort", ws, 3)
 
 	wb := NewWorkspace(64)
 	wb.SetPool(pipe.New(4))
-	wb.ByVoxel(randomBuffer(2*parallelMin, 64, 7), 64)
-	check("blocked", wb, 1)
+	wb.ByVoxel(randomBuffer(8192, 64, 7), 64)
+	check("four workers", wb, 1)
 
 	var agg Passes
 	agg.Merge(Passes{CountSeconds: 1, Sorts: 2})
