@@ -81,12 +81,12 @@ type Config struct {
 	// ρ_mobile − ρ_initial. Use for electron-only decks (immobile ions).
 	NeutralizingBackground bool
 
-	// Kernel selects the routine that pushes wide voxel spans (see
-	// internal/push): "asm" (AVX2 assembly), "go" (portable), or
-	// ""/"auto" — asm whenever the CPU supports it. Validate resolves
-	// it to the concrete "asm" or "go" that will run, so reports and
-	// bench records always name the kernel that produced them. A speed
-	// knob only: the two are bitwise identical.
+	// Kernel selects the routine that pushes the particle blocks (see
+	// internal/push): "asm" (the widest assembly routine, push.AsmLanes),
+	// "go" (portable), or ""/"auto" — asm whenever the CPU has one.
+	// Validate resolves it to the concrete "asm" or "go" that will run,
+	// so reports and bench records always name the kernel that produced
+	// them. A speed knob only: the two are bitwise identical.
 	Kernel string
 
 	// Balance configures the dynamic load balancer. Any mode other
@@ -128,6 +128,11 @@ func (c *Config) Validate() error {
 	}
 	if c.DT <= 0 || c.DT >= g.CourantLimit() {
 		return fmt.Errorf("core: DT %g outside (0, %g) Courant window", c.DT, g.CourantLimit())
+	}
+	for face, bc := range c.FieldBC {
+		if bc == field.Remote {
+			return fmt.Errorf("core: FieldBC[%d] is %v: only the domain marks a face remote", face, bc)
+		}
 	}
 	if len(c.Species) == 0 {
 		return fmt.Errorf("core: no species declared")

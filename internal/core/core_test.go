@@ -61,6 +61,11 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("accepted zero cells")
 	}
+	bad = good
+	bad.FieldBC[field.YLo], bad.FieldBC[field.YHi] = field.Remote, field.Remote
+	if bad.Validate() == nil {
+		t.Error("accepted a Remote field BC")
+	}
 }
 
 func TestNewLoadsParticles(t *testing.T) {

@@ -78,7 +78,7 @@ type partState struct {
 	scan         []int32 // the merged slot list, reused
 }
 
-// DomainConfig derives the decomposed-domain configuration (including
+// domainConfig derives the decomposed-domain configuration (including
 // the rank decomposition) from a validated simulation config. Every
 // rank of a world — in-process or distributed — must derive the same
 // one, so loading stays decomposition-invariant: the layout is a pure
@@ -87,7 +87,7 @@ type partState struct {
 // the planes); otherwise the classic even-divisibility chooser runs, so
 // existing decks keep their exact decomposition. Either way the world
 // starts on the uniform cuts.
-func DomainConfig(cfg *Config) (domain.Config, error) {
+func domainConfig(cfg *Config) (domain.Config, error) {
 	var dec grid.Decomp
 	var err error
 	if cfg.Balance.Mode != balance.Off {
@@ -99,7 +99,7 @@ func DomainConfig(cfg *Config) (domain.Config, error) {
 		return domain.Config{}, err
 	}
 	return domain.Config{
-		Dec: dec, DX: cfg.DX, DY: cfg.DY, DZ: cfg.DZ,
+		Layout: grid.Uniform(dec), DX: cfg.DX, DY: cfg.DY, DZ: cfg.DZ,
 		FieldBC: cfg.FieldBC, ParticleBC: cfg.ParticleBC,
 	}, nil
 }

@@ -39,7 +39,7 @@ func NewRankSim(cfg Config, comm *mp.Comm) (*RankSim, error) {
 	if cfg.NRanks != comm.Size() {
 		return nil, fmt.Errorf("core: config wants %d ranks, world has %d", cfg.NRanks, comm.Size())
 	}
-	dcfg, err := DomainConfig(&cfg)
+	dcfg, err := domainConfig(&cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dcfg, err := DomainConfig(&cfg)
+	dcfg, err := domainConfig(&cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -25,10 +25,11 @@ type JSONConfig struct {
 	// Workers is the intra-rank pipeline worker count (0 = one per
 	// available CPU per rank, capped at the pipeline block count).
 	Workers int `json:"workers,omitempty"`
-	// Kernel selects the push kernel's block routine: "asm" (AVX2
-	// assembly), "go" (portable), or ""/"auto" (asm when the CPU
-	// supports it). Bit-identical either way; "asm" errors on hardware
-	// without AVX2 rather than silently measuring the wrong kernel.
+	// Kernel selects the push kernel's block routine: "asm" (the widest
+	// assembly routine, push.AsmLanes), "go" (portable), or ""/"auto"
+	// (asm when the CPU has one). Bit-identical either way; "asm" errors
+	// where no assembly routine runs rather than silently measuring the
+	// wrong kernel.
 	Kernel string  `json:"kernel,omitempty"`
 	PPC    int     `json:"ppc,omitempty"`
 	NX     int     `json:"nx,omitempty"`

@@ -38,7 +38,7 @@ func TestExchangeAllocs(t *testing.T) {
 // count too.
 func checkNoAllocs(t *testing.T, name string, cfg Config, mk func(*oracleRank) func()) {
 	const runs = 50
-	ranks := cfg.Dec.NRanks()
+	ranks := cfg.Layout.Dec.NRanks()
 	var got float64
 	mp.Run(ranks, func(c *mp.Comm) {
 		r := newOracleRank(t, cfg, c)

@@ -36,10 +36,9 @@ import (
 
 // Config describes the global simulation domain.
 type Config struct {
-	Dec grid.Decomp
-	// Layout optionally places the partition planes non-uniformly (the
-	// dynamic load balancer's handle). Zero value (nil cuts) means the
-	// uniform division of Dec; when set, its Dec takes precedence.
+	// Layout is the decomposition (Layout.Dec) and the placement of its
+	// partition planes: grid.Uniform for the even division, moved cuts
+	// under the dynamic load balancer.
 	Layout     grid.Layout
 	DX, DY, DZ float64
 	// FieldBC holds the global field boundary conditions per face.
@@ -88,13 +87,9 @@ type Domain struct {
 
 // New builds rank comm.Rank()'s tile of the global domain.
 func New(cfg Config, comm *mp.Comm) (*Domain, error) {
-	if cfg.Layout.CX == nil {
-		cfg.Layout = grid.Uniform(cfg.Dec)
-	} else {
-		cfg.Dec = cfg.Layout.Dec
-	}
-	if cfg.Dec.NRanks() != comm.Size() {
-		return nil, fmt.Errorf("domain: decomposition has %d ranks, world has %d", cfg.Dec.NRanks(), comm.Size())
+	dec := cfg.Layout.Dec
+	if dec.NRanks() != comm.Size() {
+		return nil, fmt.Errorf("domain: decomposition has %d ranks, world has %d", dec.NRanks(), comm.Size())
 	}
 	rank := comm.Rank()
 	g, err := cfg.Layout.Local(rank, cfg.DX, cfg.DY, cfg.DZ)
@@ -102,15 +97,15 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 		return nil, err
 	}
 	d := &Domain{Cfg: cfg, Rank: rank, Comm: comm, G: g}
-	p := [3]int{cfg.Dec.PX, cfg.Dec.PY, cfg.Dec.PZ}
+	p := [3]int{dec.PX, dec.PY, dec.PZ}
 	coord := [3]int{}
-	coord[0], coord[1], coord[2] = cfg.Dec.Coord(rank)
+	coord[0], coord[1], coord[2] = dec.Coord(rank)
 	for f := field.Face(0); f < field.NumFaces; f++ {
 		axis, dir := f.Axis(), -1
 		if f.High() {
 			dir = +1
 		}
-		d.nbr[f], _ = cfg.Dec.Neighbor(rank, axis, dir)
+		d.nbr[f], _ = dec.Neighbor(rank, axis, dir)
 		if p[axis] == 1 {
 			continue // single-rank axis: everything local
 		}
@@ -124,7 +119,13 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 	if err := validateParticleBC(cfg); err != nil {
 		return nil, err
 	}
-	d.F, err = field.NewDecomposed(g, cfg.FieldBC, d.remote)
+	bc := cfg.FieldBC
+	for f, remote := range d.remote {
+		if remote {
+			bc[f] = field.Remote
+		}
+	}
+	d.F, err = field.New(g, bc)
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +319,6 @@ func unpackPlane(buf []float32, g *grid.Grid, arrs [][]float32, axis, idx int, a
 			}
 		}
 	}
-}
-
-func planeCount(g *grid.Grid, axis int) int {
-	_, run, _, n := g.Plane(axis, 0)
-	return run * n
 }
 
 // ParticleExchange is one particle migration in flight, split so the
@@ -524,7 +520,7 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 // rewritten in place to the wire form, plane offset from lo times the
 // plane size plus the transverse WireVoxel.
 func (d *Domain) SendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) {
-	n := planeCount(d.G, 0)
+	n := d.G.PlaneSize(0)
 	plane := n * len(arrs)
 	buf := make([]float32, plane*(hi-lo))
 	for ix := lo; ix < hi; ix++ {
@@ -548,11 +544,11 @@ func (d *Domain) SendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []pu
 // are relocated, not moved: no current is deposited.
 func (d *Domain) RecvRebalSlab(src int, arrs [][]float32, lo, hi int, bufs []*particle.Buffer) {
 	buf := d.Comm.Recv(src, tagRebal).([]float32)
-	plane := planeCount(d.G, 0) * len(arrs)
+	plane := d.G.PlaneSize(0) * len(arrs)
 	for ix := lo; ix < hi; ix++ {
 		unpackPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix, false)
 	}
-	n := int32(planeCount(d.G, 0))
+	n := int32(d.G.PlaneSize(0))
 	for _, b := range bufs {
 		for _, o := range d.Comm.Recv(src, tagRebal).(push.OutgoingBatch) {
 			p := o.P

@@ -18,7 +18,7 @@ func periodicConfig(nRanks, gnx, gny, gnz int) Config {
 		panic(err)
 	}
 	return Config{
-		Dec: dec, DX: 1, DY: 1, DZ: 1,
+		Layout: grid.Uniform(dec), DX: 1, DY: 1, DZ: 1,
 		ParticleBC: [6]push.Action{push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap, push.Wrap},
 	}
 }
@@ -68,7 +68,7 @@ func TestRemoteFlagsPeriodicX(t *testing.T) {
 func TestRemoteFlagsBoundedX(t *testing.T) {
 	dec, _ := grid.ChooseDecomp(2, 8, 1, 1)
 	cfg := Config{
-		Dec: dec, DX: 1, DY: 1, DZ: 1,
+		Layout: grid.Uniform(dec), DX: 1, DY: 1, DZ: 1,
 		FieldBC: [6]field.BC{
 			field.XLo: field.Absorbing, field.XHi: field.Absorbing,
 			field.YLo: field.Periodic, field.YHi: field.Periodic,

@@ -24,7 +24,7 @@ import (
 // send packs the given plane of each array into one payload and sends it
 // blocking.
 func (d *Domain) send(dst, tag int, arrs [][]float32, axis, idx int) {
-	buf := make([]float32, 0, planeCount(d.G, axis)*len(arrs))
+	buf := make([]float32, 0, d.G.PlaneSize(axis)*len(arrs))
 	forPlane(d.G, axis, idx, func(v int) {
 		for _, a := range arrs {
 			buf = append(buf, a[v])
@@ -344,10 +344,10 @@ func TestExchangesMatchBlockingOracle(t *testing.T) {
 		{"2 ranks x walls", walls, [3]int{2, 1, 1}, false},
 	} {
 		t.Run(w.name, func(t *testing.T) {
-			if dec := w.cfg.Dec; [3]int{dec.PX, dec.PY, dec.PZ} != w.dec {
+			if dec := w.cfg.Layout.Dec; [3]int{dec.PX, dec.PY, dec.PZ} != w.dec {
 				t.Fatalf("decomposition %+v, want %v", dec, w.dec)
 			}
-			nr := w.cfg.Dec.NRanks()
+			nr := w.cfg.Layout.Dec.NRanks()
 			// partMsgs/mainMsgs: particle messages the production
 			// particle stages sent, and what the main exchanges send.
 			partMsgs, mainMsgs := make([]int64, nr), make([]int64, nr)

@@ -33,7 +33,7 @@ func (d *Domain) newPlan(tag, width int, fold bool) plan {
 		}
 		pf := &p.faces[f]
 		for i := range pf.slot {
-			pf.slot[i] = make([]float32, planeCount(d.G, f.Axis())*width)
+			pf.slot[i] = make([]float32, d.G.PlaneSize(f.Axis())*width)
 			pf.msg[i] = pf.slot[i]
 		}
 	}

@@ -106,20 +106,18 @@ func (t *curl) sweepE(lo, hi int) {
 
 // applyEBoundary enforces the non-periodic boundary condition for
 // tangential E on one face. Mur faces are handled separately by
-// murState.apply (which needs previous-step values); here they fall
-// through to nothing.
+// murState.apply (which needs previous-step values) and remote faces by
+// the domain exchange; here both fall through to nothing.
 func (f *Fields) applyEBoundary(face Face, axis int) {
-	switch f.bc[face] {
-	case Conductor:
-		idx := 1
-		if face.High() {
-			idx = axisN(f.G, axis) + 1
-		}
-		t1, t2 := tangential(f, axis)
-		f.zeroPlane([][]float32{t1, t2}, axis, idx)
-	case Absorbing:
-		// handled by murState.apply after the interior update
+	if f.bc[face] != Conductor {
+		return
 	}
+	idx := 1
+	if face.High() {
+		idx = axisN(f.G, axis) + 1
+	}
+	t1, t2 := tangential(f, axis)
+	f.zeroPlane([][]float32{t1, t2}, axis, idx)
 }
 
 // tangential returns the two E components tangential to the given axis.

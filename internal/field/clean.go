@@ -117,16 +117,14 @@ func (f *Fields) FillCellGhost(a []float32) {
 	for axis := 0; axis < 3; axis++ {
 		n := axisN(f.G, axis)
 		if f.bc[2*axis] == Periodic {
-			if f.localAxis(axis) {
-				f.copyPlane(arrs, axis, 0, n)
-				f.copyPlane(arrs, axis, n+1, 1)
-			}
+			f.copyPlane(arrs, axis, 0, n)
+			f.copyPlane(arrs, axis, n+1, 1)
 			continue
 		}
-		if !f.remote[2*axis] {
+		if f.bc[2*axis] != Remote {
 			f.copyPlane(arrs, axis, 0, 1)
 		}
-		if !f.remote[2*axis+1] {
+		if f.bc[2*axis+1] != Remote {
 			f.copyPlane(arrs, axis, n+1, n)
 		}
 	}
@@ -134,23 +132,6 @@ func (f *Fields) FillCellGhost(a []float32) {
 
 // FillNodeGhost fills the locally owned boundary/ghost planes of a
 // node-centered scalar (nodes own indices 1..N; boundary node N+1 ≡
-// node 1 when periodic, zero-gradient otherwise).
-func (f *Fields) FillNodeGhost(a []float32) {
-	arrs := [][]float32{a}
-	for axis := 0; axis < 3; axis++ {
-		n := axisN(f.G, axis)
-		if f.bc[2*axis] == Periodic {
-			if f.localAxis(axis) {
-				f.copyPlane(arrs, axis, n+1, 1)
-				f.copyPlane(arrs, axis, 0, n)
-			}
-			continue
-		}
-		if !f.remote[2*axis] {
-			f.copyPlane(arrs, axis, 0, 1)
-		}
-		if !f.remote[2*axis+1] {
-			f.copyPlane(arrs, axis, n+1, n)
-		}
-	}
-}
+// node 1 when periodic, zero-gradient otherwise): the same plane copies
+// as FillCellGhost.
+func (f *Fields) FillNodeGhost(a []float32) { f.FillCellGhost(a) }

@@ -12,8 +12,8 @@
 //
 // Interior updates cover node indices 1..N on each axis; index N+1 holds
 // the high-boundary degrees of freedom, owned by the boundary condition
-// (periodic copy, perfect conductor, or first-order Mur absorber), and
-// index 0 is a pure ghost layer.
+// (periodic copy, perfect conductor, first-order Mur absorber, or the
+// domain exchange on a remote face), and index 0 is a pure ghost layer.
 package field
 
 import (
@@ -34,6 +34,10 @@ const (
 	// Absorbing is a first-order Mur absorbing boundary for tangential E,
 	// suitable for letting laser light leave the box.
 	Absorbing
+	// Remote marks a face a neighbour rank owns: the domain fills its
+	// planes, and no local boundary pass touches them. Only the domain
+	// assigns it.
+	Remote
 )
 
 func (b BC) String() string {
@@ -44,6 +48,8 @@ func (b BC) String() string {
 		return "conductor"
 	case Absorbing:
 		return "absorbing"
+	case Remote:
+		return "remote"
 	}
 	return fmt.Sprintf("BC(%d)", uint8(b))
 }
@@ -78,10 +84,6 @@ type Fields struct {
 	Bx, By, Bz []float32
 
 	bc [NumFaces]BC
-	// remote marks faces owned by a neighbor rank: their ghost/boundary
-	// planes are filled by the domain exchange, and every local BC
-	// application (periodic copy, conductor zero, Mur) skips them.
-	remote [NumFaces]bool
 
 	mur  *murState // lazily allocated when any face is Absorbing
 	curl curl      // the pooled advances' task (advance.go)
@@ -89,24 +91,13 @@ type Fields struct {
 
 // New allocates a zeroed field state on g with the given per-face
 // boundary conditions. Periodic conditions must be specified on both
-// faces of an axis or neither.
+// faces of an axis or neither, so a periodic axis is always local: a
+// decomposed one has Remote on both faces.
 func New(g *grid.Grid, bc [NumFaces]BC) (*Fields, error) {
-	return NewDecomposed(g, bc, [NumFaces]bool{})
-}
-
-// NewDecomposed is New for one rank of a decomposed domain: faces
-// flagged remote belong to neighbor ranks and are serviced by the
-// exchange layer rather than the local boundary condition (whose value
-// on a remote face records the *global* BC of that axis but is not
-// applied locally).
-func NewDecomposed(g *grid.Grid, bc [NumFaces]BC, remote [NumFaces]bool) (*Fields, error) {
 	for axis := 0; axis < 3; axis++ {
 		lo, hi := bc[2*axis], bc[2*axis+1]
 		if (lo == Periodic) != (hi == Periodic) {
-			return nil, fmt.Errorf("field: axis %d mixes periodic with %v", axis, hi)
-		}
-		if bc[2*axis] == Periodic && remote[2*axis] != remote[2*axis+1] {
-			return nil, fmt.Errorf("field: axis %d periodic with only one remote face", axis)
+			return nil, fmt.Errorf("field: axis %d mixes %v with %v", axis, lo, hi)
 		}
 	}
 	nv := g.NV()
@@ -115,11 +106,11 @@ func NewDecomposed(g *grid.Grid, bc [NumFaces]BC, remote [NumFaces]bool) (*Field
 		Ex: make([]float32, nv), Ey: make([]float32, nv), Ez: make([]float32, nv),
 		Bx: make([]float32, nv), By: make([]float32, nv), Bz: make([]float32, nv),
 		Jx: make([]float32, nv), Jy: make([]float32, nv), Jz: make([]float32, nv),
-		bc: bc, remote: remote,
+		bc: bc,
 	}
 	for face := Face(0); face < NumFaces; face++ {
-		if bc[face] == Absorbing && !remote[face] {
-			f.mur = newMurState(g)
+		if bc[face] == Absorbing {
+			f.mur = &murState{}
 			break
 		}
 	}
@@ -197,43 +188,6 @@ func (f *Fields) addPlane(arrs [][]float32, axis, dst, src int) {
 	}
 }
 
-// forEachInPlane visits every (dst,src) voxel index pair of two
-// constant-index planes normal to axis, spanning the full ghost-inclusive
-// extent of the other two axes.
-func forEachInPlane(g *grid.Grid, axis, dst, src int, fn func(di, si int)) {
-	sx, sy, sz := g.Strides()
-	switch axis {
-	case 0:
-		for iz := 0; iz < sz; iz++ {
-			for iy := 0; iy < sy; iy++ {
-				base := sx * (iy + sy*iz)
-				fn(base+dst, base+src)
-			}
-		}
-	case 1:
-		for iz := 0; iz < sz; iz++ {
-			for ix := 0; ix < sx; ix++ {
-				base := ix + sx*sy*iz
-				fn(base+sx*dst, base+sx*src)
-			}
-		}
-	case 2:
-		for iy := 0; iy < sy; iy++ {
-			for ix := 0; ix < sx; ix++ {
-				base := ix + sx*iy
-				fn(base+sx*sy*dst, base+sx*sy*src)
-			}
-		}
-	default:
-		panic("field: bad axis")
-	}
-}
-
-// localAxis reports whether both faces of the axis are locally owned.
-func (f *Fields) localAxis(axis int) bool {
-	return !f.remote[2*axis] && !f.remote[2*axis+1]
-}
-
 // UpdateGhostE refreshes the boundary-owned (index N+1) and ghost
 // (index 0) electric-field planes on locally owned faces. Remote faces
 // are left for the domain exchange.
@@ -242,19 +196,13 @@ func (f *Fields) UpdateGhostE() {
 	arrs := [][]float32{e[0], e[1], e[2]}
 	for axis := 0; axis < 3; axis++ {
 		if f.bc[2*axis] == Periodic {
-			if f.localAxis(axis) {
-				n := axisN(f.G, axis)
-				f.copyPlane(arrs, axis, n+1, 1) // high boundary node ≡ low boundary node
-				f.copyPlane(arrs, axis, 0, n)   // low ghost
-			}
+			n := axisN(f.G, axis)
+			f.copyPlane(arrs, axis, n+1, 1) // high boundary node ≡ low boundary node
+			f.copyPlane(arrs, axis, 0, n)   // low ghost
 			continue
 		}
-		if !f.remote[2*axis] {
-			f.applyEBoundary(Face(2*axis), axis)
-		}
-		if !f.remote[2*axis+1] {
-			f.applyEBoundary(Face(2*axis+1), axis)
-		}
+		f.applyEBoundary(Face(2*axis), axis)
+		f.applyEBoundary(Face(2*axis+1), axis)
 	}
 }
 
@@ -264,17 +212,15 @@ func (f *Fields) UpdateGhostB() {
 	arrs := [][]float32{b[0], b[1], b[2]}
 	for axis := 0; axis < 3; axis++ {
 		if f.bc[2*axis] == Periodic {
-			if f.localAxis(axis) {
-				n := axisN(f.G, axis)
-				f.copyPlane(arrs, axis, n+1, 1)
-				f.copyPlane(arrs, axis, 0, n)
-			}
+			n := axisN(f.G, axis)
+			f.copyPlane(arrs, axis, n+1, 1)
+			f.copyPlane(arrs, axis, 0, n)
 			continue
 		}
 		// Non-periodic local faces: the ghost planes are never read with
 		// a physical meaning (the E boundary overwrite masks them), but
 		// keep the low ghost zero so diagnostics never see stale values.
-		if !f.remote[2*axis] {
+		if f.bc[2*axis] != Remote {
 			f.zeroPlane(arrs, axis, 0)
 		}
 	}
@@ -282,12 +228,12 @@ func (f *Fields) UpdateGhostB() {
 
 // FoldGhostJ folds periodic ghost-plane currents (deposited at index
 // N+1 by particles in the last cell row) back onto the owning low plane,
-// for locally owned periodic axes.
+// for periodic axes.
 func (f *Fields) FoldGhostJ() {
 	j := f.jArrays()
 	arrs := [][]float32{j[0], j[1], j[2]}
 	for axis := 0; axis < 3; axis++ {
-		if f.bc[2*axis] == Periodic && f.localAxis(axis) {
+		if f.bc[2*axis] == Periodic {
 			n := axisN(f.G, axis)
 			f.addPlane(arrs, axis, 1, n+1)
 			// Refresh the boundary copy so edge values are consistent for
@@ -302,11 +248,11 @@ func (f *Fields) FoldGhostJ() {
 // FoldNodeScalar folds a node-centered scalar's periodic boundary
 // planes (deposition writes both node 1 and its alias N+1; the two must
 // be summed and mirrored so either index reads the full value). Used for
-// charge density. Remote axes are the exchange layer's job.
+// charge density. Remote faces are the exchange layer's job.
 func (f *Fields) FoldNodeScalar(a []float32) {
 	arrs := [][]float32{a}
 	for axis := 0; axis < 3; axis++ {
-		if f.bc[2*axis] != Periodic || !f.localAxis(axis) {
+		if f.bc[2*axis] != Periodic {
 			continue
 		}
 		n := axisN(f.G, axis)

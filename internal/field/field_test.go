@@ -1,10 +1,12 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"govpic/internal/grid"
+	"govpic/internal/rng"
 )
 
 // quasi1D builds an nx×1×1 grid with spacing dx (dy=dz=1).
@@ -12,18 +14,36 @@ func quasi1D(nx int, dx float64) *grid.Grid {
 	return grid.MustNew(nx, 1, 1, dx, 1, 1)
 }
 
+// TestNewRejectsMixedPeriodic refuses an axis that is periodic on one
+// face only, whatever the other face holds: a wall, or Remote (a
+// decomposed periodic axis is Remote on both faces).
 func TestNewRejectsMixedPeriodic(t *testing.T) {
 	g := grid.MustNew(4, 4, 4, 1, 1, 1)
-	var bc [NumFaces]BC
-	bc[XLo] = Periodic
-	bc[XHi] = Conductor
+	for _, c := range []struct{ lo, hi BC }{
+		{Periodic, Conductor}, {Absorbing, Periodic}, {Periodic, Remote}, {Remote, Periodic},
+	} {
+		var bc [NumFaces]BC
+		bc[YLo], bc[YHi] = c.lo, c.hi
+		if _, err := New(g, bc); err == nil {
+			t.Errorf("accepted y faces %v/%v", c.lo, c.hi)
+		}
+	}
+}
+
+// TestNewDecomposedValidatesPeriodicRemote refuses a periodic x axis
+// whose low face alone has been handed to a neighbour rank.
+func TestNewDecomposedValidatesPeriodicRemote(t *testing.T) {
+	g := grid.MustNew(4, 4, 4, 1, 1, 1)
+	var bc [NumFaces]BC // all periodic
+	bc[XLo] = Remote
 	if _, err := New(g, bc); err == nil {
-		t.Fatal("accepted periodic low with conductor high")
+		t.Fatal("accepted periodic axis with a single remote face")
 	}
 }
 
 func TestBCStringAndFaceHelpers(t *testing.T) {
-	if Periodic.String() != "periodic" || Conductor.String() != "conductor" || Absorbing.String() != "absorbing" {
+	if Periodic.String() != "periodic" || Conductor.String() != "conductor" || Absorbing.String() != "absorbing" ||
+		Remote.String() != "remote" {
 		t.Fatal("BC strings wrong")
 	}
 	if XHi.Axis() != 0 || !XHi.High() || ZLo.Axis() != 2 || ZLo.High() {
@@ -349,40 +369,95 @@ func TestMurAbsorbsOnYAxis(t *testing.T) {
 	}
 }
 
-func TestRemoteFaceSkipsLocalBC(t *testing.T) {
-	g := grid.MustNew(4, 4, 4, 1, 1, 1)
-	bc := [NumFaces]BC{
-		XLo: Conductor, XHi: Conductor,
-		YLo: Periodic, YHi: Periodic,
-		ZLo: Periodic, ZHi: Periodic,
-	}
-	remote := [NumFaces]bool{XHi: true}
-	f, err := NewDecomposed(g, bc, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the remote boundary plane; UpdateGhostE must not zero it
-	// (the exchange owns it), but must zero the local conductor face.
-	for iz := 0; iz <= 5; iz++ {
-		for iy := 0; iy <= 5; iy++ {
-			f.Ey[g.Voxel(5, iy, iz)] = 7
-			f.Ey[g.Voxel(1, iy, iz)] = 7
-		}
-	}
-	f.UpdateGhostE()
-	if f.Ey[g.Voxel(5, 2, 2)] != 7 {
-		t.Fatal("remote face overwritten by local BC")
-	}
-	if f.Ey[g.Voxel(1, 2, 2)] != 0 {
-		t.Fatal("local conductor face not zeroed")
-	}
+var faceNames = [NumFaces]string{"XLo", "XHi", "YLo", "YHi", "ZLo", "ZHi"}
+
+// allArrays lists every field array of f: E, B, then J.
+func allArrays(f *Fields) [][]float32 {
+	return [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz}
 }
 
-func TestNewDecomposedValidatesPeriodicRemote(t *testing.T) {
-	g := grid.MustNew(4, 4, 4, 1, 1, 1)
-	var bc [NumFaces]BC // all periodic
-	remote := [NumFaces]bool{XLo: true}
-	if _, err := NewDecomposed(g, bc, remote); err == nil {
-		t.Fatal("accepted periodic axis with a single remote face")
+// TestRemoteFaceSkipsLocalBC runs every ghost routine with one face
+// Remote and its opposite face a wall or Remote, on random arrays. The
+// other two axes are Remote too, so only the opposite face is local. The
+// arrays must come out as the per-element oracle leaves them: the wall's
+// planes get what the routine does to a wall, everything else is as it
+// was.
+func TestRemoteFaceSkipsLocalBC(t *testing.T) {
+	g := grid.MustNew(4, 3, 5, 1, 1, 1)
+	// Each wall oracle edits want (E, B, J, then the scalar) as the
+	// routine treats a local non-periodic face of the given BC.
+	routines := []struct {
+		name string
+		run  func(f *Fields, scalar []float32)
+		wall func(want [][]float32, face Face, bc BC)
+	}{
+		{"UpdateGhostE", func(f *Fields, _ []float32) { f.UpdateGhostE() },
+			func(want [][]float32, face Face, bc BC) {
+				if bc != Conductor {
+					return // Mur runs after the advance, not here
+				}
+				b, _ := planeIndices(g, face)
+				axis := face.Axis()
+				for _, c := range []int{(axis + 1) % 3, (axis + 2) % 3} {
+					forEachInPlane(g, axis, b, b, func(di, _ int) { want[c][di] = 0 })
+				}
+			}},
+		{"UpdateGhostB", func(f *Fields, _ []float32) { f.UpdateGhostB() },
+			func(want [][]float32, face Face, _ BC) {
+				if !face.High() {
+					for c := 3; c < 6; c++ {
+						forEachInPlane(g, face.Axis(), 0, 0, func(di, _ int) { want[c][di] = 0 })
+					}
+				}
+			}},
+		{"FoldGhostJ", func(f *Fields, _ []float32) { f.FoldGhostJ() }, func([][]float32, Face, BC) {}},
+		{"FoldNodeScalar", (*Fields).FoldNodeScalar, func([][]float32, Face, BC) {}},
+		{"FillCellGhost", (*Fields).FillCellGhost, nil},
+		{"FillNodeGhost", (*Fields).FillNodeGhost, nil},
+	}
+	fill := func(want [][]float32, face Face, _ BC) {
+		dst, src := 0, 1
+		if n := axisN(g, face.Axis()); face.High() {
+			dst, src = n+1, n
+		}
+		forEachInPlane(g, face.Axis(), dst, src, func(di, si int) { want[9][di] = want[9][si] })
+	}
+	r := rng.New(65, 0)
+	remoteAll := [NumFaces]BC{Remote, Remote, Remote, Remote, Remote, Remote}
+	for _, rt := range routines {
+		if rt.wall == nil {
+			rt.wall = fill
+		}
+		for face := Face(0); face < NumFaces; face++ {
+			for _, opp := range []BC{Conductor, Absorbing, Remote} {
+				name := fmt.Sprintf("%s/%s_remote_opposite_%v", rt.name, faceNames[face], opp)
+				t.Run(name, func(t *testing.T) {
+					bc := remoteAll
+					bc[face^1] = opp
+					f := MustNew(g, bc)
+					scalar := make([]float32, g.NV())
+					got := append(allArrays(f), scalar)
+					want := make([][]float32, len(got))
+					for i, a := range got {
+						for v := range a {
+							a[v] = float32(r.Uniform(-1, 1))
+						}
+						want[i] = append([]float32(nil), a...)
+					}
+					rt.run(f, scalar)
+					if opp != Remote {
+						rt.wall(want, face^1, opp)
+					}
+					for i := range got {
+						for v := range got[i] {
+							if math.Float32bits(got[i][v]) != math.Float32bits(want[i][v]) {
+								ix, iy, iz := g.Unvoxel(v)
+								t.Fatalf("array %d voxel (%d,%d,%d) = %g, want %g", i, ix, iy, iz, got[i][v], want[i][v])
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

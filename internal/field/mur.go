@@ -10,14 +10,11 @@ import "govpic/internal/grid"
 //	E_b^{n+1} = E_i^n + (dt−d)/(dt+d) · (E_i^{n+1} − E_b^n)
 //
 // where b is the boundary node, i its interior neighbor, and d the cell
-// size along the face normal.
+// size along the face normal. Both passes walk the planes' grid.Plane
+// rows, so a stored plane is in ascending voxel order.
 type murState struct {
 	// old[face][comp][plane] with plane 0 = boundary, plane 1 = neighbor.
 	old [NumFaces][2][2][]float32
-}
-
-func newMurState(g *grid.Grid) *murState {
-	return &murState{}
 }
 
 // planeIndices returns the boundary node index and its interior neighbor
@@ -33,7 +30,7 @@ func planeIndices(g *grid.Grid, face Face) (boundary, neighbor int) {
 // snapshot stores the pre-update tangential E on every absorbing face.
 func (m *murState) snapshot(f *Fields) {
 	for face := Face(0); face < NumFaces; face++ {
-		if f.bc[face] != Absorbing || f.remote[face] {
+		if f.bc[face] != Absorbing {
 			continue
 		}
 		axis := face.Axis()
@@ -50,44 +47,44 @@ func (m *murState) snapshot(f *Fields) {
 // after the interior E update and ghost refresh.
 func (m *murState) apply(f *Fields, dt float64) {
 	for face := Face(0); face < NumFaces; face++ {
-		if f.bc[face] != Absorbing || f.remote[face] {
+		if f.bc[face] != Absorbing {
 			continue
 		}
 		axis := face.Axis()
 		d := axisD(f.G, axis)
 		coef := float32((dt - d) / (dt + d))
 		bIdx, nIdx := planeIndices(f.G, face)
+		b, run, stride, n := f.G.Plane(axis, bIdx)
+		nb, _, _, _ := f.G.Plane(axis, nIdx)
 		t1, t2 := tangential(f, axis)
 		for c, arr := range [2][]float32{t1, t2} {
-			oldB := m.old[face][c][0]
-			oldN := m.old[face][c][1]
+			oldB, oldN := m.old[face][c][0], m.old[face][c][1]
 			i := 0
-			forEachInPlane(f.G, axis, bIdx, nIdx, func(bi, ni int) {
-				arr[bi] = oldN[i] + coef*(arr[ni]-oldB[i])
-				i++
-			})
+			for k := 0; k < n*stride; k += stride {
+				row, in := arr[b+k:b+k+run], arr[nb+k:nb+k+run]
+				ob, on := oldB[i:i+run], oldN[i:i+run]
+				for r := range row {
+					row[r] = on[r] + coef*(in[r]-ob[r])
+				}
+				i += run
+			}
 		}
 	}
 }
 
-// extractPlane copies the constant-index plane of arr normal to axis
-// into dst (allocating it if needed) and returns it.
+// extractPlane copies the constant-index plane of arr normal to axis,
+// row by row (grid.Plane), into dst (allocating it if needed) and
+// returns it.
 func extractPlane(g *grid.Grid, arr []float32, axis, idx int, dst []float32) []float32 {
-	n := planeSize(g, axis)
-	if len(dst) != n {
-		dst = make([]float32, n)
+	first, run, stride, n := g.Plane(axis, idx)
+	if len(dst) != run*n {
+		dst = make([]float32, run*n)
 	}
 	i := 0
-	forEachInPlane(g, axis, idx, idx, func(di, _ int) {
-		dst[i] = arr[di]
-		i++
-	})
+	for k := first; k < first+n*stride; k += stride {
+		i += copy(dst[i:], arr[k:k+run])
+	}
 	return dst
-}
-
-func planeSize(g *grid.Grid, axis int) int {
-	_, run, _, n := g.Plane(axis, 0)
-	return run * n
 }
 
 func axisD(g *grid.Grid, axis int) float64 {

@@ -89,6 +89,13 @@ func (g *Grid) Plane(axis, idx int) (first, run, stride, n int) {
 	panic("grid: bad axis")
 }
 
+// PlaneSize returns the voxel count of a plane normal to axis, run × n
+// of its Plane rows.
+func (g *Grid) PlaneSize(axis int) int {
+	_, run, _, n := g.Plane(axis, 0)
+	return run * n
+}
+
 // Voxel returns the flat index of cell (ix,iy,iz); ghost layers are
 // ix=0 and ix=NX+1 (and likewise for y, z).
 func (g *Grid) Voxel(ix, iy, iz int) int {
@@ -121,41 +128,6 @@ func (g *Grid) CellLowCorner(ix, iy, iz int) (x, y, z float64) {
 func (g *Grid) CellCenter(ix, iy, iz int) (x, y, z float64) {
 	x, y, z = g.CellLowCorner(ix, iy, iz)
 	return x + 0.5*g.DX, y + 0.5*g.DY, z + 0.5*g.DZ
-}
-
-// Locate maps a physical position inside the interior to (voxel,
-// offsets). Positions exactly on the high domain face are clamped into
-// the last cell. It returns an error for positions outside the domain.
-func (g *Grid) Locate(x, y, z float64) (v int, dx, dy, dz float32, err error) {
-	ix, ox, err := locate1(x, g.X0, g.DX, g.NX, "x")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	iy, oy, err := locate1(y, g.Y0, g.DY, g.NY, "y")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	iz, oz, err := locate1(z, g.Z0, g.DZ, g.NZ, "z")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return g.Voxel(ix, iy, iz), float32(ox), float32(oy), float32(oz), nil
-}
-
-func locate1(x, x0, d float64, n int, axis string) (int, float64, error) {
-	f := (x - x0) / d
-	if f < 0 || f > float64(n) {
-		return 0, 0, fmt.Errorf("grid: %s position %g outside [%g,%g]", axis, x, x0, x0+float64(n)*d)
-	}
-	i := int(math.Floor(f))
-	if i >= n { // clamp the exact high face into the last cell
-		i = n - 1
-	}
-	off := 2*(f-float64(i)) - 1
-	if off > 1 {
-		off = 1
-	}
-	return i + 1, off, nil
 }
 
 // Position returns the physical position of a particle given its voxel

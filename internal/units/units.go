@@ -57,9 +57,3 @@ func TeFromEV(teEV float64) float64 {
 	const mc2EV = ElectronM * C * C * EVPerJoule // ≈ 510998.9 eV
 	return teEV / mc2EV
 }
-
-// DebyeLength returns the electron Debye length λD = vth/ωpe in code
-// length units (c/ω), given density in ncr units and Te in me·c² units.
-func DebyeLength(nOverNcr, teOverMc2 float64) float64 {
-	return VThermal(teOverMc2) / Wpe(nOverNcr)
-}

@@ -34,16 +34,6 @@ func TestWpeScaling(t *testing.T) {
 	}
 }
 
-func TestDebyeLength(t *testing.T) {
-	// λD = vth/ωpe. For n/ncr=0.1, Te=0.005 mc²: vth=sqrt(0.005),
-	// ωpe=sqrt(0.1).
-	got := DebyeLength(0.1, 0.005)
-	want := math.Sqrt(0.005) / math.Sqrt(0.1)
-	if !close(got, want, 1e-12) {
-		t.Fatalf("DebyeLength = %g, want %g", got, want)
-	}
-}
-
 func TestVThermalMonotone(t *testing.T) {
 	prev := 0.0
 	for te := 1e-4; te < 0.1; te *= 2 {

@@ -28,7 +28,7 @@ type CaseResult struct {
 }
 
 // Report is the structured output of a suite run, written as
-// VALID_<date>.json and served by vpicd.
+// VALID_<date>.json.
 type Report struct {
 	Date    string       `json:"date"`
 	Tier    string       `json:"tier"`
