@@ -135,7 +135,7 @@ func launchLocal(n int, rawArgs []string) int {
 		return 1
 	}
 	cmds := make([]*exec.Cmd, n)
-	var pipes sync.WaitGroup
+	drained := make([]sync.WaitGroup, n) // a child's stdout and stderr read to EOF
 	for i := 0; i < n; i++ {
 		// A flag's last occurrence wins, so the child's -local-ranks=0
 		// overrides this process's.
@@ -149,9 +149,9 @@ func launchLocal(n int, rawArgs []string) int {
 			return 1
 		}
 		prefix := fmt.Sprintf("[rank %d] ", i)
-		pipes.Add(2)
-		go pipePrefixed(&pipes, stdout, os.Stdout, prefix)
-		go pipePrefixed(&pipes, stderr, os.Stderr, prefix)
+		drained[i].Add(2)
+		go pipePrefixed(&drained[i], stdout, os.Stdout, prefix)
+		go pipePrefixed(&drained[i], stderr, os.Stderr, prefix)
 		if err := cmd.Start(); err != nil {
 			fmt.Fprintf(os.Stderr, "starting rank %d: %v\n", i, err)
 			killAll(cmds)
@@ -165,7 +165,12 @@ func launchLocal(n int, rawArgs []string) int {
 	}
 	exits := make(chan childExit, n)
 	for i, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) { exits <- childExit{rank, cmd.Wait()} }(i, cmd)
+		go func(rank int, cmd *exec.Cmd) {
+			// Wait closes the pipes, dropping what is unread: the
+			// child's last lines (rank 0's report) must be read first.
+			drained[rank].Wait()
+			exits <- childExit{rank, cmd.Wait()}
+		}(i, cmd)
 	}
 	code := 0
 	for range cmds {
@@ -178,7 +183,6 @@ func launchLocal(n int, rawArgs []string) int {
 			}
 		}
 	}
-	pipes.Wait()
 	return code
 }
 

@@ -55,7 +55,7 @@ func main() {
 		localRanks = flag.Int("local-ranks", 0, "fork N local processes, one per rank, over TCP")
 		stateCRC   = flag.String("state-crc", "", "write the per-rank state CRC fingerprint JSON here")
 		commJSON   = flag.String("comm-json", "", "write per-rank comm link/class stats JSON here")
-		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout; the heartbeat, reconnect and send windows derive from it (0 = default 2s)")
+		peerTO     = flag.Duration("peer-timeout", 0, "transport failure-detection timeout: a link silent or stalled this long is a dead peer, and the heartbeat derives from it (0 = default 2s)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {

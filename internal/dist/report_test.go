@@ -59,7 +59,6 @@ func zeroTimes(r core.RankReport) core.RankReport {
 	r.Links = append([]perf.CommLinkStat(nil), r.Links...)
 	for i := range r.Links {
 		r.Links[i].RTT = perf.HistSnapshot{}
-		r.Links[i].SendBlockedNs = 0
 	}
 	return r
 }

@@ -38,12 +38,13 @@ func (e *TagMismatchError) Error() string {
 
 func (*TagMismatchError) commError() {}
 
-// LinkOverflowError reports a Send that exceeded the per-link depth
-// bound: more than LinkDepth messages queued toward one destination
-// without the receiver draining them. The exchange protocols post at
-// most a handful per phase, so an overflow means the program is not in
-// lockstep; failing fast names the sick link instead of blocking the
-// rank forever.
+// LinkOverflowError reports an in-process Send that exceeded the
+// per-link depth bound: more than LinkDepth messages queued toward one
+// destination without the receiver draining them. The exchange
+// protocols post at most a handful per phase, so an overflow means the
+// program is not in lockstep; failing fast names the sick link instead
+// of blocking the rank forever. (A TCP link parks such a Send until its
+// write deadline declares the peer dead: a *PeerDeadError.)
 type LinkOverflowError struct {
 	Src   int
 	Dst   int
@@ -57,8 +58,10 @@ func (e *LinkOverflowError) Error() string {
 func (*LinkOverflowError) commError() {}
 
 // PeerDeadError reports a peer rank declared dead by the transport's
-// failure detector (heartbeat timeout followed by exhausted reconnect
-// attempts). Every pending and future operation on the link returns it.
+// failure detector: any break of the link's one connection (an I/O
+// error, an expired heartbeat or write deadline, EOF without a
+// goodbye). Every pending and future operation on the link returns it;
+// the run resumes from its last checkpoint.
 type PeerDeadError struct {
 	Rank  int   // local rank observing the death
 	Peer  int   // the rank declared dead

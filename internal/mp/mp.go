@@ -62,8 +62,8 @@ type Transport interface {
 	// Size returns the world size.
 	Size() int
 	// Send delivers data to dst with the given tag on the caller's
-	// goroutine. It fails with a *LinkOverflowError when the per-link
-	// bound is exceeded.
+	// goroutine. In-process, it fails with a *LinkOverflowError when
+	// the per-link bound is exceeded.
 	Send(dst, tag int, data any) error
 	// Recv blocks until the next in-order message from src arrives and
 	// returns its payload; a tag mismatch returns *TagMismatchError with
@@ -95,10 +95,10 @@ type World struct {
 }
 
 // LinkDepth bounds the number of undelivered messages per (src,dst)
-// pair. The exchange protocols post at most a handful per phase; the
-// generous depth means senders never hit the bound in a healthy run. A
-// send beyond it fails fast with *LinkOverflowError instead of blocking
-// forever.
+// pair of the in-process world. The exchange protocols post at most a
+// handful per phase; the generous depth means senders never hit the
+// bound in a healthy run. A send beyond it fails fast with
+// *LinkOverflowError instead of blocking forever.
 const LinkDepth = 64
 
 // NewWorld creates an n-rank world.

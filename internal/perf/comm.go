@@ -190,12 +190,7 @@ type LinkStat struct {
 	mu  sync.Mutex // guards the rest
 	rtt Histogram
 
-	// Flow control and batching of a network link (zero in-process).
-	replayHighWater int64
-	sendBlocked     int64
-	sendBlockedNs   int64
-	acksStandalone  int64
-	flushes         int64
+	flushes int64 // connection writes of a network link (zero in-process)
 }
 
 // AddSent records one sent message of the given payload size.
@@ -208,33 +203,6 @@ func (l *LinkStat) AddSent(bytes int) {
 func (l *LinkStat) AddRecv(bytes int) {
 	l.bytesRecv.Add(int64(bytes))
 	l.msgsRecv.Add(1)
-}
-
-// ObserveReplay records the depth of the unacknowledged-send window
-// after a send; the high-water mark is kept.
-func (l *LinkStat) ObserveReplay(depth int) {
-	l.mu.Lock()
-	if int64(depth) > l.replayHighWater {
-		l.replayHighWater = int64(depth)
-	}
-	l.mu.Unlock()
-}
-
-// AddSendBlocked records one send that found the window full and
-// waited d for an acknowledgement to free a slot.
-func (l *LinkStat) AddSendBlocked(d time.Duration) {
-	l.mu.Lock()
-	l.sendBlocked++
-	l.sendBlockedNs += int64(d)
-	l.mu.Unlock()
-}
-
-// AddStandaloneAck records an acknowledgement sent as its own frame
-// because no outbound message was there to carry it.
-func (l *LinkStat) AddStandaloneAck() {
-	l.mu.Lock()
-	l.acksStandalone++
-	l.mu.Unlock()
 }
 
 // AddFlush records one write of buffered frames to the connection.
@@ -263,12 +231,7 @@ func (l *LinkStat) Snapshot() CommLinkStat {
 		BytesRecv: l.bytesRecv.Load(),
 		MsgsRecv:  l.msgsRecv.Load(),
 		RTT:       l.rtt.Snapshot(),
-
-		ReplayHighWater:  l.replayHighWater,
-		SendBlockedCount: l.sendBlocked,
-		SendBlockedNs:    l.sendBlockedNs,
-		AcksStandalone:   l.acksStandalone,
-		Flushes:          l.flushes,
+		Flushes:   l.flushes,
 	}
 }
 
@@ -282,13 +245,7 @@ type CommLinkStat struct {
 	BytesRecv int64        `json:"bytes_recv"`
 	MsgsRecv  int64        `json:"msgs_recv"`
 	RTT       HistSnapshot `json:"rtt"`
-
-	// Network links only (DESIGN §9.5 names each field's reader).
-	ReplayHighWater  int64 `json:"replay_high_water"`  // deepest unacknowledged-send window seen
-	SendBlockedCount int64 `json:"send_blocked_count"` // sends that found the window full; 0 on a healthy halo exchange
-	SendBlockedNs    int64 `json:"send_blocked_ns"`    // total time those sends waited
-	AcksStandalone   int64 `json:"acks_standalone"`    // acks that travelled as their own frame
-	Flushes          int64 `json:"flushes"`            // connection writes; msgs_sent/flushes = frames per syscall
+	Flushes   int64        `json:"flushes"` // network connection writes; msgs_sent/flushes = frames per syscall
 }
 
 // Label returns the link's "src->peer" form used as a metrics label.
@@ -296,21 +253,19 @@ func (s CommLinkStat) Label() string { return fmt.Sprintf("%d->%d", s.Src, s.Pee
 
 // CommReport formats per-link counters as aligned text rows, one per
 // link, with RTT columns when the link has latency samples. The last
-// two columns are a network link's health at a glance: sends that
-// waited on a full window (0 when healthy) and connection writes.
+// column counts a network link's connection writes.
 func CommReport(links []CommLinkStat) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s %8s %8s\n",
-		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99", "blocked", "flushes")
+	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s %8s\n",
+		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99", "flushes")
 	for _, l := range links {
 		p50, p99 := "", ""
 		if l.RTT.Count > 0 {
 			p50 = fmt.Sprintf("%.0fµs", l.RTT.P50Micros)
 			p99 = fmt.Sprintf("%.0fµs", l.RTT.P99Micros)
 		}
-		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s %8d %8d\n",
-			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99,
-			l.SendBlockedCount, l.Flushes)
+		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s %8d\n",
+			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99, l.Flushes)
 	}
 	return sb.String()
 }

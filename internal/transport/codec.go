@@ -1,13 +1,13 @@
 // Package transport provides network fabrics for the mp substrate: a
 // TCP mesh with length-prefixed binary framing, a compact codec for the
 // payload types the domain layer exchanges, per-link send/receive
-// buffering with sequence-numbered replay across reconnects, and
-// heartbeat-based failure detection that declares a rank dead only
-// after bounded reconnect attempts. A rendezvous layer bootstraps the
-// mesh: rank 0 listens, peers dial in and exchange a rank→address
-// table. The transport is provably transparent: a decomposed run over
-// TCP produces bit-identical state to the same run on the in-process
-// channel world.
+// queues, and heartbeat-based failure detection. A rendezvous layer
+// bootstraps the mesh: rank 0 listens, peers dial in and exchange a
+// rank→address table, and every link is connected once. The links are
+// crash-only: any break is an attributed *mp.PeerDeadError, and the
+// recovery is to rerun from the last checkpoint. The transport is
+// provably transparent: a decomposed run over TCP produces
+// bit-identical state to the same run on the in-process channel world.
 package transport
 
 import (

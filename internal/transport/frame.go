@@ -9,14 +9,13 @@ import (
 
 // Wire framing: every frame is [u32 length][u8 kind][body], length
 // counting the kind byte and body. Data frames carry the application
-// messages; the rest are link control (handshake, heartbeat, acks,
-// goodbye) and rendezvous bootstrap.
+// messages; the rest are link control (handshake, heartbeat, goodbye)
+// and rendezvous bootstrap.
 const (
-	frData  byte = iota + 1 // u64 seq | u64 ack | i64 tag | payload — ack is the sender's cumulative recvSeq
-	frHello                 // u32 rank | u64 lastRecvSeq — link handshake / resume point
+	frData  byte = iota + 1 // i64 tag | payload
+	frHello                 // u32 rank — link handshake
 	frPing                  // i64 sender stamp (ns) — heartbeat
 	frPong                  // i64 echoed stamp
-	frAck                   // u64 lastRecvSeq — standalone ack, when no data frame is there to carry it
 	frBye                   // graceful close; peer stops expecting heartbeats
 	frJoin                  // u32 rank | u16 len | addr — rendezvous announce
 	frTable                 // u32 n | n × (u16 len | addr) — rank→address table
@@ -35,7 +34,7 @@ const maxFrame = 1 << 30
 const readChunk = 1 << 20
 
 // dataHeaderLen is the fixed part of a data frame's body.
-const dataHeaderLen = 24
+const dataHeaderLen = 8
 
 // writeFrame writes one complete frame.
 func writeFrame(w io.Writer, kind byte, body []byte) error {
@@ -93,39 +92,32 @@ func readFrame(r io.Reader) (kind byte, body []byte, err error) {
 
 // Data-frame helpers.
 
-// appendDataHeader appends a data frame's length, kind and fixed body
-// fields for a payload of the given size; the payload follows on the
-// wire.
-func appendDataHeader(b []byte, seq, ack uint64, tag, payloadLen int) []byte {
+// appendDataHeader appends a data frame's length, kind and tag for a
+// payload of the given size; the payload follows on the wire.
+func appendDataHeader(b []byte, tag, payloadLen int) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(1+dataHeaderLen+payloadLen))
 	b = append(b, frData)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, ack)
 	return binary.LittleEndian.AppendUint64(b, uint64(int64(tag)))
 }
 
-func decodeDataBody(body []byte) (seq, ack uint64, tag int, payload []byte, err error) {
+func decodeDataBody(body []byte) (tag int, payload []byte, err error) {
 	if len(body) < dataHeaderLen {
-		return 0, 0, 0, nil, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
+		return 0, nil, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
 	}
-	seq = binary.LittleEndian.Uint64(body)
-	ack = binary.LittleEndian.Uint64(body[8:])
-	tag = int(int64(binary.LittleEndian.Uint64(body[16:])))
-	return seq, ack, tag, body[dataHeaderLen:], nil
+	return int(int64(binary.LittleEndian.Uint64(body))), body[dataHeaderLen:], nil
 }
 
-// Hello-frame body helpers (also used by rendezvous join).
+// Hello-frame body helpers.
 
-func encodeHelloBody(rank int, lastRecv uint64) []byte {
-	body := binary.LittleEndian.AppendUint32(nil, uint32(rank))
-	return binary.LittleEndian.AppendUint64(body, lastRecv)
+func encodeHelloBody(rank int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(rank))
 }
 
-func decodeHelloBody(body []byte) (rank int, lastRecv uint64, err error) {
-	if len(body) != 12 {
-		return 0, 0, fmt.Errorf("transport: hello frame has %d bytes", len(body))
+func decodeHelloBody(body []byte) (rank int, err error) {
+	if len(body) != 4 {
+		return 0, fmt.Errorf("transport: hello frame has %d bytes", len(body))
 	}
-	return int(binary.LittleEndian.Uint32(body)), binary.LittleEndian.Uint64(body[4:]), nil
+	return int(binary.LittleEndian.Uint32(body)), nil
 }
 
 func encodeU64Body(v uint64) []byte {

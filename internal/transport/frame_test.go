@@ -12,14 +12,13 @@ import (
 )
 
 // seedBodies returns one well-formed body per frame kind, the data kind
-// once per payload type.
+// once per payload type and once with no payload.
 func seedBodies(t testing.TB) map[byte][][]byte {
 	t.Helper()
 	bodies := map[byte][][]byte{
-		frHello: {encodeHelloBody(3, 77)},
+		frHello: {encodeHelloBody(3)},
 		frPing:  {encodeU64Body(1 << 60)},
 		frPong:  {encodeU64Body(1 << 60)},
-		frAck:   {encodeU64Body(255)},
 		frBye:   {nil},
 		frJoin:  {encodeJoinBody(2, "127.0.0.1:4040")},
 		frTable: {encodeTableBody([]string{"a:1", "b:2", ""})},
@@ -32,9 +31,10 @@ func seedBodies(t testing.TB) map[byte][][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr := appendDataHeader(nil, uint64(i+1), uint64(i), -100-i, len(payload))
+		hdr := appendDataHeader(nil, -100-i, len(payload))
 		bodies[frData] = append(bodies[frData], append(hdr[5:], payload...))
 	}
+	bodies[frData] = append(bodies[frData], appendDataHeader(nil, 7, 0)[5:])
 	return bodies
 }
 
@@ -46,16 +46,16 @@ func frameBytes(kind byte, body []byte) []byte {
 
 func TestDataHeaderRoundTrip(t *testing.T) {
 	payload := []byte{ptBytes, 1, 0, 0, 0, 'x'}
-	frame := append(appendDataHeader(nil, 1<<40, 1<<41, -101, len(payload)), payload...)
+	frame := append(appendDataHeader(nil, -101, len(payload)), payload...)
 	kind, body, err := readFrame(bytes.NewReader(frame))
 	if err != nil || kind != frData {
 		t.Fatalf("readFrame: kind %d, %v", kind, err)
 	}
-	seq, ack, tag, got, err := decodeDataBody(body)
-	if err != nil || seq != 1<<40 || ack != 1<<41 || tag != -101 || !bytes.Equal(got, payload) {
-		t.Fatalf("decoded (%d, %d, %d, %x, %v)", seq, ack, tag, got, err)
+	tag, got, err := decodeDataBody(body)
+	if err != nil || tag != -101 || !bytes.Equal(got, payload) {
+		t.Fatalf("decoded (%d, %x, %v)", tag, got, err)
 	}
-	if _, _, _, _, err := decodeDataBody(body[:dataHeaderLen-1]); err == nil {
+	if _, _, err := decodeDataBody(body[:dataHeaderLen-1]); err == nil {
 		t.Fatal("short data body accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestDataHeaderRoundTrip(t *testing.T) {
 // relies on: small frames share one buffer, and a body is only valid
 // until the next read.
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	stream := append(frameBytes(frAck, encodeU64Body(1)), frameBytes(frAck, encodeU64Body(2))...)
+	stream := append(frameBytes(frPing, encodeU64Body(1)), frameBytes(frPing, encodeU64Body(2))...)
 	fr := frameReader{r: bytes.NewReader(stream)}
 	_, first, err := fr.read()
 	if err != nil {
@@ -137,7 +137,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame of %d bytes from a %d-byte stream", len(body), len(stream))
 			}
 			if kind == frData {
-				if _, _, _, payload, err := decodeDataBody(body); err == nil {
+				if _, payload, err := decodeDataBody(body); err == nil {
 					DecodePayload(payload)
 				}
 			}
@@ -157,16 +157,16 @@ func FuzzDecodeDataBody(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		seq, ack, tag, payload, err := decodeDataBody(body)
+		tag, payload, err := decodeDataBody(body)
 		if err != nil {
 			if len(body) >= dataHeaderLen {
 				t.Fatalf("body of %d bytes rejected: %v", len(body), err)
 			}
 			return
 		}
-		hdr := appendDataHeader(nil, seq, ack, tag, len(payload))
+		hdr := appendDataHeader(nil, tag, len(payload))
 		if !bytes.Equal(hdr[5:], body[:dataHeaderLen]) || len(payload) != len(body)-dataHeaderLen {
-			t.Fatalf("header (%d, %d, %d) does not re-encode to %x", seq, ack, tag, body[:dataHeaderLen])
+			t.Fatalf("tag %d does not re-encode to %x", tag, body[:dataHeaderLen])
 		}
 		if data, err := DecodePayload(payload); err == nil {
 			again, err := EncodePayload(nil, data)

@@ -15,21 +15,16 @@ import (
 // Options tunes the TCP transport's failure detection. The zero value
 // means the defaults.
 type Options struct {
-	// PeerTimeout is the silence window after which one connection is
-	// considered broken and reconnection starts (default 2s). It also
-	// bounds one dial plus handshake, and every other timer of the
-	// transport derives from it: the heartbeat, the reconnect backoff
-	// and budget, and how long Send may park (see the methods below), so
-	// one setting scales the whole time to detect a dead peer.
+	// PeerTimeout is the failure detector's window (default 2s): a link
+	// whose peer has been silent that long, or whose write has not
+	// drained in that long, is dead, and the run ends with an attributed
+	// *mp.PeerDeadError (rerun from the last checkpoint). The heartbeat
+	// derives from it, so one setting scales the time to detect a dead
+	// peer.
 	PeerTimeout time.Duration
 }
 
 const (
-	// connectAttempts bounds dial/accept tries per (re)connect before
-	// the peer is declared dead.
-	connectAttempts = 4
-	// maxBackoff caps the doubling reconnect backoff.
-	maxBackoff = 5 * time.Second
 	// rendezvousTimeout bounds the whole bootstrap: join-table exchange
 	// plus mesh establishment.
 	rendezvousTimeout = 30 * time.Second
@@ -50,33 +45,12 @@ func (o Options) withDefaults() Options {
 // (250ms at the default), so a healthy line is never silent that long.
 func (o *Options) heartbeat() time.Duration { return o.PeerTimeout / 8 }
 
-// backoff is the first retry delay, doubling up to maxBackoff.
-func (o *Options) backoff() time.Duration { return o.PeerTimeout / 8 }
-
-// connectWindow is the dialer side's total (re)connect budget: every
-// attempt's PeerTimeout and every backoff between them. The acceptor
-// side waits exactly this window for the peer to come back.
-func (o *Options) connectWindow() time.Duration {
-	w := connectAttempts * o.PeerTimeout
-	b := o.backoff()
-	for i := 1; i < connectAttempts; i++ {
-		w += b
-		b = min(2*b, maxBackoff)
-	}
-	return w
-}
-
-// sendTimeout bounds how long Send may park on a full replay window:
-// a whole reconnect window plus one PeerTimeout, so a transient drop
-// stays invisible to the sender.
-func (o *Options) sendTimeout() time.Duration { return o.connectWindow() + o.PeerTimeout }
-
 // TCP is an mp.Transport over a full mesh of TCP connections, one per
-// peer pair (the higher rank dials the lower rank's listener).
+// peer pair (the higher rank dials the lower rank's listener), each
+// kept until Close or until it fails.
 type TCP struct {
 	rank, size int
 	opts       Options
-	ln         net.Listener
 	links      []*link // links[rank] == nil: a rank never messages itself
 	stats      *perf.CommStats
 
@@ -87,25 +61,15 @@ type TCP struct {
 }
 
 // kill simulates abrupt process death: no goodbye is sent and every
-// live connection is torn down, so peers must discover the loss through
+// connection is torn down, so peers must discover the loss through
 // their failure detectors. Test hook.
 func (t *TCP) kill() {
 	t.noBye.Store(true)
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		if t.ln != nil {
-			t.ln.Close()
-		}
-	})
+	t.closeOnce.Do(func() { close(t.closed) })
 	for _, l := range t.links {
-		if l == nil {
-			continue
+		if l != nil {
+			l.conn.Close()
 		}
-		l.mu.Lock()
-		if l.curConn != nil {
-			l.curConn.Close()
-		}
-		l.mu.Unlock()
 	}
 	t.wg.Wait()
 }
@@ -115,9 +79,10 @@ var _ mp.Transport = (*TCP)(nil)
 // Connect bootstraps one rank of a size-rank TCP world. Rank 0 listens
 // at joinAddr; every other rank dials joinAddr, announces itself with
 // its own listener's advertised address, and receives the full
-// rank→address table once everyone has joined. The mesh is then built
-// pairwise (higher rank dials lower) and Connect returns only when
-// every link is live.
+// rank→address table once everyone has joined. Connect then dials every
+// lower rank and accepts every higher one, all within
+// rendezvousTimeout, closes its listener, and returns with every link
+// live: nothing connects after set-up.
 func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, error) {
 	opts = opts.withDefaults()
 	if size < 1 || rank < 0 || rank >= size {
@@ -133,83 +98,146 @@ func Connect(rank, size int, joinAddr, listenAddr string, opts Options) (*TCP, e
 	if size == 1 {
 		return t, nil
 	}
-	var err error
-	if rank == 0 {
-		t.ln, err = net.Listen("tcp", joinAddr)
-	} else {
-		if listenAddr == "" {
-			listenAddr = ":0"
+	addr := joinAddr
+	if rank != 0 {
+		addr = listenAddr
+		if addr == "" {
+			addr = ":0"
 		}
-		t.ln, err = net.Listen("tcp", listenAddr)
 	}
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: rank %d listen: %w", rank, err)
 	}
-	t.links = make([]*link, size)
-	for p := 0; p < size; p++ {
-		if p != rank {
-			t.links[p] = newLink(t, p, rank > p)
-		}
+	defer ln.Close()
+	deadline := time.Now().Add(rendezvousTimeout)
+	if tl, ok := ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
 	}
+	var table []string
 	if rank == 0 {
-		err = t.rendezvous0()
+		err = t.rendezvous0(ln)
 	} else {
-		var table []string
-		table, err = t.join(joinAddr)
+		table, err = t.join(ln, joinAddr, deadline)
 		if err == nil && len(table) != size {
 			err = fmt.Errorf("transport: rendezvous table has %d entries, want %d", len(table), size)
 		}
 		if err == nil {
-			for p := 1; p < rank; p++ {
-				t.links[p].addr = table[p]
-			}
 			// Rank 0 is reachable at the join address we just used,
 			// whatever its listener advertised.
-			t.links[0].addr = joinAddr
+			table[0] = joinAddr
 		}
+	}
+	if err == nil {
+		err = t.mesh(ln, table, deadline)
 	}
 	if err != nil {
-		t.ln.Close()
 		return nil, err
 	}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	for _, l := range t.links {
 		if l != nil {
-			t.wg.Add(1)
-			go l.run()
-		}
-	}
-	deadline := time.After(rendezvousTimeout)
-	for _, l := range t.links {
-		if l == nil {
-			continue
-		}
-		select {
-		case <-l.established:
-		case <-l.dead:
-			err := l.deadErr
-			t.Close()
-			return nil, err
-		case <-deadline:
-			t.Close()
-			return nil, fmt.Errorf("transport: rank %d: link to rank %d not established within %v",
-				rank, l.peer, rendezvousTimeout)
+			l.start()
 		}
 	}
 	return t, nil
 }
 
+// mesh opens every link: a connection to each lower rank's listener,
+// and one accepted from each higher rank, each begun by an exchange of
+// hellos naming both ends. A rank dials before it accepts, so it waits
+// only on lower ranks, and rank 0 dials none.
+func (t *TCP) mesh(ln net.Listener, addrs []string, deadline time.Time) error {
+	conns := make([]net.Conn, t.size)
+	fail := func(err error) error {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+		return err
+	}
+	for p := 0; p < t.rank; p++ {
+		c, err := t.dial(addrs[p], p, deadline)
+		if err != nil {
+			return fail(fmt.Errorf("transport: rank %d: link to rank %d: %w", t.rank, p, err))
+		}
+		conns[p] = c
+	}
+	for n := t.size - 1 - t.rank; n > 0; {
+		c, err := ln.Accept()
+		if err != nil {
+			missing := []int{}
+			for p := t.rank + 1; p < t.size; p++ {
+				if conns[p] == nil {
+					missing = append(missing, p)
+				}
+			}
+			return fail(fmt.Errorf("transport: rank %d: ranks %v never connected: %w", t.rank, missing, err))
+		}
+		c.SetDeadline(time.Now().Add(t.opts.PeerTimeout))
+		p, err := readHello(c)
+		if err == nil && (p <= t.rank || p >= t.size || conns[p] != nil) {
+			err = fmt.Errorf("transport: unexpected hello from rank %d", p)
+		}
+		if err == nil {
+			err = writeFrame(c, frHello, encodeHelloBody(t.rank))
+		}
+		if err != nil { // a stray connection, not a peer's
+			c.Close()
+			continue
+		}
+		c.SetDeadline(time.Time{})
+		conns[p] = c
+		n--
+	}
+	t.links = make([]*link, t.size)
+	for p, c := range conns {
+		if c != nil {
+			t.links[p] = newLink(t, p, c)
+		}
+	}
+	return nil
+}
+
+// dial connects to the lower rank peer at addr and exchanges hellos.
+func (t *TCP) dial(addr string, peer int, deadline time.Time) (net.Conn, error) {
+	c, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c.SetDeadline(deadline)
+	err = writeFrame(c, frHello, encodeHelloBody(t.rank))
+	if err == nil {
+		var p int
+		if p, err = readHello(c); err == nil && p != peer {
+			err = fmt.Errorf("transport: hello from rank %d", p)
+		}
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.SetDeadline(time.Time{})
+	return c, nil
+}
+
+// readHello reads one frame and returns the rank its hello names.
+func readHello(c net.Conn) (int, error) {
+	kind, body, err := readFrame(c)
+	if err != nil {
+		return 0, err
+	}
+	if kind != frHello {
+		return 0, fmt.Errorf("transport: expected hello, got frame kind %d", kind)
+	}
+	return decodeHelloBody(body)
+}
+
 // rendezvous0 is rank 0's side of the bootstrap: collect one join per
 // peer, then broadcast the completed rank→address table.
-func (t *TCP) rendezvous0() error {
-	deadline := time.Now().Add(rendezvousTimeout)
-	if tl, ok := t.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-		defer tl.SetDeadline(time.Time{})
-	}
+func (t *TCP) rendezvous0(ln net.Listener) error {
 	addrs := make([]string, t.size)
-	addrs[0] = t.ln.Addr().String()
+	addrs[0] = ln.Addr().String()
 	conns := make(map[int]net.Conn)
 	defer func() {
 		for _, c := range conns {
@@ -217,7 +245,7 @@ func (t *TCP) rendezvous0() error {
 		}
 	}()
 	for seen := 1; seen < t.size; {
-		c, err := t.ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			missing := []int{}
 			for r := 1; r < t.size; r++ {
@@ -258,22 +286,17 @@ func (t *TCP) rendezvous0() error {
 
 // join is a nonzero rank's side of the bootstrap: dial rank 0, announce
 // our advertised address, and wait for the table.
-func (t *TCP) join(joinAddr string) ([]string, error) {
-	deadline := time.Now().Add(rendezvousTimeout)
+func (t *TCP) join(ln net.Listener, joinAddr string, deadline time.Time) ([]string, error) {
 	lastErr := errors.New("never attempted")
 	for time.Now().Before(deadline) {
 		c, err := net.DialTimeout("tcp", joinAddr, t.opts.PeerTimeout)
 		if err != nil {
 			lastErr = err
-			select {
-			case <-time.After(joinRetry):
-				continue
-			case <-t.closed:
-				return nil, errClosed
-			}
+			time.Sleep(joinRetry)
+			continue
 		}
 		c.SetDeadline(deadline)
-		err = writeFrame(c, frJoin, encodeJoinBody(t.rank, t.advertisedAddr(c)))
+		err = writeFrame(c, frJoin, encodeJoinBody(t.rank, advertisedAddr(ln, c)))
 		if err == nil {
 			var kind byte
 			var body []byte
@@ -295,8 +318,8 @@ func (t *TCP) join(joinAddr string) ([]string, error) {
 // advertisedAddr is this rank's listener address as peers should dial
 // it: when the listener is bound to the unspecified address, the host
 // is taken from the rendezvous connection's local side.
-func (t *TCP) advertisedAddr(c net.Conn) string {
-	la := t.ln.Addr().String()
+func advertisedAddr(ln net.Listener, c net.Conn) string {
+	la := ln.Addr().String()
 	host, port, err := net.SplitHostPort(la)
 	if err != nil {
 		return la
@@ -307,77 +330,6 @@ func (t *TCP) advertisedAddr(c net.Conn) string {
 		}
 	}
 	return net.JoinHostPort(host, port)
-}
-
-// acceptLoop routes incoming mesh connections: read the hello, answer
-// with ours (carrying our resume point), and hand the connection to the
-// peer's link supervisor.
-func (t *TCP) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		c, err := t.ln.Accept()
-		if err != nil {
-			if t.isClosed() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		t.wg.Add(1)
-		go t.handleAccepted(c)
-	}
-}
-
-func (t *TCP) handleAccepted(c net.Conn) {
-	defer t.wg.Done()
-	c.SetDeadline(time.Now().Add(t.opts.PeerTimeout))
-	kind, body, err := readFrame(c)
-	if err != nil || kind != frHello {
-		c.Close()
-		return
-	}
-	rank, peerRecv, err := decodeHelloBody(body)
-	if err != nil || rank < 0 || rank >= t.size || rank == t.rank {
-		c.Close()
-		return
-	}
-	l := t.links[rank]
-	if l == nil || l.dialer { // only the lower rank accepts mesh conns
-		c.Close()
-		return
-	}
-	l.mu.Lock()
-	myRecv := l.recvSeq
-	l.mu.Unlock()
-	if err := writeFrame(c, frHello, encodeHelloBody(t.rank, myRecv)); err != nil {
-		c.Close()
-		return
-	}
-	c.SetDeadline(time.Time{})
-	for {
-		select {
-		case l.conns <- acceptedConn{conn: c, peerRecv: peerRecv}:
-			return
-		case <-t.closed:
-			c.Close()
-			return
-		default: // a stale conn is parked there: evict it for the fresh one
-			select {
-			case old := <-l.conns:
-				old.conn.Close()
-			default:
-			}
-		}
-	}
-}
-
-func (t *TCP) isClosed() bool {
-	select {
-	case <-t.closed:
-		return true
-	default:
-		return false
-	}
 }
 
 // Rank returns this endpoint's rank.
@@ -391,10 +343,9 @@ func (t *TCP) Stats() *perf.CommStats { return t.stats }
 
 // Send encodes data and queues it on the link to dst. It runs on the
 // rank's goroutine, the one sender on each of its links. It blocks only
-// while the link's replay window is full (the peer is not draining, or
-// the link is reconnecting), for at most a reconnect window plus
-// PeerTimeout, then fails with *mp.LinkOverflowError; a dead peer fails
-// immediately with the link's *mp.PeerDeadError. The link counts
+// while the link's send queue (mp.LinkDepth frames) is full, until the
+// writer drains a slot or the link dies; a dead link fails with its
+// *mp.PeerDeadError. The link counts
 // mp.PayloadBytes(data), as the in-process world does, not the encoded
 // length.
 func (t *TCP) Send(dst, tag int, data any) error {
@@ -468,23 +419,11 @@ func (t *TCP) checkTag(src, want int, m inMsg) (any, error) {
 	return m.data, nil
 }
 
-// Close announces a goodbye on every live link, stops the listener and
-// waits briefly for the I/O goroutines to drain.
+// Close writes what Send queued and a goodbye on every live link, and
+// waits for the link goroutines to end: each is bounded by its write
+// deadline, so Close takes at most about one PeerTimeout.
 func (t *TCP) Close() error {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		if t.ln != nil {
-			t.ln.Close()
-		}
-	})
-	done := make(chan struct{})
-	go func() {
-		t.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-	}
+	t.closeOnce.Do(func() { close(t.closed) })
+	t.wg.Wait()
 	return nil
 }
