@@ -101,11 +101,12 @@ func TestSimulationStepAllocs(t *testing.T) {
 
 // memberStepAllocs runs one RankSim per communicator of comms (a whole
 // world, each member on its own goroutine) on TestSimulationStepAllocs'
-// shape and returns the heap objects allocated per world step
-// (runtime.MemStats.Mallocs, every goroutine included) over steps steps
-// after warm ones, floored as testing.AllocsPerRun does: the runtime's
-// own few objects over the window must not tip a budget.
-func memberStepAllocs(t *testing.T, comms []*mp.Comm, warm, steps int) uint64 {
+// shape with workers pool workers per member and returns the heap
+// objects allocated per world step (runtime.MemStats.Mallocs, every
+// goroutine included) over steps steps after warm ones, floored as
+// testing.AllocsPerRun does: the runtime's own few objects over the
+// window must not tip a budget.
+func memberStepAllocs(t *testing.T, comms []*mp.Comm, workers, warm, steps int) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	var wg sync.WaitGroup
@@ -113,7 +114,9 @@ func memberStepAllocs(t *testing.T, comms []*mp.Comm, warm, steps int) uint64 {
 		wg.Add(1)
 		go func(c *mp.Comm) {
 			defer wg.Done()
-			rs, err := NewRankSim(thermalBox(32, 4, 4, 8, len(comms)), c)
+			cfg := thermalBox(32, 4, 4, 8, len(comms))
+			cfg.Workers = workers
+			rs, err := NewRankSim(cfg, c)
 			if err != nil {
 				t.Error(err) // the config is every member's, so every member fails here
 				return
@@ -139,19 +142,20 @@ func memberStepAllocs(t *testing.T, comms []*mp.Comm, warm, steps int) uint64 {
 // production driver runs (dist.Member): free-running members on an
 // in-process world, each stepping its own RankSim. The persistent
 // exchange plans, the pre-built pool tasks and the inline ExchangeJ
-// make a steady-state step allocate nothing, on one rank and on two:
-// the budget is 0 (it was a ratchet at 21 and 178). TestExchangeAllocs
-// and TestStepRegionAllocs name the exchange or pool region that broke
-// it.
+// make a steady-state step allocate nothing, on one rank and on two,
+// with one pool worker and with two (whose helpers persist across
+// regions and are bound once): the budget is 0 (it was a ratchet at 21
+// and 178). TestExchangeAllocs and TestStepRegionAllocs name the
+// exchange or pool region that broke it.
 func TestMemberStepAllocs(t *testing.T) {
-	for _, ranks := range []int{1, 2} {
-		w := mp.NewWorld(ranks)
-		comms := make([]*mp.Comm, ranks)
+	for _, c := range []struct{ ranks, workers int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
+		w := mp.NewWorld(c.ranks)
+		comms := make([]*mp.Comm, c.ranks)
 		for r := range comms {
 			comms[r] = w.Comm(r)
 		}
-		if got := memberStepAllocs(t, comms, 40, 200); got != 0 {
-			t.Errorf("%d ranks: members allocate %d objects per world step, the budget 0", ranks, got)
+		if got := memberStepAllocs(t, comms, c.workers, 40, 200); got != 0 {
+			t.Errorf("%d ranks × %d workers: members allocate %d objects per world step, the budget 0", c.ranks, c.workers, got)
 		}
 	}
 }
@@ -188,41 +192,49 @@ func TestMemberStepAllocsTCP(t *testing.T) {
 		defer ts[r].Close()
 		comms[r] = mp.NewComm(ts[r])
 	}
-	if got := memberStepAllocs(t, comms, 40, 200); got > maxAllocs {
+	if got := memberStepAllocs(t, comms, 1, 40, 200); got > maxAllocs {
 		t.Errorf("2 TCP ranks: members allocate %d objects per world step, the bound %d", got, maxAllocs)
 	}
 }
 
 // TestStepRegionAllocs is the allocation budget of every pool region
-// the step runs, one subtest each, on a one-worker pool (the shape of
-// the budgeted step): each region's task is bound once, so a call
-// allocates nothing. A multi-worker region spawns its helpers per call
-// and is not budgeted.
+// the step runs, one subtest each, on a one-worker pool (<region>) and
+// on a two-worker one (<region>_W2): each region's task is bound once
+// and the pool's helpers persist across regions, so a call allocates
+// nothing.
 func TestStepRegionAllocs(t *testing.T) {
-	s, err := New(thermalBox(32, 4, 4, 8, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(3)
-	rk := s.sims[0].Rank
-	f, dt := rk.D.F, s.sims[0].Cfg.DT
-	for _, r := range []struct {
-		name string
-		run  func()
-	}{
-		{"push", func() { rk.pushRanges(false) }},
-		{"reduce", func() { accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc) }},
-		{"unload", func() { rk.Acc.UnloadPar(rk.pool, f, dt) }},
-		{"advanceB", func() { f.AdvanceBPar(rk.pool, dt, 0.5) }},
-		{"advanceE", func() { f.AdvanceEPar(rk.pool, dt) }},
-		{"load", func() { rk.IP.LoadPar(rk.pool, f) }},
-		{"sort", func() { rk.sortWS.ByVoxel(rk.Species[0].Buf, rk.D.G.NV()) }},
-	} {
-		t.Run(r.name, func(t *testing.T) {
-			if got := testing.AllocsPerRun(50, r.run); got != 0 {
-				t.Errorf("the %s region allocates %.2f objects per call, the budget 0", r.name, got)
+	for _, workers := range []int{1, 2} {
+		cfg := thermalBox(32, 4, 4, 8, 1)
+		cfg.Workers = workers
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(3)
+		rk := s.sims[0].Rank
+		f, dt := rk.D.F, s.sims[0].Cfg.DT
+		for _, r := range []struct {
+			name string
+			run  func()
+		}{
+			{"push", func() { rk.pushRanges(false) }},
+			{"reduce", func() { accum.Reduce(rk.pool, rk.Acc, rk.pipeAcc) }},
+			{"unload", func() { rk.Acc.UnloadPar(rk.pool, f, dt) }},
+			{"advanceB", func() { f.AdvanceBPar(rk.pool, dt, 0.5) }},
+			{"advanceE", func() { f.AdvanceEPar(rk.pool, dt) }},
+			{"load", func() { rk.IP.LoadPar(rk.pool, f) }},
+			{"sort", func() { rk.sortWS.ByVoxel(rk.Species[0].Buf, rk.D.G.NV()) }},
+		} {
+			name := r.name
+			if workers > 1 {
+				name += "_W2"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				if got := testing.AllocsPerRun(50, r.run); got != 0 {
+					t.Errorf("the %s region at W = %d allocates %.2f objects per call, the budget 0", r.name, workers, got)
+				}
+			})
+		}
 	}
 }
 

@@ -11,11 +11,17 @@
 // bit-identical for any worker count — W=1 and W=8 produce the same
 // fields — and run-to-run deterministic regardless of goroutine
 // scheduling.
+//
+// Like the SPEs, which the paper's code fed every step, a pool's
+// workers persist: a multi-worker pool's helper goroutines outlive a
+// region and pick up the next one from a single generation-tagged claim
+// word, then exit on their own after an idle spell (see Pool). They
+// only decide which goroutine runs a pipeline's task, never what it
+// computes, so persistence moves no bit either.
 package pipe
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -84,25 +90,74 @@ func AlignedRange(lo0, hi0, nb, b, align int) (lo, hi int) {
 // valid and runs everything inline on the caller (with no accounting),
 // so substrate packages can accept an optional pool.
 //
-// A pool of one worker reads no clock: its regions run inline, and
-// TakeStats books the enclosing span the caller passes as both busy and
-// wall. Callers that run a region every step keep its task as a func
-// value built once (a method value stored beside the task's state), so
-// a one-worker region allocates nothing.
+// A pool of one worker reads no clock and starts no goroutine: its
+// regions run inline, and TakeStats books the enclosing span the caller
+// passes as both busy and wall. Callers that run a region every step
+// keep its task as a func value built once (a method value stored
+// beside the task's state), so a region allocates nothing at any W.
+//
+// A pool of W > 1 workers keeps its W−1 helper goroutines between
+// regions, as VPIC's pipelines and the paper's SPEs persist across a
+// step. A region is published by storing one atomic word that packs
+// its generation, task count and next task; the caller and the helpers
+// claim a task with one CAS on that word. A helper holding a word of an
+// earlier generation fails its CAS, so it never runs a task of a region
+// it did not see published, and every claimant reads the task func only
+// after its claim succeeds. The caller takes tasks like a helper and
+// returns when the region's done-count reaches its task count, never
+// waiting for a helper that claimed nothing. A helper that sees the
+// word unchanged for idleWindow exits, and the next region starts a
+// fresh one, so a pool needs no Close. Which goroutine runs a task
+// never changes what the task computes, so the helpers move no bit of
+// the result.
 //
 // A Pool is owned by one rank: Run/Range must not be called
-// concurrently with each other or with TakeStats.
+// concurrently with each other or with TakeStats, nor from a task.
 type Pool struct {
 	w int
 
+	// The published region. word packs gen<<32 | n<<16 | next; fn and
+	// base are written before word is stored and read only by a
+	// claimant. done counts the region's finished tasks; helpers counts
+	// live helper goroutines, which only Run adds to. help is the helper
+	// body, bound once so that starting a helper allocates nothing.
+	word    atomic.Uint64
+	fn      func(i int)
+	base    int
+	gen     uint64
+	done    atomic.Int32
+	helpers atomic.Int32
+	help    func()
+
+	// Range's operands, read by its chunk task, which New binds once.
+	chunk  func(c int)
+	rfn    func(lo, hi int)
+	rn, rw int
+
 	// Accumulated parallel-region accounting since the last TakeStats.
-	// busy is summed across workers (atomically, then read after the
-	// region barrier); wall is the regions' elapsed time. ran marks a
-	// one-worker pool's untimed regions.
+	// busy is summed over the claimants' task streaks (atomically, then
+	// read after the region barrier), so a helper's idle spin is not
+	// busy; wall is the regions' elapsed time. ran marks a one-worker
+	// pool's untimed regions.
 	busy atomic.Int64
 	wall time.Duration
 	ran  bool
 }
+
+const (
+	// idleWindow is how long a helper spins on an unchanged region word
+	// before it exits. It outlasts the serial work between the regions
+	// of an ordinary step, so helpers live through it: on the lpi deck
+	// at two workers (ppc 512, 1 600 steps, a 2-vCPU Xeon) 206 of 6 720
+	// regions started a helper, after the longer serial spells. It is
+	// short enough that a rank that stops running regions gives its
+	// cores back within a millisecond. A start allocates nothing.
+	idleWindow = 500 * time.Microsecond
+
+	// maxTasks is the most tasks one region word counts (16 bits); Run
+	// publishes a longer loop as consecutive regions.
+	maxTasks = 1<<16 - 1
+)
 
 // New returns a pool of w workers (clamped to [1, NumBlocks]).
 func New(w int) *Pool {
@@ -112,7 +167,9 @@ func New(w int) *Pool {
 	if w > NumBlocks {
 		w = NumBlocks
 	}
-	return &Pool{w: w}
+	p := &Pool{w: w}
+	p.help, p.chunk = p.helper, p.rangeChunk
+	return p
 }
 
 // Workers returns the pool's worker count (1 for a nil pool).
@@ -141,43 +198,85 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		}
 		return
 	}
-	w := p.w
-	if w > n {
-		w = n
-	}
 	start := time.Now()
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+	if n == 1 {
+		fn(0)
 		d := time.Since(start)
 		p.busy.Add(int64(d))
 		p.wall += d
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	worker := func() {
-		t0 := time.Now()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			fn(i)
-		}
-		p.busy.Add(int64(time.Since(t0)))
+	for base := 0; base < n; base += maxTasks {
+		p.region(base, min(n-base, maxTasks), fn)
 	}
-	wg.Add(w - 1)
-	for g := 1; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
 	p.wall += time.Since(start)
+}
+
+// region publishes tasks base..base+n−1 of fn, starts the helpers that
+// have exited, takes tasks beside them and returns once all n are done.
+func (p *Pool) region(base, n int, fn func(i int)) {
+	p.fn, p.base = fn, base
+	p.done.Store(0)
+	p.gen++
+	p.word.Store(p.gen<<32 | uint64(n)<<16)
+	for want := int32(min(p.w, n) - 1); p.helpers.Load() < want; {
+		p.helpers.Add(1)
+		go p.help()
+	}
+	p.take()
+	for p.done.Load() < int32(n) {
+		runtime.Gosched()
+	}
+	p.fn = nil
+}
+
+// take claims and runs tasks of the published region until it has none
+// left, and returns the last word it read. A claim is one CAS that
+// advances next; it fails if a claim or a newer region changed the word
+// since the load, so a claimant runs exactly the task its CAS took,
+// with the fn published beside that generation. The claimant's streak,
+// from its first claim to the end of its last task, is booked as busy
+// and its tasks as done once, when the region has no task left: the
+// region cannot end, nor a newer one be published, before that.
+func (p *Pool) take() uint64 {
+	var t0 time.Time
+	var ran int32
+	for {
+		w := p.word.Load()
+		next, n := w&0xffff, w>>16&0xffff
+		if next >= n {
+			if ran > 0 {
+				p.busy.Add(int64(time.Since(t0)))
+				p.done.Add(ran)
+			}
+			return w
+		}
+		if !p.word.CompareAndSwap(w, w+1) {
+			continue
+		}
+		if ran == 0 {
+			t0 = time.Now()
+		}
+		p.fn(p.base + int(next))
+		ran++
+	}
+}
+
+// helper is the body of a helper goroutine: it takes tasks of every
+// region published while it lives, yielding between looks so a helper
+// never holds a processor another goroutine is waiting for, and exits
+// once the word has not changed for idleWindow.
+func (p *Pool) helper() {
+	defer p.helpers.Add(-1)
+	last, idle := p.take(), time.Now()
+	for {
+		runtime.Gosched()
+		if w := p.take(); w != last {
+			last, idle = w, time.Now()
+		} else if time.Since(idle) > idleWindow {
+			return
+		}
+	}
 }
 
 // Range splits [0,n) into one contiguous chunk per worker and invokes
@@ -195,19 +294,15 @@ func (p *Pool) Range(n int, fn func(lo, hi int)) {
 		}
 		return
 	}
-	w := p.w
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		// Single chunk: still account the region when pooled.
-		p.Run(1, func(int) { fn(0, n) })
-		return
-	}
-	p.Run(w, func(c int) {
-		lo, hi := BlockBounds(n, w, c)
-		fn(lo, hi)
-	})
+	p.rfn, p.rn, p.rw = fn, n, min(p.w, n)
+	p.Run(p.rw, p.chunk)
+	p.rfn = nil
+}
+
+// rangeChunk is Range's task: chunk c of its rw-way split of [0, rn).
+func (p *Pool) rangeChunk(c int) {
+	lo, hi := BlockBounds(p.rn, p.rw, c)
+	p.rfn(lo, hi)
 }
 
 // TakeStats returns the busy and wall time accumulated by parallel

@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,7 +10,7 @@ import (
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 8} {
 		p := New(w)
-		for _, n := range []int{0, 1, 5, 100} {
+		for _, n := range []int{0, 1, 5, 100, maxTasks + 5} {
 			hits := make([]atomic.Int32, n)
 			p.Run(n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
@@ -137,5 +138,148 @@ func TestOneWorkerBooksSpan(t *testing.T) {
 	}
 	if b, w := p.TakeStats(time.Second); b != 0 || w != 0 {
 		t.Fatalf("TakeStats did not reset: (%v, %v)", b, w)
+	}
+}
+
+// marks is one task func of TestBackToBackRegions: every index it runs
+// is counted in its own array, so an index run by another region's
+// func, run twice or not run shows up in the check after the region.
+type marks struct {
+	hits [100]atomic.Int32
+	task func(i int)
+	span func(lo, hi int)
+}
+
+func newMarks() *marks {
+	m := &marks{}
+	m.task = func(i int) { m.hits[i].Add(1) }
+	m.span = func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m.hits[i].Add(1)
+		}
+	}
+	return m
+}
+
+// TestBackToBackRegions publishes about 10⁴ regions back to back, so
+// helpers of one region are still looking while the next is published.
+// The regions cycle through Run with one func, Run with another and
+// Range with a third, and through task counts 1, W−1, W, 8 and 100, so
+// consecutive regions differ in func and in count. After each region
+// the test asserts that every index of the region ran exactly once,
+// with that region's own func, and that no other index or func ran.
+func TestBackToBackRegions(t *testing.T) {
+	const regions = 3500
+	fns := [3]*marks{newMarks(), newMarks(), newMarks()}
+	for _, w := range []int{2, 3, 8} {
+		p := New(w)
+		ns := []int{1, w - 1, w, 8, 100}
+		for r := 0; r < regions; r++ {
+			k, n := r%len(fns), ns[r%len(ns)]
+			if k == 2 {
+				p.Range(n, fns[k].span)
+			} else {
+				p.Run(n, fns[k].task)
+			}
+			for j, m := range fns {
+				for i := range m.hits {
+					want := int32(0)
+					if j == k && i < n {
+						want = 1
+					}
+					if got := m.hits[i].Swap(0); got != want {
+						t.Fatalf("W=%d region %d (func %d, n=%d): func %d ran index %d %d times, want %d",
+							w, r, k, n, j, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHelpersExitWhenIdle: a multi-worker pool's helpers outlive a
+// region but not an idle spell. Once regions stop, the goroutine count
+// falls back to its value before the pool within idleWindow plus a
+// polled deadline, and the next region starts fresh helpers.
+func TestHelpersExitWhenIdle(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(8)
+	for round := 0; round < 2; round++ {
+		hits := make([]atomic.Int32, 64)
+		for r := 0; r < 100; r++ {
+			p.Run(len(hits), func(i int) { hits[i].Add(1) })
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 100 {
+				t.Fatalf("round %d: index %d ran %d times in 100 regions", round, i, got)
+			}
+		}
+		for deadline := time.Now().Add(idleWindow + 5*time.Second); p.helpers.Load() > 0 || runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("round %d: %d helpers live, %d goroutines, %d before the pool:\n%s",
+					round, p.helpers.Load(), runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestOversubscribedPoolsFinish: at GOMAXPROCS(1), two eight-worker
+// pools on two goroutines share one processor with fourteen spinning
+// helpers. A helper yields between looks, so every region still
+// finishes: 1 000 regions each within a generous bound.
+func TestOversubscribedPoolsFinish(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	done := make(chan int64, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			p := New(8)
+			var sum atomic.Int64
+			for r := 0; r < 1000; r++ {
+				p.Run(NumBlocks, func(i int) { sum.Add(int64(i)) })
+			}
+			done <- sum.Load()
+		}()
+	}
+	timeout := time.After(60 * time.Second)
+	for g := 0; g < 2; g++ {
+		select {
+		case sum := <-done:
+			if sum != 1000*28 {
+				t.Errorf("pool summed %d, want %d", sum, 1000*28)
+			}
+		case <-timeout:
+			t.Fatal("two oversubscribed pools did not finish 1000 regions in 60 s")
+		}
+	}
+}
+
+// TestRegionAllocs is the pool's allocation budget: with its tasks
+// bound once, a region allocates nothing at any worker count, including
+// the single-chunk Range and the region that restarts exited helpers.
+func TestRegionAllocs(t *testing.T) {
+	task := func(i int) {}
+	span := func(lo, hi int) {}
+	for _, w := range []int{1, 2, 8} {
+		p := New(w)
+		for _, r := range []struct {
+			name string
+			run  func()
+		}{
+			{"Run(8)", func() { p.Run(8, task) }},
+			{"Range(1)", func() { p.Range(1, span) }},
+			{"Range(4)", func() { p.Range(4, span) }},
+			{"Run(8) after an idle spell", func() {
+				for p.helpers.Load() > 0 {
+					time.Sleep(idleWindow)
+				}
+				p.Run(8, task)
+			}},
+		} {
+			if got := testing.AllocsPerRun(20, r.run); got != 0 {
+				t.Errorf("W=%d: %s allocates %.2f objects per call, the budget 0", w, r.name, got)
+			}
+		}
 	}
 }

@@ -16,8 +16,8 @@
 // windows, and the blocks scattering into them. Because block order
 // equals input order, the result is the one stable permutation by
 // voxel, bit for bit, for any worker count; the workers only share out
-// the blocks. The passes are bound once per workspace, so a sort on a
-// one-worker pool allocates nothing.
+// the blocks. The passes are bound once per workspace, so a sort
+// allocates nothing at any worker count.
 package sort
 
 import (
@@ -144,25 +144,32 @@ func (w *Workspace) row(b int) []int32 {
 	return w.bcounts[b*stride : (b+1)*stride]
 }
 
-// countBlock histograms block b's contiguous particle range.
+// countBlock histograms block b's contiguous particle range, walking
+// the Voxel lane array of each storage block it spans.
 func (w *Workspace) countBlock(b int) {
 	c := w.row(b)
 	clear(c)
-	buf := w.buf
-	lo, hi := pipe.BlockBounds(buf.N(), pipe.NumBlocks, b)
-	for i := lo; i < hi; i++ {
-		c[buf.Voxel(i)]++
+	blk := w.buf.Blk
+	lo, hi := pipe.BlockBounds(w.buf.N(), pipe.NumBlocks, b)
+	for i := lo; i < hi; {
+		base := i &^ particle.LaneMask
+		end := min(hi-base, particle.Lanes)
+		for _, v := range blk[i>>particle.LaneShift].Voxel[i-base : end] {
+			c[v]++
+		}
+		i = base + end
 	}
 }
 
-// chunkTotal sums voxel chunk k's counts over every block.
+// chunkTotal sums voxel chunk k's counts over every block, one
+// contiguous row segment per block; int32 addition is exact, so the
+// order does not change the total.
 func (w *Workspace) chunkTotal(k int) {
-	stride, bc := w.nv+1, w.bcounts
 	vlo, vhi := pipe.BlockBounds(w.nv, pipe.NumBlocks, k)
 	var t int32
-	for v := vlo; v < vhi; v++ {
-		for b := 0; b < pipe.NumBlocks; b++ {
-			t += bc[b*stride+v]
+	for b := 0; b < pipe.NumBlocks; b++ {
+		for _, c := range w.row(b)[vlo:vhi] {
+			t += c
 		}
 	}
 	w.chunks[k] = t
