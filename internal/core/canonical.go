@@ -36,13 +36,13 @@ func fnvU32(h uint64, v uint32) uint64 {
 }
 
 // canonicalCells sums the digest records of this rank's interior cells
-// (nine field components plus the neutralizing background when
-// present).
+// (E and B plus the neutralizing background when present; J is
+// per-step scratch, re-deposited before it is read).
 func (rk *Rank) canonicalCells() uint64 {
 	g := rk.D.G
 	f := rk.D.F
 	gx0, gy0, gz0 := rk.D.Cfg.Layout.Origin(rk.D.Rank)
-	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz}
+	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz}
 	var sum uint64
 	for iz := 1; iz <= g.NZ; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {

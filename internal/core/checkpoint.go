@@ -23,22 +23,23 @@ import (
 // The configuration itself is not stored; Restore validates that the
 // receiving simulation's geometry matches.
 //
-// The format is: the magic line; a header of little-endian u64s (global
-// grid, rank count, species count, step) and the f64 time; the rank
-// layout (decomposition shape, then the x/y/z partition-plane cuts), so
-// a load-balanced run resumes on the x-cuts it was written under; the
-// run's energy history (a u64 sample count, then per sample the u64
-// step and the f64s time, E, B, total, div-B error and one kinetic
-// energy per species), so a resumed run carries the uninterrupted
-// run's whole history; each rank's payload in rank order (writeState);
-// and a trailing little-endian CRC32 (IEEE) of every preceding byte, so
-// a truncated or bit-flipped file is rejected instead of silently
-// resumed from. Files with an older magic carry no checksum, no layout
-// or no history and are refused. Checkpoint and Restore are RankSim
-// collectives, so a world writes and reads the one file however its
-// members are hosted; rank 0 alone touches the file.
+// The format (v5) is: the magic line; a header of little-endian u64s
+// (global grid, rank count, species count, step) and the f64 time; the
+// rank layout (decomposition shape, then the x/y/z partition-plane
+// cuts), so a load-balanced run resumes on the x-cuts it was written
+// under; the run's energy history (a u64 sample count, then per sample
+// the u64 step and the f64s time, E, B, total, div-B error and one
+// kinetic energy per species), so a resumed run carries the
+// uninterrupted run's whole history; each rank's payload in rank order
+// (writeState); and a trailing little-endian CRC32 (IEEE) of every
+// preceding byte, so a truncated or bit-flipped file is rejected
+// instead of silently resumed from. Files with an older magic carry no
+// checksum, no layout or no history (v1–v3) or carry J (v4), and are
+// refused. Checkpoint and Restore are RankSim collectives, so a world
+// writes and reads the one file however its members are hosted; rank 0
+// alone touches the file.
 
-const checkpointMagic = "GOVPIC-CKPT-4\n"
+const checkpointMagic = "GOVPIC-CKPT-5\n"
 
 // The collectives' tags sit below the domain layer's tag windows
 // (which start at 1<<10).
@@ -196,11 +197,12 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	return Collect(s, func(rs *RankSim) error { return rs.Checkpoint(w) })
 }
 
-// writeState serializes this rank's dynamic state — fields, background
-// and particles — in the canonical checkpoint order.
+// writeState serializes this rank's dynamic state — E and B, background
+// and particles — in the canonical checkpoint order. J is per-step
+// scratch: every step clears and re-deposits it before it is read.
 func (rk *Rank) writeState(c *cpWriter) {
 	f := rk.D.F
-	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
+	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
 		c.f32s(a)
 	}
 	if rk.rho0 != nil {
@@ -231,7 +233,7 @@ func (rk *Rank) writeState(c *cpWriter) {
 func (rk *Rank) readState(c *cursor) {
 	rk.markStale()
 	f := rk.D.F
-	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz} {
+	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
 		c.f32s(a)
 	}
 	if c.u64() == 1 {
@@ -259,7 +261,7 @@ func (rk *Rank) readState(c *cursor) {
 // reading only its sizes (writeState's layout), and reports whether the
 // bytes held all of it.
 func skipPayload(c *cursor, nv, nSpecies int) bool {
-	c.next(9 * 4 * uint64(nv))
+	c.next(6 * 4 * uint64(nv))
 	if c.u64() == 1 {
 		c.next(4 * uint64(nv))
 	}

@@ -59,26 +59,26 @@ func historySpan(t testing.TB, ckpt []byte) (start, end int) {
 	return end - 8 - 8*len(hd.history)*(6+hd.nSpecies), end
 }
 
-// TestCheckpointBytesPinned: with their six-sample history section cut
-// out and the v3 magic put back, the fixtures' files are byte for byte
-// the v3 files the whole-world writer produced before Checkpoint became
-// a collective — the same length and the same trailer (the CRC32 of
-// every byte before it) — so v4 is v3 plus the history and nothing else.
+// TestCheckpointBytesPinned pins the fixtures' files — their length
+// and CRC trailer (the CRC32 of every byte before it) — and that they
+// hold the six samples. v5 is v4 minus the J arrays: the v4 files these
+// fixtures wrote, with each rank's 3 × NV × 4 bytes of J cut out and
+// the magic and trailer redone, were these files byte for byte when the
+// format changed (EXPERIMENTS S69).
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		ranks, size int
 		crc         uint32
-	}{{1, 11250, 0x038e2be4}, {2, 11994, 0x7bdff57d}} {
+	}{{1, 9650, 0xd962eff1}, {2, 10178, 0x163f2167}} {
 		_, ckpt := ckptFixture(t, tc.ranks)
-		start, end := historySpan(t, ckpt)
+		start, _ := historySpan(t, ckpt)
 		if n := binary.LittleEndian.Uint64(ckpt[start:]); n != 6 {
 			t.Fatalf("%d-rank checkpoint holds %d samples, want 6", tc.ranks, n)
 		}
-		v3 := append([]byte("GOVPIC-CKPT-3\n"), ckpt[len(checkpointMagic):start]...)
-		v3 = append(v3, ckpt[end:]...)
-		if got := crc32.ChecksumIEEE(v3[:len(v3)-4]); len(v3) != tc.size || got != tc.crc {
-			t.Errorf("%d-rank checkpoint as v3: %d bytes, CRC %08x; want %d bytes, CRC %08x",
-				tc.ranks, len(v3), got, tc.size, tc.crc)
+		got := binary.LittleEndian.Uint32(ckpt[len(ckpt)-4:])
+		if len(ckpt) != tc.size || got != tc.crc {
+			t.Errorf("%d-rank checkpoint: %d bytes, CRC %08x; want %d bytes, CRC %08x",
+				tc.ranks, len(ckpt), got, tc.size, tc.crc)
 		}
 	}
 }
@@ -273,9 +273,10 @@ func TestCheckpointRejectsCorruptCount(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsOldVersions: v1 (no checksum), v2 (no layout)
-// and v3 (no history) files are refused by name, so everything Restore
-// accepts is CRC-verified and carries its history; an unrelated file is
+// TestCheckpointRejectsOldVersions: v1 (no checksum), v2 (no layout),
+// v3 (no history) and v4 (J arrays in every payload) files are refused
+// by name, so everything Restore accepts is CRC-verified, carries its
+// history and is laid out as writeState writes; an unrelated file is
 // still "not a checkpoint".
 func TestCheckpointRejectsOldVersions(t *testing.T) {
 	cfg, ckpt := ckptFixture(t, 1)
@@ -284,7 +285,7 @@ func TestCheckpointRejectsOldVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := ckpt[len(checkpointMagic):]
-	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n"} {
+	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n", "GOVPIC-CKPT-4\n"} {
 		old := append([]byte(magic), body...)
 		err := s.Restore(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
@@ -352,7 +353,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
 			f.Add(ckpt[:cut])
 		}
-		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n"} {
+		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n", "GOVPIC-CKPT-4\n"} {
 			f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
 		}
 	}

@@ -157,8 +157,8 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 
 	// 5. Collective ghost re-prime: E/B boundary and ghost planes (local
 	// wraps, then remote exchange), the background's ghost aliases and
-	// the interpolators. J's ghost planes are left stale — the next step
-	// clears and re-deposits J before any read.
+	// the interpolators. J is not carried: the next step clears and
+	// re-deposits it before any read.
 	f := dNew.F
 	f.UpdateGhostE()
 	f.UpdateGhostB()
@@ -200,12 +200,12 @@ func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 	rk.markStale()
 }
 
-// reshapeArrays lists the state a reshape carries: the nine field
-// components plus, when present, the neutralizing background (every
-// rank's set matches because NeutralizingBackground is global config).
+// reshapeArrays lists the state a reshape carries: E and B plus, when
+// present, the neutralizing background (every rank's set matches
+// because NeutralizingBackground is global config).
 func reshapeArrays(d *domain.Domain, rho0 []float32) [][]float32 {
 	f := d.F
-	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz, f.Jx, f.Jy, f.Jz}
+	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz}
 	if rho0 != nil {
 		arrs = append(arrs, rho0)
 	}

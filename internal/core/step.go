@@ -77,8 +77,10 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 
 	// Reduce currents onto the mesh (plus the antenna drive), then the
 	// field advance — B half, E full, B half — each part followed by its
-	// exchanges. ExchangeJ touches only J, so it rides with the first
-	// half's ghost B.
+	// exchanges. J is per-step scratch: FoldGhostJ and ExchangeJ fold
+	// every deposit onto its owner and mirror nothing back, as the E
+	// advance reads J on planes 1..N only. ExchangeJ touches only J, so
+	// it rides with the first half's ghost B.
 	f.ClearJ()
 	for _, a := range cfg.Lasers {
 		a.Inject(f, tNow, cfg.DT)

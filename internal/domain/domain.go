@@ -16,12 +16,13 @@
 // the sender has received a message its peer posted after finishing
 // that unpack: exchanges are sequential on each rank, a ghost or
 // particle exchange receives from every peer it sends to, and every
-// fold (one-way) is followed by the two-way ghost exchange of the same
-// array. Over TCP, Send encodes into a fresh frame before it returns,
-// so there a slot is free at once. The settle sweeps use the particle
-// plans too: each sweep is followed by the settle check's collective,
-// which returns only after every peer has unpacked. The rebalance slabs
-// are rare and keep one-shot messages.
+// fold (one-way) is followed by a two-way ghost exchange before its
+// plan is used again — ρ's by its own, J's by the step's ghost B (J is
+// never mirrored back). Over TCP, Send encodes into a fresh frame
+// before it returns, so there a slot is free at once. The settle sweeps
+// use the particle plans too: each sweep is followed by the settle
+// check's collective, which returns only after every peer has unpacked.
+// The rebalance slabs are rare and keep one-shot messages.
 package domain
 
 import (
@@ -53,11 +54,10 @@ const (
 	tagGhostE = 1 << 10
 	tagGhostB = 2 << 10
 	tagFoldJ  = 3 << 10
-	tagGhostJ = 4 << 10
-	tagFoldS  = 5 << 10
-	tagGhostS = 6 << 10
-	tagPart   = 7 << 10
-	tagRebal  = 8 << 10
+	tagFoldS  = 4 << 10
+	tagGhostS = 5 << 10
+	tagPart   = 6 << 10
+	tagRebal  = 7 << 10
 )
 
 // Domain is one rank's tile.
@@ -80,9 +80,9 @@ type Domain struct {
 	// The persistent exchange plans, one per class (plan.go). parts has
 	// one particle plan per species, built by the first exchange; px is
 	// the particle exchange in flight.
-	ghostE, ghostB, foldJ, ghostJ, foldS, ghostS plan
-	parts                                        []partPlan
-	px                                           ParticleExchange
+	ghostE, ghostB, foldJ, foldS, ghostS plan
+	parts                                []partPlan
+	px                                   ParticleExchange
 }
 
 // New builds rank comm.Rank()'s tile of the global domain.
@@ -132,7 +132,6 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 	d.ghostE = d.newPlan(tagGhostE, 3, false)
 	d.ghostB = d.newPlan(tagGhostB, 3, false)
 	d.foldJ = d.newPlan(tagFoldJ, 3, true)
-	d.ghostJ = d.newPlan(tagGhostJ, 3, false)
 	d.foldS = d.newPlan(tagFoldS, 1, true)
 	d.ghostS = d.newPlan(tagGhostS, 1, false)
 	return d, nil
@@ -229,13 +228,12 @@ func (d *Domain) foldUp(p *plan, arrs [][]float32) {
 	}
 }
 
-// ExchangeJ reduces and refreshes the deposited current across remote
-// faces: fold plane N+1 into the high neighbor's plane 1, then refresh
-// ghost copies so divergence diagnostics are well defined everywhere.
+// ExchangeJ folds the deposited current onto its owners across remote
+// faces: plane N+1 into the high neighbor's plane 1. Nothing is mirrored
+// back: J's only reader, the E advance, reads planes 1..N, and the next
+// step clears J before depositing again.
 func (d *Domain) ExchangeJ() {
-	arrs := [][]float32{d.F.Jx, d.F.Jy, d.F.Jz}
-	d.foldUp(&d.foldJ, arrs)
-	d.exchangeGhost(&d.ghostJ, arrs)
+	d.foldUp(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz})
 }
 
 // ExchangeNodeScalar reduces and refreshes a node-centered scalar

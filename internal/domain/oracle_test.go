@@ -294,12 +294,7 @@ var exchangeStages = []exchangeStage{
 		func(r *oracleRank) { f := r.d.F; r.d.blockingExchangeGhost([][]float32{f.Bx, f.By, f.Bz}, tagGhostB) }},
 	{"ExchangeJ",
 		func(r *oracleRank) { r.d.ExchangeJ() },
-		func(r *oracleRank) {
-			f := r.d.F
-			arrs := [][]float32{f.Jx, f.Jy, f.Jz}
-			r.d.blockingFoldUp(arrs, tagFoldJ)
-			r.d.blockingExchangeGhost(arrs, tagGhostJ)
-		}},
+		func(r *oracleRank) { f := r.d.F; r.d.blockingFoldUp([][]float32{f.Jx, f.Jy, f.Jz}, tagFoldJ) }},
 	{"ExchangeNodeScalar",
 		func(r *oracleRank) { r.d.ExchangeNodeScalar(r.rhoS) },
 		func(r *oracleRank) {

@@ -9,7 +9,6 @@ const (
 	ClassGhostE CommClass = iota
 	ClassGhostB
 	ClassFoldJ
-	ClassGhostJ
 	ClassFoldScalar
 	ClassGhostScalar
 	ClassParticles
@@ -18,7 +17,7 @@ const (
 )
 
 var classNames = [NumCommClasses]string{
-	"ghostE", "ghostB", "foldJ", "ghostJ", "foldScalar", "ghostScalar", "particles", "rebalance",
+	"ghostE", "ghostB", "foldJ", "foldScalar", "ghostScalar", "particles", "rebalance",
 }
 
 func (c CommClass) String() string {

@@ -142,7 +142,6 @@ func (f *Fields) ClearJ() {
 // eArrays and bArrays enumerate components for generic plane operations.
 func (f *Fields) eArrays() [3][]float32 { return [3][]float32{f.Ex, f.Ey, f.Ez} }
 func (f *Fields) bArrays() [3][]float32 { return [3][]float32{f.Bx, f.By, f.Bz} }
-func (f *Fields) jArrays() [3][]float32 { return [3][]float32{f.Jx, f.Jy, f.Jz} }
 
 // copyPlane copies the source plane (axis index src) onto the
 // destination plane (axis index dst) for every array in arrs, row by
@@ -227,20 +226,14 @@ func (f *Fields) UpdateGhostB() {
 }
 
 // FoldGhostJ folds periodic ghost-plane currents (deposited at index
-// N+1 by particles in the last cell row) back onto the owning low plane,
-// for periodic axes.
+// N+1 by particles in the last cell row) onto the owning low plane, for
+// periodic axes, and leaves plane N+1 zero. Nothing is mirrored back:
+// the E advance, J's only reader, reads planes 1..N.
 func (f *Fields) FoldGhostJ() {
-	j := f.jArrays()
-	arrs := [][]float32{j[0], j[1], j[2]}
+	arrs := [][]float32{f.Jx, f.Jy, f.Jz}
 	for axis := 0; axis < 3; axis++ {
 		if f.bc[2*axis] == Periodic {
-			n := axisN(f.G, axis)
-			f.addPlane(arrs, axis, 1, n+1)
-			// Refresh the boundary copy so edge values are consistent for
-			// any reader of plane N+1, and fill the low ghost so node-1
-			// divergences of J are well defined.
-			f.copyPlane(arrs, axis, n+1, 1)
-			f.copyPlane(arrs, axis, 0, n)
+			f.addPlane(arrs, axis, 1, axisN(f.G, axis)+1)
 		}
 	}
 }

@@ -92,15 +92,15 @@ func TestFoldGhostJ(t *testing.T) {
 	g := grid.MustNew(4, 4, 4, 1, 1, 1)
 	f := NewPeriodic(g)
 	// Deposit current on the high-boundary plane; folding must move it
-	// to plane 1 and refresh the boundary copy.
+	// to plane 1 and leave plane N+1 zero (no copy is mirrored back).
 	v := g.Voxel(2, g.NY+1, 3)
 	f.Jx[v] = 2.5
 	f.FoldGhostJ()
 	if got := f.Jx[g.Voxel(2, 1, 3)]; got != 2.5 {
 		t.Fatalf("folded jx = %g, want 2.5", got)
 	}
-	if got := f.Jx[g.Voxel(2, g.NY+1, 3)]; got != 2.5 {
-		t.Fatalf("boundary copy after fold = %g, want 2.5", got)
+	if got := f.Jx[v]; got != 0 {
+		t.Fatalf("plane N+1 after fold = %g, want 0", got)
 	}
 }
 

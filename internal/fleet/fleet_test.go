@@ -610,3 +610,77 @@ func fleetResult(t *testing.T, base, id string) server.Result {
 	}
 	return res
 }
+
+// TestMetricsSeriesSet pins the coordinator's /metrics series, the twin
+// of server.TestMetricsSeriesSet: with one worker running one tenant's
+// job, the exposition has exactly these series names, each with exactly
+// these label keys. A series added, dropped or renamed must change this
+// list with it.
+func TestMetricsSeriesSet(t *testing.T) {
+	srv, ts := startWorker(t, server.Config{Runners: 1, CheckpointEvery: 50, EnergyEvery: 10})
+	defer srv.Close()
+	defer ts.Close()
+	c, err := New(Config{MirrorDir: t.TempDir(), ProbeEvery: 10 * time.Millisecond, PollEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Register(ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	// Long enough to be running at the scrape: a tenant is listed while
+	// one of its jobs is not terminal.
+	if _, err := c.Submit("tenant-a", server.SubmitRequest{
+		Deck: deck.JSONConfig{Deck: "thermal", Steps: 100000, NX: 16, PPC: 8, Workers: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job was never placed and running")
+		}
+		c.mu.Lock()
+		j := c.jobs["fj-000001"]
+		running := j.State == JobPlaced && j.WorkerState == server.StateRunning
+		c.mu.Unlock()
+		if running {
+			break
+		}
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	got := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(strings.TrimSuffix(series, "}"), "{")
+		var keys []string
+		for _, kv := range strings.Split(labels, ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		got[name+"{"+strings.Join(keys, ",")+"}"] = true
+	}
+	want := []string{
+		"vpicfleet_up{}", "vpicfleet_uptime_seconds{}", "vpicfleet_jobs_submitted_total{}",
+		"vpicfleet_relocations_total{}", "vpicfleet_workers{state}", "vpicfleet_jobs{state}",
+		"vpicfleet_worker_queue_depth{worker,url}", "vpicfleet_worker_queue_free{worker,url}",
+		"vpicfleet_worker_placed{worker,url}", "vpicfleet_tenant_active{tenant}",
+	}
+	for _, series := range want {
+		if !got[series] {
+			t.Errorf("/metrics lacks %s", series)
+		}
+		delete(got, series)
+	}
+	for series := range got {
+		t.Errorf("/metrics has unlisted series %s", series)
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", body)
+	}
+}

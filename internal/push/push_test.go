@@ -212,6 +212,18 @@ func TestEnergyConservedInPureB(t *testing.T) {
 	}
 }
 
+// lowWrap returns the voxel of node (ix, iy, iz)'s low neighbour on
+// axis in a periodic grid: node 1's is node N, by wrap, because the fold
+// leaves J on the owning planes 1..N and mirrors nothing into plane 0.
+func lowWrap(g *grid.Grid, ix, iy, iz, axis int) int {
+	n := [3]int{g.NX, g.NY, g.NZ}
+	i := [3]int{ix, iy, iz}
+	if i[axis]--; i[axis] == 0 {
+		i[axis] = n[axis]
+	}
+	return g.Voxel(i[0], i[1], i[2])
+}
+
 // TestContinuity is the central correctness test of the whole PIC stack:
 // for arbitrary smooth fields and a time step large enough that many
 // particles cross cell faces, the deposited current must satisfy the
@@ -242,8 +254,6 @@ func TestContinuity(t *testing.T) {
 	DepositRho(g, r.buf, -1, rho1)
 	r.f.FoldNodeScalar(rho1)
 
-	sx, sy, _ := g.Strides()
-	sxy := sx * sy
 	rx := 1 / g.DX
 	ry := 1 / g.DY
 	rz := 1 / g.DZ
@@ -252,9 +262,9 @@ func TestContinuity(t *testing.T) {
 		for iy := 1; iy <= g.NY; iy++ {
 			for ix := 1; ix <= g.NX; ix++ {
 				v := g.Voxel(ix, iy, iz)
-				divJ := rx*float64(r.f.Jx[v]-r.f.Jx[v-1]) +
-					ry*float64(r.f.Jy[v]-r.f.Jy[v-sx]) +
-					rz*float64(r.f.Jz[v]-r.f.Jz[v-sxy])
+				divJ := rx*float64(r.f.Jx[v]-r.f.Jx[lowWrap(g, ix, iy, iz, 0)]) +
+					ry*float64(r.f.Jy[v]-r.f.Jy[lowWrap(g, ix, iy, iz, 1)]) +
+					rz*float64(r.f.Jz[v]-r.f.Jz[lowWrap(g, ix, iy, iz, 2)])
 				drho := float64(rho1[v]-rho0[v]) / dt
 				err := math.Abs(drho + divJ)
 				if err > maxErr {
@@ -293,16 +303,14 @@ func TestContinuityRefPusher(t *testing.T) {
 	DepositRho(g, r.buf, -1, rho1)
 	r.f.FoldNodeScalar(rho1)
 
-	sx, sy, _ := g.Strides()
-	sxy := sx * sy
 	var maxErr, scale float64
 	for iz := 1; iz <= g.NZ; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {
 			for ix := 1; ix <= g.NX; ix++ {
 				v := g.Voxel(ix, iy, iz)
-				divJ := float64(r.f.Jx[v]-r.f.Jx[v-1])/g.DX +
-					float64(r.f.Jy[v]-r.f.Jy[v-sx])/g.DY +
-					float64(r.f.Jz[v]-r.f.Jz[v-sxy])/g.DZ
+				divJ := float64(r.f.Jx[v]-r.f.Jx[lowWrap(g, ix, iy, iz, 0)])/g.DX +
+					float64(r.f.Jy[v]-r.f.Jy[lowWrap(g, ix, iy, iz, 1)])/g.DY +
+					float64(r.f.Jz[v]-r.f.Jz[lowWrap(g, ix, iy, iz, 2)])/g.DZ
 				drho := float64(rho1[v]-rho0[v]) / dt
 				if e := math.Abs(drho + divJ); e > maxErr {
 					maxErr = e

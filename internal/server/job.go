@@ -111,9 +111,10 @@ type Summary struct {
 }
 
 // Result is the completed-job artifact: the run summary plus the full
-// energy history, and a CRC32 of the final serialized dynamic state
-// (fields + particles) so bit-exact reproducibility across preemptions
-// is checkable from the API alone.
+// energy history, and every rank's end-of-run state CRC (core's
+// StateCRC), space-joined hex in rank order as vpic's "state CRCs:"
+// line prints them, so bit-exact reproducibility across preemptions is
+// checkable from the API alone.
 type Result struct {
 	Summary  Summary             `json:"summary"`
 	History  []diag.EnergySample `json:"history"`

@@ -2,11 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"govpic/internal/core"
@@ -93,9 +93,8 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	// member has returned. What ends or checkpoints the loop is the step
 	// number or a collective's result, so every member agrees on it.
 	var (
-		published int    // history samples handed to the hub
-		failure   error  // a report gather or periodic checkpoint failed
-		crc       string // the final state's checkpoint trailer
+		published int   // history samples handed to the hub
+		failure   error // a report gather or periodic checkpoint failed
 	)
 	afterStep := func(rs *core.RankSim) bool {
 		step, rank0 := rs.StepCount(), rs.Comm().Rank() == 0
@@ -137,13 +136,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			}
 			stop = err != nil || rs.Comm().AllreduceMax(flag) > 0
 		}
-		switch {
-		case last:
-			var t tail
-			if rs.Checkpoint(&t) == nil && rank0 {
-				crc = fmt.Sprintf("%08x", binary.LittleEndian.Uint32(t[:]))
-			}
-		case stop || step%ckptEvery == 0:
+		if !last && (stop || step%ckptEvery == 0) {
 			err := dist.Checkpoint(rs, ckptPath) // rank 0's verdict is every member's
 			switch {
 			case !rank0:
@@ -193,6 +186,10 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	j.Physics = &att
 	s.mu.Unlock()
 	last, tot := hist[len(hist)-1], core.SumReports(res.Reports)
+	crcs := make([]string, len(res.CRCs))
+	for i, c := range res.CRCs {
+		crcs[i] = fmt.Sprintf("%08x", c)
+	}
 	return s.spool.writeResult(j.ID, Result{
 		Summary: Summary{
 			Deck:      d.Name,
@@ -211,7 +208,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			Notes: d.Notes,
 		},
 		History:  hist,
-		StateCRC: crc,
+		StateCRC: strings.Join(crcs, " "),
 		Physics:  &att,
 	})
 }
@@ -253,15 +250,4 @@ func attest(d deck.Deck, samples []diag.EnergySample) PhysicsAttestation {
 	att.Pass = att.Finite && att.MaxDivBError <= 1e-7 &&
 		(att.Driven || math.Abs(att.EnergyDrift) <= 0.05)
 	return att
-}
-
-// tail keeps the last four bytes written to it.
-type tail [4]byte
-
-func (t *tail) Write(p []byte) (int, error) {
-	for _, b := range p[max(len(p)-len(t), 0):] {
-		copy(t[:], t[1:])
-		t[3] = b
-	}
-	return len(p), nil
 }

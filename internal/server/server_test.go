@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/push"
 )
@@ -176,16 +174,18 @@ func TestSubmitRunResult(t *testing.T) {
 	}
 }
 
-// TestStateCRCIsCheckpointTrailer holds a result's state_crc to the
-// state it fingerprints: jobs of the same deck that end in different
-// states report different values, and each equals the CRC trailer of
-// the checkpoint an in-process run of the same spec writes after the
-// same steps, sampling its energy on the server's cadence.
-func TestStateCRCIsCheckpointTrailer(t *testing.T) {
+// TestStateCRCIsEndOfRunCRCs holds a result's state_crc to the state
+// it fingerprints: jobs of the same deck that end in different states
+// report different values, and each is every rank's state CRC at the
+// last step, space-joined in rank order (vpic's "state CRCs:" line), as
+// an in-process run of the same spec leaves them.
+func TestStateCRCIsEndOfRunCRCs(t *testing.T) {
 	srv, ts := startServer(t, t.TempDir(), Config{CheckpointEvery: 20, EnergyEvery: 10})
 	defer ts.Close()
 	defer srv.Close()
-	req := SubmitRequest{Deck: smallThermal(30), Sweep: map[string][]float64{"uth": {0.03, 0.05}}}
+	spec := smallThermal(30)
+	spec.Ranks = 2
+	req := SubmitRequest{Deck: spec, Sweep: map[string][]float64{"uth": {0.03, 0.05}}}
 	_, sub := submit(t, ts, req)
 	specs, err := req.Deck.Expand(req.Sweep)
 	if err != nil || len(sub.Jobs) != len(specs) {
@@ -208,21 +208,13 @@ func TestStateCRCIsCheckpointTrailer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sample := func() { core.Collect(sim, (*core.RankSim).Sample) }
-		sample()
-		for sim.StepCount() < specs[i].Steps {
-			sim.Step()
-			if sim.StepCount()%10 == 0 || sim.StepCount() == specs[i].Steps {
-				sample()
-			}
+		sim.Run(specs[i].Steps)
+		var want []string
+		for _, c := range sim.StateCRCs() {
+			want = append(want, fmt.Sprintf("%08x", c))
 		}
-		var ckpt bytes.Buffer
-		if err := sim.Checkpoint(&ckpt); err != nil {
-			t.Fatal(err)
-		}
-		b := ckpt.Bytes()
-		if want := fmt.Sprintf("%08x", binary.LittleEndian.Uint32(b[len(b)-4:])); got != want {
-			t.Errorf("%s: state_crc %s, want checkpoint trailer %s", jr.ID, got, want)
+		if w := strings.Join(want, " "); got != w {
+			t.Errorf("%s: state_crc %q, want the ranks' end-of-run CRCs %q", jr.ID, got, w)
 		}
 	}
 }
