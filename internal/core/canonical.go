@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+
+	"govpic/internal/grid"
 )
 
 // Geometry-canonical state digest: a fingerprint of the physical state
@@ -44,28 +46,37 @@ func (rk *Rank) canonicalCells() uint64 {
 	gx0, gy0, gz0 := rk.D.Cfg.Layout.Origin(rk.D.Rank)
 	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz}
 	var sum uint64
+	interiorRows(g, func(v0, iy, iz int) {
+		for ix := 1; ix <= g.NX; ix++ {
+			v := v0 + ix - 1
+			h := uint64(fnvOffset)
+			h ^= digestKindCell
+			h *= fnvPrime
+			h = fnvU32(h, uint32(gx0+ix-1))
+			h = fnvU32(h, uint32(gy0+iy-1))
+			h = fnvU32(h, uint32(gz0+iz-1))
+			for _, a := range arrs {
+				h = fnvU32(h, math.Float32bits(a[v]))
+			}
+			if rk.rho0 != nil {
+				h = fnvU32(h, 1)
+				h = fnvU32(h, math.Float32bits(rk.rho0[v]))
+			}
+			sum += h
+		}
+	})
+	return sum
+}
+
+// interiorRows calls fn with each interior x-row of g — v, its first
+// voxel (the row is a[v : v+g.NX]), and its y and z — in ascending voxel
+// order: the one walk the checkpoint payload and the digest share.
+func interiorRows(g *grid.Grid, fn func(v, iy, iz int)) {
 	for iz := 1; iz <= g.NZ; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {
-			for ix := 1; ix <= g.NX; ix++ {
-				v := g.Voxel(ix, iy, iz)
-				h := uint64(fnvOffset)
-				h ^= digestKindCell
-				h *= fnvPrime
-				h = fnvU32(h, uint32(gx0+ix-1))
-				h = fnvU32(h, uint32(gy0+iy-1))
-				h = fnvU32(h, uint32(gz0+iz-1))
-				for _, a := range arrs {
-					h = fnvU32(h, math.Float32bits(a[v]))
-				}
-				if rk.rho0 != nil {
-					h = fnvU32(h, 1)
-					h = fnvU32(h, math.Float32bits(rk.rho0[v]))
-				}
-				sum += h
-			}
+			fn(g.Voxel(1, iy, iz), iy, iz)
 		}
 	}
-	return sum
 }
 
 // canonicalParticles sums the digest records of this rank's particles,

@@ -12,6 +12,7 @@ import (
 
 	"govpic/internal/diag"
 	"govpic/internal/domain"
+	"govpic/internal/field"
 	"govpic/internal/grid"
 	"govpic/internal/particle"
 )
@@ -23,7 +24,7 @@ import (
 // The configuration itself is not stored; Restore validates that the
 // receiving simulation's geometry matches.
 //
-// The format (v5) is: the magic line; a header of little-endian u64s
+// The format (v6) is: the magic line; a header of little-endian u64s
 // (global grid, rank count, species count, step) and the f64 time; the
 // rank layout (decomposition shape, then the x/y/z partition-plane
 // cuts), so a load-balanced run resumes on the x-cuts it was written
@@ -31,15 +32,16 @@ import (
 // the u64 step and the f64s time, E, B, total, div-B error and one
 // kinetic energy per species), so a resumed run carries the
 // uninterrupted run's whole history; each rank's payload in rank order
-// (writeState); and a trailing little-endian CRC32 (IEEE) of every
-// preceding byte, so a truncated or bit-flipped file is rejected
-// instead of silently resumed from. Files with an older magic carry no
-// checksum, no layout or no history (v1–v3) or carry J (v4), and are
-// refused. Checkpoint and Restore are RankSim collectives, so a world
-// writes and reads the one file however its members are hosted; rank 0
-// alone touches the file.
+// (writeState: interior cells, Mur's section, particles); and a
+// trailing little-endian CRC32 (IEEE) of every preceding byte, so a
+// truncated or bit-flipped file is rejected instead of silently resumed
+// from. Files with an older magic carry no checksum, no layout or no
+// history (v1–v3), carry J (v4) or every ghost plane (v5), and are
+// refused. Checkpoint and Restore are RankSim collectives, so a
+// world writes and reads the one file however its members are hosted;
+// rank 0 alone touches the file.
 
-const checkpointMagic = "GOVPIC-CKPT-5\n"
+const checkpointMagic = "GOVPIC-CKPT-6\n"
 
 // The collectives' tags sit below the domain layer's tag windows
 // (which start at 1<<10).
@@ -197,19 +199,25 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	return Collect(s, func(rs *RankSim) error { return rs.Checkpoint(w) })
 }
 
-// writeState serializes this rank's dynamic state — E and B, background
-// and particles — in the canonical checkpoint order. J is per-step
-// scratch: every step clears and re-deposits it before it is read.
+// writeState serializes this rank's dynamic state in the canonical
+// checkpoint order: E and B, then the background, on interior cells
+// (interiorRows); on a rank with a local Absorbing high face, Mur's
+// section (a u64 float count, then murRows); the particles. Every other
+// ghost plane is derived (primeGhosts); J is per-step scratch.
 func (rk *Rank) writeState(c *cpWriter) {
-	f := rk.D.F
+	g, f := rk.D.G, rk.D.F
 	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
-		c.f32s(a)
+		interiorRows(g, func(v, _, _ int) { c.f32s(a[v : v+g.NX]) })
 	}
 	if rk.rho0 != nil {
 		c.u64(1)
-		c.f32s(rk.rho0)
+		interiorRows(g, func(v, _, _ int) { c.f32s(rk.rho0[v : v+g.NX]) })
 	} else {
 		c.u64(0)
+	}
+	if n := rk.murRows(nil); n > 0 {
+		c.u64(n)
+		rk.murRows(c.f32s)
 	}
 	for _, sp := range rk.Species {
 		n := sp.Buf.N()
@@ -226,23 +234,27 @@ func (rk *Rank) writeState(c *cpWriter) {
 	}
 }
 
-// readState is writeState's mirror: it replaces this rank's fields,
-// background and particles with the payload c holds, which Restore has
-// verified was written on a tile of the same shape. The new particles
-// make every species' partition stale.
+// readState is writeState's mirror: it replaces this rank's state with
+// the payload c holds, which Restore has verified was written on a tile
+// of the same shape; the ghost planes are primeGhosts' to derive. The
+// new particles make every species' partition stale.
 func (rk *Rank) readState(c *cursor) {
 	rk.markStale()
-	f := rk.D.F
+	g, f := rk.D.G, rk.D.F
 	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
-		c.f32s(a)
+		interiorRows(g, func(v, _, _ int) { c.f32s(a[v : v+g.NX]) })
 	}
 	if c.u64() == 1 {
-		if len(rk.rho0) != rk.D.G.NV() {
-			rk.rho0 = make([]float32, rk.D.G.NV())
+		if len(rk.rho0) != g.NV() {
+			rk.rho0 = make([]float32, g.NV())
 		}
-		c.f32s(rk.rho0)
+		interiorRows(g, func(v, _, _ int) { c.f32s(rk.rho0[v : v+g.NX]) })
 	} else {
 		rk.rho0 = nil
+	}
+	if rk.murRows(nil) > 0 {
+		c.u64() // the length skipPayload checked
+		rk.murRows(c.f32s)
 	}
 	for _, sp := range rk.Species {
 		n := int(c.u64())
@@ -257,13 +269,18 @@ func (rk *Rank) readState(c *cursor) {
 	}
 }
 
-// skipPayload moves c past one rank's payload on a tile of nv voxels,
+// skipPayload moves c past the payload of rank of layout lay on tile g,
 // reading only its sizes (writeState's layout), and reports whether the
 // bytes held all of it.
-func skipPayload(c *cursor, nv, nSpecies int) bool {
-	c.next(6 * 4 * uint64(nv))
+func skipPayload(c *cursor, g *grid.Grid, lay grid.Layout, bc [field.NumFaces]field.BC, rank, nSpecies int) bool {
+	cells := uint64(g.NCells())
+	c.next(6 * 4 * cells)
 	if c.u64() == 1 {
-		c.next(4 * uint64(nv))
+		c.next(4 * cells)
+	}
+	if n := murRows(g, lay, bc, rank, [3][]float32{}, nil); n > 0 {
+		c.short = c.short || c.u64() != n
+		c.next(4 * n)
 	}
 	for s := 0; s < nSpecies && !c.short; s++ {
 		n := c.u64()
@@ -271,6 +288,43 @@ func skipPayload(c *cursor, nv, nSpecies int) bool {
 		c.next(n * particleRecord)
 	}
 	return !c.short
+}
+
+// murRows calls fn (when set) with each row of the Mur section of rank
+// of layout lay on tile g, and returns its float count: per local
+// Absorbing high face, the two tangential components of e (in the field
+// package's order) on plane N+1, over transverse indices 1..N+1, as
+// x-rows in ascending voxel order. First-order Mur writes that plane
+// from its own previous value, so unlike every other ghost plane it is
+// state. Its index-0 rows are derived, and beyond a remote face nothing
+// reads them, so they stay out: no exchange's reach shows in the file.
+func murRows(g *grid.Grid, lay grid.Layout, bc [field.NumFaces]field.BC, rank int, e [3][]float32, fn func([]float32)) (n uint64) {
+	cx, cy, cz := lay.Dec.Coord(rank)
+	last := [3]bool{cx == lay.Dec.PX-1, cy == lay.Dec.PY-1, cz == lay.Dec.PZ-1}
+	for axis := range last {
+		if bc[2*axis+1] != field.Absorbing || !last[axis] {
+			continue
+		}
+		lo, hi := [3]int{1, 1, 1}, [3]int{g.NX + 1, g.NY + 1, g.NZ + 1}
+		lo[axis] = hi[axis]
+		run := hi[0] - lo[0] + 1
+		n += 2 * uint64(run*(hi[1]-lo[1]+1)*(hi[2]-lo[2]+1))
+		for _, a := range [2][]float32{e[(axis+1)%3], e[(axis+2)%3]} {
+			for iz := lo[2]; fn != nil && iz <= hi[2]; iz++ {
+				for iy := lo[1]; iy <= hi[1]; iy++ {
+					v := g.Voxel(lo[0], iy, iz)
+					fn(a[v : v+run])
+				}
+			}
+		}
+	}
+	return n
+}
+
+// murRows is murRows on this rank's tile.
+func (rk *Rank) murRows(fn func([]float32)) uint64 {
+	d := rk.D
+	return murRows(d.G, d.Cfg.Layout, d.Cfg.FieldBC, d.Rank, [3][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, fn)
 }
 
 // StateCRC fingerprints this rank's dynamic state: the CRC32 (IEEE) of
@@ -402,7 +456,7 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 			return nil, nil, err
 		}
 		start := c.b
-		if !skipPayload(c, g.NV(), hd.nSpecies) {
+		if !skipPayload(c, g, hd.layout, cfg.FieldBC, r, hd.nSpecies) {
 			return nil, nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", io.ErrUnexpectedEOF)
 		}
 		if r == rank {
@@ -425,7 +479,8 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 // every peer. Each member makes every check on the same bytes, so all
 // return the same error or none does, and a rejected file changes no
 // member. Only then does the member move onto the file's x-cuts in
-// place (adoptDomain) and read its own payload.
+// place (adoptDomain), read its own payload and, with the world,
+// re-derive its ghost planes (primeGhosts).
 func (rs *RankSim) Restore(r io.Reader) error {
 	var data, status []byte
 	var err error
@@ -459,9 +514,9 @@ func (rs *RankSim) Restore(r io.Reader) error {
 		rk.adoptDomain(&rs.Cfg, d)
 	}
 	rk.readState(payload)
+	rk.primeGhosts()
 	rs.step, rs.time = hd.step, hd.time
 	rs.History = diag.History{Samples: hd.history}
-	rk.IP.LoadPar(nil, rk.D.F) // rebuild derived state
 	return nil
 }
 

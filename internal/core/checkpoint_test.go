@@ -61,15 +61,16 @@ func historySpan(t testing.TB, ckpt []byte) (start, end int) {
 
 // TestCheckpointBytesPinned pins the fixtures' files — their length
 // and CRC trailer (the CRC32 of every byte before it) — and that they
-// hold the six samples. v5 is v4 minus the J arrays: the v4 files these
-// fixtures wrote, with each rank's 3 × NV × 4 bytes of J cut out and
-// the magic and trailer redone, were these files byte for byte when the
-// format changed (EXPERIMENTS S69).
+// hold the six samples. v6 is v5 minus the ghost planes: the v5 files
+// these fixtures wrote, with each rank's ghost voxels × 7 arrays × 4
+// bytes cut out and the magic and trailer redone, were these files byte
+// for byte when the format changed (EXPERIMENTS S71; the fixtures are
+// periodic, so no payload has a Mur section).
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		ranks, size int
 		crc         uint32
-	}{{1, 9650, 0xd962eff1}, {2, 10178, 0x163f2167}} {
+	}{{1, 5562, 0xc278d0f0}, {2, 5586, 0xca990a2d}} {
 		_, ckpt := ckptFixture(t, tc.ranks)
 		start, _ := historySpan(t, ckpt)
 		if n := binary.LittleEndian.Uint64(ckpt[start:]); n != 6 {
@@ -273,11 +274,14 @@ func TestCheckpointRejectsCorruptCount(t *testing.T) {
 	}
 }
 
+// oldMagics are the magic lines of every refused format version.
+var oldMagics = []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n", "GOVPIC-CKPT-4\n", "GOVPIC-CKPT-5\n"}
+
 // TestCheckpointRejectsOldVersions: v1 (no checksum), v2 (no layout),
-// v3 (no history) and v4 (J arrays in every payload) files are refused
-// by name, so everything Restore accepts is CRC-verified, carries its
-// history and is laid out as writeState writes; an unrelated file is
-// still "not a checkpoint".
+// v3 (no history), v4 (J arrays in every payload) and v5 (every ghost
+// plane) files are refused by name, so everything Restore accepts is
+// CRC-verified, carries its history and is laid out as writeState
+// writes; an unrelated file is still "not a checkpoint".
 func TestCheckpointRejectsOldVersions(t *testing.T) {
 	cfg, ckpt := ckptFixture(t, 1)
 	s, err := New(cfg)
@@ -285,7 +289,7 @@ func TestCheckpointRejectsOldVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := ckpt[len(checkpointMagic):]
-	for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n", "GOVPIC-CKPT-4\n"} {
+	for _, magic := range oldMagics {
 		old := append([]byte(magic), body...)
 		err := s.Restore(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
@@ -353,7 +357,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
 			f.Add(ckpt[:cut])
 		}
-		for _, magic := range []string{"GOVPIC-CKPT-1\n", "GOVPIC-CKPT-2\n", "GOVPIC-CKPT-3\n", "GOVPIC-CKPT-4\n"} {
+		for _, magic := range oldMagics {
 			f.Add(append([]byte(magic), ckpt[len(checkpointMagic):]...))
 		}
 	}

@@ -154,7 +154,6 @@ func TestGaussLawMaintained(t *testing.T) {
 	rk := s.Ranks[0]
 	clear(rk.rho)
 	rk.depositAllRho(rk.rho)
-	rk.D.F.FoldNodeScalar(rk.rho)
 	if rk.rho0 != nil {
 		for i, v := range rk.rho0 {
 			rk.rho[i] += v
@@ -216,7 +215,6 @@ func TestTwoSpeciesNeutralStart(t *testing.T) {
 	rk := s.Ranks[0]
 	clear(rk.rho)
 	rk.depositAllRho(rk.rho)
-	rk.D.F.FoldNodeScalar(rk.rho)
 	for iz := 1; iz <= rk.D.G.NZ; iz++ {
 		for iy := 1; iy <= rk.D.G.NY; iy++ {
 			for ix := 1; ix <= rk.D.G.NX; ix++ {
@@ -232,34 +230,61 @@ func TestTwoSpeciesNeutralStart(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := periodicPlasma(16, 0.2, 0.05, 16, 1)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// roundTripDecks are the checkpoint round trips' worlds on nRanks: the
+// periodic plasma, and the absorbing-x LPI deck with cleaning, whose
+// high x wall's Mur plane the checkpoint must carry. Each resumes at
+// step at and runs to step end.
+func roundTripDecks(nRanks int) []struct {
+	name    string
+	cfg     Config
+	at, end int
+} {
+	lpi := lpiWalls(nRanks)
+	lpi.CleanInterval = 7
+	return []struct {
+		name    string
+		cfg     Config
+		at, end int
+	}{
+		{"periodic", periodicPlasma(16, 0.2, 0.05, 16, nRanks), 10, 20},
+		{"mur", lpi, 40, 60},
 	}
-	s.Run(10)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(10)
-	want := s.Energy()
+}
 
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if s2.StepCount() != 10 {
-		t.Fatalf("restored step = %d, want 10", s2.StepCount())
-	}
-	s2.Run(10)
-	got := s2.Energy()
-	if got.Total != want.Total || got.EField != want.EField {
-		t.Fatalf("restored run diverged: %+v vs %+v", got, want)
+// TestCheckpointRoundTrip: a world restored from a checkpoint steps on
+// to the uninterrupted world's state CRCs and energies.
+func TestCheckpointRoundTrip(t *testing.T) {
+	for _, tc := range roundTripDecks(1) {
+		s, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(tc.at)
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(tc.end - tc.at)
+		want := s.Energy()
+
+		s2, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if s2.StepCount() != tc.at {
+			t.Fatalf("%s: restored step = %d, want %d", tc.name, s2.StepCount(), tc.at)
+		}
+		s2.Run(tc.end - tc.at)
+		got := s2.Energy()
+		if got.Total != want.Total || got.EField != want.EField {
+			t.Fatalf("%s: restored run diverged: %+v vs %+v", tc.name, got, want)
+		}
+		if got, want := s2.StateCRCs(), s.StateCRCs(); !equalCRCs(got, want) {
+			t.Fatalf("%s: restored run ends on CRCs %08x, want %08x", tc.name, got, want)
+		}
 	}
 }
 
@@ -380,37 +405,42 @@ func TestLaserVacuumRun(t *testing.T) {
 	}
 }
 
+// lpiWalls is a laser-driven slab between Mur-absorbing x walls on
+// nRanks: rank 0 owns a local Mur wall plus a remote face when split.
+func lpiWalls(nRanks int) Config {
+	return Config{
+		NX: 64, NY: 1, NZ: 1,
+		DX: 0.25, DY: 1, DZ: 1,
+		DT:     0.23,
+		NRanks: nRanks,
+		FieldBC: [6]field.BC{
+			field.XLo: field.Absorbing, field.XHi: field.Absorbing,
+			field.YLo: field.Periodic, field.YHi: field.Periodic,
+			field.ZLo: field.Periodic, field.ZHi: field.Periodic,
+		},
+		ParticleBC: [6]push.Action{
+			field.XLo: push.Absorb, field.XHi: push.Absorb,
+			field.YLo: push.Wrap, field.YHi: push.Wrap,
+			field.ZLo: push.Wrap, field.ZHi: push.Wrap,
+		},
+		Species: []SpeciesConfig{{
+			Name: "electron", Q: -1, M: 1, SortInterval: 10,
+			Load: &loader.Params{
+				Profile: loader.Slab(0.1, 4, 12, 2), PPC: 32, Nref: 0.1,
+				Uth: [3]float64{0.07, 0.07, 0.07}, Seed: 77,
+			},
+		}},
+		Lasers:                 []*laser.Antenna{{XGlobal: 0.5, Omega: 1, A0: 0.03, RampTime: 10}},
+		NeutralizingBackground: true,
+	}
+}
+
 // TestLPIDecompositionEquivalence checks the bounded (Mur-absorbing)
 // geometry across decompositions: rank 0 owns a local Mur wall plus a
 // remote face, the hardest mixed case.
 func TestLPIDecompositionEquivalence(t *testing.T) {
 	run := func(nRanks int) []float64 {
-		cfg := Config{
-			NX: 64, NY: 1, NZ: 1,
-			DX: 0.25, DY: 1, DZ: 1,
-			DT:     0.23,
-			NRanks: nRanks,
-			FieldBC: [6]field.BC{
-				field.XLo: field.Absorbing, field.XHi: field.Absorbing,
-				field.YLo: field.Periodic, field.YHi: field.Periodic,
-				field.ZLo: field.Periodic, field.ZHi: field.Periodic,
-			},
-			ParticleBC: [6]push.Action{
-				field.XLo: push.Absorb, field.XHi: push.Absorb,
-				field.YLo: push.Wrap, field.YHi: push.Wrap,
-				field.ZLo: push.Wrap, field.ZHi: push.Wrap,
-			},
-			Species: []SpeciesConfig{{
-				Name: "electron", Q: -1, M: 1, SortInterval: 10,
-				Load: &loader.Params{
-					Profile: loader.Slab(0.1, 4, 12, 2), PPC: 32, Nref: 0.1,
-					Uth: [3]float64{0.07, 0.07, 0.07}, Seed: 77,
-				},
-			}},
-			Lasers:                 []*laser.Antenna{{XGlobal: 0.5, Omega: 1, A0: 0.03, RampTime: 10}},
-			NeutralizingBackground: true,
-		}
-		s, err := New(cfg)
+		s, err := New(lpiWalls(nRanks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,13 +508,9 @@ func TestAbsorbedEnergyBudget(t *testing.T) {
 
 // TestCheckpointRoundTripMultiRank: a 2-rank world's checkpoint carries
 // its history (CheckpointHistory and Restore both return it), and the
-// resumed world reaches the uninterrupted one's energy and history.
+// resumed world reaches the uninterrupted one's state CRCs, energy and
+// history.
 func TestCheckpointRoundTripMultiRank(t *testing.T) {
-	cfg := periodicPlasma(16, 0.2, 0.05, 16, 2)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// run steps n times, sampling after each step.
 	run := func(s *Simulation, n int) {
 		for i := 0; i < n; i++ {
@@ -492,35 +518,44 @@ func TestCheckpointRoundTripMultiRank(t *testing.T) {
 			Collect(s, (*RankSim).Sample)
 		}
 	}
-	Collect(s, (*RankSim).Sample)
-	run(s, 8)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	atCheckpoint := s.History()
-	if h, err := CheckpointHistory(bytes.NewReader(buf.Bytes())); err != nil || !reflect.DeepEqual(h, atCheckpoint) {
-		t.Fatalf("CheckpointHistory: %d samples, err %v; want the %d written", len(h.Samples), err, len(atCheckpoint.Samples))
-	}
-	run(s, 8)
-	want := s.Energy()
+	for _, tc := range roundTripDecks(2) {
+		s, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Collect(s, (*RankSim).Sample)
+		run(s, tc.at)
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		atCheckpoint := s.History()
+		if h, err := CheckpointHistory(bytes.NewReader(buf.Bytes())); err != nil || !reflect.DeepEqual(h, atCheckpoint) {
+			t.Fatalf("%s: CheckpointHistory: %d samples, err %v; want the %d written", tc.name, len(h.Samples), err, len(atCheckpoint.Samples))
+		}
+		run(s, tc.end-tc.at)
+		want := s.Energy()
 
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s2.History(), atCheckpoint) {
-		t.Fatal("restored history differs from the one checkpointed")
-	}
-	run(s2, 8)
-	got := s2.Energy()
-	if got.Total != want.Total {
-		t.Fatalf("multi-rank restore diverged: %g vs %g", got.Total, want.Total)
-	}
-	if !reflect.DeepEqual(s2.History(), s.History()) {
-		t.Fatal("resumed history differs from the uninterrupted one")
+		s2, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s2.History(), atCheckpoint) {
+			t.Fatalf("%s: restored history differs from the one checkpointed", tc.name)
+		}
+		run(s2, tc.end-tc.at)
+		got := s2.Energy()
+		if got.Total != want.Total {
+			t.Fatalf("%s: multi-rank restore diverged: %g vs %g", tc.name, got.Total, want.Total)
+		}
+		if got, want := s2.StateCRCs(), s.StateCRCs(); !equalCRCs(got, want) {
+			t.Fatalf("%s: restored run ends on CRCs %08x, want %08x", tc.name, got, want)
+		}
+		if !reflect.DeepEqual(s2.History(), s.History()) {
+			t.Fatalf("%s: resumed history differs from the uninterrupted one", tc.name)
+		}
 	}
 }

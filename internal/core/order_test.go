@@ -35,8 +35,9 @@ func refluxLPIDeck(workers int, kernel string) (deck.Deck, error) {
 // movers each pool task finishes itself. The expected values were
 // generated with the code before pool tasks finished any mover, when
 // FinishBlocks finished every mover serially, and re-pinned when J left
-// the serialized state (format v5, EXPERIMENTS S69); each deck has one
-// value for every worker count and kernel.
+// the serialized state (format v5, EXPERIMENTS S69) and when the ghost
+// planes did (format v6, S71); each deck has one value for every worker
+// count and kernel.
 func TestMoverOrderPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -45,8 +46,8 @@ func TestMoverOrderPinned(t *testing.T) {
 		workers []int
 		crc     uint32
 	}{
-		{"lpi-reflux", refluxLPIDeck, 20, []int{1, 2, 8}, 0x1ce15101},
-		{"thermal-hot-absorb", hotAbsorbDeck, 20, []int{1, 3}, 0x91b79ec8},
+		{"lpi-reflux", refluxLPIDeck, 20, []int{1, 2, 8}, 0xcdcfd040},
+		{"thermal-hot-absorb", hotAbsorbDeck, 20, []int{1, 3}, 0x2b45505c},
 	} {
 		for _, w := range tc.workers {
 			for _, kernel := range []string{push.KernelAuto, push.KernelGo} {

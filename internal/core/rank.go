@@ -363,24 +363,30 @@ func (rk *Rank) initDecomposed(cfg *Config) {
 	if cfg.NeutralizingBackground {
 		rk.rho0 = make([]float32, rk.D.G.NV())
 		rk.depositAllRho(rk.rho0)
-		// Fold boundary-plane aliases exactly like the per-step ρ, or
-		// the background would be short by the ghost contributions.
-		rk.D.F.FoldNodeScalar(rk.rho0)
-		rk.D.ExchangeNodeScalar(rk.rho0)
-		negate(rk.rho0)
+		for i, v := range rk.rho0 {
+			rk.rho0[i] = -v
+		}
 	}
-	// Prime ghost planes and interpolators.
-	rk.D.F.UpdateGhostE()
-	rk.D.F.UpdateGhostB()
-	rk.D.ExchangeGhostE()
-	rk.D.ExchangeGhostB()
-	rk.IP.LoadPar(nil, rk.D.F)
+	rk.primeGhosts()
 }
 
-func negate(a []float32) {
-	for i := range a {
-		a[i] = -a[i]
+// primeGhosts derives every ghost plane of the rank's state from its
+// interior cells and Mur's planes (murRows) — a collective, after the
+// state is built, moved or read: zero for the background's (nothing
+// reads them), the local boundary passes and the remote exchanges for
+// E's and B's; then the interpolators.
+func (rk *Rank) primeGhosts() {
+	d := rk.D
+	for v := range rk.rho0 {
+		if !d.G.Interior(v) {
+			rk.rho0[v] = 0
+		}
 	}
+	d.F.UpdateGhostE()
+	d.F.UpdateGhostB()
+	d.ExchangeGhostE()
+	d.ExchangeGhostB()
+	rk.IP.LoadPar(nil, d.F)
 }
 
 // Background returns the rank's static neutralizing charge density, or

@@ -155,20 +155,9 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	rk.adoptDomain(cfg, dNew)
 	rk.rho0 = rho0New
 
-	// 5. Collective ghost re-prime: E/B boundary and ghost planes (local
-	// wraps, then remote exchange), the background's ghost aliases and
-	// the interpolators. J is not carried: the next step clears and
-	// re-deposits it before any read.
-	f := dNew.F
-	f.UpdateGhostE()
-	f.UpdateGhostB()
-	dNew.ExchangeGhostE()
-	dNew.ExchangeGhostB()
-	if rk.rho0 != nil {
-		f.FillNodeGhost(rk.rho0)
-		dNew.ExchangeScalarGhost(rk.rho0)
-	}
-	rk.IP.LoadPar(nil, f)
+	// 5. Collective ghost re-prime (primeGhosts). J is not carried: the
+	// next step clears and re-deposits it before any read.
+	rk.primeGhosts()
 }
 
 // adoptDomain moves this rank onto d, a tile of the same world on

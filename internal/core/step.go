@@ -206,8 +206,6 @@ func (rk *Rank) clean(cfg *Config) {
 	// Assemble the target charge density.
 	clear(rk.rho)
 	rk.depositAllRho(rk.rho)
-	f.FoldNodeScalar(rk.rho)
-	d.ExchangeNodeScalar(rk.rho)
 	if rk.rho0 != nil {
 		for i, v := range rk.rho0 {
 			rk.rho[i] += v
@@ -233,9 +231,12 @@ func (rk *Rank) clean(cfg *Config) {
 	}
 }
 
-// depositAllRho adds every species' charge density into dst.
+// depositAllRho adds every species' charge density into dst, folded
+// onto the owning nodes 1..N locally and across remote faces (collective).
 func (rk *Rank) depositAllRho(dst []float32) {
 	for _, sp := range rk.Species {
 		push.DepositRho(rk.D.G, sp.Buf, sp.Q, dst)
 	}
+	rk.D.F.FoldNodeScalar(dst)
+	rk.D.ExchangeNodeScalar(dst)
 }

@@ -17,8 +17,9 @@
 // that unpack: exchanges are sequential on each rank, a ghost or
 // particle exchange receives from every peer it sends to, and every
 // fold (one-way) is followed by a two-way ghost exchange before its
-// plan is used again — ρ's by its own, J's by the step's ghost B (J is
-// never mirrored back). Over TCP, Send encodes into a fresh frame
+// plan is used again — J's by the step's ghost B, ρ's by the clean's
+// error-scalar exchange or the ghost prime's E (neither is mirrored
+// back). Over TCP, Send encodes into a fresh frame
 // before it returns, so there a slot is free at once. The settle sweeps
 // use the particle plans too: each sweep is followed by the settle
 // check's collective, which returns only after every peer has unpacked.
@@ -236,12 +237,11 @@ func (d *Domain) ExchangeJ() {
 	d.foldUp(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz})
 }
 
-// ExchangeNodeScalar reduces and refreshes a node-centered scalar
-// (charge density) across remote faces.
+// ExchangeNodeScalar folds a node-centered scalar (charge density) onto
+// its owners across remote faces, plane N+1 into the high neighbor's
+// plane 1, and mirrors nothing back: div E − ρ reads nodes 1..N.
 func (d *Domain) ExchangeNodeScalar(a []float32) {
-	arrs := [][]float32{a}
-	d.foldUp(&d.foldS, arrs)
-	d.exchangeGhost(&d.ghostS, arrs)
+	d.foldUp(&d.foldS, [][]float32{a})
 }
 
 // ExchangeScalarGhost refreshes a scalar's remote ghost planes without

@@ -297,10 +297,7 @@ var exchangeStages = []exchangeStage{
 		func(r *oracleRank) { f := r.d.F; r.d.blockingFoldUp([][]float32{f.Jx, f.Jy, f.Jz}, tagFoldJ) }},
 	{"ExchangeNodeScalar",
 		func(r *oracleRank) { r.d.ExchangeNodeScalar(r.rhoS) },
-		func(r *oracleRank) {
-			r.d.blockingFoldUp([][]float32{r.rhoS}, tagFoldS)
-			r.d.blockingExchangeGhost([][]float32{r.rhoS}, tagGhostS)
-		}},
+		func(r *oracleRank) { r.d.blockingFoldUp([][]float32{r.rhoS}, tagFoldS) }},
 	{"ExchangeScalarGhost",
 		func(r *oracleRank) { r.d.ExchangeScalarGhost(r.errS) },
 		func(r *oracleRank) { r.d.blockingExchangeGhost([][]float32{r.errS}, tagGhostS) }},

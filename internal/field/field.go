@@ -139,10 +139,6 @@ func (f *Fields) ClearJ() {
 	clear(f.Jz)
 }
 
-// eArrays and bArrays enumerate components for generic plane operations.
-func (f *Fields) eArrays() [3][]float32 { return [3][]float32{f.Ex, f.Ey, f.Ez} }
-func (f *Fields) bArrays() [3][]float32 { return [3][]float32{f.Bx, f.By, f.Bz} }
-
 // copyPlane copies the source plane (axis index src) onto the
 // destination plane (axis index dst) for every array in arrs, row by
 // row (grid.Plane).
@@ -188,41 +184,48 @@ func (f *Fields) addPlane(arrs [][]float32, axis, dst, src int) {
 }
 
 // UpdateGhostE refreshes the boundary-owned (index N+1) and ghost
-// (index 0) electric-field planes on locally owned faces. Remote faces
-// are left for the domain exchange.
+// (index 0) electric-field planes on locally owned faces (localGhosts);
+// on a conductor it zeroes tangential E on the face. Remote faces are
+// left for the domain exchange.
 func (f *Fields) UpdateGhostE() {
-	e := f.eArrays()
-	arrs := [][]float32{e[0], e[1], e[2]}
+	arrs := [][]float32{f.Ex, f.Ey, f.Ez}
 	for axis := 0; axis < 3; axis++ {
-		if f.bc[2*axis] == Periodic {
-			n := axisN(f.G, axis)
-			f.copyPlane(arrs, axis, n+1, 1) // high boundary node ≡ low boundary node
-			f.copyPlane(arrs, axis, 0, n)   // low ghost
-			continue
+		if f.localGhosts(arrs, axis, arrs[axis:axis+1]) {
+			f.applyEBoundary(Face(2*axis), axis)
+			f.applyEBoundary(Face(2*axis+1), axis)
 		}
-		f.applyEBoundary(Face(2*axis), axis)
-		f.applyEBoundary(Face(2*axis+1), axis)
 	}
 }
 
-// UpdateGhostB refreshes the locally owned ghost magnetic-field planes.
+// UpdateGhostB refreshes the locally owned ghost B planes (localGhosts).
 func (f *Fields) UpdateGhostB() {
-	b := f.bArrays()
-	arrs := [][]float32{b[0], b[1], b[2]}
+	arrs := [][]float32{f.Bx, f.By, f.Bz}
 	for axis := 0; axis < 3; axis++ {
-		if f.bc[2*axis] == Periodic {
-			n := axisN(f.G, axis)
-			f.copyPlane(arrs, axis, n+1, 1)
-			f.copyPlane(arrs, axis, 0, n)
-			continue
-		}
-		// Non-periodic local faces: the ghost planes are never read with
-		// a physical meaning (the E boundary overwrite masks them), but
-		// keep the low ghost zero so diagnostics never see stale values.
-		if f.bc[2*axis] != Remote {
-			f.zeroPlane(arrs, axis, 0)
-		}
+		f.localGhosts(arrs, axis, arrs)
 	}
+}
+
+// localGhosts writes arrs' ghost planes normal to axis on local faces,
+// and reports whether the axis has a wall: periodic copies, or zero
+// beyond a wall — all of arrs on plane 0, hi on plane N+1 (E's normal
+// component: the face's BC owns tangential E there; a conductor zeroes
+// it, Mur writes it after the advance). The normal components beyond a
+// wall are read (E's on plane 0 by div E, B's on plane N+1 by the
+// interpolators), so a wall writes every ghost plane.
+func (f *Fields) localGhosts(arrs [][]float32, axis int, hi [][]float32) bool {
+	n := axisN(f.G, axis)
+	if f.bc[2*axis] == Periodic {
+		f.copyPlane(arrs, axis, n+1, 1) // high boundary node ≡ low boundary node
+		f.copyPlane(arrs, axis, 0, n)   // low ghost
+		return false
+	}
+	if f.bc[2*axis] != Remote {
+		f.zeroPlane(arrs, axis, 0)
+	}
+	if f.bc[2*axis+1] != Remote {
+		f.zeroPlane(hi, axis, n+1)
+	}
+	return true
 }
 
 // FoldGhostJ folds periodic ghost-plane currents (deposited at index
@@ -239,18 +242,15 @@ func (f *Fields) FoldGhostJ() {
 }
 
 // FoldNodeScalar folds a node-centered scalar's periodic boundary
-// planes (deposition writes both node 1 and its alias N+1; the two must
-// be summed and mirrored so either index reads the full value). Used for
-// charge density. Remote faces are the exchange layer's job.
+// planes: deposition writes both node 1 and its alias N+1, and the alias
+// is summed onto node 1 and left zero (div E − ρ reads nodes 1..N).
+// Remote faces are the exchange layer's job.
 func (f *Fields) FoldNodeScalar(a []float32) {
 	arrs := [][]float32{a}
 	for axis := 0; axis < 3; axis++ {
-		if f.bc[2*axis] != Periodic {
-			continue
+		if f.bc[2*axis] == Periodic {
+			f.addPlane(arrs, axis, 1, axisN(f.G, axis)+1)
 		}
-		n := axisN(f.G, axis)
-		f.addPlane(arrs, axis, 1, n+1)
-		f.copyPlane(arrs, axis, n+1, 1)
 	}
 }
 

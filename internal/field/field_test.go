@@ -381,7 +381,9 @@ func allArrays(f *Fields) [][]float32 {
 // other two axes are Remote too, so only the opposite face is local. The
 // arrays must come out as the per-element oracle leaves them: the wall's
 // planes get what the routine does to a wall, everything else is as it
-// was.
+// was. The _nan rows start the wall's ghost plane as NaN in every array,
+// so the updates must write all of it but Mur's tangential E: a ghost
+// prime leaves no stale value beyond a wall.
 func TestRemoteFaceSkipsLocalBC(t *testing.T) {
 	g := grid.MustNew(4, 3, 5, 1, 1, 1)
 	// Each wall oracle edits want (E, B, J, then the scalar) as the
@@ -393,21 +395,27 @@ func TestRemoteFaceSkipsLocalBC(t *testing.T) {
 	}{
 		{"UpdateGhostE", func(f *Fields, _ []float32) { f.UpdateGhostE() },
 			func(want [][]float32, face Face, bc BC) {
+				axis := face.Axis()
+				ghost, comps := wallGhost(g, face), []int{0, 1, 2}
+				if face.High() {
+					comps = []int{axis} // the BC owns tangential E there
+				}
+				for _, c := range comps {
+					forEachInPlane(g, axis, ghost, ghost, func(di, _ int) { want[c][di] = 0 })
+				}
 				if bc != Conductor {
 					return // Mur runs after the advance, not here
 				}
 				b, _ := planeIndices(g, face)
-				axis := face.Axis()
 				for _, c := range []int{(axis + 1) % 3, (axis + 2) % 3} {
 					forEachInPlane(g, axis, b, b, func(di, _ int) { want[c][di] = 0 })
 				}
 			}},
 		{"UpdateGhostB", func(f *Fields, _ []float32) { f.UpdateGhostB() },
 			func(want [][]float32, face Face, _ BC) {
-				if !face.High() {
-					for c := 3; c < 6; c++ {
-						forEachInPlane(g, face.Axis(), 0, 0, func(di, _ int) { want[c][di] = 0 })
-					}
+				ghost := wallGhost(g, face)
+				for c := 3; c < 6; c++ {
+					forEachInPlane(g, face.Axis(), ghost, ghost, func(di, _ int) { want[c][di] = 0 })
 				}
 			}},
 		{"FoldGhostJ", func(f *Fields, _ []float32) { f.FoldGhostJ() }, func([][]float32, Face, BC) {}},
@@ -429,8 +437,15 @@ func TestRemoteFaceSkipsLocalBC(t *testing.T) {
 			rt.wall = fill
 		}
 		for face := Face(0); face < NumFaces; face++ {
-			for _, opp := range []BC{Conductor, Absorbing, Remote} {
+			for _, row := range []struct {
+				opp BC
+				nan bool
+			}{{Conductor, false}, {Absorbing, false}, {Remote, false}, {Conductor, true}, {Absorbing, true}} {
+				opp, nan := row.opp, row.nan
 				name := fmt.Sprintf("%s/%s_remote_opposite_%v", rt.name, faceNames[face], opp)
+				if nan {
+					name += "_nan"
+				}
 				t.Run(name, func(t *testing.T) {
 					bc := remoteAll
 					bc[face^1] = opp
@@ -441,6 +456,9 @@ func TestRemoteFaceSkipsLocalBC(t *testing.T) {
 					for i, a := range got {
 						for v := range a {
 							a[v] = float32(r.Uniform(-1, 1))
+						}
+						if ghost := wallGhost(g, face^1); nan {
+							forEachInPlane(g, face.Axis(), ghost, ghost, func(di, _ int) { a[di] = float32(math.NaN()) })
 						}
 						want[i] = append([]float32(nil), a...)
 					}
@@ -460,4 +478,13 @@ func TestRemoteFaceSkipsLocalBC(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wallGhost returns the ghost plane beyond a wall on face: 0 beyond a
+// low face, N+1 beyond a high one.
+func wallGhost(g *grid.Grid, face Face) int {
+	if face.High() {
+		return axisN(g, face.Axis()) + 1
+	}
+	return 0
 }

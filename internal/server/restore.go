@@ -13,7 +13,7 @@ import (
 // form carries:
 //
 //	spec       — JSON deck.JSONConfig (including steps)
-//	checkpoint — optional binary checkpoint (format v5, CRC-trailed,
+//	checkpoint — optional binary checkpoint (format v6, CRC-trailed,
 //	             energy history included)
 //
 // admit spools the checkpoint before the job becomes visible to a

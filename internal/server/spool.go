@@ -20,7 +20,7 @@ import (
 // never a torn one.
 //
 //	<dir>/job-000001/job.json      — spec + state (rewritten on transitions)
-//	<dir>/job-000001/state.ckpt    — latest checkpoint (v5, CRC-trailed)
+//	<dir>/job-000001/state.ckpt    — latest checkpoint (v6, CRC-trailed)
 //	<dir>/job-000001/result.json   — final Result (completed jobs only)
 type spool struct {
 	dir string

@@ -116,9 +116,10 @@ func TestOldSpoolRecovers(t *testing.T) {
 }
 
 // TestV4CheckpointRestartsFromStepZero: a running job spooled with a
-// format-v4 checkpoint (J arrays in every payload) is refused by name
-// on recovery — dist.ErrRestore — and the job restarts from step 0,
-// ending on the uninterrupted run's state CRCs with its whole history.
+// format-v4 checkpoint (J arrays in every payload) or a format-v5 one
+// (every ghost plane) is refused by name on recovery — dist.ErrRestore
+// — and the job restarts from step 0, ending on the uninterrupted run's
+// state CRCs with its whole history.
 func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 	spec := smallThermal(20)
 	d, err := spec.Build()
@@ -136,44 +137,50 @@ func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 	if err := sim.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The same bytes under the v4 magic, CRC trailer redone: only the
-	// version tells it apart.
-	v4 := append([]byte("GOVPIC-CKPT-4\n"), buf.Bytes()[len("GOVPIC-CKPT-5\n"):]...)
-	binary.LittleEndian.PutUint32(v4[len(v4)-4:], crc32.ChecksumIEEE(v4[:len(v4)-4]))
 	sim.Run(10)
 	var want []string
 	for _, c := range sim.StateCRCs() {
 		want = append(want, fmt.Sprintf("%08x", c))
 	}
 
-	dir := t.TempDir()
-	job := Job{
-		ID: "job-000003", Spec: spec, State: StateRunning, Submitted: time.Now(),
-		Progress: Progress{Step: 10, Steps: 20}, CheckpointStep: 10,
-	}
-	rec, _ := json.Marshal(job)
-	if err := os.MkdirAll(filepath.Join(dir, job.ID), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range map[string][]byte{"job.json": rec, "state.ckpt": v4} {
-		if err := os.WriteFile(filepath.Join(dir, job.ID, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lc := &logCollector{}
-	srv, ts := startServer(t, dir, Config{Logf: lc.logf})
-	defer ts.Close()
-	defer srv.Close()
-	waitState(t, ts, job.ID, StateCompleted)
-	if !lc.contains(job.ID+" checkpoint unusable") || !lc.contains(`unsupported checkpoint version "GOVPIC-CKPT-4"`) ||
-		!lc.contains("restarting from step 0") {
-		t.Fatalf("v4 checkpoint was not refused by name; log: %v", lc.lines)
-	}
-	res := getResult(t, ts, job.ID)
-	if got := strings.Join(want, " "); res.StateCRC != got {
-		t.Errorf("state_crc %q, want the uninterrupted run's %q", res.StateCRC, got)
-	}
-	if h := res.History; len(h) == 0 || h[0].Step != 0 || h[len(h)-1].Step != 20 {
-		t.Errorf("history %+v, want samples from step 0 to 20", h)
+	for _, version := range []string{"4", "5"} {
+		t.Run("v"+version, func(t *testing.T) {
+			// The same bytes under the old magic, CRC trailer redone: only
+			// the version tells it apart.
+			magic := "GOVPIC-CKPT-" + version
+			old := append([]byte(magic+"\n"), buf.Bytes()[len(magic)+1:]...)
+			binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+
+			dir := t.TempDir()
+			job := Job{
+				ID: "job-000003", Spec: spec, State: StateRunning, Submitted: time.Now(),
+				Progress: Progress{Step: 10, Steps: 20}, CheckpointStep: 10,
+			}
+			rec, _ := json.Marshal(job)
+			if err := os.MkdirAll(filepath.Join(dir, job.ID), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, b := range map[string][]byte{"job.json": rec, "state.ckpt": old} {
+				if err := os.WriteFile(filepath.Join(dir, job.ID, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lc := &logCollector{}
+			srv, ts := startServer(t, dir, Config{Logf: lc.logf})
+			defer ts.Close()
+			defer srv.Close()
+			waitState(t, ts, job.ID, StateCompleted)
+			if !lc.contains(job.ID+" checkpoint unusable") || !lc.contains(`unsupported checkpoint version "`+magic+`"`) ||
+				!lc.contains("restarting from step 0") {
+				t.Fatalf("v%s checkpoint was not refused by name; log: %v", version, lc.lines)
+			}
+			res := getResult(t, ts, job.ID)
+			if got := strings.Join(want, " "); res.StateCRC != got {
+				t.Errorf("state_crc %q, want the uninterrupted run's %q", res.StateCRC, got)
+			}
+			if h := res.History; len(h) == 0 || h[0].Step != 0 || h[len(h)-1].Step != 20 {
+				t.Errorf("history %+v, want samples from step 0 to 20", h)
+			}
+		})
 	}
 }
