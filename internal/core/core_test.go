@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"govpic/internal/balance"
 	"govpic/internal/diag"
 	"govpic/internal/field"
 	"govpic/internal/laser"
@@ -65,6 +66,17 @@ func TestConfigValidation(t *testing.T) {
 	bad.FieldBC[field.YLo], bad.FieldBC[field.YHi] = field.Remote, field.Remote
 	if bad.Validate() == nil {
 		t.Error("accepted a Remote field BC")
+	}
+	// reshapeX carries interior x-planes only, so Mur's plane N+1 would
+	// not survive a reshape: balancing needs a fully periodic deck.
+	bad = good
+	bad.FieldBC[field.XLo], bad.FieldBC[field.XHi] = field.Absorbing, field.Absorbing
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("refused an absorbing-x deck: %v", err)
+	}
+	bad.Balance.Mode = balance.Online
+	if bad.Validate() == nil {
+		t.Error("accepted balancing on an absorbing-x deck")
 	}
 }
 

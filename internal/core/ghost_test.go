@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"govpic/internal/balance"
+	"govpic/internal/domain"
 	"govpic/internal/field"
 	"govpic/internal/laser"
 	"govpic/internal/loader"
@@ -78,14 +79,43 @@ func (rk *Rank) ghostArrays() [][]float32 {
 	return arrs
 }
 
-// TestGhostsAreDerived: ghost planes are derived data. After every step,
-// one world has NaN written into every ghost voxel of E, B and the
-// background except Mur's section, and runs the ghost prime
-// (primeGhosts); it must leave no ghost voxel NaN, and the world must
-// step on to the untouched world's StateCRCs and CanonicalDigest. Rows
-// cover periodic, conductor, Mur and mixed faces on 1, 2 and 2×2×2
-// ranks over five cleans; the periodic multi-rank worlds move their
-// x-cuts once (the balancer runs on periodic decks only).
+// poisonUnread writes NaN into every remote-face ghost plane of E and B
+// except E's high side (plane N+1): the step fills each side before its
+// reader, and E's plane N+1 is the one plane read across the step
+// boundary, by the next step's first B half.
+func poisonUnread(rk *Rank) {
+	d, f := rk.D, rk.D.F
+	nan := float32(math.NaN())
+	for face := field.Face(0); face < field.NumFaces; face++ {
+		if !d.Remote(face) {
+			continue
+		}
+		arrs, idx := [][]float32{f.Bx, f.By, f.Bz, f.Ex, f.Ey, f.Ez}, 0
+		if face.High() {
+			arrs, idx = arrs[:3], [3]int{d.G.NX, d.G.NY, d.G.NZ}[face.Axis()]+1
+		}
+		first, run, stride, n := d.G.Plane(face.Axis(), idx)
+		for _, a := range arrs {
+			for k := first; k < first+n*stride; k += stride {
+				for r := range run {
+					a[k+r] = nan
+				}
+			}
+		}
+	}
+}
+
+// TestGhostsAreDerived: ghost planes are derived data, and the step
+// fills each one before its reader. After every step, one world is
+// poisoned and must step on to the untouched world's StateCRCs and
+// CanonicalDigest, in two modes. "prime": NaN in every ghost voxel of
+// E, B and the background except Mur's section, then the ghost prime
+// (primeGhosts), which must leave no ghost voxel NaN. "unfilled": NaN
+// in every remote-face ghost plane the step does not carry across its
+// boundary (poisonUnread), and no prime. Rows cover periodic, conductor,
+// Mur and mixed faces on 1, 2 and 2×2×2 ranks over five cleans; the
+// periodic multi-rank worlds move their x-cuts once (the balancer runs
+// on periodic decks only).
 func TestGhostsAreDerived(t *testing.T) {
 	const (
 		P = field.Periodic
@@ -104,47 +134,131 @@ func TestGhostsAreDerived(t *testing.T) {
 	for _, fc := range faces {
 		for _, ranks := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/%d", fc.name, ranks), func(t *testing.T) {
-				cfg := wallBox(fc.bc, ranks)
-				reshape := fc.name == "periodic" && ranks > 1
-				if reshape && ranks == 2 {
-					cfg.Balance.Mode = balance.Online // x-slabs, so the x-cuts can move
-				}
-				clean, poisoned := mustNew(t, cfg), mustNew(t, cfg)
-				if dec := clean.sims[0].Rank.D.Cfg.Layout.Dec; ranks == 8 && (dec.PX != 2 || dec.PY != 2 || dec.PZ != 2) {
-					t.Fatalf("8 ranks decompose as %dx%dx%d, want 2x2x2", dec.PX, dec.PY, dec.PZ)
-				}
-				for step := 1; step <= 16; step++ {
-					for _, s := range []*Simulation{clean, poisoned} {
-						s.Step()
-						if reshape && step == 7 {
-							s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 3, 8}) })
-						}
-					}
-					poisoned.each(func(rs *RankSim) {
-						poisonGhosts(rs.Rank)
-						rs.Rank.primeGhosts()
-					})
-					for r, rk := range poisoned.Ranks {
-						for i, a := range rk.ghostArrays() {
-							for v, x := range a {
-								if math.IsNaN(float64(x)) {
-									ix, iy, iz := rk.D.G.Unvoxel(v)
-									t.Fatalf("step %d: rank %d array %d voxel (%d,%d,%d) is NaN after the prime", step, r, i, ix, iy, iz)
-								}
-							}
-						}
-					}
-				}
-				if got, want := poisoned.StateCRCs(), clean.StateCRCs(); !equalCRCs(got, want) {
-					t.Errorf("state CRCs %08x, want the untouched world's %08x", got, want)
-				}
-				if got, want := poisoned.CanonicalDigest(), clean.CanonicalDigest(); got != want {
-					t.Errorf("digest %016x, want the untouched world's %016x", got, want)
-				}
-				if reshape && !slices.Equal(poisoned.CutsX(), []int{0, 3, 8}) {
-					t.Errorf("x-cuts %v, want [0 3 8]", poisoned.CutsX())
+				for _, mode := range []string{"prime", "unfilled"} {
+					t.Run(mode, func(t *testing.T) { checkGhostsDerived(t, fc.bc, ranks, fc.name == "periodic", mode == "prime") })
 				}
 			})
 		}
+	}
+}
+
+// checkGhostsDerived runs one TestGhostsAreDerived row in one mode.
+func checkGhostsDerived(t *testing.T, bc [field.NumFaces]field.BC, ranks int, periodic, prime bool) {
+	cfg := wallBox(bc, ranks)
+	reshape := periodic && ranks > 1
+	if reshape && ranks == 2 {
+		cfg.Balance.Mode = balance.Online // x-slabs, so the x-cuts can move
+	}
+	clean, poisoned := mustNew(t, cfg), mustNew(t, cfg)
+	if dec := clean.sims[0].Rank.D.Cfg.Layout.Dec; ranks == 8 && (dec.PX != 2 || dec.PY != 2 || dec.PZ != 2) {
+		t.Fatalf("8 ranks decompose as %dx%dx%d, want 2x2x2", dec.PX, dec.PY, dec.PZ)
+	}
+	for step := 1; step <= 16; step++ {
+		for _, s := range []*Simulation{clean, poisoned} {
+			s.Step()
+			if reshape && step == 7 {
+				s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, []int{0, 3, 8}) })
+			}
+		}
+		if !prime {
+			poisoned.each(func(rs *RankSim) { poisonUnread(rs.Rank) })
+			continue
+		}
+		poisoned.each(func(rs *RankSim) {
+			poisonGhosts(rs.Rank)
+			rs.Rank.primeGhosts()
+		})
+		for r, rk := range poisoned.Ranks {
+			for i, a := range rk.ghostArrays() {
+				for v, x := range a {
+					if math.IsNaN(float64(x)) {
+						ix, iy, iz := rk.D.G.Unvoxel(v)
+						t.Fatalf("step %d: rank %d array %d voxel (%d,%d,%d) is NaN after the prime", step, r, i, ix, iy, iz)
+					}
+				}
+			}
+		}
+	}
+	if got, want := poisoned.StateCRCs(), clean.StateCRCs(); !equalCRCs(got, want) {
+		t.Errorf("state CRCs %08x, want the untouched world's %08x", got, want)
+	}
+	if got, want := poisoned.CanonicalDigest(), clean.CanonicalDigest(); got != want {
+		t.Errorf("digest %016x, want the untouched world's %016x", got, want)
+	}
+	if reshape && !slices.Equal(poisoned.CutsX(), []int{0, 3, 8}) {
+		t.Errorf("x-cuts %v, want [0 3 8]", poisoned.CutsX())
+	}
+}
+
+// TestStepMessages counts a step's grid messages per class from the
+// rank's remote faces (lo low, hi high): a steady step sends J's fold
+// and B's low fill through the high faces, and E's and B's high fills
+// through the low faces, so foldJ = hi, ghostB = lo + hi and ghostE =
+// lo. A clean step adds exactly what its passes send: ρ's fold and E's
+// low fill through the high faces, then per pass one two-sided fill of
+// the error scalar and one of the field it cleans.
+func TestStepMessages(t *testing.T) {
+	const (
+		P = field.Periodic
+		C = field.Conductor
+	)
+	periodic := [field.NumFaces]field.BC{P, P, P, P, P, P}
+	for _, w := range []struct {
+		name  string
+		bc    [field.NumFaces]field.BC
+		ranks int
+	}{
+		{"1 rank", periodic, 1},
+		{"2 ranks periodic x", periodic, 2},
+		{"2 ranks x walls", [field.NumFaces]field.BC{C, C, P, P, P, P}, 2},
+		{"2x2x2", periodic, 8},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			cfg := wallBox(w.bc, w.ranks) // cleans on step 3
+			if w.ranks == 2 {
+				cfg.NX = 16 // the longest axis splits
+			}
+			s := mustNew(t, cfg)
+			if dec := s.sims[0].Rank.D.Cfg.Layout.Dec; w.ranks == 2 && dec.PX != 2 {
+				t.Fatalf("2 ranks decompose as %dx%dx%d, want x slabs", dec.PX, dec.PY, dec.PZ)
+			}
+			passes := int64(s.sims[0].Cfg.CleanPasses)
+			for step := 0; step <= 3; step++ {
+				before := make([][domain.NumCommClasses]int64, len(s.Ranks))
+				for r, rk := range s.Ranks {
+					before[r] = rk.D.ClassMsgs
+				}
+				s.Step()
+				for r, rk := range s.Ranks {
+					var lo, hi int64
+					for f := field.Face(0); f < field.NumFaces; f++ {
+						if rk.D.Remote(f) && f.High() {
+							hi++
+						} else if rk.D.Remote(f) {
+							lo++
+						}
+					}
+					if w.ranks == 1 && lo+hi != 0 {
+						t.Fatalf("1 rank has %d remote faces", lo+hi)
+					}
+					var want [domain.NumCommClasses]int64
+					want[domain.ClassFoldJ], want[domain.ClassGhostB], want[domain.ClassGhostE] = hi, lo+hi, lo
+					if step == 3 {
+						want[domain.ClassFoldScalar] += hi
+						want[domain.ClassGhostE] += hi + passes*(lo+hi)
+						want[domain.ClassGhostB] += passes * (lo + hi)
+						want[domain.ClassGhostScalar] += 2 * passes * (lo + hi)
+					}
+					for c := domain.CommClass(0); c < domain.NumCommClasses; c++ {
+						if c == domain.ClassParticles {
+							continue // settle sweeps vary with the migrants
+						}
+						if got := rk.D.ClassMsgs[c] - before[r][c]; got != want[c] {
+							t.Errorf("step %d, rank %d: %d %s messages, want %d", step, r, got, c, want[c])
+						}
+					}
+				}
+			}
+		})
 	}
 }

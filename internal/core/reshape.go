@@ -70,7 +70,10 @@ func (rk *Rank) addPlaneCountsX(counts []float64) {
 // receiving any, and receives from peers in rank order, so the in-order
 // links need no sequence scheme. Every rank must call reshapeX with the
 // same newCX concurrently — the ghost re-prime at the end is collective
-// even for ranks whose extent did not change.
+// even for ranks whose extent did not change. The slabs carry interior
+// x-planes only, so an x-high Mur wall's plane N+1, which is state, would
+// come back zero: that is why Config.Validate refuses balancing on a
+// deck that is not fully periodic.
 func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	dOld := rk.D
 	gOld := dOld.G

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"govpic/internal/accum"
+	"govpic/internal/domain"
 	"govpic/internal/particle"
 	"govpic/internal/perf"
 	"govpic/internal/pipe"
@@ -76,11 +77,12 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	rk.switchPar(perf.Comm, perf.Field)
 
 	// Reduce currents onto the mesh (plus the antenna drive), then the
-	// field advance — B half, E full, B half — each part followed by its
-	// exchanges. J is per-step scratch: FoldGhostJ and ExchangeJ fold
-	// every deposit onto its owner and mirror nothing back, as the E
-	// advance reads J on planes 1..N only. ExchangeJ touches only J, so
-	// it rides with the first half's ghost B.
+	// field advance — B half, E full, B half — each part followed by the
+	// ghost side its next reader reads (the Yee stencil): B's plane 0 for
+	// the E advance, E's N+1 for the B half, B's N+1 for the interpolators.
+	// J is per-step scratch: FoldGhostJ and ExchangeJ fold every deposit
+	// onto its owner and mirror nothing back, as the E advance reads J on
+	// planes 1..N only. ExchangeJ rides with B's fill.
 	f.ClearJ()
 	for _, a := range cfg.Lasers {
 		a.Inject(f, tNow, cfg.DT)
@@ -90,15 +92,15 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
 	rk.switchPar(perf.Field, perf.Comm)
 	d.ExchangeJ()
-	d.ExchangeGhostB()
+	d.FillGhostB(domain.Low)
 	rk.switchPar(perf.Comm, perf.Field)
 	f.AdvanceEPar(rk.pool, cfg.DT)
 	rk.switchPar(perf.Field, perf.Comm)
-	d.ExchangeGhostE()
+	d.FillGhostE(domain.High)
 	rk.switchPar(perf.Comm, perf.Field)
 	f.AdvanceBPar(rk.pool, cfg.DT, 0.5)
 	rk.switchPar(perf.Field, perf.Comm)
-	d.ExchangeGhostB()
+	d.FillGhostB(domain.High)
 	rk.switchPar(perf.Comm, perf.Field)
 
 	// Divergence cleaning.
@@ -199,10 +201,12 @@ func (rk *Rank) stopPar(s perf.Section) {
 	rk.Perf.AddParallel(s, busy, wall)
 }
 
-// clean runs the multi-rank-safe Marder passes.
+// clean runs the multi-rank-safe Marder passes, first filling E's low
+// ghost planes: div E reads them, and the step leaves them unfilled.
 func (rk *Rank) clean(cfg *Config) {
 	d := rk.D
 	f := d.F
+	d.FillGhostE(domain.Low)
 	// Assemble the target charge density.
 	clear(rk.rho)
 	rk.depositAllRho(rk.rho)

@@ -14,12 +14,12 @@
 // straight from the sender's slot, after the sender's Send has
 // returned. A slot is rewritten two uses later, and between those uses
 // the sender has received a message its peer posted after finishing
-// that unpack: exchanges are sequential on each rank, a ghost or
-// particle exchange receives from every peer it sends to, and every
-// fold (one-way) is followed by a two-way ghost exchange before its
-// plan is used again — J's by the step's ghost B, ρ's by the clean's
-// error-scalar exchange or the ghost prime's E (neither is mirrored
-// back). Over TCP, Send encodes into a fresh frame
+// that unpack: exchanges are sequential on each rank, and the use in
+// between is either two-way — a two-sided fill or a particle exchange
+// receives from every peer it sends to — or one-way (a fold or a
+// one-sided fill), which is always its face's first use in a step, so
+// the particle exchange that opens the step, receiving on every remote
+// face, lies between. Over TCP, Send encodes into a fresh frame
 // before it returns, so there a slot is free at once. The settle sweeps
 // use the particle plans too: each sweep is followed by the settle
 // check's collective, which returns only after every peer has unpacked.
@@ -130,11 +130,11 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.ghostE = d.newPlan(tagGhostE, 3, false)
-	d.ghostB = d.newPlan(tagGhostB, 3, false)
-	d.foldJ = d.newPlan(tagFoldJ, 3, true)
-	d.foldS = d.newPlan(tagFoldS, 1, true)
-	d.ghostS = d.newPlan(tagGhostS, 1, false)
+	d.ghostE = d.newPlan(tagGhostE, 3)
+	d.ghostB = d.newPlan(tagGhostB, 3)
+	d.foldJ = d.newPlan(tagFoldJ, 3)
+	d.foldS = d.newPlan(tagFoldS, 1)
+	d.ghostS = d.newPlan(tagGhostS, 1)
 	return d, nil
 }
 
@@ -168,65 +168,64 @@ func (d *Domain) ParticleActions() [6]push.Action {
 	return a
 }
 
-// exchangeGhost refreshes boundary/ghost planes of the given arrays on
-// every remote face through plan p. Per axis, both faces' sends go out
-// first and the receives run in a fixed order — lo-tagged first: when
-// both neighbors are the same rank (two ranks on a periodic axis) both
-// messages share one in-order link, and the sender sent lo before hi.
-// The axes stay sequential: a plane spans the full ghost-inclusive
-// extent of the other two axes, so corner values propagate through two
-// successive axis hops and the hops cannot be flattened.
-func (d *Domain) exchangeGhost(p *plan, arrs [][]float32) {
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
+// shift is every grid exchange's one body. Plane N+k of a tile and
+// plane k of its high neighbor are one global plane, and per axis a
+// shift carries it across the remote faces from one alias to the other:
+// up, the high faces send plane N+k and each rank writes (or, with add,
+// accumulates) what its low neighbor sent into plane k; down, the low
+// faces send plane k into the low neighbor's plane N+k. The axes stay
+// sequential: a plane spans the full ghost-inclusive extent of the
+// other two axes, so corner values propagate through successive hops.
+func (d *Domain) shift(p *plan, arrs [][]float32, up bool, k int, add bool) {
+	n := [3]int{d.G.NX, d.G.NY, d.G.NZ}
 	for axis := 0; axis < 3; axis++ {
-		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
-		// The interior planes neighbors need: plane 1 to the low side,
-		// plane N to the high side.
-		if d.remote[lo] {
-			d.post(p, lo, arrs, 1)
+		to, from := field.Face(2*axis+1), field.Face(2*axis)
+		src, dst := n[axis]+k, k
+		if !up {
+			to, from, src, dst = from, to, dst, src
 		}
-		if d.remote[hi] {
-			d.post(p, hi, arrs, n[axis])
+		if d.remote[to] {
+			d.post(p, to, arrs, src)
 		}
-		// Into boundary/ghost planes: the low neighbor sent its plane N
-		// tagged with its *hi* face id, and vice versa.
-		if d.remote[hi] {
-			d.applyPlane(p, hi, arrs, n[axis]+1, false)
-		}
-		if d.remote[lo] {
-			d.applyPlane(p, lo, arrs, 0, false)
+		if d.remote[from] {
+			// The peer sent through the face that faces this one.
+			data := d.Comm.Recv(d.nbr[from], p.tag+int(to))
+			unpackPlane(data.([]float32), d.G, arrs, axis, dst, add)
 		}
 	}
 }
 
-// ExchangeGhostE fills remote-face boundary planes of E (plane N+1 from
-// the high neighbor's plane 1; ghost plane 0 from the low neighbor's
-// plane N).
+// Side names the ghost side a one-sided fill writes.
+type Side int
+
+const (
+	Low  Side = iota // plane 0, shifted up from the low neighbor's plane N
+	High             // plane N+1, shifted down from the high neighbor's plane 1
+)
+
+// fill writes side s of arrs' remote ghost planes through plan p: a
+// shift with k = s (plane N → 0 up, 1 → N+1 down).
+func (d *Domain) fill(p *plan, arrs [][]float32, s Side) {
+	d.shift(p, arrs, s == Low, int(s), false)
+}
+
+// FillGhostE fills side s of E's remote ghost planes (a step fills only
+// the side its next reader reads).
+func (d *Domain) FillGhostE(s Side) { d.fill(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, s) }
+
+// FillGhostB fills side s of B's remote ghost planes.
+func (d *Domain) FillGhostB(s Side) { d.fill(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz}, s) }
+
+// ExchangeGhostE fills both sides of E's remote ghost planes, low first.
 func (d *Domain) ExchangeGhostE() {
-	d.exchangeGhost(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez})
+	d.FillGhostE(Low)
+	d.FillGhostE(High)
 }
 
-// ExchangeGhostB fills remote-face ghost planes of B.
+// ExchangeGhostB fills both sides of B's remote ghost planes, low first.
 func (d *Domain) ExchangeGhostB() {
-	d.exchangeGhost(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz})
-}
-
-// foldUp reduces deposition that landed on the shared high plane N+1
-// onto the owner (the high neighbor's plane 1), for every remote-hi
-// face, and symmetrically receives the low neighbor's contribution.
-func (d *Domain) foldUp(p *plan, arrs [][]float32) {
-	g := d.G
-	n := [3]int{g.NX, g.NY, g.NZ}
-	for axis := 0; axis < 3; axis++ {
-		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
-		if d.remote[hi] {
-			d.post(p, hi, arrs, n[axis]+1)
-		}
-		if d.remote[lo] {
-			d.applyPlane(p, lo, arrs, 1, true)
-		}
-	}
+	d.FillGhostB(Low)
+	d.FillGhostB(High)
 }
 
 // ExchangeJ folds the deposited current onto its owners across remote
@@ -234,29 +233,22 @@ func (d *Domain) foldUp(p *plan, arrs [][]float32) {
 // back: J's only reader, the E advance, reads planes 1..N, and the next
 // step clears J before depositing again.
 func (d *Domain) ExchangeJ() {
-	d.foldUp(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz})
+	d.shift(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz}, true, 1, true)
 }
 
 // ExchangeNodeScalar folds a node-centered scalar (charge density) onto
 // its owners across remote faces, plane N+1 into the high neighbor's
 // plane 1, and mirrors nothing back: div E − ρ reads nodes 1..N.
 func (d *Domain) ExchangeNodeScalar(a []float32) {
-	d.foldUp(&d.foldS, [][]float32{a})
+	d.shift(&d.foldS, [][]float32{a}, true, 1, true)
 }
 
-// ExchangeScalarGhost refreshes a scalar's remote ghost planes without
-// folding (for fields computable independently on each side, like the
-// Marder error scalar).
+// ExchangeScalarGhost fills both sides of a scalar's remote ghost planes
+// without folding (for fields computable independently on each side,
+// like the Marder error scalar).
 func (d *Domain) ExchangeScalarGhost(a []float32) {
-	d.exchangeGhost(&d.ghostS, [][]float32{a})
-}
-
-// applyPlane receives plan p's message on face f — the peer sent it
-// through the face that faces this one — and unpacks it into plane idx
-// normal to f's axis, overwriting (add=false) or accumulating (add=true).
-func (d *Domain) applyPlane(p *plan, f field.Face, arrs [][]float32, idx int, add bool) {
-	data := d.Comm.Recv(d.nbr[f], p.tag+int(f^1))
-	unpackPlane(data.([]float32), d.G, arrs, f.Axis(), idx, add)
+	d.fill(&d.ghostS, [][]float32{a}, Low)
+	d.fill(&d.ghostS, [][]float32{a}, High)
 }
 
 // packPlane writes the plane idx normal to axis of every array into buf
@@ -361,8 +353,8 @@ func (d *Domain) BeginParticleExchange(kernels []*push.Kernel, bufs []*particle.
 }
 
 // Complete finishes the migration: arrivals land in the fixed Begin
-// order, lo-tagged first per (axis, species) as in exchangeGhost, then
-// residual crossers (a migrant re-crossing on a later axis while
+// order, lo-tagged first per (axis, species) as each link carries them,
+// then residual crossers (a migrant re-crossing on a later axis while
 // landing) are settled with synchronous sweeps.
 func (x *ParticleExchange) Complete() {
 	d := x.d
@@ -512,7 +504,7 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 // serves every message.
 
 // SendRebalSlab sends local x-planes [lo, hi) of arrs (full
-// ghost-inclusive transverse extent, the exchangeGhost plane format) to
+// ghost-inclusive transverse extent, the shift's plane format) to
 // dst, then one batch per species of the particles resident in those
 // planes. The batches hold local voxels of this domain; they are
 // rewritten in place to the wire form, plane offset from lo times the

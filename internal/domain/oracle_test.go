@@ -85,7 +85,8 @@ func forPlane(g *grid.Grid, axis, idx int, fn func(v int)) {
 	}
 }
 
-// blockingExchangeGhost is exchangeGhost's oracle.
+// blockingExchangeGhost is the two-sided fills' oracle, in the per-axis
+// order that predates the shift: both sends, then both receives.
 func (d *Domain) blockingExchangeGhost(arrs [][]float32, tagBase int) {
 	n := [3]int{d.G.NX, d.G.NY, d.G.NZ}
 	for axis := 0; axis < 3; axis++ {
@@ -105,7 +106,31 @@ func (d *Domain) blockingExchangeGhost(arrs [][]float32, tagBase int) {
 	}
 }
 
-// blockingFoldUp is foldUp's oracle.
+// blockingFill is a one-sided fill's oracle: it writes side s's ghost
+// planes and leaves the other side as it was.
+func (d *Domain) blockingFill(arrs [][]float32, tagBase int, s Side) {
+	n := [3]int{d.G.NX, d.G.NY, d.G.NZ}
+	for axis := 0; axis < 3; axis++ {
+		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
+		if s == High {
+			if d.remote[lo] {
+				d.send(d.nbr[lo], tagBase+int(lo), arrs, axis, 1)
+			}
+			if d.remote[hi] {
+				d.recvInto(d.nbr[hi], tagBase+int(lo), arrs, axis, n[axis]+1)
+			}
+			continue
+		}
+		if d.remote[hi] {
+			d.send(d.nbr[hi], tagBase+int(hi), arrs, axis, n[axis])
+		}
+		if d.remote[lo] {
+			d.recvInto(d.nbr[lo], tagBase+int(hi), arrs, axis, 0)
+		}
+	}
+}
+
+// blockingFoldUp is the fold's oracle.
 func (d *Domain) blockingFoldUp(arrs [][]float32, tagBase int) {
 	n := [3]int{d.G.NX, d.G.NY, d.G.NZ}
 	for axis := 0; axis < 3; axis++ {
@@ -295,6 +320,16 @@ var exchangeStages = []exchangeStage{
 	{"ExchangeJ",
 		func(r *oracleRank) { r.d.ExchangeJ() },
 		func(r *oracleRank) { f := r.d.F; r.d.blockingFoldUp([][]float32{f.Jx, f.Jy, f.Jz}, tagFoldJ) }},
+	// The step's one-sided fills, in step order.
+	{"FillGhostB low",
+		func(r *oracleRank) { r.d.FillGhostB(Low) },
+		func(r *oracleRank) { f := r.d.F; r.d.blockingFill([][]float32{f.Bx, f.By, f.Bz}, tagGhostB, Low) }},
+	{"FillGhostE high",
+		func(r *oracleRank) { r.d.FillGhostE(High) },
+		func(r *oracleRank) { f := r.d.F; r.d.blockingFill([][]float32{f.Ex, f.Ey, f.Ez}, tagGhostE, High) }},
+	{"FillGhostB high",
+		func(r *oracleRank) { r.d.FillGhostB(High) },
+		func(r *oracleRank) { f := r.d.F; r.d.blockingFill([][]float32{f.Bx, f.By, f.Bz}, tagGhostB, High) }},
 	{"ExchangeNodeScalar",
 		func(r *oracleRank) { r.d.ExchangeNodeScalar(r.rhoS) },
 		func(r *oracleRank) { r.d.blockingFoldUp([][]float32{r.rhoS}, tagFoldS) }},
@@ -315,9 +350,12 @@ const oracleRounds = 3
 // world runs the stage list oracleRounds times, on fresh random inputs
 // each round, once through the posted bodies and once through the
 // oracles, and after every stage each rank's arrays, particles,
-// accumulator, Out lists and traffic counters must be identical. The
-// worlds cover both neighbors on one link (2 ranks periodic in x), a
-// ring whose low and high neighbors differ (3 ranks periodic in x),
+// accumulator, Out lists and traffic counters must be identical — so a
+// one-sided fill must also leave its other side as the oracle does,
+// untouched. The worlds cover both neighbors on one link (2 ranks
+// periodic in x), a ring whose low and high neighbors differ (3 ranks
+// periodic in x, where a one-way shift reuses a slot with no receive
+// from the peer it sent to),
 // corner crossers that need settle rounds (2×2×1 periodic) and walls (2
 // ranks with absorbing x walls).
 func TestExchangesMatchBlockingOracle(t *testing.T) {

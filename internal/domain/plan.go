@@ -13,8 +13,7 @@ type plan struct {
 	faces [field.NumFaces]planFace
 }
 
-// planFace is one face's share of a plan's sends. A ghost plan sends on
-// every remote face; a fold plan sends on the remote high faces only.
+// planFace is one remote face's share of a plan's sends.
 type planFace struct {
 	slot [2][]float32 // packed planes, used alternately
 	msg  [2]any       // slot i boxed once, so a send allocates nothing
@@ -23,12 +22,12 @@ type planFace struct {
 
 // newPlan builds the plan of the class whose messages carry width
 // arrays under tag. A face's send carries tag+face and its receive
-// tag+opposite face (applyPlane): the peer sent through the face that
+// tag+opposite face (shift): the peer sent through the face that
 // faces this one.
-func (d *Domain) newPlan(tag, width int, fold bool) plan {
+func (d *Domain) newPlan(tag, width int) plan {
 	p := plan{tag: tag}
 	for f := field.Face(0); f < field.NumFaces; f++ {
-		if !d.remote[f] || (fold && !f.High()) {
+		if !d.remote[f] {
 			continue
 		}
 		pf := &p.faces[f]

@@ -74,8 +74,10 @@ func (p Probe) TailKE(sp int, cut float64) (mean, weight float64) {
 // field averaged over the global x-node plane at x (diag.PoyntingSplit):
 // the ranks holding a share of the plane contribute its sums, and one
 // reduction of sums plus cell count averages them. All zero when x is
-// outside the box.
+// outside the box. B's ghosts are refreshed first: a plane on a tile's
+// first node reads B's plane 0, filled before the step's second B half.
 func (p Probe) PlaneFlux(x float64) (forward, backward, backField float64) {
+	p.Rank.D.ExchangeGhostB()
 	var sums [4]float64
 	if d := p.Rank.D; x >= d.G.X0 && x < d.G.X0+float64(d.G.NX)*d.G.DX {
 		fw, bw, back, n := diag.PoyntingSplit(d.F, 1+int((x-d.G.X0)/d.G.DX))

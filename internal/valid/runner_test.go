@@ -203,6 +203,24 @@ func TestProbeCollectives(t *testing.T) {
 			},
 		},
 		{
+			// The plane on rank 1's first node, whose B average reaches
+			// plane 0: it must read what rank 0 reads at its alias N+1.
+			name: "PlaneFlux at the cut", spec: lpi,
+			probe: func(p Probe, d deck.Deck) []float64 {
+				gx, _, _ := p.Rank.D.Cfg.Layout.Origin(1)
+				fw, bw, back := p.PlaneFlux(float64(gx) * p.Rank.D.G.DX)
+				return []float64{fw, bw, back}
+			},
+			local: func(p Probe, d deck.Deck) []float64 {
+				if p.Comm().Rank() != 0 {
+					return nil
+				}
+				fw, bw, back, n := diag.PoyntingSplit(p.Rank.D.F, p.Rank.D.G.NX+1)
+				return []float64{fw / float64(n), bw / float64(n), back / float64(n)}
+			},
+			want: func(t *testing.T, pieces [][]float64) []float64 { return pieces[0] },
+		},
+		{
 			name: "DistUx", spec: lpi,
 			probe: func(p Probe, d deck.Deck) []float64 { return p.DistUx(0, 10, 70, -0.5, 0.5, 32) },
 			local: func(p Probe, d deck.Deck) []float64 {
