@@ -164,15 +164,16 @@ func TestMemberStepAllocs(t *testing.T) {
 // members over loopback TCP. The transport allocates per message (Send
 // encodes into a fresh frame and the reader decodes a fresh payload),
 // so it is counted apart from the in-process budget. The bound is what
-// this test measures on the tree that set it, 40 per step with and
-// without -race, plus one object of slack (down from 70 before the step
-// filled one ghost side per exchange, and 302 before the persistent
-// exchange plans).
+// this test measures on the tree that set it, 38 per step with and
+// without -race, plus one object of slack (down from 40 before a step
+// that splits one axis dropped its settle collective, 70 before the
+// step filled one ghost side per exchange, and 302 before the
+// persistent exchange plans).
 func TestMemberStepAllocsTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP world")
 	}
-	const maxAllocs = 41
+	const maxAllocs = 39
 	join := testnet.FreeAddr(t)
 	ts := make([]*transport.TCP, 2)
 	errs := make([]error, 2)

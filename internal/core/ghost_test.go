@@ -11,6 +11,7 @@ import (
 	"govpic/internal/field"
 	"govpic/internal/laser"
 	"govpic/internal/loader"
+	"govpic/internal/mp"
 	"govpic/internal/push"
 )
 
@@ -196,7 +197,10 @@ func checkGhostsDerived(t *testing.T, bc [field.NumFaces]field.BC, ranks int, pe
 // through the low faces, so foldJ = hi, ghostB = lo + hi and ghostE =
 // lo. A clean step adds exactly what its passes send: ρ's fold and E's
 // low fill through the high faces, then per pass one two-sided fill of
-// the error scalar and one of the field it cleans.
+// the error scalar and one of the field it cleans. A layout that splits
+// one axis runs no collective in a step, so the messages a rank's links
+// carry are its classes' messages, particles included; the 2×2×2 world
+// still runs its settle collective, so its links carry more.
 func TestStepMessages(t *testing.T) {
 	const (
 		P = field.Periodic
@@ -225,11 +229,23 @@ func TestStepMessages(t *testing.T) {
 			passes := int64(s.sims[0].Cfg.CleanPasses)
 			for step := 0; step <= 3; step++ {
 				before := make([][domain.NumCommClasses]int64, len(s.Ranks))
+				linksBefore := make([]int64, len(s.Ranks))
 				for r, rk := range s.Ranks {
 					before[r] = rk.D.ClassMsgs
+					linksBefore[r] = linkMsgs(rk.D.Comm)
 				}
 				s.Step()
 				for r, rk := range s.Ranks {
+					var classes int64
+					for c := range rk.D.ClassMsgs {
+						classes += rk.D.ClassMsgs[c] - before[r][c]
+					}
+					links := linkMsgs(rk.D.Comm) - linksBefore[r]
+					if w.ranks == 8 && links <= classes {
+						t.Errorf("step %d, rank %d: links carried %d messages, the classes %d: no settle collective ran", step, r, links, classes)
+					} else if w.ranks < 8 && links != classes {
+						t.Errorf("step %d, rank %d: links carried %d messages, the classes %d", step, r, links, classes)
+					}
 					var lo, hi int64
 					for f := field.Face(0); f < field.NumFaces; f++ {
 						if rk.D.Remote(f) && f.High() {
@@ -261,4 +277,13 @@ func TestStepMessages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// linkMsgs is the number of messages c has sent over all its links.
+func linkMsgs(c *mp.Comm) int64 {
+	var n int64
+	for _, l := range c.Stats().Snapshot() {
+		n += l.MsgsSent
+	}
+	return n
 }

@@ -20,9 +20,12 @@
 // one-sided fill), which is always its face's first use in a step, so
 // the particle exchange that opens the step, receiving on every remote
 // face, lies between. Over TCP, Send encodes into a fresh frame
-// before it returns, so there a slot is free at once. The settle sweeps
-// use the particle plans too: each sweep is followed by the settle
-// check's collective, which returns only after every peer has unpacked.
+// before it returns, so there a slot is free at once. The particle
+// plans keep the same rule: the main exchange and each settle sweep
+// receive on every face they send through. A layout that splits one
+// axis runs no settle collective, which used to order it too; there the
+// step's fills do: each step a rank receives a fill from every
+// neighbor, sent after that neighbor's landing.
 // The rebalance slabs are rare and keep one-shot messages.
 package domain
 
@@ -71,6 +74,10 @@ type Domain struct {
 
 	remote [field.NumFaces]bool
 	nbr    [field.NumFaces]int
+	// multiAxis records that the layout splits more than one axis, so
+	// every rank agrees whether a landed migrant can still hold a
+	// remote crossing (settleResidual).
+	multiAxis bool
 
 	// ClassBytes/ClassMsgs count the payload bytes and messages this rank
 	// sent, by CommClass — the only traffic counters; totals are sums
@@ -99,6 +106,13 @@ func New(cfg Config, comm *mp.Comm) (*Domain, error) {
 	}
 	d := &Domain{Cfg: cfg, Rank: rank, Comm: comm, G: g}
 	p := [3]int{dec.PX, dec.PY, dec.PZ}
+	split := 0
+	for _, pa := range p {
+		if pa > 1 {
+			split++
+		}
+	}
+	d.multiAxis = split > 1
 	coord := [3]int{}
 	coord[0], coord[1], coord[2] = dec.Coord(rank)
 	for f := field.Face(0); f < field.NumFaces; f++ {
@@ -170,30 +184,52 @@ func (d *Domain) ParticleActions() [6]push.Action {
 
 // shift is every grid exchange's one body. Plane N+k of a tile and
 // plane k of its high neighbor are one global plane, and per axis a
-// shift carries it across the remote faces from one alias to the other:
-// up, the high faces send plane N+k and each rank writes (or, with add,
-// accumulates) what its low neighbor sent into plane k; down, the low
-// faces send plane k into the low neighbor's plane N+k. The axes stay
-// sequential: a plane spans the full ghost-inclusive extent of the
-// other two axes, so corner values propagate through successive hops.
-func (d *Domain) shift(p *plan, arrs [][]float32, up bool, k int, add bool) {
+// shift carries planes across the remote faces from one alias to the
+// other: up, the high faces send plane N+k and each rank writes (or,
+// with a fold, accumulates) what its low neighbor sent into plane k;
+// down, the low faces send plane 1 into the low neighbor's plane N+1.
+// A fill of both sides posts both directions of an axis before it
+// receives either, so it waits one round per axis; on every link the
+// receives run in the order of the sends. The axes stay sequential: a
+// plane spans the full ghost-inclusive extent of the other two axes, so
+// corner values propagate through successive hops.
+func (d *Domain) shift(p *plan, arrs [][]float32, m shiftMode) {
 	n := [3]int{d.G.NX, d.G.NY, d.G.NZ}
+	up, down, add := m != fillHigh, m == fillHigh || m == fillBoth, m == fold
+	k := 0 // an up fill: plane N into the ghost plane 0
+	if add {
+		k = 1 // the fold: ghost plane N+1 onto the owned plane 1
+	}
 	for axis := 0; axis < 3; axis++ {
-		to, from := field.Face(2*axis+1), field.Face(2*axis)
-		src, dst := n[axis]+k, k
-		if !up {
-			to, from, src, dst = from, to, dst, src
+		lo, hi := field.Face(2*axis), field.Face(2*axis+1)
+		if up && d.remote[hi] {
+			d.post(p, hi, arrs, n[axis]+k)
 		}
-		if d.remote[to] {
-			d.post(p, to, arrs, src)
+		if down && d.remote[lo] {
+			d.post(p, lo, arrs, 1)
 		}
-		if d.remote[from] {
-			// The peer sent through the face that faces this one.
-			data := d.Comm.Recv(d.nbr[from], p.tag+int(to))
-			unpackPlane(data.([]float32), d.G, arrs, axis, dst, add)
+		// The peer sent through the face that faces this one.
+		if up && d.remote[lo] {
+			data := d.Comm.Recv(d.nbr[lo], p.tag+int(hi))
+			unpackPlane(data.([]float32), d.G, arrs, axis, k, add)
+		}
+		if down && d.remote[hi] {
+			data := d.Comm.Recv(d.nbr[hi], p.tag+int(lo))
+			unpackPlane(data.([]float32), d.G, arrs, axis, n[axis]+1, false)
 		}
 	}
 }
+
+// shiftMode names a shift's directions and what it does with a plane.
+// A one-sided fill's mode is fillLow+shiftMode(s) for its Side s.
+type shiftMode int
+
+const (
+	fillLow  shiftMode = iota // up, plane N into 0
+	fillHigh                  // down, plane 1 into N+1
+	fillBoth                  // fillLow and fillHigh in one round per axis
+	fold                      // up, plane N+1 added onto 1
+)
 
 // Side names the ghost side a one-sided fill writes.
 type Side int
@@ -203,29 +239,25 @@ const (
 	High             // plane N+1, shifted down from the high neighbor's plane 1
 )
 
-// fill writes side s of arrs' remote ghost planes through plan p: a
-// shift with k = s (plane N → 0 up, 1 → N+1 down).
-func (d *Domain) fill(p *plan, arrs [][]float32, s Side) {
-	d.shift(p, arrs, s == Low, int(s), false)
-}
-
 // FillGhostE fills side s of E's remote ghost planes (a step fills only
 // the side its next reader reads).
-func (d *Domain) FillGhostE(s Side) { d.fill(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, s) }
-
-// FillGhostB fills side s of B's remote ghost planes.
-func (d *Domain) FillGhostB(s Side) { d.fill(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz}, s) }
-
-// ExchangeGhostE fills both sides of E's remote ghost planes, low first.
-func (d *Domain) ExchangeGhostE() {
-	d.FillGhostE(Low)
-	d.FillGhostE(High)
+func (d *Domain) FillGhostE(s Side) {
+	d.shift(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, fillLow+shiftMode(s))
 }
 
-// ExchangeGhostB fills both sides of B's remote ghost planes, low first.
+// FillGhostB fills side s of B's remote ghost planes.
+func (d *Domain) FillGhostB(s Side) {
+	d.shift(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz}, fillLow+shiftMode(s))
+}
+
+// ExchangeGhostE fills both sides of E's remote ghost planes.
+func (d *Domain) ExchangeGhostE() {
+	d.shift(&d.ghostE, [][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, fillBoth)
+}
+
+// ExchangeGhostB fills both sides of B's remote ghost planes.
 func (d *Domain) ExchangeGhostB() {
-	d.FillGhostB(Low)
-	d.FillGhostB(High)
+	d.shift(&d.ghostB, [][]float32{d.F.Bx, d.F.By, d.F.Bz}, fillBoth)
 }
 
 // ExchangeJ folds the deposited current onto its owners across remote
@@ -233,22 +265,21 @@ func (d *Domain) ExchangeGhostB() {
 // back: J's only reader, the E advance, reads planes 1..N, and the next
 // step clears J before depositing again.
 func (d *Domain) ExchangeJ() {
-	d.shift(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz}, true, 1, true)
+	d.shift(&d.foldJ, [][]float32{d.F.Jx, d.F.Jy, d.F.Jz}, fold)
 }
 
 // ExchangeNodeScalar folds a node-centered scalar (charge density) onto
 // its owners across remote faces, plane N+1 into the high neighbor's
 // plane 1, and mirrors nothing back: div E − ρ reads nodes 1..N.
 func (d *Domain) ExchangeNodeScalar(a []float32) {
-	d.shift(&d.foldS, [][]float32{a}, true, 1, true)
+	d.shift(&d.foldS, [][]float32{a}, fold)
 }
 
 // ExchangeScalarGhost fills both sides of a scalar's remote ghost planes
 // without folding (for fields computable independently on each side,
 // like the Marder error scalar).
 func (d *Domain) ExchangeScalarGhost(a []float32) {
-	d.fill(&d.ghostS, [][]float32{a}, Low)
-	d.fill(&d.ghostS, [][]float32{a}, High)
+	d.shift(&d.ghostS, [][]float32{a}, fillBoth)
 }
 
 // packPlane writes the plane idx normal to axis of every array into buf
@@ -398,7 +429,11 @@ func batchOf(data any) push.OutgoingBatch {
 // cross-axis forwarding, so a particle crossing faces on k axes needs
 // up to k-1 extra sweeps (each sweep forwards across all three axes in
 // order); with at most one face crossing per axis per step, two
-// productive sweeps beyond the main exchange always suffice.
+// productive sweeps beyond the main exchange always suffice. A layout
+// that splits one axis needs none: a landed migrant has crossed that
+// axis's one face this step, and every other axis is local, so a
+// residual means the CFL bound was broken, and each rank checks its own
+// without a collective.
 func (x *ParticleExchange) settleResidual() {
 	d := x.d
 	for round := 0; ; round++ {
@@ -410,10 +445,13 @@ func (x *ParticleExchange) settleResidual() {
 				}
 			}
 		}
-		if d.Comm.AllreduceSumInt(residual) == 0 {
+		if d.multiAxis {
+			residual = d.Comm.AllreduceSumInt(residual)
+		}
+		if residual == 0 {
 			return
 		}
-		if round >= 3 {
+		if round >= 3 || !d.multiAxis {
 			panic("domain: particle exchange did not settle (dt beyond CFL?)")
 		}
 		d.exchangeParticlesSweep(x.kernels, x.bufs)

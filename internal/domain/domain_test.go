@@ -1,7 +1,9 @@
 package domain
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"govpic/internal/accum"
 	"govpic/internal/field"
@@ -10,6 +12,8 @@ import (
 	"govpic/internal/mp"
 	"govpic/internal/particle"
 	"govpic/internal/push"
+	"govpic/internal/testnet"
+	"govpic/internal/transport"
 )
 
 func periodicConfig(nRanks, gnx, gny, gnz int) Config {
@@ -286,6 +290,115 @@ func TestCornerMigrationSettles(t *testing.T) {
 			t.Errorf("corner particle did not reach rank 3")
 		}
 	})
+}
+
+// TestOneAxisSettleIsLocal: on 2 ranks split along x, a migrant left
+// over after landing can only mean a broken CFL bound, and the settle
+// check runs no collective. Rank 1 holds such a migrant and panics with
+// the settle message; rank 0 holds none, and its settle returns without
+// sending or receiving a message. Rank 0 then goes on to the step's
+// next exchange, the J fold, and fails with a *mp.PeerDeadError naming
+// rank 1 instead of waiting for it: in-process, Run declares a panicked
+// rank dead; over TCP, rank 1 closes its transport, as its process
+// would by exiting.
+func TestOneAxisSettleIsLocal(t *testing.T) {
+	const want = "domain: particle exchange did not settle (dt beyond CFL?)"
+	cfg := periodicConfig(2, 8, 3, 2)
+	settleThenFold := func(c *mp.Comm) {
+		d, err := New(cfg, c)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		g := d.G
+		k := push.NewKernel(g, interp.NewTable(g), accum.New(g), -1, 1, 0.45)
+		k.Bound = d.ParticleActions()
+		if c.Rank() == 1 {
+			k.Out[field.XHi] = append(k.Out[field.XHi], push.Outgoing{P: particle.Particle{W: 1}})
+		}
+		x := &ParticleExchange{d: d, kernels: []*push.Kernel{k}, bufs: []*particle.Buffer{particle.NewBuffer(0)}}
+		x.settleResidual()
+		for _, l := range c.Stats().Snapshot() {
+			if l.MsgsSent+l.MsgsRecv != 0 {
+				t.Errorf("rank %d's settle check used its link to rank %d: %+v", c.Rank(), l.Peer, l)
+			}
+		}
+		d.ExchangeJ()
+	}
+	// run runs both ranks through start, which returns what each rank
+	// panicked with, and checks them.
+	run := func(t *testing.T, start func() [2]any) {
+		done := make(chan [2]any, 1)
+		go func() { done <- start() }()
+		select {
+		case got := <-done:
+			if got[1] != want {
+				t.Errorf("rank 1's leftover migrant: the settle check panicked with %v, want %q", got[1], want)
+			}
+			if pd, ok := got[0].(*mp.PeerDeadError); !ok || pd.Rank != 0 || pd.Peer != 1 {
+				t.Errorf("rank 0's J fold after its peer's panic: %v, want a *mp.PeerDeadError naming rank 1", got[0])
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("rank 1's lone panic hung rank 0")
+		}
+	}
+	t.Run("in-process", func(t *testing.T) {
+		run(t, func() (got [2]any) {
+			defer func() { got[1] = recover() }() // Run re-raises rank 1's panic
+			mp.Run(2, func(c *mp.Comm) {
+				if c.Rank() == 0 {
+					defer func() { got[0] = recover() }()
+				}
+				settleThenFold(c)
+			})
+			return got
+		})
+	})
+	t.Run("TCP", func(t *testing.T) {
+		ts := tcpWorld(t, 2)
+		run(t, func() (got [2]any) {
+			var wg sync.WaitGroup
+			for r := range ts {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					defer func() {
+						if got[r] = recover(); got[r] != nil && r == 1 {
+							ts[r].Close()
+						}
+					}()
+					settleThenFold(mp.NewComm(ts[r]))
+				}(r)
+			}
+			wg.Wait()
+			return got
+		})
+	})
+}
+
+// tcpWorld brings up an n-rank loopback TCP world; the endpoints close
+// when the test ends.
+func tcpWorld(t *testing.T, n int) []*transport.TCP {
+	t.Helper()
+	join := testnet.FreeAddr(t)
+	ts := make([]*transport.TCP, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range ts {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ts[r], errs[r] = transport.Connect(r, n, join, "127.0.0.1:0", transport.Options{})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ts[r].Close() })
+	}
+	return ts
 }
 
 func TestCommBytesCounted(t *testing.T) {

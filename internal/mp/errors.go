@@ -60,8 +60,9 @@ func (*LinkOverflowError) commError() {}
 // PeerDeadError reports a peer rank declared dead by the transport's
 // failure detector: any break of the link's one connection (an I/O
 // error, an expired heartbeat or write deadline, EOF without a
-// goodbye). Every pending and future operation on the link returns it;
-// the run resumes from its last checkpoint.
+// goodbye), or in-process a rank that panicked under Run. Every pending
+// and future operation on the link returns it (in-process, every
+// receive that would block); the run resumes from its last checkpoint.
 type PeerDeadError struct {
 	Rank  int   // local rank observing the death
 	Peer  int   // the rank declared dead

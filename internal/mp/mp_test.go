@@ -365,3 +365,41 @@ func TestLinkOverflowPanicsTyped(t *testing.T) {
 		}
 	})
 }
+
+// TestLonePanicFreesPeers: a rank that panics under Run is a dead peer
+// to the rest. Rank 1 of 3 sends one message and panics; rank 2 still
+// receives that message, and then it and rank 0, each waiting for a
+// message rank 1 never sends, fail with a *PeerDeadError naming rank 1.
+// Run re-raises rank 1's panic instead of hanging.
+func TestLonePanicFreesPeers(t *testing.T) {
+	ran := make(chan any, 1)
+	go func() {
+		defer func() { ran <- recover() }()
+		Run(3, func(c *Comm) {
+			if c.Rank() == 1 {
+				c.Send(2, 5, "sent before the panic")
+				panic("rank 1 fails")
+			}
+			if c.Rank() == 2 {
+				if got := c.Recv(1, 5); got != "sent before the panic" {
+					t.Errorf("rank 2 received %v from rank 1", got)
+				}
+			}
+			defer func() {
+				p := recover()
+				if pd, ok := p.(*PeerDeadError); !ok || pd.Rank != c.Rank() || pd.Peer != 1 {
+					t.Errorf("rank %d: a receive from a panicked rank failed with %v, want a *PeerDeadError naming rank 1", c.Rank(), p)
+				}
+			}()
+			c.Recv(1, 6)
+		})
+	}()
+	select {
+	case p := <-ran:
+		if p != "rank 1 fails" {
+			t.Errorf("Run re-raised %v, want rank 1's panic", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone panicking rank hung its peers")
+	}
+}
