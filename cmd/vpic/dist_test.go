@@ -340,9 +340,9 @@ func TestRemovedLanesFlagRejected(t *testing.T) {
 }
 
 // TestRemovedServiceFlagsRejected: vpicd's -queue is the constant
-// queue depth 16 and -validate's report is cmd/validate's; vpicfleet's
-// -tenant-quota had no caller, and -probe-timeout and -dead-after are
-// the constants 1 s and 3. Each must fail at flag parsing, named.
+// queue depth 16 and -validate's report is cmd/validate's, and the
+// three flags that registered vpicd with a multi-host control plane
+// went with it. Each must fail at flag parsing, named.
 func TestRemovedServiceFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		cmd     string
@@ -350,9 +350,9 @@ func TestRemovedServiceFlagsRejected(t *testing.T) {
 	}{
 		{"vpicd", []string{"-queue", "4"}},
 		{"vpicd", []string{"-validate", "fast"}},
-		{"vpicfleet", []string{"-tenant-quota", "2"}},
-		{"vpicfleet", []string{"-probe-timeout", "1s"}},
-		{"vpicfleet", []string{"-dead-after", "3"}},
+		{"vpicd", []string{"-coordinator", "http://127.0.0.1:8990"}},
+		{"vpicd", []string{"-advertise", "http://127.0.0.1:8970"}},
+		{"vpicd", []string{"-heartbeat", "500ms"}},
 	} {
 		out, err := exec.Command(builtCmd(t, tc.cmd), tc.removed...).CombinedOutput()
 		var exit *exec.ExitError

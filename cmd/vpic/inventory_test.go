@@ -15,7 +15,6 @@ import (
 
 	"govpic/internal/core"
 	"govpic/internal/deck"
-	"govpic/internal/fleet"
 	"govpic/internal/server"
 	"govpic/internal/transport"
 	"govpic/internal/valid"
@@ -25,12 +24,12 @@ import (
 // ways. §3 must have a row for every directory holding a package or
 // command, and §15 a row for every settable value: the fields of
 // core.Config (with the fields of the core structs nested in it),
-// transport.Options, server.Config and fleet.Config, every
-// deck.JSONConfig key, and every flag vpic, vpicd and vpicfleet list
-// under -h. A row naming something that no longer exists fails, and so
-// does a row whose second cell names no setter: a knob stays only if a
-// deck, bench workload, validation case or CI command sets it, it is a
-// deployment setting, or the program itself fills it.
+// transport.Options and server.Config, every deck.JSONConfig key, and
+// every flag vpic and vpicd list under -h. A row naming something that
+// no longer exists fails, and so does a row whose second cell names no
+// setter: a knob stays only if a deck, bench workload, validation case
+// or CI command sets it, it is a deployment setting, or the program
+// itself fills it.
 func TestInventory(t *testing.T) {
 	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
@@ -46,11 +45,9 @@ func TestInventory(t *testing.T) {
 		"`core.Config` field":       configFields(),
 		"`transport.Options` field": fieldNames(transport.Options{}),
 		"`server.Config` field":     fieldNames(server.Config{}),
-		"`fleet.Config` field":      fieldNames(fleet.Config{}),
 		"deck JSON key":             jsonKeys(),
 		"`vpic` flag":               vpicFlags(t),
 		"`vpicd` flag":              helpFlags(t, builtCmd(t, "vpicd")),
-		"`vpicfleet` flag":          helpFlags(t, builtCmd(t, "vpicfleet")),
 	}
 	found := map[string]bool{}
 	for _, tb := range tables(t, section(t, string(design), "## 15. ")) {

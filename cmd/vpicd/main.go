@@ -17,17 +17,14 @@
 //	curl -N :8970/v1/jobs/job-000001/events
 //	curl :8970/metrics
 //
-// With -coordinator, the worker registers itself with a vpicfleet
-// control plane (re-registering every -heartbeat as liveness). POST
-// /v1/drain or SIGUSR1 starts a graceful drain: admissions stop (503),
-// running jobs checkpoint, and the process exits 0 so a successor on
-// the same spool resumes the backlog — the rolling-restart primitive.
+// POST /v1/drain or SIGUSR1 starts a graceful drain: admissions stop
+// (503), running jobs checkpoint, and the process exits 0 so a
+// successor on the same spool resumes the backlog — the rolling-restart
+// primitive.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"log"
@@ -35,7 +32,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux (see -debug-addr)
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,10 +46,6 @@ func main() {
 		runners   = flag.Int("runners", 1, "concurrent job executors")
 		ckptEvery = flag.Int("checkpoint-every", 50, "steps between crash-safety checkpoints")
 		energy    = flag.Int("energy-every", 10, "steps between energy history samples")
-
-		coordinator = flag.String("coordinator", "", "vpicfleet base URL to register with (e.g. http://host:8990)")
-		advertise   = flag.String("advertise", "", "base URL the coordinator reaches this worker at (default http://127.0.0.1<addr>)")
-		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "coordinator re-registration interval")
 	)
 	flag.Parse()
 
@@ -91,20 +83,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 
-	if *coordinator != "" {
-		adv := *advertise
-		if adv == "" {
-			// -addr may be ":8970" (all interfaces) or "host:8970"; only
-			// the former needs a loopback host filled in.
-			if strings.HasPrefix(*addr, ":") {
-				adv = "http://127.0.0.1" + *addr
-			} else {
-				adv = "http://" + *addr
-			}
-		}
-		go registerLoop(ctx, *coordinator, adv, *heartbeat)
-	}
-
 	// SIGUSR1 is the signal-level drain trigger (POST /v1/drain is the
 	// HTTP-level one); both stop admissions and land in DrainRequested.
 	usr1 := make(chan os.Signal, 1)
@@ -131,37 +109,4 @@ func main() {
 		log.Printf("vpicd: close: %v", err)
 	}
 	log.Printf("vpicd: all jobs checkpointed; exiting")
-}
-
-// registerLoop announces this worker to the fleet coordinator and
-// keeps re-registering as a heartbeat; re-registration also revives a
-// worker the coordinator had declared dead (rolling restart).
-func registerLoop(ctx context.Context, coordinator, advertise string, every time.Duration) {
-	body, _ := json.Marshal(map[string]string{"url": advertise})
-	registered := false
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinator+"/v1/workers", bytes.NewReader(body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-			resp, rerr := http.DefaultClient.Do(req)
-			if rerr == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK && !registered {
-					log.Printf("vpicd: registered with coordinator %s as %s", coordinator, advertise)
-					registered = true
-				}
-			} else if registered {
-				log.Printf("vpicd: coordinator heartbeat failed: %v", rerr)
-				registered = false
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
 }

@@ -91,9 +91,9 @@ type Config struct {
 
 	// Balance configures the dynamic load balancer. Any mode other
 	// than off forces an x-only decomposition (PX = NRanks) and
-	// requires fully periodic field boundaries (a reshape reconstructs
-	// ghost state collectively, which the absorbing-wall state machine
-	// does not support).
+	// requires fully periodic field boundaries: reshapeX carries
+	// interior x-planes only, so an x-high Mur wall's plane N+1, which
+	// is state, would come back zero.
 	Balance BalanceConfig
 }
 

@@ -29,24 +29,22 @@ type stream struct {
 	subs     map[chan event]struct{}
 }
 
-// Hub fans job events out to SSE subscribers. It retains every
+// hub fans job events out to SSE subscribers. It retains every
 // published sample so a late (or reconnecting) subscriber replays the
-// full step-granular history before going live — the property the
-// fleet coordinator relies on to keep client streams gapless across a
-// worker relocation. Publishing is strictly monotonic in step: a
-// resumed job replaying its recovered prefix, or a restarted-from-zero
-// job recomputing bit-identical samples, cannot duplicate what
-// subscribers already saw.
-type Hub struct {
+// full step-granular history before going live. Publishing is strictly
+// monotonic in step: a resumed job replaying its recovered prefix, or a
+// restarted-from-zero job recomputing bit-identical samples, cannot
+// duplicate what subscribers already saw.
+type hub struct {
 	mu      sync.Mutex
 	streams map[string]*stream
 }
 
-// NewHub returns an empty hub.
-func NewHub() *Hub { return &Hub{streams: make(map[string]*stream)} }
+// newHub returns an empty hub.
+func newHub() *hub { return &hub{streams: make(map[string]*stream)} }
 
 // getLocked returns the job's stream, creating it on first touch.
-func (h *Hub) getLocked(id string) *stream {
+func (h *hub) getLocked(id string) *stream {
 	st, ok := h.streams[id]
 	if !ok {
 		st = &stream{lastStep: -1, subs: make(map[chan event]struct{})}
@@ -55,10 +53,10 @@ func (h *Hub) getLocked(id string) *stream {
 	return st
 }
 
-// Publish appends one energy sample and delivers it to every live
+// publish appends one energy sample and delivers it to every live
 // subscriber. Samples at or below the last published step are dropped
 // (monotonic dedup), as is anything after the stream has ended.
-func (h *Hub) Publish(id string, s diag.EnergySample) {
+func (h *hub) publish(id string, s diag.EnergySample) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.getLocked(id)
@@ -80,9 +78,9 @@ func (h *Hub) Publish(id string, s diag.EnergySample) {
 	}
 }
 
-// PublishState ends the stream with a terminal state: subscribers get
+// publishState ends the stream with a terminal state: subscribers get
 // one state event and their channels close. Idempotent.
-func (h *Hub) PublishState(id string, state State, errMsg string) {
+func (h *hub) publishState(id string, state State, errMsg string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.getLocked(id)
@@ -103,29 +101,18 @@ func (h *Hub) PublishState(id string, state State, errMsg string) {
 
 // ended reports whether the job's stream has published its terminal
 // state.
-func (h *Hub) ended(id string) bool {
+func (h *hub) ended(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st, ok := h.streams[id]
 	return ok && st.state != ""
 }
 
-// LastStep returns the highest published sample step (-1 if none).
-func (h *Hub) LastStep(id string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.streams[id]
-	if !ok {
-		return -1
-	}
-	return st.lastStep
-}
-
 // subscribe returns the replayable samples strictly after fromStep and
 // either the terminal state (ch nil: the stream already ended) or a
 // live event channel. cancel releases the subscription and is safe to
 // call twice.
-func (h *Hub) subscribe(id string, fromStep int) (replay []diag.EnergySample, state, errMsg string, ch chan event, cancel func()) {
+func (h *hub) subscribe(id string, fromStep int) (replay []diag.EnergySample, state, errMsg string, ch chan event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.getLocked(id)
@@ -150,7 +137,7 @@ func (h *Hub) subscribe(id string, fromStep int) (replay []diag.EnergySample, st
 	return replay, "", "", ch, cancel
 }
 
-// ServeSSE streams one job's hub stream as text/event-stream: samples
+// serveSSE streams one job's hub stream as text/event-stream: samples
 // after the client's Last-Event-ID replay first, live
 // samples follow, and a terminal state event ends the stream.
 //
@@ -160,7 +147,7 @@ func (h *Hub) subscribe(id string, fromStep int) (replay []diag.EnergySample, st
 //
 //	event: state
 //	data: {"state":"completed"}
-func ServeSSE(w http.ResponseWriter, r *http.Request, h *Hub, id string) {
+func serveSSE(w http.ResponseWriter, r *http.Request, h *hub, id string) {
 	from := -1
 	if n, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil {
 		from = n

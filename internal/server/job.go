@@ -65,11 +65,10 @@ type Job struct {
 	// actually executed. Set at the first step.
 	Kernel string `json:"kernel,omitempty"`
 	// CheckpointStep is the step of the latest durable checkpoint (0 if
-	// none yet). The fleet coordinator watches it to mirror checkpoint
-	// artifacts for relocation.
+	// none yet): the step a restart on the same spool resumes from.
 	CheckpointStep int `json:"checkpoint_step,omitempty"`
 	// Physics is the job's physics attestation, computed from the energy
-	// history when the job completes: every fleet run carries its own
+	// history when the job completes: every job carries its own
 	// conservation verdict alongside its perf counters (the suite-level
 	// validation lives in internal/valid).
 	Physics *PhysicsAttestation `json:"physics,omitempty"`

@@ -70,7 +70,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.spool.writeJob(j)
 	if j.State.Terminal() {
-		s.hub.PublishState(j.ID, j.State, j.Error)
+		s.hub.publishState(j.ID, j.State, j.Error)
 	}
 }
 
@@ -113,7 +113,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			// The hub's monotonic dedup drops restored steps subscribers
 			// already saw.
 			for _, smp := range rs.History.Samples[published:] {
-				s.hub.Publish(j.ID, smp)
+				s.hub.publish(j.ID, smp)
 			}
 			published = len(rs.History.Samples)
 			s.mu.Lock()

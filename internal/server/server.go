@@ -13,7 +13,6 @@ import (
 	"govpic/internal/core"
 	"govpic/internal/deck"
 	"govpic/internal/diag"
-	"govpic/internal/output"
 )
 
 // queueDepth bounds the FIFO of admitted-but-not-running jobs; a full
@@ -61,7 +60,7 @@ type Server struct {
 	cfg   Config
 	spool spool
 	queue *fifo
-	hub   *Hub
+	hub   *hub
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -89,7 +88,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		spool:   sp,
-		hub:     NewHub(),
+		hub:     newHub(),
 		jobs:    make(map[string]*Job),
 		nextID:  1,
 		started: time.Now(),
@@ -162,9 +161,9 @@ type JobRef struct {
 	URL string `json:"url"`
 }
 
-// Specs expands the sweep and validates every member, so vpicd and the
-// fleet both admit a sweep all-or-nothing: no partial campaigns.
-func (r SubmitRequest) Specs() ([]deck.JSONConfig, error) {
+// specs expands the sweep and validates every member, so a sweep is
+// admitted all-or-nothing: no partial campaigns.
+func (r SubmitRequest) specs() ([]deck.JSONConfig, error) {
 	specs, err := r.Deck.Expand(r.Sweep)
 	if err != nil {
 		return nil, err
@@ -186,12 +185,10 @@ type SubmitResponse struct {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/jobs/restore", s.handleRestore)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{kind}", s.handleArtifact)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -219,21 +216,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	specs, err := req.Specs()
+	specs, err := req.specs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.admit(w, specs, nil)
+	s.admit(w, specs)
 }
 
-// admit is the one admission path of submit and restore. It refuses
-// every spec while draining (503) or unless the queue has a slot for
-// each (429 with Retry-After), so a sweep is admitted whole or not at
-// all. Each admitted spec gets an ID and a spooled record; a non-nil
-// ckpt (restore's one spec) becomes the job's spooled checkpoint, and
-// only then is the job queued, so a runner resumes from it.
-func (s *Server) admit(w http.ResponseWriter, specs []deck.JSONConfig, ckpt io.Reader) {
+// admit refuses every spec while draining (503) or unless the queue has
+// a slot for each (429 with Retry-After), so a sweep is admitted whole
+// or not at all. Each admitted spec gets an ID and a spooled record,
+// and only then is the job queued.
+func (s *Server) admit(w http.ResponseWriter, specs []deck.JSONConfig) {
 	s.mu.Lock()
 	fail := func(code int, format string, args ...any) {
 		s.mu.Unlock()
@@ -262,17 +257,6 @@ func (s *Server) admit(w http.ResponseWriter, specs []deck.JSONConfig, ckpt io.R
 		if err := s.spool.writeJob(j); err != nil {
 			fail(http.StatusInternalServerError, "spool write failed: %v", err)
 			return
-		}
-		if ckpt != nil {
-			err := output.WriteFileAtomic(s.spool.checkpointPath(j.ID), func(w io.Writer) error {
-				_, err := io.Copy(w, ckpt)
-				return err
-			})
-			if err != nil {
-				fail(http.StatusInternalServerError, "checkpoint write failed: %v", err)
-				return
-			}
-			s.cfg.Logf("vpicd: %s restored from external artifacts (%s)", j.ID, spec.Deck)
 		}
 		s.jobs[j.ID] = j
 		s.queue.tryPush(j) // cannot fail: free() checked under the same lock
@@ -380,7 +364,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j.State = StateCancelled
 	s.cancelled++
 	s.spool.writeJob(j)
-	s.hub.PublishState(j.ID, StateCancelled, "")
+	s.hub.publishState(j.ID, StateCancelled, "")
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
 }
@@ -396,8 +380,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
 	if draining {
-		// Still serving (status, results, artifacts) but not admitting:
-		// the fleet coordinator keeps the worker alive yet unschedulable.
+		// Still serving status, results and streams, but not admitting.
 		status = "draining"
 	}
 	if closed {
@@ -459,7 +442,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if state.Terminal() && !s.hub.ended(id) {
 		s.seedTerminalStream(id, state, errMsg)
 	}
-	ServeSSE(w, r, s.hub, id)
+	serveSSE(w, r, s.hub, id)
 }
 
 // seedTerminalStream loads a terminal job's energy history from the
@@ -482,33 +465,7 @@ func (s *Server) seedTerminalStream(id string, state State, errMsg string) {
 		f.Close()
 	}
 	for _, smp := range samples {
-		s.hub.Publish(id, smp)
+		s.hub.publish(id, smp)
 	}
-	s.hub.PublishState(id, state, errMsg)
-}
-
-// handleArtifact serves a job's spooled checkpoint — the coordinator's
-// relocation source, energy history included. 404 when it does not (or
-// no longer) exist, e.g. after completion retires it.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	_, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	if kind := r.PathValue("kind"); kind != "checkpoint" {
-		writeError(w, http.StatusNotFound, "unknown artifact %q", kind)
-		return
-	}
-	f, err := os.Open(s.spool.checkpointPath(id))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "no checkpoint artifact for %s", id)
-		return
-	}
-	defer f.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
+	s.hub.publishState(id, state, errMsg)
 }

@@ -116,10 +116,11 @@ func TestOldSpoolRecovers(t *testing.T) {
 }
 
 // TestV4CheckpointRestartsFromStepZero: a running job spooled with a
-// format-v4 checkpoint (J arrays in every payload) or a format-v5 one
-// (every ghost plane) is refused by name on recovery — dist.ErrRestore
-// — and the job restarts from step 0, ending on the uninterrupted run's
-// state CRCs with its whole history.
+// format-v4 checkpoint (J arrays in every payload), a format-v5 one
+// (every ghost plane) or a current-format one whose CRC trailer no
+// longer matches its bytes is refused by name on recovery —
+// dist.ErrRestore — and the job restarts from step 0, ending on the
+// uninterrupted run's state CRCs with its whole history.
 func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 	spec := smallThermal(20)
 	d, err := spec.Build()
@@ -143,14 +144,28 @@ func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 		want = append(want, fmt.Sprintf("%08x", c))
 	}
 
-	for _, version := range []string{"4", "5"} {
-		t.Run("v"+version, func(t *testing.T) {
-			// The same bytes under the old magic, CRC trailer redone: only
-			// the version tells it apart.
-			magic := "GOVPIC-CKPT-" + version
-			old := append([]byte(magic+"\n"), buf.Bytes()[len(magic)+1:]...)
-			binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
-
+	// oldMagic is the same bytes under an older magic, CRC trailer
+	// redone: only the version tells it apart.
+	oldMagic := func(version string) []byte {
+		magic := "GOVPIC-CKPT-" + version
+		old := append([]byte(magic+"\n"), buf.Bytes()[len(magic)+1:]...)
+		binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+		return old
+	}
+	// corrupt is the current format with one payload byte flipped and
+	// the trailer left as written.
+	corrupt := append([]byte{}, buf.Bytes()...)
+	corrupt[len(corrupt)/2] ^= 0xff
+	for _, tc := range []struct {
+		name   string
+		ckpt   []byte
+		reason string
+	}{
+		{"v4", oldMagic("4"), `unsupported checkpoint version "GOVPIC-CKPT-4"`},
+		{"v5", oldMagic("5"), `unsupported checkpoint version "GOVPIC-CKPT-5"`},
+		{"crc", corrupt, "checkpoint corrupt: CRC"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			job := Job{
 				ID: "job-000003", Spec: spec, State: StateRunning, Submitted: time.Now(),
@@ -160,7 +175,7 @@ func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(dir, job.ID), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			for name, b := range map[string][]byte{"job.json": rec, "state.ckpt": old} {
+			for name, b := range map[string][]byte{"job.json": rec, "state.ckpt": tc.ckpt} {
 				if err := os.WriteFile(filepath.Join(dir, job.ID, name), b, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -170,9 +185,9 @@ func TestV4CheckpointRestartsFromStepZero(t *testing.T) {
 			defer ts.Close()
 			defer srv.Close()
 			waitState(t, ts, job.ID, StateCompleted)
-			if !lc.contains(job.ID+" checkpoint unusable") || !lc.contains(`unsupported checkpoint version "`+magic+`"`) ||
+			if !lc.contains(job.ID+" checkpoint unusable") || !lc.contains(tc.reason) ||
 				!lc.contains("restarting from step 0") {
-				t.Fatalf("v%s checkpoint was not refused by name; log: %v", version, lc.lines)
+				t.Fatalf("%s checkpoint was not refused by name; log: %v", tc.name, lc.lines)
 			}
 			res := getResult(t, ts, job.ID)
 			if got := strings.Join(want, " "); res.StateCRC != got {
