@@ -257,14 +257,14 @@ func (rk *Rank) readState(c *cursor) {
 		rk.murRows(c.f32s)
 	}
 	for _, sp := range rk.Species {
-		n := int(c.u64())
-		sp.Buf.Clear()
+		n := int(c.u64()) // bounded by the payload's length (skipPayload)
+		sp.Buf.Resize(n)
 		for i := 0; i < n && !c.short; i++ {
 			var v [7]float32 // writeState's gathered AoS record
 			c.f32s(v[:3])
 			voxel := int32(uint32(c.u64()))
 			c.f32s(v[3:])
-			sp.Buf.Append(particle.Particle{Dx: v[0], Dy: v[1], Dz: v[2], Voxel: voxel, Ux: v[3], Uy: v[4], Uz: v[5], W: v[6]})
+			sp.Buf.Set(i, particle.Particle{Dx: v[0], Dy: v[1], Dz: v[2], Voxel: voxel, Ux: v[3], Uy: v[4], Uz: v[5], W: v[6]})
 		}
 	}
 }

@@ -62,6 +62,32 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewLeavesNoPoolTime: the load's pool regions are set-up, so right
+// after New no rank's pool holds busy or wall time for the first step's
+// section concurrency to fold in. Every species comes out of the load in
+// ascending voxel order, which is why the first sort can wait for step
+// SortInterval.
+func TestNewLeavesNoPoolTime(t *testing.T) {
+	for _, nRanks := range []int{1, 2} {
+		s, err := New(twoSpeciesDeck(nRanks, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rk := range s.Ranks {
+			if busy, wall := rk.pool.TakeStats(0); busy != 0 || wall != 0 {
+				t.Errorf("%d ranks, rank %d: the pool holds busy %v, wall %v after New", nRanks, r, busy, wall)
+			}
+			for _, sp := range rk.Species {
+				for i := 1; i < sp.Buf.N(); i++ {
+					if sp.Buf.Voxel(i) < sp.Buf.Voxel(i-1) {
+						t.Fatalf("%d ranks, rank %d: %s voxel %d at %d follows %d", nRanks, r, sp.Name, sp.Buf.Voxel(i), i, sp.Buf.Voxel(i-1))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorkerDeterminismMultiRank repeats the check across the rank
 // decomposition: worker count must not leak into the particle exchange
 // or ghost updates either. The 4-rank deck decomposes 2×2×1, so corner

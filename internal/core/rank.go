@@ -106,7 +106,9 @@ func domainConfig(cfg *Config) (domain.Config, error) {
 
 // newRank builds one rank's tile: domain, kernels, species loading
 // (decomposition-invariant) and scratch. It performs no communication,
-// so ranks can be built in any order, on one process or many.
+// so ranks can be built in any order, on one process or many. The
+// loader emits every species in ascending voxel order, so the load
+// needs no sort: the first one runs at step SortInterval.
 func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	d, err := domain.New(dcfg, comm)
 	if err != nil {
@@ -150,7 +152,7 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 				return nil, err
 			}
 		case sc.Load != nil:
-			if _, err := loader.Load(d.G, gl, *sc.Load, sp.Buf); err != nil {
+			if _, err := loader.Load(d.G, gl, *sc.Load, rk.pool, sp.Buf); err != nil {
 				return nil, err
 			}
 		}
@@ -169,12 +171,8 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	rk.shell = shellMask(d)
 	rk.part = make([]partState, len(rk.Species))
 	rk.markStale()
-	// Initial sort for locality.
-	for _, sp := range rk.Species {
-		if sp.SortInterval > 0 {
-			rk.sortWS.ByVoxel(sp.Buf, d.G.NV())
-		}
-	}
+	// The load's regions are set-up, not the first step's sections.
+	rk.pool.TakeStats(0)
 	return rk, nil
 }
 

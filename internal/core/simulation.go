@@ -22,32 +22,31 @@ type Simulation struct {
 	wg sync.WaitGroup
 }
 
-// New builds and initializes a simulation: decomposition, field
-// allocation, particle loading (decomposition-invariant), neutralizing
-// backgrounds, and first interpolator load.
+// New builds and initializes a simulation: every member is a
+// NewRankSim on its Comm of a fresh in-process world, built
+// concurrently as the members of any other world are.
 func New(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dcfg, err := domainConfig(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	world := mp.NewWorld(cfg.NRanks)
 	s := &Simulation{Cfg: cfg, World: world,
-		Ranks: make([]*Rank, 0, cfg.NRanks), sims: make([]*RankSim, 0, cfg.NRanks)}
-	// All tiles are built serially before any collective phase runs:
-	// set-up time is sensitive to this allocation order (EXPERIMENTS S25).
-	for r := 0; r < cfg.NRanks; r++ {
-		comm := world.Comm(r)
-		rk, err := newRank(&cfg, dcfg, comm)
-		if err != nil {
-			return nil, err
-		}
-		s.Ranks = append(s.Ranks, rk)
-		s.sims = append(s.sims, &RankSim{Cfg: cfg, Rank: rk, comm: comm})
+		Ranks: make([]*Rank, cfg.NRanks), sims: make([]*RankSim, cfg.NRanks)}
+	errs := make([]error, cfg.NRanks)
+	s.wg.Add(cfg.NRanks)
+	for r := range s.sims {
+		go func() {
+			defer s.wg.Done()
+			s.sims[r], errs[r] = NewRankSim(cfg, world.Comm(r))
+		}()
 	}
-	s.each(func(rs *RankSim) { rs.Rank.initDecomposed(&rs.Cfg) })
+	s.wg.Wait()
+	for r, rs := range s.sims {
+		if errs[r] != nil {
+			return nil, errs[r]
+		}
+		s.Ranks[r] = rs.Rank
+	}
 	return s, nil
 }
 

@@ -139,6 +139,22 @@ func (b *Buffer) Append(p Particle) {
 	b.n++
 }
 
+// Resize sets the particle count to n. Storage that is short grows to
+// exactly n particles' blocks, keeping the first N(); slots from the
+// old count on hold garbage until Set. Shrinking keeps the capacity
+// (Resize(0) empties the buffer). Bulk writers size a buffer once with
+// it and then fill it by Set.
+func (b *Buffer) Resize(n int) {
+	nb := blocksFor(n)
+	if cap(b.Blk) < nb {
+		blk := make([]Block, nb)
+		copy(blk, b.Blk)
+		b.Blk = blk
+	}
+	b.Blk = b.Blk[:nb]
+	b.n = n
+}
+
 // RemoveSwap removes particle i by swapping the last particle into its
 // slot; order is not preserved (the periodic sort restores locality).
 func (b *Buffer) RemoveSwap(i int) {
@@ -148,12 +164,6 @@ func (b *Buffer) RemoveSwap(i int) {
 	}
 	b.n = last
 	b.Blk = b.Blk[:blocksFor(last)]
-}
-
-// Clear removes all particles, keeping capacity.
-func (b *Buffer) Clear() {
-	b.n = 0
-	b.Blk = b.Blk[:0]
 }
 
 // Swap replaces the buffer's block storage with blk — which must hold

@@ -36,9 +36,9 @@ func TestBufferAppendRemove(t *testing.T) {
 	if b.At(1).Voxel != 4 {
 		t.Fatalf("swap-remove put voxel %d in slot 1, want 4", b.At(1).Voxel)
 	}
-	b.Clear()
-	if b.N() != 0 || b.Cap() == 0 {
-		t.Fatal("Clear must empty but keep capacity")
+	b.Resize(0)
+	if b.N() != 0 || b.NBlocks() != 0 || b.Cap() == 0 {
+		t.Fatal("Resize(0) must empty but keep capacity")
 	}
 }
 
@@ -112,6 +112,29 @@ func TestBufferSetAtRoundTrip(t *testing.T) {
 		if b.Voxel(i) != int32(i) {
 			t.Fatalf("Voxel(%d) = %d", i, b.Voxel(i))
 		}
+	}
+}
+
+// TestBufferResize: growing keeps the particles below the old count and
+// sizes the storage exactly; shrinking keeps the capacity.
+func TestBufferResize(t *testing.T) {
+	b := NewBuffer(0)
+	for i := 0; i < Lanes+3; i++ {
+		b.Append(Particle{Voxel: int32(i)})
+	}
+	b.Resize(5*Lanes + 1)
+	if b.N() != 5*Lanes+1 || b.NBlocks() != 6 || b.Cap() != 6*Lanes {
+		t.Fatalf("after growing: N %d, blocks %d, cap %d; want %d, 6, %d", b.N(), b.NBlocks(), b.Cap(), 5*Lanes+1, 6*Lanes)
+	}
+	for i := 0; i < Lanes+3; i++ {
+		if b.Voxel(i) != int32(i) {
+			t.Fatalf("slot %d lost its particle: voxel %d", i, b.Voxel(i))
+		}
+	}
+	b.Set(5*Lanes, Particle{Voxel: 99})
+	b.Resize(2)
+	if b.N() != 2 || b.NBlocks() != 1 || b.Cap() != 6*Lanes || b.Voxel(1) != 1 {
+		t.Fatalf("after shrinking: N %d, blocks %d, cap %d, voxel(1) %d", b.N(), b.NBlocks(), b.Cap(), b.Voxel(1))
 	}
 }
 
