@@ -170,7 +170,7 @@ func (l *tileLoad) loadCell(c, i int) int {
 		return i
 	}
 	gid := (l.gx0 + ix - 1) + l.gl.NX*((l.gy0+iy-1)+l.gl.NY*(l.gz0+iz-1))
-	src := rng.New(p.Seed, gid*64+p.StreamSalt)
+	src := rng.Make(p.Seed, gid*64+p.StreamSalt)
 	v := int32(g.Voxel(ix, iy, iz))
 	for n := 0; n < p.PPC; n++ {
 		dx := float32(src.Uniform(-1, 1))

@@ -280,6 +280,25 @@ func TestLoadContract(t *testing.T) {
 	}
 }
 
+// TestLoadAllocsPerTile: a load allocates no object per cell (each
+// cell's stream lives on the stack), so a tile of 16 cells and one of
+// 512 allocate the same few objects.
+func TestLoadAllocsPerTile(t *testing.T) {
+	allocs := func(nx, ny, nz int) float64 {
+		g := grid.MustNew(nx, ny, nz, 0.5, 0.5, 0.5)
+		gl := Global{NX: nx, NY: ny, NZ: nz}
+		p := Params{Profile: Uniform(0.2), PPC: 2, Nref: 0.2, Uth: [3]float64{0.1, 0.1, 0.1}, Seed: 3}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Load(g, gl, p, nil, particle.NewBuffer(0)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(4, 2, 2), allocs(32, 4, 4); large != small {
+		t.Fatalf("a 512-cell load allocates %.0f objects, a 16-cell one %.0f: some allocation is per cell", large, small)
+	}
+}
+
 // TestLoadAppends: Load and LoadNeutralizing add to what their output
 // buffer holds, leaving the particles already there in place.
 func TestLoadAppends(t *testing.T) {

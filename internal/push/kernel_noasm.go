@@ -28,3 +28,7 @@ func advanceBlock32AVX512(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell
 func moveBatchAVX2(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
 	panic("push: no AVX2 batch routine in this build")
 }
+
+func moveBatch16AVX512(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
+	panic("push: no AVX-512 batch routine in this build")
+}

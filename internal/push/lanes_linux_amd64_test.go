@@ -12,8 +12,9 @@ import (
 // the kernel's /proc/cpuinfo flags, which list only the features whose
 // register state the OS enabled: AsmLanes must be 32 exactly when avx2,
 // avx512f, avx512dq and avx512vl are all present, 8 with avx2 alone and
-// 0 without. Run with -v, it logs the widths this host's parity tests
-// exercise, so a runner that silently skips the 32-lane tests shows.
+// 0 without, and the asm kernel's mover batch 16, 8 and none. Run with
+// -v, it logs the widths this host's parity tests exercise, so a runner
+// that silently skips the 32-lane push or the 16-lane batch shows.
 func TestLanesMatchCPU(t *testing.T) {
 	raw, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -38,8 +39,15 @@ func TestLanesMatchCPU(t *testing.T) {
 			want = 32
 		}
 	}
-	t.Logf("AsmLanes() = %d; the parity tests run the shapes %v", AsmLanes(), sweepShapes())
+	batch := 0
+	if AsmAvailable() {
+		batch = (&Kernel{asmLanes: AsmLanes()}).batchLanes()
+	}
+	t.Logf("AsmLanes() = %d, mover batch %d lanes; the parity tests run the shapes %v", AsmLanes(), batch, sweepShapes())
 	if AsmLanes() != want {
 		t.Fatalf("AsmLanes() = %d, but /proc/cpuinfo's flags make it %d (missing per CPUID: %q)", AsmLanes(), want, avx512Missing)
+	}
+	if wantBatch := map[int]int{0: 0, 8: 8, 32: 16}[want]; batch != wantBatch {
+		t.Fatalf("the mover batch takes %d lanes, but /proc/cpuinfo's flags make it %d", batch, wantBatch)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"govpic/internal/accum"
@@ -183,7 +184,14 @@ func moverCases() []moverCase {
 		}, want: []int{fateSlow}},
 		removalCase(g),
 		slowMidCase(g),
+		sameCellCase(g),
 	)
+	for j := range 2 * particle.Lanes {
+		cs = append(cs, slowAtCase(g, j))
+	}
+	for j := range particle.Lanes {
+		cs = append(cs, slowAtCase(g, j, j+particle.Lanes))
+	}
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33} {
 		cs = append(cs, mixedCase(g, n))
 	}
@@ -245,6 +253,48 @@ func slowMidCase(g *grid.Grid) moverCase {
 	return c
 }
 
+// slowAtCase is sixteen movers, the widest batch's width, fast but the
+// slow ones: each mover j in slow crosses an absorbing face, so a batch
+// stops at the highest slow lane below its top and moveP finishes it.
+// With one slow mover the case puts it at lane j of the 16-lane batch
+// (and of an 8-lane one, mod 8); with two, one in each 8-lane half, a
+// batch that ran on past its first slow lane would finish the other.
+func slowAtCase(g *grid.Grid, slow ...int) moverCase {
+	c := moverCase{name: "slow-at", bound: mixedBound}
+	for i, j := range slow {
+		c.name += fmt.Sprintf("%c%d", "/+"[min(i, 1)], j)
+	}
+	for m := range 2 * particle.Lanes {
+		p, fate := crosser(g, moverCell, m%6), 2
+		if slices.Contains(slow, m) {
+			p, fate = crosser(g, edgeCell(g, 0), 0), fateSlow
+		}
+		c.ps = append(c.ps, p)
+		c.want = append(c.want, fate)
+	}
+	return c
+}
+
+// sameCellCase is sixteen movers that all leave moverCell through its
+// x-high face, with weights spread over four decades, above particles
+// resting in both cells: every lane adds into the same two cells, which
+// already hold current, so the order of the adds — lane 15 down to lane
+// 0, across the two 8-lane halves too — shows in the rounding.
+func sameCellCase(g *grid.Grid) moverCase {
+	c := moverCase{name: "same-cell"}
+	next := resting(g)
+	next.Voxel += int32(g.Voxel(1, 0, 0) - g.Voxel(0, 0, 0))
+	c.ps = append(c.ps, resting(g), next)
+	for m := range 2 * particle.Lanes {
+		p := crosser(g, moverCell, 1)
+		p.W = float32(math.Pow(10, float64(m%5)-2)) * (1 + float32(m)/7)
+		p.Dy += float32(m) / 40
+		c.ps = append(c.ps, p)
+		c.want = append(c.want, 2)
+	}
+	return c
+}
+
 // moverRig loads case c on moverGrid with zero fields.
 func moverRig(c moverCase) (*rig, *Kernel) {
 	r := newRig(6, 5, 4, 0.5)
@@ -266,9 +316,9 @@ func moverRig(c moverCase) (*rig, *Kernel) {
 	return r, k
 }
 
-// moveBatch runs the batch routine over mv into k's accumulator.
+// moveBatch runs k's batch routine over mv into k's accumulator.
 func moveBatch(k *Kernel, buf *particle.Buffer, mv []particle.Mover, con *moveConsts, tally *moveTally) int {
-	return moveBatchAVX2(buf.Blk, mv, k.faces, k.Acc.A, con, tally)
+	return k.moveBatch(buf.Blk, mv, k.Acc.A, con, tally)
 }
 
 // newTally is a moveTally with an empty window.
@@ -312,7 +362,7 @@ func moverFates(t *testing.T, c moverCase, sh string) []int {
 			}
 		}
 		top -= n
-		if n < particle.Lanes && top > 0 {
+		if n < k.batchLanes() && top > 0 {
 			top--
 			if fates[top] != fateSlow {
 				t.Fatalf("%s: batch stopped at mover %d, which is fast alone", sh, top)
@@ -325,13 +375,13 @@ func moverFates(t *testing.T, c moverCase, sh string) []int {
 	return fates
 }
 
-// TestMoveBatchRejectsBadLanes holds the batch routine to its bounds
-// contract. A mover whose index is outside the buffer's blocks,
-// whose voxel is outside the face table or the accumulator, or whose
-// first or second face step (test-built step tables) leads outside
-// them is slow: the routine finishes the fast mover above it, stops,
-// and writes nothing for it — moveP then fails on it as it always did —
-// without a read outside blk, mv, faces or ac.
+// TestMoveBatchRejectsBadLanes holds each batch routine (the one of
+// every assembly shape) to its bounds contract. A mover whose index is
+// outside the buffer's blocks, whose voxel is outside the face table or
+// the accumulator, or whose first or second face step (test-built step
+// tables) leads outside them is slow: the routine finishes the fast
+// mover above it, stops, and writes nothing for it — moveP then fails
+// on it as it always did — without a read outside blk, mv, faces or ac.
 func TestMoveBatchRejectsBadLanes(t *testing.T) {
 	skipNarrower(t, particle.Lanes)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -401,7 +451,7 @@ func TestMoveBatchRejectsBadLanes(t *testing.T) {
 			ac := b.mk(r, k, &mv[0], &con)
 			p := r.buf.At(b.p)
 			tally := newTally()
-			n := moveBatchAVX2(r.buf.Blk, mv, k.faces, ac, &con, &tally)
+			n := k.moveBatch(r.buf.Blk, mv, ac, &con, &tally)
 			label := fmt.Sprintf("%s (particle %d) %s", b.name, b.p, sh)
 			if n != 1 || tally.nseg != 2 {
 				t.Fatalf("%s: finished %d movers with %d segments, want the top one with 2", label, n, tally.nseg)
@@ -448,8 +498,11 @@ func TestMoverHandBuilt(t *testing.T) {
 // sitting on a face, one with a −0 fraction; non-finite inputs; NaN
 // terms from an overflowing q·w, in every segment and in the third
 // alone; a batch stopping at a slow mover in its middle; batches of
-// 1–8, 9, 16, 17 and 33 movers mixing fast and slow lanes; and removals
-// that swap a finished fast mover into a slot of the same batch. Each
+// 1–8, 9, 16, 17 and 33 movers mixing fast and slow lanes; a 16-mover
+// batch with one slow mover at each lane, and with two, one in each
+// 8-lane half; sixteen movers adding into the same two cells; and
+// removals that swap a finished fast mover into a slot of the same
+// batch. Each
 // case runs on every shape × {serial, W 1, W 3}: particles, accumulators
 // and Out order match bitwise, the counters and the accumulator window
 // exactly. Each mover's fate is the case's under the batch routine, on
@@ -460,8 +513,10 @@ func TestMoverFates(t *testing.T) {
 		pool *pipe.Pool
 	}{{"serial", nil}, {"W=1", pipe.New(1)}, {"W=3", pipe.New(3)}}
 	seen := map[int]int{}
-	for _, c := range moverCases() {
+	cases, ran := moverCases(), 0
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			ran++
 			for _, sh := range asmShapes() {
 				fates := moverFates(t, c, sh)
 				if len(fates) != len(c.want) {
@@ -492,9 +547,68 @@ func TestMoverFates(t *testing.T) {
 	if len(asmShapes()) == 0 {
 		t.Skip("fates not checked: the batch routine is assembly, and this build/CPU has none (the states matched the oracle)")
 	}
+	if ran < len(cases) {
+		return // -run chose some cases: they need not exercise every fate
+	}
 	for f := fateSlow; f <= 3; f++ {
 		if seen[f] == 0 {
 			t.Fatalf("fates not all exercised: %v", seen)
+		}
+	}
+}
+
+// BenchmarkMoveBatch times the batch routines alone on the movers of
+// one push of the hot and decayed rigs of BenchmarkPushSortedRuns (see
+// benchSortedRig): every assembly shape — asm8 the 8-lane routine, asm
+// the widest — at 1, 2, 4, … movers per call up to its width. A pass
+// walks the movers top down in calls of that many and steps over each
+// slow one (moveP's, not timed); the buffer and the accumulators are
+// restored outside the timer. A call at the width gets mv[:top], as
+// finishMovers' does, and prefetches the next batch; a narrower call
+// gets only its movers, so it prefetches nothing. ns/call and ns/mover
+// are per routine call and per mover it finished.
+func BenchmarkMoveBatch(b *testing.B) {
+	for _, order := range []string{"hot", "decayed"} {
+		for _, sh := range asmShapes() {
+			r, k := benchSortedRig(100000, order)
+			useShape(k, sh)
+			var bs BlockState
+			k.advanceRange(r.buf, 0, r.buf.N(), k.Acc, &bs)
+			mv := bs.Movers
+			pristine := particle.NewBuffer(0)
+			pristine.CopyFrom(r.buf)
+			con := k.batchConsts()
+			for m := 1; m <= k.batchLanes(); m *= 2 {
+				b.Run(fmt.Sprintf("%s/%s/movers=%d", sh, order, m), func(b *testing.B) {
+					var calls, done int
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						r.buf.CopyFrom(pristine)
+						r.acc.ClearFull()
+						tally := newTally()
+						b.StartTimer()
+						for top := len(mv); top > 0; {
+							lo := max(top-m, 0)
+							if m == k.batchLanes() {
+								lo = 0 // the driver's call: the next batch is prefetched
+							}
+							n := k.moveBatch(r.buf.Blk, mv[lo:top], k.Acc.A, &con, &tally)
+							calls++
+							done += n
+							if n < min(top-lo, m) {
+								top-- // step over the slow mover
+							}
+							top -= n
+						}
+					}
+					b.StopTimer()
+					ns := float64(b.Elapsed().Nanoseconds())
+					b.ReportMetric(ns/float64(calls), "ns/call")
+					b.ReportMetric(ns/float64(done), "ns/mover")
+				})
+			}
 		}
 	}
 }

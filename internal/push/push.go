@@ -33,18 +33,20 @@
 // turns the returned crosser bits into mover records.
 //
 // The movers are finished by moveP, VPIC's scalar move_p, except that
-// with Kernel.Asm they go eight at a time (finishMovers): one
-// moveBatchAVX2 call plans every lane's faces through a per-voxel face
-// table and finishes the fast lanes itself, from the top mover down —
-// at most two faces, each interior or Wrap, no NaN term — and stops at
-// the first slow mover, which the driver hands to moveP; the next call
-// starts below it. In a pipeline's pool task the driver runs moveP only
+// with Kernel.Asm they go in batches at the push's width (finishMovers):
+// sixteen at a time on an AVX-512 host (moveBatch16AVX512,
+// move_avx512_amd64.s), eight with AVX2 alone (moveBatchAVX2). One call
+// plans every lane's faces through a per-voxel face table and finishes
+// the fast lanes itself, from the top mover down — at most two faces,
+// each interior or Wrap, no NaN term — and stops at the first slow
+// mover, which the driver hands to moveP; the next call starts below
+// it. In a pipeline's pool task the driver runs moveP only
 // on a mover that stays local (Kernel.local: no face but interior or
 // Wrap ones), stops at the first that may not, and leaves the rest to
 // FinishBlocks.
 //
 // Every block routine performs the identical floating-point operations
-// per particle, the batch routine finishes each mover with moveP's, and
+// per particle, the batch routines finish each mover with moveP's, and
 // every accumulator slot receives its adds in the per-particle order, so
 // the result — particles, movers, accumulators, counters — is bitwise
 // independent of Kernel.Asm and of the width, for any buffer, sorted or
@@ -425,10 +427,10 @@ func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs [
 
 // finishMovers completes bs's movers below the bs.done already
 // finished, in descending index order, depositing into a. With
-// Kernel.Asm it takes them from the top down, eight at a time: one
-// moveBatchAVX2 call finishes the batch's fast movers from the top down
-// and stops at the first slow one, which runs moveP; the next call
-// starts below it. Without, every mover runs moveP. In a pool task
+// Kernel.Asm it takes them from the top down, batchLanes at a time: one
+// batch call finishes the batch's fast movers from the top down and
+// stops at the first slow one, which runs moveP; the next call starts
+// below it. Without, every mover runs moveP. In a pool task
 // (task set) only movers that stay local (see local) run moveP: the
 // loop ends at the first that may not, and bs.done records where the
 // serial call resumes; that call counts bs's movers.
@@ -446,9 +448,9 @@ func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Arr
 	top := len(bs.Movers) - bs.done
 	for top > 0 {
 		if k.Asm {
-			n := moveBatchAVX2(buf.Blk, bs.Movers[:top], k.faces, a.A, &con, &tally)
+			n := k.moveBatch(buf.Blk, bs.Movers[:top], a.A, &con, &tally)
 			top -= n
-			if n == particle.Lanes || top == 0 {
+			if n == k.batchLanes() || top == 0 {
 				continue // no slow mover yet
 			}
 		}
@@ -468,6 +470,25 @@ func (k *Kernel) finishMovers(buf *particle.Buffer, bs *BlockState, a *accum.Arr
 		a.Touch(int(tally.lo))
 		a.Touch(int(tally.hi))
 	}
+}
+
+// batchLanes is how many movers one batch call takes: 16
+// (moveBatch16AVX512) when k pushes wider than a block, as on an
+// AVX-512 host, else 8 (moveBatchAVX2).
+func (k *Kernel) batchLanes() int {
+	if k.asmLanes > particle.Lanes {
+		return 2 * particle.Lanes
+	}
+	return particle.Lanes
+}
+
+// moveBatch runs the batch routine of k's width over the top batch of
+// mv, depositing into ac.
+func (k *Kernel) moveBatch(blk []particle.Block, mv []particle.Mover, ac []accum.Cell, con *moveConsts, tally *moveTally) int {
+	if k.batchLanes() > particle.Lanes {
+		return moveBatch16AVX512(blk, mv, k.faces, ac, con, tally)
+	}
+	return moveBatchAVX2(blk, mv, k.faces, ac, con, tally)
 }
 
 // local reports whether moveP finishes mv writing only its lane, the

@@ -18,3 +18,17 @@ import (
 //
 //go:noescape
 func advanceBlock32AVX512(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run *laneRun, con *laneConsts, out *laneVecs, l0, l1 int) uint64
+
+// moveBatch16AVX512 is moveBatchAVX2 over the top batch of up to
+// sixteen movers — lane l being mv[len(mv)−n+l], n = min(len(mv), 16) —
+// as one 16-lane chain, with the same contract and the same bits: it
+// finishes the fast lanes from the top down, stops at the first slow
+// one and returns how many it finished, prefetching the particles of
+// the next sixteen. Its bounds are narrower by what no particle of a
+// grid holds: a mover is also slow when its index is at or past 2^28,
+// a voxel it passes through is at or past 2^29, or its start voxel or
+// the voxel after its first face is below 3 (a ghost voxel). See
+// move_avx512_amd64.s.
+//
+//go:noescape
+func moveBatch16AVX512(blk []particle.Block, mv []particle.Mover, faces []uint8, ac []accum.Cell, con *moveConsts, tally *moveTally) int

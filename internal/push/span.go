@@ -173,7 +173,7 @@ func advanceBlockGo(b *particle.Block, ip []interp.Coeffs, ac []accum.Cell, run 
 // moveConsts hands the kernel's mover scalars to a batch routine. step
 // and wrapd are indexed by face (field.Face order; entries 6 and 7 are
 // zero, the "no face" code). Offsets are hardcoded in
-// push_avx2_amd64.s.
+// push_avx2_amd64.s and move_avx512_amd64.s.
 type moveConsts struct {
 	q     float32               // +0: species charge
 	wrap  uint32                // +4: bit f set when Bound[f] is Wrap
@@ -184,7 +184,8 @@ type moveConsts struct {
 // moveTally is what a batch routine reports besides its count: the
 // segments its finished movers deposited and the least and greatest
 // voxel they deposited into, the window the driver touches once per
-// finish. Offsets are hardcoded in push_avx2_amd64.s.
+// finish. Offsets are hardcoded in push_avx2_amd64.s and
+// move_avx512_amd64.s.
 type moveTally struct {
 	nseg   int64 // +0
 	lo, hi int32 // +8, +12

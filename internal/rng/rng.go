@@ -34,6 +34,13 @@ func splitmix64(x *uint64) uint64 {
 // (typically the rank). Distinct (seed, stream) pairs give independent
 // streams.
 func New(seed uint64, stream int) *Source {
+	s := Make(seed, stream)
+	return &s
+}
+
+// Make is New by value: the same stream, in a Source the caller can
+// keep on its stack (a loader seeds one per cell without allocating).
+func Make(seed uint64, stream int) Source {
 	x := seed ^ (0xa0761d6478bd642f * uint64(stream+1))
 	var s Source
 	for i := range s.s {
@@ -44,7 +51,7 @@ func New(seed uint64, stream int) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 1
 	}
-	return &s
+	return s
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -16,6 +16,18 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestMakeIsNew: Make's value and New's pointer start the same stream.
+func TestMakeIsNew(t *testing.T) {
+	for _, stream := range []int{0, 1, 777, 1 << 20} {
+		a, b := Make(42, stream), New(42, stream)
+		for i := 0; i < 100; i++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("stream %d: draw %d is %#x by value, %#x by pointer", stream, i, x, y)
+			}
+		}
+	}
+}
+
 func TestStreamsIndependent(t *testing.T) {
 	a := New(42, 0)
 	b := New(42, 1)
