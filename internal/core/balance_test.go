@@ -67,10 +67,11 @@ func checkpointBytes(t *testing.T, s *Simulation) []byte {
 }
 
 // TestRestoreLayoutMismatchIsStructured: a checkpoint written under
-// moved x-cuts restores bit-exactly into a uniform-cut world of the
-// same spec, which adopts the file's cuts; a different rank count or
-// decomposition shape is an error naming the layouts, and a different
-// grid is *GeometryMismatchError.
+// moved x-cuts resumes bit-exactly into members built on the file's
+// cuts (ResumeRankSim), and an in-place Restore into a uniform-cut world
+// of the same spec is refused naming both layouts; a different rank
+// count or decomposition shape is an error naming the layouts, and a
+// different grid is *GeometryMismatchError.
 func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 	cfg := periodicPlasma(16, 0.2, 0.05, 8, 2)
 	cfg.Balance.Mode = balance.Online // x-only decomposition; the cuts are moved by hand
@@ -79,17 +80,18 @@ func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 	s.Run(3)
 	ckpt := checkpointBytes(t, s)
 
-	s2 := mustNew(t, cfg)
-	if err := s2.Restore(bytes.NewReader(ckpt)); err != nil {
-		t.Fatalf("restore across x-cuts: %v", err)
-	}
+	s2 := mustResume(t, cfg, ckpt)
 	if got, want := s2.CutsX(), []int{0, 6, 16}; !slices.Equal(got, want) {
-		t.Fatalf("cuts after restore = %v, want the file's %v", got, want)
+		t.Fatalf("cuts after resume = %v, want the file's %v", got, want)
 	}
 	s.Run(3)
 	s2.Run(3)
 	if a, b := s.StateCRCs(), s2.StateCRCs(); !equalCRCs(a, b) {
-		t.Fatalf("restored run CRCs %08x != source %08x", b, a)
+		t.Fatalf("resumed run CRCs %08x != source %08x", b, a)
+	}
+	err := mustNew(t, cfg).Restore(bytes.NewReader(ckpt))
+	if err == nil || !strings.Contains(err.Error(), "CX:[0 6 16]") || !strings.Contains(err.Error(), "CX:[0 8 16]") {
+		t.Fatalf("in-place restore across x-cuts: err = %v, want a refusal naming both layouts", err)
 	}
 
 	// Different rank count, same grid.
@@ -104,7 +106,7 @@ func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 	yz := spikePlasma(8, 8, 8, 2, 4)
 	xOnly := yz
 	xOnly.Balance.Mode = balance.Online
-	err := mustNew(t, xOnly).Restore(bytes.NewReader(checkpointBytes(t, mustNew(t, yz))))
+	err = mustNew(t, xOnly).Restore(bytes.NewReader(checkpointBytes(t, mustNew(t, yz))))
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("restore across shapes: err = %v, want a layout mismatch", err)
 	}
@@ -120,9 +122,8 @@ func TestRestoreLayoutMismatchIsStructured(t *testing.T) {
 // TestRestoreAdoptsRecordedCuts is the in-process form of CI's balance
 // smoke resume: on the 4-rank spike deck with online balancing
 // (interval 2, threshold 1.15), a checkpoint written at step 20 under
-// cuts the balancer moved restores into a fresh world, which adopts the
-// file's cuts in place and reaches step 40 bit-identical to the
-// uninterrupted run.
+// cuts the balancer moved resumes members built on the file's cuts,
+// which reach step 40 bit-identical to the uninterrupted run.
 func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	cfg := spikePlasma(32, 4, 4, 8, 4)
 	cfg.Balance = BalanceConfig{Mode: balance.Online, Interval: 2, Threshold: 1.15}
@@ -138,18 +139,9 @@ func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	}
 	ckpt := checkpointBytes(t, half)
 
-	resumed := mustNew(t, cfg)
-	ranks := append([]*Rank(nil), resumed.Ranks...)
-	if err := resumed.Restore(bytes.NewReader(ckpt)); err != nil {
-		t.Fatal(err)
-	}
+	resumed := mustResume(t, cfg, ckpt)
 	if got := resumed.CutsX(); !slices.Equal(got, fileCuts) {
-		t.Fatalf("cuts after restore = %v, want the file's %v", got, fileCuts)
-	}
-	for r, rk := range ranks {
-		if resumed.Ranks[r] != rk {
-			t.Fatalf("restore replaced rank %d: callers holding Ranks went stale", r)
-		}
+		t.Fatalf("cuts after resume = %v, want the file's %v", got, fileCuts)
 	}
 	resumed.Run(20)
 	if a, b := full.StateCRCs(), resumed.StateCRCs(); !equalCRCs(a, b) {

@@ -7,22 +7,24 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"strings"
 
 	"govpic/internal/diag"
-	"govpic/internal/domain"
 	"govpic/internal/field"
 	"govpic/internal/grid"
+	"govpic/internal/mp"
 	"govpic/internal/particle"
 )
 
 // Checkpointing serializes the complete dynamic state — fields and
 // particles of every rank plus the step/time counters and the energy
 // history — so a run can be stopped and resumed bit-exactly (the
-// evolution is deterministic and the RNG is only used at load time).
-// The configuration itself is not stored; Restore validates that the
-// receiving simulation's geometry matches.
+// evolution is deterministic: the loader's draws are spent at load
+// time, and a reflux wall's are keyed by species, face and step). The
+// configuration itself is not stored; a restore validates that the
+// receiving world's geometry matches.
 //
 // The format (v6) is: the magic line; a header of little-endian u64s
 // (global grid, rank count, species count, step) and the f64 time; the
@@ -37,7 +39,7 @@ import (
 // truncated or bit-flipped file is rejected instead of silently resumed
 // from. Files with an older magic carry no checksum, no layout or no
 // history (v1–v3), carry J (v4) or every ghost plane (v5), and are
-// refused. Checkpoint and Restore are RankSim collectives, so a
+// refused. Checkpoint, Restore and ResumeRankSim are collectives, so a
 // world writes and reads the one file however its members are hosted;
 // rank 0 alone touches the file.
 
@@ -47,7 +49,14 @@ const checkpointMagic = "GOVPIC-CKPT-6\n"
 // (which start at 1<<10).
 const (
 	tagCheckpoint = 1<<9 + iota // a peer's payload, to rank 0
-	tagRestore                  // rank 0's read status, then the file, to each peer
+	tagRestore                  // rank 0's verdict, the header and the peer's payload
+)
+
+// The verdict, the first byte of a restore message: an accepted file's
+// header and payload follow it, a rejected file's error text.
+const (
+	restoreAccepted byte = iota
+	restoreRejected
 )
 
 // particleRecord is the size of one particle in writeState's form:
@@ -235,9 +244,9 @@ func (rk *Rank) writeState(c *cpWriter) {
 }
 
 // readState is writeState's mirror: it replaces this rank's state with
-// the payload c holds, which Restore has verified was written on a tile
-// of the same shape; the ghost planes are primeGhosts' to derive. The
-// new particles make every species' partition stale.
+// the payload c holds, which receiveCheckpoint has verified was written
+// on a tile of the same shape; the ghost planes are primeGhosts' to
+// derive. The new particles make every species' partition stale.
 func (rk *Rank) readState(c *cursor) {
 	rk.markStale()
 	g, f := rk.D.G, rk.D.F
@@ -351,7 +360,7 @@ func (s *Simulation) StateCRCs() []uint32 {
 
 // cpHeader is a checkpoint's parsed preamble: global geometry, time
 // counters, the rank layout the per-rank payload is laid out in and the
-// energy history.
+// energy history, and the bytes it was parsed from.
 type cpHeader struct {
 	nx, ny, nz int
 	nSpecies   int
@@ -359,6 +368,7 @@ type cpHeader struct {
 	time       float64
 	layout     grid.Layout
 	history    []diag.EnergySample
+	preamble   []byte // the magic through the history
 }
 
 // readCheckpointHeader parses the magic, header, layout and history off
@@ -366,6 +376,7 @@ type cpHeader struct {
 // bounded by the bytes left before anything is sized by it, so a
 // corrupt one reads as the truncation it is.
 func readCheckpointHeader(c *cursor) (*cpHeader, error) {
+	start := c.b
 	if len(c.b) < len(checkpointMagic) {
 		return nil, fmt.Errorf("core: checkpoint truncated: %w", io.ErrUnexpectedEOF)
 	}
@@ -425,14 +436,16 @@ func readCheckpointHeader(c *cursor) (*cpHeader, error) {
 		return nil, fmt.Errorf("core: checkpoint layout invalid: %w", err)
 	}
 	hd.layout = lay
+	hd.preamble = start[:len(start)-len(c.b)]
 	return hd, nil
 }
 
-// verifyCheckpoint checks data for rank of a world with config cfg on
-// layout cur — header, geometry (*GeometryMismatchError), layout (only
-// x-cuts may differ), every payload's extent and the CRC trailer — and
-// returns the header and a cursor on rank's payload.
-func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpHeader, *cursor, error) {
+// verifyCheckpoint checks data for a world with config cfg on layout
+// cur — header, geometry (*GeometryMismatchError), layout (only x-cuts
+// may differ, and with sameCuts not they either), every payload's
+// extent and the CRC trailer — and returns the header and every rank's
+// payload in rank order.
+func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, sameCuts bool) (*cpHeader, [][]byte, error) {
 	c := &cursor{b: data}
 	hd, err := readCheckpointHeader(c)
 	if err != nil {
@@ -449,8 +462,8 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 	if !hd.layout.Equal(onFileCuts) {
 		return nil, nil, fmt.Errorf("core: checkpoint layout %+v does not match simulation layout %+v (only x-cuts may differ)", hd.layout, cur)
 	}
-	var mine cursor
-	for r := 0; r < hd.layout.Dec.NRanks(); r++ {
+	payloads := make([][]byte, hd.layout.Dec.NRanks())
+	for r := range payloads {
 		g, err := hd.layout.Local(r, cfg.DX, cfg.DY, cfg.DZ)
 		if err != nil {
 			return nil, nil, err
@@ -459,9 +472,7 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 		if !skipPayload(c, g, hd.layout, cfg.FieldBC, r, hd.nSpecies) {
 			return nil, nil, fmt.Errorf("core: checkpoint truncated or unreadable: %w", io.ErrUnexpectedEOF)
 		}
-		if r == rank {
-			mine.b = start[:len(start)-len(c.b)]
-		}
+		payloads[r] = start[:len(start)-len(c.b)]
 	}
 	if len(c.b) < 4 {
 		return nil, nil, fmt.Errorf("core: checkpoint truncated (missing CRC trailer): %w", io.ErrUnexpectedEOF)
@@ -469,55 +480,110 @@ func verifyCheckpoint(data []byte, cfg *Config, cur grid.Layout, rank int) (*cpH
 	if got, want := binary.LittleEndian.Uint32(c.b), crc32.ChecksumIEEE(data[:len(data)-len(c.b)]); got != want {
 		return nil, nil, fmt.Errorf("core: checkpoint corrupt: CRC %08x in file, %08x computed", got, want)
 	}
-	return hd, &mine, nil
+	if sameCuts && !hd.layout.Equal(cur) {
+		return nil, nil, fmt.Errorf("core: checkpoint layout %+v does not match simulation layout %+v (only x-cuts may differ, and only when a member resumes)", hd.layout, cur)
+	}
+	return hd, payloads, nil
+}
+
+// receiveCheckpoint is the transfer under both restores — a collective
+// every member calls at the same step. Rank 0 alone touches r: it reads
+// the file and verifies all of it once (verifyCheckpoint), then sends
+// each peer one message: the verdict and, for an accepted file, the
+// file's preamble and that peer's own payload. A peer checks only its
+// payload's extent (skipPayload). Every member returns the header and
+// a cursor on its payload, or rank 0's error, so a rejected file fails
+// every member alike and changes none.
+func receiveCheckpoint(comm *mp.Comm, r io.Reader, cfg *Config, cur grid.Layout, sameCuts bool) (*cpHeader, *cursor, error) {
+	if comm.Rank() != 0 {
+		msg := comm.Recv(0, tagRestore).([]byte)
+		if msg[0] != restoreAccepted {
+			return nil, nil, errors.New(string(msg[1:]))
+		}
+		c := &cursor{b: msg[1:]}
+		hd, err := readCheckpointHeader(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		g, err := hd.layout.Local(comm.Rank(), cfg.DX, cfg.DY, cfg.DZ)
+		if err != nil {
+			return nil, nil, err
+		}
+		payload := *c
+		if !skipPayload(c, g, hd.layout, cfg.FieldBC, comm.Rank(), hd.nSpecies) || len(c.b) > 0 {
+			return nil, nil, fmt.Errorf("core: checkpoint payload truncated or unreadable: %w", io.ErrUnexpectedEOF)
+		}
+		return hd, &payload, nil
+	}
+	data, err := readAll(r)
+	if err != nil {
+		err = fmt.Errorf("core: checkpoint unreadable: %w", err)
+	}
+	var hd *cpHeader
+	var payloads [][]byte
+	if err == nil {
+		hd, payloads, err = verifyCheckpoint(data, cfg, cur, sameCuts)
+	}
+	for p := 1; p < comm.Size(); p++ {
+		var msg []byte
+		if err != nil {
+			msg = append([]byte{restoreRejected}, err.Error()...)
+		} else {
+			msg = make([]byte, 0, 1+len(hd.preamble)+len(payloads[p]))
+			msg = append(append(append(msg, restoreAccepted), hd.preamble...), payloads[p]...)
+		}
+		comm.Send(p, tagRestore, msg)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return hd, &cursor{b: payloads[0]}, nil
+}
+
+// readAll reads r to its end into one buffer sized up front when r
+// tells its size (a file's Stat, a reader's Len), where io.ReadAll would
+// grow and copy its buffer a dozen times over a large checkpoint.
+func readAll(r io.Reader) ([]byte, error) {
+	n := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		n = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil {
+			n = int(fi.Size())
+		}
+	}
+	var b bytes.Buffer
+	b.Grow(n + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // Restore replaces this member's dynamic state bit-exactly with a
-// checkpoint of a world with the same geometry and species — a
-// collective every member calls at the same step. Rank 0 alone touches
-// r: it reads the file once and hands the bytes (or its read error) to
-// every peer. Each member makes every check on the same bytes, so all
-// return the same error or none does, and a rejected file changes no
-// member. Only then does the member move onto the file's x-cuts in
-// place (adoptDomain), read its own payload and, with the world,
-// re-derive its ghost planes (primeGhosts).
+// checkpoint of a world with the same geometry, species and layout — a
+// collective every member calls at the same step (receiveCheckpoint).
+// It moves no member: a file on other x-cuts is refused, and
+// ResumeRankSim builds a member on them. Each member reads its own
+// payload and, with the world, re-derives its ghost planes.
 func (rs *RankSim) Restore(r io.Reader) error {
-	var data, status []byte
-	var err error
-	if rs.comm.Rank() == 0 {
-		if data, err = io.ReadAll(r); err != nil {
-			err = fmt.Errorf("core: checkpoint unreadable: %w", err)
-			status = []byte(err.Error())
-		}
-	}
-	// Rank 0 hands every peer its read status (the error's text, empty
-	// on success), then the bytes.
-	if status = rs.comm.Bcast(tagRestore, status).([]byte); len(status) > 0 {
-		if err == nil {
-			err = errors.New(string(status))
-		}
-		return err
-	}
-	data = rs.comm.Bcast(tagRestore, data).([]byte)
-	rk := rs.Rank
-	hd, payload, err := verifyCheckpoint(data, &rs.Cfg, rk.D.Cfg.Layout, rs.comm.Rank())
+	hd, payload, err := receiveCheckpoint(rs.comm, r, &rs.Cfg, rs.Rank.D.Cfg.Layout, true)
 	if err != nil {
 		return err
 	}
-	if !hd.layout.Equal(rk.D.Cfg.Layout) {
-		dcfg := rk.D.Cfg
-		dcfg.Layout = hd.layout
-		d, err := domain.New(dcfg, rk.D.Comm)
-		if err != nil {
-			return err
-		}
-		rk.adoptDomain(&rs.Cfg, d)
-	}
+	rs.read(hd, payload)
+	return nil
+}
+
+// read replaces the member's state with payload's and its counters and
+// history with hd's, sizes the kernels for the new population and
+// primes the ghost planes with the world (primeGhosts).
+func (rs *RankSim) read(hd *cpHeader, payload *cursor) {
+	rk := rs.Rank
 	rk.readState(payload)
+	rk.presizeKernels()
 	rk.primeGhosts()
 	rs.step, rs.time = hd.step, hd.time
 	rs.History = diag.History{Samples: hd.history}
-	return nil
 }
 
 // CheckpointHistory returns the energy history of the checkpoint r
@@ -525,7 +591,7 @@ func (rs *RankSim) Restore(r io.Reader) error {
 // four bytes). It needs no simulation: vpicd replays a stopped job's
 // samples from the job's checkpoint.
 func CheckpointHistory(r io.Reader) (diag.History, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return diag.History{}, fmt.Errorf("core: checkpoint unreadable: %w", err)
 	}
@@ -540,7 +606,8 @@ func CheckpointHistory(r io.Reader) (diag.History, error) {
 	return diag.History{Samples: hd.history}, nil
 }
 
-// Restore loads a checkpoint into every member (RankSim.Restore).
+// Restore loads a checkpoint into every member in place
+// (RankSim.Restore).
 func (s *Simulation) Restore(r io.Reader) error {
 	return Collect(s, func(rs *RankSim) error { return rs.Restore(r) })
 }

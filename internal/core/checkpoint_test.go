@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
 	"govpic/internal/balance"
+	"govpic/internal/mp"
 )
 
 // ckptFixture runs a small plasma five steps on 1 or 2 ranks, sampling
@@ -332,27 +334,64 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRestore: Restore and CheckpointHistory never panic on
-// arbitrary bytes, and a world accepts a file only if it begins with its
-// own fixture's unmodified bytes — the CRC trailer covers everything it reads, and a
-// suffix past the trailer is never read. Every input goes to a 1-rank
-// and a 2-rank world. One world of each serves every input: a restore
-// overwrites all the state a checkpoint carries, a rejected file
-// changes nothing, and the only x-cuts an accepted file can bring are
-// the 2-rank fixture's.
+// resume builds cfg's in-process world from ckpt the way dist.Member
+// does, every member a ResumeRankSim on its Comm with one reader only
+// rank 0 touches, and returns it with each member's error.
+func resume(cfg Config, ckpt []byte, setup func(*Rank) error) (*Simulation, []error) {
+	r := bytes.NewReader(ckpt)
+	world := mp.NewWorld(cfg.NRanks)
+	s := &Simulation{Cfg: cfg, World: world,
+		Ranks: make([]*Rank, cfg.NRanks), sims: make([]*RankSim, cfg.NRanks)}
+	errs := make([]error, cfg.NRanks)
+	var wg sync.WaitGroup
+	for rank := range s.sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.sims[rank], errs[rank] = ResumeRankSim(cfg, world.Comm(rank), r, setup)
+		}()
+	}
+	wg.Wait()
+	for rank, rs := range s.sims {
+		if rs != nil {
+			s.Ranks[rank] = rs.Rank
+		}
+	}
+	return s, errs
+}
+
+// mustResume resumes cfg's world from ckpt or fails the test.
+func mustResume(t testing.TB, cfg Config, ckpt []byte) *Simulation {
+	t.Helper()
+	s, errs := resume(cfg, ckpt, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", r, err)
+		}
+	}
+	return s
+}
+
+// FuzzCheckpointRestore: Restore, ResumeRankSim and CheckpointHistory
+// never panic on arbitrary bytes, and a world accepts a file only if it
+// begins with its own fixture's unmodified bytes — the CRC trailer
+// covers everything it reads, and a suffix past the trailer is never
+// read. Every input goes to a 1-rank and a 2-rank world, both restored
+// in place and resumed from scratch; a resume the file fails returns
+// one error on every member. One in-place world of each serves every
+// input: it is resumed from its fixture, so it stands on the fixture's
+// x-cuts, a restore overwrites all the state a checkpoint carries and a
+// rejected file changes nothing.
 func FuzzCheckpointRestore(f *testing.F) {
 	type world struct {
+		cfg  Config
 		s    *Simulation
 		ckpt []byte
 	}
 	var worlds []world
 	for _, ranks := range []int{1, 2} {
 		cfg, ckpt := ckptFixture(f, ranks)
-		s, err := New(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		worlds = append(worlds, world{s, ckpt})
+		worlds = append(worlds, world{cfg, mustResume(f, cfg, ckpt), ckpt})
 		f.Add(ckpt)
 		for _, cut := range []int{len(ckpt) * 3 / 4, len(ckpt) - 2, 7} {
 			f.Add(ckpt[:cut])
@@ -368,6 +407,13 @@ func FuzzCheckpointRestore(f *testing.F) {
 			unmodified := bytes.HasPrefix(data, w.ckpt)
 			if err := w.s.Restore(bytes.NewReader(data)); (err == nil) != unmodified {
 				t.Fatalf("%d-rank Restore: err = %v on %d bytes (fixture prefix: %v)", len(w.s.Ranks), err, len(data), unmodified)
+			}
+			_, errs := resume(w.cfg, data, nil)
+			for r, err := range errs {
+				if (err == nil) != unmodified || err != nil && err.Error() != errs[0].Error() {
+					t.Fatalf("%d-rank resume, member %d: err = %v, member 0's %v on %d bytes (fixture prefix: %v)",
+						len(errs), r, err, errs[0], len(data), unmodified)
+				}
 			}
 		}
 		CheckpointHistory(bytes.NewReader(data))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"sync"
@@ -105,18 +106,26 @@ func TestSimulationStepAllocs(t *testing.T) {
 // objects allocated per world step (runtime.MemStats.Mallocs, every
 // goroutine included) over steps steps after warm ones, floored as
 // testing.AllocsPerRun does: the runtime's own few objects over the
-// window must not tip a budget.
-func memberStepAllocs(t *testing.T, comms []*mp.Comm, workers, warm, steps int) uint64 {
+// window must not tip a budget. With ckpt set, every member resumes from
+// it (ResumeRankSim) instead of loading.
+func memberStepAllocs(t *testing.T, comms []*mp.Comm, workers, warm, steps int, ckpt []byte) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	var wg sync.WaitGroup
+	r := bytes.NewReader(ckpt)
 	for _, c := range comms {
 		wg.Add(1)
 		go func(c *mp.Comm) {
 			defer wg.Done()
 			cfg := thermalBox(32, 4, 4, 8, len(comms))
 			cfg.Workers = workers
-			rs, err := NewRankSim(cfg, c)
+			var rs *RankSim
+			var err error
+			if ckpt != nil {
+				rs, err = ResumeRankSim(cfg, c, r, nil)
+			} else {
+				rs, err = NewRankSim(cfg, c)
+			}
 			if err != nil {
 				t.Error(err) // the config is every member's, so every member fails here
 				return
@@ -154,8 +163,43 @@ func TestMemberStepAllocs(t *testing.T) {
 		for r := range comms {
 			comms[r] = w.Comm(r)
 		}
-		if got := memberStepAllocs(t, comms, c.workers, 40, 200); got != 0 {
+		if got := memberStepAllocs(t, comms, c.workers, 40, 200, nil); got != 0 {
 			t.Errorf("%d ranks × %d workers: members allocate %d objects per world step, the budget 0", c.ranks, c.workers, got)
+		}
+	}
+}
+
+// TestResumedMemberStepAllocs is TestMemberStepAllocs on members resumed
+// from a checkpoint of the same world at step 10: a resumed member sizes
+// its kernels' outgoing buffers from the population it read, so its
+// steady-state step allocates nothing either. Resumed from a file of
+// step 0, which holds the loaded population, its buffers are the loaded
+// member's size.
+func TestResumedMemberStepAllocs(t *testing.T) {
+	fresh := mustNew(t, thermalBox(32, 4, 4, 8, 2))
+	resumed := mustResume(t, fresh.Cfg, checkpointBytes(t, fresh))
+	for r, rk := range fresh.Ranks {
+		for i, k := range rk.Kernels {
+			for f, out := range k.Out {
+				if got := cap(resumed.Ranks[r].Kernels[i].Out[f]); got != cap(out) {
+					t.Fatalf("rank %d, species %d, face %d: resumed outgoing capacity %d, loaded %d", r, i, f, got, cap(out))
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ ranks, workers int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
+		cfg := thermalBox(32, 4, 4, 8, c.ranks)
+		cfg.Workers = c.workers
+		s := mustNew(t, cfg)
+		s.Run(10)
+		ckpt := checkpointBytes(t, s)
+		w := mp.NewWorld(c.ranks)
+		comms := make([]*mp.Comm, c.ranks)
+		for r := range comms {
+			comms[r] = w.Comm(r)
+		}
+		if got := memberStepAllocs(t, comms, c.workers, 40, 200, ckpt); got != 0 {
+			t.Errorf("%d ranks × %d workers: resumed members allocate %d objects per world step, the budget 0", c.ranks, c.workers, got)
 		}
 	}
 }
@@ -194,7 +238,7 @@ func TestMemberStepAllocsTCP(t *testing.T) {
 		defer ts[r].Close()
 		comms[r] = mp.NewComm(ts[r])
 	}
-	if got := memberStepAllocs(t, comms, 1, 40, 200); got > maxAllocs {
+	if got := memberStepAllocs(t, comms, 1, 40, 200, nil); got > maxAllocs {
 		t.Errorf("2 TCP ranks: members allocate %d objects per world step, the bound %d", got, maxAllocs)
 	}
 }

@@ -29,8 +29,10 @@ func refluxLPIDeck(workers int, kernel string) (deck.Deck, error) {
 }
 
 // TestMoverOrderPinned pins the final state CRC of two decks whose
-// slow movers (absorbed, reflected, re-emitted, third-face) lie among
-// fast ones, at one worker and at several: the pipelined mover finish
+// slow movers lie among fast ones (the hot deck's absorbed, reflected
+// and third-face movers; the LPI deck's plasma reaches no wall in 20
+// steps, so none of its movers is re-emitted), at one worker and at
+// several: the pipelined mover finish
 // must keep every accumulator's order of adds, whatever share of the
 // movers each pool task finishes itself. The expected values were
 // generated with the code before pool tasks finished any mover, when

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"govpic/internal/accum"
 	"govpic/internal/balance"
 	"govpic/internal/domain"
@@ -78,16 +80,23 @@ type partState struct {
 	scan         []int32 // the merged slot list, reused
 }
 
-// domainConfig derives the decomposed-domain configuration (including
-// the rank decomposition) from a validated simulation config. Every
-// rank of a world — in-process or distributed — must derive the same
-// one, so loading stays decomposition-invariant: the layout is a pure
-// function of cfg. An active balance mode switches to an x-slab
-// decomposition whose x extent need not divide evenly (the cuts place
-// the planes); otherwise the classic even-divisibility chooser runs, so
-// existing decks keep their exact decomposition. Either way the world
-// starts on the uniform cuts.
-func domainConfig(cfg *Config) (domain.Config, error) {
+// domainConfig validates cfg for a member of comm's world and derives
+// the decomposed-domain configuration (including the rank
+// decomposition) from it. Every rank of a world — in-process or
+// distributed — must derive the same one, so loading stays
+// decomposition-invariant: the layout is a pure function of cfg. An
+// active balance mode switches to an x-slab decomposition whose x
+// extent need not divide evenly (the cuts place the planes); otherwise
+// the classic even-divisibility chooser runs, so existing decks keep
+// their exact decomposition. Either way the world starts on the
+// uniform cuts.
+func domainConfig(cfg *Config, comm *mp.Comm) (domain.Config, error) {
+	if err := cfg.Validate(); err != nil {
+		return domain.Config{}, err
+	}
+	if cfg.NRanks != comm.Size() {
+		return domain.Config{}, fmt.Errorf("core: config wants %d ranks, world has %d", cfg.NRanks, comm.Size())
+	}
 	var dec grid.Decomp
 	var err error
 	if cfg.Balance.Mode != balance.Off {
@@ -104,17 +113,15 @@ func domainConfig(cfg *Config) (domain.Config, error) {
 	}, nil
 }
 
-// newRank builds one rank's tile: domain, kernels, species loading
-// (decomposition-invariant) and scratch. It performs no communication,
-// so ranks can be built in any order, on one process or many. The
-// loader emits every species in ascending voxel order, so the load
-// needs no sort: the first one runs at step SortInterval.
+// newRank builds one rank's tile on dcfg's layout: domain, kernels,
+// empty species and scratch. It performs no communication, so ranks can
+// be built in any order, on one process or many. A fresh member then
+// loads its species (load), a resumed one reads them (readState).
 func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	d, err := domain.New(dcfg, comm)
 	if err != nil {
 		return nil, err
 	}
-	gl := loader.Global{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ}
 	rk := &Rank{
 		D:   d,
 		IP:  interp.NewTable(d.G),
@@ -131,37 +138,14 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 		rk.pipeAcc[b] = accum.New(d.G)
 		rk.blockSt[b] = new(push.BlockState)
 	}
-
-	for i, sc := range cfg.Species {
+	for _, sc := range cfg.Species {
 		sp, err := species.New(sc.Name, sc.Q, sc.M, sc.SortInterval)
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case sc.NeutralizePrevious:
-			prev := rk.Species[i-1]
-			uth := [3]float64{}
-			if sc.Load != nil {
-				uth = sc.Load.Uth
-			}
-			seed := uint64(1)
-			if sc.Load != nil {
-				seed = sc.Load.Seed
-			}
-			if err := loader.LoadNeutralizing(prev.Buf, sc.Q, uth, seed, sp.Buf); err != nil {
-				return nil, err
-			}
-		case sc.Load != nil:
-			if _, err := loader.Load(d.G, gl, *sc.Load, rk.pool, sp.Buf); err != nil {
-				return nil, err
-			}
-		}
 		rk.Species = append(rk.Species, sp)
 		rk.Kernels = append(rk.Kernels, rk.newKernel(cfg, sp))
-	}
-	rk.bufs = make([]*particle.Buffer, len(rk.Species))
-	for i, sp := range rk.Species {
-		rk.bufs[i] = sp.Buf
+		rk.bufs = append(rk.bufs, sp.Buf)
 	}
 	// Pre-size the per-block mover lists so steady-state steps allocate
 	// nothing.
@@ -171,22 +155,55 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 	rk.shell = shellMask(d)
 	rk.part = make([]partState, len(rk.Species))
 	rk.markStale()
-	// The load's regions are set-up, not the first step's sections.
-	rk.pool.TakeStats(0)
 	return rk, nil
 }
 
+// load fills the species of a freshly built rank, in config order
+// (decomposition-invariant), and sizes the kernels for them. The
+// loader emits every species in ascending voxel order, so the load
+// needs no sort: the first one runs at step SortInterval.
+func (rk *Rank) load(cfg *Config) error {
+	gl := loader.Global{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ}
+	for i, sc := range cfg.Species {
+		buf := rk.Species[i].Buf
+		switch {
+		case sc.NeutralizePrevious:
+			uth, seed := [3]float64{}, uint64(1)
+			if sc.Load != nil {
+				uth, seed = sc.Load.Uth, sc.Load.Seed
+			}
+			if err := loader.LoadNeutralizing(rk.Species[i-1].Buf, sc.Q, uth, seed, buf); err != nil {
+				return err
+			}
+		case sc.Load != nil:
+			if _, err := loader.Load(rk.D.G, gl, *sc.Load, rk.pool, buf); err != nil {
+				return err
+			}
+		}
+	}
+	rk.presizeKernels()
+	// The load's regions are set-up, not the first step's sections.
+	rk.pool.TakeStats(0)
+	return nil
+}
+
 // newKernel builds species sp's push kernel on the rank's current
-// domain, interpolators and accumulator, with the outgoing buffers
-// pre-sized for sp's current population so steady-state steps allocate
-// nothing (newRank sizes the pipeline blocks' mover lists).
+// domain, interpolators and accumulator; presizeKernels sizes its
+// outgoing buffers.
 func (rk *Rank) newKernel(cfg *Config, sp *species.Species) *push.Kernel {
 	k := push.NewKernel(rk.D.G, rk.IP, rk.Acc, sp.Q, sp.M, cfg.DT)
 	k.Asm = cfg.Kernel == push.KernelAsm
 	k.Bound = rk.D.ParticleActions()
-	n := sp.Buf.N()
-	k.Prealloc(n/64 + 16)
 	return k
+}
+
+// presizeKernels sizes every kernel's outgoing buffers for its
+// species' current population, so steady-state steps allocate nothing
+// (newRank sizes the pipeline blocks' mover lists).
+func (rk *Rank) presizeKernels() {
+	for i, k := range rk.Kernels {
+		k.Prealloc(rk.Species[i].Buf.N()/64 + 16)
+	}
 }
 
 // shellMask marks every interior voxel adjacent to a remote face. Under

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"io"
 
 	"govpic/internal/balance"
 	"govpic/internal/diag"
@@ -19,8 +19,8 @@ import (
 type RankSim struct {
 	Cfg  Config
 	Rank *Rank
-	// History holds the samples Sample took, from step 0 on: Restore
-	// replaces it with the checkpoint's, and Checkpoint writes it.
+	// History holds the samples Sample took, from step 0 on: a restore
+	// or resume takes the checkpoint's, and Checkpoint writes it.
 	History diag.History
 
 	comm *mp.Comm
@@ -29,17 +29,11 @@ type RankSim struct {
 }
 
 // NewRankSim builds this rank's tile of a cfg.NRanks-rank world on the
-// given communicator and runs the communicating initialization phases
-// in lockstep with the peers (every rank of the world must call
-// NewRankSim concurrently).
+// given communicator, loads it and runs the communicating
+// initialization phases in lockstep with the peers (every rank of the
+// world must call NewRankSim concurrently).
 func NewRankSim(cfg Config, comm *mp.Comm) (*RankSim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.NRanks != comm.Size() {
-		return nil, fmt.Errorf("core: config wants %d ranks, world has %d", cfg.NRanks, comm.Size())
-	}
-	dcfg, err := domainConfig(&cfg)
+	dcfg, err := domainConfig(&cfg, comm)
 	if err != nil {
 		return nil, err
 	}
@@ -47,8 +41,42 @@ func NewRankSim(cfg Config, comm *mp.Comm) (*RankSim, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := rk.load(&cfg); err != nil {
+		return nil, err
+	}
 	rk.initDecomposed(&cfg)
 	return &RankSim{Cfg: cfg, Rank: rk, comm: comm}, nil
+}
+
+// ResumeRankSim builds this rank's member of cfg's world from the
+// checkpoint r holds — a collective every rank of the world calls
+// concurrently; rank 0 alone touches r (receiveCheckpoint). The tile is
+// built on the file's layout with empty species, setup (when set)
+// finishes it, and only then does the member read its payload and prime
+// its ghosts: it never loads or deposits what the file replaces. A
+// rejected file fails every member with rank 0's error.
+func ResumeRankSim(cfg Config, comm *mp.Comm, r io.Reader, setup func(*Rank) error) (*RankSim, error) {
+	dcfg, err := domainConfig(&cfg, comm)
+	if err != nil {
+		return nil, err
+	}
+	hd, payload, err := receiveCheckpoint(comm, r, &cfg, dcfg.Layout, false)
+	if err != nil {
+		return nil, err
+	}
+	dcfg.Layout = hd.layout
+	rk, err := newRank(&cfg, dcfg, comm)
+	if err != nil {
+		return nil, err
+	}
+	if setup != nil {
+		if err := setup(rk); err != nil {
+			return nil, err
+		}
+	}
+	rs := &RankSim{Cfg: cfg, Rank: rk, comm: comm}
+	rs.read(hd, payload)
+	return rs, nil
 }
 
 // Comm returns the rank's communicator.
@@ -131,8 +159,8 @@ func (rs *RankSim) TotalParticles() int {
 }
 
 // LostEnergy returns the kinetic energy carried away by particles
-// absorbed at boundaries since the start, summed over the world (a
-// collective) — it closes the energy budget of bounded runs.
+// absorbed at boundaries since this member was built, summed over the
+// world (a collective) — it closes the energy budget of bounded runs.
 func (rs *RankSim) LostEnergy() float64 {
 	var e float64
 	for _, k := range rs.Rank.Kernels {

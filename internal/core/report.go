@@ -7,8 +7,8 @@ import (
 	psort "govpic/internal/sort"
 )
 
-// RankReport is one rank's cumulative performance record since the start
-// of the run: the one per-rank perf surface. It is a plain value that
+// RankReport is one rank's cumulative performance record since this
+// member was built: the one per-rank perf surface. It is a plain value that
 // JSON-serializes as is, so a distributed run ships it between
 // processes unchanged, and every report consumer (vpic's end-of-run
 // block and artifacts, vpicd's job status and metrics, the experiment

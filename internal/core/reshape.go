@@ -188,6 +188,7 @@ func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 		k.AdoptFrom(rk.Kernels[i])
 		rk.Kernels[i] = k
 	}
+	rk.presizeKernels()
 	rk.shell = shellMask(d)
 	rk.markStale()
 }

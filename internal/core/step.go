@@ -54,6 +54,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 	// Reduce (or accum.New) left them so.
 	for i, sp := range rk.Species {
 		rk.part[i].partition(rk.shell, sp.Buf)
+		rk.Kernels[i].BeginStep(step) // keys the step's wall re-emissions
 	}
 	rk.pushRanges(true) // the shell tail
 	rk.switchPar(perf.Push, perf.Comm)

@@ -8,6 +8,7 @@ package deck
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"govpic/internal/core"
@@ -25,7 +26,9 @@ type Deck struct {
 	// initialized (a velocity perturbation on the loaded particles, a
 	// wall model on the kernels). It is local — it sees only that rank
 	// and must not communicate — so the deck runs unchanged on any
-	// world: New applies it to every rank, NewRank to the member's own.
+	// world: New applies it to every rank, NewRank to the member's own,
+	// and ResumeRank to the member's tile before it reads its payload,
+	// where a perturbation meets no particle and a wall model stays.
 	Setup func(*core.Rank) error
 	// Notes carries derived numbers (ωpe, expected rates, probe
 	// positions...) keyed by short names.
@@ -57,6 +60,14 @@ func (d *Deck) NewRank(comm *mp.Comm) (*core.RankSim, error) {
 		return nil, err
 	}
 	return rs, d.setup(rs.Rank)
+}
+
+// ResumeRank builds this process's member of the deck's world from the
+// checkpoint r holds (rank 0 alone reads it) and applies the setup to
+// the member's tile before the read. Collective: every rank of the
+// world must call it concurrently (core.ResumeRankSim).
+func (d *Deck) ResumeRank(comm *mp.Comm, r io.Reader) (*core.RankSim, error) {
+	return core.ResumeRankSim(d.Cfg, comm, r, d.setup)
 }
 
 func (d *Deck) setup(rk *core.Rank) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"govpic/internal/core"
+	"govpic/internal/particle"
 )
 
 // particles is a lockstep world's global particle count.
@@ -184,6 +185,38 @@ func TestLPI3DDeck(t *testing.T) {
 	s.Run(5) // full 3-D smoke: push, exchange, field advance
 	if particles(s) == 0 {
 		t.Fatal("no plasma in 3-D deck")
+	}
+}
+
+// TestRefluxSpeciesDrawApart: on the LPI deck with mobile ions and
+// reflux walls (one wall temperature for both species), an electron
+// and an ion leaving through the x-low wall with the same momentum in
+// the same step are re-emitted with different momenta: each species'
+// kernel draws from its own stream.
+func TestRefluxSpeciesDrawApart(t *testing.T) {
+	p := DefaultLPI(0.03)
+	p.PlateauLength, p.PPC, p.MobileIons, p.RefluxWalls = 8, 8, true, true
+	d, err := LPI(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := d.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk := s.Ranks[0]
+	var reemitted [2]particle.Particle
+	for si := range reemitted {
+		buf := particle.NewBuffer(1)
+		buf.Append(particle.Particle{Dx: -0.9, Voxel: int32(rk.D.G.Voxel(1, 1, 1)), Ux: -0.5, W: 1})
+		rk.Kernels[si].AdvanceP(buf)
+		if buf.N() != 1 || buf.At(0).Ux <= 0 {
+			t.Fatalf("species %d: particle %+v (%d left), want one re-emitted inward", si, buf.At(0), buf.N())
+		}
+		reemitted[si] = buf.At(0)
+	}
+	if e, i := reemitted[0], reemitted[1]; e.Ux == i.Ux && e.Uy == i.Uy && e.Uz == i.Uz {
+		t.Fatalf("electron and ion re-emitted with the same momentum (%g, %g, %g)", e.Ux, e.Uy, e.Uz)
 	}
 }
 

@@ -207,7 +207,7 @@ func refluxXWalls(uth [][3]float32) func(*core.Rank) error {
 		for si, k := range rk.Kernels {
 			for _, face := range []field.Face{field.XLo, field.XHi} {
 				if !rk.D.Remote(face) {
-					k.EnableReflux(int(face), push.RefluxParams{Uth: uth[si]})
+					k.EnableReflux(int(face), push.RefluxParams{Uth: uth[si], Species: si})
 				}
 			}
 		}

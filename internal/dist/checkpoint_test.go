@@ -61,10 +61,10 @@ func runMembers(t *testing.T, dk deck.Deck, job Job) *Result {
 
 // TestCheckpointCrossesWorlds: a checkpoint is the world's, not its
 // host's, and it carries the run's history. On the balanced spike deck,
-// a file written at step 20 by a 2-rank loopback-TCP world resumes in an
-// in-process Simulation, and a file the Simulation wrote resumes on a
-// TCP world; both reach the uninterrupted run's CRCs and energy history
-// at step 40. So do a checkpoint at step 0 and one at step 25, off the
+// a file written at step 20 by a 2-rank loopback-TCP world resumes on
+// in-process members, and a file an in-process Simulation wrote
+// resumes on a TCP world; both reach the uninterrupted run's CRCs and
+// energy history at step 40. So do a checkpoint at step 0 and one at step 25, off the
 // sampling cadence: a resume takes no extra or duplicate sample. On 3
 // ranks, where every handoff to and from rank 0 has two peers, a
 // restore, 10 steps and a checkpoint write the same file, CRCs and
@@ -93,25 +93,12 @@ func TestCheckpointCrossesWorlds(t *testing.T) {
 	if slices.Equal(results[0].CutsX, uniform) {
 		t.Fatalf("the balancer never moved the cuts by step 20: %v", results[0].CutsX)
 	}
-	sim, err := dk.New()
-	if err != nil {
-		t.Fatal(err)
+	res := runMembers(t, dk, Job{Steps: 20, Every: 10, Restore: fromTCP})
+	if !slices.Equal(res.CRCs, want) {
+		t.Errorf("TCP → in-process: CRCs %08x, uninterrupted %08x", res.CRCs, want)
 	}
-	f, err := os.Open(fromTCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sim.Restore(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("in-process restore of the TCP world's file: %v", err)
-	}
-	runSampled(sim, 20, 10)
-	if got := sim.StateCRCs(); !slices.Equal(got, want) {
-		t.Errorf("TCP → in-process: CRCs %08x, uninterrupted %08x", got, want)
-	}
-	if !reflect.DeepEqual(history(sim), wantHist) {
-		t.Errorf("TCP → in-process: history %+v, uninterrupted %+v", history(sim), wantHist)
+	if !reflect.DeepEqual(res.History, wantHist) {
+		t.Errorf("TCP → in-process: history %+v, uninterrupted %+v", res.History, wantHist)
 	}
 
 	half, err := dk.New()
@@ -211,6 +198,70 @@ func TestFileFailuresFailEveryRank(t *testing.T) {
 					t.Errorf("%s, %s rank %d: err = %v, want %q", tc.name, world, r, err, tc.want)
 				}
 			}
+		}
+	}
+}
+
+// wallDeck is a 1-D LPI slab whose plasma reaches its reflux walls:
+// half a c/ω0 of vacuum and of ramp at each end of a 10 c/ω0 plateau,
+// at Te 0.008 and 16 electrons per cell.
+func wallDeck(t *testing.T, ranks, workers int) deck.Deck {
+	t.Helper()
+	p := deck.DefaultLPI(0.05)
+	p.VacuumLength, p.RampLength, p.PlateauLength = 0.5, 0.5, 10
+	p.Te, p.PPC, p.NRanks, p.RefluxWalls = 0.008, 16, ranks, true
+	dk, err := deck.LPI(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk.Cfg.Workers = workers
+	return dk
+}
+
+// TestRefluxWallsResumeExactly: a reflux wall's draws are keyed by what
+// a checkpoint restores (species, face and step), so on wallDeck a run
+// checkpointed at step 100 and resumed reaches the uninterrupted run's
+// CRCs at step 200: on 1 rank at 1, 2 and 8 workers, and on 2 ranks in
+// process and over TCP. With absorbing walls the deck loses particles
+// in both halves, so its walls are reached before and after the
+// checkpoint.
+func TestRefluxWallsResumeExactly(t *testing.T) {
+	absorbing := wallDeck(t, 1, 1)
+	absorbing.Setup = nil
+	var counts []int
+	runMembers(t, absorbing, Job{Steps: 200, AfterStep: func(rs *core.RankSim) bool {
+		if s := rs.StepCount(); s == 1 || s == 100 || s == 200 {
+			counts = append(counts, rs.TotalParticles())
+		}
+		return false
+	}})
+	if counts[0] <= counts[1] || counts[1] <= counts[2] {
+		t.Fatalf("absorbing walls: particles %v at steps 1, 100, 200; the walls are not reached in both halves", counts)
+	}
+
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		ranks, workers int
+		tcp            bool
+	}{{1, 1, false}, {1, 2, false}, {1, 8, false}, {2, 1, false}, {2, 1, true}} {
+		dk := wallDeck(t, tc.ranks, tc.workers)
+		run := func(job Job) *Result {
+			if !tc.tcp {
+				return runMembers(t, dk, job)
+			}
+			results, errs := runTCPDeck(t, dk, tc.ranks, job)
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("TCP rank %d: %v", r, err)
+				}
+			}
+			return results[0]
+		}
+		path := filepath.Join(dir, fmt.Sprintf("wall-%d-%d-%v.ckpt", tc.ranks, tc.workers, tc.tcp))
+		want := run(Job{Steps: 200}).CRCs
+		run(Job{Steps: 100, Checkpoint: path})
+		if got := run(Job{Steps: 100, Restore: path}).CRCs; !slices.Equal(got, want) {
+			t.Errorf("%d ranks, W %d, TCP %v: resumed CRCs %08x, uninterrupted %08x", tc.ranks, tc.workers, tc.tcp, got, want)
 		}
 	}
 }

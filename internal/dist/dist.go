@@ -1,9 +1,10 @@
 // Package dist is the one member driver of a run: every world runs
 // Member on each rank — Local on the Comms of an in-process mp world,
 // Run on the TCP endpoint of one process per rank. A member builds its
-// tile (core.RankSim), restores, steps while sampling the global energy
-// and calling the job's AfterStep hook, checkpoints, and exchanges every
-// rank's state CRC and core.RankReport. Failures are errors on every
+// tile (core.RankSim) or resumes it from a checkpoint, steps while
+// sampling the global energy and calling the job's AfterStep hook,
+// checkpoints, and exchanges every rank's state CRC and
+// core.RankReport. Failures are errors on every
 // member, never hangs: a comm panic is recovered, and rank 0 hands its
 // file errors to peers.
 package dist
@@ -135,15 +136,14 @@ func Member(dk deck.Deck, comm *mp.Comm, job Job, logf func(format string, args 
 	}()
 
 	dk.Cfg.NRanks = comm.Size()
-	rs, err := dk.NewRank(comm)
-	if err != nil {
-		return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
-	}
+	var rs *core.RankSim
 	if job.Restore != "" {
-		if err := restore(rs, job.Restore); err != nil {
+		if rs, err = resume(dk, comm, job.Restore); err != nil {
 			return nil, fmt.Errorf("dist: rank %d: %w: %w", rank, ErrRestore, err)
 		}
 		logf("restored at step %d (t = %.3f), x-cuts %v", rs.StepCount(), rs.Time(), rs.CutsX())
+	} else if rs, err = dk.NewRank(comm); err != nil {
+		return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
 	}
 	cfg, particles := rs.Cfg, rs.TotalParticles()
 	logf("deck %q: %d cells, %d particles, %d ranks × %d workers, %s kernel, dt = %.4g",
@@ -222,20 +222,20 @@ func shareJSON[T any](comm *mp.Comm, v T) ([]T, error) {
 	return all, err
 }
 
-// restore loads the checkpoint at path into every member. Rank 0 opens
+// resume builds the member from the checkpoint at path. Rank 0 opens
 // it; an open failure still runs the collective, which hands the error
 // to every peer.
-func restore(rs *core.RankSim, path string) error {
+func resume(dk deck.Deck, comm *mp.Comm, path string) (*core.RankSim, error) {
 	var r io.Reader
-	if rs.Comm().Rank() == 0 {
+	if comm.Rank() == 0 {
 		f, err := os.Open(path)
 		if err != nil {
-			return rs.Restore(failed{err})
+			return dk.ResumeRank(comm, failed{err})
 		}
 		defer f.Close()
 		r = f
 	}
-	return rs.Restore(r)
+	return dk.ResumeRank(comm, r)
 }
 
 // Checkpoint writes the world's checkpoint to path from rank 0,

@@ -134,10 +134,21 @@ func runTCPResult(t *testing.T, spec deck.JSONConfig, ranks int) *Result {
 	return results[0]
 }
 
-// runTCPJob runs job on spec's deck as a loopback-TCP world, one Run
-// per rank, and returns every rank's result and error. A world still
-// running after a minute fails the test as hung.
+// runTCPJob runs job on spec's deck as a loopback-TCP world
+// (runTCPDeck).
 func runTCPJob(t *testing.T, spec deck.JSONConfig, ranks int, job Job) ([]*Result, []error) {
+	t.Helper()
+	dk, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runTCPDeck(t, dk, ranks, job)
+}
+
+// runTCPDeck runs job on dk as a loopback-TCP world of ranks ranks, one
+// Run per rank, and returns every rank's result and error. A world
+// still running after a minute fails the test as hung.
+func runTCPDeck(t *testing.T, dk deck.Deck, ranks int, job Job) ([]*Result, []error) {
 	t.Helper()
 	join := testnet.FreeAddr(t)
 	results := make([]*Result, ranks)
@@ -147,11 +158,6 @@ func runTCPJob(t *testing.T, spec deck.JSONConfig, ranks int, job Job) ([]*Resul
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			dk, err := spec.Build()
-			if err != nil {
-				errs[rank] = err
-				return
-			}
 			results[rank], errs[rank] = Run(dk, job, Config{
 				Rank: rank, Ranks: ranks, Join: join, Listen: "127.0.0.1:0",
 			}, nil)
@@ -275,8 +281,8 @@ func TestAfterStepStopsEveryMember(t *testing.T) {
 	}
 }
 
-// dying is a TCP endpoint that dies on receiving a checkpoint's bytes:
-// the peer lost while rank 0 hands the file out.
+// dying is a TCP endpoint that dies on receiving its checkpoint
+// payload: the peer lost while rank 0 hands the payloads out.
 type dying struct{ mp.Transport }
 
 func (d dying) Recv(src, tag int) (any, error) {
@@ -290,8 +296,8 @@ func (d dying) Recv(src, tag int) (any, error) {
 
 // TestRejectedRestoreIsErrRestore: a corrupt checkpoint fails every
 // member, in-process and over TCP, with an error that is ErrRestore, so
-// a caller knows it may rerun fresh; a peer that dies while the file is
-// handed out fails the members with errors that are not.
+// a caller knows it may rerun fresh; a peer that dies while the
+// payloads are handed out fails the members with errors that are not.
 func TestRejectedRestoreIsErrRestore(t *testing.T) {
 	spec := deck.JSONConfig{Deck: "thermal", NX: 16, PPC: 8, Ranks: 2, Workers: 1, Steps: 2}
 	dk, err := spec.Build()

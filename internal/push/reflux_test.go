@@ -12,7 +12,7 @@ func TestRefluxKeepsParticleInBox(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
 	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.4)
-	k.EnableReflux(1, RefluxParams{Uth: [3]float32{0.05, 0.05, 0.05}, Src: rng.New(9, 0)}) // XHi
+	k.EnableReflux(1, RefluxParams{Uth: [3]float32{0.05, 0.05, 0.05}}) // XHi
 	r.buf.Append(particle.Particle{Dx: 0.9, Voxel: int32(r.g.Voxel(4, 2, 2)), Ux: 10, W: 1})
 	r.acc.Clear()
 	k.AdvanceP(r.buf)
@@ -37,11 +37,11 @@ func TestRefluxConservesCount(t *testing.T) {
 	r := newRig(6, 4, 4, 1)
 	r.ip.LoadPar(nil, r.f)
 	k := r.kernel(-1, 1, 0.3)
-	src := rng.New(2, 1)
-	k.EnableReflux(0, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}, Src: src})
-	k.EnableReflux(1, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}, Src: src})
+	k.EnableReflux(0, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}})
+	k.EnableReflux(1, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}})
 	r.loadRandom(2000, 0.3, 17)
 	for s := 0; s < 50; s++ {
+		k.BeginStep(s)
 		r.acc.Clear()
 		k.AdvanceP(r.buf)
 	}
@@ -54,7 +54,7 @@ func TestRefluxConservesCount(t *testing.T) {
 }
 
 func TestDrawRefluxDistribution(t *testing.T) {
-	p := &RefluxParams{Uth: [3]float32{0.1, 0.2, 0.3}, Src: rng.New(5, 0)}
+	p := &RefluxParams{Uth: [3]float32{0.1, 0.2, 0.3}, src: rng.Make(5, 0)}
 	const n = 50000
 	var sumNormal, sumTan2 float64
 	for i := 0; i < n; i++ {
@@ -75,12 +75,27 @@ func TestDrawRefluxDistribution(t *testing.T) {
 	}
 }
 
+// TestEnableRefluxDefaultsSource: EnableReflux keys each wall's draws
+// by species and face, and BeginStep by the step: the same species,
+// face and step draw the same momenta on any kernel, another species
+// or another step draws apart.
 func TestEnableRefluxDefaultsSource(t *testing.T) {
 	r := newRig(4, 4, 4, 1)
 	r.ip.LoadPar(nil, r.f)
-	k := r.kernel(-1, 1, 0.3)
-	k.EnableReflux(2, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}})
-	if k.reflux[2] == nil || k.reflux[2].Src == nil {
-		t.Fatal("EnableReflux did not default the RNG source")
+	first := func(species, step int) [3]float32 {
+		k := r.kernel(-1, 1, 0.3)
+		k.EnableReflux(2, RefluxParams{Uth: [3]float32{0.1, 0.1, 0.1}, Species: species})
+		k.BeginStep(step)
+		ux, uy, uz := drawReflux(k.reflux[2], 1, 1)
+		return [3]float32{ux, uy, uz}
+	}
+	if a, b := first(0, 7), first(0, 7); a != b {
+		t.Fatalf("species 0, step 7 drew %v and %v", a, b)
+	}
+	if a, b := first(0, 7), first(1, 7); a == b {
+		t.Fatalf("species 0 and 1 drew the same momentum %v on one face", a)
+	}
+	if a, b := first(0, 7), first(0, 8); a == b {
+		t.Fatalf("steps 7 and 8 drew the same momentum %v", a)
 	}
 }
