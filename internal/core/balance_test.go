@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"govpic/internal/balance"
+	"govpic/internal/field"
 	"govpic/internal/loader"
 	"govpic/internal/push"
 )
@@ -149,28 +150,23 @@ func TestRestoreAdoptsRecordedCuts(t *testing.T) {
 	}
 }
 
+// TestReshapeXPreservesDigest: on the 4-rank spike deck, the bisection
+// of the particle histogram moves the cuts, keeps the state and reduces
+// the imbalance; on wallBox's Mur faces on 2 ranks (murFaces), a
+// [0 3 8] reshape keeps the state, Mur's section included
+// (reshapeKeepsState). Each world steps on afterwards.
 func TestReshapeXPreservesDigest(t *testing.T) {
 	cfg := spikePlasma(32, 4, 4, 8, 4)
 	cfg.Balance.Mode = balance.Online // gates validation; steps driven manually
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, cfg)
 	s.Run(2)
-	dig := s.CanonicalDigest()
 	before := s.CutsX()
 	counts := planeCountsX(s)
 	newCX := balance.BisectCuts(counts, 4)
 	if slices.Equal(newCX, before) {
 		t.Fatal("fixture not adversarial enough: bisection agrees with uniform cuts")
 	}
-	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, newCX) })
-	if got := s.CutsX(); !slices.Equal(got, newCX) {
-		t.Fatalf("cuts after reshape = %v, want %v", got, newCX)
-	}
-	if got := s.CanonicalDigest(); got != dig {
-		t.Fatalf("reshape changed the digest: %016x != %016x", got, dig)
-	}
+	reshapeKeepsState(t, s, newCX)
 	if got, want := balance.Imbalance(counts, newCX), balance.Imbalance(counts, before); got >= want {
 		t.Fatalf("reshape did not reduce imbalance: %.3f → %.3f", want, got)
 	}
@@ -179,6 +175,9 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 	if math.IsNaN(e.Total) || e.Total <= 0 {
 		t.Fatalf("energy after reshape continuation: %+v", e)
 	}
+	for _, fc := range murFaces {
+		t.Run(fc.name, func(t *testing.T) { reshapeWallBox(t, fc.bc, []int{0, 3, 8}) })
+	}
 }
 
 // TestReshapeXJumpPreservesDigest drives the general slab transfer with
@@ -186,29 +185,18 @@ func TestReshapeXPreservesDigest(t *testing.T) {
 // extent [0,17) draws on three old owners, rank 1's new [17,19) is
 // disjoint from its old [8,16) and receives the spike's particles from
 // rank 2, and rank 3 gains planes from rank 2 while keeping its own.
+// On wallBox's Mur faces on 4 ranks (murFaces), the jump from
+// [0 2 4 6 8] to [0 5 6 7 8] does the same: rank 0 draws on three old
+// owners, and rank 1's new [5,6) is disjoint from its old [2,4).
 func TestReshapeXJumpPreservesDigest(t *testing.T) {
 	cfg := spikePlasma(32, 4, 4, 8, 4)
 	cfg.Balance.Mode = balance.Online // gates validation; steps driven manually
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, cfg)
 	s.Run(2)
 	if got, want := s.CutsX(), []int{0, 8, 16, 24, 32}; !slices.Equal(got, want) {
 		t.Fatalf("fixture cuts = %v, want uniform %v", got, want)
 	}
-	dig, n := s.CanonicalDigest(), s.TotalParticles()
-	target := []int{0, 17, 19, 21, 32}
-	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, target) })
-	if got := s.CutsX(); !slices.Equal(got, target) {
-		t.Fatalf("cuts after jump = %v, want %v", got, target)
-	}
-	if got := s.CanonicalDigest(); got != dig {
-		t.Fatalf("jump changed the digest: %016x != %016x", got, dig)
-	}
-	if got := s.TotalParticles(); got != n {
-		t.Fatalf("jump changed the particle count: %d != %d", got, n)
-	}
+	reshapeKeepsState(t, s, []int{0, 17, 19, 21, 32})
 	if s.Reports()[1].Particles == 0 {
 		t.Fatal("the disjoint rank received no particles: fixture does not exercise the transfer")
 	}
@@ -217,6 +205,76 @@ func TestReshapeXJumpPreservesDigest(t *testing.T) {
 		if e := s.Energy(); math.IsNaN(e.Total) || math.IsInf(e.Total, 0) || e.Total <= 0 {
 			t.Fatalf("step %d after jump: energy %+v", i+1, e)
 		}
+	}
+	for _, fc := range murFaces {
+		t.Run(fc.name, func(t *testing.T) { reshapeWallBox(t, fc.bc, []int{0, 5, 6, 7, 8}) })
+	}
+}
+
+// murFaces are wallBox's faces with a Mur wall: "mur" on both x faces,
+// "mixed" on the x-low and z-high faces, with conductors on the x-high
+// and z-low ones.
+var murFaces = []struct {
+	name string
+	bc   [field.NumFaces]field.BC
+}{
+	{"mur", [field.NumFaces]field.BC{field.Absorbing, field.Absorbing, field.Periodic, field.Periodic, field.Periodic, field.Periodic}},
+	{"mixed", [field.NumFaces]field.BC{field.Absorbing, field.Conductor, field.Periodic, field.Periodic, field.Conductor, field.Absorbing}},
+}
+
+// reshapeWallBox runs wallBox on bc as x-slabs, one per cut interval
+// of target, for five steps, reshapes it to target (reshapeKeepsState)
+// and steps on three.
+func reshapeWallBox(t *testing.T, bc [field.NumFaces]field.BC, target []int) {
+	cfg := wallBox(bc, len(target)-1)
+	cfg.Balance = BalanceConfig{Mode: balance.Online, Threshold: math.Inf(1)} // the cuts move by hand only
+	s := mustNew(t, cfg)
+	s.Run(5)
+	nonzero := 0
+	for _, row := range murSection(s.Ranks[len(s.Ranks)-1]) {
+		for _, x := range row {
+			if x != 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("the wall rank's Mur section is zero: the fixture does not exercise it")
+	}
+	t.Logf("%d nonzero floats in the wall rank's Mur section", nonzero)
+	reshapeKeepsState(t, s, target)
+	s.Run(3)
+	if e := s.Energy(); math.IsNaN(e.Total) || math.IsInf(e.Total, 0) || e.Total <= 0 {
+		t.Fatalf("energy after reshape continuation: %+v", e)
+	}
+}
+
+// reshapeKeepsState reshapes s to target and checks that the state
+// stayed: the digest, which covers Mur's section, the particle count,
+// and the wall rank's Mur nodes on the x-high wall plane (each Mur
+// row's last node), which never leave that rank.
+func reshapeKeepsState(t *testing.T, s *Simulation, target []int) {
+	t.Helper()
+	wallMur := func() []uint32 {
+		var bits []uint32
+		for _, row := range murSection(s.Ranks[len(s.Ranks)-1]) {
+			bits = append(bits, math.Float32bits(row[len(row)-1]))
+		}
+		return bits
+	}
+	dig, n, mur := s.CanonicalDigest(), s.TotalParticles(), wallMur()
+	s.each(func(rs *RankSim) { rs.Rank.reshapeX(&rs.Cfg, target) })
+	if got := s.CutsX(); !slices.Equal(got, target) {
+		t.Fatalf("cuts after reshape = %v, want %v", got, target)
+	}
+	if got := s.CanonicalDigest(); got != dig {
+		t.Errorf("reshape changed the digest: %016x != %016x", got, dig)
+	}
+	if got := s.TotalParticles(); got != n {
+		t.Errorf("reshape changed the particle count: %d != %d", got, n)
+	}
+	if got := wallMur(); !slices.Equal(got, mur) {
+		t.Errorf("reshape changed the wall rank's %d Mur nodes on the wall", len(mur))
 	}
 }
 

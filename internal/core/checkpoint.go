@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"govpic/internal/diag"
+	"govpic/internal/domain"
 	"govpic/internal/field"
 	"govpic/internal/grid"
 	"govpic/internal/mp"
@@ -208,26 +209,52 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	return Collect(s, func(rs *RankSim) error { return rs.Checkpoint(w) })
 }
 
-// writeState serializes this rank's dynamic state in the canonical
-// checkpoint order: E and B, then the background, on interior cells
-// (interiorRows); on a rank with a local Absorbing high face, Mur's
-// section (a u64 float count, then murRows); the particles. Every other
-// ghost plane is derived (primeGhosts); J is per-step scratch.
-func (rk *Rank) writeState(c *cpWriter) {
-	g, f := rk.D.G, rk.D.F
-	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
-		interiorRows(g, func(v, _, _ int) { c.f32s(a[v : v+g.NX]) })
+// The components stateRows numbers after E's and B's (0–5).
+const (
+	compBackground = 6
+	compMur        = 7 // plus murRows' comp
+)
+
+// stateRows is the one description of a rank's field state: the rows
+// the checkpoint payload carries, StateCRC and CanonicalDigest hash and
+// a reshape moves. On tile d with background bg (nil when the run has
+// none) it calls fn with each row in order: the interior x-rows
+// (interiorRows) of Ex, Ey, Ez, Bx, By and Bz (comp 0–5), those of bg,
+// then Mur's (murRows). A row is an x-run of component comp that starts
+// at voxel v. mark, when set, gets the u64s the payload holds between
+// them: the background's flag (1 with one, else 0) and, when Mur's
+// section is not empty, its float count. Every other ghost plane is
+// derived (primeGhosts), and J is per-step scratch.
+func stateRows(d *domain.Domain, bg []float32, mark func(uint64), fn func(comp, v int, row []float32)) {
+	g, f := d.G, d.F
+	if mark == nil {
+		mark = func(uint64) {}
 	}
-	if rk.rho0 != nil {
-		c.u64(1)
-		interiorRows(g, func(v, _, _ int) { c.f32s(rk.rho0[v : v+g.NX]) })
+	rows := func(comp int, a []float32) {
+		interiorRows(g, func(v int) { fn(comp, v, a[v:v+g.NX]) })
+	}
+	for comp, a := range [...][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
+		rows(comp, a)
+	}
+	if bg == nil {
+		mark(0)
 	} else {
-		c.u64(0)
+		mark(1)
+		rows(compBackground, bg)
 	}
-	if n := rk.murRows(nil); n > 0 {
-		c.u64(n)
-		rk.murRows(c.f32s)
+	mur := func(fn func(comp, v int, row []float32)) uint64 {
+		return murRows(g, d.Cfg.Layout, d.Cfg.FieldBC, d.Rank, [3][]float32{f.Ex, f.Ey, f.Ez}, fn)
 	}
+	if n := mur(nil); n > 0 {
+		mark(n)
+	}
+	mur(func(comp, v int, row []float32) { fn(compMur+comp, v, row) })
+}
+
+// writeState serializes this rank's dynamic state in the canonical
+// checkpoint order: its field state (stateRows), then the particles.
+func (rk *Rank) writeState(c *cpWriter) {
+	stateRows(rk.D, rk.rho0, c.u64, func(_, _ int, row []float32) { c.f32s(row) })
 	for _, sp := range rk.Species {
 		n := sp.Buf.N()
 		c.u64(uint64(n))
@@ -249,22 +276,15 @@ func (rk *Rank) writeState(c *cpWriter) {
 // derive. The new particles make every species' partition stale.
 func (rk *Rank) readState(c *cursor) {
 	rk.markStale()
-	g, f := rk.D.G, rk.D.F
-	for _, a := range [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz} {
-		interiorRows(g, func(v, _, _ int) { c.f32s(a[v : v+g.NX]) })
-	}
-	if c.u64() == 1 {
-		if len(rk.rho0) != g.NV() {
-			rk.rho0 = make([]float32, g.NV())
-		}
-		interiorRows(g, func(v, _, _ int) { c.f32s(rk.rho0[v : v+g.NX]) })
-	} else {
+	g := rk.D.G
+	// The background's flag follows E and B (skipPayload checked the
+	// length): the background is sized first, so the walk fills it.
+	if binary.LittleEndian.Uint64(c.b[6*4*g.NCells():]) != 1 {
 		rk.rho0 = nil
+	} else if len(rk.rho0) != g.NV() {
+		rk.rho0 = make([]float32, g.NV())
 	}
-	if rk.murRows(nil) > 0 {
-		c.u64() // the length skipPayload checked
-		rk.murRows(c.f32s)
-	}
+	stateRows(rk.D, rk.rho0, func(uint64) { c.u64() }, func(_, _ int, row []float32) { c.f32s(row) })
 	for _, sp := range rk.Species {
 		n := int(c.u64()) // bounded by the payload's length (skipPayload)
 		sp.Buf.Resize(n)
@@ -302,12 +322,13 @@ func skipPayload(c *cursor, g *grid.Grid, lay grid.Layout, bc [field.NumFaces]fi
 // murRows calls fn (when set) with each row of the Mur section of rank
 // of layout lay on tile g, and returns its float count: per local
 // Absorbing high face, the two tangential components of e (in the field
-// package's order) on plane N+1, over transverse indices 1..N+1, as
-// x-rows in ascending voxel order. First-order Mur writes that plane
-// from its own previous value, so unlike every other ghost plane it is
-// state. Its index-0 rows are derived, and beyond a remote face nothing
-// reads them, so they stay out: no exchange's reach shows in the file.
-func murRows(g *grid.Grid, lay grid.Layout, bc [field.NumFaces]field.BC, rank int, e [3][]float32, fn func([]float32)) (n uint64) {
+// package's order; comp 2·axis and 2·axis+1) on plane N+1, over
+// transverse indices 1..N+1, as x-rows in ascending voxel order, each
+// starting at voxel v. First-order Mur writes that plane from its own
+// previous value, so unlike every other ghost plane it is state. Its
+// index-0 rows are derived, and beyond a remote face nothing reads
+// them, so they stay out: no exchange's reach shows in the file.
+func murRows(g *grid.Grid, lay grid.Layout, bc [field.NumFaces]field.BC, rank int, e [3][]float32, fn func(comp, v int, row []float32)) (n uint64) {
 	cx, cy, cz := lay.Dec.Coord(rank)
 	last := [3]bool{cx == lay.Dec.PX-1, cy == lay.Dec.PY-1, cz == lay.Dec.PZ-1}
 	for axis := range last {
@@ -318,22 +339,16 @@ func murRows(g *grid.Grid, lay grid.Layout, bc [field.NumFaces]field.BC, rank in
 		lo[axis] = hi[axis]
 		run := hi[0] - lo[0] + 1
 		n += 2 * uint64(run*(hi[1]-lo[1]+1)*(hi[2]-lo[2]+1))
-		for _, a := range [2][]float32{e[(axis+1)%3], e[(axis+2)%3]} {
+		for c, a := range [2][]float32{e[(axis+1)%3], e[(axis+2)%3]} {
 			for iz := lo[2]; fn != nil && iz <= hi[2]; iz++ {
 				for iy := lo[1]; iy <= hi[1]; iy++ {
 					v := g.Voxel(lo[0], iy, iz)
-					fn(a[v : v+run])
+					fn(2*axis+c, v, a[v:v+run])
 				}
 			}
 		}
 	}
 	return n
-}
-
-// murRows is murRows on this rank's tile.
-func (rk *Rank) murRows(fn func([]float32)) uint64 {
-	d := rk.D
-	return murRows(d.G, d.Cfg.Layout, d.Cfg.FieldBC, d.Rank, [3][]float32{d.F.Ex, d.F.Ey, d.F.Ez}, fn)
 }
 
 // StateCRC fingerprints this rank's dynamic state: the CRC32 (IEEE) of

@@ -26,7 +26,10 @@ type BalanceConfig struct {
 	// (0 resolves to 10). The check itself is one small collective.
 	Interval int
 	// Threshold is the max/mean particle imbalance that triggers a
-	// repartition (0 resolves to 1.25; must be ≥ 1).
+	// repartition (0 resolves to 1.25; must be ≥ 1). The LPI deck on 4
+	// and 8 ranks starts at 1.17–1.19, so the default first moves its
+	// cuts only once the plasma has moved (after step 150 on 8 ranks,
+	// 700 on 4 at ppc 64); 1.1 moves them at the first check.
 	Threshold float64
 }
 
@@ -90,10 +93,7 @@ type Config struct {
 	Kernel string
 
 	// Balance configures the dynamic load balancer. Any mode other
-	// than off forces an x-only decomposition (PX = NRanks) and
-	// requires fully periodic field boundaries: reshapeX carries
-	// interior x-planes only, so an x-high Mur wall's plane N+1, which
-	// is state, would come back zero.
+	// than off forces an x-only decomposition (PX = NRanks).
 	Balance BalanceConfig
 }
 
@@ -178,15 +178,8 @@ func (c *Config) Validate() error {
 	if c.Balance.Threshold < 1 {
 		return fmt.Errorf("core: Balance.Threshold %g must be ≥ 1", c.Balance.Threshold)
 	}
-	if c.Balance.Mode != balance.Off {
-		for axis := 0; axis < 3; axis++ {
-			if c.FieldBC[2*axis] != field.Periodic {
-				return fmt.Errorf("core: balance mode %s requires fully periodic boundaries (axis %d is not)", c.Balance.Mode, axis)
-			}
-		}
-		if c.NX < c.NRanks {
-			return fmt.Errorf("core: balance mode %s needs NX ≥ NRanks (%d < %d)", c.Balance.Mode, c.NX, c.NRanks)
-		}
+	if c.Balance.Mode != balance.Off && c.NX < c.NRanks {
+		return fmt.Errorf("core: balance mode %s needs NX ≥ NRanks (%d < %d)", c.Balance.Mode, c.NX, c.NRanks)
 	}
 	return nil
 }

@@ -67,16 +67,25 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("accepted a Remote field BC")
 	}
-	// reshapeX carries interior x-planes only, so Mur's plane N+1 would
-	// not survive a reshape: balancing needs a fully periodic deck.
-	bad = good
-	bad.FieldBC[field.XLo], bad.FieldBC[field.XHi] = field.Absorbing, field.Absorbing
-	if err := bad.Validate(); err != nil {
-		t.Fatalf("refused an absorbing-x deck: %v", err)
+	// A reshape carries the checkpoint's rows, Mur's included, so any
+	// field boundary balances; an x-slab needs a plane.
+	for _, bc := range []field.BC{field.Absorbing, field.Conductor} {
+		walls := good
+		walls.FieldBC[field.XLo], walls.FieldBC[field.XHi] = bc, bc
+		walls.Balance.Mode = balance.Online
+		if err := walls.Validate(); err != nil {
+			t.Errorf("refused balancing on an x-%v deck: %v", bc, err)
+		}
 	}
-	bad.Balance.Mode = balance.Online
-	if bad.Validate() == nil {
-		t.Error("accepted balancing on an absorbing-x deck")
+	mixed := good
+	mixed.FieldBC = [field.NumFaces]field.BC{field.Absorbing, field.Conductor, field.Periodic, field.Periodic, field.Conductor, field.Absorbing}
+	mixed.Balance.Mode = balance.Online
+	if err := mixed.Validate(); err != nil {
+		t.Errorf("refused balancing on a mixed deck: %v", err)
+	}
+	mixed.NRanks = mixed.NX + 1
+	if mixed.Validate() == nil {
+		t.Error("accepted balancing with NX < NRanks")
 	}
 }
 

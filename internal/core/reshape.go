@@ -21,8 +21,9 @@ import (
 // the new layout and the world collectively re-primes ghost state.
 // Because the trigger and the target cuts are pure functions of
 // allreduced counts, every rank takes the same branch with no extra
-// coordination, and because only interior state moves, the
-// geometry-canonical digest is preserved bit-for-bit across a reshape.
+// coordination, and because a reshape moves the checkpoint's rows
+// (stateRows), Mur's included, the geometry-canonical digest is
+// preserved bit-for-bit across it.
 
 // maybeReshapeX runs one online balance check. Collective: every rank
 // of the world must call it at the same step. Returns whether the cuts
@@ -64,16 +65,13 @@ func (rk *Rank) addPlaneCountsX(counts []float64) {
 // reshapeX rebuilds this rank's tile under the new x-cuts. Only x-cuts
 // move and the outer cuts are fixed, so for every ordered pair (old
 // owner p, new owner q) the overlap of p's old extent with q's new
-// extent is a single slab of global planes [a, b): p copies it locally
-// when p == q and otherwise sends it — its field planes, then one
-// particle batch per species. Every rank sends all its slabs before
-// receiving any, and receives from peers in rank order, so the in-order
-// links need no sequence scheme. Every rank must call reshapeX with the
-// same newCX concurrently — the ghost re-prime at the end is collective
-// even for ranks whose extent did not change. The slabs carry interior
-// x-planes only, so an x-high Mur wall's plane N+1, which is state, would
-// come back zero: that is why Config.Validate refuses balancing on a
-// deck that is not fully periodic.
+// extent is a single slab of global planes [a, b): p keeps it when
+// p == q and otherwise sends it — the slab's part of each state row
+// (slabRows), then one particle batch per species. Every rank sends all
+// its slabs before receiving any, and receives from peers in rank
+// order, so the in-order links need no sequence scheme. Every rank must
+// call reshapeX with the same newCX concurrently — the ghost re-prime
+// at the end is collective even for ranks whose extent did not change.
 func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	dOld := rk.D
 	gOld := dOld.G
@@ -99,8 +97,6 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	if rk.rho0 != nil {
 		rho0New = make([]float32, gNew.NV())
 	}
-	arrsOld := reshapeArrays(dOld, rk.rho0)
-	arrsNew := reshapeArrays(dNew, rho0New)
 
 	// 2. Bin the particles by new x-slab: this rank's own stay, remapped
 	// onto the new grid; the rest go to per-destination batches that
@@ -130,29 +126,35 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	}
 
 	// 3. Send every slab leaving this rank (counted on the old domain,
-	// whose traffic counters adoptDomain carries over); copy the one
+	// whose traffic counters adoptDomain carries over); keep the one
 	// that stays.
+	var kept []float32
 	for j := 0; j < dec.PX; j++ {
 		a, b := max(oldX0, newCX[j]), min(oldX1, newCX[j+1])
 		if a >= b {
 			continue
 		}
+		var slab []float32
+		slabRows(dOld, rk.rho0, a, b, func(part []float32) { slab = append(slab, part...) })
 		if j == cx {
-			copySlabX(gOld, gNew, arrsOld, arrsNew, a-oldX0+1, a-newX0+1, b-a)
+			kept = slab
 			continue
 		}
-		q := dec.Rank(j, cy, cz)
-		dOld.SendRebalSlab(q, arrsOld, a-oldX0+1, b-oldX0+1, out[j])
+		dOld.SendRebalSlab(dec.Rank(j, cy, cz), slab, a-oldX0+1, out[j])
 	}
 
-	// 4. Receive the gained slabs, peers in rank order, then move onto
-	// the new tile.
+	// 4. Receive the gained slabs, peers in rank order, and fill the new
+	// tile's rows from every slab.
 	for j := 0; j < dec.PX; j++ {
 		a, b := max(layOld.CX[j], newX0), min(layOld.CX[j+1], newX1)
-		if j == cx || a >= b {
+		if a >= b {
 			continue
 		}
-		dNew.RecvRebalSlab(dec.Rank(j, cy, cz), arrsNew, a-newX0+1, b-newX0+1, rk.bufs)
+		slab := kept
+		if j != cx {
+			slab = dNew.RecvRebalSlab(dec.Rank(j, cy, cz), a-newX0+1, rk.bufs)
+		}
+		slabRows(dNew, rho0New, a, b, func(part []float32) { slab = slab[copy(part, slab):] })
 	}
 
 	rk.adoptDomain(cfg, dNew)
@@ -161,6 +163,26 @@ func (rk *Rank) reshapeX(cfg *Config, newCX []int) {
 	// 5. Collective ghost re-prime (primeGhosts). J is not carried: the
 	// next step clears and re-deposits it before any read.
 	rk.primeGhosts()
+}
+
+// slabRows calls fn with the part of each state row (stateRows) of tile
+// d, with background bg, that lies on global x-planes [a, b), in the
+// walk's order. When b is the x-high wall, plane b, which only the last
+// x rank holds (as its plane N+1) and which always stays with it, is
+// part of the slab too: Mur's plane there is state. Every other plane
+// N+1 a row reaches is derived (primeGhosts).
+func slabRows(d *domain.Domain, bg []float32, a, b int, fn func(part []float32)) {
+	if b == d.Cfg.Layout.Dec.GNX {
+		b++
+	}
+	gx0, _, _ := d.Cfg.Layout.Origin(d.Rank)
+	stateRows(d, bg, nil, func(_, v int, row []float32) {
+		ix, _, _ := d.G.Unvoxel(v)
+		x0 := gx0 + ix - 1 // row[0]'s global plane
+		if lo, hi := max(a-x0, 0), min(b-x0, len(row)); lo < hi {
+			fn(row[lo:hi])
+		}
+	})
 }
 
 // adoptDomain moves this rank onto d, a tile of the same world on
@@ -191,32 +213,4 @@ func (rk *Rank) adoptDomain(cfg *Config, d *domain.Domain) {
 	rk.presizeKernels()
 	rk.shell = shellMask(d)
 	rk.markStale()
-}
-
-// reshapeArrays lists the state a reshape carries: E and B plus, when
-// present, the neutralizing background (every rank's set matches
-// because NeutralizingBackground is global config).
-func reshapeArrays(d *domain.Domain, rho0 []float32) [][]float32 {
-	f := d.F
-	arrs := [][]float32{f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz}
-	if rho0 != nil {
-		arrs = append(arrs, rho0)
-	}
-	return arrs
-}
-
-// copySlabX copies n x-planes (full ghost-inclusive transverse extent)
-// starting at local plane ixOld of the old grid to local plane ixNew of
-// the new one; the grids differ only in their x extent.
-func copySlabX(gOld, gNew *grid.Grid, arrsOld, arrsNew [][]float32, ixOld, ixNew, n int) {
-	sxOld, sy, sz := gOld.Strides()
-	sxNew, _, _ := gNew.Strides()
-	for k := 0; k < n; k++ {
-		for t := 0; t < sy*sz; t++ {
-			vO, vN := ixOld+k+sxOld*t, ixNew+k+sxNew*t
-			for ai := range arrsOld {
-				arrsNew[ai][vN] = arrsOld[ai][vO]
-			}
-		}
-	}
 }

@@ -536,26 +536,21 @@ func (d *Domain) landParticles(k *push.Kernel, buf *particle.Buffer, in []push.O
 
 // Rebalance transfers: when the load balancer moves the x-cuts, each
 // old owner ships every slab of global planes that changes hands to its
-// new owner under the tagRebal window — the slab's field planes, then
+// new owner under the tagRebal window — the slab's field state, then
 // one particle batch per species. Each (sender, receiver) link carries
 // at most one slab per reshape, and links deliver in order, so one tag
 // serves every message.
 
-// SendRebalSlab sends local x-planes [lo, hi) of arrs (full
-// ghost-inclusive transverse extent, the shift's plane format) to
-// dst, then one batch per species of the particles resident in those
-// planes. The batches hold local voxels of this domain; they are
-// rewritten in place to the wire form, plane offset from lo times the
-// plane size plus the transverse WireVoxel.
-func (d *Domain) SendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []push.OutgoingBatch) {
+// SendRebalSlab sends state, the field state of a slab of this
+// domain's x-planes that starts at local plane lo (in the order the
+// caller walks it), to dst, then one batch per species of the particles
+// resident in the slab. The batches hold local voxels of this domain;
+// they are rewritten in place to the wire form, plane offset from lo
+// times the plane size plus the transverse WireVoxel.
+func (d *Domain) SendRebalSlab(dst int, state []float32, lo int, parts []push.OutgoingBatch) {
 	n := d.G.PlaneSize(0)
-	plane := n * len(arrs)
-	buf := make([]float32, plane*(hi-lo))
-	for ix := lo; ix < hi; ix++ {
-		packPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix)
-	}
-	d.countSend(tagRebal, 4*len(buf))
-	d.Comm.Send(dst, tagRebal, buf)
+	d.countSend(tagRebal, 4*len(state))
+	d.Comm.Send(dst, tagRebal, state)
 	for _, out := range parts {
 		for i := range out {
 			ix, _, _ := d.G.Unvoxel(int(out[i].P.Voxel))
@@ -566,16 +561,13 @@ func (d *Domain) SendRebalSlab(dst int, arrs [][]float32, lo, hi int, parts []pu
 	}
 }
 
-// RecvRebalSlab receives a slab sent by SendRebalSlab into local
-// x-planes [lo, hi) of arrs and appends its particles, landed on those
-// planes, to bufs (one per species, in species order). The particles
-// are relocated, not moved: no current is deposited.
-func (d *Domain) RecvRebalSlab(src int, arrs [][]float32, lo, hi int, bufs []*particle.Buffer) {
-	buf := d.Comm.Recv(src, tagRebal).([]float32)
-	plane := d.G.PlaneSize(0) * len(arrs)
-	for ix := lo; ix < hi; ix++ {
-		unpackPlane(buf[(ix-lo)*plane:(ix-lo+1)*plane], d.G, arrs, 0, ix, false)
-	}
+// RecvRebalSlab receives a slab sent by SendRebalSlab whose planes
+// start at local plane lo here: it returns the slab's field state and
+// appends its particles, landed on their planes, to bufs (one per
+// species, in species order). The particles are relocated, not moved:
+// no current is deposited.
+func (d *Domain) RecvRebalSlab(src, lo int, bufs []*particle.Buffer) []float32 {
+	state := d.Comm.Recv(src, tagRebal).([]float32)
 	n := int32(d.G.PlaneSize(0))
 	for _, b := range bufs {
 		for _, o := range d.Comm.Recv(src, tagRebal).(push.OutgoingBatch) {
@@ -584,4 +576,5 @@ func (d *Domain) RecvRebalSlab(src int, arrs [][]float32, lo, hi int, bufs []*pa
 			b.Append(p)
 		}
 	}
+	return state
 }

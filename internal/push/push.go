@@ -351,13 +351,14 @@ func (k *Kernel) ResetStats() {
 
 // AdoptFrom carries a retired kernel's run-cumulative state into this
 // one — the load balancer rebuilds kernels when a rank's tile is
-// reshaped, and the statistics must survive the swap. Bound is set
-// separately (the new domain's ParticleActions).
+// reshaped, and the statistics must survive the swap — and its face
+// actions, refluxing walls included: a reshape keeps every rank's walls
+// and remote faces.
 func (k *Kernel) AdoptFrom(o *Kernel) {
 	k.NMoved, k.NSeg, k.NLost, k.NPushed, k.NRuns, k.ELost =
 		o.NMoved, o.NSeg, o.NLost, o.NPushed, o.NRuns, o.ELost
 	k.trafficTaken = o.trafficTaken
-	k.reflux = o.reflux
+	k.Bound, k.reflux = o.Bound, o.reflux
 }
 
 // MergeStats folds one block's counters into the kernel totals.
