@@ -69,14 +69,14 @@ type tasks struct {
 	f          *field.Fields
 	cx, cy, cz float32
 	reduce     func(lo, hi int)
-	jx, jy, jz func(lo, hi int)
+	unload     func(lo, hi int)
 }
 
 // task returns a's pass operands, binding them on first use.
 func (a *Array) task() *tasks {
 	if a.tasks == nil {
 		t := &tasks{a: a}
-		t.reduce, t.jx, t.jy, t.jz = t.reduceRange, t.unloadJx, t.unloadJy, t.unloadJz
+		t.reduce, t.unload = t.reduceRange, t.unloadRange
 		a.tasks = t
 	}
 	return a.tasks
@@ -212,10 +212,11 @@ func sumClearGo(dst []Cell, srcs [][]Cell) {
 //	Jx(edge) = Σ_cells jx_slot / (4·dt·dy·dz)   (and cyclic).
 //
 // dt is the time step the displacements were accumulated over. The
-// z-plane sweeps of each edge family are split over the worker pool p
-// (nil runs them inline). Every edge value is gathered independently
-// from its (up to four) adjacent cells, so partitioning the z range
-// changes nothing numerically.
+// three edge families share one z-plane sweep over NZ+1 planes (Jz has
+// no edge on the last), split over the worker pool p (nil runs it
+// inline). Every edge value is gathered independently from its (up to
+// four) adjacent cells, so neither the partition of the z range nor the
+// order of the families changes anything numerically.
 func (a *Array) UnloadPar(p *pipe.Pool, f *field.Fields, dt float64) {
 	g := a.G
 	t := a.task()
@@ -223,10 +224,17 @@ func (a *Array) UnloadPar(p *pipe.Pool, f *field.Fields, dt float64) {
 	t.cx = float32(1 / (4 * dt * g.DY * g.DZ))
 	t.cy = float32(1 / (4 * dt * g.DZ * g.DX))
 	t.cz = float32(1 / (4 * dt * g.DX * g.DY))
-	p.Range(g.NZ+1, t.jx)
-	p.Range(g.NZ+1, t.jy)
-	p.Range(g.NZ, t.jz)
+	p.Range(g.NZ+1, t.unload)
 	t.f = nil
+}
+
+// unloadRangeGo gathers every edge family of z planes (lo, hi]. The
+// three family loops are the spec of unloadRange's row routine, the
+// purego / non-amd64 unload and the parity tests' oracle.
+func (t *tasks) unloadRangeGo(lo, hi int) {
+	t.unloadJx(lo, hi)
+	t.unloadJy(lo, hi)
+	t.unloadJz(lo, min(hi, t.a.G.NZ))
 }
 
 // unloadJx gathers the Jx edges of z planes (lo, hi]: i ∈ [1,NX],

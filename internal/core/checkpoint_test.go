@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -339,25 +338,7 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 // rank 0 touches, and returns it with each member's error.
 func resume(cfg Config, ckpt []byte, setup func(*Rank) error) (*Simulation, []error) {
 	r := bytes.NewReader(ckpt)
-	world := mp.NewWorld(cfg.NRanks)
-	s := &Simulation{Cfg: cfg, World: world,
-		Ranks: make([]*Rank, cfg.NRanks), sims: make([]*RankSim, cfg.NRanks)}
-	errs := make([]error, cfg.NRanks)
-	var wg sync.WaitGroup
-	for rank := range s.sims {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.sims[rank], errs[rank] = ResumeRankSim(cfg, world.Comm(rank), r, setup)
-		}()
-	}
-	wg.Wait()
-	for rank, rs := range s.sims {
-		if rs != nil {
-			s.Ranks[rank] = rs.Rank
-		}
-	}
-	return s, errs
+	return newWorld(cfg, func(c *mp.Comm) (*RankSim, error) { return ResumeRankSim(cfg, c, r, setup) })
 }
 
 // mustResume resumes cfg's world from ckpt or fails the test.

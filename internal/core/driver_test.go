@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"govpic/internal/accum"
 	"govpic/internal/diag"
@@ -81,22 +82,58 @@ func TestCollectSameOnEveryMember(t *testing.T) {
 
 // TestSimulationStepAllocs guards the lockstep driver's fixed per-step
 // cost on the latency-bound shape (cmd/bench's exchange.2rank: 4096
-// particles on 2 ranks): one goroutine per rank per step over a
-// WaitGroup that lives in the Simulation. The members' steps allocate
-// nothing (TestMemberStepAllocs), so what is left is the fan-out: the
-// bound is what this test measures on the tree that set it (4 per
-// step, down from 181 before the persistent exchange plans), so any
-// new per-step allocation — a WaitGroup declared per step, a closure
-// per member, a second fan-out for the balance check — fails it.
+// particles on 2 ranks). The members' steps allocate nothing
+// (TestMemberStepAllocs), and back-to-back steps reuse the member
+// goroutines, so the bound is 0 (4 per step when each step started a
+// goroutine per member, 181 before the persistent exchange plans): any
+// new per-step allocation — a goroutine or closure per member, a
+// second fan-out for the balance check — fails it.
 func TestSimulationStepAllocs(t *testing.T) {
 	s, err := New(thermalBox(32, 4, 4, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run(40) // past the first sorts and buffer growth
-	const maxAllocs = 4
+	const maxAllocs = 0
 	if got := testing.AllocsPerRun(200, s.Step); got > maxAllocs {
 		t.Errorf("Simulation.Step allocates %.0f objects per step, the bound %d", got, maxAllocs)
+	}
+}
+
+// TestSimulationMembersOutliveSteps: the member goroutines of a 4-rank
+// Simulation exit once no start arrives within memberWindow (that they
+// outlive back-to-back steps is TestSimulationStepAllocs' bound); the
+// steps after that start them again, and the state ends bit-identical
+// to a run whose members never exited.
+func TestSimulationMembersOutliveSteps(t *testing.T) {
+	cfg := thermalBox(8, 8, 4, 8, 4)
+	want, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Run(6)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := func() (n int) {
+		for r := range s.members {
+			if s.members[r].live.Load() {
+				n++
+			}
+		}
+		return n
+	}
+	for round := 0; round < 3; round++ {
+		s.Run(2)
+		for deadline := time.Now().Add(5 * time.Second); alive() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d member goroutines still live %v after the last step", round, alive(), 5*time.Second)
+			}
+		}
+	}
+	if got, w := s.StateCRCs(), want.StateCRCs(); !reflect.DeepEqual(got, w) {
+		t.Errorf("state CRCs %08x after restarted members, %08x with live ones", got, w)
 	}
 }
 

@@ -61,8 +61,9 @@ func (f *Fields) curlTask() *curl {
 	return t
 }
 
-// sweepB advances B on z planes (lo, hi].
-func (t *curl) sweepB(lo, hi int) {
+// sweepBGo advances B on z planes (lo, hi]. It is the spec of sweepB's
+// row routine, the purego / non-amd64 sweep and the parity tests' oracle.
+func (t *curl) sweepBGo(lo, hi int) {
 	f, g := t.f, t.f.G
 	sx, sy, _ := g.Strides()
 	sxy := sx * sy
@@ -82,8 +83,9 @@ func (t *curl) sweepB(lo, hi int) {
 	}
 }
 
-// sweepE advances E on z planes (lo, hi].
-func (t *curl) sweepE(lo, hi int) {
+// sweepEGo advances E on z planes (lo, hi]; it is sweepE's spec, as
+// sweepBGo is sweepB's.
+func (t *curl) sweepEGo(lo, hi int) {
 	f, g := t.f, t.f.G
 	sx, sy, _ := g.Strides()
 	sxy := sx * sy

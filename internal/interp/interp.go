@@ -75,8 +75,10 @@ func (t *Table) loadRange(lo, hi int) {
 	t.loadPlanes(lo+1, hi, sx, sx*sy, f.Ex, f.Ey, f.Ez, f.Bx, f.By, f.Bz)
 }
 
-// loadPlanes fills the interpolators of z planes [izLo, izHi].
-func (t *Table) loadPlanes(izLo, izHi, sx, sxy int, ex, ey, ez, bx, by, bz []float32) {
+// loadPlanesGo fills the interpolators of z planes [izLo, izHi]. It is
+// the spec of loadPlanes' row routine, the purego / non-amd64 load and
+// the parity tests' oracle.
+func (t *Table) loadPlanesGo(izLo, izHi, sx, sxy int, ex, ey, ez, bx, by, bz []float32) {
 	g := t.G
 	for iz := izLo; iz <= izHi; iz++ {
 		for iy := 1; iy <= g.NY; iy++ {
