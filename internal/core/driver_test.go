@@ -101,7 +101,7 @@ func TestSimulationStepAllocs(t *testing.T) {
 }
 
 // TestSimulationMembersOutliveSteps: the member goroutines of a 4-rank
-// Simulation exit once no start arrives within memberWindow (that they
+// Simulation exit once no start arrives within wait.Window (that they
 // outlive back-to-back steps is TestSimulationStepAllocs' bound); the
 // steps after that start them again, and the state ends bit-identical
 // to a run whose members never exited.

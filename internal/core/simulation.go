@@ -1,13 +1,12 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"govpic/internal/diag"
 	"govpic/internal/mp"
+	"govpic/internal/wait"
 )
 
 // Simulation is an in-process world of RankSims advanced in lockstep:
@@ -29,7 +28,7 @@ type Simulation struct {
 }
 
 // A member is the goroutine of one member r > 0 of a Simulation's
-// fan-out. It yields for up to memberWindow for its next start, so
+// fan-out. It yields through wait.Until for its next start, so
 // back-to-back steps start no goroutine and wake no parked thread, and
 // exits after, so a Simulation needs no Close. fn and rs are written
 // before the start is sent and cleared before the end is: an idle
@@ -41,16 +40,6 @@ type member struct {
 	fn    func(*RankSim)
 	rs    *RankSim
 }
-
-// memberWindow is how long a member goroutine yields for its next start
-// before it exits, and each yields for the members' ends before it
-// parks: the window of mp's receives and of the pool's helpers. On the
-// exchange.2rank bench workload (a 2-vCPU Xeon, grid passes alike,
-// medians of 10 runs) a goroutine per member per step gave 32.5
-// Mpart/s and outliving members 51.0: each step woke a parked thread,
-// which the guest kernel could place beside the running one, so a
-// receive waited out mp's spin window (EXPERIMENTS P85).
-const memberWindow = 500 * time.Microsecond
 
 // New builds and initializes a simulation: every member is a
 // NewRankSim on its Comm of a fresh in-process world.
@@ -107,20 +96,20 @@ func (s *Simulation) each(fn func(rs *RankSim)) {
 		}
 	}
 	fn(s.sims[0])
-	yieldUntil(s.done, len(s.sims)-1)
+	wait.Until(func() bool { return len(s.done) >= len(s.sims)-1 })
 	for r := 1; r < len(s.sims); r++ {
 		<-s.done
 	}
 }
 
-// run runs m's starts until none arrives within memberWindow.
+// run runs m's starts until none arrives within a wait.Window.
 func (m *member) run() {
 	for {
 		<-m.start
 		m.fn(m.rs)
 		m.fn, m.rs = nil, nil
 		m.done <- struct{}{}
-		if !yieldUntil(m.start, 1) {
+		if !wait.Until(func() bool { return len(m.start) > 0 }) {
 			// A start sent after the last look is this goroutine's only
 			// if it sets live again before each starts a successor.
 			m.live.Store(false)
@@ -129,20 +118,6 @@ func (m *member) run() {
 			}
 		}
 	}
-}
-
-// yieldUntil yields the processor until ch holds n values or
-// memberWindow has passed, reading the clock once per 16 yields, and
-// reports whether ch holds them.
-func yieldUntil(ch chan struct{}, n int) bool {
-	start := time.Now()
-	for i := 1; len(ch) < n; i++ {
-		if i%16 == 0 && time.Since(start) > memberWindow {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
 }
 
 // Collect runs fn concurrently on every member of the simulation and

@@ -59,6 +59,7 @@ func zeroTimes(r core.RankReport) core.RankReport {
 	r.Links = append([]perf.CommLinkStat(nil), r.Links...)
 	for i := range r.Links {
 		r.Links[i].RTT = perf.HistSnapshot{}
+		r.Links[i].SpinsExpired = 0
 	}
 	return r
 }

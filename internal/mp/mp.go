@@ -38,14 +38,15 @@
 // Recv probes Transport.Ready first — and the blocked time is the
 // rank's comm wait (CommStats.TakeWait), collectives included. Sends
 // read no clock. A World receive that would block first yields its
-// processor for up to spinWindow, looking at the link between yields,
+// processor through wait.Until, looking at the link between yields,
 // and parks only after: a parked receiver is readied onto its sender's
 // processor, so the two ranks would share one core until the idle one
 // steals a goroutine back. The yield counts as comm wait like the
-// park it precedes. A TCP receive parks at once: a yielding goroutine
-// keeps the scheduler from polling the network, so the link's reader
-// goroutine, which the receive waits for, would wait for the system
-// monitor.
+// park it precedes, and each window that runs out is counted on the
+// link (perf.CommLinkStat.SpinsExpired). A TCP receive parks at once: a
+// yielding goroutine keeps the scheduler from polling the network, so
+// the link's reader goroutine, which the receive waits for, would wait
+// for the system monitor.
 //
 // Substrate failures (tag mismatch, link overflow, dead peer) are typed
 // CommErrors: the Transport methods return them, and the Comm wrappers
@@ -57,11 +58,11 @@ package mp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"govpic/internal/perf"
+	"govpic/internal/wait"
 )
 
 // Transport is the pluggable rank-to-rank message fabric under Comm.
@@ -205,7 +206,9 @@ func (t *localTransport) Recv(src, tag int) (any, error) {
 	select {
 	case m = <-ch:
 	default:
-		yieldUntilReady(ch)
+		if !wait.Until(func() bool { return len(ch) > 0 }) {
+			t.link(src).AddSpinExpired()
+		}
 		select {
 		case m = <-ch:
 		case <-t.w.dead:
@@ -222,33 +225,6 @@ func (t *localTransport) Recv(src, tag int) (any, error) {
 	}
 	t.link(src).AddRecv(PayloadBytes(m.data))
 	return m.data, nil
-}
-
-// spinWindow is how long a World receive yields on an empty link
-// before it parks. It outlasts most waits of a step, so a receiver
-// keeps its processor through them: on a 2-vCPU Xeon, eight rounds of
-// the exchange.2rank bench workload moved its median step from 0.187
-// ms to 0.163, 0.146 and 0.142 ms at windows of 50, 200 and 500 µs,
-// and thermal.2rank's from 3.07 ms to 2.86 and 2.74 ms at 200 and
-// 500 µs. It matches the pool helpers' idleWindow, so a rank whose peer
-// has stopped sending gives its processor back within a millisecond.
-// A world with more ranks than processors spins too: against parking
-// at once, 3 000 thermal steps on 4 ranks took 2.86 s against 3.02 s
-// (10 of 10 pairs), and on 8 ranks 3.05 s against 3.07 s (4 of 10).
-const spinWindow = 500 * time.Microsecond
-
-// yieldUntilReady yields the processor, as the pool's helpers do while
-// they wait for a region (internal/pipe), until ch holds a message or
-// spinWindow has passed; it reads the clock once per 16 yields. The
-// caller then receives, parking if the link is still empty.
-func yieldUntilReady(ch chan message) {
-	start := time.Now()
-	for i := 1; len(ch) == 0; i++ {
-		if i%16 == 0 && time.Since(start) > spinWindow {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 func (t *localTransport) Stats() *perf.CommStats { return t.w.stats[t.rank] }

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"govpic/internal/wait"
 )
 
 // TestOversubscribedWorldFinishes: a 4-rank World whose ranks share one
@@ -61,6 +63,45 @@ func TestWorldRecvAllocs(t *testing.T) {
 	pingPong() // the links' counters are made on first use
 	if got := testing.AllocsPerRun(runs, pingPong); got != 0 {
 		t.Errorf("a spinning ping-pong allocates %.2f objects per round trip, the budget 0", got)
+	}
+	<-done
+}
+
+// TestRecvCountsExpiredWindows: a World receive counts on its link each
+// wait.Window that runs out before its message arrives. One whose
+// message is already queued counts none; one whose peer sends 3 ×
+// Window after the receive starts counts exactly one. The peer also
+// waits (boundedly) for the count, so a receiver the host deschedules
+// past the window cannot find the message at its next look.
+func TestRecvCountsExpiredWindows(t *testing.T) {
+	const tagQueued, tagGo, tagLate = 1, 2, 3
+	w := NewWorld(2)
+	c0, c1 := w.Comm(0), w.Comm(1)
+	expired := func() int64 { return c1.Stats().Link(0).Snapshot().SpinsExpired }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c0.Send(1, tagQueued, 1.0)
+		c0.Recv(1, tagGo)
+		time.Sleep(3 * wait.Window)
+		for deadline := time.Now().Add(2 * time.Second); expired() == 0 && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		c0.Send(1, tagLate, 2.0)
+	}()
+
+	for !c1.Transport().Ready(0) {
+		time.Sleep(50 * time.Microsecond)
+	}
+	c1.Recv(0, tagQueued)
+	if got := expired(); got != 0 {
+		t.Errorf("a receive already queued counted %d expired windows, want 0", got)
+	}
+
+	c1.Send(0, tagGo, 0.0)
+	c1.Recv(0, tagLate)
+	if got := expired(); got != 1 {
+		t.Errorf("a receive whose peer sent after %v counted %d expired windows, want 1", 3*wait.Window, got)
 	}
 	<-done
 }

@@ -186,6 +186,7 @@ type LinkStat struct {
 	msgsSent  atomic.Int64
 	bytesRecv atomic.Int64
 	msgsRecv  atomic.Int64
+	expired   atomic.Int64 // in-process receives whose wait.Window ran out
 
 	mu  sync.Mutex // guards the rest
 	rtt Histogram
@@ -204,6 +205,9 @@ func (l *LinkStat) AddRecv(bytes int) {
 	l.bytesRecv.Add(int64(bytes))
 	l.msgsRecv.Add(1)
 }
+
+// AddSpinExpired records one receive whose yield window expired.
+func (l *LinkStat) AddSpinExpired() { l.expired.Add(1) }
 
 // AddFlush records one write of buffered frames to the connection.
 func (l *LinkStat) AddFlush() {
@@ -224,14 +228,15 @@ func (l *LinkStat) Snapshot() CommLinkStat {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return CommLinkStat{
-		Src:       l.src,
-		Peer:      l.peer,
-		BytesSent: l.bytesSent.Load(),
-		MsgsSent:  l.msgsSent.Load(),
-		BytesRecv: l.bytesRecv.Load(),
-		MsgsRecv:  l.msgsRecv.Load(),
-		RTT:       l.rtt.Snapshot(),
-		Flushes:   l.flushes,
+		Src:          l.src,
+		Peer:         l.peer,
+		BytesSent:    l.bytesSent.Load(),
+		MsgsSent:     l.msgsSent.Load(),
+		BytesRecv:    l.bytesRecv.Load(),
+		MsgsRecv:     l.msgsRecv.Load(),
+		RTT:          l.rtt.Snapshot(),
+		Flushes:      l.flushes,
+		SpinsExpired: l.expired.Load(),
 	}
 }
 
@@ -246,6 +251,8 @@ type CommLinkStat struct {
 	MsgsRecv  int64        `json:"msgs_recv"`
 	RTT       HistSnapshot `json:"rtt"`
 	Flushes   int64        `json:"flushes"` // network connection writes; msgs_sent/flushes = frames per syscall
+	// In-process receives that yielded a whole wait.Window, then parked.
+	SpinsExpired int64 `json:"spins_expired"`
 }
 
 // Label returns the link's "src->peer" form used as a metrics label.
@@ -253,19 +260,20 @@ func (s CommLinkStat) Label() string { return fmt.Sprintf("%d->%d", s.Src, s.Pee
 
 // CommReport formats per-link counters as aligned text rows, one per
 // link, with RTT columns when the link has latency samples. The last
-// column counts a network link's connection writes.
+// two columns count a network link's connection writes and an
+// in-process link's receives whose yield window expired.
 func CommReport(links []CommLinkStat) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s %8s\n",
-		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99", "flushes")
+	fmt.Fprintf(&sb, "%-8s %12s %8s %12s %8s %10s %10s %8s %8s\n",
+		"link", "sent B", "msgs", "recv B", "msgs", "rtt p50", "rtt p99", "flushes", "expired")
 	for _, l := range links {
 		p50, p99 := "", ""
 		if l.RTT.Count > 0 {
 			p50 = fmt.Sprintf("%.0fµs", l.RTT.P50Micros)
 			p99 = fmt.Sprintf("%.0fµs", l.RTT.P99Micros)
 		}
-		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s %8d\n",
-			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99, l.Flushes)
+		fmt.Fprintf(&sb, "%-8s %12d %8d %12d %8d %10s %10s %8d %8d\n",
+			l.Label(), l.BytesSent, l.MsgsSent, l.BytesRecv, l.MsgsRecv, p50, p99, l.Flushes, l.SpinsExpired)
 	}
 	return sb.String()
 }

@@ -15,15 +15,17 @@
 // Like the SPEs, which the paper's code fed every step, a pool's
 // workers persist: a multi-worker pool's helper goroutines outlive a
 // region and pick up the next one from a single generation-tagged claim
-// word, then exit on their own after an idle spell (see Pool). They
-// only decide which goroutine runs a pipeline's task, never what it
-// computes, so persistence moves no bit either.
+// word, then exit on their own once wait.Until sees no new word (see
+// Pool). They only decide which goroutine runs a pipeline's task, never
+// what it computes, so persistence moves no bit either.
 package pipe
 
 import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"govpic/internal/wait"
 )
 
 // NumBlocks is the fixed number of pipeline blocks every partitioned
@@ -106,7 +108,7 @@ func AlignedRange(lo0, hi0, nb, b, align int) (lo, hi int) {
 // after its claim succeeds. The caller takes tasks like a helper and
 // returns when the region's done-count reaches its task count, never
 // waiting for a helper that claimed nothing. A helper that sees the
-// word unchanged for idleWindow exits, and the next region starts a
+// word unchanged for a wait.Window exits, and the next region starts a
 // fresh one, so a pool needs no Close. Which goroutine runs a task
 // never changes what the task computes, so the helpers move no bit of
 // the result.
@@ -144,20 +146,9 @@ type Pool struct {
 	ran  bool
 }
 
-const (
-	// idleWindow is how long a helper spins on an unchanged region word
-	// before it exits. It outlasts the serial work between the regions
-	// of an ordinary step, so helpers live through it: on the lpi deck
-	// at two workers (ppc 512, 1 600 steps, a 2-vCPU Xeon) 206 of 6 720
-	// regions started a helper, after the longer serial spells. It is
-	// short enough that a rank that stops running regions gives its
-	// cores back within a millisecond. A start allocates nothing.
-	idleWindow = 500 * time.Microsecond
-
-	// maxTasks is the most tasks one region word counts (16 bits); Run
-	// publishes a longer loop as consecutive regions.
-	maxTasks = 1<<16 - 1
-)
+// maxTasks is the most tasks one region word counts (16 bits); Run
+// publishes a longer loop as consecutive regions.
+const maxTasks = 1<<16 - 1
 
 // New returns a pool of w workers (clamped to [1, NumBlocks]).
 func New(w int) *Pool {
@@ -224,8 +215,9 @@ func (p *Pool) region(base, n int, fn func(i int)) {
 		go p.help()
 	}
 	p.take()
-	for p.done.Load() < int32(n) {
-		runtime.Gosched()
+	// A claimed task always finishes, so the owner waits again after a
+	// window runs out rather than parking.
+	for !wait.Until(func() bool { return p.done.Load() >= int32(n) }) {
 	}
 	p.fn = nil
 }
@@ -265,17 +257,11 @@ func (p *Pool) take() uint64 {
 // helper is the body of a helper goroutine: it takes tasks of every
 // region published while it lives, yielding between looks so a helper
 // never holds a processor another goroutine is waiting for, and exits
-// once the word has not changed for idleWindow.
+// once the word has not changed for a wait.Window.
 func (p *Pool) helper() {
 	defer p.helpers.Add(-1)
-	last, idle := p.take(), time.Now()
-	for {
-		runtime.Gosched()
-		if w := p.take(); w != last {
-			last, idle = w, time.Now()
-		} else if time.Since(idle) > idleWindow {
-			return
-		}
+	for last := p.take(); wait.Until(func() bool { return p.word.Load() != last }); {
+		last = p.take()
 	}
 }
 

@@ -1,10 +1,13 @@
 package pipe
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"govpic/internal/wait"
 )
 
 func TestRunCoversEveryIndexOnce(t *testing.T) {
@@ -199,7 +202,7 @@ func TestBackToBackRegions(t *testing.T) {
 
 // TestHelpersExitWhenIdle: a multi-worker pool's helpers outlive a
 // region but not an idle spell. Once regions stop, the goroutine count
-// falls back to its value before the pool within idleWindow plus a
+// falls back to its value before the pool within wait.Window plus a
 // polled deadline, and the next region starts fresh helpers.
 func TestHelpersExitWhenIdle(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -214,7 +217,7 @@ func TestHelpersExitWhenIdle(t *testing.T) {
 				t.Fatalf("round %d: index %d ran %d times in 100 regions", round, i, got)
 			}
 		}
-		for deadline := time.Now().Add(idleWindow + 5*time.Second); p.helpers.Load() > 0 || runtime.NumGoroutine() > base; {
+		for deadline := time.Now().Add(wait.Window + 5*time.Second); p.helpers.Load() > 0 || runtime.NumGoroutine() > base; {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				t.Fatalf("round %d: %d helpers live, %d goroutines, %d before the pool:\n%s",
@@ -272,7 +275,7 @@ func TestRegionAllocs(t *testing.T) {
 			{"Range(4)", func() { p.Range(4, span) }},
 			{"Run(8) after an idle spell", func() {
 				for p.helpers.Load() > 0 {
-					time.Sleep(idleWindow)
+					time.Sleep(wait.Window)
 				}
 				p.Run(8, task)
 			}},
@@ -281,5 +284,19 @@ func TestRegionAllocs(t *testing.T) {
 				t.Errorf("W=%d: %s allocates %.2f objects per call, the budget 0", w, r.name, got)
 			}
 		}
+	}
+}
+
+// BenchmarkDispatch is the package's twin of the bench's
+// pipe.dispatch_us probe: one region of NumBlocks empty tasks per op.
+func BenchmarkDispatch(b *testing.B) {
+	noop := func(int) {}
+	for _, w := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
+			p := New(w)
+			for i := 0; i < b.N; i++ {
+				p.Run(NumBlocks, noop)
+			}
+		})
 	}
 }
